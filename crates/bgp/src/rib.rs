@@ -320,6 +320,32 @@ impl AdjRibOut {
         }
     }
 
+    /// [`reconcile`](Self::reconcile) for a route re-advertised with its
+    /// NEXT_HOP rewritten (the route server's VNH hook), for callers that
+    /// act on the change themselves instead of sending the UPDATE: records
+    /// the desired state and returns whether the advertisement changed.
+    /// `route` is borrowed from the Loc-RIB and cloned once, into this
+    /// table, only if it did — a burst pays for what it changed.
+    pub fn reconcile_rewritten(
+        &mut self,
+        prefix: Prefix,
+        desired: Option<(&PathAttributes, Ipv4Addr)>,
+    ) -> bool {
+        let Some((route, next_hop)) = desired else {
+            return self.advertised.remove(prefix).is_some();
+        };
+        if self
+            .advertised
+            .get(prefix)
+            .is_some_and(|a| a.is_rewrite_of(route, next_hop))
+        {
+            return false;
+        }
+        self.advertised
+            .insert(prefix, route.clone().with_next_hop(next_hop));
+        true
+    }
+
     /// Reconciles a whole desired table at once, returning the minimal
     /// update stream (withdrawals for prefixes no longer desired, plus
     /// announcements for new/changed ones).
@@ -515,6 +541,34 @@ mod tests {
         assert_eq!(w.withdrawn, vec![prefix("10.0.0.0/8")]);
         assert!(out.reconcile(prefix("10.0.0.0/8"), None).is_none());
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn reconcile_rewritten_equals_reconcile_of_the_rewritten_copy() {
+        let route = PathAttributes::new(AsPath::sequence([65001, 7]), ip("172.16.0.1"))
+            .with_med(5)
+            .with_community(crate::attrs::Community(65001, 80));
+        let other = PathAttributes::new(AsPath::sequence([65002]), ip("172.16.0.2"));
+        let vnh = ip("172.16.255.9");
+        let p = prefix("10.0.0.0/8");
+        // The same sequence of desired states through both entry points.
+        let steps = [
+            Some((&route, route.next_hop)),
+            Some((&route, route.next_hop)),
+            Some((&route, vnh)),
+            Some((&other, vnh)),
+            Some((&other, vnh)),
+            None,
+            None,
+            Some((&route, vnh)),
+        ];
+        let (mut borrowed, mut owned) = (AdjRibOut::new(), AdjRibOut::new());
+        for (i, step) in steps.into_iter().enumerate() {
+            let changed = borrowed.reconcile_rewritten(p, step);
+            let update = owned.reconcile(p, step.map(|(r, nh)| r.clone().with_next_hop(nh)));
+            assert_eq!(changed, update.is_some(), "step {i}");
+            assert_eq!(borrowed.advertised(p), owned.advertised(p), "step {i}");
+        }
     }
 
     #[test]

@@ -865,19 +865,30 @@ impl SdxController {
 
     /// Pushes pending per-prefix FIB changes to the affected routers,
     /// through the per-viewer Adj-RIB-Out (only actual diffs are sent).
+    ///
+    /// Viewer by viewer: each viewer's Adj-RIB-Out and routers are
+    /// resolved once per flush, its changes reconciled in arrival order,
+    /// and the surviving ones — all a FIB keeps of an UPDATE is `prefix →
+    /// next hop` — replayed to each of its routers, so every router ends
+    /// where one UPDATE per change would have left it.
     fn flush_fib(&mut self, fabric: &mut Fabric) {
-        let pending = std::mem::take(&mut self.pending_fib);
-        for (viewer, prefix, vnh) in pending {
-            let desired = self.rs.best_for(viewer, prefix).map(|best| {
-                let nh = vnh.unwrap_or(best.attrs.next_hop);
-                best.attrs.clone().with_next_hop(nh)
-            });
+        let mut by_viewer: BTreeMap<ParticipantId, Vec<(Prefix, Option<Ipv4Addr>)>> =
+            BTreeMap::new();
+        for (viewer, prefix, vnh) in std::mem::take(&mut self.pending_fib) {
+            by_viewer.entry(viewer).or_default().push((prefix, vnh));
+        }
+        for (viewer, mut changes) in by_viewer {
             let out = self.rib_out.entry(viewer).or_default();
-            if let Some(update) = out.reconcile(prefix, desired) {
-                for port in fabric.ports_of(viewer) {
-                    if let Some(r) = fabric.router_mut(port) {
-                        r.apply_update(&update);
-                    }
+            // Each change becomes (prefix, next hop to install | withdraw),
+            // and is kept only if the advertisement actually moved.
+            changes.retain_mut(|(prefix, next_hop)| {
+                let best = self.rs.best_for(viewer, *prefix).map(|best| &best.attrs);
+                *next_hop = best.map(|attrs| next_hop.unwrap_or(attrs.next_hop));
+                out.reconcile_rewritten(*prefix, best.zip(*next_hop))
+            });
+            for router in fabric.routers_of_mut(viewer) {
+                for &(prefix, next_hop) in &changes {
+                    router.set_route(prefix, next_hop);
                 }
             }
         }

@@ -19,6 +19,7 @@
 //! The cost is extra rules (Figure 9 measures them); the benefit is
 //! sub-second reaction (Figure 10 measures it).
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use sdx_bgp::route_server::RouteServer;
@@ -29,7 +30,8 @@ use crate::compiler::SdxCompiler;
 use crate::error::SdxError;
 use crate::faults::{FaultPlan, InjectionPoint};
 use crate::fec::FecGroup;
-use crate::transform::{self, dst_coverage, expand_fwd_rule, Coverage};
+use crate::participant::ParticipantConfig;
+use crate::transform::{self, dst_coverage, expand_fwd_rule, Coverage, FwdRule};
 use crate::vnh::VnhAllocator;
 
 /// The product of one fast-path recompilation.
@@ -55,6 +57,17 @@ impl DeltaResult {
     }
 }
 
+/// What the fast path needs of one viewer's outbound policy. It depends on
+/// the policy book, not on the prefix, so a burst derives it once.
+struct ViewerRules {
+    /// The viewer's forwarding clauses, in priority order.
+    rules: Vec<FwdRule>,
+    /// The clauses prefix churn can move — no destination rewrite (those
+    /// are recompiled only by the background pass), a peer's virtual
+    /// switch as target — as (index into `rules`, that peer).
+    movable: Vec<(usize, ParticipantId)>,
+}
+
 impl SdxCompiler {
     /// The §4.3.2 fast path for one changed prefix. Must be called after
     /// the route server has already applied the triggering update.
@@ -76,138 +89,11 @@ impl SdxCompiler {
         prefix: Prefix,
         faults: &mut FaultPlan,
     ) -> Result<DeltaResult, SdxError> {
-        let t0 = Instant::now();
-        let mut out = DeltaResult::default();
-
-        let viewers: Vec<ParticipantId> = self.participants().keys().copied().collect();
-        for viewer in viewers {
-            // Every viewer needs the re-advertisement — a best-path change
-            // must reach policy-less participants' FIBs too. Only the
-            // rule recompilation is conditional on having policies.
-            let rules = match self.effective_outbound(viewer) {
-                Some(outbound) => {
-                    // Served from the §4.3.1 memo cache in steady state.
-                    let mut scratch = crate::compiler::CompileStats::default();
-                    let compiled = self.compile_raw(&outbound, &mut scratch);
-                    transform::outbound_fwd_rules(viewer, &compiled)?
-                }
-                None => Vec::new(),
-            };
-
-            // Which of the viewer's rules touch this prefix now?
-            let mut member = Vec::new();
-            let mut partial = Vec::new();
-            for (k, rule) in rules.iter().enumerate() {
-                if rule.rewritten_dst().is_some() {
-                    // Rewrite (load-balancer) rules are recompiled only by
-                    // the background pass; prefix churn does not move them.
-                    continue;
-                }
-                let Some(PortId::Virt(nh)) = rule.target else {
-                    continue;
-                };
-                if !rs.reachable_via(viewer, prefix).contains(&nh) {
-                    continue;
-                }
-                match dst_coverage(&rule.matches, prefix) {
-                    Coverage::None => {}
-                    Coverage::Full => member.push(k),
-                    Coverage::Partial => {
-                        member.push(k);
-                        partial.push(k);
-                    }
-                }
-            }
-            let best = rs.best_for(viewer, prefix);
-            if member.is_empty() {
-                // The prefix is no longer policy-affected for this viewer:
-                // fall back to plain route-server behaviour (real next hop).
-                out.vnh_updates.push((viewer, prefix, None));
-                continue;
-            }
-
-            // Fresh singleton group — no MDS, no ARP invalidation.
-            faults.check(InjectionPoint::VnhAlloc)?;
-            let (id, addr, vmac) = vnh.try_allocate()?;
-            self.telemetry().inc("vnh.alloc.count");
-            let group = FecGroup {
-                id,
-                viewer,
-                prefixes: vec![prefix],
-                vnh: addr,
-                vmac,
-                default_next_hop: best.map(|r| r.source.participant),
-            };
-            out.arp_bindings.push((addr, vmac));
-            out.vnh_updates.push((viewer, prefix, Some(addr)));
-
-            // Stage-1 delta: the member policy rules + the default rule,
-            // all restricted to the fresh tag.
-            let groups = [group.clone()];
-            let mut stage1 = Vec::new();
-            for &k in &member {
-                let Some(target) = rules[k].target else {
-                    continue;
-                };
-                stage1.extend(expand_fwd_rule(
-                    &rules[k],
-                    target,
-                    &groups,
-                    |_| true,
-                    |_| partial.contains(&k),
-                ));
-            }
-            stage1.extend(transform::default_stage1_rules(&groups));
-
-            // Compose with fresh mini-blocks for exactly the receivers the
-            // delta can reach.
-            let mut receivers = std::collections::BTreeSet::new();
-            for &k in &member {
-                if let Some(t) = rules[k].target {
-                    receivers.insert(t.participant());
-                }
-            }
-            if let Some(nh) = group.default_next_hop {
-                receivers.insert(nh);
-            }
-            let mut blocks = std::collections::BTreeMap::new();
-            for r in receivers {
-                let Some(cfg) = self.participant(r).cloned() else {
-                    continue;
-                };
-                let mut scratch = crate::compiler::CompileStats::default();
-                let inbound = cfg
-                    .inbound
-                    .clone()
-                    .map(|p| self.compile_raw(&p, &mut scratch));
-                let foreign_mac = |owner: ParticipantId, idx: u8| {
-                    self.participant(owner).and_then(|c| c.port_mac(idx))
-                };
-                blocks.insert(
-                    r,
-                    transform::stage2_block(&cfg, inbound.as_ref(), &[vmac], &foreign_mac)?,
-                );
-            }
-            let composed = transform::compose_optimized(&stage1, &blocks);
-            // Skip the synthetic catch-alls: deltas overlay, they must not
-            // shadow the base table for unrelated traffic.
-            out.rules.extend(
-                composed
-                    .rules()
-                    .iter()
-                    .filter(|r| !(r.matches.is_wildcard() && r.is_drop()))
-                    .cloned(),
-            );
-        }
-
-        out.elapsed = t0.elapsed();
-        self.telemetry()
-            .observe_duration("fastpath.update", out.elapsed);
-        Ok(out)
+        self.fast_update_burst_with_faults(rs, vnh, &[prefix], faults)
     }
 
-    /// Convenience: run the fast path for a burst of changed prefixes,
-    /// returning one merged delta (the Figure 9 experiment's unit).
+    /// Run the fast path for a burst of changed prefixes, returning one
+    /// merged delta (the Figure 9 experiment's unit).
     pub fn fast_update_burst(
         &mut self,
         rs: &RouteServer,
@@ -219,6 +105,13 @@ impl SdxCompiler {
 
     /// [`fast_update_burst`](Self::fast_update_burst) with a
     /// fault-injection plan threaded through each VNH allocation.
+    ///
+    /// The delta is prefix-major, viewer-minor — rules, ARP bindings, VNH
+    /// updates and VNH ids all in that order. Everything that depends only
+    /// on the policy book (each viewer's forwarding clauses, each
+    /// receiver's stage-2 inputs) is derived at its first use in the burst
+    /// and reused for every later prefix, so a burst of n prefixes is n
+    /// times the per-prefix work, not n times the per-policy work.
     pub fn fast_update_burst_with_faults(
         &mut self,
         rs: &RouteServer,
@@ -227,15 +120,154 @@ impl SdxCompiler {
         faults: &mut FaultPlan,
     ) -> Result<DeltaResult, SdxError> {
         let t0 = Instant::now();
-        let mut merged = DeltaResult::default();
-        for &p in prefixes {
-            let d = self.fast_update_with_faults(rs, vnh, p, faults)?;
-            merged.rules.extend(d.rules);
-            merged.arp_bindings.extend(d.arp_bindings);
-            merged.vnh_updates.extend(d.vnh_updates);
+        let this = &*self;
+        let mut out = DeltaResult::default();
+        let viewers: Vec<ParticipantId> = this.participants().keys().copied().collect();
+        // Parallel to `viewers`, filled while the first prefix visits them.
+        let mut viewer_rules: Vec<ViewerRules> = Vec::with_capacity(viewers.len());
+        // Receiver → its config and compiled inbound policy (`None`: not a
+        // registered participant).
+        let mut receiver_inputs: BTreeMap<
+            ParticipantId,
+            Option<(&ParticipantConfig, Option<Classifier>)>,
+        > = BTreeMap::new();
+
+        for &prefix in prefixes {
+            let t_prefix = Instant::now();
+            for (i, &viewer) in viewers.iter().enumerate() {
+                if viewer_rules.len() == i {
+                    viewer_rules.push(this.viewer_rules(viewer)?);
+                }
+                let ViewerRules { rules, movable } = &viewer_rules[i];
+
+                // Which of the viewer's rules touch this prefix now?
+                let mut member = Vec::new();
+                let mut partial = Vec::new();
+                if !movable.is_empty() {
+                    let reachable = rs.reachable_via(viewer, prefix);
+                    for &(k, nh) in movable {
+                        if !reachable.contains(&nh) {
+                            continue;
+                        }
+                        match dst_coverage(&rules[k].matches, prefix) {
+                            Coverage::None => {}
+                            Coverage::Full => member.push(k),
+                            Coverage::Partial => {
+                                member.push(k);
+                                partial.push(k);
+                            }
+                        }
+                    }
+                }
+                // Every viewer needs the re-advertisement — a best-path
+                // change must reach policy-less participants' FIBs too.
+                if member.is_empty() {
+                    // The prefix is not (or no longer) policy-affected for
+                    // this viewer: plain route-server behaviour (real next
+                    // hop).
+                    out.vnh_updates.push((viewer, prefix, None));
+                    continue;
+                }
+
+                // Fresh singleton group — no MDS, no ARP invalidation.
+                faults.check(InjectionPoint::VnhAlloc)?;
+                let (id, addr, vmac) = vnh.try_allocate()?;
+                this.telemetry().inc("vnh.alloc.count");
+                let groups = [FecGroup {
+                    id,
+                    viewer,
+                    prefixes: vec![prefix],
+                    vnh: addr,
+                    vmac,
+                    default_next_hop: rs.best_for(viewer, prefix).map(|r| r.source.participant),
+                }];
+                out.arp_bindings.push((addr, vmac));
+                out.vnh_updates.push((viewer, prefix, Some(addr)));
+
+                // Stage-1 delta: the member policy rules + the default
+                // rule, all restricted to the fresh tag.
+                let mut stage1 = Vec::new();
+                let mut receivers = BTreeSet::new();
+                for &k in &member {
+                    let Some(target) = rules[k].target else {
+                        continue;
+                    };
+                    receivers.insert(target.participant());
+                    stage1.extend(expand_fwd_rule(
+                        &rules[k],
+                        target,
+                        &groups,
+                        |_| true,
+                        |_| partial.contains(&k),
+                    ));
+                }
+                stage1.extend(transform::default_stage1_rules(&groups));
+                receivers.extend(groups[0].default_next_hop);
+
+                // Compose with fresh mini-blocks for exactly the receivers
+                // the delta can reach.
+                let mut blocks = BTreeMap::new();
+                for r in receivers {
+                    let inputs = receiver_inputs.entry(r).or_insert_with(|| {
+                        let cfg = this.participant(r)?;
+                        let mut scratch = crate::compiler::CompileStats::default();
+                        let inbound = cfg
+                            .inbound
+                            .as_ref()
+                            .map(|p| this.compile_raw(p, &mut scratch));
+                        Some((cfg, inbound))
+                    });
+                    let Some((cfg, inbound)) = inputs else {
+                        continue;
+                    };
+                    let foreign_mac = |owner: ParticipantId, idx: u8| {
+                        this.participant(owner).and_then(|c| c.port_mac(idx))
+                    };
+                    blocks.insert(
+                        r,
+                        transform::stage2_block(cfg, inbound.as_ref(), &[vmac], &foreign_mac)?,
+                    );
+                }
+                let composed = transform::compose_optimized(&stage1, &blocks);
+                // Skip the synthetic catch-alls: deltas overlay, they must
+                // not shadow the base table for unrelated traffic.
+                out.rules.extend(
+                    composed
+                        .rules()
+                        .iter()
+                        .filter(|r| !(r.matches.is_wildcard() && r.is_drop()))
+                        .cloned(),
+                );
+            }
+            this.telemetry()
+                .observe_duration("fastpath.update", t_prefix.elapsed());
         }
-        merged.elapsed = t0.elapsed();
-        Ok(merged)
+
+        out.elapsed = t0.elapsed();
+        Ok(out)
+    }
+
+    /// Extracts `viewer`'s forwarding clauses (the raw compile is served
+    /// from the §4.3.1 memo cache in steady state).
+    fn viewer_rules(&self, viewer: ParticipantId) -> Result<ViewerRules, SdxError> {
+        let rules = match self.effective_outbound(viewer) {
+            Some(outbound) => {
+                let mut scratch = crate::compiler::CompileStats::default();
+                let compiled = self.compile_raw(&outbound, &mut scratch);
+                transform::outbound_fwd_rules(viewer, &compiled)?
+            }
+            None => Vec::new(),
+        };
+        let movable = rules
+            .iter()
+            .enumerate()
+            .filter(|(_, rule)| rule.rewritten_dst().is_none())
+            .filter_map(|(k, rule)| match rule.target {
+                Some(PortId::Virt(nh)) => Some((k, nh)),
+                _ => None,
+            })
+            .collect();
+        Ok(ViewerRules { rules, movable })
     }
 }
 

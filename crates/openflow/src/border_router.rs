@@ -66,16 +66,25 @@ impl BorderRouter {
     /// entries, announcements install `prefix → next_hop`.
     pub fn apply_update(&mut self, update: &UpdateMessage) {
         for p in &update.withdrawn {
-            self.fib.remove(*p);
+            self.set_route(*p, None);
         }
         if let Some(attrs) = &update.attrs {
             for p in &update.nlri {
-                self.fib.insert(
-                    *p,
-                    FibEntry {
-                        next_hop: attrs.next_hop,
-                    },
-                );
+                self.set_route(*p, Some(attrs.next_hop));
+            }
+        }
+    }
+
+    /// What an UPDATE does to the FIB for one prefix: an announcement
+    /// installs `prefix → next_hop` (the only attribute a FIB keeps), a
+    /// withdrawal (`None`) removes the entry.
+    pub fn set_route(&mut self, prefix: Prefix, next_hop: Option<Ipv4Addr>) {
+        match next_hop {
+            Some(next_hop) => {
+                self.fib.insert(prefix, FibEntry { next_hop });
+            }
+            None => {
+                self.fib.remove(prefix);
             }
         }
     }

@@ -97,13 +97,31 @@ impl Fabric {
         self.routers.keys().copied()
     }
 
-    /// Routers of a given participant (multi-port participants have several).
+    /// The keys of `routers` that belong to participant `p`. Border
+    /// routers attach at physical ports, and the router map is ordered by
+    /// `(participant, interface)`, so it is its own participant → ports
+    /// index: one participant's routers are one key range — O(log ports),
+    /// never a scan of the exchange.
+    fn port_range(p: ParticipantId) -> std::ops::RangeInclusive<PortId> {
+        PortId::Phys(p, u8::MIN)..=PortId::Phys(p, u8::MAX)
+    }
+
+    /// Ports of a given participant (multi-port participants have several),
+    /// in port order.
     pub fn ports_of(&self, p: ParticipantId) -> Vec<PortId> {
         self.routers
-            .keys()
-            .copied()
-            .filter(|port| port.participant() == p)
+            .range(Self::port_range(p))
+            .map(|(port, _)| *port)
             .collect()
+    }
+
+    /// The routers of a given participant, in port order — how the
+    /// controller pushes one viewer's FIB changes to all of its ports.
+    pub fn routers_of_mut(
+        &mut self,
+        p: ParticipantId,
+    ) -> impl Iterator<Item = &mut BorderRouter> + '_ {
+        self.routers.range_mut(Self::port_range(p)).map(|(_, r)| r)
     }
 
     /// A participant-originated IP packet: the border router at

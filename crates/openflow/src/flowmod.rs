@@ -4,9 +4,9 @@
 //! every data-plane change as a batch of typed modifications — the
 //! OpenFlow `FLOW_MOD` triple of `ADD` / `MODIFY` / `DELETE` — stamped
 //! with the commit epoch that produced it. Batches are applied
-//! **atomically**: every mod is validated against the staged table state
-//! before any of them lands, so a rejected batch leaves the table
-//! untouched (the transactional guarantee `core::txn` builds on).
+//! **atomically**, in place under an undo journal: a rejected batch is
+//! rolled back mod by mod and leaves the table exactly as it was (the
+//! transactional guarantee `core::txn` builds on).
 //!
 //! This is what makes re-optimization churn proportional to *change*
 //! rather than to table size: a one-prefix BGP event becomes a handful
@@ -199,14 +199,106 @@ fn referenced_tags(buckets: &[Vec<Mod>], out: &mut Vec<u32>) {
     }
 }
 
+/// One step of [`FlowTable::apply_batch`]'s undo journal: what it takes
+/// to reverse a mod that already landed in the table.
+enum Undo {
+    /// An `Add` was merged in at (priority, pattern).
+    Added { priority: u32, pattern: HeaderMatch },
+    /// A `Modify` replaced these buckets and this cookie at `pos`.
+    Modified {
+        pos: usize,
+        buckets: Vec<Vec<Mod>>,
+        cookie: u64,
+    },
+    /// A `Delete` removed `entry` from `pos`.
+    Deleted { pos: usize, entry: FlowEntry },
+}
+
 impl FlowTable {
-    /// Applies a batch atomically: every mod is staged against a working
-    /// copy, and the table is replaced only if all of them validate. On
-    /// error the table is untouched. `Modify` preserves the target's
-    /// traffic counters; the cookie index is maintained throughout.
+    /// Applies a batch atomically and **in place**: each mod is validated
+    /// against the table as the mods before it left it and lands at once,
+    /// journaled; if a later mod (or the dangling-target check) rejects
+    /// the batch, the journal is replayed backwards and the table —
+    /// entries, counters, cookie index, matcher and epoch — is exactly as
+    /// it was. The cost follows the batch, not the table: nothing is
+    /// cloned, and a batch's adds are merged into the priority order in
+    /// one pass. `Modify` preserves the target's traffic counters. On
+    /// success the epoch advances by one per mod.
     pub fn apply_batch(&mut self, batch: &FlowModBatch) -> Result<BatchStats, FlowModError> {
-        let mut staged = self.clone();
+        let epoch = self.epoch();
+        let mut journal = Vec::with_capacity(batch.len());
+        match self.apply_journaled(batch, &mut journal) {
+            Ok(stats) => {
+                self.set_epoch(epoch + batch.len() as u64);
+                Ok(stats)
+            }
+            Err(e) => {
+                for undo in journal.into_iter().rev() {
+                    match undo {
+                        Undo::Added { priority, pattern } => {
+                            let pos = self
+                                .position_of(priority, &pattern)
+                                .expect("journaled add is in the table");
+                            self.remove_at(pos);
+                        }
+                        Undo::Modified {
+                            pos,
+                            buckets,
+                            cookie,
+                        } => {
+                            self.replace_at(pos, buckets, cookie);
+                        }
+                        Undo::Deleted { pos, entry } => self.insert_at(pos, entry),
+                    }
+                }
+                self.set_epoch(epoch);
+                Err(e)
+            }
+        }
+    }
+
+    /// Merges the adds collected so far into the table, journaling them.
+    fn land_adds(&mut self, adds: &mut Vec<FlowEntry>, journal: &mut Vec<Undo>) {
+        journal.extend(adds.iter().map(|e| Undo::Added {
+            priority: e.priority,
+            pattern: e.pattern,
+        }));
+        self.merge_adds(std::mem::take(adds));
+    }
+
+    /// The position a `Modify`/`Delete` targets. A miss may only mean the
+    /// target is an add of this same batch that has not landed yet, so
+    /// those land first and the lookup is retried.
+    fn target_of(
+        &mut self,
+        op: &'static str,
+        priority: u32,
+        pattern: &HeaderMatch,
+        adds: &mut Vec<FlowEntry>,
+        journal: &mut Vec<Undo>,
+    ) -> Result<usize, FlowModError> {
+        if let Some(pos) = self.position_of(priority, pattern) {
+            return Ok(pos);
+        }
+        self.land_adds(adds, journal);
+        self.position_of(priority, pattern)
+            .ok_or(FlowModError::MissingTarget {
+                op,
+                priority,
+                pattern: *pattern,
+            })
+    }
+
+    fn apply_journaled(
+        &mut self,
+        batch: &FlowModBatch,
+        journal: &mut Vec<Undo>,
+    ) -> Result<BatchStats, FlowModError> {
         let mut stats = BatchStats::default();
+        // Adds wait here, as one run of descending priority, to be merged
+        // in a single pass; an add that would break the run lands the run
+        // first. Controller batches (overlays, sync images) are one run.
+        let mut adds: Vec<FlowEntry> = Vec::new();
         // Tag bookkeeping for the dangling-target check: handlers the
         // batch deletes, and tags the batch's new buckets reference.
         let mut removed_handlers: Vec<u32> = Vec::new();
@@ -214,13 +306,19 @@ impl FlowTable {
         for m in &batch.mods {
             match m {
                 FlowMod::Add(entry) => {
-                    if staged.contains_exact(entry.priority, &entry.pattern) {
+                    if adds.last().is_some_and(|l| l.priority < entry.priority) {
+                        self.land_adds(&mut adds, journal);
+                    }
+                    let band = adds.partition_point(|e| e.priority > entry.priority);
+                    if self.contains_exact(entry.priority, &entry.pattern)
+                        || adds[band..].iter().any(|e| e.pattern == entry.pattern)
+                    {
                         return Err(FlowModError::DuplicateAdd {
                             priority: entry.priority,
                             pattern: entry.pattern,
                         });
                     }
-                    staged.install(entry.clone());
+                    adds.push(entry.clone());
                     referenced_tags(&entry.buckets, &mut batch_refs);
                     stats.adds += 1;
                 }
@@ -230,24 +328,20 @@ impl FlowTable {
                     buckets,
                     cookie,
                 } => {
-                    if !staged.modify_in_place(*priority, pattern, buckets, *cookie) {
-                        return Err(FlowModError::MissingTarget {
-                            op: "modify",
-                            priority: *priority,
-                            pattern: *pattern,
-                        });
-                    }
+                    let pos = self.target_of("modify", *priority, pattern, &mut adds, journal)?;
+                    let (old_buckets, old_cookie) = self.replace_at(pos, buckets.clone(), *cookie);
+                    journal.push(Undo::Modified {
+                        pos,
+                        buckets: old_buckets,
+                        cookie: old_cookie,
+                    });
                     referenced_tags(buckets, &mut batch_refs);
                     stats.modifies += 1;
                 }
                 FlowMod::Delete { priority, pattern } => {
-                    if !staged.delete_exact(*priority, pattern) {
-                        return Err(FlowModError::MissingTarget {
-                            op: "delete",
-                            priority: *priority,
-                            pattern: *pattern,
-                        });
-                    }
+                    let pos = self.target_of("delete", *priority, pattern, &mut adds, journal)?;
+                    let entry = self.remove_at(pos);
+                    journal.push(Undo::Deleted { pos, entry });
                     if let Some(v) = pattern.dl_dst.and_then(|m| m.fec_id()) {
                         if !removed_handlers.contains(&v) {
                             removed_handlers.push(v);
@@ -257,16 +351,17 @@ impl FlowTable {
                 }
             }
         }
+        self.land_adds(&mut adds, journal);
         // Dangling-target check: if the batch deleted the handler for a
-        // tag its own new buckets still reference, and the staged result
-        // keeps a referencing rule but no replacement handler, commit
-        // would leave re-entering packets unmatchable — reject the batch.
+        // tag its own new buckets still reference, and the result keeps a
+        // referencing rule but no replacement handler, the batch would
+        // leave re-entering packets unmatchable — reject it.
         for &v in &removed_handlers {
             if !batch_refs.contains(&v) {
                 continue;
             }
             let vmac = MacAddr::vmac(v);
-            let handled = staged
+            let handled = self
                 .entries()
                 .iter()
                 .any(|e| e.pattern.dl_dst == Some(vmac));
@@ -274,14 +369,13 @@ impl FlowTable {
                 continue;
             }
             let mut surviving_refs = Vec::new();
-            for e in staged.entries() {
+            for e in self.entries() {
                 referenced_tags(&e.buckets, &mut surviving_refs);
             }
             if surviving_refs.contains(&v) {
                 return Err(FlowModError::DanglingTarget { vmac });
             }
         }
-        *self = staged;
         Ok(stats)
     }
 }

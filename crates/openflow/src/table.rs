@@ -124,7 +124,7 @@ impl FlowTable {
     }
 
     /// Index of the entry at exactly (priority, pattern), if present.
-    fn position_of(&self, priority: u32, pattern: &HeaderMatch) -> Option<usize> {
+    pub(crate) fn position_of(&self, priority: u32, pattern: &HeaderMatch) -> Option<usize> {
         let range = self.priority_range(priority);
         self.entries[range.clone()]
             .iter()
@@ -179,15 +179,8 @@ impl FlowTable {
         let Some(pos) = self.position_of(priority, pattern) else {
             return false;
         };
-        self.epoch += 1;
-        // Buckets/cookie don't participate in matching: restamp only.
-        self.matcher.touch(self.epoch);
-        let old_cookie = self.entries[pos].cookie;
-        self.index_remove(old_cookie);
-        self.index_add(cookie);
-        let e = &mut self.entries[pos];
-        e.buckets = buckets.to_vec();
-        e.cookie = cookie;
+        self.replace_at(pos, buckets.to_vec(), cookie);
+        self.set_epoch(self.epoch + 1);
         true
     }
 
@@ -197,12 +190,86 @@ impl FlowTable {
         let Some(pos) = self.position_of(priority, pattern) else {
             return false;
         };
-        self.epoch += 1;
-        self.matcher.remove(priority, pattern, self.epoch);
-        let cookie = self.entries[pos].cookie;
-        self.entries.remove(pos);
-        self.index_remove(cookie);
+        self.remove_at(pos);
+        self.set_epoch(self.epoch + 1);
         true
+    }
+
+    // The in-place primitives under [`apply_batch`](Self::apply_batch) and
+    // its undo journal. Each keeps entries, cookie index and matcher
+    // contents coherent but leaves the epoch alone: the batch stamps it
+    // once, through `set_epoch`, when it commits or rolls back.
+
+    /// Swaps in new buckets and cookie at `pos`, keeping the traffic
+    /// counters; returns the old pair. Buckets and cookie don't take part
+    /// in matching, so the matcher needs no structural change.
+    pub(crate) fn replace_at(
+        &mut self,
+        pos: usize,
+        buckets: Vec<Vec<Mod>>,
+        cookie: u64,
+    ) -> (Vec<Vec<Mod>>, u64) {
+        let old_cookie = self.entries[pos].cookie;
+        self.index_remove(old_cookie);
+        self.index_add(cookie);
+        let e = &mut self.entries[pos];
+        e.cookie = cookie;
+        (std::mem::replace(&mut e.buckets, buckets), old_cookie)
+    }
+
+    /// Removes and returns the entry at `pos`.
+    pub(crate) fn remove_at(&mut self, pos: usize) -> FlowEntry {
+        let entry = self.entries.remove(pos);
+        self.matcher
+            .remove(entry.priority, &entry.pattern, self.epoch);
+        self.index_remove(entry.cookie);
+        entry
+    }
+
+    /// Puts `entry` back at `pos` — the exact inverse of
+    /// [`remove_at`](Self::remove_at), counters and band order included.
+    pub(crate) fn insert_at(&mut self, pos: usize, entry: FlowEntry) {
+        self.index_add(entry.cookie);
+        self.matcher
+            .insert(entry.priority, &entry.pattern, self.epoch);
+        self.entries.insert(pos, entry);
+    }
+
+    /// Merges `adds` — one run of descending priority, arrival order
+    /// within a priority — into the table in a single pass. Each lands
+    /// after every live entry of its priority or higher, exactly where
+    /// one-at-a-time installs would have put it, but the table is moved
+    /// once per batch instead of once per add. The slots must be free.
+    pub(crate) fn merge_adds(&mut self, mut adds: Vec<FlowEntry>) {
+        for e in &adds {
+            self.index_add(e.cookie);
+            self.matcher.insert(e.priority, &e.pattern, self.epoch);
+        }
+        // In place, from the low-priority end: open one slot per add at
+        // the tail, then slide live entries down into the gap until each
+        // add — lowest first — meets the entries it must sit below. The
+        // gap `read..write` always holds as many free slots as there are
+        // adds left; entries above the highest add are never touched.
+        let mut read = self.entries.len();
+        self.entries.resize_with(read + adds.len(), || {
+            FlowEntry::new(0, HeaderMatch::any(), Vec::new())
+        });
+        let mut write = self.entries.len();
+        while let Some(add) = adds.pop() {
+            while read > 0 && self.entries[read - 1].priority < add.priority {
+                read -= 1;
+                write -= 1;
+                self.entries.swap(read, write);
+            }
+            write -= 1;
+            self.entries[write] = add;
+        }
+    }
+
+    /// Stamps table and matcher with `epoch` in lockstep.
+    pub(crate) fn set_epoch(&mut self, epoch: u64) {
+        self.epoch = epoch;
+        self.matcher.touch(epoch);
     }
 
     /// Removes entries whose pattern equals `pattern` (any priority),

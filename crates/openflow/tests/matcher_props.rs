@@ -4,14 +4,16 @@
 //! indistinguishable from `classify_linear`: same entry index, same entry,
 //! on every packet, for every reachable table state. These properties fuzz
 //! that claim over random tables, random packets, and random mutation
-//! sequences (including atomic flow-mod batches, the hot-swap path).
+//! sequences, including atomic flow-mod batches — which are also held to a
+//! clone-then-apply reference model, both when accepted and when rolled
+//! back.
 
 use proptest::prelude::*;
 use sdx_net::{
     EtherType, FieldMatch, HeaderMatch, IpProto, Ipv4Addr, LocatedPacket, MacAddr, Mod, Packet,
     ParticipantId, PortId, Prefix,
 };
-use sdx_openflow::{FlowEntry, FlowMod, FlowModBatch, FlowTable};
+use sdx_openflow::{BatchStats, FlowEntry, FlowMod, FlowModBatch, FlowModError, FlowTable};
 
 fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr)
@@ -128,6 +130,228 @@ fn assert_equivalent(t: &FlowTable, probes: &[LocatedPacket]) {
     }
 }
 
+/// Action buckets for the batch properties: drops, plain outputs, and
+/// buckets that tag a VMAC and re-enter the fabric (the references the
+/// dangling-target check tracks).
+fn arb_buckets() -> impl Strategy<Value = Vec<Vec<Mod>>> {
+    prop_oneof![
+        Just(vec![]),
+        (0u32..6).prop_map(|p| vec![vec![Mod::SetLoc(PortId::Phys(ParticipantId(p), 0))]]),
+        (0u32..6).prop_map(|p| vec![vec![Mod::SetLoc(PortId::Phys(ParticipantId(p), 0))]]),
+        (0u32..8, 0u32..6).prop_map(|(v, p)| vec![vec![
+            Mod::SetDlDst(MacAddr::vmac(v)),
+            Mod::SetLoc(PortId::Virt(ParticipantId(p))),
+        ]]),
+    ]
+}
+
+/// One mod of a random batch, before it is resolved against the table:
+/// `sel` picks a live entry of the *initial* table, so most modifies and
+/// deletes are valid and a repeated one is a genuine `MissingTarget`.
+#[derive(Clone, Debug)]
+enum BatchOp {
+    Add(u32, HeaderMatch, Vec<Vec<Mod>>, u64),
+    ModifyLive(usize, Vec<Vec<Mod>>, u64),
+    DeleteLive(usize),
+    /// Deletes the first live entry handling VMAC tag `v`, if there is one.
+    DeleteHandler(u32),
+    ModifyAt(u32, HeaderMatch),
+    DeleteAt(u32, HeaderMatch),
+    /// Adds into a slot a live entry occupies.
+    AddLive(usize),
+}
+
+fn arb_batch_op() -> impl Strategy<Value = BatchOp> {
+    prop_oneof![
+        // Mostly outside the table's 0..8 priorities, so most adds find a
+        // free slot; the rest interleave with (and collide in) its bands.
+        (0u32..48, arb_match(), arb_buckets(), 0u64..4)
+            .prop_map(|(p, m, b, c)| BatchOp::Add(p, m, b, c)),
+        (0u32..48, arb_match(), arb_buckets(), 0u64..4)
+            .prop_map(|(p, m, b, c)| BatchOp::Add(p, m, b, c)),
+        (0u32..48, arb_match(), arb_buckets(), 0u64..4)
+            .prop_map(|(p, m, b, c)| BatchOp::Add(p, m, b, c)),
+        (any::<usize>(), arb_buckets(), 0u64..4).prop_map(|(s, b, c)| BatchOp::ModifyLive(s, b, c)),
+        (any::<usize>(), arb_buckets(), 0u64..4).prop_map(|(s, b, c)| BatchOp::ModifyLive(s, b, c)),
+        any::<usize>().prop_map(BatchOp::DeleteLive),
+        (0u32..8).prop_map(BatchOp::DeleteHandler),
+    ]
+}
+
+/// A mod that is (almost always) invalid wherever it lands in a batch.
+fn arb_poison() -> impl Strategy<Value = BatchOp> {
+    prop_oneof![
+        arb_entry().prop_map(|(p, m)| BatchOp::ModifyAt(p, m)),
+        arb_entry().prop_map(|(p, m)| BatchOp::DeleteAt(p, m)),
+        any::<usize>().prop_map(BatchOp::AddLive),
+    ]
+}
+
+fn resolve(op: BatchOp, initial: &FlowTable) -> FlowMod {
+    let live = |sel: usize| {
+        let es = initial.entries();
+        (!es.is_empty()).then(|| (es[sel % es.len()].priority, es[sel % es.len()].pattern))
+    };
+    match op {
+        BatchOp::Add(p, m, b, c) => FlowMod::Add(FlowEntry::new(p, m, b).with_cookie(c)),
+        BatchOp::ModifyLive(sel, buckets, cookie) => {
+            let (priority, pattern) = live(sel).unwrap_or((99, HeaderMatch::any()));
+            FlowMod::Modify {
+                priority,
+                pattern,
+                buckets,
+                cookie,
+            }
+        }
+        BatchOp::DeleteLive(sel) => {
+            let (priority, pattern) = live(sel).unwrap_or((99, HeaderMatch::any()));
+            FlowMod::Delete { priority, pattern }
+        }
+        BatchOp::DeleteHandler(v) => {
+            let handler = initial
+                .entries()
+                .iter()
+                .find(|e| e.pattern.dl_dst == Some(MacAddr::vmac(v)));
+            let (priority, pattern) = handler
+                .map(|e| (e.priority, e.pattern))
+                .or(live(v as usize))
+                .unwrap_or((99, HeaderMatch::any()));
+            FlowMod::Delete { priority, pattern }
+        }
+        BatchOp::AddLive(sel) => {
+            let (priority, pattern) = live(sel).unwrap_or((99, HeaderMatch::any()));
+            FlowMod::Add(FlowEntry::new(priority, pattern, vec![]))
+        }
+        BatchOp::ModifyAt(priority, pattern) => FlowMod::Modify {
+            priority,
+            pattern,
+            buckets: vec![],
+            cookie: 1,
+        },
+        BatchOp::DeleteAt(priority, pattern) => FlowMod::Delete { priority, pattern },
+    }
+}
+
+/// The VMAC tags `buckets` write on packets that re-enter the fabric.
+fn referenced_tags(buckets: &[Vec<Mod>]) -> Vec<u32> {
+    let mut out = Vec::new();
+    for bucket in buckets {
+        let mut tag = None;
+        let mut physical_exit = false;
+        for m in bucket {
+            match m {
+                Mod::SetDlDst(mac) => tag = mac.fec_id(),
+                Mod::SetLoc(p) => physical_exit = p.is_physical(),
+                _ => {}
+            }
+        }
+        if let (Some(v), false) = (tag, physical_exit) {
+            out.push(v);
+        }
+    }
+    out
+}
+
+/// The reference model of `apply_batch`: stage every mod on a deep copy
+/// through the single-entry mutators, run the dangling-target check on the
+/// copy, and hand the copy back only if everything validated — the
+/// clone→mutate→assign the in-place implementation replaced.
+fn reference_apply(
+    table: &FlowTable,
+    batch: &FlowModBatch,
+) -> Result<(FlowTable, BatchStats), FlowModError> {
+    let mut staged = table.clone();
+    let mut stats = BatchStats::default();
+    let mut removed_handlers = Vec::new();
+    let mut batch_refs = Vec::new();
+    for m in &batch.mods {
+        match m {
+            FlowMod::Add(e) => {
+                if staged.contains_exact(e.priority, &e.pattern) {
+                    return Err(FlowModError::DuplicateAdd {
+                        priority: e.priority,
+                        pattern: e.pattern,
+                    });
+                }
+                staged.install(e.clone());
+                batch_refs.extend(referenced_tags(&e.buckets));
+                stats.adds += 1;
+            }
+            FlowMod::Modify {
+                priority,
+                pattern,
+                buckets,
+                cookie,
+            } => {
+                if !staged.modify_in_place(*priority, pattern, buckets, *cookie) {
+                    return Err(FlowModError::MissingTarget {
+                        op: "modify",
+                        priority: *priority,
+                        pattern: *pattern,
+                    });
+                }
+                batch_refs.extend(referenced_tags(buckets));
+                stats.modifies += 1;
+            }
+            FlowMod::Delete { priority, pattern } => {
+                if !staged.delete_exact(*priority, pattern) {
+                    return Err(FlowModError::MissingTarget {
+                        op: "delete",
+                        priority: *priority,
+                        pattern: *pattern,
+                    });
+                }
+                if let Some(v) = pattern.dl_dst.and_then(|m| m.fec_id()) {
+                    if !removed_handlers.contains(&v) {
+                        removed_handlers.push(v);
+                    }
+                }
+                stats.deletes += 1;
+            }
+        }
+    }
+    for v in removed_handlers {
+        let vmac = MacAddr::vmac(v);
+        let handled = staged
+            .entries()
+            .iter()
+            .any(|e| e.pattern.dl_dst == Some(vmac));
+        let still_referenced = staged
+            .entries()
+            .iter()
+            .any(|e| referenced_tags(&e.buckets).contains(&v));
+        if batch_refs.contains(&v) && !handled && still_referenced {
+            return Err(FlowModError::DanglingTarget { vmac });
+        }
+    }
+    Ok((staged, stats))
+}
+
+fn cookie_counts(t: &FlowTable) -> Vec<usize> {
+    (0..8).map(|c| t.cookie_count(c)).collect()
+}
+
+fn classification(t: &FlowTable, probes: &[LocatedPacket]) -> Vec<Option<usize>> {
+    probes
+        .iter()
+        .map(|lp| t.classify(lp).map(|(i, _)| i))
+        .collect()
+}
+
+/// Asserts `after` is exactly `before`: entries (order and counters),
+/// cookie index, epoch, matcher stamp and every probe's classification.
+fn assert_untouched(after: &FlowTable, before: &FlowTable, probes: &[LocatedPacket]) {
+    assert_eq!(after.entries(), before.entries());
+    assert_eq!(cookie_counts(after), cookie_counts(before));
+    assert_eq!(after.epoch(), before.epoch());
+    assert_eq!(after.matcher_stats().epoch, before.epoch());
+    assert_equivalent(after, probes);
+    assert_eq!(
+        classification(after, probes),
+        classification(before, probes)
+    );
+}
+
 proptest! {
     /// Random table, random packets: `classify` ≡ `classify_linear`.
     #[test]
@@ -143,7 +367,7 @@ proptest! {
     }
 
     /// Equivalence survives arbitrary mutation sequences — the incremental
-    /// maintenance, bulk rebuilds, and the flow-mod hot-swap all preserve
+    /// maintenance, bulk rebuilds, and flow-mod batches all preserve
     /// the invariant at every intermediate state.
     #[test]
     fn compiled_matcher_coherent_under_mutation(
@@ -181,4 +405,128 @@ proptest! {
             assert_equivalent(&t, &probes);
         }
     }
+    /// Random tables × random mixed batches, valid and invalid at a random
+    /// position, against the clone-then-apply reference model: an accepted
+    /// batch leaves exactly the model's table, a rejected one leaves the
+    /// table exactly as it was — same error either way.
+    #[test]
+    fn in_place_batches_match_the_clone_then_apply_model(
+        entries in proptest::collection::vec((arb_entry(), arb_buckets(), 0u64..4), 0..32),
+        ops in proptest::collection::vec(arb_batch_op(), 0..12),
+        poison in (0u8..3, any::<usize>(), arb_poison()),
+        probes in proptest::collection::vec(arb_located(), 1..12),
+    ) {
+        let mut table = FlowTable::new();
+        for ((p, m), b, c) in entries {
+            table.install(FlowEntry::new(p, m, b).with_cookie(c));
+        }
+        // Traffic first, so a `Modify` has counters to preserve and a
+        // rolled-back `Delete` has counters to restore.
+        for lp in &probes {
+            table.lookup(lp);
+        }
+        let mut batch = FlowModBatch::new(1);
+        for op in ops {
+            batch.push(resolve(op, &table));
+        }
+        if let (0, at, op) = poison {
+            let at = at % (batch.len() + 1);
+            batch.mods.insert(at, resolve(op, &table));
+        }
+        let before = table.clone();
+        let model = reference_apply(&before, &batch);
+        match (table.apply_batch(&batch), model) {
+            (Ok(stats), Ok((model, model_stats))) => {
+                prop_assert_eq!(stats, model_stats);
+                prop_assert_eq!(table.entries(), model.entries());
+                prop_assert_eq!(cookie_counts(&table), cookie_counts(&model));
+                prop_assert_eq!(table.epoch(), before.epoch() + batch.len() as u64);
+                prop_assert_eq!(table.matcher_stats().epoch, table.epoch());
+                assert_equivalent(&table, &probes);
+            }
+            (Err(e), Err(model_err)) => {
+                prop_assert_eq!(e, model_err);
+                assert_untouched(&table, &before, &probes);
+            }
+            (got, want) => prop_assert!(
+                false,
+                "in-place {:?} but model {:?}", got, want.map(|(_, s)| s)
+            ),
+        }
+    }
+}
+
+/// A `DanglingTarget` is only detectable once every mod has landed, so
+/// its rollback has to undo merged adds, a modify and deletes together.
+#[test]
+fn dangling_target_rolls_back_adds_modifies_and_deletes() {
+    let out = |p: u32| vec![vec![Mod::SetLoc(PortId::Phys(ParticipantId(p), 0))]];
+    let emit7 = vec![vec![
+        Mod::SetDlDst(MacAddr::vmac(7)),
+        Mod::SetLoc(PortId::Virt(ParticipantId(3))),
+    ]];
+    let vmac = |v: u32| HeaderMatch::of(FieldMatch::DlDst(MacAddr::vmac(v)));
+    let tp = |p: u16| HeaderMatch::of(FieldMatch::TpDst(p));
+    let mut t = FlowTable::new();
+    t.install(FlowEntry::new(10, vmac(7), out(2)).with_cookie(8));
+    t.install(FlowEntry::new(10, vmac(6), out(1)).with_cookie(7));
+    t.install(FlowEntry::new(5, tp(80), out(4)).with_cookie(1));
+    t.install(FlowEntry::new(5, tp(443), out(5)).with_cookie(1));
+    t.install(FlowEntry::new(1, HeaderMatch::any(), vec![]));
+    let probes: Vec<LocatedPacket> = (0..8u32)
+        .map(|i| {
+            let mut p = Packet::tcp(
+                Ipv4Addr(1),
+                Ipv4Addr(2),
+                9,
+                if i % 2 == 0 { 80 } else { 443 },
+            );
+            p.dl_dst = MacAddr::vmac(5 + i % 4);
+            LocatedPacket::at(PortId::Phys(ParticipantId(1), 0), p)
+        })
+        .collect();
+    for lp in &probes {
+        t.lookup(lp);
+    }
+    let before = t.clone();
+    let batch = FlowModBatch {
+        epoch: 3,
+        mods: vec![
+            FlowMod::Add(FlowEntry::new(20, tp(22), emit7.clone()).with_cookie(2)),
+            FlowMod::Add(FlowEntry::new(7, tp(25), out(3)).with_cookie(2)),
+            FlowMod::Delete {
+                priority: 5,
+                pattern: tp(443),
+            },
+            FlowMod::Modify {
+                priority: 5,
+                pattern: tp(80),
+                buckets: emit7,
+                cookie: 3,
+            },
+            // An out-of-order add: the pending run lands before it.
+            FlowMod::Add(FlowEntry::new(30, tp(23), out(3))),
+            FlowMod::Delete {
+                priority: 10,
+                pattern: vmac(6),
+            },
+            FlowMod::Delete {
+                priority: 10,
+                pattern: vmac(7),
+            },
+        ],
+    };
+    let err = t
+        .apply_batch(&batch)
+        .expect_err("handler deleted, references survive");
+    assert_eq!(
+        err,
+        FlowModError::DanglingTarget {
+            vmac: MacAddr::vmac(7)
+        }
+    );
+    assert_eq!(reference_apply(&before, &batch).map(|(_, s)| s), Err(err));
+    assert_untouched(&t, &before, &probes);
+    // Counters came back with the re-inserted entries.
+    assert!(t.entries().iter().any(|e| e.packet_count > 0));
 }

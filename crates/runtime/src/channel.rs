@@ -262,6 +262,10 @@ impl AgentHandle {
 /// daemon-side — the agent models a switch, not a controller.
 pub fn spawn_agent(addr: SocketAddr) -> std::io::Result<AgentHandle> {
     let stream = TcpStream::connect(addr)?;
+    // Acks are one short line each, written back to back when frames
+    // arrive back to back: with Nagle on, the third waits out the
+    // daemon's delayed ACK (~40 ms) while the daemon sits in its barrier.
+    stream.set_nodelay(true)?;
     let read_stream = stream.try_clone()?;
     let join = std::thread::spawn(move || run_agent(stream, read_stream));
     Ok(AgentHandle { join })
@@ -348,6 +352,31 @@ mod tests {
         ch.close();
         let fabric = agent.join();
         assert_eq!(fabric.switch.table().len(), 2);
+    }
+
+    #[test]
+    fn back_to_back_acks_do_not_wait_out_delayed_ack() {
+        // Eight frames then a barrier, twenty times: the agent writes
+        // eight small acks back to back. Without TCP_NODELAY on its
+        // socket every round stalls ~40 ms on Nagle against delayed ACK —
+        // 800 ms in all; with it a round is well under a millisecond.
+        let (mut ch, agent) = pair(16);
+        let t0 = std::time::Instant::now();
+        for round in 0..20u32 {
+            for i in 0..8u32 {
+                let mut b = FlowModBatch::new(u64::from(round));
+                b.push(add(round * 8 + i, 80));
+                ch.send_batch(&b).expect("send");
+            }
+            ch.barrier().expect("acked");
+        }
+        let elapsed = t0.elapsed();
+        ch.close();
+        assert_eq!(agent.join().switch.table().len(), 160);
+        assert!(
+            elapsed < Duration::from_millis(400),
+            "20 rounds of 8 frames + barrier took {elapsed:?}"
+        );
     }
 
     #[test]

@@ -32,5 +32,5 @@ pub mod codec;
 pub mod daemon;
 
 pub use channel::{spawn_agent, AgentHandle, ChannelSink, FlowChannel};
-pub use codec::{batch_from_json, batch_to_json, ChannelFrame, CodecError};
+pub use codec::{ChannelFrame, CodecError};
 pub use daemon::{start, start_with_clock, DaemonConfig, DaemonHandle, DaemonReport, TestPeer};

@@ -298,6 +298,65 @@ fn policy_frames_stage_deltas_and_nack_garbage_over_the_wire() {
 }
 
 #[test]
+fn unbounded_nesting_and_huge_strings_on_the_policy_socket_are_nacked() {
+    // Every byte on the policy listener is hostile until parsed. Two lines
+    // that used to take the daemon down: 20 KB of `[` (unbounded parser
+    // recursion overflowed the event-loop thread's stack and aborted the
+    // process) and a 300 KB string (the quadratic scanner held the event
+    // loop for seconds). Both must cost a nack and nothing else.
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
+    let reg = handle.telemetry().clone();
+    let stream = TcpStream::connect(handle.policy_addr).expect("policy endpoint");
+    let mut r = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = BufWriter::new(stream);
+
+    let (seq, result) = policy_roundtrip(&mut w, &mut r, &"[".repeat(20_000));
+    assert_eq!(seq, 0, "undecodable: nothing to attribute the nack to");
+    let err = result.expect_err("nesting bomb must nack");
+    assert!(err.contains("nesting"), "nack should say why: {err}");
+
+    let nested = format!(
+        r#"{{"seq":4,"policy":{}{}}}"#,
+        "[".repeat(5_000),
+        "]".repeat(5_000)
+    );
+    assert!(policy_roundtrip(&mut w, &mut r, &nested).1.is_err());
+
+    // A well-formed frame around a 300 KB body with escapes in it decodes
+    // in linear time and fails where it should: in the DSL parser, with
+    // the frame's own seq on the nack.
+    let body = "match(dstport=80) \\\"quoted\\\" >> ".repeat(300_000 / 34);
+    let big = format!(
+        r#"{{"seq":5,"policy":[{{"participant":1,"scope":"out","op":"install","dsl":"{body}"}}]}}"#
+    );
+    let t0 = Instant::now();
+    let (seq, result) = policy_roundtrip(&mut w, &mut r, &big);
+    assert_eq!(seq, 5);
+    assert!(result.is_err(), "the body is not a policy");
+    assert!(
+        t0.elapsed() < Duration::from_secs(1),
+        "a 300 KB frame held the event loop for {:?}",
+        t0.elapsed()
+    );
+
+    // Same connection, next frame: served.
+    let frame = codec::encode_policy_frame(
+        6,
+        &[codec::PolicyOpFrame::replace(
+            pid(1),
+            PolicyScope::Outbound,
+            "match(dstport=443) >> fwd(B)",
+        )],
+    );
+    assert_eq!(policy_roundtrip(&mut w, &mut r, &frame), (6, Ok(())));
+    wait_counter(&reg, "policy.applied.count", 1);
+
+    let report = handle.stop();
+    assert_eq!(report.policy_frames, 4);
+    assert_eq!(counter(&reg, "daemon.policy_rejected.count"), 3);
+}
+
+#[test]
 fn policy_frame_coalesces_with_a_route_burst() {
     // A policy frame arriving while the event loop is pinned at a slow
     // agent's ack barrier must fold into the same compile as the queued

@@ -8,11 +8,22 @@
 //! metric value (timer nanoseconds can legitimately reach `u64::MAX`)
 //! round-trips exactly instead of losing precision through an `f64`.
 //!
-//! The parser is a strict recursive-descent over the RFC 8259 grammar —
-//! enough for tests and downstream tooling to validate that emitted
-//! documents are well-formed and to read values back out.
+//! The parser is a strict recursive-descent over the RFC 8259 grammar.
+//! Documents also arrive on the daemon's sockets, so it is written for
+//! hostile input: time is linear in the document (strings are consumed a
+//! run at a time, never re-validated), and nesting is capped at
+//! [`MAX_DEPTH`] so recursion cannot exhaust the stack. [`Reader`] is the
+//! same scanner as a pull API, for callers (the flow-mod channel codec)
+//! that read a known shape straight into their own types without building
+//! a [`Json`] tree first.
 
+use std::borrow::Cow;
 use std::fmt;
+
+/// Deepest array/object nesting a document may have. The parser recurses
+/// once per level; real documents (metrics snapshots, channel frames,
+/// policy frames) nest under ten deep.
+pub const MAX_DEPTH: usize = 64;
 
 /// A JSON value.
 #[derive(Clone, PartialEq, Debug)]
@@ -79,18 +90,12 @@ impl Json {
         }
     }
 
-    /// Parses a complete JSON document (rejects trailing garbage).
+    /// Parses a complete JSON document (rejects trailing garbage, and
+    /// nesting deeper than [`MAX_DEPTH`]).
     pub fn parse(text: &str) -> Result<Json, ParseError> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        p.skip_ws();
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(p.err("trailing characters after document"));
-        }
+        let mut r = Reader::new(text);
+        let v = r.value()?;
+        r.finish()?;
         Ok(v)
     }
 
@@ -191,17 +196,24 @@ struct Escaped<'a>(&'a str);
 impl fmt::Display for Escaped<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str("\"")?;
-        for c in self.0.chars() {
+        // Runs between characters that need escaping go out whole.
+        let mut run = 0;
+        for (i, c) in self.0.char_indices() {
+            if c != '"' && c != '\\' && (c as u32) >= 0x20 {
+                continue;
+            }
+            f.write_str(&self.0[run..i])?;
+            run = i + 1;
             match c {
                 '"' => f.write_str("\\\"")?,
                 '\\' => f.write_str("\\\\")?,
                 '\n' => f.write_str("\\n")?,
                 '\r' => f.write_str("\\r")?,
                 '\t' => f.write_str("\\t")?,
-                c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                c => write!(f, "{c}")?,
+                c => write!(f, "\\u{:04x}", c as u32)?,
             }
         }
+        f.write_str(&self.0[run..])?;
         f.write_str("\"")
     }
 }
@@ -270,12 +282,47 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'a> {
-    bytes: &'a [u8],
+/// A pull reader over one JSON document: the scanner under
+/// [`Json::parse`], usable directly by callers that know the shape they
+/// expect. Every `read` method skips leading whitespace, consumes exactly
+/// one value and leaves the reader after it.
+///
+/// ```
+/// use sdx_telemetry::json::{ParseError, Reader};
+/// let mut r = Reader::new(r#"{"seq": 7, "tags": ["a", "b"], "later": null}"#);
+/// let (mut seq, mut tags) = (0, Vec::new());
+/// r.object(|r, key| {
+///     match key {
+///         "seq" => seq = r.u64()?,
+///         "tags" => r.array(|r| {
+///             tags.push(r.string()?.into_owned());
+///             Ok::<(), ParseError>(())
+///         })?,
+///         _ => r.skip()?,
+///     }
+///     Ok::<(), ParseError>(())
+/// })?;
+/// r.finish()?;
+/// assert_eq!((seq, tags), (7, vec!["a".to_string(), "b".to_string()]));
+/// # Ok::<(), ParseError>(())
+/// ```
+pub struct Reader<'a> {
+    text: &'a str,
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Reader<'a> {
+    /// A reader at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Reader {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -283,8 +330,12 @@ impl Parser<'_> {
         }
     }
 
+    fn bytes(&self) -> &'a [u8] {
+        self.text.as_bytes()
+    }
+
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -302,20 +353,107 @@ impl Parser<'_> {
         }
     }
 
-    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(value)
-        } else {
-            Err(self.err(&format!("expected `{word}`")))
+    /// Opens an array or object: consumes `open` and charges one level
+    /// against [`MAX_DEPTH`].
+    fn open(&mut self, open: u8) -> Result<(), ParseError> {
+        self.skip_ws();
+        self.expect(open)?;
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// After one member or element: `,` (more follow) or `close` (done).
+    fn more(&mut self, close: u8) -> Result<bool, ParseError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ => Err(self.err(&format!("expected `,` or `{}`", close as char))),
         }
     }
 
-    fn value(&mut self) -> Result<Json, ParseError> {
+    /// True (and consumed) if the container just opened is empty.
+    fn empty(&mut self, close: u8) -> bool {
+        self.skip_ws();
+        let empty = self.peek() == Some(close);
+        if empty {
+            self.pos += 1;
+            self.depth -= 1;
+        }
+        empty
+    }
+
+    /// Reads an object, calling `member(reader, key)` with the reader at
+    /// each member's value; `member` must consume exactly that value
+    /// ([`skip`](Self::skip) for keys it does not know).
+    pub fn object<E: From<ParseError>>(
+        &mut self,
+        mut member: impl FnMut(&mut Self, &str) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.open(b'{')?;
+        if self.empty(b'}') {
+            return Ok(());
+        }
+        loop {
+            let key = self.string()?;
+            self.skip_ws();
+            self.expect(b':')?;
+            member(self, &key)?;
+            if !self.more(b'}')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Reads an array, calling `element(reader)` with the reader at each
+    /// element; `element` must consume exactly that value.
+    pub fn array<E: From<ParseError>>(
+        &mut self,
+        mut element: impl FnMut(&mut Self) -> Result<(), E>,
+    ) -> Result<(), E> {
+        self.open(b'[')?;
+        if self.empty(b']') {
+            return Ok(());
+        }
+        loop {
+            element(self)?;
+            if !self.more(b']')? {
+                return Ok(());
+            }
+        }
+    }
+
+    /// Reads any value into a [`Json`] tree.
+    pub fn value(&mut self) -> Result<Json, ParseError> {
+        self.skip_ws();
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'{') => {
+                let mut pairs = Vec::new();
+                self.object(|r, key| {
+                    pairs.push((key.to_string(), r.value()?));
+                    Ok::<(), ParseError>(())
+                })?;
+                Ok(Json::Obj(pairs))
+            }
+            Some(b'[') => {
+                let mut items = Vec::new();
+                self.array(|r| {
+                    items.push(r.value()?);
+                    Ok::<(), ParseError>(())
+                })?;
+                Ok(Json::Arr(items))
+            }
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'n') => self.literal("null", Json::Null),
@@ -324,106 +462,140 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
+    /// Reads and discards one value of any kind.
+    pub fn skip(&mut self) -> Result<(), ParseError> {
+        self.value().map(drop)
+    }
+
+    /// Checks that nothing but whitespace follows the document.
+    pub fn finish(&mut self) -> Result<(), ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(pairs));
+        if self.pos != self.text.len() {
+            return Err(self.err("trailing characters after document"));
         }
-        loop {
-            self.skip_ws();
-            let key = self.string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            self.skip_ws();
-            let value = self.value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(pairs));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
+        Ok(())
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, ParseError> {
+        if self.bytes()[self.pos..].starts_with(word.as_bytes()) {
+            self.pos += word.len();
+            Ok(value)
+        } else {
+            Err(self.err(&format!("expected `{word}`")))
         }
     }
 
-    fn array(&mut self) -> Result<Json, ParseError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
+    /// Reads a string. Borrowed from the document unless it contains an
+    /// escape; either way each byte is looked at once.
+    pub fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
         self.expect(b'"')?;
-        let mut out = String::new();
+        // Allocated at the first escape; until then the string is a slice.
+        let mut unescaped: Option<String> = None;
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Surrogate pairs are not needed for telemetry
-                            // output; map lone surrogates to U+FFFD.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.err("invalid escape")),
+            // `"` and `\` are ASCII, so the run up to the next one starts
+            // and ends on character boundaries of the `&str`.
+            let run = self.pos;
+            let Some(len) = self.bytes()[run..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.text.len();
+                return Err(self.err("unterminated string"));
+            };
+            self.pos += len;
+            let chunk = &self.text[run..self.pos];
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(match unescaped {
+                    None => Cow::Borrowed(chunk),
+                    Some(mut s) => {
+                        s.push_str(chunk);
+                        Cow::Owned(s)
                     }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are guaranteed valid).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+                });
             }
+            self.pos += 1; // the backslash
+            let c = self.escape()?;
+            let s = unescaped.get_or_insert_with(String::new);
+            s.push_str(chunk);
+            s.push(c);
         }
+    }
+
+    /// The character an escape sequence stands for; the reader is just
+    /// past the backslash.
+    fn escape(&mut self) -> Result<char, ParseError> {
+        let c = match self.peek() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                self.pos += 1;
+                return self.unicode_escape();
+            }
+            _ => return Err(self.err("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
+    }
+
+    /// The scalar after `\u`: four hex digits, or a UTF-16 surrogate pair
+    /// spelled as two escapes (`\uD83D\uDE00` is one character). A
+    /// surrogate without its partner is not a character: U+FFFD.
+    fn unicode_escape(&mut self) -> Result<char, ParseError> {
+        let unit = self.hex4()?;
+        if (0xD800..0xDC00).contains(&unit) && self.bytes()[self.pos..].starts_with(b"\\u") {
+            let after_high = self.pos;
+            self.pos += 2;
+            let low = self.hex4()?;
+            if (0xDC00..0xE000).contains(&low) {
+                let scalar = 0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00);
+                return Ok(char::from_u32(scalar).unwrap_or('\u{fffd}'));
+            }
+            // Not a low surrogate: it is the next character's business.
+            self.pos = after_high;
+        }
+        Ok(char::from_u32(unit).unwrap_or('\u{fffd}'))
+    }
+
+    fn hex4(&mut self) -> Result<u32, ParseError> {
+        let digits = self
+            .bytes()
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let mut code = 0;
+        for &d in digits {
+            let d = (d as char)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            code = code * 16 + d;
+        }
+        self.pos += 4;
+        Ok(code)
+    }
+
+    /// Reads a non-negative integer that fits a `u64`.
+    pub fn u64(&mut self) -> Result<u64, ParseError> {
+        self.skip_ws();
+        let start = self.pos;
+        let mut v: u64 = 0;
+        while let Some(d @ b'0'..=b'9') = self.peek() {
+            v = v
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(d - b'0')))
+                .ok_or_else(|| self.err("integer out of range"))?;
+            self.pos += 1;
+        }
+        if self.pos == start || matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return Err(self.err("expected an unsigned integer"));
+        }
+        Ok(v)
     }
 
     fn number(&mut self) -> Result<Json, ParseError> {
@@ -452,8 +624,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if integral {
             if let Ok(i) = text.parse::<i128>() {
                 return Ok(Json::Int(i));
@@ -526,5 +697,109 @@ mod tests {
         let pretty = doc.pretty();
         assert!(pretty.contains("\n  \"rows\": [\n"));
         assert_eq!(Json::parse(&pretty).expect("parses"), doc);
+    }
+    #[test]
+    fn nesting_is_capped_not_recursed_into() {
+        // The line that used to overflow the event-loop thread's stack.
+        let hostile = "[".repeat(20_000);
+        let err = Json::parse(&hostile).expect_err("too deep");
+        assert_eq!(err.offset, MAX_DEPTH + 1);
+        assert!(err.message.contains("nesting"), "{err}");
+        let mixed = "{\"a\":[".repeat(10_000);
+        assert!(Json::parse(&mixed).is_err());
+        // Exactly MAX_DEPTH levels is a document like any other...
+        let deep = format!("{}1{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        let mut v = &Json::parse(&deep).expect("at the cap");
+        for _ in 0..MAX_DEPTH {
+            v = &v.as_arr().expect("array")[0];
+        }
+        assert_eq!(v, &Json::Int(1));
+        // ...one more is not; siblings do not add up to depth.
+        assert!(Json::parse(&format!("[{deep}]")).is_err());
+        assert!(Json::parse(&format!("[{deep},{deep},{}]", "[],".repeat(1000) + "[]")).is_err());
+        assert!(Json::parse(&format!("[{}[]]", "[[]],".repeat(1000))).is_ok());
+    }
+
+    #[test]
+    fn surrogate_pairs_combine_and_lone_surrogates_degrade() {
+        let parse_str = |t: &str| Json::parse(t).expect("parses").as_str().map(str::to_string);
+        assert_eq!(parse_str(r#""\uD83D\uDE00""#).as_deref(), Some("\u{1F600}"));
+        assert_eq!(
+            parse_str(r#""a\ud83d\ude00b""#).as_deref(),
+            Some("a\u{1F600}b")
+        );
+        // High without low, low alone, high then a non-surrogate escape.
+        assert_eq!(parse_str(r#""\uD83Dx""#).as_deref(), Some("\u{fffd}x"));
+        assert_eq!(parse_str(r#""\uDE00""#).as_deref(), Some("\u{fffd}"));
+        assert_eq!(parse_str(r#""\uD83D\u0041""#).as_deref(), Some("\u{fffd}A"));
+        assert_eq!(
+            parse_str(r#""\uD83D\uD83D\uDE00""#).as_deref(),
+            Some("\u{fffd}\u{1F600}")
+        );
+        assert!(
+            Json::parse(r#""\uD83D\uDE0""#).is_err(),
+            "truncated low half"
+        );
+        assert!(
+            Json::parse(r#""\u+041""#).is_err(),
+            "sign is not a hex digit"
+        );
+        // What the emitter writes for it reads back.
+        let doc = Json::from("\u{1F600}");
+        assert_eq!(Json::parse(&doc.to_string()).expect("parses"), doc);
+    }
+
+    #[test]
+    fn strings_parse_in_linear_time() {
+        // The old scanner re-validated the rest of the document per
+        // character: 300 KB took 1.8 s, 1 MB would not finish. Linear
+        // means 16x the input costs about 16x the time; allow 4x slack on
+        // the ratio rather than trusting a wall-clock bound on a shared
+        // host.
+        let time = |len: usize| {
+            let body = "policy text, with \\\"escapes\\\" and \u{e9}\u{1F600} ".repeat(len / 48);
+            let doc = format!("{{\"dsl\":\"{body}\"}}");
+            let t0 = std::time::Instant::now();
+            let v = Json::parse(&doc).expect("parses");
+            let dt = t0.elapsed();
+            assert!(v
+                .get("dsl")
+                .and_then(Json::as_str)
+                .is_some_and(|s| s.len() > len / 2));
+            dt
+        };
+        time(1 << 16); // warm the allocator
+        let small = (0..5).map(|_| time(1 << 16)).min().expect("runs");
+        let large = (0..5).map(|_| time(1 << 20)).min().expect("runs");
+        assert!(large.as_millis() < 500, "1 MB string took {large:?}");
+        assert!(
+            large < small * 64,
+            "64 KB in {small:?} but 1 MB (16x) in {large:?}"
+        );
+    }
+
+    #[test]
+    fn reader_borrows_plain_strings_and_checks_integers() {
+        let mut r = Reader::new(r#" [ "plain", "esc\n", 18446744073709551615 ] "#);
+        let mut seen = Vec::new();
+        let mut max = 0;
+        let mut i = 0;
+        r.array(|r| {
+            if i < 2 {
+                seen.push(r.string()?);
+            } else {
+                max = r.u64()?;
+            }
+            i += 1;
+            Ok::<(), ParseError>(())
+        })
+        .expect("reads");
+        r.finish().expect("nothing trailing");
+        assert!(matches!(seen[0], Cow::Borrowed("plain")));
+        assert!(matches!(&seen[1], Cow::Owned(s) if s == "esc\n"));
+        assert_eq!(max, u64::MAX);
+        for bad in ["18446744073709551616", "-1", "1.0", "1e3", "x", ""] {
+            assert!(Reader::new(bad).u64().is_err(), "{bad:?} is not a u64");
+        }
     }
 }
