@@ -212,9 +212,10 @@ fn main() {
 
     let t0 = Instant::now();
     ctl.rs.set_export_policy(victim, export);
+    ctl.stage_policy_delta(&delta).expect("mitigation stages");
     let prepared = ctl
-        .apply_policy_delta_scheduled(&delta, &mut fabric)
-        .expect("mitigation stages and compiles");
+        .prepare_scheduled(&mut fabric)
+        .expect("mitigation compiles");
     let waves = prepared.plan.wave_count();
     let sched = ctl
         .commit_scheduled(&mut fabric, prepared, &ScheduleOpts::default(), None)

@@ -20,6 +20,7 @@ use sdx_bgp::route_server::{ExportPolicy, RouteServer, RouteServerEvent};
 use sdx_net::{Ipv4Addr, ParticipantId, Prefix};
 use sdx_openflow::border_router::BorderRouter;
 use sdx_openflow::fabric::Fabric;
+use sdx_openflow::flowmod::FlowModBatch;
 use sdx_policy::{Policy, PolicyDelta, PolicyOp, PolicyScope};
 use sdx_telemetry::{Event, SharedRegistry};
 
@@ -137,6 +138,23 @@ impl SdxController {
         self.telemetry.inc("txn.rollback.count");
     }
 
+    /// Settles a transaction body's `result`: a failure is journaled and
+    /// `rollback` (the transaction's own) restores the pre-call state.
+    fn or_rollback<T>(
+        &mut self,
+        stage: &str,
+        fabric: &mut Fabric,
+        result: Result<T, SdxError>,
+        rollback: impl FnOnce(&mut Self, &mut Fabric),
+    ) -> Result<T, SdxError> {
+        if let Err(e) = &result {
+            self.note_failure(stage, e);
+            let reg = self.telemetry.clone();
+            reg.time("txn.rollback", || rollback(self, fabric));
+        }
+        result
+    }
+
     /// Under a sharded compile, attributes a reconcile patch back to
     /// shards: how many flow-mods each shard's slice produced, how many
     /// landed outside any shard (wildcard / MAC-learning rules), and how
@@ -184,9 +202,10 @@ impl SdxController {
     /// [`SdxError::PolicyRejected`] with the book untouched), then the
     /// book mutates with per-participant version bumps — so the next
     /// compile invalidates only the touched viewers' shard units. Nothing
-    /// recompiles here; follow with [`reoptimize`](Self::reoptimize) /
-    /// [`prepare_scheduled`](Self::prepare_scheduled), or use the
-    /// [`apply_policy_delta`](Self::apply_policy_delta) wrappers.
+    /// recompiles here; follow with [`reoptimize`](Self::reoptimize) or
+    /// [`prepare_scheduled`](Self::prepare_scheduled)
+    /// ([`apply_policy_delta`](Self::apply_policy_delta) is the former in
+    /// one call).
     pub fn stage_policy_delta(&mut self, delta: &PolicyDelta) -> Result<(), SdxError> {
         delta
             .validate(
@@ -224,7 +243,7 @@ impl SdxController {
         Ok(())
     }
 
-    /// Applies a [`PolicyDelta`] end to end on the plain path: stage, then
+    /// Applies a [`PolicyDelta`] end to end: stage, then
     /// [`reoptimize`](Self::reoptimize). The policy change flows through
     /// the same incremental machinery as a route update — only the
     /// touched viewers' shard units recompile, untouched FECs keep their
@@ -238,20 +257,6 @@ impl SdxController {
     ) -> Result<&CompileReport, SdxError> {
         self.stage_policy_delta(delta)?;
         self.reoptimize(fabric)
-    }
-
-    /// Applies a [`PolicyDelta`] on the scheduled path: stage, then
-    /// [`prepare_scheduled`](Self::prepare_scheduled). The returned
-    /// [`PreparedUpdate`] drives dependency-ordered waves exactly as for
-    /// route churn — drive it with
-    /// [`commit_scheduled`](Self::commit_scheduled).
-    pub fn apply_policy_delta_scheduled(
-        &mut self,
-        delta: &PolicyDelta,
-        fabric: &mut Fabric,
-    ) -> Result<PreparedUpdate, SdxError> {
-        self.stage_policy_delta(delta)?;
-        self.prepare_scheduled(fabric)
     }
 
     /// Selects the compile sharding mode for every subsequent
@@ -299,29 +304,28 @@ impl SdxController {
 
     /// Deregisters a participant: its session resets (routes flushed), its
     /// policies are dropped, and the next re-optimization removes every
-    /// rule referencing it. Returns false if the participant was unknown.
-    pub fn remove_participant(&mut self, id: ParticipantId, fabric: &mut Fabric) -> bool {
+    /// rule referencing it. Returns `Ok(false)` if the participant was
+    /// unknown.
+    ///
+    /// An `Err` is that re-optimization failing: the participant is gone
+    /// from the book and the route server, but the fabric rolled back and
+    /// still holds rules forwarding to it until a later
+    /// [`reoptimize`](Self::reoptimize) succeeds.
+    pub fn remove_participant(
+        &mut self,
+        id: ParticipantId,
+        fabric: &mut Fabric,
+    ) -> Result<bool, SdxError> {
         if self.compiler.participant(id).is_none() {
-            return false;
+            return Ok(false);
         }
         self.rs.reset_session(id);
         self.compiler.remove_participant(id);
         self.compiler.clear_global_policies(id);
         self.rib_out.remove(&id);
         // Re-optimize so no rule forwards toward the vanished participant.
-        let _ = self.reoptimize(fabric);
-        true
-    }
-
-    /// Builds the border router for a participant port, ready to attach to
-    /// a fabric.
-    pub fn make_router(&self, id: ParticipantId, index: u8) -> Option<BorderRouter> {
-        let cfg = self.compiler.participant(id)?;
-        let port = cfg.ports.iter().find(|p| p.index == index)?;
-        Some(BorderRouter::new(
-            sdx_net::PortId::Phys(id, index),
-            port.mac,
-        ))
+        self.reoptimize(fabric)?;
+        Ok(true)
     }
 
     /// Processes one BGP update through the route server and the fast
@@ -368,24 +372,16 @@ impl SdxController {
         let reg = self.telemetry.clone();
         let t0 = Instant::now();
         let txn = DeltaTxn::begin(self);
-        match self.fast_path_in_txn(changed, fabric) {
-            Ok(delta) => {
-                let elapsed = t0.elapsed();
-                reg.observe_duration("fastpath.total", elapsed);
-                reg.record_event(Event::DeltaApplied {
-                    rules: delta.additional_rules(),
-                    latency_ns: nanos(elapsed),
-                });
-                reg.set_gauge("controller.delta_layers", i64::from(self.delta_layers));
-                Ok(delta)
-            }
-            Err(e) => {
-                reg.observe_duration("fastpath.total", t0.elapsed());
-                self.note_failure("fastpath", &e);
-                reg.time("txn.rollback", || txn.rollback(self, fabric));
-                Err(e)
-            }
-        }
+        let result = self.fast_path_in_txn(changed, fabric);
+        let elapsed = t0.elapsed();
+        reg.observe_duration("fastpath.total", elapsed);
+        let delta = self.or_rollback("fastpath", fabric, result, |ctl, f| txn.rollback(ctl, f))?;
+        reg.record_event(Event::DeltaApplied {
+            rules: delta.additional_rules(),
+            latency_ns: nanos(elapsed),
+        });
+        reg.set_gauge("controller.delta_layers", i64::from(self.delta_layers));
+        Ok(delta)
     }
 
     /// The staged (validate, then mutate) portion of the fast path; runs
@@ -469,7 +465,8 @@ impl SdxController {
     }
 
     /// Runs the full (background) pipeline and swaps the fabric state:
-    /// fresh base table, fresh ARP bindings, FIB re-sync, overlays retired.
+    /// the base table patched by one atomic flow-mod batch, fresh ARP
+    /// bindings, FIB re-sync, overlays retired.
     ///
     /// The swap is transactional: the compiled result is validated before
     /// any mutation, and any failure (compilation, validation, injected
@@ -479,57 +476,57 @@ impl SdxController {
     /// VNH recycling: the previous compilation's group ids and every
     /// fast-path delta id are released back to the pool here — by the end
     /// of this call no switch rule, FIB entry, or ARP cache references
-    /// them (the table is replaced, the FIBs are reconciled to the new VNH
-    /// map, and router ARP caches are flushed below), so a long-lived
-    /// controller never exhausts the pool under sustained churn.
+    /// them (the table is patched, the FIBs are reconciled to the new VNH
+    /// map, and the retired addresses are invalidated from router ARP
+    /// caches), so a long-lived controller never exhausts the pool under
+    /// sustained churn.
     pub fn reoptimize(&mut self, fabric: &mut Fabric) -> Result<&CompileReport, SdxError> {
         let reg = self.telemetry.clone();
-        let overlays = self.delta_layers;
         let t0 = Instant::now();
         let txn = FabricTxn::begin(self, fabric);
-        match self.reoptimize_in_txn(fabric) {
-            Ok(()) => {
-                let elapsed = t0.elapsed();
-                reg.observe_duration("reoptimize.total", elapsed);
-                if overlays > 0 {
-                    reg.record_event(Event::OverlaysRetired { layers: overlays });
-                }
-                reg.set_gauge("controller.delta_layers", 0);
-                match self.report.as_ref() {
-                    Some(r) => {
-                        reg.record_event(Event::ReoptimizeCompleted {
-                            rules: r.stats.rule_count,
-                            groups: r.stats.group_count,
-                            latency_ns: nanos(elapsed),
-                        });
-                        reg.set_gauge("fabric.rules", r.stats.rule_count as i64);
-                        Ok(r)
-                    }
-                    // Unreachable by construction: the txn body always sets
-                    // the report on success.
-                    None => Err(SdxError::InvalidCommit(
-                        "reoptimize committed without a report".into(),
-                    )),
-                }
-            }
-            Err(e) => {
-                reg.observe_duration("reoptimize.total", t0.elapsed());
-                self.note_failure("reoptimize", &e);
-                reg.time("txn.rollback", || txn.rollback(self, fabric));
-                Err(e)
-            }
+        let result = self.stage(fabric).and_then(|(patch, retire)| {
+            fabric.apply_flowmods(&patch).map_err(|e| {
+                SdxError::InvalidCommit(format!("reoptimize flow-mod batch rejected: {e}"))
+            })?;
+            Ok(retire)
+        });
+        if result.is_err() {
+            reg.observe_duration("reoptimize.total", t0.elapsed());
         }
+        let retire =
+            self.or_rollback("reoptimize", fabric, result, |ctl, f| txn.rollback(ctl, f))?;
+        self.retire(fabric, retire, t0.elapsed());
+        reg.observe_duration("reoptimize.total", t0.elapsed());
+        self.report
+            .as_ref()
+            // Unreachable by construction: staging always sets the report.
+            .ok_or_else(|| SdxError::InvalidCommit("reoptimize committed without a report".into()))
     }
 
-    /// The staged (compile, validate, then mutate) portion of reoptimize;
-    /// runs inside a [`FabricTxn`].
-    fn reoptimize_in_txn(&mut self, fabric: &mut Fabric) -> Result<(), SdxError> {
+    /// The one recompile every update runs: releases the fast-path ids,
+    /// compiles, validates, retires the overlays from the local table,
+    /// diffs the base table against the new classifier, and flips the
+    /// control plane (ARP, report, FIBs) to the new configuration. The
+    /// returned patch is **not yet applied**; [`retire`](Self::retire)
+    /// cleans up after it has landed.
+    ///
+    /// Ordering is add-before-reference at the system level: ARP bindings
+    /// for the new report are installed *alongside* the old ones (nothing
+    /// is unbound yet) and the FIBs are synchronized to the new VNH map
+    /// *before* any flow-mod lands, so every intermediate table a caller
+    /// produces while applying the patch is evaluated under one coherent
+    /// control plane.
+    ///
+    /// Not transactional by itself: callers run it inside a
+    /// [`FabricTxn`].
+    fn stage(&mut self, fabric: &mut Fabric) -> Result<(FlowModBatch, Retire), SdxError> {
         let reg = self.telemetry.clone();
+        let overlays = self.delta_layers;
         // Fast-path delta ids are keyless allocations: release them
         // *before* compiling so a pool exhausted by fast-path churn can
         // recover here. Safe under the transaction: the snapshot restores
         // the allocator on failure, and the overlay rules referencing them
-        // are removed in this same commit.
+        // are removed below.
         let delta_ids: Vec<crate::fec::FecId> = std::mem::take(&mut self.live_delta_ids);
         let mut retired_addrs: Vec<Ipv4Addr> =
             delta_ids.iter().map(|&id| self.vnh.vnh_of(id)).collect();
@@ -546,9 +543,13 @@ impl SdxController {
             self.compiler
                 .compile_all_with_faults(&self.rs, &mut self.vnh, &mut self.faults)?;
         reg.time("txn.validate", || crate::txn::validate_report(&report))?;
-        // Retire the fast-path overlay layers, then *patch* the base
-        // table: the diff against the keyed-identity recompile touches
-        // only the rules whose pattern, buckets, or cookie changed.
+        // Overlay retirement is the one table mutation made outside the
+        // flow-mod protocol (so it is in no logged batch — whoever mirrors
+        // this table elsewhere must retire there too): it happens before
+        // the diff, so the patch is computed against, and any waves are
+        // planned and verified from, the overlay-free base table. The diff
+        // against the keyed-identity recompile touches only the rules
+        // whose pattern, buckets, or cookie changed.
         fabric.switch.table_mut().remove_at_or_above(DELTA_BASE);
         self.epoch += 1;
         let diff = crate::reconcile::diff_base_table(
@@ -556,37 +557,25 @@ impl SdxController {
             &report.classifier,
             self.epoch,
         );
-        let stats = fabric.apply_flowmods(&diff.batch).map_err(|e| {
-            SdxError::InvalidCommit(format!("reoptimize flow-mod batch rejected: {e}"))
-        })?;
         reg.add("reconcile.unchanged.count", diff.unchanged as u64);
         if diff.rebased {
             reg.inc("reconcile.rebase.count");
         }
         self.note_shard_attribution(&reg, &report, &diff.batch);
-        reg.record_event(Event::FlowModBatchApplied {
-            epoch: self.epoch,
-            adds: stats.adds,
-            modifies: stats.modifies,
-            deletes: stats.deletes,
-        });
         self.delta_layers = 0;
         self.next_delta_priority = DELTA_BASE;
-        // Mid-commit fault point: the base table is already patched but
-        // ARP and FIBs are not yet synchronized — the torn state a firing
-        // here produces must be rolled back by the enclosing transaction.
+        // Mid-commit fault point: the overlays are gone but ARP and FIBs
+        // are not yet synchronized — the torn state a firing here produces
+        // must be rolled back by the enclosing transaction.
         self.faults.check(InjectionPoint::FabricCommit)?;
+        // Control-plane flip, new bindings first: the old VMACs stay
+        // resolvable until the patch has retired their rules.
         self.install_static_arp(fabric);
         for &(vnh, vmac) in &report.arp_bindings {
             fabric.arp.bind(vnh, vmac);
         }
         // Keyed identity keeps surviving groups on their exact VNH, so
-        // only ids whose key vanished actually retire. Unbind those
-        // addresses from the responder and invalidate them from router
-        // ARP caches — selectively: an address was only ever cached by
-        // the routers of the viewer that owned it, and every other cached
-        // entry stays warm (the fixed vnh→vmac mapping means a surviving
-        // entry can never be stale).
+        // only ids whose key vanished actually retire.
         let new_ids: std::collections::BTreeSet<u32> = report
             .groups
             .values()
@@ -601,44 +590,20 @@ impl SdxController {
                 }
             }
         }
-        let live: std::collections::BTreeSet<Ipv4Addr> =
-            report.arp_bindings.iter().map(|(a, _)| *a).collect();
-        let ports: Vec<_> = fabric.ports().collect();
-        let mut invalidated = 0u64;
-        for addr in retired_addrs {
-            if live.contains(&addr) {
-                continue;
-            }
-            fabric.arp.unbind(addr);
-            for &port in &ports {
-                if let Some(r) = fabric.router_mut(port) {
-                    if r.invalidate_arp(addr) {
-                        invalidated += 1;
-                    }
-                }
-            }
-        }
-        reg.add("arp.invalidated.count", invalidated);
-        // Stale keyed ids release only now: through the compile they were
-        // still mapped, which is what kept live keys off their slots.
-        for id in stale_ids {
-            self.vnh.release(id);
-        }
         self.report = Some(report);
         self.full_fib_sync(fabric, old_report.as_ref().map(|r| &r.vnh_of));
-        Ok(())
+        let retire = Retire {
+            patched: diff.batch.stats(),
+            overlays,
+            stale_ids,
+            retired_addrs,
+        };
+        Ok((diff.batch, retire))
     }
 
-    /// Stages a *scheduled* re-optimization: compiles, validates, flips
-    /// the control plane to the new configuration, and plans — but does
-    /// not yet apply — the data-plane patch as dependency-ordered waves.
-    ///
-    /// Ordering is add-before-reference at the system level: ARP
-    /// bindings for the new report are installed *alongside* the old
-    /// ones (nothing is unbound yet) and the FIBs are synchronized to
-    /// the new VNH map *before* any flow-mod lands, so every
-    /// intermediate table produced by the subsequent waves is evaluated
-    /// under one coherent control plane. The stale ARP/VNH state is
+    /// Stages a *scheduled* re-optimization: [`stage`](Self::stage)s the
+    /// recompile and plans — but does not yet apply — the data-plane
+    /// patch as dependency-ordered waves. The stale ARP/VNH state is
     /// retired only after [`commit_scheduled`](Self::commit_scheduled)
     /// lands the final wave.
     ///
@@ -648,82 +613,13 @@ impl SdxController {
     /// *park* instead — see `commit_scheduled`.
     pub fn prepare_scheduled(&mut self, fabric: &mut Fabric) -> Result<PreparedUpdate, SdxError> {
         let txn = FabricTxn::begin(self, fabric);
-        match self.prepare_scheduled_in_txn(fabric) {
-            Ok(p) => Ok(p),
-            Err(e) => {
-                self.note_failure("prepare_scheduled", &e);
-                let reg = self.telemetry.clone();
-                reg.time("txn.rollback", || txn.rollback(self, fabric));
-                Err(e)
-            }
-        }
-    }
-
-    fn prepare_scheduled_in_txn(
-        &mut self,
-        fabric: &mut Fabric,
-    ) -> Result<PreparedUpdate, SdxError> {
-        let reg = self.telemetry.clone();
-        let overlays = self.delta_layers;
-        let delta_ids: Vec<crate::fec::FecId> = std::mem::take(&mut self.live_delta_ids);
-        let mut retired_addrs: Vec<Ipv4Addr> =
-            delta_ids.iter().map(|&id| self.vnh.vnh_of(id)).collect();
-        for &id in &delta_ids {
-            self.vnh.release(id);
-        }
-        let old_report = self.report.take();
-        let report =
-            self.compiler
-                .compile_all_with_faults(&self.rs, &mut self.vnh, &mut self.faults)?;
-        reg.time("txn.validate", || crate::txn::validate_report(&report))?;
-        // The overlay retirement is the one un-scheduled table mutation:
-        // it happens before the diff, so the waves are planned against
-        // (and verified from) the overlay-free base table.
-        fabric.switch.table_mut().remove_at_or_above(DELTA_BASE);
-        self.epoch += 1;
-        let diff = crate::reconcile::diff_base_table(
-            fabric.switch.table(),
-            &report.classifier,
-            self.epoch,
-        );
-        let plan = crate::schedule::plan(fabric.switch.table(), &diff.batch);
-        reg.add("reconcile.unchanged.count", diff.unchanged as u64);
-        if diff.rebased {
-            reg.inc("reconcile.rebase.count");
-        }
-        self.note_shard_attribution(&reg, &report, &diff.batch);
-        self.delta_layers = 0;
-        self.next_delta_priority = DELTA_BASE;
-        self.faults.check(InjectionPoint::FabricCommit)?;
-        // Control-plane flip, new bindings first: the old VMACs stay
-        // resolvable until the last wave retires their rules.
-        self.install_static_arp(fabric);
-        for &(vnh, vmac) in &report.arp_bindings {
-            fabric.arp.bind(vnh, vmac);
-        }
-        let new_ids: std::collections::BTreeSet<u32> = report
-            .groups
-            .values()
-            .flat_map(|gs| gs.iter().map(|g| g.id.0))
-            .collect();
-        let mut stale_ids: Vec<crate::fec::FecId> = Vec::new();
-        if let Some(old) = &old_report {
-            for g in old.groups.values().flatten() {
-                if !new_ids.contains(&g.id.0) {
-                    stale_ids.push(g.id);
-                    retired_addrs.push(g.vnh);
-                }
-            }
-        }
-        self.report = Some(report);
-        self.full_fib_sync(fabric, old_report.as_ref().map(|r| &r.vnh_of));
+        let result = self.stage(fabric);
+        let (patch, retire) = self.or_rollback("prepare_scheduled", fabric, result, |ctl, f| {
+            txn.rollback(ctl, f)
+        })?;
         Ok(PreparedUpdate {
-            plan,
-            unchanged: diff.unchanged,
-            rebased: diff.rebased,
-            overlays,
-            stale_ids,
-            retired_addrs,
+            plan: crate::schedule::plan(fabric.switch.table(), &patch),
+            retire,
         })
     }
 
@@ -759,13 +655,7 @@ impl SdxController {
             checker,
         );
         reg.observe_duration("reoptimize.scheduled.total", t0.elapsed());
-        let schedule_report = match outcome {
-            Ok(r) => r,
-            Err(e) => {
-                self.note_failure("commit_scheduled", &e);
-                return Err(e);
-            }
-        };
+        let schedule_report = outcome.inspect_err(|e| self.note_failure("commit_scheduled", e))?;
         self.finish_scheduled(fabric, prepared, t0.elapsed());
         Ok(schedule_report)
     }
@@ -782,25 +672,24 @@ impl SdxController {
         prepared: PreparedUpdate,
         latency: Duration,
     ) {
+        self.retire(fabric, prepared.retire, latency);
+    }
+
+    /// Closes an update whose patch has fully landed: the data plane is
+    /// on the new rules, so retire what nothing references any more and
+    /// journal the completion.
+    fn retire(&mut self, fabric: &mut Fabric, retire: Retire, latency: Duration) {
         let reg = self.telemetry.clone();
-        let stats = prepared.plan.waves.iter().fold(
-            sdx_openflow::flowmod::BatchStats::default(),
-            |mut acc, w| {
-                let s = w.stats();
-                acc.adds += s.adds;
-                acc.modifies += s.modifies;
-                acc.deletes += s.deletes;
-                acc
-            },
-        );
         reg.record_event(Event::FlowModBatchApplied {
             epoch: self.epoch,
-            adds: stats.adds,
-            modifies: stats.modifies,
-            deletes: stats.deletes,
+            adds: retire.patched.adds,
+            modifies: retire.patched.modifies,
+            deletes: retire.patched.deletes,
         });
-        // The data plane is fully on the new rules: retire what nothing
-        // references any more.
+        // Unbind the retired addresses from the responder and invalidate
+        // them from router ARP caches — selectively: every other cached
+        // entry stays warm (the fixed vnh→vmac mapping means a surviving
+        // entry can never be stale).
         let live: std::collections::BTreeSet<Ipv4Addr> = self
             .report
             .as_ref()
@@ -808,7 +697,7 @@ impl SdxController {
             .unwrap_or_default();
         let ports: Vec<_> = fabric.ports().collect();
         let mut invalidated = 0u64;
-        for addr in &prepared.retired_addrs {
+        for addr in &retire.retired_addrs {
             if live.contains(addr) {
                 continue;
             }
@@ -822,12 +711,14 @@ impl SdxController {
             }
         }
         reg.add("arp.invalidated.count", invalidated);
-        for id in prepared.stale_ids {
+        // Stale keyed ids release only now: through the compile they were
+        // still mapped, which is what kept live keys off their slots.
+        for id in retire.stale_ids {
             self.vnh.release(id);
         }
-        if prepared.overlays > 0 {
+        if retire.overlays > 0 {
             reg.record_event(Event::OverlaysRetired {
-                layers: prepared.overlays,
+                layers: retire.overlays,
             });
         }
         reg.set_gauge("controller.delta_layers", 0);
@@ -839,19 +730,6 @@ impl SdxController {
             });
             reg.set_gauge("fabric.rules", r.stats.rule_count as i64);
         }
-    }
-
-    /// [`prepare_scheduled`](Self::prepare_scheduled) +
-    /// [`commit_scheduled`](Self::commit_scheduled) in one call, without
-    /// per-wave verification (the oracle crate's `reoptimize_verified`
-    /// wires a checker in).
-    pub fn reoptimize_scheduled(
-        &mut self,
-        fabric: &mut Fabric,
-        opts: &crate::schedule::ScheduleOpts,
-    ) -> Result<crate::schedule::ScheduleReport, SdxError> {
-        let prepared = self.prepare_scheduled(fabric)?;
-        self.commit_scheduled(fabric, prepared, opts, None)
     }
 
     /// Binds every participant port's physical address → MAC.
@@ -947,10 +825,8 @@ impl SdxController {
                     let out = self.rib_out.entry(viewer).or_default();
                     if let Some(update) = out.reconcile(prefix, desired) {
                         sent += 1;
-                        for port in fabric.ports_of(viewer) {
-                            if let Some(r) = fabric.router_mut(port) {
-                                r.apply_update(&update);
-                            }
+                        for r in fabric.routers_of_mut(viewer) {
+                            r.apply_update(&update);
                         }
                     }
                 }
@@ -970,10 +846,8 @@ impl SdxController {
                 let updates = out.reconcile_full(desired);
                 sent += updates.len() as u64;
                 for update in updates {
-                    for port in fabric.ports_of(viewer) {
-                        if let Some(r) = fabric.router_mut(port) {
-                            r.apply_update(&update);
-                        }
+                    for r in fabric.routers_of_mut(viewer) {
+                        r.apply_update(&update);
                     }
                 }
             }
@@ -1066,10 +940,15 @@ impl SdxController {
 pub struct PreparedUpdate {
     /// The dependency-ordered wave plan for the data-plane patch.
     pub plan: crate::schedule::UpdatePlan,
-    /// Rules the reconciliation diff left untouched.
-    pub unchanged: usize,
-    /// Whether the diff fell back to a full priority rebase.
-    pub rebased: bool,
+    retire: Retire,
+}
+
+/// What [`SdxController::stage`] leaves for after its patch has landed:
+/// the patch's size, the overlay layers staging removed, and the ids and
+/// addresses nothing will reference once the old rules are gone.
+#[derive(Clone, Debug)]
+struct Retire {
+    patched: sdx_openflow::flowmod::BatchStats,
     overlays: u32,
     stale_ids: Vec<crate::fec::FecId>,
     retired_addrs: Vec<Ipv4Addr>,
@@ -1393,8 +1272,12 @@ mod tests {
         let (mut ctl, mut fabric) = deployment();
         // B carries the policy traffic; removing it must leave no rule
         // forwarding toward it and shift traffic to A.
-        assert!(ctl.remove_participant(pid(2), &mut fabric));
-        assert!(!ctl.remove_participant(pid(2), &mut fabric), "idempotent");
+        assert_eq!(ctl.remove_participant(pid(2), &mut fabric), Ok(true));
+        assert_eq!(
+            ctl.remove_participant(pid(2), &mut fabric),
+            Ok(false),
+            "idempotent"
+        );
         let out = fabric.send(
             PortId::Phys(pid(3), 1),
             Packet::tcp(ip("99.0.0.1"), ip("54.1.2.3"), 5000, 80),
@@ -1412,6 +1295,28 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn remove_participant_surfaces_a_failed_recompile() {
+        let (mut ctl, mut fabric) = deployment();
+        let before = fabric.snapshot();
+        ctl.faults = FaultPlan::seeded(3).fail_nth(InjectionPoint::Compile, 1);
+        let err = ctl
+            .remove_participant(pid(2), &mut fabric)
+            .expect_err("the recompile was made to fail");
+        assert_eq!(err, SdxError::Injected(InjectionPoint::Compile));
+        // The book forgot B, but the rolled-back fabric still forwards to it.
+        assert!(ctl.compiler.participant(pid(2)).is_none());
+        assert_eq!(&fabric, before.view());
+        // The next re-optimization converges: port-80 traffic shifts to A.
+        ctl.reoptimize(&mut fabric).expect("converges");
+        let out = fabric.send(
+            PortId::Phys(pid(3), 1),
+            Packet::tcp(ip("99.0.0.1"), ip("54.1.2.3"), 5000, 80),
+        );
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].loc.participant(), pid(1));
     }
 
     #[test]
@@ -1511,9 +1416,8 @@ mod tests {
         ctl.set_sharding(Sharding::Shards(4));
         ctl.reoptimize(&mut fabric).unwrap();
         let delta = PolicyDelta::new().retract_outbound(pid(3));
-        let prepared = ctl
-            .apply_policy_delta_scheduled(&delta, &mut fabric)
-            .expect("prepare");
+        ctl.stage_policy_delta(&delta).expect("stage");
+        let prepared = ctl.prepare_scheduled(&mut fabric).expect("prepare");
         let opts = crate::schedule::ScheduleOpts::default();
         ctl.commit_scheduled(&mut fabric, prepared, &opts, None)
             .expect("waves commit");

@@ -77,19 +77,7 @@ impl SdxCompiler {
         vnh: &mut VnhAllocator,
         prefix: Prefix,
     ) -> Result<DeltaResult, SdxError> {
-        self.fast_update_with_faults(rs, vnh, prefix, &mut FaultPlan::disabled())
-    }
-
-    /// [`fast_update`](Self::fast_update) with a fault-injection plan
-    /// threaded through each VNH allocation.
-    pub fn fast_update_with_faults(
-        &mut self,
-        rs: &RouteServer,
-        vnh: &mut VnhAllocator,
-        prefix: Prefix,
-        faults: &mut FaultPlan,
-    ) -> Result<DeltaResult, SdxError> {
-        self.fast_update_burst_with_faults(rs, vnh, &[prefix], faults)
+        self.fast_update_burst(rs, vnh, &[prefix])
     }
 
     /// Run the fast path for a burst of changed prefixes, returning one

@@ -119,9 +119,10 @@ pub struct UpdatePlan {
     /// Dependency edges found between distinct waves-to-be (a measure of
     /// how constrained the batch was).
     pub dependencies: usize,
-    /// True when the dependency graph had a cycle and the plan collapsed
-    /// to a single atomic wave (always safe, never wrong — just maximally
-    /// conservative).
+    /// True when the plan is a single atomic wave although its mods
+    /// depend on one another: the dependency graph had a cycle, or the
+    /// caller asked for one barrier ([`collapse`](Self::collapse)). Always
+    /// safe, never wrong — just maximally conservative.
     pub collapsed: bool,
 }
 
@@ -144,6 +145,22 @@ impl UpdatePlan {
     /// True when there is nothing to apply.
     pub fn is_empty(&self) -> bool {
         self.waves.is_empty()
+    }
+
+    /// Folds the plan into one atomic wave: the waves' mods concatenated
+    /// in wave order, which applied as a single batch is exactly the
+    /// waves applied in sequence with no intermediate state exposed. For
+    /// a caller that wants the whole patch under one commit barrier — one
+    /// frame and one ack per switch — and needs no per-wave verification.
+    pub fn collapse(&mut self) {
+        if self.waves.len() > 1 {
+            let mut whole = FlowModBatch::new(self.epoch);
+            for wave in self.waves.drain(..) {
+                whole.mods.extend(wave.mods);
+            }
+            self.waves.push(whole);
+            self.collapsed = true;
+        }
     }
 }
 
@@ -552,7 +569,7 @@ pub struct ScheduleReport {
 /// * retry exhaustion → `schedule.abort.count`, a journaled
 ///   [`Event::UpdateAborted`], and [`SdxError::UpdateAborted`]; the fabric
 ///   stays **parked** with exactly the previously verified waves applied;
-/// * a checker rejection → the offending wave is rolled back (snapshot)
+/// * a checker rejection → the offending wave is rolled back (pre-wave mark)
 ///   and [`SdxError::UnsafeSchedule`] carries the counterexample; the
 ///   fabric parks in the pre-wave (verified) state;
 /// * a batch the switch itself rejects → [`SdxError::InvalidCommit`]
@@ -632,14 +649,16 @@ pub fn drive_fanout(
                 }
             }
         }
-        let snapshot = (checker.is_some() || sink.is_some()).then(|| fabric.snapshot());
+        // A wave changes the flow table and the batch log, nothing else:
+        // that is all an undo needs, never the routers' FIBs.
+        let mark = (checker.is_some() || sink.is_some()).then(|| fabric.mark_wave());
         fabric.apply_flowmods(wave).map_err(|e| {
             SdxError::InvalidCommit(format!("scheduled wave {i} rejected by the switch: {e}"))
         })?;
         if let Some(ref mut check) = checker {
             if let Err(counterexample) = check(fabric, i) {
-                if let Some(snap) = snapshot {
-                    fabric.restore(snap);
+                if let Some(mark) = mark {
+                    fabric.rewind_wave(mark);
                 }
                 telemetry.inc("schedule.unsafe.count");
                 return Err(SdxError::UnsafeSchedule {
@@ -650,8 +669,8 @@ pub fn drive_fanout(
         }
         if let Some(ref mut s) = sink {
             if let Err(e) = s.apply_wave(i, plan.waves.len(), wave) {
-                if let Some(snap) = snapshot {
-                    fabric.restore(snap);
+                if let Some(mark) = mark {
+                    fabric.rewind_wave(mark);
                 }
                 telemetry.inc("schedule.fanout_failed.count");
                 return Err(SdxError::InvalidCommit(format!(
@@ -1062,6 +1081,48 @@ mod tests {
         assert_eq!(fabric.switch.table().len(), 1);
         assert_eq!(reg.counter("schedule.fanout_failed.count").get(), 1);
         assert_eq!(reg.counter("schedule.waves.count").get(), 1);
+    }
+
+    #[test]
+    fn collapsed_plan_is_one_wave_with_the_same_end_state() {
+        // Make-before-break needs two waves; collapsed, the same mods land
+        // under one barrier and reach the same table.
+        let mut t = FlowTable::new();
+        t.install(FlowEntry::new(5, HeaderMatch::any(), out(9)));
+        let b = batch(vec![
+            FlowMod::Delete {
+                priority: 5,
+                pattern: HeaderMatch::any(),
+            },
+            add(10, vpat(1), out(2)),
+        ]);
+        let waves = plan(&t, &b);
+        let mut whole = waves.clone();
+        whole.collapse();
+        assert_eq!(shape(&waves), vec![vec!["add"], vec!["del"]]);
+        assert_eq!(shape(&whole), vec![vec!["add", "del"]]);
+        assert!(whole.collapsed);
+        let drive_over = |p: &UpdatePlan| {
+            let mut fabric = Fabric::new();
+            fabric
+                .switch
+                .install(FlowEntry::new(5, HeaderMatch::any(), out(9)));
+            drive(
+                p,
+                &mut fabric,
+                &mut FaultPlan::disabled(),
+                &SharedRegistry::new(),
+                &ScheduleOpts::default(),
+                None,
+            )
+            .expect("applies");
+            fabric
+        };
+        assert_eq!(drive_over(&whole), drive_over(&waves));
+        // Nothing to fold: an empty plan stays empty.
+        let mut empty = plan(&t, &batch(vec![]));
+        empty.collapse();
+        assert!(empty.is_empty() && !empty.collapsed);
     }
 
     #[test]

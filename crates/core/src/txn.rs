@@ -68,11 +68,6 @@ impl FabricTxn {
         }
     }
 
-    /// The fabric image captured at [`begin`](FabricTxn::begin).
-    pub fn fabric_image(&self) -> &Fabric {
-        self.fabric.view()
-    }
-
     /// Restores `ctl` and `fabric` to the captured state, discarding every
     /// change made inside the transaction.
     pub fn rollback(self, ctl: &mut SdxController, fabric: &mut Fabric) {

@@ -16,6 +16,7 @@ use crate::arp::ArpResponder;
 use crate::border_router::BorderRouter;
 use crate::flowmod::{BatchStats, FlowModBatch, FlowModError};
 use crate::switch::Switch;
+use crate::table::FlowTable;
 
 /// A delivery out of the fabric: the physical port it left on.
 pub type Delivery = LocatedPacket;
@@ -202,6 +203,26 @@ impl Fabric {
         std::mem::take(&mut self.batch_log.batches)
     }
 
+    /// Captures what one flow-mod batch can change — the switch table and
+    /// the tail of the batch log — so a wave that is applied and then
+    /// refused (by a safety check, or by a switch further down the fan-out)
+    /// can be undone without copying every border router's FIB the way
+    /// [`snapshot`](Fabric::snapshot) does.
+    pub fn mark_wave(&self) -> WaveMark {
+        WaveMark {
+            table: self.switch.table().clone(),
+            logged: self.batch_log.batches.len(),
+        }
+    }
+
+    /// Undoes every [`apply_flowmods`](Fabric::apply_flowmods) since
+    /// `mark`: the table is the captured one again and the batches logged
+    /// since are retracted, so they are never streamed.
+    pub fn rewind_wave(&mut self, mark: WaveMark) {
+        *self.switch.table_mut() = mark.table;
+        self.batch_log.batches.truncate(mark.logged);
+    }
+
     /// Captures the complete fabric state — flow table, ARP responder,
     /// every border router's FIB and ARP cache, and the counters — as a
     /// last-known-good image a transaction can roll back to.
@@ -216,6 +237,13 @@ impl Fabric {
     pub fn restore(&mut self, snapshot: FabricSnapshot) {
         *self = snapshot.fabric;
     }
+}
+
+/// The pre-wave state captured by [`Fabric::mark_wave`].
+#[derive(Clone, Debug)]
+pub struct WaveMark {
+    table: FlowTable,
+    logged: usize,
 }
 
 /// An owned, immutable image of a [`Fabric`] at a point in time (see
@@ -371,6 +399,31 @@ mod tests {
         let drained = f.drain_batches();
         assert_eq!(drained, vec![b1]);
         assert!(f.drain_batches().is_empty(), "drain empties the log");
+    }
+
+    #[test]
+    fn rewinding_a_wave_restores_the_table_and_retracts_its_log_entries() {
+        use crate::flowmod::FlowMod;
+        let mut f = Fabric::new();
+        f.enable_batch_log();
+        let entry = |priority| {
+            FlowMod::Add(FlowEntry::new(
+                priority,
+                HeaderMatch::of(FieldMatch::TpDst(80)),
+                vec![vec![]],
+            ))
+        };
+        let mut kept = FlowModBatch::new(1);
+        kept.push(entry(10));
+        f.apply_flowmods(&kept).expect("applies");
+        let before = f.clone();
+        let mark = f.mark_wave();
+        let mut undone = FlowModBatch::new(2);
+        undone.push(entry(20));
+        f.apply_flowmods(&undone).expect("applies");
+        f.rewind_wave(mark);
+        assert_eq!(f, before, "installed state is the pre-wave state");
+        assert_eq!(f.drain_batches(), vec![kept], "only the kept batch streams");
     }
 
     #[test]

@@ -59,7 +59,7 @@ use sdx_core::schedule::drive_fanout;
 use sdx_core::{ScheduleOpts, SdxController, Sharding};
 use sdx_net::{Asn, ParticipantId, Prefix, RouterId};
 use sdx_openflow::Fabric;
-use sdx_telemetry::{Event, SharedRegistry};
+use sdx_telemetry::{Counter, Event, SharedRegistry};
 
 use crate::channel::{ChannelSink, FlowChannel};
 use crate::codec;
@@ -152,18 +152,6 @@ impl DaemonHandle {
         let _ = self.tx.send(Input::Reoptimize);
     }
 
-    /// Injects a policy frame as if it had arrived on the policy
-    /// endpoint (no ack transport; validation failures land in the
-    /// `daemon.policy_rejected.count` counter and the journal). The
-    /// frame rides the same event-loop path as the wire, including
-    /// coalescing with any queued BGP burst.
-    pub fn push_policy(&self, ops: &[codec::PolicyOpFrame]) {
-        let _ = self.tx.send(Input::PolicyFrame {
-            line: codec::encode_policy_frame(0, ops),
-            writer: None,
-        });
-    }
-
     /// Stops the daemon: bounded drain of queued updates, final flush,
     /// all channel barriers taken, `daemon_stopped` journalled. Blocks
     /// until the event loop exits and returns its report.
@@ -229,10 +217,15 @@ pub fn start_with_clock(
     let (tx, rx) = std::sync::mpsc::channel::<Input>();
     let stop = Arc::new(AtomicBool::new(false));
 
-    spawn_bgp_acceptor(bgp, tx.clone(), stop.clone());
+    // Reader-side counts — bumped before the input is queued, so against
+    // `daemon.updates.count` / `daemon.policy_frames.count` they say how
+    // much is waiting for the event loop.
+    let bgp_read = reg.counter("daemon.bgp_read.count");
+    let policy_read = reg.counter("daemon.policy_read.count");
+    spawn_bgp_acceptor(bgp, tx.clone(), stop.clone(), bgp_read);
     spawn_openflow_acceptor(openflow, tx.clone(), stop.clone());
     spawn_telemetry_server(telemetry, reg.clone(), stop.clone());
-    spawn_policy_acceptor(policy, tx.clone(), stop.clone());
+    spawn_policy_acceptor(policy, tx.clone(), stop.clone(), policy_read);
 
     reg.record_event(Event::DaemonStarted {
         peers: peers.len(),
@@ -295,38 +288,45 @@ enum Input {
     SwitchConnected {
         stream: TcpStream,
     },
-    /// One policy frame line from the policy endpoint (or
-    /// [`DaemonHandle::push_policy`], with no ack transport). Decoded,
-    /// DSL-parsed, and validated by the event loop — the only thread
-    /// holding the participant book.
+    /// One policy frame line from the policy endpoint, with where to
+    /// write its ack. Decoded, DSL-parsed, and validated by the event
+    /// loop — the only thread holding the participant book.
     PolicyFrame {
         line: String,
-        writer: Option<TcpStream>,
+        writer: TcpStream,
     },
     Reoptimize,
     Stop,
 }
 
-fn spawn_bgp_acceptor(listener: TcpListener, tx: Sender<Input>, stop: Arc<AtomicBool>) {
+/// How a recompile pass pushes its patch, decided by what triggered it.
+enum Waves {
+    /// The whole patch under one barrier — a burst or policy push, where
+    /// the wait for the switches is the participant's latency.
+    Atomic,
+    /// Dependency-ordered waves with a barrier each — an operator
+    /// re-optimization, where no intermediate table may misroute.
+    Ordered,
+}
+
+/// The accept loop all four listeners share: hands each connection to
+/// `serve` until the stop flag is up, the listener fails, or `serve`
+/// says the daemon is gone.
+fn spawn_acceptor(
+    listener: TcpListener,
+    stop: Arc<AtomicBool>,
+    mut serve: impl FnMut(TcpStream) -> bool + Send + 'static,
+) {
     std::thread::spawn(move || {
         listener.set_nonblocking(true).expect("nonblocking");
-        let mut next_conn: ConnId = 0;
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
+        while !stop.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    let conn = next_conn;
-                    next_conn += 1;
                     let _ = stream.set_nodelay(true);
-                    let Ok(writer) = stream.try_clone() else {
-                        continue;
-                    };
-                    if tx.send(Input::PeerConnected { conn, writer }).is_err() {
+                    let _ = stream.set_nonblocking(false);
+                    if !serve(stream) {
                         return;
                     }
-                    spawn_bgp_reader(conn, stream, tx.clone(), stop.clone());
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(5));
@@ -337,10 +337,37 @@ fn spawn_bgp_acceptor(listener: TcpListener, tx: Sender<Input>, stop: Arc<Atomic
     });
 }
 
+fn spawn_bgp_acceptor(
+    listener: TcpListener,
+    tx: Sender<Input>,
+    stop: Arc<AtomicBool>,
+    read: Arc<Counter>,
+) {
+    let mut next_conn: ConnId = 0;
+    spawn_acceptor(listener, stop.clone(), move |stream| {
+        let conn = next_conn;
+        next_conn += 1;
+        let Ok(writer) = stream.try_clone() else {
+            return true;
+        };
+        if tx.send(Input::PeerConnected { conn, writer }).is_err() {
+            return false;
+        }
+        spawn_bgp_reader(conn, stream, tx.clone(), stop.clone(), read.clone());
+        true
+    });
+}
+
 /// Per-peer reader: reassembles wire frames across arbitrary TCP
 /// segmentation and forwards decoded messages, stamped with their
 /// arrival instant (the update→flow-mod latency clock starts here).
-fn spawn_bgp_reader(conn: ConnId, stream: TcpStream, tx: Sender<Input>, stop: Arc<AtomicBool>) {
+fn spawn_bgp_reader(
+    conn: ConnId,
+    stream: TcpStream,
+    tx: Sender<Input>,
+    stop: Arc<AtomicBool>,
+    read: Arc<Counter>,
+) {
     std::thread::spawn(move || {
         let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
         let mut stream = stream;
@@ -366,6 +393,7 @@ fn spawn_bgp_reader(conn: ConnId, stream: TcpStream, tx: Sender<Input>, stop: Ar
                 match dec.next() {
                     Ok(Some(msg)) => {
                         let at = Instant::now();
+                        read.inc();
                         if tx.send(Input::PeerMsg { conn, msg, at }).is_err() {
                             return;
                         }
@@ -386,26 +414,8 @@ fn spawn_bgp_reader(conn: ConnId, stream: TcpStream, tx: Sender<Input>, stop: Ar
 }
 
 fn spawn_openflow_acceptor(listener: TcpListener, tx: Sender<Input>, stop: Arc<AtomicBool>) {
-    std::thread::spawn(move || {
-        listener.set_nonblocking(true).expect("nonblocking");
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_nonblocking(false);
-                    if tx.send(Input::SwitchConnected { stream }).is_err() {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => return,
-            }
-        }
+    spawn_acceptor(listener, stop, move |stream| {
+        tx.send(Input::SwitchConnected { stream }).is_ok()
     });
 }
 
@@ -413,89 +423,93 @@ fn spawn_openflow_acceptor(listener: TcpListener, tx: Sender<Input>, stop: Arc<A
 /// one ack line back per frame. Policy updates deliberately do NOT ride
 /// the binary BGP socket — they are a control-plane input of their own,
 /// with their own framing, validation, and acks.
-fn spawn_policy_acceptor(listener: TcpListener, tx: Sender<Input>, stop: Arc<AtomicBool>) {
-    std::thread::spawn(move || {
-        listener.set_nonblocking(true).expect("nonblocking");
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_nonblocking(false);
-                    spawn_policy_reader(stream, tx.clone(), stop.clone());
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => return,
-            }
-        }
+fn spawn_policy_acceptor(
+    listener: TcpListener,
+    tx: Sender<Input>,
+    stop: Arc<AtomicBool>,
+    read: Arc<Counter>,
+) {
+    spawn_acceptor(listener, stop.clone(), move |stream| {
+        spawn_policy_reader(stream, tx.clone(), stop.clone(), read.clone());
+        true
     });
 }
 
+/// Longest policy frame line the daemon buffers, newline excluded. The
+/// line is the one length on this socket that the peer alone decides.
+const MAX_POLICY_LINE: usize = 1 << 20;
+
 /// Per-connection policy reader: forwards each line with a writer clone
 /// so the event loop can ack after staging (or nack with the typed
-/// rejection).
-fn spawn_policy_reader(stream: TcpStream, tx: Sender<Input>, stop: Arc<AtomicBool>) {
+/// rejection). A line longer than [`MAX_POLICY_LINE`] is never buffered
+/// whole: it earns a seq-0 nack and the connection is closed.
+fn spawn_policy_reader(
+    stream: TcpStream,
+    tx: Sender<Input>,
+    stop: Arc<AtomicBool>,
+    read: Arc<Counter>,
+) {
     std::thread::spawn(move || {
         let reader = match stream.try_clone() {
             Ok(s) => s,
             Err(_) => return,
         };
         let mut lines = std::io::BufReader::new(reader);
-        let mut line = String::new();
+        let mut buf: Vec<u8> = Vec::new();
         loop {
             if stop.load(Ordering::SeqCst) {
                 return;
             }
-            line.clear();
-            match std::io::BufRead::read_line(&mut lines, &mut line) {
+            buf.clear();
+            let mut bounded = std::io::Read::take(&mut lines, MAX_POLICY_LINE as u64 + 1);
+            match std::io::BufRead::read_until(&mut bounded, b'\n', &mut buf) {
                 Ok(0) | Err(_) => return,
-                Ok(_) => {
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    let writer = stream.try_clone().ok();
-                    if tx
-                        .send(Input::PolicyFrame {
-                            line: line.trim().to_string(),
-                            writer,
-                        })
-                        .is_err()
-                    {
-                        return;
-                    }
-                }
+                Ok(_) => {}
+            }
+            if buf.len() > MAX_POLICY_LINE && !buf.ends_with(b"\n") {
+                write_policy_ack(&stream, 0, Err("policy frame line too long"));
+                let _ = stream.shutdown(Shutdown::Both);
+                return;
+            }
+            // Not UTF-8 is one more way of not being a frame: the decoder
+            // nacks it like any other garbage.
+            let line = String::from_utf8_lossy(&buf);
+            let line = line.trim();
+            if line.is_empty() {
+                continue;
+            }
+            let Ok(writer) = stream.try_clone() else {
+                return;
+            };
+            read.inc();
+            if tx
+                .send(Input::PolicyFrame {
+                    line: line.to_string(),
+                    writer,
+                })
+                .is_err()
+            {
+                return;
             }
         }
     });
 }
 
+/// One ack line for a policy frame. A writer that has gone away is its
+/// own problem: the frame's fate does not depend on the ack arriving.
+fn write_policy_ack(mut w: &TcpStream, seq: u64, result: Result<(), &str>) {
+    let _ = w.write_all(format!("{}\n", codec::encode_ack(seq, result)).as_bytes());
+}
+
 /// One telemetry snapshot (registry + journal, as JSON) per connection,
 /// then close — the simplest possible pull protocol.
 fn spawn_telemetry_server(listener: TcpListener, reg: SharedRegistry, stop: Arc<AtomicBool>) {
-    std::thread::spawn(move || {
-        listener.set_nonblocking(true).expect("nonblocking");
-        loop {
-            if stop.load(Ordering::SeqCst) {
-                return;
-            }
-            match listener.accept() {
-                Ok((mut stream, _)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let body = reg.snapshot().to_json_string();
-                    let _ = stream.write_all(body.as_bytes());
-                    let _ = stream.write_all(b"\n");
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => return,
-            }
-        }
+    spawn_acceptor(listener, stop, move |mut stream| {
+        let body = reg.snapshot().to_json_string();
+        let _ = stream.write_all(body.as_bytes());
+        let _ = stream.write_all(b"\n");
+        let _ = stream.shutdown(Shutdown::Both);
+        true
     });
 }
 
@@ -603,7 +617,7 @@ impl EventLoop {
                 }
                 Input::PeerClosed { conn } => self.handle_peer_closed(conn),
                 Input::SwitchConnected { stream } => self.handle_switch_connected(stream),
-                Input::Reoptimize => self.reoptimize(),
+                Input::Reoptimize => self.recompile(Waves::Ordered, Vec::new()),
                 Input::Stop => {
                     self.shutdown_drain();
                     break;
@@ -641,15 +655,15 @@ impl EventLoop {
     fn tick(&mut self) {
         let now = self.clock.now_ms();
         let out = self.sup.tick(now, &mut self.ctl.rs);
-        self.dispatch(out, 0, Vec::new());
+        self.dispatch(out);
     }
 
     /// Sends a supervisor output's messages and flushes its changed
     /// prefixes through one delta compile.
-    fn dispatch(&mut self, out: SupervisorOutput, n_updates: usize, arrivals: Vec<Instant>) {
+    fn dispatch(&mut self, out: SupervisorOutput) {
         self.send_msgs(out.send);
         let changed: BTreeSet<Prefix> = out.changed_prefixes.into_iter().collect();
-        self.flush(changed, n_updates, arrivals);
+        self.flush(changed, 0, Vec::new());
     }
 
     /// Folds pending route updates and policy frames into one pass,
@@ -657,7 +671,7 @@ impl EventLoop {
     fn drain_burst(
         &mut self,
         msgs: &mut Vec<(ConnId, BgpMessage, Instant)>,
-        frames: &mut Vec<(String, Option<TcpStream>)>,
+        frames: &mut Vec<(String, TcpStream)>,
         queued: &mut VecDeque<Input>,
     ) {
         while msgs.len() + frames.len() < self.cfg.coalesce_max {
@@ -681,10 +695,10 @@ impl EventLoop {
     fn handle_burst(
         &mut self,
         msgs: Vec<(ConnId, BgpMessage, Instant)>,
-        frames: Vec<(String, Option<TcpStream>)>,
+        frames: Vec<(String, TcpStream)>,
     ) {
         let (changed, n_updates, arrivals) = self.ingest_peer_msgs(msgs);
-        let staged = self.stage_policy_frames(frames, n_updates);
+        let staged = self.stage_policy_frames(frames);
         if staged == 0 {
             self.flush(changed, n_updates, arrivals);
             return;
@@ -702,33 +716,12 @@ impl EventLoop {
                 ),
             });
         }
-        match self.ctl.reoptimize(&mut self.fabric) {
-            Ok(_) => {
-                self.stream_drained_batches();
-                self.publish_matcher_stats();
-                for at in arrivals {
-                    self.reg.observe(
-                        "daemon.update_to_flowmod_us",
-                        at.elapsed().as_micros() as u64,
-                    );
-                }
-            }
-            Err(_) => {
-                // Rolled back; staged policy stays in the book and the
-                // next successful compile converges.
-                self.reg.inc("daemon.policy_flush_failed.count");
-                let _ = self.fabric.drain_batches();
-            }
-        }
+        self.recompile(Waves::Atomic, arrivals);
     }
 
     /// Stages every policy frame of a burst into the controller's book
     /// (validated, journaled, acked per frame). Returns how many staged.
-    fn stage_policy_frames(
-        &mut self,
-        frames: Vec<(String, Option<TcpStream>)>,
-        _n_route_updates: usize,
-    ) -> u64 {
+    fn stage_policy_frames(&mut self, frames: Vec<(String, TcpStream)>) -> u64 {
         if frames.is_empty() {
             return 0;
         }
@@ -757,10 +750,7 @@ impl EventLoop {
             } else {
                 staged += 1;
             }
-            if let Some(mut w) = writer {
-                let _ = w.write_all(codec::encode_ack(seq, result).as_bytes());
-                let _ = w.write_all(b"\n");
-            }
+            write_policy_ack(&writer, seq, result);
         }
         staged
     }
@@ -772,7 +762,7 @@ impl EventLoop {
         line: &str,
         book: &BTreeMap<ParticipantId, Vec<u8>>,
     ) -> Result<u64, (u64, String)> {
-        use sdx_policy::{parse_policy, PolicyDelta, PolicyScope};
+        use sdx_policy::{parse_policy, PolicyDelta, PolicyDeltaOp, PolicyOp};
         let (seq, ops) = codec::decode_policy_frame(line).map_err(|e| (0, e.to_string()))?;
         let mut delta = PolicyDelta::new();
         for op in ops {
@@ -783,34 +773,22 @@ impl EventLoop {
                 }
                 None => None,
             };
-            delta = match (op.op.as_str(), op.scope, policy) {
-                ("retract", PolicyScope::Outbound, _) => delta.retract_outbound(op.participant),
-                ("retract", PolicyScope::Inbound, _) => delta.retract_inbound(op.participant),
-                ("install", PolicyScope::Outbound, Some(p)) => {
-                    delta.install_outbound(op.participant, p)
-                }
-                ("replace", PolicyScope::Outbound, Some(p)) => {
-                    delta.replace_outbound(op.participant, p)
-                }
-                ("install", PolicyScope::Inbound, Some(p)) => {
-                    delta.install_inbound(op.participant, p)
-                }
-                ("replace", PolicyScope::Inbound, Some(p)) => {
-                    delta.replace_inbound(op.participant, p)
-                }
-                // decode_policy_frame guarantees op kind and body shape.
-                _ => unreachable!("codec admitted a malformed policy op"),
-            };
+            delta.ops.push(PolicyDeltaOp {
+                participant: op.participant,
+                scope: op.scope,
+                op: match (op.op.as_str(), policy) {
+                    ("retract", _) => PolicyOp::Retract,
+                    ("install", Some(p)) => PolicyOp::Install(p),
+                    ("replace", Some(p)) => PolicyOp::Replace(p),
+                    // decode_policy_frame guarantees op kind and body shape.
+                    _ => unreachable!("codec admitted a malformed policy op"),
+                },
+            });
         }
         self.ctl
             .stage_policy_delta(&delta)
             .map_err(|e| (seq, e.to_string()))?;
         Ok(seq)
-    }
-
-    fn handle_peer_msgs(&mut self, msgs: Vec<(ConnId, BgpMessage, Instant)>) {
-        let (changed, n_updates, arrivals) = self.ingest_peer_msgs(msgs);
-        self.flush(changed, n_updates, arrivals);
     }
 
     /// BGP ingestion only: answers protocol messages and returns the
@@ -900,7 +878,7 @@ impl EventLoop {
         self.writers.remove(&pid);
         let now = self.clock.now_ms();
         let out = self.sup.peer_disconnected(now, pid, &mut self.ctl.rs);
-        self.dispatch(out, 0, Vec::new());
+        self.dispatch(out);
     }
 
     fn send_msgs(&mut self, msgs: Vec<(ParticipantId, BgpMessage)>) {
@@ -938,18 +916,23 @@ impl EventLoop {
             Ok(_delta) => {
                 self.stream_drained_batches();
                 self.publish_matcher_stats();
-                for at in arrivals {
-                    self.reg.observe(
-                        "daemon.update_to_flowmod_us",
-                        at.elapsed().as_micros() as u64,
-                    );
-                }
+                self.observe_flushed(arrivals);
             }
             Err(_) => {
                 // The delta transaction rolled everything back (and the
                 // batch log with it): nothing reached the wire.
                 self.reg.inc("daemon.fastpath_failed.count");
             }
+        }
+    }
+
+    /// The pass that carried these UPDATEs has its flow-mods acked.
+    fn observe_flushed(&self, arrivals: Vec<Instant>) {
+        for at in arrivals {
+            self.reg.observe(
+                "daemon.update_to_flowmod_us",
+                at.elapsed().as_micros() as u64,
+            );
         }
     }
 
@@ -971,24 +954,25 @@ impl EventLoop {
                 }
             }
         }
+        self.barrier_all(dead);
+    }
+
+    /// Takes the ack barrier of every channel not already in `dead`, then
+    /// drops the dead ones. True when none was lost.
+    fn barrier_all(&mut self, mut dead: Vec<usize>) -> bool {
         for (i, ch) in self.channels.iter_mut().enumerate() {
             if !dead.contains(&i) && ch.barrier().is_err() {
                 dead.push(i);
             }
         }
-        self.reap_channels(dead);
-    }
-
-    fn reap_channels(&mut self, mut dead: Vec<usize>) {
-        if dead.is_empty() {
-            return;
-        }
+        let all_alive = dead.is_empty();
         dead.sort_unstable();
         for i in dead.into_iter().rev() {
             let ch = self.channels.remove(i);
             self.reg.inc("daemon.channel_lost.count");
             ch.close();
         }
+        all_alive
     }
 
     /// A switch agent connected: bring its empty table up to the current
@@ -1010,92 +994,82 @@ impl EventLoop {
         self.channels.push(ch);
     }
 
-    /// Full-state resynchronization of every agent — recovery after a
-    /// failed scheduled update may have left agents ahead of (or split
-    /// from) the driving fabric.
-    fn resync_agents(&mut self) {
+    /// Puts every agent on exactly the driving fabric's table with one
+    /// sync frame each, barrier taken. True when no channel was lost.
+    fn sync_agents(&mut self) -> bool {
         let image = codec::sync_batch(self.fabric.switch.table(), self.last_epoch);
-        let mut dead: Vec<usize> = Vec::new();
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            if ch.send_sync(&image).is_err() || ch.barrier().is_err() {
-                dead.push(i);
-            }
-        }
-        self.reg.inc("daemon.resync.count");
-        self.reap_channels(dead);
+        let dead: Vec<usize> = (0..self.channels.len())
+            .filter(|&i| self.channels[i].send_sync(&image).is_err())
+            .collect();
+        self.barrier_all(dead)
     }
 
-    /// The scheduled path over sockets: retire overlays on the agents
-    /// (the one table mutation `prepare_scheduled` performs outside the
-    /// flow-mod protocol), then drive the planned waves through the
-    /// local fabric *and* the channel fleet with per-wave barriers.
-    fn reoptimize(&mut self) {
+    /// The one recompile pass, for a coalesced burst that staged policy
+    /// and for an operator re-optimization alike: stage through the
+    /// controller, retire the overlays on the agents, push the patch
+    /// through the local fabric *and* the channel fleet with a barrier
+    /// per wave, then retire the stale control-plane state — or, if the
+    /// push stalled, put every agent back on the driving fabric's table.
+    /// `waves` is the callers' only difference.
+    fn recompile(&mut self, waves: Waves, arrivals: Vec<Instant>) {
         let had_overlays = self
             .fabric
             .switch
             .table()
             .entries()
-            .iter()
-            .any(|e| e.priority >= DELTA_BASE);
+            .first()
+            .is_some_and(|e| e.priority >= DELTA_BASE);
         let t0 = Instant::now();
-        let prepared = match self.ctl.prepare_scheduled(&mut self.fabric) {
+        let mut prepared = match self.ctl.prepare_scheduled(&mut self.fabric) {
             Ok(p) => p,
             Err(_) => {
-                // Rolled back to the pre-call state; agents untouched.
+                // Rolled back to the pre-call state, batch log included;
+                // agents untouched. Staged policy stays in the book and
+                // the next successful pass converges.
                 self.reg.inc("daemon.reoptimize_failed.count");
-                let _ = self.fabric.drain_batches();
                 return;
             }
         };
-        let mut ok = true;
-        if had_overlays {
-            // `prepare_scheduled` retired every fast-path overlay from
-            // the local table (the one un-scheduled mutation of an
-            // update). Agents take the same step as a sync frame of the
-            // post-retirement table — identical end state, and O(base)
-            // instead of one delete per retired overlay rule, which
-            // matters after a long burst run.
-            let sync = codec::sync_batch(self.fabric.switch.table(), self.last_epoch);
-            let mut dead: Vec<usize> = Vec::new();
-            for (i, ch) in self.channels.iter_mut().enumerate() {
-                if ch.send_sync(&sync).is_err() || ch.barrier().is_err() {
-                    dead.push(i);
-                }
-            }
-            ok = dead.is_empty();
-            self.reap_channels(dead);
+        if let Waves::Atomic = waves {
+            prepared.plan.collapse();
         }
-        let opts = ScheduleOpts::default();
-        let mut channels = std::mem::take(&mut self.channels);
-        let outcome = {
-            let mut sink = ChannelSink::new(&mut channels, self.reg.clone());
-            drive_fanout(
-                &prepared.plan,
-                &mut self.fabric,
-                &mut self.ctl.faults,
-                &self.reg,
-                &opts,
-                None,
-                Some(&mut sink),
-            )
-        };
-        self.channels = channels;
+        // From here on the agents are brought to this update's table.
+        self.last_epoch = prepared.plan.epoch;
+        // Staging retired every fast-path overlay from the local table,
+        // outside the flow-mod protocol (so in no logged batch). Agents
+        // take the same step as a sync frame of the post-retirement table
+        // — identical end state, and O(base) instead of one delete per
+        // retired overlay rule, which matters after a long burst run.
+        let retired_everywhere = !had_overlays || self.sync_agents();
+        let mut sink = ChannelSink::new(&mut self.channels, self.reg.clone());
+        let outcome = drive_fanout(
+            &prepared.plan,
+            &mut self.fabric,
+            &mut self.ctl.faults,
+            &self.reg,
+            &ScheduleOpts::default(),
+            None,
+            Some(&mut sink),
+        );
         // The sink already carried every wave; the local batch log is a
         // duplicate of what was streamed.
         let streamed = self.fabric.drain_batches().len() as u64;
         self.batches_streamed += streamed;
         self.reg.add("daemon.batches_streamed.count", streamed);
         match outcome {
-            Ok(_report) if ok => {
+            Ok(_report) if retired_everywhere => {
                 self.ctl
                     .finish_scheduled(&mut self.fabric, prepared, t0.elapsed());
+                self.observe_flushed(arrivals);
             }
             _ => {
                 // Parked mid-update (retry exhaustion) or a channel
-                // failed its wave: put every agent back on exactly the
-                // driving fabric's table, whatever state that is.
+                // failed its wave: agents may be ahead of, or split from,
+                // the driving fabric — put them back on its table,
+                // whatever state that is.
                 self.reg.inc("daemon.reoptimize_failed.count");
-                self.resync_agents();
+                self.reg.inc("daemon.resync.count");
+                self.sync_agents();
             }
         }
         self.publish_matcher_stats();
@@ -1114,16 +1088,10 @@ impl EventLoop {
             }
         }
         if !msgs.is_empty() {
-            self.handle_peer_msgs(msgs);
+            self.handle_burst(msgs, Vec::new());
         }
         // Every queued frame reaches its barrier before we exit.
-        let mut dead: Vec<usize> = Vec::new();
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            if ch.barrier().is_err() {
-                dead.push(i);
-            }
-        }
-        self.reap_channels(dead);
+        self.barrier_all(Vec::new());
     }
 }
 

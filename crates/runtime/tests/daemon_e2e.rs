@@ -11,13 +11,15 @@
 //! `MockClock`), agent resynchronization after a rejected wave, and
 //! graceful shutdown draining through injected faults.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use sdx_bgp::{BgpMessage, ExportPolicy, MockClock};
+use sdx_core::reconcile::DELTA_BASE;
 use sdx_core::{FaultPlan, InjectionPoint, ParticipantConfig, SdxController};
 use sdx_ixp::testkit::{figure1_controller, figure1_inbound_b, figure1_outbound_a};
 use sdx_net::{prefix, Ipv4Addr, Packet, ParticipantId, PortId};
@@ -297,6 +299,157 @@ fn policy_frames_stage_deltas_and_nack_garbage_over_the_wire() {
     }
 }
 
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while !done() {
+        assert!(Instant::now() < deadline, "timeout waiting for {what}");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+#[test]
+fn policy_push_after_a_route_burst_retires_the_overlays_on_the_agent() {
+    // Overlay retirement is the one table mutation made outside the
+    // flow-mod protocol, so every pass that retires overlays locally has
+    // to say so to the agents — the policy pass as much as an operator
+    // re-optimization. Route burst, then a policy frame, and no
+    // `handle.reoptimize()` anywhere.
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
+    let reg = handle.telemetry().clone();
+    let agent = spawn_agent(handle.openflow_addr).expect("agent");
+    wait_counter(&reg, "daemon.switch_connected.count", 1);
+
+    let c = ParticipantConfig::new(3, 65003, 1);
+    let mut peer = TestPeer::establish(handle.bgp_addr, 65003, 30).expect("peer C");
+    wait_counter(&reg, "session.established.count", 1);
+    // One UPDATE, so one pass whatever the timing; a path C never used,
+    // so both routes change and the fast path has rules to lay over.
+    let update = c.announce([prefix("10.0.0.0/8"), prefix("30.0.0.0/8")], &[65003, 999]);
+    peer.send(&BgpMessage::Update(update)).expect("send");
+    // Flushed to the agent, barrier taken, overlays standing.
+    wait_until("the update's flow-mods acked", || {
+        reg.histogram("daemon.update_to_flowmod_us").count() == 1
+    });
+    assert!(
+        reg.gauge("controller.delta_layers").get() > 0,
+        "fixture: the burst must leave fast-path overlays installed"
+    );
+
+    let stream = TcpStream::connect(handle.policy_addr).expect("policy endpoint");
+    let mut r = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = BufWriter::new(stream);
+    let frame = codec::encode_policy_frame(
+        1,
+        &[codec::PolicyOpFrame::replace(
+            pid(1),
+            PolicyScope::Outbound,
+            "match(dstport=443) >> fwd(B)",
+        )],
+    );
+    assert_eq!(policy_roundtrip(&mut w, &mut r, &frame), (1, Ok(())));
+
+    // The ack is written mid-pass; the stop queues behind the pass.
+    let report = handle.stop();
+    let agent_fabric = agent.join();
+    assert_eq!(counter(&reg, "daemon.reoptimize_failed.count"), 0);
+
+    assert_eq!(
+        agent_fabric.switch.table(),
+        report.fabric.switch.table(),
+        "agent table diverged from the driving fabric"
+    );
+    let stale: Vec<_> = agent_fabric
+        .switch
+        .table()
+        .entries()
+        .iter()
+        .filter(|e| e.priority >= DELTA_BASE)
+        .collect();
+    assert!(stale.is_empty(), "retired overlays live on: {stale:?}");
+    let ctl = report.ctl;
+    let cr = ctl.report.as_ref().expect("compiled");
+    let probes = probe_grid(&ctl.compiler, &ctl.rs);
+    Differential::over_table(&ctl.compiler, &ctl.rs, cr, agent_fabric.switch.table())
+        .check_all(&probes)
+        .expect("no oracle mismatch on the agent's table");
+}
+
+/// A hand-rolled switch agent: decodes each frame and acks it with
+/// whatever `on_frame` returns — after `on_frame` has slept, blocked or
+/// recorded as it pleases — until the daemon hangs up. Returns `state`.
+fn scripted_agent<T: Send + 'static>(
+    addr: SocketAddr,
+    mut state: T,
+    mut on_frame: impl FnMut(&mut T, codec::ChannelFrame) -> Result<(), &'static str> + Send + 'static,
+) -> JoinHandle<T> {
+    std::thread::spawn(move || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let read = stream.try_clone().expect("clone");
+        let mut w = BufWriter::new(stream);
+        for line in BufReader::new(read).lines() {
+            let Ok(line) = line else { break };
+            let frame = codec::decode_frame(&line).expect("frame");
+            let ack = codec::encode_ack(frame.seq(), on_frame(&mut state, frame));
+            if w.write_all(ack.as_bytes()).is_err()
+                || w.write_all(b"\n").is_err()
+                || w.flush().is_err()
+            {
+                break;
+            }
+        }
+        state
+    })
+}
+
+/// A switch agent that applies nothing and acks everything, keeping the
+/// (is-sync, batch epoch) of each frame it was sent.
+fn epoch_recording_agent(addr: SocketAddr) -> JoinHandle<Vec<(bool, u64)>> {
+    scripted_agent(addr, Vec::new(), |seen, frame| {
+        seen.push(match frame {
+            codec::ChannelFrame::Sync { batch, .. } => (true, batch.epoch),
+            codec::ChannelFrame::Apply { batch, .. } => (false, batch.epoch),
+        });
+        Ok(())
+    })
+}
+
+#[test]
+fn a_switch_connecting_after_a_reoptimization_is_synced_under_its_epoch() {
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
+    let reg = handle.telemetry().clone();
+    let first = epoch_recording_agent(handle.openflow_addr);
+    wait_counter(&reg, "daemon.switch_connected.count", 1);
+
+    // A policy-affected prefix from B: the fast path lands overlays and
+    // the re-optimization that folds them in has waves to stream.
+    let b = ParticipantConfig::new(2, 65002, 2);
+    let mut peer = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer");
+    peer.send(&announce(&b, "60.0.0.0/8", &[65002, 300]))
+        .expect("send");
+    wait_counter(&reg, "daemon.updates.count", 1);
+
+    // The connect is queued behind the re-optimization: one input queue.
+    handle.reoptimize();
+    let second = epoch_recording_agent(handle.openflow_addr);
+    wait_counter(&reg, "daemon.switch_connected.count", 2);
+    handle.stop();
+
+    let first = first.join().expect("first agent");
+    let second = second.join().expect("second agent");
+    let &(_, last_streamed) = first.last().expect("the first agent was sent frames");
+    assert!(
+        first
+            .iter()
+            .any(|&(sync, epoch)| !sync && epoch == last_streamed),
+        "fixture: the re-optimization must have streamed a wave, saw {first:?}"
+    );
+    assert_eq!(
+        second.first(),
+        Some(&(true, last_streamed)),
+        "the late switch's table image must carry the last streamed epoch"
+    );
+}
+
 #[test]
 fn unbounded_nesting_and_huge_strings_on_the_policy_socket_are_nacked() {
     // Every byte on the policy listener is hostile until parsed. Two lines
@@ -357,22 +510,89 @@ fn unbounded_nesting_and_huge_strings_on_the_policy_socket_are_nacked() {
 }
 
 #[test]
-fn policy_frame_coalesces_with_a_route_burst() {
-    // A policy frame arriving while the event loop is pinned at a slow
-    // agent's ack barrier must fold into the same compile as the queued
-    // route updates — one pass, journalled as a policy+burst coalesce.
-    let handle = daemon::start(figure1_empty_rib(), DaemonConfig::default()).expect("start");
+fn a_policy_line_that_never_ends_is_cut_off_not_buffered() {
+    // The line length is the writer's choice alone. Past the daemon's cap
+    // (1 MiB; the 300 KB frame above stays under it) the reader gives up
+    // on the connection — a seq-0 nack, then close — instead of growing
+    // a buffer for as long as the writer cares to send.
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
     let reg = handle.telemetry().clone();
-    let agent = slow_agent(handle.openflow_addr, Duration::from_millis(60));
+    let stream = TcpStream::connect(handle.policy_addr).expect("policy endpoint");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut r = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = stream;
+    // The daemon hangs up part-way through: the tail of the write may fail.
+    let _ = w.write_all(&vec![b'x'; 4 << 20]);
+    // A reset can overtake the nack, so the nack is optional — the hang-up
+    // is not: a read that merely times out means the daemon is still
+    // listening to this writer.
+    let mut reply = String::new();
+    let mut hung_up = false;
+    while !hung_up {
+        reply.clear();
+        match r.read_line(&mut reply) {
+            Ok(0) => hung_up = true,
+            Ok(_) => {
+                let (seq, result) = codec::decode_ack(reply.trim()).expect("parseable nack");
+                assert_eq!(seq, 0);
+                let err = result.expect_err("over-long line must nack");
+                assert!(err.contains("too long"), "nack should say why: {err}");
+            }
+            Err(e) => {
+                assert!(
+                    !matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
+                    "the daemon kept the connection open"
+                );
+                hung_up = true;
+            }
+        }
+    }
+    assert_eq!(
+        counter(&reg, "daemon.policy_read.count"),
+        0,
+        "nothing of the line may reach the event loop"
+    );
+
+    // The listener is unharmed: the next connection is served.
+    let stream = TcpStream::connect(handle.policy_addr).expect("policy endpoint");
+    let mut r = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = BufWriter::new(stream);
+    let frame = codec::encode_policy_frame(
+        2,
+        &[codec::PolicyOpFrame::replace(
+            pid(1),
+            PolicyScope::Outbound,
+            "match(dstport=443) >> fwd(B)",
+        )],
+    );
+    assert_eq!(policy_roundtrip(&mut w, &mut r, &frame), (2, Ok(())));
+    let report = handle.stop();
+    assert_eq!(report.policy_frames, 1);
+}
+
+#[test]
+fn policy_frame_coalesces_with_a_route_burst() {
+    // A policy frame arriving while the event loop is pinned at an agent's
+    // ack barrier must fold into the same compile as the queued route
+    // updates — one pass, journalled as a policy+burst coalesce. Nothing
+    // here is timed: the agent holds the barrier until the test has seen,
+    // on the daemon's reader-side counters, that everything is queued.
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
+    let reg = handle.telemetry().clone();
+    let (agent, held, release) = gated_agent(handle.openflow_addr);
     wait_counter(&reg, "daemon.switch_connected.count", 1);
 
-    let d = ParticipantConfig::new(4, 65004, 1);
-    let mut peer = TestPeer::establish(handle.bgp_addr, 65004, 30).expect("peer");
+    // B is a target of A's outbound policy, so what it announces lands
+    // delta rules on the switch: the first update below does stream a
+    // batch, and its barrier is what the agent sits on.
+    let b = ParticipantConfig::new(2, 65002, 2);
+    let mut peer = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer");
     wait_counter(&reg, "session.established.count", 1);
 
     // Establish the policy connection up front and prove its reader is
-    // live (a garbage line earns an instant nack) — the real frame later
-    // must reach the input channel with no accept latency in the way.
+    // live (a garbage line earns an instant nack).
     let stream = TcpStream::connect(handle.policy_addr).expect("policy endpoint");
     let mut r = BufReader::new(stream.try_clone().expect("clone"));
     let mut w = BufWriter::new(stream);
@@ -380,14 +600,20 @@ fn policy_frame_coalesces_with_a_route_burst() {
     assert_eq!(warm_seq, 0);
     assert!(warm.is_err());
 
-    // First update: its compile streams a batch whose ack the slow agent
-    // sits on, pinning the event loop...
-    peer.send(&announce(&d, "60.0.0.0/8", &[65004, 500]))
+    peer.send(&announce(&b, "60.0.0.0/8", &[65002, 300]))
         .expect("send");
-    wait_counter(&reg, "daemon.compiles.count", 1);
+    held.recv_timeout(Duration::from_secs(20))
+        .expect("the first update's batch reaches the agent");
 
-    // ...while a policy frame and a burst of route updates queue behind
-    // the barrier.
+    // The event loop is in that batch's barrier and stays there. Behind
+    // it: a policy frame and ten route updates. The readers count a
+    // message just before queueing it, so each socket carries one more
+    // message than the pass needs — once *that* one is counted, the ones
+    // before it are in the queue.
+    let (read_bgp, read_policy) = (
+        counter(&reg, "daemon.bgp_read.count"),
+        counter(&reg, "daemon.policy_read.count"),
+    );
     let frame = codec::encode_policy_frame(
         1,
         &[codec::PolicyOpFrame::install(
@@ -396,28 +622,35 @@ fn policy_frame_coalesces_with_a_route_burst() {
             "match(dstport=80) >> fwd(B)",
         )],
     );
-    w.write_all(frame.as_bytes()).expect("write frame");
-    w.write_all(b"\n").expect("newline");
+    w.write_all(format!("{frame}\ntrailing garbage\n").as_bytes())
+        .expect("write frames");
     w.flush().expect("flush");
     for i in 0..10u32 {
         let pfx = format!("{}.0.0.0/8", 70 + i);
-        peer.send(&announce(&d, &pfx, &[65004, 500])).expect("send");
+        peer.send(&announce(&b, &pfx, &[65002, 300])).expect("send");
     }
-    let mut ack = String::new();
-    r.read_line(&mut ack).expect("ack");
-    let (_, result) = codec::decode_ack(ack.trim()).expect("parseable ack");
-    assert_eq!(result, Ok(()));
+    peer.send(&BgpMessage::Keepalive).expect("send");
+    wait_counter(&reg, "daemon.bgp_read.count", read_bgp + 11);
+    wait_counter(&reg, "daemon.policy_read.count", read_policy + 2);
+    assert_eq!(counter(&reg, "daemon.compiles.count"), 1, "loop not pinned");
+    release.send(()).expect("agent alive");
+
+    let read_ack = |r: &mut BufReader<TcpStream>| {
+        let mut ack = String::new();
+        r.read_line(&mut ack).expect("ack");
+        codec::decode_ack(ack.trim()).expect("parseable ack")
+    };
+    assert_eq!(read_ack(&mut r), (1, Ok(())));
+    assert!(read_ack(&mut r).1.is_err(), "trailing garbage is nacked");
     wait_counter(&reg, "daemon.updates.count", 11);
 
     let report = handle.stop();
-    drop(agent);
+    agent.join().expect("agent thread");
     assert_eq!(report.updates, 11);
-    assert_eq!(report.policy_frames, 2);
-    assert!(
-        report.compiles < report.updates,
-        "no coalescing: {} compiles for {} updates",
-        report.compiles,
-        report.updates
+    assert_eq!(report.policy_frames, 3);
+    assert_eq!(
+        report.compiles, 2,
+        "one pass for the first update, one for everything queued behind it"
     );
     let events = reg.snapshot().events;
     assert!(
@@ -430,30 +663,33 @@ fn policy_frame_coalesces_with_a_route_burst() {
     );
 }
 
-/// A hand-rolled switch agent that acks its initial sync instantly but
-/// delays every later ack — channel backpressure incarnate.
-fn slow_agent(addr: SocketAddr, delay: Duration) -> JoinHandle<usize> {
-    std::thread::spawn(move || {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let read = stream.try_clone().expect("clone");
-        let mut w = BufWriter::new(stream);
-        let mut frames = 0usize;
-        for line in BufReader::new(read).lines() {
-            let Ok(line) = line else { break };
-            let frame = codec::decode_frame(&line).expect("frame");
-            if frames > 0 {
-                std::thread::sleep(delay);
-            }
-            frames += 1;
-            let ack = codec::encode_ack(frame.seq(), Ok(()));
-            if w.write_all(ack.as_bytes()).is_err()
-                || w.write_all(b"\n").is_err()
-                || w.flush().is_err()
-            {
-                break;
-            }
+/// A switch agent that acks its sync frame at once and then sits on its
+/// first apply frame: it says on the first channel that it holds the
+/// frame, and acks it only when the second channel yields. Every later
+/// frame is acked at once. Returns the frames it saw.
+fn gated_agent(addr: SocketAddr) -> (JoinHandle<usize>, Receiver<()>, Sender<()>) {
+    let (held_tx, held) = channel::<()>();
+    let (release, gate) = channel::<()>();
+    let join = scripted_agent(addr, 0usize, move |frames, _| {
+        if *frames == 1 {
+            held_tx.send(()).expect("test alive");
+            gate.recv().expect("test releases the gate");
         }
-        frames
+        *frames += 1;
+        Ok(())
+    });
+    (join, held, release)
+}
+
+/// A switch agent that acks its initial sync instantly but delays every
+/// later ack — channel backpressure incarnate. Returns the frames it saw.
+fn slow_agent(addr: SocketAddr, delay: Duration) -> JoinHandle<usize> {
+    scripted_agent(addr, 0usize, move |frames, _| {
+        if *frames > 0 {
+            std::thread::sleep(delay);
+        }
+        *frames += 1;
+        Ok(())
     })
 }
 
@@ -625,45 +861,32 @@ fn hold_timer_expiry_and_tcp_reset_flaps_are_supervised() {
 /// An agent that rejects the first wave of a scheduled update (the
 /// first apply frame after the pre-wave overlay-retirement sync),
 /// then behaves — exercising the daemon's resynchronization path.
-fn wave_rejecting_agent(addr: SocketAddr) -> JoinHandle<FlowTable> {
-    std::thread::spawn(move || {
-        let stream = TcpStream::connect(addr).expect("connect");
-        let read = stream.try_clone().expect("clone");
-        let mut w = BufWriter::new(stream);
-        let mut table = FlowTable::new();
-        let mut syncs = 0u32;
-        let mut fired = false;
-        for line in BufReader::new(read).lines() {
-            let Ok(line) = line else { break };
-            let ack = match codec::decode_frame(&line).expect("frame") {
-                codec::ChannelFrame::Sync { seq, batch } => {
-                    syncs += 1;
+/// Returns its table (with the syncs it saw and whether it fired).
+fn wave_rejecting_agent(addr: SocketAddr) -> JoinHandle<(FlowTable, u32, bool)> {
+    scripted_agent(
+        addr,
+        (FlowTable::new(), 0u32, false),
+        |(table, syncs, fired), frame| {
+            match frame {
+                codec::ChannelFrame::Sync { batch, .. } => {
+                    *syncs += 1;
                     table.clear();
                     table.apply_batch(&batch).expect("sync applies");
-                    codec::encode_ack(seq, Ok(()))
                 }
-                codec::ChannelFrame::Apply { seq, batch } => {
-                    // syncs == 1: steady state (connect image); syncs >= 2:
-                    // a scheduled update retired the overlays — the next
-                    // apply is wave 0.
-                    if syncs >= 2 && !fired {
-                        fired = true;
-                        codec::encode_ack(seq, Err("injected agent failure"))
-                    } else {
-                        table.apply_batch(&batch).expect("apply");
-                        codec::encode_ack(seq, Ok(()))
-                    }
+                // syncs == 1: steady state (connect image); syncs >= 2:
+                // a scheduled update retired the overlays — the next
+                // apply is wave 0.
+                codec::ChannelFrame::Apply { .. } if *syncs >= 2 && !*fired => {
+                    *fired = true;
+                    return Err("injected agent failure");
                 }
-            };
-            if w.write_all(ack.as_bytes()).is_err()
-                || w.write_all(b"\n").is_err()
-                || w.flush().is_err()
-            {
-                break;
+                codec::ChannelFrame::Apply { batch, .. } => {
+                    table.apply_batch(&batch).expect("apply");
+                }
             }
-        }
-        table
-    })
+            Ok(())
+        },
+    )
 }
 
 #[test]
@@ -689,7 +912,7 @@ fn rejected_wave_resyncs_the_agent_and_the_next_update_succeeds() {
     handle.reoptimize();
     handle.reoptimize();
     let report = handle.stop();
-    let agent_table = agent.join().expect("agent thread");
+    let (agent_table, ..) = agent.join().expect("agent thread");
 
     assert!(counter(&reg, "daemon.reoptimize_failed.count") >= 1);
     assert!(counter(&reg, "daemon.resync.count") >= 1);

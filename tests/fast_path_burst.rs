@@ -26,7 +26,7 @@ fn per_prefix(
 ) -> Result<DeltaResult, SdxError> {
     let mut merged = DeltaResult::default();
     for &p in prefixes {
-        let d = compiler.fast_update_with_faults(rs, vnh, p, faults)?;
+        let d = compiler.fast_update_burst_with_faults(rs, vnh, &[p], faults)?;
         merged.rules.extend(d.rules);
         merged.arp_bindings.extend(d.arp_bindings);
         merged.vnh_updates.extend(d.vnh_updates);

@@ -229,7 +229,7 @@ fn remove_participant_with_live_overlays_deletes_deltas_and_recycles_vnhs() {
         .count();
     assert!(overlay_rules > 0, "fixture: overlay rules installed");
 
-    assert!(r.ctl.remove_participant(pid(2), &mut r.fabric));
+    assert_eq!(r.ctl.remove_participant(pid(2), &mut r.fabric), Ok(true));
 
     let table = r.fabric.switch.table();
     assert_eq!(
