@@ -272,10 +272,15 @@ impl LocRib {
 /// desired state into the minimal UPDATE stream — used by the controller's
 /// FIB synchronization so border routers see real incremental BGP instead
 /// of full-table dumps.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, PartialEq, Debug, Default)]
 pub struct AdjRibOut {
     advertised: PrefixTrie<PathAttributes>,
 }
+
+/// The advertisement a write to an [`AdjRibOut`] displaced (`None`: the
+/// prefix was not advertised) — moved out of the table, not copied, and
+/// what [`AdjRibOut::restore`] takes to undo the write.
+pub type Displaced = Option<PathAttributes>;
 
 impl AdjRibOut {
     /// An empty Adj-RIB-Out.
@@ -296,6 +301,11 @@ impl AdjRibOut {
     /// True when nothing has been advertised.
     pub fn is_empty(&self) -> bool {
         self.advertised.is_empty()
+    }
+
+    /// The currently advertised prefixes, in prefix order.
+    pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
+        self.advertised.keys()
     }
 
     /// Records the desired state for one prefix and returns the UPDATE to
@@ -323,27 +333,38 @@ impl AdjRibOut {
     /// [`reconcile`](Self::reconcile) for a route re-advertised with its
     /// NEXT_HOP rewritten (the route server's VNH hook), for callers that
     /// act on the change themselves instead of sending the UPDATE: records
-    /// the desired state and returns whether the advertisement changed.
-    /// `route` is borrowed from the Loc-RIB and cloned once, into this
-    /// table, only if it did — a burst pays for what it changed.
+    /// the desired state and returns `None` if the advertisement did not
+    /// change, otherwise what it displaced. `route` is borrowed from the
+    /// Loc-RIB and cloned once, into this table, only if it did — a burst
+    /// pays for what it changed.
     pub fn reconcile_rewritten(
         &mut self,
         prefix: Prefix,
         desired: Option<(&PathAttributes, Ipv4Addr)>,
-    ) -> bool {
+    ) -> Option<Displaced> {
         let Some((route, next_hop)) = desired else {
-            return self.advertised.remove(prefix).is_some();
+            return self.advertised.remove(prefix).map(Some);
         };
         if self
             .advertised
             .get(prefix)
             .is_some_and(|a| a.is_rewrite_of(route, next_hop))
         {
-            return false;
+            return None;
         }
-        self.advertised
-            .insert(prefix, route.clone().with_next_hop(next_hop));
-        true
+        Some(
+            self.advertised
+                .insert(prefix, route.clone().with_next_hop(next_hop)),
+        )
+    }
+
+    /// Undoes a write to `prefix` given what it displaced: the table is
+    /// as it was before the write, structure included.
+    pub fn restore(&mut self, prefix: Prefix, displaced: Displaced) {
+        match displaced {
+            Some(attrs) => self.advertised.insert(prefix, attrs),
+            None => self.advertised.remove(prefix),
+        };
     }
 
     /// Reconciles a whole desired table at once, returning the minimal
@@ -564,10 +585,17 @@ mod tests {
         ];
         let (mut borrowed, mut owned) = (AdjRibOut::new(), AdjRibOut::new());
         for (i, step) in steps.into_iter().enumerate() {
-            let changed = borrowed.reconcile_rewritten(p, step);
+            let before = borrowed.clone();
+            let displaced = borrowed.reconcile_rewritten(p, step);
             let update = owned.reconcile(p, step.map(|(r, nh)| r.clone().with_next_hop(nh)));
-            assert_eq!(changed, update.is_some(), "step {i}");
+            assert_eq!(displaced.is_some(), update.is_some(), "step {i}");
             assert_eq!(borrowed.advertised(p), owned.advertised(p), "step {i}");
+            // What a change displaced puts the table back.
+            if let Some(displaced) = displaced {
+                let mut undone = borrowed.clone();
+                undone.restore(p, displaced);
+                assert_eq!(undone, before, "step {i}");
+            }
         }
     }
 

@@ -371,6 +371,12 @@ impl RouteServer {
         std::mem::take(&mut self.dirty)
     }
 
+    /// Puts drained prefixes back — for a caller whose sync was rolled
+    /// back, so the next one still re-examines them.
+    pub fn restore_dirty_prefixes(&mut self, drained: std::collections::BTreeSet<Prefix>) {
+        self.dirty.extend(drained);
+    }
+
     /// The number of un-drained changed prefixes (diagnostics).
     pub fn dirty_len(&self) -> usize {
         self.dirty.len()

@@ -27,11 +27,12 @@ use sdx_telemetry::{Event, SharedRegistry};
 use crate::compiler::{CompileReport, SdxCompiler};
 use crate::error::SdxError;
 use crate::faults::{FaultPlan, InjectionPoint};
+use crate::fec::{FecGroup, FecId};
 use crate::incremental::DeltaResult;
 use crate::participant::ParticipantConfig;
 use crate::shard::Sharding;
 use crate::transform::TransformError;
-use crate::txn::{DeltaTxn, FabricTxn};
+use crate::txn::{DeltaTxn, FabricTxn, Taken, UndoLog};
 use crate::vnh::VnhAllocator;
 
 /// Priority floor for delta overlays; the reconciled base table lives in
@@ -78,7 +79,7 @@ pub struct SdxController {
     /// FEC ids allocated by fast-path deltas since the last reoptimize —
     /// recycled (with the previous report's group ids) once background
     /// re-optimization replaces every rule and FIB entry that used them.
-    pub(crate) live_delta_ids: Vec<crate::fec::FecId>,
+    pub(crate) live_delta_ids: Vec<FecId>,
     /// Pending (viewer, prefix, vnh) re-advertisements accumulated since
     /// the last fabric sync.
     pub(crate) pending_fib: Vec<(ParticipantId, Prefix, Option<Ipv4Addr>)>,
@@ -139,18 +140,20 @@ impl SdxController {
     }
 
     /// Settles a transaction body's `result`: a failure is journaled and
-    /// `rollback` (the transaction's own) restores the pre-call state.
-    fn or_rollback<T>(
+    /// `txn` rolled back, restoring the pre-call state; a success drops
+    /// (commits) it.
+    fn settle<T>(
         &mut self,
         stage: &str,
         fabric: &mut Fabric,
+        txn: FabricTxn,
         result: Result<T, SdxError>,
-        rollback: impl FnOnce(&mut Self, &mut Fabric),
     ) -> Result<T, SdxError> {
+        let reg = self.telemetry.clone();
+        reg.observe("txn.undo.entries", txn.undo_entries() as u64);
         if let Err(e) = &result {
             self.note_failure(stage, e);
-            let reg = self.telemetry.clone();
-            reg.time("txn.rollback", || rollback(self, fabric));
+            reg.time("txn.rollback", || txn.rollback(self, fabric));
         }
         result
     }
@@ -371,11 +374,11 @@ impl SdxController {
     ) -> Result<DeltaResult, SdxError> {
         let reg = self.telemetry.clone();
         let t0 = Instant::now();
-        let txn = DeltaTxn::begin(self);
-        let result = self.fast_path_in_txn(changed, fabric);
+        let mut txn = DeltaTxn::begin(self);
+        let result = self.fast_path_in_txn(changed, fabric, &mut txn.log);
         let elapsed = t0.elapsed();
         reg.observe_duration("fastpath.total", elapsed);
-        let delta = self.or_rollback("fastpath", fabric, result, |ctl, f| txn.rollback(ctl, f))?;
+        let delta = self.settle("fastpath", fabric, txn, result)?;
         reg.record_event(Event::DeltaApplied {
             rules: delta.additional_rules(),
             latency_ns: nanos(elapsed),
@@ -385,11 +388,12 @@ impl SdxController {
     }
 
     /// The staged (validate, then mutate) portion of the fast path; runs
-    /// inside a [`DeltaTxn`].
+    /// inside a [`DeltaTxn`], writing through its `log`.
     fn fast_path_in_txn(
         &mut self,
         changed: &[Prefix],
         fabric: &mut Fabric,
+        log: &mut UndoLog,
     ) -> Result<DeltaResult, SdxError> {
         let reg = self.telemetry.clone();
         let delta = self.compiler.fast_update_burst_with_faults(
@@ -399,7 +403,9 @@ impl SdxController {
             &mut self.faults,
         )?;
         reg.time("txn.validate", || crate::txn::validate_delta(&delta))?;
-        reg.time("fastpath.apply", || self.apply_delta(&delta, fabric))?;
+        reg.time("fastpath.apply", || {
+            self.apply_delta_logged(&delta, fabric, log)
+        })?;
         Ok(delta)
     }
 
@@ -413,6 +419,15 @@ impl SdxController {
         &mut self,
         delta: &DeltaResult,
         fabric: &mut Fabric,
+    ) -> Result<(), SdxError> {
+        self.apply_delta_logged(delta, fabric, &mut UndoLog::discarding())
+    }
+
+    fn apply_delta_logged(
+        &mut self,
+        delta: &DeltaResult,
+        fabric: &mut Fabric,
+        log: &mut UndoLog,
     ) -> Result<(), SdxError> {
         if !delta.rules.is_empty() {
             self.delta_layers += 1;
@@ -439,7 +454,7 @@ impl SdxController {
                     .with_cookie(crate::reconcile::cookie_of(&r.matches)),
                 ));
             }
-            let stats = fabric.apply_flowmods(&batch).map_err(|e| {
+            let stats = log.apply_flowmods(fabric, &batch).map_err(|e| {
                 SdxError::InvalidCommit(format!("fast-path flow-mod batch rejected: {e}"))
             })?;
             self.telemetry.record_event(Event::FlowModBatchApplied {
@@ -453,14 +468,16 @@ impl SdxController {
         // but ARP/FIB synchronization has not run — a firing here leaves
         // the fabric torn unless the enclosing transaction rolls back.
         self.faults.check(InjectionPoint::FabricCommit)?;
+        // Nothing below can fail, so nothing below will be rolled back.
+        let log = &mut UndoLog::discarding();
         for &(vnh, vmac) in &delta.arp_bindings {
-            fabric.arp.bind(vnh, vmac);
+            log.bind_arp(fabric, vnh, vmac);
             if let Some(id) = vmac.fec_id() {
-                self.live_delta_ids.push(crate::fec::FecId(id));
+                self.live_delta_ids.push(FecId(id));
             }
         }
         self.pending_fib.extend(delta.vnh_updates.iter().copied());
-        self.flush_fib(fabric);
+        self.flush_fib(fabric, log);
         Ok(())
     }
 
@@ -483,8 +500,8 @@ impl SdxController {
     pub fn reoptimize(&mut self, fabric: &mut Fabric) -> Result<&CompileReport, SdxError> {
         let reg = self.telemetry.clone();
         let t0 = Instant::now();
-        let txn = FabricTxn::begin(self, fabric);
-        let result = self.stage(fabric).and_then(|(patch, retire)| {
+        let mut txn = FabricTxn::begin(self, fabric);
+        let result = self.stage(fabric, &mut txn).and_then(|(patch, retire)| {
             fabric.apply_flowmods(&patch).map_err(|e| {
                 SdxError::InvalidCommit(format!("reoptimize flow-mod batch rejected: {e}"))
             })?;
@@ -493,8 +510,7 @@ impl SdxController {
         if result.is_err() {
             reg.observe_duration("reoptimize.total", t0.elapsed());
         }
-        let retire =
-            self.or_rollback("reoptimize", fabric, result, |ctl, f| txn.rollback(ctl, f))?;
+        let retire = self.settle("reoptimize", fabric, txn, result)?;
         self.retire(fabric, retire, t0.elapsed());
         reg.observe_duration("reoptimize.total", t0.elapsed());
         self.report
@@ -517,28 +533,39 @@ impl SdxController {
     /// produces while applying the patch is evaluated under one coherent
     /// control plane.
     ///
-    /// Not transactional by itself: callers run it inside a
-    /// [`FabricTxn`].
-    fn stage(&mut self, fabric: &mut Fabric) -> Result<(FlowModBatch, Retire), SdxError> {
+    /// Not transactional by itself: every write goes through `txn`, and
+    /// callers roll that back on `Err`.
+    fn stage(
+        &mut self,
+        fabric: &mut Fabric,
+        txn: &mut FabricTxn,
+    ) -> Result<(FlowModBatch, Retire), SdxError> {
         let reg = self.telemetry.clone();
+        let log = &mut txn.log;
         let overlays = self.delta_layers;
+        // The old report and the fast-path ids move into the transaction:
+        // a rollback moves them back, and the reconciliation below reads
+        // the old VNH map and groups from there without a deep copy.
+        let taken = txn.taken.insert(Taken {
+            report: self.report.take(),
+            delta_ids: std::mem::take(&mut self.live_delta_ids),
+        });
         // Fast-path delta ids are keyless allocations: release them
         // *before* compiling so a pool exhausted by fast-path churn can
-        // recover here. Safe under the transaction: the snapshot restores
-        // the allocator on failure, and the overlay rules referencing them
-        // are removed below.
-        let delta_ids: Vec<crate::fec::FecId> = std::mem::take(&mut self.live_delta_ids);
-        let mut retired_addrs: Vec<Ipv4Addr> =
-            delta_ids.iter().map(|&id| self.vnh.vnh_of(id)).collect();
-        for &id in &delta_ids {
+        // recover here. Safe under the transaction: a rollback restores
+        // the allocator, and the overlay rules referencing them are
+        // removed below. Keyed ids stay mapped through the compile — that
+        // is exactly what keeps unchanged FEC groups on their previous
+        // VNH/VMAC.
+        let mut retired_addrs: Vec<Ipv4Addr> = taken
+            .delta_ids
+            .iter()
+            .map(|&id| self.vnh.vnh_of(id))
+            .collect();
+        for &id in &taken.delta_ids {
             self.vnh.release(id);
         }
-        // Take the old report: [`FabricTxn::begin`] already cloned it for
-        // rollback, and the reconciliation below wants the old VNH map
-        // without another deep copy. Keyed ids stay mapped through the
-        // compile — that is exactly what keeps unchanged FEC groups on
-        // their previous VNH/VMAC.
-        let old_report = self.report.take();
+        let old_report = taken.report.as_ref();
         let report =
             self.compiler
                 .compile_all_with_faults(&self.rs, &mut self.vnh, &mut self.faults)?;
@@ -550,7 +577,7 @@ impl SdxController {
         // planned and verified from, the overlay-free base table. The diff
         // against the keyed-identity recompile touches only the rules
         // whose pattern, buckets, or cookie changed.
-        fabric.switch.table_mut().remove_at_or_above(DELTA_BASE);
+        log.retire_overlays(fabric, DELTA_BASE);
         self.epoch += 1;
         let diff = crate::reconcile::diff_base_table(
             fabric.switch.table(),
@@ -570,9 +597,13 @@ impl SdxController {
         self.faults.check(InjectionPoint::FabricCommit)?;
         // Control-plane flip, new bindings first: the old VMACs stay
         // resolvable until the patch has retired their rules.
-        self.install_static_arp(fabric);
+        for cfg in self.compiler.participants().values() {
+            for port in &cfg.ports {
+                log.bind_arp(fabric, port.addr, port.mac);
+            }
+        }
         for &(vnh, vmac) in &report.arp_bindings {
-            fabric.arp.bind(vnh, vmac);
+            log.bind_arp(fabric, vnh, vmac);
         }
         // Keyed identity keeps surviving groups on their exact VNH, so
         // only ids whose key vanished actually retire.
@@ -581,8 +612,8 @@ impl SdxController {
             .values()
             .flat_map(|gs| gs.iter().map(|g| g.id.0))
             .collect();
-        let mut stale_ids: Vec<crate::fec::FecId> = Vec::new();
-        if let Some(old) = &old_report {
+        let mut stale_ids: Vec<FecId> = Vec::new();
+        if let Some(old) = old_report {
             for g in old.groups.values().flatten() {
                 if !new_ids.contains(&g.id.0) {
                     stale_ids.push(g.id);
@@ -591,7 +622,7 @@ impl SdxController {
             }
         }
         self.report = Some(report);
-        self.full_fib_sync(fabric, old_report.as_ref().map(|r| &r.vnh_of));
+        self.sync_fibs_logged(fabric, old_report, log);
         let retire = Retire {
             patched: diff.batch.stats(),
             overlays,
@@ -612,11 +643,9 @@ impl SdxController {
     /// back to their pre-call state. After this returns `Ok`, failures
     /// *park* instead — see `commit_scheduled`.
     pub fn prepare_scheduled(&mut self, fabric: &mut Fabric) -> Result<PreparedUpdate, SdxError> {
-        let txn = FabricTxn::begin(self, fabric);
-        let result = self.stage(fabric);
-        let (patch, retire) = self.or_rollback("prepare_scheduled", fabric, result, |ctl, f| {
-            txn.rollback(ctl, f)
-        })?;
+        let mut txn = FabricTxn::begin(self, fabric);
+        let result = self.stage(fabric, &mut txn);
+        let (patch, retire) = self.settle("prepare_scheduled", fabric, txn, result)?;
         Ok(PreparedUpdate {
             plan: crate::schedule::plan(fabric.switch.table(), &patch),
             retire,
@@ -732,128 +761,123 @@ impl SdxController {
         }
     }
 
-    /// Binds every participant port's physical address → MAC.
-    fn install_static_arp(&self, fabric: &mut Fabric) {
-        for cfg in self.compiler.participants().values() {
-            for port in &cfg.ports {
-                fabric.arp.bind(port.addr, port.mac);
-            }
-        }
-    }
-
     /// Pushes pending per-prefix FIB changes to the affected routers,
     /// through the per-viewer Adj-RIB-Out (only actual diffs are sent).
-    ///
-    /// Viewer by viewer: each viewer's Adj-RIB-Out and routers are
-    /// resolved once per flush, its changes reconciled in arrival order,
-    /// and the surviving ones — all a FIB keeps of an UPDATE is `prefix →
-    /// next hop` — replayed to each of its routers, so every router ends
-    /// where one UPDATE per change would have left it.
-    fn flush_fib(&mut self, fabric: &mut Fabric) {
+    fn flush_fib(&mut self, fabric: &mut Fabric, log: &mut UndoLog) {
         let mut by_viewer: BTreeMap<ParticipantId, Vec<(Prefix, Option<Ipv4Addr>)>> =
             BTreeMap::new();
         for (viewer, prefix, vnh) in std::mem::take(&mut self.pending_fib) {
             by_viewer.entry(viewer).or_default().push((prefix, vnh));
         }
-        for (viewer, mut changes) in by_viewer {
-            let out = self.rib_out.entry(viewer).or_default();
-            // Each change becomes (prefix, next hop to install | withdraw),
-            // and is kept only if the advertisement actually moved.
-            changes.retain_mut(|(prefix, next_hop)| {
-                let best = self.rs.best_for(viewer, *prefix).map(|best| &best.attrs);
-                *next_hop = best.map(|attrs| next_hop.unwrap_or(attrs.next_hop));
-                out.reconcile_rewritten(*prefix, best.zip(*next_hop))
-            });
-            for router in fabric.routers_of_mut(viewer) {
-                for &(prefix, next_hop) in &changes {
-                    router.set_route(prefix, next_hop);
-                }
-            }
+        for (viewer, changes) in by_viewer {
+            Self::readvertise(&self.rs, &mut self.rib_out, fabric, log, viewer, changes);
         }
     }
 
-    /// Advertises (viewer, prefix) best routes with the current VNH map —
-    /// the initial convergence / post-reoptimization sync. The per-viewer
-    /// Adj-RIB-Out reduces the sync to the minimal BGP diff (including
-    /// withdrawals of prefixes that vanished from the Loc-RIB), exactly
-    /// like a real route-server session.
+    /// Re-advertises to `viewer` its best route for each `(prefix, VNH)`
+    /// in `changes` (`None`: the route's own next hop), in order, and
+    /// replays the advertisements that actually moved — all a FIB keeps of
+    /// an UPDATE is `prefix → next hop` — to each of its routers, so every
+    /// router ends where one UPDATE per change would have left it. The
+    /// viewer's Adj-RIB-Out and routers are resolved once. Returns how
+    /// many advertisements moved.
+    fn readvertise(
+        rs: &RouteServer,
+        rib_out: &mut BTreeMap<ParticipantId, AdjRibOut>,
+        fabric: &mut Fabric,
+        log: &mut UndoLog,
+        viewer: ParticipantId,
+        mut changes: Vec<(Prefix, Option<Ipv4Addr>)>,
+    ) -> usize {
+        let out = log.adj_rib_out(rib_out, viewer);
+        // Each change becomes (prefix, next hop to install | withdraw),
+        // and is kept only if the advertisement actually moved.
+        changes.retain_mut(|(prefix, next_hop)| {
+            let best = rs.best_for(viewer, *prefix).map(|best| &best.attrs);
+            *next_hop = best.map(|attrs| next_hop.unwrap_or(attrs.next_hop));
+            log.reconcile_advert(viewer, out, *prefix, best.zip(*next_hop))
+        });
+        for router in fabric.routers_of_mut(viewer) {
+            for &(prefix, next_hop) in &changes {
+                log.set_route(router, prefix, next_hop);
+            }
+        }
+        changes.len()
+    }
+
+    /// Brings every viewer's Adj-RIB-Out, and through it every border
+    /// router's FIB, to the best routes under the current report's VNH
+    /// map — the initial convergence / post-reoptimization sync, sent as
+    /// the minimal BGP diff (including withdrawals of prefixes that
+    /// vanished from the Loc-RIB), exactly like a real route-server
+    /// session.
     ///
-    /// When `old_vnh_of` (the previous compilation's VNH map) is given and
-    /// the viewer already converged once, the sync is *incremental*: only
-    /// prefixes whose best route changed since the last sync (the route
-    /// server's dirty set) or whose VNH moved are even reconciled — under
-    /// keyed VNH identity a quiet prefix costs nothing. Viewers with no
-    /// Adj-RIB-Out yet, or a `None` map, take the full reconcile path.
-    fn full_fib_sync(
+    /// `since` is the report the Adj-RIB-Outs were last synchronized to.
+    /// Given one, a viewer that already converged is synchronized
+    /// *incrementally*: under keyed VNH identity a FEC group that is in
+    /// both reports under the same id has the same viewer, prefixes and
+    /// VNH, so the only (viewer, prefix) pairs whose advertisement can
+    /// have moved are the route server's dirty prefixes (best route
+    /// changed) and the members of the groups that are in one report
+    /// only — exactly those are examined, never the exchange. With `None`,
+    /// or for a viewer with no Adj-RIB-Out yet, every prefix of the
+    /// Loc-RIB and of the viewer's Adj-RIB-Out is.
+    pub fn sync_fibs(&mut self, fabric: &mut Fabric, since: Option<&CompileReport>) -> FibSync {
+        self.sync_fibs_logged(fabric, since, &mut UndoLog::discarding())
+    }
+
+    fn sync_fibs_logged(
         &mut self,
         fabric: &mut Fabric,
-        old_vnh_of: Option<&BTreeMap<(ParticipantId, Prefix), Ipv4Addr>>,
-    ) {
-        let reg = self.telemetry.clone();
+        since: Option<&CompileReport>,
+        log: &mut UndoLog,
+    ) -> FibSync {
         let dirty = self.rs.take_dirty_prefixes();
+        let report = self.report.as_ref();
         let empty = BTreeMap::new();
-        let vnh_of: &BTreeMap<(ParticipantId, Prefix), Ipv4Addr> =
-            self.report.as_ref().map(|r| &r.vnh_of).unwrap_or(&empty);
-        let viewers: Vec<ParticipantId> = self.rs.participants().collect();
-        let prefixes = self.rs.all_prefixes();
-        let mut skipped = 0u64;
-        let mut sent = 0u64;
-        for viewer in viewers {
-            let incremental = old_vnh_of.is_some() && self.rib_out.contains_key(&viewer);
-            if let (true, Some(old)) = (incremental, old_vnh_of) {
-                // Dirty prefixes may have vanished from the Loc-RIB
-                // entirely (withdrawals) — fold them in so they still
-                // reconcile down to a withdrawal.
-                let mut work: Vec<Prefix> = prefixes.clone();
-                work.extend(dirty.iter().copied());
-                work.sort_unstable();
-                work.dedup();
-                for prefix in work {
-                    if !dirty.contains(&prefix)
-                        && old.get(&(viewer, prefix)) == vnh_of.get(&(viewer, prefix))
-                    {
-                        skipped += 1;
-                        continue;
-                    }
-                    let desired = self.rs.best_for(viewer, prefix).map(|best| {
-                        let nh = vnh_of
-                            .get(&(viewer, prefix))
-                            .copied()
-                            .unwrap_or(best.attrs.next_hop);
-                        best.attrs.clone().with_next_hop(nh)
-                    });
-                    let out = self.rib_out.entry(viewer).or_default();
-                    if let Some(update) = out.reconcile(prefix, desired) {
-                        sent += 1;
-                        for r in fabric.routers_of_mut(viewer) {
-                            r.apply_update(&update);
-                        }
-                    }
-                }
+        let vnh_of = report.map_or(&empty, |r| &r.vnh_of);
+        // Per viewer, the prefixes to examine: the dirty ones for a
+        // viewer that converged on `since`, otherwise all it could hold.
+        let mut work: BTreeMap<ParticipantId, Vec<Prefix>> = BTreeMap::new();
+        let mut every_prefix: Option<Vec<Prefix>> = None;
+        for viewer in self.rs.participants() {
+            let out = self.rib_out.get(&viewer);
+            let prefixes = if since.is_some() && out.is_some() {
+                dirty.iter().copied().collect()
             } else {
-                let desired: Vec<(Prefix, sdx_bgp::attrs::PathAttributes)> = prefixes
-                    .iter()
-                    .filter_map(|&prefix| {
-                        let best = self.rs.best_for(viewer, prefix)?;
-                        let nh = vnh_of
-                            .get(&(viewer, prefix))
-                            .copied()
-                            .unwrap_or(best.attrs.next_hop);
-                        Some((prefix, best.attrs.clone().with_next_hop(nh)))
-                    })
-                    .collect();
-                let out = self.rib_out.entry(viewer).or_default();
-                let updates = out.reconcile_full(desired);
-                sent += updates.len() as u64;
-                for update in updates {
-                    for r in fabric.routers_of_mut(viewer) {
-                        r.apply_update(&update);
-                    }
+                let all = every_prefix.get_or_insert_with(|| self.rs.all_prefixes());
+                let advertised = out.into_iter().flat_map(AdjRibOut::prefixes);
+                all.iter().copied().chain(advertised).collect()
+            };
+            work.insert(viewer, prefixes);
+        }
+        if let (Some(old), Some(new)) = (since, report) {
+            for g in moved_groups(old, new) {
+                if let Some(prefixes) = work.get_mut(&g.viewer) {
+                    prefixes.extend(g.prefixes.iter().copied());
                 }
             }
         }
-        reg.add("fibsync.skipped.count", skipped);
-        reg.add("fibsync.sent.count", sent);
+        let mut sync = FibSync::default();
+        let mut skipped = 0usize;
+        for (viewer, mut prefixes) in work {
+            prefixes.sort_unstable();
+            prefixes.dedup();
+            sync.examined += prefixes.len();
+            skipped += self.rs.prefix_count().saturating_sub(prefixes.len());
+            let changes = prefixes
+                .into_iter()
+                .map(|p| (p, vnh_of.get(&(viewer, p)).copied()))
+                .collect();
+            sync.sent +=
+                Self::readvertise(&self.rs, &mut self.rib_out, fabric, log, viewer, changes);
+        }
+        log.drained(dirty);
+        let reg = &self.telemetry;
+        reg.add("fibsync.examined.count", sync.examined as u64);
+        reg.add("fibsync.skipped.count", skipped as u64);
+        reg.add("fibsync.sent.count", sync.sent as u64);
+        sync
     }
 
     /// Builds a fabric with one border router per participant port,
@@ -884,6 +908,12 @@ impl SdxController {
     /// re-optimization).
     pub fn delta_layers(&self) -> u32 {
         self.delta_layers
+    }
+
+    /// What the route server last advertised to `viewer`, if it ever
+    /// synchronized it.
+    pub fn adj_rib_out(&self, viewer: ParticipantId) -> Option<&AdjRibOut> {
+        self.rib_out.get(&viewer)
     }
 
     /// The wide-area server load-balancing application (§3.1, Figure 4b):
@@ -950,8 +980,40 @@ pub struct PreparedUpdate {
 struct Retire {
     patched: sdx_openflow::flowmod::BatchStats,
     overlays: u32,
-    stale_ids: Vec<crate::fec::FecId>,
+    stale_ids: Vec<FecId>,
     retired_addrs: Vec<Ipv4Addr>,
+}
+
+/// What one [`SdxController::sync_fibs`] did.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct FibSync {
+    /// (viewer, prefix) pairs whose advertisement was compared
+    /// (`fibsync.examined.count`).
+    pub examined: usize,
+    /// Advertisements that moved and were replayed to the viewer's
+    /// routers (`fibsync.sent.count`).
+    pub sent: usize,
+}
+
+/// The FEC groups that are in one of two compilations only: an id the
+/// other does not have, or the same id over different content (possible
+/// only when the allocator was replaced in between). The members of
+/// these are the (viewer, prefix) pairs whose VNH differs between the
+/// two reports' `vnh_of` maps.
+fn moved_groups<'a>(old: &'a CompileReport, new: &'a CompileReport) -> Vec<&'a FecGroup> {
+    let by_id = |r: &'a CompileReport| -> BTreeMap<FecId, &'a FecGroup> {
+        r.groups.values().flatten().map(|g| (g.id, g)).collect()
+    };
+    let (old, new) = (by_id(old), by_id(new));
+    let mut moved = Vec::new();
+    for (here, there) in [(&old, &new), (&new, &old)] {
+        moved.extend(
+            here.iter()
+                .filter(|&(id, g)| there.get(id) != Some(g))
+                .map(|(_, &g)| g),
+        );
+    }
+    moved
 }
 
 /// Advisory diagnostics from [`SdxController::validate_outbound`].
@@ -1300,7 +1362,7 @@ mod tests {
     #[test]
     fn remove_participant_surfaces_a_failed_recompile() {
         let (mut ctl, mut fabric) = deployment();
-        let before = fabric.snapshot();
+        let before = fabric.clone();
         ctl.faults = FaultPlan::seeded(3).fail_nth(InjectionPoint::Compile, 1);
         let err = ctl
             .remove_participant(pid(2), &mut fabric)
@@ -1308,7 +1370,7 @@ mod tests {
         assert_eq!(err, SdxError::Injected(InjectionPoint::Compile));
         // The book forgot B, but the rolled-back fabric still forwards to it.
         assert!(ctl.compiler.participant(pid(2)).is_none());
-        assert_eq!(&fabric, before.view());
+        assert_eq!(fabric, before);
         // The next re-optimization converges: port-80 traffic shifts to A.
         ctl.reoptimize(&mut fabric).expect("converges");
         let out = fabric.send(
@@ -1317,6 +1379,162 @@ mod tests {
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc.participant(), pid(1));
+    }
+
+    /// Figure 1 of the paper, on this crate's own types.
+    fn figure1() -> SdxController {
+        let mut ctl = SdxController::new();
+        let cfgs = [
+            ParticipantConfig::new(1, 65001, 1).with_outbound(
+                (P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(2))))
+                    + (P::match_(FieldMatch::TpDst(443)) >> P::fwd(PortId::Virt(pid(3)))),
+            ),
+            ParticipantConfig::new(2, 65002, 2),
+            ParticipantConfig::new(3, 65003, 1),
+            ParticipantConfig::new(4, 65004, 1),
+        ];
+        for cfg in &cfgs {
+            ctl.add_participant(cfg.clone(), ExportPolicy::allow_all());
+        }
+        for (i, pfx) in ["10.0.0.0/8", "20.0.0.0/8", "30.0.0.0/8", "40.0.0.0/8"]
+            .into_iter()
+            .enumerate()
+        {
+            for (cfg, hops) in [(&cfgs[1], 2 + i % 2), (&cfgs[2], 3 - i % 2)] {
+                let path: Vec<u32> = (0..hops as u32).map(|h| cfg.asn.0 + 100 * h).collect();
+                ctl.rs
+                    .process_update(cfg.id, &cfg.announce([prefix(pfx)], &path));
+            }
+        }
+        ctl
+    }
+
+    /// An exchange of ixp50's size on this crate's own types: 50
+    /// participants (every fifth on two ports), 3 000 prefixes with two
+    /// announcers each, web and https steered by every third participant.
+    fn exchange50() -> SdxController {
+        let mut ctl = SdxController::new();
+        let cfgs: Vec<ParticipantConfig> = (1..=50u32)
+            .map(|i| {
+                let cfg = ParticipantConfig::new(i, 65000 + i, if i % 5 == 0 { 2 } else { 1 });
+                if i % 3 != 0 {
+                    return cfg;
+                }
+                cfg.with_outbound(
+                    (P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(i % 50 + 1))))
+                        + (P::match_(FieldMatch::TpDst(443))
+                            >> P::fwd(PortId::Virt(pid((i + 6) % 50 + 1)))),
+                )
+            })
+            .collect();
+        for cfg in &cfgs {
+            ctl.add_participant(cfg.clone(), ExportPolicy::allow_all());
+        }
+        for i in 0..3000u32 {
+            let p = Prefix::new(Ipv4Addr((60 << 24) | (i << 8)), 24);
+            for (cfg, hops) in [
+                (&cfgs[(i % 50) as usize], 2),
+                (&cfgs[((i * 7 + 3) % 50) as usize], 3),
+            ] {
+                let path: Vec<u32> = (0..hops).map(|h| cfg.asn.0 + 100 * h).collect();
+                ctl.rs.process_update(cfg.id, &cfg.announce([p], &path));
+            }
+        }
+        ctl
+    }
+
+    /// Everything a transaction may touch, as comparable values.
+    fn image(ctl: &SdxController, fabric: &Fabric) -> impl PartialEq + std::fmt::Debug {
+        let report = ctl
+            .report
+            .as_ref()
+            .map(|r| (&r.classifier, &r.groups, &r.arp_bindings, &r.vnh_of));
+        (
+            fabric.clone(),
+            ctl.rib_out.clone(),
+            format!("{:?}", ctl.vnh),
+            format!("{report:?}"),
+            ctl.pending_fib.clone(),
+            ctl.rs.clone().take_dirty_prefixes(),
+            (
+                ctl.delta_layers,
+                ctl.next_delta_priority,
+                ctl.live_delta_ids.clone(),
+            ),
+        )
+    }
+
+    /// Deploys `build()`, lays fast-path overlays for a route `announcer`
+    /// newly offers and changes `editor`'s policy, then lets `stage`
+    /// *succeed* — FIBs and Adj-RIB-Outs written, the patch landed — and
+    /// rolls back: nothing may remember the transaction.
+    fn staged_rollback_is_exact(build: fn() -> SdxController, announcer: u32, editor: u32) {
+        let perturbed = || {
+            let mut ctl = build();
+            let mut fabric = ctl.deploy().expect("deploy");
+            let cfg = ctl.compiler.participant(pid(announcer)).unwrap().clone();
+            let fresh = [prefix("99.1.0.0/16"), prefix("99.2.0.0/16")];
+            ctl.process_update(cfg.id, &cfg.announce(fresh, &[cfg.asn.0]), &mut fabric)
+                .expect("fast path");
+            assert!(ctl.delta_layers() > 0, "fixture: overlays to retire");
+            // In the Loc-RIB but never fast-pathed: dirty at the sync.
+            ctl.rs
+                .process_update(cfg.id, &cfg.announce([prefix("99.3.0.0/16")], &[cfg.asn.0]));
+            ctl.set_outbound(
+                pid(editor),
+                Some(P::match_(FieldMatch::TpDst(22)) >> P::fwd(PortId::Virt(pid(announcer)))),
+            );
+            // Traffic, so the table and routers carry counters and caches.
+            for port in fabric.ports().collect::<Vec<_>>() {
+                fabric.send(port, Packet::tcp(ip("9.9.9.9"), ip("99.1.2.3"), 5, 22));
+            }
+            (ctl, fabric)
+        };
+        let (mut ctl, mut fabric) = perturbed();
+        let before = image(&ctl, &fabric);
+        let (fibs_before, rib_out_before) = (fabric.clone(), ctl.rib_out.clone());
+
+        let mut txn = FabricTxn::begin(&ctl, &fabric);
+        let (patch, _retire) = ctl.stage(&mut fabric, &mut txn).expect("stage succeeds");
+        txn.log
+            .apply_flowmods(&mut fabric, &patch)
+            .expect("patch lands");
+        let moved = fabric
+            .ports()
+            .filter(|&p| fabric.router(p) != fibs_before.router(p))
+            .count();
+        assert!(moved > 0, "fixture: staging must write FIBs");
+        assert!(ctl.rs.dirty_len() == 0 && ctl.rib_out != rib_out_before);
+        assert!(txn.undo_entries() > moved);
+        txn.rollback(&mut ctl, &mut fabric);
+        assert_eq!(image(&ctl, &fabric), before);
+
+        // The next re-optimization lands where one that was never rolled
+        // back lands, and that is the from-scratch table.
+        let (mut twin, mut twin_fabric) = perturbed();
+        ctl.reoptimize(&mut fabric).expect("converges");
+        twin.reoptimize(&mut twin_fabric).expect("twin");
+        assert_eq!(image(&ctl, &fabric), image(&twin, &twin_fabric));
+        let pool = VnhAllocator::default_pool();
+        let scratch = ctl
+            .compiler
+            .compile_all(&ctl.rs, &mut VnhAllocator::new(pool))
+            .expect("scratch compile");
+        let canonical = |r: &CompileReport| {
+            let c = crate::shard::canonicalize_report(r, pool);
+            (c.classifier, c.vnh_of)
+        };
+        assert_eq!(canonical(ctl.report.as_ref().unwrap()), canonical(&scratch));
+    }
+
+    #[test]
+    fn rolling_back_a_staged_update_on_figure1_forgets_it() {
+        staged_rollback_is_exact(figure1, 2, 3);
+    }
+
+    #[test]
+    fn rolling_back_a_staged_update_at_ixp50_scale_forgets_it() {
+        staged_rollback_is_exact(exchange50, 7, 11);
     }
 
     #[test]

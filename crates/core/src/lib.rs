@@ -30,8 +30,8 @@
 //!   through an ordered sequence of middleboxes, synthesized from the
 //!   existing policy machinery.
 //! * [`error`] — the workspace-wide error taxonomy ([`SdxError`]).
-//! * [`txn`] — transactional fabric commits: snapshot, validate, commit
-//!   atomically, roll back to last-known-good on failure.
+//! * [`txn`] — transactional fabric commits: validate, write through an
+//!   undo log, roll back to last-known-good on failure.
 //! * [`faults`] — seeded, deterministic fault injection for exercising the
 //!   recovery paths.
 //! * [`schedule`] — provably safe update scheduling: the reconciliation

@@ -569,7 +569,7 @@ pub struct ScheduleReport {
 /// * retry exhaustion → `schedule.abort.count`, a journaled
 ///   [`Event::UpdateAborted`], and [`SdxError::UpdateAborted`]; the fabric
 ///   stays **parked** with exactly the previously verified waves applied;
-/// * a checker rejection → the offending wave is rolled back (pre-wave mark)
+/// * a checker rejection → the offending wave is rolled back (its undo journal)
 ///   and [`SdxError::UnsafeSchedule`] carries the counterexample; the
 ///   fabric parks in the pre-wave (verified) state;
 /// * a batch the switch itself rejects → [`SdxError::InvalidCommit`]
@@ -649,17 +649,14 @@ pub fn drive_fanout(
                 }
             }
         }
-        // A wave changes the flow table and the batch log, nothing else:
-        // that is all an undo needs, never the routers' FIBs.
-        let mark = (checker.is_some() || sink.is_some()).then(|| fabric.mark_wave());
-        fabric.apply_flowmods(wave).map_err(|e| {
+        // A wave changes the flow table and the batch log, nothing else,
+        // and its own undo journal is all it takes to put both back.
+        let (_, undo) = fabric.apply_flowmods_undoable(wave).map_err(|e| {
             SdxError::InvalidCommit(format!("scheduled wave {i} rejected by the switch: {e}"))
         })?;
         if let Some(ref mut check) = checker {
             if let Err(counterexample) = check(fabric, i) {
-                if let Some(mark) = mark {
-                    fabric.rewind_wave(mark);
-                }
+                fabric.rewind_wave(undo);
                 telemetry.inc("schedule.unsafe.count");
                 return Err(SdxError::UnsafeSchedule {
                     wave: i,
@@ -669,9 +666,7 @@ pub fn drive_fanout(
         }
         if let Some(ref mut s) = sink {
             if let Err(e) = s.apply_wave(i, plan.waves.len(), wave) {
-                if let Some(mark) = mark {
-                    fabric.rewind_wave(mark);
-                }
+                fabric.rewind_wave(undo);
                 telemetry.inc("schedule.fanout_failed.count");
                 return Err(SdxError::InvalidCommit(format!(
                     "scheduled wave {i} failed to fan out: {e}"

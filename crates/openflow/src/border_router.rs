@@ -77,15 +77,13 @@ impl BorderRouter {
 
     /// What an UPDATE does to the FIB for one prefix: an announcement
     /// installs `prefix → next_hop` (the only attribute a FIB keeps), a
-    /// withdrawal (`None`) removes the entry.
-    pub fn set_route(&mut self, prefix: Prefix, next_hop: Option<Ipv4Addr>) {
+    /// withdrawal (`None`) removes the entry. Returns the entry this
+    /// displaced; setting the route to that entry's next hop undoes the
+    /// write.
+    pub fn set_route(&mut self, prefix: Prefix, next_hop: Option<Ipv4Addr>) -> Option<FibEntry> {
         match next_hop {
-            Some(next_hop) => {
-                self.fib.insert(prefix, FibEntry { next_hop });
-            }
-            None => {
-                self.fib.remove(prefix);
-            }
+            Some(next_hop) => self.fib.insert(prefix, FibEntry { next_hop }),
+            None => self.fib.remove(prefix),
         }
     }
 

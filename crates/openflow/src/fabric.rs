@@ -14,9 +14,8 @@ use sdx_telemetry::SharedRegistry;
 
 use crate::arp::ArpResponder;
 use crate::border_router::BorderRouter;
-use crate::flowmod::{BatchStats, FlowModBatch, FlowModError};
+use crate::flowmod::{BatchStats, BatchUndo, FlowModBatch, FlowModError};
 use crate::switch::Switch;
-use crate::table::FlowTable;
 
 /// A delivery out of the fabric: the physical port it left on.
 pub type Delivery = LocatedPacket;
@@ -33,8 +32,8 @@ pub struct Fabric {
     /// policy must never do this; non-zero means a compilation bug.
     pub stuck_at_virtual: u64,
     /// Traffic counters land here. `SharedRegistry` compares equal to any
-    /// other handle, so snapshot/restore equality of the *installed state*
-    /// is unaffected by where the fabric reports metrics.
+    /// other handle, so equality of the *installed state* is unaffected by
+    /// where the fabric reports metrics.
     telemetry: SharedRegistry,
     /// Opt-in recorder of every batch [`apply_flowmods`](Fabric::apply_flowmods)
     /// accepted, in order (see [`enable_batch_log`](Fabric::enable_batch_log)).
@@ -45,10 +44,10 @@ pub struct Fabric {
 ///
 /// Compares equal to any other log, like the telemetry handle: what the
 /// fabric *has installed* is unaffected by what it has not yet streamed,
-/// so snapshot equality checks must not see this field. It clones deep,
-/// though — a snapshot captures the unstreamed backlog, and a rollback
-/// retracts batches that were applied and then undone, so they are never
-/// streamed to external switch agents.
+/// so image equality checks must not see this field. Undoing a batch
+/// ([`Fabric::rewind_wave`]) retracts it from here too, so a batch that
+/// was applied and then rolled back is never streamed to external switch
+/// agents.
 #[derive(Clone, Debug, Default)]
 pub struct BatchLog {
     enabled: bool,
@@ -163,8 +162,20 @@ impl Fabric {
     /// histogram. A rejected batch leaves the table untouched and counts
     /// against `fabric.flowmod.rejected.count`.
     pub fn apply_flowmods(&mut self, batch: &FlowModBatch) -> Result<BatchStats, FlowModError> {
-        match self.switch.table_mut().apply_batch(batch) {
-            Ok(stats) => {
+        self.apply_flowmods_undoable(batch).map(|(stats, _)| stats)
+    }
+
+    /// [`apply_flowmods`](Fabric::apply_flowmods), also returning what
+    /// [`rewind_wave`](Fabric::rewind_wave) needs to take the batch back
+    /// out — the previous values its mods displaced and where the batch
+    /// log stood, never a copy of the table.
+    pub fn apply_flowmods_undoable(
+        &mut self,
+        batch: &FlowModBatch,
+    ) -> Result<(BatchStats, WaveUndo), FlowModError> {
+        match self.switch.table_mut().apply_batch_undoable(batch) {
+            Ok((stats, table)) => {
+                let logged = self.batch_log.batches.len();
                 if self.batch_log.enabled {
                     self.batch_log.batches.push(batch.clone());
                 }
@@ -177,7 +188,7 @@ impl Fabric {
                     .add("fabric.flowmod.delete.count", stats.deletes as u64);
                 self.telemetry
                     .observe("fabric.flowmod.batch_size", stats.total() as u64);
-                Ok(stats)
+                Ok((stats, WaveUndo { table, logged }))
             }
             Err(e) => {
                 self.telemetry.inc("fabric.flowmod.rejected.count");
@@ -191,7 +202,8 @@ impl Fabric {
     /// local fabric through all its usual paths (delta overlay, scheduled
     /// waves, reoptimize), and the daemon drains the log to stream the
     /// *exact same* batches to external switch agents. Rejected batches
-    /// are never recorded; rolled-back ones are retracted by `restore`.
+    /// are never recorded; rolled-back ones are retracted by
+    /// [`rewind_wave`](Fabric::rewind_wave).
     pub fn enable_batch_log(&mut self) {
         self.batch_log.enabled = true;
     }
@@ -203,63 +215,24 @@ impl Fabric {
         std::mem::take(&mut self.batch_log.batches)
     }
 
-    /// Captures what one flow-mod batch can change — the switch table and
-    /// the tail of the batch log — so a wave that is applied and then
-    /// refused (by a safety check, or by a switch further down the fan-out)
-    /// can be undone without copying every border router's FIB the way
-    /// [`snapshot`](Fabric::snapshot) does.
-    pub fn mark_wave(&self) -> WaveMark {
-        WaveMark {
-            table: self.switch.table().clone(),
-            logged: self.batch_log.batches.len(),
-        }
-    }
-
-    /// Undoes every [`apply_flowmods`](Fabric::apply_flowmods) since
-    /// `mark`: the table is the captured one again and the batches logged
-    /// since are retracted, so they are never streamed.
-    pub fn rewind_wave(&mut self, mark: WaveMark) {
-        *self.switch.table_mut() = mark.table;
-        self.batch_log.batches.truncate(mark.logged);
-    }
-
-    /// Captures the complete fabric state — flow table, ARP responder,
-    /// every border router's FIB and ARP cache, and the counters — as a
-    /// last-known-good image a transaction can roll back to.
-    pub fn snapshot(&self) -> FabricSnapshot {
-        FabricSnapshot {
-            fabric: self.clone(),
-        }
-    }
-
-    /// Restores the fabric to a previously captured snapshot, discarding
-    /// every change made since.
-    pub fn restore(&mut self, snapshot: FabricSnapshot) {
-        *self = snapshot.fabric;
+    /// Undoes the batch `undo` came from — a wave that was applied and
+    /// then refused (by a safety check, a switch further down the fan-out,
+    /// or a later step of the caller's transaction): the table is as it
+    /// was before the batch, counters and band order included, and the
+    /// batch is retracted from the log, so it is never streamed. Batches
+    /// applied after it must have been rewound first.
+    pub fn rewind_wave(&mut self, undo: WaveUndo) {
+        self.switch.table_mut().undo_batch(undo.table);
+        self.batch_log.batches.truncate(undo.logged);
     }
 }
 
-/// The pre-wave state captured by [`Fabric::mark_wave`].
-#[derive(Clone, Debug)]
-pub struct WaveMark {
-    table: FlowTable,
+/// What [`Fabric::rewind_wave`] needs to undo one applied batch (see
+/// [`Fabric::apply_flowmods_undoable`]).
+#[derive(Debug)]
+pub struct WaveUndo {
+    table: BatchUndo,
     logged: usize,
-}
-
-/// An owned, immutable image of a [`Fabric`] at a point in time (see
-/// [`Fabric::snapshot`]). Comparing a fabric against a snapshot's
-/// [`view`](FabricSnapshot::view) checks byte-for-byte equivalence of the
-/// installed state.
-#[derive(Clone, PartialEq, Debug)]
-pub struct FabricSnapshot {
-    fabric: Fabric,
-}
-
-impl FabricSnapshot {
-    /// The captured fabric image.
-    pub fn view(&self) -> &Fabric {
-        &self.fabric
-    }
 }
 
 #[cfg(test)]
@@ -351,79 +324,46 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_restores_byte_for_byte() {
+    fn rewinding_a_wave_restores_the_table_and_retracts_its_log_entries() {
+        use crate::flowmod::FlowMod;
         let mut f = two_party_fabric();
-        let snap = f.snapshot();
-        assert_eq!(&f, snap.view());
-        // Mutate every component: traffic (counters + router ARP), a new
-        // flow rule, a new responder binding.
+        f.enable_batch_log();
+        let any_to = |priority, p| {
+            FlowMod::Add(FlowEntry::new(
+                priority,
+                HeaderMatch::any(),
+                vec![vec![Mod::SetLoc(p)]],
+            ))
+        };
+        let mut kept = FlowModBatch::new(1);
+        kept.push(any_to(50, port(2, 1)));
+        f.apply_flowmods(&kept).expect("applies");
+        // Traffic first, so the pre-image has counters to preserve.
         f.send(
             port(1, 1),
             Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80),
         );
-        f.switch.install(FlowEntry::new(
-            99,
-            HeaderMatch::any(),
-            vec![vec![Mod::SetLoc(port(2, 1))]],
-        ));
-        f.arp.bind(ip("172.16.255.2"), MacAddr::vmac(8));
-        assert_ne!(&f, snap.view());
-        f.restore(snap.clone());
-        assert_eq!(&f, snap.view(), "restore is exact");
-    }
-
-    #[test]
-    fn batch_log_records_applied_batches_and_rolls_back() {
-        use crate::flowmod::FlowMod;
-        let mut f = two_party_fabric();
-        f.enable_batch_log();
-        let mut b1 = FlowModBatch::new(1);
-        b1.push(FlowMod::Add(FlowEntry::new(
-            50,
-            HeaderMatch::any(),
-            vec![vec![Mod::SetLoc(port(2, 1))]],
-        )));
-        f.apply_flowmods(&b1).unwrap();
-
-        let snap = f.snapshot();
-        let mut b2 = FlowModBatch::new(2);
-        b2.push(FlowMod::Add(FlowEntry::new(
-            51,
-            HeaderMatch::any(),
-            vec![vec![Mod::SetLoc(port(1, 1))]],
-        )));
-        f.apply_flowmods(&b2).unwrap();
-        // Roll back: the second batch was applied then undone, so it must
-        // not survive in the log to be streamed.
-        f.restore(snap);
-        let drained = f.drain_batches();
-        assert_eq!(drained, vec![b1]);
-        assert!(f.drain_batches().is_empty(), "drain empties the log");
-    }
-
-    #[test]
-    fn rewinding_a_wave_restores_the_table_and_retracts_its_log_entries() {
-        use crate::flowmod::FlowMod;
-        let mut f = Fabric::new();
-        f.enable_batch_log();
-        let entry = |priority| {
-            FlowMod::Add(FlowEntry::new(
-                priority,
-                HeaderMatch::of(FieldMatch::TpDst(80)),
-                vec![vec![]],
-            ))
-        };
-        let mut kept = FlowModBatch::new(1);
-        kept.push(entry(10));
-        f.apply_flowmods(&kept).expect("applies");
         let before = f.clone();
-        let mark = f.mark_wave();
+        // One wave that adds above, rewrites and deletes live entries.
         let mut undone = FlowModBatch::new(2);
-        undone.push(entry(20));
-        f.apply_flowmods(&undone).expect("applies");
-        f.rewind_wave(mark);
+        undone.push(any_to(51, port(1, 1)));
+        undone.push(FlowMod::Modify {
+            priority: 50,
+            pattern: HeaderMatch::any(),
+            buckets: vec![],
+            cookie: 9,
+        });
+        undone.push(FlowMod::Delete {
+            priority: 10,
+            pattern: HeaderMatch::of(FieldMatch::DlDst(MacAddr::vmac(7))),
+        });
+        let (_, undo) = f.apply_flowmods_undoable(&undone).expect("applies");
+        assert_ne!(f, before);
+        f.rewind_wave(undo);
         assert_eq!(f, before, "installed state is the pre-wave state");
+        assert_eq!(f.switch.table().epoch(), before.switch.table().epoch());
         assert_eq!(f.drain_batches(), vec![kept], "only the kept batch streams");
+        assert!(f.drain_batches().is_empty(), "drain empties the log");
     }
 
     #[test]

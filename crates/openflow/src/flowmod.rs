@@ -201,6 +201,7 @@ fn referenced_tags(buckets: &[Vec<Mod>], out: &mut Vec<u32>) {
 
 /// One step of [`FlowTable::apply_batch`]'s undo journal: what it takes
 /// to reverse a mod that already landed in the table.
+#[derive(Debug)]
 enum Undo {
     /// An `Add` was merged in at (priority, pattern).
     Added { priority: u32, pattern: HeaderMatch },
@@ -214,6 +215,16 @@ enum Undo {
     Deleted { pos: usize, entry: FlowEntry },
 }
 
+/// What it takes to reverse one applied batch: the table's epoch before
+/// it and the previous value each mod displaced, in application order.
+/// [`FlowTable::undo_batch`] replays it; it is valid as long as every
+/// table mutation made after the batch has itself been undone.
+#[derive(Debug)]
+pub struct BatchUndo {
+    epoch: u64,
+    journal: Vec<Undo>,
+}
+
 impl FlowTable {
     /// Applies a batch atomically and **in place**: each mod is validated
     /// against the table as the mods before it left it and lands at once,
@@ -225,36 +236,54 @@ impl FlowTable {
     /// one pass. `Modify` preserves the target's traffic counters. On
     /// success the epoch advances by one per mod.
     pub fn apply_batch(&mut self, batch: &FlowModBatch) -> Result<BatchStats, FlowModError> {
-        let epoch = self.epoch();
-        let mut journal = Vec::with_capacity(batch.len());
-        match self.apply_journaled(batch, &mut journal) {
+        self.apply_batch_undoable(batch).map(|(stats, _)| stats)
+    }
+
+    /// [`apply_batch`](Self::apply_batch), keeping the journal of an
+    /// accepted batch so that a caller whose own later step fails can
+    /// [`undo_batch`](Self::undo_batch) it.
+    pub fn apply_batch_undoable(
+        &mut self,
+        batch: &FlowModBatch,
+    ) -> Result<(BatchStats, BatchUndo), FlowModError> {
+        let mut undo = BatchUndo {
+            epoch: self.epoch(),
+            journal: Vec::with_capacity(batch.len()),
+        };
+        match self.apply_journaled(batch, &mut undo.journal) {
             Ok(stats) => {
-                self.set_epoch(epoch + batch.len() as u64);
-                Ok(stats)
+                self.set_epoch(undo.epoch + batch.len() as u64);
+                Ok((stats, undo))
             }
             Err(e) => {
-                for undo in journal.into_iter().rev() {
-                    match undo {
-                        Undo::Added { priority, pattern } => {
-                            let pos = self
-                                .position_of(priority, &pattern)
-                                .expect("journaled add is in the table");
-                            self.remove_at(pos);
-                        }
-                        Undo::Modified {
-                            pos,
-                            buckets,
-                            cookie,
-                        } => {
-                            self.replace_at(pos, buckets, cookie);
-                        }
-                        Undo::Deleted { pos, entry } => self.insert_at(pos, entry),
-                    }
-                }
-                self.set_epoch(epoch);
+                self.undo_batch(undo);
                 Err(e)
             }
         }
+    }
+
+    /// Replays a batch's journal backwards: entries, counters, band order,
+    /// cookie index, matcher and epoch are as they were before the batch.
+    pub fn undo_batch(&mut self, undo: BatchUndo) {
+        for step in undo.journal.into_iter().rev() {
+            match step {
+                Undo::Added { priority, pattern } => {
+                    let pos = self
+                        .position_of(priority, &pattern)
+                        .expect("journaled add is in the table");
+                    self.remove_at(pos);
+                }
+                Undo::Modified {
+                    pos,
+                    buckets,
+                    cookie,
+                } => {
+                    self.replace_at(pos, buckets, cookie);
+                }
+                Undo::Deleted { pos, entry } => self.insert_at(pos, entry),
+            }
+        }
+        self.set_epoch(undo.epoch);
     }
 
     /// Merges the adds collected so far into the table, journaling them.

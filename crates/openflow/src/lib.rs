@@ -47,7 +47,7 @@ pub mod table;
 
 pub use arp::ArpResponder;
 pub use border_router::BorderRouter;
-pub use fabric::Fabric;
+pub use fabric::{Fabric, WaveUndo};
 pub use flowmod::{BatchStats, FlowMod, FlowModBatch, FlowModError};
 pub use matcher::{CompiledMatcher, MatcherStats};
 pub use middlebox::Middlebox;

@@ -296,21 +296,39 @@ impl FlowTable {
     /// retires the fast-path delta rules once background re-optimization
     /// lands (§4.3.2).
     pub fn remove_at_or_above(&mut self, min_priority: u32) -> usize {
-        let removed: Vec<u64> = self
-            .entries
-            .iter()
-            .filter(|e| e.priority >= min_priority)
-            .map(|e| e.cookie)
-            .collect();
-        self.entries.retain(|e| e.priority < min_priority);
-        for c in &removed {
-            self.index_remove(*c);
+        self.take_at_or_above(min_priority).len()
+    }
+
+    /// [`remove_at_or_above`](Self::remove_at_or_above), handing back the
+    /// removed entries — the head of the table, in table order, counters
+    /// included — so that [`restore_at_or_above`](Self::restore_at_or_above)
+    /// can put them back.
+    pub fn take_at_or_above(&mut self, min_priority: u32) -> Vec<FlowEntry> {
+        let head = self.entries.partition_point(|e| e.priority >= min_priority);
+        let taken: Vec<FlowEntry> = self.entries.drain(..head).collect();
+        for e in &taken {
+            self.index_remove(e.cookie);
         }
-        if !removed.is_empty() {
+        if !taken.is_empty() {
             self.epoch += 1;
             self.matcher.rebuild(&self.entries, self.epoch);
         }
-        removed.len()
+        taken
+    }
+
+    /// The exact inverse of [`take_at_or_above`](Self::take_at_or_above),
+    /// epoch included, given that every mutation made since has been
+    /// undone: `taken` becomes the head of the table again.
+    pub fn restore_at_or_above(&mut self, taken: Vec<FlowEntry>) {
+        if taken.is_empty() {
+            return;
+        }
+        for e in &taken {
+            self.index_add(e.cookie);
+        }
+        self.entries.splice(0..0, taken);
+        self.epoch -= 1;
+        self.matcher.rebuild(&self.entries, self.epoch);
     }
 
     /// Removes every entry stamped with `cookie` (how the controller

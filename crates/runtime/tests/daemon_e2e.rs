@@ -681,51 +681,50 @@ fn gated_agent(addr: SocketAddr) -> (JoinHandle<usize>, Receiver<()>, Sender<()>
     (join, held, release)
 }
 
-/// A switch agent that acks its initial sync instantly but delays every
-/// later ack — channel backpressure incarnate. Returns the frames it saw.
-fn slow_agent(addr: SocketAddr, delay: Duration) -> JoinHandle<usize> {
-    scripted_agent(addr, 0usize, move |frames, _| {
-        if *frames > 0 {
-            std::thread::sleep(delay);
-        }
-        *frames += 1;
-        Ok(())
-    })
-}
-
 #[test]
 fn bursts_coalesce_into_one_compile_under_backpressure() {
-    let handle = daemon::start(figure1_empty_rib(), DaemonConfig::default()).expect("start");
+    // Updates arriving while the event loop is pinned at an agent's ack
+    // barrier fold into one compile. Nothing here is timed: the agent
+    // holds the barrier until the daemon's reader-side counter says the
+    // whole burst is queued (see `policy_frame_coalesces_with_a_route_burst`).
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
     let reg = handle.telemetry().clone();
-    let agent = slow_agent(handle.openflow_addr, Duration::from_millis(40));
+    let (agent, held, release) = gated_agent(handle.openflow_addr);
     wait_counter(&reg, "daemon.switch_connected.count", 1);
 
-    let d = ParticipantConfig::new(4, 65004, 1);
-    let mut peer = TestPeer::establish(handle.bgp_addr, 65004, 30).expect("peer");
+    // B is a target of A's outbound policy, so its announcement lands
+    // delta rules: the first update streams a batch, and that batch's
+    // barrier is what the agent sits on.
+    let b = ParticipantConfig::new(2, 65002, 2);
+    let mut peer = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer");
     wait_counter(&reg, "session.established.count", 1);
-
-    // First update: its compile streams a batch whose ack the slow
-    // agent sits on, pinning the event loop at the barrier...
-    peer.send(&announce(&d, "60.0.0.0/8", &[65004, 500]))
+    peer.send(&announce(&b, "60.0.0.0/8", &[65002, 300]))
         .expect("send");
-    wait_counter(&reg, "daemon.compiles.count", 1);
-    // ...while a burst of distinct-prefix updates queues up behind it.
+    held.recv_timeout(Duration::from_secs(20))
+        .expect("the first update's batch reaches the agent");
+
+    // ...while a burst of distinct-prefix updates queues up behind it,
+    // closed by a sentinel: the reader counts a message just before
+    // queueing it, so once the KEEPALIVE is counted the burst is queued.
+    let read_bgp = counter(&reg, "daemon.bgp_read.count");
     for i in 0..30u32 {
         let pfx = format!("{}.0.0.0/8", 70 + i);
-        peer.send(&announce(&d, &pfx, &[65004, 500])).expect("send");
+        peer.send(&announce(&b, &pfx, &[65002, 300])).expect("send");
     }
+    peer.send(&BgpMessage::Keepalive).expect("send");
+    wait_counter(&reg, "daemon.bgp_read.count", read_bgp + 31);
+    assert_eq!(counter(&reg, "daemon.compiles.count"), 1, "loop not pinned");
+    release.send(()).expect("agent alive");
     wait_counter(&reg, "daemon.updates.count", 31);
 
     let report = handle.stop();
-    drop(agent);
+    agent.join().expect("agent thread");
     assert_eq!(report.updates, 31);
-    assert!(
-        report.compiles < report.updates,
-        "no coalescing: {} compiles for {} updates",
-        report.compiles,
-        report.updates
+    assert_eq!(
+        report.compiles, 2,
+        "one pass for the first update, one for the burst queued behind it"
     );
-    assert!(report.coalesced_bursts >= 1, "no burst was journalled");
+    assert_eq!(report.coalesced_bursts, 1);
     let events = reg.snapshot().events;
     assert!(
         events.iter().any(|e| e.event.kind() == "burst_coalesced"),
@@ -922,6 +921,64 @@ fn rejected_wave_resyncs_the_agent_and_the_next_update_succeeds() {
         report.fabric.switch.table(),
         "agent not reconverged after resync"
     );
+}
+
+#[test]
+fn a_rolled_back_fast_path_pass_is_never_streamed() {
+    // The second `FabricCommit` crossing (the first is the deploy's) is
+    // inside the first fast-path pass, after its overlay batch landed on
+    // the driving fabric and in the batch log: the rollback has to
+    // retract it from both, or the next pass streams it to the agents.
+    let mut ctl = figure1_controller();
+    ctl.faults = FaultPlan::seeded(5).fail_nth(InjectionPoint::FabricCommit, 2);
+    let handle = daemon::start(ctl, DaemonConfig::default()).expect("start");
+    let reg = handle.telemetry().clone();
+    let agent = spawn_agent(handle.openflow_addr).expect("agent");
+    wait_counter(&reg, "daemon.switch_connected.count", 1);
+
+    // Both prefixes are policy-affected (A forwards web traffic to B and
+    // https to C), toward different participants: the two passes' overlay
+    // batches differ, and the rolled-back allocator hands the second the
+    // first one's VMAC, so an agent that got both would reject the second.
+    let b = ParticipantConfig::new(2, 65002, 2);
+    let c = ParticipantConfig::new(3, 65003, 1);
+    let rolled_back = b.announce([prefix("60.0.0.0/8")], &[65002, 300]);
+    let lands = c.announce([prefix("61.0.0.0/8")], &[65003, 300]);
+    let mut peer_b = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer B");
+    let mut peer_c = TestPeer::establish(handle.bgp_addr, 65003, 30).expect("peer C");
+    wait_counter(&reg, "session.established.count", 2);
+    peer_b
+        .send(&BgpMessage::Update(rolled_back.clone()))
+        .expect("send");
+    wait_counter(&reg, "daemon.fastpath_failed.count", 1);
+    peer_c
+        .send(&BgpMessage::Update(lands.clone()))
+        .expect("send");
+    wait_until("the second update's flow-mods acked", || {
+        reg.histogram("daemon.update_to_flowmod_us").count() == 1
+    });
+    let report = handle.stop();
+    let agent_fabric = agent.join();
+
+    assert_eq!(counter(&reg, "daemon.batches_streamed.count"), 1);
+    assert_eq!(counter(&reg, "daemon.channel_lost.count"), 0);
+    assert_eq!(
+        agent_fabric.switch.table(),
+        report.fabric.switch.table(),
+        "agent table diverged from the driving fabric"
+    );
+    // No overlay for the rolled-back prefix: the agent holds what an
+    // exchange holds whose fast path only ever ran for the second one.
+    let mut twin = figure1_controller();
+    let mut twin_fabric = twin.deploy().expect("deploy");
+    twin.rs.process_update(pid(2), &rolled_back);
+    twin.process_update(pid(3), &lands, &mut twin_fabric)
+        .expect("fast path");
+    assert!(
+        twin_fabric.switch.table().entries()[0].priority >= DELTA_BASE,
+        "fixture: the second update must lay an overlay"
+    );
+    assert_eq!(agent_fabric.switch.table(), twin_fabric.switch.table());
 }
 
 #[test]

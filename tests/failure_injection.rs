@@ -210,15 +210,11 @@ fn conflicting_policies_resolve_by_isolation_not_interference() {
 #[test]
 fn injected_compile_fault_rolls_back_reoptimize() {
     let (mut ctl, mut fabric) = two_party_deployment();
-    let snap = fabric.snapshot();
+    let snap = fabric.clone();
     ctl.faults = FaultPlan::seeded(7).fail_nth(InjectionPoint::Compile, 1);
     let err = ctl.reoptimize(&mut fabric).unwrap_err();
     assert_eq!(err, SdxError::Injected(InjectionPoint::Compile));
-    assert_eq!(
-        &fabric,
-        snap.view(),
-        "failed compile must not touch the fabric"
-    );
+    assert_eq!(fabric, snap, "failed compile must not touch the fabric");
     // The one-shot fault has fired; the very next reoptimize succeeds and
     // the fabric still forwards.
     ctl.reoptimize(&mut fabric).expect("recovers");
@@ -228,7 +224,7 @@ fn injected_compile_fault_rolls_back_reoptimize() {
 #[test]
 fn injected_vnh_fault_leaves_fast_path_atomic() {
     let (mut ctl, mut fabric) = two_party_deployment();
-    let snap = fabric.snapshot();
+    let snap = fabric.clone();
     ctl.faults = FaultPlan::seeded(7).fail_nth(InjectionPoint::VnhAlloc, 1);
     let err = ctl
         .process_update(pid(2), &announce_30_8(), &mut fabric)
@@ -236,9 +232,9 @@ fn injected_vnh_fault_leaves_fast_path_atomic() {
     assert_eq!(err, SdxError::Injected(InjectionPoint::VnhAlloc));
     // Flow tables, ARP responder, and every border-router FIB are exactly
     // the pre-failure image.
-    assert_eq!(fabric.switch, snap.view().switch);
-    assert_eq!(fabric.arp, snap.view().arp);
-    assert_eq!(&fabric, snap.view());
+    assert_eq!(fabric.switch, snap.switch);
+    assert_eq!(fabric.arp, snap.arp);
+    assert_eq!(fabric, snap);
     // The RIB kept the route (BGP state is not fabric state); a background
     // reoptimize reconverges the data plane.
     ctl.reoptimize(&mut fabric).expect("reconverge");
@@ -286,7 +282,7 @@ fn injected_vnh_fault_mid_compile_never_consumes_pool_ids() {
 #[test]
 fn injected_commit_fault_rolls_back_torn_fast_path() {
     let (mut ctl, mut fabric) = two_party_deployment();
-    let snap = fabric.snapshot();
+    let snap = fabric.clone();
     // FabricCommit fires *mid-commit*: delta rules are already staged in
     // the flow table when the fault hits, so this exercises rollback of a
     // genuinely torn fabric.
@@ -295,11 +291,7 @@ fn injected_commit_fault_rolls_back_torn_fast_path() {
         .process_update(pid(2), &announce_30_8(), &mut fabric)
         .unwrap_err();
     assert_eq!(err, SdxError::Injected(InjectionPoint::FabricCommit));
-    assert_eq!(
-        &fabric,
-        snap.view(),
-        "torn commit must be rolled back whole"
-    );
+    assert_eq!(fabric, snap, "torn commit must be rolled back whole");
     // Replay the already-ingested prefix through the fast path (the same
     // hook supervised session resets use) once the fault is spent.
     ctl.apply_changed_prefixes(&[prefix("30.0.0.0/8")], &mut fabric)
@@ -312,13 +304,13 @@ fn injected_commit_fault_rolls_back_torn_reoptimize() {
     let (mut ctl, mut fabric) = two_party_deployment();
     ctl.process_update(pid(2), &announce_30_8(), &mut fabric)
         .expect("fast path");
-    let snap = fabric.snapshot();
+    let snap = fabric.clone();
     // Mid-reoptimize the base table has already been swapped when the
     // fault fires (ARP/FIB sync still pending): the worst possible tear.
     ctl.faults = FaultPlan::seeded(3).fail_nth(InjectionPoint::FabricCommit, 1);
     let err = ctl.reoptimize(&mut fabric).unwrap_err();
     assert_eq!(err, SdxError::Injected(InjectionPoint::FabricCommit));
-    assert_eq!(&fabric, snap.view(), "reoptimize tear must be invisible");
+    assert_eq!(fabric, snap, "reoptimize tear must be invisible");
     ctl.reoptimize(&mut fabric).expect("recovers");
     assert_eq!(probe(&mut fabric, "20.0.0.1")[0].loc.participant(), pid(2));
     assert_eq!(probe(&mut fabric, "30.0.0.1")[0].loc.participant(), pid(2));
@@ -353,7 +345,7 @@ fn vnh_exhaustion_is_typed_contained_and_recoverable() {
             &mut fabric,
         )
         .expect("withdraw never allocates");
-        let snap = fabric.snapshot();
+        let snap = fabric.clone();
         match ctl.process_update(pid(2), &announce_30_8(), &mut fabric) {
             Ok(_) => {}
             Err(e) => {
@@ -361,11 +353,7 @@ fn vnh_exhaustion_is_typed_contained_and_recoverable() {
                     matches!(e, SdxError::VnhExhausted { .. }),
                     "expected typed exhaustion, got {e}"
                 );
-                assert_eq!(
-                    &fabric,
-                    snap.view(),
-                    "exhaustion must keep last-good fabric"
-                );
+                assert_eq!(fabric, snap, "exhaustion must keep last-good fabric");
                 exhausted = Some(e);
                 break;
             }
