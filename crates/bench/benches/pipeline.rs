@@ -18,9 +18,12 @@ fn bench_initial_compile(c: &mut Criterion) {
             BenchmarkId::new("participants_policyprefixes", format!("{n}x{px}")),
             &wb,
             |b, wb| {
-                // Memo persists across iterations, as in a live controller.
+                // Memo persists across iterations, as in a live controller;
+                // the phase-A unit cache does not (this is the *initial*
+                // compile).
                 let mut compiler = wb.compiler();
                 b.iter(|| {
+                    compiler.clear_unit_cache();
                     let mut vnh = VnhAllocator::default();
                     compiler.compile_all(&wb.rs, &mut vnh).expect("compiles")
                 })

@@ -39,7 +39,6 @@ use sdx_bench::{fmt_duration, print_table, row, Workbench};
 use sdx_bgp::route_server::ExportPolicy;
 use sdx_core::controller::SdxController;
 use sdx_core::schedule::ScheduleOpts;
-use sdx_core::shard::Sharding;
 use sdx_ixp::updates::{self, TraceParams};
 use sdx_net::{FieldMatch, Ipv4Addr, Packet, ParticipantId, PortId, Prefix};
 use sdx_oracle::{synth, Differential, Outcome};
@@ -113,7 +112,6 @@ fn main() {
     ctl.compiler = wb.compiler();
     ctl.rs = wb.rs.clone();
     ctl.telemetry = reg.clone();
-    ctl.set_sharding(Sharding::Shards(8));
 
     // The victim and its attacked service block. The synthetic universe
     // is deliberately multi-homed (every 100.x prefix picks up transit

@@ -25,10 +25,12 @@ fn main() {
         for &px in &sweep {
             let wb = Workbench::new(n, 25_000, px, 8 + n as u64);
             // Warm-up run excluded (memo priming mirrors a long-lived
-            // controller); then measure.
+            // controller); then measure an *initial* compile: the phase-A
+            // units the warm-up cached are dropped again.
             let mut compiler = wb.compiler();
             let mut vnh = sdx_core::vnh::VnhAllocator::default();
             let _ = compiler.compile_all(&wb.rs, &mut vnh).expect("warm-up");
+            compiler.clear_unit_cache();
             let mut vnh = sdx_core::vnh::VnhAllocator::default();
             let report = compiler.compile_all(&wb.rs, &mut vnh).expect("compile");
             metrics.absorb(report.metrics_snapshot());

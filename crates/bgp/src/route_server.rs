@@ -445,27 +445,14 @@ impl RouteServer {
             .collect()
     }
 
-    /// [`reachable_via`](Self::reachable_via) recomputed from first
-    /// principles via the full-scan [`prefixes_via_scan`](Self::prefixes_via_scan):
-    /// participant `q` is reachable for `prefix` iff `prefix` appears in
-    /// `prefixes_via_scan(viewer, q)`. Deliberately an *independent*
-    /// implementation, kept as the property-test oracle for the indexed
-    /// paths.
-    pub fn reachable_via_scan(&self, viewer: ParticipantId, prefix: Prefix) -> Vec<ParticipantId> {
-        self.peers
-            .keys()
-            .copied()
-            .filter(|&nh| self.prefixes_via_scan(viewer, nh).contains(&prefix))
-            .collect()
-    }
-
     /// The best route for `prefix` from `viewer`'s point of view, or `None`
     /// if nothing is exported to it.
     ///
     /// Served from the per-(prefix, viewer) decision cache when warm; the
     /// cached winner id selects the route from the candidate slice, so the
     /// returned reference is identical to what the full decision process
-    /// ([`best_for_scan`](Self::best_for_scan)) would pick.
+    /// (export-filter the candidates, run the total-order comparison)
+    /// would pick.
     pub fn best_for(&self, viewer: ParticipantId, prefix: Prefix) -> Option<&Route> {
         if let Some(winner) = self.best_cache.get(prefix, viewer) {
             let nh = winner?;
@@ -475,17 +462,10 @@ impl RouteServer {
                 .iter()
                 .find(|r| r.source.participant == nh);
         }
-        let best = self.best_for_scan(viewer, prefix);
+        let best = crate::decision::best_route(self.candidates_for(viewer, prefix));
         self.best_cache
             .put(prefix, viewer, best.map(|r| r.source.participant));
         best
-    }
-
-    /// The uncached decision process: export-filter the candidates, run
-    /// the total-order comparison. The reference implementation behind
-    /// [`best_for`](Self::best_for) and the property-test oracle.
-    pub fn best_for_scan(&self, viewer: ParticipantId, prefix: Prefix) -> Option<&Route> {
-        crate::decision::best_route(self.candidates_for(viewer, prefix))
     }
 
     /// Longest-prefix-match variants, used when a policy rewrites the
@@ -514,32 +494,21 @@ impl RouteServer {
 
     /// Every prefix for which `viewer` can reach `next_hop` — the BGP
     /// filter the SDX inserts in front of `fwd(next_hop)` (§4.1, second
-    /// transformation).
-    ///
-    /// Walks `next_hop`'s inverted announcer index (O(k) in the prefixes
-    /// it announces) instead of scanning the whole Loc-RIB; the export
-    /// check per prefix is unchanged. Result is in prefix order.
+    /// transformation). Result is in prefix order.
     pub fn prefixes_via(&self, viewer: ParticipantId, next_hop: ParticipantId) -> Vec<Prefix> {
-        self.loc_rib
-            .announced_by(next_hop)
-            .filter(|&p| {
-                self.loc_rib
-                    .candidates(p)
-                    .iter()
-                    .any(|r| r.source.participant == next_hop && self.exported(r, viewer, p))
-            })
-            .collect()
+        self.prefixes_via_bounded(viewer, next_hop, Ipv4Addr(0), None)
     }
 
     /// [`prefixes_via`](Self::prefixes_via) restricted to prefixes whose
     /// network address lies in `[lo, hi)` (`hi = None` means "to the top
-    /// of the address space") — the per-shard BGP join of the sharded
-    /// compile pipeline. The restriction is a `BTreeSet::range` slice of
-    /// the announcer index, not a filter, so one shard's join costs
-    /// O(log + its slice) of the announcer's table — it never touches
-    /// entries outside its range — and the union of the results over a
-    /// partition of the address space is exactly
-    /// [`prefixes_via`](Self::prefixes_via).
+    /// of the address space") — the per-shard BGP join every compile runs.
+    ///
+    /// Walks `next_hop`'s inverted announcer index instead of scanning the
+    /// whole Loc-RIB, and the restriction is a `BTreeSet::range` slice of
+    /// that index, not a filter: one shard's join costs O(log + its slice)
+    /// of the announcer's table — it never touches entries outside its
+    /// range — and the union of the results over a partition of the
+    /// address space is exactly [`prefixes_via`](Self::prefixes_via).
     pub fn prefixes_via_bounded(
         &self,
         viewer: ParticipantId,
@@ -554,23 +523,6 @@ impl RouteServer {
                     .candidates(p)
                     .iter()
                     .any(|r| r.source.participant == next_hop && self.exported(r, viewer, p))
-            })
-            .collect()
-    }
-
-    /// [`prefixes_via`](Self::prefixes_via) as the original O(|Loc-RIB|)
-    /// scan over every prefix. Kept as the property-test oracle and as the
-    /// `CompileOptions::index_acceleration = false` ablation baseline.
-    /// Result is in trie-key order; sort before comparing with the indexed
-    /// variant.
-    pub fn prefixes_via_scan(&self, viewer: ParticipantId, next_hop: ParticipantId) -> Vec<Prefix> {
-        self.loc_rib
-            .prefixes()
-            .filter(|p| {
-                self.loc_rib
-                    .candidates(*p)
-                    .iter()
-                    .any(|r| r.source.participant == next_hop && self.exported(r, viewer, *p))
             })
             .collect()
     }
@@ -659,6 +611,96 @@ mod tests {
     use crate::attrs::{AsPath, PathAttributes};
     use crate::msg::simple_announce;
     use sdx_net::{ip, prefix, RouterId};
+
+    /// Independent from-first-principles implementations of the indexed
+    /// queries, kept as the property-test oracles: none of them touches
+    /// the announcer index or the decision cache.
+    impl RouteServer {
+        /// [`prefixes_via`](Self::prefixes_via) as an O(|Loc-RIB|) scan
+        /// over every prefix, in trie-key order (sort before comparing).
+        fn prefixes_via_scan(&self, viewer: ParticipantId, next_hop: ParticipantId) -> Vec<Prefix> {
+            self.loc_rib
+                .prefixes()
+                .filter(|p| {
+                    self.loc_rib
+                        .candidates(*p)
+                        .iter()
+                        .any(|r| r.source.participant == next_hop && self.exported(r, viewer, *p))
+                })
+                .collect()
+        }
+
+        /// [`reachable_via`](Self::reachable_via) through the scan:
+        /// participant `q` is reachable for `prefix` iff `prefix` appears
+        /// in `prefixes_via_scan(viewer, q)`.
+        fn reachable_via_scan(&self, viewer: ParticipantId, prefix: Prefix) -> Vec<ParticipantId> {
+            self.peers
+                .keys()
+                .copied()
+                .filter(|&nh| self.prefixes_via_scan(viewer, nh).contains(&prefix))
+                .collect()
+        }
+
+        /// The uncached decision process behind
+        /// [`best_for`](Self::best_for).
+        fn best_for_scan(&self, viewer: ParticipantId, prefix: Prefix) -> Option<&Route> {
+            crate::decision::best_route(self.candidates_for(viewer, prefix))
+        }
+    }
+
+    /// Seeded xorshift64: reproducible sequences without a
+    /// property-testing dependency.
+    struct Rng(u64);
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            x
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The join every compile runs, against the scan oracle: cuts the
+    /// address space at up to seven random points — drawn near the /8
+    /// network addresses the tests announce, so cuts land on, just below
+    /// and just above them — and requires each
+    /// `prefixes_via_bounded(viewer, nh, lo, hi)` slice to equal the scan
+    /// filtered to `[lo, hi)` and the slices' union to equal the scan.
+    fn assert_bounded_join_agrees_with_scan(
+        rs: &RouteServer,
+        rng: &mut Rng,
+        viewer: ParticipantId,
+        nh: ParticipantId,
+        what: &str,
+    ) {
+        let mut scanned = rs.prefixes_via_scan(viewer, nh);
+        scanned.sort();
+        let mut starts: Vec<u32> = vec![0];
+        for _ in 0..rng.below(8) {
+            let near = (rng.below(64) as u32) << 24;
+            starts.push(near.wrapping_add(rng.below(3) as u32).wrapping_sub(1));
+        }
+        starts.sort_unstable();
+        starts.dedup();
+        let mut union: Vec<Prefix> = Vec::new();
+        for (i, &lo) in starts.iter().enumerate() {
+            let hi = starts.get(i + 1).copied();
+            let slice = rs.prefixes_via_bounded(viewer, nh, Ipv4Addr(lo), hi.map(Ipv4Addr));
+            let expected: Vec<Prefix> = scanned
+                .iter()
+                .copied()
+                .filter(|p| p.addr().0 >= lo && hi.is_none_or(|h| p.addr().0 < h))
+                .collect();
+            assert_eq!(slice, expected, "{what}: slice [{lo:#x}, {hi:x?})");
+            union.extend(slice);
+        }
+        assert_eq!(union, scanned, "{what}: union over cuts {starts:x?}");
+    }
 
     fn src(p: u32) -> RouteSource {
         RouteSource {
@@ -870,6 +912,7 @@ mod tests {
     #[test]
     fn indexed_queries_agree_with_scan_oracles_on_figure1() {
         let rs = figure1_server();
+        let mut rng = Rng(0x1f1f_2014);
         for viewer in [ParticipantId(1), ParticipantId(2), ParticipantId(3)] {
             for nh in [ParticipantId(1), ParticipantId(2), ParticipantId(3)] {
                 let mut indexed = rs.prefixes_via(viewer, nh);
@@ -877,6 +920,10 @@ mod tests {
                 indexed.sort();
                 scanned.sort();
                 assert_eq!(indexed, scanned, "prefixes_via({viewer}, {nh})");
+                for _ in 0..8 {
+                    let what = format!("prefixes_via_bounded({viewer}, {nh})");
+                    assert_bounded_join_agrees_with_scan(&rs, &mut rng, viewer, nh, &what);
+                }
             }
             for p in rs.all_prefixes() {
                 let mut indexed = rs.reachable_via(viewer, p);
@@ -896,25 +943,10 @@ mod tests {
     /// Randomized churn: the indexed query paths (inverted announcer
     /// index + best-route cache) must agree with the full-scan oracles
     /// after every kind of mutation — announce, withdraw, export-policy
-    /// flip, session reset — in any interleaving. Seeded xorshift64 keeps
-    /// the sequences reproducible without a property-testing dependency.
+    /// flip, session reset — in any interleaving, and so must the
+    /// range-bounded join over random splits of the address space.
     #[test]
     fn indexed_queries_agree_with_scan_oracles_under_random_churn() {
-        struct Rng(u64);
-        impl Rng {
-            fn next(&mut self) -> u64 {
-                let mut x = self.0;
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                self.0 = x;
-                x
-            }
-            fn below(&mut self, n: u64) -> u64 {
-                self.next() % n
-            }
-        }
-
         const PARTICIPANTS: u64 = 6;
         const PREFIXES: u64 = 24;
         const STEPS: u64 = 300;
@@ -975,6 +1007,10 @@ mod tests {
                             indexed, scanned,
                             "seed {seed} step {step}: prefixes_via({viewer}, {nh})"
                         );
+                        let what = format!(
+                            "seed {seed} step {step}: prefixes_via_bounded({viewer}, {nh})"
+                        );
+                        assert_bounded_join_agrees_with_scan(&rs, &mut rng, viewer, nh, &what);
                     }
                     for i in 0..PREFIXES {
                         let p = pfx(i);

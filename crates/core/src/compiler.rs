@@ -17,11 +17,14 @@
 //!    design"), or naively as one quadratic cross product when the
 //!    optimization is disabled (the ablation baseline).
 //!
-//! Steps 2–4 fan out per viewer, and step 5 per receiver block, on scoped
-//! worker threads ([`CompileOptions::parallelism`]); results are merged in
-//! `ParticipantId` order and VNH ids are assigned from a single serial
-//! reservation, so the report is byte-identical for every worker count
-//! (see DESIGN.md §11).
+//! Step 2 runs per `(prefix-range shard, viewer)` unit and recomputes only
+//! the units a route or policy change can have touched (see
+//! [`crate::shard`]); a cold compile is the case where every unit is dirty.
+//! Steps 2–4 fan out per unit / per viewer, and step 5 per receiver block,
+//! on scoped worker threads ([`CompileOptions::parallelism`]); results are
+//! merged in `ParticipantId` order and VNH ids are assigned from a single
+//! serial reservation, so the report is byte-identical for every worker
+//! count (see DESIGN.md §11).
 //!
 //! The output [`CompileReport`] carries everything the controller must
 //! install: the switch classifier, the ARP bindings (VNH → VMAC), and the
@@ -44,7 +47,7 @@ use crate::faults::{FaultPlan, InjectionPoint};
 use crate::fec::{partition_by_signature, FecGroup, FecKey};
 use crate::par::parallel_map;
 use crate::participant::ParticipantConfig;
-use crate::shard::{ShardCache, ShardPlan, ShardUnit, Sharding};
+use crate::shard::{clamp_shards, MergedFecs, ShardCache, ShardPlan, ShardUnit, DEFAULT_SHARDS};
 use crate::transform::{
     self, compose_optimized_parallel, dst_coverage, expand_fwd_rule, Coverage, FwdRule,
     TransformError,
@@ -54,14 +57,6 @@ use crate::vnh::VnhAllocator;
 /// Per FEC group: rule indices whose affected set contains the group,
 /// plus the subset that only partially covers it.
 type GroupMembership = (BTreeSet<usize>, BTreeSet<usize>);
-
-/// One viewer's phase-A output: the FEC prefix partition, per-group rule
-/// memberships, and per-group default next hops.
-type ViewerFecs = (
-    Vec<Vec<Prefix>>,           // prefix partition (the FEC groups)
-    Vec<GroupMembership>,       // per group: rule memberships
-    Vec<Option<ParticipantId>>, // per group: default next hop
-);
 
 /// Default bound on the raw-policy memo cache (entries). Generous — the
 /// paper's workloads compile a few hundred distinct policies — but finite,
@@ -111,10 +106,6 @@ pub struct CompileOptions {
     pub fec_grouping: bool,
     /// Worker threads for the per-viewer and per-receiver pipeline phases.
     pub parallelism: Parallelism,
-    /// Serve BGP joins from the route server's inverted announcer index
-    /// and decision cache; when off, every query re-scans the full Loc-RIB
-    /// (the index ablation / scan baseline).
-    pub index_acceleration: bool,
     /// Maximum entries kept in the raw-policy memo cache; least-recently
     /// used entries are evicted past this (counted in
     /// `compile.memo_evictions.count`).
@@ -128,14 +119,14 @@ pub struct CompileOptions {
     /// forwarding with a readable per-stage trace. Never enable outside a
     /// harness.
     pub break_consistency_filter: bool,
-    /// Partition the prefix space into contiguous range shards and run the
-    /// FEC phase per `(shard, viewer)` unit with incremental caching (see
-    /// [`crate::shard`]); the merged output is provably equivalent to the
-    /// unsharded pipeline modulo VNH id numbering. Sharded compilation
-    /// always uses the indexed BGP joins (the range-bounded join has no
-    /// scan variant), so `index_acceleration = false` only ablates the
-    /// unsharded path.
-    pub sharding: Sharding,
+    /// How many contiguous prefix ranges phase A is cut into (rounded up
+    /// to a power of two, clamped to `[1, MAX_SHARDS]`; see
+    /// [`crate::shard`]). The output is the same for every count modulo
+    /// VNH numbering of warm compiles — the count only sets how finely
+    /// route churn invalidates cached `(shard, viewer)` units. Production
+    /// runs at [`DEFAULT_SHARDS`]; the field exists so the
+    /// shard-invariance suites can vary it.
+    pub shards: usize,
 }
 
 impl Default for CompileOptions {
@@ -145,10 +136,9 @@ impl Default for CompileOptions {
             memoize: true,
             fec_grouping: true,
             parallelism: Parallelism::Auto,
-            index_acceleration: true,
             memo_cap: DEFAULT_MEMO_CAP,
             break_consistency_filter: false,
-            sharding: Sharding::Off,
+            shards: DEFAULT_SHARDS,
         }
     }
 }
@@ -271,8 +261,7 @@ pub struct SdxCompiler {
     /// recompile a handful of units instead of the world.
     versions: PolicyVersions,
     /// Clean per-`(shard, viewer)` phase-A slices from the previous
-    /// sharded compile. `None` until a sharded compile runs (and reset by
-    /// any unsharded compile).
+    /// compile. `None` until the first compile runs.
     shard_cache: Option<ShardCache>,
 }
 
@@ -293,9 +282,9 @@ impl SdxCompiler {
         &self.telemetry
     }
 
-    /// The prefix-space partition the last sharded compile ran under, if
-    /// any. The controller uses it to attribute reconciliation flow-mods
-    /// back to shards; `None` after an unsharded compile.
+    /// The prefix-space partition the last compile ran under (`None`
+    /// before the first). The controller uses it to attribute
+    /// reconciliation flow-mods back to shards.
     pub fn shard_plan(&self) -> Option<&ShardPlan> {
         self.shard_cache.as_ref().map(|c| &c.plan)
     }
@@ -394,6 +383,13 @@ impl SdxCompiler {
         memo.clock = 0;
     }
 
+    /// Drops every cached phase-A unit, so the next compile is cold — how
+    /// the determinism tests and the Figure 8 bench get a whole-exchange
+    /// compile out of a compiler that has already run.
+    pub fn clear_unit_cache(&mut self) {
+        self.shard_cache = None;
+    }
+
     /// Entries currently held in the raw-policy memo cache.
     pub fn memo_len(&self) -> usize {
         self.memo.lock().expect("memo lock poisoned").map.len()
@@ -450,7 +446,6 @@ impl SdxCompiler {
         let t0 = Instant::now();
         let mut stats = CompileStats::default();
         let workers = self.options.parallelism.workers();
-        let use_index = self.options.index_acceleration;
 
         // ---- Step 1 (serial): raw policy classifiers + outbound clause
         // extraction. Cheap relative to the BGP joins, and the memo cache
@@ -472,102 +467,16 @@ impl SdxCompiler {
 
         reg.observe_duration("compile.classifiers", t_classifiers.elapsed());
 
-        // ---- Phase A (parallel per viewer): affected sets + FEC
-        // partition. Each viewer's work is independent — it reads the
-        // route server (Sync: the decision cache is behind a lock) and its
-        // own forwarding rules. Results merge in ParticipantId order
-        // below, so output is identical for any worker count.
+        // ---- Phase A (parallel per (shard, viewer) unit): affected sets
+        // + FEC partition, recomputing only what changed since the last
+        // compile (see `compile_fecs`). Results come back in
+        // ParticipantId order, so output is identical for any worker
+        // count.
         let vnh_allocs = reg.counter("vnh.alloc.count");
         let t_vnh = Instant::now();
         let viewer_rules: Vec<(ParticipantId, &[FwdRule])> =
             fwd_rules.iter().map(|(&v, r)| (v, r.as_slice())).collect();
-        let fec_grouping = self.options.fec_grouping;
-        let break_consistency = self.options.break_consistency_filter;
-        let resolved_shards = self.options.sharding.resolve(vnh.partitions());
-        let fecs: Vec<ViewerFecs> = if let Some(n) = resolved_shards {
-            self.compile_fecs_sharded(rs, n, workers, &viewer_rules, &reg)
-        } else {
-            // An unsharded compile invalidates any cached shard slices —
-            // it does not drain the route server's compile-dirty set, so
-            // the cache could no longer tell what changed underneath it.
-            self.shard_cache = None;
-            parallel_map(workers, &viewer_rules, |_, &(viewer, rules)| {
-                let _viewer_timer = reg.start_timer("compile.viewer");
-                // Affected set per rule: prefixes the target exported to the
-                // viewer, overlapped by the rule's destination constraint.
-                // signature(p) = (rules touching p, partial marks, default nh).
-                let mut sig: BTreeMap<Prefix, GroupMembership> = BTreeMap::new();
-                // Many rules share the same target: cache the BGP join per
-                // next hop (indexed O(k) walk, or the full Loc-RIB scan when
-                // index acceleration is ablated away).
-                let mut via_cache: HashMap<ParticipantId, Vec<Prefix>> = HashMap::new();
-                for (k, rule) in rules.iter().enumerate() {
-                    if rule.rewritten_dst().is_some() {
-                        continue; // rewrite rules join BGP on the NEW address
-                    }
-                    let Some(PortId::Virt(nh)) = rule.target else {
-                        continue; // port steering / no-op: no BGP join
-                    };
-                    let via = via_cache.entry(nh).or_insert_with(|| {
-                        if break_consistency {
-                            // Sabotage knob (see `CompileOptions`): ignore the
-                            // Adj-RIB-Out filter and join on everything the
-                            // target ever announced.
-                            rs.loc_rib().announced_by(nh).collect()
-                        } else if use_index {
-                            rs.prefixes_via(viewer, nh)
-                        } else {
-                            rs.prefixes_via_scan(viewer, nh)
-                        }
-                    });
-                    for &p in via.iter() {
-                        match dst_coverage(&rule.matches, p) {
-                            Coverage::None => {}
-                            Coverage::Full => {
-                                sig.entry(p).or_default().0.insert(k);
-                            }
-                            Coverage::Partial => {
-                                let e = sig.entry(p).or_default();
-                                e.0.insert(k);
-                                e.1.insert(k);
-                            }
-                        }
-                    }
-                }
-                // One batched decision pass per viewer: every affected prefix
-                // is resolved exactly once (the old pipeline re-ran best_for
-                // per group on top of the per-item pass).
-                let best_nh: BTreeMap<Prefix, Option<ParticipantId>> = sig
-                    .keys()
-                    .map(|&p| {
-                        let best = if use_index {
-                            rs.best_for(viewer, p)
-                        } else {
-                            rs.best_for_scan(viewer, p)
-                        };
-                        (p, best.map(|r| r.source.participant))
-                    })
-                    .collect();
-                // Partition by (rule membership, partial marks, default next hop).
-                let items: Vec<(Prefix, _)> = sig
-                    .iter()
-                    .map(|(&p, (mem, part))| {
-                        let nh = best_nh[&p];
-                        let key = if fec_grouping {
-                            (mem.clone(), part.clone(), nh, None)
-                        } else {
-                            // Ablation: every prefix its own group.
-                            (mem.clone(), part.clone(), nh, Some(p))
-                        };
-                        (p, key)
-                    })
-                    .collect();
-                let parts = partition_by_signature(items);
-                let memberships = parts.iter().map(|ps| sig[&ps[0]].clone()).collect();
-                let defaults = parts.iter().map(|ps| best_nh[&ps[0]]).collect();
-                (parts, memberships, defaults)
-            })
-        };
+        let fecs: Vec<MergedFecs> = self.compile_fecs(rs, workers, &viewer_rules, &reg);
 
         // ---- Phase B (serial, viewer order): VNH assignment. The whole
         // batch is reserved up front *by content-addressed key* and
@@ -577,8 +486,8 @@ impl SdxCompiler {
         // (viewer, member prefixes, best next hop) survived from the
         // previous compilation keeps its exact id/VNH/VMAC, so
         // re-optimization only relabels what actually changed; on a fresh
-        // allocator no key is mapped and id order matches what
-        // one-at-a-time serial allocation produced.
+        // allocator no key is mapped and ids follow group enumeration
+        // order, whatever the shard count.
         let mut groups: BTreeMap<ParticipantId, Vec<FecGroup>> = BTreeMap::new();
         let mut rule_membership: BTreeMap<ParticipantId, Vec<GroupMembership>> = BTreeMap::new();
         let wanted: Vec<FecKey> = viewer_rules
@@ -595,29 +504,7 @@ impl SdxCompiler {
                     })
             })
             .collect();
-        // Sharded: each group's fresh id comes from the sub-range of the
-        // shard owning its first member prefix, so per-shard id draws are
-        // independent of how other shards churn (keyed reuse still looks
-        // up across the whole pool). Repartitioning an allocator with
-        // live ids is impossible without renumbering, so when sharding is
-        // switched on mid-life we *defer*: compile sharded against the
-        // allocator's current (coarser) partitioning — purely a perf
-        // concession, keyed identity and equivalence are id-agnostic —
-        // and count the deferral so operators can see it.
-        let shard_plan: Option<ShardPlan> = if let Some(n) = resolved_shards {
-            if vnh.ensure_partitions(n).is_err() {
-                reg.inc("compile.shard.repartition_deferred.count");
-            }
-            self.shard_cache.as_ref().map(|c| c.plan.clone())
-        } else {
-            None
-        };
-        let reservation = match &shard_plan {
-            Some(plan) => vnh.reserve_keyed_sharded(&wanted, |k| {
-                k.prefixes.first().map_or(0, |&p| plan.shard_of(p))
-            })?,
-            None => vnh.reserve_keyed(&wanted)?,
-        };
+        let reservation = vnh.reserve_keyed(&wanted)?;
         reg.add("vnh.reused.count", reservation.reused_len() as u64);
         reg.add("vnh.fresh.count", reservation.fresh_len() as u64);
         let mut triples = reservation.triples().iter();
@@ -781,11 +668,10 @@ impl SdxCompiler {
         // ---- Phase D (parallel per receiver): stage-2 delivery blocks.
         // Each receiver's deliverable VMACs are ordered by *group
         // enumeration rank* (viewer asc, group position), not by MAC
-        // bytes: on a fresh unpartitioned allocator the two orders
-        // coincide (ids are drawn sequentially in enumeration order), but
-        // under sharded sub-range draws — or keyed reuse from an older
-        // allocator — byte order would follow the accidents of id
-        // assignment and stage-2 rule order would diverge between
+        // bytes: on a fresh allocator the two orders coincide (ids are
+        // drawn sequentially in enumeration order), but under keyed reuse
+        // from an older allocator byte order would follow the accidents
+        // of id assignment and stage-2 rule order would diverge between
         // equivalent compiles. Rank order makes stage 2 a function of the
         // groups themselves.
         let mac_rank: HashMap<MacAddr, u32> = groups
@@ -864,18 +750,18 @@ impl SdxCompiler {
         })
     }
 
-    /// Phase A, sharded (see [`crate::shard`]): recompute the signature
-    /// slice of every **dirty** `(shard, viewer)` unit — a shard is dirty
-    /// when the route server's compile-dirty set names a prefix in its
-    /// range — reuse every clean unit from the cache, then merge the
-    /// disjoint per-shard slices per viewer and run the *global* FEC
-    /// partition over the union. Because signatures are per-prefix, the
-    /// merged map equals the unsharded phase-A map exactly, so the
-    /// partition (and everything downstream) is the unsharded one; the
+    /// Phase A (see [`crate::shard`]): recompute the signature slice of
+    /// every **dirty** `(shard, viewer)` unit — a shard is dirty when the
+    /// route server's compile-dirty set names a prefix in its range —
+    /// reuse every clean unit from the cache, then merge the disjoint
+    /// per-shard slices per viewer and run the *global* FEC partition over
+    /// the union. Because signatures are per-prefix, the merged map equals
+    /// the whole-exchange phase-A map exactly, so the partition (and
+    /// everything downstream) does not depend on the shard count; the
     /// merge plus the shared partition is the entire cross-shard
     /// coordination pass (per-viewer best-route defaults ride in the
-    /// signature, wide-match policies are joined by every shard against
-    /// its own slice, and VMAC tag sub-ranges are assigned in phase B).
+    /// signature, and wide-match policies are joined by every shard
+    /// against its own slice).
     ///
     /// The cache is thrown away whole on any fingerprint mismatch (plan
     /// size, structural book epoch, route-server identity,
@@ -897,14 +783,14 @@ impl SdxCompiler {
     ///   else about a unit is a function of the rule list and the route
     ///   server, so the surviving units are *exactly* the ones a full
     ///   recompute would reproduce.
-    fn compile_fecs_sharded(
+    fn compile_fecs(
         &mut self,
         rs: &RouteServer,
-        n: usize,
         workers: usize,
         viewer_rules: &[(ParticipantId, &[FwdRule])],
         reg: &SharedRegistry,
-    ) -> Vec<ViewerFecs> {
+    ) -> Vec<MergedFecs> {
+        let n = clamp_shards(self.options.shards);
         let fec_grouping = self.options.fec_grouping;
         let break_consistency = self.options.break_consistency_filter;
         let valid = match self.shard_cache.take() {
@@ -1112,7 +998,12 @@ impl SdxCompiler {
         let units: Vec<ShardUnit> = parallel_map(workers, &work, |_, &(s, viewer, rules)| {
             let _unit_timer = reg.start_timer("compile.shard.unit");
             let (lo, hi) = plan.range(s);
+            // Affected set per rule: prefixes the target exported to the
+            // viewer, overlapped by the rule's destination constraint.
+            // signature(p) = (rules touching p, partial marks, default nh).
             let mut sig: BTreeMap<Prefix, GroupMembership> = BTreeMap::new();
+            // Many rules share the same target: cache the BGP join per
+            // next hop.
             let mut via_cache: HashMap<ParticipantId, Vec<Prefix>> = HashMap::new();
             for (k, rule) in rules.iter().enumerate() {
                 if rule.rewritten_dst().is_some() {
@@ -1123,9 +1014,9 @@ impl SdxCompiler {
                 };
                 let via = via_cache.entry(nh).or_insert_with(|| {
                     if break_consistency {
-                        // Sabotage knob, range-restricted like the real
-                        // join so the oracle acceptance test still works
-                        // against sharded compiles.
+                        // Sabotage knob (see `CompileOptions`): ignore the
+                        // Adj-RIB-Out filter and join on everything the
+                        // target ever announced in this range.
                         rs.loc_rib().announced_by_in(nh, lo, hi).collect()
                     } else {
                         rs.prefixes_via_bounded(viewer, nh, lo, hi)
@@ -1145,6 +1036,8 @@ impl SdxCompiler {
                     }
                 }
             }
+            // One batched decision pass: every affected prefix is resolved
+            // exactly once.
             let best_nh = sig
                 .keys()
                 .map(|&p| (p, rs.best_for(viewer, p).map(|r| r.source.participant)))
@@ -1168,11 +1061,11 @@ impl SdxCompiler {
 
         // Deterministic merge: per viewer, union the per-shard slices
         // (disjoint prefix ranges, so insertion order is irrelevant) and
-        // partition globally — identical inputs to the unsharded
-        // partition, hence identical groups. Viewers whose units all
+        // partition globally — the same inputs at every shard count,
+        // hence the same groups. Viewers whose units all
         // survived unchanged reuse last compile's merged output.
         let merge_t = Instant::now();
-        let fecs: Vec<ViewerFecs> = viewer_rules
+        let fecs: Vec<MergedFecs> = viewer_rules
             .iter()
             .map(|&(viewer, _)| {
                 if !merge_dirty.contains(&viewer) {
@@ -1196,8 +1089,7 @@ impl SdxCompiler {
                 }
                 // Signature keys borrow the cached sets: grouping only
                 // needs Ord/Eq, and `&BTreeSet` compares by contents, so
-                // the partition is identical to the unsharded one without
-                // cloning two sets per prefix on every compile.
+                // nothing clones two sets per prefix on every compile.
                 let items: Vec<(Prefix, _)> = sig
                     .iter()
                     .map(|(&p, &mem)| {
@@ -1472,18 +1364,11 @@ mod tests {
             Parallelism::Auto,
         ] {
             compiler.options.parallelism = par;
+            // Cold, or phase A would be cache-served and never fan out.
+            compiler.clear_unit_cache();
             let report = run(&mut compiler, &rs);
             assert_reports_identical(&report, &serial, &format!("{par:?}"));
         }
-    }
-
-    #[test]
-    fn index_ablation_output_is_byte_identical() {
-        let (mut compiler, rs) = figure1();
-        let indexed = run(&mut compiler, &rs);
-        compiler.options.index_acceleration = false;
-        let scanned = run(&mut compiler, &rs);
-        assert_reports_identical(&indexed, &scanned, "index ablation");
     }
 
     #[test]
@@ -1534,26 +1419,32 @@ mod tests {
         );
     }
 
-    #[test]
-    fn sharded_compile_is_canonically_identical_to_unsharded() {
+    /// The reference every equivalence test below compares against: a
+    /// fresh compiler (no cached unit) at one shard, i.e. the
+    /// whole-exchange computation through the only phase A there is.
+    fn cold_one_shard() -> (SdxCompiler, RouteServer) {
         let (mut compiler, rs) = figure1();
-        let pool = VnhAllocator::default_pool();
-        let baseline = crate::shard::canonicalize_report(&run(&mut compiler, &rs), pool);
-        for sharding in [
-            crate::shard::Sharding::Shards(2),
-            crate::shard::Sharding::Shards(8),
-            crate::shard::Sharding::Auto,
-        ] {
-            compiler.options.sharding = sharding;
-            let report = crate::shard::canonicalize_report(&run(&mut compiler, &rs), pool);
-            assert_reports_identical(&report, &baseline, &format!("{sharding:?}"));
+        compiler.options.shards = 1;
+        (compiler, rs)
+    }
+
+    #[test]
+    fn cold_compile_is_identical_at_every_shard_count() {
+        let (mut one, rs) = cold_one_shard();
+        let baseline = run(&mut one, &rs);
+        // Ids come from one pool in group enumeration order, so cold
+        // compiles agree byte for byte — no canonicalization needed.
+        for shards in [2, DEFAULT_SHARDS, 16] {
+            let (mut compiler, rs) = figure1();
+            compiler.options.shards = shards;
+            let report = run(&mut compiler, &rs);
+            assert_reports_identical(&report, &baseline, &format!("{shards} shards"));
         }
     }
 
     #[test]
-    fn sharded_idle_recompile_skips_every_shard() {
+    fn idle_recompile_skips_every_shard() {
         let (mut compiler, rs) = figure1();
-        compiler.options.sharding = crate::shard::Sharding::Shards(4);
         let mut vnh = VnhAllocator::default();
         let r1 = compiler.compile_all(&rs, &mut vnh).unwrap();
         let skipped = compiler.telemetry().counter("compile.shard.skipped.count");
@@ -1564,20 +1455,23 @@ mod tests {
         // Nothing changed: the cache serves every unit, and keyed VNH
         // reuse makes the reports identical without canonicalization.
         let r2 = compiler.compile_all(&rs, &mut vnh).unwrap();
-        assert_eq!(skipped.get() - s0, 4, "all four shards skipped");
+        assert_eq!(
+            skipped.get() - s0,
+            DEFAULT_SHARDS as u64,
+            "every shard skipped"
+        );
         assert_eq!(recompiled.get() - r0, 0, "no shard recomputed");
-        assert_reports_identical(&r1, &r2, "idle sharded recompile");
+        assert_reports_identical(&r1, &r2, "idle recompile");
     }
 
     #[test]
-    fn sharded_delta_recompile_touches_only_dirty_shards_and_matches_unsharded() {
+    fn delta_recompile_touches_only_dirty_shards_and_matches_cold_compile() {
         let (mut compiler, mut rs) = figure1();
-        compiler.options.sharding = crate::shard::Sharding::Shards(4);
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
         // One prefix churns (B's path for p1 changes): exactly one shard
-        // is dirty, and the patched sharded output equals a from-scratch
-        // unsharded compile of the same world.
+        // is dirty, and the patched output equals a from-scratch
+        // one-shard compile of the same world.
         let msg = compiler
             .participant(ParticipantId(2))
             .unwrap()
@@ -1587,27 +1481,26 @@ mod tests {
             .telemetry()
             .counter("compile.shard.recompiled.count");
         let r0 = recompiled.get();
-        let sharded = compiler.compile_all(&rs, &mut vnh).unwrap();
+        let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
         assert_eq!(recompiled.get() - r0, 1, "one dirty prefix, one shard");
-        let (mut fresh, mut rs2) = figure1();
+        let (mut fresh, mut rs2) = cold_one_shard();
         rs2.process_update(ParticipantId(2), &msg);
-        let unsharded = run(&mut fresh, &rs2);
+        let cold = run(&mut fresh, &rs2);
         let pool = VnhAllocator::default_pool();
         assert_reports_identical(
-            &crate::shard::canonicalize_report(&sharded, pool),
-            &crate::shard::canonicalize_report(&unsharded, pool),
-            "sharded delta vs unsharded from scratch",
+            &crate::shard::canonicalize_report(&warm, pool),
+            &crate::shard::canonicalize_report(&cold, pool),
+            "warm delta vs cold one-shard compile",
         );
     }
 
     #[test]
     fn export_policy_change_leaves_idle_shards_cache_served() {
         let (mut compiler, mut rs) = figure1();
-        compiler.options.sharding = crate::shard::Sharding::Shards(4);
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
         // D announces exactly one prefix (50/8). Denying D's exports to A
-        // dirties only 50/8's shard; the other three are cache-served.
+        // dirties only 50/8's shard; the others are cache-served.
         let mut export = ExportPolicy::allow_all();
         export.deny(ParticipantId(1), prefix("50.0.0.0/8"));
         rs.set_export_policy(ParticipantId(4), export.clone());
@@ -1618,12 +1511,15 @@ mod tests {
         let (s0, r0) = (skipped.get(), recompiled.get());
         let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
         assert_eq!(recompiled.get() - r0, 1, "only 50/8's shard recompiles");
-        assert_eq!(skipped.get() - s0, 3, "idle shards are cache-served");
+        assert_eq!(
+            skipped.get() - s0,
+            DEFAULT_SHARDS as u64 - 1,
+            "idle shards are cache-served"
+        );
         // The narrowed invalidation is still correct: the patched table
         // equals a from-scratch compile of the same world.
         let (mut cold, mut rs2) = figure1();
         rs2.set_export_policy(ParticipantId(4), export);
-        cold.options.sharding = crate::shard::Sharding::Shards(4);
         let cold_report = run(&mut cold, &rs2);
         let pool = VnhAllocator::default_pool();
         assert_reports_identical(
@@ -1636,7 +1532,7 @@ mod tests {
     #[test]
     fn shard_cache_invalidates_on_policy_change_and_foreign_route_server() {
         let (mut compiler, rs) = figure1();
-        compiler.options.sharding = crate::shard::Sharding::Shards(4);
+        let n = DEFAULT_SHARDS as u64;
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
         let recompiled = compiler
@@ -1659,26 +1555,18 @@ mod tests {
         compiler.compile_all(&rs, &mut vnh).unwrap();
         let dirtied = dirty_units.get() - d1;
         assert!(dirtied >= 1, "the edited viewer's units recompute");
-        assert!(dirtied <= 4, "only one viewer's units recompute: {dirtied}");
+        assert!(dirtied <= n, "only one viewer's units recompute: {dirtied}");
         // A structural book mutation bumps the epoch → full rebuild.
         let r1 = recompiled.get();
         compiler.upsert_participant(ParticipantConfig::new(9, 65009, 1));
         compiler.compile_all(&rs, &mut vnh).unwrap();
-        assert_eq!(
-            recompiled.get() - r1,
-            4,
-            "book mutation rebuilds all shards"
-        );
+        assert_eq!(recompiled.get() - r1, n, "book mutation rebuilds all");
         // A *different* route server instance (here: a clone) has a fresh
         // compile identity → full rebuild, never stale slices.
         let r2 = recompiled.get();
         let snapshot = rs.clone();
         compiler.compile_all(&snapshot, &mut vnh).unwrap();
-        assert_eq!(
-            recompiled.get() - r2,
-            4,
-            "foreign instance rebuilds all shards"
-        );
+        assert_eq!(recompiled.get() - r2, n, "foreign instance rebuilds all");
     }
 
     #[test]
@@ -1687,7 +1575,6 @@ mod tests {
         // every which way against a warm shard cache and require the
         // incremental output to equal a cold compile of the same world.
         let (mut compiler, rs) = figure1();
-        compiler.options.sharding = crate::shard::Sharding::Shards(4);
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
         let pool = VnhAllocator::default_pool();
@@ -1741,7 +1628,7 @@ mod tests {
         for (what, mutate) in mutations {
             mutate(&mut compiler);
             let incremental = compiler.compile_all(&rs, &mut vnh).unwrap();
-            let (mut cold, rs2) = (figure1().0, rs.clone());
+            let (mut cold, rs2) = (cold_one_shard().0, rs.clone());
             // Copy the warm book over so the cold compiler sees the same
             // post-mutation world.
             for cfg in compiler.participants().clone().into_values() {

@@ -30,7 +30,6 @@ use crate::faults::{FaultPlan, InjectionPoint};
 use crate::fec::{FecGroup, FecId};
 use crate::incremental::DeltaResult;
 use crate::participant::ParticipantConfig;
-use crate::shard::Sharding;
 use crate::transform::TransformError;
 use crate::txn::{DeltaTxn, FabricTxn, Taken, UndoLog};
 use crate::vnh::VnhAllocator;
@@ -158,7 +157,7 @@ impl SdxController {
         result
     }
 
-    /// Under a sharded compile, attributes a reconcile patch back to
+    /// Attributes a reconcile patch back to the compile's prefix-range
     /// shards: how many flow-mods each shard's slice produced, how many
     /// landed outside any shard (wildcard / MAC-learning rules), and how
     /// many shards produced any at all. A well-localized delta shows
@@ -260,13 +259,6 @@ impl SdxController {
     ) -> Result<&CompileReport, SdxError> {
         self.stage_policy_delta(delta)?;
         self.reoptimize(fabric)
-    }
-
-    /// Selects the compile sharding mode for every subsequent
-    /// [`reoptimize`](Self::reoptimize) (see
-    /// [`CompileOptions::sharding`](crate::compiler::CompileOptions)).
-    pub fn set_sharding(&mut self, sharding: Sharding) {
-        self.compiler.options.sharding = sharding;
     }
 
     /// Pre-flight validation of an outbound policy, before installation:
@@ -1135,11 +1127,10 @@ mod tests {
     }
 
     #[test]
-    fn sharded_reoptimize_forwards_identically_and_attributes_mods() {
+    fn reoptimize_forwards_identically_and_attributes_mods() {
         let (mut ctl, mut fabric) = deployment();
-        ctl.set_sharding(Sharding::Shards(4));
         ctl.reoptimize(&mut fabric).unwrap();
-        // Same forwarding behaviour as the unsharded deploy.
+        // Same forwarding behaviour as the deploy.
         let out = fabric.send(
             PortId::Phys(pid(3), 1),
             Packet::tcp(ip("99.0.0.1"), ip("54.1.2.3"), 5000, 80),
@@ -1147,9 +1138,11 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, PortId::Phys(pid(2), 1));
         let snap = ctl.telemetry.snapshot();
-        assert_eq!(snap.gauges.get("compile.shard.count"), Some(&4));
-        // The sharded recompile after the unsharded deploy is a full
-        // rebuild; its reconcile patch was attributed per shard.
+        assert_eq!(
+            snap.gauges.get("compile.shard.count"),
+            Some(&(crate::shard::DEFAULT_SHARDS as i64))
+        );
+        // Every reconcile patch is attributed per shard.
         assert!(snap.counters.contains_key("reconcile.shard.touched.count"));
         let before = snap.counters["compile.shard.recompiled.count"];
         // A localized churn event recompiles only the dirty shard, and
@@ -1567,7 +1560,6 @@ mod tests {
     #[test]
     fn policy_delta_recompiles_only_affected_viewer() {
         let (mut ctl, mut fabric) = deployment();
-        ctl.set_sharding(Sharding::Shards(4));
         ctl.reoptimize(&mut fabric).unwrap();
         let snap = ctl.telemetry.snapshot();
         let r0 = snap.counters["compile.shard.recompiled.count"];
@@ -1591,7 +1583,7 @@ mod tests {
         );
         let dirty = snap.counters["policy.dirty_units.count"] - d0;
         assert!(
-            (1..=4).contains(&dirty),
+            (1..=crate::shard::DEFAULT_SHARDS as u64).contains(&dirty),
             "only the editing viewer's units recompile, got {dirty}"
         );
         assert_eq!(snap.counters.get("policy.applied.count"), Some(&1));
@@ -1631,7 +1623,6 @@ mod tests {
     #[test]
     fn scheduled_policy_delta_converges_like_plain_path() {
         let (mut ctl, mut fabric) = deployment();
-        ctl.set_sharding(Sharding::Shards(4));
         ctl.reoptimize(&mut fabric).unwrap();
         let delta = PolicyDelta::new().retract_outbound(pid(3));
         ctl.stage_policy_delta(&delta).expect("stage");

@@ -25,12 +25,6 @@ pub enum SdxError {
     VnhExhausted {
         /// The pool that ran dry.
         pool: Prefix,
-        /// When the allocator is range-partitioned for sharded
-        /// compilation, the index of the shard whose sub-range ran dry
-        /// (`None` for an unpartitioned allocator — the whole pool is
-        /// one range). Lets the operator grow or rebalance the right
-        /// sub-range instead of guessing.
-        shard: Option<usize>,
     },
     /// Pre-commit validation rejected a compiled result; the installed
     /// fabric was left untouched.
@@ -76,10 +70,7 @@ impl core::fmt::Display for SdxError {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             SdxError::Transform(e) => write!(f, "policy transformation failed: {e}"),
-            SdxError::VnhExhausted { pool, shard } => match shard {
-                Some(s) => write!(f, "VNH pool {pool} exhausted in shard {s}'s sub-range"),
-                None => write!(f, "VNH pool {pool} exhausted"),
-            },
+            SdxError::VnhExhausted { pool } => write!(f, "VNH pool {pool} exhausted"),
             SdxError::InvalidCommit(why) => {
                 write!(f, "fabric commit rejected: {why}")
             }
@@ -139,15 +130,8 @@ mod tests {
         assert!(e.to_string().contains("multicast"));
         let e = SdxError::VnhExhausted {
             pool: prefix("10.0.0.0/30"),
-            shard: None,
         };
         assert!(e.to_string().contains("exhausted"));
-        let e = SdxError::VnhExhausted {
-            pool: prefix("10.0.0.0/30"),
-            shard: Some(3),
-        };
-        let s = e.to_string();
-        assert!(s.contains("exhausted") && s.contains("shard 3"));
         let e = SdxError::Injected(InjectionPoint::FabricCommit);
         assert!(e.to_string().contains("fabric-commit"));
         let e = SdxError::UpdateAborted {
@@ -172,7 +156,6 @@ mod tests {
         assert!(e.source().is_some());
         assert!(SdxError::VnhExhausted {
             pool: prefix("10.0.0.0/30"),
-            shard: None
         }
         .source()
         .is_none());

@@ -69,6 +69,6 @@ pub use schedule::{
     MultiFabricSink, ScheduleOpts, ScheduleReport, UpdatePlan, WaveReport, WaveSink,
 };
 pub use service_chain::ServiceChain;
-pub use shard::{canonicalize_report, ShardPlan, Sharding};
+pub use shard::{canonicalize_report, ShardPlan, DEFAULT_SHARDS};
 pub use txn::{DeltaTxn, FabricTxn};
 pub use vnh::VnhAllocator;

@@ -1,51 +1,45 @@
-//! Sharded full-table compilation (ROADMAP item 1).
+//! Phase A's unit of work: contiguous prefix-range shards.
 //!
-//! A whole-world [`compile_all`](crate::compiler::SdxCompiler::compile_all)
-//! tops out around 200 participants / 24k prefixes; a real large IXP
-//! (AMS-IX in the paper's Table 1) has ~600 peers and a near-full Internet
-//! table. This module partitions the prefix space into contiguous ranges —
-//! a [`ShardPlan`] — so the expensive per-viewer phase (BGP joins, affected
-//! sets, decision resolution) runs **per (shard, viewer) unit** over only
-//! its slice of the Loc-RIB, with a range-partitioned
-//! [`VnhAllocator`](crate::vnh::VnhAllocator) giving each shard a disjoint
-//! id sub-range.
+//! [`compile_all`](crate::compiler::SdxCompiler::compile_all) partitions
+//! the prefix space into contiguous ranges — a [`ShardPlan`] — and runs the
+//! expensive per-viewer phase (BGP joins, affected sets, decision
+//! resolution) **per (shard, viewer) unit** over only its slice of the
+//! Loc-RIB. There is no whole-exchange variant: a cold compile is the case
+//! where every unit is dirty.
 //!
-//! ## Equivalence by construction
+//! ## Shard-count invariance by construction
 //!
-//! The design invariant that makes sharding *provable* rather than merely
-//! plausible: the FEC signature of a prefix (`(rule membership, partial
-//! marks, best next hop)`) is computed **per prefix** — it never looks at
-//! any other prefix. So restricting a compile unit to a contiguous prefix
-//! range and then unioning the per-shard signature maps reproduces the
-//! unsharded signature map *exactly*, and the global
+//! The FEC signature of a prefix (`(rule membership, partial marks, best
+//! next hop)`) is computed **per prefix** — it never looks at any other
+//! prefix. So restricting a compile unit to a contiguous prefix range and
+//! then unioning the per-shard signature maps reproduces the
+//! whole-exchange signature map *exactly*, and the global
 //! [`partition_by_signature`](crate::fec::partition_by_signature) over the
-//! merged map yields the identical FEC partition, group for group. The
-//! merge step — plus the global partition, the per-viewer best-route
-//! defaults it carries, and the shared VMAC tag space — *is* the bounded
-//! cross-shard coordination the ROADMAP calls for; wide-match policies
-//! that straddle ranges need no special casing because every shard joins
-//! the same rules against its own slice.
+//! merged map yields the same FEC partition, group for group, at every
+//! shard count. The merge step — plus the global partition and the
+//! per-viewer best-route defaults it carries — is the whole cross-shard
+//! coordination; wide-match policies that straddle ranges need no special
+//! casing because every shard joins the same rules against its own slice.
 //!
-//! The one observable difference is **id numbering**: a sharded compile
-//! draws each group's `(FecId, VNH, VMAC)` from its owner shard's
-//! sub-range, so ids differ from the unsharded run's sequential order
-//! while the induced forwarding function is the same.
-//! [`canonicalize_report`] quotients that away — it relabels any report's
-//! ids into a canonical enumeration order so equivalence suites can assert
-//! *byte equality* between sharded and unsharded output (see
+//! Group ids are drawn from the one VNH pool in group enumeration order,
+//! so cold compiles number their groups identically whatever the count;
+//! a *warm* compile keeps surviving groups on the ids they already hold
+//! (keyed reuse), which a cold compile of the same world would number
+//! differently. [`canonicalize_report`] quotients that away — it relabels
+//! any report's ids into canonical enumeration order so equivalence suites
+//! can assert *byte equality* between a warm and a cold compile (see
 //! `tests/shard_props.rs`), and the differential oracle checks the
 //! uncanonicalized artifacts end-to-end (`tests/shard_oracle.rs`).
 //!
 //! ## Incremental recompilation
 //!
-//! The payoff beyond the one-shot compile: the compiler caches each
-//! `(shard, viewer)` unit's signature slice and recomputes only units
-//! whose shard contains a dirty prefix (tracked by the route server's
-//! compile-dirty set). A BGP burst that touches one /8 recompiles one
-//! shard's units; an idle reoptimize recomputes **zero**
-//! (`compile.shard.skipped.count` equals the shard count). This is where
-//! the AMS-IX replay bench (`repro_shard_scaling`) gets its speedup — the
-//! phase-A join dominates compile time, and churn is spatially local.
+//! The compiler caches each `(shard, viewer)` unit's signature slice and
+//! recomputes only units whose shard contains a dirty prefix (tracked by
+//! the route server's compile-dirty set) or whose viewer's outbound rules
+//! changed. A BGP burst that touches one /8 recompiles one shard's units;
+//! an idle reoptimize recomputes **zero** (`compile.shard.skipped.count`
+//! equals the shard count). The phase-A join dominates compile time and
+//! churn is spatially local, which is why the count matters at all.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -57,42 +51,18 @@ use crate::compiler::CompileReport;
 use crate::fec::{FecGroup, FecId};
 
 /// Upper bound on the shard count — far above any useful fan-out, but
-/// keeps a typo'd `Shards(1 << 30)` from allocating absurd plans.
+/// keeps a typo'd `1 << 30` from allocating absurd plans.
 pub const MAX_SHARDS: usize = 4096;
 
-/// How [`compile_all`](crate::compiler::SdxCompiler::compile_all)
-/// partitions the prefix space.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Sharding {
-    /// The whole-world pipeline, unchanged (the equivalence baseline).
-    #[default]
-    Off,
-    /// Exactly `n` contiguous prefix-range shards (rounded up to a power
-    /// of two, clamped to `[1, MAX_SHARDS]`).
-    Shards(usize),
-    /// Follow the VNH allocator's existing partition count when it is
-    /// already partitioned (so compile-side sharding and id sub-ranges
-    /// can never disagree), else 8.
-    Auto,
-}
+/// The shard count production compiles at. Eight ranges keep an idle or
+/// one-prefix recompile at an eighth of the table per touched viewer while
+/// the per-unit bookkeeping (8 × viewers cache entries) stays negligible;
+/// it is also what every committed benchmark number was measured at.
+pub const DEFAULT_SHARDS: usize = 8;
 
-impl Sharding {
-    /// The resolved shard count: `None` means run unsharded.
-    /// `vnh_partitions` is the allocator's current partition count.
-    pub fn resolve(self, vnh_partitions: usize) -> Option<usize> {
-        match self {
-            Sharding::Off => None,
-            Sharding::Shards(n) => Some(clamp_shards(n)),
-            Sharding::Auto => Some(clamp_shards(if vnh_partitions > 1 {
-                vnh_partitions
-            } else {
-                8
-            })),
-        }
-    }
-}
-
-fn clamp_shards(n: usize) -> usize {
+/// A requested shard count as the plan will use it: rounded up to a power
+/// of two, clamped to `[1, MAX_SHARDS]`.
+pub(crate) fn clamp_shards(n: usize) -> usize {
     n.clamp(1, MAX_SHARDS).next_power_of_two()
 }
 
@@ -205,7 +175,7 @@ impl ShardPlan {
 /// One cached `(shard, viewer)` compile unit: the signature slice and
 /// batched decisions for the viewer restricted to the shard's range.
 /// Merging the per-shard `sig`/`best_nh` maps (disjoint key ranges)
-/// reproduces the viewer's unsharded phase-A output exactly.
+/// gives the viewer's whole-exchange phase-A output exactly.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct ShardUnit {
     /// prefix → (rule memberships, partial-coverage marks), restricted to
@@ -227,7 +197,7 @@ pub(crate) struct ShardUnit {
 /// compile-dirty set is authoritative), and policy churn invalidates
 /// per `(participant, shard)` by diffing the viewer's cached outbound
 /// rule list against the fresh one (see
-/// `SdxCompiler::compile_fecs_sharded`).
+/// `SdxCompiler::compile_fecs`).
 #[derive(Debug)]
 pub(crate) struct ShardCache {
     pub(crate) plan: ShardPlan,
@@ -255,19 +225,19 @@ pub(crate) struct ShardCache {
     pub(crate) merged: HashMap<ParticipantId, MergedFecs>,
 }
 
-/// A viewer's merged phase-A result: FEC member lists, their memberships,
-/// and their default next hops, in partition order.
+/// A viewer's merged phase-A result — what `compile_fecs` hands phase B
+/// and what the cache keeps — in partition order.
 pub(crate) type MergedFecs = (
-    Vec<Vec<Prefix>>,
-    Vec<(BTreeSet<usize>, BTreeSet<usize>)>,
-    Vec<Option<ParticipantId>>,
+    Vec<Vec<Prefix>>,                        // prefix partition (the FEC groups)
+    Vec<(BTreeSet<usize>, BTreeSet<usize>)>, // per group: rule memberships
+    Vec<Option<ParticipantId>>,              // per group: default next hop
 );
 
 /// Relabels a report's `(FecId, VNH, VMAC)` identities into canonical
 /// enumeration order — groups numbered from 1 in `(viewer, position)`
 /// order — leaving everything else untouched. Two reports that induce the
-/// same forwarding function but drew ids differently (sharded sub-range
-/// draws, keyed reuse from an older allocator) canonicalize to **equal**
+/// same forwarding function but drew ids differently (keyed reuse from an
+/// older allocator against a cold compile) canonicalize to **equal**
 /// reports, so equivalence tests get to use plain `assert_eq!` instead of
 /// a bespoke bisimulation. Stats are copied verbatim (they carry
 /// wall-clock and are excluded from comparisons anyway).
@@ -391,15 +361,12 @@ mod tests {
     use sdx_net::{ip, prefix};
 
     #[test]
-    fn resolve_rounds_and_clamps() {
-        assert_eq!(Sharding::Off.resolve(1), None);
-        assert_eq!(Sharding::Shards(3).resolve(1), Some(4));
-        assert_eq!(Sharding::Shards(8).resolve(1), Some(8));
-        assert_eq!(Sharding::Shards(0).resolve(1), Some(1));
-        assert_eq!(Sharding::Shards(usize::MAX).resolve(1), Some(MAX_SHARDS));
-        assert_eq!(Sharding::Auto.resolve(1), Some(8));
-        assert_eq!(Sharding::Auto.resolve(4), Some(4));
-        assert_eq!(Sharding::default(), Sharding::Off);
+    fn shard_counts_round_and_clamp() {
+        assert_eq!(clamp_shards(3), 4);
+        assert_eq!(clamp_shards(8), 8);
+        assert_eq!(clamp_shards(0), 1);
+        assert_eq!(clamp_shards(usize::MAX), MAX_SHARDS);
+        assert_eq!(clamp_shards(DEFAULT_SHARDS), DEFAULT_SHARDS);
     }
 
     #[test]

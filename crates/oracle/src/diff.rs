@@ -6,7 +6,7 @@ use core::fmt;
 use sdx_bgp::route_server::RouteServer;
 use sdx_core::compiler::{CompileReport, SdxCompiler};
 use sdx_core::vnh::VnhAllocator;
-use sdx_core::{ShardPlan, Sharding};
+use sdx_core::ShardPlan;
 use sdx_net::{Ipv4Addr, Packet, PortId};
 use sdx_telemetry::{Event, Registry};
 
@@ -191,7 +191,22 @@ pub fn run_smoke(
     Ok(stats)
 }
 
-/// Probes aimed where sharding could go wrong: for every shard boundary
+/// The reference the equivalence suites compare an incremental compile
+/// against: a fresh [`SdxCompiler`] — so no cached unit — at **one** shard
+/// over a copy of `book`'s participants and of `rs`, on a fresh allocator.
+/// That is the whole-exchange computation through the only phase A there
+/// is. Global policy fragments are not copied (no suite installs any).
+pub fn cold_compile(book: &SdxCompiler, rs: &RouteServer) -> CompileReport {
+    let mut cold = SdxCompiler::new();
+    cold.options.shards = 1;
+    for cfg in book.participants().values() {
+        cold.upsert_participant(cfg.clone());
+    }
+    cold.compile_all(&rs.clone(), &mut VnhAllocator::default())
+        .expect("cold one-shard compile")
+}
+
+/// Probes aimed where the per-shard merge could go wrong: for every shard boundary
 /// in `plan`, the first address of the upper slice and the last address
 /// of the lower one (the two destinations a cross-shard merge bug would
 /// misclassify first), from every participant port, cycling through the
@@ -218,8 +233,8 @@ pub fn boundary_probes(compiler: &SdxCompiler, plan: &ShardPlan) -> Vec<(PortId,
     out
 }
 
-/// [`run_smoke`], compiled with [`Sharding::Shards`]`(shards)` over a
-/// partitioned allocator: every random probe plus a sweep of
+/// [`run_smoke`], compiled at `shards` prefix-range shards: every random
+/// probe plus a sweep of
 /// [`boundary_probes`] must get the verdict the spec interpreter gives —
 /// the spec knows nothing about shards, so any merge seam shows up as a
 /// mismatch. Returns counts or the first mismatch.
@@ -238,18 +253,18 @@ pub fn run_smoke_sharded(
     for i in 0..exchanges {
         let case = seed.wrapping_add(i as u64);
         let mut ex = synth::exchange(case);
-        ex.compiler.options.sharding = Sharding::Shards(shards);
+        ex.compiler.options.shards = shards;
         let mut vnh = VnhAllocator::new(VnhAllocator::default_pool());
         let report = ex
             .compiler
             .compile_all(&ex.rs, &mut vnh)
             .unwrap_or_else(|e| {
-                panic!("generated exchange (seed {case}) failed to compile sharded: {e:?}")
+                panic!("generated exchange (seed {case}) failed to compile: {e:?}")
             });
         let plan = ex
             .compiler
             .shard_plan()
-            .expect("sharded compile leaves a plan")
+            .expect("a compile leaves a plan")
             .clone();
         let diff = Differential::new(&ex.compiler, &ex.rs, &report);
         let mut probes = synth::packets(&ex, case, packets_per);

@@ -9,7 +9,6 @@
 use sdx_bgp::route_server::ExportPolicy;
 use sdx_core::controller::SdxController;
 use sdx_core::participant::ParticipantConfig;
-use sdx_core::shard::Sharding;
 use sdx_net::{prefix, FieldMatch, ParticipantId, PortId};
 use sdx_oracle::{synth, Differential, FabricEvaluator};
 use sdx_policy::{Policy as P, PolicyDelta};
@@ -57,9 +56,7 @@ fn seeded_controller() -> SdxController {
 #[test]
 fn policy_deltas_patch_to_the_from_scratch_table() {
     let mut ctl = seeded_controller();
-    ctl.set_sharding(Sharding::Shards(4));
     let mut fabric = ctl.deploy().expect("deploy");
-    ctl.reoptimize(&mut fabric).expect("sharded warmup");
 
     // A sequence of lifecycle events: replace, install (a participant
     // that never had a policy), inbound install, retract.
@@ -119,7 +116,6 @@ fn policy_deltas_patch_to_the_from_scratch_table() {
             cold.set_outbound(*p, cfg.outbound.clone());
             cold.set_inbound(*p, cfg.inbound.clone());
         }
-        cold.set_sharding(Sharding::Shards(4));
         let mut cold_fabric = cold.deploy().expect("cold deploy");
         for (from, pkt) in &probes {
             let warm: Vec<_> = fabric.send(*from, *pkt);

@@ -18,7 +18,7 @@
 use std::io::BufRead;
 
 use sdx_bgp::ExportPolicy;
-use sdx_core::{ParticipantConfig, SdxController, Sharding};
+use sdx_core::{ParticipantConfig, SdxController};
 use sdx_runtime::{daemon, DaemonConfig};
 
 fn main() {
@@ -44,17 +44,8 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--coalesce <n>");
             }
-            "--shards" => {
-                cfg.sharding = match args.next().as_deref() {
-                    Some("auto") => Sharding::Auto,
-                    Some(v) => Sharding::Shards(v.parse().expect("--shards <n>|auto")),
-                    None => panic!("--shards <n>|auto"),
-                };
-            }
             "--help" | "-h" => {
-                eprintln!(
-                    "usage: sdxd [--hold <s>] [--tick-ms <ms>] [--coalesce <n>] [--shards <n>|auto]"
-                );
+                eprintln!("usage: sdxd [--hold <s>] [--tick-ms <ms>] [--coalesce <n>]");
                 eprintln!("stdin: `reoptimize` triggers a scheduled update; `stop`/EOF shuts down");
                 return;
             }

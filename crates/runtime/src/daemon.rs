@@ -56,7 +56,7 @@ use sdx_bgp::wire::{self, StreamDecoder};
 use sdx_bgp::{Clock, OpenMessage, Supervisor, SupervisorConfig, SupervisorOutput, SystemClock};
 use sdx_core::reconcile::DELTA_BASE;
 use sdx_core::schedule::drive_fanout;
-use sdx_core::{ScheduleOpts, SdxController, Sharding};
+use sdx_core::{ScheduleOpts, SdxController};
 use sdx_net::{Asn, ParticipantId, Prefix, RouterId};
 use sdx_openflow::Fabric;
 use sdx_telemetry::{Counter, Event, SharedRegistry};
@@ -81,11 +81,6 @@ pub struct DaemonConfig {
     pub seed: u64,
     /// Session supervision parameters (damping, backoff).
     pub supervisor: SupervisorConfig,
-    /// Compile sharding for the coalesced-burst reoptimize path: each
-    /// burst recompiles only the shards its updates dirtied (see
-    /// `sdx_core::Sharding`). `compile.shard.*` timers and gauges land in
-    /// the shared registry and flow out the telemetry endpoint.
-    pub sharding: Sharding,
 }
 
 impl Default for DaemonConfig {
@@ -98,7 +93,6 @@ impl Default for DaemonConfig {
             drain_max: 256,
             seed: 7,
             supervisor: SupervisorConfig::default(),
-            sharding: Sharding::Off,
         }
     }
 }
@@ -181,7 +175,6 @@ pub fn start_with_clock(
     clock: Arc<dyn Clock>,
 ) -> std::io::Result<DaemonHandle> {
     let reg = ctl.telemetry.clone();
-    ctl.set_sharding(cfg.sharding);
     let mut fabric = ctl
         .deploy()
         .map_err(|e| std::io::Error::other(format!("deploy failed: {e}")))?;

@@ -216,9 +216,7 @@ fn policy_frames_stage_deltas_and_nack_garbage_over_the_wire() {
     // flows through the incremental compile into the connected agent's
     // table — oracle-verified. Garbage (unknown writer, non-JSON) gets a
     // typed nack and stages nothing.
-    let mut cfg = DaemonConfig::default();
-    cfg.sharding = sdx_core::Sharding::Shards(4);
-    let handle = daemon::start(figure1_controller(), cfg).expect("start");
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
     let reg = handle.telemetry().clone();
     let agent = spawn_agent(handle.openflow_addr).expect("agent");
     wait_counter(&reg, "daemon.switch_connected.count", 1);
@@ -738,13 +736,11 @@ fn bursts_coalesce_into_one_compile_under_backpressure() {
 
 #[test]
 fn sharded_daemon_is_oracle_identical_and_publishes_shard_telemetry() {
-    // The same wire-driven exchange, compiled with Shards(4) on the
-    // coalesced-burst path: the deployed table must stay probe-identical
-    // to the in-process unsharded deployment, and `compile.shard.*`
-    // telemetry must flow out the endpoint.
-    let mut cfg = DaemonConfig::default();
-    cfg.sharding = sdx_core::Sharding::Shards(4);
-    let handle = daemon::start(figure1_empty_rib(), cfg).expect("start");
+    // The same wire-driven exchange on the daemon's defaults, compiled
+    // incrementally on the coalesced-burst path: the deployed table must
+    // stay probe-identical to an in-process cold one-shard deployment,
+    // and `compile.shard.*` telemetry must flow out the endpoint.
+    let handle = daemon::start(figure1_empty_rib(), DaemonConfig::default()).expect("start");
     let reg = handle.telemetry().clone();
     let agent = spawn_agent(handle.openflow_addr).expect("agent");
     wait_counter(&reg, "daemon.switch_connected.count", 1);
@@ -785,18 +781,22 @@ fn sharded_daemon_is_oracle_identical_and_publishes_shard_telemetry() {
 
     // Shard telemetry made it into the registry the endpoint serves.
     let snap = reg.snapshot();
-    assert_eq!(snap.gauges.get("compile.shard.count"), Some(&4));
+    assert_eq!(
+        snap.gauges.get("compile.shard.count"),
+        Some(&(sdx_core::DEFAULT_SHARDS as i64))
+    );
     assert!(
         snap.counters.contains_key("compile.shard.recompiled.count"),
         "per-shard compile counters missing"
     );
 
-    // Oracle: sharded-over-sockets is verdict-identical to the
-    // in-process unsharded deployment of the same exchange.
+    // Oracle: incremental-over-sockets is verdict-identical to the
+    // in-process cold one-shard deployment of the same exchange.
     let ctl = report.ctl;
     let cr = ctl.report.as_ref().expect("compiled");
     let probes = probe_grid(&ctl.compiler, &ctl.rs);
     let mut inproc = figure1_controller();
+    inproc.compiler.options.shards = 1;
     let inproc_fabric = inproc.deploy().expect("in-process deploy");
     let inproc_cr = inproc.report.as_ref().expect("compiled");
     let sharded_eval =
@@ -812,7 +812,7 @@ fn sharded_daemon_is_oracle_identical_and_publishes_shard_telemetry() {
         let (inproc_out, _) = inproc_eval.verdict(*from, pkt);
         assert_eq!(
             sharded_out, inproc_out,
-            "sharded daemon and unsharded in-process disagree at {from:?} dst {}",
+            "daemon and cold one-shard in-process disagree at {from:?} dst {}",
             pkt.nw_dst
         );
     }

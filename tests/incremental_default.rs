@@ -1,0 +1,139 @@
+//! The default compile is incremental — shown by count, not by clock.
+//!
+//! `SdxController::new()` with no option touched, on the 50-participant
+//! exchange: an idle re-optimization recomputes no phase-A unit, a
+//! one-participant policy push recomputes units of that viewer only, and a
+//! one-prefix announcement recomputes units of the owning shard only —
+//! and each incremental result equals a cold one-shard compile of the
+//! same world ([`cold_compile`]) after canonical relabeling.
+
+use sdx::core::controller::SdxController;
+use sdx::core::{canonicalize_report, CompileReport, VnhAllocator, DEFAULT_SHARDS};
+use sdx::net::{FieldMatch, PortId};
+use sdx::openflow::fabric::Fabric;
+use sdx::policy::{Policy as P, PolicyDelta};
+use sdx_oracle::cold_compile;
+
+fn deployed_ixp50() -> (SdxController, Fabric) {
+    let (compiler, rs) = sdx::ixp::testkit::ixp50();
+    let mut ctl = SdxController::new();
+    ctl.compiler = compiler;
+    ctl.rs = rs;
+    let fabric = ctl.deploy().expect("deploy ixp50");
+    (ctl, fabric)
+}
+
+/// What phase A did since the previous reading: (route-dirty shards,
+/// cache-served shards, policy-dirty units, units actually recomputed).
+struct PhaseA {
+    last: [u64; 4],
+}
+
+impl PhaseA {
+    fn read(ctl: &SdxController) -> [u64; 4] {
+        let reg = ctl.compiler.telemetry();
+        [
+            reg.counter("compile.shard.recompiled.count").get(),
+            reg.counter("compile.shard.skipped.count").get(),
+            reg.counter("policy.dirty_units.count").get(),
+            reg.histogram("compile.shard.unit").count(),
+        ]
+    }
+
+    fn since_last(&mut self, ctl: &SdxController) -> [u64; 4] {
+        let now = Self::read(ctl);
+        let delta = std::array::from_fn(|i| now[i] - self.last[i]);
+        self.last = now;
+        delta
+    }
+}
+
+fn assert_equals_cold_compile(ctl: &SdxController, what: &str) {
+    let pool = VnhAllocator::default_pool();
+    let canon = |r: &CompileReport| canonicalize_report(r, pool);
+    let warm = canon(ctl.report.as_ref().expect("report"));
+    let cold = canon(&cold_compile(&ctl.compiler, &ctl.rs));
+    assert_eq!(warm.classifier, cold.classifier, "{what}: classifier");
+    assert_eq!(warm.groups, cold.groups, "{what}: groups");
+    assert_eq!(warm.arp_bindings, cold.arp_bindings, "{what}: ARP");
+    assert_eq!(warm.vnh_of, cold.vnh_of, "{what}: VNH map");
+}
+
+#[test]
+fn the_default_controller_recompiles_only_what_changed() {
+    let (mut ctl, mut fabric) = deployed_ixp50();
+    let shards = DEFAULT_SHARDS as u64;
+    let viewers = ctl
+        .compiler
+        .participants()
+        .values()
+        .filter(|c| c.outbound.is_some())
+        .count() as u64;
+    let mut phase_a = PhaseA {
+        last: PhaseA::read(&ctl),
+    };
+    assert_eq!(
+        phase_a.last[3],
+        shards * viewers,
+        "the deploy is the cold compile: every (shard, viewer) unit once"
+    );
+
+    // Idle: every shard is cache-served, nothing is recomputed.
+    ctl.reoptimize(&mut fabric).expect("idle reoptimize");
+    assert_eq!(phase_a.since_last(&ctl), [0, shards, 0, 0], "idle");
+
+    // One participant's policy push: no shard is route-dirty, and only
+    // that viewer's units — at most one per shard — are recomputed.
+    let editor = ctl
+        .compiler
+        .participants()
+        .values()
+        .find(|c| c.outbound.is_some())
+        .expect("ixp50 has outbound policies")
+        .id;
+    let target = ctl
+        .rs
+        .participants()
+        .find(|&p| p != editor && ctl.rs.loc_rib().announced_count(p) > 20)
+        .expect("an announcer");
+    let steer = P::match_(FieldMatch::TpDst(8080)) >> P::fwd(PortId::Virt(target));
+    ctl.apply_policy_delta(
+        &PolicyDelta::new().replace_outbound(editor, steer),
+        &mut fabric,
+    )
+    .expect("policy push");
+    let [route_dirty, served, policy_dirty, recomputed] = phase_a.since_last(&ctl);
+    assert_eq!((route_dirty, served), (0, shards), "policy push: shards");
+    assert!(
+        (1..=shards).contains(&policy_dirty) && recomputed == policy_dirty,
+        "policy push: {policy_dirty} units dirtied, {recomputed} recomputed"
+    );
+    assert_equals_cold_compile(&ctl, "policy push");
+
+    // One prefix re-announced with a longer path: one shard is dirty, and
+    // at most that shard's unit of each viewer is recomputed.
+    let (&(_, moved), _) = ctl
+        .report
+        .as_ref()
+        .expect("report")
+        .vnh_of
+        .first_key_value()
+        .expect("ixp50 has policy-affected prefixes");
+    let announcer = ctl.rs.loc_rib().candidates(moved)[0].source.participant;
+    let cfg = ctl.compiler.participant(announcer).expect("enrolled");
+    let msg = cfg.announce([moved], &[cfg.asn.0, 64_999, 64_998, 64_997]);
+    ctl.process_update(announcer, &msg, &mut fabric)
+        .expect("fast path");
+    ctl.reoptimize(&mut fabric).expect("reoptimize");
+    let [route_dirty, served, policy_dirty, recomputed] = phase_a.since_last(&ctl);
+    assert_eq!(
+        (route_dirty, served, policy_dirty),
+        (1, shards - 1, 0),
+        "one prefix: shards"
+    );
+    assert!(
+        (1..=viewers).contains(&recomputed),
+        "one prefix: {recomputed} units recomputed for {viewers} viewers"
+    );
+    assert_equals_cold_compile(&ctl, "one prefix");
+}

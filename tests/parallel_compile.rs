@@ -1,6 +1,6 @@
 //! Determinism tests for the parallel compile pipeline (DESIGN.md §11):
-//! `Parallelism::Threads(4)` — and the index-acceleration ablation — must
-//! produce a **byte-identical** `CompileReport` to `Parallelism::Serial`:
+//! `Parallelism::Threads(4)` must produce a **byte-identical**
+//! `CompileReport` to `Parallelism::Serial`:
 //! same classifier rules in the same order, same FEC groups, same VNH map,
 //! same ARP bindings. Checked on the paper's Figure 1 exchange and on a
 //! 50-participant `sdx-ixp` workload.
@@ -14,12 +14,12 @@ fn compile_with(
     compiler: &mut SdxCompiler,
     rs: &RouteServer,
     parallelism: Parallelism,
-    index_acceleration: bool,
 ) -> CompileReport {
     compiler.options.parallelism = parallelism;
-    compiler.options.index_acceleration = index_acceleration;
-    // Cold memo per run so every variant does identical work.
+    // Cold memo and cold unit cache per run so every variant does
+    // identical work (a warm phase A would never fan out).
     compiler.clear_memo();
+    compiler.clear_unit_cache();
     let mut vnh = VnhAllocator::default();
     compiler.compile_all(rs, &mut vnh).expect("compiles")
 }
@@ -49,28 +49,17 @@ fn assert_reports_identical(a: &CompileReport, b: &CompileReport, what: &str) {
 }
 
 fn check_all_variants(compiler: &mut SdxCompiler, rs: &RouteServer, scale: &str) {
-    let serial = compile_with(compiler, rs, Parallelism::Serial, true);
+    let serial = compile_with(compiler, rs, Parallelism::Serial);
     for threads in [2usize, 4, 8] {
-        let parallel = compile_with(compiler, rs, Parallelism::Threads(threads), true);
+        let parallel = compile_with(compiler, rs, Parallelism::Threads(threads));
         assert_reports_identical(
             &parallel,
             &serial,
             &format!("{scale}: threads({threads}) vs serial"),
         );
     }
-    let auto = compile_with(compiler, rs, Parallelism::Auto, true);
+    let auto = compile_with(compiler, rs, Parallelism::Auto);
     assert_reports_identical(&auto, &serial, &format!("{scale}: auto vs serial"));
-    // The scan ablation (no inverted index, no decision cache) must also
-    // reproduce the exact same report — it only changes *how* the BGP
-    // joins are answered, never the answers.
-    let scanned = compile_with(compiler, rs, Parallelism::Serial, false);
-    assert_reports_identical(&scanned, &serial, &format!("{scale}: scan vs indexed"));
-    let parallel_scanned = compile_with(compiler, rs, Parallelism::Threads(4), false);
-    assert_reports_identical(
-        &parallel_scanned,
-        &serial,
-        &format!("{scale}: threads(4)+scan vs serial"),
-    );
 }
 
 #[test]

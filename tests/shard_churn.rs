@@ -1,14 +1,13 @@
-//! Churn-replay equivalence through the sharded delta path.
+//! Churn-replay equivalence through the incremental delta path.
 //!
-//! Two controllers receive the *identical* randomized event stream —
-//! announces, withdrawals, export flips — burst by burst: one compiles
-//! with [`Sharding::Shards`]`(8)` (so each reoptimize recompiles only the
-//! shards the burst dirtied, against the warm shard cache), the other
-//! stays unsharded and rebuilds from scratch every time. After every
-//! burst the sharded controller's *patched* table must be
+//! A controller on its defaults receives a randomized event stream —
+//! announces, withdrawals, export flips — burst by burst, so each
+//! reoptimize recompiles only the shards the burst dirtied, against the
+//! warm unit cache. After every burst its *patched* table must be
 //!
-//! 1. canonically report-identical to the from-scratch unsharded
-//!    compile of the same world, and
+//! 1. canonically report-identical to a cold one-shard compile of the
+//!    same world ([`cold_compile`]: fresh compiler, nothing cached, fresh
+//!    allocator), and
 //! 2. oracle-equivalent to the spec interpreter over its deployed flow
 //!    table (patch history and all).
 //!
@@ -20,14 +19,13 @@ use sdx::bgp::msg::UpdateMessage;
 use sdx::bgp::route_server::ExportPolicy;
 use sdx::core::controller::SdxController;
 use sdx::core::participant::ParticipantConfig;
-use sdx::core::{canonicalize_report, Sharding, VnhAllocator};
+use sdx::core::{canonicalize_report, VnhAllocator, DEFAULT_SHARDS};
 use sdx::net::{Ipv4Addr, ParticipantId, Prefix};
 use sdx::openflow::fabric::Fabric;
 use sdx_oracle::synth::{probe_grid, Rng};
-use sdx_oracle::Differential;
+use sdx_oracle::{cold_compile, Differential};
 
 const PARTICIPANTS: u32 = 6;
-const SHARDS: usize = 8;
 const BURSTS: usize = 8;
 
 fn pid(n: u32) -> ParticipantId {
@@ -38,9 +36,8 @@ fn p8(octet: u8) -> Prefix {
     Prefix::new(Ipv4Addr::new(octet, 0, 0, 0), 8)
 }
 
-fn build(sharding: Sharding) -> (SdxController, Fabric, Vec<ParticipantConfig>) {
+fn build() -> (SdxController, Fabric, Vec<ParticipantConfig>) {
     let mut ctl = SdxController::new();
-    ctl.set_sharding(sharding);
     let cfgs: Vec<ParticipantConfig> = (1..=PARTICIPANTS)
         .map(|i| ParticipantConfig::new(i, 65000 + i, 1))
         .collect();
@@ -58,7 +55,7 @@ fn build(sharding: Sharding) -> (SdxController, Fabric, Vec<ParticipantConfig>) 
     (ctl, fabric, cfgs)
 }
 
-/// One churn event, applied identically to both controllers.
+/// One churn event.
 enum Ev {
     Announce(u32, u8, Vec<u32>),
     Withdraw(u32, u8),
@@ -76,8 +73,7 @@ fn counter(ctl: &SdxController, key: &str) -> u64 {
 
 #[test]
 fn sharded_delta_path_stays_equivalent_under_churn() {
-    let (mut sharded, mut sharded_fab, cfgs) = build(Sharding::Shards(SHARDS));
-    let (mut flat, mut flat_fab, _) = build(Sharding::Off);
+    let (mut sharded, mut sharded_fab, cfgs) = build();
     let mut rng = Rng::new(0xC4A8_0001);
     // Per-announcer export denials, so flips are reproducible toggles.
     let mut denials: std::collections::BTreeSet<(u32, u32, u8)> = Default::default();
@@ -110,17 +106,13 @@ fn sharded_delta_path_stays_equivalent_under_churn() {
                     let msg = cfgs[*actor as usize - 1].announce([p8(*octet)], &full);
                     sharded
                         .process_update(pid(*actor), &msg, &mut sharded_fab)
-                        .expect("sharded fast path");
-                    flat.process_update(pid(*actor), &msg, &mut flat_fab)
-                        .expect("flat fast path");
+                        .expect("fast path");
                 }
                 Ev::Withdraw(actor, octet) => {
                     let msg = UpdateMessage::withdraw([p8(*octet)]);
                     sharded
                         .process_update(pid(*actor), &msg, &mut sharded_fab)
-                        .expect("sharded fast path");
-                    flat.process_update(pid(*actor), &msg, &mut flat_fab)
-                        .expect("flat fast path");
+                        .expect("fast path");
                 }
                 Ev::ExportFlip(actor, peer, octet) => {
                     if actor == peer {
@@ -135,21 +127,17 @@ fn sharded_delta_path_stays_equivalent_under_churn() {
                         let _ = a;
                         export.deny(pid(peer), p8(octet));
                     }
-                    sharded.rs.set_export_policy(pid(*actor), export.clone());
-                    flat.rs.set_export_policy(pid(*actor), export);
+                    sharded.rs.set_export_policy(pid(*actor), export);
                 }
             }
         }
-        sharded
-            .reoptimize(&mut sharded_fab)
-            .expect("sharded reoptimize");
-        flat.reoptimize(&mut flat_fab).expect("flat reoptimize");
+        sharded.reoptimize(&mut sharded_fab).expect("reoptimize");
 
-        // (1) The sharded incremental compile equals the from-scratch
-        // unsharded one, modulo VNH renumbering.
+        // (1) The incremental compile equals the cold one-shard compile
+        // of the same world, modulo VNH renumbering.
         let pool = VnhAllocator::default_pool();
         let a = canonicalize_report(sharded.report.as_ref().expect("report"), pool);
-        let b = canonicalize_report(flat.report.as_ref().expect("report"), pool);
+        let b = canonicalize_report(&cold_compile(&sharded.compiler, &sharded.rs), pool);
         assert_eq!(
             a.classifier, b.classifier,
             "burst {burst}: classifier diverged"
@@ -182,7 +170,7 @@ fn sharded_delta_path_stays_equivalent_under_churn() {
         .expect("idle reoptimize");
     assert_eq!(
         counter(&sharded, "compile.shard.skipped.count") - skipped0,
-        SHARDS as u64,
+        DEFAULT_SHARDS as u64,
         "idle reoptimize must skip every shard"
     );
     assert_eq!(

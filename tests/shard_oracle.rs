@@ -1,5 +1,5 @@
 //! Cross-shard oracle differentials: the spec interpreter knows nothing
-//! about shards, so any seam a sharded compile could introduce — a
+//! about shards, so any seam the per-shard phase A could introduce — a
 //! prefix classified into the wrong slice, a wide-match policy clipped
 //! at a range boundary, a merge that reorders rules across slices —
 //! shows up as a per-probe verdict mismatch.
@@ -16,7 +16,7 @@
 use sdx::bgp::route_server::ExportPolicy;
 use sdx::core::controller::SdxController;
 use sdx::core::participant::ParticipantConfig;
-use sdx::core::{Sharding, VnhAllocator};
+use sdx::core::VnhAllocator;
 use sdx::net::{ip, prefix, FieldMatch, Ipv4Addr, Packet, ParticipantId, PortId};
 use sdx::policy::Policy as P;
 use sdx_oracle::diff::{boundary_probes, run_smoke_sharded};
@@ -80,25 +80,25 @@ fn straddling_exchange() -> SdxController {
 
 #[test]
 fn wide_match_straddling_a_shard_boundary_keeps_spec_verdicts() {
-    for sharding in [Sharding::Shards(4), Sharding::Shards(16)] {
+    for shards in [4, 16] {
         let mut ctl = straddling_exchange();
-        ctl.set_sharding(sharding);
+        ctl.compiler.options.shards = shards;
         let mut vnh = VnhAllocator::new(VnhAllocator::default_pool());
         let report = ctl
             .compiler
             .compile_all(&ctl.rs, &mut vnh)
-            .expect("sharded compile");
+            .expect("compile");
         let plan = ctl
             .compiler
             .shard_plan()
-            .expect("sharded compile leaves a plan")
+            .expect("a compile leaves a plan")
             .clone();
         // The announced space genuinely splits: 10/8 and 11/8 must not
         // share a shard, or the straddle never happens.
         assert_ne!(
             plan.shard_of(prefix("10.0.0.0/8")),
             plan.shard_of(prefix("11.0.0.0/8")),
-            "{sharding:?}: plan failed to cut the /7 — test vacuous"
+            "{shards} shards: plan failed to cut the /7 — test vacuous"
         );
         let diff = Differential::new(&ctl.compiler, &ctl.rs, &report);
         // Probe the policy's match space densely around every boundary,
@@ -122,18 +122,21 @@ fn wide_match_straddling_a_shard_boundary_keeps_spec_verdicts() {
                     let pkt = Packet::tcp(ip("9.0.0.9"), dst, 4096, dport);
                     let outcome = diff
                         .check(PortId::Phys(pid(from), 1), &pkt)
-                        .unwrap_or_else(|m| panic!("{sharding:?}: cross-shard mismatch:\n{m}"));
+                        .unwrap_or_else(|m| panic!("{shards} shards: cross-shard mismatch:\n{m}"));
                     if matches!(outcome, sdx_oracle::Outcome::Deliver { .. }) {
                         delivered += 1;
                     }
                 }
             }
         }
-        assert!(delivered > 0, "{sharding:?}: straddle probes all dropped");
+        assert!(
+            delivered > 0,
+            "{shards} shards: straddle probes all dropped"
+        );
         // And the generic boundary sweep agrees too.
         for (from, pkt) in boundary_probes(&ctl.compiler, &plan) {
             diff.check(from, &pkt)
-                .unwrap_or_else(|m| panic!("{sharding:?}: boundary probe mismatch:\n{m}"));
+                .unwrap_or_else(|m| panic!("{shards} shards: boundary probe mismatch:\n{m}"));
         }
     }
 }
