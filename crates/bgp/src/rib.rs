@@ -1,4 +1,4 @@
-//! Routing Information Bases: Adj-RIB-In, Loc-RIB.
+//! Routing Information Bases: Adj-RIB-In, Loc-RIB, Adj-RIB-Outs.
 //!
 //! The route server keeps one [`AdjRibIn`] per participant session (exactly
 //! what that participant announced) and one [`LocRib`] holding, per prefix,
@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use sdx_net::{Asn, Ipv4Addr, ParticipantId, Prefix, PrefixTrie, RouterId};
+use sdx_net::{Asn, Ipv4Addr, ParticipantId, Prefix, PrefixTrie, RouterId, View, ViewTable};
 
 use crate::attrs::PathAttributes;
 use crate::decision;
@@ -265,136 +265,18 @@ impl LocRib {
     }
 }
 
-/// Adj-RIB-Out: what the route server last advertised to one peer.
-///
-/// The route server is stateful toward each peer: BGP only sends *changes*.
-/// This structure remembers the last advertisement per prefix and turns a
-/// desired state into the minimal UPDATE stream — used by the controller's
-/// FIB synchronization so border routers see real incremental BGP instead
-/// of full-table dumps.
-#[derive(Clone, PartialEq, Debug, Default)]
-pub struct AdjRibOut {
-    advertised: PrefixTrie<PathAttributes>,
-}
+/// The Adj-RIB-Outs: what the route server last advertised, to every
+/// peer, as one table. It advertises almost every prefix identically to
+/// almost every peer, so the table holds per prefix one **base** — the
+/// top-ranked route, as advertised to a peer with nothing special about it
+/// — and a slot for each peer that is advertised something else: the
+/// route's announcer and whoever else it is not exported to (another
+/// route, or nothing), and peers whose NEXT_HOP the SDX rewrote to a
+/// virtual next hop (§4.2).
+pub type AdjRibOuts = ViewTable<ParticipantId, PathAttributes>;
 
-/// The advertisement a write to an [`AdjRibOut`] displaced (`None`: the
-/// prefix was not advertised) — moved out of the table, not copied, and
-/// what [`AdjRibOut::restore`] takes to undo the write.
-pub type Displaced = Option<PathAttributes>;
-
-impl AdjRibOut {
-    /// An empty Adj-RIB-Out.
-    pub fn new() -> Self {
-        AdjRibOut::default()
-    }
-
-    /// The attributes last advertised for `prefix`, if any.
-    pub fn advertised(&self, prefix: Prefix) -> Option<&PathAttributes> {
-        self.advertised.get(prefix)
-    }
-
-    /// Number of currently advertised prefixes.
-    pub fn len(&self) -> usize {
-        self.advertised.len()
-    }
-
-    /// True when nothing has been advertised.
-    pub fn is_empty(&self) -> bool {
-        self.advertised.is_empty()
-    }
-
-    /// The currently advertised prefixes, in prefix order.
-    pub fn prefixes(&self) -> impl Iterator<Item = Prefix> + '_ {
-        self.advertised.keys()
-    }
-
-    /// Records the desired state for one prefix and returns the UPDATE to
-    /// send, if anything changed. `None` attrs means "withdraw".
-    pub fn reconcile(
-        &mut self,
-        prefix: Prefix,
-        desired: Option<PathAttributes>,
-    ) -> Option<UpdateMessage> {
-        match desired {
-            Some(attrs) => {
-                if self.advertised.get(prefix) == Some(&attrs) {
-                    return None; // already advertised exactly this
-                }
-                self.advertised.insert(prefix, attrs.clone());
-                Some(UpdateMessage::announce([prefix], attrs))
-            }
-            None => {
-                self.advertised.remove(prefix)?;
-                Some(UpdateMessage::withdraw([prefix]))
-            }
-        }
-    }
-
-    /// [`reconcile`](Self::reconcile) for a route re-advertised with its
-    /// NEXT_HOP rewritten (the route server's VNH hook), for callers that
-    /// act on the change themselves instead of sending the UPDATE: records
-    /// the desired state and returns `None` if the advertisement did not
-    /// change, otherwise what it displaced. `route` is borrowed from the
-    /// Loc-RIB and cloned once, into this table, only if it did — a burst
-    /// pays for what it changed.
-    pub fn reconcile_rewritten(
-        &mut self,
-        prefix: Prefix,
-        desired: Option<(&PathAttributes, Ipv4Addr)>,
-    ) -> Option<Displaced> {
-        let Some((route, next_hop)) = desired else {
-            return self.advertised.remove(prefix).map(Some);
-        };
-        if self
-            .advertised
-            .get(prefix)
-            .is_some_and(|a| a.is_rewrite_of(route, next_hop))
-        {
-            return None;
-        }
-        Some(
-            self.advertised
-                .insert(prefix, route.clone().with_next_hop(next_hop)),
-        )
-    }
-
-    /// Undoes a write to `prefix` given what it displaced: the table is
-    /// as it was before the write, structure included.
-    pub fn restore(&mut self, prefix: Prefix, displaced: Displaced) {
-        match displaced {
-            Some(attrs) => self.advertised.insert(prefix, attrs),
-            None => self.advertised.remove(prefix),
-        };
-    }
-
-    /// Reconciles a whole desired table at once, returning the minimal
-    /// update stream (withdrawals for prefixes no longer desired, plus
-    /// announcements for new/changed ones).
-    pub fn reconcile_full(
-        &mut self,
-        desired: impl IntoIterator<Item = (Prefix, PathAttributes)>,
-    ) -> Vec<UpdateMessage> {
-        let desired: std::collections::BTreeMap<Prefix, PathAttributes> =
-            desired.into_iter().collect();
-        let mut out = Vec::new();
-        let stale: Vec<Prefix> = self
-            .advertised
-            .keys()
-            .filter(|p| !desired.contains_key(p))
-            .collect();
-        for p in stale {
-            if let Some(u) = self.reconcile(p, None) {
-                out.push(u);
-            }
-        }
-        for (p, attrs) in desired {
-            if let Some(u) = self.reconcile(p, Some(attrs)) {
-                out.push(u);
-            }
-        }
-        out
-    }
-}
+/// One peer's Adj-RIB-Out: its view of the [`AdjRibOuts`].
+pub type AdjRibOut<'a> = View<'a, ParticipantId, PathAttributes>;
 
 #[cfg(test)]
 mod tests {
@@ -539,84 +421,5 @@ mod tests {
         let mut a = rib.announcers(p);
         a.sort();
         assert_eq!(a, vec![ParticipantId(1), ParticipantId(2)]);
-    }
-
-    #[test]
-    fn adj_rib_out_sends_only_changes() {
-        let mut out = AdjRibOut::new();
-        let attrs = PathAttributes::new(AsPath::sequence([65001]), ip("172.16.0.1"));
-        // First announcement goes out.
-        let u = out
-            .reconcile(prefix("10.0.0.0/8"), Some(attrs.clone()))
-            .unwrap();
-        assert_eq!(u.nlri, vec![prefix("10.0.0.0/8")]);
-        // Re-announcing the same state is silent.
-        assert!(out
-            .reconcile(prefix("10.0.0.0/8"), Some(attrs.clone()))
-            .is_none());
-        // A changed next hop re-announces.
-        let changed = attrs.clone().with_next_hop(ip("172.16.255.9"));
-        assert!(out.reconcile(prefix("10.0.0.0/8"), Some(changed)).is_some());
-        // Withdrawal, once.
-        let w = out.reconcile(prefix("10.0.0.0/8"), None).unwrap();
-        assert_eq!(w.withdrawn, vec![prefix("10.0.0.0/8")]);
-        assert!(out.reconcile(prefix("10.0.0.0/8"), None).is_none());
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn reconcile_rewritten_equals_reconcile_of_the_rewritten_copy() {
-        let route = PathAttributes::new(AsPath::sequence([65001, 7]), ip("172.16.0.1"))
-            .with_med(5)
-            .with_community(crate::attrs::Community(65001, 80));
-        let other = PathAttributes::new(AsPath::sequence([65002]), ip("172.16.0.2"));
-        let vnh = ip("172.16.255.9");
-        let p = prefix("10.0.0.0/8");
-        // The same sequence of desired states through both entry points.
-        let steps = [
-            Some((&route, route.next_hop)),
-            Some((&route, route.next_hop)),
-            Some((&route, vnh)),
-            Some((&other, vnh)),
-            Some((&other, vnh)),
-            None,
-            None,
-            Some((&route, vnh)),
-        ];
-        let (mut borrowed, mut owned) = (AdjRibOut::new(), AdjRibOut::new());
-        for (i, step) in steps.into_iter().enumerate() {
-            let before = borrowed.clone();
-            let displaced = borrowed.reconcile_rewritten(p, step);
-            let update = owned.reconcile(p, step.map(|(r, nh)| r.clone().with_next_hop(nh)));
-            assert_eq!(displaced.is_some(), update.is_some(), "step {i}");
-            assert_eq!(borrowed.advertised(p), owned.advertised(p), "step {i}");
-            // What a change displaced puts the table back.
-            if let Some(displaced) = displaced {
-                let mut undone = borrowed.clone();
-                undone.restore(p, displaced);
-                assert_eq!(undone, before, "step {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn adj_rib_out_full_reconcile_is_minimal() {
-        let mut out = AdjRibOut::new();
-        let a = PathAttributes::new(AsPath::sequence([65001]), ip("172.16.0.1"));
-        let b = PathAttributes::new(AsPath::sequence([65002]), ip("172.16.0.2"));
-        out.reconcile(prefix("10.0.0.0/8"), Some(a.clone()));
-        out.reconcile(prefix("20.0.0.0/8"), Some(a.clone()));
-        // Desired: keep 10/8 unchanged, change 20/8, add 30/8, drop nothing.
-        let updates = out.reconcile_full([
-            (prefix("10.0.0.0/8"), a.clone()),
-            (prefix("20.0.0.0/8"), b.clone()),
-            (prefix("30.0.0.0/8"), b.clone()),
-        ]);
-        assert_eq!(updates.len(), 2, "one change + one addition: {updates:?}");
-        // Desired: only 30/8 → two withdrawals.
-        let updates = out.reconcile_full([(prefix("30.0.0.0/8"), b)]);
-        assert_eq!(updates.len(), 2);
-        assert!(updates.iter().all(|u| !u.withdrawn.is_empty()));
-        assert_eq!(out.len(), 1);
     }
 }

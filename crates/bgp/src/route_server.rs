@@ -18,12 +18,12 @@
 //! route is never sent to a peer whose ASN already appears in its AS path,
 //! and never reflected back to its announcer.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::RwLock;
+use std::collections::{BTreeMap, BTreeSet};
 
 use sdx_net::{Asn, Ipv4Addr, ParticipantId, Prefix};
 use sdx_telemetry::SharedRegistry;
 
+use crate::attrs::AsPathSegment;
 use crate::msg::UpdateMessage;
 use crate::rib::{AdjRibIn, LocRib, Route, RouteSource};
 
@@ -31,7 +31,8 @@ use crate::rib::{AdjRibIn, LocRib, Route, RouteSource};
 #[derive(Clone, Debug, Default)]
 pub struct ExportPolicy {
     deny_all: BTreeSet<ParticipantId>,
-    deny: BTreeSet<(ParticipantId, Prefix)>,
+    /// Prefix-major, so the peers one prefix is denied to are one range.
+    deny: BTreeSet<(Prefix, ParticipantId)>,
 }
 
 /// Action communities understood by the route server, following the
@@ -87,13 +88,22 @@ impl ExportPolicy {
 
     /// Do not export `prefix` to `peer` (e.g. selective announcements).
     pub fn deny(&mut self, peer: ParticipantId, prefix: Prefix) -> &mut Self {
-        self.deny.insert((peer, prefix));
+        self.deny.insert((prefix, peer));
         self
     }
 
     /// Would this policy export `prefix` to `peer`?
     pub fn exports_to(&self, peer: ParticipantId, prefix: Prefix) -> bool {
-        !self.deny_all.contains(&peer) && !self.deny.contains(&(peer, prefix))
+        !self.deny_all.contains(&peer) && !self.deny.contains(&(prefix, peer))
+    }
+
+    /// The peers this policy does not export `prefix` to.
+    fn denied(&self, prefix: Prefix) -> impl Iterator<Item = ParticipantId> + '_ {
+        let of_prefix = (prefix, ParticipantId(u32::MIN))..=(prefix, ParticipantId(u32::MAX));
+        self.deny_all
+            .iter()
+            .copied()
+            .chain(self.deny.range(of_prefix).map(|&(_, peer)| peer))
     }
 }
 
@@ -105,58 +115,6 @@ pub enum RouteServerEvent {
     PrefixChanged(Prefix),
     /// A participant's session was reset; all its routes were dropped.
     SessionReset(ParticipantId),
-}
-
-/// Memoized decision-process winners, keyed per prefix so one changed
-/// prefix invalidates exactly its own entries.
-///
-/// The cache stores the winning *announcer id* — not the route — so
-/// [`RouteServer::best_for`] can still hand out a `&Route` borrowed from
-/// the Loc-RIB: the id deterministically selects the winner from the
-/// candidate slice. Interior mutability is an `RwLock` (not `RefCell`)
-/// because the parallel compile pipeline shares `&RouteServer` across
-/// scoped worker threads. A clone of the server starts with a cold cache:
-/// cached winners are derived state, never part of snapshot identity.
-#[derive(Debug, Default)]
-struct BestRouteCache {
-    map: RwLock<HashMap<Prefix, BTreeMap<ParticipantId, Option<ParticipantId>>>>,
-}
-
-impl BestRouteCache {
-    fn get(&self, prefix: Prefix, viewer: ParticipantId) -> Option<Option<ParticipantId>> {
-        self.map
-            .read()
-            .expect("best-route cache poisoned")
-            .get(&prefix)
-            .and_then(|per_viewer| per_viewer.get(&viewer))
-            .copied()
-    }
-
-    fn put(&self, prefix: Prefix, viewer: ParticipantId, winner: Option<ParticipantId>) {
-        self.map
-            .write()
-            .expect("best-route cache poisoned")
-            .entry(prefix)
-            .or_default()
-            .insert(viewer, winner);
-    }
-
-    fn invalidate(&self, prefix: Prefix) {
-        self.map
-            .write()
-            .expect("best-route cache poisoned")
-            .remove(&prefix);
-    }
-
-    fn clear(&self) {
-        self.map.write().expect("best-route cache poisoned").clear();
-    }
-}
-
-impl Clone for BestRouteCache {
-    fn clone(&self) -> Self {
-        BestRouteCache::default()
-    }
 }
 
 /// Change tracking for the compiler's incremental shard cache: a unique
@@ -210,10 +168,10 @@ pub struct RouteServer {
     peers: BTreeMap<ParticipantId, AdjRibIn>,
     export: BTreeMap<ParticipantId, ExportPolicy>,
     asns: BTreeMap<ParticipantId, Asn>,
+    /// `asns` inverted: the peers loop protection withholds a route from
+    /// are found from the route's AS path, not by asking every peer.
+    by_asn: BTreeMap<Asn, BTreeSet<ParticipantId>>,
     loc_rib: LocRib,
-    /// Per-(prefix, viewer) decision winners; invalidated per changed
-    /// prefix, cleared on peer/export-policy changes.
-    best_cache: BestRouteCache,
     /// Prefixes whose candidate set changed since the last drain
     /// ([`take_dirty_prefixes`](Self::take_dirty_prefixes)) — the
     /// controller's minimal-sync working set. Populated at the same spots
@@ -247,15 +205,44 @@ impl RouteServer {
     /// Registers a participant session. Must be called before updates from
     /// that participant are processed.
     pub fn add_peer(&mut self, source: RouteSource, export: ExportPolicy) {
-        self.asns.insert(source.participant, source.asn);
+        if let Some(old) = self.asns.insert(source.participant, source.asn) {
+            self.forget_asn(source.participant, old);
+        }
+        self.by_asn
+            .entry(source.asn)
+            .or_default()
+            .insert(source.participant);
         self.peers.insert(source.participant, AdjRibIn::new(source));
         self.export.insert(source.participant, export);
         // A new ASN changes loop-protection outcomes for existing routes,
         // so every known prefix must be re-examined at the next sync.
-        self.best_cache.clear();
         let all: Vec<Prefix> = self.loc_rib.prefixes().collect();
         self.mark_compile_dirty(all.iter().copied());
         self.dirty.extend(all);
+    }
+
+    fn forget_asn(&mut self, p: ParticipantId, asn: Asn) {
+        if let Some(peers) = self.by_asn.get_mut(&asn) {
+            peers.remove(&p);
+            if peers.is_empty() {
+                self.by_asn.remove(&asn);
+            }
+        }
+    }
+
+    /// Deregisters a participant: its routes are dropped as by
+    /// [`reset_session`](Self::reset_session) (so the prefixes it
+    /// announced are dirty for both consumers), and its Adj-RIB-In, export
+    /// policy and ASN are forgotten — it is no longer a viewer. Returns
+    /// the reset's events; empty if `p` was never registered.
+    pub fn remove_peer(&mut self, p: ParticipantId) -> Vec<RouteServerEvent> {
+        let events = self.reset_session(p);
+        self.peers.remove(&p);
+        self.export.remove(&p);
+        if let Some(asn) = self.asns.remove(&p) {
+            self.forget_asn(p, asn);
+        }
+        events
     }
 
     /// The registered participants, in id order.
@@ -271,15 +258,12 @@ impl RouteServer {
     /// Replaces a participant's export policy (policy changes at runtime).
     ///
     /// Export filtering only reshapes the candidate sets built from routes
-    /// `p` itself announced, so invalidation is scoped to
+    /// `p` itself announced, so what is marked dirty is scoped to
     /// `loc_rib.announced_by(p)` — prefixes announced only by other
-    /// participants keep their cached decisions and their compiled shards.
+    /// participants keep their advertisements and their compiled shards.
     pub fn set_export_policy(&mut self, p: ParticipantId, export: ExportPolicy) {
         self.export.insert(p, export);
         let affected: Vec<Prefix> = self.loc_rib.announced_by(p).collect();
-        for &prefix in &affected {
-            self.best_cache.invalidate(prefix);
-        }
         self.mark_compile_dirty(affected.iter().copied());
         self.dirty.extend(affected);
     }
@@ -310,7 +294,6 @@ impl RouteServer {
                     Some(route) => self.loc_rib.upsert(p, route),
                     None => self.loc_rib.remove(p, from),
                 }
-                self.best_cache.invalidate(p);
                 self.dirty.insert(p);
                 self.compile_dirty
                     .set
@@ -393,7 +376,6 @@ impl RouteServer {
         let mut events = vec![RouteServerEvent::SessionReset(from)];
         for p in cleared {
             self.loc_rib.remove(p, from);
-            self.best_cache.invalidate(p);
             self.dirty.insert(p);
             self.compile_dirty
                 .set
@@ -446,26 +428,53 @@ impl RouteServer {
     }
 
     /// The best route for `prefix` from `viewer`'s point of view, or `None`
-    /// if nothing is exported to it.
-    ///
-    /// Served from the per-(prefix, viewer) decision cache when warm; the
-    /// cached winner id selects the route from the candidate slice, so the
-    /// returned reference is identical to what the full decision process
-    /// (export-filter the candidates, run the total-order comparison)
-    /// would pick.
+    /// if nothing is exported to it: the decision process over the
+    /// candidates `viewer` is exported.
     pub fn best_for(&self, viewer: ParticipantId, prefix: Prefix) -> Option<&Route> {
-        if let Some(winner) = self.best_cache.get(prefix, viewer) {
-            let nh = winner?;
-            return self
-                .loc_rib
+        crate::decision::best_route(
+            self.loc_rib
                 .candidates(prefix)
                 .iter()
-                .find(|r| r.source.participant == nh);
+                .filter(|r| self.exported(r, viewer, prefix)),
+        )
+    }
+
+    /// The decision process over every candidate for `prefix`, whoever is
+    /// looking: the route each viewer it is exported to has as its
+    /// [`best_for`](Self::best_for). Only the viewers it is
+    /// [`withheld_from`](Self::withheld_from) decide among the rest.
+    pub fn top_route(&self, prefix: Prefix) -> Option<&Route> {
+        crate::decision::best_route(self.loc_rib.candidates(prefix))
+    }
+
+    /// The registered participants `route` (a candidate for `prefix`) is
+    /// not exported to, in id order: its announcer, the peers whose ASN is
+    /// on its path, and those its announcer's export policy or its action
+    /// communities exclude. Found from the route — the cost follows the
+    /// exclusions, not the number of peers — unless it carries
+    /// communities, which can name everyone.
+    pub fn withheld_from(&self, route: &Route, prefix: Prefix) -> Vec<ParticipantId> {
+        if !route.attrs.communities.is_empty() {
+            return self
+                .participants()
+                .filter(|&viewer| !self.exported(route, viewer, prefix))
+                .collect();
         }
-        let best = crate::decision::best_route(self.candidates_for(viewer, prefix));
-        self.best_cache
-            .put(prefix, viewer, best.map(|r| r.source.participant));
-        best
+        let announcer = route.source.participant;
+        let mut withheld = vec![announcer];
+        for segment in &route.attrs.as_path.segments {
+            let (AsPathSegment::Sequence(asns) | AsPathSegment::Set(asns)) = segment;
+            for asn in asns {
+                withheld.extend(self.by_asn.get(asn).into_iter().flatten());
+            }
+        }
+        if let Some(export) = self.export.get(&announcer) {
+            withheld.extend(export.denied(prefix));
+        }
+        withheld.retain(|p| self.peers.contains_key(p));
+        withheld.sort_unstable();
+        withheld.dedup();
+        withheld
     }
 
     /// Longest-prefix-match variants, used when a policy rewrites the
@@ -613,8 +622,8 @@ mod tests {
     use sdx_net::{ip, prefix, RouterId};
 
     /// Independent from-first-principles implementations of the indexed
-    /// queries, kept as the property-test oracles: none of them touches
-    /// the announcer index or the decision cache.
+    /// queries, kept as the property-test oracles: neither touches the
+    /// announcer index.
     impl RouteServer {
         /// [`prefixes_via`](Self::prefixes_via) as an O(|Loc-RIB|) scan
         /// over every prefix, in trie-key order (sort before comparing).
@@ -640,11 +649,27 @@ mod tests {
                 .filter(|&nh| self.prefixes_via_scan(viewer, nh).contains(&prefix))
                 .collect()
         }
+    }
 
-        /// The uncached decision process behind
-        /// [`best_for`](Self::best_for).
-        fn best_for_scan(&self, viewer: ParticipantId, prefix: Prefix) -> Option<&Route> {
-            crate::decision::best_route(self.candidates_for(viewer, prefix))
+    /// The once-per-prefix decision against the per-viewer one: the
+    /// viewers `top_route` is withheld from are exactly those the export
+    /// check refuses, and every other viewer's best route is `top_route`.
+    fn assert_top_route_and_exclusions_agree_with_scan(rs: &RouteServer, p: Prefix, what: &str) {
+        let top = rs.top_route(p);
+        let withheld = top.map_or(Vec::new(), |r| rs.withheld_from(r, p));
+        let refused: Vec<ParticipantId> = rs
+            .participants()
+            .filter(|&v| top.is_some_and(|r| !rs.exported(r, v, p)))
+            .collect();
+        assert_eq!(withheld, refused, "{what}: withheld_from(top_route({p}))");
+        for viewer in rs.participants() {
+            if !withheld.contains(&viewer) {
+                assert_eq!(
+                    rs.best_for(viewer, p).map(|r| r.source.participant),
+                    top.map(|r| r.source.participant),
+                    "{what}: {viewer} is exported the top route for {p}"
+                );
+            }
         }
     }
 
@@ -835,21 +860,20 @@ mod tests {
     }
 
     #[test]
-    fn best_cache_invalidates_on_update_reset_and_policy_change() {
+    fn best_for_follows_updates_resets_and_policy_changes() {
         let mut rs = figure1_server();
-        // Warm the cache for A's view of p1 (best = C, shorter path).
-        let warm = rs.best_for(ParticipantId(1), prefix("10.0.0.0/8")).unwrap();
-        assert_eq!(warm.source.participant, ParticipantId(3));
-        // C withdraws p1: the cached winner must not survive.
+        // A's view of p1: best = C, shorter path.
+        let before = rs.best_for(ParticipantId(1), prefix("10.0.0.0/8")).unwrap();
+        assert_eq!(before.source.participant, ParticipantId(3));
+        // C withdraws p1: B is what is left.
         rs.process_update(
             ParticipantId(3),
             &UpdateMessage::withdraw([prefix("10.0.0.0/8")]),
         );
         let after = rs.best_for(ParticipantId(1), prefix("10.0.0.0/8")).unwrap();
         assert_eq!(after.source.participant, ParticipantId(2));
-        // Export-policy change invalidates cached winners for the
-        // announcer's prefixes: warm p4 (via C), then deny C→A; best must
-        // disappear (B already hides p4 from A).
+        // An export-policy change: p4 reaches A via C only (B already
+        // hides it), so denying C→A leaves A nothing.
         assert!(rs
             .best_for(ParticipantId(1), prefix("40.0.0.0/8"))
             .is_some());
@@ -859,32 +883,35 @@ mod tests {
         assert!(rs
             .best_for(ParticipantId(1), prefix("40.0.0.0/8"))
             .is_none());
-        // Session reset invalidates every prefix the peer announced.
-        let warm3 = rs.best_for(ParticipantId(1), prefix("30.0.0.0/8"));
-        assert!(warm3.is_some(), "p3 via B before the reset");
+        // A session reset takes every prefix the peer announced.
+        assert!(
+            rs.best_for(ParticipantId(1), prefix("30.0.0.0/8"))
+                .is_some(),
+            "p3 via B before the reset"
+        );
         rs.reset_session(ParticipantId(2));
         assert!(rs
             .best_for(ParticipantId(1), prefix("30.0.0.0/8"))
             .is_none());
-        // A cloned server starts cold and recomputes consistently.
+        // A cloned server decides the same.
         let cloned = rs.clone();
         assert_eq!(
             cloned
                 .best_for(ParticipantId(3), prefix("10.0.0.0/8"))
                 .map(|r| r.source.participant),
-            rs.best_for_scan(ParticipantId(3), prefix("10.0.0.0/8"))
+            rs.best_for(ParticipantId(3), prefix("10.0.0.0/8"))
                 .map(|r| r.source.participant)
         );
     }
 
     #[test]
-    fn add_peer_clears_cached_winners_for_new_loop_protection() {
+    fn add_peer_applies_loop_protection_to_routes_already_held() {
         // Registering a peer introduces a new ASN, which changes
-        // loop-protection outcomes for *already-cached* decisions: before
-        // participant 3 is registered, a route whose AS path contains
-        // 65003 is exported to viewer 3 (no ASN on file → no loop check),
-        // but the moment `add_peer` runs, serving that cached winner
-        // would forward into a loop. `add_peer` must clear the cache.
+        // loop-protection outcomes for routes already in the Loc-RIB:
+        // before participant 3 is registered, a route whose AS path
+        // contains 65003 is exported to viewer 3 (no ASN on file → no
+        // loop check); once `add_peer` has run, exporting it would
+        // forward into a loop.
         let mut rs = RouteServer::new();
         rs.add_peer(src(1), ExportPolicy::allow_all());
         rs.add_peer(src(2), ExportPolicy::allow_all());
@@ -892,21 +919,17 @@ mod tests {
             ParticipantId(2),
             &simple_announce(prefix("70.0.0.0/8"), &[65002, 65003, 9], ip("172.16.0.2")),
         );
-        // Warm the cache from the not-yet-registered viewer's perspective.
         assert_eq!(
             rs.best_for(ParticipantId(3), prefix("70.0.0.0/8"))
                 .map(|r| r.source.participant),
             Some(ParticipantId(2))
         );
+        rs.take_dirty_prefixes();
         rs.add_peer(src(3), ExportPolicy::allow_all());
-        assert!(
-            rs.best_for(ParticipantId(3), prefix("70.0.0.0/8"))
-                .is_none(),
-            "stale cached winner would be a forwarding loop"
-        );
         assert!(rs
-            .best_for_scan(ParticipantId(3), prefix("70.0.0.0/8"))
+            .best_for(ParticipantId(3), prefix("70.0.0.0/8"))
             .is_none());
+        assert_eq!(rs.dirty_len(), 1, "and the prefix is re-examined");
     }
 
     #[test]
@@ -926,22 +949,18 @@ mod tests {
                 }
             }
             for p in rs.all_prefixes() {
+                assert_top_route_and_exclusions_agree_with_scan(&rs, p, "figure 1");
                 let mut indexed = rs.reachable_via(viewer, p);
                 let mut scanned = rs.reachable_via_scan(viewer, p);
                 indexed.sort();
                 scanned.sort();
                 assert_eq!(indexed, scanned, "reachable_via({viewer}, {p})");
-                assert_eq!(
-                    rs.best_for(viewer, p).map(|r| r.source.participant),
-                    rs.best_for_scan(viewer, p).map(|r| r.source.participant),
-                    "best_for({viewer}, {p})"
-                );
             }
         }
     }
 
     /// Randomized churn: the indexed query paths (inverted announcer
-    /// index + best-route cache) must agree with the full-scan oracles
+    /// index, once-per-prefix decision) must agree with the full-scan oracles
     /// after every kind of mutation — announce, withdraw, export-policy
     /// flip, session reset — in any interleaving, and so must the
     /// range-bounded join over random splits of the address space.
@@ -970,10 +989,20 @@ mod tests {
                         for _ in 0..rng.below(4) {
                             path.push(hop_pool[rng.below(hop_pool.len() as u64) as usize]);
                         }
-                        rs.process_update(
-                            actor,
-                            &simple_announce(p, &path, Ipv4Addr(0xac10_0000 + actor.0)),
-                        );
+                        let mut update = simple_announce(p, &path, Ipv4Addr(0xac10_0000 + actor.0));
+                        // Every fourth announcement carries an action
+                        // community naming a random peer.
+                        if rng.below(4) == 0 {
+                            let peer = ParticipantId(1 + rng.below(PARTICIPANTS) as u32);
+                            let tag = match rng.below(3) {
+                                0 => communities::no_export_to(peer),
+                                1 => communities::export_only_to(peer),
+                                _ => communities::NO_EXPORT_ALL,
+                            };
+                            let attrs = update.attrs.take().expect("an announcement");
+                            update.attrs = Some(attrs.with_community(tag));
+                        }
+                        rs.process_update(actor, &update);
                     }
                     6 | 7 => {
                         rs.process_update(actor, &UpdateMessage::withdraw([p]));
@@ -994,6 +1023,10 @@ mod tests {
                 // with the oracle a Loc-RIB scan per pair).
                 if step % 7 != 0 && step != STEPS - 1 {
                     continue;
+                }
+                for i in 0..PREFIXES {
+                    let what = format!("seed {seed} step {step}");
+                    assert_top_route_and_exclusions_agree_with_scan(&rs, pfx(i), &what);
                 }
                 for v in 1..=PARTICIPANTS {
                     let viewer = ParticipantId(v as u32);
@@ -1021,11 +1054,6 @@ mod tests {
                         assert_eq!(
                             indexed, scanned,
                             "seed {seed} step {step}: reachable_via({viewer}, {p})"
-                        );
-                        assert_eq!(
-                            rs.best_for(viewer, p).map(|r| r.source.participant),
-                            rs.best_for_scan(viewer, p).map(|r| r.source.participant),
-                            "seed {seed} step {step}: best_for({viewer}, {p})"
                         );
                     }
                 }
@@ -1147,6 +1175,51 @@ mod tests {
         assert!(rs
             .best_for(ParticipantId(1), prefix("10.0.0.0/8"))
             .is_some());
+    }
+
+    #[test]
+    fn remove_peer_forgets_the_viewer_and_dirties_its_prefixes() {
+        let mut rs = figure1_server();
+        rs.take_dirty_prefixes();
+        rs.take_compile_dirty();
+        // A route through B's ASN is withheld from B while it is a peer.
+        rs.process_update(
+            ParticipantId(3),
+            &simple_announce(prefix("50.0.0.0/8"), &[65003, 65002], ip("172.16.0.3")),
+        );
+        let looped = rs.top_route(prefix("50.0.0.0/8")).unwrap().clone();
+        assert_eq!(
+            rs.withheld_from(&looped, prefix("50.0.0.0/8")),
+            vec![ParticipantId(2), ParticipantId(3)]
+        );
+        rs.take_dirty_prefixes();
+        rs.take_compile_dirty();
+
+        let events = rs.remove_peer(ParticipantId(2));
+        assert_eq!(events[0], RouteServerEvent::SessionReset(ParticipantId(2)));
+        assert_eq!(events.len(), 5, "B announced four prefixes");
+        assert_eq!(
+            rs.participants().collect::<Vec<_>>(),
+            vec![ParticipantId(1), ParticipantId(3)]
+        );
+        assert!(rs.adj_rib_in(ParticipantId(2)).is_none());
+        assert_eq!(rs.asn_of(ParticipantId(2)), None);
+        assert_eq!(rs.take_dirty_prefixes().len(), 4);
+        assert_eq!(rs.take_compile_dirty().len(), 4);
+        // p3 was B's alone; p1 falls back to C for A.
+        assert!(rs.top_route(prefix("30.0.0.0/8")).is_none());
+        assert_eq!(
+            rs.best_for(ParticipantId(1), prefix("10.0.0.0/8"))
+                .map(|r| r.source.participant),
+            Some(ParticipantId(3))
+        );
+        assert_eq!(
+            rs.withheld_from(&looped, prefix("50.0.0.0/8")),
+            vec![ParticipantId(3)],
+            "B's ASN no longer names a peer"
+        );
+        // Idempotent, and an update from it is now from a stranger.
+        assert!(rs.remove_peer(ParticipantId(2)).is_empty());
     }
 
     #[test]

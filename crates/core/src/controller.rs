@@ -11,14 +11,15 @@
 //! between bursts" — here, whenever the harness calls it) and retires the
 //! overlays.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
+use sdx_bgp::attrs::PathAttributes;
 use sdx_bgp::msg::UpdateMessage;
-use sdx_bgp::rib::AdjRibOut;
+use sdx_bgp::rib::{AdjRibOut, AdjRibOuts};
 use sdx_bgp::route_server::{ExportPolicy, RouteServer, RouteServerEvent};
-use sdx_net::{Ipv4Addr, ParticipantId, Prefix};
-use sdx_openflow::border_router::BorderRouter;
+use sdx_net::{Ipv4Addr, ParticipantId, PortId, Prefix, Write};
+use sdx_openflow::border_router::{BorderRouter, FibEntry};
 use sdx_openflow::fabric::Fabric;
 use sdx_openflow::flowmod::FlowModBatch;
 use sdx_policy::{Policy, PolicyDelta, PolicyOp, PolicyScope};
@@ -79,12 +80,11 @@ pub struct SdxController {
     /// recycled (with the previous report's group ids) once background
     /// re-optimization replaces every rule and FIB entry that used them.
     pub(crate) live_delta_ids: Vec<FecId>,
-    /// Pending (viewer, prefix, vnh) re-advertisements accumulated since
-    /// the last fabric sync.
-    pub(crate) pending_fib: Vec<(ParticipantId, Prefix, Option<Ipv4Addr>)>,
-    /// Per-viewer Adj-RIB-Out: what the route server last advertised, so
-    /// synchronization sends minimal BGP diffs rather than table dumps.
-    pub(crate) rib_out: BTreeMap<ParticipantId, AdjRibOut>,
+    /// The Adj-RIB-Outs: what the route server last advertised, to every
+    /// viewer, as one base-and-exceptions table — so synchronization sends
+    /// minimal BGP diffs rather than table dumps, and costs what differs
+    /// between viewers rather than viewers × prefixes.
+    pub(crate) adverts: AdjRibOuts,
 }
 
 impl Default for SdxController {
@@ -117,8 +117,7 @@ impl SdxController {
             epoch: 0,
             delta_layers: 0,
             next_delta_priority: DELTA_BASE,
-            pending_fib: Vec::new(),
-            rib_out: BTreeMap::new(),
+            adverts: AdjRibOuts::new(),
             live_delta_ids: Vec::new(),
         }
     }
@@ -297,10 +296,11 @@ impl SdxController {
         })
     }
 
-    /// Deregisters a participant: its session resets (routes flushed), its
-    /// policies are dropped, and the next re-optimization removes every
-    /// rule referencing it. Returns `Ok(false)` if the participant was
-    /// unknown.
+    /// Deregisters a participant: the route server forgets it (routes
+    /// flushed, no longer a viewer), its policies are dropped, and the
+    /// re-optimization run here removes every rule referencing it, stops
+    /// advertising to it and withdraws its routers' routes. Returns
+    /// `Ok(false)` if the participant was unknown.
     ///
     /// An `Err` is that re-optimization failing: the participant is gone
     /// from the book and the route server, but the fabric rolled back and
@@ -314,10 +314,9 @@ impl SdxController {
         if self.compiler.participant(id).is_none() {
             return Ok(false);
         }
-        self.rs.reset_session(id);
+        self.rs.remove_peer(id);
         self.compiler.remove_participant(id);
         self.compiler.clear_global_policies(id);
-        self.rib_out.remove(&id);
         // Re-optimize so no rule forwards toward the vanished participant.
         self.reoptimize(fabric)?;
         Ok(true)
@@ -468,8 +467,22 @@ impl SdxController {
                 self.live_delta_ids.push(FecId(id));
             }
         }
-        self.pending_fib.extend(delta.vnh_updates.iter().copied());
-        self.flush_fib(fabric, log);
+        // Last entry wins, as one UPDATE per entry would have it.
+        let vnh: BTreeMap<(ParticipantId, Prefix), Option<Ipv4Addr>> = delta
+            .vnh_updates
+            .iter()
+            .map(|&(viewer, prefix, vnh)| ((viewer, prefix), vnh))
+            .collect();
+        let prefixes: BTreeSet<Prefix> = delta.prefixes.iter().copied().collect();
+        Self::readvertise(
+            &self.rs,
+            &mut self.adverts,
+            fabric,
+            log,
+            &prefixes,
+            vnh.keys().copied().collect(),
+            |viewer, prefix| vnh.get(&(viewer, prefix)).copied().flatten(),
+        );
         Ok(())
     }
 
@@ -599,7 +612,7 @@ impl SdxController {
         }
         // Keyed identity keeps surviving groups on their exact VNH, so
         // only ids whose key vanished actually retire.
-        let new_ids: std::collections::BTreeSet<u32> = report
+        let new_ids: BTreeSet<u32> = report
             .groups
             .values()
             .flat_map(|gs| gs.iter().map(|g| g.id.0))
@@ -711,27 +724,20 @@ impl SdxController {
         // them from router ARP caches — selectively: every other cached
         // entry stays warm (the fixed vnh→vmac mapping means a surviving
         // entry can never be stale).
-        let live: std::collections::BTreeSet<Ipv4Addr> = self
+        let live: BTreeSet<Ipv4Addr> = self
             .report
             .as_ref()
             .map(|r| r.arp_bindings.iter().map(|(a, _)| *a).collect())
             .unwrap_or_default();
-        let ports: Vec<_> = fabric.ports().collect();
-        let mut invalidated = 0u64;
+        let mut invalidated = 0;
         for addr in &retire.retired_addrs {
             if live.contains(addr) {
                 continue;
             }
             fabric.arp.unbind(*addr);
-            for &port in &ports {
-                if let Some(r) = fabric.router_mut(port) {
-                    if r.invalidate_arp(*addr) {
-                        invalidated += 1;
-                    }
-                }
-            }
+            invalidated += fabric.invalidate_arp(*addr);
         }
-        reg.add("arp.invalidated.count", invalidated);
+        reg.add("arp.invalidated.count", invalidated as u64);
         // Stale keyed ids release only now: through the compile they were
         // still mapped, which is what kept live keys off their slots.
         for id in retire.stale_ids {
@@ -753,67 +759,102 @@ impl SdxController {
         }
     }
 
-    /// Pushes pending per-prefix FIB changes to the affected routers,
-    /// through the per-viewer Adj-RIB-Out (only actual diffs are sent).
-    fn flush_fib(&mut self, fabric: &mut Fabric, log: &mut UndoLog) {
-        let mut by_viewer: BTreeMap<ParticipantId, Vec<(Prefix, Option<Ipv4Addr>)>> =
-            BTreeMap::new();
-        for (viewer, prefix, vnh) in std::mem::take(&mut self.pending_fib) {
-            by_viewer.entry(viewer).or_default().push((prefix, vnh));
-        }
-        for (viewer, changes) in by_viewer {
-            Self::readvertise(&self.rs, &mut self.rib_out, fabric, log, viewer, changes);
-        }
-    }
-
-    /// Re-advertises to `viewer` its best route for each `(prefix, VNH)`
-    /// in `changes` (`None`: the route's own next hop), in order, and
-    /// replays the advertisements that actually moved — all a FIB keeps of
-    /// an UPDATE is `prefix → next hop` — to each of its routers, so every
-    /// router ends where one UPDATE per change would have left it. The
-    /// viewer's Adj-RIB-Out and routers are resolved once. Returns how
-    /// many advertisements moved.
+    /// Re-advertises `prefixes`: for each, the route server's decision is
+    /// taken **once** — the top-ranked route becomes the base every viewer
+    /// without a slot of its own is advertised, under the route's own next
+    /// hop — and then only the viewers that can differ are looked at one
+    /// by one: those the top route is withheld from (they fall through to
+    /// the best route they are exported, or to none), those holding a slot
+    /// at the prefix already, and the `(viewer, prefix)` pairs in `also`
+    /// (pairs whose virtual next hop changed; their prefix need not be
+    /// among `prefixes`). `vnh(viewer, prefix)` is the virtual next hop to
+    /// advertise instead of the route's own, if any.
+    ///
+    /// Every write lands twice: in the Adj-RIB-Outs, and — all a FIB
+    /// keeps of an UPDATE being `prefix → next hop` — in the fabric's
+    /// shared FIB for each router of the viewer, so every router ends
+    /// where one UPDATE per moved advertisement would have left it.
     fn readvertise(
         rs: &RouteServer,
-        rib_out: &mut BTreeMap<ParticipantId, AdjRibOut>,
+        adverts: &mut AdjRibOuts,
         fabric: &mut Fabric,
         log: &mut UndoLog,
-        viewer: ParticipantId,
-        mut changes: Vec<(Prefix, Option<Ipv4Addr>)>,
-    ) -> usize {
-        let out = log.adj_rib_out(rib_out, viewer);
-        // Each change becomes (prefix, next hop to install | withdraw),
-        // and is kept only if the advertisement actually moved.
-        changes.retain_mut(|(prefix, next_hop)| {
-            let best = rs.best_for(viewer, *prefix).map(|best| &best.attrs);
-            *next_hop = best.map(|attrs| next_hop.unwrap_or(attrs.next_hop));
-            log.reconcile_advert(viewer, out, *prefix, best.zip(*next_hop))
-        });
-        for router in fabric.routers_of_mut(viewer) {
-            for &(prefix, next_hop) in &changes {
-                log.set_route(router, prefix, next_hop);
+        prefixes: &BTreeSet<Prefix>,
+        also: Vec<(ParticipantId, Prefix)>,
+        vnh: impl Fn(ParticipantId, Prefix) -> Option<Ipv4Addr>,
+    ) -> FibSync {
+        let same_route = |have: &PathAttributes, want: &(&PathAttributes, Ipv4Addr)| {
+            have.is_rewrite_of(want.0, want.1)
+        };
+        let build_route =
+            |(route, next_hop): (&PathAttributes, Ipv4Addr)| route.clone().with_next_hop(next_hop);
+        let hop = |next_hop| FibEntry { next_hop };
+        let mut sync = FibSync::default();
+        let mut slots = also;
+        for &prefix in prefixes {
+            sync.examined += 1;
+            let top = rs.top_route(prefix);
+            let route = top.map(|top| (&top.attrs, top.attrs.next_hop));
+            if let Some(write) = adverts.reconcile_base(prefix, route, same_route, build_route) {
+                log.write_advert(adverts, write);
+                sync.sent += 1;
+            }
+            let next_hop = route.map(|(_, next_hop)| hop(next_hop));
+            let fib = fabric.fib();
+            if let Some(write) = fib.reconcile_base(prefix, next_hop, FibEntry::eq, |e| e) {
+                log.write_fib(fabric, write);
+            }
+            let withheld = top.map_or(Vec::new(), |top| rs.withheld_from(top, prefix));
+            slots.extend(withheld.into_iter().map(|viewer| (viewer, prefix)));
+            slots.extend(adverts.holders(prefix).map(|viewer| (viewer, prefix)));
+        }
+        slots.sort_unstable();
+        slots.dedup();
+        sync.examined += slots.len();
+        let mut ports: (Option<ParticipantId>, Vec<PortId>) = (None, Vec::new());
+        for (viewer, prefix) in slots {
+            let route = rs.best_for(viewer, prefix).map(|best| {
+                let next_hop = vnh(viewer, prefix).unwrap_or(best.attrs.next_hop);
+                (&best.attrs, next_hop)
+            });
+            if let Some(write) =
+                adverts.reconcile_slot(viewer, prefix, route, same_route, build_route)
+            {
+                log.write_advert(adverts, write);
+                sync.sent += 1;
+            }
+            if ports.0 != Some(viewer) {
+                ports = (Some(viewer), fabric.ports_of(viewer));
+            }
+            let next_hop = route.map(|(_, next_hop)| hop(next_hop));
+            for &port in &ports.1 {
+                let fib = fabric.fib();
+                if let Some(write) = fib.reconcile_slot(port, prefix, next_hop, FibEntry::eq, |e| e)
+                {
+                    log.write_fib(fabric, write);
+                }
             }
         }
-        changes.len()
+        sync
     }
 
-    /// Brings every viewer's Adj-RIB-Out, and through it every border
-    /// router's FIB, to the best routes under the current report's VNH
-    /// map — the initial convergence / post-reoptimization sync, sent as
-    /// the minimal BGP diff (including withdrawals of prefixes that
-    /// vanished from the Loc-RIB), exactly like a real route-server
-    /// session.
+    /// Brings the Adj-RIB-Outs, and through them every border router's
+    /// FIB, to the best routes under the current report's VNH map — the
+    /// initial convergence / post-reoptimization sync, sent as the
+    /// minimal BGP diff (including withdrawals of prefixes that vanished
+    /// from the Loc-RIB), exactly like a real route-server session.
     ///
     /// `since` is the report the Adj-RIB-Outs were last synchronized to.
-    /// Given one, a viewer that already converged is synchronized
-    /// *incrementally*: under keyed VNH identity a FEC group that is in
-    /// both reports under the same id has the same viewer, prefixes and
-    /// VNH, so the only (viewer, prefix) pairs whose advertisement can
-    /// have moved are the route server's dirty prefixes (best route
-    /// changed) and the members of the groups that are in one report
+    /// Given one, the synchronization is *incremental*: under keyed VNH
+    /// identity a FEC group that is in both reports under the same id has
+    /// the same viewer, prefixes and VNH, so the only advertisements that
+    /// can have moved are those of the route server's dirty prefixes (best
+    /// route changed: the base is re-decided and the prefix's exceptions
+    /// re-examined) and the members of the groups that are in one report
     /// only — exactly those are examined, never the exchange. With `None`,
-    /// or for a viewer with no Adj-RIB-Out yet, every prefix of the
-    /// Loc-RIB and of the viewer's Adj-RIB-Out is.
+    /// or when a viewer is advertised to for the first time, every prefix
+    /// of the Loc-RIB and of the Adj-RIB-Outs is, and every pair in the
+    /// report's VNH map.
     pub fn sync_fibs(&mut self, fabric: &mut Fabric, since: Option<&CompileReport>) -> FibSync {
         self.sync_fibs_logged(fabric, since, &mut UndoLog::discarding())
     }
@@ -825,51 +866,105 @@ impl SdxController {
         log: &mut UndoLog,
     ) -> FibSync {
         let dirty = self.rs.take_dirty_prefixes();
+        let joined = self.sync_viewers(fabric, log);
         let report = self.report.as_ref();
         let empty = BTreeMap::new();
         let vnh_of = report.map_or(&empty, |r| &r.vnh_of);
-        // Per viewer, the prefixes to examine: the dirty ones for a
-        // viewer that converged on `since`, otherwise all it could hold.
-        let mut work: BTreeMap<ParticipantId, Vec<Prefix>> = BTreeMap::new();
-        let mut every_prefix: Option<Vec<Prefix>> = None;
-        for viewer in self.rs.participants() {
-            let out = self.rib_out.get(&viewer);
-            let prefixes = if since.is_some() && out.is_some() {
-                dirty.iter().copied().collect()
-            } else {
-                let all = every_prefix.get_or_insert_with(|| self.rs.all_prefixes());
-                let advertised = out.into_iter().flat_map(AdjRibOut::prefixes);
-                all.iter().copied().chain(advertised).collect()
-            };
-            work.insert(viewer, prefixes);
-        }
-        if let (Some(old), Some(new)) = (since, report) {
-            for g in moved_groups(old, new) {
-                if let Some(prefixes) = work.get_mut(&g.viewer) {
-                    prefixes.extend(g.prefixes.iter().copied());
+        let all: BTreeSet<Prefix>;
+        let (prefixes, also) = match (since, report) {
+            (Some(old), Some(new)) if !joined => {
+                let mut also: Vec<(ParticipantId, Prefix)> = moved_groups(old, new)
+                    .into_iter()
+                    .flat_map(|g| g.prefixes.iter().map(|&p| (g.viewer, p)))
+                    .collect();
+                // A fast-path pass since `old` may have taken a dirty
+                // prefix's VNH away from a viewer whose group the
+                // recompile then kept: ask the map, for the viewers that
+                // have groups at all.
+                let tagged = new.groups.iter().filter(|(_, groups)| !groups.is_empty());
+                for (&viewer, _) in tagged {
+                    let held = dirty.iter().filter(|&&p| vnh_of.contains_key(&(viewer, p)));
+                    also.extend(held.map(|&p| (viewer, p)));
                 }
+                (&dirty, also)
             }
-        }
-        let mut sync = FibSync::default();
-        let mut skipped = 0usize;
-        for (viewer, mut prefixes) in work {
-            prefixes.sort_unstable();
-            prefixes.dedup();
-            sync.examined += prefixes.len();
-            skipped += self.rs.prefix_count().saturating_sub(prefixes.len());
-            let changes = prefixes
-                .into_iter()
-                .map(|p| (p, vnh_of.get(&(viewer, p)).copied()))
-                .collect();
-            sync.sent +=
-                Self::readvertise(&self.rs, &mut self.rib_out, fabric, log, viewer, changes);
-        }
+            _ => {
+                all = self
+                    .rs
+                    .all_prefixes()
+                    .into_iter()
+                    .chain(self.adverts.prefixes())
+                    .collect();
+                (&all, vnh_of.keys().copied().collect())
+            }
+        };
+        let sync = Self::readvertise(
+            &self.rs,
+            &mut self.adverts,
+            fabric,
+            log,
+            prefixes,
+            also,
+            |viewer, prefix| vnh_of.get(&(viewer, prefix)).copied(),
+        );
         log.drained(dirty);
         let reg = &self.telemetry;
         reg.add("fibsync.examined.count", sync.examined as u64);
-        reg.add("fibsync.skipped.count", skipped as u64);
+        reg.add(
+            "fibsync.skipped.count",
+            self.adverts.stored().saturating_sub(sync.examined) as u64,
+        );
         reg.add("fibsync.sent.count", sync.sent as u64);
+        reg.set_gauge("ribout.stored.entries", self.adverts.stored() as i64);
+        reg.set_gauge("fib.stored.entries", fabric.fib().stored() as i64);
         sync
+    }
+
+    /// Makes the route server's participants the viewers of the
+    /// Adj-RIB-Outs, and their attached routers those of the shared FIB:
+    /// a new participant starts seeing the bases, one that is gone stops
+    /// and loses its slots (its routers' routes are withdrawn). Returns
+    /// whether anyone was added.
+    fn sync_viewers(&mut self, fabric: &mut Fabric, log: &mut UndoLog) -> bool {
+        let gone: Vec<ParticipantId> = self
+            .adverts
+            .subscribers()
+            .filter(|&viewer| self.rs.adj_rib_in(viewer).is_none())
+            .collect();
+        for viewer in gone {
+            for write in self.adverts.forget(viewer) {
+                log.write_advert(&mut self.adverts, write);
+            }
+        }
+        let mut joined = false;
+        for viewer in self.rs.participants() {
+            if !self.adverts.is_subscribed(viewer) {
+                let join = Write::Subscription {
+                    viewer,
+                    subscribed: true,
+                };
+                log.write_advert(&mut self.adverts, join);
+                joined = true;
+            }
+        }
+        for port in fabric.ports().collect::<Vec<_>>() {
+            let subscribed = self.adverts.is_subscribed(port.participant());
+            if fabric.fib().is_subscribed(port) == subscribed {
+                continue;
+            }
+            let writes = if subscribed {
+                vec![Write::Subscription {
+                    viewer: port,
+                    subscribed,
+                }]
+            } else {
+                fabric.fib().forget(port)
+            };
+            for write in writes {
+                log.write_fib(fabric, write);
+            }
+        }
+        joined
     }
 
     /// Builds a fabric with one border router per participant port,
@@ -902,10 +997,18 @@ impl SdxController {
         self.delta_layers
     }
 
-    /// What the route server last advertised to `viewer`, if it ever
-    /// synchronized it.
-    pub fn adj_rib_out(&self, viewer: ParticipantId) -> Option<&AdjRibOut> {
-        self.rib_out.get(&viewer)
+    /// What the route server last advertised to `viewer` — its view of
+    /// the shared Adj-RIB-Outs — if it ever synchronized it.
+    pub fn adj_rib_out(&self, viewer: ParticipantId) -> Option<AdjRibOut<'_>> {
+        self.adverts
+            .is_subscribed(viewer)
+            .then(|| self.adverts.view(viewer))
+    }
+
+    /// The Adj-RIB-Outs as stored: one base per prefix plus the viewers'
+    /// exceptions.
+    pub fn adj_rib_outs(&self) -> &AdjRibOuts {
+        &self.adverts
     }
 
     /// The wide-area server load-balancing application (§3.1, Figure 4b):
@@ -979,11 +1082,12 @@ struct Retire {
 /// What one [`SdxController::sync_fibs`] did.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FibSync {
-    /// (viewer, prefix) pairs whose advertisement was compared
-    /// (`fibsync.examined.count`).
+    /// Advertisements compared with what the route server now decides:
+    /// one per prefix whose base was re-decided, plus one per
+    /// (viewer, prefix) exception looked at (`fibsync.examined.count`).
     pub examined: usize,
-    /// Advertisements that moved and were replayed to the viewer's
-    /// routers (`fibsync.sent.count`).
+    /// Of those, the ones that had moved and were written — to the
+    /// Adj-RIB-Outs and on to the routers' FIBs (`fibsync.sent.count`).
     pub sent: usize,
 }
 
@@ -1350,6 +1454,16 @@ mod tests {
                 }
             }
         }
+        // It is no longer a viewer: the route server does not list it,
+        // nothing is advertised to it, and its router holds no route.
+        assert!(ctl.rs.participants().all(|p| p != pid(2)));
+        assert!(ctl.adj_rib_out(pid(2)).is_none());
+        let router = fabric
+            .router(PortId::Phys(pid(2), 1))
+            .expect("still attached");
+        assert_eq!(router.fib_len(), 0);
+        // The others still are, and still see the surviving route.
+        assert_eq!(ctl.adj_rib_out(pid(3)).expect("a viewer").len(), 1);
     }
 
     #[test]
@@ -1444,10 +1558,9 @@ mod tests {
             .map(|r| (&r.classifier, &r.groups, &r.arp_bindings, &r.vnh_of));
         (
             fabric.clone(),
-            ctl.rib_out.clone(),
+            ctl.adverts.clone(),
             format!("{:?}", ctl.vnh),
             format!("{report:?}"),
-            ctl.pending_fib.clone(),
             ctl.rs.clone().take_dirty_prefixes(),
             (
                 ctl.delta_layers,
@@ -1485,7 +1598,7 @@ mod tests {
         };
         let (mut ctl, mut fabric) = perturbed();
         let before = image(&ctl, &fabric);
-        let (fibs_before, rib_out_before) = (fabric.clone(), ctl.rib_out.clone());
+        let (fibs_before, adverts_before) = (fabric.clone(), ctl.adverts.clone());
 
         let mut txn = FabricTxn::begin(&ctl, &fabric);
         let (patch, _retire) = ctl.stage(&mut fabric, &mut txn).expect("stage succeeds");
@@ -1497,7 +1610,7 @@ mod tests {
             .filter(|&p| fabric.router(p) != fibs_before.router(p))
             .count();
         assert!(moved > 0, "fixture: staging must write FIBs");
-        assert!(ctl.rs.dirty_len() == 0 && ctl.rib_out != rib_out_before);
+        assert!(ctl.rs.dirty_len() == 0 && ctl.adverts != adverts_before);
         assert!(txn.undo_entries() > moved);
         txn.rollback(&mut ctl, &mut fabric);
         assert_eq!(image(&ctl, &fabric), before);

@@ -42,9 +42,16 @@ pub struct DeltaResult {
     pub rules: Vec<Rule>,
     /// New ARP bindings (fresh VNH → fresh VMAC).
     pub arp_bindings: Vec<(Ipv4Addr, MacAddr)>,
-    /// NEXT_HOP rewrites to re-advertise: (viewer, prefix, new VNH).
-    /// `None` means advertise the best route's real next hop (the prefix no
-    /// longer needs SDX processing for this viewer).
+    /// The changed prefixes this delta is for, as given. Each is
+    /// re-advertised to every viewer: the best route as the route server
+    /// now decides it, under its own next hop unless `vnh_updates` says
+    /// otherwise — a virtual next hop a viewer held for one of them
+    /// before does not outlive the change.
+    pub prefixes: Vec<Prefix>,
+    /// NEXT_HOP rewrites for the viewers whose policy can move traffic:
+    /// (viewer, prefix, new VNH), or `None` where the prefix no longer
+    /// needs SDX processing for that viewer. Viewers without such a policy
+    /// are not listed.
     pub vnh_updates: Vec<(ParticipantId, Prefix, Option<Ipv4Addr>)>,
     /// Wall-clock of the fast path (the Figure 10 metric).
     pub elapsed: Duration,
@@ -109,7 +116,10 @@ impl SdxCompiler {
     ) -> Result<DeltaResult, SdxError> {
         let t0 = Instant::now();
         let this = &*self;
-        let mut out = DeltaResult::default();
+        let mut out = DeltaResult {
+            prefixes: prefixes.to_vec(),
+            ..DeltaResult::default()
+        };
         let viewers: Vec<ParticipantId> = this.participants().keys().copied().collect();
         // Parallel to `viewers`, filled while the first prefix visits them.
         let mut viewer_rules: Vec<ViewerRules> = Vec::with_capacity(viewers.len());
@@ -127,28 +137,29 @@ impl SdxCompiler {
                     viewer_rules.push(this.viewer_rules(viewer)?);
                 }
                 let ViewerRules { rules, movable } = &viewer_rules[i];
+                // A viewer no clause of which can move gets the plain
+                // re-advertisement `out.prefixes` stands for.
+                if movable.is_empty() {
+                    continue;
+                }
 
                 // Which of the viewer's rules touch this prefix now?
                 let mut member = Vec::new();
                 let mut partial = Vec::new();
-                if !movable.is_empty() {
-                    let reachable = rs.reachable_via(viewer, prefix);
-                    for &(k, nh) in movable {
-                        if !reachable.contains(&nh) {
-                            continue;
-                        }
-                        match dst_coverage(&rules[k].matches, prefix) {
-                            Coverage::None => {}
-                            Coverage::Full => member.push(k),
-                            Coverage::Partial => {
-                                member.push(k);
-                                partial.push(k);
-                            }
+                let reachable = rs.reachable_via(viewer, prefix);
+                for &(k, nh) in movable {
+                    if !reachable.contains(&nh) {
+                        continue;
+                    }
+                    match dst_coverage(&rules[k].matches, prefix) {
+                        Coverage::None => {}
+                        Coverage::Full => member.push(k),
+                        Coverage::Partial => {
+                            member.push(k);
+                            partial.push(k);
                         }
                     }
                 }
-                // Every viewer needs the re-advertisement — a best-path
-                // change must reach policy-less participants' FIBs too.
                 if member.is_empty() {
                     // The prefix is not (or no longer) policy-affected for
                     // this viewer: plain route-server behaviour (real next
@@ -310,18 +321,16 @@ mod tests {
         let delta = compiler
             .fast_update(&rs, &mut vnh, prefix("10.0.0.0/8"))
             .unwrap();
-        // Viewer A is affected (policy matches p via B); every viewer gets
-        // a re-advertisement so no FIB goes stale.
+        // Viewer A is affected (policy matches p via B) and is the only
+        // viewer listed; B and C, which have no policy, re-learn the
+        // prefix's plain route because it is among the delta's prefixes.
         assert_eq!(delta.arp_bindings.len(), 1);
-        assert_eq!(delta.vnh_updates.len(), 3);
+        assert_eq!(delta.prefixes, vec![prefix("10.0.0.0/8")]);
+        assert_eq!(delta.vnh_updates.len(), 1);
         let (viewer, p, nh) = delta.vnh_updates[0];
         assert_eq!(viewer, ParticipantId(1));
         assert_eq!(p, prefix("10.0.0.0/8"));
         assert!(nh.is_some(), "the affected viewer gets a fresh VNH");
-        assert!(
-            delta.vnh_updates[1..].iter().all(|(_, _, nh)| nh.is_none()),
-            "unaffected viewers re-learn the plain next hop"
-        );
         assert!(delta.additional_rules() >= 2, "policy rule + default rule");
         // No wildcard catch-all leaks into the overlay.
         assert!(delta
@@ -346,13 +355,11 @@ mod tests {
             .fast_update(&rs, &mut vnh, prefix("10.0.0.0/8"))
             .unwrap();
         assert!(delta.rules.is_empty());
+        assert_eq!(delta.prefixes, vec![prefix("10.0.0.0/8")]);
         assert_eq!(
             delta.vnh_updates,
-            vec![
-                (ParticipantId(1), prefix("10.0.0.0/8"), None),
-                (ParticipantId(2), prefix("10.0.0.0/8"), None),
-                (ParticipantId(3), prefix("10.0.0.0/8"), None),
-            ]
+            vec![(ParticipantId(1), prefix("10.0.0.0/8"), None)],
+            "the one viewer with a policy loses its VNH; nobody else is listed"
         );
     }
 

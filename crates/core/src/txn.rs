@@ -6,10 +6,10 @@
 //! [`reoptimize`](crate::controller::SdxController::reoptimize) — runs
 //! inside a [`FabricTxn`]: the compiled result is validated against the
 //! invariants below, and every write made on the way — flow-mod batches,
-//! overlay retirement, ARP bindings, Adj-RIB-Out advertisements, border
-//! router FIB entries, the drained route-server dirty set — goes through
-//! the transaction's [`UndoLog`], which keeps the previous value each
-//! write displaced. Any failure at any step replays the log backwards, so
+//! overlay retirement, ARP bindings, base and per-viewer writes to the
+//! Adj-RIB-Outs and to the border routers' shared FIB, the drained
+//! route-server dirty set — goes through the transaction's [`UndoLog`],
+//! which keeps the previous value each write displaced. Any failure at any step replays the log backwards, so
 //! an observer of the data plane sees either the old state or the new
 //! state, never a torn mixture; a transaction costs what it changes, not
 //! what the exchange holds.
@@ -23,14 +23,13 @@
 //!   resolve the next hops we hand them;
 //! * every ARP binding resolves to a well-formed VMAC carrying its FEC id.
 
-use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
 use sdx_bgp::attrs::PathAttributes;
-use sdx_bgp::rib::{AdjRibOut, Displaced};
+use sdx_bgp::rib::AdjRibOuts;
 use sdx_bgp::route_server::RouteServer;
-use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, PortId, Prefix};
-use sdx_openflow::border_router::{BorderRouter, FibEntry};
+use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, PortId, Prefix, ViewTable, Write};
+use sdx_openflow::border_router::FibEntry;
 use sdx_openflow::fabric::{Fabric, WaveUndo};
 use sdx_openflow::flowmod::{BatchStats, FlowModBatch, FlowModError};
 use sdx_openflow::table::FlowEntry;
@@ -56,26 +55,24 @@ enum Undo {
         addr: Ipv4Addr,
         previous: Option<MacAddr>,
     },
-    /// The router at `port` forwarded `prefix` by `previous`.
-    Route {
-        port: PortId,
-        prefix: Prefix,
-        previous: Option<FibEntry>,
-    },
-    /// `viewer` had no Adj-RIB-Out; an empty one was created. Undoing
-    /// this drops the table, so writes to it leave no entries.
-    Viewer(ParticipantId),
-    /// The FIB of the router at this port was empty before its first
-    /// write. Undoing this clears it, so later writes leave no entries.
-    EmptyFib(PortId),
-    /// `viewer` was advertised `previous` for `prefix`.
-    Advert {
-        viewer: ParticipantId,
-        prefix: Prefix,
-        previous: Displaced,
-    },
+    /// A write to the Adj-RIB-Outs, as the write that reverses it.
+    Advert(Write<ParticipantId, PathAttributes>),
+    /// A write to the fabric's shared FIB, as the write that reverses it.
+    Fib(Write<PortId, FibEntry>),
+    /// This table held nothing before its first write. Undoing this
+    /// clears it, so the writes to it leave no entries of their own.
+    WasEmpty(Table),
     /// These prefixes were drained from the route server's dirty set.
     Dirty(BTreeSet<Prefix>),
+}
+
+/// The two base-and-exceptions tables a commit writes.
+#[derive(Clone, Copy, Debug)]
+enum Table {
+    /// The controller's Adj-RIB-Outs.
+    Adverts,
+    /// The fabric's shared FIB.
+    Fib,
 }
 
 /// The recording seam between the controller and the state its commits
@@ -86,11 +83,10 @@ enum Undo {
 #[derive(Debug, Default)]
 pub struct UndoLog {
     entries: Vec<Undo>,
-    /// Adj-RIB-Outs and FIBs that were empty when this log first wrote
-    /// to them: one entry undoes all of it, so an initial synchronization
-    /// records a line per viewer and router, not per advertisement.
-    fresh_viewers: BTreeSet<ParticipantId>,
-    fresh_fibs: BTreeSet<PortId>,
+    /// Indexed by [`Table`]: the table was empty when this log first
+    /// wrote to it. One entry undoes all of it, so an initial
+    /// synchronization records a line per table, not per advertisement.
+    was_empty: [bool; 2],
     /// Perform the writes, keep nothing (see [`discarding`](Self::discarding)).
     discard: bool,
 }
@@ -99,10 +95,8 @@ impl UndoLog {
     /// A log that performs writes and drops what they displace at once,
     /// for a caller past its last fallible step: nothing can roll it back
     /// any more, so there is nothing to keep. The fast path writes its
-    /// ARP bindings and FIB changes this way — holding a 1 024-prefix
-    /// pass's ≈ 50 k displaced `PathAttributes` until the pass ends cost a
-    /// fifth of the pass (the allocator hands every new advertisement
-    /// cold memory instead of the chunk its predecessor just freed).
+    /// ARP bindings and re-advertisements this way, as do the public
+    /// entry points that run outside a transaction.
     pub fn discarding() -> Self {
         UndoLog {
             discard: true,
@@ -145,61 +139,36 @@ impl UndoLog {
         }
     }
 
-    /// Installs (or, with `None`, withdraws) `prefix` in `router`'s FIB.
-    pub fn set_route(
+    /// One write to the Adj-RIB-Outs.
+    pub fn write_advert(
         &mut self,
-        router: &mut BorderRouter,
-        prefix: Prefix,
-        next_hop: Option<Ipv4Addr>,
+        adverts: &mut AdjRibOuts,
+        write: Write<ParticipantId, PathAttributes>,
     ) {
-        if router.fib_len() == 0 && self.fresh_fibs.insert(router.port) {
-            self.push(Undo::EmptyFib(router.port));
-        }
-        let previous = router.set_route(prefix, next_hop);
-        if previous.map(|e| e.next_hop) == next_hop || self.fresh_fibs.contains(&router.port) {
-            return;
-        }
-        self.push(Undo::Route {
-            port: router.port,
-            prefix,
-            previous,
-        });
+        self.write(adverts, write, Table::Adverts, Undo::Advert);
     }
 
-    /// `viewer`'s Adj-RIB-Out, created empty (and recorded) if it had
-    /// none yet.
-    pub fn adj_rib_out<'a>(
-        &mut self,
-        rib_out: &'a mut BTreeMap<ParticipantId, AdjRibOut>,
-        viewer: ParticipantId,
-    ) -> &'a mut AdjRibOut {
-        rib_out.entry(viewer).or_insert_with(|| {
-            self.push(Undo::Viewer(viewer));
-            self.fresh_viewers.insert(viewer);
-            AdjRibOut::new()
-        })
+    /// One write to `fabric`'s shared FIB.
+    pub fn write_fib(&mut self, fabric: &mut Fabric, write: Write<PortId, FibEntry>) {
+        self.write(fabric.fib_mut(), write, Table::Fib, Undo::Fib);
     }
 
-    /// [`AdjRibOut::reconcile_rewritten`] on `viewer`'s table: true if
-    /// the advertisement changed.
-    pub fn reconcile_advert(
+    fn write<K: Ord + Copy, V>(
         &mut self,
-        viewer: ParticipantId,
-        out: &mut AdjRibOut,
-        prefix: Prefix,
-        desired: Option<(&PathAttributes, Ipv4Addr)>,
-    ) -> bool {
-        let Some(previous) = out.reconcile_rewritten(prefix, desired) else {
-            return false;
-        };
-        if !self.fresh_viewers.contains(&viewer) {
-            self.push(Undo::Advert {
-                viewer,
-                prefix,
-                previous,
-            });
+        table: &mut ViewTable<K, V>,
+        write: Write<K, V>,
+        which: Table,
+        entry: fn(Write<K, V>) -> Undo,
+    ) {
+        let which_empty = which as usize;
+        if !self.discard && !self.was_empty[which_empty] && table.is_empty() {
+            self.was_empty[which_empty] = true;
+            self.entries.push(Undo::WasEmpty(which));
         }
-        true
+        let inverse = table.apply(write);
+        if !self.was_empty[which_empty] {
+            self.push(entry(inverse));
+        }
     }
 
     /// Takes over the set a caller drained with
@@ -213,12 +182,7 @@ impl UndoLog {
     /// Replays the log backwards: everything written through it holds the
     /// value it held before, byte for byte — table entries with their
     /// counters and band order, trie structure, map keys.
-    pub fn rollback(
-        self,
-        fabric: &mut Fabric,
-        rib_out: &mut BTreeMap<ParticipantId, AdjRibOut>,
-        rs: &mut RouteServer,
-    ) {
+    pub fn rollback(self, fabric: &mut Fabric, adverts: &mut AdjRibOuts, rs: &mut RouteServer) {
         for undo in self.entries.into_iter().rev() {
             match undo {
                 Undo::Batch(wave) => fabric.rewind_wave(wave),
@@ -229,32 +193,14 @@ impl UndoLog {
                         None => fabric.arp.unbind(addr),
                     };
                 }
-                Undo::Route {
-                    port,
-                    prefix,
-                    previous,
-                } => {
-                    if let Some(router) = fabric.router_mut(port) {
-                        router.set_route(prefix, previous.map(|e| e.next_hop));
-                    }
+                Undo::Advert(inverse) => {
+                    adverts.apply(inverse);
                 }
-                Undo::Viewer(viewer) => {
-                    rib_out.remove(&viewer);
+                Undo::Fib(inverse) => {
+                    fabric.fib_mut().apply(inverse);
                 }
-                Undo::EmptyFib(port) => {
-                    if let Some(router) = fabric.router_mut(port) {
-                        router.clear_fib();
-                    }
-                }
-                Undo::Advert {
-                    viewer,
-                    prefix,
-                    previous,
-                } => {
-                    if let Some(out) = rib_out.get_mut(&viewer) {
-                        out.restore(prefix, previous);
-                    }
-                }
+                Undo::WasEmpty(Table::Adverts) => adverts.clear(),
+                Undo::WasEmpty(Table::Fib) => fabric.fib_mut().clear(),
                 Undo::Dirty(drained) => rs.restore_dirty_prefixes(drained),
             }
         }
@@ -286,7 +232,6 @@ pub struct FabricTxn {
     delta_layers: u32,
     next_delta_priority: u32,
     live_delta_ids_len: usize,
-    pending_fib: Vec<(ParticipantId, Prefix, Option<Ipv4Addr>)>,
 }
 
 impl FabricTxn {
@@ -304,7 +249,6 @@ impl FabricTxn {
             delta_layers: ctl.delta_layers,
             next_delta_priority: ctl.next_delta_priority,
             live_delta_ids_len: ctl.live_delta_ids.len(),
-            pending_fib: ctl.pending_fib.clone(),
         }
     }
 
@@ -317,11 +261,10 @@ impl FabricTxn {
     /// [`begin`](FabricTxn::begin), discarding every change made inside
     /// the transaction.
     pub fn rollback(self, ctl: &mut SdxController, fabric: &mut Fabric) {
-        self.log.rollback(fabric, &mut ctl.rib_out, &mut ctl.rs);
+        self.log.rollback(fabric, &mut ctl.adverts, &mut ctl.rs);
         ctl.vnh = self.vnh;
         ctl.delta_layers = self.delta_layers;
         ctl.next_delta_priority = self.next_delta_priority;
-        ctl.pending_fib = self.pending_fib;
         match self.taken {
             Some(taken) => {
                 ctl.report = taken.report;

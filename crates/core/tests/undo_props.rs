@@ -4,29 +4,38 @@
 //! Adj-RIB-Out, and roll back by assigning the clones. [`UndoLog`] keeps
 //! the previous value of each write instead; this suite holds it to the
 //! old model: random interleavings of every kind of write the controller
-//! makes through the log — router FIB entries, Adj-RIB-Out reconciles
-//! (including the first one for a viewer), ARP bindings, overlay
-//! retirement, flow-mod batches (accepted and rejected), the drained
-//! dirty set — then `rollback`, must leave exactly the clones taken
-//! before: table entries with their counters and band order, epoch,
-//! cookie index, unstreamed batch log, trie structure, map keys. A log
-//! that discards instead of recording must perform the same writes.
-
-use std::collections::BTreeMap;
+//! makes through the log — bases, per-viewer slots and subscriptions of
+//! the shared FIB and of the Adj-RIB-Outs (including the first write to
+//! an empty table), ARP bindings, overlay retirement, flow-mod batches
+//! (accepted and rejected), the drained dirty set — then `rollback`, must
+//! leave exactly the clones taken before: table entries with their
+//! counters and band order, epoch, cookie index, unstreamed batch log,
+//! trie structure, subscriber sets. A log that discards instead of
+//! recording must perform the same writes.
 
 use proptest::prelude::*;
 use sdx_bgp::attrs::{AsPath, PathAttributes};
-use sdx_bgp::rib::AdjRibOut;
+use sdx_bgp::rib::AdjRibOuts;
 use sdx_bgp::route_server::{ExportPolicy, RouteServer};
 use sdx_core::txn::UndoLog;
 use sdx_core::ParticipantConfig;
 use sdx_net::{
-    FieldMatch, HeaderMatch, Ipv4Addr, MacAddr, Mod, Packet, ParticipantId, PortId, Prefix,
+    FieldMatch, HeaderMatch, Ipv4Addr, MacAddr, Mod, Packet, ParticipantId, PortId, Prefix, Slot,
+    Write,
 };
+use sdx_openflow::border_router::FibEntry;
 use sdx_openflow::{BorderRouter, Fabric, FlowEntry, FlowMod, FlowModBatch};
 
 /// Overlays live at or above this priority, base entries below.
 const OVERLAY: u32 = 100;
+
+/// Where the world's four routers (of three participants) attach.
+const PORTS: [PortId; 4] = [
+    PortId::Phys(ParticipantId(1), 1),
+    PortId::Phys(ParticipantId(2), 1),
+    PortId::Phys(ParticipantId(2), 2),
+    PortId::Phys(ParticipantId(3), 1),
+];
 
 /// A small universe with nesting, so writes collide and tries share paths.
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
@@ -81,32 +90,83 @@ fn arb_batch_op() -> impl Strategy<Value = BatchOp> {
 /// One write through the recording seam.
 #[derive(Clone, Debug)]
 enum Op {
-    Route(usize, Prefix, Option<Ipv4Addr>),
-    /// (viewer, prefix, desired route variant and next hop | withdraw)
-    Advert(u32, Prefix, Option<(u32, Ipv4Addr)>),
+    /// To the shared FIB.
+    Fib(Write<PortId, FibEntry>),
+    /// To the Adj-RIB-Outs.
+    Advert(Write<ParticipantId, PathAttributes>),
     Arp(Ipv4Addr, u32),
     RetireOverlays,
     Batch(Vec<BatchOp>),
     DrainDirty,
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
-    let nh = || prop_oneof![Just(None), arb_addr().prop_map(Some)];
+/// A table write over a small universe of viewers and values: mostly
+/// slots, so they collide with each other and with the bases under them.
+fn arb_write<K, V>(
+    viewer: fn() -> BoxedStrategy<K>,
+    value: fn() -> BoxedStrategy<V>,
+) -> impl Strategy<Value = Write<K, V>>
+where
+    K: Clone + std::fmt::Debug + 'static,
+    V: Clone + std::fmt::Debug + 'static,
+{
+    let slot = move || {
+        prop_oneof![
+            Just(Slot::Inherit),
+            Just(Slot::Withheld),
+            value().prop_map(Slot::Own),
+            value().prop_map(Slot::Own),
+        ]
+    };
     prop_oneof![
-        (0usize..4, arb_prefix(), nh()).prop_map(|(r, p, n)| Op::Route(r, p, n)),
-        (0usize..4, arb_prefix(), nh()).prop_map(|(r, p, n)| Op::Route(r, p, n)),
         (
-            1u32..5,
             arb_prefix(),
-            prop_oneof![Just(None), (0u32..3, arb_addr()).prop_map(Some)]
+            prop_oneof![Just(None), value().prop_map(Some)]
         )
-            .prop_map(|(v, p, d)| Op::Advert(v, p, d)),
-        (
-            1u32..5,
-            arb_prefix(),
-            prop_oneof![Just(None), (0u32..3, arb_addr()).prop_map(Some)]
+            .prop_map(|(prefix, value)| Write::Base { prefix, value }),
+        (viewer(), arb_prefix(), slot()).prop_map(|(viewer, prefix, slot)| Write::Slot {
+            viewer,
+            prefix,
+            slot
+        }),
+        (viewer(), arb_prefix(), slot()).prop_map(|(viewer, prefix, slot)| Write::Slot {
+            viewer,
+            prefix,
+            slot
+        }),
+        (viewer(), any::<bool>())
+            .prop_map(|(viewer, subscribed)| Write::Subscription { viewer, subscribed }),
+    ]
+}
+
+fn arb_op() -> impl Strategy<Value = Op> {
+    let fib = || {
+        arb_write(
+            || (0usize..4).prop_map(|r| PORTS[r]).boxed(),
+            || {
+                arb_addr()
+                    .prop_map(|next_hop| FibEntry { next_hop })
+                    .boxed()
+            },
         )
-            .prop_map(|(v, p, d)| Op::Advert(v, p, d)),
+        .prop_map(Op::Fib)
+    };
+    let advert = || {
+        arb_write(
+            || (1u32..5).prop_map(ParticipantId).boxed(),
+            || {
+                (0u32..3, arb_addr())
+                    .prop_map(|(variant, nh)| route(variant).with_next_hop(nh))
+                    .boxed()
+            },
+        )
+        .prop_map(Op::Advert)
+    };
+    prop_oneof![
+        fib(),
+        fib(),
+        advert(),
+        advert(),
         (arb_addr(), 0u32..6).prop_map(|(a, v)| Op::Arp(a, v)),
         Just(Op::RetireOverlays),
         proptest::collection::vec(arb_batch_op(), 1..5).prop_map(Op::Batch),
@@ -118,7 +178,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// Everything the log writes to.
 struct World {
     fabric: Fabric,
-    rib_out: BTreeMap<ParticipantId, AdjRibOut>,
+    adverts: AdjRibOuts,
     rs: RouteServer,
     epoch: u64,
 }
@@ -135,12 +195,8 @@ impl World {
     /// on, and a route server with two peers and dirty prefixes.
     fn new() -> Self {
         let mut fabric = Fabric::new();
-        for (p, i) in [(1, 1), (2, 1), (2, 2), (3, 1)] {
-            let port = PortId::Phys(ParticipantId(p), i);
-            fabric.attach(BorderRouter::new(
-                port,
-                MacAddr::physical(10 * p + u32::from(i)),
-            ));
+        for (i, port) in (0u32..).zip(PORTS) {
+            fabric.attach(BorderRouter::new(port, MacAddr::physical(10 + i)));
         }
         fabric.enable_batch_log();
         let mut rs = RouteServer::new();
@@ -152,7 +208,7 @@ impl World {
         }
         World {
             fabric,
-            rib_out: BTreeMap::new(),
+            adverts: AdjRibOuts::new(),
             rs,
             epoch: 0,
         }
@@ -160,18 +216,8 @@ impl World {
 
     fn apply(&mut self, op: &Op, log: &mut UndoLog) {
         match op {
-            Op::Route(r, prefix, next_hop) => {
-                let port = self.fabric.ports().nth(*r).expect("four routers");
-                let router = self.fabric.router_mut(port).expect("attached");
-                log.set_route(router, *prefix, *next_hop);
-            }
-            Op::Advert(viewer, prefix, desired) => {
-                let viewer = ParticipantId(*viewer);
-                let out = log.adj_rib_out(&mut self.rib_out, viewer);
-                let attrs = desired.map(|(variant, nh)| (route(variant), nh));
-                let desired = attrs.as_ref().map(|(a, nh)| (a, *nh));
-                log.reconcile_advert(viewer, out, *prefix, desired);
-            }
+            Op::Fib(write) => log.write_fib(&mut self.fabric, write.clone()),
+            Op::Advert(write) => log.write_advert(&mut self.adverts, write.clone()),
             Op::Arp(addr, v) => log.bind_arp(&mut self.fabric, *addr, MacAddr::vmac(*v)),
             Op::RetireOverlays => log.retire_overlays(&mut self.fabric, OVERLAY),
             Op::Batch(ops) => {
@@ -233,7 +279,7 @@ impl World {
             table.epoch(),
             (0..4).map(|c| table.cookie_count(c)).collect::<Vec<_>>(),
             self.fabric.clone().drain_batches(),
-            self.rib_out.clone(),
+            self.adverts.clone(),
             self.rs.clone().take_dirty_prefixes(),
         )
     }
@@ -274,7 +320,7 @@ proptest! {
             unrecorded.apply(op, &mut keep_nothing);
         }
         prop_assert_eq!(unrecorded.image(), w.image());
-        log.rollback(&mut w.fabric, &mut w.rib_out, &mut w.rs);
+        log.rollback(&mut w.fabric, &mut w.adverts, &mut w.rs);
         prop_assert_eq!(w.image(), before);
         // The matcher came back too.
         let table = w.fabric.switch.table();

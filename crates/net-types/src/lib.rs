@@ -11,6 +11,9 @@
 //! * [`PrefixTrie`] — a binary trie keyed by prefix supporting exact match,
 //!   longest-prefix match, and ordered iteration. This is the backing store
 //!   for every RIB and FIB in the workspace.
+//! * [`ViewTable`] — one prefix-major table read by many viewers: a base
+//!   value per prefix plus per-viewer exceptions, which is how the route
+//!   server's advertisements and the border routers' FIBs are stored.
 //! * [`Packet`] / [`LocatedPacket`] — the concrete packet-header model that
 //!   policies are evaluated against, mirroring Pyretic's "located packet".
 //! * [`flowspace`] — header-space style reasoning: which sets of packets a
@@ -33,6 +36,7 @@ pub mod ipv4;
 pub mod mac;
 pub mod packet;
 pub mod trie;
+pub mod view_table;
 pub mod wire;
 
 pub use asn::{Asn, ParticipantId, PortId, RouterId};
@@ -41,4 +45,5 @@ pub use ipv4::{ip, prefix, Ipv4Addr, Prefix, PrefixParseError};
 pub use mac::MacAddr;
 pub use packet::{EtherType, IpProto, LocatedPacket, Location, Packet};
 pub use trie::PrefixTrie;
+pub use view_table::{Slot, View, ViewTable, Write};
 pub use wire::{decode_frame, encode_frame, ArpFrame, FrameError};

@@ -147,11 +147,24 @@ impl<T> PrefixTrie<T> {
     /// Longest-prefix match: the most specific stored prefix containing
     /// `addr`, together with its value.
     pub fn lookup(&self, addr: Ipv4Addr) -> Option<(Prefix, &T)> {
+        self.lookup_map(addr, Some)
+    }
+
+    /// Longest-prefix match among the stored values `f` answers for: the
+    /// most specific stored prefix containing `addr` whose value `f` maps
+    /// to `Some`, with that answer. One root-to-leaf walk, like
+    /// [`lookup`](Self::lookup) — the lookup of a table whose entries are
+    /// visible to some readers and not to others.
+    pub fn lookup_map<'a, U>(
+        &'a self,
+        addr: Ipv4Addr,
+        mut f: impl FnMut(&'a T) -> Option<U>,
+    ) -> Option<(Prefix, U)> {
         let mut node = &self.root;
-        let mut best: Option<(Prefix, &T)> = None;
+        let mut best: Option<(u8, U)> = None;
         for i in 0..=32u8 {
-            if let Some(v) = node.value.as_ref() {
-                best = Some((Prefix::new(addr, i), v));
+            if let Some(u) = node.value.as_ref().and_then(&mut f) {
+                best = Some((i, u));
             }
             if i == 32 {
                 break;
@@ -161,7 +174,7 @@ impl<T> PrefixTrie<T> {
                 None => break,
             }
         }
-        best
+        best.map(|(len, u)| (Prefix::new(addr, len), u))
     }
 
     /// Visits **every** stored value whose prefix contains `addr`, from the

@@ -2,7 +2,8 @@
 //!
 //! These pin down the algebraic laws the rest of the workspace relies on:
 //! the trie agrees with a linear scan, prefix set-operations behave like set
-//! operations, and header-match intersection is a true set intersection.
+//! operations, header-match intersection is a true set intersection, and
+//! the shared view table shows each viewer what a table of its own would.
 
 use proptest::prelude::*;
 use sdx_net::flowspace::{FieldMatch, HeaderMatch, Mod};
@@ -10,7 +11,7 @@ use sdx_net::ipv4::{Ipv4Addr, Prefix};
 use sdx_net::mac::MacAddr;
 use sdx_net::packet::{EtherType, IpProto, LocatedPacket, Packet};
 use sdx_net::trie::PrefixTrie;
-use sdx_net::{ParticipantId, PortId};
+use sdx_net::{ParticipantId, PortId, Slot, ViewTable, Write};
 
 fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
     any::<u32>().prop_map(Ipv4Addr)
@@ -86,7 +87,119 @@ fn arb_mods() -> impl Strategy<Value = Vec<Mod>> {
     )
 }
 
+/// Writes over few viewers and nested prefixes, so they collide.
+fn arb_write() -> impl Strategy<Value = Write<u8, u16>> {
+    let prefix = || {
+        (0u32..3, prop_oneof![Just(8u8), Just(9), Just(16)])
+            .prop_map(|(a, len)| Prefix::new(Ipv4Addr((10 + a) << 24), len))
+    };
+    let slot = prop_oneof![
+        Just(Slot::Inherit),
+        Just(Slot::Withheld),
+        (0u16..4).prop_map(Slot::Own),
+        (0u16..4).prop_map(Slot::Own),
+    ];
+    prop_oneof![
+        (prefix(), proptest::option::of(0u16..4))
+            .prop_map(|(prefix, value)| Write::Base { prefix, value }),
+        (0u8..4, prefix(), slot).prop_map(|(viewer, prefix, slot)| Write::Slot {
+            viewer,
+            prefix,
+            slot
+        }),
+        (0u8..4, any::<bool>())
+            .prop_map(|(viewer, subscribed)| Write::Subscription { viewer, subscribed }),
+    ]
+}
+
+/// One trie per viewer, kept by replaying every write to every viewer it
+/// concerns: what [`ViewTable`] stands in for.
+#[derive(Default)]
+struct Materialised {
+    subscribed: [bool; 4],
+    base: PrefixTrie<u16>,
+    /// Per viewer: its own slots (`None`: withheld).
+    own: [PrefixTrie<Option<u16>>; 4],
+}
+
+impl Materialised {
+    fn apply(&mut self, write: &Write<u8, u16>) {
+        match *write {
+            Write::Base { prefix, value } => match value {
+                Some(v) => drop(self.base.insert(prefix, v)),
+                None => drop(self.base.remove(prefix)),
+            },
+            Write::Slot {
+                viewer,
+                prefix,
+                slot,
+            } => {
+                let own = &mut self.own[viewer as usize];
+                match slot {
+                    Slot::Inherit => drop(own.remove(prefix)),
+                    Slot::Withheld => drop(own.insert(prefix, None)),
+                    Slot::Own(v) => drop(own.insert(prefix, Some(v))),
+                }
+            }
+            Write::Subscription { viewer, subscribed } => {
+                self.subscribed[viewer as usize] = subscribed;
+            }
+        }
+    }
+
+    /// The table `viewer` would hold on its own.
+    fn table_of(&self, viewer: u8) -> PrefixTrie<u16> {
+        let mut table = PrefixTrie::new();
+        if self.subscribed[viewer as usize] {
+            table = self.base.clone();
+        }
+        for (prefix, own) in self.own[viewer as usize].iter() {
+            match own {
+                Some(v) => drop(table.insert(prefix, *v)),
+                None => drop(table.remove(prefix)),
+            }
+        }
+        table
+    }
+}
+
 proptest! {
+    /// Every viewer of a [`ViewTable`] sees — at a prefix, by longest
+    /// match, in iteration — what a table of its own would hold after
+    /// the same writes; the stored count is bases plus slots; and each
+    /// write's inverse puts the table back, structure included.
+    #[test]
+    fn view_table_shows_each_viewer_its_own_table(
+        writes in proptest::collection::vec(arb_write(), 0..48),
+        probes in proptest::collection::vec((10u32..13, any::<u32>()), 1..8),
+    ) {
+        let mut table: ViewTable<u8, u16> = ViewTable::new();
+        let mut model = Materialised::default();
+        for write in &writes {
+            let before = table.clone();
+            let inverse = table.apply(write.clone());
+            model.apply(write);
+            let mut undone = table.clone();
+            undone.apply(inverse);
+            prop_assert_eq!(undone, before, "inverse of {:?}", write);
+        }
+        let slots: usize = model.own.iter().map(PrefixTrie::len).sum();
+        prop_assert_eq!(table.stored(), model.base.len() + slots);
+        for viewer in 0..4u8 {
+            let own = model.table_of(viewer);
+            let seen: Vec<(Prefix, u16)> = table.view(viewer).iter().map(|(p, v)| (p, *v)).collect();
+            let expect: Vec<(Prefix, u16)> = own.iter().map(|(p, v)| (p, *v)).collect();
+            prop_assert_eq!(seen, expect, "viewer {}", viewer);
+            for &(block, rest) in &probes {
+                let addr = Ipv4Addr(block << 24 | rest >> 8);
+                prop_assert_eq!(table.lookup(viewer, addr), own.lookup(addr));
+            }
+            for (prefix, v) in own.iter() {
+                prop_assert_eq!(table.get(viewer, prefix), Some(v));
+            }
+        }
+    }
+
     /// Trie LPM agrees with a brute-force linear scan.
     #[test]
     fn trie_lpm_matches_linear_scan(

@@ -19,8 +19,27 @@
 //! an [`ArpResponder`], and emits tagged packets. It is *unmodified-BGP*
 //! faithful — nothing here knows about FECs; the tag appears purely through
 //! next-hop+ARP mechanics, which is the paper's point.
+//!
+//! # Attached routers share one FIB table
+//!
+//! A [`BorderRouter`] on its own holds its FIB in its own trie. Routers
+//! attached to a [`Fabric`](crate::fabric::Fabric) do not: a route server
+//! tells almost every peer almost the same thing, so the fabric keeps all
+//! their FIBs in one [`SharedFib`] — per prefix the next hop most routers
+//! hold, plus a slot for each router that holds another or none — and
+//! [`RouterRef`] / [`RouterMut`] are a router together with its side of
+//! that table. This is an economy of the simulation, not a change to the
+//! model: no router can see another's routes, and each one's lookups,
+//! `fib_len` and forwarding are exactly what its own trie would give after
+//! the same UPDATE stream.
 
-use sdx_net::{Ipv4Addr, LocatedPacket, MacAddr, Packet, PortId, Prefix, PrefixTrie};
+use std::fmt;
+use std::ops::{Deref, DerefMut};
+
+use sdx_net::{
+    Ipv4Addr, LocatedPacket, MacAddr, Packet, PortId, Prefix, PrefixTrie, Slot, View, ViewTable,
+    Write,
+};
 
 use sdx_bgp::msg::UpdateMessage;
 
@@ -32,6 +51,10 @@ pub struct FibEntry {
     /// The BGP next-hop address (a VNH at the SDX).
     pub next_hop: Ipv4Addr,
 }
+
+/// The FIBs of every router attached to one fabric, keyed by the port the
+/// router is attached at (see the module documentation).
+pub type SharedFib = ViewTable<PortId, FibEntry>;
 
 /// A participant's border router.
 #[derive(Clone, PartialEq, Debug)]
@@ -87,6 +110,12 @@ impl BorderRouter {
         }
     }
 
+    /// Empties the FIB, returning what it held (a router being attached
+    /// to a fabric hands its routes to the fabric's shared table).
+    pub(crate) fn take_fib(&mut self) -> PrefixTrie<FibEntry> {
+        std::mem::take(&mut self.fib)
+    }
+
     /// The FIB entry that would forward `dst`, if any (longest-prefix).
     pub fn route_for(&self, dst: Ipv4Addr) -> Option<(Prefix, FibEntry)> {
         self.fib.lookup(dst).map(|(p, e)| (p, *e))
@@ -123,12 +152,6 @@ impl BorderRouter {
         self.arp_cache.len()
     }
 
-    /// Drops every FIB entry — the effect of bouncing the BGP session to
-    /// the route server (full state is re-learned from re-advertisements).
-    pub fn clear_fib(&mut self) {
-        self.fib.clear();
-    }
-
     /// Forwards an IP packet originated behind this router into the
     /// fabric: FIB lookup, ARP for the next hop (through the SDX
     /// responder), MAC rewrite, and emission on the fabric port.
@@ -136,7 +159,19 @@ impl BorderRouter {
     /// Returns `None` when the packet has no route or ARP fails — both
     /// counted for the failure-injection tests.
     pub fn forward(&mut self, pkt: Packet, arp: &mut ArpResponder) -> Option<LocatedPacket> {
-        let Some((_, entry)) = self.route_for(pkt.nw_dst) else {
+        let route = self.route_for(pkt.nw_dst).map(|(_, entry)| entry);
+        self.tag(route, pkt, arp)
+    }
+
+    /// [`forward`](Self::forward) after the FIB lookup, whichever table
+    /// answered it.
+    pub(crate) fn tag(
+        &mut self,
+        route: Option<FibEntry>,
+        pkt: Packet,
+        arp: &mut ArpResponder,
+    ) -> Option<LocatedPacket> {
+        let Some(entry) = route else {
             self.no_route_drops += 1;
             return None;
         };
@@ -155,6 +190,147 @@ impl BorderRouter {
         };
         let tagged = pkt.with_macs(self.mac, mac);
         Some(LocatedPacket::at(self.port, tagged))
+    }
+}
+
+/// A router attached to a fabric, with its side of the fabric's
+/// [`SharedFib`]. Dereferences to the [`BorderRouter`] for everything but
+/// the FIB (port, MAC, ARP cache, drop counters).
+#[derive(Clone, Copy)]
+pub struct RouterRef<'a> {
+    router: &'a BorderRouter,
+    fib: &'a SharedFib,
+}
+
+impl<'a> RouterRef<'a> {
+    pub(crate) fn new(router: &'a BorderRouter, fib: &'a SharedFib) -> Self {
+        RouterRef { router, fib }
+    }
+
+    /// The router's FIB: what it sees of the shared table.
+    pub fn fib(&self) -> View<'a, PortId, FibEntry> {
+        self.fib.view(self.router.port)
+    }
+
+    /// The FIB entry that would forward `dst`, if any (longest-prefix).
+    pub fn route_for(&self, dst: Ipv4Addr) -> Option<(Prefix, FibEntry)> {
+        self.fib().lookup(dst).map(|(p, e)| (p, *e))
+    }
+
+    /// Number of FIB entries (a walk of the shared table).
+    pub fn fib_len(&self) -> usize {
+        self.fib().len()
+    }
+
+    /// A copy of the router that stands on its own: its FIB materialised
+    /// into its own trie, ARP cache and counters as they are.
+    pub fn detached(&self) -> BorderRouter {
+        let mut router = self.router.clone();
+        router.fib = self.fib().iter().map(|(p, e)| (p, *e)).collect();
+        router
+    }
+}
+
+impl Deref for RouterRef<'_> {
+    type Target = BorderRouter;
+
+    fn deref(&self) -> &BorderRouter {
+        self.router
+    }
+}
+
+impl PartialEq for RouterRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.router == other.router && self.fib() == other.fib()
+    }
+}
+
+impl fmt::Debug for RouterRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RouterRef")
+            .field("router", self.router)
+            .field("fib", &self.fib())
+            .finish()
+    }
+}
+
+/// [`RouterRef`] with write access: route-server UPDATEs applied through
+/// it land in the router's slots of the shared table.
+pub struct RouterMut<'a> {
+    router: &'a mut BorderRouter,
+    fib: &'a mut SharedFib,
+}
+
+impl<'a> RouterMut<'a> {
+    pub(crate) fn new(router: &'a mut BorderRouter, fib: &'a mut SharedFib) -> Self {
+        RouterMut { router, fib }
+    }
+
+    /// [`BorderRouter::apply_update`] on the shared table.
+    pub fn apply_update(&mut self, update: &UpdateMessage) {
+        for p in &update.withdrawn {
+            self.set_route(*p, None);
+        }
+        if let Some(attrs) = &update.attrs {
+            for p in &update.nlri {
+                self.set_route(*p, Some(attrs.next_hop));
+            }
+        }
+    }
+
+    /// [`BorderRouter::set_route`] on the shared table: returns the entry
+    /// the router held for `prefix` before.
+    pub fn set_route(&mut self, prefix: Prefix, next_hop: Option<Ipv4Addr>) -> Option<FibEntry> {
+        let port = self.router.port;
+        let previous = self.fib.get(port, prefix).copied();
+        let slot = match next_hop {
+            Some(next_hop) => Slot::Own(FibEntry { next_hop }),
+            // Only a router that would otherwise see the base has to be
+            // told that it has no route.
+            None if self.fib.is_subscribed(port) && self.fib.base(prefix).is_some() => {
+                Slot::Withheld
+            }
+            None => Slot::Inherit,
+        };
+        self.fib.apply(Write::Slot {
+            viewer: port,
+            prefix,
+            slot,
+        });
+        previous
+    }
+
+    /// The FIB entry that would forward `dst`, if any (longest-prefix).
+    pub fn route_for(&self, dst: Ipv4Addr) -> Option<(Prefix, FibEntry)> {
+        RouterRef::new(self.router, self.fib).route_for(dst)
+    }
+
+    /// Number of FIB entries (a walk of the shared table).
+    pub fn fib_len(&self) -> usize {
+        RouterRef::new(self.router, self.fib).fib_len()
+    }
+
+    /// [`BorderRouter::forward`] through the shared table. Takes the
+    /// handle: fetch it again (or use
+    /// [`Fabric::send`](crate::fabric::Fabric::send)) for the next packet.
+    pub fn forward(self, pkt: Packet, arp: &mut ArpResponder) -> Option<LocatedPacket> {
+        let route = self.fib.lookup(self.router.port, pkt.nw_dst);
+        let route = route.map(|(_, entry)| *entry);
+        self.router.tag(route, pkt, arp)
+    }
+}
+
+impl Deref for RouterMut<'_> {
+    type Target = BorderRouter;
+
+    fn deref(&self) -> &BorderRouter {
+        self.router
+    }
+}
+
+impl DerefMut for RouterMut<'_> {
+    fn deref_mut(&mut self) -> &mut BorderRouter {
+        self.router
     }
 }
 

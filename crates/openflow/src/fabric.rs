@@ -9,11 +9,11 @@
 
 use std::collections::BTreeMap;
 
-use sdx_net::{LocatedPacket, Packet, ParticipantId, PortId};
+use sdx_net::{Ipv4Addr, LocatedPacket, Packet, ParticipantId, PortId, Slot, Write};
 use sdx_telemetry::SharedRegistry;
 
 use crate::arp::ArpResponder;
-use crate::border_router::BorderRouter;
+use crate::border_router::{BorderRouter, RouterMut, RouterRef, SharedFib};
 use crate::flowmod::{BatchStats, BatchUndo, FlowModBatch, FlowModError};
 use crate::switch::Switch;
 
@@ -28,6 +28,9 @@ pub struct Fabric {
     /// The controller-operated ARP responder.
     pub arp: ArpResponder,
     routers: BTreeMap<PortId, BorderRouter>,
+    /// The attached routers' FIBs, as one table keyed by port (see
+    /// [`crate::border_router`]): written by whoever speaks BGP to them.
+    fib: SharedFib,
     /// Packets the switch emitted at a *virtual* location — a compiled
     /// policy must never do this; non-zero means a compilation bug.
     pub stuck_at_virtual: u64,
@@ -77,19 +80,51 @@ impl Fabric {
         &self.telemetry
     }
 
-    /// Attaches a border router at its port.
-    pub fn attach(&mut self, router: BorderRouter) {
+    /// Attaches a border router at its port. The routes it already holds
+    /// move into the shared FIB table, as its port's own slots.
+    pub fn attach(&mut self, mut router: BorderRouter) {
+        for (prefix, entry) in router.take_fib().iter() {
+            self.fib.apply(Write::Slot {
+                viewer: router.port,
+                prefix,
+                slot: Slot::Own(*entry),
+            });
+        }
         self.routers.insert(router.port, router);
     }
 
-    /// The router attached at `port`, if any.
-    pub fn router(&self, port: PortId) -> Option<&BorderRouter> {
-        self.routers.get(&port)
+    /// The router attached at `port`, if any, with its side of the shared
+    /// FIB table.
+    pub fn router(&self, port: PortId) -> Option<RouterRef<'_>> {
+        let router = self.routers.get(&port)?;
+        Some(RouterRef::new(router, &self.fib))
     }
 
     /// Mutable access (e.g. to apply route-server updates).
-    pub fn router_mut(&mut self, port: PortId) -> Option<&mut BorderRouter> {
-        self.routers.get_mut(&port)
+    pub fn router_mut(&mut self, port: PortId) -> Option<RouterMut<'_>> {
+        let router = self.routers.get_mut(&port)?;
+        Some(RouterMut::new(router, &mut self.fib))
+    }
+
+    /// The attached routers' FIBs.
+    pub fn fib(&self) -> &SharedFib {
+        &self.fib
+    }
+
+    /// Write access to the attached routers' FIBs, for the BGP speaker
+    /// that keeps them (the controller's route server).
+    pub fn fib_mut(&mut self) -> &mut SharedFib {
+        &mut self.fib
+    }
+
+    /// Invalidates `addr` in every attached router's ARP cache (the
+    /// gratuitous ARP sent when a virtual next hop is retired). Returns
+    /// how many caches held it.
+    pub fn invalidate_arp(&mut self, addr: Ipv4Addr) -> usize {
+        self.routers
+            .values_mut()
+            .map(|r| usize::from(r.invalidate_arp(addr)))
+            .sum()
     }
 
     /// All attached router ports.
@@ -115,15 +150,6 @@ impl Fabric {
             .collect()
     }
 
-    /// The routers of a given participant, in port order — how the
-    /// controller pushes one viewer's FIB changes to all of its ports.
-    pub fn routers_of_mut(
-        &mut self,
-        p: ParticipantId,
-    ) -> impl Iterator<Item = &mut BorderRouter> + '_ {
-        self.routers.range_mut(Self::port_range(p)).map(|(_, r)| r)
-    }
-
     /// A participant-originated IP packet: the border router at
     /// `from` forwards it (FIB + ARP tag), then the switch classifies and
     /// delivers. Returns the deliveries at physical ports.
@@ -132,7 +158,8 @@ impl Fabric {
         let Some(router) = self.routers.get_mut(&from) else {
             return Vec::new();
         };
-        let Some(tagged) = router.forward(pkt, &mut self.arp) else {
+        let route = self.fib.lookup(from, pkt.nw_dst).map(|(_, entry)| *entry);
+        let Some(tagged) = router.tag(route, pkt, &mut self.arp) else {
             self.telemetry.inc("fabric.no_route.count");
             return Vec::new();
         };
@@ -286,6 +313,67 @@ mod tests {
         // router will accept the frame (the paper's dstmac rewrite).
         assert_eq!(out[0].pkt.dl_dst, MacAddr::physical(21));
         assert_eq!(f.stuck_at_virtual, 0);
+    }
+
+    #[test]
+    fn an_attached_router_holds_what_the_same_updates_give_a_detached_one() {
+        let announce = |pfx: &str, nh: &str| {
+            UpdateMessage::announce(
+                [prefix(pfx)],
+                PathAttributes::new(AsPath::sequence([65002]), ip(nh)),
+            )
+        };
+        let updates = [
+            announce("10.0.0.0/8", "172.16.0.2"),
+            announce("10.1.0.0/16", "172.16.255.7"),
+            UpdateMessage::withdraw([prefix("74.125.0.0/16")]),
+            announce("10.1.0.0/16", "172.16.255.8"),
+            UpdateMessage::withdraw([prefix("10.0.0.0/8"), prefix("99.0.0.0/8")]),
+        ];
+        // A is attached holding one route; C starts empty and is
+        // subscribed to bases the shared table already has.
+        let mut f = two_party_fabric();
+        f.attach(BorderRouter::new(port(3, 1), MacAddr::physical(31)));
+        let hop = |nh| crate::border_router::FibEntry { next_hop: ip(nh) };
+        for write in [
+            Write::Subscription {
+                viewer: port(3, 1),
+                subscribed: true,
+            },
+            Write::Base {
+                prefix: prefix("10.0.0.0/8"),
+                value: Some(hop("172.16.0.9")),
+            },
+            Write::Base {
+                prefix: prefix("20.0.0.0/8"),
+                value: Some(hop("172.16.0.9")),
+            },
+        ] {
+            f.fib_mut().apply(write);
+        }
+        let bystander = f.router(port(2, 1)).unwrap().detached();
+        for at in [port(1, 1), port(3, 1)] {
+            let mut alone = f.router(at).unwrap().detached();
+            for update in &updates {
+                f.router_mut(at).unwrap().apply_update(update);
+                alone.apply_update(update);
+                assert_eq!(
+                    f.router(at).unwrap().detached(),
+                    alone,
+                    "{at:?} after {update:?}"
+                );
+                assert_eq!(f.router(at).unwrap().fib_len(), alone.fib_len());
+            }
+            for dst in ["10.1.2.3", "10.2.0.1", "20.0.0.1", "74.125.1.1"] {
+                assert_eq!(
+                    f.router(at).unwrap().route_for(ip(dst)),
+                    alone.route_for(ip(dst))
+                );
+            }
+        }
+        // What one router learns, no other sees.
+        assert_eq!(f.router(port(2, 1)).unwrap().detached(), bystander);
+        assert_eq!(f.router(port(2, 1)).unwrap().fib_len(), 0);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod switch;
 pub mod table;
 
 pub use arp::ArpResponder;
-pub use border_router::BorderRouter;
+pub use border_router::{BorderRouter, RouterMut, RouterRef, SharedFib};
 pub use fabric::{Fabric, WaveUndo};
 pub use flowmod::{BatchStats, FlowMod, FlowModBatch, FlowModError};
 pub use matcher::{CompiledMatcher, MatcherStats};

@@ -29,6 +29,7 @@ fn per_prefix(
         let d = compiler.fast_update_burst_with_faults(rs, vnh, &[p], faults)?;
         merged.rules.extend(d.rules);
         merged.arp_bindings.extend(d.arp_bindings);
+        merged.prefixes.extend(d.prefixes);
         merged.vnh_updates.extend(d.vnh_updates);
     }
     Ok(merged)
@@ -56,6 +57,7 @@ fn assert_burst_equals_per_prefix(
         (Ok(b), Ok(l)) => {
             assert_eq!(b.rules, l.rules, "rules: {what}");
             assert_eq!(b.arp_bindings, l.arp_bindings, "arp bindings: {what}");
+            assert_eq!(b.prefixes, l.prefixes, "prefixes: {what}");
             assert_eq!(b.vnh_updates, l.vnh_updates, "vnh updates: {what}");
             assert_eq!(
                 fail_at, None,

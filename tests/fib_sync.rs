@@ -1,12 +1,16 @@
 //! FIB synchronization costs what changed — shown by count, not by clock.
 //!
 //! A re-optimization used to walk every (viewer, prefix) pair of the
-//! exchange to find the advertisements that moved. Under keyed VNH
-//! identity the candidates are known up front: the route server's dirty
-//! prefixes, and the member prefixes of the FEC groups that are in only
-//! one of the two compilations. These tests hold the incremental sync to
-//! that bound on the 50-participant exchange, and to the result of the
-//! full reconcile it replaced.
+//! exchange to find the advertisements that moved, and the first one to
+//! write every pair. The advertisements now live in one table — per
+//! prefix the top-ranked route, plus an exception for each viewer that is
+//! advertised something else — and under keyed VNH identity the
+//! candidates for a change are known up front: the route server's dirty
+//! prefixes with the exceptions on them, and the member prefixes of the
+//! FEC groups that are in only one of the two compilations. These tests
+//! hold the deployment to *prefixes + exceptions*, the incremental sync
+//! to *dirty + their exceptions + moved* on the 50-participant exchange,
+//! and both to the result of the full reconcile they replaced.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -29,6 +33,38 @@ fn deployed_ixp50() -> (SdxController, Fabric) {
 
 fn counter(ctl: &SdxController, key: &str) -> u64 {
     ctl.telemetry.counter(key).get()
+}
+
+fn gauge(ctl: &SdxController, key: &str) -> usize {
+    ctl.telemetry.snapshot().gauges[key] as usize
+}
+
+/// What the shared tables have to store beyond one base per prefix,
+/// derived here from the route server and the report's VNH map alone:
+/// the (viewer, prefix) pairs among `prefixes` that are advertised
+/// anything but the prefix's top-ranked route under its own next hop —
+/// the viewer announced that route, is not exported it, or holds a
+/// virtual next hop — and, of those, the (router, prefix) pairs whose
+/// next hop then differs from the base's (one per port of the viewer).
+fn exceptions(ctl: &SdxController, fabric: &Fabric, prefixes: &[Prefix]) -> (usize, usize) {
+    let vnh_of = &ctl.report.as_ref().expect("compiled").vnh_of;
+    let (mut adverts, mut routes) = (0, 0);
+    for &p in prefixes {
+        let top = ctl
+            .rs
+            .top_route(p)
+            .map(|r| (r.source.participant, r.attrs.next_hop));
+        for viewer in ctl.rs.participants() {
+            let best = ctl.rs.best_for(viewer, p);
+            let vnh = vnh_of.get(&(viewer, p)).copied();
+            let seen = best.map(|r| (r.source.participant, vnh.unwrap_or(r.attrs.next_hop)));
+            adverts += usize::from(seen != top);
+            if seen.map(|(_, nh)| nh) != top.map(|(_, nh)| nh) {
+                routes += fabric.ports_of(viewer).len();
+            }
+        }
+    }
+    (adverts, routes)
 }
 
 fn groups_by_id(r: &CompileReport) -> BTreeMap<FecId, &FecGroup> {
@@ -58,6 +94,101 @@ fn steer(to: ParticipantId, port: u16) -> P {
 }
 
 #[test]
+fn the_deploy_examines_and_stores_prefixes_plus_exceptions() {
+    let (ctl, fabric) = deployed_ixp50();
+    let prefixes = ctl.rs.all_prefixes();
+    let pairs = ctl.rs.participants().count() * prefixes.len();
+    let (adverts, routes) = exceptions(&ctl, &fabric, &prefixes);
+    assert!(
+        adverts * 20 < pairs,
+        "fixture: {adverts} of {pairs} pairs are exceptions"
+    );
+    // One decision per prefix and one look at each exception — not one
+    // per (viewer, prefix) pair.
+    let examined = counter(&ctl, "fibsync.examined.count") as usize;
+    assert!(
+        examined <= prefixes.len() + adverts,
+        "examined {examined}, the exchange has {} prefixes + {adverts} exceptions",
+        prefixes.len()
+    );
+    // And that is all either table holds.
+    assert_eq!(ctl.adj_rib_outs().stored(), prefixes.len() + adverts);
+    assert_eq!(fabric.fib().stored(), prefixes.len() + routes);
+    assert_eq!(
+        gauge(&ctl, "ribout.stored.entries"),
+        prefixes.len() + adverts
+    );
+    assert_eq!(gauge(&ctl, "fib.stored.entries"), prefixes.len() + routes);
+}
+
+#[test]
+fn a_dump_re_examines_its_prefixes_and_their_exceptions() {
+    // The largest announcer re-announces up to 1 024 prefixes over a
+    // longer path, in the daemon's passes of 64; then one re-optimisation.
+    let (mut ctl, mut fabric) = deployed_ixp50();
+    let announcer = ctl
+        .rs
+        .participants()
+        .max_by_key(|&p| ctl.rs.loc_rib().announced_count(p))
+        .expect("participants");
+    let cfg = ctl.compiler.participant(announcer).expect("known").clone();
+    let dumped: Vec<Prefix> = ctl
+        .rs
+        .loc_rib()
+        .announced_by(announcer)
+        .take(1024)
+        .collect();
+    assert!(dumped.len() >= 256, "fixture: {} prefixes", dumped.len());
+    let stored = (ctl.adj_rib_outs().stored(), fabric.fib().stored());
+    for pass in dumped.chunks(64) {
+        let mut changed = Vec::new();
+        for &p in pass {
+            let update = cfg.announce([p], &[cfg.asn.0, 64_999, 64_998, 64_997]);
+            changed.extend(
+                ctl.rs
+                    .process_update(announcer, &update)
+                    .into_iter()
+                    .filter_map(|e| match e {
+                        sdx::bgp::route_server::RouteServerEvent::PrefixChanged(p) => Some(p),
+                        _ => None,
+                    }),
+            );
+        }
+        ctl.apply_changed_prefixes(&changed, &mut fabric)
+            .expect("fast path");
+    }
+    assert_eq!(ctl.rs.dirty_len(), dumped.len());
+    let old = ctl.report.clone().expect("deployed");
+    let examined = counter(&ctl, "fibsync.examined.count");
+    ctl.reoptimize(&mut fabric).expect("reoptimize");
+    let examined = (counter(&ctl, "fibsync.examined.count") - examined) as usize;
+    let new = ctl.report.as_ref().expect("report");
+    // Besides the dump itself only the groups that moved may be looked
+    // at: never `dirty × viewers`.
+    let moved = stale_and_fresh_members(&old, new)
+        .into_iter()
+        .filter(|(_, p)| !dumped.contains(p))
+        .count();
+    let (adverts, _) = exceptions(&ctl, &fabric, &dumped);
+    assert!(
+        examined <= dumped.len() + adverts + moved,
+        "examined {examined} for {} dumped prefixes with {adverts} exceptions, {moved} moved",
+        dumped.len()
+    );
+    // A re-announcement moves exceptions around; it does not add any.
+    let all = ctl.rs.all_prefixes();
+    let (adverts, routes) = exceptions(&ctl, &fabric, &all);
+    assert_eq!(ctl.adj_rib_outs().stored(), all.len() + adverts);
+    assert_eq!(fabric.fib().stored(), all.len() + routes);
+    assert!(
+        ctl.adj_rib_outs().stored() <= stored.0 && fabric.fib().stored() <= stored.1,
+        "stored {} + {} entries after the dump, {stored:?} before",
+        ctl.adj_rib_outs().stored(),
+        fabric.fib().stored()
+    );
+}
+
+#[test]
 fn a_policy_install_examines_only_the_groups_it_moved() {
     let (mut ctl, mut fabric) = deployed_ixp50();
     let viewers = ctl.rs.participants().count();
@@ -78,11 +209,11 @@ fn a_policy_install_examines_only_the_groups_it_moved() {
         .expect("an announcer");
     let old = ctl.report.clone().expect("deployed");
     let before = fabric.clone();
-    let dirty = ctl.rs.dirty_len();
+    let dirty: Vec<Prefix> = ctl.rs.clone().take_dirty_prefixes().into_iter().collect();
     let examined = counter(&ctl, "fibsync.examined.count");
     let sent = counter(&ctl, "fibsync.sent.count");
-    // The deploy is the one transaction so far: a line per viewer and
-    // router it first wrote to plus its ARP bindings, not one per pair.
+    // The deploy is the one transaction so far: a line per table it
+    // first wrote to plus its ARP bindings, not one per pair.
     let undo = ctl.telemetry.histogram("txn.undo.entries");
     assert_eq!(undo.count(), 1);
     let deploy_entries = undo.sum();
@@ -101,10 +232,11 @@ fn a_policy_install_examines_only_the_groups_it_moved() {
     let moved = stale_and_fresh_members(&old, new);
     assert!(!moved.is_empty(), "fixture: the install must move a group");
     let examined = counter(&ctl, "fibsync.examined.count") - examined;
-    let bound = (dirty * viewers + moved.len()) as u64;
+    let (on_dirty, _) = exceptions(&ctl, &fabric, &dirty);
+    let bound = (dirty.len() + on_dirty + moved.len()) as u64;
     assert!(
         examined <= bound,
-        "examined {examined} pairs, the change allows {bound}"
+        "examined {examined} advertisements, the change allows {bound}"
     );
     assert!(
         examined * 20 < pairs as u64,
@@ -113,8 +245,9 @@ fn a_policy_install_examines_only_the_groups_it_moved() {
     let sent = counter(&ctl, "fibsync.sent.count") - sent;
     assert!(sent > 0, "nothing moved");
     // The push's transaction holds what it displaced and nothing else:
-    // per moved advertisement one entry and one per router of the editor,
-    // plus the new groups' ARP bindings.
+    // per moved advertisement one write to the Adj-RIB-Outs and one per
+    // router of the editor to the shared FIB, plus the new groups' ARP
+    // bindings.
     let entries = undo.sum() - deploy_entries;
     let routers = fabric.ports_of(editor).len() as u64;
     let bindings = new.arp_bindings.len() as u64;

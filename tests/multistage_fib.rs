@@ -68,7 +68,7 @@ fn tag_is_applied_by_bgp_plus_arp_only() {
     let mut router = fabric
         .router(PortId::Phys(pid(1), 1))
         .expect("router")
-        .clone();
+        .detached();
     let tagged = router
         .forward(
             Packet::tcp(ip("9.9.9.9"), ip("10.3.0.1"), 40_000, 80),

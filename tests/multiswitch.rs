@@ -49,10 +49,11 @@ fn dual_deployment() -> (SdxController, sdx::openflow::fabric::Fabric, MultiFabr
             .clone();
         for p in &cfg.ports {
             let mut r = BorderRouter::new(PortId::Phys(cfg.id, p.index), p.mac);
-            // Copy the reference router's FIB state by re-applying the
-            // controller's advertisements (clone from the single fabric).
+            // Copy the reference router with the FIB the controller's
+            // advertisements left it (detached from the single fabric's
+            // shared table into a trie of its own).
             if let Some(reference) = single.router(PortId::Phys(cfg.id, p.index)) {
-                r = reference.clone();
+                r = reference.detached();
             }
             multi.attach(SwitchId(sw), r);
         }
