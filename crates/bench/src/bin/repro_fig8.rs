@@ -24,9 +24,10 @@ fn main() {
     for &n in &participants {
         for &px in &sweep {
             let wb = Workbench::new(n, 25_000, px, 8 + n as u64);
-            // Warm-up run excluded (memo priming mirrors a long-lived
-            // controller); then measure an *initial* compile: the phase-A
-            // units the warm-up cached are dropped again.
+            // Warm-up run excluded (a long-lived controller has its
+            // policies compiled already); then measure an *initial*
+            // compile: the phase-A units the warm-up cached are dropped
+            // again.
             let mut compiler = wb.compiler();
             let mut vnh = sdx_core::vnh::VnhAllocator::default();
             let _ = compiler.compile_all(&wb.rs, &mut vnh).expect("warm-up");

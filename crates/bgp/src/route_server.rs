@@ -132,12 +132,12 @@ pub enum RouteServerEvent {
 /// object will never see), so a compiler cache keyed on the id of one
 /// server can never be replayed against another. The *set contents* are
 /// cloned, though — a snapshot taken mid-burst still owes the compiler
-/// the pending dirt. Behind a `Mutex` because the compiler drains through
-/// `&RouteServer` while worker threads share the reference.
+/// the pending dirt. Behind a `RefCell` because the compiler, which holds
+/// the route server shared, is the one that drains it.
 #[derive(Debug)]
 struct CompileDirty {
     id: u64,
-    set: std::sync::Mutex<BTreeSet<Prefix>>,
+    set: std::cell::RefCell<BTreeSet<Prefix>>,
 }
 
 impl Default for CompileDirty {
@@ -145,20 +145,17 @@ impl Default for CompileDirty {
         static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
         CompileDirty {
             id: NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            set: std::sync::Mutex::new(BTreeSet::new()),
+            set: std::cell::RefCell::new(BTreeSet::new()),
         }
     }
 }
 
 impl Clone for CompileDirty {
     fn clone(&self) -> Self {
-        let fresh = CompileDirty::default();
-        *fresh.set.lock().expect("compile-dirty lock poisoned") = self
-            .set
-            .lock()
-            .expect("compile-dirty lock poisoned")
-            .clone();
-        fresh
+        CompileDirty {
+            set: self.set.clone(),
+            ..CompileDirty::default()
+        }
     }
 }
 
@@ -295,11 +292,7 @@ impl RouteServer {
                     None => self.loc_rib.remove(p, from),
                 }
                 self.dirty.insert(p);
-                self.compile_dirty
-                    .set
-                    .lock()
-                    .expect("compile-dirty lock poisoned")
-                    .insert(p);
+                self.compile_dirty.set.get_mut().insert(p);
                 events.push(RouteServerEvent::PrefixChanged(p));
             }
             events
@@ -307,11 +300,7 @@ impl RouteServer {
     }
 
     fn mark_compile_dirty(&mut self, prefixes: impl IntoIterator<Item = Prefix>) {
-        self.compile_dirty
-            .set
-            .get_mut()
-            .expect("compile-dirty lock poisoned")
-            .extend(prefixes);
+        self.compile_dirty.set.get_mut().extend(prefixes);
     }
 
     /// This instance's compile-cache identity: unique per route server
@@ -327,22 +316,12 @@ impl RouteServer {
     /// [`take_dirty_prefixes`](Self::take_dirty_prefixes)). Takes `&self`
     /// because the compile pipeline holds the route server shared.
     pub fn take_compile_dirty(&self) -> std::collections::BTreeSet<Prefix> {
-        std::mem::take(
-            &mut self
-                .compile_dirty
-                .set
-                .lock()
-                .expect("compile-dirty lock poisoned"),
-        )
+        self.compile_dirty.set.take()
     }
 
     /// Un-drained compiler-side changed prefixes (diagnostics).
     pub fn compile_dirty_len(&self) -> usize {
-        self.compile_dirty
-            .set
-            .lock()
-            .expect("compile-dirty lock poisoned")
-            .len()
+        self.compile_dirty.set.borrow().len()
     }
 
     /// Drains the set of prefixes whose candidate set changed since the
@@ -377,11 +356,7 @@ impl RouteServer {
         for p in cleared {
             self.loc_rib.remove(p, from);
             self.dirty.insert(p);
-            self.compile_dirty
-                .set
-                .get_mut()
-                .expect("compile-dirty lock poisoned")
-                .insert(p);
+            self.compile_dirty.set.get_mut().insert(p);
             events.push(RouteServerEvent::PrefixChanged(p));
         }
         events

@@ -2,8 +2,10 @@
 //!
 //! [`SdxCompiler::compile_all`] runs the whole pipeline:
 //!
-//! 1. compile each participant's raw policies to classifiers (memoized —
-//!    "many policy idioms appear more than once");
+//! 1. compile each participant's raw policies to classifiers — once per
+//!    policy *change*, not per run: the compiled forms are kept beside the
+//!    book and refreshed only where a version stamp moved (§4.3.1's
+//!    memoisation);
 //! 2. compute per-viewer **affected prefix sets** by joining each outbound
 //!    forwarding rule with the BGP routes its target exported to the viewer
 //!    (the consistency transformation);
@@ -14,17 +16,15 @@
 //!    receiver's stage-2 delivery block;
 //! 5. compose stage 1 with stage 2 — per target participant only ("most
 //!    policies concern a subset of participants"; "policies are disjoint by
-//!    design"), or naively as one quadratic cross product when the
-//!    optimization is disabled (the ablation baseline).
+//!    design").
 //!
 //! Step 2 runs per `(prefix-range shard, viewer)` unit and recomputes only
 //! the units a route or policy change can have touched (see
 //! [`crate::shard`]); a cold compile is the case where every unit is dirty.
-//! Steps 2–4 fan out per unit / per viewer, and step 5 per receiver block,
-//! on scoped worker threads ([`CompileOptions::parallelism`]); results are
-//! merged in `ParticipantId` order and VNH ids are assigned from a single
-//! serial reservation, so the report is byte-identical for every worker
-//! count (see DESIGN.md §11).
+//! The pipeline is one serial pass with nothing to configure but the shard
+//! count ([`SdxCompiler::set_shards`], which the shard-invariance suites
+//! vary): viewers are visited in `ParticipantId` order and VNH ids come
+//! from a single reservation (see DESIGN.md §11).
 //!
 //! The output [`CompileReport`] carries everything the controller must
 //! install: the switch classifier, the ARP bindings (VNH → VMAC), and the
@@ -32,7 +32,6 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use sdx_bgp::route_server::RouteServer;
@@ -45,103 +44,16 @@ use sdx_telemetry::{MetricsSnapshot, Registry, SharedRegistry};
 use crate::error::SdxError;
 use crate::faults::{FaultPlan, InjectionPoint};
 use crate::fec::{partition_by_signature, FecGroup, FecKey};
-use crate::par::parallel_map;
 use crate::participant::ParticipantConfig;
 use crate::shard::{clamp_shards, MergedFecs, ShardCache, ShardPlan, ShardUnit, DEFAULT_SHARDS};
 use crate::transform::{
-    self, compose_optimized_parallel, dst_coverage, expand_fwd_rule, Coverage, FwdRule,
-    TransformError,
+    self, compose_optimized, dst_coverage, expand_fwd_rule, Coverage, FwdRule, TransformError,
 };
 use crate::vnh::VnhAllocator;
 
 /// Per FEC group: rule indices whose affected set contains the group,
 /// plus the subset that only partially covers it.
 type GroupMembership = (BTreeSet<usize>, BTreeSet<usize>);
-
-/// Default bound on the raw-policy memo cache (entries). Generous — the
-/// paper's workloads compile a few hundred distinct policies — but finite,
-/// so a long-lived controller under policy churn cannot grow without bound.
-pub const DEFAULT_MEMO_CAP: usize = 4096;
-
-/// How many worker threads the compile pipeline fans out on.
-///
-/// Per-viewer pipeline phases (and per-receiver composition) run on scoped
-/// threads (see [`crate::par`]); results are merged in `ParticipantId`
-/// order, so the produced [`CompileReport`] is byte-identical whichever
-/// variant runs it.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum Parallelism {
-    /// Use [`std::thread::available_parallelism`].
-    #[default]
-    Auto,
-    /// Single-threaded, no thread machinery at all — the ablation baseline
-    /// and the pre-parallel pipeline's exact behaviour.
-    Serial,
-    /// Exactly `n` workers (clamped to ≥ 1).
-    Threads(usize),
-}
-
-impl Parallelism {
-    /// The resolved worker count (always ≥ 1).
-    pub fn workers(self) -> usize {
-        match self {
-            Parallelism::Auto => std::thread::available_parallelism().map_or(1, |n| n.get()),
-            Parallelism::Serial => 1,
-            Parallelism::Threads(n) => n.max(1),
-        }
-    }
-}
-
-/// Switches for the §4.3.1 optimizations — all on by default; the ablation
-/// benches turn them off one at a time.
-#[derive(Clone, Copy, Debug)]
-pub struct CompileOptions {
-    /// Compose each stage-1 rule only with its target's stage-2 block
-    /// instead of the full quadratic cross product.
-    pub pair_pruning: bool,
-    /// Cache compiled raw participant policies across pipeline runs.
-    pub memoize: bool,
-    /// Group prefixes into FECs; when off, every affected prefix becomes
-    /// its own group (the data-plane-state ablation).
-    pub fec_grouping: bool,
-    /// Worker threads for the per-viewer and per-receiver pipeline phases.
-    pub parallelism: Parallelism,
-    /// Maximum entries kept in the raw-policy memo cache; least-recently
-    /// used entries are evicted past this (counted in
-    /// `compile.memo_evictions.count`).
-    pub memo_cap: usize,
-    /// **Deliberate sabotage, tests only**: joins policy clauses against
-    /// every prefix the target *announced* instead of the prefixes it
-    /// *exported to the viewer*, skipping the §4.1 BGP consistency filter.
-    /// This reproduces the Prelude-style SDX compilation bug class
-    /// (forwarding to a neighbor that never offered the route) so the
-    /// differential oracle's acceptance test can prove it catches wrong
-    /// forwarding with a readable per-stage trace. Never enable outside a
-    /// harness.
-    pub break_consistency_filter: bool,
-    /// How many contiguous prefix ranges phase A is cut into (rounded up
-    /// to a power of two, clamped to `[1, MAX_SHARDS]`; see
-    /// [`crate::shard`]). The output is the same for every count modulo
-    /// VNH numbering of warm compiles — the count only sets how finely
-    /// route churn invalidates cached `(shard, viewer)` units. Production
-    /// runs at [`DEFAULT_SHARDS`]; the field exists so the
-    /// shard-invariance suites can vary it.
-    pub shards: usize,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            pair_pruning: true,
-            memoize: true,
-            fec_grouping: true,
-            parallelism: Parallelism::Auto,
-            memo_cap: DEFAULT_MEMO_CAP,
-            break_consistency_filter: false,
-            shards: DEFAULT_SHARDS,
-        }
-    }
-}
 
 /// Timing and size accounting for one pipeline run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -160,7 +72,9 @@ pub struct CompileStats {
     /// FEC groups across all viewers (the Figure 6 metric, controller
     /// variant).
     pub group_count: usize,
-    /// Raw-policy compilations served from the memo cache.
+    /// Policies in the book this run did not have to compile: their
+    /// compiled form was already held beside the book, stamped with the
+    /// version still current (§4.3.1's memoisation).
     pub memo_hits: usize,
 }
 
@@ -209,47 +123,110 @@ impl CompileReport {
     /// side seeds its evaluation with — it reads only what this report
     /// says, never the route server's opinion.
     pub fn vnh_for(&self, viewer: ParticipantId, dst: Ipv4Addr) -> Option<(Prefix, Ipv4Addr)> {
+        // Keys order by (viewer, network address, length) and a covering
+        // prefix's network address is at most `dst`, so the candidates are
+        // the viewer's keys up to `dst/32` — no other viewer's entries.
         self.vnh_of
-            .iter()
-            .filter(|((v, p), _)| *v == viewer && p.contains(dst))
+            .range((viewer, Prefix::DEFAULT_ROUTE)..=(viewer, Prefix::new(dst, 32)))
+            .filter(|((_, p), _)| p.contains(dst))
             .max_by_key(|((_, p), _)| p.len())
             .map(|((_, p), nh)| (*p, *nh))
     }
 
-    /// The VMAC the SDX ARP responder answers for `vnh` — the tag a
-    /// border router stamps into `dl_dst` after resolving its FIB entry.
-    pub fn vmac_for(&self, vnh: Ipv4Addr) -> Option<MacAddr> {
-        self.arp_bindings
+    /// The VMAC the SDX ARP responder answers when `viewer`'s border
+    /// router resolves `vnh` — the tag it stamps into `dl_dst` after its
+    /// FIB entry. A VNH belongs to one of the viewer's own groups, so only
+    /// those are searched ([`arp_bindings`](Self::arp_bindings) lists the
+    /// same pairs for every viewer at once).
+    pub fn vmac_for(&self, viewer: ParticipantId, vnh: Ipv4Addr) -> Option<MacAddr> {
+        self.groups
+            .get(&viewer)?
             .iter()
-            .find(|(a, _)| *a == vnh)
-            .map(|(_, m)| *m)
+            .find(|g| g.vnh == vnh)
+            .map(|g| g.vmac)
     }
 }
 
-/// The raw-policy memo: compiled classifier + last-use stamp per policy,
-/// with a logical clock for LRU eviction. Behind a [`Mutex`] so
-/// [`SdxCompiler::compile_raw`] can take `&self` (the pipeline borrows the
-/// compiler immutably from worker threads).
-#[derive(Debug, Default)]
-struct MemoCache {
-    map: HashMap<Policy, (Classifier, u64)>,
-    clock: u64,
+/// A policy's compiled form and the `(book epoch, policy version)` it was
+/// compiled under. The book epoch is part of the stamp because structural
+/// mutations change what a participant's policy *is* without touching its
+/// own counter: global fragments fold into every effective outbound
+/// policy, and an upserted config may arrive with policies of its own.
+#[derive(Debug)]
+struct Compiled<T> {
+    stamp: (u64, u64),
+    value: T,
 }
 
-/// The pipeline driver. Holds the participant book and the memo cache;
-/// route state comes in per call so the compiler can be re-run as BGP
-/// changes.
+/// Brings `map`'s entry for `id` up to `stamp`: kept if it already carries
+/// it, else recompiled from `policy()` (dropped when that is `None`).
+/// Returns whether the entry was served without compiling.
+fn refresh_compiled<'p, T>(
+    map: &mut BTreeMap<ParticipantId, Compiled<T>>,
+    id: ParticipantId,
+    stamp: (u64, u64),
+    policy: impl FnOnce() -> Option<Cow<'p, Policy>>,
+    compile: impl FnOnce(&Policy) -> Result<T, SdxError>,
+) -> Result<bool, SdxError> {
+    if map.get(&id).is_some_and(|c| c.stamp == stamp) {
+        return Ok(true);
+    }
+    match policy() {
+        Some(policy) => {
+            let value = compile(&policy)?;
+            map.insert(id, Compiled { stamp, value });
+        }
+        None => {
+            map.remove(&id);
+        }
+    }
+    Ok(false)
+}
+
+/// `cfg`'s own outbound policy plus every global fragment, in parallel.
+fn effective_outbound<'a>(
+    cfg: &'a ParticipantConfig,
+    globals: &[(ParticipantId, Policy)],
+) -> Option<Cow<'a, Policy>> {
+    let own = cfg.outbound.as_ref();
+    let mut globals = globals.iter().map(|(_, p)| p.clone());
+    let Some(first) = globals.next() else {
+        return own.map(Cow::Borrowed);
+    };
+    let first = match own {
+        Some(own) => own.clone() + first,
+        None => first,
+    };
+    Some(Cow::Owned(globals.fold(first, |acc, g| acc + g)))
+}
+
+/// What steps 1–4 hand the composition step: the stage-1 rules in priority
+/// order, each participant's stage-2 delivery block, and the FEC groups.
+type Stages = (
+    Vec<Rule>,
+    BTreeMap<ParticipantId, Classifier>,
+    BTreeMap<ParticipantId, Vec<FecGroup>>,
+);
+
+/// The pipeline driver. Holds the participant book and, beside it, the
+/// compiled form of every policy in it; route state comes in per call so
+/// the compiler can be re-run as BGP changes.
 #[derive(Debug, Default)]
 pub struct SdxCompiler {
     participants: BTreeMap<ParticipantId, ParticipantConfig>,
-    memo: Mutex<MemoCache>,
+    /// Each participant's *effective* outbound policy as forwarding
+    /// clauses, and its inbound policy as a classifier — compiled when the
+    /// policy changes, not when routes do: refreshed on entry to
+    /// [`compile_all`](Self::compile_all) and the fast path, then borrowed.
+    outbound: BTreeMap<ParticipantId, Compiled<Vec<FwdRule>>>,
+    inbound: BTreeMap<ParticipantId, Compiled<Classifier>>,
     /// Policies installed by *remote* participants (no packets of their
     /// own at this ingress), applied to every sender's traffic — the
     /// wide-area load-balancer application (§3.1). Tagged with the owner
     /// for bookkeeping.
     global_policies: Vec<(ParticipantId, Policy)>,
-    /// Options applied by `compile_all`.
-    pub options: CompileOptions,
+    /// See [`set_shards`](Self::set_shards); `None` is [`DEFAULT_SHARDS`].
+    shards: Option<usize>,
     /// Where stage timings and allocation counters land. Defaults to a
     /// private sink; the controller shares its own registry in.
     pub(crate) telemetry: SharedRegistry,
@@ -266,9 +243,20 @@ pub struct SdxCompiler {
 }
 
 impl SdxCompiler {
-    /// A compiler with default (fully optimized) options.
+    /// An empty compiler at [`DEFAULT_SHARDS`].
     pub fn new() -> Self {
         SdxCompiler::default()
+    }
+
+    /// Sets how many contiguous prefix ranges phase A is cut into (rounded
+    /// up to a power of two, clamped to `[1, MAX_SHARDS]`; see
+    /// [`crate::shard`]). The output is the same for every count modulo
+    /// VNH numbering of warm compiles — the count only sets how finely
+    /// route churn invalidates cached `(shard, viewer)` units. The one
+    /// thing about a compile that can be set: the shard-invariance suites
+    /// and the cold one-shard reference vary it.
+    pub fn set_shards(&mut self, shards: usize) {
+        self.shards = Some(shards);
     }
 
     /// Points this compiler's stage timers at `reg` (the controller calls
@@ -296,9 +284,12 @@ impl SdxCompiler {
         self.participants.insert(cfg.id, cfg);
     }
 
-    /// Removes a participant from the book (its policies go with it).
+    /// Removes a participant from the book (its policies, and their
+    /// compiled forms, go with it).
     pub fn remove_participant(&mut self, id: ParticipantId) -> Option<ParticipantConfig> {
         self.versions.bump_book();
+        self.outbound.remove(&id);
+        self.inbound.remove(&id);
         self.participants.remove(&id)
     }
 
@@ -323,7 +314,7 @@ impl SdxCompiler {
     }
 
     /// The policy store's version counters (see
-    /// [`PolicyVersions`](sdx_policy::PolicyVersions)).
+    /// [`PolicyVersions`]).
     pub fn policy_versions(&self) -> &PolicyVersions {
         &self.versions
     }
@@ -352,35 +343,17 @@ impl SdxCompiler {
         self.global_policies.retain(|(o, _)| *o != owner);
     }
 
-    /// The outbound policy effective for `viewer`: its own policy plus
-    /// every remote fragment, in parallel.
-    ///
-    /// In the common case (no global fragments) this *borrows* the
-    /// participant's installed policy — the per-compile clone the old
-    /// signature forced is gone. Only when remote fragments must be folded
-    /// in does it build an owned combination.
-    pub fn effective_outbound(&self, viewer: ParticipantId) -> Option<Cow<'_, Policy>> {
-        let own = self
-            .participants
-            .get(&viewer)
-            .and_then(|c| c.outbound.as_ref());
-        if self.global_policies.is_empty() {
-            return own.map(Cow::Borrowed);
-        }
-        let mut globals = self.global_policies.iter().map(|(_, p)| p.clone());
-        let first = match own {
-            Some(own) => own.clone() + globals.next().expect("non-empty globals"),
-            None => globals.next().expect("non-empty globals"),
-        };
-        Some(Cow::Owned(globals.fold(first, |acc, g| acc + g)))
+    /// The installed global fragments with their owners, in installation
+    /// order (read-only: a reference compile copies them).
+    pub fn global_policies(&self) -> &[(ParticipantId, Policy)] {
+        &self.global_policies
     }
 
-    /// Drops every memoized raw-policy compilation (the ablation benches
-    /// use this to re-measure from a cold cache).
-    pub fn clear_memo(&mut self) {
-        let mut memo = self.memo.lock().expect("memo lock poisoned");
-        memo.map.clear();
-        memo.clock = 0;
+    /// The outbound policy effective for `viewer`: its own policy plus
+    /// every remote fragment, in parallel — borrowed when there are no
+    /// fragments to fold in.
+    pub fn effective_outbound(&self, viewer: ParticipantId) -> Option<Cow<'_, Policy>> {
+        effective_outbound(self.participants.get(&viewer)?, &self.global_policies)
     }
 
     /// Drops every cached phase-A unit, so the next compile is cold — how
@@ -390,37 +363,44 @@ impl SdxCompiler {
         self.shard_cache = None;
     }
 
-    /// Entries currently held in the raw-policy memo cache.
-    pub fn memo_len(&self) -> usize {
-        self.memo.lock().expect("memo lock poisoned").map.len()
+    /// Brings the compiled policies up to the book's current versions,
+    /// compiling only where a stamp moved; returns how many were served as
+    /// they stood. A policy the transformations reject is never stored, so
+    /// it is reported again on every call until it is replaced.
+    pub(crate) fn refresh_policies(&mut self) -> Result<usize, SdxError> {
+        let book = self.versions.book();
+        let mut served = 0;
+        for (&id, cfg) in &self.participants {
+            served += usize::from(refresh_compiled(
+                &mut self.outbound,
+                id,
+                (book, self.versions.outbound_of(id)),
+                || effective_outbound(cfg, &self.global_policies),
+                |pol| Ok(transform::outbound_fwd_rules(id, &compile_policy(pol))?),
+            )?);
+            served += usize::from(refresh_compiled(
+                &mut self.inbound,
+                id,
+                (book, self.versions.inbound_of(id)),
+                || cfg.inbound.as_ref().map(Cow::Borrowed),
+                |pol| Ok(compile_policy(pol)),
+            )?);
+        }
+        Ok(served)
     }
 
-    pub(crate) fn compile_raw(&self, policy: &Policy, stats: &mut CompileStats) -> Classifier {
-        if !self.options.memoize {
-            return compile_policy(policy);
-        }
-        let mut memo = self.memo.lock().expect("memo lock poisoned");
-        memo.clock += 1;
-        let stamp = memo.clock;
-        if let Some((c, used)) = memo.map.get_mut(policy) {
-            *used = stamp;
-            stats.memo_hits += 1;
-            return c.clone();
-        }
-        let c = compile_policy(policy);
-        memo.map.insert(policy.clone(), (c.clone(), stamp));
-        let cap = self.options.memo_cap.max(1);
-        while memo.map.len() > cap {
-            let victim = memo
-                .map
-                .iter()
-                .min_by_key(|(_, &(_, used))| used)
-                .map(|(p, _)| p.clone())
-                .expect("memo over cap is non-empty");
-            memo.map.remove(&victim);
-            self.telemetry.inc("compile.memo_evictions.count");
-        }
-        c
+    /// Every participant with an effective outbound policy and its
+    /// compiled forwarding clauses, in `ParticipantId` order, as of the
+    /// last refresh.
+    pub(crate) fn outbound_rules(&self) -> impl Iterator<Item = (ParticipantId, &[FwdRule])> {
+        self.outbound
+            .iter()
+            .map(|(&id, c)| (id, c.value.as_slice()))
+    }
+
+    /// `id`'s compiled inbound policy as of the last refresh.
+    pub(crate) fn inbound_classifier(&self, id: ParticipantId) -> Option<&Classifier> {
+        self.inbound.get(&id).map(|c| &c.value)
     }
 
     /// Runs the full pipeline against the current routes.
@@ -445,40 +425,76 @@ impl SdxCompiler {
         let reg = self.telemetry.clone();
         let t0 = Instant::now();
         let mut stats = CompileStats::default();
-        let workers = self.options.parallelism.workers();
+        let (stage1, blocks, groups) = self.stages(rs, vnh, faults, &mut stats)?;
 
-        // ---- Step 1 (serial): raw policy classifiers + outbound clause
-        // extraction. Cheap relative to the BGP joins, and the memo cache
-        // sees every policy exactly once here.
-        let t_classifiers = Instant::now();
-        let ids: Vec<ParticipantId> = self.participants.keys().copied().collect();
-        let mut fwd_rules: BTreeMap<ParticipantId, Vec<FwdRule>> = BTreeMap::new();
-        let mut inbound_compiled: BTreeMap<ParticipantId, Classifier> = BTreeMap::new();
-        for &id in &ids {
-            if let Some(pol) = self.effective_outbound(id) {
-                let c = self.compile_raw(&pol, &mut stats);
-                fwd_rules.insert(id, transform::outbound_fwd_rules(id, &c)?);
-            }
-            if let Some(pol) = self.participants[&id].inbound.as_ref() {
-                let c = self.compile_raw(pol, &mut stats);
-                inbound_compiled.insert(id, c);
+        // ---- Step 5: composition, each stage-1 rule with its target's
+        // stage-2 block only.
+        let t_compose = Instant::now();
+        let classifier = compose_optimized(&stage1, &blocks);
+        stats.compose_time = t_compose.elapsed();
+        reg.observe_duration("compile.compose", stats.compose_time);
+
+        // ---- Report assembly.
+        let mut arp_bindings = Vec::new();
+        let mut vnh_of = BTreeMap::new();
+        for g in groups.values().flatten() {
+            arp_bindings.push((g.vnh, g.vmac));
+            for &p in &g.prefixes {
+                vnh_of.insert((g.viewer, p), g.vnh);
             }
         }
+        stats.rule_count = classifier.len();
+        stats.forwarding_rules = classifier.forwarding_rule_count();
+        stats.group_count = groups.values().map(Vec::len).sum();
+        stats.total = t0.elapsed();
+        reg.observe_duration("compile.total", stats.total);
+        reg.inc("compile.count");
 
+        Ok(CompileReport {
+            classifier,
+            groups,
+            arp_bindings,
+            vnh_of,
+            stats,
+        })
+    }
+
+    /// Steps 1–4: everything up to, not including, the composition.
+    fn stages(
+        &mut self,
+        rs: &RouteServer,
+        vnh: &mut VnhAllocator,
+        faults: &mut FaultPlan,
+        stats: &mut CompileStats,
+    ) -> Result<Stages, SdxError> {
+        let reg = self.telemetry.clone();
+
+        // ---- Step 1: compile the policies whose version moved since the
+        // last run; every other one is borrowed as it stands.
+        let t_classifiers = Instant::now();
+        stats.memo_hits = self.refresh_policies()?;
         reg.observe_duration("compile.classifiers", t_classifiers.elapsed());
 
-        // ---- Phase A (parallel per (shard, viewer) unit): affected sets
-        // + FEC partition, recomputing only what changed since the last
-        // compile (see `compile_fecs`). Results come back in
-        // ParticipantId order, so output is identical for any worker
-        // count.
+        // ---- Phase A (per (shard, viewer) unit): affected sets + FEC
+        // partition, recomputing only what changed since the last compile
+        // (see `compile_fecs`), in ParticipantId order.
         let vnh_allocs = reg.counter("vnh.alloc.count");
         let t_vnh = Instant::now();
-        let viewer_rules: Vec<(ParticipantId, &[FwdRule])> =
-            fwd_rules.iter().map(|(&v, r)| (v, r.as_slice())).collect();
-        let fecs: Vec<MergedFecs> = self.compile_fecs(rs, workers, &viewer_rules, &reg);
+        let viewer_rules: Vec<(ParticipantId, &[FwdRule])> = self
+            .outbound
+            .iter()
+            .map(|(&id, c)| (id, c.value.as_slice()))
+            .collect();
+        let fecs: Vec<MergedFecs> = Self::compile_fecs(
+            &mut self.shard_cache,
+            &self.versions,
+            self.shards.unwrap_or(DEFAULT_SHARDS),
+            rs,
+            &viewer_rules,
+            &reg,
+        );
 
-        // ---- Phase B (serial, viewer order): VNH assignment. The whole
+        // ---- Phase B (viewer order): VNH assignment. The whole
         // batch is reserved up front *by content-addressed key* and
         // committed only after every fault check passes — an injected
         // fault or exhaustion leaves the allocator (key maps included)
@@ -530,47 +546,95 @@ impl SdxCompiler {
         stats.vnh_time = t_vnh.elapsed();
         reg.observe_duration("compile.fec", stats.vnh_time);
 
-        // ---- Phase C (parallel per viewer): stage-1 rules. Membership
-        // closures index a FecId → position map instead of re-scanning the
-        // group list per query (the old quadratic inner loop). Viewers
-        // emit rule batches independently; the merge below concatenates
-        // them in ParticipantId order, so rule priority order is exactly
-        // the serial pipeline's.
+        // ---- Phase C (per viewer, in ParticipantId order): stage-1
+        // rules. Membership closures index a FecId → position map instead
+        // of re-scanning the group list per query.
         let participants = &self.participants;
-        type Stage1Batch = Result<(Vec<Rule>, Vec<(ParticipantId, MacAddr)>), SdxError>;
-        let batches: Vec<Stage1Batch> =
-            parallel_map(workers, &viewer_rules, |_, &(viewer, rules)| {
-                let vgroups = &groups[&viewer];
-                let memberships = &rule_membership[&viewer];
-                let idx_of: HashMap<crate::fec::FecId, usize> =
-                    vgroups.iter().enumerate().map(|(i, g)| (g.id, i)).collect();
-                let mut stage1: Vec<Rule> = Vec::new();
-                let mut deliverable: Vec<(ParticipantId, MacAddr)> = Vec::new();
-                for (k, rule) in rules.iter().enumerate() {
-                    // Wide-area-LB rewrite rules: consistency is checked on the
-                    // rewritten address, and the rule follows that address's
-                    // BGP route when no explicit fwd was written.
-                    if let Some(new_dst) = rule.rewritten_dst() {
-                        let nh = match rule.target {
-                            Some(PortId::Virt(nh))
-                                if rs.reachable_via_addr(viewer, new_dst).contains(&nh) =>
-                            {
-                                Some(nh)
+        let mut stage1: Vec<Rule> = Vec::new();
+        let mut deliverable: BTreeMap<ParticipantId, BTreeSet<MacAddr>> = BTreeMap::new();
+        for &(viewer, rules) in &viewer_rules {
+            let vgroups = &groups[&viewer];
+            let memberships = &rule_membership[&viewer];
+            let idx_of: HashMap<crate::fec::FecId, usize> =
+                vgroups.iter().enumerate().map(|(i, g)| (g.id, i)).collect();
+            for (k, rule) in rules.iter().enumerate() {
+                // Wide-area-LB rewrite rules: consistency is checked on the
+                // rewritten address, and the rule follows that address's
+                // BGP route when no explicit fwd was written.
+                if let Some(new_dst) = rule.rewritten_dst() {
+                    let nh = match rule.target {
+                        Some(PortId::Virt(nh))
+                            if rs.reachable_via_addr(viewer, new_dst).contains(&nh) =>
+                        {
+                            Some(nh)
+                        }
+                        Some(_) => None, // explicit target can't reach it
+                        None => rs
+                            .best_for_addr(viewer, new_dst)
+                            .map(|r| r.source.participant),
+                    };
+                    let Some(nh) = nh else {
+                        continue; // rewritten address unroutable: drop rule
+                    };
+                    let Some(nh_cfg) = participants.get(&nh) else {
+                        continue;
+                    };
+                    let nh_mac = nh_cfg.primary_port().mac;
+                    // Isolation: one rule per sender port, unless the rule
+                    // already pinned one of the sender's own ports.
+                    let sender_ports: Vec<PortId> = match rule.matches.in_port {
+                        Some(p) => vec![p],
+                        None => participants[&viewer].port_ids().collect(),
+                    };
+                    for sp in sender_ports {
+                        let mut m = rule.matches;
+                        m.set(sdx_net::FieldMatch::InPort(sp));
+                        let mut mods = rule.mods.clone();
+                        mods.push(Mod::SetDlDst(nh_mac));
+                        mods.push(Mod::SetLoc(PortId::Virt(nh)));
+                        stage1.push(Rule::unicast(m, Action { mods }));
+                    }
+                    continue;
+                }
+                match rule.target {
+                    Some(PortId::Virt(nh)) => {
+                        let expanded = expand_fwd_rule(
+                            rule,
+                            PortId::Virt(nh),
+                            vgroups,
+                            |g| {
+                                idx_of
+                                    .get(&g.id)
+                                    .is_some_and(|&idx| memberships[idx].0.contains(&k))
+                            },
+                            |g| {
+                                idx_of
+                                    .get(&g.id)
+                                    .is_some_and(|&idx| memberships[idx].1.contains(&k))
+                            },
+                        );
+                        for r in &expanded {
+                            if let Some(v) = r.matches.dl_dst {
+                                deliverable.entry(nh).or_default().insert(v);
                             }
-                            Some(_) => None, // explicit target can't reach it
-                            None => rs
-                                .best_for_addr(viewer, new_dst)
-                                .map(|r| r.source.participant),
-                        };
-                        let Some(nh) = nh else {
-                            continue; // rewritten address unroutable: drop rule
-                        };
-                        let Some(nh_cfg) = participants.get(&nh) else {
+                        }
+                        stage1.extend(expanded);
+                    }
+                    Some(PortId::Phys(owner, idx)) => {
+                        // Middlebox/port steering: isolate per sender port,
+                        // rewrite the MAC to the target port's.
+                        let Some(target_cfg) = participants.get(&owner) else {
                             continue;
                         };
-                        let nh_mac = nh_cfg.primary_port().mac;
-                        // Isolation: one rule per sender port, unless the rule
-                        // already pinned one of the sender's own ports.
+                        let Some(mac) = target_cfg.port_mac(idx) else {
+                            return Err(TransformError::NoSuchPort(owner, idx).into());
+                        };
+                        // Port steering is a *direct output* — `fwd(E1)`
+                        // means "this exact port". It deliberately bypasses
+                        // the owner's virtual switch (and hence its inbound
+                        // policy), which is also what keeps service chains
+                        // loop-free: the final hop's steering back to the
+                        // consumer must not re-enter the consumer's divert.
                         let sender_ports: Vec<PortId> = match rule.matches.in_port {
                             Some(p) => vec![p],
                             None => participants[&viewer].port_ids().collect(),
@@ -579,78 +643,13 @@ impl SdxCompiler {
                             let mut m = rule.matches;
                             m.set(sdx_net::FieldMatch::InPort(sp));
                             let mut mods = rule.mods.clone();
-                            mods.push(Mod::SetDlDst(nh_mac));
-                            mods.push(Mod::SetLoc(PortId::Virt(nh)));
+                            mods.push(Mod::SetDlDst(mac));
+                            mods.push(Mod::SetLoc(PortId::Phys(owner, idx)));
                             stage1.push(Rule::unicast(m, Action { mods }));
                         }
-                        continue;
                     }
-                    match rule.target {
-                        Some(PortId::Virt(nh)) => {
-                            let expanded = expand_fwd_rule(
-                                rule,
-                                PortId::Virt(nh),
-                                vgroups,
-                                |g| {
-                                    idx_of
-                                        .get(&g.id)
-                                        .is_some_and(|&idx| memberships[idx].0.contains(&k))
-                                },
-                                |g| {
-                                    idx_of
-                                        .get(&g.id)
-                                        .is_some_and(|&idx| memberships[idx].1.contains(&k))
-                                },
-                            );
-                            for r in &expanded {
-                                if let Some(v) = r.matches.dl_dst {
-                                    deliverable.push((nh, v));
-                                }
-                            }
-                            stage1.extend(expanded);
-                        }
-                        Some(PortId::Phys(owner, idx)) => {
-                            // Middlebox/port steering: isolate per sender port,
-                            // rewrite the MAC to the target port's.
-                            let Some(target_cfg) = participants.get(&owner) else {
-                                continue;
-                            };
-                            let Some(mac) = target_cfg.port_mac(idx) else {
-                                return Err(TransformError::NoSuchPort(owner, idx).into());
-                            };
-                            // Port steering is a *direct output* — `fwd(E1)`
-                            // means "this exact port". It deliberately bypasses
-                            // the owner's virtual switch (and hence its inbound
-                            // policy), which is also what keeps service chains
-                            // loop-free: the final hop's steering back to the
-                            // consumer must not re-enter the consumer's divert.
-                            let sender_ports: Vec<PortId> = match rule.matches.in_port {
-                                Some(p) => vec![p],
-                                None => participants[&viewer].port_ids().collect(),
-                            };
-                            for sp in sender_ports {
-                                let mut m = rule.matches;
-                                m.set(sdx_net::FieldMatch::InPort(sp));
-                                let mut mods = rule.mods.clone();
-                                mods.push(Mod::SetDlDst(mac));
-                                mods.push(Mod::SetLoc(PortId::Phys(owner, idx)));
-                                stage1.push(Rule::unicast(m, Action { mods }));
-                            }
-                        }
-                        None => {} // no-op rule (no fwd, no rewrite)
-                    }
+                    None => {} // no-op rule (no fwd, no rewrite)
                 }
-                Ok((stage1, deliverable))
-            });
-        // Merge in viewer order; `deliverable` is a set union, so push
-        // order within it cannot affect the outcome.
-        let mut stage1: Vec<Rule> = Vec::new();
-        let mut deliverable: BTreeMap<ParticipantId, BTreeSet<MacAddr>> = BTreeMap::new();
-        for batch in batches {
-            let (rules, delivered) = batch?;
-            stage1.extend(rules);
-            for (nh, vmac) in delivered {
-                deliverable.entry(nh).or_default().insert(vmac);
             }
         }
         // Per-group defaults (below policy rules).
@@ -663,9 +662,9 @@ impl SdxCompiler {
             stage1.extend(transform::default_stage1_rules(vgroups));
         }
         // Global MAC-learning defaults.
-        stage1.extend(transform::mac_default_rules(&self.participants));
+        stage1.extend(transform::mac_default_rules(participants));
 
-        // ---- Phase D (parallel per receiver): stage-2 delivery blocks.
+        // ---- Phase D (per receiver): stage-2 delivery blocks.
         // Each receiver's deliverable VMACs are ordered by *group
         // enumeration rank* (viewer asc, group position), not by MAC
         // bytes: on a fresh allocator the two orders coincide (ids are
@@ -680,74 +679,21 @@ impl SdxCompiler {
             .enumerate()
             .map(|(i, g)| (g.vmac, i as u32))
             .collect();
-        let receivers: Vec<(ParticipantId, &ParticipantConfig)> = self
-            .participants
-            .iter()
-            .map(|(&id, cfg)| (id, cfg))
-            .collect();
-        let block_results = parallel_map(workers, &receivers, |_, &(id, cfg)| {
+        let foreign_mac =
+            |owner: ParticipantId, idx: u8| participants.get(&owner).and_then(|c| c.port_mac(idx));
+        let mut blocks: BTreeMap<ParticipantId, Classifier> = BTreeMap::new();
+        for (&id, cfg) in participants {
             let mut vmacs: Vec<MacAddr> = deliverable
                 .get(&id)
                 .map(|s| s.iter().copied().collect())
                 .unwrap_or_default();
             vmacs.sort_by_key(|m| (mac_rank.get(m).copied().unwrap_or(u32::MAX), *m));
-            let foreign_mac = |owner: ParticipantId, idx: u8| {
-                participants.get(&owner).and_then(|c| c.port_mac(idx))
-            };
-            transform::stage2_block(cfg, inbound_compiled.get(&id), &vmacs, &foreign_mac)
-                .map(|block| (id, block))
-        });
-        let mut blocks: BTreeMap<ParticipantId, Classifier> = BTreeMap::new();
-        for r in block_results {
-            let (id, block) = r?;
+            let block =
+                transform::stage2_block(cfg, self.inbound_classifier(id), &vmacs, &foreign_mac)?;
             blocks.insert(id, block);
         }
 
-        // ---- Phase E: composition, fanned out per receiver block.
-        let t_compose = Instant::now();
-        let classifier = if self.options.pair_pruning {
-            compose_optimized_parallel(&stage1, &blocks, workers)
-        } else {
-            // Naive baseline: full sequential cross product of the summed
-            // stages, as if every pair of participants exchanged traffic.
-            let stage1_c = Classifier::from_rules(stage1);
-            let stage2_all = Classifier::from_rules(
-                blocks
-                    .values()
-                    .flat_map(|b| b.rules().iter().cloned())
-                    .filter(|r| !r.matches.is_wildcard() || !r.is_drop())
-                    .collect(),
-            );
-            stage1_c.sequential(&stage2_all)
-        };
-        stats.compose_time = t_compose.elapsed();
-        reg.observe_duration("compile.compose", stats.compose_time);
-
-        // ---- Report assembly.
-        let mut arp_bindings = Vec::new();
-        let mut vnh_of = BTreeMap::new();
-        for vgroups in groups.values() {
-            for g in vgroups {
-                arp_bindings.push((g.vnh, g.vmac));
-                for &p in &g.prefixes {
-                    vnh_of.insert((g.viewer, p), g.vnh);
-                }
-            }
-        }
-        stats.rule_count = classifier.len();
-        stats.forwarding_rules = classifier.forwarding_rule_count();
-        stats.group_count = groups.values().map(Vec::len).sum();
-        stats.total = t0.elapsed();
-        reg.observe_duration("compile.total", stats.total);
-        reg.inc("compile.count");
-
-        Ok(CompileReport {
-            classifier,
-            groups,
-            arp_bindings,
-            vnh_of,
-            stats,
-        })
+        Ok((stage1, blocks, groups))
     }
 
     /// Phase A (see [`crate::shard`]): recompute the signature slice of
@@ -764,9 +710,8 @@ impl SdxCompiler {
     /// against its own slice).
     ///
     /// The cache is thrown away whole on any fingerprint mismatch (plan
-    /// size, structural book epoch, route-server identity,
-    /// consistency-sabotage flag). Within a valid cache, two partial
-    /// invalidation axes compose:
+    /// size, structural book epoch, route-server identity). Within a valid
+    /// cache, two partial invalidation axes compose:
     ///
     /// * **BGP churn** invalidates by dirty shard — the route server's
     ///   compile-dirty set is authoritative.
@@ -784,27 +729,17 @@ impl SdxCompiler {
     ///   server, so the surviving units are *exactly* the ones a full
     ///   recompute would reproduce.
     fn compile_fecs(
-        &mut self,
+        shard_cache: &mut Option<ShardCache>,
+        versions: &PolicyVersions,
+        shards: usize,
         rs: &RouteServer,
-        workers: usize,
         viewer_rules: &[(ParticipantId, &[FwdRule])],
         reg: &SharedRegistry,
     ) -> Vec<MergedFecs> {
-        let n = clamp_shards(self.options.shards);
-        let fec_grouping = self.options.fec_grouping;
-        let break_consistency = self.options.break_consistency_filter;
-        let valid = match self.shard_cache.take() {
-            Some(c)
-                if c.plan.len() == n
-                    && c.versions.book() == self.versions.book()
-                    && c.rs_id == rs.compile_id()
-                    && c.break_consistency == break_consistency
-                    && c.fec_grouping == fec_grouping =>
-            {
-                Some(c)
-            }
-            _ => None,
-        };
+        let n = clamp_shards(shards);
+        let valid = shard_cache.take().filter(|c| {
+            c.plan.len() == n && c.versions.book() == versions.book() && c.rs_id == rs.compile_id()
+        });
         let drained = rs.take_compile_dirty();
         reg.add("compile.shard.dirty_prefixes.count", drained.len() as u64);
         let (mut cache, dirty, fresh): (ShardCache, BTreeSet<usize>, bool) = match valid {
@@ -820,11 +755,9 @@ impl SdxCompiler {
                     // same shards across compiles (balance drifts with
                     // churn; correctness does not).
                     plan: ShardPlan::balanced(n, rs.all_prefixes()),
-                    versions: self.versions.clone(),
+                    versions: versions.clone(),
                     rules: HashMap::new(),
                     rs_id: rs.compile_id(),
-                    break_consistency,
-                    fec_grouping,
                     units: HashMap::new(),
                     merged: HashMap::new(),
                 },
@@ -858,7 +791,7 @@ impl SdxCompiler {
                     policy_stale.extend((0..n).map(|s| (s, viewer)));
                     continue;
                 };
-                if cache.versions.outbound_of(viewer) == self.versions.outbound_of(viewer) {
+                if cache.versions.outbound_of(viewer) == versions.outbound_of(viewer) {
                     continue;
                 }
                 let common = old_rules
@@ -920,7 +853,7 @@ impl SdxCompiler {
                 }
             }
         }
-        cache.versions = self.versions.clone();
+        cache.versions = versions.clone();
 
         // Unit pruning: within a dirty shard, a cached `(shard, viewer)`
         // unit can only have changed if some dirty prefix is already in
@@ -949,53 +882,32 @@ impl SdxCompiler {
                     })
             })
         };
-        // Work list: policy-stale units recompute regardless of route
-        // dirt; clean-policy viewers walk only the route-dirty shards (the
-        // steady-state churn path pays nothing for the policy machinery).
-        let policy_viewers: HashSet<ParticipantId> = policy_stale.iter().map(|&(_, v)| v).collect();
+        // Work list: a policy-stale or missing unit recomputes regardless of
+        // route dirt; any other unit only where its shard is route-dirty
+        // and the dirt can reach it.
         let mut pruned = 0u64;
         let mut work: Vec<(usize, ParticipantId, &[FwdRule])> = Vec::new();
         for &(v, rules) in viewer_rules {
-            let route_hit = |s: usize, unit: &ShardUnit| {
-                dirty_by_shard
-                    .get(&s)
-                    .is_none_or(|ps| could_affect(unit, ps, rules))
-            };
-            if policy_viewers.contains(&v) {
-                for s in 0..n {
-                    match cache.units.get(&(s, v)) {
-                        None => work.push((s, v, rules)),
-                        Some(unit) => {
-                            if policy_stale.contains(&(s, v)) {
-                                work.push((s, v, rules));
-                            } else if dirty.contains(&s) {
-                                if route_hit(s, unit) {
-                                    work.push((s, v, rules));
-                                } else {
-                                    pruned += 1;
-                                }
-                            }
+            for s in 0..n {
+                match cache.units.get(&(s, v)) {
+                    Some(unit) if !policy_stale.contains(&(s, v)) => {
+                        let Some(ps) = dirty_by_shard.get(&s) else {
+                            continue; // clean shard: cache-served
+                        };
+                        if could_affect(unit, ps, rules) {
+                            work.push((s, v, rules));
+                        } else {
+                            pruned += 1;
                         }
                     }
-                }
-            } else {
-                for &s in &dirty {
-                    match cache.units.get(&(s, v)) {
-                        None => work.push((s, v, rules)),
-                        Some(unit) => {
-                            if route_hit(s, unit) {
-                                work.push((s, v, rules));
-                            } else {
-                                pruned += 1;
-                            }
-                        }
-                    }
+                    _ => work.push((s, v, rules)),
                 }
             }
         }
         reg.add("compile.shard.unit_pruned.count", pruned);
         let plan = &cache.plan;
-        let units: Vec<ShardUnit> = parallel_map(workers, &work, |_, &(s, viewer, rules)| {
+        let mut units: Vec<ShardUnit> = Vec::with_capacity(work.len());
+        for &(s, viewer, rules) in &work {
             let _unit_timer = reg.start_timer("compile.shard.unit");
             let (lo, hi) = plan.range(s);
             // Affected set per rule: prefixes the target exported to the
@@ -1012,16 +924,9 @@ impl SdxCompiler {
                 let Some(PortId::Virt(nh)) = rule.target else {
                     continue; // port steering / no-op: no BGP join
                 };
-                let via = via_cache.entry(nh).or_insert_with(|| {
-                    if break_consistency {
-                        // Sabotage knob (see `CompileOptions`): ignore the
-                        // Adj-RIB-Out filter and join on everything the
-                        // target ever announced in this range.
-                        rs.loc_rib().announced_by_in(nh, lo, hi).collect()
-                    } else {
-                        rs.prefixes_via_bounded(viewer, nh, lo, hi)
-                    }
-                });
+                let via = via_cache
+                    .entry(nh)
+                    .or_insert_with(|| rs.prefixes_via_bounded(viewer, nh, lo, hi));
                 for &p in via.iter() {
                     match dst_coverage(&rule.matches, p) {
                         Coverage::None => {}
@@ -1042,8 +947,8 @@ impl SdxCompiler {
                 .keys()
                 .map(|&p| (p, rs.best_for(viewer, p).map(|r| r.source.participant)))
                 .collect();
-            ShardUnit { sig, best_nh }
-        });
+            units.push(ShardUnit { sig, best_nh });
+        }
         // A recomputed unit that comes back identical to the cached one
         // (churn that canceled, or dirt in prefixes this viewer never
         // sees) leaves the viewer's merged output valid — only genuinely
@@ -1094,7 +999,7 @@ impl SdxCompiler {
                     .iter()
                     .map(|(&p, &mem)| {
                         let nh = best_nh[&p];
-                        (p, (&mem.0, &mem.1, nh, (!fec_grouping).then_some(p)))
+                        (p, (&mem.0, &mem.1, nh))
                     })
                     .collect();
                 let parts = partition_by_signature(items);
@@ -1111,7 +1016,7 @@ impl SdxCompiler {
             }
         }
         reg.observe_duration("compile.shard.merge", merge_t.elapsed());
-        self.shard_cache = Some(cache);
+        *shard_cache = Some(cache);
         fecs
     }
 }
@@ -1188,19 +1093,10 @@ mod tests {
         let viewer_id = ParticipantId(viewer);
         // Stage 1 of the multi-stage FIB (what the border router does):
         // find the most specific announced prefix covering the destination.
-        let vnh = report
-            .vnh_of
-            .iter()
-            .filter(|((v, p), _)| *v == viewer_id && p.contains(pkt.nw_dst))
-            .max_by_key(|((_, p), _)| p.len())
-            .map(|(_, nh)| *nh);
-        let tagged = match vnh {
-            Some(nh) => {
+        let tagged = match report.vnh_for(viewer_id, pkt.nw_dst) {
+            Some((_, nh)) => {
                 let vmac = report
-                    .arp_bindings
-                    .iter()
-                    .find(|(a, _)| *a == nh)
-                    .map(|(_, m)| *m)
+                    .vmac_for(viewer_id, nh)
                     .expect("ARP binding for every VNH");
                 pkt.with_macs(MacAddr::physical(viewer * 16 + 1), vmac)
             }
@@ -1306,6 +1202,9 @@ mod tests {
         assert_eq!(find("10.0.0.0/8"), find("20.0.0.0/8"));
         assert_ne!(find("10.0.0.0/8"), find("30.0.0.0/8"));
         assert_ne!(find("10.0.0.0/8"), find("40.0.0.0/8"));
+        // What grouping saves, read off the one compile: without it every
+        // affected (viewer, prefix) pair would need a VNH of its own.
+        assert!(report.stats.group_count < report.vnh_of.len());
     }
 
     #[test]
@@ -1316,18 +1215,35 @@ mod tests {
         assert_eq!(r1.stats.memo_hits, 0);
         let r2 = compiler.compile_all(&rs, &mut vnh).unwrap();
         assert_eq!(r2.stats.memo_hits, 2, "A's outbound + B's inbound cached");
+        // A policy is compiled when it changes — and only that one.
+        compiler.set_outbound(
+            ParticipantId(1),
+            Some(P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(ParticipantId(2)))),
+        );
+        let r3 = compiler.compile_all(&rs, &mut vnh).unwrap();
+        assert_eq!(r3.stats.memo_hits, 1, "B's inbound is served as it stood");
     }
 
     #[test]
     fn naive_composition_agrees_with_optimized() {
         let (mut compiler, rs) = figure1();
         let opt = run(&mut compiler, &rs);
-        compiler.options.pair_pruning = false;
-        compiler.options.memoize = false;
-        let mut vnh = VnhAllocator::default();
-        let naive = compiler.compile_all(&rs, &mut vnh).unwrap();
-        // Same observable behaviour on a probe battery. (VNH ids realign
-        // because allocation order is deterministic.)
+        // The same stages (ids realign: allocation order is deterministic),
+        // composed as the full cross product instead.
+        let (stage1, blocks, groups) = compiler
+            .stages(
+                &rs,
+                &mut VnhAllocator::default(),
+                &mut FaultPlan::disabled(),
+                &mut CompileStats::default(),
+            )
+            .unwrap();
+        assert_eq!(groups, opt.groups);
+        let naive = CompileReport {
+            classifier: transform::compose_naive(stage1, &blocks),
+            ..opt.clone()
+        };
+        // Same observable behaviour on a probe battery.
         for (src, dst, port) in [
             ("99.0.0.1", "10.0.0.9", 80u16),
             ("200.0.0.1", "10.0.0.9", 80),
@@ -1353,78 +1269,12 @@ mod tests {
         assert_eq!(a.vnh_of, b.vnh_of, "{what}: VNH map differs");
     }
 
-    #[test]
-    fn parallel_pipeline_output_is_byte_identical_to_serial() {
-        let (mut compiler, rs) = figure1();
-        compiler.options.parallelism = Parallelism::Serial;
-        let serial = run(&mut compiler, &rs);
-        for par in [
-            Parallelism::Threads(2),
-            Parallelism::Threads(4),
-            Parallelism::Auto,
-        ] {
-            compiler.options.parallelism = par;
-            // Cold, or phase A would be cache-served and never fan out.
-            compiler.clear_unit_cache();
-            let report = run(&mut compiler, &rs);
-            assert_reports_identical(&report, &serial, &format!("{par:?}"));
-        }
-    }
-
-    #[test]
-    fn memo_is_bounded_with_lru_eviction() {
-        let mut compiler = SdxCompiler::new();
-        compiler.options.memo_cap = 2;
-        let pol = |port: u16| {
-            P::match_(FieldMatch::TpDst(port)) >> P::fwd(PortId::Virt(ParticipantId(2)))
-        };
-        let mut stats = CompileStats::default();
-        for port in 0..5u16 {
-            compiler.compile_raw(&pol(port), &mut stats);
-        }
-        assert_eq!(compiler.memo_len(), 2, "cap bounds the cache");
-        assert_eq!(
-            compiler
-                .telemetry()
-                .counter("compile.memo_evictions.count")
-                .get(),
-            3
-        );
-        // LRU: the most recent entries survive, the oldest were evicted.
-        compiler.compile_raw(&pol(4), &mut stats);
-        compiler.compile_raw(&pol(3), &mut stats);
-        assert_eq!(stats.memo_hits, 2, "recent entries still cached");
-        compiler.compile_raw(&pol(0), &mut stats);
-        assert_eq!(stats.memo_hits, 2, "oldest entry was evicted");
-    }
-
-    #[test]
-    fn memo_evictions_count_through_compile_all() {
-        // End-to-end variant of the LRU test: the real pipeline compiles
-        // one raw classifier per installed policy (A's outbound + B's
-        // inbound on Figure 1), so a cap of 1 forces an eviction *during*
-        // `compile_all` and the telemetry counter must say so.
-        let (mut compiler, rs) = figure1();
-        compiler.options.memo_cap = 1;
-        let mut vnh = VnhAllocator::default();
-        compiler.compile_all(&rs, &mut vnh).expect("compiles");
-        assert_eq!(compiler.memo_len(), 1, "cap bounds the cache");
-        assert!(
-            compiler
-                .telemetry()
-                .counter("compile.memo_evictions.count")
-                .get()
-                >= 1,
-            "compile_all past memo_cap must record evictions"
-        );
-    }
-
     /// The reference every equivalence test below compares against: a
     /// fresh compiler (no cached unit) at one shard, i.e. the
     /// whole-exchange computation through the only phase A there is.
     fn cold_one_shard() -> (SdxCompiler, RouteServer) {
         let (mut compiler, rs) = figure1();
-        compiler.options.shards = 1;
+        compiler.set_shards(1);
         (compiler, rs)
     }
 
@@ -1436,7 +1286,7 @@ mod tests {
         // compiles agree byte for byte — no canonicalization needed.
         for shards in [2, DEFAULT_SHARDS, 16] {
             let (mut compiler, rs) = figure1();
-            compiler.options.shards = shards;
+            compiler.set_shards(shards);
             let report = run(&mut compiler, &rs);
             assert_reports_identical(&report, &baseline, &format!("{shards} shards"));
         }
@@ -1641,17 +1491,5 @@ mod tests {
                 what,
             );
         }
-    }
-
-    #[test]
-    fn fec_ablation_allocates_per_prefix() {
-        let (mut compiler, rs) = figure1();
-        let grouped = run(&mut compiler, &rs);
-        compiler.options.fec_grouping = false;
-        compiler.clear_memo();
-        let mut vnh = VnhAllocator::default();
-        let ungrouped = compiler.compile_all(&rs, &mut vnh).unwrap();
-        assert!(ungrouped.stats.group_count > grouped.stats.group_count);
-        assert!(ungrouped.stats.forwarding_rules >= grouped.stats.forwarding_rules);
     }
 }

@@ -30,7 +30,6 @@ use crate::compiler::SdxCompiler;
 use crate::error::SdxError;
 use crate::faults::{FaultPlan, InjectionPoint};
 use crate::fec::FecGroup;
-use crate::participant::ParticipantConfig;
 use crate::transform::{self, dst_coverage, expand_fwd_rule, Coverage, FwdRule};
 use crate::vnh::VnhAllocator;
 
@@ -66,13 +65,33 @@ impl DeltaResult {
 
 /// What the fast path needs of one viewer's outbound policy. It depends on
 /// the policy book, not on the prefix, so a burst derives it once.
-struct ViewerRules {
-    /// The viewer's forwarding clauses, in priority order.
-    rules: Vec<FwdRule>,
+struct ViewerRules<'a> {
+    viewer: ParticipantId,
+    /// The viewer's compiled forwarding clauses, in priority order.
+    rules: &'a [FwdRule],
     /// The clauses prefix churn can move — no destination rewrite (those
     /// are recompiled only by the background pass), a peer's virtual
     /// switch as target — as (index into `rules`, that peer).
     movable: Vec<(usize, ParticipantId)>,
+}
+
+impl<'a> ViewerRules<'a> {
+    fn of(viewer: ParticipantId, rules: &'a [FwdRule]) -> Self {
+        let movable = rules
+            .iter()
+            .enumerate()
+            .filter(|(_, rule)| rule.rewritten_dst().is_none())
+            .filter_map(|(k, rule)| match rule.target {
+                Some(PortId::Virt(nh)) => Some((k, nh)),
+                _ => None,
+            })
+            .collect();
+        ViewerRules {
+            viewer,
+            rules,
+            movable,
+        }
+    }
 }
 
 impl SdxCompiler {
@@ -104,9 +123,10 @@ impl SdxCompiler {
     /// The delta is prefix-major, viewer-minor — rules, ARP bindings, VNH
     /// updates and VNH ids all in that order. Everything that depends only
     /// on the policy book (each viewer's forwarding clauses, each
-    /// receiver's stage-2 inputs) is derived at its first use in the burst
-    /// and reused for every later prefix, so a burst of n prefixes is n
-    /// times the per-prefix work, not n times the per-policy work.
+    /// receiver's compiled inbound policy) is borrowed from the compiled
+    /// policies kept beside the book, so a burst of n prefixes is n times
+    /// the per-prefix work and no per-policy work at all unless a policy
+    /// changed since the last compile.
     pub fn fast_update_burst_with_faults(
         &mut self,
         rs: &RouteServer,
@@ -115,34 +135,24 @@ impl SdxCompiler {
         faults: &mut FaultPlan,
     ) -> Result<DeltaResult, SdxError> {
         let t0 = Instant::now();
+        self.refresh_policies()?;
         let this = &*self;
         let mut out = DeltaResult {
             prefixes: prefixes.to_vec(),
             ..DeltaResult::default()
         };
-        let viewers: Vec<ParticipantId> = this.participants().keys().copied().collect();
-        // Parallel to `viewers`, filled while the first prefix visits them.
-        let mut viewer_rules: Vec<ViewerRules> = Vec::with_capacity(viewers.len());
-        // Receiver → its config and compiled inbound policy (`None`: not a
-        // registered participant).
-        let mut receiver_inputs: BTreeMap<
-            ParticipantId,
-            Option<(&ParticipantConfig, Option<Classifier>)>,
-        > = BTreeMap::new();
+        // A viewer no clause of which can move is not visited: it gets the
+        // plain re-advertisement `out.prefixes` stands for.
+        let viewers: Vec<ViewerRules> = this
+            .outbound_rules()
+            .map(|(viewer, rules)| ViewerRules::of(viewer, rules))
+            .filter(|v| !v.movable.is_empty())
+            .collect();
 
         for &prefix in prefixes {
             let t_prefix = Instant::now();
-            for (i, &viewer) in viewers.iter().enumerate() {
-                if viewer_rules.len() == i {
-                    viewer_rules.push(this.viewer_rules(viewer)?);
-                }
-                let ViewerRules { rules, movable } = &viewer_rules[i];
-                // A viewer no clause of which can move gets the plain
-                // re-advertisement `out.prefixes` stands for.
-                if movable.is_empty() {
-                    continue;
-                }
-
+            for v in &viewers {
+                let (viewer, rules, movable) = (v.viewer, v.rules, &v.movable);
                 // Which of the viewer's rules touch this prefix now?
                 let mut member = Vec::new();
                 let mut partial = Vec::new();
@@ -207,24 +217,20 @@ impl SdxCompiler {
                 // the delta can reach.
                 let mut blocks = BTreeMap::new();
                 for r in receivers {
-                    let inputs = receiver_inputs.entry(r).or_insert_with(|| {
-                        let cfg = this.participant(r)?;
-                        let mut scratch = crate::compiler::CompileStats::default();
-                        let inbound = cfg
-                            .inbound
-                            .as_ref()
-                            .map(|p| this.compile_raw(p, &mut scratch));
-                        Some((cfg, inbound))
-                    });
-                    let Some((cfg, inbound)) = inputs else {
-                        continue;
+                    let Some(cfg) = this.participant(r) else {
+                        continue; // not a registered participant
                     };
                     let foreign_mac = |owner: ParticipantId, idx: u8| {
                         this.participant(owner).and_then(|c| c.port_mac(idx))
                     };
                     blocks.insert(
                         r,
-                        transform::stage2_block(cfg, inbound.as_ref(), &[vmac], &foreign_mac)?,
+                        transform::stage2_block(
+                            cfg,
+                            this.inbound_classifier(r),
+                            &[vmac],
+                            &foreign_mac,
+                        )?,
                     );
                 }
                 let composed = transform::compose_optimized(&stage1, &blocks);
@@ -244,29 +250,6 @@ impl SdxCompiler {
 
         out.elapsed = t0.elapsed();
         Ok(out)
-    }
-
-    /// Extracts `viewer`'s forwarding clauses (the raw compile is served
-    /// from the §4.3.1 memo cache in steady state).
-    fn viewer_rules(&self, viewer: ParticipantId) -> Result<ViewerRules, SdxError> {
-        let rules = match self.effective_outbound(viewer) {
-            Some(outbound) => {
-                let mut scratch = crate::compiler::CompileStats::default();
-                let compiled = self.compile_raw(&outbound, &mut scratch);
-                transform::outbound_fwd_rules(viewer, &compiled)?
-            }
-            None => Vec::new(),
-        };
-        let movable = rules
-            .iter()
-            .enumerate()
-            .filter(|(_, rule)| rule.rewritten_dst().is_none())
-            .filter_map(|(k, rule)| match rule.target {
-                Some(PortId::Virt(nh)) => Some((k, nh)),
-                _ => None,
-            })
-            .collect();
-        Ok(ViewerRules { rules, movable })
     }
 }
 

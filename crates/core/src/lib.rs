@@ -19,8 +19,7 @@
 //!   delivery.
 //! * [`compiler`] — the full compilation pipeline with the §4.3.1
 //!   optimizations (per-pair composition pruning, disjointness by
-//!   construction, memoized sub-compilations), plus the naive baseline the
-//!   ablation benches compare against.
+//!   construction, policies compiled once per change).
 //! * [`incremental`] — the §4.3.2 two-stage update path: a fast per-prefix
 //!   recompile that installs higher-priority delta rules immediately, and
 //!   background re-optimization between bursts.
@@ -47,7 +46,6 @@ pub mod error;
 pub mod faults;
 pub mod fec;
 pub mod incremental;
-pub mod par;
 pub mod participant;
 pub mod reconcile;
 pub mod schedule;
@@ -58,7 +56,7 @@ pub mod txn;
 pub mod vnh;
 pub mod vswitch;
 
-pub use compiler::{CompileOptions, CompileReport, Parallelism, SdxCompiler};
+pub use compiler::{CompileReport, SdxCompiler};
 pub use controller::{PreparedUpdate, SdxController};
 pub use error::SdxError;
 pub use faults::{FaultPlan, InjectionPoint};

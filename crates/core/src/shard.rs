@@ -190,8 +190,8 @@ pub(crate) struct ShardUnit {
 
 /// The compiler's incremental shard cache: the stable plan plus every
 /// clean `(shard, viewer)` unit from the previous compile, fingerprinted
-/// by everything phase A reads (route-server identity, sabotage knob, the
-/// *structural* policy-book epoch). Any fingerprint mismatch throws the
+/// by everything phase A reads beyond the rule lists (route-server
+/// identity, the *structural* policy-book epoch). Any fingerprint mismatch throws the
 /// whole cache away. Within a valid cache, two partial-invalidation axes
 /// compose: BGP churn invalidates by dirty shard (the route server's
 /// compile-dirty set is authoritative), and policy churn invalidates
@@ -212,10 +212,6 @@ pub(crate) struct ShardCache {
     /// Identity of the route server instance the units were built from
     /// (fresh per instance and per clone — see `RouteServer::compile_id`).
     pub(crate) rs_id: u64,
-    /// The consistency-sabotage ablation changes what phase A joins on.
-    pub(crate) break_consistency: bool,
-    /// The merged FECs depend on whether grouping is enabled.
-    pub(crate) fec_grouping: bool,
     pub(crate) units: HashMap<(usize, ParticipantId), ShardUnit>,
     /// Per-viewer merged phase-A output from the previous compile, valid
     /// while every one of the viewer's units is unchanged: recomputing a

@@ -330,7 +330,13 @@ pub fn compose_optimized(
     stage1: &[Rule],
     blocks: &BTreeMap<ParticipantId, Classifier>,
 ) -> Classifier {
-    compose_optimized_parallel(stage1, blocks, 1)
+    let rules = stage1
+        .iter()
+        .flat_map(|r1| compose_rule(r1, blocks))
+        .collect();
+    let mut c = Classifier::from_rules(rules);
+    c.shadow_eliminate();
+    c
 }
 
 /// The stage-2 receiver a stage-1 rule forwards to, if any.
@@ -371,43 +377,22 @@ fn compose_rule(r1: &Rule, blocks: &BTreeMap<ParticipantId, Classifier>) -> Vec<
     rules
 }
 
-/// [`compose_optimized`] fanned out over `workers` scoped threads, one
-/// work batch per receiver block (all the stage-1 rules forwarding to one
-/// participant compose against the same block, so a worker touches one
-/// block at a time). Each rule's composition results are scattered back by
-/// stage-1 rule index before the final classifier is built, so first-match
-/// order — and hence the output — is byte-identical to the serial path.
-pub fn compose_optimized_parallel(
-    stage1: &[Rule],
+/// The composition §4.3.1 optimizes away, kept as the reference the
+/// optimized one is tested against: the full sequential cross product of
+/// the summed stages, as if every pair of participants exchanged traffic.
+#[cfg(test)]
+pub(crate) fn compose_naive(
+    stage1: Vec<Rule>,
     blocks: &BTreeMap<ParticipantId, Classifier>,
-    workers: usize,
 ) -> Classifier {
-    let rules: Vec<Rule> = if workers <= 1 {
-        stage1
-            .iter()
-            .flat_map(|r1| compose_rule(r1, blocks))
-            .collect()
-    } else {
-        let mut by_receiver: BTreeMap<Option<ParticipantId>, Vec<usize>> = BTreeMap::new();
-        for (i, r1) in stage1.iter().enumerate() {
-            by_receiver.entry(compose_receiver(r1)).or_default().push(i);
-        }
-        let batches: Vec<Vec<usize>> = by_receiver.into_values().collect();
-        let composed = crate::par::parallel_map(workers, &batches, |_, batch| {
-            batch
-                .iter()
-                .map(|&i| (i, compose_rule(&stage1[i], blocks)))
-                .collect::<Vec<_>>()
-        });
-        let mut slots: Vec<Vec<Rule>> = vec![Vec::new(); stage1.len()];
-        for (i, composed_rules) in composed.into_iter().flatten() {
-            slots[i] = composed_rules;
-        }
-        slots.into_iter().flatten().collect()
-    };
-    let mut c = Classifier::from_rules(rules);
-    c.shadow_eliminate();
-    c
+    let stage2_all = Classifier::from_rules(
+        blocks
+            .values()
+            .flat_map(|b| b.rules().iter().cloned())
+            .filter(|r| !r.matches.is_wildcard() || !r.is_drop())
+            .collect(),
+    );
+    Classifier::from_rules(stage1).sequential(&stage2_all)
 }
 
 #[cfg(test)]

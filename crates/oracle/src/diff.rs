@@ -191,18 +191,28 @@ pub fn run_smoke(
     Ok(stats)
 }
 
-/// The reference the equivalence suites compare an incremental compile
-/// against: a fresh [`SdxCompiler`] — so no cached unit — at **one** shard
-/// over a copy of `book`'s participants and of `rs`, on a fresh allocator.
-/// That is the whole-exchange computation through the only phase A there
-/// is. Global policy fragments are not copied (no suite installs any).
-pub fn cold_compile(book: &SdxCompiler, rs: &RouteServer) -> CompileReport {
+/// A fresh [`SdxCompiler`] at **one** shard holding a copy of `book`'s
+/// participants and global policy fragments — nothing compiled, nothing
+/// cached.
+pub fn cold_book(book: &SdxCompiler) -> SdxCompiler {
     let mut cold = SdxCompiler::new();
-    cold.options.shards = 1;
+    cold.set_shards(1);
     for cfg in book.participants().values() {
         cold.upsert_participant(cfg.clone());
     }
-    cold.compile_all(&rs.clone(), &mut VnhAllocator::default())
+    for (owner, fragment) in book.global_policies() {
+        cold.add_global_policy(*owner, fragment.clone());
+    }
+    cold
+}
+
+/// The reference the equivalence suites compare an incremental compile
+/// against: a [`cold_book`] copy of `book` compiled over a copy of `rs` on
+/// a fresh allocator. That is the whole-exchange computation through the
+/// only phase A there is.
+pub fn cold_compile(book: &SdxCompiler, rs: &RouteServer) -> CompileReport {
+    cold_book(book)
+        .compile_all(&rs.clone(), &mut VnhAllocator::default())
         .expect("cold one-shard compile")
 }
 
@@ -253,7 +263,7 @@ pub fn run_smoke_sharded(
     for i in 0..exchanges {
         let case = seed.wrapping_add(i as u64);
         let mut ex = synth::exchange(case);
-        ex.compiler.options.shards = shards;
+        ex.compiler.set_shards(shards);
         let mut vnh = VnhAllocator::new(VnhAllocator::default_pool());
         let report = ex
             .compiler

@@ -9,7 +9,7 @@
 //!    then the *exact* `(sender, prefix)` entry of [`CompileReport::vnh_of`]
 //!    to learn whether that route was rewritten to a virtual next hop.
 //! 2. **ARP**: a VNH resolves to its FEC's VMAC via
-//!    [`CompileReport::vmac_for`] (the report's `arp_bindings`); a real
+//!    [`CompileReport::vmac_for`] (the sender's own FEC groups); a real
 //!    next hop resolves to the participant port that owns the address,
 //!    mirroring the controller's static port bindings. No binding, no
 //!    frame.
@@ -107,7 +107,7 @@ impl<'a> FabricEvaluator<'a> {
         // rewritten routes, the peer's physical MAC otherwise.
         let dl_dst = match self.report.vnh_of.get(&(sender, p_star)) {
             Some(vnh) => {
-                let Some(vmac) = self.report.vmac_for(*vnh) else {
+                let Some(vmac) = self.report.vmac_for(sender, *vnh) else {
                     t.push(
                         "arp",
                         format!("route carries VNH {vnh} but no FEC owns it: ARP fails, drop"),

@@ -7,7 +7,7 @@
 //!
 //! * [`spec::SpecInterpreter`] — the **reference interpreter**. It reads
 //!   the *specification* directly: each participant's virtual-switch
-//!   policy (via [`sdx_policy::eval`]'s denotational semantics), joined
+//!   policy (via [`mod@sdx_policy::eval`]'s denotational semantics), joined
 //!   with the route server's consistency filters and best-route defaults.
 //!   It never looks at a compiled rule.
 //! * [`fabric::FabricEvaluator`] — the **fabric evaluator**. It plays the
@@ -40,7 +40,7 @@ use sdx_bgp::route_server::RouteServer;
 use sdx_net::{Ipv4Addr, ParticipantId, PortId, Prefix};
 
 pub use diff::{
-    boundary_probes, cold_compile, run_smoke_sharded, Differential, Mismatch, SmokeStats,
+    boundary_probes, cold_book, cold_compile, run_smoke_sharded, Differential, Mismatch, SmokeStats,
 };
 pub use fabric::FabricEvaluator;
 pub use schedule::{reoptimize_verified, UpdateVerifier};

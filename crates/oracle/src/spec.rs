@@ -8,7 +8,7 @@
 //!    exported to it; no route → the packet never enters the fabric.
 //! 2. X's outbound policy (including global fragments, via
 //!    [`SdxCompiler::effective_outbound`]) is evaluated denotationally by
-//!    [`sdx_policy::eval`]. A matching `fwd(Y)` clause applies **only if**
+//!    [`sdx_policy::eval()`]. A matching `fwd(Y)` clause applies **only if**
 //!    BGP consistency holds: Y must have exported a route for the packet's
 //!    best-match prefix (or for the rewritten address, for wide-area-LB
 //!    clauses). Inapplicable or absent clauses fall to the BGP default.

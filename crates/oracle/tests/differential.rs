@@ -12,12 +12,12 @@
 //!    shrunk by proptest to a single integer on failure, plus a
 //!    loop-freedom assertion on every fabric walk.
 //!
-//! And one sabotage test: flipping the compiler's
-//! `break_consistency_filter` knob must make the harness fail with a
-//! per-stage trace that names the consistency stage.
+//! And one sabotage test: a table compiled as if every announced route had
+//! been exported to everyone must make the harness fail with a per-stage
+//! trace that names the consistency stage.
 
 use proptest::prelude::*;
-use sdx_bgp::route_server::RouteServer;
+use sdx_bgp::route_server::{ExportPolicy, RouteServer};
 use sdx_core::compiler::CompileReport;
 use sdx_core::vnh::VnhAllocator;
 use sdx_core::SdxCompiler;
@@ -250,12 +250,15 @@ fn wide_generator_pinned_seeds_agree() {
 
 #[test]
 fn sabotaged_compiler_is_caught_with_a_readable_trace() {
-    // Flip the intentionally-broken knob: the compiler joins policies
-    // with *announced* routes instead of *exported* routes, silently
-    // honouring A's `fwd(B)` for the prefix B hid from A.
-    let (mut compiler, rs) = testkit::figure1_compiler();
-    compiler.options.break_consistency_filter = true;
-    let (compiler, rs, report) = compiled(compiler, rs);
+    // The Prelude-style bug class — joining policies with *announced*
+    // routes instead of *exported* ones — without a switch in the
+    // compiler: compile against a copy of the route server whose export
+    // filter was opened, which silently honours A's `fwd(B)` for the
+    // prefix B hid from A, and judge the result with the real one.
+    let (compiler, rs) = testkit::figure1_compiler();
+    let mut leaky = rs.clone();
+    leaky.set_export_policy(ParticipantId(2), ExportPolicy::allow_all());
+    let (compiler, _, report) = compiled(compiler, leaky);
     let diff = Differential::new(&compiler, &rs, &report);
 
     let probes = synth::probe_grid(&compiler, &rs);

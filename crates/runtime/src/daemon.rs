@@ -10,7 +10,7 @@
 //!   resets ([`Supervisor`], generalized from timer-driven to
 //!   socket-liveness-driven via `connection_up` / `peer_disconnected`).
 //! * **OpenFlow** — switch agents connect and receive the controller's
-//!   [`FlowModBatch`] stream over per-channel bounded queues
+//!   [`FlowModBatch`](sdx_openflow::flowmod::FlowModBatch) stream over per-channel bounded queues
 //!   ([`crate::channel`]); scheduled updates fan out wave-by-wave with
 //!   the PR 6 per-wave barrier held across the whole fleet.
 //! * **Telemetry** — any connection receives one JSON dump of the

@@ -796,7 +796,7 @@ fn sharded_daemon_is_oracle_identical_and_publishes_shard_telemetry() {
     let cr = ctl.report.as_ref().expect("compiled");
     let probes = probe_grid(&ctl.compiler, &ctl.rs);
     let mut inproc = figure1_controller();
-    inproc.compiler.options.shards = 1;
+    inproc.compiler.set_shards(1);
     let inproc_fabric = inproc.deploy().expect("in-process deploy");
     let inproc_cr = inproc.report.as_ref().expect("compiled");
     let sharded_eval =

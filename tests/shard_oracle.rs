@@ -82,7 +82,7 @@ fn straddling_exchange() -> SdxController {
 fn wide_match_straddling_a_shard_boundary_keeps_spec_verdicts() {
     for shards in [4, 16] {
         let mut ctl = straddling_exchange();
-        ctl.compiler.options.shards = shards;
+        ctl.compiler.set_shards(shards);
         let mut vnh = VnhAllocator::new(VnhAllocator::default_pool());
         let report = ctl
             .compiler

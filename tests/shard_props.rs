@@ -29,7 +29,7 @@ use sdx_oracle::synth;
 /// fresh allocator.
 fn compile_with(seed: u64, shards: usize) -> (SdxCompiler, CompileReport) {
     let mut ex = synth::exchange(seed);
-    ex.compiler.options.shards = shards;
+    ex.compiler.set_shards(shards);
     let mut vnh = VnhAllocator::new(VnhAllocator::default_pool());
     let report = ex
         .compiler
