@@ -17,7 +17,7 @@ fn bench_fast_update(c: &mut Criterion) {
         let mut compiler = wb.compiler();
         let mut vnh = VnhAllocator::default();
         let base = compiler.compile_all(&wb.rs, &mut vnh).expect("base");
-        let mut affected: Vec<Prefix> = base.vnh_of.keys().map(|(_, p)| *p).collect();
+        let mut affected: Vec<Prefix> = base.vnh_of.keys().map(|(_, p)| p).collect();
         affected.sort();
         affected.dedup();
         let mut rng = StdRng::seed_from_u64(3);
@@ -47,7 +47,7 @@ fn bench_burst(c: &mut Criterion) {
     let mut compiler = wb.compiler();
     let mut vnh = VnhAllocator::default();
     let base = compiler.compile_all(&wb.rs, &mut vnh).expect("base");
-    let mut affected: Vec<Prefix> = base.vnh_of.keys().map(|(_, p)| *p).collect();
+    let mut affected: Vec<Prefix> = base.vnh_of.keys().map(|(_, p)| p).collect();
     affected.sort();
     affected.dedup();
     let mut rng = StdRng::seed_from_u64(4);

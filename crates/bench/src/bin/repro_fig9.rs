@@ -36,7 +36,7 @@ fn main() {
 
         // Worst case: bursts drawn from the policy-affected prefixes, so
         // every update forces a fresh VNH and new rules.
-        let mut affected: Vec<Prefix> = base.vnh_of.keys().map(|(_, p)| *p).collect();
+        let mut affected: Vec<Prefix> = base.vnh_of.keys().map(|(_, p)| p).collect();
         affected.sort();
         affected.dedup();
         let mut rng = StdRng::seed_from_u64(99 + n as u64);

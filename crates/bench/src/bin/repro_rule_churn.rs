@@ -87,7 +87,7 @@ fn main() {
         // still move other viewers' best routes, and the episode would no
         // longer be single-prefix.
         let report = ctl.report.as_ref().expect("report");
-        let mut pairs: Vec<_> = report.vnh_of.keys().copied().collect();
+        let mut pairs: Vec<_> = report.vnh_of.keys().collect();
         pairs.shuffle(&mut rng);
         let mut churned = None;
         for (viewer, p) in pairs {

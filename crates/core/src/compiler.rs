@@ -18,9 +18,12 @@
 //!    policies concern a subset of participants"; "policies are disjoint by
 //!    design").
 //!
-//! Step 2 runs per `(prefix-range shard, viewer)` unit and recomputes only
-//! the units a route or policy change can have touched (see
-//! [`crate::shard`]); a cold compile is the case where every unit is dirty.
+//! Every step keeps what it derived and recomputes only what a route or
+//! policy change can have touched; a cold compile is the case where
+//! everything is stale. Step 2 runs per `(prefix-range shard, viewer)`
+//! unit (see [`crate::shard`]); steps 3–5 keep a piece per viewer, per
+//! receiver and per stage-1 segment (see [`crate::piece`]), and what is
+//! whole-table per run is one concatenation and one shadow elimination.
 //! The pipeline is one serial pass with nothing to configure but the shard
 //! count ([`SdxCompiler::set_shards`], which the shard-invariance suites
 //! vary): viewers are visited in `ParticipantId` order and VNH ids come
@@ -28,10 +31,12 @@
 //!
 //! The output [`CompileReport`] carries everything the controller must
 //! install: the switch classifier, the ARP bindings (VNH → VMAC), and the
-//! per-(viewer, prefix) VNH map the route server rewrites NEXT_HOP with.
+//! per-(viewer, prefix) VNH map the route server rewrites NEXT_HOP with —
+//! the last two read through the viewers' shared pieces.
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sdx_bgp::route_server::RouteServer;
@@ -43,12 +48,11 @@ use sdx_telemetry::{MetricsSnapshot, Registry, SharedRegistry};
 
 use crate::error::SdxError;
 use crate::faults::{FaultPlan, InjectionPoint};
-use crate::fec::{partition_by_signature, FecGroup, FecKey};
+use crate::fec::{partition_by_signature, FecGroup, FecId, FecKey};
 use crate::participant::ParticipantConfig;
+use crate::piece::{PieceCounts, Pieces, Tally, ViewerInputs, ViewerPiece, VnhMap};
 use crate::shard::{clamp_shards, MergedFecs, ShardCache, ShardPlan, ShardUnit, DEFAULT_SHARDS};
-use crate::transform::{
-    self, compose_optimized, dst_coverage, expand_fwd_rule, Coverage, FwdRule, TransformError,
-};
+use crate::transform::{self, dst_coverage, expand_fwd_rule, Coverage, FwdRule, TransformError};
 use crate::vnh::VnhAllocator;
 
 /// Per FEC group: rule indices whose affected set contains the group,
@@ -76,6 +80,8 @@ pub struct CompileStats {
     /// compiled form was already held beside the book, stamped with the
     /// version still current (§4.3.1's memoisation).
     pub memo_hits: usize,
+    /// Cached pieces rebuilt and served, per kind.
+    pub pieces: PieceCounts,
 }
 
 /// Everything one pipeline run produced.
@@ -83,13 +89,15 @@ pub struct CompileStats {
 pub struct CompileReport {
     /// The classifier to install on the fabric switch.
     pub classifier: Classifier,
-    /// Per-viewer FEC groups.
-    pub groups: BTreeMap<ParticipantId, Vec<FecGroup>>,
+    /// Per-viewer FEC groups: each viewer's shared piece, which derefs to
+    /// its `[FecGroup]`. The same piece as in the previous report exactly
+    /// when the viewer's groups were not rebuilt in between.
+    pub groups: BTreeMap<ParticipantId, ViewerPiece>,
     /// ARP bindings the responder must serve: VNH address → VMAC.
     pub arp_bindings: Vec<(Ipv4Addr, MacAddr)>,
     /// NEXT_HOP rewrites for the route server: (viewer, prefix) → VNH.
     /// Prefixes absent from this map are re-advertised unchanged.
-    pub vnh_of: BTreeMap<(ParticipantId, Prefix), Ipv4Addr>,
+    pub vnh_of: VnhMap,
     /// Accounting.
     pub stats: CompileStats,
 }
@@ -123,14 +131,16 @@ impl CompileReport {
     /// side seeds its evaluation with — it reads only what this report
     /// says, never the route server's opinion.
     pub fn vnh_for(&self, viewer: ParticipantId, dst: Ipv4Addr) -> Option<(Prefix, Ipv4Addr)> {
-        // Keys order by (viewer, network address, length) and a covering
+        // Entries order by (network address, length) and a covering
         // prefix's network address is at most `dst`, so the candidates are
-        // the viewer's keys up to `dst/32` — no other viewer's entries.
-        self.vnh_of
-            .range((viewer, Prefix::DEFAULT_ROUTE)..=(viewer, Prefix::new(dst, 32)))
-            .filter(|((_, p), _)| p.contains(dst))
-            .max_by_key(|((_, p), _)| p.len())
-            .map(|((_, p), nh)| (*p, *nh))
+        // the viewer's entries up to `dst/32`.
+        let entries = self.vnh_of.of_viewer(viewer);
+        let upto = entries.partition_point(|&(p, _)| p <= Prefix::new(dst, 32));
+        entries[..upto]
+            .iter()
+            .filter(|(p, _)| p.contains(dst))
+            .max_by_key(|(p, _)| p.len())
+            .copied()
     }
 
     /// The VMAC the SDX ARP responder answers when `viewer`'s border
@@ -158,29 +168,38 @@ struct Compiled<T> {
     value: T,
 }
 
+/// What [`refresh_compiled`] found.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Refreshed {
+    /// The entry carried the stamp already.
+    Served,
+    /// The entry was recompiled, or dropped with its policy.
+    Moved,
+    /// There is no policy, and there was no entry.
+    Absent,
+}
+
 /// Brings `map`'s entry for `id` up to `stamp`: kept if it already carries
 /// it, else recompiled from `policy()` (dropped when that is `None`).
-/// Returns whether the entry was served without compiling.
 fn refresh_compiled<'p, T>(
     map: &mut BTreeMap<ParticipantId, Compiled<T>>,
     id: ParticipantId,
     stamp: (u64, u64),
     policy: impl FnOnce() -> Option<Cow<'p, Policy>>,
     compile: impl FnOnce(&Policy) -> Result<T, SdxError>,
-) -> Result<bool, SdxError> {
+) -> Result<Refreshed, SdxError> {
     if map.get(&id).is_some_and(|c| c.stamp == stamp) {
-        return Ok(true);
+        return Ok(Refreshed::Served);
     }
     match policy() {
         Some(policy) => {
             let value = compile(&policy)?;
             map.insert(id, Compiled { stamp, value });
+            Ok(Refreshed::Moved)
         }
-        None => {
-            map.remove(&id);
-        }
+        None if map.remove(&id).is_some() => Ok(Refreshed::Moved),
+        None => Ok(Refreshed::Absent),
     }
-    Ok(false)
 }
 
 /// `cfg`'s own outbound policy plus every global fragment, in parallel.
@@ -200,13 +219,129 @@ fn effective_outbound<'a>(
     Some(Cow::Owned(globals.fold(first, |acc, g| acc + g)))
 }
 
-/// What steps 1–4 hand the composition step: the stage-1 rules in priority
-/// order, each participant's stage-2 delivery block, and the FEC groups.
-type Stages = (
-    Vec<Rule>,
-    BTreeMap<ParticipantId, Classifier>,
-    BTreeMap<ParticipantId, Vec<FecGroup>>,
-);
+/// Phase C for one viewer: its FEC groups under the ids `triples` hands
+/// them, the stage-1 rules its forwarding clauses expand to over those
+/// groups, the groups' default rules, and which receivers each group's
+/// tag can arrive at.
+fn viewer_piece(
+    viewer: ParticipantId,
+    rules: &[FwdRule],
+    inputs: ViewerInputs,
+    triples: &[(FecId, Ipv4Addr, MacAddr)],
+    participants: &BTreeMap<ParticipantId, ParticipantConfig>,
+    rs: &RouteServer,
+) -> Result<ViewerPiece, SdxError> {
+    let groups: Vec<FecGroup> = (inputs.merged.keys.iter().zip(triples))
+        .map(|(key, &(id, vnh, vmac))| FecGroup {
+            id,
+            viewer,
+            prefixes: key.prefixes.clone(),
+            vnh,
+            vmac,
+            default_next_hop: key.default_next_hop,
+        })
+        .collect();
+    let memberships = &inputs.merged.memberships;
+    // Isolation: one rule per sender port, unless the rule already pinned
+    // one of the sender's own ports.
+    let sender_ports = |rule: &FwdRule| -> Vec<PortId> {
+        match rule.matches.in_port {
+            Some(p) => vec![p],
+            None => participants[&viewer].port_ids().collect(),
+        }
+    };
+    let mut policy_rules: Vec<Rule> = Vec::new();
+    let mut deliver: BTreeSet<(ParticipantId, usize)> = BTreeSet::new();
+    for (k, rule) in rules.iter().enumerate() {
+        // Wide-area-LB rewrite rules: consistency is checked on the
+        // rewritten address, and the rule follows that address's
+        // BGP route when no explicit fwd was written.
+        if let Some(new_dst) = rule.rewritten_dst() {
+            let nh = match rule.target {
+                Some(PortId::Virt(nh)) if rs.reachable_via_addr(viewer, new_dst).contains(&nh) => {
+                    Some(nh)
+                }
+                Some(_) => None, // explicit target can't reach it
+                None => rs
+                    .best_for_addr(viewer, new_dst)
+                    .map(|r| r.source.participant),
+            };
+            let Some(nh) = nh else {
+                continue; // rewritten address unroutable: drop rule
+            };
+            let Some(nh_cfg) = participants.get(&nh) else {
+                continue;
+            };
+            let nh_mac = nh_cfg.primary_port().mac;
+            for sp in sender_ports(rule) {
+                let mut m = rule.matches;
+                m.set(sdx_net::FieldMatch::InPort(sp));
+                let mut mods = rule.mods.clone();
+                mods.push(Mod::SetDlDst(nh_mac));
+                mods.push(Mod::SetLoc(PortId::Virt(nh)));
+                policy_rules.push(Rule::unicast(m, Action { mods }));
+            }
+            continue;
+        }
+        match rule.target {
+            Some(PortId::Virt(nh)) => {
+                let affected = |at: usize| memberships[at].0.contains(&k);
+                let partial = |at: usize| memberships[at].1.contains(&k);
+                policy_rules.extend(expand_fwd_rule(
+                    rule,
+                    PortId::Virt(nh),
+                    &groups,
+                    affected,
+                    partial,
+                ));
+                deliver.extend(
+                    (0..groups.len())
+                        .filter(|&at| affected(at))
+                        .map(|at| (nh, at)),
+                );
+            }
+            Some(PortId::Phys(owner, idx)) => {
+                // Middlebox/port steering: isolate per sender port,
+                // rewrite the MAC to the target port's.
+                let Some(target_cfg) = participants.get(&owner) else {
+                    continue;
+                };
+                let Some(mac) = target_cfg.port_mac(idx) else {
+                    return Err(TransformError::NoSuchPort(owner, idx).into());
+                };
+                // Port steering is a *direct output* — `fwd(E1)`
+                // means "this exact port". It deliberately bypasses
+                // the owner's virtual switch (and hence its inbound
+                // policy), which is also what keeps service chains
+                // loop-free: the final hop's steering back to the
+                // consumer must not re-enter the consumer's divert.
+                for sp in sender_ports(rule) {
+                    let mut m = rule.matches;
+                    m.set(sdx_net::FieldMatch::InPort(sp));
+                    let mut mods = rule.mods.clone();
+                    mods.push(Mod::SetDlDst(mac));
+                    mods.push(Mod::SetLoc(PortId::Phys(owner, idx)));
+                    policy_rules.push(Rule::unicast(m, Action { mods }));
+                }
+            }
+            None => {} // no-op rule (no fwd, no rewrite)
+        }
+    }
+    // Per-group defaults (below every viewer's policy rules).
+    for (at, g) in groups.iter().enumerate() {
+        if let Some(nh) = g.default_next_hop {
+            deliver.insert((nh, at));
+        }
+    }
+    let default_rules = transform::default_stage1_rules(&groups);
+    Ok(ViewerPiece::new(
+        groups,
+        policy_rules,
+        default_rules,
+        deliver,
+        Some(inputs),
+    ))
+}
 
 /// The pipeline driver. Holds the participant book and, beside it, the
 /// compiled form of every policy in it; route state comes in per call so
@@ -364,29 +499,33 @@ impl SdxCompiler {
     }
 
     /// Brings the compiled policies up to the book's current versions,
-    /// compiling only where a stamp moved; returns how many were served as
-    /// they stood. A policy the transformations reject is never stored, so
-    /// it is reported again on every call until it is replaced.
-    pub(crate) fn refresh_policies(&mut self) -> Result<usize, SdxError> {
+    /// compiling only where a stamp moved; returns how many policies were
+    /// served as they stood and how many participants had one that moved.
+    /// A policy the transformations reject is never stored, so it is
+    /// reported again on every call until it is replaced.
+    pub(crate) fn refresh_policies(&mut self) -> Result<(usize, usize), SdxError> {
         let book = self.versions.book();
-        let mut served = 0;
+        let (mut served, mut moved) = (0, 0);
         for (&id, cfg) in &self.participants {
-            served += usize::from(refresh_compiled(
+            let outbound = refresh_compiled(
                 &mut self.outbound,
                 id,
                 (book, self.versions.outbound_of(id)),
                 || effective_outbound(cfg, &self.global_policies),
                 |pol| Ok(transform::outbound_fwd_rules(id, &compile_policy(pol))?),
-            )?);
-            served += usize::from(refresh_compiled(
+            )?;
+            let inbound = refresh_compiled(
                 &mut self.inbound,
                 id,
                 (book, self.versions.inbound_of(id)),
                 || cfg.inbound.as_ref().map(Cow::Borrowed),
                 |pol| Ok(compile_policy(pol)),
-            )?);
+            )?;
+            let count = |what| usize::from(outbound == what) + usize::from(inbound == what);
+            served += count(Refreshed::Served);
+            moved += usize::from(count(Refreshed::Moved) > 0);
         }
-        Ok(served)
+        Ok((served, moved))
     }
 
     /// Every participant with an effective outbound policy and its
@@ -425,74 +564,41 @@ impl SdxCompiler {
         let reg = self.telemetry.clone();
         let t0 = Instant::now();
         let mut stats = CompileStats::default();
-        let (stage1, blocks, groups) = self.stages(rs, vnh, faults, &mut stats)?;
-
-        // ---- Step 5: composition, each stage-1 rule with its target's
-        // stage-2 block only.
-        let t_compose = Instant::now();
-        let classifier = compose_optimized(&stage1, &blocks);
-        stats.compose_time = t_compose.elapsed();
-        reg.observe_duration("compile.compose", stats.compose_time);
-
-        // ---- Report assembly.
-        let mut arp_bindings = Vec::new();
-        let mut vnh_of = BTreeMap::new();
-        for g in groups.values().flatten() {
-            arp_bindings.push((g.vnh, g.vmac));
-            for &p in &g.prefixes {
-                vnh_of.insert((g.viewer, p), g.vnh);
-            }
-        }
-        stats.rule_count = classifier.len();
-        stats.forwarding_rules = classifier.forwarding_rule_count();
-        stats.group_count = groups.values().map(Vec::len).sum();
-        stats.total = t0.elapsed();
-        reg.observe_duration("compile.total", stats.total);
-        reg.inc("compile.count");
-
-        Ok(CompileReport {
-            classifier,
-            groups,
-            arp_bindings,
-            vnh_of,
-            stats,
-        })
-    }
-
-    /// Steps 1–4: everything up to, not including, the composition.
-    fn stages(
-        &mut self,
-        rs: &RouteServer,
-        vnh: &mut VnhAllocator,
-        faults: &mut FaultPlan,
-        stats: &mut CompileStats,
-    ) -> Result<Stages, SdxError> {
-        let reg = self.telemetry.clone();
 
         // ---- Step 1: compile the policies whose version moved since the
         // last run; every other one is borrowed as it stands.
-        let t_classifiers = Instant::now();
-        stats.memo_hits = self.refresh_policies()?;
-        reg.observe_duration("compile.classifiers", t_classifiers.elapsed());
+        let (served, policy_dirty) = self.refresh_policies()?;
+        stats.memo_hits = served;
+        let mut lap = t0;
+        let mut observe = |stage: &str| {
+            let elapsed = lap.elapsed();
+            reg.observe_duration(stage, elapsed);
+            lap += elapsed;
+            elapsed
+        };
+        observe("compile.classifiers");
 
         // ---- Phase A (per (shard, viewer) unit): affected sets + FEC
         // partition, recomputing only what changed since the last compile
         // (see `compile_fecs`), in ParticipantId order.
-        let vnh_allocs = reg.counter("vnh.alloc.count");
-        let t_vnh = Instant::now();
         let viewer_rules: Vec<(ParticipantId, &[FwdRule])> = self
             .outbound
             .iter()
             .map(|(&id, c)| (id, c.value.as_slice()))
             .collect();
-        let fecs: Vec<MergedFecs> = Self::compile_fecs(
+        let (fecs, dirty_prefixes) = Self::compile_fecs(
             &mut self.shard_cache,
             &self.versions,
             self.shards.unwrap_or(DEFAULT_SHARDS),
             rs,
             &viewer_rules,
             &reg,
+            &mut stats.pieces.units,
         );
+        let cache = self
+            .shard_cache
+            .as_mut()
+            .expect("phase A leaves its cache behind");
 
         // ---- Phase B (viewer order): VNH assignment. The whole
         // batch is reserved up front *by content-addressed key* and
@@ -504,196 +610,87 @@ impl SdxCompiler {
         // re-optimization only relabels what actually changed; on a fresh
         // allocator no key is mapped and ids follow group enumeration
         // order, whatever the shard count.
-        let mut groups: BTreeMap<ParticipantId, Vec<FecGroup>> = BTreeMap::new();
-        let mut rule_membership: BTreeMap<ParticipantId, Vec<GroupMembership>> = BTreeMap::new();
-        let wanted: Vec<FecKey> = viewer_rules
-            .iter()
-            .zip(&fecs)
-            .flat_map(|(&(viewer, _), (parts, _, defaults))| {
-                parts
-                    .iter()
-                    .zip(defaults)
-                    .map(move |(prefixes, &nh)| FecKey {
-                        viewer,
-                        prefixes: prefixes.clone(),
-                        default_next_hop: nh,
-                    })
-            })
-            .collect();
-        let reservation = vnh.reserve_keyed(&wanted)?;
+        let reservation = vnh.reserve_keyed(fecs.iter().flat_map(|merged| &merged.keys))?;
         reg.add("vnh.reused.count", reservation.reused_len() as u64);
         reg.add("vnh.fresh.count", reservation.fresh_len() as u64);
-        let mut triples = reservation.triples().iter();
-        for (&(viewer, _), (parts, memberships, defaults)) in viewer_rules.iter().zip(fecs) {
-            let mut viewer_groups = Vec::with_capacity(parts.len());
-            for (prefixes, default_next_hop) in parts.into_iter().zip(defaults) {
-                faults.check(InjectionPoint::VnhAlloc)?;
-                let &(id, addr, vmac) = triples.next().expect("one reserved id per group");
-                vnh_allocs.inc();
-                viewer_groups.push(FecGroup {
-                    id,
-                    viewer,
-                    prefixes,
-                    vnh: addr,
-                    vmac,
-                    default_next_hop,
-                });
-            }
-            rule_membership.insert(viewer, memberships);
-            groups.insert(viewer, viewer_groups);
+        for _ in 0..reservation.len() {
+            faults.check(InjectionPoint::VnhAlloc)?;
         }
+        reg.add("vnh.alloc.count", reservation.len() as u64);
         vnh.commit(&reservation);
-        stats.vnh_time = t_vnh.elapsed();
-        reg.observe_duration("compile.fec", stats.vnh_time);
+        stats.vnh_time = observe("compile.fec");
 
-        // ---- Phase C (per viewer, in ParticipantId order): stage-1
-        // rules. Membership closures index a FecId → position map instead
-        // of re-scanning the group list per query.
+        // ---- Phase C (per viewer, in ParticipantId order): FEC groups
+        // under their ids and the stage-1 rules over them — rebuilt only
+        // for a viewer one of whose inputs moved.
         let participants = &self.participants;
-        let mut stage1: Vec<Rule> = Vec::new();
-        let mut deliverable: BTreeMap<ParticipantId, BTreeSet<MacAddr>> = BTreeMap::new();
-        for &(viewer, rules) in &viewer_rules {
-            let vgroups = &groups[&viewer];
-            let memberships = &rule_membership[&viewer];
-            let idx_of: HashMap<crate::fec::FecId, usize> =
-                vgroups.iter().enumerate().map(|(i, g)| (g.id, i)).collect();
-            for (k, rule) in rules.iter().enumerate() {
-                // Wide-area-LB rewrite rules: consistency is checked on the
-                // rewritten address, and the rule follows that address's
-                // BGP route when no explicit fwd was written.
-                if let Some(new_dst) = rule.rewritten_dst() {
-                    let nh = match rule.target {
-                        Some(PortId::Virt(nh))
-                            if rs.reachable_via_addr(viewer, new_dst).contains(&nh) =>
-                        {
-                            Some(nh)
-                        }
-                        Some(_) => None, // explicit target can't reach it
-                        None => rs
-                            .best_for_addr(viewer, new_dst)
-                            .map(|r| r.source.participant),
-                    };
-                    let Some(nh) = nh else {
-                        continue; // rewritten address unroutable: drop rule
-                    };
-                    let Some(nh_cfg) = participants.get(&nh) else {
-                        continue;
-                    };
-                    let nh_mac = nh_cfg.primary_port().mac;
-                    // Isolation: one rule per sender port, unless the rule
-                    // already pinned one of the sender's own ports.
-                    let sender_ports: Vec<PortId> = match rule.matches.in_port {
-                        Some(p) => vec![p],
-                        None => participants[&viewer].port_ids().collect(),
-                    };
-                    for sp in sender_ports {
-                        let mut m = rule.matches;
-                        m.set(sdx_net::FieldMatch::InPort(sp));
-                        let mut mods = rule.mods.clone();
-                        mods.push(Mod::SetDlDst(nh_mac));
-                        mods.push(Mod::SetLoc(PortId::Virt(nh)));
-                        stage1.push(Rule::unicast(m, Action { mods }));
-                    }
-                    continue;
-                }
-                match rule.target {
-                    Some(PortId::Virt(nh)) => {
-                        let expanded = expand_fwd_rule(
-                            rule,
-                            PortId::Virt(nh),
-                            vgroups,
-                            |g| {
-                                idx_of
-                                    .get(&g.id)
-                                    .is_some_and(|&idx| memberships[idx].0.contains(&k))
-                            },
-                            |g| {
-                                idx_of
-                                    .get(&g.id)
-                                    .is_some_and(|&idx| memberships[idx].1.contains(&k))
-                            },
-                        );
-                        for r in &expanded {
-                            if let Some(v) = r.matches.dl_dst {
-                                deliverable.entry(nh).or_default().insert(v);
-                            }
-                        }
-                        stage1.extend(expanded);
-                    }
-                    Some(PortId::Phys(owner, idx)) => {
-                        // Middlebox/port steering: isolate per sender port,
-                        // rewrite the MAC to the target port's.
-                        let Some(target_cfg) = participants.get(&owner) else {
-                            continue;
-                        };
-                        let Some(mac) = target_cfg.port_mac(idx) else {
-                            return Err(TransformError::NoSuchPort(owner, idx).into());
-                        };
-                        // Port steering is a *direct output* — `fwd(E1)`
-                        // means "this exact port". It deliberately bypasses
-                        // the owner's virtual switch (and hence its inbound
-                        // policy), which is also what keeps service chains
-                        // loop-free: the final hop's steering back to the
-                        // consumer must not re-enter the consumer's divert.
-                        let sender_ports: Vec<PortId> = match rule.matches.in_port {
-                            Some(p) => vec![p],
-                            None => participants[&viewer].port_ids().collect(),
-                        };
-                        for sp in sender_ports {
-                            let mut m = rule.matches;
-                            m.set(sdx_net::FieldMatch::InPort(sp));
-                            let mut mods = rule.mods.clone();
-                            mods.push(Mod::SetDlDst(mac));
-                            mods.push(Mod::SetLoc(PortId::Phys(owner, idx)));
-                            stage1.push(Rule::unicast(m, Action { mods }));
-                        }
-                    }
-                    None => {} // no-op rule (no fwd, no rewrite)
-                }
+        let route_generation = cache.route_generation;
+        let pieces = &mut cache.pieces;
+        let retracted: Vec<ParticipantId> = pieces
+            .viewers
+            .keys()
+            .filter(|viewer| !self.outbound.contains_key(viewer))
+            .copied()
+            .collect();
+        for viewer in retracted {
+            pieces.replace_viewer(viewer, None);
+        }
+        let mut triples = reservation.triples();
+        for ((&viewer, compiled), merged) in self.outbound.iter().zip(fecs) {
+            let rules = compiled.value.as_slice();
+            let (mine, rest) = triples.split_at(merged.keys.len());
+            triples = rest;
+            let reads_routes = rules.iter().any(|r| r.rewritten_dst().is_some());
+            let inputs = ViewerInputs {
+                stamp: compiled.stamp,
+                merged,
+                route_generation: reads_routes.then_some(route_generation),
+            };
+            let current = pieces
+                .viewers
+                .get(&viewer)
+                .is_some_and(|piece| piece.is_current(&inputs, mine));
+            stats.pieces.viewers.note(current);
+            if !current {
+                let piece = viewer_piece(viewer, rules, inputs, mine, participants, rs)?;
+                pieces.replace_viewer(viewer, Some(piece));
             }
         }
-        // Per-group defaults (below policy rules).
-        for vgroups in groups.values() {
-            for g in vgroups {
-                if let Some(nh) = g.default_next_hop {
-                    deliverable.entry(nh).or_default().insert(g.vmac);
-                }
-            }
-            stage1.extend(transform::default_stage1_rules(vgroups));
-        }
-        // Global MAC-learning defaults.
-        stage1.extend(transform::mac_default_rules(participants));
+        observe("compile.stage1");
 
         // ---- Phase D (per receiver): stage-2 delivery blocks.
-        // Each receiver's deliverable VMACs are ordered by *group
-        // enumeration rank* (viewer asc, group position), not by MAC
-        // bytes: on a fresh allocator the two orders coincide (ids are
-        // drawn sequentially in enumeration order), but under keyed reuse
-        // from an older allocator byte order would follow the accidents
-        // of id assignment and stage-2 rule order would diverge between
-        // equivalent compiles. Rank order makes stage 2 a function of the
-        // groups themselves.
-        let mac_rank: HashMap<MacAddr, u32> = groups
-            .values()
-            .flatten()
-            .enumerate()
-            .map(|(i, g)| (g.vmac, i as u32))
-            .collect();
-        let foreign_mac =
-            |owner: ParticipantId, idx: u8| participants.get(&owner).and_then(|c| c.port_mac(idx));
-        let mut blocks: BTreeMap<ParticipantId, Classifier> = BTreeMap::new();
-        for (&id, cfg) in participants {
-            let mut vmacs: Vec<MacAddr> = deliverable
-                .get(&id)
-                .map(|s| s.iter().copied().collect())
-                .unwrap_or_default();
-            vmacs.sort_by_key(|m| (mac_rank.get(m).copied().unwrap_or(u32::MAX), *m));
-            let block =
-                transform::stage2_block(cfg, self.inbound_classifier(id), &vmacs, &foreign_mac)?;
-            blocks.insert(id, block);
-        }
+        let inbound = |id| {
+            let compiled = self.inbound.get(&id).map(|c| &c.value);
+            (self.versions.inbound_of(id), compiled)
+        };
+        pieces.settle_blocks(participants, inbound, &mut stats.pieces.receivers)?;
+        observe("compile.stage2");
 
-        Ok((stage1, blocks, groups))
+        // ---- Step 5: composition, segment by segment.
+        let classifier = pieces.compose(participants, &mut stats.pieces.segments);
+        stats.compose_time = observe("compile.compose");
+
+        // ---- Report assembly: the viewers' pieces, shared.
+        let groups = pieces.viewers.clone();
+        let arp_bindings = (groups.values().flatten())
+            .map(|g| (g.vnh, g.vmac))
+            .collect();
+        stats.rule_count = classifier.len();
+        stats.forwarding_rules = classifier.forwarding_rule_count();
+        stats.group_count = groups.values().map(|piece| piece.len()).sum();
+        let report = CompileReport {
+            classifier,
+            vnh_of: VnhMap::of(&groups),
+            groups,
+            arp_bindings,
+            stats,
+        };
+        observe("compile.assemble");
+        stats.total = t0.elapsed();
+        reg.observe_duration("compile.total", stats.total);
+        reg.inc("compile.count");
+        stats.pieces.record(&reg, dirty_prefixes, policy_dirty);
+        Ok(CompileReport { stats, ..report })
     }
 
     /// Phase A (see [`crate::shard`]): recompute the signature slice of
@@ -728,6 +725,10 @@ impl SdxCompiler {
     ///   else about a unit is a function of the rule list and the route
     ///   server, so the surviving units are *exactly* the ones a full
     ///   recompute would reproduce.
+    ///
+    /// Returns each viewer's merged output, in `viewer_rules` order, and
+    /// how many prefixes the route server had marked dirty; `units` counts
+    /// the `(shard, viewer)` units recomputed and cache-served.
     fn compile_fecs(
         shard_cache: &mut Option<ShardCache>,
         versions: &PolicyVersions,
@@ -735,7 +736,8 @@ impl SdxCompiler {
         rs: &RouteServer,
         viewer_rules: &[(ParticipantId, &[FwdRule])],
         reg: &SharedRegistry,
-    ) -> Vec<MergedFecs> {
+        units: &mut Tally,
+    ) -> (Vec<Arc<MergedFecs>>, usize) {
         let n = clamp_shards(shards);
         let valid = shard_cache.take().filter(|c| {
             c.plan.len() == n && c.versions.book() == versions.book() && c.rs_id == rs.compile_id()
@@ -760,11 +762,16 @@ impl SdxCompiler {
                     rs_id: rs.compile_id(),
                     units: HashMap::new(),
                     merged: HashMap::new(),
+                    route_generation: 0,
+                    pieces: Pieces::default(),
                 },
                 (0..n).collect(),
                 true,
             ),
         };
+        if !drained.is_empty() {
+            cache.route_generation += 1;
+        }
         reg.set_gauge("compile.shard.count", n as i64);
         reg.add("compile.shard.recompiled.count", dirty.len() as u64);
         reg.add("compile.shard.skipped.count", (n - dirty.len()) as u64);
@@ -905,6 +912,8 @@ impl SdxCompiler {
             }
         }
         reg.add("compile.shard.unit_pruned.count", pruned);
+        units.recomputed = work.len();
+        units.reused = viewer_rules.len() * n - work.len();
         let plan = &cache.plan;
         let mut units: Vec<ShardUnit> = Vec::with_capacity(work.len());
         for &(s, viewer, rules) in &work {
@@ -970,54 +979,63 @@ impl SdxCompiler {
         // hence the same groups. Viewers whose units all
         // survived unchanged reuse last compile's merged output.
         let merge_t = Instant::now();
-        let fecs: Vec<MergedFecs> = viewer_rules
-            .iter()
-            .map(|&(viewer, _)| {
-                if !merge_dirty.contains(&viewer) {
-                    if let Some(m) = cache.merged.get(&viewer) {
-                        return m.clone();
-                    }
+        let mut fecs: Vec<Arc<MergedFecs>> = Vec::with_capacity(viewer_rules.len());
+        for &(viewer, _) in viewer_rules {
+            if !merge_dirty.contains(&viewer) {
+                if let Some(m) = cache.merged.get(&viewer) {
+                    fecs.push(m.clone());
+                    continue;
                 }
-                let mut sig: BTreeMap<Prefix, &GroupMembership> = BTreeMap::new();
-                let mut best_nh: BTreeMap<Prefix, Option<ParticipantId>> = BTreeMap::new();
-                for s in 0..n {
-                    let unit = cache
-                        .units
-                        .get(&(s, viewer))
-                        .expect("every (shard, viewer) unit is cached or recomputed");
-                    for (&p, mem) in &unit.sig {
-                        sig.insert(p, mem);
-                    }
-                    for (&p, &nh) in &unit.best_nh {
-                        best_nh.insert(p, nh);
-                    }
-                }
-                // Signature keys borrow the cached sets: grouping only
-                // needs Ord/Eq, and `&BTreeSet` compares by contents, so
-                // nothing clones two sets per prefix on every compile.
-                let items: Vec<(Prefix, _)> = sig
-                    .iter()
-                    .map(|(&p, &mem)| {
-                        let nh = best_nh[&p];
-                        (p, (&mem.0, &mem.1, nh))
-                    })
-                    .collect();
-                let parts = partition_by_signature(items);
-                let memberships: Vec<GroupMembership> =
-                    parts.iter().map(|ps| (*sig[&ps[0]]).clone()).collect();
-                let defaults: Vec<Option<ParticipantId>> =
-                    parts.iter().map(|ps| best_nh[&ps[0]]).collect();
-                (parts, memberships, defaults)
-            })
-            .collect();
-        for (&(viewer, _), f) in viewer_rules.iter().zip(&fecs) {
-            if merge_dirty.contains(&viewer) || !cache.merged.contains_key(&viewer) {
-                cache.merged.insert(viewer, f.clone());
             }
+            // The shards' ranges are disjoint and ascend, so walking the
+            // units in shard order walks the viewer's affected prefixes in
+            // order (a unit resolves the best route of exactly the
+            // prefixes in its slice, so its two maps share their keys).
+            // Signatures borrow the cached sets: grouping only needs
+            // Ord/Eq, and `&BTreeSet` compares by contents, so nothing
+            // clones two sets per prefix on every compile.
+            let slice: Vec<(Prefix, &GroupMembership, Option<ParticipantId>)> = (0..n)
+                .flat_map(|s| {
+                    let unit = (cache.units.get(&(s, viewer)))
+                        .expect("every (shard, viewer) unit is cached or recomputed");
+                    let entries = unit.sig.iter().zip(unit.best_nh.values());
+                    entries.map(|((&p, mem), &nh)| (p, mem, nh))
+                })
+                .collect();
+            let signed = slice.iter().map(|&(p, mem, nh)| (p, (&mem.0, &mem.1, nh)));
+            let parts = partition_by_signature(signed);
+            let of_first = |prefixes: &[Prefix]| {
+                let at = slice.binary_search_by_key(&prefixes[0], |&(p, _, _)| p);
+                slice[at.expect("a part's members come from the slice")]
+            };
+            let memberships = parts.iter().map(|ps| of_first(ps).1.clone()).collect();
+            let keys = parts
+                .into_iter()
+                .map(|prefixes| FecKey {
+                    viewer,
+                    default_next_hop: of_first(&prefixes).2,
+                    prefixes,
+                })
+                .collect();
+            let merged = Arc::new(MergedFecs { keys, memberships });
+            cache.merged.insert(viewer, merged.clone());
+            fecs.push(merged);
         }
         reg.observe_duration("compile.shard.merge", merge_t.elapsed());
         *shard_cache = Some(cache);
-        fecs
+        (fecs, drained.len())
+    }
+
+    /// The stage-1 rules in priority order and each participant's stage-2
+    /// block, as the last compile left them — what the naive composition
+    /// the optimized one is tested against is fed.
+    #[cfg(test)]
+    fn stages(&self) -> (Vec<Rule>, BTreeMap<ParticipantId, transform::Block>) {
+        let pieces = &self.shard_cache.as_ref().expect("compiled").pieces;
+        let blocks = (pieces.receivers.iter())
+            .map(|(&id, built)| (id, built.block.clone()))
+            .collect();
+        (pieces.stage1(&self.participants), blocks)
     }
 }
 
@@ -1174,10 +1192,7 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, PortId::Phys(ParticipantId(3), 1));
         // p5 is untouched by any policy: no VNH was allocated for it.
-        assert!(!report
-            .vnh_of
-            .keys()
-            .any(|(_, p)| *p == prefix("50.0.0.0/8")));
+        assert!(!report.vnh_of.keys().any(|(_, p)| p == prefix("50.0.0.0/8")));
         // Default delivery for p5 still works via the MAC-learning rules
         // (next hop = D's physical address, untouched by the SDX)…
         let best = rs.best_for(ParticipantId(1), prefix("50.0.0.0/8")).unwrap();
@@ -1228,17 +1243,8 @@ mod tests {
     fn naive_composition_agrees_with_optimized() {
         let (mut compiler, rs) = figure1();
         let opt = run(&mut compiler, &rs);
-        // The same stages (ids realign: allocation order is deterministic),
-        // composed as the full cross product instead.
-        let (stage1, blocks, groups) = compiler
-            .stages(
-                &rs,
-                &mut VnhAllocator::default(),
-                &mut FaultPlan::disabled(),
-                &mut CompileStats::default(),
-            )
-            .unwrap();
-        assert_eq!(groups, opt.groups);
+        // The same stages, composed as the full cross product instead.
+        let (stage1, blocks) = compiler.stages();
         let naive = CompileReport {
             classifier: transform::compose_naive(stage1, &blocks),
             ..opt.clone()
@@ -1417,6 +1423,98 @@ mod tests {
         let snapshot = rs.clone();
         compiler.compile_all(&snapshot, &mut vnh).unwrap();
         assert_eq!(recompiled.get() - r2, n, "foreign instance rebuilds all");
+    }
+
+    /// `warm` against a cold one-shard compile of `compiler`'s book.
+    fn assert_matches_cold(compiler: &SdxCompiler, rs: &RouteServer, warm: &CompileReport) {
+        let mut cold = cold_one_shard().0;
+        for cfg in compiler.participants().clone().into_values() {
+            cold.upsert_participant(cfg);
+        }
+        let pool = VnhAllocator::default_pool();
+        assert_reports_identical(
+            &crate::shard::canonicalize_report(warm, pool),
+            &crate::shard::canonicalize_report(&run(&mut cold, &rs.clone()), pool),
+            "warm vs cold",
+        );
+    }
+
+    #[test]
+    fn a_compile_that_fails_half_way_leaves_no_piece_to_mistake_for_current() {
+        let (mut compiler, rs) = figure1();
+        let mut vnh = VnhAllocator::default();
+        compiler.compile_all(&rs, &mut vnh).unwrap();
+        // A's tags now reach C where they reached B — and A's own block,
+        // the first to be rebuilt, is rejected: the run stops with A's
+        // piece replaced and B's and C's blocks still listing the old tags.
+        let a = ParticipantId(1);
+        compiler.set_outbound(
+            a,
+            Some(P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(ParticipantId(3)))),
+        );
+        compiler.set_inbound(a, Some(P::fwd(PortId::Virt(ParticipantId(3)))));
+        let err = compiler.compile_all(&rs, &mut vnh).unwrap_err();
+        assert!(matches!(
+            err,
+            SdxError::Transform(TransformError::InboundEscapesSwitch(..))
+        ));
+        compiler.set_inbound(a, None);
+        let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
+        assert_eq!(warm.stats.pieces.viewers.recomputed, 0, "A's piece stood");
+        assert_matches_cold(&compiler, &rs, &warm);
+    }
+
+    #[test]
+    fn cached_pieces_are_bounded_by_the_book() {
+        let (mut compiler, rs) = figure1();
+        let mut vnh = VnhAllocator::default();
+        let owners = |c: &SdxCompiler| c.shard_cache.as_ref().expect("compiled").pieces.owners();
+        let ids = |ids: &[u32]| ids.iter().map(|&n| ParticipantId(n)).collect::<Vec<_>>();
+        compiler.compile_all(&rs, &mut vnh).unwrap();
+        // (viewer pieces, receiver blocks, segments), by owner.
+        assert_eq!(
+            owners(&compiler),
+            (ids(&[1]), ids(&[1, 2, 3, 4]), ids(&[1, 1, 1, 2, 3, 4]))
+        );
+        // A retracted outbound policy takes the viewer's piece and both
+        // its segments along; pushing and retracting leaves nothing behind.
+        let steer = P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(ParticipantId(3)));
+        for _ in 0..3 {
+            compiler.set_outbound(ParticipantId(4), Some(steer.clone()));
+            compiler.compile_all(&rs, &mut vnh).unwrap();
+            assert_eq!(owners(&compiler).0, ids(&[1, 4]));
+            compiler.set_outbound(ParticipantId(4), None);
+            compiler.compile_all(&rs, &mut vnh).unwrap();
+            assert_eq!(
+                owners(&compiler),
+                (ids(&[1]), ids(&[1, 2, 3, 4]), ids(&[1, 1, 1, 2, 3, 4]))
+            );
+        }
+        // A participant leaving the book supersedes its epoch: every piece
+        // goes, and the next compile keeps none of the departed.
+        compiler.remove_participant(ParticipantId(1));
+        let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
+        assert_eq!(
+            warm.stats.pieces.receivers.reused, 0,
+            "a new epoch starts cold"
+        );
+        assert_eq!(
+            owners(&compiler),
+            (ids(&[]), ids(&[2, 3, 4]), ids(&[2, 3, 4]))
+        );
+        // And a cache dropped by hand is one where every piece is stale.
+        compiler.clear_unit_cache();
+        let cold = compiler.compile_all(&rs, &mut vnh).unwrap();
+        let pieces = cold.stats.pieces;
+        assert_eq!(
+            (
+                pieces.viewers.reused,
+                pieces.receivers.reused,
+                pieces.segments.reused
+            ),
+            (0, 0, 0)
+        );
+        assert_eq!(cold.classifier, warm.classifier);
     }
 
     #[test]

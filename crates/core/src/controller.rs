@@ -31,6 +31,7 @@ use crate::faults::{FaultPlan, InjectionPoint};
 use crate::fec::{FecGroup, FecId};
 use crate::incremental::DeltaResult;
 use crate::participant::ParticipantConfig;
+use crate::piece::VnhMap;
 use crate::transform::TransformError;
 use crate::txn::{DeltaTxn, FabricTxn, Taken, UndoLog};
 use crate::vnh::VnhAllocator;
@@ -167,8 +168,11 @@ impl SdxController {
         report: &CompileReport,
         batch: &sdx_openflow::flowmod::FlowModBatch,
     ) {
+        if batch.is_empty() {
+            return;
+        }
         if let Some(plan) = self.compiler.shard_plan() {
-            let counts = crate::shard::mods_by_shard(plan, report, batch);
+            let counts = crate::shard::mods_by_shard(plan, report, &self.vnh, batch);
             let touched = counts[..plan.len()].iter().filter(|&&c| c > 0).count();
             let sharded: usize = counts[..plan.len()].iter().sum();
             reg.add("reconcile.shard.mods.count", sharded as u64);
@@ -562,11 +566,6 @@ impl SdxController {
         // removed below. Keyed ids stay mapped through the compile — that
         // is exactly what keeps unchanged FEC groups on their previous
         // VNH/VMAC.
-        let mut retired_addrs: Vec<Ipv4Addr> = taken
-            .delta_ids
-            .iter()
-            .map(|&id| self.vnh.vnh_of(id))
-            .collect();
         for &id in &taken.delta_ids {
             self.vnh.release(id);
         }
@@ -607,25 +606,30 @@ impl SdxController {
                 log.bind_arp(fabric, port.addr, port.mac);
             }
         }
-        for &(vnh, vmac) in &report.arp_bindings {
-            log.bind_arp(fabric, vnh, vmac);
+        // Everything from here on visits only the viewers whose groups
+        // moved: a viewer holding the very piece the old report holds has
+        // its bindings in place, its ids live and its advertisements
+        // current.
+        let moved = moved_viewers(old_report, &report);
+        for g in moved.iter().flat_map(|&(_, new)| new) {
+            log.bind_arp(fabric, g.vnh, g.vmac);
         }
         // Keyed identity keeps surviving groups on their exact VNH, so
-        // only ids whose key vanished actually retire.
-        let new_ids: BTreeSet<u32> = report
-            .groups
-            .values()
-            .flat_map(|gs| gs.iter().map(|g| g.id.0))
+        // only ids whose key vanished actually retire — and a fast-path id
+        // only if the compile did not draw it again. An id is unique among
+        // the live ones, so one that a moved viewer or the fast path gave
+        // up can only have been taken by a moved viewer.
+        let new_ids: BTreeSet<FecId> = (moved.iter().flat_map(|&(_, new)| new))
+            .map(|g| g.id)
             .collect();
-        let mut stale_ids: Vec<FecId> = Vec::new();
-        if let Some(old) = old_report {
-            for g in old.groups.values().flatten() {
-                if !new_ids.contains(&g.id.0) {
-                    stale_ids.push(g.id);
-                    retired_addrs.push(g.vnh);
-                }
-            }
-        }
+        let stale_ids: Vec<FecId> = (moved.iter().flat_map(|&(old, _)| old))
+            .map(|g| g.id)
+            .filter(|id| !new_ids.contains(id))
+            .collect();
+        let retired_addrs: Vec<Ipv4Addr> = (taken.delta_ids.iter().chain(&stale_ids))
+            .filter(|id| !new_ids.contains(id))
+            .map(|&id| self.vnh.vnh_of(id))
+            .collect();
         self.report = Some(report);
         self.sync_fibs_logged(fabric, old_report, log);
         let retire = Retire {
@@ -724,16 +728,8 @@ impl SdxController {
         // them from router ARP caches — selectively: every other cached
         // entry stays warm (the fixed vnh→vmac mapping means a surviving
         // entry can never be stale).
-        let live: BTreeSet<Ipv4Addr> = self
-            .report
-            .as_ref()
-            .map(|r| r.arp_bindings.iter().map(|(a, _)| *a).collect())
-            .unwrap_or_default();
         let mut invalidated = 0;
         for addr in &retire.retired_addrs {
-            if live.contains(addr) {
-                continue;
-            }
             fabric.arp.unbind(*addr);
             invalidated += fabric.invalidate_arp(*addr);
         }
@@ -868,7 +864,7 @@ impl SdxController {
         let dirty = self.rs.take_dirty_prefixes();
         let joined = self.sync_viewers(fabric, log);
         let report = self.report.as_ref();
-        let empty = BTreeMap::new();
+        let empty = VnhMap::default();
         let vnh_of = report.map_or(&empty, |r| &r.vnh_of);
         let all: BTreeSet<Prefix>;
         let (prefixes, also) = match (since, report) {
@@ -895,7 +891,7 @@ impl SdxController {
                     .into_iter()
                     .chain(self.adverts.prefixes())
                     .collect();
-                (&all, vnh_of.keys().copied().collect())
+                (&all, vnh_of.keys().collect())
             }
         };
         let sync = Self::readvertise(
@@ -1070,7 +1066,8 @@ pub struct PreparedUpdate {
 
 /// What [`SdxController::stage`] leaves for after its patch has landed:
 /// the patch's size, the overlay layers staging removed, and the ids and
-/// addresses nothing will reference once the old rules are gone.
+/// addresses nothing will reference once the old rules are gone (none of
+/// them one the new report binds).
 #[derive(Clone, Debug)]
 struct Retire {
     patched: sdx_openflow::flowmod::BatchStats,
@@ -1091,25 +1088,48 @@ pub struct FibSync {
     pub sent: usize,
 }
 
+/// The viewers whose FEC groups can differ between two compilations —
+/// every viewer but those holding one shared piece in both — as each
+/// one's groups in `old` and in `new` (none where it is in one only).
+fn moved_viewers<'a>(
+    old: Option<&'a CompileReport>,
+    new: &'a CompileReport,
+) -> Vec<(&'a [FecGroup], &'a [FecGroup])> {
+    let mut moved: Vec<(&[FecGroup], &[FecGroup])> = Vec::new();
+    for (viewer, had) in old.iter().flat_map(|old| &old.groups) {
+        match new.groups.get(viewer) {
+            Some(has) if has.same_piece(had) => {}
+            Some(has) => moved.push((had, has)),
+            None => moved.push((had, &[])),
+        }
+    }
+    let joined = |viewer| !old.is_some_and(|old| old.groups.contains_key(viewer));
+    for (_, has) in new.groups.iter().filter(|&(viewer, _)| joined(viewer)) {
+        moved.push((&[], has));
+    }
+    moved
+}
+
 /// The FEC groups that are in one of two compilations only: an id the
 /// other does not have, or the same id over different content (possible
 /// only when the allocator was replaced in between). The members of
 /// these are the (viewer, prefix) pairs whose VNH differs between the
 /// two reports' `vnh_of` maps.
 fn moved_groups<'a>(old: &'a CompileReport, new: &'a CompileReport) -> Vec<&'a FecGroup> {
-    let by_id = |r: &'a CompileReport| -> BTreeMap<FecId, &'a FecGroup> {
-        r.groups.values().flatten().map(|g| (g.id, g)).collect()
-    };
-    let (old, new) = (by_id(old), by_id(new));
-    let mut moved = Vec::new();
-    for (here, there) in [(&old, &new), (&new, &old)] {
-        moved.extend(
+    let (mut old_ids, mut new_ids) = (BTreeMap::new(), BTreeMap::new());
+    for (had, has) in moved_viewers(Some(old), new) {
+        old_ids.extend(had.iter().map(|g| (g.id, g)));
+        new_ids.extend(has.iter().map(|g| (g.id, g)));
+    }
+    let mut only = Vec::new();
+    for (here, there) in [(&old_ids, &new_ids), (&new_ids, &old_ids)] {
+        only.extend(
             here.iter()
                 .filter(|&(id, g)| there.get(id) != Some(g))
                 .map(|(_, &g)| g),
         );
     }
-    moved
+    only
 }
 
 /// Advisory diagnostics from [`SdxController::validate_outbound`].
@@ -1446,7 +1466,7 @@ mod tests {
         // No rule references the removed participant's ports.
         let report = ctl.report.as_ref().expect("compiled");
         for r in report.classifier.rules() {
-            for a in &r.actions {
+            for a in r.actions.iter() {
                 for m in &a.mods {
                     if let sdx_net::Mod::SetLoc(p) = m {
                         assert_ne!(p.participant(), pid(2), "stale rule {r}");

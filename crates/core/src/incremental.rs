@@ -355,7 +355,7 @@ mod tests {
         // Every forwarding delta rule ends at a physical port with a
         // rewritten (non-virtual) destination MAC.
         for r in delta.rules.iter().filter(|r| !r.is_drop()) {
-            for a in &r.actions {
+            for a in r.actions.iter() {
                 let loc = a.mods.iter().rev().find_map(|m| match m {
                     sdx_net::Mod::SetLoc(p) => Some(*p),
                     _ => None,

@@ -47,6 +47,7 @@ pub mod faults;
 pub mod fec;
 pub mod incremental;
 pub mod participant;
+pub mod piece;
 pub mod reconcile;
 pub mod schedule;
 pub mod service_chain;
@@ -62,6 +63,7 @@ pub use error::SdxError;
 pub use faults::{FaultPlan, InjectionPoint};
 pub use fec::{minimum_disjoint_subsets, FecGroup, FecId, FecKey};
 pub use participant::{ParticipantConfig, PhysicalPort};
+pub use piece::{PieceCounts, Tally, ViewerPiece, VnhMap};
 pub use reconcile::{diff_base_table, TableDiff};
 pub use schedule::{
     MultiFabricSink, ScheduleOpts, ScheduleReport, UpdatePlan, WaveReport, WaveSink,

@@ -33,6 +33,8 @@
 //! patterns only in the old table are deleted; patterns only in the new
 //! classifier are added at midpoints.
 
+use std::collections::HashMap;
+
 use sdx_net::HeaderMatch;
 use sdx_openflow::flowmod::{FlowMod, FlowModBatch};
 use sdx_openflow::table::{FlowEntry, FlowTable};
@@ -58,6 +60,63 @@ pub fn cookie_of(pattern: &HeaderMatch) -> u64 {
 
 fn buckets_of(rule: &Rule) -> Vec<Vec<sdx_net::Mod>> {
     rule.actions.iter().map(|a| a.mods.clone()).collect()
+}
+
+/// Whether `entry` carries exactly `rule`'s action buckets.
+fn same_buckets(entry: &FlowEntry, rule: &Rule) -> bool {
+    entry.buckets.len() == rule.actions.len()
+        && entry
+            .buckets
+            .iter()
+            .zip(rule.actions.iter())
+            .all(|(b, a)| *b == a.mods)
+}
+
+/// The old entries chained by the cookie their pattern implies — the FEC
+/// group behind the VMAC that keys almost every rule, so a chain is a
+/// handful of entries — for finding the next old entry with a given
+/// pattern without scanning the table.
+struct PatternIndex {
+    /// Cookie → the first old entry not yet passed whose pattern has it.
+    heads: HashMap<u64, usize>,
+    /// Old entry → the next one under the same cookie (`usize::MAX`: none).
+    next: Vec<usize>,
+}
+
+impl PatternIndex {
+    fn of(old: &[&FlowEntry]) -> PatternIndex {
+        let mut heads = HashMap::with_capacity(old.len());
+        let mut next = vec![usize::MAX; old.len()];
+        for (j, e) in old.iter().enumerate().rev() {
+            if let Some(after) = heads.insert(cookie_of(&e.pattern), j) {
+                next[j] = after;
+            }
+        }
+        PatternIndex { heads, next }
+    }
+
+    /// The first old entry at or after `cursor` whose pattern is `pattern`.
+    /// `cursor` never decreases between calls, so entries before it are
+    /// dropped from their chain for good.
+    fn first_from(
+        &mut self,
+        old: &[&FlowEntry],
+        cursor: usize,
+        pattern: &HeaderMatch,
+    ) -> Option<usize> {
+        let head = self.heads.get_mut(&cookie_of(pattern))?;
+        while *head != usize::MAX && *head < cursor {
+            *head = self.next[*head];
+        }
+        let mut j = *head;
+        while j != usize::MAX {
+            if old[j].pattern == *pattern {
+                return Some(j);
+            }
+            j = self.next[j];
+        }
+        None
+    }
 }
 
 /// Outcome of diffing a deployed table against a compiled classifier.
@@ -125,15 +184,21 @@ pub fn diff_base_table(table: &FlowTable, classifier: &Classifier, epoch: u64) -
     // Greedy in-order pairing by pattern: for each new rule, the next old
     // entry (at or after the previous match) with the same pattern.
     // anchored[k] = Some(index into `old`) when new rule k found a home.
+    // Between two compiles of one exchange that entry is nearly always the
+    // very next one; the index is built only once it is not.
     let mut anchored: Vec<Option<usize>> = vec![None; rules.len()];
     let mut survives = vec![false; old.len()];
     let mut cursor = 0usize;
+    let mut index: Option<PatternIndex> = None;
     for (k, rule) in rules.iter().enumerate() {
-        if let Some(j) = old[cursor..]
-            .iter()
-            .position(|e| e.pattern == rule.matches)
-            .map(|off| cursor + off)
-        {
+        let found = if old.get(cursor).is_some_and(|e| e.pattern == rule.matches) {
+            Some(cursor)
+        } else {
+            index
+                .get_or_insert_with(|| PatternIndex::of(&old))
+                .first_from(&old, cursor, &rule.matches)
+        };
+        if let Some(j) = found {
             anchored[k] = Some(j);
             survives[j] = true;
             cursor = j + 1;
@@ -158,14 +223,13 @@ pub fn diff_base_table(table: &FlowTable, classifier: &Classifier, epoch: u64) -
     while k < rules.len() {
         if let Some(j) = anchored[k] {
             let e = old[j];
-            let new_buckets = buckets_of(&rules[k]);
-            if e.buckets == new_buckets && e.cookie == cookie_of(&rules[k].matches) {
+            if same_buckets(e, &rules[k]) && e.cookie == cookie_of(&rules[k].matches) {
                 unchanged += 1;
             } else {
                 batch.push(FlowMod::Modify {
                     priority: e.priority,
                     pattern: e.pattern,
-                    buckets: new_buckets,
+                    buckets: buckets_of(&rules[k]),
                     cookie: cookie_of(&rules[k].matches),
                 });
             }
@@ -213,13 +277,14 @@ mod tests {
     use super::*;
     use sdx_net::{FieldMatch, MacAddr, Mod, ParticipantId, PortId};
     use sdx_policy::classifier::Action;
+    use std::sync::Arc;
 
     fn vmac_rule(id: u32, out: u32) -> Rule {
         Rule {
             matches: HeaderMatch::of(FieldMatch::DlDst(MacAddr::vmac(id))),
-            actions: vec![Action {
+            actions: Arc::from([Action {
                 mods: vec![Mod::SetLoc(PortId::Phys(ParticipantId(out), 1))],
-            }],
+            }]),
         }
     }
 

@@ -42,13 +42,16 @@
 //! churn is spatially local, which is why the count matters at all.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, Prefix};
 use sdx_openflow::flowmod::{FlowMod, FlowModBatch};
 use sdx_policy::classifier::{Classifier, Rule};
 
 use crate::compiler::CompileReport;
-use crate::fec::{FecGroup, FecId};
+use crate::fec::{FecGroup, FecId, FecKey};
+use crate::piece::{Pieces, ViewerPiece, VnhMap};
+use crate::vnh::VnhAllocator;
 
 /// Upper bound on the shard count — far above any useful fan-out, but
 /// keeps a typo'd `1 << 30` from allocating absurd plans.
@@ -217,17 +220,30 @@ pub(crate) struct ShardCache {
     /// while every one of the viewer's units is unchanged: recomputing a
     /// dirty shard's unit and getting an identical slice back (churn that
     /// cancels, or dirt in prefixes the viewer never sees) skips the
-    /// viewer's merge + re-partition entirely.
-    pub(crate) merged: HashMap<ParticipantId, MergedFecs>,
+    /// viewer's merge + re-partition entirely. Shared, not copied, into
+    /// the compile and into the viewer's piece, which is current only
+    /// while it was built from this very output.
+    pub(crate) merged: HashMap<ParticipantId, Arc<MergedFecs>>,
+    /// Moves whenever a compile finds the route server's compile-dirty set
+    /// non-empty: what a piece that reads routes beyond phase A (a viewer
+    /// holding a rewrite rule) is stamped with.
+    pub(crate) route_generation: u64,
+    /// Phases B–E's cached pieces (see [`crate::piece`]): inside this
+    /// cache because everything that invalidates it invalidates them.
+    pub(crate) pieces: Pieces,
 }
 
 /// A viewer's merged phase-A result — what `compile_fecs` hands phase B
 /// and what the cache keeps — in partition order.
-pub(crate) type MergedFecs = (
-    Vec<Vec<Prefix>>,                        // prefix partition (the FEC groups)
-    Vec<(BTreeSet<usize>, BTreeSet<usize>)>, // per group: rule memberships
-    Vec<Option<ParticipantId>>,              // per group: default next hop
-);
+#[derive(Debug)]
+pub(crate) struct MergedFecs {
+    /// Per group: its content-addressed identity (the viewer, the member
+    /// prefixes, the default next hop).
+    pub(crate) keys: Vec<FecKey>,
+    /// Per group: the rules whose affected set contains it, and those
+    /// among them covering it only partially.
+    pub(crate) memberships: Vec<(BTreeSet<usize>, BTreeSet<usize>)>,
+}
 
 /// Relabels a report's `(FecId, VNH, VMAC)` identities into canonical
 /// enumeration order — groups numbered from 1 in `(viewer, position)`
@@ -263,20 +279,18 @@ pub fn canonicalize_report(report: &CompileReport, pool: Prefix) -> CompileRepor
         vmac: vmac_map[&g.vmac],
         default_next_hop: g.default_next_hop,
     };
-    let groups = report
+    let groups: BTreeMap<ParticipantId, ViewerPiece> = report
         .groups
         .iter()
-        .map(|(&v, gs)| (v, gs.iter().map(relabel_group).collect()))
+        .map(|(&v, gs)| {
+            let relabelled = gs.iter().map(relabel_group).collect();
+            (v, ViewerPiece::from_groups(relabelled))
+        })
         .collect();
     let arp_bindings = report
         .arp_bindings
         .iter()
         .map(|&(a, m)| (vnh_map[&a], vmac_map[&m]))
-        .collect();
-    let vnh_of = report
-        .vnh_of
-        .iter()
-        .map(|(&k, &v)| (k, vnh_map[&v]))
         .collect();
     let rules: Vec<Rule> = report
         .classifier
@@ -288,9 +302,9 @@ pub fn canonicalize_report(report: &CompileReport, pool: Prefix) -> CompileRepor
         // Composed classifiers are total (they end in a wildcard rule), so
         // `from_rules` preserves the rule list byte-for-byte.
         classifier: Classifier::from_rules(rules),
+        vnh_of: VnhMap::of(&groups),
         groups,
         arp_bindings,
-        vnh_of,
         stats: report.stats,
     }
 }
@@ -307,7 +321,8 @@ fn relabel_rule(r: &Rule, vmac_map: &HashMap<MacAddr, MacAddr>) -> Rule {
             out.matches.dl_src = Some(canon);
         }
     }
-    for action in &mut out.actions {
+    let mut actions = out.actions.to_vec();
+    for action in &mut actions {
         for m in &mut action.mods {
             match m {
                 sdx_net::Mod::SetDlDst(mac) | sdx_net::Mod::SetDlSrc(mac) => {
@@ -319,22 +334,37 @@ fn relabel_rule(r: &Rule, vmac_map: &HashMap<MacAddr, MacAddr>) -> Rule {
             }
         }
     }
+    out.actions = actions.into();
     out
 }
 
 /// Attributes a reconcile batch's flow-mods to the shards that produced
-/// them, for `reconcile.shard.*` telemetry: a mod whose pattern carries a
-/// VMAC is charged to the shard owning that group's first prefix; else a
-/// `nw_dst` pattern is charged by address; mods with neither (wildcards,
-/// MAC-learning defaults) land in the trailing *global* bucket. Returns
-/// `plan.len() + 1` counts.
-pub fn mods_by_shard(plan: &ShardPlan, report: &CompileReport, batch: &FlowModBatch) -> Vec<usize> {
-    let mut shard_of_vmac: HashMap<MacAddr, usize> = HashMap::new();
-    for g in report.groups.values().flatten() {
-        if let Some(&p) = g.prefixes.first() {
-            shard_of_vmac.insert(g.vmac, plan.shard_of(p));
-        }
-    }
+/// them, for `reconcile.shard.*` telemetry: a mod whose pattern carries the
+/// VMAC of one of `report`'s groups is charged to the shard owning that
+/// group's first prefix; else a `nw_dst` pattern is charged by address;
+/// mods with neither (wildcards, MAC-learning defaults) land in the
+/// trailing *global* bucket. Returns `plan.len() + 1` counts.
+///
+/// Only the VMACs the batch names are resolved: `vnh` — the allocator the
+/// report's ids are mapped in — says which viewer's group an id is and
+/// where it starts, and the viewer's groups (ordered by first prefix)
+/// confirm the report holds it.
+pub fn mods_by_shard(
+    plan: &ShardPlan,
+    report: &CompileReport,
+    vnh: &VnhAllocator,
+    batch: &FlowModBatch,
+) -> Vec<usize> {
+    let shard_of_vmac = |mac: MacAddr| {
+        let id = FecId(mac.fec_id()?);
+        let key = vnh.key_of_id(id)?;
+        let first = *key.prefixes.first()?;
+        let groups = report.groups.get(&key.viewer)?;
+        let at = groups
+            .binary_search_by_key(&Some(first), |g| g.prefixes.first().copied())
+            .ok()?;
+        (groups[at].id == id).then(|| plan.shard_of(first))
+    };
     let mut counts = vec![0usize; plan.len() + 1];
     for m in &batch.mods {
         let pattern = match m {
@@ -343,7 +373,7 @@ pub fn mods_by_shard(plan: &ShardPlan, report: &CompileReport, batch: &FlowModBa
         };
         let shard = pattern
             .dl_dst
-            .and_then(|mac| shard_of_vmac.get(&mac).copied())
+            .and_then(shard_of_vmac)
             .or_else(|| pattern.nw_dst.map(|p| plan.shard_of(p)))
             .unwrap_or(plan.len());
         counts[shard] += 1;

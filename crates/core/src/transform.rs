@@ -160,23 +160,23 @@ pub fn dst_coverage(matches: &HeaderMatch, prefix: Prefix) -> Coverage {
 /// matching the group's VMAC (destination-prefix constraint dropped when
 /// the rule covers the whole group, kept when partial).
 ///
-/// `affected(g)` says whether group `g` lies inside this rule's
-/// BGP-filtered destination set; `partial(g)` whether any member prefix is
-/// only partially covered.
+/// `affected(at)` says whether `groups[at]` lies inside this rule's
+/// BGP-filtered destination set; `partial(at)` whether any member prefix
+/// is only partially covered.
 pub fn expand_fwd_rule(
     rule: &FwdRule,
     target: PortId,
     groups: &[FecGroup],
-    affected: impl Fn(&FecGroup) -> bool,
-    partial: impl Fn(&FecGroup) -> bool,
+    affected: impl Fn(usize) -> bool,
+    partial: impl Fn(usize) -> bool,
 ) -> Vec<Rule> {
     let mut out = Vec::new();
-    for g in groups {
-        if !affected(g) {
+    for (at, g) in groups.iter().enumerate() {
+        if !affected(at) {
             continue;
         }
         let mut m = rule.matches;
-        if !partial(g) {
+        if !partial(at) {
             m.nw_dst = None; // the VMAC tag subsumes the destination match
         }
         m.set(FieldMatch::DlDst(g.vmac));
@@ -210,22 +210,95 @@ pub fn default_stage1_rules(groups: &[FecGroup]) -> Vec<Rule> {
         .collect()
 }
 
-/// The global MAC-"learning" default rules (§4.1): traffic whose
-/// destination MAC is a participant port's physical MAC goes to that
-/// participant's virtual switch. These carry the default forwarding of
+/// One participant's share of the global MAC-"learning" default rules
+/// (§4.1): traffic whose destination MAC is one of its ports' physical
+/// MACs goes to its virtual switch. These carry the default forwarding of
 /// every prefix the SDX left untouched (the route server re-advertised it
 /// with the real next hop). Sender-independent, hence un-isolated.
-pub fn mac_default_rules(participants: &BTreeMap<ParticipantId, ParticipantConfig>) -> Vec<Rule> {
-    let mut out = Vec::new();
-    for cfg in participants.values() {
-        for port in &cfg.ports {
-            out.push(Rule::unicast(
+pub fn mac_default_rules(cfg: &ParticipantConfig) -> Vec<Rule> {
+    (cfg.ports.iter())
+        .map(|port| {
+            Rule::unicast(
                 HeaderMatch::of(FieldMatch::DlDst(port.mac)),
                 Action::of(Mod::SetLoc(PortId::Virt(cfg.id))),
-            ));
+            )
+        })
+        .collect()
+}
+
+/// A participant's stage-2 block with its rules indexed by the `dl_dst`
+/// they match, so composing a stage-1 rule with it reads only the rules
+/// the stage-1 rule's tag can reach — a block holds one delivery rule per
+/// VMAC deliverable to the participant, and a tagged stage-1 rule meets
+/// exactly one of them. Derefs to the block's [`Classifier`].
+#[derive(Clone, Debug)]
+pub struct Block {
+    classifier: Classifier,
+    /// Positions of the rules that match any `dl_dst`, ascending.
+    untagged: Vec<u32>,
+    /// `(dl_dst, position)` of the rules that match one, sorted.
+    tagged: Vec<(MacAddr, u32)>,
+}
+
+impl Block {
+    /// Indexes `classifier`.
+    pub fn new(classifier: Classifier) -> Block {
+        let mut untagged = Vec::new();
+        let mut tagged = Vec::new();
+        for (at, rule) in classifier.rules().iter().enumerate() {
+            match rule.matches.dl_dst {
+                None => untagged.push(at as u32),
+                Some(tag) => tagged.push((tag, at as u32)),
+            }
+        }
+        tagged.sort_unstable();
+        Block {
+            classifier,
+            untagged,
+            tagged,
         }
     }
-    out
+
+    /// The rules a packet whose `dl_dst` is known to be `tag` can match
+    /// (all of them for `None`: nothing is known), in block order.
+    fn reachable(&self, tag: Option<MacAddr>) -> impl Iterator<Item = &Rule> + '_ {
+        let rules = self.classifier.rules();
+        // With a tag: the positions matching any `dl_dst` merged with the
+        // tag's own, both ascending. Without: every position.
+        let (mut open, mut same, mut all): (&[u32], &[(MacAddr, u32)], _) = match tag {
+            Some(tag) => {
+                let from = self.tagged.partition_point(|&(t, _)| t < tag);
+                let upto = self.tagged.partition_point(|&(t, _)| t <= tag);
+                (&self.untagged, &self.tagged[from..upto], 0..0)
+            }
+            None => (&[], &[], 0..rules.len()),
+        };
+        std::iter::from_fn(move || {
+            let at = match (open.first(), same.first()) {
+                (Some(&o), Some(&(_, s))) if o < s => {
+                    open = &open[1..];
+                    o as usize
+                }
+                (_, Some(&(_, s))) => {
+                    same = &same[1..];
+                    s as usize
+                }
+                (Some(&o), None) => {
+                    open = &open[1..];
+                    o as usize
+                }
+                (None, None) => all.next()?,
+            };
+            Some(&rules[at])
+        })
+    }
+}
+
+impl std::ops::Deref for Block {
+    type Target = Classifier;
+    fn deref(&self) -> &Classifier {
+        &self.classifier
+    }
 }
 
 /// Builds participant `cfg`'s stage-2 block: its (isolated, MAC-rewriting)
@@ -245,7 +318,7 @@ pub fn stage2_block(
     inbound: Option<&Classifier>,
     deliverable_vmacs: &[MacAddr],
     foreign_mac: &dyn Fn(ParticipantId, u8) -> Option<MacAddr>,
-) -> Result<Classifier, TransformError> {
+) -> Result<Block, TransformError> {
     let me = cfg.id;
     let ingress = FieldMatch::InPort(PortId::Virt(me));
     let mut rules = Vec::new();
@@ -263,7 +336,7 @@ pub fn stage2_block(
                 }
             }
             let mut actions = Vec::with_capacity(r.actions.len());
-            for a in &r.actions {
+            for a in r.actions.iter() {
                 let target = a.mods.iter().rev().find_map(|m| match m {
                     Mod::SetLoc(p) => Some(*p),
                     _ => None,
@@ -292,7 +365,7 @@ pub fn stage2_block(
             }
             rules.push(Rule {
                 matches: r.matches.and(ingress),
-                actions,
+                actions: actions.into(),
             });
         }
     }
@@ -318,7 +391,7 @@ pub fn stage2_block(
         ));
     }
 
-    Ok(Classifier::from_rules(rules))
+    Ok(Block::new(Classifier::from_rules(rules)))
 }
 
 /// Optimized virtual-topology composition (§4.3.1): each stage-1 rule is
@@ -326,13 +399,10 @@ pub fn stage2_block(
 /// it forwards to, instead of with the sum of every participant's policy.
 /// Rule order — and therefore first-match semantics — is preserved by
 /// emitting composition results in stage-1 rule order.
-pub fn compose_optimized(
-    stage1: &[Rule],
-    blocks: &BTreeMap<ParticipantId, Classifier>,
-) -> Classifier {
+pub fn compose_optimized(stage1: &[Rule], blocks: &BTreeMap<ParticipantId, Block>) -> Classifier {
     let rules = stage1
         .iter()
-        .flat_map(|r1| compose_rule(r1, blocks))
+        .flat_map(|r1| compose_rule(r1, compose_receiver(r1).and_then(|r| blocks.get(&r))))
         .collect();
     let mut c = Classifier::from_rules(rules);
     c.shadow_eliminate();
@@ -343,7 +413,7 @@ pub fn compose_optimized(
 ///
 /// Unicast stage-1 rules by construction (multicast outbound is rejected
 /// earlier; defaults and MAC rules are unicast).
-fn compose_receiver(r1: &Rule) -> Option<ParticipantId> {
+pub fn compose_receiver(r1: &Rule) -> Option<ParticipantId> {
     if r1.is_drop() {
         return None;
     }
@@ -353,20 +423,29 @@ fn compose_receiver(r1: &Rule) -> Option<ParticipantId> {
     })
 }
 
-/// Composes one stage-1 rule with its receiver's stage-2 block.
-fn compose_rule(r1: &Rule, blocks: &BTreeMap<ParticipantId, Classifier>) -> Vec<Rule> {
-    let Some(receiver) = compose_receiver(r1) else {
-        // Drop rule, or already at a physical location (shouldn't happen
-        // in stage 1, but harmless): emit unchanged.
+/// Composes one stage-1 rule with `block`, the stage-2 block of the
+/// participant [`compose_receiver`] says it forwards to (`None`: that
+/// participant has none). The compositions of consecutive stage-1 rules,
+/// concatenated, are the composition of the run — which is what lets a
+/// compile keep those whose rule and block did not move.
+pub fn compose_rule(r1: &Rule, block: Option<&Block>) -> Vec<Rule> {
+    if compose_receiver(r1).is_none() {
+        // Drop rule, or already at a physical location (port steering):
+        // emit unchanged.
         return vec![r1.clone()];
-    };
-    let Some(block) = blocks.get(&receiver) else {
+    }
+    let Some(block) = block else {
         // Forwarding to a participant with no stage-2 block: drop.
         return vec![Rule::drop(r1.matches)];
     };
     let a = &r1.actions[0];
+    // What the packet's `dl_dst` is when it reaches the block, if known.
+    let rewritten = a.mods.iter().rev().find_map(|m| match m {
+        Mod::SetDlDst(mac) => Some(*mac),
+        _ => None,
+    });
     let mut rules = Vec::new();
-    for r2 in block.rules() {
+    for r2 in block.reachable(rewritten.or(r1.matches.dl_dst)) {
         if let Some(m) = r1.matches.seq_compose(&a.mods, &r2.matches) {
             rules.push(Rule {
                 matches: m,
@@ -383,7 +462,7 @@ fn compose_rule(r1: &Rule, blocks: &BTreeMap<ParticipantId, Classifier>) -> Vec<
 #[cfg(test)]
 pub(crate) fn compose_naive(
     stage1: Vec<Rule>,
-    blocks: &BTreeMap<ParticipantId, Classifier>,
+    blocks: &BTreeMap<ParticipantId, Block>,
 ) -> Classifier {
     let stage2_all = Classifier::from_rules(
         blocks
@@ -525,7 +604,7 @@ mod tests {
         let mut parts = BTreeMap::new();
         parts.insert(pid(1), ParticipantConfig::new(1, 65001, 2));
         parts.insert(pid(2), ParticipantConfig::new(2, 65002, 1));
-        let rules = mac_default_rules(&parts);
+        let rules: Vec<Rule> = parts.values().flat_map(mac_default_rules).collect();
         assert_eq!(rules.len(), 3);
         for r in &rules {
             assert!(r.matches.dl_dst.is_some());

@@ -296,7 +296,7 @@ pub fn validate_rules(rules: &[Rule]) -> Result<(), SdxError> {
         if rule.is_drop() {
             continue;
         }
-        for action in &rule.actions {
+        for action in rule.actions.iter() {
             let last_loc = action.mods.iter().rev().find_map(|m| match m {
                 sdx_net::Mod::SetLoc(p) => Some(*p),
                 _ => None,

@@ -128,9 +128,12 @@ impl VnhAllocator {
     /// group (same viewer, same member prefixes, same best next hop) keeps
     /// its exact VNH and VMAC across recompilations, so neither its flow
     /// rules, its ARP binding, nor its FIB advertisements need to move.
-    pub fn reserve_keyed(&self, wanted: &[FecKey]) -> Result<VnhReservation, SdxError> {
+    pub fn reserve_keyed<'k>(
+        &self,
+        wanted: impl IntoIterator<Item = &'k FecKey>,
+    ) -> Result<VnhReservation, SdxError> {
         let mut draft = Draft::new(self);
-        let mut triples = Vec::with_capacity(wanted.len());
+        let mut triples = Vec::new();
         let mut new_keys: Vec<(FecKey, u32)> = Vec::new();
         // Keys drawn earlier in this same batch (defensive: the compiler
         // never emits duplicates, but aliasing an id would corrupt state).

@@ -12,6 +12,7 @@ use sdx_openflow::fabric::Fabric;
 use sdx_openflow::flowmod::{FlowMod, FlowModBatch, FlowModError};
 use sdx_openflow::table::{FlowEntry, FlowTable};
 use sdx_policy::classifier::{Action, Classifier, Rule};
+use std::sync::Arc;
 
 fn phys(p: u32) -> PortId {
     PortId::Phys(ParticipantId(p), 1)
@@ -86,9 +87,9 @@ fn fabric_rejects_batch_deleting_a_still_referenced_handler() {
 fn vmac_rule(id: u32, out: u32) -> Rule {
     Rule {
         matches: vpat(id),
-        actions: vec![Action {
+        actions: Arc::from([Action {
             mods: vec![Mod::SetLoc(phys(out))],
-        }],
+        }]),
     }
 }
 

@@ -330,7 +330,7 @@ mod tests {
             if let Some(inb) = &p.inbound {
                 let compiled = sdx_policy::compile(inb);
                 for r in compiled.rules() {
-                    for a in &r.actions {
+                    for a in r.actions.iter() {
                         for m in &a.mods {
                             if let sdx_net::Mod::SetLoc(PortId::Phys(owner, _)) = m {
                                 assert_eq!(*owner, p.id);

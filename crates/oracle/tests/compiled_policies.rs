@@ -1,17 +1,21 @@
-//! The compiled policies kept beside the book can never be stale: under
-//! random interleavings of everything that changes what a policy *is* —
-//! `set_outbound` / `set_inbound`, `upsert_participant` (config with and
-//! without policies), `remove_participant`, `add_global_policy` /
-//! `clear_global_policies` — and of route updates, each followed by a
-//! `compile_all` or a `fast_update_burst`, the long-lived compiler produces
-//! what a [`cold_compile`] of the same world does, and an untouched book is
-//! served whole (`memo_hits` == policies in the book).
+//! Nothing the compiler keeps between compiles can ever be stale — neither
+//! the compiled policies beside the book nor the per-viewer, per-receiver
+//! and per-segment pieces of phases B–E: under random interleavings of
+//! everything that changes what a policy *is* — `set_outbound` /
+//! `set_inbound`, `upsert_participant` (config with and without policies),
+//! `remove_participant`, `add_global_policy` (the wide-area load
+//! balancer's rewrite fragment) / `clear_global_policies` — and of route
+//! updates and bursts of them, each followed by a `compile_all` or by a
+//! `fast_update_burst` that takes VNH ids the next compile gets back, the
+//! long-lived compiler produces what a [`cold_compile`] of the same world
+//! does, and a second compile with nothing changed serves everything as it
+//! stands (`memo_hits` == policies in the book, no piece recomputed).
 
 use proptest::prelude::*;
 use sdx_bgp::msg::UpdateMessage;
 use sdx_bgp::route_server::{ExportPolicy, RouteServer};
 use sdx_core::participant::ParticipantConfig;
-use sdx_core::{canonicalize_report, SdxCompiler, VnhAllocator};
+use sdx_core::{canonicalize_report, FecId, SdxCompiler, VnhAllocator};
 use sdx_net::{FieldMatch, Ipv4Addr, Mod, ParticipantId, PortId, Prefix};
 use sdx_oracle::synth::{self, Rng, CLAUSE_PORTS};
 use sdx_oracle::{cold_book, cold_compile};
@@ -92,7 +96,7 @@ fn mutate(rng: &mut Rng, book: &mut SdxCompiler, rs: &mut RouteServer, fresh: &m
     // Only participants this test enrolled are removed: nobody's inbound
     // policy steers to their ports, which a removal would leave dangling.
     let enrolled: Vec<ParticipantId> = present.iter().copied().filter(|p| p.0 > 6).collect();
-    match rng.below(12) {
+    match rng.below(14) {
         0 | 1 => {
             let pol = rng.chance(3, 4).then(|| outbound(rng, book, who));
             book.set_outbound(who, pol);
@@ -111,6 +115,20 @@ fn mutate(rng: &mut Rng, book: &mut SdxCompiler, rs: &mut RouteServer, fresh: &m
         }
         7 | 8 => book.add_global_policy(who, global_fragment(rng, *fresh)),
         9 => book.clear_global_policies(who),
+        10 | 11 => {
+            // A burst: several participants re-announce or withdraw.
+            for _ in 0..2 + rng.below(5) {
+                let who = *rng.pick(&present);
+                let cfg = book.participant(who).expect("present");
+                let p = *rng.pick(&synth::prefix_pool());
+                let update = if rng.chance(1, 3) {
+                    UpdateMessage::withdraw([p])
+                } else {
+                    cfg.announce([p], &[65000 + who.0, 100 + rng.below(900) as u32])
+                };
+                rs.process_update(who, &update);
+            }
+        }
         _ => {
             let p = *rng.pick(&synth::prefix_pool());
             let update = if rng.chance(1, 3) {
@@ -146,6 +164,9 @@ proptest! {
         let mut fresh = 6; // synth exchanges use ids 1..=6
         book.compile_all(&rs, &mut vnh).expect("initial compile");
 
+        // Ids the fast path drew since the last compile; the controller
+        // releases them before it compiles, and so does this.
+        let mut delta_ids: Vec<FecId> = Vec::new();
         for step in 0..16 {
             mutate(&mut rng, &mut book, &mut rs, &mut fresh);
             if rng.chance(1, 3) {
@@ -153,16 +174,21 @@ proptest! {
                 // that never compiled anything before, on equal allocators.
                 let changed: Vec<Prefix> =
                     (0..3).map(|_| *rng.pick(&synth::prefix_pool())).collect();
-                let warm = book
-                    .fast_update_burst(&rs, &mut vnh.clone(), &changed)
-                    .expect("warm burst");
                 let cold = cold_book(&book)
                     .fast_update_burst(&rs, &mut vnh.clone(), &changed)
                     .expect("cold burst");
+                let warm = book
+                    .fast_update_burst(&rs, &mut vnh, &changed)
+                    .expect("warm burst");
                 prop_assert_eq!(&warm.rules, &cold.rules, "step {}: delta rules", step);
                 prop_assert_eq!(&warm.arp_bindings, &cold.arp_bindings, "step {}", step);
                 prop_assert_eq!(&warm.vnh_updates, &cold.vnh_updates, "step {}", step);
+                let drawn = warm.arp_bindings.iter().filter_map(|(_, vmac)| vmac.fec_id());
+                delta_ids.extend(drawn.map(FecId));
                 continue;
+            }
+            for id in delta_ids.drain(..) {
+                vnh.release(id);
             }
             let warm = book.compile_all(&rs, &mut vnh).expect("warm compile");
             let cold = cold_compile(&book, &rs);
@@ -170,11 +196,22 @@ proptest! {
             prop_assert_eq!(&w.classifier, &c.classifier, "step {}: classifier", step);
             prop_assert_eq!(&w.groups, &c.groups, "step {}: groups", step);
             prop_assert_eq!(&w.vnh_of, &c.vnh_of, "step {}: VNH map", step);
-            // Nothing moved since: every policy is served as it stands,
-            // and the output does not change for it.
+            prop_assert_eq!(&w.arp_bindings, &c.arp_bindings, "step {}: ARP", step);
+            // Nothing moved since: every policy and every piece is served
+            // as it stands, and the output does not change for it.
             let again = book.compile_all(&rs, &mut vnh).expect("idle compile");
             prop_assert_eq!(again.stats.memo_hits, policies(&book), "step {}", step);
+            let pieces = again.stats.pieces;
+            let recomputed = [pieces.units, pieces.viewers, pieces.receivers, pieces.segments]
+                .map(|tally| tally.recomputed);
+            prop_assert_eq!(recomputed, [0; 4], "step {}: idle pieces", step);
             prop_assert_eq!(&again.classifier, &warm.classifier, "step {}: idle", step);
+            prop_assert_eq!(&again.groups, &warm.groups, "step {}: idle groups", step);
+            // The report shares the viewers' pieces: an idle compile hands
+            // out the very same ones.
+            for (viewer, piece) in &again.groups {
+                prop_assert!(piece.same_piece(&warm.groups[viewer]), "step {}: shared", step);
+            }
         }
     }
 }

@@ -24,7 +24,7 @@ pub fn fwd_targets(policy: &Policy) -> BTreeSet<PortId> {
 pub fn targets_of(classifier: &Classifier) -> BTreeSet<PortId> {
     let mut out = BTreeSet::new();
     for rule in classifier.rules() {
-        for action in &rule.actions {
+        for action in rule.actions.iter() {
             if let Some(p) = action.mods.iter().rev().find_map(|m| match m {
                 Mod::SetLoc(p) => Some(*p),
                 _ => None,

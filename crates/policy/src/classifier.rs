@@ -25,6 +25,7 @@
 //! entry.
 
 use core::fmt;
+use std::sync::Arc;
 
 use sdx_net::{HeaderMatch, LocatedPacket, Mod};
 
@@ -64,13 +65,15 @@ impl Action {
 }
 
 /// A prioritized rule: if the packet matches, apply every action (empty
-/// action set = drop).
+/// action set = drop). The actions are shared, so a copy of a rule
+/// allocates nothing: a compile copies the rules it did not have to derive
+/// again from the pieces it keeps into the table it hands out.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct Rule {
     /// The match pattern.
     pub matches: HeaderMatch,
     /// Output branches; empty = drop.
-    pub actions: Vec<Action>,
+    pub actions: Arc<[Action]>,
 }
 
 impl Rule {
@@ -78,7 +81,7 @@ impl Rule {
     pub fn drop(matches: HeaderMatch) -> Rule {
         Rule {
             matches,
-            actions: Vec::new(),
+            actions: Arc::default(),
         }
     }
 
@@ -86,7 +89,7 @@ impl Rule {
     pub fn unicast(matches: HeaderMatch, action: Action) -> Rule {
         Rule {
             matches,
-            actions: vec![action],
+            actions: Arc::from([action]),
         }
     }
 
@@ -112,14 +115,14 @@ pub struct Classifier {
     rules: Vec<Rule>,
 }
 
-fn union_actions(a: &[Action], b: &[Action]) -> Vec<Action> {
+fn union_actions(a: &[Action], b: &[Action]) -> Arc<[Action]> {
     let mut out: Vec<Action> = a.to_vec();
     for act in b {
         if !out.contains(act) {
             out.push(act.clone());
         }
     }
-    out
+    out.into()
 }
 
 impl Classifier {
@@ -170,7 +173,7 @@ impl Classifier {
         for r in &self.rules {
             if r.matches.matches(lp) {
                 let mut out: Vec<LocatedPacket> = Vec::with_capacity(r.actions.len());
-                for a in &r.actions {
+                for a in r.actions.iter() {
                     let o = a.apply(lp);
                     if !out.contains(&o) {
                         out.push(o);
@@ -253,51 +256,86 @@ impl Classifier {
     /// Removes rules that can never fire because an earlier rule's match
     /// subsumes theirs. Safe under first-match semantics; totality is
     /// restored afterwards if the catch-all itself was shadowed away.
-    ///
-    /// A naive quadratic scan dominates compile time at SDX scale
-    /// (tens of thousands of rules), so kept rules are bucketed by their
-    /// exact `dl_dst` constraint — the VMAC tag that keys almost every SDX
-    /// rule. A rule constrained to `dl_dst = x` can only be shadowed by an
-    /// earlier rule with `dl_dst = x` or with `dl_dst` unconstrained, so
-    /// only those two buckets are scanned.
     pub fn shadow_eliminate(&mut self) {
-        use std::collections::HashMap;
-        let mut kept: Vec<Rule> = Vec::with_capacity(self.rules.len());
-        let mut by_dldst: HashMap<Option<sdx_net::MacAddr>, Vec<usize>> = HashMap::new();
-        for r in self.rules.drain(..) {
-            let mut shadowed = false;
-            let mut candidate_buckets: [Option<&Vec<usize>>; 2] = [by_dldst.get(&None), None];
-            if r.matches.dl_dst.is_some() {
-                candidate_buckets[1] = by_dldst.get(&r.matches.dl_dst);
-            }
-            'outer: for bucket in candidate_buckets.into_iter().flatten() {
-                for &i in bucket {
-                    if kept[i].matches.subsumes(&r.matches) {
-                        shadowed = true;
-                        break 'outer;
-                    }
-                }
-            }
-            if !shadowed {
-                by_dldst
-                    .entry(r.matches.dl_dst)
-                    .or_default()
-                    .push(kept.len());
-                kept.push(r);
-            }
-        }
-        // A run of drop rules at the tail is equivalent to the catch-all
-        // drop that totality adds anyway — strip it. This keeps the drop
-        // fragments produced by predicate compilation from snowballing
-        // through repeated composition.
-        while kept.last().is_some_and(Rule::is_drop) {
-            kept.pop();
-        }
-        if !kept.last().is_some_and(|r| r.matches.is_wildcard()) {
-            kept.push(Rule::drop(HeaderMatch::any()));
-        }
-        self.rules = kept;
+        let rules = std::mem::take(&mut self.rules);
+        self.rules = unshadowed(rules.len(), rules, |r| &r.matches, |r| r);
     }
+
+    /// The classifier that concatenating `segments` and
+    /// [`shadow_eliminate`](Self::shadow_eliminate)-ing the result gives,
+    /// copying only the rules that survive.
+    pub fn concat_unshadowed<'r>(
+        segments: impl IntoIterator<Item = &'r [Rule], IntoIter: Clone>,
+    ) -> Classifier {
+        let segments = segments.into_iter();
+        let total = segments.clone().map(<[Rule]>::len).sum();
+        let rules = segments.flatten();
+        Classifier {
+            rules: unshadowed(total, rules, |r| &r.matches, Rule::clone),
+        }
+    }
+}
+
+/// `rules` (`expected` of them) without those an earlier one shadows, each
+/// kept one taken with `own`; a trailing run of drops is folded into the catch-all drop that
+/// totality adds anyway (which keeps the drop fragments produced by
+/// predicate compilation from snowballing through repeated composition).
+///
+/// A naive quadratic scan dominates compile time at SDX scale (tens of
+/// thousands of rules), so kept rules are chained by their exact `dl_dst`
+/// constraint — the VMAC tag that keys almost every SDX rule. A rule
+/// constrained to `dl_dst = x` can only be shadowed by an earlier rule
+/// with `dl_dst = x` or with `dl_dst` unconstrained, so only those two
+/// chains are walked. (A shadowed rule need not be chained: whatever
+/// shadows it shadows everything it would have.)
+fn unshadowed<R>(
+    expected: usize,
+    rules: impl IntoIterator<Item = R>,
+    matches: impl Fn(&R) -> &HeaderMatch,
+    own: impl Fn(R) -> Rule,
+) -> Vec<Rule> {
+    use std::collections::hash_map::{Entry, HashMap};
+    const END: u32 = u32::MAX;
+    let mut kept: Vec<Rule> = Vec::with_capacity(expected);
+    // Kept rule `i` is followed in its chain by kept rule `next[i]`.
+    let mut next: Vec<u32> = Vec::with_capacity(expected);
+    let mut untagged: u32 = END;
+    let mut tagged: HashMap<sdx_net::MacAddr, u32> = HashMap::with_capacity(expected);
+    let shadows = |kept: &[Rule], next: &[u32], mut at: u32, m: &HeaderMatch| {
+        while at != END {
+            if kept[at as usize].matches.subsumes(m) {
+                return true;
+            }
+            at = next[at as usize];
+        }
+        false
+    };
+    for r in rules {
+        let m = matches(&r);
+        if shadows(&kept, &next, untagged, m) {
+            continue;
+        }
+        let head = match m.dl_dst {
+            None => &mut untagged,
+            Some(tag) => match tagged.entry(tag) {
+                Entry::Occupied(chain) => chain.into_mut(),
+                Entry::Vacant(chain) => chain.insert(END),
+            },
+        };
+        if m.dl_dst.is_some() && shadows(&kept, &next, *head, m) {
+            continue;
+        }
+        next.push(*head);
+        *head = kept.len() as u32;
+        kept.push(own(r));
+    }
+    while kept.last().is_some_and(Rule::is_drop) {
+        kept.pop();
+    }
+    if !kept.last().is_some_and(|r| r.matches.is_wildcard()) {
+        kept.push(Rule::drop(HeaderMatch::any()));
+    }
+    kept
 }
 
 impl fmt::Display for Classifier {
@@ -413,10 +451,10 @@ mod tests {
         // Multicast to ports 2 and 3; stage 2 forwards only port-2 arrivals.
         let c1 = Classifier::from_rules(vec![Rule {
             matches: HeaderMatch::any(),
-            actions: vec![
+            actions: Arc::from([
                 Action::of(Mod::SetLoc(port(2))),
                 Action::of(Mod::SetLoc(port(3))),
-            ],
+            ]),
         }]);
         let c2 = Classifier::from_rules(vec![Rule::unicast(
             m(FieldMatch::InPort(port(2))),

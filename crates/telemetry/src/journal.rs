@@ -89,6 +89,24 @@ pub enum Event {
         /// End-to-end reoptimize latency, nanoseconds.
         latency_ns: u64,
     },
+    /// Why a pipeline run did the work it did: what had moved since the
+    /// previous run, and how much of each cached kind it therefore
+    /// recomputed and how much it served as it stood. Every pair is
+    /// `(recomputed, reused)`.
+    CompileExplained {
+        /// Prefixes the route server had marked dirty since the last run.
+        dirty_prefixes: usize,
+        /// Participants one of whose policies moved since the last run.
+        policy_dirty: usize,
+        /// Phase-A `(shard, viewer)` units.
+        units: (usize, usize),
+        /// Per-viewer pieces: FEC groups, VNH map, stage-1 rules.
+        viewer_pieces: (usize, usize),
+        /// Per-receiver stage-2 blocks.
+        receiver_blocks: (usize, usize),
+        /// Stage-1 segment compositions.
+        segments: (usize, usize),
+    },
     /// A transactional commit failed and was rolled back.
     TxnRolledBack {
         /// Which pipeline the transaction wrapped (`fastpath`/`reoptimize`).
@@ -172,6 +190,7 @@ impl Event {
             Event::UpdateWaveApplied { .. } => "update_wave_applied",
             Event::UpdateAborted { .. } => "update_aborted",
             Event::ReoptimizeCompleted { .. } => "reoptimize_completed",
+            Event::CompileExplained { .. } => "compile_explained",
             Event::TxnRolledBack { .. } => "txn_rolled_back",
             Event::FaultInjected { .. } => "fault_injected",
             Event::SessionEstablished { .. } => "session_established",
@@ -244,6 +263,26 @@ impl Event {
                 pairs.push(("rules".to_string(), Json::from(*rules)));
                 pairs.push(("groups".to_string(), Json::from(*groups)));
                 pairs.push(("latency_ns".to_string(), Json::from(*latency_ns)));
+            }
+            Event::CompileExplained {
+                dirty_prefixes,
+                policy_dirty,
+                units,
+                viewer_pieces,
+                receiver_blocks,
+                segments,
+            } => {
+                pairs.push(("dirty_prefixes".to_string(), Json::from(*dirty_prefixes)));
+                pairs.push(("policy_dirty".to_string(), Json::from(*policy_dirty)));
+                for (kind, (recomputed, reused)) in [
+                    ("units", units),
+                    ("viewer_pieces", viewer_pieces),
+                    ("receiver_blocks", receiver_blocks),
+                    ("segments", segments),
+                ] {
+                    pairs.push((format!("{kind}_recomputed"), Json::from(*recomputed)));
+                    pairs.push((format!("{kind}_reused"), Json::from(*reused)));
+                }
             }
             Event::TxnRolledBack { stage, error } => {
                 pairs.push(("stage".to_string(), Json::from(stage.as_str())));

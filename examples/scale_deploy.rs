@@ -1,13 +1,17 @@
 //! The scale curve, regenerated rather than remembered: deploy an exchange
 //! of ixp50's shape at any size, absorb one 1 024-prefix table dump and
-//! re-optimise, and report what that cost — seconds, peak memory, and how
-//! many advertisements the route server stored and examined against the
-//! `viewers × prefixes` a table per viewer would hold.
+//! re-optimise, then push four policy frames (an inbound steer installed
+//! and retracted, an outbound peering installed and retracted, by a
+//! policy-free participant), and report what that cost — seconds, peak
+//! memory, how many advertisements the route server stored and examined
+//! against the `viewers × prefixes` a table per viewer would hold, and how
+//! many compiled pieces each push rebuilt and how many it kept.
 //!
 //! Exits non-zero if the deployment examined more advertisements than it
-//! ended up storing (one base per prefix plus the per-viewer exceptions):
-//! the count that must not grow with the number of viewers. Nothing here
-//! is gated on the clock.
+//! ended up storing (one base per prefix plus the per-viewer exceptions),
+//! or if an inbound push rebuilt any viewer's piece or more than one
+//! receiver's block: the counts that must not grow with the exchange.
+//! Nothing here is gated on the clock.
 //!
 //! Run: `cargo run --release --example scale_deploy -- 300 15000 4000`
 //! (participants, prefixes, policy prefixes; default 50 3000 800 = ixp50).
@@ -18,7 +22,8 @@ use sdx::bgp::route_server::RouteServerEvent;
 use sdx::core::controller::SdxController;
 use sdx::ixp::policy_workload::{assign_policies, PolicyWorkloadParams};
 use sdx::ixp::topology::{build, TopologyParams};
-use sdx::net::Prefix;
+use sdx::net::{FieldMatch, ParticipantId, PortId, Prefix};
+use sdx::policy::{Policy, PolicyDelta};
 
 /// The process's peak resident set (`VmHWM`), in MiB.
 fn peak_rss_mib() -> f64 {
@@ -109,6 +114,61 @@ fn main() {
     let reoptimize_ms = t.elapsed().as_secs_f64() * 1e3;
     let reoptimize_examined = examined(&ctl) - before;
 
+    // Policy pushes by a policy-free participant, the benchmark's frames:
+    // an inbound steer installed and retracted, then an outbound
+    // application-specific peering installed and retracted. A push costs
+    // what it edits: the counts say which compiled pieces were rebuilt.
+    let editor = ctl
+        .compiler
+        .participants()
+        .values()
+        .filter(|c| c.outbound.is_none() && c.inbound.is_none())
+        .max_by_key(|c| (c.ports.len(), std::cmp::Reverse(c.id)))
+        .expect("a policy-free participant")
+        .clone();
+    let peer = *ctl
+        .compiler
+        .participants()
+        .keys()
+        .find(|&&p| p != editor.id)
+        .expect("another participant");
+    let last_port = editor.ports.last().expect("at least one port").index;
+    let steer = Policy::match_(FieldMatch::NwSrc(Prefix::new(
+        sdx::net::Ipv4Addr::new(77, 0, 0, 0),
+        8,
+    ))) >> Policy::fwd(PortId::Phys(editor.id, last_port));
+    let peering = Policy::match_(FieldMatch::TpDst(9_443)) >> Policy::fwd(PortId::Virt(peer));
+    let pieces = |ctl: &SdxController| -> [u64; 6] {
+        let count = |kind: &str, what: &str| {
+            let key = format!("compile.piece.{kind}.{what}.count");
+            ctl.telemetry.counter(&key).get()
+        };
+        [
+            count("viewer", "recomputed"),
+            count("viewer", "reused"),
+            count("receiver", "recomputed"),
+            count("receiver", "reused"),
+            count("segment", "recomputed"),
+            count("segment", "reused"),
+        ]
+    };
+    let mut push = |ctl: &mut SdxController, delta: PolicyDelta| -> (f64, [u64; 6]) {
+        let before = pieces(ctl);
+        let t = Instant::now();
+        ctl.apply_policy_delta(&delta, &mut fabric).expect("push");
+        let ms = t.elapsed().as_secs_f64() * 1e3;
+        let after = pieces(ctl);
+        (ms, std::array::from_fn(|i| after[i] - before[i]))
+    };
+    let id: ParticipantId = editor.id;
+    let (in_install_ms, in_install) = push(&mut ctl, PolicyDelta::new().install_inbound(id, steer));
+    let (in_retract_ms, in_retract) = push(&mut ctl, PolicyDelta::new().retract_inbound(id));
+    let (out_install_ms, out_install) =
+        push(&mut ctl, PolicyDelta::new().install_outbound(id, peering));
+    let (out_retract_ms, out_retract) = push(&mut ctl, PolicyDelta::new().retract_outbound(id));
+    let push_inbound_ms = (in_install_ms + in_retract_ms) / 2.0;
+    let push_outbound_ms = (out_install_ms + out_retract_ms) / 2.0;
+
     println!(
         "participants={participants} prefixes={} policy_prefixes={policy_prefixes} rules={rules}",
         ctl.rs.prefix_count()
@@ -125,6 +185,29 @@ fn main() {
         dumped.len(),
         peak_rss_mib()
     );
+    println!("push_inbound_ms={push_inbound_ms:.2} push_outbound_ms={push_outbound_ms:.2}");
+    for (what, p) in [
+        ("inbound_install", in_install),
+        ("inbound_retract", in_retract),
+        ("outbound_install", out_install),
+        ("outbound_retract", out_retract),
+    ] {
+        println!(
+            "push_{what}: viewer_pieces={}/{} receiver_blocks={}/{} segments={}/{} \
+             (recomputed/reused)",
+            p[0], p[1], p[2], p[3], p[4], p[5]
+        );
+    }
+    for p in [in_install, in_retract] {
+        if p[0] > 0 || p[2] > 1 {
+            eprintln!(
+                "an inbound push recomputed {} viewer piece(s) and {} receiver block(s): \
+                 it edits one receiver's block and nobody's groups",
+                p[0], p[2]
+            );
+            std::process::exit(1);
+        }
+    }
     if ratio > 1.0 {
         eprintln!(
             "the deploy examined {deploy_examined} advertisements to store {adverts}: \

@@ -21,7 +21,7 @@ use rand::{Rng, SeedableRng};
 use sdx::bgp::attrs::PathAttributes;
 use sdx::bgp::route_server::{communities, ExportPolicy, RouteServer, RouteServerEvent};
 use sdx::core::controller::SdxController;
-use sdx::core::ParticipantConfig;
+use sdx::core::{ParticipantConfig, VnhMap};
 use sdx::net::{FieldMatch, Ipv4Addr, ParticipantId, PortId, Prefix, PrefixTrie};
 use sdx::openflow::border_router::FibEntry;
 use sdx::openflow::fabric::Fabric;
@@ -113,12 +113,7 @@ mod model {
 
         /// The full reconcile: every prefix of the Loc-RIB and of the
         /// viewer's Adj-RIB-Out, to every viewer, under the report's map.
-        pub fn sync(
-            &mut self,
-            rs: &RouteServer,
-            fabric: &Fabric,
-            vnh_of: &BTreeMap<(ParticipantId, Prefix), Ipv4Addr>,
-        ) {
+        pub fn sync(&mut self, rs: &RouteServer, fabric: &Fabric, vnh_of: &VnhMap) {
             let all = rs.all_prefixes();
             for viewer in rs.participants() {
                 let advertised: Vec<Prefix> = self

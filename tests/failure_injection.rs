@@ -10,6 +10,7 @@ use sdx::bgp::wire;
 use sdx::core::controller::SdxController;
 use sdx::core::participant::ParticipantConfig;
 use sdx::core::vnh::VnhAllocator;
+use sdx::core::{FecId, FecKey};
 use sdx::ixp::testkit;
 use sdx::net::{ip, prefix, Asn, FieldMatch, Packet, ParticipantId, PortId, RouterId};
 use sdx::openflow::fabric::Fabric;
@@ -314,6 +315,80 @@ fn injected_commit_fault_rolls_back_torn_reoptimize() {
     ctl.reoptimize(&mut fabric).expect("recovers");
     assert_eq!(probe(&mut fabric, "20.0.0.1")[0].loc.participant(), pid(2));
     assert_eq!(probe(&mut fabric, "30.0.0.1")[0].loc.participant(), pid(2));
+}
+
+#[test]
+fn recompile_after_rollbacks_equals_a_cold_compile_on_the_restored_allocator() {
+    // A rolled-back transaction restores the allocator by value while the
+    // compiler keeps what it compiled — under ids the allocator may hand
+    // out differently next time. A steers web traffic to B; then B
+    // announces 30/8 and 40/8, C a better 40/8: the next compile has two
+    // groups to draw fresh ids for, {20/8, 30/8} via B and {40/8} via C.
+    let mut ctl = SdxController::new();
+    let a = ParticipantConfig::new(1, 65001, 1);
+    let b = ParticipantConfig::new(2, 65002, 1);
+    let c = ParticipantConfig::new(3, 65003, 1);
+    for cfg in [&a, &b, &c] {
+        ctl.add_participant(cfg.clone(), ExportPolicy::allow_all());
+    }
+    ctl.set_outbound(
+        pid(1),
+        Some(P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(2)))),
+    );
+    ctl.rs
+        .process_update(pid(2), &b.announce([prefix("20.0.0.0/8")], &[65002]));
+    let mut fabric = ctl.deploy().expect("deploy");
+    let fresh = [prefix("30.0.0.0/8"), prefix("40.0.0.0/8")];
+    ctl.rs
+        .process_update(pid(2), &b.announce(fresh, &[65002, 7, 7]));
+    ctl.rs
+        .process_update(pid(3), &c.announce([fresh[1]], &[65003]));
+
+    // The compile draws the two ids in group order and keeps its pieces
+    // under them; the commit is torn and rolled back, ids included.
+    let snap = fabric.clone();
+    ctl.faults = FaultPlan::seeded(3).fail_nth(InjectionPoint::FabricCommit, 1);
+    let err = ctl.reoptimize(&mut fabric).unwrap_err();
+    assert_eq!(err, SdxError::Injected(InjectionPoint::FabricCommit));
+    assert_eq!(fabric, snap);
+    // The fast path takes the same two ids; re-optimisation releases them
+    // in that order, so the free list now hands them out the other way
+    // round. A fault between reserving and committing them changes
+    // nothing.
+    let delta = ctl
+        .apply_changed_prefixes(&fresh, &mut fabric)
+        .expect("fast path");
+    assert_eq!(delta.arp_bindings.len(), 2);
+    let snap = fabric.clone();
+    ctl.faults = FaultPlan::seeded(3).fail_nth(InjectionPoint::VnhAlloc, 1);
+    let err = ctl.reoptimize(&mut fabric).unwrap_err();
+    assert_eq!(err, SdxError::Injected(InjectionPoint::VnhAlloc));
+    assert_eq!(fabric, snap);
+
+    // What a compiler that never compiled anything makes of this world on
+    // this allocator (the fast-path ids released, as staging does first).
+    let mut restored = ctl.vnh.clone();
+    for (_, vmac) in &delta.arp_bindings {
+        restored.release(FecId(vmac.fec_id().expect("a VMAC")));
+    }
+    let cold = sdx_oracle::cold_book(&ctl.compiler)
+        .compile_all(&ctl.rs.clone(), &mut restored)
+        .expect("cold compile");
+
+    ctl.faults = FaultPlan::disabled();
+    ctl.reoptimize(&mut fabric).expect("recovers");
+    let report = ctl.report.as_ref().expect("report");
+    assert_eq!(report.classifier, cold.classifier);
+    assert_eq!(report.groups, cold.groups);
+    assert_eq!(report.vnh_of, cold.vnh_of);
+    assert_eq!(report.arp_bindings, cold.arp_bindings);
+    let ids: Vec<FecId> = report.groups[&pid(1)].iter().map(|g| g.id).collect();
+    assert_eq!(ids, [FecId(3), FecId(2)], "drawn the other way round");
+    for g in report.groups.values().flatten() {
+        assert_eq!(ctl.vnh.id_of_key(&FecKey::of_group(g)), Some(g.id));
+    }
+    assert_eq!(probe(&mut fabric, "30.0.0.1")[0].loc.participant(), pid(2));
+    assert_eq!(probe(&mut fabric, "40.0.0.1")[0].loc.participant(), pid(2));
 }
 
 #[test]

@@ -93,10 +93,7 @@ fn untouched_prefixes_use_plain_route_server_path() {
     // server for it (§4.2's "we do not need to consider BGP prefixes that
     // retain their default behavior").
     let report = ctl.report.as_ref().expect("compiled");
-    assert!(!report
-        .vnh_of
-        .keys()
-        .any(|(_, p)| *p == prefix("50.0.0.0/8")));
+    assert!(!report.vnh_of.keys().any(|(_, p)| p == prefix("50.0.0.0/8")));
     let out = send_from_a(&mut fabric, "9.0.0.1", "50.0.0.1", 80);
     assert_eq!(out[0].loc, PortId::Phys(pid(4), 1));
 }

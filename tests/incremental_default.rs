@@ -7,9 +7,11 @@
 //! and each incremental result equals a cold one-shard compile of the
 //! same world ([`cold_compile`]) after canonical relabeling.
 
+use std::collections::BTreeSet;
+
 use sdx::core::controller::SdxController;
 use sdx::core::{canonicalize_report, CompileReport, VnhAllocator, DEFAULT_SHARDS};
-use sdx::net::{FieldMatch, PortId};
+use sdx::net::{FieldMatch, ParticipantId, PortId};
 use sdx::openflow::fabric::Fabric;
 use sdx::policy::{Policy as P, PolicyDelta};
 use sdx_oracle::cold_compile;
@@ -112,12 +114,13 @@ fn the_default_controller_recompiles_only_what_changed() {
 
     // One prefix re-announced with a longer path: one shard is dirty, and
     // at most that shard's unit of each viewer is recomputed.
-    let (&(_, moved), _) = ctl
+    let (_, moved) = ctl
         .report
         .as_ref()
         .expect("report")
         .vnh_of
-        .first_key_value()
+        .keys()
+        .next()
         .expect("ixp50 has policy-affected prefixes");
     let announcer = ctl.rs.loc_rib().candidates(moved)[0].source.participant;
     let cfg = ctl.compiler.participant(announcer).expect("enrolled");
@@ -136,4 +139,147 @@ fn the_default_controller_recompiles_only_what_changed() {
         "one prefix: {recomputed} units recomputed for {viewers} viewers"
     );
     assert_equals_cold_compile(&ctl, "one prefix");
+}
+
+/// The receivers `viewer`'s tagged traffic can arrive at, as far as the
+/// report shows them: its groups' default next hops.
+fn default_receivers(report: &CompileReport, viewer: ParticipantId) -> BTreeSet<ParticipantId> {
+    (report.groups.get(&viewer).into_iter().flatten())
+        .filter_map(|g| g.default_next_hop)
+        .collect()
+}
+
+#[test]
+fn a_policy_push_recomputes_only_the_pieces_it_edits() {
+    let (mut ctl, mut fabric) = deployed_ixp50();
+    let book = ctl.compiler.participants();
+    let participants = book.len();
+    let viewers: Vec<ParticipantId> = (book.values().filter(|c| c.outbound.is_some()))
+        .map(|c| c.id)
+        .collect();
+    let deployed = ctl.report.as_ref().expect("deployed").stats.pieces;
+    assert_eq!(
+        (
+            deployed.viewers.reused,
+            deployed.receivers.reused,
+            deployed.segments.reused
+        ),
+        (0, 0, 0),
+        "the deploy is the cold compile: every piece is stale"
+    );
+    assert_eq!(deployed.viewers.recomputed, viewers.len());
+    assert_eq!(deployed.receivers.recomputed, participants);
+    assert_eq!(
+        deployed.segments.recomputed,
+        2 * viewers.len() + participants
+    );
+
+    // A policy-free participant no outbound policy forwards to: the only
+    // stage-1 rules reaching it are group defaults and its own
+    // MAC-learning defaults.
+    let targeted: BTreeSet<ParticipantId> = (book.values())
+        .filter_map(|c| c.outbound.as_ref())
+        .flat_map(sdx::policy::analysis::fwd_targets)
+        .map(|port| port.participant())
+        .collect();
+    let editor = (book.values())
+        .filter(|c| c.outbound.is_none() && c.inbound.is_none() && !targeted.contains(&c.id))
+        .max_by_key(|c| ctl.rs.loc_rib().announced_count(c.id))
+        .expect("a policy-free participant nobody steers to")
+        .clone();
+    let defaulting = |report: &CompileReport| {
+        let to_editor = |v: &&ParticipantId| default_receivers(report, **v).contains(&editor.id);
+        viewers.iter().filter(to_editor).count()
+    };
+
+    // An inbound steer edits one receiver's block and nobody's groups.
+    let steer = P::match_(FieldMatch::NwSrc(sdx::net::prefix("77.0.0.0/8")))
+        >> P::fwd(PortId::Phys(editor.id, editor.ports[0].index));
+    for delta in [
+        PolicyDelta::new().install_inbound(editor.id, steer),
+        PolicyDelta::new().retract_inbound(editor.id),
+    ] {
+        let report = ctl.apply_policy_delta(&delta, &mut fabric).expect("push");
+        let pieces = report.stats.pieces;
+        assert_eq!(pieces.units.recomputed, 0, "inbound: phase A");
+        assert_eq!(
+            (pieces.viewers.recomputed, pieces.viewers.reused),
+            (0, viewers.len()),
+            "inbound: viewer pieces"
+        );
+        assert_eq!(
+            (pieces.receivers.recomputed, pieces.receivers.reused),
+            (1, participants - 1),
+            "inbound: receiver blocks"
+        );
+        // The segments forwarding to the editor: its MAC-learning
+        // defaults, and the defaults of each viewer a group of which
+        // follows BGP to it.
+        assert!(
+            defaulting(report) > 0,
+            "the editor is somebody's best route"
+        );
+        assert_eq!(
+            pieces.segments.recomputed,
+            1 + defaulting(report),
+            "inbound: segments"
+        );
+        assert_equals_cold_compile(&ctl, "inbound push");
+    }
+
+    // An outbound policy for the editor: its piece, the blocks of the
+    // receivers its tags can now arrive at, and nobody else's groups.
+    let target = (ctl.rs.participants())
+        .find(|&p| p != editor.id && ctl.rs.loc_rib().announced_count(p) > 20)
+        .expect("an announcer");
+    let peering = P::match_(FieldMatch::TpDst(9_443)) >> P::fwd(PortId::Virt(target));
+    let report = ctl
+        .apply_policy_delta(
+            &PolicyDelta::new().install_outbound(editor.id, peering),
+            &mut fabric,
+        )
+        .expect("outbound push");
+    let pieces = report.stats.pieces;
+    assert_eq!(
+        (pieces.viewers.recomputed, pieces.viewers.reused),
+        (1, viewers.len()),
+        "outbound install: viewer pieces"
+    );
+    let mut reached = default_receivers(report, editor.id);
+    reached.insert(target);
+    assert_eq!(
+        (pieces.receivers.recomputed, pieces.receivers.reused),
+        (reached.len(), participants - reached.len()),
+        "outbound install: receiver blocks"
+    );
+    assert_equals_cold_compile(&ctl, "outbound install");
+
+    let report = ctl
+        .apply_policy_delta(&PolicyDelta::new().retract_outbound(editor.id), &mut fabric)
+        .expect("outbound retract");
+    let pieces = report.stats.pieces;
+    assert_eq!(
+        (pieces.viewers.recomputed, pieces.viewers.reused),
+        (0, viewers.len()),
+        "outbound retract: the editor's piece is dropped, nobody's rebuilt"
+    );
+    assert_eq!(
+        pieces.receivers.recomputed,
+        reached.len(),
+        "outbound retract"
+    );
+    assert_equals_cold_compile(&ctl, "outbound retract");
+
+    // Nothing moved since: nothing is recomputed.
+    let idle = ctl.reoptimize(&mut fabric).expect("idle").stats.pieces;
+    assert_eq!(
+        [
+            idle.units.recomputed,
+            idle.viewers.recomputed,
+            idle.receivers.recomputed,
+            idle.segments.recomputed
+        ],
+        [0; 4],
+        "idle"
+    );
 }

@@ -251,7 +251,7 @@ fn remove_participant_with_live_overlays_deletes_deltas_and_recycles_vnhs() {
         .expect("report")
         .groups
         .values()
-        .map(Vec::len)
+        .map(|g| g.len())
         .sum();
     let capacity = VnhAllocator::new(VnhAllocator::default_pool()).remaining();
     assert_eq!(r.ctl.vnh.keyed_len(), live_groups);
@@ -357,7 +357,7 @@ fn single_prefix_churn_on_ixp50_patches_under_five_percent() {
     // (an empty patch would be correct); the best *participant* has to
     // flip for the classifier to depend on the update. Scan rewritten
     // pairs until a 1-hop announce from a non-incumbent wins.
-    let rewritten: Vec<_> = before.vnh_of.keys().copied().collect();
+    let rewritten: Vec<_> = before.vnh_of.keys().collect();
     let cfgs: Vec<_> = ctl.compiler.participants().values().cloned().collect();
     let mut changed = false;
     'scan: for (viewer, p) in rewritten {
@@ -395,7 +395,7 @@ fn single_prefix_churn_on_ixp50_patches_under_five_percent() {
     // Unchanged FEC groups keep their exact VNH and VMAC, and they are
     // the overwhelming majority.
     let after = ctl.report.as_ref().expect("report");
-    let total_after: usize = after.groups.values().map(Vec::len).sum();
+    let total_after: usize = after.groups.values().map(|g| g.len()).sum();
     let mut survivors = 0usize;
     for g in after.groups.values().flatten() {
         if let Some(&(vnh, vmac)) =

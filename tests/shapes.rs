@@ -119,7 +119,7 @@ fn fig9_shape_delta_rules_linear_in_burst() {
     }
     let mut vnh = VnhAllocator::default();
     let base = compiler.compile_all(&rs, &mut vnh).expect("compiles");
-    let mut affected: Vec<Prefix> = base.vnh_of.keys().map(|(_, p)| *p).collect();
+    let mut affected: Vec<Prefix> = base.vnh_of.keys().map(|(_, p)| p).collect();
     affected.sort();
     affected.dedup();
     assert!(affected.len() >= 40);
@@ -164,7 +164,7 @@ fn fig10_shape_fast_path_stays_sub_second() {
     }
     let mut vnh = VnhAllocator::default();
     let base = compiler.compile_all(&rs, &mut vnh).expect("compiles");
-    let affected: Vec<Prefix> = base.vnh_of.keys().map(|(_, p)| *p).take(16).collect();
+    let affected: Vec<Prefix> = base.vnh_of.keys().map(|(_, p)| p).take(16).collect();
     for p in affected {
         let d = compiler.fast_update(&rs, &mut vnh, p).expect("delta");
         assert!(

@@ -46,7 +46,7 @@ fn assert_equivalent(seed: u64, shards: usize, base: &CompileReport, sharded: &C
         base.classifier.rules().len(),
         "{what}: classifier size differs"
     );
-    let group_count = |r: &CompileReport| -> usize { r.groups.values().map(Vec::len).sum() };
+    let group_count = |r: &CompileReport| -> usize { r.groups.values().map(|g| g.len()).sum() };
     assert_eq!(
         group_count(sharded),
         group_count(base),
@@ -54,7 +54,7 @@ fn assert_equivalent(seed: u64, shards: usize, base: &CompileReport, sharded: &C
     );
     for (viewer, groups) in &base.groups {
         assert_eq!(
-            sharded.groups.get(viewer).map_or(0, Vec::len),
+            sharded.groups.get(viewer).map_or(0, |g| g.len()),
             groups.len(),
             "{what}: group count for viewer {viewer} differs"
         );
