@@ -1526,7 +1526,8 @@ mod tests {
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
         let pool = VnhAllocator::default_pool();
-        let mutations: Vec<(&str, Box<dyn Fn(&mut SdxCompiler)>)> = vec![
+        type Mutation = (&'static str, Box<dyn Fn(&mut SdxCompiler)>);
+        let mutations: Vec<Mutation> = vec![
             (
                 "narrow an existing outbound policy",
                 Box::new(|c: &mut SdxCompiler| {

@@ -2,7 +2,7 @@
 //!
 //! The paper characterizes one week (January 1–6, 2014) of RIPE RIS BGP
 //! updates at the three largest IXPs. These constants are the calibration
-//! targets for the synthetic generators; `repro_table1` regenerates the
+//! targets for the synthetic generators; `tests/table1.rs` regenerates the
 //! table from synthetic traces and checks the columns against these.
 
 /// Published statistics for one IXP dataset (Table 1).

@@ -11,7 +11,8 @@
 //! This is what makes re-optimization churn proportional to *change*
 //! rather than to table size: a one-prefix BGP event becomes a handful
 //! of mods, not a table rewrite, and the per-batch [`BatchStats`] are
-//! the churn currency the telemetry layer and `repro_rule_churn` report.
+//! the churn currency the telemetry layer reports and the rule-churn
+//! tests bound.
 
 use core::fmt;
 

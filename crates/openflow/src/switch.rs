@@ -71,44 +71,6 @@ impl Switch {
         }
         out
     }
-
-    /// Processes a batch of packets; deliveries are concatenated in input
-    /// order. Semantically identical to calling [`process`](Self::process)
-    /// per packet (same hairpin suppression and per-packet output dedup,
-    /// same counters) but amortized: one classification pass over the
-    /// shared table, no per-packet bucket cloning, and per-entry counter
-    /// updates aggregated once per batch.
-    pub fn process_batch(&mut self, inputs: &[LocatedPacket]) -> Vec<LocatedPacket> {
-        let mut out = Vec::with_capacity(inputs.len());
-        let mut misses = 0u64;
-        let mut agg: std::collections::BTreeMap<usize, (u64, u64)> =
-            std::collections::BTreeMap::new();
-        for lp in inputs {
-            let Some((idx, entry)) = self.table.classify(lp) else {
-                misses += 1;
-                continue;
-            };
-            let slot = agg.entry(idx).or_insert((0, 0));
-            slot.0 += 1;
-            slot.1 += lp.pkt.payload_len as u64;
-            let start = out.len();
-            for bucket in &entry.buckets {
-                let mut copy = *lp;
-                for m in bucket {
-                    m.apply(&mut copy);
-                }
-                // Dedup within this packet's own outputs, as `process` does.
-                if copy.loc != lp.loc && !out[start..].contains(&copy) {
-                    out.push(copy);
-                }
-            }
-        }
-        self.miss_count += misses;
-        for (idx, (pkts, bytes)) in agg {
-            self.table.credit(idx, pkts, bytes);
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -180,32 +142,6 @@ mod tests {
         assert_eq!(out[0].pkt.nw_dst, ip("9.9.9.9"));
         // Second bucket must see the ORIGINAL packet (group semantics).
         assert_eq!(out[1].pkt.nw_dst, ip("20.0.0.1"));
-    }
-
-    #[test]
-    fn process_batch_equals_sequential_process() {
-        let build = || {
-            let mut sw = Switch::new();
-            sw.install(FlowEntry::new(
-                10,
-                HeaderMatch::of(FieldMatch::TpDst(80)),
-                vec![vec![Mod::SetLoc(port(2))], vec![Mod::SetLoc(port(3))]],
-            ));
-            sw.install(FlowEntry::new(
-                5,
-                HeaderMatch::of(FieldMatch::TpDst(22)),
-                vec![vec![Mod::SetLoc(port(1))]], // hairpin: suppressed
-            ));
-            sw
-        };
-        let batch: Vec<LocatedPacket> = [80, 22, 443, 80, 80, 22].iter().map(|&d| pkt(d)).collect();
-        let mut seq = build();
-        let expect: Vec<LocatedPacket> = batch.iter().flat_map(|lp| seq.process(*lp)).collect();
-        let mut bat = build();
-        let got = bat.process_batch(&batch);
-        assert_eq!(got, expect, "same deliveries in the same order");
-        assert_eq!(bat.miss_count, seq.miss_count);
-        assert_eq!(bat, seq, "identical counters after aggregation");
     }
 
     #[test]

@@ -372,7 +372,8 @@ impl FlowTable {
     }
 
     /// Shape and hit-distribution snapshot of the compiled matcher (for
-    /// the `dataplane.matcher.*` telemetry gauges and the Mpps bench).
+    /// the `dataplane.matcher.*` telemetry gauges and the benchmark's
+    /// `openflow.matcher.*` rows).
     pub fn matcher_stats(&self) -> MatcherStats {
         self.matcher.stats()
     }
@@ -458,47 +459,12 @@ impl FlowTable {
     /// The reference semantics: a priority-ordered linear first-match walk
     /// over the whole table. [`classify`](Self::classify) must agree with
     /// this index-for-index; it exists as the differential baseline (and
-    /// the linear leg of the Mpps bench).
+    /// the benchmark's `classify_linear_ns` leg).
     pub fn classify_linear(&self, lp: &LocatedPacket) -> Option<(usize, &FlowEntry)> {
         self.entries
             .iter()
             .enumerate()
             .find(|(_, e)| e.pattern.matches(lp))
-    }
-
-    /// Classifies a batch without touching counters: one entry index (or
-    /// `None` for a miss) per input packet, in order.
-    pub fn classify_batch(&self, lps: &[LocatedPacket]) -> Vec<Option<usize>> {
-        lps.iter().map(|lp| Some(self.classify(lp)?.0)).collect()
-    }
-
-    /// Batched [`lookup`](Self::lookup): classifies every packet, then
-    /// applies per-entry counter updates **aggregated per batch** — one
-    /// read-modify-write per distinct entry instead of one per packet.
-    pub fn lookup_batch(&mut self, lps: &[LocatedPacket]) -> Vec<Option<usize>> {
-        let hits = self.classify_batch(lps);
-        let mut agg: BTreeMap<usize, (u64, u64)> = BTreeMap::new();
-        for (lp, hit) in lps.iter().zip(&hits) {
-            if let Some(i) = hit {
-                let slot = agg.entry(*i).or_insert((0, 0));
-                slot.0 += 1;
-                slot.1 += lp.pkt.payload_len as u64;
-            }
-        }
-        for (i, (pkts, bytes)) in agg {
-            let e = &mut self.entries[i];
-            e.packet_count += pkts;
-            e.byte_count += bytes;
-        }
-        hits
-    }
-
-    /// Credits traffic counters on the entry at `idx` — the aggregation
-    /// sink for [`Switch::process_batch`](crate::switch::Switch::process_batch).
-    pub(crate) fn credit(&mut self, idx: usize, pkts: u64, bytes: u64) {
-        let e = &mut self.entries[idx];
-        e.packet_count += pkts;
-        e.byte_count += bytes;
     }
 
     /// Applies `entry`'s buckets to `lp`: one output packet per bucket,
@@ -815,45 +781,5 @@ mod tests {
         agree(&t);
         t.clear();
         agree(&t);
-    }
-
-    #[test]
-    fn batch_lookup_matches_sequential_and_aggregates_counters() {
-        let mk = || {
-            let mut t = FlowTable::new();
-            t.install(FlowEntry::new(
-                10,
-                HeaderMatch::of(FieldMatch::TpDst(80)),
-                vec![vec![Mod::SetLoc(port(2))]],
-            ));
-            t.install(FlowEntry::new(
-                1,
-                HeaderMatch::any(),
-                vec![vec![Mod::SetLoc(port(9))]],
-            ));
-            t
-        };
-        let mut batch = Vec::new();
-        for i in 0..6u16 {
-            let mut lp = web(port(1));
-            lp.pkt.tp_dst = if i % 3 == 0 { 443 } else { 80 };
-            batch.push(lp);
-        }
-        let mut seq = mk();
-        for lp in &batch {
-            seq.lookup(lp);
-        }
-        let mut bat = mk();
-        let hits = bat.lookup_batch(&batch);
-        assert_eq!(
-            hits,
-            batch
-                .iter()
-                .map(|lp| seq.classify(lp).map(|(i, _)| i))
-                .collect::<Vec<_>>()
-        );
-        assert_eq!(seq, bat, "aggregated counters must equal sequential");
-        assert_eq!(bat.entries()[0].packet_count, 4);
-        assert_eq!(bat.entries()[1].packet_count, 2);
     }
 }

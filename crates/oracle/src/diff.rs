@@ -154,9 +154,10 @@ impl fmt::Display for SmokeStats {
     }
 }
 
-/// The deterministic smoke sweep CI runs: `exchanges` random IXPs from
-/// consecutive seeds starting at `seed`, `packets_per` probes each,
-/// differentially checked. Returns counts or the first mismatch.
+/// The deterministic smoke sweep (pinned at seed 42 in the differential
+/// suite): `exchanges` random IXPs from consecutive seeds starting at
+/// `seed`, `packets_per` probes each, differentially checked. Returns
+/// counts or the first mismatch.
 pub fn run_smoke(
     seed: u64,
     exchanges: usize,

@@ -113,8 +113,9 @@ impl UpdateVerifier {
         Ok(())
     }
 
-    /// Counts, without failing, how many probes a table violates — the
-    /// measurement the unordered-ablation bench reports.
+    /// Counts, without failing, how many probes a table violates — what
+    /// the update-safety suite sums over scheduled waves and over the
+    /// same mods applied unordered.
     pub fn count_violations(
         &self,
         compiler: &SdxCompiler,

@@ -23,6 +23,7 @@ use sdx_core::vnh::VnhAllocator;
 use sdx_core::SdxCompiler;
 use sdx_ixp::testkit;
 use sdx_net::{Ipv4Addr, Packet, ParticipantId, PortId};
+use sdx_oracle::diff::run_smoke;
 use sdx_oracle::{synth, Differential, Outcome};
 use sdx_telemetry::{Event, Registry};
 
@@ -155,6 +156,18 @@ fn deployed_fabric_agrees_with_the_oracle_verdict() {
     }
     assert!(delivered > 0);
     assert_eq!(fabric.stuck_at_virtual, 0);
+}
+
+#[test]
+fn pinned_smoke_sweep_agrees_and_sees_both_verdicts() {
+    // The fixed-seed sweep: 40 random exchanges from seed 42, 6 probes
+    // each. A red run reproduces bit for bit from the seed.
+    let stats = run_smoke(42, 40, 6).unwrap_or_else(|m| panic!("{m}"));
+    assert!(stats.packets >= 200, "sweep too small: {stats}");
+    assert!(
+        stats.delivers > 0 && stats.drops > 0,
+        "a healthy sweep exercises both verdicts: {stats}"
+    );
 }
 
 #[test]

@@ -9,8 +9,13 @@
 use sdx_bgp::route_server::ExportPolicy;
 use sdx_core::controller::SdxController;
 use sdx_core::participant::ParticipantConfig;
-use sdx_net::{prefix, FieldMatch, ParticipantId, PortId};
-use sdx_oracle::{synth, Differential, FabricEvaluator};
+use sdx_core::schedule::ScheduleOpts;
+use sdx_ixp::policy_workload::{assign_policies, PolicyWorkloadParams};
+use sdx_ixp::topology::{build, TopologyParams};
+use sdx_ixp::updates::{self, TraceParams, UpdateBurst};
+use sdx_net::{prefix, FieldMatch, Ipv4Addr, Packet, ParticipantId, PortId, Prefix};
+use sdx_openflow::Fabric;
+use sdx_oracle::{synth, Differential, FabricEvaluator, Outcome};
 use sdx_policy::{Policy as P, PolicyDelta};
 
 fn pid(n: u32) -> ParticipantId {
@@ -130,4 +135,196 @@ fn policy_deltas_patch_to_the_from_scratch_table() {
             }
         }
     }
+}
+
+/// The agreed (spec == fabric model) verdict of one probe against the
+/// deployed table.
+fn agreed(ctl: &SdxController, fabric: &Fabric, from: PortId, pkt: &Packet) -> Outcome {
+    let report = ctl.report.as_ref().expect("compiled");
+    Differential::over_table(&ctl.compiler, &ctl.rs, report, fabric.switch.table())
+        .check(from, pkt)
+        .unwrap_or_else(|m| panic!("oracle mismatch on a targeted probe: {m}"))
+}
+
+#[test]
+fn ddos_mitigation_mid_churn_is_a_small_patch_with_every_effect_in_place() {
+    // §2's remote drop / upstream blocking on a 50-participant exchange in
+    // the middle of an update trace: the victim pushes one PolicyDelta (an
+    // inbound clause steering the attack's source half to its scrub port)
+    // and an export deny hiding its prefix from three attackers, staged
+    // together and committed through scheduled waves.
+    let mut ixp = build(&TopologyParams {
+        participants: 50,
+        prefixes: 800,
+        seed: 17,
+        ..Default::default()
+    });
+    assign_policies(
+        &mut ixp,
+        &PolicyWorkloadParams {
+            policy_prefixes: 200,
+            seed: 17 * 31 + 7,
+            ..Default::default()
+        },
+    );
+    let trace = updates::generate(
+        &ixp,
+        &TraceParams {
+            duration_secs: 60,
+            seed: 18,
+            ..Default::default()
+        },
+    );
+    let mut ctl = SdxController::new();
+    for p in &ixp.participants {
+        ctl.compiler.upsert_participant(p.clone());
+    }
+    ctl.rs = ixp.route_server();
+
+    // The victim: the smallest announcer with a second (scrub) port. It
+    // announces the attacked /16 itself, outside the synthetic universe,
+    // so it is the sole announcer and the export deny is a true block.
+    let (victim, scrub_port) = (ixp.participants.iter().zip(&ixp.announcements))
+        .filter(|(cfg, _)| cfg.ports.len() >= 2)
+        .min_by_key(|(_, ann)| ann.len())
+        .map(|(cfg, _)| (cfg.id, cfg.ports[1].index))
+        .expect("a multi-port participant");
+    let victim_prefix = Prefix::new(Ipv4Addr::new(66, 66, 0, 0), 16);
+    let vcfg = ctl.compiler.participant(victim).expect("victim").clone();
+    ctl.rs.process_update(
+        victim,
+        &vcfg.announce([victim_prefix], &[65_000 + victim.0, 777]),
+    );
+    let mut fabric = ctl.deploy().expect("deploys");
+
+    let others: Vec<ParticipantId> = (ctl.compiler.participants().keys().copied())
+        .filter(|&p| p != victim)
+        .collect();
+    let (attackers, bystander) = (&others[..3], others[3]);
+    let entry = |id: ParticipantId| {
+        PortId::Phys(
+            id,
+            ctl.compiler.participant(id).expect("registered").ports[0].index,
+        )
+    };
+    let (attack_from, bystander_from) = (entry(attackers[0]), entry(bystander));
+    // dport 9999 stays clear of the workload's port-keyed policies, so
+    // before the push the attack follows the plain best route.
+    let attack_dst = Ipv4Addr(victim_prefix.addr().0 + 9);
+    let attack = Packet::tcp(Ipv4Addr::new(200, 66, 6, 6), attack_dst, 4321, 9999);
+
+    let split = trace.bursts.len() / 2;
+    let replay = |ctl: &mut SdxController, fabric: &mut Fabric, bursts: &[UpdateBurst]| {
+        for burst in bursts {
+            for (from, msg) in &burst.updates {
+                ctl.rs.process_update(*from, msg);
+            }
+            ctl.reoptimize(fabric).expect("burst reoptimize");
+        }
+    };
+    replay(&mut ctl, &mut fabric, &trace.bursts[..split]);
+    match agreed(&ctl, &fabric, attack_from, &attack) {
+        Outcome::Deliver { port, .. } => assert_eq!(port.participant(), victim),
+        other => panic!("before the push the attack must reach the victim, got {other:?}"),
+    }
+
+    let counter = |ctl: &SdxController, key: &str| ctl.telemetry.counter(key).get();
+    let table_before = fabric.switch.table().len();
+    let dirty_before = counter(&ctl, "policy.dirty_units.count");
+    let scrub = P::match_(FieldMatch::NwSrc(prefix("128.0.0.0/1")))
+        >> P::fwd(PortId::Phys(victim, scrub_port));
+    let mut export = ExportPolicy::allow_all();
+    for p in ctl.rs.loc_rib().announced_by(victim).collect::<Vec<_>>() {
+        for &a in attackers {
+            export.deny(a, p);
+        }
+    }
+    ctl.rs.set_export_policy(victim, export);
+    ctl.stage_policy_delta(&PolicyDelta::new().replace_inbound(victim, scrub))
+        .expect("mitigation stages");
+    let prepared = ctl
+        .prepare_scheduled(&mut fabric)
+        .expect("mitigation compiles");
+    let sched = ctl
+        .commit_scheduled(&mut fabric, prepared, &ScheduleOpts::default(), None)
+        .expect("mitigation waves commit");
+
+    // A one-participant push is a handful of units and flow-mods, not a
+    // table swap (delete every old rule, install every new one).
+    let flow_mods: usize = sched.applied.iter().map(|w| w.mods).sum();
+    let naive_swap = table_before + fabric.switch.table().len();
+    assert!(
+        flow_mods * 4 < naive_swap,
+        "mitigation cost {flow_mods} flow-mods against a {naive_swap}-mod swap"
+    );
+    let dirtied = counter(&ctl, "policy.dirty_units.count") - dirty_before;
+    assert!(
+        dirtied <= 8,
+        "one participant's push dirtied {dirtied} units"
+    );
+    assert!(
+        counter(&ctl, "policy.applied.count") >= 1,
+        "mitigation never counted as applied"
+    );
+
+    assert_eq!(
+        agreed(&ctl, &fabric, attack_from, &attack),
+        Outcome::Drop,
+        "attack not dropped"
+    );
+    match agreed(&ctl, &fabric, bystander_from, &attack) {
+        Outcome::Deliver { port, .. } => assert_eq!(
+            port,
+            PortId::Phys(victim, scrub_port),
+            "scrubbed traffic must leave by the scrub port"
+        ),
+        other => panic!("scrubbed traffic must be delivered, got {other:?}"),
+    }
+    let clean = Packet::tcp(Ipv4Addr::new(9, 0, 0, 1), attack_dst, 4321, 9999);
+    assert!(
+        matches!(
+            agreed(&ctl, &fabric, bystander_from, &clean),
+            Outcome::Deliver { .. }
+        ),
+        "a bystander's low-half traffic must keep flowing"
+    );
+
+    // The patched table agrees with the spec interpreter on sampled
+    // probes, and forwards them like a cold controller with the same book.
+    let probes = synth::sample_probes(&ctl.compiler, &ctl.rs, 17, 300);
+    assert!(probes.len() >= 100);
+    let report = ctl.report.as_ref().expect("compiled");
+    let delivered = Differential::over_table(&ctl.compiler, &ctl.rs, report, fabric.switch.table())
+        .check_all(&probes)
+        .unwrap_or_else(|m| panic!("post-mitigation oracle mismatch: {m}"));
+    assert!(delivered > 0, "probe sample vacuous");
+    let mut cold = SdxController::new();
+    for cfg in ctl.compiler.participants().values() {
+        cold.compiler.upsert_participant(cfg.clone());
+    }
+    cold.rs = ctl.rs.clone();
+    let mut cold_fabric = cold.deploy().expect("cold deploy");
+    for (from, pkt) in &probes {
+        let warm: Vec<_> = fabric
+            .send(*from, *pkt)
+            .iter()
+            .map(|d| (d.loc, d.pkt))
+            .collect();
+        let scratch: Vec<_> = cold_fabric
+            .send(*from, *pkt)
+            .iter()
+            .map(|d| (d.loc, d.pkt))
+            .collect();
+        assert_eq!(
+            warm, scratch,
+            "patched table diverged from scratch for {pkt:?} in at {from}"
+        );
+    }
+
+    replay(&mut ctl, &mut fabric, &trace.bursts[split..]);
+    assert_eq!(
+        agreed(&ctl, &fabric, attack_from, &attack),
+        Outcome::Drop,
+        "the mitigation must survive continued churn"
+    );
 }

@@ -1,7 +1,7 @@
 //! `sdxd`: the event-driven SDX daemon.
 //!
 //! This module turns the in-process controller stack into a long-running
-//! process speaking three plain-TCP endpoints on loopback:
+//! process speaking four plain-TCP endpoints on loopback:
 //!
 //! * **BGP** — participants' border routers connect and run real BGP
 //!   sessions: wire-framed OPEN/KEEPALIVE/UPDATE/NOTIFICATION over
@@ -15,6 +15,9 @@
 //!   the PR 6 per-wave barrier held across the whole fleet.
 //! * **Telemetry** — any connection receives one JSON dump of the
 //!   metrics registry + journal and is closed: `nc host port | jq`.
+//! * **Policy** — participants push JSON-line policy frames (DSL
+//!   bodies, [`codec::decode_policy_frame`]) and read one ack line back
+//!   per frame.
 //!
 //! ## Threading model
 //!
@@ -31,16 +34,18 @@
 //! updates fold into **one** delta compile over the union of their
 //! changed prefixes (journalled as `burst_coalesced`). Under overload
 //! the queue grows, bursts get bigger, and the coalescing ratio — not
-//! the latency tail — absorbs the load; `repro_daemon_load` measures
-//! exactly this.
+//! the latency tail — absorbs the load.
 //!
 //! ## Shutdown
 //!
 //! [`DaemonHandle::stop`] sets the stop flag and enqueues a final
-//! input. The loop drains a bounded number of already-queued updates,
-//! flushes them through one last compile, waits out every OpenFlow
-//! barrier (a wave in flight always reaches its barrier — never
-//! mid-wave), journals `daemon_stopped`, and joins the service threads.
+//! input. The loop drains a bounded number of already-queued updates
+//! and policy frames (each frame acked), flushes them through one last
+//! compile, waits out every OpenFlow barrier (a wave in flight always
+//! reaches its barrier — never mid-wave), journals `daemon_stopped`,
+//! and shuts the BGP sessions and switch channels down. Readers wake on
+//! a read timeout, see the stop flag and drop their connections, so a
+//! connected policy client reads EOF after its last ack.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::io::Write;
@@ -161,8 +166,8 @@ impl DaemonHandle {
 }
 
 /// Starts a daemon around `ctl` with the system clock. Deploys the
-/// controller, binds the three loopback endpoints, and spawns the
-/// service threads; returns once all three listeners are live.
+/// controller, binds the four loopback endpoints, and spawns the
+/// service threads; returns once all four listeners are live.
 pub fn start(ctl: SdxController, cfg: DaemonConfig) -> std::io::Result<DaemonHandle> {
     start_with_clock(ctl, cfg, Arc::new(SystemClock::new()))
 }
@@ -435,7 +440,10 @@ const MAX_POLICY_LINE: usize = 1 << 20;
 /// Per-connection policy reader: forwards each line with a writer clone
 /// so the event loop can ack after staging (or nack with the typed
 /// rejection). A line longer than [`MAX_POLICY_LINE`] is never buffered
-/// whole: it earns a seq-0 nack and the connection is closed.
+/// whole: it earns a seq-0 nack and the connection is closed. Like the
+/// BGP reader it wakes on a read timeout to see the stop flag, so a
+/// stopped daemon lets go of the connection and the client reads EOF
+/// once the event loop has written its last ack.
 fn spawn_policy_reader(
     stream: TcpStream,
     tx: Sender<Input>,
@@ -447,17 +455,27 @@ fn spawn_policy_reader(
             Ok(s) => s,
             Err(_) => return,
         };
+        let _ = reader.set_read_timeout(Some(Duration::from_millis(50)));
         let mut lines = std::io::BufReader::new(reader);
         let mut buf: Vec<u8> = Vec::new();
         loop {
             if stop.load(Ordering::SeqCst) {
                 return;
             }
-            buf.clear();
-            let mut bounded = std::io::Read::take(&mut lines, MAX_POLICY_LINE as u64 + 1);
+            // A timeout keeps the part of the line read so far in `buf`;
+            // the next read appends to it, and EOF forwards what is left.
+            let room = (MAX_POLICY_LINE + 1 - buf.len()) as u64;
+            let mut bounded = std::io::Read::take(&mut lines, room);
             match std::io::BufRead::read_until(&mut bounded, b'\n', &mut buf) {
-                Ok(0) | Err(_) => return,
+                Ok(0) if buf.is_empty() => return,
                 Ok(_) => {}
+                Err(e)
+                    if e.kind() == std::io::ErrorKind::WouldBlock
+                        || e.kind() == std::io::ErrorKind::TimedOut =>
+                {
+                    continue;
+                }
+                Err(_) => return,
             }
             if buf.len() > MAX_POLICY_LINE && !buf.ends_with(b"\n") {
                 write_policy_ack(&stream, 0, Err("policy frame line too long"));
@@ -466,8 +484,8 @@ fn spawn_policy_reader(
             }
             // Not UTF-8 is one more way of not being a frame: the decoder
             // nacks it like any other garbage.
-            let line = String::from_utf8_lossy(&buf);
-            let line = line.trim();
+            let line = String::from_utf8_lossy(&buf).trim().to_string();
+            buf.clear();
             if line.is_empty() {
                 continue;
             }
@@ -475,13 +493,7 @@ fn spawn_policy_reader(
                 return;
             };
             read.inc();
-            if tx
-                .send(Input::PolicyFrame {
-                    line: line.to_string(),
-                    writer,
-                })
-                .is_err()
-            {
+            if tx.send(Input::PolicyFrame { line, writer }).is_err() {
                 return;
             }
         }
@@ -1068,20 +1080,23 @@ impl EventLoop {
         self.publish_matcher_stats();
     }
 
-    /// Bounded shutdown drain: flush what is already queued (never
-    /// abandoning an in-flight wave short of its barrier), then let
-    /// `run` journal `daemon_stopped`.
+    /// Bounded shutdown drain: flush what is already queued — route
+    /// updates and policy frames, each frame acked — through one last
+    /// pass (never abandoning an in-flight wave short of its barrier),
+    /// then let `run` journal `daemon_stopped`.
     fn shutdown_drain(&mut self) {
         let mut msgs: Vec<(ConnId, BgpMessage, Instant)> = Vec::new();
-        while msgs.len() < self.cfg.drain_max {
+        let mut frames: Vec<(String, TcpStream)> = Vec::new();
+        while msgs.len() + frames.len() < self.cfg.drain_max {
             match self.rx.try_recv() {
                 Ok(Input::PeerMsg { conn, msg, at }) => msgs.push((conn, msg, at)),
+                Ok(Input::PolicyFrame { line, writer }) => frames.push((line, writer)),
                 Ok(_) => continue, // connects/reoptimizes are moot now
                 Err(_) => break,
             }
         }
-        if !msgs.is_empty() {
-            self.handle_burst(msgs, Vec::new());
+        if !msgs.is_empty() || !frames.is_empty() {
+            self.handle_burst(msgs, frames);
         }
         // Every queued frame reaches its barrier before we exit.
         self.barrier_all(Vec::new());

@@ -3,15 +3,16 @@
 //! Everything below the controller in this workspace is a library; this
 //! crate makes it a *process*. A std-only, dependency-free runtime
 //! (structured thread-per-connection with bounded channels) exposes the
-//! SDX over three plain-TCP loopback endpoints:
+//! SDX over four plain-TCP loopback endpoints (BGP, OpenFlow, policy,
+//! telemetry):
 //!
 //! * [`daemon`] — the event loop: real BGP sessions framed by
 //!   `sdx_bgp::wire` over arbitrary TCP segmentation, socket-liveness
 //!   session supervision (keepalives, hold timers, flap damping on TCP
-//!   resets), burst coalescing of pending recompiles, the scheduled
-//!   update path fanned out over switch channels, graceful drain on
-//!   shutdown, and a telemetry endpoint serving the registry + journal
-//!   as JSON.
+//!   resets), burst coalescing of pending recompiles, acked policy
+//!   frames, the scheduled update path fanned out over switch channels,
+//!   graceful drain on shutdown, and a telemetry endpoint serving the
+//!   registry + journal as JSON.
 //! * [`channel`] — per-switch OpenFlow channels: bounded send queues
 //!   with explicit backpressure, ack barriers, the [`ChannelSink`]
 //!   adapter that holds the PR 6 per-wave barrier across the whole
@@ -20,9 +21,9 @@
 //!   protocol, shared verbatim by daemon and agent.
 //!
 //! The `sdxd` binary wraps [`daemon::start`] around the paper's
-//! Figure 1 exchange; `repro_daemon_load` (in `sdx-bench`) drives a
-//! daemon with loopback load generators and reports updates/sec,
-//! coalescing ratio, queue depths, and update→flow-mod latency.
+//! Figure 1 exchange; the repository's `benchmark/` package drives a
+//! daemon over loopback and reports update→last-ack latency and
+//! throughput.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -571,6 +571,39 @@ fn a_policy_line_that_never_ends_is_cut_off_not_buffered() {
 }
 
 #[test]
+fn a_stopped_daemon_hangs_up_on_its_policy_clients() {
+    // After `stop()` returns nothing is left to answer a policy client, so
+    // the connection must close: the client's next read is EOF, after the
+    // ack of every frame the daemon read. The read timeout only keeps a
+    // regression from hanging the suite; the assertion is on EOF.
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
+    let stream = TcpStream::connect(handle.policy_addr).expect("policy endpoint");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("timeout");
+    let mut r = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = BufWriter::new(stream);
+    let frame = codec::encode_policy_frame(
+        3,
+        &[codec::PolicyOpFrame::replace(
+            pid(1),
+            PolicyScope::Outbound,
+            "match(dstport=443) >> fwd(B)",
+        )],
+    );
+    assert_eq!(policy_roundtrip(&mut w, &mut r, &frame), (3, Ok(())));
+
+    let report = handle.stop();
+    assert_eq!(report.policy_frames, 1);
+    let mut rest = String::new();
+    match r.read_line(&mut rest) {
+        Ok(0) => {}
+        Ok(_) => panic!("unexpected line after the last ack: {rest:?}"),
+        Err(e) => panic!("the stopped daemon kept the policy connection open: {e}"),
+    }
+}
+
+#[test]
 fn policy_frame_coalesces_with_a_route_burst() {
     // A policy frame arriving while the event loop is pinned at an agent's
     // ack barrier must fold into the same compile as the queued route
@@ -821,8 +854,10 @@ fn sharded_daemon_is_oracle_identical_and_publishes_shard_telemetry() {
 #[test]
 fn hold_timer_expiry_and_tcp_reset_flaps_are_supervised() {
     let clock = MockClock::new();
-    let mut cfg = DaemonConfig::default();
-    cfg.tick_ms = 10;
+    let cfg = DaemonConfig {
+        tick_ms: 10,
+        ..DaemonConfig::default()
+    };
     let handle =
         daemon::start_with_clock(figure1_empty_rib(), cfg, Arc::new(clock.clone())).expect("start");
     let reg = handle.telemetry().clone();

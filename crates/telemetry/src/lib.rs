@@ -22,8 +22,8 @@
 //!   failure-injection tests can assert on *sequences*, not just end
 //!   states.
 //! * [`snapshot`] — [`MetricsSnapshot`], a JSON-serializable point-in-
-//!   time image of a registry (metrics + journal), the payload behind
-//!   every `repro_*` binary's `--json` output.
+//!   time image of a registry (metrics + journal), the payload the
+//!   daemon's telemetry endpoint serves.
 //! * [`json`] — a dependency-free JSON document model ([`Json`]) with an
 //!   emitter and strict parser, so this crate (which sits below every
 //!   other workspace crate, fabric included) stays free of external

@@ -1,10 +1,9 @@
 //! Serializable point-in-time images of a registry.
 //!
 //! [`MetricsSnapshot`] is the machine-readable contract between the
-//! runtime and everything downstream of it: the `repro_*` bench binaries
-//! write one (under the `metrics` key of their `--json` output), CI
-//! validates one, and `CompileReport::metrics_snapshot()` derives one
-//! from a single pipeline run. It is plain data — `BTreeMap`s and the
+//! runtime and everything downstream of it: the daemon's telemetry
+//! endpoint serves one, and `CompileReport::metrics_snapshot()` derives
+//! one from a single pipeline run. It is plain data — `BTreeMap`s and the
 //! journal's retained entries — so it serializes deterministically
 //! (sorted keys) through [`to_json`](MetricsSnapshot::to_json).
 

@@ -6,7 +6,8 @@
 //!
 //! * re-optimization **patches** the deployed table (flow-mod churn
 //!   proportional to the BGP change, not to table size — the 50-party
-//!   fixture must stay under 5% on a single-prefix best-route change);
+//!   fixture must stay under 5% on a single-prefix best-route change, and
+//!   seeded incumbent withdrawals under 1/15 of it in the median);
 //! * unchanged FEC groups keep their **exact** VNH and VMAC across
 //!   recompilations (content-addressed identity);
 //! * ARP invalidation is **selective**: an unaffected router's cache
@@ -412,5 +413,71 @@ fn single_prefix_churn_on_ixp50_patches_under_five_percent() {
     assert!(
         survivors * 10 >= total_after * 9,
         "single-prefix churn should leave ≥90% of groups identical ({survivors}/{total_after})"
+    );
+}
+
+#[test]
+fn incumbent_withdrawals_on_ixp50_patch_a_small_share_of_the_table() {
+    // Harsher than the single-pair flip above: each episode withdraws the
+    // incumbent best route of a VNH-rewritten (viewer, prefix) pair, which
+    // moves the best route for every viewer that preferred it, and then
+    // re-optimises. Seed 42, 20 episodes read a median of 10 and a minimum
+    // of 8 flow-mods against ≈ 250 rules. No per-episode ceiling: one
+    // withdrawal can rekey many viewers' groups (episode 19 costs 26), so
+    // the bounds are on the median and the cheapest episode.
+    let (compiler, rs) = sdx::ixp::testkit::ixp50();
+    let mut ctl = SdxController::new();
+    ctl.compiler = compiler;
+    ctl.rs = rs;
+    let mut fabric = ctl.deploy().expect("deploy ixp50");
+    let total_rules = ctl
+        .report
+        .as_ref()
+        .expect("deployed report")
+        .stats
+        .rule_count;
+
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut costs = Vec::new();
+    for episode in 0..20 {
+        let mut pairs: Vec<_> = ctl.report.as_ref().expect("report").vnh_of.keys().collect();
+        pairs.shuffle(&mut rng);
+        let mut churned = false;
+        for (viewer, p) in pairs {
+            let Some(incumbent) = ctl.rs.best_for(viewer, p).map(|r| r.source.participant) else {
+                continue;
+            };
+            let delta = ctl
+                .process_update(incumbent, &UpdateMessage::withdraw([p]), &mut fabric)
+                .expect("fast path");
+            if !delta.rules.is_empty() {
+                churned = true;
+                break;
+            }
+        }
+        assert!(
+            churned,
+            "episode {episode}: no withdrawal reached the classifier"
+        );
+
+        ctl.telemetry.journal().clear();
+        ctl.reoptimize(&mut fabric).expect("reoptimize");
+        let flowmods = journaled_flowmods(&ctl);
+        assert!(
+            flowmods > 0,
+            "episode {episode}: a best-route move must patch something"
+        );
+        costs.push(flowmods);
+    }
+    costs.sort_unstable();
+    let median = costs[costs.len() / 2];
+    assert!(
+        median * 15 < total_rules,
+        "median episode cost {median} flow-mods — not under 1/15 of {total_rules} rules: {costs:?}"
+    );
+    assert!(
+        costs[0] * 20 < total_rules,
+        "the cheapest episode cost {} flow-mods — not under 1/20 of {total_rules} rules",
+        costs[0]
     );
 }
