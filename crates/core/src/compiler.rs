@@ -35,7 +35,7 @@
 //! the last two read through the viewers' shared pieces.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -43,7 +43,7 @@ use sdx_bgp::route_server::RouteServer;
 use sdx_net::Mod;
 use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, PortId, Prefix};
 use sdx_policy::classifier::{Action, Classifier, Rule};
-use sdx_policy::{compile as compile_policy, Policy, PolicyVersions};
+use sdx_policy::{compile as compile_policy, Policy, PolicyDelta, PolicyScope, PolicyVersions};
 use sdx_telemetry::{MetricsSnapshot, Registry, SharedRegistry};
 
 use crate::error::SdxError;
@@ -51,7 +51,9 @@ use crate::faults::{FaultPlan, InjectionPoint};
 use crate::fec::{partition_by_signature, FecGroup, FecId, FecKey};
 use crate::participant::ParticipantConfig;
 use crate::piece::{PieceCounts, Pieces, Tally, ViewerInputs, ViewerPiece, VnhMap};
-use crate::shard::{clamp_shards, MergedFecs, ShardCache, ShardPlan, ShardUnit, DEFAULT_SHARDS};
+use crate::shard::{
+    clamp_shards, MergedFecs, ShardCache, ShardPlan, ShardUnit, ViewerUnits, DEFAULT_SHARDS,
+};
 use crate::transform::{self, dst_coverage, expand_fwd_rule, Coverage, FwdRule, TransformError};
 use crate::vnh::VnhAllocator;
 
@@ -166,14 +168,28 @@ impl CompileReport {
 struct Compiled<T> {
     stamp: (u64, u64),
     value: T,
+    /// Compiled when its delta was staged, and served by no refresh yet.
+    staged: bool,
+}
+
+impl<T> Compiled<T> {
+    fn new(stamp: (u64, u64), value: T, staged: bool) -> Self {
+        Compiled {
+            stamp,
+            value,
+            staged,
+        }
+    }
 }
 
 /// What [`refresh_compiled`] found.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Refreshed {
-    /// The entry carried the stamp already.
+    /// The entry carried the stamp already, and an earlier refresh served
+    /// it.
     Served,
-    /// The entry was recompiled, or dropped with its policy.
+    /// The entry was recompiled, dropped with its policy, or compiled when
+    /// its delta was staged.
     Moved,
     /// There is no policy, and there was no entry.
     Absent,
@@ -188,13 +204,17 @@ fn refresh_compiled<'p, T>(
     policy: impl FnOnce() -> Option<Cow<'p, Policy>>,
     compile: impl FnOnce(&Policy) -> Result<T, SdxError>,
 ) -> Result<Refreshed, SdxError> {
-    if map.get(&id).is_some_and(|c| c.stamp == stamp) {
-        return Ok(Refreshed::Served);
+    if let Some(held) = map.get_mut(&id).filter(|c| c.stamp == stamp) {
+        let staged = std::mem::take(&mut held.staged);
+        return Ok(if staged {
+            Refreshed::Moved
+        } else {
+            Refreshed::Served
+        });
     }
     match policy() {
         Some(policy) => {
-            let value = compile(&policy)?;
-            map.insert(id, Compiled { stamp, value });
+            map.insert(id, Compiled::new(stamp, compile(&policy)?, false));
             Ok(Refreshed::Moved)
         }
         None if map.remove(&id).is_some() => Ok(Refreshed::Moved),
@@ -202,12 +222,18 @@ fn refresh_compiled<'p, T>(
     }
 }
 
-/// `cfg`'s own outbound policy plus every global fragment, in parallel.
+/// `id`'s effective outbound policy as the forwarding clauses the
+/// transformations accept.
+fn outbound_clauses(id: ParticipantId, policy: &Policy) -> Result<Vec<FwdRule>, SdxError> {
+    Ok(transform::outbound_fwd_rules(id, &compile_policy(policy))?)
+}
+
+/// A participant's own outbound policy plus every global fragment, in
+/// parallel.
 fn effective_outbound<'a>(
-    cfg: &'a ParticipantConfig,
+    own: Option<&'a Policy>,
     globals: &[(ParticipantId, Policy)],
 ) -> Option<Cow<'a, Policy>> {
-    let own = cfg.outbound.as_ref();
     let mut globals = globals.iter().map(|(_, p)| p.clone());
     let Some(first) = globals.next() else {
         return own.map(Cow::Borrowed);
@@ -369,7 +395,7 @@ pub struct SdxCompiler {
     /// structural mutations (enroll/remove, global fragments) and gates
     /// the whole shard cache; per-participant counters move on single
     /// policy edits and gate only that viewer's cached units — the seam
-    /// that lets a one-participant [`PolicyDelta`](sdx_policy::PolicyDelta)
+    /// that lets a one-participant [`PolicyDelta`]
     /// recompile a handful of units instead of the world.
     versions: PolicyVersions,
     /// Clean per-`(shard, viewer)` phase-A slices from the previous
@@ -406,8 +432,8 @@ impl SdxCompiler {
     }
 
     /// The prefix-space partition the last compile ran under (`None`
-    /// before the first). The controller uses it to attribute
-    /// reconciliation flow-mods back to shards.
+    /// before the first) — where the oracle aims its shard-boundary
+    /// probes.
     pub fn shard_plan(&self) -> Option<&ShardPlan> {
         self.shard_cache.as_ref().map(|c| &c.plan)
     }
@@ -488,7 +514,67 @@ impl SdxCompiler {
     /// every remote fragment, in parallel — borrowed when there are no
     /// fragments to fold in.
     pub fn effective_outbound(&self, viewer: ParticipantId) -> Option<Cow<'_, Policy>> {
-        effective_outbound(self.participants.get(&viewer)?, &self.global_policies)
+        let own = self.participants.get(&viewer)?.outbound.as_ref();
+        effective_outbound(own, &self.global_policies)
+    }
+
+    /// Stages `delta` on the book, after checking it against the book —
+    /// every subject enrolled, every referenced port resolvable — and
+    /// against the transformations, which must accept every policy the
+    /// delta leaves in force: a participant's effective outbound policy,
+    /// global fragments included, and its inbound policy's stage-2
+    /// isolation. A delta either check rejects leaves the book and the
+    /// versions as they were. The policies an accepted delta leaves in
+    /// force are compiled here, once: the next compile serves them as
+    /// they stand.
+    pub(crate) fn stage_delta(&mut self, delta: &PolicyDelta) -> Result<(), SdxError> {
+        let enrolled = &self.participants;
+        let port_mac = |p: ParticipantId, idx: u8| enrolled.get(&p).and_then(|c| c.port_mac(idx));
+        delta
+            .validate(
+                |p| enrolled.contains_key(&p),
+                |p, idx| port_mac(p, idx).is_some(),
+            )
+            .map_err(SdxError::PolicyRejected)?;
+        // Each touched (participant, direction) ends up holding what its
+        // last operation leaves in force.
+        let last: BTreeMap<_, _> = (delta.ops.iter())
+            .map(|op| ((op.participant, op.scope), op.op.policy()))
+            .collect();
+        let (mut outbound, mut inbound) = (Vec::new(), Vec::new());
+        for ((id, scope), policy) in last {
+            match scope {
+                PolicyScope::Outbound => {
+                    if let Some(policy) = effective_outbound(policy, &self.global_policies) {
+                        outbound.push((id, outbound_clauses(id, &policy)?));
+                    }
+                }
+                PolicyScope::Inbound => {
+                    if let Some(policy) = policy {
+                        let compiled = compile_policy(policy);
+                        transform::stage2_block(&enrolled[&id], Some(&compiled), &[], &port_mac)?;
+                        inbound.push((id, compiled));
+                    }
+                }
+            }
+        }
+        for op in &delta.ops {
+            let policy = op.op.policy().cloned();
+            match op.scope {
+                PolicyScope::Outbound => self.set_outbound(op.participant, policy),
+                PolicyScope::Inbound => self.set_inbound(op.participant, policy),
+            }
+        }
+        let book = self.versions.book();
+        for (id, value) in outbound {
+            let stamp = (book, self.versions.outbound_of(id));
+            self.outbound.insert(id, Compiled::new(stamp, value, true));
+        }
+        for (id, value) in inbound {
+            let stamp = (book, self.versions.inbound_of(id));
+            self.inbound.insert(id, Compiled::new(stamp, value, true));
+        }
+        Ok(())
     }
 
     /// Drops every cached phase-A unit, so the next compile is cold — how
@@ -511,8 +597,8 @@ impl SdxCompiler {
                 &mut self.outbound,
                 id,
                 (book, self.versions.outbound_of(id)),
-                || effective_outbound(cfg, &self.global_policies),
-                |pol| Ok(transform::outbound_fwd_rules(id, &compile_policy(pol))?),
+                || effective_outbound(cfg.outbound.as_ref(), &self.global_policies),
+                |pol| outbound_clauses(id, pol),
             )?;
             let inbound = refresh_compiled(
                 &mut self.inbound,
@@ -581,17 +667,15 @@ impl SdxCompiler {
         // ---- Phase A (per (shard, viewer) unit): affected sets + FEC
         // partition, recomputing only what changed since the last compile
         // (see `compile_fecs`), in ParticipantId order.
-        let viewer_rules: Vec<(ParticipantId, &[FwdRule])> = self
-            .outbound
-            .iter()
-            .map(|(&id, c)| (id, c.value.as_slice()))
+        let viewers: Vec<(ParticipantId, (u64, u64), &[FwdRule])> = (self.outbound.iter())
+            .map(|(&id, c)| (id, c.stamp, c.value.as_slice()))
             .collect();
         let (fecs, dirty_prefixes) = Self::compile_fecs(
             &mut self.shard_cache,
-            &self.versions,
+            self.versions.book(),
             self.shards.unwrap_or(DEFAULT_SHARDS),
             rs,
-            &viewer_rules,
+            &viewers,
             &reg,
             &mut stats.pieces.units,
         );
@@ -693,190 +777,78 @@ impl SdxCompiler {
         Ok(CompileReport { stats, ..report })
     }
 
-    /// Phase A (see [`crate::shard`]): recompute the signature slice of
-    /// every **dirty** `(shard, viewer)` unit — a shard is dirty when the
-    /// route server's compile-dirty set names a prefix in its range —
-    /// reuse every clean unit from the cache, then merge the disjoint
-    /// per-shard slices per viewer and run the *global* FEC partition over
-    /// the union. Because signatures are per-prefix, the merged map equals
-    /// the whole-exchange phase-A map exactly, so the partition (and
-    /// everything downstream) does not depend on the shard count; the
-    /// merge plus the shared partition is the entire cross-shard
-    /// coordination pass (per-viewer best-route defaults ride in the
-    /// signature, and wide-match policies are joined by every shard
-    /// against its own slice).
+    /// Phase A (see [`crate::shard`]): each viewer's merged signature map,
+    /// from its cached `(shard, viewer)` units where they still hold, and
+    /// the *global* FEC partition over it. Because signatures are
+    /// per-prefix, the merged map equals the whole-exchange phase-A map
+    /// exactly, so the partition (and everything downstream) does not
+    /// depend on the shard count; the merge plus the shared partition is
+    /// the entire cross-shard coordination pass (per-viewer best-route
+    /// defaults ride in the signature, and wide-match policies are joined
+    /// by every shard against its own slice).
     ///
     /// The cache is thrown away whole on any fingerprint mismatch (plan
     /// size, structural book epoch, route-server identity). Within a valid
-    /// cache, two partial invalidation axes compose:
+    /// cache a unit is reused only when both hold:
     ///
-    /// * **BGP churn** invalidates by dirty shard — the route server's
-    ///   compile-dirty set is authoritative.
-    /// * **Policy churn** invalidates per `(participant, shard)`: a viewer
-    ///   whose outbound version moved has its fresh rule list diffed
-    ///   against the cached one. Signature rule indices are list
-    ///   positions, so a unit survives a rule-list change only if (a) its
-    ///   memberships reference exclusively the unchanged common prefix of
-    ///   the two lists, and (b) no *new* trailing rule's destination
-    ///   constraint can reach the unit's shard — where "reach" covers
-    ///   both announced subnets inside the constraint's address range and
-    ///   announced supernets (whose network addresses are the ≤ 33
-    ///   masked-down variants of the constraint's address). Everything
-    ///   else about a unit is a function of the rule list and the route
-    ///   server, so the surviving units are *exactly* the ones a full
-    ///   recompute would reproduce.
+    /// * it was built under the viewer's current outbound stamp. A unit is
+    ///   a function of the viewer's compiled rule list and the route
+    ///   server, and the stamp names the rule list: a moved stamp
+    ///   recomputes all the viewer's units, and a retraction purges them;
+    /// * no route-dirty prefix can reach it (see `could_affect` below).
     ///
-    /// Returns each viewer's merged output, in `viewer_rules` order, and
-    /// how many prefixes the route server had marked dirty; `units` counts
-    /// the `(shard, viewer)` units recomputed and cache-served.
+    /// Returns each viewer's merged output, in `viewers` order, and how
+    /// many prefixes the route server had marked dirty; `units` counts the
+    /// `(shard, viewer)` units recomputed and cache-served.
     fn compile_fecs(
         shard_cache: &mut Option<ShardCache>,
-        versions: &PolicyVersions,
+        book: u64,
         shards: usize,
         rs: &RouteServer,
-        viewer_rules: &[(ParticipantId, &[FwdRule])],
+        viewers: &[(ParticipantId, (u64, u64), &[FwdRule])],
         reg: &SharedRegistry,
         units: &mut Tally,
     ) -> (Vec<Arc<MergedFecs>>, usize) {
         let n = clamp_shards(shards);
-        let valid = shard_cache.take().filter(|c| {
-            c.plan.len() == n && c.versions.book() == versions.book() && c.rs_id == rs.compile_id()
-        });
+        let valid = shard_cache
+            .take()
+            .filter(|c| c.plan.len() == n && c.book == book && c.rs_id == rs.compile_id());
         let drained = rs.take_compile_dirty();
         reg.add("compile.shard.dirty_prefixes.count", drained.len() as u64);
-        let (mut cache, dirty, fresh): (ShardCache, BTreeSet<usize>, bool) = match valid {
-            Some(c) => {
-                let dirty = drained.iter().map(|&p| c.plan.shard_of(p)).collect();
-                (c, dirty, false)
-            }
-            None => (
-                ShardCache {
-                    // The plan is computed once from the announced table
-                    // and held stable while the cache lives: plan
-                    // stability is what lets dirty prefixes map to the
-                    // same shards across compiles (balance drifts with
-                    // churn; correctness does not).
-                    plan: ShardPlan::balanced(n, rs.all_prefixes()),
-                    versions: versions.clone(),
-                    rules: HashMap::new(),
-                    rs_id: rs.compile_id(),
-                    units: HashMap::new(),
-                    merged: HashMap::new(),
-                    route_generation: 0,
-                    pieces: Pieces::default(),
-                },
-                (0..n).collect(),
-                true,
-            ),
-        };
+        let fresh = valid.is_none();
+        let mut cache = valid.unwrap_or_else(|| ShardCache {
+            // The plan is computed once from the announced table and held
+            // stable while the cache lives: plan stability is what lets
+            // dirty prefixes map to the same shards across compiles
+            // (balance drifts with churn; correctness does not).
+            plan: ShardPlan::balanced(n, rs.all_prefixes()),
+            book,
+            rs_id: rs.compile_id(),
+            viewers: HashMap::new(),
+            route_generation: 0,
+            pieces: Pieces::default(),
+        });
         if !drained.is_empty() {
             cache.route_generation += 1;
         }
-        reg.set_gauge("compile.shard.count", n as i64);
-        reg.add("compile.shard.recompiled.count", dirty.len() as u64);
-        reg.add("compile.shard.skipped.count", (n - dirty.len()) as u64);
-
-        // ---- Policy-delta invalidation (per participant, per shard). A
-        // viewer whose outbound version is unchanged keeps every cached
-        // unit; a changed viewer's fresh rule list is diffed against the
-        // cached list to find exactly the units the change can perturb.
-        let mut policy_stale: HashSet<(usize, ParticipantId)> = HashSet::new();
-        let mut retired_units = 0u64;
-        if !fresh {
-            // Viewers that no longer compile any outbound rules (policy
-            // retracted): their units would never be refreshed — purge.
-            let current: HashSet<ParticipantId> = viewer_rules.iter().map(|&(v, _)| v).collect();
-            let before = cache.units.len();
-            cache.units.retain(|&(_, v), _| current.contains(&v));
-            retired_units = (before - cache.units.len()) as u64;
-            cache.merged.retain(|v, _| current.contains(v));
-            cache.rules.retain(|v, _| current.contains(v));
-            for &(viewer, new_rules) in viewer_rules {
-                let Some(old_rules) = cache.rules.get(&viewer) else {
-                    // Viewer gained its first outbound policy since the
-                    // cache was built: every unit must be built fresh.
-                    policy_stale.extend((0..n).map(|s| (s, viewer)));
-                    continue;
-                };
-                if cache.versions.outbound_of(viewer) == versions.outbound_of(viewer) {
-                    continue;
-                }
-                let common = old_rules
-                    .iter()
-                    .zip(new_rules.iter())
-                    .take_while(|(a, b)| a == b)
-                    .count();
-                if common == old_rules.len() && common == new_rules.len() {
-                    continue; // version moved, compiled rules did not
-                }
-                // Shards a *new* trailing rule's BGP join could reach:
-                // announced subnets live inside the constraint's address
-                // range; announced supernets' network addresses are the
-                // constraint's address masked to each shorter length.
-                let mut touched: BTreeSet<usize> = BTreeSet::new();
-                let mut all_shards = false;
-                for rule in &new_rules[common..] {
-                    if rule.rewritten_dst().is_some()
-                        || !matches!(rule.target, Some(PortId::Virt(_)))
-                    {
-                        continue; // no BGP join ⇒ no signature contribution
-                    }
-                    let Some(d) = rule.matches.nw_dst else {
-                        all_shards = true;
-                        break;
-                    };
-                    for k in 0..=d.len() {
-                        touched.insert(cache.plan.shard_of(Prefix::new(d.addr(), k)));
-                    }
-                    let lo = cache.plan.shard_of_addr(d.addr());
-                    let top = (u64::from(d.addr().0) + d.size() - 1).min(u64::from(u32::MAX));
-                    let hi = cache.plan.shard_of_addr(Ipv4Addr(top as u32));
-                    touched.extend(lo..=hi);
-                }
-                for s in 0..n {
-                    let index_stale = cache.units.get(&(s, viewer)).is_some_and(|u| {
-                        u.sig
-                            .values()
-                            .any(|(mem, _)| mem.iter().any(|&k| k >= common))
-                    });
-                    if all_shards || touched.contains(&s) || index_stale {
-                        policy_stale.insert((s, viewer));
-                    }
-                }
-            }
-        }
-        reg.add(
-            "policy.dirty_units.count",
-            policy_stale.len() as u64 + retired_units,
-        );
-        // Refresh the cached rule lists and versions to the state this
-        // compile runs under (the diff above already consumed the old
-        // ones).
-        for &(viewer, new_rules) in viewer_rules {
-            match cache.rules.get(&viewer) {
-                Some(old) if old.as_slice() == new_rules => {}
-                _ => {
-                    cache.rules.insert(viewer, new_rules.to_vec());
-                }
-            }
-        }
-        cache.versions = versions.clone();
-
-        // Unit pruning: within a dirty shard, a cached `(shard, viewer)`
-        // unit can only have changed if some dirty prefix is already in
-        // its signature slice (its rule memberships or best route could
-        // move) or is *currently announced* by one of the viewer's rule
-        // next-hops (it could enter the slice). Everything the unit reads
-        // beyond announcements — export policies, session resets — marks
-        // the affected prefixes dirty too, so the test is conservative:
-        // it only ever skips units the dirty set provably cannot touch.
-        let mut dirty_by_shard: HashMap<usize, Vec<Prefix>> = HashMap::new();
+        let mut dirty_by_shard: BTreeMap<usize, Vec<Prefix>> = BTreeMap::new();
         for &p in &drained {
-            dirty_by_shard
-                .entry(cache.plan.shard_of(p))
-                .or_default()
-                .push(p);
+            let shard = cache.plan.shard_of(p);
+            dirty_by_shard.entry(shard).or_default().push(p);
         }
+        let dirty_shards = if fresh { n } else { dirty_by_shard.len() };
+        reg.set_gauge("compile.shard.count", n as i64);
+        reg.add("compile.shard.recompiled.count", dirty_shards as u64);
+        reg.add("compile.shard.skipped.count", (n - dirty_shards) as u64);
+
+        // Within a dirty shard, a unit can only have changed if some dirty
+        // prefix is already in its signature slice (its rule memberships
+        // or best route could move) or is *currently announced* by one of
+        // the viewer's rule next-hops (it could enter the slice).
+        // Everything the unit reads beyond announcements — export
+        // policies, session resets — marks the affected prefixes dirty
+        // too, so the test only ever skips units the dirt provably cannot
+        // touch.
         let could_affect = |unit: &ShardUnit, ps: &[Prefix], rules: &[FwdRule]| {
             ps.iter().any(|&p| {
                 unit.sig.contains_key(&p)
@@ -889,139 +861,65 @@ impl SdxCompiler {
                     })
             })
         };
-        // Work list: a policy-stale or missing unit recomputes regardless of
-        // route dirt; any other unit only where its shard is route-dirty
-        // and the dirt can reach it.
-        let mut pruned = 0u64;
-        let mut work: Vec<(usize, ParticipantId, &[FwdRule])> = Vec::new();
-        for &(v, rules) in viewer_rules {
-            for s in 0..n {
-                match cache.units.get(&(s, v)) {
-                    Some(unit) if !policy_stale.contains(&(s, v)) => {
-                        let Some(ps) = dirty_by_shard.get(&s) else {
-                            continue; // clean shard: cache-served
-                        };
-                        if could_affect(unit, ps, rules) {
-                            work.push((s, v, rules));
-                        } else {
-                            pruned += 1;
-                        }
-                    }
-                    _ => work.push((s, v, rules)),
-                }
-            }
-        }
-        reg.add("compile.shard.unit_pruned.count", pruned);
-        units.recomputed = work.len();
-        units.reused = viewer_rules.len() * n - work.len();
-        let plan = &cache.plan;
-        let mut units: Vec<ShardUnit> = Vec::with_capacity(work.len());
-        for &(s, viewer, rules) in &work {
-            let _unit_timer = reg.start_timer("compile.shard.unit");
-            let (lo, hi) = plan.range(s);
-            // Affected set per rule: prefixes the target exported to the
-            // viewer, overlapped by the rule's destination constraint.
-            // signature(p) = (rules touching p, partial marks, default nh).
-            let mut sig: BTreeMap<Prefix, GroupMembership> = BTreeMap::new();
-            // Many rules share the same target: cache the BGP join per
-            // next hop.
-            let mut via_cache: HashMap<ParticipantId, Vec<Prefix>> = HashMap::new();
-            for (k, rule) in rules.iter().enumerate() {
-                if rule.rewritten_dst().is_some() {
-                    continue; // rewrite rules join BGP on the NEW address
-                }
-                let Some(PortId::Virt(nh)) = rule.target else {
-                    continue; // port steering / no-op: no BGP join
-                };
-                let via = via_cache
-                    .entry(nh)
-                    .or_insert_with(|| rs.prefixes_via_bounded(viewer, nh, lo, hi));
-                for &p in via.iter() {
-                    match dst_coverage(&rule.matches, p) {
-                        Coverage::None => {}
-                        Coverage::Full => {
-                            sig.entry(p).or_default().0.insert(k);
-                        }
-                        Coverage::Partial => {
-                            let e = sig.entry(p).or_default();
-                            e.0.insert(k);
-                            e.1.insert(k);
-                        }
-                    }
-                }
-            }
-            // One batched decision pass: every affected prefix is resolved
-            // exactly once.
-            let best_nh = sig
-                .keys()
-                .map(|&p| (p, rs.best_for(viewer, p).map(|r| r.source.participant)))
-                .collect();
-            units.push(ShardUnit { sig, best_nh });
-        }
-        // A recomputed unit that comes back identical to the cached one
-        // (churn that canceled, or dirt in prefixes this viewer never
-        // sees) leaves the viewer's merged output valid — only genuinely
-        // changed units force a re-merge.
-        let mut merge_dirty: BTreeSet<ParticipantId> = BTreeSet::new();
-        for ((s, viewer, _), unit) in work.into_iter().zip(units) {
-            match cache.units.get(&(s, viewer)) {
-                Some(old) if *old == unit => {}
-                _ => {
-                    merge_dirty.insert(viewer);
-                    cache.units.insert((s, viewer), unit);
-                }
-            }
-        }
-
-        // Deterministic merge: per viewer, union the per-shard slices
-        // (disjoint prefix ranges, so insertion order is irrelevant) and
-        // partition globally — the same inputs at every shard count,
-        // hence the same groups. Viewers whose units all
-        // survived unchanged reuse last compile's merged output.
-        let merge_t = Instant::now();
-        let mut fecs: Vec<Arc<MergedFecs>> = Vec::with_capacity(viewer_rules.len());
-        for &(viewer, _) in viewer_rules {
-            if !merge_dirty.contains(&viewer) {
-                if let Some(m) = cache.merged.get(&viewer) {
-                    fecs.push(m.clone());
-                    continue;
-                }
-            }
-            // The shards' ranges are disjoint and ascend, so walking the
-            // units in shard order walks the viewer's affected prefixes in
-            // order (a unit resolves the best route of exactly the
-            // prefixes in its slice, so its two maps share their keys).
-            // Signatures borrow the cached sets: grouping only needs
-            // Ord/Eq, and `&BTreeSet` compares by contents, so nothing
-            // clones two sets per prefix on every compile.
-            let slice: Vec<(Prefix, &GroupMembership, Option<ParticipantId>)> = (0..n)
-                .flat_map(|s| {
-                    let unit = (cache.units.get(&(s, viewer)))
-                        .expect("every (shard, viewer) unit is cached or recomputed");
-                    let entries = unit.sig.iter().zip(unit.best_nh.values());
-                    entries.map(|((&p, mem), &nh)| (p, mem, nh))
-                })
-                .collect();
-            let signed = slice.iter().map(|&(p, mem, nh)| (p, (&mem.0, &mem.1, nh)));
-            let parts = partition_by_signature(signed);
-            let of_first = |prefixes: &[Prefix]| {
-                let at = slice.binary_search_by_key(&prefixes[0], |&(p, _, _)| p);
-                slice[at.expect("a part's members come from the slice")]
+        let mut held = std::mem::take(&mut cache.viewers);
+        let (mut policy_dirty, mut pruned) = (0, 0);
+        let mut fecs: Vec<Arc<MergedFecs>> = Vec::with_capacity(viewers.len());
+        for &(viewer, stamp, rules) in viewers {
+            let plan = &cache.plan;
+            let build = |s: usize| {
+                let _unit_timer = reg.start_timer("compile.shard.unit");
+                let (lo, hi) = plan.range(s);
+                build_unit(rs, viewer, rules, lo, hi)
             };
-            let memberships = parts.iter().map(|ps| of_first(ps).1.clone()).collect();
-            let keys = parts
-                .into_iter()
-                .map(|prefixes| FecKey {
-                    viewer,
-                    default_next_hop: of_first(&prefixes).2,
-                    prefixes,
-                })
-                .collect();
-            let merged = Arc::new(MergedFecs { keys, memberships });
-            cache.merged.insert(viewer, merged.clone());
-            fecs.push(merged);
+            let merge = |shards: &[ShardUnit]| {
+                let _merge_timer = reg.start_timer("compile.shard.merge");
+                merge_units(viewer, shards)
+            };
+            let entry = match held.remove(&viewer).filter(|u| u.stamp == stamp) {
+                Some(mut kept) => {
+                    let mut moved = false;
+                    for (&s, ps) in &dirty_by_shard {
+                        if !could_affect(&kept.shards[s], ps, rules) {
+                            pruned += 1;
+                            continue;
+                        }
+                        units.recomputed += 1;
+                        let unit = build(s);
+                        // A unit that comes back identical (churn that
+                        // canceled) leaves the merged output valid.
+                        if unit != kept.shards[s] {
+                            kept.shards[s] = unit;
+                            moved = true;
+                        }
+                    }
+                    if moved {
+                        kept.merged = merge(&kept.shards);
+                    }
+                    kept
+                }
+                None => {
+                    if !fresh {
+                        policy_dirty += n;
+                    }
+                    units.recomputed += n;
+                    let shards: Vec<ShardUnit> = (0..n).map(build).collect();
+                    let merged = merge(&shards);
+                    ViewerUnits {
+                        stamp,
+                        shards,
+                        merged,
+                    }
+                }
+            };
+            fecs.push(entry.merged.clone());
+            cache.viewers.insert(viewer, entry);
         }
-        reg.observe_duration("compile.shard.merge", merge_t.elapsed());
+        units.reused = viewers.len() * n - units.recomputed;
+        // Whatever is still held belonged to a viewer whose outbound
+        // policy is gone.
+        let retired = held.len() * n;
+        reg.add("policy.dirty_units.count", (policy_dirty + retired) as u64);
+        reg.add("compile.shard.unit_pruned.count", pruned);
         *shard_cache = Some(cache);
         (fecs, drained.len())
     }
@@ -1037,6 +935,89 @@ impl SdxCompiler {
             .collect();
         (pieces.stage1(&self.participants), blocks)
     }
+}
+
+/// One `(shard, viewer)` unit over the shard's range `[lo, hi)`: per
+/// affected prefix, the rules whose BGP join reaches it (and those among
+/// them covering it only partially), and every such prefix's best-route
+/// next hop.
+fn build_unit(
+    rs: &RouteServer,
+    viewer: ParticipantId,
+    rules: &[FwdRule],
+    lo: Ipv4Addr,
+    hi: Option<Ipv4Addr>,
+) -> ShardUnit {
+    // Affected set per rule: prefixes the target exported to the viewer,
+    // overlapped by the rule's destination constraint.
+    // signature(p) = (rules touching p, partial marks, default nh).
+    let mut sig: BTreeMap<Prefix, GroupMembership> = BTreeMap::new();
+    // Many rules share the same target: cache the BGP join per next hop.
+    let mut via_cache: HashMap<ParticipantId, Vec<Prefix>> = HashMap::new();
+    for (k, rule) in rules.iter().enumerate() {
+        if rule.rewritten_dst().is_some() {
+            continue; // rewrite rules join BGP on the NEW address
+        }
+        let Some(PortId::Virt(nh)) = rule.target else {
+            continue; // port steering / no-op: no BGP join
+        };
+        let via = via_cache
+            .entry(nh)
+            .or_insert_with(|| rs.prefixes_via_bounded(viewer, nh, lo, hi));
+        for &p in via.iter() {
+            match dst_coverage(&rule.matches, p) {
+                Coverage::None => {}
+                Coverage::Full => {
+                    sig.entry(p).or_default().0.insert(k);
+                }
+                Coverage::Partial => {
+                    let e = sig.entry(p).or_default();
+                    e.0.insert(k);
+                    e.1.insert(k);
+                }
+            }
+        }
+    }
+    // One batched decision pass: every affected prefix is resolved exactly
+    // once.
+    let best_nh = sig
+        .keys()
+        .map(|&p| (p, rs.best_for(viewer, p).map(|r| r.source.participant)))
+        .collect();
+    ShardUnit { sig, best_nh }
+}
+
+/// A viewer's units merged and partitioned globally — the same inputs at
+/// every shard count, hence the same groups.
+fn merge_units(viewer: ParticipantId, shards: &[ShardUnit]) -> Arc<MergedFecs> {
+    // The shards' ranges are disjoint and ascend, so walking the units in
+    // shard order walks the viewer's affected prefixes in order (a unit
+    // resolves the best route of exactly the prefixes in its slice, so its
+    // two maps share their keys). Signatures borrow the cached sets:
+    // grouping only needs Ord/Eq, and `&BTreeSet` compares by contents, so
+    // nothing clones two sets per prefix on every compile.
+    let slice: Vec<(Prefix, &GroupMembership, Option<ParticipantId>)> = (shards.iter())
+        .flat_map(|unit| {
+            let entries = unit.sig.iter().zip(unit.best_nh.values());
+            entries.map(|((&p, mem), &nh)| (p, mem, nh))
+        })
+        .collect();
+    let signed = slice.iter().map(|&(p, mem, nh)| (p, (&mem.0, &mem.1, nh)));
+    let parts = partition_by_signature(signed);
+    let of_first = |prefixes: &[Prefix]| {
+        let at = slice.binary_search_by_key(&prefixes[0], |&(p, _, _)| p);
+        slice[at.expect("a part's members come from the slice")]
+    };
+    let memberships = parts.iter().map(|ps| of_first(ps).1.clone()).collect();
+    let keys = parts
+        .into_iter()
+        .map(|prefixes| FecKey {
+            viewer,
+            default_next_hop: of_first(&prefixes).2,
+            prefixes,
+        })
+        .collect();
+    Arc::new(MergedFecs { keys, memberships })
 }
 
 #[cfg(test)]
@@ -1389,6 +1370,11 @@ mod tests {
     fn shard_cache_invalidates_on_policy_change_and_foreign_route_server() {
         let (mut compiler, rs) = figure1();
         let n = DEFAULT_SHARDS as u64;
+        // A second viewer, whose units must stay cached through A's edit.
+        compiler.set_outbound(
+            ParticipantId(3),
+            Some(P::match_(FieldMatch::TpDst(22)) >> P::fwd(PortId::Virt(ParticipantId(2)))),
+        );
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
         let recompiled = compiler
@@ -1398,20 +1384,45 @@ mod tests {
         // An inbound edit never touches phase A: zero shards, zero units.
         let (r0, d0) = (recompiled.get(), dirty_units.get());
         compiler.set_inbound(ParticipantId(2), None);
-        compiler.compile_all(&rs, &mut vnh).unwrap();
+        let units = compiler
+            .compile_all(&rs, &mut vnh)
+            .unwrap()
+            .stats
+            .pieces
+            .units;
         assert_eq!(recompiled.get() - r0, 0, "inbound edit recompiles nothing");
         assert_eq!(dirty_units.get() - d0, 0, "no unit dirtied");
-        // An outbound edit invalidates only that viewer's units — and only
-        // where the rule-list diff can reach; other viewers stay cached.
+        assert_eq!((units.recomputed, units.reused), (0, 2 * n as usize));
+        // An outbound edit moves that viewer's stamp: exactly its units
+        // recompute, and the other viewer's stay cached.
         let d1 = dirty_units.get();
         compiler.set_outbound(
             ParticipantId(1),
             Some(P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(ParticipantId(2)))),
         );
-        compiler.compile_all(&rs, &mut vnh).unwrap();
-        let dirtied = dirty_units.get() - d1;
-        assert!(dirtied >= 1, "the edited viewer's units recompute");
-        assert!(dirtied <= n, "only one viewer's units recompute: {dirtied}");
+        let units = compiler
+            .compile_all(&rs, &mut vnh)
+            .unwrap()
+            .stats
+            .pieces
+            .units;
+        assert_eq!(dirty_units.get() - d1, n, "the editor's units, all of them");
+        assert_eq!(
+            (units.recomputed, units.reused),
+            (n as usize, n as usize),
+            "no other viewer's unit recomputes"
+        );
+        // A retraction purges the viewer's units and recomputes none.
+        let d2 = dirty_units.get();
+        compiler.set_outbound(ParticipantId(3), None);
+        let units = compiler
+            .compile_all(&rs, &mut vnh)
+            .unwrap()
+            .stats
+            .pieces
+            .units;
+        assert_eq!(dirty_units.get() - d2, n, "the retracted viewer's units");
+        assert_eq!((units.recomputed, units.reused), (0, n as usize));
         // A structural book mutation bumps the epoch → full rebuild.
         let r1 = recompiled.get();
         compiler.upsert_participant(ParticipantConfig::new(9, 65009, 1));
@@ -1423,6 +1434,30 @@ mod tests {
         let snapshot = rs.clone();
         compiler.compile_all(&snapshot, &mut vnh).unwrap();
         assert_eq!(recompiled.get() - r2, n, "foreign instance rebuilds all");
+    }
+
+    #[test]
+    fn a_staged_policy_is_compiled_once() {
+        let (mut compiler, rs) = figure1();
+        let mut vnh = VnhAllocator::default();
+        compiler.compile_all(&rs, &mut vnh).unwrap();
+        let d = ParticipantId(4);
+        let steer = P::match_(FieldMatch::TpDst(443)) >> P::fwd(PortId::Virt(ParticipantId(2)));
+        compiler
+            .stage_delta(&PolicyDelta::new().install_outbound(d, steer))
+            .expect("a unicast policy stages");
+        // Staging compiled it under the stamp the book now carries, so the
+        // next refresh keeps that very compilation — and, being the first
+        // to serve it, reports it as moved.
+        let stamp = (compiler.versions.book(), compiler.versions.outbound_of(d));
+        let staged = &compiler.outbound[&d];
+        assert_eq!(staged.stamp, stamp);
+        let clauses = staged.value.as_ptr();
+        assert_eq!(compiler.refresh_policies().unwrap(), (2, 1));
+        assert_eq!(compiler.outbound[&d].value.as_ptr(), clauses);
+        assert_eq!(compiler.refresh_policies().unwrap(), (3, 0));
+        let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
+        assert_matches_cold(&compiler, &rs, &warm);
     }
 
     /// `warm` against a cold one-shard compile of `compiler`'s book.

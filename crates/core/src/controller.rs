@@ -22,7 +22,7 @@ use sdx_net::{Ipv4Addr, ParticipantId, PortId, Prefix, Write};
 use sdx_openflow::border_router::{BorderRouter, FibEntry};
 use sdx_openflow::fabric::Fabric;
 use sdx_openflow::flowmod::FlowModBatch;
-use sdx_policy::{Policy, PolicyDelta, PolicyOp, PolicyScope};
+use sdx_policy::{Policy, PolicyDelta, PolicyOp};
 use sdx_telemetry::{Event, SharedRegistry};
 
 use crate::compiler::{CompileReport, SdxCompiler};
@@ -157,33 +157,6 @@ impl SdxController {
         result
     }
 
-    /// Attributes a reconcile patch back to the compile's prefix-range
-    /// shards: how many flow-mods each shard's slice produced, how many
-    /// landed outside any shard (wildcard / MAC-learning rules), and how
-    /// many shards produced any at all. A well-localized delta shows
-    /// `touched` tracking `compile.shard.recompiled.count`.
-    fn note_shard_attribution(
-        &self,
-        reg: &SharedRegistry,
-        report: &CompileReport,
-        batch: &sdx_openflow::flowmod::FlowModBatch,
-    ) {
-        if batch.is_empty() {
-            return;
-        }
-        if let Some(plan) = self.compiler.shard_plan() {
-            let counts = crate::shard::mods_by_shard(plan, report, &self.vnh, batch);
-            let touched = counts[..plan.len()].iter().filter(|&&c| c > 0).count();
-            let sharded: usize = counts[..plan.len()].iter().sum();
-            reg.add("reconcile.shard.mods.count", sharded as u64);
-            reg.add(
-                "reconcile.shard.global_mods.count",
-                counts[plan.len()] as u64,
-            );
-            reg.add("reconcile.shard.touched.count", touched as u64);
-        }
-    }
-
     /// Registers a participant with the compiler and the route server.
     pub fn add_participant(&mut self, cfg: ParticipantConfig, export: ExportPolicy) {
         self.rs.add_peer(cfg.route_source(), export);
@@ -201,48 +174,35 @@ impl SdxController {
         self.compiler.set_inbound(id, policy);
     }
 
-    /// Validates and stages a [`PolicyDelta`]: every operation is checked
-    /// against the participant book first (unknown participants and
+    /// Validates and stages a [`PolicyDelta`]. Every operation is checked
+    /// first: against the participant book (unknown participants and
     /// unresolvable ports are rejected as typed
-    /// [`SdxError::PolicyRejected`] with the book untouched), then the
-    /// book mutates with per-participant version bumps — so the next
-    /// compile invalidates only the touched viewers' shard units. Nothing
-    /// recompiles here; follow with [`reoptimize`](Self::reoptimize) or
+    /// [`SdxError::PolicyRejected`]), and against the §4.1
+    /// transformations, which must accept every policy the delta leaves in
+    /// force ([`SdxError::Transform`] otherwise — the same error the next
+    /// compile would have hit). A rejected delta leaves the book and the
+    /// versions untouched. An accepted one mutates the book with
+    /// per-participant version bumps — so the next compile recomputes only
+    /// the touched viewers' shard units — and its policies are compiled
+    /// here, once. Nothing else recompiles here; follow with
+    /// [`reoptimize`](Self::reoptimize) or
     /// [`prepare_scheduled`](Self::prepare_scheduled)
     /// ([`apply_policy_delta`](Self::apply_policy_delta) is the former in
     /// one call).
     pub fn stage_policy_delta(&mut self, delta: &PolicyDelta) -> Result<(), SdxError> {
-        delta
-            .validate(
-                |p| self.compiler.participant(p).is_some(),
-                |p, idx| {
-                    self.compiler
-                        .participant(p)
-                        .is_some_and(|c| c.port_mac(idx).is_some())
-                },
-            )
-            .map_err(SdxError::PolicyRejected)?;
-        let (mut applied, mut retracted) = (0u64, 0u64);
-        for op in &delta.ops {
-            let policy = op.op.policy().cloned();
-            match op.op {
-                PolicyOp::Retract => retracted += 1,
-                _ => applied += 1,
-            }
-            match op.scope {
-                PolicyScope::Outbound => self.compiler.set_outbound(op.participant, policy),
-                PolicyScope::Inbound => self.compiler.set_inbound(op.participant, policy),
-            }
-        }
-        self.telemetry.add("policy.applied.count", applied);
-        self.telemetry.add("policy.retracted.count", retracted);
+        self.compiler.stage_delta(delta)?;
+        let retracted = (delta.ops.iter())
+            .filter(|op| op.op == PolicyOp::Retract)
+            .count();
+        let applied = delta.ops.len() - retracted;
+        self.telemetry.add("policy.applied.count", applied as u64);
+        self.telemetry
+            .add("policy.retracted.count", retracted as u64);
         self.telemetry.record_event(Event::Custom {
             name: "policy.delta".to_string(),
             detail: format!(
-                "{} op(s) staged ({applied} applied, {retracted} retracted), \
-                 outbound footprint: {}",
+                "{} op(s) staged ({applied} applied, {retracted} retracted)",
                 delta.ops.len(),
-                delta.outbound_footprint(),
             ),
         });
         Ok(())
@@ -592,7 +552,6 @@ impl SdxController {
         if diff.rebased {
             reg.inc("reconcile.rebase.count");
         }
-        self.note_shard_attribution(&reg, &report, &diff.batch);
         self.delta_layers = 0;
         self.next_delta_priority = DELTA_BASE;
         // Mid-commit fault point: the overlays are gone but ARP and FIBs
@@ -1251,7 +1210,7 @@ mod tests {
     }
 
     #[test]
-    fn reoptimize_forwards_identically_and_attributes_mods() {
+    fn reoptimize_forwards_identically_and_recompiles_the_dirty_shard() {
         let (mut ctl, mut fabric) = deployment();
         ctl.reoptimize(&mut fabric).unwrap();
         // Same forwarding behaviour as the deploy.
@@ -1266,30 +1225,15 @@ mod tests {
             snap.gauges.get("compile.shard.count"),
             Some(&(crate::shard::DEFAULT_SHARDS as i64))
         );
-        // Every reconcile patch is attributed per shard.
-        assert!(snap.counters.contains_key("reconcile.shard.touched.count"));
         let before = snap.counters["compile.shard.recompiled.count"];
-        // A localized churn event recompiles only the dirty shard, and
-        // the resulting patch touches at most the shards that recompiled.
+        // A localized churn event recompiles only the dirty shard.
         let b_cfg = ctl.compiler.participant(pid(2)).unwrap().clone();
         ctl.rs
             .process_update(pid(2), &b_cfg.announce([prefix("91.0.0.0/8")], &[65002, 3]));
-        let pre_touched = ctl
-            .telemetry
-            .snapshot()
-            .counters
-            .get("reconcile.shard.touched.count")
-            .copied()
-            .unwrap_or(0);
         ctl.reoptimize(&mut fabric).unwrap();
         let snap = ctl.telemetry.snapshot();
         let recompiled = snap.counters["compile.shard.recompiled.count"] - before;
         assert_eq!(recompiled, 1, "one announced prefix dirties one shard");
-        let touched = snap.counters["reconcile.shard.touched.count"] - pre_touched;
-        assert!(
-            touched <= recompiled,
-            "patch touched {touched} shards but only {recompiled} recompiled"
-        );
         let out = fabric.send(
             PortId::Phys(pid(3), 1),
             Packet::tcp(ip("99.0.0.1"), ip("91.1.2.3"), 5000, 80),
@@ -1690,36 +1634,57 @@ mod tests {
         assert_eq!(out[0].loc.participant(), pid(2));
     }
 
+    /// Flow-mods the journal says were applied since it was last cleared.
+    fn journaled_flowmods(ctl: &SdxController) -> usize {
+        (ctl.telemetry.journal().entries().iter())
+            .filter_map(|e| match e.event {
+                Event::FlowModBatchApplied {
+                    adds,
+                    modifies,
+                    deletes,
+                    ..
+                } => Some(adds + modifies + deletes),
+                _ => None,
+            })
+            .sum()
+    }
+
     #[test]
     fn policy_delta_recompiles_only_affected_viewer() {
         let (mut ctl, mut fabric) = deployment();
-        ctl.reoptimize(&mut fabric).unwrap();
-        let snap = ctl.telemetry.snapshot();
-        let r0 = snap.counters["compile.shard.recompiled.count"];
-        let d0 = snap
-            .counters
-            .get("policy.dirty_units.count")
-            .copied()
-            .unwrap_or(0);
+        let n = crate::shard::DEFAULT_SHARDS;
+        // A second viewer, whose units must stay cached through C's edits.
+        let ssh = P::match_(FieldMatch::TpDst(22)) >> P::fwd(PortId::Virt(pid(2)));
+        let delta = PolicyDelta::new().install_outbound(pid(1), ssh);
+        ctl.apply_policy_delta(&delta, &mut fabric).unwrap();
+        let counter = |ctl: &SdxController, key: &str| {
+            let snap = ctl.telemetry.snapshot();
+            snap.counters.get(key).copied().unwrap_or(0)
+        };
+        let r0 = counter(&ctl, "compile.shard.recompiled.count");
+        let d0 = counter(&ctl, "policy.dirty_units.count");
         // C retargets port-80 traffic to A — a pure policy event with no
         // route churn riding along.
-        let delta = PolicyDelta::new().replace_outbound(
-            pid(3),
-            P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(1))),
-        );
-        ctl.apply_policy_delta(&delta, &mut fabric).unwrap();
-        let snap = ctl.telemetry.snapshot();
+        let retarget = P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(1)));
+        let delta = PolicyDelta::new().replace_outbound(pid(3), retarget.clone());
+        let units = ctl.apply_policy_delta(&delta, &mut fabric).unwrap();
+        let units = units.stats.pieces.units;
         assert_eq!(
-            snap.counters["compile.shard.recompiled.count"] - r0,
+            counter(&ctl, "compile.shard.recompiled.count") - r0,
             0,
             "a policy delta must not mark route-dirty shards"
         );
-        let dirty = snap.counters["policy.dirty_units.count"] - d0;
-        assert!(
-            (1..=crate::shard::DEFAULT_SHARDS as u64).contains(&dirty),
-            "only the editing viewer's units recompile, got {dirty}"
+        assert_eq!(
+            counter(&ctl, "policy.dirty_units.count") - d0,
+            n as u64,
+            "exactly the editing viewer's units are dirtied"
         );
-        assert_eq!(snap.counters.get("policy.applied.count"), Some(&1));
+        assert_eq!(
+            (units.recomputed, units.reused),
+            (n, n),
+            "no other viewer's unit recomputes"
+        );
+        assert_eq!(counter(&ctl, "policy.applied.count"), 2);
         // Behaviour actually changed: port 80 now exits via A.
         let out = fabric.send(
             PortId::Phys(pid(3), 1),
@@ -1727,6 +1692,87 @@ mod tests {
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, PortId::Phys(pid(1), 1));
+        // The same policy again moves C's stamp: its units recompute, and
+        // since nothing they compute differs, the patch is empty.
+        ctl.telemetry.journal().clear();
+        let delta = PolicyDelta::new().replace_outbound(pid(3), retarget);
+        let units = ctl.apply_policy_delta(&delta, &mut fabric).unwrap();
+        let units = units.stats.pieces.units;
+        assert_eq!((units.recomputed, units.reused), (n, n));
+        assert_eq!(
+            journaled_flowmods(&ctl),
+            0,
+            "an identical policy patches nothing"
+        );
+    }
+
+    #[test]
+    fn a_delta_the_compiler_would_reject_is_refused_at_staging() {
+        let (mut ctl, mut fabric) = deployment();
+        let versions = ctl.compiler.policy_versions().clone();
+        let book = format!("{:?}", ctl.compiler.participants());
+        // C multicasts: the unicast restriction refuses it — even behind a
+        // well-formed operation of the same delta.
+        let multicast = P::fwd(PortId::Virt(pid(1))) + P::fwd(PortId::Virt(pid(2)));
+        let delta = PolicyDelta::new()
+            .install_outbound(
+                pid(1),
+                P::match_(FieldMatch::TpDst(22)) >> P::fwd(PortId::Virt(pid(2))),
+            )
+            .replace_outbound(pid(3), multicast);
+        assert_eq!(
+            ctl.stage_policy_delta(&delta),
+            Err(SdxError::Transform(TransformError::MulticastOutbound(pid(
+                3
+            ))))
+        );
+        // B's inbound policy forwards into C's virtual switch: stage-2
+        // isolation refuses it.
+        let delta = PolicyDelta::new().install_inbound(pid(2), P::fwd(PortId::Virt(pid(3))));
+        assert_eq!(
+            ctl.stage_policy_delta(&delta),
+            Err(SdxError::Transform(TransformError::InboundEscapesSwitch(
+                pid(2),
+                PortId::Virt(pid(3))
+            )))
+        );
+        assert_eq!(ctl.compiler.policy_versions(), &versions);
+        assert_eq!(format!("{:?}", ctl.compiler.participants()), book);
+        // The exchange goes on: the next re-optimization compiles, and a
+        // route update for an unrelated prefix takes the fast path.
+        ctl.reoptimize(&mut fabric).expect("reoptimize");
+        let b_cfg = ctl.compiler.participant(pid(2)).unwrap().clone();
+        ctl.process_update(
+            pid(2),
+            &b_cfg.announce([prefix("91.0.0.0/8")], &[65002, 3]),
+            &mut fabric,
+        )
+        .expect("fast path");
+        let out = fabric.send(
+            PortId::Phys(pid(3), 1),
+            Packet::tcp(ip("99.0.0.1"), ip("91.1.2.3"), 5000, 80),
+        );
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].loc, PortId::Phys(pid(2), 1));
+
+        // What is checked is the *effective* policy: under a global
+        // fragment rewriting 54/8, C's own port-80 policy — the one it
+        // deployed with — multicasts port-80 traffic to 54/8.
+        ctl.apply_policy_delta(&PolicyDelta::new().retract_outbound(pid(3)), &mut fabric)
+            .expect("retract");
+        let rewrite = P::match_(FieldMatch::NwDst(prefix("54.0.0.0/8")))
+            >> P::modify(sdx_net::Mod::SetNwDst(ip("54.0.0.1")));
+        ctl.compiler.add_global_policy(pid(1), rewrite);
+        ctl.reoptimize(&mut fabric)
+            .expect("the fragment alone compiles");
+        let web = P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(2)));
+        assert_eq!(
+            ctl.stage_policy_delta(&PolicyDelta::new().install_outbound(pid(3), web)),
+            Err(SdxError::Transform(TransformError::MulticastOutbound(pid(
+                3
+            ))))
+        );
+        ctl.reoptimize(&mut fabric).expect("still compiles");
     }
 
     #[test]

@@ -33,25 +33,26 @@
 //!
 //! ## Incremental recompilation
 //!
-//! The compiler caches each `(shard, viewer)` unit's signature slice and
-//! recomputes only units whose shard contains a dirty prefix (tracked by
-//! the route server's compile-dirty set) or whose viewer's outbound rules
-//! changed. A BGP burst that touches one /8 recompiles one shard's units;
-//! an idle reoptimize recomputes **zero** (`compile.shard.skipped.count`
-//! equals the shard count). The phase-A join dominates compile time and
-//! churn is spatially local, which is why the count matters at all.
+//! The compiler caches each `(shard, viewer)` unit's signature slice with
+//! the stamp of the compiled outbound policy it was built from, and
+//! recomputes a unit only when that stamp is no longer the viewer's or
+//! when its shard contains a dirty prefix (tracked by the route server's
+//! compile-dirty set) that can reach it. A BGP burst that touches one /8
+//! recompiles one shard's units; a policy push recompiles the editor's
+//! units; an idle reoptimize recomputes **zero**
+//! (`compile.shard.skipped.count` equals the shard count). The phase-A
+//! join dominates compile time and churn is spatially local, which is why
+//! the count matters at all.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, Prefix};
-use sdx_openflow::flowmod::{FlowMod, FlowModBatch};
 use sdx_policy::classifier::{Classifier, Rule};
 
 use crate::compiler::CompileReport;
 use crate::fec::{FecGroup, FecId, FecKey};
 use crate::piece::{Pieces, ViewerPiece, VnhMap};
-use crate::vnh::VnhAllocator;
 
 /// Upper bound on the shard count — far above any useful fan-out, but
 /// keeps a typo'd `1 << 30` from allocating absurd plans.
@@ -182,48 +183,49 @@ impl ShardPlan {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct ShardUnit {
     /// prefix → (rule memberships, partial-coverage marks), restricted to
-    /// the shard's range. Rule indices are per-viewer positions, stable
-    /// while the viewer's outbound rule list is (the policy-delta
-    /// invalidation pass compares cached rule lists to decide exactly
-    /// which units a rule-list change can perturb).
+    /// the shard's range. Rule indices are positions in the viewer's
+    /// compiled rule list as of [`ViewerUnits::stamp`].
     pub(crate) sig: BTreeMap<Prefix, (BTreeSet<usize>, BTreeSet<usize>)>,
     /// prefix → viewer's best-route next hop, same restriction.
     pub(crate) best_nh: BTreeMap<Prefix, Option<ParticipantId>>,
 }
 
+/// One viewer's phase-A output, and the one record of what it was built
+/// from.
+#[derive(Debug)]
+pub(crate) struct ViewerUnits {
+    /// The `(book epoch, version)` stamp of the compiled outbound policy
+    /// the units were built from: they are reused only while it is still
+    /// the viewer's.
+    pub(crate) stamp: (u64, u64),
+    /// One unit per shard, in shard order.
+    pub(crate) shards: Vec<ShardUnit>,
+    /// The units merged and partitioned, rebuilt only when a recomputed
+    /// unit came back changed (churn that cancels, or dirt in prefixes
+    /// the viewer never sees, keeps it). Shared, not copied, into the
+    /// compile and into the viewer's piece, which is current only while
+    /// it was built from this very output.
+    pub(crate) merged: Arc<MergedFecs>,
+}
+
 /// The compiler's incremental shard cache: the stable plan plus every
-/// clean `(shard, viewer)` unit from the previous compile, fingerprinted
-/// by everything phase A reads beyond the rule lists (route-server
-/// identity, the *structural* policy-book epoch). Any fingerprint mismatch throws the
-/// whole cache away. Within a valid cache, two partial-invalidation axes
-/// compose: BGP churn invalidates by dirty shard (the route server's
-/// compile-dirty set is authoritative), and policy churn invalidates
-/// per `(participant, shard)` by diffing the viewer's cached outbound
-/// rule list against the fresh one (see
-/// `SdxCompiler::compile_fecs`).
+/// viewer's units from the previous compile, fingerprinted by what every
+/// unit reads beyond its viewer's policy — the plan size, the
+/// *structural* policy-book epoch, the route-server identity. Any
+/// fingerprint mismatch throws the whole cache away. Within a valid
+/// cache, a viewer's units survive only under its current outbound
+/// stamp, and are then recomputed one by one where a route-dirty prefix
+/// can reach them (see `SdxCompiler::compile_fecs`).
 #[derive(Debug)]
 pub(crate) struct ShardCache {
     pub(crate) plan: ShardPlan,
-    /// Policy version counters the units were built under: the book epoch
-    /// gates the whole cache; per-participant outbound versions gate each
-    /// viewer's units.
-    pub(crate) versions: sdx_policy::PolicyVersions,
-    /// Each viewer's outbound forwarding-rule list as compiled last time —
-    /// the ground truth the policy-delta invalidation diffs against
-    /// (signature rule indices are positions in this list).
-    pub(crate) rules: HashMap<ParticipantId, Vec<crate::transform::FwdRule>>,
+    /// The book epoch the cache was built under.
+    pub(crate) book: u64,
     /// Identity of the route server instance the units were built from
     /// (fresh per instance and per clone — see `RouteServer::compile_id`).
     pub(crate) rs_id: u64,
-    pub(crate) units: HashMap<(usize, ParticipantId), ShardUnit>,
-    /// Per-viewer merged phase-A output from the previous compile, valid
-    /// while every one of the viewer's units is unchanged: recomputing a
-    /// dirty shard's unit and getting an identical slice back (churn that
-    /// cancels, or dirt in prefixes the viewer never sees) skips the
-    /// viewer's merge + re-partition entirely. Shared, not copied, into
-    /// the compile and into the viewer's piece, which is current only
-    /// while it was built from this very output.
-    pub(crate) merged: HashMap<ParticipantId, Arc<MergedFecs>>,
+    /// Every viewer's units, as the previous compile left them.
+    pub(crate) viewers: HashMap<ParticipantId, ViewerUnits>,
     /// Moves whenever a compile finds the route server's compile-dirty set
     /// non-empty: what a piece that reads routes beyond phase A (a viewer
     /// holding a rewrite rule) is stamped with.
@@ -336,49 +338,6 @@ fn relabel_rule(r: &Rule, vmac_map: &HashMap<MacAddr, MacAddr>) -> Rule {
     }
     out.actions = actions.into();
     out
-}
-
-/// Attributes a reconcile batch's flow-mods to the shards that produced
-/// them, for `reconcile.shard.*` telemetry: a mod whose pattern carries the
-/// VMAC of one of `report`'s groups is charged to the shard owning that
-/// group's first prefix; else a `nw_dst` pattern is charged by address;
-/// mods with neither (wildcards, MAC-learning defaults) land in the
-/// trailing *global* bucket. Returns `plan.len() + 1` counts.
-///
-/// Only the VMACs the batch names are resolved: `vnh` — the allocator the
-/// report's ids are mapped in — says which viewer's group an id is and
-/// where it starts, and the viewer's groups (ordered by first prefix)
-/// confirm the report holds it.
-pub fn mods_by_shard(
-    plan: &ShardPlan,
-    report: &CompileReport,
-    vnh: &VnhAllocator,
-    batch: &FlowModBatch,
-) -> Vec<usize> {
-    let shard_of_vmac = |mac: MacAddr| {
-        let id = FecId(mac.fec_id()?);
-        let key = vnh.key_of_id(id)?;
-        let first = *key.prefixes.first()?;
-        let groups = report.groups.get(&key.viewer)?;
-        let at = groups
-            .binary_search_by_key(&Some(first), |g| g.prefixes.first().copied())
-            .ok()?;
-        (groups[at].id == id).then(|| plan.shard_of(first))
-    };
-    let mut counts = vec![0usize; plan.len() + 1];
-    for m in &batch.mods {
-        let pattern = match m {
-            FlowMod::Add(entry) => &entry.pattern,
-            FlowMod::Modify { pattern, .. } | FlowMod::Delete { pattern, .. } => pattern,
-        };
-        let shard = pattern
-            .dl_dst
-            .and_then(shard_of_vmac)
-            .or_else(|| pattern.nw_dst.map(|p| plan.shard_of(p)))
-            .unwrap_or(plan.len());
-        counts[shard] += 1;
-    }
-    counts
 }
 
 #[cfg(test)]

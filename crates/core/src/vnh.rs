@@ -197,11 +197,6 @@ impl VnhAllocator {
         self.keys.get(key).copied().map(FecId)
     }
 
-    /// The key an id is currently mapped under, if any.
-    pub fn key_of_id(&self, id: FecId) -> Option<&FecKey> {
-        self.ids.get(&id.0)
-    }
-
     /// Number of live key↦id mappings.
     pub fn keyed_len(&self) -> usize {
         self.keys.len()
@@ -488,7 +483,7 @@ mod tests {
         let r = a.reserve_keyed(std::slice::from_ref(&k)).unwrap();
         let id = r.triples()[0].0;
         a.commit(&r);
-        assert_eq!(a.key_of_id(id), Some(&k));
+        assert_eq!(a.id_of_key(&k), Some(id));
         a.release(id);
         assert_eq!(a.keyed_len(), 0);
         assert_eq!(a.id_of_key(&k), None);

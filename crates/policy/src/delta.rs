@@ -12,10 +12,6 @@
 //!   (plus a coarse *book* epoch for structural changes), replacing the
 //!   single global epoch that used to invalidate every cached compile
 //!   artifact on any edit.
-//! * [`Footprint`] — the normalization pass: a sound over-approximation
-//!   of which destination prefixes a policy's compiled rules can affect,
-//!   so the incremental compiler can bound a delta's blast radius before
-//!   compiling anything.
 //!
 //! Validation is structural and pure: the delta is checked against
 //! caller-supplied views of the participant book (this crate knows policy
@@ -24,17 +20,16 @@
 //! category as a parse failure, never a panic.
 
 use std::collections::BTreeMap;
-use std::collections::BTreeSet;
 use std::fmt;
 
-use sdx_net::{FieldMatch, Mod, ParticipantId, PortId, Prefix};
+use sdx_net::{FieldMatch, Mod, ParticipantId, PortId};
 
 use crate::dsl::DslError;
 use crate::policy::Policy;
 use crate::pred::Pred;
 
 /// Which direction of a participant's policy an operation targets.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug, Hash)]
 pub enum PolicyScope {
     /// The participant's inbound (receiver-side, stage-2) policy.
     Inbound,
@@ -203,151 +198,6 @@ impl PolicyDelta {
         }
         Ok(())
     }
-
-    /// The combined destination-prefix footprint of every *outbound*
-    /// operation — the set of announced prefixes whose stage-1 compilation
-    /// this delta could change. `Retract` contributes [`Footprint::All`]:
-    /// the delta alone cannot know what the outgoing policy matched (the
-    /// compiler refines this against the actual cached rule lists).
-    /// Inbound operations contribute nothing: inbound policies shape
-    /// stage-2 delivery, never the FEC partition.
-    pub fn outbound_footprint(&self) -> Footprint {
-        let mut fp = Footprint::Prefixes(BTreeSet::new());
-        for op in &self.ops {
-            if op.scope != PolicyScope::Outbound {
-                continue;
-            }
-            fp = fp.union(match op.op.policy() {
-                Some(p) => policy_footprint(p),
-                None => Footprint::All,
-            });
-        }
-        fp
-    }
-}
-
-/// A sound over-approximation of the destination prefixes a policy can
-/// affect once compiled: either *everything* (the policy has an
-/// unconstrained path) or a finite prefix set. "Affects prefix `p`" means
-/// some footprint member overlaps `p` — see [`Footprint::affects`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum Footprint {
-    /// No destination bound could be established.
-    All,
-    /// Every compiled rule's destination constraint overlaps one of these.
-    Prefixes(BTreeSet<Prefix>),
-}
-
-impl Footprint {
-    /// The union of two footprints (`All` absorbs).
-    pub fn union(self, other: Footprint) -> Footprint {
-        match (self, other) {
-            (Footprint::Prefixes(mut a), Footprint::Prefixes(b)) => {
-                a.extend(b);
-                Footprint::Prefixes(a)
-            }
-            _ => Footprint::All,
-        }
-    }
-
-    /// Could a change bounded by this footprint alter compilation state
-    /// for announced prefix `p`? Overlap in either direction counts: a
-    /// /24-scoped policy affects an announced /8 that covers it.
-    pub fn affects(&self, p: Prefix) -> bool {
-        match self {
-            Footprint::All => true,
-            Footprint::Prefixes(set) => set.iter().any(|f| f.overlaps(p)),
-        }
-    }
-}
-
-impl fmt::Display for Footprint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Footprint::All => write!(f, "all prefixes"),
-            Footprint::Prefixes(set) => write!(f, "{} prefix(es)", set.len()),
-        }
-    }
-}
-
-/// The destination footprint of a policy tree.
-///
-/// Soundness over precision: every announced prefix the compiled rules
-/// could touch is covered, at the cost of occasionally answering `All`.
-/// A destination *rewrite* (`SetNwDst`) re-anchors the BGP join on the new
-/// address, so a top-level rewrite in a chain contributes the rewritten
-/// host; rewrites buried deeper than the analysis tracks collapse to
-/// `All`.
-pub fn policy_footprint(policy: &Policy) -> Footprint {
-    match policy {
-        Policy::Filter(pred) => pred_footprint(pred),
-        Policy::Mod(Mod::SetNwDst(a)) => Footprint::Prefixes([Prefix::host(*a)].into()),
-        Policy::Mod(_) => Footprint::All,
-        Policy::Parallel(children) => children
-            .iter()
-            .map(policy_footprint)
-            .fold(Footprint::Prefixes(BTreeSet::new()), Footprint::union),
-        Policy::Sequential(children) => {
-            // A rewrite nested inside a sub-tree (not a bare chain element)
-            // defeats the left-to-right constraint walk: give up soundly.
-            let nested_rewrite = children
-                .iter()
-                .any(|c| !matches!(c, Policy::Mod(_)) && contains_nw_dst_rewrite(c));
-            if nested_rewrite {
-                return Footprint::All;
-            }
-            // The last bare rewrite wins (matching `FwdRule::rewritten_dst`);
-            // otherwise the first destination-constrained element bounds
-            // the whole chain (sequential composition only narrows).
-            let rewrite = children.iter().rev().find_map(|c| match c {
-                Policy::Mod(Mod::SetNwDst(a)) => Some(*a),
-                _ => None,
-            });
-            if let Some(a) = rewrite {
-                return Footprint::Prefixes([Prefix::host(a)].into());
-            }
-            children
-                .iter()
-                .map(policy_footprint)
-                .find(|fp| *fp != Footprint::All)
-                .unwrap_or(Footprint::All)
-        }
-        Policy::IfElse(pred, then, els) => {
-            // then-branch traffic satisfies `pred`; else-branch traffic is
-            // unconstrained by it (¬pred has no useful destination bound).
-            let then_fp = match pred_footprint(pred) {
-                Footprint::All => policy_footprint(then),
-                fp => fp,
-            };
-            then_fp.union(policy_footprint(els))
-        }
-    }
-}
-
-/// The destination footprint of a predicate.
-pub fn pred_footprint(pred: &Pred) -> Footprint {
-    match pred {
-        Pred::Any => Footprint::All,
-        Pred::None => Footprint::Prefixes(BTreeSet::new()),
-        Pred::Test(FieldMatch::NwDst(p)) => Footprint::Prefixes([*p].into()),
-        Pred::Test(_) => Footprint::All,
-        // Conjunction only narrows: either side alone is a sound superset.
-        Pred::And(a, b) => match pred_footprint(a) {
-            Footprint::All => pred_footprint(b),
-            fp => fp,
-        },
-        Pred::Or(a, b) => pred_footprint(a).union(pred_footprint(b)),
-        Pred::Not(_) => Footprint::All,
-    }
-}
-
-fn contains_nw_dst_rewrite(policy: &Policy) -> bool {
-    match policy {
-        Policy::Filter(_) => false,
-        Policy::Mod(m) => matches!(m, Mod::SetNwDst(_)),
-        Policy::Parallel(v) | Policy::Sequential(v) => v.iter().any(contains_nw_dst_rewrite),
-        Policy::IfElse(_, t, e) => contains_nw_dst_rewrite(t) || contains_nw_dst_rewrite(e),
-    }
 }
 
 /// Every port a policy references: `fwd` targets and `inport` tests.
@@ -443,7 +293,7 @@ impl PolicyVersions {
 mod tests {
     use super::*;
     use crate::policy::Policy as P;
-    use sdx_net::{Ipv4Addr, PortId};
+    use sdx_net::{PortId, Prefix};
 
     fn pid(n: u32) -> ParticipantId {
         ParticipantId(n)
@@ -507,61 +357,5 @@ mod tests {
         delta
             .validate(|p| p.0 <= 2, |_, idx| idx <= 1)
             .expect("well-formed delta validates");
-    }
-
-    #[test]
-    fn footprint_bounds_filtered_policies() {
-        let p = pfx("10.1.0.0/16");
-        let q = pfx("10.2.0.0/16");
-        let pol = (P::match_(FieldMatch::NwDst(p)) >> P::fwd(PortId::Virt(pid(2))))
-            + (P::match_(FieldMatch::NwDst(q)) >> P::fwd(PortId::Virt(pid(3))));
-        assert_eq!(policy_footprint(&pol), Footprint::Prefixes([p, q].into()));
-        let fp = policy_footprint(&pol);
-        assert!(fp.affects(pfx("10.1.5.0/24")), "subnet of a member");
-        assert!(fp.affects(pfx("10.0.0.0/8")), "supernet of a member");
-        assert!(!fp.affects(pfx("192.168.0.0/16")), "disjoint prefix");
-    }
-
-    #[test]
-    fn footprint_is_all_for_unconstrained_policies() {
-        assert_eq!(
-            policy_footprint(&(P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(2))))),
-            Footprint::All
-        );
-        assert_eq!(
-            policy_footprint(&P::fwd(PortId::Virt(pid(2)))),
-            Footprint::All
-        );
-    }
-
-    #[test]
-    fn footprint_follows_rewrites() {
-        let a = Ipv4Addr::new(20, 0, 0, 9);
-        let pol = P::match_(FieldMatch::NwDst(pfx("10.0.0.0/8")))
-            >> P::modify(Mod::SetNwDst(a))
-            >> P::fwd(PortId::Virt(pid(2)));
-        // The BGP join re-anchors on the rewritten address.
-        assert_eq!(
-            policy_footprint(&pol),
-            Footprint::Prefixes([Prefix::host(a)].into())
-        );
-        assert!(policy_footprint(&pol).affects(pfx("20.0.0.0/8")));
-    }
-
-    #[test]
-    fn delta_footprint_unions_outbound_ops_only() {
-        let p = pfx("10.1.0.0/16");
-        let delta = PolicyDelta::new()
-            .install_outbound(
-                pid(1),
-                P::match_(FieldMatch::NwDst(p)) >> P::fwd(PortId::Virt(pid(2))),
-            )
-            .install_inbound(pid(2), P::fwd(PortId::Phys(pid(2), 1)));
-        assert_eq!(delta.outbound_footprint(), Footprint::Prefixes([p].into()));
-        // A retract's blast radius is unknown at this layer.
-        assert_eq!(
-            delta.clone().retract_outbound(pid(3)).outbound_footprint(),
-            Footprint::All
-        );
     }
 }

@@ -20,9 +20,9 @@
 //! * [`mod@compile`] — policy → classifier, with shadow elimination.
 //! * [`dsl`] — a text parser for the paper's surface syntax, so examples
 //!   read like the paper: `match(dstport=80) >> fwd(B)`.
-//! * [`delta`] — the policy *lifecycle*: install/replace/retract deltas,
-//!   per-participant policy versions, and destination footprints, so a
-//!   policy edit flows through the controller like a BGP update burst.
+//! * [`delta`] — the policy *lifecycle*: install/replace/retract deltas
+//!   and per-participant policy versions, so a policy edit flows through
+//!   the controller like a BGP update burst.
 //! * [`analysis`] — static analysis on compiled policies: forwarding
 //!   targets, match unions, unicast checks, shadowing diagnostics.
 
@@ -40,7 +40,7 @@ pub mod pred;
 
 pub use classifier::{Action, Classifier, Rule};
 pub use compile::compile;
-pub use delta::{Footprint, PolicyDelta, PolicyDeltaOp, PolicyOp, PolicyScope, PolicyVersions};
+pub use delta::{PolicyDelta, PolicyDeltaOp, PolicyOp, PolicyScope, PolicyVersions};
 pub use dsl::{parse_policy, DslError, PortResolver};
 pub use eval::eval;
 pub use policy::Policy;

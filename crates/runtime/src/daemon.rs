@@ -69,23 +69,15 @@ use sdx_telemetry::{Counter, Event, SharedRegistry};
 use crate::channel::{ChannelSink, FlowChannel};
 use crate::codec;
 
-/// Tuning knobs for a daemon instance.
+/// Tuning knobs for a daemon instance, one `sdxd` flag each.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct DaemonConfig {
     /// Hold time we offer in our OPEN, seconds.
     pub hold_time: u16,
     /// Maximum BGP messages folded into one compile pass.
     pub coalesce_max: usize,
-    /// Per-switch channel queue bound (frames in flight before sends block).
-    pub channel_queue: usize,
     /// Supervisor tick cadence (keepalives, hold timers, reconnects), ms.
     pub tick_ms: u64,
-    /// Bound on queued messages processed during shutdown drain.
-    pub drain_max: usize,
-    /// Seed for the supervisor's jittered backoff.
-    pub seed: u64,
-    /// Session supervision parameters (damping, backoff).
-    pub supervisor: SupervisorConfig,
 }
 
 impl Default for DaemonConfig {
@@ -93,14 +85,19 @@ impl Default for DaemonConfig {
         DaemonConfig {
             hold_time: 90,
             coalesce_max: 64,
-            channel_queue: 32,
             tick_ms: 50,
-            drain_max: 256,
-            seed: 7,
-            supervisor: SupervisorConfig::default(),
         }
     }
 }
+
+/// Per-switch channel queue bound (frames in flight before sends block).
+const CHANNEL_QUEUE: usize = 32;
+
+/// Bound on queued messages processed during shutdown drain.
+const DRAIN_MAX: usize = 256;
+
+/// Seed for the supervisor's jittered backoff.
+const SUPERVISOR_SEED: u64 = 7;
 
 /// What the daemon did, returned by [`DaemonHandle::stop`]. Carries the
 /// controller and fabric back out so tests can oracle-verify the final
@@ -185,7 +182,8 @@ pub fn start_with_clock(
         .map_err(|e| std::io::Error::other(format!("deploy failed: {e}")))?;
     fabric.enable_batch_log();
 
-    let mut sup = Supervisor::new(cfg.supervisor, cfg.seed).with_telemetry(reg.clone());
+    let mut sup =
+        Supervisor::new(SupervisorConfig::default(), SUPERVISOR_SEED).with_telemetry(reg.clone());
     let now = clock.now_ms();
     let peers: Vec<(ParticipantId, Asn)> = ctl
         .compiler
@@ -211,6 +209,10 @@ pub fn start_with_clock(
     let openflow_addr = openflow.local_addr()?;
     let telemetry_addr = telemetry.local_addr()?;
     let policy_addr = policy.local_addr()?;
+    // The accept loops poll, so they can see the stop flag.
+    for listener in [&bgp, &openflow, &telemetry, &policy] {
+        listener.set_nonblocking(true)?;
+    }
 
     let (tx, rx) = std::sync::mpsc::channel::<Input>();
     let stop = Arc::new(AtomicBool::new(false));
@@ -307,16 +309,15 @@ enum Waves {
     Ordered,
 }
 
-/// The accept loop all four listeners share: hands each connection to
-/// `serve` until the stop flag is up, the listener fails, or `serve`
-/// says the daemon is gone.
+/// The accept loop all four (non-blocking) listeners share: hands each
+/// connection to `serve` until the stop flag is up, the listener fails, or
+/// `serve` says the daemon is gone.
 fn spawn_acceptor(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
     mut serve: impl FnMut(TcpStream) -> bool + Send + 'static,
 ) {
     std::thread::spawn(move || {
-        listener.set_nonblocking(true).expect("nonblocking");
         while !stop.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
@@ -985,8 +986,7 @@ impl EventLoop {
     fn handle_switch_connected(&mut self, stream: TcpStream) {
         let id = self.next_channel;
         self.next_channel += 1;
-        let Ok(mut ch) = FlowChannel::new(id, stream, self.cfg.channel_queue, self.reg.clone())
-        else {
+        let Ok(mut ch) = FlowChannel::new(id, stream, CHANNEL_QUEUE, self.reg.clone()) else {
             return;
         };
         let image = codec::sync_batch(self.fabric.switch.table(), self.last_epoch);
@@ -1087,7 +1087,7 @@ impl EventLoop {
     fn shutdown_drain(&mut self) {
         let mut msgs: Vec<(ConnId, BgpMessage, Instant)> = Vec::new();
         let mut frames: Vec<(String, TcpStream)> = Vec::new();
-        while msgs.len() + frames.len() < self.cfg.drain_max {
+        while msgs.len() + frames.len() < DRAIN_MAX {
             match self.rx.try_recv() {
                 Ok(Input::PeerMsg { conn, msg, at }) => msgs.push((conn, msg, at)),
                 Ok(Input::PolicyFrame { line, writer }) => frames.push((line, writer)),

@@ -306,6 +306,70 @@ fn wait_until(what: &str, done: impl Fn() -> bool) {
 }
 
 #[test]
+fn a_policy_the_compiler_would_reject_is_nacked_and_routes_keep_flowing() {
+    // C's frame parses and names only real ports, but multicasts: the
+    // compiler would refuse it, so staging does, before the frame is
+    // acked. The exchange keeps going: a later route burst reaches the
+    // agent.
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
+    let reg = handle.telemetry().clone();
+    let agent = spawn_agent(handle.openflow_addr).expect("agent");
+    wait_counter(&reg, "daemon.switch_connected.count", 1);
+
+    let stream = TcpStream::connect(handle.policy_addr).expect("policy endpoint");
+    let mut r = BufReader::new(stream.try_clone().expect("clone"));
+    let mut w = BufWriter::new(stream);
+    let frame = codec::encode_policy_frame(
+        5,
+        &[codec::PolicyOpFrame::replace(
+            pid(3),
+            PolicyScope::Outbound,
+            "fwd(A) + fwd(B)",
+        )],
+    );
+    let (seq, result) = policy_roundtrip(&mut w, &mut r, &frame);
+    assert_eq!(seq, 5);
+    let err = result.expect_err("a multicast outbound policy must nack");
+    assert!(err.contains("multicast"), "the nack says why: {err}");
+
+    // B announces a prefix nobody had before.
+    let b = ParticipantConfig::new(2, 65002, 2);
+    let mut peer_b = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer B");
+    wait_counter(&reg, "session.established.count", 1);
+    peer_b
+        .send(&announce(&b, "60.0.0.0/8", &[65002, 600]))
+        .expect("send");
+    wait_until("the update's flow-mods acked", || {
+        reg.histogram("daemon.update_to_flowmod_us").count() == 1
+    });
+
+    let report = handle.stop();
+    let agent_fabric = agent.join();
+    assert_eq!(counter(&reg, "daemon.policy_rejected.count"), 1);
+    assert_eq!(counter(&reg, "policy.applied.count"), 0);
+    assert_eq!(counter(&reg, "daemon.reoptimize_failed.count"), 0);
+    assert_eq!(
+        agent_fabric.switch.table(),
+        report.fabric.switch.table(),
+        "agent table diverged from the driving fabric"
+    );
+    // A's web traffic to the new prefix is delivered at B, its only
+    // announcer (B's inbound TE picks B1 for the low source half).
+    let mut fabric = report.fabric;
+    let out = fabric.send(
+        PortId::Phys(pid(1), 1),
+        Packet::tcp(
+            Ipv4Addr::new(9, 0, 0, 1),
+            Ipv4Addr::new(60, 0, 0, 9),
+            4321,
+            80,
+        ),
+    );
+    assert_eq!(out.len(), 1);
+    assert_eq!(out[0].loc, PortId::Phys(pid(2), 1));
+}
+
+#[test]
 fn policy_push_after_a_route_burst_retires_the_overlays_on_the_agent() {
     // Overlay retirement is the one table mutation made outside the
     // flow-mod protocol, so every pass that retires overlays locally has
