@@ -6,16 +6,22 @@
 //! "participant A sends this IP packet" and observe which participant
 //! router(s) receive it, after the full pipeline: FIB → VNH/ARP tagging →
 //! flow-table classification → delivery.
+//!
+//! Per packet, [`Fabric::send`] does the paper's two lookups (the
+//! router's FIB walk, then one switch-table match), credits the winning
+//! entry and two pre-resolved counters, and applies the entry's buckets;
+//! a packet that leaves on one port allocates nothing.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use sdx_net::{Ipv4Addr, LocatedPacket, Packet, ParticipantId, PortId, Slot, Write};
-use sdx_telemetry::SharedRegistry;
+use sdx_telemetry::{Counter, SharedRegistry};
 
 use crate::arp::ArpResponder;
 use crate::border_router::{BorderRouter, RouterMut, RouterRef, SharedFib};
 use crate::flowmod::{BatchStats, BatchUndo, FlowModBatch, FlowModError};
-use crate::switch::Switch;
+use crate::switch::{Deliveries, Switch};
 
 /// A delivery out of the fabric: the physical port it left on.
 pub type Delivery = LocatedPacket;
@@ -34,13 +40,47 @@ pub struct Fabric {
     /// Packets the switch emitted at a *virtual* location — a compiled
     /// policy must never do this; non-zero means a compilation bug.
     pub stuck_at_virtual: u64,
-    /// Traffic counters land here. `SharedRegistry` compares equal to any
-    /// other handle, so equality of the *installed state* is unaffected by
-    /// where the fabric reports metrics.
-    telemetry: SharedRegistry,
+    /// Traffic counters land here. Compares equal to any other, so
+    /// equality of the *installed state* is unaffected by where the
+    /// fabric reports metrics.
+    telemetry: Telemetry,
     /// Opt-in recorder of every batch [`apply_flowmods`](Fabric::apply_flowmods)
     /// accepted, in order (see [`enable_batch_log`](Fabric::enable_batch_log)).
     batch_log: BatchLog,
+}
+
+/// The fabric's registry and the two counters every packet moves,
+/// resolved from that registry once rather than probed for by name per
+/// packet. Always built from one registry, so the handles count where
+/// [`Fabric::telemetry`] reads.
+#[derive(Clone, Debug)]
+struct Telemetry {
+    registry: SharedRegistry,
+    tx: Arc<Counter>,
+    delivered: Arc<Counter>,
+}
+
+impl Telemetry {
+    fn new(registry: SharedRegistry) -> Self {
+        Telemetry {
+            tx: registry.counter("fabric.tx.count"),
+            delivered: registry.counter("fabric.delivered.count"),
+            registry,
+        }
+    }
+}
+
+impl Default for Telemetry {
+    fn default() -> Self {
+        Telemetry::new(SharedRegistry::new())
+    }
+}
+
+impl PartialEq for Telemetry {
+    /// Always equal, like [`SharedRegistry`]: telemetry is not state.
+    fn eq(&self, _: &Telemetry) -> bool {
+        true
+    }
 }
 
 /// The applied-batch recorder behind [`Fabric::enable_batch_log`].
@@ -72,12 +112,12 @@ impl Fabric {
     /// Points this fabric's traffic counters at `reg` (the controller's
     /// `deploy` shares its registry in).
     pub fn set_telemetry(&mut self, reg: SharedRegistry) {
-        self.telemetry = reg;
+        self.telemetry = Telemetry::new(reg);
     }
 
     /// The registry this fabric emits into.
     pub fn telemetry(&self) -> &SharedRegistry {
-        &self.telemetry
+        &self.telemetry.registry
     }
 
     /// Attaches a border router at its port. The routes it already holds
@@ -153,33 +193,46 @@ impl Fabric {
     /// A participant-originated IP packet: the border router at
     /// `from` forwards it (FIB + ARP tag), then the switch classifies and
     /// delivers. Returns the deliveries at physical ports.
-    pub fn send(&mut self, from: PortId, pkt: Packet) -> Vec<Delivery> {
-        self.telemetry.inc("fabric.tx.count");
+    ///
+    /// A packet the router drops is counted as `fabric.no_route.count`
+    /// when its FIB has no route and as `fabric.no_arp.count` when the
+    /// route's next hop does not resolve, as the router's own
+    /// `no_route_drops` / `no_arp_drops` split them.
+    pub fn send(&mut self, from: PortId, pkt: Packet) -> Deliveries {
+        self.telemetry.tx.inc();
         let Some(router) = self.routers.get_mut(&from) else {
-            return Vec::new();
+            return Deliveries::new();
         };
         let route = self.fib.lookup(from, pkt.nw_dst).map(|(_, entry)| *entry);
         let Some(tagged) = router.tag(route, pkt, &mut self.arp) else {
-            self.telemetry.inc("fabric.no_route.count");
-            return Vec::new();
+            let dropped = match route {
+                Some(_) => "fabric.no_arp.count",
+                None => "fabric.no_route.count",
+            };
+            self.telemetry.registry.inc(dropped);
+            return Deliveries::new();
         };
         self.inject(tagged)
     }
 
     /// Injects an already-located packet straight into the switch (used by
-    /// tests that need precise control over the tag).
-    pub fn inject(&mut self, lp: LocatedPacket) -> Vec<Delivery> {
-        let mut out = Vec::new();
-        for delivered in self.switch.process(lp) {
-            if delivered.loc.is_physical() {
-                out.push(delivered);
-            } else {
-                self.stuck_at_virtual += 1;
-                self.telemetry.inc("fabric.stuck_at_virtual.count");
-            }
+    /// tests that need precise control over the tag). Outputs at virtual
+    /// locations are dropped from the switch's own output and counted.
+    pub fn inject(&mut self, lp: LocatedPacket) -> Deliveries {
+        let mut out = self.switch.process(lp);
+        let mut stuck = 0;
+        out.retain(|d| {
+            let physical = d.loc.is_physical();
+            stuck += u64::from(!physical);
+            physical
+        });
+        if stuck > 0 {
+            self.stuck_at_virtual += stuck;
+            self.telemetry
+                .registry
+                .add("fabric.stuck_at_virtual.count", stuck);
         }
-        self.telemetry
-            .add("fabric.delivered.count", out.len() as u64);
+        self.telemetry.delivered.add(out.len() as u64);
         out
     }
 
@@ -206,19 +259,16 @@ impl Fabric {
                 if self.batch_log.enabled {
                     self.batch_log.batches.push(batch.clone());
                 }
-                self.telemetry.inc("fabric.flowmod.batch.count");
-                self.telemetry
-                    .add("fabric.flowmod.add.count", stats.adds as u64);
-                self.telemetry
-                    .add("fabric.flowmod.modify.count", stats.modifies as u64);
-                self.telemetry
-                    .add("fabric.flowmod.delete.count", stats.deletes as u64);
-                self.telemetry
-                    .observe("fabric.flowmod.batch_size", stats.total() as u64);
+                let reg = &self.telemetry.registry;
+                reg.inc("fabric.flowmod.batch.count");
+                reg.add("fabric.flowmod.add.count", stats.adds as u64);
+                reg.add("fabric.flowmod.modify.count", stats.modifies as u64);
+                reg.add("fabric.flowmod.delete.count", stats.deletes as u64);
+                reg.observe("fabric.flowmod.batch_size", stats.total() as u64);
                 Ok((stats, WaveUndo { table, logged }))
             }
             Err(e) => {
-                self.telemetry.inc("fabric.flowmod.rejected.count");
+                self.telemetry.registry.inc("fabric.flowmod.rejected.count");
                 Err(e)
             }
         }
@@ -385,6 +435,112 @@ mod tests {
         );
         assert!(out.is_empty());
         assert_eq!(f.router(port(1, 1)).unwrap().no_route_drops, 1);
+    }
+
+    fn count(reg: &SharedRegistry, key: &str) -> u64 {
+        reg.counter(key).get()
+    }
+
+    fn routed() -> Packet {
+        Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80)
+    }
+
+    #[test]
+    fn an_unresolved_next_hop_counts_as_no_arp_not_no_route() {
+        let mut f = two_party_fabric();
+        // A route whose VNH the responder has no binding for.
+        f.router_mut(port(1, 1))
+            .unwrap()
+            .apply_update(&UpdateMessage::announce(
+                [prefix("20.0.0.0/8")],
+                PathAttributes::new(AsPath::sequence([65002]), ip("172.16.255.9")),
+            ));
+        let out = f.send(
+            port(1, 1),
+            Packet::tcp(ip("10.0.0.1"), ip("20.0.0.1"), 5, 80),
+        );
+        assert!(out.is_empty());
+        assert_eq!(f.router(port(1, 1)).unwrap().no_arp_drops, 1);
+        assert_eq!(count(f.telemetry(), "fabric.no_arp.count"), 1);
+        assert_eq!(count(f.telemetry(), "fabric.no_route.count"), 0);
+        // A packet with no route at all still counts as one.
+        f.send(
+            port(1, 1),
+            Packet::tcp(ip("10.0.0.1"), ip("9.9.9.9"), 5, 80),
+        );
+        assert_eq!(count(f.telemetry(), "fabric.no_arp.count"), 1);
+        assert_eq!(count(f.telemetry(), "fabric.no_route.count"), 1);
+    }
+
+    #[test]
+    fn traffic_counters_land_in_the_fabrics_own_registry() {
+        let traffic = |reg: &SharedRegistry| {
+            (
+                count(reg, "fabric.tx.count"),
+                count(reg, "fabric.delivered.count"),
+            )
+        };
+        // Never given a registry: counts in the one it reports.
+        let mut f = two_party_fabric();
+        assert_eq!(f.send(port(1, 1), routed()).len(), 1);
+        assert_eq!(traffic(f.telemetry()), (1, 1));
+
+        // Re-pointed: counts in the new registry, no longer in the old.
+        let old = f.telemetry().clone();
+        let reg = SharedRegistry::new();
+        f.set_telemetry(reg.clone());
+        f.send(port(1, 1), routed());
+        assert_eq!(traffic(&reg), (1, 1));
+        assert_eq!(traffic(&old), (1, 1));
+
+        // A clone counts in the same sink.
+        let mut g = f.clone();
+        g.send(port(1, 1), routed());
+        assert!(g.telemetry().same_sink(&reg));
+        assert_eq!(traffic(&reg), (2, 2));
+    }
+
+    #[test]
+    fn deliveries_keep_bucket_order_after_suppression_dedup_and_stuck_outputs() {
+        let mut f = two_party_fabric();
+        f.attach(BorderRouter::new(port(3, 1), MacAddr::physical(31)));
+        f.switch.install(FlowEntry::new(
+            100,
+            HeaderMatch::of(FieldMatch::InPort(port(1, 1))),
+            // A hairpin (suppressed), a copy to B, a virtual output
+            // (stuck), the same copy to B again (deduplicated), and a
+            // rewritten copy to C.
+            vec![
+                vec![Mod::SetLoc(port(1, 1))],
+                vec![Mod::SetLoc(port(2, 1))],
+                vec![Mod::SetLoc(PortId::Virt(ParticipantId(2)))],
+                vec![Mod::SetLoc(port(2, 1))],
+                vec![
+                    Mod::SetDlDst(MacAddr::physical(31)),
+                    Mod::SetLoc(port(3, 1)),
+                ],
+            ],
+        ));
+        let pkt = Packet {
+            payload_len: 1500,
+            ..routed()
+        };
+        let out = f.send(port(1, 1), pkt);
+        let locs: Vec<PortId> = out.iter().map(|d| d.loc).collect();
+        assert_eq!(locs, [port(2, 1), port(3, 1)]);
+        assert_eq!(out[1].pkt.dl_dst, MacAddr::physical(31));
+        assert_eq!(count(f.telemetry(), "fabric.delivered.count"), 2);
+        assert_eq!(f.stuck_at_virtual, 1);
+        assert_eq!(count(f.telemetry(), "fabric.stuck_at_virtual.count"), 1);
+        let table = f.switch.table();
+        let entry = table.entries().iter().find(|e| e.priority == 100).unwrap();
+        assert_eq!((entry.packet_count, entry.byte_count), (1, 1500));
+
+        // A packet no entry matches bumps the miss counter, goes nowhere.
+        let stray = LocatedPacket::at(port(2, 1), routed());
+        assert!(f.inject(stray).is_empty());
+        assert_eq!(f.switch.miss_count, 1);
+        assert_eq!(count(f.telemetry(), "fabric.delivered.count"), 2);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!   controller patches tables with: atomic per batch, epoch-tagged,
 //!   cookie-indexed (§4.3.2's incremental updates made explicit).
 //! * [`switch`] — the packet-processing pipeline: classify against the
-//!   table, execute buckets, emit `(port, packet)` outputs.
+//!   table, execute buckets, emit `(port, packet)` outputs as
+//!   [`Deliveries`] (one output inline, no allocation).
 //! * [`arp`] — the SDX ARP responder that answers queries for virtual next
 //!   hops with the corresponding virtual MAC (§4.2).
 //! * [`middlebox`] — middleboxes behind fabric ports and the §8
@@ -52,5 +53,5 @@ pub use flowmod::{BatchStats, FlowMod, FlowModBatch, FlowModError};
 pub use matcher::{CompiledMatcher, MatcherStats};
 pub use middlebox::Middlebox;
 pub use multiswitch::MultiFabric;
-pub use switch::Switch;
+pub use switch::{Deliveries, Switch};
 pub use table::{FlowEntry, FlowTable};

@@ -12,6 +12,7 @@
 use sdx_net::{LocatedPacket, Packet, PortId};
 
 use crate::fabric::{Delivery, Fabric};
+use crate::switch::Deliveries;
 
 /// The packet transform a middlebox applies; identity for monitors and
 /// scrubbers, a header rewrite for NATs etc.
@@ -52,7 +53,7 @@ impl Middlebox {
 
     /// Processes one delivered frame and re-injects it into the fabric via
     /// the port's border router (FIB + ARP, like any originated traffic).
-    pub fn process(&mut self, fabric: &mut Fabric, delivered: LocatedPacket) -> Vec<Delivery> {
+    pub fn process(&mut self, fabric: &mut Fabric, delivered: LocatedPacket) -> Deliveries {
         debug_assert_eq!(delivered.loc, self.port, "frame delivered elsewhere");
         self.processed += 1;
         let out = (self.transform)(delivered.pkt);
@@ -70,7 +71,7 @@ pub fn run_through_chain(
     pkt: Packet,
     max_hops: usize,
 ) -> Option<Vec<Delivery>> {
-    let mut in_flight = fabric.send(from, pkt);
+    let mut in_flight = Vec::from(fabric.send(from, pkt));
     for _ in 0..max_hops {
         let mut next = Vec::new();
         let mut done = Vec::new();

@@ -4,11 +4,126 @@
 //! packets emitted on output ports. A packet "output" to the port it
 //! arrived on is suppressed (OpenFlow requires `IN_PORT` explicitly; the
 //! SDX never hairpins).
+//!
+//! Almost every packet leaves on at most one port, so the outputs come
+//! back as [`Deliveries`], which holds a single packet inline and
+//! allocates only for real multicast.
+
+use std::fmt;
+use std::ops::Deref;
 
 use sdx_net::LocatedPacket;
 use sdx_policy::Classifier;
 
 use crate::table::{FlowEntry, FlowTable};
+
+/// The packets one input produced, in bucket order: none, one held
+/// inline, or a `Vec` once a second one is pushed. Reads as a
+/// `[LocatedPacket]` and iterates by value; two values are equal when
+/// they hold the same packets in the same order.
+#[derive(Clone, Default)]
+pub struct Deliveries(Repr);
+
+#[derive(Clone, Default)]
+enum Repr {
+    #[default]
+    None,
+    One(LocatedPacket),
+    Many(Vec<LocatedPacket>),
+}
+
+impl Deliveries {
+    /// No deliveries.
+    pub fn new() -> Self {
+        Deliveries::default()
+    }
+
+    /// Appends `lp`; the first push stays inline, the second moves both
+    /// into a `Vec`.
+    pub fn push(&mut self, lp: LocatedPacket) {
+        match &mut self.0 {
+            Repr::None => self.0 = Repr::One(lp),
+            Repr::One(first) => self.0 = Repr::Many(vec![*first, lp]),
+            Repr::Many(all) => all.push(lp),
+        }
+    }
+
+    /// Keeps only the packets `keep` accepts, in order, in place.
+    pub fn retain(&mut self, mut keep: impl FnMut(&LocatedPacket) -> bool) {
+        match &mut self.0 {
+            Repr::None => {}
+            Repr::One(lp) => {
+                if !keep(lp) {
+                    self.0 = Repr::None;
+                }
+            }
+            Repr::Many(all) => all.retain(|lp| keep(lp)),
+        }
+    }
+
+    /// The packets, in order.
+    pub fn as_slice(&self) -> &[LocatedPacket] {
+        match &self.0 {
+            Repr::None => &[],
+            Repr::One(lp) => std::slice::from_ref(lp),
+            Repr::Many(all) => all,
+        }
+    }
+}
+
+impl Deref for Deliveries {
+    type Target = [LocatedPacket];
+
+    fn deref(&self) -> &[LocatedPacket] {
+        self.as_slice()
+    }
+}
+
+impl PartialEq for Deliveries {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl fmt::Debug for Deliveries {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl IntoIterator for Deliveries {
+    type Item = LocatedPacket;
+    type IntoIter =
+        std::iter::Chain<std::option::IntoIter<LocatedPacket>, std::vec::IntoIter<LocatedPacket>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        let (one, many) = match self.0 {
+            Repr::None => (None, Vec::new()),
+            Repr::One(lp) => (Some(lp), Vec::new()),
+            Repr::Many(all) => (None, all),
+        };
+        one.into_iter().chain(many)
+    }
+}
+
+impl<'a> IntoIterator for &'a Deliveries {
+    type Item = &'a LocatedPacket;
+    type IntoIter = std::slice::Iter<'a, LocatedPacket>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl From<Deliveries> for Vec<LocatedPacket> {
+    fn from(d: Deliveries) -> Self {
+        match d.0 {
+            Repr::None => Vec::new(),
+            Repr::One(lp) => vec![lp],
+            Repr::Many(all) => all,
+        }
+    }
+}
 
 /// A software OpenFlow-style switch.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -51,17 +166,17 @@ impl Switch {
     }
 
     /// Processes one packet; returns `(output port, packet)` deliveries.
-    pub fn process(&mut self, lp: LocatedPacket) -> Vec<LocatedPacket> {
+    /// The winning entry's buckets are read in place.
+    pub fn process(&mut self, lp: LocatedPacket) -> Deliveries {
         let in_port = lp.loc;
+        let mut out = Deliveries::new();
         let Some(entry) = self.table.lookup(&lp) else {
             self.miss_count += 1;
-            return Vec::new();
+            return out;
         };
-        let buckets = entry.buckets.clone();
-        let mut out = Vec::with_capacity(buckets.len());
-        for bucket in buckets {
+        for bucket in &entry.buckets {
             let mut copy = lp;
-            for m in &bucket {
+            for m in bucket {
                 m.apply(&mut copy);
             }
             // Suppress hairpin and "outputs" that never set a port.
@@ -142,6 +257,26 @@ mod tests {
         assert_eq!(out[0].pkt.nw_dst, ip("9.9.9.9"));
         // Second bucket must see the ORIGINAL packet (group semantics).
         assert_eq!(out[1].pkt.nw_dst, ip("20.0.0.1"));
+    }
+
+    #[test]
+    fn deliveries_read_the_same_inline_or_spilled() {
+        let (a, b) = (pkt(80), pkt(443));
+        let mut d = Deliveries::new();
+        assert!(d.is_empty());
+        d.push(a);
+        assert_eq!(d.as_slice(), [a]);
+        d.push(b);
+        assert_eq!(d.as_slice(), [a, b]);
+        assert_eq!(d.clone().into_iter().collect::<Vec<_>>(), [a, b]);
+        // Spilled down to one packet equals the inline one.
+        d.retain(|lp| lp.pkt.tp_dst == 80);
+        let mut one = Deliveries::new();
+        one.push(a);
+        assert_eq!(d, one);
+        one.retain(|_| false);
+        assert_eq!(one, Deliveries::new());
+        assert_eq!(Vec::from(d), [a]);
     }
 
     #[test]

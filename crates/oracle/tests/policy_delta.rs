@@ -123,8 +123,8 @@ fn policy_deltas_patch_to_the_from_scratch_table() {
         }
         let mut cold_fabric = cold.deploy().expect("cold deploy");
         for (from, pkt) in &probes {
-            let warm: Vec<_> = fabric.send(*from, *pkt);
-            let scratch: Vec<_> = cold_fabric.send(*from, *pkt);
+            let warm = fabric.send(*from, *pkt);
+            let scratch = cold_fabric.send(*from, *pkt);
             assert_eq!(
                 warm.len(),
                 scratch.len(),

@@ -44,7 +44,7 @@ fn announce_30_8() -> UpdateMessage {
     ParticipantConfig::new(2, 65002, 1).announce([prefix("30.0.0.0/8")], &[65002, 5])
 }
 
-fn probe(fabric: &mut Fabric, dst: &str) -> Vec<sdx::openflow::fabric::Delivery> {
+fn probe(fabric: &mut Fabric, dst: &str) -> sdx::openflow::Deliveries {
     fabric.send(
         PortId::Phys(pid(1), 1),
         Packet::tcp(ip("9.9.9.9"), ip(dst), 40_000, 80),

@@ -25,7 +25,7 @@ fn send_from_a(
     src: &str,
     dst: &str,
     dport: u16,
-) -> Vec<sdx::net::LocatedPacket> {
+) -> sdx::openflow::Deliveries {
     fabric.send(
         PortId::Phys(pid(1), 1),
         Packet::tcp(ip(src), ip(dst), 40_000, dport),

@@ -77,7 +77,11 @@ fn multiswitch_agrees_with_single_switch() {
         let from = PortId::Phys(pid(sender), 1);
         let s = single.send(from, pkt);
         let m = multi.send(from, pkt);
-        assert_eq!(s, m, "sender {sender} src {src} dport {dport}");
+        assert_eq!(
+            s.as_slice(),
+            m.as_slice(),
+            "sender {sender} src {src} dport {dport}"
+        );
     }
     assert_eq!(multi.stuck_at_virtual, 0);
 }

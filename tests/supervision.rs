@@ -35,7 +35,7 @@ fn apply(ctl: &mut SdxController, fabric: &mut Fabric, out: &SupervisorOutput) -
     1
 }
 
-fn probe(fabric: &mut Fabric, dst: &str) -> Vec<sdx::openflow::fabric::Delivery> {
+fn probe(fabric: &mut Fabric, dst: &str) -> sdx::openflow::Deliveries {
     fabric.send(
         PortId::Phys(pid(1), 1),
         Packet::tcp(ip("9.9.9.9"), ip(dst), 40_000, 80),
