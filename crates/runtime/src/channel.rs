@@ -1,12 +1,16 @@
-//! Per-switch OpenFlow channels: bounded send queues, explicit
+//! Per-switch OpenFlow channels: a bound on unacked frames, explicit
 //! backpressure, and ack barriers.
 //!
-//! Each connected switch agent gets one [`FlowChannel`]: a bounded
-//! in-memory queue drained by a dedicated writer thread, plus an ack
-//! reader that consumes the agent's one-line replies. Sending blocks
-//! when the queue is full — backpressure is explicit, never silent
-//! drop — and [`FlowChannel::barrier`] waits until every outstanding
-//! frame has been acknowledged, surfacing the first agent rejection.
+//! Each connected switch agent gets one [`FlowChannel`], which owns the
+//! socket and starts no thread: a send writes its frame on the caller's
+//! thread, and [`FlowChannel::barrier`] reads the agent's one-line acks
+//! itself until every frame sent has been acknowledged, surfacing the
+//! first agent rejection. At most `queue` frames are unacked at a time —
+//! a send past the bound reads acks first — so a slow switch holds up
+//! its sender instead of growing a buffer: backpressure is explicit,
+//! never a silent drop. The socket's read and write timeouts are
+//! `ACK_TIMEOUT` (10 s), so a dead or stalled agent fails the channel
+//! in bounded time.
 //!
 //! [`ChannelSink`] adapts a fleet of channels to the scheduler's
 //! [`WaveSink`]: a wave is sent to *every* channel before any barrier
@@ -19,9 +23,8 @@
 //! hardware agent would speak, and hands its final fabric back on
 //! disconnect so tests can assert byte-level table equality.
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpStream};
-use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -32,76 +35,44 @@ use sdx_telemetry::SharedRegistry;
 
 use crate::codec;
 
-/// How long a barrier waits for a single ack before declaring the agent
-/// dead. Generous: an agent that is alive acks in microseconds.
+/// How long one read of an ack, or one write of a frame, may block
+/// before the agent is declared dead. Generous: an agent that is alive
+/// acks in microseconds.
 const ACK_TIMEOUT: Duration = Duration::from_secs(10);
-
-type AckEvent = (u64, Result<(), String>);
 
 /// One daemon-side OpenFlow channel to a connected switch agent.
 pub struct FlowChannel {
     id: usize,
-    tx: Option<SyncSender<String>>,
-    acks: Receiver<AckEvent>,
-    stream: TcpStream,
-    writer: Option<JoinHandle<()>>,
-    reader: Option<JoinHandle<()>>,
+    /// The agent's socket: frames are written to it directly, acks are
+    /// read through the buffer.
+    socket: BufReader<TcpStream>,
+    queue: u64,
     next_seq: u64,
     acked: u64,
+    /// The first agent rejection read since the last barrier.
+    rejected: Option<String>,
     reg: SharedRegistry,
 }
 
 impl FlowChannel {
-    /// Wraps an accepted agent connection. `queue` bounds the send
-    /// queue: once `queue` frames are in flight to the writer thread,
-    /// further sends block (the daemon's explicit backpressure).
+    /// Wraps an accepted agent connection. `queue` bounds the frames
+    /// sent but not yet acked: a send past the bound reads acks first
+    /// (the daemon's explicit backpressure).
     pub fn new(
         id: usize,
         stream: TcpStream,
         queue: usize,
         reg: SharedRegistry,
     ) -> std::io::Result<FlowChannel> {
-        let (tx, rx) = sync_channel::<String>(queue.max(1));
-        let (ack_tx, ack_rx) = std::sync::mpsc::channel::<AckEvent>();
-        let write_stream = stream.try_clone()?;
-        let read_stream = stream.try_clone()?;
-        let writer = std::thread::spawn(move || {
-            let mut w = BufWriter::new(write_stream);
-            for line in rx {
-                if w.write_all(line.as_bytes()).is_err()
-                    || w.write_all(b"\n").is_err()
-                    || w.flush().is_err()
-                {
-                    break;
-                }
-            }
-        });
-        let reader = std::thread::spawn(move || {
-            let r = BufReader::new(read_stream);
-            for line in r.lines() {
-                let Ok(line) = line else { break };
-                if line.trim().is_empty() {
-                    continue;
-                }
-                let Ok(ack) = codec::decode_ack(&line) else {
-                    break;
-                };
-                if ack_tx.send(ack).is_err() {
-                    break;
-                }
-            }
-            // Dropping ack_tx disconnects the receiver: barriers fail
-            // fast instead of waiting out the timeout.
-        });
+        stream.set_read_timeout(Some(ACK_TIMEOUT))?;
+        stream.set_write_timeout(Some(ACK_TIMEOUT))?;
         Ok(FlowChannel {
             id,
-            tx: Some(tx),
-            acks: ack_rx,
-            stream,
-            writer: Some(writer),
-            reader: Some(reader),
+            socket: BufReader::new(stream),
+            queue: queue.max(1) as u64,
             next_seq: 0,
             acked: 0,
+            rejected: None,
             reg,
         })
     }
@@ -123,77 +94,92 @@ impl FlowChannel {
             .observe("daemon.channel.depth_samples", self.outstanding());
     }
 
-    fn send_line(&mut self, line: String) -> Result<u64, String> {
-        let seq = self.next_seq;
-        let tx = self
-            .tx
-            .as_ref()
-            .ok_or_else(|| format!("switch channel {} already closed", self.id))?;
-        // Blocks while the queue is full: backpressure propagates to
+    fn send_line(&mut self, mut line: String) -> Result<u64, String> {
+        // Past the bound, wait for the agent: backpressure propagates to
         // the event loop, which keeps coalescing instead of piling up.
-        tx.send(line)
-            .map_err(|_| format!("switch channel {} writer gone", self.id))?;
+        while self.outstanding() >= self.queue {
+            self.read_ack()?;
+        }
+        line.push('\n');
+        if let Err(e) = self.socket.get_ref().write_all(line.as_bytes()) {
+            return Err(self.fail(&format!("write failed: {e}")));
+        }
+        let seq = self.next_seq;
         self.next_seq += 1;
         self.record_depth();
         Ok(seq)
     }
 
-    /// Queues a batch frame; returns its sequence number.
+    /// Reads one ack. A rejection is kept for the next barrier; a
+    /// hang-up, a timeout or a line that is no ack fails the transport.
+    fn read_ack(&mut self) -> Result<(), String> {
+        let mut line = String::new();
+        loop {
+            line.clear();
+            let failure = match self.socket.read_line(&mut line) {
+                Ok(0) => "disconnected",
+                Ok(_) if line.trim().is_empty() => continue,
+                Ok(_) => match codec::decode_ack(line.trim()) {
+                    Ok((seq, result)) => {
+                        self.acked += 1;
+                        if let Err(e) = result {
+                            self.rejected.get_or_insert(format!(
+                                "switch {} rejected frame {seq}: {e}",
+                                self.id
+                            ));
+                        }
+                        return Ok(());
+                    }
+                    Err(_) => "sent a line that is no ack",
+                },
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    "ack timeout"
+                }
+                Err(_) => "disconnected",
+            };
+            return Err(self.fail(failure));
+        }
+    }
+
+    /// A transport failure: shuts the socket down, so the agent reads
+    /// EOF and every later send or barrier fails at once.
+    fn fail(&self, what: &str) -> String {
+        let _ = self.socket.get_ref().shutdown(Shutdown::Both);
+        format!("switch {} {what}", self.id)
+    }
+
+    /// Writes a batch frame; returns its sequence number.
     pub fn send_batch(&mut self, batch: &FlowModBatch) -> Result<u64, String> {
         let line = codec::encode_apply(self.next_seq, batch);
         self.send_line(line)
     }
 
-    /// Queues a full-table sync frame; returns its sequence number.
+    /// Writes a full-table sync frame; returns its sequence number.
     pub fn send_sync(&mut self, batch: &FlowModBatch) -> Result<u64, String> {
         let line = codec::encode_sync(self.next_seq, batch);
         self.send_line(line)
     }
 
-    /// Waits until every queued frame has been acknowledged. Returns the
+    /// Waits until every frame sent has been acknowledged. Returns the
     /// first agent rejection or transport failure; on `Ok` the agent's
     /// table has applied everything sent so far.
     pub fn barrier(&mut self) -> Result<(), String> {
-        let mut first_err: Option<String> = None;
+        let mut result = Ok(());
         while self.acked < self.next_seq {
-            match self.acks.recv_timeout(ACK_TIMEOUT) {
-                Ok((seq, Ok(()))) => {
-                    self.acked += 1;
-                    debug_assert!(seq < self.next_seq);
-                }
-                Ok((seq, Err(e))) => {
-                    self.acked += 1;
-                    first_err
-                        .get_or_insert(format!("switch {} rejected frame {}: {}", self.id, seq, e));
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    first_err.get_or_insert(format!("switch {} disconnected", self.id));
-                    break;
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    first_err.get_or_insert(format!("switch {} ack timeout", self.id));
-                    break;
-                }
+            if let Err(e) = self.read_ack() {
+                result = Err(e);
+                break;
             }
         }
         self.record_depth();
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
+        // A rejection was read before any transport failure.
+        self.rejected.take().map_or(result, Err)
     }
 
-    /// Closes the channel: flushes the writer, shuts the socket down,
-    /// and joins both service threads.
-    pub fn close(mut self) {
-        self.tx = None; // writer drains its queue, then exits
-        if let Some(w) = self.writer.take() {
-            let _ = w.join();
-        }
-        let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        if let Some(r) = self.reader.take() {
-            let _ = r.join();
-        }
+    /// Closes the channel: shuts the socket down, so the agent reads EOF.
+    /// Every frame was written when its send returned.
+    pub fn close(self) {
+        let _ = self.socket.get_ref().shutdown(Shutdown::Both);
     }
 }
 
@@ -316,6 +302,8 @@ mod tests {
     use sdx_openflow::flowmod::FlowMod;
     use sdx_openflow::table::FlowEntry;
     use std::net::TcpListener;
+    use std::sync::mpsc;
+    use std::time::Instant;
 
     fn reg() -> SharedRegistry {
         SharedRegistry::new()
@@ -376,6 +364,100 @@ mod tests {
         assert!(
             elapsed < Duration::from_millis(400),
             "20 rounds of 8 frames + barrier took {elapsed:?}"
+        );
+    }
+
+    /// A switch agent that acks each frame only when the test hands it a
+    /// token, so the test decides when every ack exists. Returns the
+    /// frames it acked.
+    fn token_agent(addr: SocketAddr) -> (mpsc::Sender<()>, JoinHandle<usize>) {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
+        let (tokens, gate) = mpsc::channel::<()>();
+        let join = std::thread::spawn(move || {
+            let mut w = &stream;
+            let mut acked = 0;
+            for line in BufReader::new(&stream).lines() {
+                let Ok(line) = line else { break };
+                let seq = codec::decode_frame(&line).expect("frame").seq();
+                if gate.recv().is_err() {
+                    break;
+                }
+                let ack = format!("{}\n", codec::encode_ack(seq, Ok(())));
+                if w.write_all(ack.as_bytes()).is_err() {
+                    break;
+                }
+                acked += 1;
+            }
+            acked
+        });
+        (tokens, join)
+    }
+
+    fn batch(port: u16) -> FlowModBatch {
+        let mut b = FlowModBatch::new(u64::from(port));
+        b.push(add(10, port));
+        b
+    }
+
+    #[test]
+    fn a_send_past_the_bound_waits_for_an_ack() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let (tokens, agent) = token_agent(listener.local_addr().expect("addr"));
+        let (stream, _) = listener.accept().expect("accept");
+        let mut ch = FlowChannel::new(0, stream, 2, reg()).expect("channel");
+        ch.send_batch(&batch(80)).expect("under the bound");
+        ch.send_batch(&batch(81)).expect("under the bound");
+        assert_eq!(ch.outstanding(), 2);
+
+        // The third frame is past the bound and the agent has acked
+        // nothing: its send cannot return until the test lets one ack out.
+        let (returned, sent) = mpsc::channel();
+        let sender = std::thread::spawn(move || {
+            let seq = ch.send_batch(&batch(82));
+            let outstanding = ch.outstanding();
+            returned.send(()).expect("test alive");
+            (ch, seq, outstanding)
+        });
+        assert!(
+            sent.try_recv().is_err(),
+            "the send past the bound returned before any ack existed"
+        );
+        tokens.send(()).expect("agent alive");
+        let (mut ch, seq, outstanding) = sender.join().expect("sender thread");
+        assert_eq!(seq, Ok(2));
+        assert_eq!(outstanding, 2, "three frames sent, one ack read");
+
+        // With acks flowing, the count of unacked frames stays in bound.
+        for _ in 0..12 {
+            tokens.send(()).expect("agent alive");
+        }
+        for port in 83..93 {
+            ch.send_batch(&batch(port)).expect("send");
+            assert!(ch.outstanding() <= 2, "{} unacked", ch.outstanding());
+        }
+        ch.barrier().expect("all acked");
+        assert_eq!(ch.outstanding(), 0);
+        ch.close();
+        assert_eq!(agent.join().expect("agent thread"), 13);
+    }
+
+    #[test]
+    fn an_agent_that_hangs_up_fails_the_next_barrier_at_once() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let agent = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (stream, _) = listener.accept().expect("accept");
+        let mut ch = FlowChannel::new(0, stream, 8, reg()).expect("channel");
+        ch.send_batch(&batch(80))
+            .expect("written before the hang-up");
+        drop(agent);
+        let t0 = Instant::now();
+        let err = ch.barrier().expect_err("no agent left to ack");
+        assert!(err.contains("disconnected"), "err: {err}");
+        assert!(
+            t0.elapsed() < ACK_TIMEOUT / 2,
+            "the barrier waited {:?} on a closed socket",
+            t0.elapsed()
         );
     }
 

@@ -10,7 +10,8 @@
 //!   resets ([`Supervisor`], generalized from timer-driven to
 //!   socket-liveness-driven via `connection_up` / `peer_disconnected`).
 //! * **OpenFlow** — switch agents connect and receive the controller's
-//!   [`FlowModBatch`](sdx_openflow::flowmod::FlowModBatch) stream over per-channel bounded queues
+//!   [`FlowModBatch`](sdx_openflow::flowmod::FlowModBatch) stream over
+//!   per-switch channels with a bound on unacked frames
 //!   ([`crate::channel`]); scheduled updates fan out wave-by-wave with
 //!   the PR 6 per-wave barrier held across the whole fleet.
 //! * **Telemetry** — any connection receives one JSON dump of the
@@ -21,11 +22,13 @@
 //!
 //! ## Threading model
 //!
-//! Structured thread-per-connection with bounded channels — no reactor,
-//! no dependencies. Accept loops and per-peer readers are threads that
-//! funnel typed [`Input`]s into one `mpsc` queue; a single event-loop
-//! thread owns *all* mutable state (controller, fabric, supervisor,
-//! channels), so the control plane needs no locks at all.
+//! One thread per socket, blocked on it — no reactor, no polling timer,
+//! no dependencies. An acceptor per listener blocks in `accept`, a reader
+//! per BGP peer and per policy client blocks in `read`, and they funnel
+//! typed [`Input`]s into one `mpsc` queue. A single event-loop thread
+//! owns *all* mutable state (controller, fabric, supervisor, switch
+//! channels) and does every write, switch frames included, so the
+//! control plane needs no locks at all.
 //!
 //! ## Burst coalescing
 //!
@@ -38,20 +41,23 @@
 //!
 //! ## Shutdown
 //!
-//! [`DaemonHandle::stop`] sets the stop flag and enqueues a final
-//! input. The loop drains a bounded number of already-queued updates
-//! and policy frames (each frame acked), flushes them through one last
-//! compile, waits out every OpenFlow barrier (a wave in flight always
-//! reaches its barrier — never mid-wave), journals `daemon_stopped`,
-//! and shuts the BGP sessions and switch channels down. Readers wake on
-//! a read timeout, see the stop flag and drop their connections, so a
-//! connected policy client reads EOF after its last ack.
+//! [`DaemonHandle::stop`] enqueues a final input. The loop drains a
+//! bounded number of already-queued updates and policy frames (each
+//! frame acked) and shuts down any connection queued behind it, flushes
+//! them through one last compile, waits out every OpenFlow barrier (a
+//! wave in flight always reaches its barrier — never mid-wave), journals
+//! `daemon_stopped`, closes the switch channels and exits. `stop` then
+//! wakes each acceptor with one connection; the acceptor shuts down every
+//! socket it accepted, which ends that socket's reader, and joins the
+//! readers. When `stop` returns every thread the daemon spawned has been
+//! joined: each client reads EOF (a policy client after its last ack) and
+//! the endpoints refuse connections.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::io::Write;
+use std::collections::{BTreeMap, BTreeSet};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender, TryRecvError};
+use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -90,7 +96,7 @@ impl Default for DaemonConfig {
     }
 }
 
-/// Per-switch channel queue bound (frames in flight before sends block).
+/// Per-switch bound on unacked frames (a send past it reads acks first).
 const CHANNEL_QUEUE: usize = 32;
 
 /// Bound on queued messages processed during shutdown drain.
@@ -131,8 +137,11 @@ pub struct DaemonHandle {
     pub policy_addr: SocketAddr,
     reg: SharedRegistry,
     tx: Sender<Input>,
+    /// Up once the event loop has exited: the acceptors' next connection
+    /// is their last.
     stop: Arc<AtomicBool>,
-    join: Option<JoinHandle<DaemonReport>>,
+    event_loop: JoinHandle<DaemonReport>,
+    acceptors: Vec<JoinHandle<()>>,
 }
 
 impl DaemonHandle {
@@ -149,16 +158,26 @@ impl DaemonHandle {
     }
 
     /// Stops the daemon: bounded drain of queued updates, final flush,
-    /// all channel barriers taken, `daemon_stopped` journalled. Blocks
-    /// until the event loop exits and returns its report.
-    pub fn stop(mut self) -> DaemonReport {
-        self.stop.store(true, Ordering::SeqCst);
+    /// all channel barriers taken, `daemon_stopped` journalled; then every
+    /// accepted socket is shut down and every thread the daemon spawned
+    /// joined. Returns the event loop's report.
+    pub fn stop(self) -> DaemonReport {
         let _ = self.tx.send(Input::Stop);
-        self.join
-            .take()
-            .expect("stop called once")
-            .join()
-            .expect("daemon event loop panicked")
+        let report = self.event_loop.join().expect("daemon event loop panicked");
+        self.stop.store(true, Ordering::SeqCst);
+        for addr in [
+            self.bgp_addr,
+            self.openflow_addr,
+            self.telemetry_addr,
+            self.policy_addr,
+        ] {
+            // The wake-up: an acceptor that has already ended refuses it.
+            let _ = TcpStream::connect(addr);
+        }
+        for acceptor in self.acceptors {
+            acceptor.join().expect("daemon acceptor panicked");
+        }
+        report
     }
 }
 
@@ -209,10 +228,6 @@ pub fn start_with_clock(
     let openflow_addr = openflow.local_addr()?;
     let telemetry_addr = telemetry.local_addr()?;
     let policy_addr = policy.local_addr()?;
-    // The accept loops poll, so they can see the stop flag.
-    for listener in [&bgp, &openflow, &telemetry, &policy] {
-        listener.set_nonblocking(true)?;
-    }
 
     let (tx, rx) = std::sync::mpsc::channel::<Input>();
     let stop = Arc::new(AtomicBool::new(false));
@@ -222,10 +237,12 @@ pub fn start_with_clock(
     // much is waiting for the event loop.
     let bgp_read = reg.counter("daemon.bgp_read.count");
     let policy_read = reg.counter("daemon.policy_read.count");
-    spawn_bgp_acceptor(bgp, tx.clone(), stop.clone(), bgp_read);
-    spawn_openflow_acceptor(openflow, tx.clone(), stop.clone());
-    spawn_telemetry_server(telemetry, reg.clone(), stop.clone());
-    spawn_policy_acceptor(policy, tx.clone(), stop.clone(), policy_read);
+    let acceptors = vec![
+        spawn_bgp_acceptor(bgp, tx.clone(), stop.clone(), bgp_read),
+        spawn_openflow_acceptor(openflow, tx.clone(), stop.clone()),
+        spawn_telemetry_server(telemetry, reg.clone(), stop.clone()),
+        spawn_policy_acceptor(policy, tx.clone(), stop.clone(), policy_read),
+    ];
 
     reg.record_event(Event::DaemonStarted {
         peers: peers.len(),
@@ -242,7 +259,6 @@ pub fn start_with_clock(
         fabric,
         sup,
         rx,
-        stop: stop.clone(),
         asn_to_pid,
         unresolved: BTreeMap::new(),
         conn_pid: BTreeMap::new(),
@@ -257,7 +273,7 @@ pub fn start_with_clock(
         batches_streamed: 0,
         policy_frames: 0,
     };
-    let join = std::thread::spawn(move || core.run());
+    let event_loop = std::thread::spawn(move || core.run());
     Ok(DaemonHandle {
         bgp_addr,
         openflow_addr,
@@ -266,7 +282,8 @@ pub fn start_with_clock(
         reg,
         tx,
         stop,
-        join: Some(join),
+        event_loop,
+        acceptors,
     })
 }
 
@@ -309,31 +326,41 @@ enum Waves {
     Ordered,
 }
 
-/// The accept loop all four (non-blocking) listeners share: hands each
-/// connection to `serve` until the stop flag is up, the listener fails, or
-/// `serve` says the daemon is gone.
+/// The accept loop all four listeners share. It blocks in `accept` and
+/// hands each connection to `serve`, keeping a clone of every socket whose
+/// reader thread `serve` started. The first connection after the stop
+/// flag is up ends it ([`DaemonHandle::stop`] makes that connection); it
+/// then shuts each kept socket down, which ends its reader, and joins the
+/// readers.
 fn spawn_acceptor(
     listener: TcpListener,
     stop: Arc<AtomicBool>,
-    mut serve: impl FnMut(TcpStream) -> bool + Send + 'static,
-) {
+    mut serve: impl FnMut(TcpStream) -> Option<JoinHandle<()>> + Send + 'static,
+) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nodelay(true);
-                    let _ = stream.set_nonblocking(false);
-                    if !serve(stream) {
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(5));
-                }
-                Err(_) => return,
+        let mut readers: Vec<(TcpStream, JoinHandle<()>)> = Vec::new();
+        for stream in listener.incoming() {
+            let Ok(stream) = stream else { break };
+            if stop.load(Ordering::SeqCst) {
+                break;
+            }
+            let _ = stream.set_nodelay(true);
+            // A reader whose peer hung up has ended: keep only live ones.
+            for (_, ended) in readers.extract_if(.., |(_, r)| r.is_finished()) {
+                ended.join().expect("daemon reader panicked");
+            }
+            let Ok(socket) = stream.try_clone() else {
+                continue;
+            };
+            if let Some(reader) = serve(stream) {
+                readers.push((socket, reader));
             }
         }
-    });
+        for (socket, reader) in readers {
+            let _ = socket.shutdown(Shutdown::Both);
+            reader.join().expect("daemon reader panicked");
+        }
+    })
 }
 
 fn spawn_bgp_acceptor(
@@ -341,52 +368,32 @@ fn spawn_bgp_acceptor(
     tx: Sender<Input>,
     stop: Arc<AtomicBool>,
     read: Arc<Counter>,
-) {
+) -> JoinHandle<()> {
     let mut next_conn: ConnId = 0;
-    spawn_acceptor(listener, stop.clone(), move |stream| {
+    spawn_acceptor(listener, stop, move |stream| {
         let conn = next_conn;
         next_conn += 1;
-        let Ok(writer) = stream.try_clone() else {
-            return true;
-        };
-        if tx.send(Input::PeerConnected { conn, writer }).is_err() {
-            return false;
-        }
-        spawn_bgp_reader(conn, stream, tx.clone(), stop.clone(), read.clone());
-        true
-    });
+        let writer = stream.try_clone().ok()?;
+        tx.send(Input::PeerConnected { conn, writer }).ok()?;
+        Some(spawn_bgp_reader(conn, stream, tx.clone(), read.clone()))
+    })
 }
 
 /// Per-peer reader: reassembles wire frames across arbitrary TCP
 /// segmentation and forwards decoded messages, stamped with their
 /// arrival instant (the update→flow-mod latency clock starts here).
+/// It ends with its socket: the peer hangs up, or the event loop or the
+/// acceptor shuts the socket down.
 fn spawn_bgp_reader(
     conn: ConnId,
-    stream: TcpStream,
+    mut stream: TcpStream,
     tx: Sender<Input>,
-    stop: Arc<AtomicBool>,
     read: Arc<Counter>,
-) {
+) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-        let mut stream = stream;
         let mut dec = StreamDecoder::new();
         let mut buf = [0u8; 4096];
-        'read: loop {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let n = match std::io::Read::read(&mut stream, &mut buf) {
-                Ok(0) => break,
-                Ok(n) => n,
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(_) => break,
-            };
+        'read: while let Ok(n @ 1..) = stream.read(&mut buf) {
             dec.push(&buf[..n]);
             loop {
                 match dec.next() {
@@ -409,13 +416,20 @@ fn spawn_bgp_reader(
             }
         }
         let _ = tx.send(Input::PeerClosed { conn });
-    });
+    })
 }
 
-fn spawn_openflow_acceptor(listener: TcpListener, tx: Sender<Input>, stop: Arc<AtomicBool>) {
+/// A switch's socket goes to the event loop, which owns its channel and
+/// closes it.
+fn spawn_openflow_acceptor(
+    listener: TcpListener,
+    tx: Sender<Input>,
+    stop: Arc<AtomicBool>,
+) -> JoinHandle<()> {
     spawn_acceptor(listener, stop, move |stream| {
-        tx.send(Input::SwitchConnected { stream }).is_ok()
-    });
+        let _ = tx.send(Input::SwitchConnected { stream });
+        None
+    })
 }
 
 /// Policy endpoint: participants push JSON-line policy frames and read
@@ -427,11 +441,10 @@ fn spawn_policy_acceptor(
     tx: Sender<Input>,
     stop: Arc<AtomicBool>,
     read: Arc<Counter>,
-) {
-    spawn_acceptor(listener, stop.clone(), move |stream| {
-        spawn_policy_reader(stream, tx.clone(), stop.clone(), read.clone());
-        true
-    });
+) -> JoinHandle<()> {
+    spawn_acceptor(listener, stop, move |stream| {
+        Some(spawn_policy_reader(stream, tx.clone(), read.clone()))
+    })
 }
 
 /// Longest policy frame line the daemon buffers, newline excluded. The
@@ -442,41 +455,17 @@ const MAX_POLICY_LINE: usize = 1 << 20;
 /// so the event loop can ack after staging (or nack with the typed
 /// rejection). A line longer than [`MAX_POLICY_LINE`] is never buffered
 /// whole: it earns a seq-0 nack and the connection is closed. Like the
-/// BGP reader it wakes on a read timeout to see the stop flag, so a
-/// stopped daemon lets go of the connection and the client reads EOF
-/// once the event loop has written its last ack.
-fn spawn_policy_reader(
-    stream: TcpStream,
-    tx: Sender<Input>,
-    stop: Arc<AtomicBool>,
-    read: Arc<Counter>,
-) {
+/// BGP reader it ends with its socket; EOF forwards what is left of a
+/// last, unterminated line.
+fn spawn_policy_reader(stream: TcpStream, tx: Sender<Input>, read: Arc<Counter>) -> JoinHandle<()> {
     std::thread::spawn(move || {
-        let reader = match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        let _ = reader.set_read_timeout(Some(Duration::from_millis(50)));
-        let mut lines = std::io::BufReader::new(reader);
+        let mut lines = BufReader::new(&stream);
         let mut buf: Vec<u8> = Vec::new();
         loop {
-            if stop.load(Ordering::SeqCst) {
+            buf.clear();
+            let mut bounded = (&mut lines).take(MAX_POLICY_LINE as u64 + 1);
+            if !matches!(bounded.read_until(b'\n', &mut buf), Ok(1..)) {
                 return;
-            }
-            // A timeout keeps the part of the line read so far in `buf`;
-            // the next read appends to it, and EOF forwards what is left.
-            let room = (MAX_POLICY_LINE + 1 - buf.len()) as u64;
-            let mut bounded = std::io::Read::take(&mut lines, room);
-            match std::io::BufRead::read_until(&mut bounded, b'\n', &mut buf) {
-                Ok(0) if buf.is_empty() => return,
-                Ok(_) => {}
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    continue;
-                }
-                Err(_) => return,
             }
             if buf.len() > MAX_POLICY_LINE && !buf.ends_with(b"\n") {
                 write_policy_ack(&stream, 0, Err("policy frame line too long"));
@@ -486,7 +475,6 @@ fn spawn_policy_reader(
             // Not UTF-8 is one more way of not being a frame: the decoder
             // nacks it like any other garbage.
             let line = String::from_utf8_lossy(&buf).trim().to_string();
-            buf.clear();
             if line.is_empty() {
                 continue;
             }
@@ -498,7 +486,7 @@ fn spawn_policy_reader(
                 return;
             }
         }
-    });
+    })
 }
 
 /// One ack line for a policy frame. A writer that has gone away is its
@@ -509,14 +497,18 @@ fn write_policy_ack(mut w: &TcpStream, seq: u64, result: Result<(), &str>) {
 
 /// One telemetry snapshot (registry + journal, as JSON) per connection,
 /// then close — the simplest possible pull protocol.
-fn spawn_telemetry_server(listener: TcpListener, reg: SharedRegistry, stop: Arc<AtomicBool>) {
+fn spawn_telemetry_server(
+    listener: TcpListener,
+    reg: SharedRegistry,
+    stop: Arc<AtomicBool>,
+) -> JoinHandle<()> {
     spawn_acceptor(listener, stop, move |mut stream| {
         let body = reg.snapshot().to_json_string();
         let _ = stream.write_all(body.as_bytes());
         let _ = stream.write_all(b"\n");
         let _ = stream.shutdown(Shutdown::Both);
-        true
-    });
+        None
+    })
 }
 
 struct EventLoop {
@@ -527,7 +519,6 @@ struct EventLoop {
     fabric: Fabric,
     sup: Supervisor,
     rx: Receiver<Input>,
-    stop: Arc<AtomicBool>,
     asn_to_pid: BTreeMap<u32, ParticipantId>,
     /// Accepted BGP connections that have not yet sent their OPEN.
     unresolved: BTreeMap<ConnId, TcpStream>,
@@ -586,10 +577,11 @@ impl EventLoop {
     fn run(mut self) -> DaemonReport {
         self.publish_matcher_stats();
         let tick = Duration::from_millis(self.cfg.tick_ms.max(1));
-        let mut queued: VecDeque<Input> = VecDeque::new();
+        // The input that ended the last drain, served before the queue.
+        let mut next: Option<Input> = None;
         let mut last_tick = Instant::now();
         loop {
-            let input = if let Some(i) = queued.pop_front() {
+            let input = if let Some(i) = next.take() {
                 i
             } else {
                 match self.rx.recv_timeout(tick) {
@@ -612,13 +604,13 @@ impl EventLoop {
                     // before compiling once.
                     let mut msgs = vec![(conn, msg, at)];
                     let mut frames = Vec::new();
-                    self.drain_burst(&mut msgs, &mut frames, &mut queued);
+                    next = self.drain(self.cfg.coalesce_max, &mut msgs, &mut frames);
                     self.handle_burst(msgs, frames);
                 }
                 Input::PolicyFrame { line, writer } => {
                     let mut msgs = Vec::new();
                     let mut frames = vec![(line, writer)];
-                    self.drain_burst(&mut msgs, &mut frames, &mut queued);
+                    next = self.drain(self.cfg.coalesce_max, &mut msgs, &mut frames);
                     self.handle_burst(msgs, frames);
                 }
                 Input::PeerClosed { conn } => self.handle_peer_closed(conn),
@@ -640,12 +632,9 @@ impl EventLoop {
             updates: self.updates,
             compiles: self.compiles,
         });
-        self.stop.store(true, Ordering::SeqCst);
+        // The acceptors shut down the BGP and policy sockets (see `stop`).
         for ch in std::mem::take(&mut self.channels) {
             ch.close();
-        }
-        for (_, w) in std::mem::take(&mut self.writers) {
-            let _ = w.shutdown(Shutdown::Both);
         }
         DaemonReport {
             updates: self.updates,
@@ -672,25 +661,24 @@ impl EventLoop {
         self.flush(changed, 0, Vec::new());
     }
 
-    /// Folds pending route updates and policy frames into one pass,
-    /// bounded by `coalesce_max`; anything else goes back on `queued`.
-    fn drain_burst(
+    /// Folds queued route updates and policy frames into one pass until
+    /// `max` are taken, the queue is empty, or another kind of input is
+    /// next — which it returns.
+    fn drain(
         &mut self,
+        max: usize,
         msgs: &mut Vec<(ConnId, BgpMessage, Instant)>,
         frames: &mut Vec<(String, TcpStream)>,
-        queued: &mut VecDeque<Input>,
-    ) {
-        while msgs.len() + frames.len() < self.cfg.coalesce_max {
+    ) -> Option<Input> {
+        while msgs.len() + frames.len() < max {
             match self.rx.try_recv() {
                 Ok(Input::PeerMsg { conn, msg, at }) => msgs.push((conn, msg, at)),
                 Ok(Input::PolicyFrame { line, writer }) => frames.push((line, writer)),
-                Ok(other) => {
-                    queued.push_back(other);
-                    break;
-                }
-                Err(TryRecvError::Empty) | Err(TryRecvError::Disconnected) => break,
+                Ok(other) => return Some(other),
+                Err(_) => break,
             }
         }
+        None
     }
 
     /// One coalesced pass: ingest the BGP messages, stage the policy
@@ -852,10 +840,10 @@ impl EventLoop {
             let _ = stream.shutdown(Shutdown::Both);
             return (Vec::new(), Vec::new());
         };
-        // A reconnect replaces any previous transport for this peer.
-        if let Some(old_conn) = self.pid_conn.insert(pid, conn) {
-            self.conn_pid.remove(&old_conn);
-        }
+        // A reconnect replaces any previous transport for this peer; the
+        // supervisor's `connection_up` accounts for the old session.
+        self.hang_up(pid);
+        self.pid_conn.insert(pid, conn);
         self.conn_pid.insert(conn, pid);
         self.writers.insert(pid, stream);
         let mut up = self.sup.connection_up(now, pid, &mut self.ctl.rs);
@@ -872,30 +860,40 @@ impl EventLoop {
         if self.unresolved.remove(&conn).is_some() {
             return;
         }
-        let Some(pid) = self.conn_pid.remove(&conn) else {
+        // A connection the daemon hung up on (replaced, or closed after a
+        // NOTIFICATION) is no peer's transport any more: its session was
+        // accounted for when it was let go.
+        let Some(&pid) = self.conn_pid.get(&conn) else {
             return;
         };
-        // Only tear the session down if this connection is still the
-        // peer's current transport (not already replaced by a reconnect).
-        if self.pid_conn.get(&pid) != Some(&conn) {
-            return;
-        }
-        self.pid_conn.remove(&pid);
-        self.writers.remove(&pid);
+        self.hang_up(pid);
         let now = self.clock.now_ms();
         let out = self.sup.peer_disconnected(now, pid, &mut self.ctl.rs);
         self.dispatch(out);
     }
 
+    /// Shuts the peer's transport down and forgets it, so its reader ends.
+    fn hang_up(&mut self, pid: ParticipantId) {
+        if let Some(conn) = self.pid_conn.remove(&pid) {
+            self.conn_pid.remove(&conn);
+        }
+        if let Some(w) = self.writers.remove(&pid) {
+            let _ = w.shutdown(Shutdown::Both);
+        }
+    }
+
     fn send_msgs(&mut self, msgs: Vec<(ParticipantId, BgpMessage)>) {
         for (pid, msg) in msgs {
-            let Some(w) = self.writers.get_mut(&pid) else {
+            let Some(mut w) = self.writers.get(&pid) else {
                 continue; // no live transport; the FSM will re-offer
             };
-            let bytes = wire::encode(&msg);
-            if w.write_all(&bytes).is_err() {
-                // The reader thread will observe the dead transport and
-                // report PeerClosed; nothing to do here.
+            // A failed write needs nothing here: the reader thread sees
+            // the dead transport and reports PeerClosed.
+            let _ = w.write_all(&wire::encode(&msg));
+            if matches!(msg, BgpMessage::Notification { .. }) {
+                // RFC 4271: the connection closes right after a
+                // NOTIFICATION. The session is already down.
+                self.hang_up(pid);
             }
         }
     }
@@ -1085,19 +1083,18 @@ impl EventLoop {
     /// pass (never abandoning an in-flight wave short of its barrier),
     /// then let `run` journal `daemon_stopped`.
     fn shutdown_drain(&mut self) {
-        let mut msgs: Vec<(ConnId, BgpMessage, Instant)> = Vec::new();
-        let mut frames: Vec<(String, TcpStream)> = Vec::new();
-        while msgs.len() + frames.len() < DRAIN_MAX {
-            match self.rx.try_recv() {
-                Ok(Input::PeerMsg { conn, msg, at }) => msgs.push((conn, msg, at)),
-                Ok(Input::PolicyFrame { line, writer }) => frames.push((line, writer)),
-                Ok(_) => continue, // connects/reoptimizes are moot now
-                Err(_) => break,
+        let mut msgs = Vec::new();
+        let mut frames = Vec::new();
+        while let Some(moot) = self.drain(DRAIN_MAX, &mut msgs, &mut frames) {
+            // Nothing will serve a connection queued behind `Stop`;
+            // closes and re-optimizations are moot.
+            if let Input::PeerConnected { writer: socket, .. }
+            | Input::SwitchConnected { stream: socket } = moot
+            {
+                let _ = socket.shutdown(Shutdown::Both);
             }
         }
-        if !msgs.is_empty() || !frames.is_empty() {
-            self.handle_burst(msgs, frames);
-        }
+        self.handle_burst(msgs, frames);
         // Every queued frame reaches its barrier before we exit.
         self.barrier_all(Vec::new());
     }

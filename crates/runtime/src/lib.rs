@@ -1,9 +1,9 @@
 //! # sdx-runtime — the `sdxd` daemon
 //!
 //! Everything below the controller in this workspace is a library; this
-//! crate makes it a *process*. A std-only, dependency-free runtime
-//! (structured thread-per-connection with bounded channels) exposes the
-//! SDX over four plain-TCP loopback endpoints (BGP, OpenFlow, policy,
+//! crate makes it a *process*. A std-only, dependency-free runtime (one
+//! thread per socket, each blocked on it, feeding one event loop) exposes
+//! the SDX over four plain-TCP loopback endpoints (BGP, OpenFlow, policy,
 //! telemetry):
 //!
 //! * [`daemon`] — the event loop: real BGP sessions framed by
@@ -13,8 +13,8 @@
 //!   frames, the scheduled update path fanned out over switch channels,
 //!   graceful drain on shutdown, and a telemetry endpoint serving the
 //!   registry + journal as JSON.
-//! * [`channel`] — per-switch OpenFlow channels: bounded send queues
-//!   with explicit backpressure, ack barriers, the [`ChannelSink`]
+//! * [`channel`] — per-switch OpenFlow channels: a bound on unacked
+//!   frames as explicit backpressure, ack barriers, the [`ChannelSink`]
 //!   adapter that holds the PR 6 per-wave barrier across the whole
 //!   fleet, and the in-repo simulated switch agent.
 //! * [`codec`] — the JSON-lines wire format for the typed flow-mod

@@ -75,6 +75,33 @@ fn announce(cfg: &ParticipantConfig, pfx: &str, path: &[u32]) -> BgpMessage {
     BgpMessage::Update(cfg.announce([prefix(pfx)], path))
 }
 
+/// Runs `f` on its own thread and returns its result, failing the test if
+/// that takes more than 10 s — for waits a regression would make endless.
+fn within<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+    let (tx, rx) = channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(f());
+    });
+    rx.recv_timeout(Duration::from_secs(10))
+        .unwrap_or_else(|_| panic!("{what} took more than 10 s"))
+}
+
+/// Reads `peer` until the daemon closes the connection; returns the
+/// messages read before EOF.
+fn read_to_eof(what: &str, mut peer: TestPeer) -> Vec<BgpMessage> {
+    let outcome = within(what, move || {
+        let mut msgs = Vec::new();
+        loop {
+            match peer.recv() {
+                Ok(m) => msgs.push(m),
+                Err(e) => return (msgs, e.kind()),
+            }
+        }
+    });
+    assert_eq!(outcome.1, ErrorKind::UnexpectedEof, "{what}");
+    outcome.0
+}
+
 #[test]
 fn figure1_over_sockets_is_oracle_identical_to_in_process() {
     let handle = daemon::start(figure1_empty_rib(), DaemonConfig::default()).expect("start");
@@ -636,11 +663,18 @@ fn a_policy_line_that_never_ends_is_cut_off_not_buffered() {
 
 #[test]
 fn a_stopped_daemon_hangs_up_on_its_policy_clients() {
-    // After `stop()` returns nothing is left to answer a policy client, so
-    // the connection must close: the client's next read is EOF, after the
-    // ack of every frame the daemon read. The read timeout only keeps a
-    // regression from hanging the suite; the assertion is on EOF.
+    // After `stop()` returns nothing is left to answer a client, so every
+    // connection must be closed and every endpoint gone: a policy client
+    // reads EOF after the ack of every frame the daemon read, a BGP peer
+    // and a switch agent read EOF, and each of the four addresses refuses
+    // a connection. The timeouts only keep a regression from hanging the
+    // suite; the assertions are on EOF and on refusal.
     let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
+    let reg = handle.telemetry().clone();
+    let agent = spawn_agent(handle.openflow_addr).expect("agent");
+    wait_counter(&reg, "daemon.switch_connected.count", 1);
+    let peer = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer");
+    wait_counter(&reg, "session.established.count", 1);
     let stream = TcpStream::connect(handle.policy_addr).expect("policy endpoint");
     stream
         .set_read_timeout(Some(Duration::from_secs(10)))
@@ -657,6 +691,12 @@ fn a_stopped_daemon_hangs_up_on_its_policy_clients() {
     );
     assert_eq!(policy_roundtrip(&mut w, &mut r, &frame), (3, Ok(())));
 
+    let endpoints = [
+        handle.bgp_addr,
+        handle.openflow_addr,
+        handle.telemetry_addr,
+        handle.policy_addr,
+    ];
     let report = handle.stop();
     assert_eq!(report.policy_frames, 1);
     let mut rest = String::new();
@@ -664,6 +704,14 @@ fn a_stopped_daemon_hangs_up_on_its_policy_clients() {
         Ok(0) => {}
         Ok(_) => panic!("unexpected line after the last ack: {rest:?}"),
         Err(e) => panic!("the stopped daemon kept the policy connection open: {e}"),
+    }
+    read_to_eof("the BGP peer reading EOF", peer);
+    within("the switch agent reading EOF", move || agent.join());
+    for addr in endpoints {
+        assert!(
+            TcpStream::connect(addr).is_err(),
+            "{addr} still accepts connections after stop()"
+        );
     }
 }
 
@@ -928,15 +976,16 @@ fn hold_timer_expiry_and_tcp_reset_flaps_are_supervised() {
 
     // Hold-timer expiry: establish, then go silent while the (mock)
     // clock runs past the negotiated hold time.
-    let mut peer = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer");
+    let peer = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer");
     wait_counter(&reg, "session.established.count", 1);
     clock.advance(31_000);
     wait_counter(&reg, "session.reset.count", 1);
-    // The daemon notified us before tearing the session down.
-    let msg = peer.recv().expect("notification");
+    // The daemon notified us before tearing the session down, and then
+    // closed the connection (RFC 4271).
+    let msgs = read_to_eof("the NOTIFIED peer reading EOF", peer);
     assert!(
-        matches!(msg, BgpMessage::Notification { .. }),
-        "expected NOTIFICATION, got {msg:?}"
+        matches!(msgs.as_slice(), [BgpMessage::Notification { .. }]),
+        "expected one NOTIFICATION before EOF, got {msgs:?}"
     );
 
     // TCP reset: reconnect, then vanish without a NOTIFICATION. The
@@ -949,11 +998,20 @@ fn hold_timer_expiry_and_tcp_reset_flaps_are_supervised() {
 
     // And the peer can come back again after the reset.
     clock.advance(120_000);
-    let _peer3 = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("re-reconnect");
+    let peer3 = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("re-reconnect");
     wait_counter(&reg, "session.established.count", 3);
+
+    // A reconnect while the session is up replaces its transport: one
+    // reset, and the daemon hangs up on the old connection.
+    let _peer4 = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("replacement");
+    wait_counter(&reg, "session.established.count", 4);
+    read_to_eof("the replaced connection reading EOF", peer3);
 
     let report = handle.stop();
     assert_eq!(report.updates, 0);
+    // Closing a connection after its NOTIFICATION, or after replacing it,
+    // is no second flap.
+    assert_eq!(counter(&reg, "session.reset.count"), 3);
 }
 
 /// An agent that rejects the first wave of a scheduled update (the
