@@ -179,7 +179,7 @@ impl Prefix {
         Ipv4Addr(Self::mask_bits(self.len))
     }
 
-    /// Number of addresses covered (saturates at `u32::MAX` for /0).
+    /// Number of addresses covered: 2³² for /0, which is why it is a `u64`.
     pub fn size(self) -> u64 {
         1u64 << (32 - self.len as u64)
     }
@@ -392,6 +392,7 @@ mod tests {
         assert!(d.contains(ip("255.255.255.255")));
         assert!(d.parent().is_none());
         assert!(d.is_default());
+        assert_eq!(d.size(), 1 << 32);
     }
 
     #[test]

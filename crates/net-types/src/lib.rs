@@ -8,9 +8,10 @@
 //!   forwarding-equivalence-class machinery needs.
 //! * [`MacAddr`] — Ethernet addresses, including the *virtual MAC* (VMAC)
 //!   encoding the SDX uses as its data-plane tag (§4.2 of the paper).
-//! * [`PrefixTrie`] — a binary trie keyed by prefix supporting exact match,
-//!   longest-prefix match, and ordered iteration. This is the backing store
-//!   for every RIB and FIB in the workspace.
+//! * [`PrefixTrie`] — a multibit trie keyed by prefix, one level per
+//!   octet, supporting exact match, longest-prefix match in at most four
+//!   node reads, and ordered iteration. This is the backing store for every
+//!   RIB and FIB in the workspace.
 //! * [`ViewTable`] — one prefix-major table read by many viewers: a base
 //!   value per prefix plus per-viewer exceptions, which is how the route
 //!   server's advertisements and the border routers' FIBs are stored.

@@ -1,11 +1,17 @@
 //! Property-based tests for the foundational types.
 //!
 //! These pin down the algebraic laws the rest of the workspace relies on:
-//! the trie agrees with a linear scan, prefix set-operations behave like set
-//! operations, header-match intersection is a true set intersection, and
-//! the shared view table shows each viewer what a table of its own would.
+//! the trie agrees with a linear scan and a `BTreeMap`, prefix
+//! set-operations behave like set operations, header-match intersection is
+//! a true set intersection, and the shared view table shows each viewer
+//! what a table of its own would.
+
+use std::collections::BTreeMap;
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use sdx_net::flowspace::{FieldMatch, HeaderMatch, Mod};
 use sdx_net::ipv4::{Ipv4Addr, Prefix};
 use sdx_net::mac::MacAddr;
@@ -19,6 +25,33 @@ fn arb_addr() -> impl Strategy<Value = Ipv4Addr> {
 
 fn arb_prefix() -> impl Strategy<Value = Prefix> {
     (any::<u32>(), 0u8..=32).prop_map(|(a, l)| Prefix::new(Ipv4Addr(a), l))
+}
+
+/// An address in one of four blocks (10.0/16, 10.1/16, 10.128/16,
+/// 192.168/16), its last two octets mostly from a few values, so that
+/// prefixes drawn from it nest, and otherwise anything, so that one trie
+/// node fills bitmap words past its first.
+fn arb_block_addr() -> impl Strategy<Value = Ipv4Addr> {
+    const BLOCKS: [u32; 4] = [0x0A00_0000, 0x0A01_0000, 0x0A80_0000, 0xC0A8_0000];
+    const OCTETS: [u32; 5] = [0, 1, 127, 128, 255];
+    let octet = || prop_oneof![(0usize..5).prop_map(|i| OCTETS[i]), 0u32..256];
+    (0usize..4, octet(), octet()).prop_map(|(b, c, d)| Ipv4Addr(BLOCKS[b] | c << 8 | d))
+}
+
+/// A prefix of [`arb_block_addr`], its length on either side of an octet
+/// boundary: nested prefixes cross every level of the trie.
+fn arb_nested_prefix() -> impl Strategy<Value = Prefix> {
+    const LENS: [u8; 13] = [0, 1, 7, 8, 9, 15, 16, 17, 23, 24, 25, 31, 32];
+    (arb_block_addr(), 0usize..LENS.len()).prop_map(|(a, i)| Prefix::new(a, LENS[i]))
+}
+
+/// Longest-prefix match by linear scan: the reference for every lookup.
+fn linear_lpm<V>(table: &BTreeMap<Prefix, V>, addr: Ipv4Addr) -> Option<(Prefix, &V)> {
+    table
+        .iter()
+        .filter(|(p, _)| p.contains(addr))
+        .max_by_key(|(p, _)| p.len())
+        .map(|(p, v)| (*p, v))
 }
 
 fn arb_port() -> impl Strategy<Value = PortId> {
@@ -89,10 +122,6 @@ fn arb_mods() -> impl Strategy<Value = Vec<Mod>> {
 
 /// Writes over few viewers and nested prefixes, so they collide.
 fn arb_write() -> impl Strategy<Value = Write<u8, u16>> {
-    let prefix = || {
-        (0u32..3, prop_oneof![Just(8u8), Just(9), Just(16)])
-            .prop_map(|(a, len)| Prefix::new(Ipv4Addr((10 + a) << 24), len))
-    };
     let slot = prop_oneof![
         Just(Slot::Inherit),
         Just(Slot::Withheld),
@@ -100,9 +129,9 @@ fn arb_write() -> impl Strategy<Value = Write<u8, u16>> {
         (0u16..4).prop_map(Slot::Own),
     ];
     prop_oneof![
-        (prefix(), proptest::option::of(0u16..4))
+        (arb_nested_prefix(), proptest::option::of(0u16..4))
             .prop_map(|(prefix, value)| Write::Base { prefix, value }),
-        (0u8..4, prefix(), slot).prop_map(|(viewer, prefix, slot)| Write::Slot {
+        (0u8..4, arb_nested_prefix(), slot).prop_map(|(viewer, prefix, slot)| Write::Slot {
             viewer,
             prefix,
             slot
@@ -112,14 +141,15 @@ fn arb_write() -> impl Strategy<Value = Write<u8, u16>> {
     ]
 }
 
-/// One trie per viewer, kept by replaying every write to every viewer it
-/// concerns: what [`ViewTable`] stands in for.
+/// One table per viewer, kept by replaying every write to every viewer it
+/// concerns: what [`ViewTable`] stands in for. Ordered maps, so the
+/// reference shares no code with the trie under the table.
 #[derive(Default)]
 struct Materialised {
     subscribed: [bool; 4],
-    base: PrefixTrie<u16>,
+    base: BTreeMap<Prefix, u16>,
     /// Per viewer: its own slots (`None`: withheld).
-    own: [PrefixTrie<Option<u16>>; 4],
+    own: [BTreeMap<Prefix, Option<u16>>; 4],
 }
 
 impl Materialised {
@@ -127,7 +157,7 @@ impl Materialised {
         match *write {
             Write::Base { prefix, value } => match value {
                 Some(v) => drop(self.base.insert(prefix, v)),
-                None => drop(self.base.remove(prefix)),
+                None => drop(self.base.remove(&prefix)),
             },
             Write::Slot {
                 viewer,
@@ -136,7 +166,7 @@ impl Materialised {
             } => {
                 let own = &mut self.own[viewer as usize];
                 match slot {
-                    Slot::Inherit => drop(own.remove(prefix)),
+                    Slot::Inherit => drop(own.remove(&prefix)),
                     Slot::Withheld => drop(own.insert(prefix, None)),
                     Slot::Own(v) => drop(own.insert(prefix, Some(v))),
                 }
@@ -148,14 +178,14 @@ impl Materialised {
     }
 
     /// The table `viewer` would hold on its own.
-    fn table_of(&self, viewer: u8) -> PrefixTrie<u16> {
-        let mut table = PrefixTrie::new();
+    fn table_of(&self, viewer: u8) -> BTreeMap<Prefix, u16> {
+        let mut table = BTreeMap::new();
         if self.subscribed[viewer as usize] {
             table = self.base.clone();
         }
-        for (prefix, own) in self.own[viewer as usize].iter() {
+        for (prefix, own) in &self.own[viewer as usize] {
             match own {
-                Some(v) => drop(table.insert(prefix, *v)),
+                Some(v) => drop(table.insert(*prefix, *v)),
                 None => drop(table.remove(prefix)),
             }
         }
@@ -171,7 +201,7 @@ proptest! {
     #[test]
     fn view_table_shows_each_viewer_its_own_table(
         writes in proptest::collection::vec(arb_write(), 0..48),
-        probes in proptest::collection::vec((10u32..13, any::<u32>()), 1..8),
+        probes in proptest::collection::vec(arb_block_addr(), 1..8),
     ) {
         let mut table: ViewTable<u8, u16> = ViewTable::new();
         let mut model = Materialised::default();
@@ -183,19 +213,18 @@ proptest! {
             undone.apply(inverse);
             prop_assert_eq!(undone, before, "inverse of {:?}", write);
         }
-        let slots: usize = model.own.iter().map(PrefixTrie::len).sum();
+        let slots: usize = model.own.iter().map(BTreeMap::len).sum();
         prop_assert_eq!(table.stored(), model.base.len() + slots);
         for viewer in 0..4u8 {
             let own = model.table_of(viewer);
             let seen: Vec<(Prefix, u16)> = table.view(viewer).iter().map(|(p, v)| (p, *v)).collect();
-            let expect: Vec<(Prefix, u16)> = own.iter().map(|(p, v)| (p, *v)).collect();
+            let expect: Vec<(Prefix, u16)> = own.iter().map(|(p, v)| (*p, *v)).collect();
             prop_assert_eq!(seen, expect, "viewer {}", viewer);
-            for &(block, rest) in &probes {
-                let addr = Ipv4Addr(block << 24 | rest >> 8);
-                prop_assert_eq!(table.lookup(viewer, addr), own.lookup(addr));
+            for &addr in &probes {
+                prop_assert_eq!(table.lookup(viewer, addr), linear_lpm(&own, addr));
             }
-            for (prefix, v) in own.iter() {
-                prop_assert_eq!(table.get(viewer, prefix), Some(v));
+            for (prefix, v) in &own {
+                prop_assert_eq!(table.get(viewer, *prefix), Some(v));
             }
         }
     }
@@ -203,52 +232,64 @@ proptest! {
     /// Trie LPM agrees with a brute-force linear scan.
     #[test]
     fn trie_lpm_matches_linear_scan(
-        entries in proptest::collection::vec(arb_prefix(), 0..64),
-        probes in proptest::collection::vec(arb_addr(), 0..32),
+        entries in proptest::collection::vec(arb_nested_prefix(), 0..64),
+        probes in proptest::collection::vec(arb_block_addr(), 0..32),
     ) {
         let trie: PrefixTrie<usize> =
             entries.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        // Deduplicate like the trie does (later insert wins).
-        let mut dedup: Vec<(Prefix, usize)> = Vec::new();
-        for (i, p) in entries.iter().enumerate() {
-            if let Some(e) = dedup.iter_mut().find(|(q, _)| q == p) {
-                e.1 = i;
-            } else {
-                dedup.push((*p, i));
-            }
-        }
-        prop_assert_eq!(trie.len(), dedup.len());
+        // Later inserts win, in the trie as in the map.
+        let model: BTreeMap<Prefix, usize> =
+            entries.iter().enumerate().map(|(i, p)| (*p, i)).collect();
+        prop_assert_eq!(trie.len(), model.len());
         for a in probes {
-            let expect = dedup
-                .iter()
-                .filter(|(p, _)| p.contains(a))
-                .max_by_key(|(p, _)| p.len())
-                .map(|(p, v)| (*p, v));
-            let got = trie.lookup(a);
-            prop_assert_eq!(got.map(|(p, v)| (p, *v)), expect.map(|(p, v)| (p, *v)));
+            prop_assert_eq!(trie.lookup(a), linear_lpm(&model, a), "probe {:?}", a);
         }
     }
 
-    /// Trie exact get/remove agree with membership.
+    /// Trie exact get/remove agree with a map, and removals interleaved
+    /// with reads leave `covered_by`, iteration and the count agreeing
+    /// too, down to the empty trie, node for node.
     #[test]
-    fn trie_get_remove(entries in proptest::collection::vec(arb_prefix(), 0..40)) {
+    fn trie_get_remove(
+        entries in proptest::collection::vec(arb_nested_prefix(), 0..48),
+        coverings in proptest::collection::vec(arb_nested_prefix(), 1..4),
+        order in any::<u64>(),
+    ) {
         let mut trie = PrefixTrie::new();
+        let mut model = BTreeMap::new();
         for (i, p) in entries.iter().enumerate() {
-            trie.insert(*p, i);
+            prop_assert_eq!(trie.insert(*p, i), model.insert(*p, i));
         }
         for p in &entries {
-            prop_assert!(trie.get(*p).is_some());
+            prop_assert_eq!(trie.get(*p), model.get(p));
         }
-        for p in &entries {
-            trie.remove(*p);
+        let mut doomed = entries.clone();
+        doomed.shuffle(&mut StdRng::seed_from_u64(order));
+        for p in &doomed {
+            prop_assert_eq!(trie.remove(*p), model.remove(p));
             prop_assert!(trie.get(*p).is_none());
+            prop_assert_eq!(trie.len(), model.len());
+            let seen: Vec<(Prefix, usize)> = trie.iter().map(|(p, v)| (p, *v)).collect();
+            let expect: Vec<(Prefix, usize)> = model.iter().map(|(p, v)| (*p, *v)).collect();
+            prop_assert_eq!(seen, expect, "after removing {:?}", p);
+            for &covering in &coverings {
+                let seen: Vec<(Prefix, usize)> =
+                    trie.covered_by(covering).into_iter().map(|(p, v)| (p, *v)).collect();
+                let expect: Vec<(Prefix, usize)> = model
+                    .iter()
+                    .filter(|(p, _)| covering.covers(**p))
+                    .map(|(p, v)| (*p, *v))
+                    .collect();
+                prop_assert_eq!(seen, expect, "covered by {:?}", covering);
+            }
         }
         prop_assert!(trie.is_empty());
+        prop_assert_eq!(trie, PrefixTrie::new());
     }
 
     /// Trie iteration is sorted and covers exactly the inserted set.
     #[test]
-    fn trie_iteration_sorted(entries in proptest::collection::vec(arb_prefix(), 0..40)) {
+    fn trie_iteration_sorted(entries in proptest::collection::vec(arb_nested_prefix(), 0..64)) {
         let trie: PrefixTrie<()> = entries.iter().map(|p| (*p, ())).collect();
         let keys: Vec<_> = trie.keys().collect();
         let mut expect: Vec<_> = entries.clone();
@@ -345,17 +386,18 @@ proptest! {
     /// matcher's nw_dst index uses.
     #[test]
     fn trie_for_each_match_is_covering_set(
-        entries in proptest::collection::vec(arb_prefix(), 0..48),
-        probe in arb_addr(),
+        entries in proptest::collection::vec(arb_nested_prefix(), 0..64),
+        probe in arb_block_addr(),
     ) {
         let trie: PrefixTrie<usize> =
             entries.iter().enumerate().map(|(i, p)| (*p, i)).collect();
+        let model: BTreeMap<Prefix, usize> =
+            entries.iter().enumerate().map(|(i, p)| (*p, i)).collect();
         let mut got = Vec::new();
         trie.for_each_match(probe, |v| got.push(*v));
-        let mut expect: Vec<(Prefix, usize)> = trie
-            .iter()
+        let mut expect: Vec<(Prefix, usize)> = model
+            .into_iter()
             .filter(|(p, _)| p.contains(probe))
-            .map(|(p, v)| (p, *v))
             .collect();
         expect.sort_by_key(|(p, _)| p.len());
         prop_assert_eq!(got, expect.into_iter().map(|(_, v)| v).collect::<Vec<_>>());
@@ -427,4 +469,57 @@ proptest! {
             Ok(decoded) => prop_assert_ne!(decoded, p, "silent corruption"),
         }
     }
+}
+
+/// Longest-prefix match by brute force over the lengths: the map's entry
+/// at each of the address's 33 prefixes, longest first.
+fn every_length_lpm<V>(table: &BTreeMap<Prefix, V>, addr: Ipv4Addr) -> Option<(Prefix, &V)> {
+    (0..=32).rev().find_map(|len| {
+        let p = Prefix::new(addr, len);
+        table.get(&p).map(|v| (p, v))
+    })
+}
+
+/// A hundred thousand seeded prefixes of every length, most of them /24
+/// as in a full table, packed into 128 /16s so that nodes fill: every
+/// probe's lookup equals the brute-force match before and after half of
+/// them are removed, and removing the rest leaves the empty trie.
+#[test]
+fn a_hundred_thousand_mixed_prefixes_match_brute_force() {
+    let mut rng = StdRng::seed_from_u64(29);
+    let addr = |rng: &mut StdRng| {
+        let block = 10 + 64 * rng.gen_range(0..4u32);
+        Ipv4Addr(block << 24 | rng.gen_range(0..32u32) << 16 | rng.gen_range(0..1u32 << 16))
+    };
+    let mut trie = PrefixTrie::new();
+    let mut model = BTreeMap::new();
+    while model.len() < 100_000 {
+        let len = if rng.gen_bool(0.6) {
+            24
+        } else {
+            rng.gen_range(0..=32u8)
+        };
+        let (p, v) = (Prefix::new(addr(&mut rng), len), rng.gen::<u32>());
+        assert_eq!(trie.insert(p, v), model.insert(p, v));
+    }
+    assert_eq!(trie.len(), model.len());
+    assert!(trie.iter().eq(model.iter().map(|(p, v)| (*p, v))));
+    let probes: Vec<Ipv4Addr> = (0..20_000).map(|_| addr(&mut rng)).collect();
+    let check = |trie: &PrefixTrie<u32>, model: &BTreeMap<Prefix, u32>| {
+        for &a in &probes {
+            assert_eq!(trie.lookup(a), every_length_lpm(model, a), "probe {a}");
+        }
+    };
+    check(&trie, &model);
+    let mut doomed: Vec<Prefix> = model.keys().copied().collect();
+    doomed.shuffle(&mut rng);
+    let (first, rest) = doomed.split_at(doomed.len() / 2);
+    for p in first {
+        assert_eq!(trie.remove(*p), model.remove(p));
+    }
+    check(&trie, &model);
+    for p in rest {
+        assert_eq!(trie.remove(*p), model.remove(p));
+    }
+    assert_eq!(trie, PrefixTrie::new());
 }

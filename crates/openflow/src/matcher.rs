@@ -154,9 +154,9 @@ pub struct MatcherStats {
     pub builds: u64,
     /// Wall-clock nanoseconds of the most recent full rebuild.
     pub last_build_nanos: u64,
-    /// Estimated index heap footprint in bytes (candidates + bucket and
-    /// node overhead; an accounting estimate, not an allocator
-    /// measurement).
+    /// Estimated index heap footprint in bytes (candidates + bucket
+    /// headers + the trie's nodes by their `size_of`; an accounting
+    /// estimate, not an allocator measurement).
     pub approx_bytes: usize,
     /// Lookups answered by the exact-match hash indexes.
     pub exact_hits: u64,
@@ -362,11 +362,9 @@ impl CompiledMatcher {
             .map(Vec::len)
             .sum();
         let trie_entries: usize = self.by_nw_dst.iter().map(|(_, b)| b.len()).sum();
-        let trie_nodes = self.by_nw_dst.node_count();
         let exact_keys = self.by_dl_dst.len() + self.by_in_port.len();
         let cand = std::mem::size_of::<Candidate>();
         let bucket_overhead = std::mem::size_of::<Vec<Candidate>>() + 8; // vec header + key share
-        let node_overhead = 56; // Option<Vec> value + two Option<Box> children
         MatcherStats {
             epoch: self.epoch,
             exact_keys,
@@ -378,7 +376,7 @@ impl CompiledMatcher {
             last_build_nanos: self.last_build_nanos,
             approx_bytes: (exact_entries + trie_entries + self.residual.len()) * cand
                 + exact_keys * bucket_overhead
-                + trie_nodes * node_overhead,
+                + self.by_nw_dst.approx_bytes(), // nodes + bucket headers
             exact_hits: self.hits.exact.load(Ordering::Relaxed),
             trie_hits: self.hits.trie.load(Ordering::Relaxed),
             residual_hits: self.hits.residual.load(Ordering::Relaxed),

@@ -22,7 +22,7 @@ use sdx::bgp::attrs::PathAttributes;
 use sdx::bgp::route_server::{communities, ExportPolicy, RouteServer, RouteServerEvent};
 use sdx::core::controller::SdxController;
 use sdx::core::{ParticipantConfig, VnhMap};
-use sdx::net::{FieldMatch, Ipv4Addr, ParticipantId, PortId, Prefix, PrefixTrie};
+use sdx::net::{FieldMatch, Ipv4Addr, ParticipantId, PortId, Prefix};
 use sdx::openflow::border_router::FibEntry;
 use sdx::openflow::fabric::Fabric;
 use sdx::policy::{Policy as P, PolicyDelta};
@@ -36,7 +36,7 @@ mod model {
     /// What the route server last advertised to one peer, materialised.
     #[derive(Default)]
     pub struct AdjRibOut {
-        pub advertised: PrefixTrie<PathAttributes>,
+        pub advertised: BTreeMap<Prefix, PathAttributes>,
     }
 
     impl AdjRibOut {
@@ -48,10 +48,10 @@ mod model {
             desired: Option<(&PathAttributes, Ipv4Addr)>,
         ) -> bool {
             let Some((route, next_hop)) = desired else {
-                return self.advertised.remove(prefix).is_some();
+                return self.advertised.remove(&prefix).is_some();
             };
             let rewritten = route.clone().with_next_hop(next_hop);
-            if self.advertised.get(prefix) == Some(&rewritten) {
+            if self.advertised.get(&prefix) == Some(&rewritten) {
                 return false;
             }
             self.advertised.insert(prefix, rewritten);
@@ -59,11 +59,25 @@ mod model {
         }
     }
 
-    /// One Adj-RIB-Out per viewer, one FIB per border router.
+    /// One Adj-RIB-Out per viewer, one FIB per border router: ordered
+    /// maps, so that the model shares no code with the trie under the
+    /// shared tables.
     #[derive(Default)]
     pub struct Model {
         pub rib_out: BTreeMap<ParticipantId, AdjRibOut>,
-        pub fibs: BTreeMap<PortId, PrefixTrie<FibEntry>>,
+        pub fibs: BTreeMap<PortId, BTreeMap<Prefix, FibEntry>>,
+    }
+
+    /// Longest-prefix match by brute force over the lengths: the FIB's
+    /// entry at each of the address's 33 prefixes, longest first.
+    pub fn longest_match(
+        fib: &BTreeMap<Prefix, FibEntry>,
+        dst: Ipv4Addr,
+    ) -> Option<(Prefix, FibEntry)> {
+        (0..=32).rev().find_map(|len| {
+            let prefix = Prefix::new(dst, len);
+            fib.get(&prefix).map(|entry| (prefix, *entry))
+        })
     }
 
     impl Model {
@@ -88,7 +102,7 @@ mod model {
                 let fib = self.fibs.entry(port).or_default();
                 match next_hop {
                     Some(next_hop) => fib.insert(prefix, FibEntry { next_hop }),
-                    None => fib.remove(prefix),
+                    None => fib.remove(&prefix),
                 };
             }
         }
@@ -119,7 +133,7 @@ mod model {
                 let advertised: Vec<Prefix> = self
                     .rib_out
                     .get(&viewer)
-                    .map_or(Vec::new(), |out| out.advertised.keys().collect());
+                    .map_or(Vec::new(), |out| out.advertised.keys().copied().collect());
                 let prefixes: BTreeSet<Prefix> = all.iter().copied().chain(advertised).collect();
                 for prefix in prefixes {
                     let vnh = vnh_of.get(&(viewer, prefix)).copied();
@@ -396,14 +410,16 @@ impl World {
                 .adj_rib_out(cfg.id)
                 .unwrap_or_else(|| panic!("{what}: {} was never advertised to", cfg.id));
             let seen: Vec<(Prefix, &PathAttributes)> = view.iter().collect();
-            let modelled: Vec<(Prefix, &PathAttributes)> = self
-                .model
-                .rib_out
-                .get(&cfg.id)
-                .map_or(Vec::new(), |out| out.advertised.iter().collect());
+            let modelled: Vec<(Prefix, &PathAttributes)> =
+                self.model.rib_out.get(&cfg.id).map_or(Vec::new(), |out| {
+                    out.advertised
+                        .iter()
+                        .map(|(p, attrs)| (*p, attrs))
+                        .collect()
+                });
             assert_eq!(seen, modelled, "{what}: Adj-RIB-Out of {}", cfg.id);
         }
-        let empty = PrefixTrie::new();
+        let empty = BTreeMap::new();
         for port in self.fabric.ports() {
             let router = self.fabric.router(port).expect("attached");
             let fib = self.model.fibs.get(&port).unwrap_or(&empty);
@@ -411,7 +427,7 @@ impl World {
             for &dst in &self.probes {
                 assert_eq!(
                     router.route_for(dst),
-                    fib.lookup(dst).map(|(p, e)| (p, *e)),
+                    model::longest_match(fib, dst),
                     "{what}: {port:?} forwarding {dst}"
                 );
             }
