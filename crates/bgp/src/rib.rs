@@ -197,47 +197,6 @@ impl LocRib {
             .copied()
     }
 
-    /// [`announced_by`](Self::announced_by), restricted to prefixes whose
-    /// network address lies in `[lo, hi)` (`hi: None` is open-ended).
-    /// O(log + slice) via the index's ordered set — `Prefix` orders
-    /// addr-major, so the address band is one contiguous range. Range
-    /// bounds are exclusive neighbors ((addr−1, /32) is the largest
-    /// prefix below `addr`'s band) because constructing `(addr, /0)`
-    /// directly would canonicalize the address away.
-    pub fn announced_by_in(
-        &self,
-        announcer: ParticipantId,
-        lo: Ipv4Addr,
-        hi: Option<Ipv4Addr>,
-    ) -> impl Iterator<Item = Prefix> + '_ {
-        use core::ops::Bound;
-        let lower = if lo.0 == 0 {
-            Bound::Unbounded
-        } else {
-            Bound::Excluded(Prefix::new(Ipv4Addr(lo.0 - 1), 32))
-        };
-        let upper = match hi {
-            Some(h) if h.0 > 0 => Bound::Included(Prefix::new(Ipv4Addr(h.0 - 1), 32)),
-            Some(_) => Bound::Excluded(Prefix::new(Ipv4Addr(0), 0)),
-            None => Bound::Unbounded,
-        };
-        self.by_announcer
-            .get(&announcer)
-            .into_iter()
-            .flat_map(move |set| set.range((lower, upper)))
-            .copied()
-    }
-
-    /// Whether `announcer` currently announces exactly `p` — an O(log)
-    /// membership probe on the announcer index. The sharded compiler's
-    /// unit pruning asks this per dirty prefix to prove a `(shard,
-    /// viewer)` unit cannot have changed.
-    pub fn announces(&self, announcer: ParticipantId, p: Prefix) -> bool {
-        self.by_announcer
-            .get(&announcer)
-            .is_some_and(|set| set.contains(&p))
-    }
-
     /// Number of prefixes `announcer` currently announces.
     pub fn announced_count(&self, announcer: ParticipantId) -> usize {
         self.by_announcer.get(&announcer).map_or(0, BTreeSet::len)

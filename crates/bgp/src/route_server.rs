@@ -117,7 +117,7 @@ pub enum RouteServerEvent {
     SessionReset(ParticipantId),
 }
 
-/// Change tracking for the compiler's incremental shard cache: a unique
+/// Change tracking for the compiler's incremental cache: a unique
 /// instance identity plus the prefixes whose candidate sets changed since
 /// the compiler last drained them.
 ///
@@ -257,7 +257,8 @@ impl RouteServer {
     /// Export filtering only reshapes the candidate sets built from routes
     /// `p` itself announced, so what is marked dirty is scoped to
     /// `loc_rib.announced_by(p)` — prefixes announced only by other
-    /// participants keep their advertisements and their compiled shards.
+    /// participants keep their advertisements and their compiled
+    /// signatures.
     pub fn set_export_policy(&mut self, p: ParticipantId, export: ExportPolicy) {
         self.export.insert(p, export);
         let affected: Vec<Prefix> = self.loc_rib.announced_by(p).collect();
@@ -304,9 +305,9 @@ impl RouteServer {
     }
 
     /// This instance's compile-cache identity: unique per route server
-    /// object (clones get fresh ids), so a compiler that cached per-shard
+    /// object (clones get fresh ids), so a compiler that cached per-prefix
     /// state against one instance can detect it is now being run against
-    /// a different one and rebuild instead of trusting stale slices.
+    /// a different one and rebuild instead of trusting stale entries.
     pub fn compile_id(&self) -> u64 {
         self.compile_dirty.id
     }
@@ -478,30 +479,12 @@ impl RouteServer {
 
     /// Every prefix for which `viewer` can reach `next_hop` — the BGP
     /// filter the SDX inserts in front of `fwd(next_hop)` (§4.1, second
-    /// transformation). Result is in prefix order.
+    /// transformation), and the join phase A builds a viewer's signature
+    /// map from. Walks `next_hop`'s inverted announcer index instead of
+    /// scanning the whole Loc-RIB. Result is in prefix order.
     pub fn prefixes_via(&self, viewer: ParticipantId, next_hop: ParticipantId) -> Vec<Prefix> {
-        self.prefixes_via_bounded(viewer, next_hop, Ipv4Addr(0), None)
-    }
-
-    /// [`prefixes_via`](Self::prefixes_via) restricted to prefixes whose
-    /// network address lies in `[lo, hi)` (`hi = None` means "to the top
-    /// of the address space") — the per-shard BGP join every compile runs.
-    ///
-    /// Walks `next_hop`'s inverted announcer index instead of scanning the
-    /// whole Loc-RIB, and the restriction is a `BTreeSet::range` slice of
-    /// that index, not a filter: one shard's join costs O(log + its slice)
-    /// of the announcer's table — it never touches entries outside its
-    /// range — and the union of the results over a partition of the
-    /// address space is exactly [`prefixes_via`](Self::prefixes_via).
-    pub fn prefixes_via_bounded(
-        &self,
-        viewer: ParticipantId,
-        next_hop: ParticipantId,
-        lo: Ipv4Addr,
-        hi: Option<Ipv4Addr>,
-    ) -> Vec<Prefix> {
         self.loc_rib
-            .announced_by_in(next_hop, lo, hi)
+            .announced_by(next_hop)
             .filter(|&p| {
                 self.loc_rib
                     .candidates(p)
@@ -665,41 +648,17 @@ mod tests {
         }
     }
 
-    /// The join every compile runs, against the scan oracle: cuts the
-    /// address space at up to seven random points — drawn near the /8
-    /// network addresses the tests announce, so cuts land on, just below
-    /// and just above them — and requires each
-    /// `prefixes_via_bounded(viewer, nh, lo, hi)` slice to equal the scan
-    /// filtered to `[lo, hi)` and the slices' union to equal the scan.
-    fn assert_bounded_join_agrees_with_scan(
+    /// The join phase A builds a viewer's map from, against the scan
+    /// oracle: the same prefixes, in prefix order.
+    fn assert_join_agrees_with_scan(
         rs: &RouteServer,
-        rng: &mut Rng,
         viewer: ParticipantId,
         nh: ParticipantId,
         what: &str,
     ) {
         let mut scanned = rs.prefixes_via_scan(viewer, nh);
         scanned.sort();
-        let mut starts: Vec<u32> = vec![0];
-        for _ in 0..rng.below(8) {
-            let near = (rng.below(64) as u32) << 24;
-            starts.push(near.wrapping_add(rng.below(3) as u32).wrapping_sub(1));
-        }
-        starts.sort_unstable();
-        starts.dedup();
-        let mut union: Vec<Prefix> = Vec::new();
-        for (i, &lo) in starts.iter().enumerate() {
-            let hi = starts.get(i + 1).copied();
-            let slice = rs.prefixes_via_bounded(viewer, nh, Ipv4Addr(lo), hi.map(Ipv4Addr));
-            let expected: Vec<Prefix> = scanned
-                .iter()
-                .copied()
-                .filter(|p| p.addr().0 >= lo && hi.is_none_or(|h| p.addr().0 < h))
-                .collect();
-            assert_eq!(slice, expected, "{what}: slice [{lo:#x}, {hi:x?})");
-            union.extend(slice);
-        }
-        assert_eq!(union, scanned, "{what}: union over cuts {starts:x?}");
+        assert_eq!(rs.prefixes_via(viewer, nh), scanned, "{what}: prefixes_via");
     }
 
     fn src(p: u32) -> RouteSource {
@@ -910,18 +869,9 @@ mod tests {
     #[test]
     fn indexed_queries_agree_with_scan_oracles_on_figure1() {
         let rs = figure1_server();
-        let mut rng = Rng(0x1f1f_2014);
         for viewer in [ParticipantId(1), ParticipantId(2), ParticipantId(3)] {
             for nh in [ParticipantId(1), ParticipantId(2), ParticipantId(3)] {
-                let mut indexed = rs.prefixes_via(viewer, nh);
-                let mut scanned = rs.prefixes_via_scan(viewer, nh);
-                indexed.sort();
-                scanned.sort();
-                assert_eq!(indexed, scanned, "prefixes_via({viewer}, {nh})");
-                for _ in 0..8 {
-                    let what = format!("prefixes_via_bounded({viewer}, {nh})");
-                    assert_bounded_join_agrees_with_scan(&rs, &mut rng, viewer, nh, &what);
-                }
+                assert_join_agrees_with_scan(&rs, viewer, nh, &format!("({viewer}, {nh})"));
             }
             for p in rs.all_prefixes() {
                 assert_top_route_and_exclusions_agree_with_scan(&rs, p, "figure 1");
@@ -937,8 +887,7 @@ mod tests {
     /// Randomized churn: the indexed query paths (inverted announcer
     /// index, once-per-prefix decision) must agree with the full-scan oracles
     /// after every kind of mutation — announce, withdraw, export-policy
-    /// flip, session reset — in any interleaving, and so must the
-    /// range-bounded join over random splits of the address space.
+    /// flip, session reset — in any interleaving.
     #[test]
     fn indexed_queries_agree_with_scan_oracles_under_random_churn() {
         const PARTICIPANTS: u64 = 6;
@@ -1007,18 +956,8 @@ mod tests {
                     let viewer = ParticipantId(v as u32);
                     for n in 1..=PARTICIPANTS {
                         let nh = ParticipantId(n as u32);
-                        let mut indexed = rs.prefixes_via(viewer, nh);
-                        let mut scanned = rs.prefixes_via_scan(viewer, nh);
-                        indexed.sort();
-                        scanned.sort();
-                        assert_eq!(
-                            indexed, scanned,
-                            "seed {seed} step {step}: prefixes_via({viewer}, {nh})"
-                        );
-                        let what = format!(
-                            "seed {seed} step {step}: prefixes_via_bounded({viewer}, {nh})"
-                        );
-                        assert_bounded_join_agrees_with_scan(&rs, &mut rng, viewer, nh, &what);
+                        let what = format!("seed {seed} step {step}: ({viewer}, {nh})");
+                        assert_join_agrees_with_scan(&rs, viewer, nh, &what);
                     }
                     for i in 0..PREFIXES {
                         let p = pfx(i);
@@ -1031,34 +970,6 @@ mod tests {
                             "seed {seed} step {step}: reachable_via({viewer}, {p})"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn bounded_join_partitions_the_unbounded_join() {
-        let rs = figure1_server();
-        for viewer in [ParticipantId(1), ParticipantId(2), ParticipantId(3)] {
-            for nh in [ParticipantId(2), ParticipantId(3)] {
-                let full = rs.prefixes_via(viewer, nh);
-                // Any cut point partitions the result exactly.
-                for cut in [
-                    ip("0.0.0.1"),
-                    ip("25.0.0.0"),
-                    ip("40.0.0.0"),
-                    ip("255.0.0.0"),
-                ] {
-                    let lo_half = rs.prefixes_via_bounded(viewer, nh, Ipv4Addr(0), Some(cut));
-                    let hi_half = rs.prefixes_via_bounded(viewer, nh, cut, None);
-                    let mut union = lo_half.clone();
-                    union.extend(hi_half.iter().copied());
-                    union.sort();
-                    let mut sorted_full = full.clone();
-                    sorted_full.sort();
-                    assert_eq!(union, sorted_full, "cut at {cut} for ({viewer}, {nh})");
-                    assert!(lo_half.iter().all(|p| p.addr() < cut));
-                    assert!(hi_half.iter().all(|p| p.addr() >= cut));
                 }
             }
         }

@@ -20,14 +20,13 @@
 //!
 //! Every step keeps what it derived and recomputes only what a route or
 //! policy change can have touched; a cold compile is the case where
-//! everything is stale. Step 2 runs per `(prefix-range shard, viewer)`
-//! unit (see [`crate::shard`]); steps 3–5 keep a piece per viewer, per
-//! receiver and per stage-1 segment (see [`crate::piece`]), and what is
-//! whole-table per run is one concatenation and one shadow elimination.
-//! The pipeline is one serial pass with nothing to configure but the shard
-//! count ([`SdxCompiler::set_shards`], which the shard-invariance suites
-//! vary): viewers are visited in `ParticipantId` order and VNH ids come
-//! from a single reservation (see DESIGN.md §11).
+//! everything is stale. Step 2 keeps one signature map per viewer, patched
+//! per route-dirty prefix by the function the fast path runs; steps 3–5
+//! keep a piece per viewer, per receiver and per stage-1 segment (see
+//! [`crate::piece`]), and what is whole-table per run is one concatenation
+//! and one shadow elimination. The pipeline is one serial pass with
+//! nothing to configure: viewers are visited in `ParticipantId` order and
+//! VNH ids come from a single reservation (see DESIGN.md §11).
 //!
 //! The output [`CompileReport`] carries everything the controller must
 //! install: the switch classifier, the ARP bindings (VNH → VMAC), and the
@@ -35,8 +34,7 @@
 //! the last two read through the viewers' shared pieces.
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
 
 use sdx_bgp::route_server::RouteServer;
@@ -48,18 +46,12 @@ use sdx_telemetry::{MetricsSnapshot, Registry, SharedRegistry};
 
 use crate::error::SdxError;
 use crate::faults::{FaultPlan, InjectionPoint};
-use crate::fec::{partition_by_signature, FecGroup, FecId, FecKey};
+use crate::fec::{FecGroup, FecId};
 use crate::participant::ParticipantConfig;
-use crate::piece::{PieceCounts, Pieces, Tally, ViewerInputs, ViewerPiece, VnhMap};
-use crate::shard::{
-    clamp_shards, MergedFecs, ShardCache, ShardPlan, ShardUnit, ViewerUnits, DEFAULT_SHARDS,
-};
-use crate::transform::{self, dst_coverage, expand_fwd_rule, Coverage, FwdRule, TransformError};
+use crate::phase_a::{self, CompileCache};
+use crate::piece::{PieceCounts, ViewerInputs, ViewerPiece, VnhMap};
+use crate::transform::{self, expand_fwd_rule, FwdRule, TransformError};
 use crate::vnh::VnhAllocator;
-
-/// Per FEC group: rule indices whose affected set contains the group,
-/// plus the subset that only partially covers it.
-type GroupMembership = (BTreeSet<usize>, BTreeSet<usize>);
 
 /// Timing and size accounting for one pipeline run.
 #[derive(Clone, Copy, Debug, Default)]
@@ -257,7 +249,7 @@ fn viewer_piece(
     participants: &BTreeMap<ParticipantId, ParticipantConfig>,
     rs: &RouteServer,
 ) -> Result<ViewerPiece, SdxError> {
-    let groups: Vec<FecGroup> = (inputs.merged.keys.iter().zip(triples))
+    let groups: Vec<FecGroup> = (inputs.partition.keys.iter().zip(triples))
         .map(|(key, &(id, vnh, vmac))| FecGroup {
             id,
             viewer,
@@ -267,7 +259,7 @@ fn viewer_piece(
             default_next_hop: key.default_next_hop,
         })
         .collect();
-    let memberships = &inputs.merged.memberships;
+    let memberships = &inputs.partition.memberships;
     // Isolation: one rule per sender port, unless the rule already pinned
     // one of the sender's own ports.
     let sender_ports = |rule: &FwdRule| -> Vec<PortId> {
@@ -386,38 +378,25 @@ pub struct SdxCompiler {
     /// wide-area load-balancer application (§3.1). Tagged with the owner
     /// for bookkeeping.
     global_policies: Vec<(ParticipantId, Policy)>,
-    /// See [`set_shards`](Self::set_shards); `None` is [`DEFAULT_SHARDS`].
-    shards: Option<usize>,
     /// Where stage timings and allocation counters land. Defaults to a
     /// private sink; the controller shares its own registry in.
     pub(crate) telemetry: SharedRegistry,
     /// Versioned view of the policy store: the *book* epoch moves on
     /// structural mutations (enroll/remove, global fragments) and gates
-    /// the whole shard cache; per-participant counters move on single
-    /// policy edits and gate only that viewer's cached units — the seam
-    /// that lets a one-participant [`PolicyDelta`]
-    /// recompile a handful of units instead of the world.
+    /// the whole compile cache; per-participant counters move on single
+    /// policy edits and gate only that viewer's signature map — the seam
+    /// that lets a one-participant [`PolicyDelta`] rebuild one map instead
+    /// of the world.
     versions: PolicyVersions,
-    /// Clean per-`(shard, viewer)` phase-A slices from the previous
+    /// Phase A's signature maps and phases B–E's pieces from the previous
     /// compile. `None` until the first compile runs.
-    shard_cache: Option<ShardCache>,
+    cache: Option<CompileCache>,
 }
 
 impl SdxCompiler {
-    /// An empty compiler at [`DEFAULT_SHARDS`].
+    /// An empty compiler.
     pub fn new() -> Self {
         SdxCompiler::default()
-    }
-
-    /// Sets how many contiguous prefix ranges phase A is cut into (rounded
-    /// up to a power of two, clamped to `[1, MAX_SHARDS]`; see
-    /// [`crate::shard`]). The output is the same for every count modulo
-    /// VNH numbering of warm compiles — the count only sets how finely
-    /// route churn invalidates cached `(shard, viewer)` units. The one
-    /// thing about a compile that can be set: the shard-invariance suites
-    /// and the cold one-shard reference vary it.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.shards = Some(shards);
     }
 
     /// Points this compiler's stage timers at `reg` (the controller calls
@@ -431,15 +410,8 @@ impl SdxCompiler {
         &self.telemetry
     }
 
-    /// The prefix-space partition the last compile ran under (`None`
-    /// before the first) — where the oracle aims its shard-boundary
-    /// probes.
-    pub fn shard_plan(&self) -> Option<&ShardPlan> {
-        self.shard_cache.as_ref().map(|c| &c.plan)
-    }
-
     /// Adds or replaces a participant (a structural book mutation: the
-    /// whole shard cache is invalidated).
+    /// whole compile cache is invalidated).
     pub fn upsert_participant(&mut self, cfg: ParticipantConfig) {
         self.versions.bump_book();
         self.participants.insert(cfg.id, cfg);
@@ -466,7 +438,7 @@ impl SdxCompiler {
 
     /// Installs/clears a participant's inbound policy. Bumps only that
     /// participant's inbound version; inbound policies never touch the
-    /// FEC phase, so no shard unit is invalidated at all.
+    /// FEC phase, so no signature map is rebuilt at all.
     pub fn set_inbound(&mut self, id: ParticipantId, policy: Option<Policy>) {
         if let Some(p) = self.participants.get_mut(&id) {
             self.versions.bump_inbound(id);
@@ -577,11 +549,11 @@ impl SdxCompiler {
         Ok(())
     }
 
-    /// Drops every cached phase-A unit, so the next compile is cold — how
-    /// the determinism tests and the Figure 8 bench get a whole-exchange
-    /// compile out of a compiler that has already run.
-    pub fn clear_unit_cache(&mut self) {
-        self.shard_cache = None;
+    /// Drops every cached signature map and piece, so the next compile is
+    /// cold — how a test gets a whole-exchange compile out of a compiler
+    /// that has already run.
+    pub fn clear_cache(&mut self) {
+        self.cache = None;
     }
 
     /// Brings the compiled policies up to the book's current versions,
@@ -664,23 +636,22 @@ impl SdxCompiler {
         };
         observe("compile.classifiers");
 
-        // ---- Phase A (per (shard, viewer) unit): affected sets + FEC
-        // partition, recomputing only what changed since the last compile
-        // (see `compile_fecs`), in ParticipantId order.
+        // ---- Phase A (per viewer, in ParticipantId order): the signature
+        // map and its FEC partition, built whole or patched per dirty
+        // prefix (see `phase_a`).
         let viewers: Vec<(ParticipantId, (u64, u64), &[FwdRule])> = (self.outbound.iter())
             .map(|(&id, c)| (id, c.stamp, c.value.as_slice()))
             .collect();
-        let (fecs, dirty_prefixes) = Self::compile_fecs(
-            &mut self.shard_cache,
+        let (fecs, dirty_prefixes) = phase_a::run(
+            &mut self.cache,
             self.versions.book(),
-            self.shards.unwrap_or(DEFAULT_SHARDS),
             rs,
             &viewers,
             &reg,
             &mut stats.pieces.units,
         );
         let cache = self
-            .shard_cache
+            .cache
             .as_mut()
             .expect("phase A leaves its cache behind");
 
@@ -693,8 +664,8 @@ impl SdxCompiler {
         // previous compilation keeps its exact id/VNH/VMAC, so
         // re-optimization only relabels what actually changed; on a fresh
         // allocator no key is mapped and ids follow group enumeration
-        // order, whatever the shard count.
-        let reservation = vnh.reserve_keyed(fecs.iter().flat_map(|merged| &merged.keys))?;
+        // order.
+        let reservation = vnh.reserve_keyed(fecs.iter().flat_map(|partition| &partition.keys))?;
         reg.add("vnh.reused.count", reservation.reused_len() as u64);
         reg.add("vnh.fresh.count", reservation.fresh_len() as u64);
         for _ in 0..reservation.len() {
@@ -720,14 +691,14 @@ impl SdxCompiler {
             pieces.replace_viewer(viewer, None);
         }
         let mut triples = reservation.triples();
-        for ((&viewer, compiled), merged) in self.outbound.iter().zip(fecs) {
+        for ((&viewer, compiled), partition) in self.outbound.iter().zip(fecs) {
             let rules = compiled.value.as_slice();
-            let (mine, rest) = triples.split_at(merged.keys.len());
+            let (mine, rest) = triples.split_at(partition.keys.len());
             triples = rest;
             let reads_routes = rules.iter().any(|r| r.rewritten_dst().is_some());
             let inputs = ViewerInputs {
                 stamp: compiled.stamp,
-                merged,
+                partition,
                 route_generation: reads_routes.then_some(route_generation),
             };
             let current = pieces
@@ -777,159 +748,12 @@ impl SdxCompiler {
         Ok(CompileReport { stats, ..report })
     }
 
-    /// Phase A (see [`crate::shard`]): each viewer's merged signature map,
-    /// from its cached `(shard, viewer)` units where they still hold, and
-    /// the *global* FEC partition over it. Because signatures are
-    /// per-prefix, the merged map equals the whole-exchange phase-A map
-    /// exactly, so the partition (and everything downstream) does not
-    /// depend on the shard count; the merge plus the shared partition is
-    /// the entire cross-shard coordination pass (per-viewer best-route
-    /// defaults ride in the signature, and wide-match policies are joined
-    /// by every shard against its own slice).
-    ///
-    /// The cache is thrown away whole on any fingerprint mismatch (plan
-    /// size, structural book epoch, route-server identity). Within a valid
-    /// cache a unit is reused only when both hold:
-    ///
-    /// * it was built under the viewer's current outbound stamp. A unit is
-    ///   a function of the viewer's compiled rule list and the route
-    ///   server, and the stamp names the rule list: a moved stamp
-    ///   recomputes all the viewer's units, and a retraction purges them;
-    /// * no route-dirty prefix can reach it (see `could_affect` below).
-    ///
-    /// Returns each viewer's merged output, in `viewers` order, and how
-    /// many prefixes the route server had marked dirty; `units` counts the
-    /// `(shard, viewer)` units recomputed and cache-served.
-    fn compile_fecs(
-        shard_cache: &mut Option<ShardCache>,
-        book: u64,
-        shards: usize,
-        rs: &RouteServer,
-        viewers: &[(ParticipantId, (u64, u64), &[FwdRule])],
-        reg: &SharedRegistry,
-        units: &mut Tally,
-    ) -> (Vec<Arc<MergedFecs>>, usize) {
-        let n = clamp_shards(shards);
-        let valid = shard_cache
-            .take()
-            .filter(|c| c.plan.len() == n && c.book == book && c.rs_id == rs.compile_id());
-        let drained = rs.take_compile_dirty();
-        reg.add("compile.shard.dirty_prefixes.count", drained.len() as u64);
-        let fresh = valid.is_none();
-        let mut cache = valid.unwrap_or_else(|| ShardCache {
-            // The plan is computed once from the announced table and held
-            // stable while the cache lives: plan stability is what lets
-            // dirty prefixes map to the same shards across compiles
-            // (balance drifts with churn; correctness does not).
-            plan: ShardPlan::balanced(n, rs.all_prefixes()),
-            book,
-            rs_id: rs.compile_id(),
-            viewers: HashMap::new(),
-            route_generation: 0,
-            pieces: Pieces::default(),
-        });
-        if !drained.is_empty() {
-            cache.route_generation += 1;
-        }
-        let mut dirty_by_shard: BTreeMap<usize, Vec<Prefix>> = BTreeMap::new();
-        for &p in &drained {
-            let shard = cache.plan.shard_of(p);
-            dirty_by_shard.entry(shard).or_default().push(p);
-        }
-        let dirty_shards = if fresh { n } else { dirty_by_shard.len() };
-        reg.set_gauge("compile.shard.count", n as i64);
-        reg.add("compile.shard.recompiled.count", dirty_shards as u64);
-        reg.add("compile.shard.skipped.count", (n - dirty_shards) as u64);
-
-        // Within a dirty shard, a unit can only have changed if some dirty
-        // prefix is already in its signature slice (its rule memberships
-        // or best route could move) or is *currently announced* by one of
-        // the viewer's rule next-hops (it could enter the slice).
-        // Everything the unit reads beyond announcements — export
-        // policies, session resets — marks the affected prefixes dirty
-        // too, so the test only ever skips units the dirt provably cannot
-        // touch.
-        let could_affect = |unit: &ShardUnit, ps: &[Prefix], rules: &[FwdRule]| {
-            ps.iter().any(|&p| {
-                unit.sig.contains_key(&p)
-                    || rules.iter().any(|r| {
-                        r.rewritten_dst().is_none()
-                            && matches!(
-                                r.target,
-                                Some(PortId::Virt(nh)) if rs.loc_rib().announces(nh, p)
-                            )
-                    })
-            })
-        };
-        let mut held = std::mem::take(&mut cache.viewers);
-        let (mut policy_dirty, mut pruned) = (0, 0);
-        let mut fecs: Vec<Arc<MergedFecs>> = Vec::with_capacity(viewers.len());
-        for &(viewer, stamp, rules) in viewers {
-            let plan = &cache.plan;
-            let build = |s: usize| {
-                let _unit_timer = reg.start_timer("compile.shard.unit");
-                let (lo, hi) = plan.range(s);
-                build_unit(rs, viewer, rules, lo, hi)
-            };
-            let merge = |shards: &[ShardUnit]| {
-                let _merge_timer = reg.start_timer("compile.shard.merge");
-                merge_units(viewer, shards)
-            };
-            let entry = match held.remove(&viewer).filter(|u| u.stamp == stamp) {
-                Some(mut kept) => {
-                    let mut moved = false;
-                    for (&s, ps) in &dirty_by_shard {
-                        if !could_affect(&kept.shards[s], ps, rules) {
-                            pruned += 1;
-                            continue;
-                        }
-                        units.recomputed += 1;
-                        let unit = build(s);
-                        // A unit that comes back identical (churn that
-                        // canceled) leaves the merged output valid.
-                        if unit != kept.shards[s] {
-                            kept.shards[s] = unit;
-                            moved = true;
-                        }
-                    }
-                    if moved {
-                        kept.merged = merge(&kept.shards);
-                    }
-                    kept
-                }
-                None => {
-                    if !fresh {
-                        policy_dirty += n;
-                    }
-                    units.recomputed += n;
-                    let shards: Vec<ShardUnit> = (0..n).map(build).collect();
-                    let merged = merge(&shards);
-                    ViewerUnits {
-                        stamp,
-                        shards,
-                        merged,
-                    }
-                }
-            };
-            fecs.push(entry.merged.clone());
-            cache.viewers.insert(viewer, entry);
-        }
-        units.reused = viewers.len() * n - units.recomputed;
-        // Whatever is still held belonged to a viewer whose outbound
-        // policy is gone.
-        let retired = held.len() * n;
-        reg.add("policy.dirty_units.count", (policy_dirty + retired) as u64);
-        reg.add("compile.shard.unit_pruned.count", pruned);
-        *shard_cache = Some(cache);
-        (fecs, drained.len())
-    }
-
     /// The stage-1 rules in priority order and each participant's stage-2
     /// block, as the last compile left them — what the naive composition
     /// the optimized one is tested against is fed.
     #[cfg(test)]
     fn stages(&self) -> (Vec<Rule>, BTreeMap<ParticipantId, transform::Block>) {
-        let pieces = &self.shard_cache.as_ref().expect("compiled").pieces;
+        let pieces = &self.cache.as_ref().expect("compiled").pieces;
         let blocks = (pieces.receivers.iter())
             .map(|(&id, built)| (id, built.block.clone()))
             .collect();
@@ -937,92 +761,11 @@ impl SdxCompiler {
     }
 }
 
-/// One `(shard, viewer)` unit over the shard's range `[lo, hi)`: per
-/// affected prefix, the rules whose BGP join reaches it (and those among
-/// them covering it only partially), and every such prefix's best-route
-/// next hop.
-fn build_unit(
-    rs: &RouteServer,
-    viewer: ParticipantId,
-    rules: &[FwdRule],
-    lo: Ipv4Addr,
-    hi: Option<Ipv4Addr>,
-) -> ShardUnit {
-    // Affected set per rule: prefixes the target exported to the viewer,
-    // overlapped by the rule's destination constraint.
-    // signature(p) = (rules touching p, partial marks, default nh).
-    let mut sig: BTreeMap<Prefix, GroupMembership> = BTreeMap::new();
-    // Many rules share the same target: cache the BGP join per next hop.
-    let mut via_cache: HashMap<ParticipantId, Vec<Prefix>> = HashMap::new();
-    for (k, rule) in rules.iter().enumerate() {
-        if rule.rewritten_dst().is_some() {
-            continue; // rewrite rules join BGP on the NEW address
-        }
-        let Some(PortId::Virt(nh)) = rule.target else {
-            continue; // port steering / no-op: no BGP join
-        };
-        let via = via_cache
-            .entry(nh)
-            .or_insert_with(|| rs.prefixes_via_bounded(viewer, nh, lo, hi));
-        for &p in via.iter() {
-            match dst_coverage(&rule.matches, p) {
-                Coverage::None => {}
-                Coverage::Full => {
-                    sig.entry(p).or_default().0.insert(k);
-                }
-                Coverage::Partial => {
-                    let e = sig.entry(p).or_default();
-                    e.0.insert(k);
-                    e.1.insert(k);
-                }
-            }
-        }
-    }
-    // One batched decision pass: every affected prefix is resolved exactly
-    // once.
-    let best_nh = sig
-        .keys()
-        .map(|&p| (p, rs.best_for(viewer, p).map(|r| r.source.participant)))
-        .collect();
-    ShardUnit { sig, best_nh }
-}
-
-/// A viewer's units merged and partitioned globally — the same inputs at
-/// every shard count, hence the same groups.
-fn merge_units(viewer: ParticipantId, shards: &[ShardUnit]) -> Arc<MergedFecs> {
-    // The shards' ranges are disjoint and ascend, so walking the units in
-    // shard order walks the viewer's affected prefixes in order (a unit
-    // resolves the best route of exactly the prefixes in its slice, so its
-    // two maps share their keys). Signatures borrow the cached sets:
-    // grouping only needs Ord/Eq, and `&BTreeSet` compares by contents, so
-    // nothing clones two sets per prefix on every compile.
-    let slice: Vec<(Prefix, &GroupMembership, Option<ParticipantId>)> = (shards.iter())
-        .flat_map(|unit| {
-            let entries = unit.sig.iter().zip(unit.best_nh.values());
-            entries.map(|((&p, mem), &nh)| (p, mem, nh))
-        })
-        .collect();
-    let signed = slice.iter().map(|&(p, mem, nh)| (p, (&mem.0, &mem.1, nh)));
-    let parts = partition_by_signature(signed);
-    let of_first = |prefixes: &[Prefix]| {
-        let at = slice.binary_search_by_key(&prefixes[0], |&(p, _, _)| p);
-        slice[at.expect("a part's members come from the slice")]
-    };
-    let memberships = parts.iter().map(|ps| of_first(ps).1.clone()).collect();
-    let keys = parts
-        .into_iter()
-        .map(|prefixes| FecKey {
-            viewer,
-            default_next_hop: of_first(&prefixes).2,
-            prefixes,
-        })
-        .collect();
-    Arc::new(MergedFecs { keys, memberships })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fec::canonicalize_report;
+    use sdx_bgp::msg::UpdateMessage;
     use sdx_bgp::route_server::ExportPolicy;
     use sdx_net::{ip, prefix, FieldMatch, LocatedPacket, Packet};
     use sdx_policy::Policy as P;
@@ -1256,184 +999,149 @@ mod tests {
         assert_eq!(a.vnh_of, b.vnh_of, "{what}: VNH map differs");
     }
 
-    /// The reference every equivalence test below compares against: a
-    /// fresh compiler (no cached unit) at one shard, i.e. the
-    /// whole-exchange computation through the only phase A there is.
-    fn cold_one_shard() -> (SdxCompiler, RouteServer) {
-        let (mut compiler, rs) = figure1();
-        compiler.set_shards(1);
-        (compiler, rs)
+    /// Two compiles' reports, canonically relabelled, are equal.
+    fn assert_canonically_identical(a: &CompileReport, b: &CompileReport, what: &str) {
+        let pool = VnhAllocator::default_pool();
+        assert_reports_identical(
+            &canonicalize_report(a, pool),
+            &canonicalize_report(b, pool),
+            what,
+        );
+    }
+
+    /// Phase A's telemetry since `before`: (viewers re-partitioned,
+    /// viewers served their partition, maps rebuilt for a policy reason).
+    fn phase_a_counts(compiler: &SdxCompiler, before: [u64; 3]) -> [u64; 3] {
+        let reg = compiler.telemetry();
+        let now = [
+            "compile.shard.recompiled.count",
+            "compile.shard.skipped.count",
+            "policy.dirty_units.count",
+        ]
+        .map(|key| reg.counter(key).get());
+        std::array::from_fn(|i| now[i] - before[i])
     }
 
     #[test]
-    fn cold_compile_is_identical_at_every_shard_count() {
-        let (mut one, rs) = cold_one_shard();
-        let baseline = run(&mut one, &rs);
-        // Ids come from one pool in group enumeration order, so cold
-        // compiles agree byte for byte — no canonicalization needed.
-        for shards in [2, DEFAULT_SHARDS, 16] {
-            let (mut compiler, rs) = figure1();
-            compiler.set_shards(shards);
-            let report = run(&mut compiler, &rs);
-            assert_reports_identical(&report, &baseline, &format!("{shards} shards"));
-        }
-    }
-
-    #[test]
-    fn idle_recompile_skips_every_shard() {
+    fn idle_recompile_serves_every_viewer() {
         let (mut compiler, rs) = figure1();
         let mut vnh = VnhAllocator::default();
         let r1 = compiler.compile_all(&rs, &mut vnh).unwrap();
-        let skipped = compiler.telemetry().counter("compile.shard.skipped.count");
-        let recompiled = compiler
-            .telemetry()
-            .counter("compile.shard.recompiled.count");
-        let (s0, r0) = (skipped.get(), recompiled.get());
-        // Nothing changed: the cache serves every unit, and keyed VNH
-        // reuse makes the reports identical without canonicalization.
+        let before = phase_a_counts(&compiler, [0; 3]);
+        // Nothing changed: A's map is held and comes through unpatched,
+        // and keyed VNH reuse makes the reports identical without
+        // canonicalization.
         let r2 = compiler.compile_all(&rs, &mut vnh).unwrap();
-        assert_eq!(
-            skipped.get() - s0,
-            DEFAULT_SHARDS as u64,
-            "every shard skipped"
-        );
-        assert_eq!(recompiled.get() - r0, 0, "no shard recomputed");
+        assert_eq!(phase_a_counts(&compiler, before), [0, 1, 0]);
+        let units = r2.stats.pieces.units;
+        assert_eq!((units.recomputed, units.reused), (0, 1));
         assert_reports_identical(&r1, &r2, "idle recompile");
     }
 
     #[test]
-    fn delta_recompile_touches_only_dirty_shards_and_matches_cold_compile() {
+    fn a_dirty_prefix_is_patched_and_matches_cold_compile() {
         let (mut compiler, mut rs) = figure1();
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
-        // One prefix churns (B's path for p1 changes): exactly one shard
-        // is dirty, and the patched output equals a from-scratch
-        // one-shard compile of the same world.
+        // One prefix churns (B's path for p1 shortens to C's length): A's
+        // map is patched, not rebuilt, and the patched output equals a
+        // from-scratch compile of the same world.
         let msg = compiler
             .participant(ParticipantId(2))
             .unwrap()
             .announce([prefix("10.0.0.0/8")], &[65002, 999]);
         rs.process_update(ParticipantId(2), &msg);
-        let recompiled = compiler
-            .telemetry()
-            .counter("compile.shard.recompiled.count");
-        let r0 = recompiled.get();
         let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
-        assert_eq!(recompiled.get() - r0, 1, "one dirty prefix, one shard");
-        let (mut fresh, mut rs2) = cold_one_shard();
+        let units = warm.stats.pieces.units;
+        assert_eq!((units.recomputed, units.reused), (0, 1), "patched");
+        let (mut fresh, mut rs2) = figure1();
         rs2.process_update(ParticipantId(2), &msg);
-        let cold = run(&mut fresh, &rs2);
-        let pool = VnhAllocator::default_pool();
-        assert_reports_identical(
-            &crate::shard::canonicalize_report(&warm, pool),
-            &crate::shard::canonicalize_report(&cold, pool),
-            "warm delta vs cold one-shard compile",
-        );
+        assert_canonically_identical(&warm, &run(&mut fresh, &rs2), "warm patch vs cold");
     }
 
     #[test]
-    fn export_policy_change_leaves_idle_shards_cache_served() {
+    fn dirt_the_viewer_never_sees_keeps_its_partition() {
         let (mut compiler, mut rs) = figure1();
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
-        // D announces exactly one prefix (50/8). Denying D's exports to A
-        // dirties only 50/8's shard; the others are cache-served.
+        // D announces exactly one prefix (50/8), and A's clauses forward
+        // to B and C only. Denying D's exports to A dirties 50/8, which is
+        // in no signature of A's before or after: A is served its very
+        // partition and its piece.
         let mut export = ExportPolicy::allow_all();
         export.deny(ParticipantId(1), prefix("50.0.0.0/8"));
         rs.set_export_policy(ParticipantId(4), export.clone());
-        let skipped = compiler.telemetry().counter("compile.shard.skipped.count");
-        let recompiled = compiler
-            .telemetry()
-            .counter("compile.shard.recompiled.count");
-        let (s0, r0) = (skipped.get(), recompiled.get());
+        let before = phase_a_counts(&compiler, [0; 3]);
         let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
-        assert_eq!(recompiled.get() - r0, 1, "only 50/8's shard recompiles");
-        assert_eq!(
-            skipped.get() - s0,
-            DEFAULT_SHARDS as u64 - 1,
-            "idle shards are cache-served"
-        );
-        // The narrowed invalidation is still correct: the patched table
-        // equals a from-scratch compile of the same world.
+        assert_eq!(phase_a_counts(&compiler, before), [0, 1, 0]);
+        assert_eq!(warm.stats.pieces.viewers.recomputed, 0);
         let (mut cold, mut rs2) = figure1();
         rs2.set_export_policy(ParticipantId(4), export);
-        let cold_report = run(&mut cold, &rs2);
-        let pool = VnhAllocator::default_pool();
-        assert_reports_identical(
-            &crate::shard::canonicalize_report(&warm, pool),
-            &crate::shard::canonicalize_report(&cold_report, pool),
-            "export-policy delta vs from scratch",
-        );
+        assert_canonically_identical(&warm, &run(&mut cold, &rs2), "export flip vs cold");
     }
 
     #[test]
-    fn shard_cache_invalidates_on_policy_change_and_foreign_route_server() {
+    fn a_withdrawn_prefix_leaves_the_map_and_a_reset_takes_its_routes() {
+        let (mut compiler, mut rs) = figure1();
+        let mut vnh = VnhAllocator::default();
+        compiler.compile_all(&rs, &mut vnh).unwrap();
+        // B and C both withdraw p2: no clause of A's reaches it any more,
+        // so its entry goes. Then C's session resets: p1 and p4 lose their
+        // HTTPS member and their default next hop.
+        let p2 = prefix("20.0.0.0/8");
+        for from in [2, 3] {
+            rs.process_update(ParticipantId(from), &UpdateMessage::withdraw([p2]));
+        }
+        let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
+        assert!(!warm.vnh_of.keys().any(|(_, p)| p == p2));
+        assert_matches_cold(&compiler, &rs, &warm);
+        rs.reset_session(ParticipantId(3));
+        let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
+        let units = warm.stats.pieces.units;
+        assert_eq!((units.recomputed, units.reused), (0, 1), "patched");
+        assert_matches_cold(&compiler, &rs, &warm);
+    }
+
+    #[test]
+    fn cache_invalidates_on_policy_change_and_foreign_route_server() {
         let (mut compiler, rs) = figure1();
-        let n = DEFAULT_SHARDS as u64;
-        // A second viewer, whose units must stay cached through A's edit.
+        // A second viewer, whose map must stay held through A's edit.
         compiler.set_outbound(
             ParticipantId(3),
             Some(P::match_(FieldMatch::TpDst(22)) >> P::fwd(PortId::Virt(ParticipantId(2)))),
         );
         let mut vnh = VnhAllocator::default();
-        compiler.compile_all(&rs, &mut vnh).unwrap();
-        let recompiled = compiler
-            .telemetry()
-            .counter("compile.shard.recompiled.count");
-        let dirty_units = compiler.telemetry().counter("policy.dirty_units.count");
-        // An inbound edit never touches phase A: zero shards, zero units.
-        let (r0, d0) = (recompiled.get(), dirty_units.get());
+        let mut compile = |compiler: &mut SdxCompiler, rs: &RouteServer| {
+            let before = phase_a_counts(compiler, [0; 3]);
+            let units = compiler
+                .compile_all(rs, &mut vnh)
+                .unwrap()
+                .stats
+                .pieces
+                .units;
+            let [recompiled, _, dirtied] = phase_a_counts(compiler, before);
+            (units.recomputed, units.reused, recompiled, dirtied)
+        };
+        compile(&mut compiler, &rs);
+        // An inbound edit never touches phase A.
         compiler.set_inbound(ParticipantId(2), None);
-        let units = compiler
-            .compile_all(&rs, &mut vnh)
-            .unwrap()
-            .stats
-            .pieces
-            .units;
-        assert_eq!(recompiled.get() - r0, 0, "inbound edit recompiles nothing");
-        assert_eq!(dirty_units.get() - d0, 0, "no unit dirtied");
-        assert_eq!((units.recomputed, units.reused), (0, 2 * n as usize));
-        // An outbound edit moves that viewer's stamp: exactly its units
-        // recompute, and the other viewer's stay cached.
-        let d1 = dirty_units.get();
+        assert_eq!(compile(&mut compiler, &rs), (0, 2, 0, 0), "inbound edit");
+        // An outbound edit moves that viewer's stamp: its map is rebuilt,
+        // and the other viewer's stays held.
         compiler.set_outbound(
             ParticipantId(1),
             Some(P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(ParticipantId(2)))),
         );
-        let units = compiler
-            .compile_all(&rs, &mut vnh)
-            .unwrap()
-            .stats
-            .pieces
-            .units;
-        assert_eq!(dirty_units.get() - d1, n, "the editor's units, all of them");
-        assert_eq!(
-            (units.recomputed, units.reused),
-            (n as usize, n as usize),
-            "no other viewer's unit recomputes"
-        );
-        // A retraction purges the viewer's units and recomputes none.
-        let d2 = dirty_units.get();
+        assert_eq!(compile(&mut compiler, &rs), (1, 1, 1, 1), "outbound edit");
+        // A retraction drops the viewer's map and rebuilds none.
         compiler.set_outbound(ParticipantId(3), None);
-        let units = compiler
-            .compile_all(&rs, &mut vnh)
-            .unwrap()
-            .stats
-            .pieces
-            .units;
-        assert_eq!(dirty_units.get() - d2, n, "the retracted viewer's units");
-        assert_eq!((units.recomputed, units.reused), (0, n as usize));
-        // A structural book mutation bumps the epoch → full rebuild.
-        let r1 = recompiled.get();
+        assert_eq!(compile(&mut compiler, &rs), (0, 1, 0, 1), "retraction");
+        // A structural book mutation bumps the epoch → every map rebuilt.
         compiler.upsert_participant(ParticipantConfig::new(9, 65009, 1));
-        compiler.compile_all(&rs, &mut vnh).unwrap();
-        assert_eq!(recompiled.get() - r1, n, "book mutation rebuilds all");
+        assert_eq!(compile(&mut compiler, &rs).0, 1, "book mutation");
         // A *different* route server instance (here: a clone) has a fresh
-        // compile identity → full rebuild, never stale slices.
-        let r2 = recompiled.get();
-        let snapshot = rs.clone();
-        compiler.compile_all(&snapshot, &mut vnh).unwrap();
-        assert_eq!(recompiled.get() - r2, n, "foreign instance rebuilds all");
+        // compile identity → every map rebuilt, never a stale entry.
+        assert_eq!(compile(&mut compiler, &rs.clone()).0, 1, "foreign instance");
     }
 
     #[test]
@@ -1460,16 +1168,16 @@ mod tests {
         assert_matches_cold(&compiler, &rs, &warm);
     }
 
-    /// `warm` against a cold one-shard compile of `compiler`'s book.
+    /// `warm` against a cold compile of `compiler`'s book.
     fn assert_matches_cold(compiler: &SdxCompiler, rs: &RouteServer, warm: &CompileReport) {
-        let mut cold = cold_one_shard().0;
+        let mut cold = figure1().0;
         for cfg in compiler.participants().clone().into_values() {
             cold.upsert_participant(cfg);
         }
         let pool = VnhAllocator::default_pool();
         assert_reports_identical(
-            &crate::shard::canonicalize_report(warm, pool),
-            &crate::shard::canonicalize_report(&run(&mut cold, &rs.clone()), pool),
+            &canonicalize_report(warm, pool),
+            &canonicalize_report(&run(&mut cold, &rs.clone()), pool),
             "warm vs cold",
         );
     }
@@ -1503,7 +1211,7 @@ mod tests {
     fn cached_pieces_are_bounded_by_the_book() {
         let (mut compiler, rs) = figure1();
         let mut vnh = VnhAllocator::default();
-        let owners = |c: &SdxCompiler| c.shard_cache.as_ref().expect("compiled").pieces.owners();
+        let owners = |c: &SdxCompiler| c.cache.as_ref().expect("compiled").pieces.owners();
         let ids = |ids: &[u32]| ids.iter().map(|&n| ParticipantId(n)).collect::<Vec<_>>();
         compiler.compile_all(&rs, &mut vnh).unwrap();
         // (viewer pieces, receiver blocks, segments), by owner.
@@ -1538,7 +1246,7 @@ mod tests {
             (ids(&[]), ids(&[2, 3, 4]), ids(&[2, 3, 4]))
         );
         // And a cache dropped by hand is one where every piece is stale.
-        compiler.clear_unit_cache();
+        compiler.clear_cache();
         let cold = compiler.compile_all(&rs, &mut vnh).unwrap();
         let pieces = cold.stats.pieces;
         assert_eq!(
@@ -1555,7 +1263,7 @@ mod tests {
     #[test]
     fn policy_delta_recompile_matches_from_scratch() {
         // The equivalence spine of the policy-churn path: mutate policies
-        // every which way against a warm shard cache and require the
+        // every which way against a warm cache and require the
         // incremental output to equal a cold compile of the same world.
         let (mut compiler, rs) = figure1();
         let mut vnh = VnhAllocator::default();
@@ -1612,7 +1320,7 @@ mod tests {
         for (what, mutate) in mutations {
             mutate(&mut compiler);
             let incremental = compiler.compile_all(&rs, &mut vnh).unwrap();
-            let (mut cold, rs2) = (cold_one_shard().0, rs.clone());
+            let (mut cold, rs2) = (figure1().0, rs.clone());
             // Copy the warm book over so the cold compiler sees the same
             // post-mutation world.
             for cfg in compiler.participants().clone().into_values() {
@@ -1620,8 +1328,8 @@ mod tests {
             }
             let cold_report = run(&mut cold, &rs2);
             assert_reports_identical(
-                &crate::shard::canonicalize_report(&incremental, pool),
-                &crate::shard::canonicalize_report(&cold_report, pool),
+                &canonicalize_report(&incremental, pool),
+                &canonicalize_report(&cold_report, pool),
                 what,
             );
         }

@@ -182,8 +182,8 @@ impl SdxController {
     /// force ([`SdxError::Transform`] otherwise — the same error the next
     /// compile would have hit). A rejected delta leaves the book and the
     /// versions untouched. An accepted one mutates the book with
-    /// per-participant version bumps — so the next compile recomputes only
-    /// the touched viewers' shard units — and its policies are compiled
+    /// per-participant version bumps — so the next compile rebuilds only
+    /// the touched viewers' signature maps — and its policies are compiled
     /// here, once. Nothing else recompiles here; follow with
     /// [`reoptimize`](Self::reoptimize) or
     /// [`prepare_scheduled`](Self::prepare_scheduled)
@@ -211,7 +211,7 @@ impl SdxController {
     /// Applies a [`PolicyDelta`] end to end: stage, then
     /// [`reoptimize`](Self::reoptimize). The policy change flows through
     /// the same incremental machinery as a route update — only the
-    /// touched viewers' shard units recompile, untouched FECs keep their
+    /// touched viewers' signature maps are rebuilt, untouched FECs keep their
     /// keyed VNH identity, and the data plane is patched by
     /// [`diff_base_table`](crate::reconcile::diff_base_table) rather than
     /// swapped.
@@ -1210,7 +1210,7 @@ mod tests {
     }
 
     #[test]
-    fn reoptimize_forwards_identically_and_recompiles_the_dirty_shard() {
+    fn reoptimize_forwards_identically_and_patches_the_dirty_prefix() {
         let (mut ctl, mut fabric) = deployment();
         ctl.reoptimize(&mut fabric).unwrap();
         // Same forwarding behaviour as the deploy.
@@ -1221,19 +1221,17 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, PortId::Phys(pid(2), 1));
         let snap = ctl.telemetry.snapshot();
-        assert_eq!(
-            snap.gauges.get("compile.shard.count"),
-            Some(&(crate::shard::DEFAULT_SHARDS as i64))
-        );
         let before = snap.counters["compile.shard.recompiled.count"];
-        // A localized churn event recompiles only the dirty shard.
+        // A new prefix C's clause reaches: C's map is patched with it, not
+        // rebuilt, and re-partitioned.
         let b_cfg = ctl.compiler.participant(pid(2)).unwrap().clone();
         ctl.rs
             .process_update(pid(2), &b_cfg.announce([prefix("91.0.0.0/8")], &[65002, 3]));
-        ctl.reoptimize(&mut fabric).unwrap();
+        let units = ctl.reoptimize(&mut fabric).unwrap().stats.pieces.units;
+        assert_eq!((units.recomputed, units.reused), (0, 1), "patched");
         let snap = ctl.telemetry.snapshot();
         let recompiled = snap.counters["compile.shard.recompiled.count"] - before;
-        assert_eq!(recompiled, 1, "one announced prefix dirties one shard");
+        assert_eq!(recompiled, 1, "the one viewer is re-partitioned");
         let out = fabric.send(
             PortId::Phys(pid(3), 1),
             Packet::tcp(ip("99.0.0.1"), ip("91.1.2.3"), 5000, 80),
@@ -1591,7 +1589,7 @@ mod tests {
             .compile_all(&ctl.rs, &mut VnhAllocator::new(pool))
             .expect("scratch compile");
         let canonical = |r: &CompileReport| {
-            let c = crate::shard::canonicalize_report(r, pool);
+            let c = crate::fec::canonicalize_report(r, pool);
             (c.classifier, c.vnh_of)
         };
         assert_eq!(canonical(ctl.report.as_ref().unwrap()), canonical(&scratch));
@@ -1652,8 +1650,7 @@ mod tests {
     #[test]
     fn policy_delta_recompiles_only_affected_viewer() {
         let (mut ctl, mut fabric) = deployment();
-        let n = crate::shard::DEFAULT_SHARDS;
-        // A second viewer, whose units must stay cached through C's edits.
+        // A second viewer, whose map must stay held through C's edits.
         let ssh = P::match_(FieldMatch::TpDst(22)) >> P::fwd(PortId::Virt(pid(2)));
         let delta = PolicyDelta::new().install_outbound(pid(1), ssh);
         ctl.apply_policy_delta(&delta, &mut fabric).unwrap();
@@ -1671,18 +1668,18 @@ mod tests {
         let units = units.stats.pieces.units;
         assert_eq!(
             counter(&ctl, "compile.shard.recompiled.count") - r0,
-            0,
-            "a policy delta must not mark route-dirty shards"
+            1,
+            "only the editor is re-partitioned"
         );
         assert_eq!(
             counter(&ctl, "policy.dirty_units.count") - d0,
-            n as u64,
-            "exactly the editing viewer's units are dirtied"
+            1,
+            "exactly the editing viewer's map is rebuilt"
         );
         assert_eq!(
             (units.recomputed, units.reused),
-            (n, n),
-            "no other viewer's unit recomputes"
+            (1, 1),
+            "no other viewer's map is rebuilt"
         );
         assert_eq!(counter(&ctl, "policy.applied.count"), 2);
         // Behaviour actually changed: port 80 now exits via A.
@@ -1692,13 +1689,13 @@ mod tests {
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, PortId::Phys(pid(1), 1));
-        // The same policy again moves C's stamp: its units recompute, and
-        // since nothing they compute differs, the patch is empty.
+        // The same policy again moves C's stamp: its map is rebuilt, and
+        // since nothing it computes differs, the patch is empty.
         ctl.telemetry.journal().clear();
         let delta = PolicyDelta::new().replace_outbound(pid(3), retarget);
         let units = ctl.apply_policy_delta(&delta, &mut fabric).unwrap();
         let units = units.stats.pieces.units;
-        assert_eq!((units.recomputed, units.reused), (n, n));
+        assert_eq!((units.recomputed, units.reused), (1, 1));
         assert_eq!(
             journaled_flowmods(&ctl),
             0,

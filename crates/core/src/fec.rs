@@ -17,9 +17,13 @@
 //! `p1,p2 → {0,1,2}`, `p3 → {0,1,3}`, `p4 → {1,2}` giving
 //! `C' = {{p1,p2}, {p3}, {p4}}` — the paper's answer.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, Prefix};
+use sdx_policy::classifier::{Classifier, Rule};
+
+use crate::compiler::CompileReport;
+use crate::piece::{ViewerPiece, VnhMap};
 
 /// Identifier of a forwarding equivalence class; encoded in the VMAC.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -137,6 +141,101 @@ pub fn partition_by_signature<S: Ord>(
         g.dedup();
     }
     out.sort_by_key(|g| g[0]);
+    out
+}
+
+/// Relabels a report's `(FecId, VNH, VMAC)` identities into canonical
+/// enumeration order — groups numbered from 1 in `(viewer, position)`
+/// order — leaving everything else untouched. Cold compiles draw ids from
+/// one pool in that order already; a *warm* compile keeps surviving groups
+/// on the ids they hold (keyed reuse), which a cold compile of the same
+/// world would number differently. Two reports that induce the same
+/// forwarding function canonicalize to **equal** reports, so equivalence
+/// tests get to use plain `assert_eq!` instead of a bespoke bisimulation.
+/// Stats are copied verbatim (they carry wall-clock and are excluded from
+/// comparisons anyway).
+///
+/// The relabeling is injective (old id → canonical id is a bijection on
+/// the ids the report uses), so rule structure — shadowing, composition,
+/// priority order — is preserved isomorphically; only MAC bytes and VNH
+/// addresses in the artifacts change.
+pub fn canonicalize_report(report: &CompileReport, pool: Prefix) -> CompileReport {
+    let mut vnh_map: HashMap<Ipv4Addr, Ipv4Addr> = HashMap::new();
+    let mut vmac_map: HashMap<MacAddr, MacAddr> = HashMap::new();
+    let mut id_map: HashMap<FecId, FecId> = HashMap::new();
+    let mut next: u32 = 1;
+    for vgroups in report.groups.values() {
+        for g in vgroups {
+            id_map.insert(g.id, FecId(next));
+            vnh_map.insert(g.vnh, pool.addr().saturating_add(next));
+            vmac_map.insert(g.vmac, MacAddr::vmac(next));
+            next += 1;
+        }
+    }
+    let relabel_group = |g: &FecGroup| FecGroup {
+        id: id_map[&g.id],
+        viewer: g.viewer,
+        prefixes: g.prefixes.clone(),
+        vnh: vnh_map[&g.vnh],
+        vmac: vmac_map[&g.vmac],
+        default_next_hop: g.default_next_hop,
+    };
+    let groups: BTreeMap<ParticipantId, ViewerPiece> = report
+        .groups
+        .iter()
+        .map(|(&v, gs)| {
+            let relabelled = gs.iter().map(relabel_group).collect();
+            (v, ViewerPiece::from_groups(relabelled))
+        })
+        .collect();
+    let arp_bindings = report
+        .arp_bindings
+        .iter()
+        .map(|&(a, m)| (vnh_map[&a], vmac_map[&m]))
+        .collect();
+    let rules: Vec<Rule> = report
+        .classifier
+        .rules()
+        .iter()
+        .map(|r| relabel_rule(r, &vmac_map))
+        .collect();
+    CompileReport {
+        // Composed classifiers are total (they end in a wildcard rule), so
+        // `from_rules` preserves the rule list byte-for-byte.
+        classifier: Classifier::from_rules(rules),
+        vnh_of: VnhMap::of(&groups),
+        groups,
+        arp_bindings,
+        stats: report.stats,
+    }
+}
+
+fn relabel_rule(r: &Rule, vmac_map: &HashMap<MacAddr, MacAddr>) -> Rule {
+    let mut out = r.clone();
+    if let Some(m) = out.matches.dl_dst {
+        if let Some(&canon) = vmac_map.get(&m) {
+            out.matches.dl_dst = Some(canon);
+        }
+    }
+    if let Some(m) = out.matches.dl_src {
+        if let Some(&canon) = vmac_map.get(&m) {
+            out.matches.dl_src = Some(canon);
+        }
+    }
+    let mut actions = out.actions.to_vec();
+    for action in &mut actions {
+        for m in &mut action.mods {
+            match m {
+                sdx_net::Mod::SetDlDst(mac) | sdx_net::Mod::SetDlSrc(mac) => {
+                    if let Some(&canon) = vmac_map.get(mac) {
+                        *mac = canon;
+                    }
+                }
+                _ => {}
+            }
+        }
+    }
+    out.actions = actions.into();
     out
 }
 

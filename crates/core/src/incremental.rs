@@ -30,7 +30,8 @@ use crate::compiler::SdxCompiler;
 use crate::error::SdxError;
 use crate::faults::{FaultPlan, InjectionPoint};
 use crate::fec::FecGroup;
-use crate::transform::{self, dst_coverage, expand_fwd_rule, Coverage, FwdRule};
+use crate::phase_a::Signature;
+use crate::transform::{self, dst_coverage, expand_fwd_rule, FwdRule};
 use crate::vnh::VnhAllocator;
 
 /// The product of one fast-path recompilation.
@@ -63,20 +64,21 @@ impl DeltaResult {
     }
 }
 
-/// What the fast path needs of one viewer's outbound policy. It depends on
-/// the policy book, not on the prefix, so a burst derives it once.
-struct ViewerRules<'a> {
-    viewer: ParticipantId,
+/// What the fast path and phase A need of one viewer's outbound policy. It
+/// depends on the policy book, not on the prefix, so a burst or a compile
+/// derives it once.
+pub(crate) struct ViewerRules<'a> {
+    pub(crate) viewer: ParticipantId,
     /// The viewer's compiled forwarding clauses, in priority order.
-    rules: &'a [FwdRule],
+    pub(crate) rules: &'a [FwdRule],
     /// The clauses prefix churn can move — no destination rewrite (those
-    /// are recompiled only by the background pass), a peer's virtual
+    /// join BGP on the rewritten address, in phase C), a peer's virtual
     /// switch as target — as (index into `rules`, that peer).
-    movable: Vec<(usize, ParticipantId)>,
+    pub(crate) movable: Vec<(usize, ParticipantId)>,
 }
 
 impl<'a> ViewerRules<'a> {
-    fn of(viewer: ParticipantId, rules: &'a [FwdRule]) -> Self {
+    pub(crate) fn of(viewer: ParticipantId, rules: &'a [FwdRule]) -> Self {
         let movable = rules
             .iter()
             .enumerate()
@@ -91,6 +93,29 @@ impl<'a> ViewerRules<'a> {
             rules,
             movable,
         }
+    }
+
+    /// The signature of `prefix` for this viewer — the movable clauses
+    /// whose target the viewer may reach it through, which of those cover
+    /// it only partly, and the viewer's best next hop — or `None` when no
+    /// clause reaches it. The one definition of a `(viewer, prefix)`
+    /// signature: the fast path runs it per changed prefix, and phase A
+    /// patches a held map with it.
+    pub(crate) fn signature(&self, rs: &RouteServer, prefix: Prefix) -> Option<Signature> {
+        let reachable = rs.reachable_via(self.viewer, prefix);
+        let mut sig = Signature::default();
+        for &(k, nh) in &self.movable {
+            if reachable.contains(&nh) {
+                sig.cover(k, dst_coverage(&self.rules[k].matches, prefix));
+            }
+        }
+        if sig.member.is_empty() {
+            return None;
+        }
+        sig.best_nh = rs
+            .best_for(self.viewer, prefix)
+            .map(|r| r.source.participant);
+        Some(sig)
     }
 }
 
@@ -152,31 +177,15 @@ impl SdxCompiler {
         for &prefix in prefixes {
             let t_prefix = Instant::now();
             for v in &viewers {
-                let (viewer, rules, movable) = (v.viewer, v.rules, &v.movable);
+                let (viewer, rules) = (v.viewer, v.rules);
                 // Which of the viewer's rules touch this prefix now?
-                let mut member = Vec::new();
-                let mut partial = Vec::new();
-                let reachable = rs.reachable_via(viewer, prefix);
-                for &(k, nh) in movable {
-                    if !reachable.contains(&nh) {
-                        continue;
-                    }
-                    match dst_coverage(&rules[k].matches, prefix) {
-                        Coverage::None => {}
-                        Coverage::Full => member.push(k),
-                        Coverage::Partial => {
-                            member.push(k);
-                            partial.push(k);
-                        }
-                    }
-                }
-                if member.is_empty() {
+                let Some(sig) = v.signature(rs, prefix) else {
                     // The prefix is not (or no longer) policy-affected for
                     // this viewer: plain route-server behaviour (real next
                     // hop).
                     out.vnh_updates.push((viewer, prefix, None));
                     continue;
-                }
+                };
 
                 // Fresh singleton group — no MDS, no ARP invalidation.
                 faults.check(InjectionPoint::VnhAlloc)?;
@@ -188,7 +197,7 @@ impl SdxCompiler {
                     prefixes: vec![prefix],
                     vnh: addr,
                     vmac,
-                    default_next_hop: rs.best_for(viewer, prefix).map(|r| r.source.participant),
+                    default_next_hop: sig.best_nh,
                 }];
                 out.arp_bindings.push((addr, vmac));
                 out.vnh_updates.push((viewer, prefix, Some(addr)));
@@ -197,7 +206,7 @@ impl SdxCompiler {
                 // rule, all restricted to the fresh tag.
                 let mut stage1 = Vec::new();
                 let mut receivers = BTreeSet::new();
-                for &k in &member {
+                for &k in &sig.member {
                     let Some(target) = rules[k].target else {
                         continue;
                     };
@@ -207,7 +216,7 @@ impl SdxCompiler {
                         target,
                         &groups,
                         |_| true,
-                        |_| partial.contains(&k),
+                        |_| sig.partial.contains(&k),
                     ));
                 }
                 stage1.extend(transform::default_stage1_rules(&groups));

@@ -47,11 +47,11 @@ pub mod faults;
 pub mod fec;
 pub mod incremental;
 pub mod participant;
+mod phase_a;
 pub mod piece;
 pub mod reconcile;
 pub mod schedule;
 pub mod service_chain;
-pub mod shard;
 pub mod transform;
 pub mod txn;
 pub mod vnh;
@@ -61,7 +61,7 @@ pub use compiler::{CompileReport, SdxCompiler};
 pub use controller::{PreparedUpdate, SdxController};
 pub use error::SdxError;
 pub use faults::{FaultPlan, InjectionPoint};
-pub use fec::{minimum_disjoint_subsets, FecGroup, FecId, FecKey};
+pub use fec::{canonicalize_report, minimum_disjoint_subsets, FecGroup, FecId, FecKey};
 pub use participant::{ParticipantConfig, PhysicalPort};
 pub use piece::{PieceCounts, Tally, ViewerPiece, VnhMap};
 pub use reconcile::{diff_base_table, TableDiff};
@@ -69,6 +69,5 @@ pub use schedule::{
     MultiFabricSink, ScheduleOpts, ScheduleReport, UpdatePlan, WaveReport, WaveSink,
 };
 pub use service_chain::ServiceChain;
-pub use shard::{canonicalize_report, ShardPlan, DEFAULT_SHARDS};
 pub use txn::{DeltaTxn, FabricTxn};
 pub use vnh::VnhAllocator;

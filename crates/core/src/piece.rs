@@ -7,7 +7,7 @@
 //!
 //! * **per viewer** ([`ViewerPiece`]): its FEC groups, its prefix → VNH
 //!   map and its stage-1 policy and default rules. Inputs: the compiled
-//!   outbound policy (its stamp), the merged phase-A output (by identity),
+//!   outbound policy (its stamp), the phase-A partition (by identity),
 //!   the `(id, VNH, VMAC)` triples the allocator hands this compile for
 //!   its group keys, and — for a viewer holding a rewrite rule, which
 //!   joins BGP on the rewritten address — the route generation.
@@ -21,8 +21,8 @@
 //!
 //! Everything a piece reads beyond its listed inputs is a function of the
 //! participant book, and the pieces live inside the compiler's
-//! `ShardCache` (see [`crate::shard`]), which a book mutation throws away
-//! whole. Every piece records the inputs it was built from and is
+//! `CompileCache` beside phase A's signature maps, which a book mutation
+//! throws away whole. Every piece records the inputs it was built from and is
 //! compared against the current ones, so a compile that fails half-way
 //! leaves nothing that a later compile could mistake for current.
 //!
@@ -42,7 +42,7 @@ use sdx_telemetry::{Event, Registry};
 
 use crate::fec::{FecGroup, FecId};
 use crate::participant::ParticipantConfig;
-use crate::shard::MergedFecs;
+use crate::phase_a::FecPartition;
 use crate::transform::{self, Block, TransformError};
 
 /// What one kind of cached piece did in one compile.
@@ -68,7 +68,9 @@ impl Tally {
 /// served from the cache.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct PieceCounts {
-    /// Phase-A `(shard, viewer)` units.
+    /// Phase-A signature maps, one per viewer: built whole (recomputed —
+    /// no map was held under the viewer's outbound stamp) or held and
+    /// patched per route-dirty prefix (reused).
     pub units: Tally,
     /// Per-viewer pieces (groups, VNH map, stage-1 rules).
     pub viewers: Tally,
@@ -122,8 +124,8 @@ impl PieceCounts {
 pub(crate) struct ViewerInputs {
     /// The compiled outbound policy's `(book epoch, version)`.
     pub(crate) stamp: (u64, u64),
-    /// The merged phase-A output, compared by identity.
-    pub(crate) merged: Arc<MergedFecs>,
+    /// The phase-A partition, compared by identity.
+    pub(crate) partition: Arc<FecPartition>,
     /// The cache's route generation, for a viewer holding a rewrite rule.
     pub(crate) route_generation: Option<u64>,
 }
@@ -217,7 +219,7 @@ impl ViewerPiece {
     ) -> bool {
         let same_inputs = self.0.inputs.as_ref().is_some_and(|have| {
             have.stamp == inputs.stamp
-                && Arc::ptr_eq(&have.merged, &inputs.merged)
+                && Arc::ptr_eq(&have.partition, &inputs.partition)
                 && have.route_generation == inputs.route_generation
         });
         let held = self.0.groups.iter().map(|g| (g.id, g.vnh, g.vmac));

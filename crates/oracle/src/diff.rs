@@ -6,8 +6,7 @@ use core::fmt;
 use sdx_bgp::route_server::RouteServer;
 use sdx_core::compiler::{CompileReport, SdxCompiler};
 use sdx_core::vnh::VnhAllocator;
-use sdx_core::ShardPlan;
-use sdx_net::{Ipv4Addr, Packet, PortId};
+use sdx_net::{Packet, PortId};
 use sdx_telemetry::{Event, Registry};
 
 use crate::fabric::FabricEvaluator;
@@ -192,12 +191,10 @@ pub fn run_smoke(
     Ok(stats)
 }
 
-/// A fresh [`SdxCompiler`] at **one** shard holding a copy of `book`'s
-/// participants and global policy fragments — nothing compiled, nothing
-/// cached.
+/// A fresh [`SdxCompiler`] holding a copy of `book`'s participants and
+/// global policy fragments — nothing compiled, nothing cached.
 pub fn cold_book(book: &SdxCompiler) -> SdxCompiler {
     let mut cold = SdxCompiler::new();
-    cold.set_shards(1);
     for cfg in book.participants().values() {
         cold.upsert_participant(cfg.clone());
     }
@@ -209,85 +206,10 @@ pub fn cold_book(book: &SdxCompiler) -> SdxCompiler {
 
 /// The reference the equivalence suites compare an incremental compile
 /// against: a [`cold_book`] copy of `book` compiled over a copy of `rs` on
-/// a fresh allocator. That is the whole-exchange computation through the
-/// only phase A there is.
+/// a fresh allocator: every viewer's signature map built whole, by the
+/// join by next hop, where a warm compile patched it prefix by prefix.
 pub fn cold_compile(book: &SdxCompiler, rs: &RouteServer) -> CompileReport {
     cold_book(book)
         .compile_all(&rs.clone(), &mut VnhAllocator::default())
-        .expect("cold one-shard compile")
-}
-
-/// Probes aimed where the per-shard merge could go wrong: for every shard boundary
-/// in `plan`, the first address of the upper slice and the last address
-/// of the lower one (the two destinations a cross-shard merge bug would
-/// misclassify first), from every participant port, cycling through the
-/// policy clause ports so wide-match policies straddling the boundary
-/// get exercised too.
-pub fn boundary_probes(compiler: &SdxCompiler, plan: &ShardPlan) -> Vec<(PortId, Packet)> {
-    let ports: Vec<PortId> = compiler
-        .participants()
-        .values()
-        .flat_map(|c| c.port_ids())
-        .collect();
-    let mut out = Vec::new();
-    let src = Ipv4Addr::new(9, 9, 9, 9);
-    for b in plan.boundaries() {
-        let below = Ipv4Addr(b.0.wrapping_sub(1));
-        for (i, &from) in ports.iter().enumerate() {
-            for &dst in &[b, below] {
-                let dport = synth::CLAUSE_PORTS[i % synth::CLAUSE_PORTS.len()];
-                out.push((from, Packet::tcp(src, dst, 4096, dport)));
-                out.push((from, Packet::tcp(src, dst, 4096, 40_000)));
-            }
-        }
-    }
-    out
-}
-
-/// [`run_smoke`], compiled at `shards` prefix-range shards: every random
-/// probe plus a sweep of
-/// [`boundary_probes`] must get the verdict the spec interpreter gives —
-/// the spec knows nothing about shards, so any merge seam shows up as a
-/// mismatch. Returns counts or the first mismatch.
-pub fn run_smoke_sharded(
-    seed: u64,
-    exchanges: usize,
-    packets_per: usize,
-    shards: usize,
-) -> Result<SmokeStats, Box<Mismatch>> {
-    let mut stats = SmokeStats {
-        exchanges,
-        packets: 0,
-        delivers: 0,
-        drops: 0,
-    };
-    for i in 0..exchanges {
-        let case = seed.wrapping_add(i as u64);
-        let mut ex = synth::exchange(case);
-        ex.compiler.set_shards(shards);
-        let mut vnh = VnhAllocator::new(VnhAllocator::default_pool());
-        let report = ex
-            .compiler
-            .compile_all(&ex.rs, &mut vnh)
-            .unwrap_or_else(|e| {
-                panic!("generated exchange (seed {case}) failed to compile: {e:?}")
-            });
-        let plan = ex
-            .compiler
-            .shard_plan()
-            .expect("a compile leaves a plan")
-            .clone();
-        let diff = Differential::new(&ex.compiler, &ex.rs, &report);
-        let mut probes = synth::packets(&ex, case, packets_per);
-        probes.extend(boundary_probes(&ex.compiler, &plan));
-        for (from, pkt) in probes {
-            match diff.check(from, &pkt)? {
-                Outcome::Deliver { .. } => stats.delivers += 1,
-                Outcome::Drop => stats.drops += 1,
-                _ => {}
-            }
-            stats.packets += 1;
-        }
-    }
-    Ok(stats)
+        .expect("cold compile")
 }

@@ -39,9 +39,7 @@ pub mod trace;
 use sdx_bgp::route_server::RouteServer;
 use sdx_net::{Ipv4Addr, ParticipantId, PortId, Prefix};
 
-pub use diff::{
-    boundary_probes, cold_book, cold_compile, run_smoke_sharded, Differential, Mismatch, SmokeStats,
-};
+pub use diff::{cold_book, cold_compile, Differential, Mismatch, SmokeStats};
 pub use fabric::FabricEvaluator;
 pub use schedule::{reoptimize_verified, UpdateVerifier};
 pub use spec::SpecInterpreter;

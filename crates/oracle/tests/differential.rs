@@ -3,7 +3,8 @@
 //! Three tiers of evidence, cheapest first:
 //!
 //! 1. **Fixtures** — the Figure 1 exchange, probed exhaustively, with the
-//!    paper's headline behaviours spot-asserted on the *agreed* verdicts.
+//!    paper's headline behaviours spot-asserted on the *agreed* verdicts,
+//!    and one clause whose `/7` match spans two announced `/8`s.
 //! 2. **Deployed cross-check** — the emulated data plane (`Fabric::send`,
 //!    with real border routers and an ARP responder) must agree with the
 //!    agreed oracle verdict, tying the oracle's fabric model to the
@@ -20,11 +21,12 @@ use proptest::prelude::*;
 use sdx_bgp::route_server::{ExportPolicy, RouteServer};
 use sdx_core::compiler::CompileReport;
 use sdx_core::vnh::VnhAllocator;
-use sdx_core::SdxCompiler;
+use sdx_core::{ParticipantConfig, SdxCompiler, SdxController};
 use sdx_ixp::testkit;
-use sdx_net::{Ipv4Addr, Packet, ParticipantId, PortId};
+use sdx_net::{ip, prefix, FieldMatch, Ipv4Addr, Packet, ParticipantId, PortId};
 use sdx_oracle::diff::run_smoke;
 use sdx_oracle::{synth, Differential, Outcome};
+use sdx_policy::Policy;
 use sdx_telemetry::{Event, Registry};
 
 fn compiled(
@@ -168,6 +170,90 @@ fn pinned_smoke_sweep_agrees_and_sees_both_verdicts() {
         stats.delivers > 0 && stats.drops > 0,
         "a healthy sweep exercises both verdicts: {stats}"
     );
+}
+
+/// Four participants, adjacent /8s, and a wide `/7` outbound match that
+/// covers both: one clause whose affected set is two announced prefixes
+/// on either side of the /7's midpoint.
+fn wide_match_exchange() -> SdxController {
+    let mut ctl = SdxController::new();
+    let cfgs: Vec<ParticipantConfig> = (1..=4)
+        .map(|i| ParticipantConfig::new(i, 65000 + i, 1))
+        .collect();
+    for cfg in &cfgs {
+        ctl.add_participant(cfg.clone(), ExportPolicy::allow_all());
+    }
+    let (p10, p11) = (prefix("10.0.0.0/8"), prefix("11.0.0.0/8"));
+    // B and C both announce both halves of 10.0.0.0/7; C's paths win.
+    ctl.rs.process_update(
+        ParticipantId(2),
+        &cfgs[1].announce([p10, p11], &[65002, 7, 9]),
+    );
+    ctl.rs
+        .process_update(ParticipantId(3), &cfgs[2].announce([p10, p11], &[65003, 9]));
+    ctl.rs.process_update(
+        ParticipantId(4),
+        &cfgs[3].announce([prefix("40.0.0.0/8")], &[65004, 4]),
+    );
+    // A's policy: port-80 traffic for the whole /7 goes to B, overriding
+    // the best route (C) for both /8s.
+    ctl.set_outbound(
+        ParticipantId(1),
+        Some(
+            Policy::match_(FieldMatch::NwDst(prefix("10.0.0.0/7")))
+                >> Policy::match_(FieldMatch::TpDst(80))
+                >> Policy::fwd(PortId::Virt(ParticipantId(2))),
+        ),
+    );
+    ctl
+}
+
+#[test]
+fn a_wide_match_over_two_prefixes_keeps_spec_verdicts() {
+    let mut ctl = wide_match_exchange();
+    let mut vnh = VnhAllocator::new(VnhAllocator::default_pool());
+    let report = ctl
+        .compiler
+        .compile_all(&ctl.rs, &mut vnh)
+        .expect("compile");
+    let diff = Differential::new(&ctl.compiler, &ctl.rs, &report);
+    // The far corners of both /8s and the seam between them, at the
+    // policy port and off it, from every participant.
+    let dsts = [
+        "10.0.0.1",
+        "10.255.255.254",
+        "10.255.255.255",
+        "11.0.0.0",
+        "11.0.0.1",
+        "11.255.255.254",
+        "40.1.2.3",
+    ];
+    let mut delivered = 0;
+    for dst in dsts {
+        for dport in [80u16, 443] {
+            for from in 1..=4u32 {
+                let pkt = Packet::tcp(Ipv4Addr::new(9, 0, 0, 9), ip(dst), 4096, dport);
+                let outcome = diff
+                    .check(PortId::Phys(ParticipantId(from), 1), &pkt)
+                    .unwrap_or_else(|m| panic!("{m}"));
+                if matches!(outcome, Outcome::Deliver { .. }) {
+                    delivered += 1;
+                }
+            }
+        }
+    }
+    assert!(delivered > 0, "wide-match probes all dropped");
+    // Both halves of the /7 follow A's clause to B at port 80.
+    for dst in ["10.255.255.254", "11.0.0.1"] {
+        let pkt = Packet::tcp(Ipv4Addr::new(9, 0, 0, 9), ip(dst), 4096, 80);
+        assert_eq!(
+            diff.check(a1(), &pkt).unwrap_or_else(|m| panic!("{m}")),
+            Outcome::Deliver {
+                port: PortId::Phys(ParticipantId(2), 1),
+                nw_dst: ip(dst)
+            }
+        );
+    }
 }
 
 #[test]

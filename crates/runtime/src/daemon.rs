@@ -682,10 +682,10 @@ impl EventLoop {
     }
 
     /// One coalesced pass: ingest the BGP messages, stage the policy
-    /// frames, then compile once. Policy mutations take the policy-aware
-    /// recompile (per-(participant, shard) invalidation) which subsumes
-    /// any route dirt from the same burst; route-only bursts keep the
-    /// prefix-keyed fast path.
+    /// frames, then compile once. Policy mutations take the recompile
+    /// (the editors' signature maps rebuilt, every other viewer's patched
+    /// at the burst's dirty prefixes), which subsumes any route dirt from
+    /// the same burst; route-only bursts keep the prefix-keyed fast path.
     fn handle_burst(
         &mut self,
         msgs: Vec<(ConnId, BgpMessage, Instant)>,

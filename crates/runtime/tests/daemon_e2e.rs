@@ -880,11 +880,11 @@ fn bursts_coalesce_into_one_compile_under_backpressure() {
 }
 
 #[test]
-fn sharded_daemon_is_oracle_identical_and_publishes_shard_telemetry() {
+fn patched_daemon_is_oracle_identical_and_publishes_phase_a_telemetry() {
     // The same wire-driven exchange on the daemon's defaults, compiled
     // incrementally on the coalesced-burst path: the deployed table must
-    // stay probe-identical to an in-process cold one-shard deployment,
-    // and `compile.shard.*` telemetry must flow out the endpoint.
+    // stay probe-identical to an in-process cold deployment, and phase A's
+    // per-viewer telemetry must flow out the endpoint.
     let handle = daemon::start(figure1_empty_rib(), DaemonConfig::default()).expect("start");
     let reg = handle.telemetry().clone();
     let agent = spawn_agent(handle.openflow_addr).expect("agent");
@@ -924,27 +924,30 @@ fn sharded_daemon_is_oracle_identical_and_publishes_shard_telemetry() {
     assert_eq!(report.updates, 8);
     assert_eq!(counter(&reg, "daemon.reoptimize_failed.count"), 0);
 
-    // Shard telemetry made it into the registry the endpoint serves.
+    // Phase A's telemetry made it into the registry the endpoint serves:
+    // A, the one viewer, had its map built whole by the deploy and
+    // patched by every compile since, and was re-partitioned or served
+    // once per compile.
     let snap = reg.snapshot();
+    let counter = |key: &str| snap.counters.get(key).copied().unwrap_or(0);
+    let compiles = snap.histograms["compile.total"].count;
+    assert!(compiles >= 2, "the deploy and the re-optimisation compiled");
+    assert_eq!(snap.histograms["compile.phase_a.whole"].count, 1);
     assert_eq!(
-        snap.gauges.get("compile.shard.count"),
-        Some(&(sdx_core::DEFAULT_SHARDS as i64))
-    );
-    assert!(
-        snap.counters.contains_key("compile.shard.recompiled.count"),
-        "per-shard compile counters missing"
+        counter("compile.shard.recompiled.count") + counter("compile.shard.skipped.count"),
+        compiles,
+        "one viewer, re-partitioned or served once per compile"
     );
 
     // Oracle: incremental-over-sockets is verdict-identical to the
-    // in-process cold one-shard deployment of the same exchange.
+    // in-process cold deployment of the same exchange.
     let ctl = report.ctl;
     let cr = ctl.report.as_ref().expect("compiled");
     let probes = probe_grid(&ctl.compiler, &ctl.rs);
     let mut inproc = figure1_controller();
-    inproc.compiler.set_shards(1);
     let inproc_fabric = inproc.deploy().expect("in-process deploy");
     let inproc_cr = inproc.report.as_ref().expect("compiled");
-    let sharded_eval =
+    let daemon_eval =
         FabricEvaluator::over_table(&ctl.compiler, &ctl.rs, cr, agent_fabric.switch.table());
     let inproc_eval = FabricEvaluator::over_table(
         &inproc.compiler,
@@ -953,11 +956,11 @@ fn sharded_daemon_is_oracle_identical_and_publishes_shard_telemetry() {
         inproc_fabric.switch.table(),
     );
     for (from, pkt) in &probes {
-        let (sharded_out, _) = sharded_eval.verdict(*from, pkt);
+        let (daemon_out, _) = daemon_eval.verdict(*from, pkt);
         let (inproc_out, _) = inproc_eval.verdict(*from, pkt);
         assert_eq!(
-            sharded_out, inproc_out,
-            "daemon and cold one-shard in-process disagree at {from:?} dst {}",
+            daemon_out, inproc_out,
+            "daemon and cold in-process disagree at {from:?} dst {}",
             pkt.nw_dst
         );
     }

@@ -98,7 +98,8 @@ pub enum Event {
         dirty_prefixes: usize,
         /// Participants one of whose policies moved since the last run.
         policy_dirty: usize,
-        /// Phase-A `(shard, viewer)` units.
+        /// Phase-A signature maps, one per viewer: built whole, and held
+        /// and patched per dirty prefix.
         units: (usize, usize),
         /// Per-viewer pieces: FEC groups, VNH map, stage-1 rules.
         viewer_pieces: (usize, usize),

@@ -9,9 +9,11 @@
 //!
 //! Exits non-zero if the deployment examined more advertisements than it
 //! ended up storing (one base per prefix plus the per-viewer exceptions),
-//! or if an inbound push rebuilt any viewer's piece or more than one
-//! receiver's block: the counts that must not grow with the exchange.
-//! Nothing here is gated on the clock.
+//! if the re-optimisation after the dump rebuilt any viewer's phase-A
+//! signature map whole instead of patching it at the dumped prefixes (no
+//! policy stamp moved), or if an inbound push rebuilt any viewer's piece
+//! or more than one receiver's block: the counts that must not grow with
+//! the exchange. Nothing here is gated on the clock.
 //!
 //! Run: `cargo run --release --example scale_deploy -- 300 15000 4000`
 //! (participants, prefixes, policy prefixes; default 50 3000 800 = ixp50).
@@ -109,10 +111,22 @@ fn main() {
     }
     let dump_ms = t.elapsed().as_secs_f64() * 1e3;
     let before = examined(&ctl);
+    let repartitioned = |ctl: &SdxController| {
+        (ctl.telemetry)
+            .counter("compile.shard.recompiled.count")
+            .get()
+    };
+    let repartitioned_before = repartitioned(&ctl);
     let t = Instant::now();
-    ctl.reoptimize(&mut fabric).expect("reoptimize");
+    let maps = ctl
+        .reoptimize(&mut fabric)
+        .expect("reoptimize")
+        .stats
+        .pieces
+        .units;
     let reoptimize_ms = t.elapsed().as_secs_f64() * 1e3;
     let reoptimize_examined = examined(&ctl) - before;
+    let reoptimize_repartitioned = repartitioned(&ctl) - repartitioned_before;
 
     // Policy pushes by a policy-free participant, the benchmark's frames:
     // an inbound steer installed and retracted, then an outbound
@@ -185,6 +199,10 @@ fn main() {
         dumped.len(),
         peak_rss_mib()
     );
+    println!(
+        "reoptimize_phase_a: maps_built_whole={} maps_patched={} viewers_repartitioned={}",
+        maps.recomputed, maps.reused, reoptimize_repartitioned
+    );
     println!("push_inbound_ms={push_inbound_ms:.2} push_outbound_ms={push_outbound_ms:.2}");
     for (what, p) in [
         ("inbound_install", in_install),
@@ -207,6 +225,14 @@ fn main() {
             );
             std::process::exit(1);
         }
+    }
+    if maps.recomputed > 0 {
+        eprintln!(
+            "the re-optimisation after the dump rebuilt {} viewer map(s) whole: \
+             no policy stamp moved, so every map should have been patched",
+            maps.recomputed
+        );
+        std::process::exit(1);
     }
     if ratio > 1.0 {
         eprintln!(

@@ -1,16 +1,17 @@
 //! The default compile is incremental — shown by count, not by clock.
 //!
 //! `SdxController::new()` with no option touched, on the 50-participant
-//! exchange: an idle re-optimization recomputes no phase-A unit, a
-//! one-participant policy push recomputes units of that viewer only, and a
-//! one-prefix announcement recomputes units of the owning shard only —
-//! and each incremental result equals a cold one-shard compile of the
-//! same world ([`cold_compile`]) after canonical relabeling.
+//! exchange: an idle re-optimization rebuilds no viewer's phase-A
+//! signature map and re-partitions none, a one-participant policy push
+//! rebuilds that viewer's map only, and a one-prefix announcement rebuilds
+//! none — it patches the held maps at that prefix — and each incremental
+//! result equals a cold compile of the same world ([`cold_compile`]) after
+//! canonical relabeling.
 
 use std::collections::BTreeSet;
 
 use sdx::core::controller::SdxController;
-use sdx::core::{canonicalize_report, CompileReport, VnhAllocator, DEFAULT_SHARDS};
+use sdx::core::{canonicalize_report, CompileReport, VnhAllocator};
 use sdx::net::{FieldMatch, ParticipantId, PortId};
 use sdx::openflow::fabric::Fabric;
 use sdx::policy::{Policy as P, PolicyDelta};
@@ -25,8 +26,9 @@ fn deployed_ixp50() -> (SdxController, Fabric) {
     (ctl, fabric)
 }
 
-/// What phase A did since the previous reading: (route-dirty shards,
-/// cache-served shards, policy-dirty units, units actually recomputed).
+/// What phase A did since the previous reading, in viewers: (maps
+/// re-partitioned, partitions served as they stood, maps rebuilt for a
+/// policy reason, maps built whole).
 struct PhaseA {
     last: [u64; 4],
 }
@@ -38,7 +40,7 @@ impl PhaseA {
             reg.counter("compile.shard.recompiled.count").get(),
             reg.counter("compile.shard.skipped.count").get(),
             reg.counter("policy.dirty_units.count").get(),
-            reg.histogram("compile.shard.unit").count(),
+            reg.histogram("compile.phase_a.whole").count(),
         ]
     }
 
@@ -64,7 +66,6 @@ fn assert_equals_cold_compile(ctl: &SdxController, what: &str) {
 #[test]
 fn the_default_controller_recompiles_only_what_changed() {
     let (mut ctl, mut fabric) = deployed_ixp50();
-    let shards = DEFAULT_SHARDS as u64;
     let viewers = ctl
         .compiler
         .participants()
@@ -75,17 +76,17 @@ fn the_default_controller_recompiles_only_what_changed() {
         last: PhaseA::read(&ctl),
     };
     assert_eq!(
-        phase_a.last[3],
-        shards * viewers,
-        "the deploy is the cold compile: every (shard, viewer) unit once"
+        phase_a.last,
+        [viewers, 0, 0, viewers],
+        "the deploy is the cold compile: every viewer's map built whole once"
     );
 
-    // Idle: every shard is cache-served, nothing is recomputed.
+    // Idle: every viewer is served its partition, nothing is rebuilt.
     ctl.reoptimize(&mut fabric).expect("idle reoptimize");
-    assert_eq!(phase_a.since_last(&ctl), [0, shards, 0, 0], "idle");
+    assert_eq!(phase_a.since_last(&ctl), [0, viewers, 0, 0], "idle");
 
-    // One participant's policy push: no shard is route-dirty, and only
-    // that viewer's units — at most one per shard — are recomputed.
+    // One participant's policy push: that viewer's map is rebuilt whole
+    // and re-partitioned, every other viewer's served.
     let editor = ctl
         .compiler
         .participants()
@@ -104,39 +105,39 @@ fn the_default_controller_recompiles_only_what_changed() {
         &mut fabric,
     )
     .expect("policy push");
-    let [route_dirty, served, policy_dirty, recomputed] = phase_a.since_last(&ctl);
-    assert_eq!((route_dirty, served), (0, shards), "policy push: shards");
-    assert!(
-        (1..=shards).contains(&policy_dirty) && recomputed == policy_dirty,
-        "policy push: {policy_dirty} units dirtied, {recomputed} recomputed"
+    assert_eq!(
+        phase_a.since_last(&ctl),
+        [1, viewers - 1, 1, 1],
+        "policy push"
     );
     assert_equals_cold_compile(&ctl, "policy push");
 
-    // One prefix re-announced with a longer path: one shard is dirty, and
-    // at most that shard's unit of each viewer is recomputed.
-    let (_, moved) = ctl
-        .report
-        .as_ref()
-        .expect("report")
-        .vnh_of
-        .keys()
-        .next()
-        .expect("ixp50 has policy-affected prefixes");
-    let announcer = ctl.rs.loc_rib().candidates(moved)[0].source.participant;
+    // A viewer's best route for a policy-affected prefix re-announced
+    // with a much longer path, so another candidate wins: no map is
+    // rebuilt; the viewers whose signature for it moved, that one among
+    // them, are re-partitioned.
+    let (viewer, moved) = (ctl.report.as_ref().expect("report").vnh_of.keys())
+        .find(|&(v, p)| ctl.rs.reachable_via(v, p).len() > 1)
+        .expect("ixp50 has a policy-affected prefix with two routes");
+    let best = ctl.rs.best_for(viewer, moved).expect("a best route");
+    let announcer = best.source.participant;
     let cfg = ctl.compiler.participant(announcer).expect("enrolled");
-    let msg = cfg.announce([moved], &[cfg.asn.0, 64_999, 64_998, 64_997]);
+    let longer: Vec<u32> = std::iter::once(cfg.asn.0).chain(64_990..64_999).collect();
+    let msg = cfg.announce([moved], &longer);
     ctl.process_update(announcer, &msg, &mut fabric)
         .expect("fast path");
-    ctl.reoptimize(&mut fabric).expect("reoptimize");
-    let [route_dirty, served, policy_dirty, recomputed] = phase_a.since_last(&ctl);
-    assert_eq!(
-        (route_dirty, served, policy_dirty),
-        (1, shards - 1, 0),
-        "one prefix: shards"
-    );
+    let units = ctl
+        .reoptimize(&mut fabric)
+        .expect("reoptimize")
+        .stats
+        .pieces
+        .units;
+    assert_eq!((units.recomputed, units.reused), (0, viewers as usize));
+    let [repartitioned, served, policy_dirty, whole] = phase_a.since_last(&ctl);
+    assert_eq!((policy_dirty, whole), (0, 0), "one prefix: nothing whole");
     assert!(
-        (1..=viewers).contains(&recomputed),
-        "one prefix: {recomputed} units recomputed for {viewers} viewers"
+        (1..=viewers).contains(&repartitioned) && repartitioned + served == viewers,
+        "one prefix: {repartitioned} of {viewers} viewers re-partitioned"
     );
     assert_equals_cold_compile(&ctl, "one prefix");
 }
