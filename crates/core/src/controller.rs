@@ -32,6 +32,7 @@ use crate::fec::{FecGroup, FecId};
 use crate::incremental::DeltaResult;
 use crate::participant::ParticipantConfig;
 use crate::piece::VnhMap;
+use crate::schedule::{drive, ScheduleOpts, ScheduleReport, UpdatePlan, WaveChecker, Waves};
 use crate::transform::TransformError;
 use crate::txn::{DeltaTxn, FabricTxn, Taken, UndoLog};
 use crate::vnh::VnhAllocator;
@@ -185,8 +186,7 @@ impl SdxController {
     /// per-participant version bumps — so the next compile rebuilds only
     /// the touched viewers' signature maps — and its policies are compiled
     /// here, once. Nothing else recompiles here; follow with
-    /// [`reoptimize`](Self::reoptimize) or
-    /// [`prepare_scheduled`](Self::prepare_scheduled)
+    /// [`reoptimize`](Self::reoptimize) or [`prepare`](Self::prepare)
     /// ([`apply_policy_delta`](Self::apply_policy_delta) is the former in
     /// one call).
     pub fn stage_policy_delta(&mut self, delta: &PolicyDelta) -> Result<(), SdxError> {
@@ -450,14 +450,16 @@ impl SdxController {
         Ok(())
     }
 
-    /// Runs the full (background) pipeline and swaps the fabric state:
-    /// the base table patched by one atomic flow-mod batch, fresh ARP
-    /// bindings, FIB re-sync, overlays retired.
+    /// Runs the full (background) pipeline and patches the fabric:
+    /// [`prepare`](Self::prepare) with [`Waves::Atomic`], then
+    /// [`commit`](Self::commit) with no hook — the base table patched by
+    /// one atomic flow-mod batch, fresh ARP bindings, FIB re-sync,
+    /// overlays retired.
     ///
-    /// The swap is transactional: the compiled result is validated before
-    /// any mutation, and any failure (compilation, validation, injected
-    /// fault) rolls the fabric and the controller bookkeeping back to the
-    /// pre-call state byte-for-byte, returning the typed error.
+    /// All or nothing: any failure (compilation, validation, an injected
+    /// fault, a patch that exhausts its retries) rolls the fabric and the
+    /// controller bookkeeping back to the pre-call state byte-for-byte,
+    /// returning the typed error.
     ///
     /// VNH recycling: the previous compilation's group ids and every
     /// fast-path delta id are released back to the pool here — by the end
@@ -467,25 +469,99 @@ impl SdxController {
     /// caches), so a long-lived controller never exhausts the pool under
     /// sustained churn.
     pub fn reoptimize(&mut self, fabric: &mut Fabric) -> Result<&CompileReport, SdxError> {
-        let reg = self.telemetry.clone();
-        let t0 = Instant::now();
-        let mut txn = FabricTxn::begin(self, fabric);
-        let result = self.stage(fabric, &mut txn).and_then(|(patch, retire)| {
-            fabric.apply_flowmods(&patch).map_err(|e| {
-                SdxError::InvalidCommit(format!("reoptimize flow-mod batch rejected: {e}"))
-            })?;
-            Ok(retire)
-        });
-        if result.is_err() {
-            reg.observe_duration("reoptimize.total", t0.elapsed());
-        }
-        let retire = self.settle("reoptimize", fabric, txn, result)?;
-        self.retire(fabric, retire, t0.elapsed());
-        reg.observe_duration("reoptimize.total", t0.elapsed());
+        let prepared = self.prepare(fabric, Waves::Atomic)?;
+        self.commit(fabric, prepared, None)?;
         self.report
             .as_ref()
             // Unreachable by construction: staging always sets the report.
             .ok_or_else(|| SdxError::InvalidCommit("reoptimize committed without a report".into()))
+    }
+
+    /// The first half of every recompile: stages it — compile, validate,
+    /// retire the overlays, diff, flip the control plane — and plans the
+    /// patch `waves`' way, applying none of it. The returned update holds
+    /// the still-open transaction; hand it to [`commit`](Self::commit),
+    /// which lands the patch or rolls it all back. A failure here is
+    /// rolled back before it is returned.
+    pub fn prepare(
+        &mut self,
+        fabric: &mut Fabric,
+        waves: Waves,
+    ) -> Result<PreparedUpdate, SdxError> {
+        let t0 = Instant::now();
+        let mut txn = FabricTxn::begin(self, fabric);
+        match self.stage(fabric, &mut txn) {
+            Ok((patch, retire)) => Ok(PreparedUpdate {
+                plan: waves.plan(fabric.switch.table(), patch),
+                txn,
+                retire,
+                t0,
+            }),
+            Err(e) => {
+                self.telemetry
+                    .observe_duration("reoptimize.total", t0.elapsed());
+                self.settle("prepare", fabric, txn, Err(e))
+            }
+        }
+    }
+
+    /// The second half: drives the prepared waves through `fabric`
+    /// ([`drive`], default [`ScheduleOpts`]), calling `hook` after each
+    /// one lands, then retires the stale ARP/VNH state and journals the
+    /// completion. `reoptimize.total` is observed once, from the start of
+    /// [`prepare`](Self::prepare), either way.
+    ///
+    /// All or nothing: a wave that exhausts its retries, a hook error or a
+    /// switch rejection rewinds every landed wave and rolls the held
+    /// transaction back, so this controller and `fabric` are exactly as
+    /// they were before `prepare`. A hook's error is returned as the hook
+    /// gave it.
+    pub fn commit(
+        &mut self,
+        fabric: &mut Fabric,
+        prepared: PreparedUpdate,
+        hook: Option<&mut WaveHook<'_>>,
+    ) -> Result<ScheduleReport, SdxError> {
+        let PreparedUpdate {
+            plan,
+            txn,
+            retire,
+            t0,
+        } = prepared;
+        let reg = self.telemetry.clone();
+        // The hook reads this controller while the driver advances the
+        // fault plan: drive with the plan taken out.
+        let mut faults = std::mem::take(&mut self.faults);
+        let mut refusal = None;
+        let outcome = {
+            let (ctl, waves, refused) = (&*self, &plan.waves, &mut refusal);
+            let mut check = hook.map(|hook| {
+                move |f: &Fabric, i: usize| {
+                    hook(ctl, f, i, &waves[i]).map_err(|e| {
+                        let why = e.to_string();
+                        *refused = Some(e);
+                        why
+                    })
+                }
+            });
+            let check = check.as_mut().map(|c| c as &mut WaveChecker<'_>);
+            drive(
+                &plan,
+                fabric,
+                &mut faults,
+                &reg,
+                &ScheduleOpts::default(),
+                check,
+            )
+        };
+        self.faults = faults;
+        let outcome = outcome.map_err(|e| refusal.unwrap_or(e));
+        let result = self.settle("commit", fabric, txn, outcome);
+        if result.is_ok() {
+            self.retire(fabric, retire, t0.elapsed());
+        }
+        reg.observe_duration("reoptimize.total", t0.elapsed());
+        result
     }
 
     /// The one recompile every update runs: releases the fast-path ids,
@@ -598,78 +674,6 @@ impl SdxController {
             retired_addrs,
         };
         Ok((diff.batch, retire))
-    }
-
-    /// Stages a *scheduled* re-optimization: [`stage`](Self::stage)s the
-    /// recompile and plans — but does not yet apply — the data-plane
-    /// patch as dependency-ordered waves. The stale ARP/VNH state is
-    /// retired only after [`commit_scheduled`](Self::commit_scheduled)
-    /// lands the final wave.
-    ///
-    /// Failures here (compile, validation, an injected
-    /// [`InjectionPoint::FabricCommit`]) roll the controller and fabric
-    /// back to their pre-call state. After this returns `Ok`, failures
-    /// *park* instead — see `commit_scheduled`.
-    pub fn prepare_scheduled(&mut self, fabric: &mut Fabric) -> Result<PreparedUpdate, SdxError> {
-        let mut txn = FabricTxn::begin(self, fabric);
-        let result = self.stage(fabric, &mut txn);
-        let (patch, retire) = self.settle("prepare_scheduled", fabric, txn, result)?;
-        Ok(PreparedUpdate {
-            plan: crate::schedule::plan(fabric.switch.table(), &patch),
-            retire,
-        })
-    }
-
-    /// Drives a prepared update's waves through the fabric, verifying
-    /// each intermediate state with `checker` (built by the oracle crate
-    /// from the *new* report; pass `None` to skip verification), then
-    /// retires the stale ARP/VNH state.
-    ///
-    /// Failure semantics differ from [`reoptimize`](Self::reoptimize):
-    /// there is no rollback. A wave that exhausts its retry budget
-    /// ([`SdxError::UpdateAborted`]) or fails verification
-    /// ([`SdxError::UnsafeSchedule`]) leaves the fabric **parked** in
-    /// the last verified-safe intermediate state, with the control plane
-    /// already on the new configuration — recovery is a later plain
-    /// [`reoptimize`](Self::reoptimize) (or another scheduled one),
-    /// which recompiles under keyed identity and re-diffs from wherever
-    /// the update stalled.
-    pub fn commit_scheduled(
-        &mut self,
-        fabric: &mut Fabric,
-        prepared: PreparedUpdate,
-        opts: &crate::schedule::ScheduleOpts,
-        checker: Option<&mut crate::schedule::WaveChecker<'_>>,
-    ) -> Result<crate::schedule::ScheduleReport, SdxError> {
-        let reg = self.telemetry.clone();
-        let t0 = Instant::now();
-        let outcome = crate::schedule::drive(
-            &prepared.plan,
-            fabric,
-            &mut self.faults,
-            &reg,
-            opts,
-            checker,
-        );
-        reg.observe_duration("reoptimize.scheduled.total", t0.elapsed());
-        let schedule_report = outcome.inspect_err(|e| self.note_failure("commit_scheduled", e))?;
-        self.finish_scheduled(fabric, prepared, t0.elapsed());
-        Ok(schedule_report)
-    }
-
-    /// The post-wave half of a scheduled commit: retires the stale
-    /// ARP/VNH state the update replaced and journals the completion
-    /// events. Called by [`commit_scheduled`](Self::commit_scheduled)
-    /// after a successful drive; exposed so external harnesses that run
-    /// [`crate::schedule::drive`] themselves (borrowing this controller's
-    /// report for verification) can finish the update identically.
-    pub fn finish_scheduled(
-        &mut self,
-        fabric: &mut Fabric,
-        prepared: PreparedUpdate,
-        latency: Duration,
-    ) {
-        self.retire(fabric, prepared.retire, latency);
     }
 
     /// Closes an update whose patch has fully landed: the data plane is
@@ -1010,24 +1014,35 @@ impl SdxController {
     }
 }
 
-/// The staged half of a scheduled re-optimization: the control plane
-/// (report, ARP, FIB) already points at the new configuration, and
-/// [`plan`](Self::plan) holds the dependency-ordered waves that will
-/// patch the data plane. Produced by
-/// [`SdxController::prepare_scheduled`], consumed by
-/// [`SdxController::commit_scheduled`].
-#[derive(Clone, Debug)]
+/// A per-wave hook for [`SdxController::commit`], called after each wave
+/// lands on the driving fabric with the controller, that fabric, the
+/// wave's index and the wave. An error fails the commit, which rolls
+/// everything back and returns it. The oracle verifies each intermediate
+/// table through one; the daemon fans each wave out to its switch agents
+/// through one, and its return is the per-wave barrier.
+pub type WaveHook<'a> =
+    dyn FnMut(&SdxController, &Fabric, usize, &FlowModBatch) -> Result<(), SdxError> + 'a;
+
+/// A recompile [`SdxController::prepare`] staged and nothing has applied
+/// yet: the control plane (report, ARP, FIB) already points at the new
+/// configuration, [`plan`](Self::plan) holds the waves that will patch
+/// the data plane, and the transaction that undoes it all is still open.
+/// [`SdxController::commit`] lands it or rolls it back.
+#[derive(Debug)]
+#[must_use = "a prepared update stays half applied until it is committed"]
 pub struct PreparedUpdate {
-    /// The dependency-ordered wave plan for the data-plane patch.
-    pub plan: crate::schedule::UpdatePlan,
+    /// The waves that patch the data plane.
+    pub plan: UpdatePlan,
+    txn: FabricTxn,
     retire: Retire,
+    t0: Instant,
 }
 
 /// What [`SdxController::stage`] leaves for after its patch has landed:
 /// the patch's size, the overlay layers staging removed, and the ids and
 /// addresses nothing will reference once the old rules are gone (none of
 /// them one the new report binds).
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 struct Retire {
     patched: sdx_openflow::flowmod::BatchStats,
     overlays: u32,
@@ -1797,14 +1812,13 @@ mod tests {
     }
 
     #[test]
-    fn scheduled_policy_delta_converges_like_plain_path() {
+    fn ordered_policy_delta_converges_like_plain_path() {
         let (mut ctl, mut fabric) = deployment();
         ctl.reoptimize(&mut fabric).unwrap();
         let delta = PolicyDelta::new().retract_outbound(pid(3));
         ctl.stage_policy_delta(&delta).expect("stage");
-        let prepared = ctl.prepare_scheduled(&mut fabric).expect("prepare");
-        let opts = crate::schedule::ScheduleOpts::default();
-        ctl.commit_scheduled(&mut fabric, prepared, &opts, None)
+        let prepared = ctl.prepare(&mut fabric, Waves::Ordered).expect("prepare");
+        ctl.commit(&mut fabric, prepared, None)
             .expect("waves commit");
         // With C's policy retracted, port-80 traffic follows the best
         // route (A) — same outcome the plain path produces.
@@ -1816,5 +1830,44 @@ mod tests {
         assert_eq!(out[0].loc, PortId::Phys(pid(1), 1));
         let snap = ctl.telemetry.snapshot();
         assert_eq!(snap.counters.get("policy.retracted.count"), Some(&1));
+    }
+
+    #[test]
+    fn reoptimize_rolls_back_a_patch_that_exhausts_its_retries() {
+        let (mut ctl, mut fabric) = deployment();
+        fabric.enable_batch_log();
+        let b_cfg = ctl.compiler.participant(pid(2)).unwrap().clone();
+        ctl.process_update(
+            pid(2),
+            &b_cfg.announce([prefix("54.0.0.0/8")], &[65002, 7]),
+            &mut fabric,
+        )
+        .expect("fast path");
+        assert!(ctl.delta_layers() > 0, "fixture: overlays to retire");
+        ctl.set_outbound(pid(3), None);
+        let _ = fabric.drain_batches();
+        let before = image(&ctl, &fabric);
+        let timed = ctl.telemetry.histogram("reoptimize.total").count();
+        ctl.faults = FaultPlan::seeded(3)
+            .fail_with_probability(InjectionPoint::FlowModApply { wave: 0 }, 1.0);
+        let err = ctl
+            .reoptimize(&mut fabric)
+            .expect_err("the patch never lands");
+        assert_eq!(
+            err,
+            SdxError::UpdateAborted {
+                wave: 0,
+                applied: 0,
+                total: 1,
+                attempts: ScheduleOpts::default().max_attempts,
+            }
+        );
+        assert_eq!(image(&ctl, &fabric), before);
+        assert!(fabric.drain_batches().is_empty(), "nothing left to stream");
+        let timed_now = ctl.telemetry.histogram("reoptimize.total").count();
+        assert_eq!(timed_now, timed + 1, "a failed pass is timed once");
+        ctl.faults = FaultPlan::disabled();
+        ctl.reoptimize(&mut fabric).expect("the next pass lands");
+        assert_eq!(ctl.delta_layers(), 0);
     }
 }

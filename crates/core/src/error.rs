@@ -32,16 +32,16 @@ pub enum SdxError {
     /// A deterministic fault-injection point fired (test harnesses only;
     /// see [`crate::faults::FaultPlan`]).
     Injected(InjectionPoint),
-    /// A scheduled fabric update was abandoned mid-flight: some wave kept
-    /// failing past its retry budget, the remaining waves were skipped,
-    /// and the fabric is parked in the last verified-safe intermediate
-    /// state. Recovery is a fresh
-    /// [`reoptimize`](crate::controller::SdxController::reoptimize), which
-    /// re-diffs from the parked table.
+    /// A fabric update was abandoned mid-flight: some wave kept failing
+    /// past its retry budget, the remaining waves were skipped, and every
+    /// wave that had landed was rolled back with the rest of the
+    /// recompile. A later
+    /// [`reoptimize`](crate::controller::SdxController::reoptimize) starts
+    /// again from the untouched deployment.
     UpdateAborted {
         /// Zero-based index of the wave that exhausted its retries.
         wave: usize,
-        /// Waves already committed (and verified) before the abort.
+        /// Waves that had landed before the abort, all rolled back.
         applied: usize,
         /// Total waves the schedule had.
         total: usize,
@@ -55,8 +55,8 @@ pub enum SdxError {
     PolicyRejected(sdx_policy::dsl::DslError),
     /// Per-wave verification found an intermediate table that loops or
     /// routes a packet somewhere neither the old nor the new table would —
-    /// the schedule itself is unsafe, so nothing past the offending wave
-    /// was applied.
+    /// the schedule itself is unsafe, so every wave it had landed, the
+    /// offending one included, was rolled back.
     UnsafeSchedule {
         /// Zero-based index of the wave whose post-state failed.
         wave: usize,
@@ -87,9 +87,9 @@ impl core::fmt::Display for SdxError {
                 attempts,
             } => write!(
                 f,
-                "scheduled update aborted: wave {wave} failed after {attempts} \
-                 attempts; {applied}/{total} waves applied, fabric parked in \
-                 last verified-safe state"
+                "fabric update aborted: wave {wave} failed after {attempts} \
+                 attempts; the {applied}/{total} waves that had landed were \
+                 rolled back"
             ),
             SdxError::UnsafeSchedule {
                 wave,
@@ -141,7 +141,7 @@ mod tests {
             attempts: 4,
         };
         let s = e.to_string();
-        assert!(s.contains("wave 2") && s.contains("2/5") && s.contains("parked"));
+        assert!(s.contains("wave 2") && s.contains("2/5") && s.contains("rolled back"));
         let e = SdxError::UnsafeSchedule {
             wave: 1,
             counterexample: "packet loops via port 3".into(),

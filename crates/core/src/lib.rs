@@ -34,8 +34,8 @@
 //! * [`faults`] — seeded, deterministic fault injection for exercising the
 //!   recovery paths.
 //! * [`schedule`] — provably safe update scheduling: the reconciliation
-//!   diff partitioned into dependency-ordered flow-mod waves, driven with
-//!   per-wave verification and mid-update failure recovery.
+//!   diff partitioned into dependency-ordered flow-mod waves, driven all
+//!   or nothing with a per-wave check.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,16 +58,14 @@ pub mod vnh;
 pub mod vswitch;
 
 pub use compiler::{CompileReport, SdxCompiler};
-pub use controller::{PreparedUpdate, SdxController};
+pub use controller::{PreparedUpdate, SdxController, WaveHook};
 pub use error::SdxError;
 pub use faults::{FaultPlan, InjectionPoint};
 pub use fec::{canonicalize_report, minimum_disjoint_subsets, FecGroup, FecId, FecKey};
 pub use participant::{ParticipantConfig, PhysicalPort};
 pub use piece::{PieceCounts, Tally, ViewerPiece, VnhMap};
 pub use reconcile::{diff_base_table, TableDiff};
-pub use schedule::{
-    MultiFabricSink, ScheduleOpts, ScheduleReport, UpdatePlan, WaveReport, WaveSink,
-};
+pub use schedule::{ScheduleOpts, ScheduleReport, UpdatePlan, WaveReport, Waves};
 pub use service_chain::ServiceChain;
 pub use txn::{DeltaTxn, FabricTxn};
 pub use vnh::VnhAllocator;

@@ -36,22 +36,22 @@
 //!   (add-before-reference / delete-after-unreference).
 //!
 //! [`drive`] then pushes the waves through [`Fabric::apply_flowmods`]
-//! with an optional per-wave safety checker (the oracle crate supplies
-//! one that walks a packet corpus over every intermediate table), a
-//! [`FaultPlan`] crossing per wave attempt
-//! ([`InjectionPoint::FlowModApply`]), bounded exponential backoff on
-//! injected failures, and — on retry exhaustion — an abort that leaves
-//! the fabric **parked in the last verified-safe intermediate state**
-//! with a journaled [`Event::UpdateAborted`] and a typed
-//! [`SdxError::UpdateAborted`], so the controller can fall back to a
-//! fresh reconciliation from wherever the update stalled.
+//! with an optional per-wave checker (the oracle crate supplies one that
+//! walks a packet corpus over every intermediate table; the daemon's
+//! fans each wave out to its switch agents), a [`FaultPlan`] crossing per
+//! wave attempt ([`InjectionPoint::FlowModApply`]) and bounded exponential
+//! backoff on injected failures. It is all or nothing: retry exhaustion
+//! ([`SdxError::UpdateAborted`], journaled as [`Event::UpdateAborted`]),
+//! a checker refusal or a switch rejection rewinds every wave it landed.
+//! [`SdxController::commit`](crate::SdxController::commit) is its one
+//! caller in the controller, and rolls the rest of the recompile back
+//! with it.
 
 use std::collections::BTreeMap;
 
 use sdx_net::{HeaderMatch, MacAddr, Mod};
-use sdx_openflow::fabric::Fabric;
+use sdx_openflow::fabric::{Fabric, WaveUndo};
 use sdx_openflow::flowmod::{FlowMod, FlowModBatch};
-use sdx_openflow::multiswitch::MultiFabric;
 use sdx_openflow::table::FlowTable;
 use sdx_telemetry::{Event, SharedRegistry};
 
@@ -120,9 +120,8 @@ pub struct UpdatePlan {
     /// how constrained the batch was).
     pub dependencies: usize,
     /// True when the plan is a single atomic wave although its mods
-    /// depend on one another: the dependency graph had a cycle, or the
-    /// caller asked for one barrier ([`collapse`](Self::collapse)). Always
-    /// safe, never wrong — just maximally conservative.
+    /// depend on one another, because the dependency graph had a cycle.
+    /// Always safe, never wrong — just maximally conservative.
     pub collapsed: bool,
 }
 
@@ -146,20 +145,40 @@ impl UpdatePlan {
     pub fn is_empty(&self) -> bool {
         self.waves.is_empty()
     }
+}
 
-    /// Folds the plan into one atomic wave: the waves' mods concatenated
-    /// in wave order, which applied as a single batch is exactly the
-    /// waves applied in sequence with no intermediate state exposed. For
-    /// a caller that wants the whole patch under one commit barrier — one
-    /// frame and one ack per switch — and needs no per-wave verification.
-    pub fn collapse(&mut self) {
-        if self.waves.len() > 1 {
-            let mut whole = FlowModBatch::new(self.epoch);
-            for wave in self.waves.drain(..) {
-                whole.mods.extend(wave.mods);
-            }
-            self.waves.push(whole);
-            self.collapsed = true;
+/// How a recompile pushes its patch: the one difference between the
+/// callers of [`SdxController::prepare`](crate::SdxController::prepare).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Waves {
+    /// The whole patch under one barrier, as
+    /// [`diff_base_table`](crate::reconcile::diff_base_table) emitted it
+    /// — a burst or policy push, where the wait for the switches is the
+    /// participant's latency, and every in-process re-optimization.
+    Atomic,
+    /// Dependency-ordered waves with a barrier each ([`plan`]) — an
+    /// operator re-optimization, where no intermediate table may misroute.
+    Ordered,
+}
+
+impl Waves {
+    /// Partitions `batch`, a patch of the pre-update `table`, into waves
+    /// this way. An atomic plan is the batch as its only wave (none for an
+    /// empty batch), with no dependency analysis: its `dependencies` is 0
+    /// and it is not `collapsed`.
+    pub fn plan(self, table: &FlowTable, batch: FlowModBatch) -> UpdatePlan {
+        match self {
+            Waves::Ordered => plan(table, &batch),
+            Waves::Atomic => UpdatePlan {
+                epoch: batch.epoch,
+                waves: if batch.is_empty() {
+                    Vec::new()
+                } else {
+                    vec![batch]
+                },
+                dependencies: 0,
+                collapsed: false,
+            },
         }
     }
 }
@@ -457,74 +476,12 @@ impl Default for ScheduleOpts {
     }
 }
 
-/// A per-wave safety checker: inspects the fabric *after* a wave landed
-/// and returns a counterexample description if the intermediate state is
-/// unsafe (loops, or a packet routed neither the old nor the new way).
-/// The oracle crate builds these; `core` only defines the seam so the
-/// crate layering stays acyclic.
+/// A per-wave check: inspects the fabric *after* a wave landed and
+/// returns why the wave must not stand — an unsafe intermediate state, or
+/// a switch further down that refused it.
+/// [`SdxController::commit`](crate::SdxController::commit) runs its
+/// per-wave hook through this.
 pub type WaveChecker<'a> = dyn FnMut(&Fabric, usize) -> Result<(), String> + 'a;
-
-/// A per-wave fan-out target for [`drive_fanout`]: after a wave lands on
-/// the driving fabric (and passes its safety check), the sink applies the
-/// *same* wave everywhere else it must go — every switch of a
-/// [`MultiFabric`], or external switch agents over OpenFlow channels.
-///
-/// `apply_wave` must not return until the wave is fully applied at every
-/// target: **its return is the per-wave barrier** that keeps the whole
-/// fleet moving through the same sequence of verified-safe intermediate
-/// states. An implementation is free to apply to its targets concurrently,
-/// as long as it joins them all before returning.
-pub trait WaveSink {
-    /// Applies wave `wave` (zero-based, of `total`) to every target.
-    /// An error aborts the schedule: the driving fabric is rolled back to
-    /// the pre-wave barrier and [`SdxError::InvalidCommit`] is returned.
-    fn apply_wave(&mut self, wave: usize, total: usize, batch: &FlowModBatch)
-        -> Result<(), String>;
-}
-
-/// Fans each wave out across every switch of a [`MultiFabric`]
-/// concurrently: one scoped thread per switch table, joined before
-/// returning — the join is the per-wave barrier. This closes the
-/// "potential parallelism" the single-switch driver could only express:
-/// within a wave the mods are mutually independent *and* the per-switch
-/// tables are independent borrows, so all switches program in parallel
-/// and no switch starts wave *n+1* before every switch finished wave *n*.
-pub struct MultiFabricSink<'a> {
-    fabric: &'a mut MultiFabric,
-}
-
-impl<'a> MultiFabricSink<'a> {
-    /// A sink driving every switch of `fabric`.
-    pub fn new(fabric: &'a mut MultiFabric) -> Self {
-        MultiFabricSink { fabric }
-    }
-}
-
-impl WaveSink for MultiFabricSink<'_> {
-    fn apply_wave(
-        &mut self,
-        wave: usize,
-        _total: usize,
-        batch: &FlowModBatch,
-    ) -> Result<(), String> {
-        let results: Vec<_> = std::thread::scope(|s| {
-            let handles: Vec<_> = self
-                .fabric
-                .tables_mut()
-                .into_iter()
-                .map(|(id, table)| s.spawn(move || (id, table.apply_batch(batch))))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("wave worker panicked"))
-                .collect()
-        });
-        for (id, r) in results {
-            r.map_err(|e| format!("wave {wave} rejected by switch {}: {e}", id.0))?;
-        }
-        Ok(())
-    }
-}
 
 /// What one applied wave cost.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -554,26 +511,26 @@ pub struct ScheduleReport {
     pub backoff_ms: u64,
 }
 
-/// Applies `plan` to `fabric` wave by wave.
+/// Applies `plan` to `fabric` wave by wave, all or nothing.
 ///
 /// Per wave: cross [`InjectionPoint::FlowModApply`] (a firing models the
 /// switch failing the wave — nothing lands), retrying with bounded
 /// exponential backoff up to [`ScheduleOpts::max_attempts`]; then apply
 /// the wave atomically; then run `checker` against the new intermediate
-/// state. Every applied-and-verified wave journals
+/// state. Every applied-and-checked wave journals
 /// [`Event::UpdateWaveApplied`] and counts `schedule.waves.count` /
 /// `schedule.wave_width`.
 ///
-/// Failure semantics:
+/// Any failure rewinds *every* wave this call landed, newest first, so
+/// the fabric's table and batch log are exactly as they were before the
+/// call:
 ///
 /// * retry exhaustion → `schedule.abort.count`, a journaled
-///   [`Event::UpdateAborted`], and [`SdxError::UpdateAborted`]; the fabric
-///   stays **parked** with exactly the previously verified waves applied;
-/// * a checker rejection → the offending wave is rolled back (its undo journal)
-///   and [`SdxError::UnsafeSchedule`] carries the counterexample; the
-///   fabric parks in the pre-wave (verified) state;
+///   [`Event::UpdateAborted`], and [`SdxError::UpdateAborted`];
+/// * a checker refusal → `schedule.refused.count` and
+///   [`SdxError::UnsafeSchedule`] carrying the checker's message;
 /// * a batch the switch itself rejects → [`SdxError::InvalidCommit`]
-///   (deterministic, so no retry), fabric parked pre-wave.
+///   (deterministic, so no retry).
 pub fn drive(
     plan: &UpdatePlan,
     fabric: &mut Fabric,
@@ -582,24 +539,28 @@ pub fn drive(
     opts: &ScheduleOpts,
     checker: Option<&mut WaveChecker>,
 ) -> Result<ScheduleReport, SdxError> {
-    drive_fanout(plan, fabric, faults, telemetry, opts, checker, None)
+    let mut landed = Vec::with_capacity(plan.waves.len());
+    let outcome = land(plan, fabric, faults, telemetry, opts, checker, &mut landed);
+    if outcome.is_err() {
+        // A wave changes the flow table and the batch log, nothing else,
+        // and its own undo journal is all it takes to put both back.
+        for undo in landed.into_iter().rev() {
+            fabric.rewind_wave(undo);
+        }
+    }
+    outcome
 }
 
-/// [`drive`], plus a multi-channel [`WaveSink`]: after each wave lands on
-/// the driving `fabric` and passes `checker`, `sink.apply_wave` pushes the
-/// identical wave to every fan-out target and blocks until all confirm —
-/// the per-wave barrier now spans the whole fleet. A sink failure rolls
-/// the driving fabric back to the pre-wave barrier (so local state never
-/// runs ahead of a fleet that stopped) and surfaces as
-/// [`SdxError::InvalidCommit`].
-pub fn drive_fanout(
+/// [`drive`]'s loop: lands the waves in order, keeping each one's undo
+/// journal in `landed`, and stops at the first failure.
+fn land(
     plan: &UpdatePlan,
     fabric: &mut Fabric,
     faults: &mut FaultPlan,
     telemetry: &SharedRegistry,
     opts: &ScheduleOpts,
     mut checker: Option<&mut WaveChecker>,
-    mut sink: Option<&mut dyn WaveSink>,
+    landed: &mut Vec<WaveUndo>,
 ) -> Result<ScheduleReport, SdxError> {
     let mut report = ScheduleReport {
         epoch: plan.epoch,
@@ -649,28 +610,17 @@ pub fn drive_fanout(
                 }
             }
         }
-        // A wave changes the flow table and the batch log, nothing else,
-        // and its own undo journal is all it takes to put both back.
         let (_, undo) = fabric.apply_flowmods_undoable(wave).map_err(|e| {
             SdxError::InvalidCommit(format!("scheduled wave {i} rejected by the switch: {e}"))
         })?;
+        landed.push(undo);
         if let Some(ref mut check) = checker {
             if let Err(counterexample) = check(fabric, i) {
-                fabric.rewind_wave(undo);
-                telemetry.inc("schedule.unsafe.count");
+                telemetry.inc("schedule.refused.count");
                 return Err(SdxError::UnsafeSchedule {
                     wave: i,
                     counterexample,
                 });
-            }
-        }
-        if let Some(ref mut s) = sink {
-            if let Err(e) = s.apply_wave(i, plan.waves.len(), wave) {
-                fabric.rewind_wave(undo);
-                telemetry.inc("schedule.fanout_failed.count");
-                return Err(SdxError::InvalidCommit(format!(
-                    "scheduled wave {i} failed to fan out: {e}"
-                )));
             }
         }
         telemetry.inc("schedule.waves.count");
@@ -940,13 +890,14 @@ mod tests {
     }
 
     #[test]
-    fn retry_exhaustion_aborts_parked_at_last_safe_wave() {
+    fn retry_exhaustion_rolls_back_every_landed_wave() {
         let b = batch(vec![
             add(5, HeaderMatch::any(), out(1)),
             add(10, HeaderMatch::of(FieldMatch::TpDst(80)), out(2)),
         ]);
         let p = plan(&FlowTable::new(), &b);
         let mut fabric = Fabric::new();
+        fabric.enable_batch_log();
         let mut faults = FaultPlan::seeded(1)
             .fail_with_probability(InjectionPoint::FlowModApply { wave: 1 }, 1.0);
         let reg = SharedRegistry::new();
@@ -965,20 +916,31 @@ mod tests {
                 attempts: 3,
             }
         );
-        assert_eq!(fabric.switch.table().len(), 1, "parked after wave 0");
+        assert!(fabric.switch.table().is_empty(), "wave 0 rewound too");
+        assert!(
+            fabric.drain_batches().is_empty(),
+            "and retracted from the log"
+        );
         assert_eq!(reg.counter("schedule.abort.count").get(), 1);
         assert_eq!(reg.counter("schedule.retry.count").get(), 2);
         assert!(reg.journal().kinds().contains(&"update_aborted"));
     }
 
     #[test]
-    fn checker_rejection_rolls_the_wave_back() {
-        let b = batch(vec![add(5, HeaderMatch::any(), out(1))]);
+    fn checker_rejection_rolls_back_every_landed_wave() {
+        let b = batch(vec![
+            add(5, HeaderMatch::any(), out(1)),
+            add(10, HeaderMatch::of(FieldMatch::TpDst(80)), out(2)),
+        ]);
         let p = plan(&FlowTable::new(), &b);
+        assert_eq!(p.wave_count(), 2);
         let mut fabric = Fabric::new();
         let mut faults = FaultPlan::disabled();
         let reg = SharedRegistry::new();
-        let mut reject = |_: &Fabric, wave: usize| Err(format!("wave {wave}: probe looped"));
+        let mut reject = |_: &Fabric, wave: usize| match wave {
+            0 => Ok(()),
+            _ => Err(format!("wave {wave}: probe looped")),
+        };
         let err = drive(
             &p,
             &mut fabric,
@@ -991,96 +953,18 @@ mod tests {
         assert_eq!(
             err,
             SdxError::UnsafeSchedule {
-                wave: 0,
-                counterexample: "wave 0: probe looped".into(),
+                wave: 1,
+                counterexample: "wave 1: probe looped".into(),
             }
         );
-        assert!(fabric.switch.table().is_empty(), "vetoed wave rolled back");
-        assert_eq!(reg.counter("schedule.unsafe.count").get(), 1);
-    }
-
-    #[test]
-    fn fanout_applies_every_wave_to_every_switch_in_order() {
-        use sdx_openflow::multiswitch::SwitchId;
-        let b = batch(vec![
-            add(5, HeaderMatch::any(), out(1)),
-            add(10, HeaderMatch::of(FieldMatch::TpDst(80)), out(2)),
-        ]);
-        let p = plan(&FlowTable::new(), &b);
-        assert_eq!(p.wave_count(), 2);
-        let mut fabric = Fabric::new();
-        let mut multi = MultiFabric::new();
-        for id in 0..4 {
-            multi.add_switch(SwitchId(id));
-        }
-        let mut faults = FaultPlan::disabled();
-        let reg = SharedRegistry::new();
-        let mut sink = MultiFabricSink::new(&mut multi);
-        let r = drive_fanout(
-            &p,
-            &mut fabric,
-            &mut faults,
-            &reg,
-            &ScheduleOpts::default(),
-            None,
-            Some(&mut sink),
-        )
-        .expect("fan-out succeeds");
-        assert_eq!(r.applied.len(), 2);
-        // Every switch ends up identical to the driving fabric's table.
-        for id in multi.switch_ids() {
-            assert_eq!(multi.table_of(id).unwrap(), fabric.switch.table());
-        }
-        assert_eq!(multi.total_rules(), 4 * 2);
-    }
-
-    #[test]
-    fn fanout_failure_rolls_the_driving_fabric_back_to_the_barrier() {
-        struct FailAt(usize);
-        impl WaveSink for FailAt {
-            fn apply_wave(
-                &mut self,
-                wave: usize,
-                _total: usize,
-                _batch: &FlowModBatch,
-            ) -> Result<(), String> {
-                if wave == self.0 {
-                    Err(format!("agent unreachable at wave {wave}"))
-                } else {
-                    Ok(())
-                }
-            }
-        }
-        let b = batch(vec![
-            add(5, HeaderMatch::any(), out(1)),
-            add(10, HeaderMatch::of(FieldMatch::TpDst(80)), out(2)),
-        ]);
-        let p = plan(&FlowTable::new(), &b);
-        let mut fabric = Fabric::new();
-        let mut faults = FaultPlan::disabled();
-        let reg = SharedRegistry::new();
-        let mut sink = FailAt(1);
-        let err = drive_fanout(
-            &p,
-            &mut fabric,
-            &mut faults,
-            &reg,
-            &ScheduleOpts::default(),
-            None,
-            Some(&mut sink),
-        )
-        .expect_err("wave 1 cannot fan out");
-        assert!(matches!(err, SdxError::InvalidCommit(_)), "{err}");
-        // The local fabric parks at the wave-0 barrier: wave 1 was applied
-        // locally, failed to fan out, and was rolled back.
-        assert_eq!(fabric.switch.table().len(), 1);
-        assert_eq!(reg.counter("schedule.fanout_failed.count").get(), 1);
+        assert!(fabric.switch.table().is_empty(), "both waves rolled back");
+        assert_eq!(reg.counter("schedule.refused.count").get(), 1);
         assert_eq!(reg.counter("schedule.waves.count").get(), 1);
     }
 
     #[test]
-    fn collapsed_plan_is_one_wave_with_the_same_end_state() {
-        // Make-before-break needs two waves; collapsed, the same mods land
+    fn an_atomic_plan_is_one_wave_with_the_same_end_state() {
+        // Make-before-break needs two waves; atomic, the same mods land
         // under one barrier and reach the same table.
         let mut t = FlowTable::new();
         t.install(FlowEntry::new(5, HeaderMatch::any(), out(9)));
@@ -1091,12 +975,11 @@ mod tests {
             },
             add(10, vpat(1), out(2)),
         ]);
-        let waves = plan(&t, &b);
-        let mut whole = waves.clone();
-        whole.collapse();
+        let waves = Waves::Ordered.plan(&t, b.clone());
+        let whole = Waves::Atomic.plan(&t, b);
         assert_eq!(shape(&waves), vec![vec!["add"], vec!["del"]]);
-        assert_eq!(shape(&whole), vec![vec!["add", "del"]]);
-        assert!(whole.collapsed);
+        assert_eq!(shape(&whole), vec![vec!["del", "add"]]);
+        assert_eq!((whole.dependencies, whole.collapsed), (0, false));
         let drive_over = |p: &UpdatePlan| {
             let mut fabric = Fabric::new();
             fabric
@@ -1114,10 +997,9 @@ mod tests {
             fabric
         };
         assert_eq!(drive_over(&whole), drive_over(&waves));
-        // Nothing to fold: an empty plan stays empty.
-        let mut empty = plan(&t, &batch(vec![]));
-        empty.collapse();
-        assert!(empty.is_empty() && !empty.collapsed);
+        // Nothing to apply: an empty patch has no wave either way.
+        assert!(Waves::Atomic.plan(&t, batch(vec![])).is_empty());
+        assert!(Waves::Ordered.plan(&t, batch(vec![])).is_empty());
     }
 
     #[test]

@@ -5,10 +5,11 @@
 //!
 //! * **Partition** — the waves are a partition of the batch, and driving
 //!   them in order produces exactly the table the raw batch produces.
-//! * **Parking** — under seeded per-wave fault injection, the driver
-//!   either lands every wave or aborts with the fabric holding exactly
-//!   the prefix of waves it reported applied; it never commits half a
-//!   wave and never misreports progress.
+//! * **All or nothing** — under seeded per-wave fault injection, the
+//!   driver either lands every wave or aborts with the fabric holding
+//!   exactly the pre-drive table and nothing in its batch log; it never
+//!   leaves a wave, or a prefix of waves, behind and never misreports
+//!   how far it got.
 
 use proptest::prelude::*;
 use sdx_core::faults::{FaultPlan, InjectionPoint, ANY_WAVE};
@@ -163,12 +164,13 @@ proptest! {
     }
 
     /// Under seeded per-wave faults, the driver lands everything or
-    /// aborts parked on exactly the reported prefix of waves.
+    /// aborts with the fabric back on exactly the pre-drive table.
     #[test]
-    fn seeded_wave_faults_park_exactly(seed in any::<u64>()) {
+    fn seeded_wave_faults_land_everything_or_nothing(seed in any::<u64>()) {
         let (table, batch) = scenario(seed);
         let p = plan(&table, &batch);
         let mut fabric = fabric_with(&table);
+        fabric.enable_batch_log();
         let mut faults = FaultPlan::seeded(seed ^ 0xF00D)
             .fail_with_probability(InjectionPoint::FlowModApply { wave: ANY_WAVE }, 0.4);
         let reg = SharedRegistry::new();
@@ -179,21 +181,19 @@ proptest! {
                 let mut want = table.clone();
                 want.apply_batch(&batch).unwrap();
                 prop_assert_eq!(fabric.switch.table(), &want);
+                prop_assert_eq!(fabric.drain_batches(), p.waves);
             }
             Err(SdxError::UpdateAborted { wave, applied, total, attempts }) => {
                 prop_assert_eq!(total, p.wave_count());
                 prop_assert!(wave < total);
                 prop_assert_eq!(applied, wave, "waves land strictly in order");
                 prop_assert_eq!(attempts, opts.max_attempts);
-                let mut want = table.clone();
-                for w in &p.waves[..applied] {
-                    want.apply_batch(w).unwrap();
-                }
                 prop_assert_eq!(
                     fabric.switch.table(),
-                    &want,
-                    "parked fabric holds exactly the applied prefix"
+                    &table,
+                    "an aborted drive leaves exactly the pre-drive table"
                 );
+                prop_assert!(fabric.drain_batches().is_empty(), "and streams nothing");
             }
             Err(e) => prop_assert!(false, "unexpected error: {e}"),
         }

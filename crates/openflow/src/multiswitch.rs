@@ -134,17 +134,6 @@ impl MultiFabric {
         self.switches.get(&id).map(|s| s.table())
     }
 
-    /// Mutable access to every switch's flow table at once. The
-    /// scheduled-wave fan-out uses this to apply one wave to all switches
-    /// concurrently on scoped threads — each table is an independent
-    /// borrow, so the compiler proves the parallelism safe.
-    pub fn tables_mut(&mut self) -> Vec<(SwitchId, &mut FlowTable)> {
-        self.switches
-            .iter_mut()
-            .map(|(id, sw)| (*id, sw.table_mut()))
-            .collect()
-    }
-
     /// Applies one atomic flow-mod batch to **every** switch — the
     /// distribution step of the topology abstraction, mirroring
     /// [`load_classifier`](MultiFabric::load_classifier) for the
@@ -335,9 +324,6 @@ mod tests {
                 .iter()
                 .any(|e| e.priority == 5));
         }
-        // tables_mut hands out one independent borrow per switch.
-        let tables = f.tables_mut();
-        assert_eq!(tables.len(), 2);
     }
 
     #[test]

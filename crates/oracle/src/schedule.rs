@@ -7,9 +7,9 @@
 //! the post-update way, and never loops. This module checks that intent
 //! against the deployed artifact. An [`UpdateVerifier`] freezes a probe
 //! corpus and each probe's pre- and post-update outcome (both evaluated
-//! under the *new* control plane — the scheduled path flips ARP/FIB
-//! before the first wave lands), and then, after every wave, replays the
-//! corpus over the live intermediate table:
+//! under the *new* control plane — `prepare` flips ARP/FIB before the
+//! first wave lands), and then, after every wave, replays the corpus over
+//! the live intermediate table:
 //!
 //! * an outcome of [`Outcome::NonTerminating`] — a forwarding loop the
 //!   wave introduced — fails the wave;
@@ -18,19 +18,18 @@
 //!   fails the wave.
 //!
 //! A failed wave surfaces as [`SdxError::UnsafeSchedule`] with the
-//! probe's stage-by-stage trace as the counterexample, and the driver
-//! rolls the offending wave back, parking the fabric in the last
-//! verified-safe state. [`reoptimize_verified`] wires the whole thing
-//! into the controller's scheduled-update flow.
-
-use std::time::Instant;
+//! probe's stage-by-stage trace as the counterexample, and the commit
+//! rolls the whole recompile back. [`reoptimize_verified`] runs the
+//! controller's one recompile path with the verifier as its per-wave
+//! hook.
 
 use sdx_bgp::route_server::RouteServer;
 use sdx_core::compiler::{CompileReport, SdxCompiler};
-use sdx_core::schedule::{drive, ScheduleOpts, ScheduleReport, UpdatePlan};
+use sdx_core::schedule::{ScheduleReport, UpdatePlan, Waves};
 use sdx_core::{SdxController, SdxError};
 use sdx_net::{Packet, PortId};
 use sdx_openflow::fabric::Fabric;
+use sdx_openflow::flowmod::FlowModBatch;
 use sdx_openflow::table::FlowTable;
 
 use crate::{FabricEvaluator, Outcome};
@@ -149,29 +148,25 @@ fn outcomes(
         .collect()
 }
 
-/// A scheduled re-optimization with the oracle in the loop: prepare,
-/// build an [`UpdateVerifier`] over `probes` against the new report,
-/// drive the waves with per-wave verification, and finish (retire stale
-/// state) on success.
+/// A re-optimization with the oracle in the loop: `prepare` the
+/// recompile as dependency-ordered waves, build an [`UpdateVerifier`]
+/// over `probes` against the new report, and `commit` with the verifier
+/// judging every intermediate table.
 ///
-/// Failure semantics are the controller's scheduled-path semantics:
-/// preparation failures roll back; a wave that exhausts retries
-/// ([`SdxError::UpdateAborted`]) or fails verification
-/// ([`SdxError::UnsafeSchedule`]) parks the fabric in the last
-/// verified-safe intermediate state with the control plane on the new
-/// configuration, and a later plain `reoptimize` recovers.
+/// All or nothing, like every recompile: a staging failure, a wave that
+/// exhausts its retries ([`SdxError::UpdateAborted`]), a wave the
+/// verifier refuses ([`SdxError::UnsafeSchedule`]) or a plan it cannot
+/// replay leaves the controller and `fabric` as they were.
 pub fn reoptimize_verified(
     ctl: &mut SdxController,
     fabric: &mut Fabric,
-    opts: &ScheduleOpts,
     probes: Vec<(PortId, Packet)>,
 ) -> Result<ScheduleReport, SdxError> {
-    let t0 = Instant::now();
-    let prepared = ctl.prepare_scheduled(fabric)?;
+    let prepared = ctl.prepare(fabric, Waves::Ordered)?;
     let report = ctl
         .report
         .as_ref()
-        .expect("prepare_scheduled always installs the new report");
+        .expect("prepare always installs the new report");
     let verifier = UpdateVerifier::new(
         &ctl.compiler,
         &ctl.rs,
@@ -179,39 +174,21 @@ pub fn reoptimize_verified(
         fabric.switch.table(),
         &prepared.plan,
         probes,
-    )?;
-    // Drive with the fault plan temporarily taken out of the controller,
-    // so the checker can keep borrowing the controller's report while the
-    // driver mutates the plan's fault state.
-    let mut faults = std::mem::take(&mut ctl.faults);
-    let telemetry = ctl.telemetry.clone();
-    let mut checker = |f: &Fabric, wave: usize| {
-        verifier.check_table(
-            &ctl.compiler,
-            &ctl.rs,
-            ctl.report
-                .as_ref()
-                .expect("report is not touched while waves apply"),
-            f.switch.table(),
-            wave,
-        )
-    };
-    let outcome = drive(
-        &prepared.plan,
-        fabric,
-        &mut faults,
-        &telemetry,
-        opts,
-        Some(&mut checker),
     );
-    ctl.faults = faults;
-    match outcome {
-        Ok(r) => {
-            ctl.finish_scheduled(fabric, prepared, t0.elapsed());
-            Ok(r)
-        }
-        Err(e) => Err(e),
-    }
+    // A plan the verifier cannot replay is refused at its first wave.
+    let mut verify = |ctl: &SdxController, f: &Fabric, wave: usize, _: &FlowModBatch| {
+        let report = ctl
+            .report
+            .as_ref()
+            .expect("report is set while waves apply");
+        (verifier.as_ref().map_err(Clone::clone)?)
+            .check_table(&ctl.compiler, &ctl.rs, report, f.switch.table(), wave)
+            .map_err(|counterexample| SdxError::UnsafeSchedule {
+                wave,
+                counterexample,
+            })
+    };
+    ctl.commit(fabric, prepared, Some(&mut verify))
 }
 
 #[cfg(test)]
@@ -232,15 +209,23 @@ mod tests {
         (ctl, fabric)
     }
 
+    /// Drops every outbound policy of the book, so the next
+    /// re-optimization has rules to retire.
+    fn drop_outbound_policies(ctl: &mut SdxController) {
+        let ids: Vec<_> = ctl.compiler.participants().keys().copied().collect();
+        for id in ids {
+            ctl.set_outbound(id, None);
+        }
+    }
+
     #[test]
     fn verifier_accepts_the_planned_waves() {
         let (mut ctl, mut fabric) = deployed(11);
-        // Perturb policies so the re-optimization has real work.
-        let ids: Vec<_> = ctl.compiler.participants().keys().copied().collect();
-        ctl.set_outbound(ids[0], None);
+        drop_outbound_policies(&mut ctl);
         let probes = synth::sample_probes(&ctl.compiler, &ctl.rs, 5, 64);
-        let r = reoptimize_verified(&mut ctl, &mut fabric, &ScheduleOpts::default(), probes)
+        let r = reoptimize_verified(&mut ctl, &mut fabric, probes)
             .expect("scheduled update verifies wave by wave");
+        assert!(r.total_waves > 0, "fixture: the update has waves");
         assert_eq!(r.applied.len(), r.total_waves);
     }
 
@@ -251,12 +236,10 @@ mod tests {
         // packet-equivalent over the probe grid.
         let (mut a, mut fab_a) = deployed(13);
         let (mut b, mut fab_b) = deployed(13);
-        let ids: Vec<_> = a.compiler.participants().keys().copied().collect();
-        a.set_outbound(ids[0], None);
-        b.set_outbound(ids[0], None);
+        drop_outbound_policies(&mut a);
+        drop_outbound_policies(&mut b);
         let probes = synth::sample_probes(&a.compiler, &a.rs, 7, 64);
-        reoptimize_verified(&mut a, &mut fab_a, &ScheduleOpts::default(), probes)
-            .expect("scheduled path");
+        reoptimize_verified(&mut a, &mut fab_a, probes).expect("scheduled path");
         b.reoptimize(&mut fab_b).expect("plain path");
         let ra = a.report.as_ref().unwrap();
         let rb = b.report.as_ref().unwrap();
@@ -273,39 +256,42 @@ mod tests {
     }
 
     #[test]
-    fn injected_wave_faults_recover_or_park_for_every_seed() {
+    fn injected_wave_faults_land_or_roll_back_for_every_seed() {
         use sdx_core::faults::{FaultPlan, InjectionPoint, ANY_WAVE};
+        let mut aborted = 0;
         for seed in 0..8u64 {
             let (mut ctl, mut fabric) = deployed(17);
-            let ids: Vec<_> = ctl.compiler.participants().keys().copied().collect();
-            ctl.set_outbound(ids[0], None);
+            drop_outbound_policies(&mut ctl);
+            let before = (fabric.clone(), format!("{:?}", ctl.report));
             ctl.faults = FaultPlan::seeded(seed)
                 .fail_with_probability(InjectionPoint::FlowModApply { wave: ANY_WAVE }, 0.5);
             let probes = synth::sample_probes(&ctl.compiler, &ctl.rs, seed, 48);
-            let opts = ScheduleOpts {
-                max_attempts: 3,
-                backoff_base_ms: 2,
-            };
-            match reoptimize_verified(&mut ctl, &mut fabric, &opts, probes) {
+            match reoptimize_verified(&mut ctl, &mut fabric, probes) {
                 Ok(r) => assert_eq!(r.applied.len(), r.total_waves, "seed {seed}"),
                 Err(SdxError::UpdateAborted { .. }) => {
-                    // Parked: recovery is a plain reoptimize, after which
-                    // the fabric must match a from-scratch deployment.
+                    // Rolled back: the deployment is untouched, and the
+                    // next pass starts from it.
+                    let after = (fabric.clone(), format!("{:?}", ctl.report));
+                    assert!(after == before, "seed {seed}: the abort left state behind");
+                    aborted += 1;
                     ctl.faults = FaultPlan::disabled();
-                    ctl.reoptimize(&mut fabric).expect("recovery reoptimize");
+                    ctl.reoptimize(&mut fabric).expect("the next pass lands");
                 }
                 Err(e) => panic!("seed {seed}: unexpected error {e}"),
             }
             // Whatever path was taken, the final state must be coherent:
-            // a second scheduled update with nothing to do plans no waves.
-            let prepared = ctl.prepare_scheduled(&mut fabric).expect("idempotent");
+            // a second update with nothing to do plans no waves.
+            let prepared = ctl
+                .prepare(&mut fabric, Waves::Ordered)
+                .expect("idempotent");
             assert!(
                 prepared.plan.is_empty(),
                 "seed {seed}: converged fabric should re-plan to nothing"
             );
-            ctl.commit_scheduled(&mut fabric, prepared, &ScheduleOpts::default(), None)
+            ctl.commit(&mut fabric, prepared, None)
                 .expect("empty commit");
         }
+        assert!(aborted > 0, "no seed aborted: the drill tests nothing");
     }
 
     #[test]
@@ -370,12 +356,12 @@ mod tests {
             verifier.check_table(&ctl.compiler, &ctl.rs, report, fb.switch.table(), wave)
         };
         let before = f.switch.table().clone();
-        match drive(
+        match sdx_core::schedule::drive(
             &bad,
             &mut f,
             &mut faults,
             &reg,
-            &ScheduleOpts::default(),
+            &sdx_core::ScheduleOpts::default(),
             Some(&mut checker),
         ) {
             Err(SdxError::UnsafeSchedule {
@@ -387,11 +373,7 @@ mod tests {
                     counterexample.contains("probe"),
                     "counterexample names the probe: {counterexample}"
                 );
-                assert_eq!(
-                    f.switch.table(),
-                    &before,
-                    "vetoed wave rolled back, fabric parked pre-wave"
-                );
+                assert_eq!(f.switch.table(), &before, "vetoed wave rolled back");
             }
             Ok(_) => {
                 // Deleting the handler turned every dependent probe into

@@ -9,7 +9,7 @@
 use sdx_bgp::route_server::ExportPolicy;
 use sdx_core::controller::SdxController;
 use sdx_core::participant::ParticipantConfig;
-use sdx_core::schedule::ScheduleOpts;
+use sdx_core::schedule::Waves;
 use sdx_ixp::policy_workload::{assign_policies, PolicyWorkloadParams};
 use sdx_ixp::topology::{build, TopologyParams};
 use sdx_ixp::updates::{self, TraceParams, UpdateBurst};
@@ -243,10 +243,10 @@ fn ddos_mitigation_mid_churn_is_a_small_patch_with_every_effect_in_place() {
     ctl.stage_policy_delta(&PolicyDelta::new().replace_inbound(victim, scrub))
         .expect("mitigation stages");
     let prepared = ctl
-        .prepare_scheduled(&mut fabric)
+        .prepare(&mut fabric, Waves::Ordered)
         .expect("mitigation compiles");
     let sched = ctl
-        .commit_scheduled(&mut fabric, prepared, &ScheduleOpts::default(), None)
+        .commit(&mut fabric, prepared, None)
         .expect("mitigation waves commit");
 
     // A one-participant inbound push rebuilds no viewer's signature map

@@ -3,8 +3,9 @@
 //! Binds the BGP, OpenFlow, and telemetry endpoints on ephemeral
 //! loopback ports and prints them as one JSON line on stdout, then
 //! serves until stdin closes (or a `stop` line arrives). A `reoptimize`
-//! line on stdin triggers a scheduled re-optimization. On shutdown a
-//! final JSON summary line is printed.
+//! line on stdin re-optimizes in dependency-ordered waves, each streamed
+//! to every switch behind a barrier; a pass that fails is rolled back
+//! whole. On shutdown a final JSON summary line is printed.
 //!
 //! The exchange is the paper's four-participant topology (AS 65001..
 //! 65004, B with two ports), policy-free with an empty RIB: routes
@@ -46,7 +47,10 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!("usage: sdxd [--hold <s>] [--tick-ms <ms>] [--coalesce <n>]");
-                eprintln!("stdin: `reoptimize` triggers a scheduled update; `stop`/EOF shuts down");
+                eprintln!(
+                    "stdin: `reoptimize` re-optimizes in ordered waves, all or nothing; \
+                     `stop`/EOF shuts down"
+                );
                 return;
             }
             other => {

@@ -12,11 +12,10 @@
 //! `ACK_TIMEOUT` (10 s), so a dead or stalled agent fails the channel
 //! in bounded time.
 //!
-//! [`ChannelSink`] adapts a fleet of channels to the scheduler's
-//! [`WaveSink`]: a wave is sent to *every* channel before any barrier
-//! is taken, so the *switches apply concurrently* while the per-wave
-//! barrier (all acks in) is still enforced before the next wave —
-//! exactly the PR 6 safety argument, now across sockets.
+//! The daemon fans a recompile's waves out over its fleet of channels: a
+//! wave is sent to *every* channel before any barrier is taken, so the
+//! *switches apply concurrently* while the per-wave barrier (all acks in)
+//! is still enforced before the next wave.
 //!
 //! The in-repo simulated agent ([`spawn_agent`]) is the other end:
 //! it wraps [`Fabric::apply_flowmods`] behind the same wire format a
@@ -28,7 +27,6 @@ use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use sdx_core::WaveSink;
 use sdx_openflow::flowmod::FlowModBatch;
 use sdx_openflow::Fabric;
 use sdx_telemetry::SharedRegistry;
@@ -180,49 +178,6 @@ impl FlowChannel {
     /// Every frame was written when its send returned.
     pub fn close(self) {
         let _ = self.socket.get_ref().shutdown(Shutdown::Both);
-    }
-}
-
-/// Adapts the channel fleet to the scheduler's per-wave contract: send
-/// to every switch, then barrier every switch. See the module docs.
-pub struct ChannelSink<'a> {
-    channels: &'a mut Vec<FlowChannel>,
-    reg: SharedRegistry,
-}
-
-impl<'a> ChannelSink<'a> {
-    /// A sink over `channels`, instrumenting into `reg`.
-    pub fn new(channels: &'a mut Vec<FlowChannel>, reg: SharedRegistry) -> Self {
-        ChannelSink { channels, reg }
-    }
-}
-
-impl WaveSink for ChannelSink<'_> {
-    fn apply_wave(
-        &mut self,
-        wave: usize,
-        total: usize,
-        batch: &FlowModBatch,
-    ) -> Result<(), String> {
-        // Send everywhere first: all switches work on the wave
-        // concurrently...
-        for ch in self.channels.iter_mut() {
-            ch.send_batch(batch)
-                .map_err(|e| format!("wave {wave}/{total}: {e}"))?;
-        }
-        // ...then take every barrier, draining acks even after a
-        // failure so the fleet state stays accounted for.
-        let mut first_err: Option<String> = None;
-        for ch in self.channels.iter_mut() {
-            if let Err(e) = ch.barrier() {
-                first_err.get_or_insert(format!("wave {wave}/{total}: {e}"));
-            }
-        }
-        self.reg.inc("daemon.waves_streamed.count");
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
     }
 }
 
@@ -495,35 +450,5 @@ mod tests {
         let table = fabric.switch.table();
         assert_eq!(table.len(), 1);
         assert_eq!(table.entries()[0].priority, 50);
-    }
-
-    #[test]
-    fn channel_sink_fans_a_wave_to_every_agent() {
-        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-        let addr = listener.local_addr().expect("addr");
-        let agents: Vec<AgentHandle> = (0..3)
-            .map(|_| spawn_agent(addr).expect("connect"))
-            .collect();
-        let mut channels: Vec<FlowChannel> = (0..3)
-            .map(|i| {
-                let (stream, _) = listener.accept().expect("accept");
-                FlowChannel::new(i, stream, 4, reg()).expect("channel")
-            })
-            .collect();
-        let mut b = FlowModBatch::new(1);
-        b.push(add(10, 80));
-        let r = reg();
-        let mut sink = ChannelSink::new(&mut channels, r.clone());
-        sink.apply_wave(0, 1, &b).expect("wave applies everywhere");
-        for ch in channels {
-            ch.close();
-        }
-        for agent in agents {
-            assert_eq!(agent.join().switch.table().len(), 1);
-        }
-        assert_eq!(
-            r.snapshot().counters.get("daemon.waves_streamed.count"),
-            Some(&1)
-        );
     }
 }

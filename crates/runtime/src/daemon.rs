@@ -10,10 +10,11 @@
 //!   resets ([`Supervisor`], generalized from timer-driven to
 //!   socket-liveness-driven via `connection_up` / `peer_disconnected`).
 //! * **OpenFlow** — switch agents connect and receive the controller's
-//!   [`FlowModBatch`](sdx_openflow::flowmod::FlowModBatch) stream over
-//!   per-switch channels with a bound on unacked frames
-//!   ([`crate::channel`]); scheduled updates fan out wave-by-wave with
-//!   the PR 6 per-wave barrier held across the whole fleet.
+//!   [`FlowModBatch`] stream over per-switch channels with a bound on
+//!   unacked frames ([`crate::channel`]). A recompile fans out wave by
+//!   wave through the controller's per-wave commit hook, its barrier held
+//!   across the whole fleet; a recompile that fails is rolled back, and
+//!   every agent is resynced to the driving table.
 //! * **Telemetry** — any connection receives one JSON dump of the
 //!   metrics registry + journal and is closed: `nc host port | jq`.
 //! * **Policy** — participants push JSON-line policy frames (DSL
@@ -66,13 +67,12 @@ use sdx_bgp::msg::BgpMessage;
 use sdx_bgp::wire::{self, StreamDecoder};
 use sdx_bgp::{Clock, OpenMessage, Supervisor, SupervisorConfig, SupervisorOutput, SystemClock};
 use sdx_core::reconcile::DELTA_BASE;
-use sdx_core::schedule::drive_fanout;
-use sdx_core::{ScheduleOpts, SdxController};
+use sdx_core::{SdxController, SdxError, Waves};
 use sdx_net::{Asn, ParticipantId, Prefix, RouterId};
-use sdx_openflow::Fabric;
+use sdx_openflow::{Fabric, FlowModBatch};
 use sdx_telemetry::{Counter, Event, SharedRegistry};
 
-use crate::channel::{ChannelSink, FlowChannel};
+use crate::channel::FlowChannel;
 use crate::codec;
 
 /// Tuning knobs for a daemon instance, one `sdxd` flag each.
@@ -150,9 +150,10 @@ impl DaemonHandle {
         &self.reg
     }
 
-    /// Asks the event loop to run a scheduled re-optimization: overlay
-    /// retirement and dependency-ordered waves are streamed to every
-    /// connected switch with per-wave fleet barriers.
+    /// Asks the event loop to run a re-optimization in dependency-ordered
+    /// waves: each wave is streamed to every connected switch behind a
+    /// fleet barrier, and a pass that fails is rolled back and every
+    /// switch resynced to the driving table.
     pub fn reoptimize(&self) {
         let _ = self.tx.send(Input::Reoptimize);
     }
@@ -314,16 +315,6 @@ enum Input {
     },
     Reoptimize,
     Stop,
-}
-
-/// How a recompile pass pushes its patch, decided by what triggered it.
-enum Waves {
-    /// The whole patch under one barrier — a burst or policy push, where
-    /// the wait for the switches is the participant's latency.
-    Atomic,
-    /// Dependency-ordered waves with a barrier each — an operator
-    /// re-optimization, where no intermediate table may misroute.
-    Ordered,
 }
 
 /// The accept loop all four listeners share. It blocks in `accept` and
@@ -1008,12 +999,13 @@ impl EventLoop {
     }
 
     /// The one recompile pass, for a coalesced burst that staged policy
-    /// and for an operator re-optimization alike: stage through the
-    /// controller, retire the overlays on the agents, push the patch
-    /// through the local fabric *and* the channel fleet with a barrier
-    /// per wave, then retire the stale control-plane state — or, if the
-    /// push stalled, put every agent back on the driving fabric's table.
-    /// `waves` is the callers' only difference.
+    /// and for an operator re-optimization alike: prepare it through the
+    /// controller, retire the overlays on the agents, and commit, the
+    /// commit hook fanning each wave out to the channel fleet behind a
+    /// barrier. A lost channel is dropped and the pass goes on; the pass
+    /// fails only when the commit does, and then the driving fabric is
+    /// rolled back and every agent put back on its table. `waves` is the
+    /// callers' only difference.
     fn recompile(&mut self, waves: Waves, arrivals: Vec<Instant>) {
         let had_overlays = self
             .fabric
@@ -1022,8 +1014,7 @@ impl EventLoop {
             .entries()
             .first()
             .is_some_and(|e| e.priority >= DELTA_BASE);
-        let t0 = Instant::now();
-        let mut prepared = match self.ctl.prepare_scheduled(&mut self.fabric) {
+        let prepared = match self.ctl.prepare(&mut self.fabric, waves) {
             Ok(p) => p,
             Err(_) => {
                 // Rolled back to the pre-call state, batch log included;
@@ -1033,9 +1024,6 @@ impl EventLoop {
                 return;
             }
         };
-        if let Waves::Atomic = waves {
-            prepared.plan.collapse();
-        }
         // From here on the agents are brought to this update's table.
         self.last_epoch = prepared.plan.epoch;
         // Staging retired every fast-path overlay from the local table,
@@ -1043,33 +1031,21 @@ impl EventLoop {
         // take the same step as a sync frame of the post-retirement table
         // — identical end state, and O(base) instead of one delete per
         // retired overlay rule, which matters after a long burst run.
-        let retired_everywhere = !had_overlays || self.sync_agents();
-        let mut sink = ChannelSink::new(&mut self.channels, self.reg.clone());
-        let outcome = drive_fanout(
-            &prepared.plan,
-            &mut self.fabric,
-            &mut self.ctl.faults,
-            &self.reg,
-            &ScheduleOpts::default(),
-            None,
-            Some(&mut sink),
-        );
-        // The sink already carried every wave; the local batch log is a
-        // duplicate of what was streamed.
-        let streamed = self.fabric.drain_batches().len() as u64;
-        self.batches_streamed += streamed;
-        self.reg.add("daemon.batches_streamed.count", streamed);
+        if had_overlays {
+            self.sync_agents();
+        }
+        let (channels, reg, streamed) = (&mut self.channels, &self.reg, &mut self.batches_streamed);
+        let mut hook = |_: &SdxController, _: &Fabric, wave: usize, batch: &FlowModBatch| {
+            *streamed += 1;
+            reg.inc("daemon.batches_streamed.count");
+            fan_out(channels, reg, wave, batch)
+        };
+        let outcome = self.ctl.commit(&mut self.fabric, prepared, Some(&mut hook));
+        // The hook carried every wave; the local batch log duplicates it.
+        self.fabric.drain_batches();
         match outcome {
-            Ok(_report) if retired_everywhere => {
-                self.ctl
-                    .finish_scheduled(&mut self.fabric, prepared, t0.elapsed());
-                self.observe_flushed(arrivals);
-            }
-            _ => {
-                // Parked mid-update (retry exhaustion) or a channel
-                // failed its wave: agents may be ahead of, or split from,
-                // the driving fabric — put them back on its table,
-                // whatever state that is.
+            Ok(_) => self.observe_flushed(arrivals),
+            Err(_) => {
                 self.reg.inc("daemon.reoptimize_failed.count");
                 self.reg.inc("daemon.resync.count");
                 self.sync_agents();
@@ -1098,6 +1074,31 @@ impl EventLoop {
         // Every queued frame reaches its barrier before we exit.
         self.barrier_all(Vec::new());
     }
+}
+
+/// Sends wave `wave` to every switch channel, then takes every barrier:
+/// the switches apply it concurrently, and none is sent the next wave
+/// before all have acked this one. The barriers are drained even after a
+/// failure, so the fleet stays accounted for; the first failure is
+/// returned.
+fn fan_out(
+    channels: &mut [FlowChannel],
+    reg: &SharedRegistry,
+    wave: usize,
+    batch: &FlowModBatch,
+) -> Result<(), SdxError> {
+    let failed = |e: String| SdxError::InvalidCommit(format!("wave {wave} failed to fan out: {e}"));
+    for ch in channels.iter_mut() {
+        ch.send_batch(batch).map_err(failed)?;
+    }
+    let mut first_err = None;
+    for ch in channels.iter_mut() {
+        if let Err(e) = ch.barrier() {
+            first_err.get_or_insert(e);
+        }
+    }
+    reg.inc("daemon.waves_streamed.count");
+    first_err.map_or(Ok(()), |e| Err(failed(e)))
 }
 
 /// A wire-level loopback BGP peer for tests and load generators: runs
@@ -1168,5 +1169,44 @@ impl TestPeer {
     /// supervisor flap-accounts it).
     pub fn drop_connection(self) {
         let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::channel::{spawn_agent, AgentHandle};
+    use sdx_net::{FieldMatch, HeaderMatch};
+    use sdx_openflow::flowmod::FlowMod;
+    use sdx_openflow::table::FlowEntry;
+
+    #[test]
+    fn fan_out_sends_a_wave_to_every_agent() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr");
+        let agents: Vec<AgentHandle> = (0..3)
+            .map(|_| spawn_agent(addr).expect("connect"))
+            .collect();
+        let reg = SharedRegistry::new();
+        let mut channels: Vec<FlowChannel> = (0..3)
+            .map(|i| {
+                let (stream, _) = listener.accept().expect("accept");
+                FlowChannel::new(i, stream, 4, reg.clone()).expect("channel")
+            })
+            .collect();
+        let mut b = FlowModBatch::new(1);
+        b.push(FlowMod::Add(FlowEntry::new(
+            10,
+            HeaderMatch::of(FieldMatch::TpDst(80)),
+            vec![vec![]],
+        )));
+        fan_out(&mut channels, &reg, 0, &b).expect("wave applies everywhere");
+        for ch in channels {
+            ch.close();
+        }
+        for agent in agents {
+            assert_eq!(agent.join().switch.table().len(), 1);
+        }
+        assert_eq!(reg.counter("daemon.waves_streamed.count").get(), 1);
     }
 }

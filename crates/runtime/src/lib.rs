@@ -10,13 +10,12 @@
 //!   `sdx_bgp::wire` over arbitrary TCP segmentation, socket-liveness
 //!   session supervision (keepalives, hold timers, flap damping on TCP
 //!   resets), burst coalescing of pending recompiles, acked policy
-//!   frames, the scheduled update path fanned out over switch channels,
+//!   frames, every recompile's waves fanned out over switch channels,
 //!   graceful drain on shutdown, and a telemetry endpoint serving the
 //!   registry + journal as JSON.
 //! * [`channel`] — per-switch OpenFlow channels: a bound on unacked
-//!   frames as explicit backpressure, ack barriers, the [`ChannelSink`]
-//!   adapter that holds the PR 6 per-wave barrier across the whole
-//!   fleet, and the in-repo simulated switch agent.
+//!   frames as explicit backpressure, ack barriers, and the in-repo
+//!   simulated switch agent.
 //! * [`codec`] — the JSON-lines wire format for the typed flow-mod
 //!   protocol, shared verbatim by daemon and agent.
 //!
@@ -32,6 +31,6 @@ pub mod channel;
 pub mod codec;
 pub mod daemon;
 
-pub use channel::{spawn_agent, AgentHandle, ChannelSink, FlowChannel};
+pub use channel::{spawn_agent, AgentHandle, FlowChannel};
 pub use codec::{ChannelFrame, CodecError};
 pub use daemon::{start, start_with_clock, DaemonConfig, DaemonHandle, DaemonReport, TestPeer};

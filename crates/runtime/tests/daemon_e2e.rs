@@ -1048,6 +1048,79 @@ fn wave_rejecting_agent(addr: SocketAddr) -> JoinHandle<(FlowTable, u32, bool)> 
     )
 }
 
+/// A switch agent that applies nothing and acks every frame until it is
+/// sent its second sync frame — after the connect image, the overlay
+/// retirement of a recompile — and hangs up on that one instead.
+fn hangs_up_on_the_retirement_sync(addr: SocketAddr) -> JoinHandle<()> {
+    std::thread::spawn(move || {
+        let stream = TcpStream::connect(addr).expect("connect");
+        let read = stream.try_clone().expect("clone");
+        let mut w = BufWriter::new(stream);
+        let mut syncs = 0;
+        for line in BufReader::new(read).lines() {
+            let Ok(line) = line else { break };
+            let frame = codec::decode_frame(&line).expect("frame");
+            if let codec::ChannelFrame::Sync { .. } = frame {
+                syncs += 1;
+                if syncs == 2 {
+                    return;
+                }
+            }
+            let ack = codec::encode_ack(frame.seq(), Ok(()));
+            if writeln!(w, "{ack}").is_err() || w.flush().is_err() {
+                break;
+            }
+        }
+    })
+}
+
+#[test]
+fn a_channel_lost_on_the_retirement_sync_is_dropped_and_the_pass_completes() {
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
+    let reg = handle.telemetry().clone();
+    let agent = hangs_up_on_the_retirement_sync(handle.openflow_addr);
+    wait_counter(&reg, "daemon.switch_connected.count", 1);
+
+    // A policy-affected prefix from B lays overlays for the
+    // re-optimization to retire, and a fast-path VNH for it to unbind.
+    let b = ParticipantConfig::new(2, 65002, 2);
+    let update = b.announce([prefix("60.0.0.0/8")], &[65002, 300]);
+    let mut peer = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer");
+    peer.send(&BgpMessage::Update(update.clone()))
+        .expect("send");
+    wait_until("the update's flow-mods acked", || {
+        reg.histogram("daemon.update_to_flowmod_us").count() == 1
+    });
+    assert!(
+        reg.gauge("controller.delta_layers").get() > 0,
+        "fixture: the update must leave overlays to retire"
+    );
+    handle.reoptimize();
+    let report = handle.stop();
+    agent.join().expect("agent thread");
+
+    assert_eq!(counter(&reg, "daemon.channel_lost.count"), 1);
+    assert_eq!(counter(&reg, "daemon.reoptimize_failed.count"), 0);
+    let kinds = reg.journal().kinds();
+    let completed = kinds.iter().filter(|&&k| k == "reoptimize_completed");
+    assert_eq!(
+        completed.count(),
+        2,
+        "the deploy's and the pass's: {kinds:?}"
+    );
+
+    // The pass retired what an in-process twin given the same inputs
+    // retires: the fast-path VNH is unbound.
+    let mut twin = figure1_controller();
+    let mut twin_fabric = twin.deploy().expect("deploy");
+    twin.process_update(pid(2), &update, &mut twin_fabric)
+        .expect("fast path");
+    twin.reoptimize(&mut twin_fabric).expect("reoptimize");
+    assert_eq!(report.fabric.arp, twin_fabric.arp);
+    assert_eq!(report.fabric.switch.table(), twin_fabric.switch.table());
+    assert_eq!(report.ctl.delta_layers(), 0);
+}
+
 #[test]
 fn rejected_wave_resyncs_the_agent_and_the_next_update_succeeds() {
     let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
@@ -1075,7 +1148,7 @@ fn rejected_wave_resyncs_the_agent_and_the_next_update_succeeds() {
 
     assert!(counter(&reg, "daemon.reoptimize_failed.count") >= 1);
     assert!(counter(&reg, "daemon.resync.count") >= 1);
-    assert!(counter(&reg, "schedule.fanout_failed.count") >= 1);
+    assert!(counter(&reg, "schedule.refused.count") >= 1);
     assert_eq!(
         &agent_table,
         report.fabric.switch.table(),
@@ -1144,9 +1217,10 @@ fn a_rolled_back_fast_path_pass_is_never_streamed() {
 #[test]
 fn graceful_shutdown_drains_through_injected_faults() {
     let mut ctl = figure1_controller();
-    // Every wave's first apply attempt fails; the scheduler's retry
-    // budget absorbs it.
-    ctl.faults = FaultPlan::seeded(11).fail_nth(InjectionPoint::FlowModApply { wave: 0 }, 1);
+    // The first wave's first apply attempt fails; the scheduler's retry
+    // budget absorbs it. The deploy inside `daemon::start` crosses the
+    // point first, so the re-optimization's is the second crossing.
+    ctl.faults = FaultPlan::seeded(11).fail_nth(InjectionPoint::FlowModApply { wave: 0 }, 2);
     let handle = daemon::start(ctl, DaemonConfig::default()).expect("start");
     let reg = handle.telemetry().clone();
     let agent = spawn_agent(handle.openflow_addr).expect("agent");
@@ -1176,7 +1250,10 @@ fn graceful_shutdown_drains_through_injected_faults() {
     let started = kind_pos("daemon_started").expect("daemon_started");
     let established = kind_pos("session_established").expect("session_established");
     let injected = kind_pos("fault_injected").expect("fault_injected");
-    let wave = kind_pos("update_wave_applied").expect("update_wave_applied");
+    // The deploy's own wave precedes `daemon_started`: take the last one.
+    let wave = (events.iter())
+        .rposition(|e| e.event.kind() == "update_wave_applied")
+        .expect("update_wave_applied");
     let stopped = kind_pos("daemon_stopped").expect("daemon_stopped");
     assert!(
         started < established && established < injected,

@@ -67,15 +67,15 @@ pub enum Event {
         /// Attempts spent on the wave (1 = no retries).
         attempts: u32,
     },
-    /// A scheduled fabric update was abandoned mid-flight: a wave
-    /// exhausted its retry budget and the remaining waves were skipped,
-    /// leaving the fabric parked in the last verified-safe state.
+    /// A fabric update was abandoned mid-flight: a wave exhausted its
+    /// retry budget, the remaining waves were skipped, and the waves that
+    /// had landed were rolled back.
     UpdateAborted {
         /// The controller commit epoch of the update.
         epoch: u64,
         /// Zero-based index of the wave that kept failing.
         wave: usize,
-        /// Waves committed before the abort.
+        /// Waves that had landed before the abort, all rolled back.
         applied: usize,
         /// Total waves the schedule had.
         total: usize,

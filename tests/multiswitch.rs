@@ -5,8 +5,12 @@
 use sdx::bgp::route_server::ExportPolicy;
 use sdx::core::controller::SdxController;
 use sdx::core::participant::ParticipantConfig;
+use sdx::core::schedule::Waves;
+use sdx::core::SdxError;
 use sdx::net::{ip, prefix, FieldMatch, Packet, ParticipantId, PortId};
 use sdx::openflow::border_router::BorderRouter;
+use sdx::openflow::fabric::Fabric;
+use sdx::openflow::flowmod::{FlowMod, FlowModBatch};
 use sdx::openflow::multiswitch::{MultiFabric, SwitchId};
 use sdx::policy::Policy as P;
 
@@ -115,4 +119,90 @@ fn rule_state_replicates_per_switch() {
         .len();
     assert_eq!(single.switch.table().len(), logical);
     assert_eq!(multi.total_rules(), 2 * logical);
+}
+
+/// A re-optimization with two or more waves: C's policy now sends its
+/// web traffic to A, and B's inbound split is retracted.
+fn restructure(ctl: &mut SdxController) {
+    ctl.set_outbound(
+        pid(3),
+        Some(P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(1)))),
+    );
+    ctl.set_inbound(pid(2), None);
+}
+
+/// Two switches, each holding the driving fabric's table entry for entry.
+fn mirrored(single: &Fabric) -> MultiFabric {
+    let mut multi = MultiFabric::new();
+    multi.add_switch(SwitchId(0));
+    multi.add_switch(SwitchId(1));
+    let mut image = FlowModBatch::new(0);
+    for e in single.switch.table().entries() {
+        image.push(FlowMod::Add(e.clone()));
+    }
+    multi.apply_flowmods(&image).expect("the image applies");
+    multi
+}
+
+#[test]
+fn a_commit_hook_lands_every_wave_on_every_switch() {
+    let (mut ctl, mut single, _) = dual_deployment();
+    let mut multi = mirrored(&single);
+    restructure(&mut ctl);
+    let prepared = ctl.prepare(&mut single, Waves::Ordered).expect("prepare");
+    assert!(prepared.plan.wave_count() >= 2, "fixture: several waves");
+    // The hook's return is the per-wave barrier: every switch holds wave
+    // n before any is sent wave n + 1.
+    let mut fan_out = |_: &SdxController, driving: &Fabric, _: usize, wave: &FlowModBatch| {
+        multi
+            .apply_flowmods(wave)
+            .map_err(|e| SdxError::InvalidCommit(e.to_string()))?;
+        for id in multi.switch_ids() {
+            assert_eq!(multi.table_of(id), Some(driving.switch.table()));
+        }
+        Ok(())
+    };
+    let report = ctl
+        .commit(&mut single, prepared, Some(&mut fan_out))
+        .expect("every wave lands everywhere");
+    assert_eq!(report.applied.len(), report.total_waves);
+    let logical = single.switch.table().len();
+    assert_eq!(multi.total_rules(), 2 * logical);
+}
+
+#[test]
+fn a_hook_failing_at_wave_one_leaves_the_driving_fabric_as_it_was() {
+    let (mut ctl, mut single, _) = dual_deployment();
+    let mut multi = mirrored(&single);
+    restructure(&mut ctl);
+    let before = single.clone();
+    let prepared = ctl.prepare(&mut single, Waves::Ordered).expect("prepare");
+    assert!(prepared.plan.wave_count() >= 2, "fixture: several waves");
+    let mut fan_out = |_: &SdxController, _: &Fabric, wave: usize, batch: &FlowModBatch| {
+        if wave == 1 {
+            return Err(SdxError::InvalidCommit("switch 1 unreachable".into()));
+        }
+        multi
+            .apply_flowmods(batch)
+            .map(|_| ())
+            .map_err(|e| SdxError::InvalidCommit(e.to_string()))
+    };
+    let err = ctl
+        .commit(&mut single, prepared, Some(&mut fan_out))
+        .expect_err("wave 1 cannot fan out");
+    assert_eq!(err, SdxError::InvalidCommit("switch 1 unreachable".into()));
+    assert_eq!(
+        single, before,
+        "the driving fabric is back on its pre-drive state"
+    );
+    assert_eq!(
+        single.switch.table().len(),
+        ctl.report
+            .as_ref()
+            .expect("compiled")
+            .classifier
+            .rules()
+            .len(),
+        "and the controller on its pre-drive report"
+    );
 }
