@@ -610,9 +610,11 @@ fn land(
                 }
             }
         }
-        let (_, undo) = fabric.apply_flowmods_undoable(wave).map_err(|e| {
-            SdxError::InvalidCommit(format!("scheduled wave {i} rejected by the switch: {e}"))
-        })?;
+        let (_, undo) = telemetry
+            .time("flowtable.apply", || fabric.apply_flowmods_undoable(wave))
+            .map_err(|e| {
+                SdxError::InvalidCommit(format!("scheduled wave {i} rejected by the switch: {e}"))
+            })?;
         landed.push(undo);
         if let Some(ref mut check) = checker {
             if let Err(counterexample) = check(fabric, i) {

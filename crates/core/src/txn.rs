@@ -24,6 +24,7 @@
 //! * every ARP binding resolves to a well-formed VMAC carrying its FEC id.
 
 use std::collections::BTreeSet;
+use std::time::Instant;
 
 use sdx_bgp::attrs::PathAttributes;
 use sdx_bgp::rib::AdjRibOuts;
@@ -110,14 +111,19 @@ impl UndoLog {
         }
     }
 
-    /// [`Fabric::apply_flowmods`]: the batch's own undo journal and its
-    /// place in the batch log are what is kept.
+    /// [`Fabric::apply_flowmods`], timed as `flowtable.apply`: the batch's
+    /// own undo journal and its place in the batch log are what is kept.
     pub fn apply_flowmods(
         &mut self,
         fabric: &mut Fabric,
         batch: &FlowModBatch,
     ) -> Result<BatchStats, FlowModError> {
-        let (stats, undo) = fabric.apply_flowmods_undoable(batch)?;
+        let t0 = Instant::now();
+        let applied = fabric.apply_flowmods_undoable(batch);
+        fabric
+            .telemetry()
+            .observe_duration("flowtable.apply", t0.elapsed());
+        let (stats, undo) = applied?;
         self.push(Undo::Batch(undo));
         Ok(stats)
     }

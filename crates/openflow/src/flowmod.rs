@@ -5,7 +5,7 @@
 //! OpenFlow `FLOW_MOD` triple of `ADD` / `MODIFY` / `DELETE` — stamped
 //! with the commit epoch that produced it. Batches are applied
 //! **atomically**, in place under an undo journal: a rejected batch is
-//! rolled back mod by mod and leaves the table exactly as it was (the
+//! rolled back run by run and leaves the table exactly as it was (the
 //! transactional guarantee `core::txn` builds on).
 //!
 //! This is what makes re-optimization churn proportional to *change*
@@ -15,9 +15,12 @@
 //! tests bound.
 
 use core::fmt;
+use std::collections::HashSet;
+use std::hash::BuildHasherDefault;
 
 use sdx_net::{HeaderMatch, MacAddr, Mod};
 
+use crate::matcher::FnvHasher;
 use crate::table::{FlowEntry, FlowTable};
 
 /// One typed table modification.
@@ -178,64 +181,131 @@ impl fmt::Display for FlowModError {
     }
 }
 
-/// Collects the VMAC tags (FEC ids) `buckets` writes into `dl_dst` on
-/// packets that do not leave at a physical port — such packets re-enter
-/// the classifier and *reference* the tag's handler rule.
-fn referenced_tags(buckets: &[Vec<Mod>], out: &mut Vec<u32>) {
+/// Calls `tag` with each VMAC tag (FEC id) `buckets` writes into `dl_dst`
+/// on packets that do not leave at a physical port — such packets
+/// re-enter the classifier and *reference* the tag's handler rule.
+fn referenced_tags(buckets: &[Vec<Mod>], mut tag: impl FnMut(u32)) {
     for bucket in buckets {
-        let mut tag = None;
+        let mut written = None;
         let mut physical_exit = false;
         for m in bucket {
             match m {
-                Mod::SetDlDst(mac) => tag = mac.fec_id(),
+                Mod::SetDlDst(mac) => written = mac.fec_id(),
                 Mod::SetLoc(p) => physical_exit = p.is_physical(),
                 _ => {}
             }
         }
-        if let Some(v) = tag {
-            if !physical_exit && !out.contains(&v) {
-                out.push(v);
-            }
+        if let (Some(v), false) = (written, physical_exit) {
+            tag(v);
         }
     }
 }
 
-/// One step of [`FlowTable::apply_batch`]'s undo journal: what it takes
-/// to reverse a mod that already landed in the table.
+/// A set of VMAC tags, hashed with FNV: tags are small integers the
+/// controller assigned.
+type TagSet = HashSet<u32, BuildHasherDefault<FnvHasher>>;
+
+/// One record of [`FlowTable::apply_batch`]'s undo journal: what it takes
+/// to reverse a run, or a modify, that already landed in the table.
 #[derive(Debug)]
 enum Undo {
-    /// An `Add` was merged in at (priority, pattern).
-    Added { priority: u32, pattern: HeaderMatch },
+    /// A run of `n` adds landed at the last `n` journaled positions (as
+    /// they are after the run).
+    Added(usize),
+    /// A run of `n` deletes took the last `n` journaled entries from the
+    /// last `n` journaled positions (as they were before the run).
+    Deleted(usize),
     /// A `Modify` replaced these buckets and this cookie at `pos`.
     Modified {
         pos: usize,
         buckets: Vec<Vec<Mod>>,
         cookie: u64,
     },
-    /// A `Delete` removed `entry` from `pos`.
-    Deleted { pos: usize, entry: FlowEntry },
 }
 
 /// What it takes to reverse one applied batch: the table's epoch before
-/// it and the previous value each mod displaced, in application order.
+/// it, one record per landed run or modify in landing order, and, run
+/// after run, the positions the runs landed at and the entries the
+/// deletes displaced (in table order, counters included).
 /// [`FlowTable::undo_batch`] replays it; it is valid as long as every
 /// table mutation made after the batch has itself been undone.
 #[derive(Debug)]
 pub struct BatchUndo {
     epoch: u64,
     journal: Vec<Undo>,
+    positions: Vec<usize>,
+    removed: Vec<FlowEntry>,
+}
+
+/// Past this many pending deletes, telling whether a position is one of
+/// them reads a bitmap instead of scanning the run.
+const SCANNED_DELETES: usize = 16;
+
+/// What a batch carries while its mods are validated: the runs not yet
+/// in the table — adds of descending priority, and deletes by table
+/// position, which land together, deletes first, each in one pass — and
+/// the handlers it deletes, for the dangling-target check.
+#[derive(Default)]
+struct Staging {
+    /// The adds, each with the end of its priority band in the table it
+    /// was validated against.
+    adds: Vec<(FlowEntry, usize)>,
+    /// The deletes' positions, in arrival order, are the journal's
+    /// positions from this index on.
+    deletes_from: usize,
+    /// The same positions as a bitmap, kept once there are more than
+    /// [`SCANNED_DELETES`] of them; empty until then.
+    marked: Vec<u64>,
+    /// The tags whose handlers the batch deletes, in order, repeats and
+    /// all.
+    removed_handlers: Vec<u32>,
+}
+
+impl Staging {
+    /// True if a pending delete targets `pos`: the entry there is as good
+    /// as gone.
+    fn deletes(&self, pos: usize, undo: &BatchUndo) -> bool {
+        if self.marked.is_empty() {
+            undo.positions[self.deletes_from..].contains(&pos)
+        } else {
+            self.marked
+                .get(pos / 64)
+                .is_some_and(|w| w >> (pos % 64) & 1 == 1)
+        }
+    }
+
+    fn delete(&mut self, pos: usize, undo: &mut BatchUndo) {
+        undo.positions.push(pos);
+        let run = &undo.positions[self.deletes_from..];
+        if !self.marked.is_empty() {
+            mark(&mut self.marked, pos);
+        } else if run.len() > SCANNED_DELETES {
+            for &p in run {
+                mark(&mut self.marked, p);
+            }
+        }
+    }
+}
+
+fn mark(bits: &mut Vec<u64>, pos: usize) {
+    if bits.len() <= pos / 64 {
+        bits.resize(pos / 64 + 1, 0);
+    }
+    bits[pos / 64] |= 1 << (pos % 64);
 }
 
 impl FlowTable {
     /// Applies a batch atomically and **in place**: each mod is validated
-    /// against the table as the mods before it left it and lands at once,
-    /// journaled; if a later mod (or the dangling-target check) rejects
-    /// the batch, the journal is replayed backwards and the table —
-    /// entries, counters, cookie index, matcher and epoch — is exactly as
-    /// it was. The cost follows the batch, not the table: nothing is
-    /// cloned, and a batch's adds are merged into the priority order in
-    /// one pass. `Modify` preserves the target's traffic counters. On
-    /// success the epoch advances by one per mod.
+    /// against the table as the mods before it left it, and lands with
+    /// the run it belongs to, journaled; if a later mod (or the
+    /// dangling-target check) rejects the batch, the journal is replayed
+    /// backwards and the table — entries, counters, cookie index, matcher
+    /// and epoch — is exactly as it was. The cost follows the batch, not
+    /// the table: nothing is cloned, a run of deletes or of adds lands in
+    /// one pass that moves the shorter side of the table, and a run at
+    /// the table's head moves only itself. `Modify` preserves the
+    /// target's traffic counters. On success the epoch advances by one
+    /// per mod.
     pub fn apply_batch(&mut self, batch: &FlowModBatch) -> Result<BatchStats, FlowModError> {
         self.apply_batch_undoable(batch).map(|(stats, _)| stats)
     }
@@ -247,11 +317,16 @@ impl FlowTable {
         &mut self,
         batch: &FlowModBatch,
     ) -> Result<(BatchStats, BatchUndo), FlowModError> {
+        // Sized once: a batch's runs journal one position per add or
+        // delete, one entry per delete, and most batches are two runs.
+        let kinds = batch.stats();
         let mut undo = BatchUndo {
             epoch: self.epoch(),
-            journal: Vec::with_capacity(batch.len()),
+            journal: Vec::with_capacity(kinds.modifies + 2),
+            positions: Vec::with_capacity(kinds.adds + kinds.deletes),
+            removed: Vec::with_capacity(kinds.deletes),
         };
-        match self.apply_journaled(batch, &mut undo.journal) {
+        match self.apply_journaled(batch, &mut undo) {
             Ok(stats) => {
                 self.set_epoch(undo.epoch + batch.len() as u64);
                 Ok((stats, undo))
@@ -263,16 +338,28 @@ impl FlowTable {
         }
     }
 
-    /// Replays a batch's journal backwards: entries, counters, band order,
-    /// cookie index, matcher and epoch are as they were before the batch.
+    /// Replays a batch's journal backwards, one pass per run: entries,
+    /// counters, band order, cookie index, matcher and epoch are as they
+    /// were before the batch.
     pub fn undo_batch(&mut self, undo: BatchUndo) {
-        for step in undo.journal.into_iter().rev() {
+        let BatchUndo {
+            epoch,
+            journal,
+            mut positions,
+            mut removed,
+        } = undo;
+        for step in journal.into_iter().rev() {
             match step {
-                Undo::Added { priority, pattern } => {
-                    let pos = self
-                        .position_of(priority, &pattern)
-                        .expect("journaled add is in the table");
-                    self.remove_at(pos);
+                Undo::Added(n) => {
+                    let at = positions.len() - n;
+                    self.remove_run(&positions[at..], drop);
+                    positions.truncate(at);
+                }
+                Undo::Deleted(n) => {
+                    let at = positions.len() - n;
+                    let from = removed.len() - n;
+                    self.insert_run(removed.drain(from..), &positions[at..]);
+                    positions.truncate(at);
                 }
                 Undo::Modified {
                     pos,
@@ -281,36 +368,57 @@ impl FlowTable {
                 } => {
                     self.replace_at(pos, buckets, cookie);
                 }
-                Undo::Deleted { pos, entry } => self.insert_at(pos, entry),
             }
         }
-        self.set_epoch(undo.epoch);
+        self.set_epoch(epoch);
     }
 
-    /// Merges the adds collected so far into the table, journaling them.
-    fn land_adds(&mut self, adds: &mut Vec<FlowEntry>, journal: &mut Vec<Undo>) {
-        journal.extend(adds.iter().map(|e| Undo::Added {
-            priority: e.priority,
-            pattern: e.pattern,
-        }));
-        self.merge_adds(std::mem::take(adds));
+    /// Lands the pending runs, deletes first, journaling one record each.
+    fn land(&mut self, staging: &mut Staging, undo: &mut BatchUndo) {
+        let deletes = &mut undo.positions[staging.deletes_from..];
+        if !deletes.is_empty() {
+            deletes.sort_unstable();
+            self.remove_run(deletes, |e| undo.removed.push(e));
+            undo.journal.push(Undo::Deleted(deletes.len()));
+            staging.marked.clear();
+        }
+        if !staging.adds.is_empty() {
+            // Each add lands after every entry of its priority or higher
+            // — its band's end, less the deletes that just landed in front
+            // of it — and after the adds before it in the run.
+            let start = undo.positions.len();
+            let mut gone = staging.deletes_from;
+            for (j, &(_, band_end)) in staging.adds.iter().enumerate() {
+                while gone < start && undo.positions[gone] < band_end {
+                    gone += 1;
+                }
+                undo.positions
+                    .push(band_end - (gone - staging.deletes_from) + j);
+            }
+            undo.journal.push(Undo::Added(staging.adds.len()));
+            let run = staging.adds.drain(..).map(|(e, _)| e);
+            self.insert_run(run, &undo.positions[start..]);
+        }
+        staging.deletes_from = undo.positions.len();
     }
 
     /// The position a `Modify`/`Delete` targets. A miss may only mean the
     /// target is an add of this same batch that has not landed yet, so
-    /// those land first and the lookup is retried.
+    /// the pending runs land first and the lookup is retried.
     fn target_of(
         &mut self,
         op: &'static str,
         priority: u32,
         pattern: &HeaderMatch,
-        adds: &mut Vec<FlowEntry>,
-        journal: &mut Vec<Undo>,
+        staging: &mut Staging,
+        undo: &mut BatchUndo,
     ) -> Result<usize, FlowModError> {
-        if let Some(pos) = self.position_of(priority, pattern) {
+        // A pending delete's target is as good as gone.
+        let live = self.position_of(priority, pattern);
+        if let Some(pos) = live.filter(|&pos| !staging.deletes(pos, undo)) {
             return Ok(pos);
         }
-        self.land_adds(adds, journal);
+        self.land(staging, undo);
         self.position_of(priority, pattern)
             .ok_or(FlowModError::MissingTarget {
                 op,
@@ -322,34 +430,62 @@ impl FlowTable {
     fn apply_journaled(
         &mut self,
         batch: &FlowModBatch,
-        journal: &mut Vec<Undo>,
+        undo: &mut BatchUndo,
+    ) -> Result<BatchStats, FlowModError> {
+        let mut staging = Staging {
+            deletes_from: undo.positions.len(),
+            ..Staging::default()
+        };
+        let stats = match self.stage(batch, &mut staging, undo) {
+            Ok(stats) => stats,
+            Err(e) => {
+                // Deletes still pending have nothing in the table to undo.
+                undo.positions.truncate(staging.deletes_from);
+                return Err(e);
+            }
+        };
+        self.land(&mut staging, undo);
+        self.check_dangling(batch, &staging.removed_handlers)?;
+        Ok(stats)
+    }
+
+    /// Validates the mods in order, each against the table as the mods
+    /// before it left it. Adds wait as one run of descending priority,
+    /// deletes as one run of positions; an add that would break its run
+    /// lands both first. Controller batches (overlays, sync images,
+    /// retirements) are one run each. The last runs are left pending.
+    fn stage(
+        &mut self,
+        batch: &FlowModBatch,
+        staging: &mut Staging,
+        undo: &mut BatchUndo,
     ) -> Result<BatchStats, FlowModError> {
         let mut stats = BatchStats::default();
-        // Adds wait here, as one run of descending priority, to be merged
-        // in a single pass; an add that would break the run lands the run
-        // first. Controller batches (overlays, sync images) are one run.
-        let mut adds: Vec<FlowEntry> = Vec::new();
-        // Tag bookkeeping for the dangling-target check: handlers the
-        // batch deletes, and tags the batch's new buckets reference.
-        let mut removed_handlers: Vec<u32> = Vec::new();
-        let mut batch_refs: Vec<u32> = Vec::new();
         for m in &batch.mods {
             match m {
                 FlowMod::Add(entry) => {
-                    if adds.last().is_some_and(|l| l.priority < entry.priority) {
-                        self.land_adds(&mut adds, journal);
+                    if staging
+                        .adds
+                        .last()
+                        .is_some_and(|(l, _)| l.priority < entry.priority)
+                    {
+                        self.land(staging, undo);
                     }
-                    let band = adds.partition_point(|e| e.priority > entry.priority);
-                    if self.contains_exact(entry.priority, &entry.pattern)
-                        || adds[band..].iter().any(|e| e.pattern == entry.pattern)
+                    let band = staging
+                        .adds
+                        .partition_point(|(e, _)| e.priority > entry.priority);
+                    let (live, band_end) = self.locate(entry.priority, &entry.pattern);
+                    if live.is_some_and(|pos| !staging.deletes(pos, undo))
+                        || staging.adds[band..]
+                            .iter()
+                            .any(|(e, _)| e.pattern == entry.pattern)
                     {
                         return Err(FlowModError::DuplicateAdd {
                             priority: entry.priority,
                             pattern: entry.pattern,
                         });
                     }
-                    adds.push(entry.clone());
-                    referenced_tags(&entry.buckets, &mut batch_refs);
+                    staging.adds.push((entry.clone(), band_end));
                     stats.adds += 1;
                 }
                 FlowMod::Modify {
@@ -358,55 +494,79 @@ impl FlowTable {
                     buckets,
                     cookie,
                 } => {
-                    let pos = self.target_of("modify", *priority, pattern, &mut adds, journal)?;
+                    let pos = self.target_of("modify", *priority, pattern, staging, undo)?;
                     let (old_buckets, old_cookie) = self.replace_at(pos, buckets.clone(), *cookie);
-                    journal.push(Undo::Modified {
+                    undo.journal.push(Undo::Modified {
                         pos,
                         buckets: old_buckets,
                         cookie: old_cookie,
                     });
-                    referenced_tags(buckets, &mut batch_refs);
                     stats.modifies += 1;
                 }
                 FlowMod::Delete { priority, pattern } => {
-                    let pos = self.target_of("delete", *priority, pattern, &mut adds, journal)?;
-                    let entry = self.remove_at(pos);
-                    journal.push(Undo::Deleted { pos, entry });
-                    if let Some(v) = pattern.dl_dst.and_then(|m| m.fec_id()) {
-                        if !removed_handlers.contains(&v) {
-                            removed_handlers.push(v);
-                        }
-                    }
+                    let pos = self.target_of("delete", *priority, pattern, staging, undo)?;
+                    staging.delete(pos, undo);
+                    staging
+                        .removed_handlers
+                        .extend(pattern.dl_dst.and_then(|m| m.fec_id()));
                     stats.deletes += 1;
                 }
             }
         }
-        self.land_adds(&mut adds, journal);
-        // Dangling-target check: if the batch deleted the handler for a
-        // tag its own new buckets still reference, and the result keeps a
-        // referencing rule but no replacement handler, the batch would
-        // leave re-entering packets unmatchable — reject it.
-        for &v in &removed_handlers {
-            if !batch_refs.contains(&v) {
-                continue;
-            }
-            let vmac = MacAddr::vmac(v);
-            let handled = self
-                .entries()
-                .iter()
-                .any(|e| e.pattern.dl_dst == Some(vmac));
-            if handled {
-                continue;
-            }
-            let mut surviving_refs = Vec::new();
-            for e in self.entries() {
-                referenced_tags(&e.buckets, &mut surviving_refs);
-            }
-            if surviving_refs.contains(&v) {
-                return Err(FlowModError::DanglingTarget { vmac });
+        Ok(stats)
+    }
+
+    /// The dangling-target check, on the finished table: if the batch
+    /// deleted the handler for a tag its own new buckets still reference,
+    /// and the result keeps a referencing rule but no replacement
+    /// handler, the batch would leave re-entering packets unmatchable —
+    /// reject it, naming the first such handler deleted. Nothing to do
+    /// unless the batch deleted a handler; one pass over the table finds
+    /// the handlers still there, and a second, only if one is not, the
+    /// references.
+    fn check_dangling(
+        &self,
+        batch: &FlowModBatch,
+        removed_handlers: &[u32],
+    ) -> Result<(), FlowModError> {
+        if removed_handlers.is_empty() {
+            return Ok(());
+        }
+        let removed: TagSet = removed_handlers.iter().copied().collect();
+        let mut orphans = TagSet::default();
+        for m in &batch.mods {
+            if let FlowMod::Add(FlowEntry { buckets, .. }) | FlowMod::Modify { buckets, .. } = m {
+                referenced_tags(buckets, |v| {
+                    if removed.contains(&v) {
+                        orphans.insert(v);
+                    }
+                });
             }
         }
-        Ok(stats)
+        if orphans.is_empty() {
+            return Ok(());
+        }
+        for e in self.entries() {
+            if let Some(v) = e.pattern.dl_dst.and_then(|m| m.fec_id()) {
+                if orphans.remove(&v) && orphans.is_empty() {
+                    return Ok(());
+                }
+            }
+        }
+        let mut referenced = TagSet::default();
+        for e in self.entries() {
+            referenced_tags(&e.buckets, |v| {
+                if orphans.contains(&v) {
+                    referenced.insert(v);
+                }
+            });
+        }
+        match removed_handlers.iter().find(|v| referenced.contains(v)) {
+            Some(&v) => Err(FlowModError::DanglingTarget {
+                vmac: MacAddr::vmac(v),
+            }),
+            None => Ok(()),
+        }
     }
 }
 
@@ -627,6 +787,41 @@ mod tests {
         })
         .expect("whole chain retired atomically");
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn modifying_a_slot_the_batch_deleted_has_no_target() {
+        let mut t = seeded();
+        let before = t.clone();
+        let m80 = HeaderMatch::of(FieldMatch::TpDst(80));
+        let err = t
+            .apply_batch(&FlowModBatch {
+                epoch: 4,
+                mods: vec![
+                    FlowMod::Delete {
+                        priority: 10,
+                        pattern: m80,
+                    },
+                    FlowMod::Modify {
+                        priority: 10,
+                        pattern: m80,
+                        buckets: out(6),
+                        cookie: 3,
+                    },
+                ],
+            })
+            .expect_err("the delete emptied the slot");
+        assert_eq!(
+            err,
+            FlowModError::MissingTarget {
+                op: "modify",
+                priority: 10,
+                pattern: m80
+            }
+        );
+        assert_eq!(t, before);
+        assert_eq!(t.epoch(), before.epoch());
+        assert_eq!(t.cookie_count(1), 1);
     }
 
     #[test]

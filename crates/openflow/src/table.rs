@@ -72,8 +72,19 @@ impl FlowEntry {
 /// A single flow table.
 #[derive(Clone, Debug, Default)]
 pub struct FlowTable {
-    /// Entries sorted by descending priority (stable for equal priorities).
-    entries: Vec<FlowEntry>,
+    /// The entries, sorted by descending priority (stable for equal
+    /// priorities), are `slots[head..]`. The `head` slots in front are
+    /// placeholders: free room above the highest-priority entry, so that
+    /// a run landing at (or leaving from) the head of the table moves
+    /// only itself. Never more of them than [`SLACK_MIN`] or the live
+    /// count, whichever is larger.
+    slots: Vec<FlowEntry>,
+    /// The priority of each slot, slot for slot: band searches read this
+    /// instead of the entries, so a lookup finds its band in a few cache
+    /// lines even when the entries are cold. Every layout change moves
+    /// both alike.
+    prios: Vec<u32>,
+    head: usize,
     /// Live entry count per cookie — the controller's per-FEC-group rule
     /// index, maintained on every mutation.
     cookie_index: BTreeMap<u64, usize>,
@@ -85,13 +96,58 @@ pub struct FlowTable {
     matcher: CompiledMatcher,
 }
 
+/// The free slots a table may keep in front of its head whatever its
+/// size; past this, no more than it has live entries.
+const SLACK_MIN: usize = 16;
+
+/// What fills a slot with no entry in it. Allocates nothing.
+fn placeholder() -> FlowEntry {
+    FlowEntry::new(0, HeaderMatch::any(), Vec::new())
+}
+
+/// Moves the items of `block` that follow its first `free` slots — free
+/// ones — to its front, and the free slots behind them.
+fn slide_down<T>(block: &mut [T], free: usize) {
+    if free <= 2 {
+        // A memmove, through a stack buffer of the one or two slots.
+        block.rotate_left(free);
+        return;
+    }
+    // Block swaps: the free run walks through the entries `free` at a
+    // time; a wider run moves in fewer, larger copies.
+    let mut gap = 0;
+    while gap + free < block.len() {
+        let n = free.min(block.len() - gap - free);
+        let (slots, entries) = block[gap..].split_at_mut(free);
+        slots[..n].swap_with_slice(&mut entries[..n]);
+        gap += n;
+    }
+}
+
+/// The mirror image of [`slide_down`]: moves the items in front of the
+/// last `free` slots of `block` to its back, and the free slots in front.
+fn slide_up<T>(block: &mut [T], free: usize) {
+    if free <= 2 {
+        block.rotate_right(free);
+        return;
+    }
+    let mut end = block.len();
+    while end > free {
+        let n = free.min(end - free);
+        let (entries, slots) = block[..end].split_at_mut(end - free);
+        let m = entries.len();
+        slots[free - n..].swap_with_slice(&mut entries[m - n..]);
+        end -= n;
+    }
+}
+
 /// Tables are equal iff their entries are: the cookie index is derived
 /// from the entries, and the matcher/epoch are derived + observability
 /// state (same pattern as the telemetry registry) — two tables reached by
 /// different mutation histories still compare equal.
 impl PartialEq for FlowTable {
     fn eq(&self, other: &Self) -> bool {
-        self.entries == other.entries
+        self.entries() == other.entries()
     }
 }
 
@@ -116,20 +172,28 @@ impl FlowTable {
 
     /// The half-open index range of entries with exactly `priority`.
     /// Entries are sorted by descending priority, so this is two binary
-    /// searches — the whole table is never scanned.
+    /// searches of `prios` — the whole table is never scanned.
     fn priority_range(&self, priority: u32) -> std::ops::Range<usize> {
-        let lo = self.entries.partition_point(|e| e.priority > priority);
-        let hi = self.entries.partition_point(|e| e.priority >= priority);
+        let prios = &self.prios[self.head..];
+        let lo = prios.partition_point(|&p| p > priority);
+        let hi = prios.partition_point(|&p| p >= priority);
         lo..hi
     }
 
     /// Index of the entry at exactly (priority, pattern), if present.
     pub(crate) fn position_of(&self, priority: u32, pattern: &HeaderMatch) -> Option<usize> {
+        self.locate(priority, pattern).0
+    }
+
+    /// [`position_of`](Self::position_of), and the end of the priority
+    /// band: where an entry of that priority would be inserted.
+    pub(crate) fn locate(&self, priority: u32, pattern: &HeaderMatch) -> (Option<usize>, usize) {
         let range = self.priority_range(priority);
-        self.entries[range.clone()]
+        let pos = self.entries()[range.clone()]
             .iter()
             .position(|e| &e.pattern == pattern)
-            .map(|i| range.start + i)
+            .map(|i| range.start + i);
+        (pos, range.end)
     }
 
     /// Installs an entry. An existing entry with identical (priority,
@@ -145,10 +209,10 @@ impl FlowTable {
     fn install_inner(&mut self, entry: FlowEntry, index: bool) {
         self.epoch += 1;
         if let Some(pos) = self.position_of(entry.priority, &entry.pattern) {
-            let old_cookie = self.entries[pos].cookie;
+            let old_cookie = self.entries()[pos].cookie;
             self.index_remove(old_cookie);
             self.index_add(entry.cookie);
-            self.entries[pos] = entry;
+            self.slots[self.head + pos] = entry;
             if index {
                 // (priority, pattern) unchanged: classification cannot
                 // move, the matcher only needs the new stamp.
@@ -163,7 +227,7 @@ impl FlowTable {
             self.matcher
                 .insert(entry.priority, &entry.pattern, self.epoch);
         }
-        self.entries.insert(idx, entry);
+        self.place_run(std::iter::once(entry), &[idx]);
     }
 
     /// Replaces the buckets and cookie of the entry at exactly
@@ -190,7 +254,7 @@ impl FlowTable {
         let Some(pos) = self.position_of(priority, pattern) else {
             return false;
         };
-        self.remove_at(pos);
+        self.remove_run(&[pos], drop);
         self.set_epoch(self.epoch + 1);
         true
     }
@@ -198,7 +262,8 @@ impl FlowTable {
     // The in-place primitives under [`apply_batch`](Self::apply_batch) and
     // its undo journal. Each keeps entries, cookie index and matcher
     // contents coherent but leaves the epoch alone: the batch stamps it
-    // once, through `set_epoch`, when it commits or rolls back.
+    // once, through `set_epoch`, when it commits or rolls back. Positions
+    // are indexes into `entries()`.
 
     /// Swaps in new buckets and cookie at `pos`, keeping the traffic
     /// counters; returns the old pair. Buckets and cookie don't take part
@@ -209,61 +274,178 @@ impl FlowTable {
         buckets: Vec<Vec<Mod>>,
         cookie: u64,
     ) -> (Vec<Vec<Mod>>, u64) {
-        let old_cookie = self.entries[pos].cookie;
+        let old_cookie = self.entries()[pos].cookie;
         self.index_remove(old_cookie);
         self.index_add(cookie);
-        let e = &mut self.entries[pos];
+        let e = &mut self.slots[self.head + pos];
         e.cookie = cookie;
         (std::mem::replace(&mut e.buckets, buckets), old_cookie)
     }
 
-    /// Removes and returns the entry at `pos`.
-    pub(crate) fn remove_at(&mut self, pos: usize) -> FlowEntry {
-        let entry = self.entries.remove(pos);
-        self.matcher
-            .remove(entry.priority, &entry.pattern, self.epoch);
-        self.index_remove(entry.cookie);
-        entry
+    /// Removes the entries at `at` — ascending positions — in one pass,
+    /// handing each to `sink` in table order.
+    pub(crate) fn remove_run(&mut self, at: &[usize], sink: impl FnMut(FlowEntry)) {
+        for &pos in at {
+            let e = &self.slots[self.head + pos];
+            self.matcher.remove(e.priority, &e.pattern, self.epoch);
+            let cookie = e.cookie;
+            self.index_remove(cookie);
+        }
+        self.take_run(at, sink);
     }
 
-    /// Puts `entry` back at `pos` — the exact inverse of
-    /// [`remove_at`](Self::remove_at), counters and band order included.
-    pub(crate) fn insert_at(&mut self, pos: usize, entry: FlowEntry) {
-        self.index_add(entry.cookie);
-        self.matcher
-            .insert(entry.priority, &entry.pattern, self.epoch);
-        self.entries.insert(pos, entry);
-    }
-
-    /// Merges `adds` — one run of descending priority, arrival order
-    /// within a priority — into the table in a single pass. Each lands
-    /// after every live entry of its priority or higher, exactly where
-    /// one-at-a-time installs would have put it, but the table is moved
-    /// once per batch instead of once per add. The slots must be free.
-    pub(crate) fn merge_adds(&mut self, mut adds: Vec<FlowEntry>) {
-        for e in &adds {
-            self.index_add(e.cookie);
+    /// Inserts `run` — entries in table order — so that they end up at
+    /// `at`, ascending positions in the table as it is afterwards: the
+    /// exact inverse of [`remove_run`](Self::remove_run), counters and
+    /// band order included.
+    pub(crate) fn insert_run<I>(&mut self, run: I, at: &[usize])
+    where
+        I: DoubleEndedIterator<Item = FlowEntry> + ExactSizeIterator,
+    {
+        self.place_run(run, at);
+        for &pos in at {
+            let e = &self.slots[self.head + pos];
             self.matcher.insert(e.priority, &e.pattern, self.epoch);
+            let cookie = e.cookie;
+            self.index_add(cookie);
         }
-        // In place, from the low-priority end: open one slot per add at
-        // the tail, then slide live entries down into the gap until each
-        // add — lowest first — meets the entries it must sit below. The
-        // gap `read..write` always holds as many free slots as there are
-        // adds left; entries above the highest add are never touched.
-        let mut read = self.entries.len();
-        self.entries.resize_with(read + adds.len(), || {
-            FlowEntry::new(0, HeaderMatch::any(), Vec::new())
-        });
-        let mut write = self.entries.len();
-        while let Some(add) = adds.pop() {
-            while read > 0 && self.entries[read - 1].priority < add.priority {
-                read -= 1;
-                write -= 1;
-                self.entries.swap(read, write);
+    }
+
+    /// The layout half of [`remove_run`](Self::remove_run): takes the
+    /// entries out, then closes the holes from whichever side of them is
+    /// shorter — the entries in front of the last hole slide toward the
+    /// tail (the head advances), or those behind the first toward the
+    /// head (the tail shrinks). Each stretch between two holes slides
+    /// once, past every hole already gathered next to it.
+    fn take_run(&mut self, at: &[usize], mut sink: impl FnMut(FlowEntry)) {
+        let (Some(&first), Some(&last)) = (at.first(), at.last()) else {
+            return;
+        };
+        let k = at.len();
+        let head = self.head;
+        for &pos in at {
+            sink(std::mem::replace(
+                &mut self.slots[head + pos],
+                placeholder(),
+            ));
+        }
+        let above = last + 1 - k;
+        let below = self.len() - first - k;
+        if above < below {
+            let mut end = head + last + 1;
+            for j in (0..k).rev() {
+                let start = head + j.checked_sub(1).map_or(0, |i| at[i] + 1);
+                slide_up(&mut self.slots[start..end], k - j);
+                slide_up(&mut self.prios[start..end], k - j);
+                end = start + k - j;
             }
-            write -= 1;
-            self.entries[write] = add;
+            self.head += k;
+        } else {
+            let mut start = head + first;
+            for j in 0..k {
+                let end = at.get(j + 1).map_or(self.slots.len(), |&next| head + next);
+                slide_down(&mut self.slots[start..end], j + 1);
+                slide_down(&mut self.prios[start..end], j + 1);
+                start = end - (j + 1);
+            }
+            self.slots.truncate(self.slots.len() - k);
+            self.prios.truncate(self.slots.len());
         }
+        self.trim_slack();
+        self.debug_check_prios();
+    }
+
+    /// The layout half of [`insert_run`](Self::insert_run): opens the
+    /// gaps from whichever side of the landing points is shorter — the
+    /// entries in front of the last one slide toward the head, into free
+    /// slots there, or those behind the first toward a grown tail. Each
+    /// stretch between two landing points slides once.
+    fn place_run<I>(&mut self, run: I, at: &[usize])
+    where
+        I: DoubleEndedIterator<Item = FlowEntry> + ExactSizeIterator,
+    {
+        let (Some(&first), Some(&last)) = (at.first(), at.last()) else {
+            return;
+        };
+        let k = at.len();
+        debug_assert_eq!(run.len(), k);
+        let above = last + 1 - k;
+        let below = self.len() - first;
+        if above < below {
+            self.reserve_front(k);
+            self.head -= k;
+            let head = self.head;
+            // Before each landing, the gap in front of the entries that
+            // go ahead of it is as wide as the entries left to place.
+            let mut start = head;
+            for (j, (entry, &pos)) in run.zip(at).enumerate() {
+                slide_down(&mut self.slots[start..head + k + pos - j], k - j);
+                slide_down(&mut self.prios[start..head + k + pos - j], k - j);
+                self.prios[head + pos] = entry.priority;
+                self.slots[head + pos] = entry;
+                start = head + pos + 1;
+            }
+        } else {
+            let head = self.head;
+            let mut end = self.slots.len() + k;
+            self.slots.resize_with(end, placeholder);
+            self.prios.resize(end, 0);
+            for (j, (entry, &pos)) in (0..k).rev().zip(run.rev().zip(at.iter().rev())) {
+                slide_up(&mut self.slots[head + pos - j..end], j + 1);
+                slide_up(&mut self.prios[head + pos - j..end], j + 1);
+                self.prios[head + pos] = entry.priority;
+                self.slots[head + pos] = entry;
+                end = head + pos;
+            }
+        }
+        self.debug_check_prios();
+    }
+
+    /// Debug builds check, after every change of layout, that `prios`
+    /// shadows the slots.
+    fn debug_check_prios(&self) {
+        debug_assert_eq!(self.prios.len(), self.slots.len());
+        debug_assert!(
+            self.prios[self.head..]
+                .iter()
+                .eq(self.entries().iter().map(|e| &e.priority)),
+            "priority index out of step with the entries"
+        );
+    }
+
+    /// Makes room for at least `k` entries in front of the head. When it
+    /// has to grow, it leaves half the live count (at least
+    /// [`SLACK_MIN`]) to spare, so that runs landing at the head pay for
+    /// the move of the table once per that many entries.
+    fn reserve_front(&mut self, k: usize) {
+        if self.head >= k {
+            return;
+        }
+        let grow = k + (self.len() / 2).max(SLACK_MIN) - self.head;
+        self.slots
+            .splice(0..0, std::iter::repeat_with(placeholder).take(grow));
+        self.prios.splice(0..0, std::iter::repeat_n(0, grow));
+        self.head += grow;
+    }
+
+    /// Gives back free slots in front of the head once there are more of
+    /// them than live entries (and [`SLACK_MIN`]), down to half the live
+    /// count: the table moves once per that many entries retired.
+    fn trim_slack(&mut self) {
+        let keep = (self.len() / 2).max(SLACK_MIN);
+        if self.head > self.len().max(SLACK_MIN) {
+            self.slots.drain(..self.head - keep);
+            self.prios.drain(..self.head - keep);
+            self.head = keep;
+        }
+    }
+
+    /// Drops the free slots, so that `slots` is exactly the entries — for
+    /// the whole-table paths, which rebuild the matcher anyway.
+    fn drop_slack(&mut self) {
+        self.slots.drain(..self.head);
+        self.prios.drain(..self.head);
+        self.head = 0;
     }
 
     /// Stamps table and matcher with `epoch` in lockstep.
@@ -276,19 +458,23 @@ impl FlowTable {
     /// returning how many were removed.
     pub fn remove(&mut self, pattern: &HeaderMatch) -> usize {
         let removed: Vec<u64> = self
-            .entries
+            .entries()
             .iter()
             .filter(|e| &e.pattern == pattern)
             .map(|e| e.cookie)
             .collect();
-        self.entries.retain(|e| &e.pattern != pattern);
+        if removed.is_empty() {
+            return 0;
+        }
+        self.drop_slack();
+        self.slots.retain(|e| &e.pattern != pattern);
+        self.prios = self.slots.iter().map(|e| e.priority).collect();
         for c in &removed {
             self.index_remove(*c);
         }
-        if !removed.is_empty() {
-            self.epoch += 1;
-            self.matcher.rebuild(&self.entries, self.epoch);
-        }
+        self.epoch += 1;
+        self.matcher.rebuild(&self.slots, self.epoch);
+        self.debug_check_prios();
         removed.len()
     }
 
@@ -302,17 +488,26 @@ impl FlowTable {
     /// [`remove_at_or_above`](Self::remove_at_or_above), handing back the
     /// removed entries — the head of the table, in table order, counters
     /// included — so that [`restore_at_or_above`](Self::restore_at_or_above)
-    /// can put them back.
+    /// can put them back. The rest of the table does not move.
     pub fn take_at_or_above(&mut self, min_priority: u32) -> Vec<FlowEntry> {
-        let head = self.entries.partition_point(|e| e.priority >= min_priority);
-        let taken: Vec<FlowEntry> = self.entries.drain(..head).collect();
+        let k = self
+            .entries()
+            .partition_point(|e| e.priority >= min_priority);
+        if k == 0 {
+            return Vec::new();
+        }
+        let taken: Vec<FlowEntry> = self.slots[self.head..self.head + k]
+            .iter_mut()
+            .map(|e| std::mem::replace(e, placeholder()))
+            .collect();
+        self.head += k;
+        self.trim_slack();
         for e in &taken {
             self.index_remove(e.cookie);
         }
-        if !taken.is_empty() {
-            self.epoch += 1;
-            self.matcher.rebuild(&self.entries, self.epoch);
-        }
+        self.epoch += 1;
+        self.matcher.rebuild(&self.slots[self.head..], self.epoch);
+        self.debug_check_prios();
         taken
     }
 
@@ -326,22 +521,31 @@ impl FlowTable {
         for e in &taken {
             self.index_add(e.cookie);
         }
-        self.entries.splice(0..0, taken);
+        self.reserve_front(taken.len());
+        self.head -= taken.len();
+        for (i, e) in taken.into_iter().enumerate() {
+            self.prios[self.head + i] = e.priority;
+            self.slots[self.head + i] = e;
+        }
         self.epoch -= 1;
-        self.matcher.rebuild(&self.entries, self.epoch);
+        self.matcher.rebuild(&self.slots[self.head..], self.epoch);
+        self.debug_check_prios();
     }
 
     /// Removes every entry stamped with `cookie` (how the controller
     /// retires all rules of one FEC group), returning how many went.
     pub fn remove_by_cookie(&mut self, cookie: u64) -> usize {
-        let before = self.entries.len();
-        self.entries.retain(|e| e.cookie != cookie);
-        let removed = before - self.entries.len();
-        self.cookie_index.remove(&cookie);
-        if removed > 0 {
-            self.epoch += 1;
-            self.matcher.rebuild(&self.entries, self.epoch);
+        let removed = self.cookie_count(cookie);
+        if removed == 0 {
+            return 0;
         }
+        self.drop_slack();
+        self.slots.retain(|e| e.cookie != cookie);
+        self.prios = self.slots.iter().map(|e| e.priority).collect();
+        self.cookie_index.remove(&cookie);
+        self.epoch += 1;
+        self.matcher.rebuild(&self.slots, self.epoch);
+        self.debug_check_prios();
         removed
     }
 
@@ -353,12 +557,14 @@ impl FlowTable {
 
     /// The entries stamped with `cookie`, in priority order.
     pub fn entries_with_cookie(&self, cookie: u64) -> impl Iterator<Item = &FlowEntry> {
-        self.entries.iter().filter(move |e| e.cookie == cookie)
+        self.entries().iter().filter(move |e| e.cookie == cookie)
     }
 
     /// Drops all entries.
     pub fn clear(&mut self) {
-        self.entries.clear();
+        self.slots.clear();
+        self.prios.clear();
+        self.head = 0;
         self.cookie_index.clear();
         self.epoch += 1;
         self.matcher.clear(self.epoch);
@@ -382,7 +588,7 @@ impl FlowTable {
     /// keep the matcher coherent — this exists so benchmarks can measure
     /// build cost and so bulk installs have one shared maintenance path.
     pub fn rebuild_matcher(&mut self) {
-        self.matcher.rebuild(&self.entries, self.epoch);
+        self.matcher.rebuild(&self.slots[self.head..], self.epoch);
     }
 
     /// True if an entry exists at exactly (priority, pattern).
@@ -392,22 +598,22 @@ impl FlowTable {
 
     /// Number of installed entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len() - self.head
     }
 
     /// True if no entries are installed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.len() == 0
     }
 
     /// Number of entries that forward (the Figures 7/9 metric).
     pub fn forwarding_entry_count(&self) -> usize {
-        self.entries.iter().filter(|e| !e.is_drop()).count()
+        self.entries().iter().filter(|e| !e.is_drop()).count()
     }
 
     /// Read-only view of the entries, priority order.
     pub fn entries(&self) -> &[FlowEntry] {
-        &self.entries
+        &self.slots[self.head..]
     }
 
     /// Classifies a packet: the highest-priority matching entry, with
@@ -415,11 +621,11 @@ impl FlowTable {
     /// [`classify`](Self::classify) — counter touching is the only thing
     /// this adds, so the matcher fast path has a single seam.
     pub fn lookup(&mut self, lp: &LocatedPacket) -> Option<&FlowEntry> {
-        let idx = self.classify(lp)?.0;
-        let e = &mut self.entries[idx];
+        let idx = self.head + self.classify(lp)?.0;
+        let e = &mut self.slots[idx];
         e.packet_count += 1;
         e.byte_count += lp.pkt.payload_len as u64;
-        Some(&self.entries[idx])
+        Some(&self.slots[idx])
     }
 
     /// Single stepping for inspection: the highest-priority matching entry
@@ -443,8 +649,9 @@ impl FlowTable {
         );
         let priority = self.matcher.best_priority(lp)?;
         for i in self.priority_range(priority) {
-            if self.entries[i].pattern.matches(lp) {
-                return Some((i, &self.entries[i]));
+            let e = &self.entries()[i];
+            if e.pattern.matches(lp) {
+                return Some((i, e));
             }
         }
         // Unreachable if the matcher is coherent; fall back to the
@@ -461,7 +668,7 @@ impl FlowTable {
     /// this index-for-index; it exists as the differential baseline (and
     /// the benchmark's `classify_linear_ns` leg).
     pub fn classify_linear(&self, lp: &LocatedPacket) -> Option<(usize, &FlowEntry)> {
-        self.entries
+        self.entries()
             .iter()
             .enumerate()
             .find(|(_, e)| e.pattern.matches(lp))
@@ -726,6 +933,75 @@ mod tests {
         let before = t.epoch();
         assert!(!t.delete_exact(5, &m));
         assert_eq!(t.epoch(), before);
+    }
+
+    /// Runs at the head land in the free slots in front of it and leave
+    /// into them; the free slots never outnumber the live entries (or
+    /// `SLACK_MIN`), and every run lands where one-at-a-time mutation
+    /// would have put it.
+    #[test]
+    fn head_runs_use_the_slack_and_the_slack_stays_bounded() {
+        use crate::flowmod::{FlowMod, FlowModBatch};
+
+        let entry = |p: u32| {
+            FlowEntry::new(p, HeaderMatch::of(FieldMatch::TpDst(p as u16)), vec![]).with_cookie(1)
+        };
+        let adds = |ps: &mut dyn Iterator<Item = u32>| FlowModBatch {
+            epoch: 0,
+            mods: ps.map(|p| FlowMod::Add(entry(p))).collect(),
+        };
+        let deletes = |t: &FlowTable, ps: &mut dyn Iterator<Item = u32>| FlowModBatch {
+            epoch: 0,
+            mods: ps
+                .map(|p| FlowMod::Delete {
+                    priority: p,
+                    pattern: entry(p).pattern,
+                })
+                .filter(|m| match m {
+                    FlowMod::Delete { priority, pattern } => t.contains_exact(*priority, pattern),
+                    _ => true,
+                })
+                .collect(),
+        };
+        let bounded = |t: &FlowTable| {
+            assert!(
+                t.head <= t.len().max(SLACK_MIN),
+                "{} free, {} live",
+                t.head,
+                t.len()
+            );
+            let prios: Vec<u32> = t.entries().iter().map(|e| e.priority).collect();
+            let mut sorted = prios.clone();
+            sorted.sort_unstable_by(|a, b| b.cmp(a));
+            assert_eq!(prios, sorted);
+            assert_eq!(t.cookie_count(1), t.len());
+        };
+        let mut t = FlowTable::new();
+        t.apply_batch(&adds(&mut (1..=200).rev())).expect("base");
+        bounded(&t);
+        for round in 0..6u32 {
+            // Overlays above everything, each burst above the last.
+            let lo = 1_000 + round * 400;
+            for burst in 0..4u32 {
+                let from = lo + burst * 100;
+                t.apply_batch(&adds(&mut (from..from + 100).rev()))
+                    .expect("overlays");
+                bounded(&t);
+                assert_eq!(t.entries()[0].priority, from + 99);
+            }
+            // A scattered base change, then the retirement of them all.
+            t.apply_batch(&deletes(&t, &mut (1..=200).filter(|p| p % 7 == round)))
+                .expect("base deletes");
+            bounded(&t);
+            t.apply_batch(&deletes(&t, &mut (lo..lo + 400).rev()))
+                .expect("retire");
+            bounded(&t);
+            assert!(t.entries()[0].priority <= 200);
+            t.apply_batch(&adds(&mut (1..=200).rev().filter(|p| p % 7 == round)))
+                .expect("base re-adds");
+            bounded(&t);
+            assert_eq!(t.len(), 200);
+        }
     }
 
     /// The fast path must agree with the linear walk index-for-index,

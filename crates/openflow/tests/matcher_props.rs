@@ -6,7 +6,7 @@
 //! that claim over random tables, random packets, and random mutation
 //! sequences, including atomic flow-mod batches — which are also held to a
 //! clone-then-apply reference model, both when accepted and when rolled
-//! back.
+//! back, and must rewind to exactly the table they were applied to.
 
 use proptest::prelude::*;
 use sdx_net::{
@@ -159,6 +159,14 @@ enum BatchOp {
     DeleteAt(u32, HeaderMatch),
     /// Adds into a slot a live entry occupies.
     AddLive(usize),
+    /// Deletes every live entry at or above a priority, in table order —
+    /// the shape of an overlay retirement.
+    RetireFrom(u32),
+    /// Deletes a live entry, then adds a new one into the same slot.
+    Readd(usize, Vec<Vec<Mod>>, u64),
+    /// Deletes a live entry, then modifies the same slot: the modify has
+    /// no target.
+    DeleteThenModify(usize),
 }
 
 fn arb_batch_op() -> impl Strategy<Value = BatchOp> {
@@ -175,6 +183,8 @@ fn arb_batch_op() -> impl Strategy<Value = BatchOp> {
         (any::<usize>(), arb_buckets(), 0u64..4).prop_map(|(s, b, c)| BatchOp::ModifyLive(s, b, c)),
         any::<usize>().prop_map(BatchOp::DeleteLive),
         (0u32..8).prop_map(BatchOp::DeleteHandler),
+        (0u32..10).prop_map(BatchOp::RetireFrom),
+        (any::<usize>(), arb_buckets(), 0u64..4).prop_map(|(s, b, c)| BatchOp::Readd(s, b, c)),
     ]
 }
 
@@ -184,18 +194,21 @@ fn arb_poison() -> impl Strategy<Value = BatchOp> {
         arb_entry().prop_map(|(p, m)| BatchOp::ModifyAt(p, m)),
         arb_entry().prop_map(|(p, m)| BatchOp::DeleteAt(p, m)),
         any::<usize>().prop_map(BatchOp::AddLive),
+        any::<usize>().prop_map(BatchOp::DeleteThenModify),
     ]
 }
 
-fn resolve(op: BatchOp, initial: &FlowTable) -> FlowMod {
+/// The mods `op` stands for, resolved against the initial table.
+fn resolve(op: BatchOp, initial: &FlowTable) -> Vec<FlowMod> {
     let live = |sel: usize| {
         let es = initial.entries();
         (!es.is_empty()).then(|| (es[sel % es.len()].priority, es[sel % es.len()].pattern))
     };
-    match op {
+    let live_or_none = |sel: usize| live(sel).unwrap_or((99, HeaderMatch::any()));
+    let m = match op {
         BatchOp::Add(p, m, b, c) => FlowMod::Add(FlowEntry::new(p, m, b).with_cookie(c)),
         BatchOp::ModifyLive(sel, buckets, cookie) => {
-            let (priority, pattern) = live(sel).unwrap_or((99, HeaderMatch::any()));
+            let (priority, pattern) = live_or_none(sel);
             FlowMod::Modify {
                 priority,
                 pattern,
@@ -204,7 +217,7 @@ fn resolve(op: BatchOp, initial: &FlowTable) -> FlowMod {
             }
         }
         BatchOp::DeleteLive(sel) => {
-            let (priority, pattern) = live(sel).unwrap_or((99, HeaderMatch::any()));
+            let (priority, pattern) = live_or_none(sel);
             FlowMod::Delete { priority, pattern }
         }
         BatchOp::DeleteHandler(v) => {
@@ -219,7 +232,7 @@ fn resolve(op: BatchOp, initial: &FlowTable) -> FlowMod {
             FlowMod::Delete { priority, pattern }
         }
         BatchOp::AddLive(sel) => {
-            let (priority, pattern) = live(sel).unwrap_or((99, HeaderMatch::any()));
+            let (priority, pattern) = live_or_none(sel);
             FlowMod::Add(FlowEntry::new(priority, pattern, vec![]))
         }
         BatchOp::ModifyAt(priority, pattern) => FlowMod::Modify {
@@ -229,7 +242,38 @@ fn resolve(op: BatchOp, initial: &FlowTable) -> FlowMod {
             cookie: 1,
         },
         BatchOp::DeleteAt(priority, pattern) => FlowMod::Delete { priority, pattern },
-    }
+        BatchOp::RetireFrom(min) => {
+            return initial
+                .entries()
+                .iter()
+                .take_while(|e| e.priority >= min)
+                .map(|e| FlowMod::Delete {
+                    priority: e.priority,
+                    pattern: e.pattern,
+                })
+                .collect()
+        }
+        BatchOp::Readd(sel, buckets, cookie) => {
+            let (priority, pattern) = live_or_none(sel);
+            return vec![
+                FlowMod::Delete { priority, pattern },
+                FlowMod::Add(FlowEntry::new(priority, pattern, buckets).with_cookie(cookie)),
+            ];
+        }
+        BatchOp::DeleteThenModify(sel) => {
+            let (priority, pattern) = live_or_none(sel);
+            return vec![
+                FlowMod::Delete { priority, pattern },
+                FlowMod::Modify {
+                    priority,
+                    pattern,
+                    buckets: vec![],
+                    cookie: 1,
+                },
+            ];
+        }
+    };
+    vec![m]
 }
 
 /// The VMAC tags `buckets` write on packets that re-enter the fabric.
@@ -338,13 +382,27 @@ fn classification(t: &FlowTable, probes: &[LocatedPacket]) -> Vec<Option<usize>>
         .collect()
 }
 
+/// The matcher's contents, index by index.
+fn matcher_shape(t: &FlowTable) -> [usize; 5] {
+    let s = t.matcher_stats();
+    [
+        s.exact_keys,
+        s.exact_entries,
+        s.trie_prefixes,
+        s.trie_entries,
+        s.residual_entries,
+    ]
+}
+
 /// Asserts `after` is exactly `before`: entries (order and counters),
-/// cookie index, epoch, matcher stamp and every probe's classification.
+/// cookie index, epoch, matcher stamp and contents, and every probe's
+/// classification.
 fn assert_untouched(after: &FlowTable, before: &FlowTable, probes: &[LocatedPacket]) {
     assert_eq!(after.entries(), before.entries());
     assert_eq!(cookie_counts(after), cookie_counts(before));
     assert_eq!(after.epoch(), before.epoch());
     assert_eq!(after.matcher_stats().epoch, before.epoch());
+    assert_eq!(matcher_shape(after), matcher_shape(before));
     assert_equivalent(after, probes);
     assert_eq!(
         classification(after, probes),
@@ -407,8 +465,9 @@ proptest! {
     }
     /// Random tables × random mixed batches, valid and invalid at a random
     /// position, against the clone-then-apply reference model: an accepted
-    /// batch leaves exactly the model's table, a rejected one leaves the
-    /// table exactly as it was — same error either way.
+    /// batch leaves exactly the model's table, and undoing it leaves the
+    /// table exactly as it was; a rejected one leaves the table exactly as
+    /// it was — same error either way.
     #[test]
     fn in_place_batches_match_the_clone_then_apply_model(
         entries in proptest::collection::vec((arb_entry(), arb_buckets(), 0u64..4), 0..32),
@@ -427,22 +486,25 @@ proptest! {
         }
         let mut batch = FlowModBatch::new(1);
         for op in ops {
-            batch.push(resolve(op, &table));
+            batch.mods.extend(resolve(op, &table));
         }
         if let (0, at, op) = poison {
             let at = at % (batch.len() + 1);
-            batch.mods.insert(at, resolve(op, &table));
+            batch.mods.splice(at..at, resolve(op, &table));
         }
         let before = table.clone();
         let model = reference_apply(&before, &batch);
-        match (table.apply_batch(&batch), model) {
-            (Ok(stats), Ok((model, model_stats))) => {
+        match (table.apply_batch_undoable(&batch), model) {
+            (Ok((stats, undo)), Ok((model, model_stats))) => {
                 prop_assert_eq!(stats, model_stats);
                 prop_assert_eq!(table.entries(), model.entries());
                 prop_assert_eq!(cookie_counts(&table), cookie_counts(&model));
+                prop_assert_eq!(matcher_shape(&table), matcher_shape(&model));
                 prop_assert_eq!(table.epoch(), before.epoch() + batch.len() as u64);
                 prop_assert_eq!(table.matcher_stats().epoch, table.epoch());
                 assert_equivalent(&table, &probes);
+                table.undo_batch(undo);
+                assert_untouched(&table, &before, &probes);
             }
             (Err(e), Err(model_err)) => {
                 prop_assert_eq!(e, model_err);
@@ -450,7 +512,7 @@ proptest! {
             }
             (got, want) => prop_assert!(
                 false,
-                "in-place {:?} but model {:?}", got, want.map(|(_, s)| s)
+                "in-place {:?} but model {:?}", got.map(|(s, _)| s), want.map(|(_, s)| s)
             ),
         }
     }
@@ -529,4 +591,99 @@ fn dangling_target_rolls_back_adds_modifies_and_deletes() {
     assert_untouched(&t, &before, &probes);
     // Counters came back with the re-inserted entries.
     assert!(t.entries().iter().any(|e| e.packet_count > 0));
+}
+
+/// The retirement of a fast path's overlays at scale: 1 200 overlays with
+/// traffic on them, above a 235-entry base, deleted in one batch in table
+/// order and rewound. The base never moves, and the rewind puts back
+/// every overlay, counters, band order and index contents included.
+#[test]
+fn retiring_and_rewinding_1200_overlays_restores_the_table_exactly() {
+    const OVERLAY_BASE: u32 = 100_000;
+    let out = |p: u32| vec![vec![Mod::SetLoc(PortId::Phys(ParticipantId(p), 0))]];
+    let tag = |v: u32| {
+        vec![vec![
+            Mod::SetDlDst(MacAddr::vmac(v)),
+            Mod::SetLoc(PortId::Virt(ParticipantId(v % 6))),
+        ]]
+    };
+    let prefix = |i: u32| Prefix::new(Ipv4Addr(0x0a00_0000 | (i << 8)), 24);
+    let mut t = FlowTable::new();
+    let mut base = FlowModBatch::new(1);
+    for i in 0..235u32 {
+        let pattern = match i % 3 {
+            0 => HeaderMatch::of(FieldMatch::DlDst(MacAddr::vmac(i))),
+            1 => HeaderMatch::of(FieldMatch::InPort(PortId::Virt(ParticipantId(i % 6))))
+                .and(FieldMatch::TpDst(i as u16)),
+            _ => HeaderMatch::of(FieldMatch::NwDst(prefix(i))),
+        };
+        base.push(FlowMod::Add(
+            FlowEntry::new(1_000 - i, pattern, out(i % 6)).with_cookie(u64::from(i % 5)),
+        ));
+    }
+    t.apply_batch(&base).expect("base table");
+    // Overlays arrive in the fast path's order: each burst above the last.
+    for burst in 0..12u32 {
+        let mut overlays = FlowModBatch::new(2 + u64::from(burst));
+        for i in (0..100u32).rev() {
+            let n = burst * 100 + i;
+            overlays.push(FlowMod::Add(
+                FlowEntry::new(
+                    OVERLAY_BASE + n,
+                    HeaderMatch::of(FieldMatch::InPort(PortId::Phys(ParticipantId(n % 6), 0)))
+                        .and(FieldMatch::NwDst(prefix(n % 235))),
+                    tag(n % 235),
+                )
+                .with_cookie(7),
+            ));
+        }
+        t.apply_batch(&overlays).expect("overlay burst");
+    }
+    assert_eq!(t.len(), 1_435);
+    let probes: Vec<LocatedPacket> = (0..2_000u32)
+        .map(|i| {
+            let mut p = Packet::tcp(
+                Ipv4Addr(1),
+                Ipv4Addr(0x0a00_0000 | (i % 240) << 8 | 9),
+                9,
+                (i % 240) as u16,
+            );
+            p.dl_dst = MacAddr::vmac(i % 240);
+            // Port 1 is no overlay's: those packets reach the base.
+            LocatedPacket::at(PortId::Phys(ParticipantId(i % 6), (i % 2) as u8), p)
+        })
+        .collect();
+    for lp in &probes {
+        t.lookup(lp);
+    }
+    assert!(
+        t.entries()[..1_200].iter().any(|e| e.packet_count > 0)
+            && t.entries()[1_200..].iter().any(|e| e.packet_count > 0),
+        "traffic on overlays and base"
+    );
+    let before = t.clone();
+    let retire = FlowModBatch {
+        epoch: 20,
+        mods: t
+            .entries()
+            .iter()
+            .take_while(|e| e.priority >= OVERLAY_BASE)
+            .map(|e| FlowMod::Delete {
+                priority: e.priority,
+                pattern: e.pattern,
+            })
+            .collect(),
+    };
+    assert_eq!(retire.len(), 1_200);
+    let (stats, undo) = t.apply_batch_undoable(&retire).expect("retire");
+    assert_eq!(stats.deletes, 1_200);
+    assert_eq!(t.entries(), &before.entries()[1_200..]);
+    assert_eq!(t.cookie_count(7), 0);
+    assert_equivalent(&t, &probes);
+    t.undo_batch(undo);
+    assert_untouched(&t, &before, &probes);
+    assert_eq!(
+        format!("{:?}", t.entries()),
+        format!("{:?}", before.entries())
+    );
 }

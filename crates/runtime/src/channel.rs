@@ -22,7 +22,7 @@
 //! hardware agent would speak, and hands its final fabric back on
 //! disconnect so tests can assert byte-level table equality.
 
-use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Write};
+use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -37,6 +37,11 @@ use crate::codec;
 /// before the agent is declared dead. Generous: an agent that is alive
 /// acks in microseconds.
 const ACK_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Longest ack line the daemon buffers, newline excluded. An ack is a
+/// sequence number and at most one rejection message; the line's length
+/// is the one thing on this socket that the agent alone decides.
+const MAX_ACK_LINE: usize = 1 << 16;
 
 /// One daemon-side OpenFlow channel to a connected switch agent.
 pub struct FlowChannel {
@@ -109,13 +114,16 @@ impl FlowChannel {
     }
 
     /// Reads one ack. A rejection is kept for the next barrier; a
-    /// hang-up, a timeout or a line that is no ack fails the transport.
+    /// hang-up, a timeout, a line that is no ack or one longer than
+    /// [`MAX_ACK_LINE`] fails the transport.
     fn read_ack(&mut self) -> Result<(), String> {
         let mut line = String::new();
         loop {
             line.clear();
-            let failure = match self.socket.read_line(&mut line) {
+            let mut bounded = (&mut self.socket).take(MAX_ACK_LINE as u64 + 1);
+            let failure = match bounded.read_line(&mut line) {
                 Ok(0) => "disconnected",
+                Ok(n) if n > MAX_ACK_LINE && !line.ends_with('\n') => "sent an ack line too long",
                 Ok(_) if line.trim().is_empty() => continue,
                 Ok(_) => match codec::decode_ack(line.trim()) {
                     Ok((seq, result)) => {
@@ -432,6 +440,39 @@ mod tests {
         // The rejection was atomic: the first batch landed, the second
         // left no trace.
         assert_eq!(fabric.switch.table().len(), 1);
+    }
+
+    #[test]
+    fn an_endless_ack_line_fails_the_barrier_and_shuts_the_socket() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let stream = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (daemon_side, _) = listener.accept().expect("accept");
+        // A hostile agent: 2 MiB without a newline, then it waits for
+        // the daemon to hang up. The timeouts only keep a broken daemon
+        // from hanging the test.
+        stream
+            .set_write_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let agent = std::thread::spawn(move || {
+            let _ = (&stream).write_all(&vec![b'x'; 2 << 20]);
+            let mut rest = Vec::new();
+            (&stream).read_to_end(&mut rest)
+        });
+        let mut ch = FlowChannel::new(0, daemon_side, 8, reg()).expect("channel");
+        ch.send_batch(&batch(80)).expect("send");
+        let err = ch.barrier().expect_err("no ack, only bytes");
+        assert!(err.contains("too long"), "err: {err}");
+        assert!(
+            agent.join().expect("agent thread").is_ok(),
+            "the agent reads EOF: the daemon shut the socket"
+        );
+        assert!(
+            ch.send_batch(&batch(81)).is_err(),
+            "the channel stays failed"
+        );
     }
 
     #[test]

@@ -88,6 +88,25 @@ fn deploy_and_fast_path_record_stage_timings() {
 }
 
 #[test]
+fn flow_table_applies_are_timed_where_the_controller_applies_them() {
+    let (mut ctl, mut fabric) = small_exchange();
+    let applies = |ctl: &SdxController| ctl.telemetry.histogram("flowtable.apply").count();
+    let deployed = applies(&ctl);
+    assert!(deployed > 0, "the deploy's waves are timed");
+    let b = ParticipantConfig::new(2, 65002, 1);
+    ctl.process_update(
+        pid(2),
+        &b.announce([prefix("74.125.0.0/16")], &[65002, 15169]),
+        &mut fabric,
+    )
+    .expect("fast path");
+    let updated = applies(&ctl);
+    assert_eq!(updated, deployed + 1, "the fast path's overlay batch");
+    ctl.reoptimize(&mut fabric).expect("reoptimize");
+    assert!(applies(&ctl) > updated, "the re-optimisation's waves");
+}
+
+#[test]
 fn controller_journal_orders_lifecycle_events() {
     let (mut ctl, mut fabric) = small_exchange();
     ctl.telemetry.journal().clear();
