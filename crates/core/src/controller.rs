@@ -9,7 +9,10 @@
 //! runs the fast path and overlays delta rules immediately;
 //! `reoptimize` runs the full pipeline (normally "in the background
 //! between bursts" — here, whenever the harness calls it) and retires the
-//! overlays.
+//! overlays. Both stages are one [`Change`] through one pair of calls:
+//! [`prepare`](SdxController::prepare) stages it in one transaction and
+//! plans its waves, [`commit`](SdxController::commit) drives them through
+//! [`drive`] and rolls the whole change back on any failure.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::time::{Duration, Instant};
@@ -21,7 +24,7 @@ use sdx_bgp::route_server::{ExportPolicy, RouteServer, RouteServerEvent};
 use sdx_net::{Ipv4Addr, ParticipantId, PortId, Prefix, Write};
 use sdx_openflow::border_router::{BorderRouter, FibEntry};
 use sdx_openflow::fabric::Fabric;
-use sdx_openflow::flowmod::FlowModBatch;
+use sdx_openflow::flowmod::{BatchStats, FlowModBatch};
 use sdx_policy::{Policy, PolicyDelta, PolicyOp};
 use sdx_telemetry::{Event, SharedRegistry};
 
@@ -34,7 +37,7 @@ use crate::participant::ParticipantConfig;
 use crate::piece::VnhMap;
 use crate::schedule::{drive, ScheduleOpts, ScheduleReport, UpdatePlan, WaveChecker, Waves};
 use crate::transform::TransformError;
-use crate::txn::{DeltaTxn, FabricTxn, Taken, UndoLog};
+use crate::txn::{FabricTxn, Taken, UndoLog};
 use crate::vnh::VnhAllocator;
 
 /// Priority floor for delta overlays; the reconciled base table lives in
@@ -287,15 +290,16 @@ impl SdxController {
     }
 
     /// Processes one BGP update through the route server and the fast
-    /// path, applying the delta overlay to `fabric` (switch rules, ARP
-    /// bindings, and FIB re-advertisements).
+    /// path ([`apply_changed_prefixes`](Self::apply_changed_prefixes)):
+    /// delta overlay rules, ARP bindings and FIB re-advertisements.
     ///
-    /// The fabric mutation is transactional: on any failure (policy
-    /// transformation, VNH exhaustion, validation, injected fault) the
-    /// installed fabric and the controller's bookkeeping roll back to the
-    /// pre-call state, and the typed error is returned. The route server's
-    /// RIB keeps the update — BGP knowledge is never discarded — so a
-    /// later [`reoptimize`](Self::reoptimize) converges the data plane.
+    /// All or nothing, like every update: on any failure (policy
+    /// transformation, VNH exhaustion, validation, an injected fault, an
+    /// overlay wave that exhausts its retries) the installed fabric and the
+    /// controller's bookkeeping roll back to the pre-call state, and the
+    /// typed error is returned. The route server's RIB keeps the update —
+    /// BGP knowledge is never discarded — so a later
+    /// [`reoptimize`](Self::reoptimize) converges the data plane.
     pub fn process_update(
         &mut self,
         from: ParticipantId,
@@ -320,36 +324,52 @@ impl SdxController {
 
     /// Runs the fast path for prefixes whose routes already changed in the
     /// route server (e.g. replayed withdrawals after a supervised session
-    /// reset) and commits the delta transactionally, exactly like
-    /// [`process_update`](Self::process_update).
+    /// reset): [`prepare`](Self::prepare) with [`Change::Burst`], then
+    /// [`commit`](Self::commit) with no hook — all or nothing, exactly
+    /// like [`process_update`](Self::process_update).
     pub fn apply_changed_prefixes(
         &mut self,
         changed: &[Prefix],
         fabric: &mut Fabric,
     ) -> Result<DeltaResult, SdxError> {
-        let reg = self.telemetry.clone();
-        let t0 = Instant::now();
-        let mut txn = DeltaTxn::begin(self);
-        let result = self.fast_path_in_txn(changed, fabric, &mut txn.log);
-        let elapsed = t0.elapsed();
-        reg.observe_duration("fastpath.total", elapsed);
-        let delta = self.settle("fastpath", fabric, txn, result)?;
-        reg.record_event(Event::DeltaApplied {
-            rules: delta.additional_rules(),
-            latency_ns: nanos(elapsed),
-        });
-        reg.set_gauge("controller.delta_layers", i64::from(self.delta_layers));
+        let mut prepared = self.prepare(fabric, Change::Burst(changed))?;
+        let delta = prepared.delta.take().unwrap_or_default();
+        self.commit(fabric, prepared, None)?;
         Ok(delta)
     }
 
-    /// The staged (validate, then mutate) portion of the fast path; runs
-    /// inside a [`DeltaTxn`], writing through its `log`.
-    fn fast_path_in_txn(
+    /// Installs a fast-path delta on the fabric: the burst's stage — ARP
+    /// bindings, re-advertisements, the overlay batch built — and the
+    /// overlay batch applied, with no transaction around them.
+    ///
+    /// Direct callers get no rollback — the transactional entry points
+    /// ([`process_update`](Self::process_update),
+    /// [`apply_changed_prefixes`](Self::apply_changed_prefixes)) are what
+    /// non-test code should use.
+    pub fn apply_delta(
+        &mut self,
+        delta: &DeltaResult,
+        fabric: &mut Fabric,
+    ) -> Result<(), SdxError> {
+        let log = &mut UndoLog::discarding();
+        let overlay = self.stage_delta(delta, fabric, log)?;
+        if !overlay.is_empty() {
+            let stats = log.apply_flowmods(fabric, &overlay).map_err(|e| {
+                SdxError::InvalidCommit(format!("fast-path flow-mod batch rejected: {e}"))
+            })?;
+            self.journal_batch(overlay.epoch, stats);
+        }
+        Ok(())
+    }
+
+    /// The fast path's stage: computes and validates the burst's delta,
+    /// then stages it through `log` ([`stage_delta`](Self::stage_delta)).
+    fn stage_burst(
         &mut self,
         changed: &[Prefix],
         fabric: &mut Fabric,
         log: &mut UndoLog,
-    ) -> Result<DeltaResult, SdxError> {
+    ) -> Result<(FlowModBatch, DeltaResult), SdxError> {
         let reg = self.telemetry.clone();
         let delta = self.compiler.fast_update_burst_with_faults(
             &self.rs,
@@ -358,79 +378,32 @@ impl SdxController {
             &mut self.faults,
         )?;
         reg.time("txn.validate", || crate::txn::validate_delta(&delta))?;
-        reg.time("fastpath.apply", || {
-            self.apply_delta_logged(&delta, fabric, log)
-        })?;
-        Ok(delta)
+        let overlay = reg.time("fastpath.apply", || self.stage_delta(&delta, fabric, log))?;
+        Ok((overlay, delta))
     }
 
-    /// Installs a fast-path delta on the fabric.
-    ///
-    /// Direct callers get no rollback — the transactional entry points
-    /// ([`process_update`](Self::process_update),
-    /// [`apply_changed_prefixes`](Self::apply_changed_prefixes)) wrap this
-    /// in a [`DeltaTxn`] and are what non-test code should use.
-    pub fn apply_delta(
-        &mut self,
-        delta: &DeltaResult,
-        fabric: &mut Fabric,
-    ) -> Result<(), SdxError> {
-        self.apply_delta_logged(delta, fabric, &mut UndoLog::discarding())
-    }
-
-    fn apply_delta_logged(
+    /// Stages a fast-path delta's control plane through `log` — its ARP
+    /// bindings, then the re-advertisement of its prefixes — and returns
+    /// its overlay: one epoch-tagged, cookie-stamped batch of `Add`s above
+    /// every standing overlay, built but not applied. The control plane
+    /// goes first, as a recompile's does (add-before-reference): when the
+    /// overlay lands, everything it serves is already in place.
+    fn stage_delta(
         &mut self,
         delta: &DeltaResult,
         fabric: &mut Fabric,
         log: &mut UndoLog,
-    ) -> Result<(), SdxError> {
-        if !delta.rules.is_empty() {
-            self.delta_layers += 1;
-            let overlay = crate::incremental::delta_classifier(delta.rules.clone());
-            // Install only the real rules; the overlay's synthetic
-            // catch-all would blackhole the base table. The installs go
-            // through the typed flow-mod protocol as one atomic,
-            // epoch-tagged, cookie-stamped batch.
-            let n = overlay.rules().len() as u32;
-            let base = self.next_delta_priority;
-            self.next_delta_priority = base.saturating_add(n + 1);
-            self.epoch += 1;
-            let mut batch = sdx_openflow::FlowModBatch::new(self.epoch);
-            for (i, r) in overlay.rules().iter().enumerate() {
-                if r.matches.is_wildcard() && r.is_drop() {
-                    continue;
-                }
-                batch.push(sdx_openflow::FlowMod::Add(
-                    sdx_openflow::table::FlowEntry::new(
-                        base + n - i as u32,
-                        r.matches,
-                        r.actions.iter().map(|a| a.mods.clone()).collect(),
-                    )
-                    .with_cookie(crate::reconcile::cookie_of(&r.matches)),
-                ));
-            }
-            let stats = log.apply_flowmods(fabric, &batch).map_err(|e| {
-                SdxError::InvalidCommit(format!("fast-path flow-mod batch rejected: {e}"))
-            })?;
-            self.telemetry.record_event(Event::FlowModBatchApplied {
-                epoch: self.epoch,
-                adds: stats.adds,
-                modifies: stats.modifies,
-                deletes: stats.deletes,
-            });
-        }
-        // Mid-commit fault point: overlay rules are staged on the switch
-        // but ARP/FIB synchronization has not run — a firing here leaves
-        // the fabric torn unless the enclosing transaction rolls back.
-        self.faults.check(InjectionPoint::FabricCommit)?;
-        // Nothing below can fail, so nothing below will be rolled back.
-        let log = &mut UndoLog::discarding();
+    ) -> Result<FlowModBatch, SdxError> {
         for &(vnh, vmac) in &delta.arp_bindings {
             log.bind_arp(fabric, vnh, vmac);
             if let Some(id) = vmac.fec_id() {
                 self.live_delta_ids.push(FecId(id));
             }
         }
+        // Mid-stage fault point: the bindings are in but the FIBs are not
+        // re-advertised — a firing here leaves the fabric torn unless the
+        // enclosing transaction rolls back.
+        self.faults.check(InjectionPoint::FabricCommit)?;
         // Last entry wins, as one UPDATE per entry would have it.
         let vnh: BTreeMap<(ParticipantId, Prefix), Option<Ipv4Addr>> = delta
             .vnh_updates
@@ -447,13 +420,48 @@ impl SdxController {
             vnh.keys().copied().collect(),
             |viewer, prefix| vnh.get(&(viewer, prefix)).copied().flatten(),
         );
-        Ok(())
+        if delta.rules.is_empty() {
+            return Ok(FlowModBatch::new(self.epoch));
+        }
+        self.delta_layers += 1;
+        let overlay = crate::incremental::delta_classifier(delta.rules.clone());
+        // Install only the real rules; the overlay's synthetic catch-all
+        // would blackhole the base table.
+        let n = overlay.rules().len() as u32;
+        let base = self.next_delta_priority;
+        self.next_delta_priority = base.saturating_add(n + 1);
+        self.epoch += 1;
+        let mut batch = FlowModBatch::new(self.epoch);
+        for (i, r) in overlay.rules().iter().enumerate() {
+            if r.matches.is_wildcard() && r.is_drop() {
+                continue;
+            }
+            batch.push(sdx_openflow::FlowMod::Add(
+                sdx_openflow::table::FlowEntry::new(
+                    base + n - i as u32,
+                    r.matches,
+                    r.actions.iter().map(|a| a.mods.clone()).collect(),
+                )
+                .with_cookie(crate::reconcile::cookie_of(&r.matches)),
+            ));
+        }
+        Ok(batch)
+    }
+
+    /// Journals a flow-mod batch that landed.
+    fn journal_batch(&self, epoch: u64, stats: BatchStats) {
+        self.telemetry.record_event(Event::FlowModBatchApplied {
+            epoch,
+            adds: stats.adds,
+            modifies: stats.modifies,
+            deletes: stats.deletes,
+        });
     }
 
     /// Runs the full (background) pipeline and patches the fabric:
-    /// [`prepare`](Self::prepare) with [`Waves::Atomic`], then
-    /// [`commit`](Self::commit) with no hook — the base table patched by
-    /// one atomic flow-mod batch, fresh ARP bindings, FIB re-sync,
+    /// [`prepare`](Self::prepare) with an atomic [`Change::Recompile`],
+    /// then [`commit`](Self::commit) with no hook — the base table patched
+    /// by one atomic flow-mod batch, fresh ARP bindings, FIB re-sync,
     /// overlays retired.
     ///
     /// All or nothing: any failure (compilation, validation, an injected
@@ -469,7 +477,7 @@ impl SdxController {
     /// caches), so a long-lived controller never exhausts the pool under
     /// sustained churn.
     pub fn reoptimize(&mut self, fabric: &mut Fabric) -> Result<&CompileReport, SdxError> {
-        let prepared = self.prepare(fabric, Waves::Atomic)?;
+        let prepared = self.prepare(fabric, Change::Recompile(Waves::Atomic))?;
         self.commit(fabric, prepared, None)?;
         self.report
             .as_ref()
@@ -477,29 +485,47 @@ impl SdxController {
             .ok_or_else(|| SdxError::InvalidCommit("reoptimize committed without a report".into()))
     }
 
-    /// The first half of every recompile: stages it — compile, validate,
-    /// retire the overlays, diff, flip the control plane — and plans the
-    /// patch `waves`' way, applying none of it. The returned update holds
-    /// the still-open transaction; hand it to [`commit`](Self::commit),
-    /// which lands the patch or rolls it all back. A failure here is
-    /// rolled back before it is returned.
+    /// The first half of every update, both of §4.3.2's stages: stages
+    /// `change` in one transaction and plans its data-plane half, applying
+    /// none of it. A [`Change::Burst`] runs the fast path — delta,
+    /// validation, ARP bindings, re-advertisements — and plans its overlay
+    /// as one atomic wave; a [`Change::Recompile`] compiles, validates,
+    /// retires the overlays, diffs and flips the control plane, and plans
+    /// the patch its [`Waves`]' way. The returned update holds the
+    /// still-open transaction; hand it to [`commit`](Self::commit), which
+    /// lands it or rolls it all back. A failure here is rolled back before
+    /// it is returned.
     pub fn prepare(
         &mut self,
         fabric: &mut Fabric,
-        waves: Waves,
+        change: Change<'_>,
     ) -> Result<PreparedUpdate, SdxError> {
         let t0 = Instant::now();
+        let timer = change.timer();
         let mut txn = FabricTxn::begin(self, fabric);
-        match self.stage(fabric, &mut txn) {
-            Ok((patch, retire)) => Ok(PreparedUpdate {
-                plan: waves.plan(fabric.switch.table(), patch),
+        let staged = match change {
+            Change::Burst(changed) => {
+                self.stage_burst(changed, fabric, &mut txn.log)
+                    .map(|(overlay, delta)| {
+                        let rules = delta.additional_rules();
+                        (Waves::Atomic, overlay, Close::Burst { rules }, Some(delta))
+                    })
+            }
+            Change::Recompile(waves) => self
+                .stage(fabric, &mut txn)
+                .map(|(patch, retire)| (waves, patch, Close::Recompile(retire), None)),
+        };
+        match staged {
+            Ok((waves, batch, close, delta)) => Ok(PreparedUpdate {
+                plan: waves.plan(fabric.switch.table(), batch),
+                delta,
                 txn,
-                retire,
+                close,
+                timer,
                 t0,
             }),
             Err(e) => {
-                self.telemetry
-                    .observe_duration("reoptimize.total", t0.elapsed());
+                self.telemetry.observe_duration(timer, t0.elapsed());
                 self.settle("prepare", fabric, txn, Err(e))
             }
         }
@@ -507,8 +533,10 @@ impl SdxController {
 
     /// The second half: drives the prepared waves through `fabric`
     /// ([`drive`], default [`ScheduleOpts`]), calling `hook` after each
-    /// one lands, then retires the stale ARP/VNH state and journals the
-    /// completion. `reoptimize.total` is observed once, from the start of
+    /// one lands, then closes the change — a burst journals its overlay, a
+    /// recompile retires the stale ARP/VNH state — and journals the
+    /// completion. The change's stage timer (`fastpath.total` or
+    /// `reoptimize.total`) is observed once, from the start of
     /// [`prepare`](Self::prepare), either way.
     ///
     /// All or nothing: a wave that exhausts its retries, a hook error or a
@@ -525,8 +553,10 @@ impl SdxController {
         let PreparedUpdate {
             plan,
             txn,
-            retire,
+            close,
+            timer,
             t0,
+            ..
         } = prepared;
         let reg = self.telemetry.clone();
         // The hook reads this controller while the driver advances the
@@ -558,9 +588,21 @@ impl SdxController {
         let outcome = outcome.map_err(|e| refusal.unwrap_or(e));
         let result = self.settle("commit", fabric, txn, outcome);
         if result.is_ok() {
-            self.retire(fabric, retire, t0.elapsed());
+            match close {
+                Close::Burst { rules } => {
+                    if let Some(overlay) = plan.waves.first() {
+                        self.journal_batch(overlay.epoch, overlay.stats());
+                    }
+                    reg.record_event(Event::DeltaApplied {
+                        rules,
+                        latency_ns: nanos(t0.elapsed()),
+                    });
+                    reg.set_gauge("controller.delta_layers", i64::from(self.delta_layers));
+                }
+                Close::Recompile(retire) => self.retire(fabric, retire, t0.elapsed()),
+            }
         }
-        reg.observe_duration("reoptimize.total", t0.elapsed());
+        reg.observe_duration(timer, t0.elapsed());
         result
     }
 
@@ -681,12 +723,7 @@ impl SdxController {
     /// journal the completion.
     fn retire(&mut self, fabric: &mut Fabric, retire: Retire, latency: Duration) {
         let reg = self.telemetry.clone();
-        reg.record_event(Event::FlowModBatchApplied {
-            epoch: self.epoch,
-            adds: retire.patched.adds,
-            modifies: retire.patched.modifies,
-            deletes: retire.patched.deletes,
-        });
+        self.journal_batch(self.epoch, retire.patched);
         // Unbind the retired addresses from the responder and invalidate
         // them from router ARP caches — selectively: every other cached
         // entry stays warm (the fixed vnh→vmac mapping means a surviving
@@ -1023,19 +1060,55 @@ impl SdxController {
 pub type WaveHook<'a> =
     dyn FnMut(&SdxController, &Fabric, usize, &FlowModBatch) -> Result<(), SdxError> + 'a;
 
-/// A recompile [`SdxController::prepare`] staged and nothing has applied
-/// yet: the control plane (report, ARP, FIB) already points at the new
-/// configuration, [`plan`](Self::plan) holds the waves that will patch
-/// the data plane, and the transaction that undoes it all is still open.
-/// [`SdxController::commit`] lands it or rolls it back.
+/// What [`SdxController::prepare`] stages: one of §4.3.2's two update
+/// stages. Both are one transaction, one drive and one failure rule.
+#[derive(Clone, Copy, Debug)]
+pub enum Change<'a> {
+    /// The fast path over a burst's changed prefixes (the route server
+    /// already holds the routes): delta overlay rules, landed as one
+    /// atomic wave above every standing overlay.
+    Burst(&'a [Prefix]),
+    /// The full recompile, its patch of the base table planned this way.
+    Recompile(Waves),
+}
+
+impl Change<'_> {
+    /// The stage timer the change is observed under, from the start of
+    /// `prepare` to the end of `commit`.
+    fn timer(self) -> &'static str {
+        match self {
+            Change::Burst(_) => "fastpath.total",
+            Change::Recompile(_) => "reoptimize.total",
+        }
+    }
+}
+
+/// A change [`SdxController::prepare`] staged and nothing has applied
+/// yet: the control plane (ARP, FIB, for a recompile the report) already
+/// points at the new configuration, [`plan`](Self::plan) holds the waves
+/// that will change the data plane, and the transaction that undoes it
+/// all is still open. [`SdxController::commit`] lands it or rolls it back.
 #[derive(Debug)]
 #[must_use = "a prepared update stays half applied until it is committed"]
 pub struct PreparedUpdate {
-    /// The waves that patch the data plane.
+    /// The waves that change the data plane.
     pub plan: UpdatePlan,
+    /// A burst's fast-path delta, whose overlay the plan lands (`None`
+    /// for a recompile). `commit` does not read it.
+    pub delta: Option<DeltaResult>,
     txn: FabricTxn,
-    retire: Retire,
+    close: Close,
+    timer: &'static str,
     t0: Instant,
+}
+
+/// What [`SdxController::commit`] does once the waves have landed.
+#[derive(Debug)]
+enum Close {
+    /// Journal the overlay, with the delta's additional rules.
+    Burst { rules: usize },
+    /// Retire what the recompile left unreferenced.
+    Recompile(Retire),
 }
 
 /// What [`SdxController::stage`] leaves for after its patch has landed:
@@ -1044,7 +1117,7 @@ pub struct PreparedUpdate {
 /// them one the new report binds).
 #[derive(Debug)]
 struct Retire {
-    patched: sdx_openflow::flowmod::BatchStats,
+    patched: BatchStats,
     overlays: u32,
     stale_ids: Vec<FecId>,
     retired_addrs: Vec<Ipv4Addr>,
@@ -1817,7 +1890,9 @@ mod tests {
         ctl.reoptimize(&mut fabric).unwrap();
         let delta = PolicyDelta::new().retract_outbound(pid(3));
         ctl.stage_policy_delta(&delta).expect("stage");
-        let prepared = ctl.prepare(&mut fabric, Waves::Ordered).expect("prepare");
+        let prepared = ctl
+            .prepare(&mut fabric, Change::Recompile(Waves::Ordered))
+            .expect("prepare");
         ctl.commit(&mut fabric, prepared, None)
             .expect("waves commit");
         // With C's policy retracted, port-80 traffic follows the best
@@ -1869,5 +1944,59 @@ mod tests {
         ctl.faults = FaultPlan::disabled();
         ctl.reoptimize(&mut fabric).expect("the next pass lands");
         assert_eq!(ctl.delta_layers(), 0);
+    }
+
+    #[test]
+    fn a_burst_whose_overlay_exhausts_its_retries_rolls_back() {
+        let (mut ctl, mut fabric) = deployment();
+        fabric.enable_batch_log();
+        let b_cfg = ctl.compiler.participant(pid(2)).unwrap().clone();
+        ctl.process_update(
+            pid(2),
+            &b_cfg.announce([prefix("54.0.0.0/8")], &[65002, 7]),
+            &mut fabric,
+        )
+        .expect("fast path");
+        let layers = ctl.delta_layers();
+        assert!(layers > 0, "fixture: an overlay the burst stacks on");
+        // A prefix C's web policy reaches via B, in the Loc-RIB only.
+        let fresh = prefix("91.0.0.0/8");
+        ctl.rs
+            .process_update(pid(2), &b_cfg.announce([fresh], &[65002, 3]));
+        let _ = fabric.drain_batches();
+        let before = image(&ctl, &fabric);
+        let timed = ctl.telemetry.histogram("fastpath.total").count();
+        ctl.faults = FaultPlan::seeded(3)
+            .fail_with_probability(InjectionPoint::FlowModApply { wave: 0 }, 1.0);
+        let err = ctl
+            .apply_changed_prefixes(&[fresh], &mut fabric)
+            .expect_err("the overlay never lands");
+        assert_eq!(
+            err,
+            SdxError::UpdateAborted {
+                wave: 0,
+                applied: 0,
+                total: 1,
+                attempts: ScheduleOpts::default().max_attempts,
+            }
+        );
+        // Report, allocator, overlay counters, Adj-RIB-Outs, table, ARP,
+        // shared FIB: all as before the call, and nothing to stream.
+        assert_eq!(image(&ctl, &fabric), before);
+        assert!(fabric.drain_batches().is_empty(), "nothing left to stream");
+        let timed_now = ctl.telemetry.histogram("fastpath.total").count();
+        assert_eq!(timed_now, timed + 1, "a failed burst is timed once");
+        ctl.faults = FaultPlan::disabled();
+        let delta = ctl
+            .apply_changed_prefixes(&[fresh], &mut fabric)
+            .expect("the next burst lands");
+        assert!(delta.additional_rules() > 0);
+        assert_eq!(ctl.delta_layers(), layers + 1);
+        let out = fabric.send(
+            PortId::Phys(pid(3), 1),
+            Packet::tcp(ip("99.0.0.1"), ip("91.1.2.3"), 5000, 80),
+        );
+        assert_eq!(out.len(), 1);
+        assert_eq!(out[0].loc, PortId::Phys(pid(2), 1));
     }
 }

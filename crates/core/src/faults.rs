@@ -22,9 +22,10 @@ pub enum InjectionPoint {
     Compile,
     /// A virtual-next-hop allocation (full pipeline or fast path).
     VnhAlloc,
-    /// Mid-way through applying a compiled result to the fabric — after
-    /// flow rules are staged but before ARP/FIB synchronization, so a
-    /// firing here exercises rollback of a half-mutated fabric.
+    /// Mid-way through staging a change on the fabric — for a burst after
+    /// its ARP bindings and before its re-advertisements, for a recompile
+    /// after the overlay retirement and before ARP/FIB synchronization —
+    /// so a firing here exercises rollback of a half-mutated fabric.
     FabricCommit,
     /// Application of one scheduled flow-mod wave to the fabric (see
     /// [`crate::schedule`]). The payload selects which wave fails:

@@ -58,7 +58,7 @@ pub mod vnh;
 pub mod vswitch;
 
 pub use compiler::{CompileReport, SdxCompiler};
-pub use controller::{PreparedUpdate, SdxController, WaveHook};
+pub use controller::{Change, PreparedUpdate, SdxController, WaveHook};
 pub use error::SdxError;
 pub use faults::{FaultPlan, InjectionPoint};
 pub use fec::{canonicalize_report, minimum_disjoint_subsets, FecGroup, FecId, FecKey};

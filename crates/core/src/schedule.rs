@@ -44,8 +44,8 @@
 //! ([`SdxError::UpdateAborted`], journaled as [`Event::UpdateAborted`]),
 //! a checker refusal or a switch rejection rewinds every wave it landed.
 //! [`SdxController::commit`](crate::SdxController::commit) is its one
-//! caller in the controller, and rolls the rest of the recompile back
-//! with it.
+//! caller in the controller, for a burst's overlay and a recompile's
+//! patch alike, and rolls the rest of the change back with it.
 
 use std::collections::BTreeMap;
 

@@ -1,18 +1,20 @@
 //! Transactional fabric commits.
 //!
-//! Every controller-driven mutation of the data plane — a fast-path delta
-//! in [`process_update`](crate::controller::SdxController::process_update)
-//! or a recompile in
-//! [`reoptimize`](crate::controller::SdxController::reoptimize) — runs
-//! inside a [`FabricTxn`]: the compiled result is validated against the
-//! invariants below, and every write made on the way — flow-mod batches,
-//! overlay retirement, ARP bindings, base and per-viewer writes to the
-//! Adj-RIB-Outs and to the border routers' shared FIB, the drained
-//! route-server dirty set — goes through the transaction's [`UndoLog`],
-//! which keeps the previous value each write displaced. Any failure at any step replays the log backwards, so
-//! an observer of the data plane sees either the old state or the new
-//! state, never a torn mixture; a transaction costs what it changes, not
-//! what the exchange holds.
+//! Every controller-driven mutation of the data plane — a fast-path burst
+//! or a recompile, each staged by
+//! [`prepare`](crate::controller::SdxController::prepare) and landed by
+//! [`commit`](crate::controller::SdxController::commit) — runs inside one
+//! [`FabricTxn`], held open from staging to the last wave: the compiled
+//! result is validated against the invariants below, and every write
+//! staging makes — overlay retirement, ARP bindings, base and per-viewer
+//! writes to the Adj-RIB-Outs and to the border routers' shared FIB, the
+//! drained route-server dirty set — goes through the transaction's
+//! [`UndoLog`], which keeps the previous value each write displaced. The
+//! waves themselves land through [`crate::schedule::drive`], which undoes
+//! its own. Any failure at any step replays the log backwards, so an
+//! observer of the data plane sees either the old state or the new state,
+//! never a torn mixture; a transaction costs what it changes, not what
+//! the exchange holds.
 //!
 //! Validation invariants (violations indicate a compiler bug, and must
 //! never reach the switch):
@@ -94,10 +96,10 @@ pub struct UndoLog {
 
 impl UndoLog {
     /// A log that performs writes and drops what they displace at once,
-    /// for a caller past its last fallible step: nothing can roll it back
-    /// any more, so there is nothing to keep. The fast path writes its
-    /// ARP bindings and re-advertisements this way, as do the public
-    /// entry points that run outside a transaction.
+    /// for a caller that nothing will roll back, so there is nothing to
+    /// keep: the public entry points that run outside a transaction
+    /// ([`apply_delta`](SdxController::apply_delta),
+    /// [`sync_fibs`](SdxController::sync_fibs)).
     pub fn discarding() -> Self {
         UndoLog {
             discard: true,
@@ -113,6 +115,9 @@ impl UndoLog {
 
     /// [`Fabric::apply_flowmods`], timed as `flowtable.apply`: the batch's
     /// own undo journal and its place in the batch log are what is kept.
+    /// [`apply_delta`](SdxController::apply_delta) lands its overlay this
+    /// way; a transaction's waves land through
+    /// [`drive`](crate::schedule::drive).
     pub fn apply_flowmods(
         &mut self,
         fabric: &mut Fabric,
@@ -276,15 +281,16 @@ impl FabricTxn {
                 ctl.report = taken.report;
                 ctl.live_delta_ids = taken.delta_ids;
             }
-            // The fast path only appends.
+            // A burst only appends.
             None => ctl.live_delta_ids.truncate(self.live_delta_ids_len),
         }
     }
 }
 
-/// The fast path's name for the same transaction: its writes go through
-/// the same [`UndoLog`], so beginning costs the allocator copy and
-/// rolling back costs the delta.
+/// Opens a [`FabricTxn`] under the fast path's name. Kept for the
+/// benchmark's parts twin, which times what beginning one costs (the
+/// allocator copy); the controller opens every transaction in
+/// [`prepare`](SdxController::prepare).
 #[derive(Debug)]
 pub struct DeltaTxn;
 

@@ -98,28 +98,11 @@ impl VnhAllocator {
         }
     }
 
-    /// Computes, **without mutating the allocator**, exactly the triples
-    /// the next `count` calls to [`try_allocate`](Self::try_allocate)
-    /// would return, in order — free-list ids first (LIFO), then
-    /// sequential offsets. The parallel compile pipeline reserves the
-    /// whole batch up front, assigns triples to FEC groups in
-    /// deterministic viewer order, and [`commit`](Self::commit)s once the
-    /// assignment is fault-free, so allocation stays byte-identical to
-    /// the serial one-at-a-time path while nothing is consumed on error.
-    pub fn reserve(&self, count: usize) -> Result<VnhReservation, SdxError> {
-        let mut draft = Draft::new(self);
-        let mut triples = Vec::with_capacity(count);
-        for _ in 0..count {
-            let off = draft.draw(self)?;
-            triples.push(self.triple(off));
-        }
-        Ok(draft.into_reservation(self, triples, Vec::new()))
-    }
-
     /// Computes, **without mutating the allocator**, one triple per key —
     /// reusing the id a key is already mapped to, and drawing fresh ids
     /// (free-list LIFO, then sequential, exactly like
-    /// [`reserve`](Self::reserve)) only for keys never seen before. On
+    /// [`try_allocate`](Self::try_allocate)) only for keys never seen
+    /// before. On
     /// [`commit`](Self::commit) the fresh keys become mapped; until then
     /// nothing is consumed, so an aborted compile leaves the allocator —
     /// key maps included — byte-identical.
@@ -266,8 +249,8 @@ impl Draft {
 
 /// A batch of tentatively allocated `(FecId, VNH, VMAC)` triples — the
 /// read-only half of the reservation-then-commit split (see
-/// [`VnhAllocator::reserve`]). Dropping a reservation without committing
-/// leaves the allocator untouched.
+/// [`VnhAllocator::reserve_keyed`]). Dropping a reservation without
+/// committing leaves the allocator untouched.
 #[derive(Clone, Debug)]
 pub struct VnhReservation {
     triples: Vec<(FecId, Ipv4Addr, MacAddr)>,
@@ -381,49 +364,6 @@ mod tests {
         let mut a = VnhAllocator::new(prefix("10.0.0.0/31")); // 2 addresses
         a.allocate(); // offset 1 — ok
         a.allocate(); // offset 2 ≥ size 2 — panics
-    }
-
-    #[test]
-    fn reserve_matches_try_allocate_sequence() {
-        let mut a = VnhAllocator::default();
-        a.allocate();
-        let (recycled, _, _) = a.allocate();
-        a.allocate();
-        a.release(recycled); // free list non-empty: [recycled]
-        let r = a.reserve(4).expect("pool is large");
-        let mut b = a.clone();
-        let direct: Vec<_> = (0..4).map(|_| b.try_allocate().unwrap()).collect();
-        assert_eq!(r.triples(), direct.as_slice());
-        assert_eq!(r.triples()[0].0, recycled, "free ids are reserved first");
-        a.commit(&r);
-        assert_eq!(a.remaining(), b.remaining());
-        assert_eq!(a.try_allocate().unwrap(), b.try_allocate().unwrap());
-    }
-
-    #[test]
-    fn reserve_does_not_mutate_and_drop_is_free() {
-        let a = VnhAllocator::new(prefix("10.0.0.0/29")); // 7 usable
-        let before = a.remaining();
-        let r = a.reserve(3).expect("3 of 7 fits");
-        assert_eq!(r.len(), 3);
-        assert!(!r.is_empty());
-        drop(r);
-        assert_eq!(
-            a.remaining(),
-            before,
-            "uncommitted reservation costs nothing"
-        );
-        assert!(matches!(a.reserve(8), Err(SdxError::VnhExhausted { .. })));
-        assert_eq!(a.remaining(), before, "failed reservation costs nothing");
-    }
-
-    #[test]
-    #[should_panic(expected = "stale")]
-    fn commit_rejects_stale_reservation() {
-        let mut a = VnhAllocator::default();
-        let r = a.reserve(2).unwrap();
-        a.allocate(); // allocator moved on; r is stale
-        a.commit(&r);
     }
 
     fn key(viewer: u32, pfx: &str, nh: u32) -> FecKey {

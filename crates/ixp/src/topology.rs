@@ -244,28 +244,6 @@ impl SyntheticIxp {
         rs
     }
 
-    /// Each participant's full announcement set — origin prefixes plus
-    /// transit re-announcements. These are the `p_i` sets of the paper's
-    /// Figure 6 experiment.
-    pub fn announcement_sets(&self) -> Vec<(ParticipantId, Vec<Prefix>)> {
-        let mut out: Vec<(ParticipantId, Vec<Prefix>)> = self
-            .participants
-            .iter()
-            .zip(&self.announcements)
-            .map(|(p, a)| (p.id, a.clone()))
-            .collect();
-        for (tid, prefixes) in &self.transit_routes {
-            let slot = out
-                .iter_mut()
-                .find(|(id, _)| id == tid)
-                .expect("transit id from this population");
-            slot.1.extend(prefixes.iter().copied());
-            slot.1.sort();
-            slot.1.dedup();
-        }
-        out
-    }
-
     /// Participant ids of a class, ordered by announcement count
     /// descending (the "top-X%" selections of §6.1 index into these).
     pub fn by_class(&self, class: ParticipantClass) -> Vec<ParticipantId> {

@@ -147,11 +147,6 @@ impl BorderRouter {
         self.arp_cache.get(&addr).copied()
     }
 
-    /// Number of live ARP-cache entries.
-    pub fn arp_cache_len(&self) -> usize {
-        self.arp_cache.len()
-    }
-
     /// Forwards an IP packet originated behind this router into the
     /// fabric: FIB lookup, ARP for the next hop (through the SDX
     /// responder), MAC rewrite, and emission on the fabric port.

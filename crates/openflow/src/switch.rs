@@ -155,11 +155,6 @@ impl Switch {
         self.table.install_classifier(c, 0);
     }
 
-    /// Installs higher-priority delta rules (the §4.3.2 fast path).
-    pub fn overlay_classifier(&mut self, c: &Classifier, base: u32) {
-        self.table.install_classifier(c, base);
-    }
-
     /// Installs a single entry.
     pub fn install(&mut self, entry: FlowEntry) {
         self.table.install(entry);
@@ -285,7 +280,7 @@ mod tests {
         sw.load_classifier(&compile(
             &(Policy::match_(FieldMatch::TpDst(80)) >> Policy::fwd(port(2))),
         ));
-        sw.overlay_classifier(
+        sw.table_mut().install_classifier(
             &compile(&(Policy::match_(FieldMatch::TpDst(80)) >> Policy::fwd(port(7)))),
             100_000,
         );

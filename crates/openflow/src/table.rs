@@ -440,42 +440,10 @@ impl FlowTable {
         }
     }
 
-    /// Drops the free slots, so that `slots` is exactly the entries — for
-    /// the whole-table paths, which rebuild the matcher anyway.
-    fn drop_slack(&mut self) {
-        self.slots.drain(..self.head);
-        self.prios.drain(..self.head);
-        self.head = 0;
-    }
-
     /// Stamps table and matcher with `epoch` in lockstep.
     pub(crate) fn set_epoch(&mut self, epoch: u64) {
         self.epoch = epoch;
         self.matcher.touch(epoch);
-    }
-
-    /// Removes entries whose pattern equals `pattern` (any priority),
-    /// returning how many were removed.
-    pub fn remove(&mut self, pattern: &HeaderMatch) -> usize {
-        let removed: Vec<u64> = self
-            .entries()
-            .iter()
-            .filter(|e| &e.pattern == pattern)
-            .map(|e| e.cookie)
-            .collect();
-        if removed.is_empty() {
-            return 0;
-        }
-        self.drop_slack();
-        self.slots.retain(|e| &e.pattern != pattern);
-        self.prios = self.slots.iter().map(|e| e.priority).collect();
-        for c in &removed {
-            self.index_remove(*c);
-        }
-        self.epoch += 1;
-        self.matcher.rebuild(&self.slots, self.epoch);
-        self.debug_check_prios();
-        removed.len()
     }
 
     /// Removes every entry with priority `>= min_priority` — how the SDX
@@ -530,23 +498,6 @@ impl FlowTable {
         self.epoch -= 1;
         self.matcher.rebuild(&self.slots[self.head..], self.epoch);
         self.debug_check_prios();
-    }
-
-    /// Removes every entry stamped with `cookie` (how the controller
-    /// retires all rules of one FEC group), returning how many went.
-    pub fn remove_by_cookie(&mut self, cookie: u64) -> usize {
-        let removed = self.cookie_count(cookie);
-        if removed == 0 {
-            return 0;
-        }
-        self.drop_slack();
-        self.slots.retain(|e| e.cookie != cookie);
-        self.prios = self.slots.iter().map(|e| e.priority).collect();
-        self.cookie_index.remove(&cookie);
-        self.epoch += 1;
-        self.matcher.rebuild(&self.slots, self.epoch);
-        self.debug_check_prios();
-        removed
     }
 
     /// Live entries stamped with `cookie`, via the maintained index —
@@ -604,11 +555,6 @@ impl FlowTable {
     /// True if no entries are installed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Number of entries that forward (the Figures 7/9 metric).
-    pub fn forwarding_entry_count(&self) -> usize {
-        self.entries().iter().filter(|e| !e.is_drop()).count()
     }
 
     /// Read-only view of the entries, priority order.
@@ -787,7 +733,7 @@ mod tests {
         let m = HeaderMatch::of(FieldMatch::TpDst(80));
         t.install(FlowEntry::new(5, m, vec![]));
         t.install(FlowEntry::new(1000, HeaderMatch::any(), vec![]));
-        assert_eq!(t.remove(&m), 1);
+        assert!(t.delete_exact(5, &m));
         assert_eq!(t.len(), 1);
         assert_eq!(t.remove_at_or_above(1000), 1);
         assert!(t.is_empty());
@@ -801,7 +747,8 @@ mod tests {
         let mut t = FlowTable::new();
         t.install_classifier(&c, 0);
         assert_eq!(t.len(), c.rules().len());
-        assert_eq!(t.forwarding_entry_count(), c.forwarding_rule_count());
+        let forwarding = t.entries().iter().filter(|e| !e.is_drop()).count();
+        assert_eq!(forwarding, c.forwarding_rule_count());
         // First-match equivalence on a sample.
         let hit = t.lookup(&web(port(1))).unwrap();
         assert_eq!(hit.buckets, vec![vec![Mod::SetLoc(port(2))]]);
@@ -849,11 +796,12 @@ mod tests {
         t.install(FlowEntry::new(5, m80, vec![]).with_cookie(8));
         assert_eq!(t.cookie_count(7), 1);
         assert_eq!(t.cookie_count(8), 2);
-        // Removal by pattern, by priority band, and by cookie all maintain
-        // the index.
-        assert_eq!(t.remove(&m443), 1);
+        // Removal by priority band and by exact slot both maintain the
+        // index.
+        assert_eq!(t.remove_at_or_above(6), 2);
         assert_eq!(t.cookie_count(7), 0);
-        assert_eq!(t.remove_by_cookie(8), 2);
+        assert_eq!(t.cookie_count(8), 1);
+        assert!(t.delete_exact(5, &m80));
         assert!(t.is_empty());
         assert_eq!(t.cookie_count(8), 0);
     }

@@ -91,7 +91,6 @@ fn arb_entry() -> impl Strategy<Value = (u32, HeaderMatch)> {
 enum Op {
     Install(u32, HeaderMatch),
     Delete(u32, HeaderMatch),
-    RemovePattern(HeaderMatch),
     RemoveAtOrAbove(u32),
     Modify(u32, HeaderMatch),
     Batch(Vec<(u32, HeaderMatch)>),
@@ -106,7 +105,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
         arb_entry().prop_map(|(p, m)| Op::Install(p, m)),
         arb_entry().prop_map(|(p, m)| Op::Install(p, m)),
         arb_entry().prop_map(|(p, m)| Op::Delete(p, m)),
-        arb_match().prop_map(Op::RemovePattern),
         (0u32..8).prop_map(Op::RemoveAtOrAbove),
         arb_entry().prop_map(|(p, m)| Op::Modify(p, m)),
         proptest::collection::vec(arb_entry(), 1..4).prop_map(Op::Batch),
@@ -438,9 +436,6 @@ proptest! {
                 Op::Install(p, m) => t.install(FlowEntry::new(p, m, vec![])),
                 Op::Delete(p, m) => {
                     t.delete_exact(p, &m);
-                }
-                Op::RemovePattern(m) => {
-                    t.remove(&m);
                 }
                 Op::RemoveAtOrAbove(p) => {
                     t.remove_at_or_above(p);

@@ -26,7 +26,7 @@
 use sdx_bgp::route_server::RouteServer;
 use sdx_core::compiler::{CompileReport, SdxCompiler};
 use sdx_core::schedule::{ScheduleReport, UpdatePlan, Waves};
-use sdx_core::{SdxController, SdxError};
+use sdx_core::{Change, SdxController, SdxError};
 use sdx_net::{Packet, PortId};
 use sdx_openflow::fabric::Fabric;
 use sdx_openflow::flowmod::FlowModBatch;
@@ -68,11 +68,6 @@ impl UpdateVerifier {
         let pre = outcomes(compiler, rs, report, pre_table, &probes);
         let post = outcomes(compiler, rs, report, &post_table, &probes);
         Ok(UpdateVerifier { probes, pre, post })
-    }
-
-    /// Number of probes in the corpus.
-    pub fn probe_count(&self) -> usize {
-        self.probes.len()
     }
 
     /// Judges one intermediate `table`: every probe must terminate and
@@ -162,7 +157,7 @@ pub fn reoptimize_verified(
     fabric: &mut Fabric,
     probes: Vec<(PortId, Packet)>,
 ) -> Result<ScheduleReport, SdxError> {
-    let prepared = ctl.prepare(fabric, Waves::Ordered)?;
+    let prepared = ctl.prepare(fabric, Change::Recompile(Waves::Ordered))?;
     let report = ctl
         .report
         .as_ref()
@@ -282,7 +277,7 @@ mod tests {
             // Whatever path was taken, the final state must be coherent:
             // a second update with nothing to do plans no waves.
             let prepared = ctl
-                .prepare(&mut fabric, Waves::Ordered)
+                .prepare(&mut fabric, Change::Recompile(Waves::Ordered))
                 .expect("idempotent");
             assert!(
                 prepared.plan.is_empty(),

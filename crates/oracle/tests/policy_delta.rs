@@ -7,7 +7,7 @@
 //! in the deployed table.
 
 use sdx_bgp::route_server::ExportPolicy;
-use sdx_core::controller::SdxController;
+use sdx_core::controller::{Change, SdxController};
 use sdx_core::participant::ParticipantConfig;
 use sdx_core::schedule::Waves;
 use sdx_ixp::policy_workload::{assign_policies, PolicyWorkloadParams};
@@ -243,7 +243,7 @@ fn ddos_mitigation_mid_churn_is_a_small_patch_with_every_effect_in_place() {
     ctl.stage_policy_delta(&PolicyDelta::new().replace_inbound(victim, scrub))
         .expect("mitigation stages");
     let prepared = ctl
-        .prepare(&mut fabric, Waves::Ordered)
+        .prepare(&mut fabric, Change::Recompile(Waves::Ordered))
         .expect("mitigation compiles");
     let sched = ctl
         .commit(&mut fabric, prepared, None)

@@ -18,7 +18,7 @@
 //! the fabric are left exactly as they were before `prepare`, and every
 //! probe forwards as it did.
 
-use sdx_core::controller::SdxController;
+use sdx_core::controller::{Change, SdxController};
 use sdx_core::faults::{FaultPlan, InjectionPoint, ANY_WAVE};
 use sdx_core::schedule::{ScheduleOpts, UpdatePlan, Waves};
 use sdx_core::SdxError;
@@ -75,7 +75,9 @@ fn scheduled_waves_are_safe_where_unordered_mods_are_not() {
     let mut unordered_violations = 0;
     for seed in 1..=10u64 {
         let (mut ctl, mut fabric) = perturbed(seed);
-        let prepared = ctl.prepare(&mut fabric, Waves::Ordered).expect("prepare");
+        let prepared = ctl
+            .prepare(&mut fabric, Change::Recompile(Waves::Ordered))
+            .expect("prepare");
         if prepared.plan.is_empty() {
             ctl.commit(&mut fabric, prepared, None)
                 .expect("empty commit");
@@ -187,7 +189,9 @@ fn a_failed_commit_at_any_wave_leaves_the_deployment_untouched() {
     let mut after_a_landed_wave = 0;
     for seed in 1..=40u64 {
         let (mut ctl, mut fabric) = perturbed(seed);
-        let prepared = ctl.prepare(&mut fabric, Waves::Ordered).expect("prepare");
+        let prepared = ctl
+            .prepare(&mut fabric, Change::Recompile(Waves::Ordered))
+            .expect("prepare");
         let total = prepared.plan.wave_count();
         ctl.commit(&mut fabric, prepared, None)
             .expect("the undisturbed commit lands");
@@ -197,7 +201,9 @@ fn a_failed_commit_at_any_wave_leaves_the_deployment_untouched() {
                 fabric.enable_batch_log();
                 let before = image(&ctl, &fabric);
                 let forwarded = verdicts(&ctl, &fabric);
-                let prepared = ctl.prepare(&mut fabric, Waves::Ordered).expect("prepare");
+                let prepared = ctl
+                    .prepare(&mut fabric, Change::Recompile(Waves::Ordered))
+                    .expect("prepare");
                 assert_eq!(prepared.plan.wave_count(), total, "seed {seed}");
                 // Refuses every table that delivers a probe: it was built
                 // for an exchange with no rules at all.
@@ -276,7 +282,9 @@ fn an_aborted_update_rolls_back_and_the_next_pass_recovers() {
     let seed = (1..=32u64)
         .find(|&s| {
             let (mut ctl, mut fabric) = perturbed(s);
-            let prepared = ctl.prepare(&mut fabric, Waves::Ordered).expect("prepare");
+            let prepared = ctl
+                .prepare(&mut fabric, Change::Recompile(Waves::Ordered))
+                .expect("prepare");
             let waves = prepared.plan.wave_count();
             ctl.commit(&mut fabric, prepared, None).expect("commit");
             waves >= 2
@@ -284,7 +292,9 @@ fn an_aborted_update_rolls_back_and_the_next_pass_recovers() {
         .expect("some seed plans at least two waves");
     let (mut ctl, mut fabric) = perturbed(seed);
     let before = image(&ctl, &fabric);
-    let prepared = ctl.prepare(&mut fabric, Waves::Ordered).expect("prepare");
+    let prepared = ctl
+        .prepare(&mut fabric, Change::Recompile(Waves::Ordered))
+        .expect("prepare");
     let total = prepared.plan.wave_count();
     ctl.faults = FaultPlan::seeded(seed)
         .fail_with_probability(InjectionPoint::FlowModApply { wave: 1 }, 1.0);

@@ -12,7 +12,7 @@
 //! `ACK_TIMEOUT` (10 s), so a dead or stalled agent fails the channel
 //! in bounded time.
 //!
-//! The daemon fans a recompile's waves out over its fleet of channels: a
+//! The daemon fans every update's waves out over its fleet of channels: a
 //! wave is sent to *every* channel before any barrier is taken, so the
 //! *switches apply concurrently* while the per-wave barrier (all acks in)
 //! is still enforced before the next wave.

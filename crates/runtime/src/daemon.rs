@@ -11,10 +11,12 @@
 //!   socket-liveness-driven via `connection_up` / `peer_disconnected`).
 //! * **OpenFlow** — switch agents connect and receive the controller's
 //!   [`FlowModBatch`] stream over per-switch channels with a bound on
-//!   unacked frames ([`crate::channel`]). A recompile fans out wave by
-//!   wave through the controller's per-wave commit hook, its barrier held
-//!   across the whole fleet; a recompile that fails is rolled back, and
-//!   every agent is resynced to the driving table.
+//!   unacked frames ([`crate::channel`]). Every update — a route burst's
+//!   overlay, a policy push, an operator re-optimization — is one pass:
+//!   it fans out wave by wave through the controller's per-wave commit
+//!   hook, its barrier held across the whole fleet; a pass that fails,
+//!   whether a switch rejected a wave or not, is rolled back, and every
+//!   agent is resynced to the driving table.
 //! * **Telemetry** — any connection receives one JSON dump of the
 //!   metrics registry + journal and is closed: `nc host port | jq`.
 //! * **Policy** — participants push JSON-line policy frames (DSL
@@ -44,9 +46,10 @@
 //!
 //! [`DaemonHandle::stop`] enqueues a final input. The loop drains a
 //! bounded number of already-queued updates and policy frames (each
-//! frame acked) and shuts down any connection queued behind it, flushes
-//! them through one last compile, waits out every OpenFlow barrier (a
-//! wave in flight always reaches its barrier — never mid-wave), journals
+//! frame acked) and shuts down any connection queued behind it, and
+//! compiles them through one last pass, which takes its OpenFlow barriers
+//! like every pass (a wave in flight always reaches its barrier — never
+//! mid-wave); it then journals
 //! `daemon_stopped`, closes the switch channels and exits. `stop` then
 //! wakes each acceptor with one connection; the acceptor shuts down every
 //! socket it accepted, which ends that socket's reader, and joins the
@@ -67,7 +70,7 @@ use sdx_bgp::msg::BgpMessage;
 use sdx_bgp::wire::{self, StreamDecoder};
 use sdx_bgp::{Clock, OpenMessage, Supervisor, SupervisorConfig, SupervisorOutput, SystemClock};
 use sdx_core::reconcile::DELTA_BASE;
-use sdx_core::{SdxController, SdxError, Waves};
+use sdx_core::{Change, SdxController, SdxError, Waves};
 use sdx_net::{Asn, ParticipantId, Prefix, RouterId};
 use sdx_openflow::{Fabric, FlowModBatch};
 use sdx_telemetry::{Counter, Event, SharedRegistry};
@@ -158,7 +161,7 @@ impl DaemonHandle {
         let _ = self.tx.send(Input::Reoptimize);
     }
 
-    /// Stops the daemon: bounded drain of queued updates, final flush,
+    /// Stops the daemon: bounded drain of queued updates, one final pass,
     /// all channel barriers taken, `daemon_stopped` journalled; then every
     /// accepted socket is shut down and every thread the daemon spawned
     /// joined. Returns the event loop's report.
@@ -530,8 +533,7 @@ impl EventLoop {
     /// Publishes the deployed table's compiled-matcher stats as gauges, so
     /// the telemetry endpoint reports data-plane health (table shape,
     /// index sizes, hit distribution) alongside the control-plane
-    /// counters. Called wherever the table image changes: startup deploy,
-    /// delta flush, reoptimize.
+    /// counters. Called at startup and as the last step of every pass.
     fn publish_matcher_stats(&self) {
         let table = self.fabric.switch.table();
         let s = table.matcher_stats();
@@ -606,7 +608,7 @@ impl EventLoop {
                 }
                 Input::PeerClosed { conn } => self.handle_peer_closed(conn),
                 Input::SwitchConnected { stream } => self.handle_switch_connected(stream),
-                Input::Reoptimize => self.recompile(Waves::Ordered, Vec::new()),
+                Input::Reoptimize => self.pass(Change::Recompile(Waves::Ordered), Vec::new()),
                 Input::Stop => {
                     self.shutdown_drain();
                     break;
@@ -644,12 +646,12 @@ impl EventLoop {
         self.dispatch(out);
     }
 
-    /// Sends a supervisor output's messages and flushes its changed
-    /// prefixes through one delta compile.
+    /// Sends a supervisor output's messages and compiles its changed
+    /// prefixes through one fast-path pass.
     fn dispatch(&mut self, out: SupervisorOutput) {
         self.send_msgs(out.send);
         let changed: BTreeSet<Prefix> = out.changed_prefixes.into_iter().collect();
-        self.flush(changed, 0, Vec::new());
+        self.compile(changed, 0, 0, Vec::new());
     }
 
     /// Folds queued route updates and policy frames into one pass until
@@ -673,10 +675,7 @@ impl EventLoop {
     }
 
     /// One coalesced pass: ingest the BGP messages, stage the policy
-    /// frames, then compile once. Policy mutations take the recompile
-    /// (the editors' signature maps rebuilt, every other viewer's patched
-    /// at the burst's dirty prefixes), which subsumes any route dirt from
-    /// the same burst; route-only bursts keep the prefix-keyed fast path.
+    /// frames, then compile once.
     fn handle_burst(
         &mut self,
         msgs: Vec<(ConnId, BgpMessage, Instant)>,
@@ -684,24 +683,52 @@ impl EventLoop {
     ) {
         let (changed, n_updates, arrivals) = self.ingest_peer_msgs(msgs);
         let staged = self.stage_policy_frames(frames);
-        if staged == 0 {
-            self.flush(changed, n_updates, arrivals);
+        self.compile(changed, n_updates, staged, arrivals);
+    }
+
+    /// Compiles what a burst changed — `staged` policy deltas, `changed`
+    /// prefixes — through one [`pass`](Self::pass). Staged policy takes
+    /// the recompile (the editors' signature maps rebuilt, every other
+    /// viewer's patched at the burst's dirty prefixes), which subsumes any
+    /// route dirt from the same burst; a route-only burst takes the fast
+    /// path over the union of its changed prefixes.
+    fn compile(
+        &mut self,
+        changed: BTreeSet<Prefix>,
+        n_updates: usize,
+        staged: u64,
+        arrivals: Vec<Instant>,
+    ) {
+        if staged == 0 && changed.is_empty() {
             return;
         }
         self.compiles += 1;
         self.reg.inc("daemon.compiles.count");
-        if n_updates > 0 {
+        if staged > 0 {
+            if n_updates > 0 {
+                self.coalesced_bursts += 1;
+                self.reg.record_event(Event::Custom {
+                    name: "policy_coalesced_with_burst".to_string(),
+                    detail: format!(
+                        "{staged} policy delta(s) compiled with {n_updates} route update(s), \
+                         {} changed prefix(es)",
+                        changed.len()
+                    ),
+                });
+            }
+            return self.pass(Change::Recompile(Waves::Atomic), arrivals);
+        }
+        let prefixes: Vec<Prefix> = changed.into_iter().collect();
+        if n_updates > 1 {
             self.coalesced_bursts += 1;
-            self.reg.record_event(Event::Custom {
-                name: "policy_coalesced_with_burst".to_string(),
-                detail: format!(
-                    "{staged} policy delta(s) compiled with {n_updates} route update(s), \
-                     {} changed prefix(es)",
-                    changed.len()
-                ),
+            self.reg.record_event(Event::BurstCoalesced {
+                updates: n_updates,
+                prefixes: prefixes.len(),
             });
         }
-        self.recompile(Waves::Atomic, arrivals);
+        self.reg
+            .observe("daemon.coalesce.updates", n_updates.max(1) as u64);
+        self.pass(Change::Burst(&prefixes), arrivals);
     }
 
     /// Stages every policy frame of a burst into the controller's book
@@ -889,38 +916,6 @@ impl EventLoop {
         }
     }
 
-    /// One delta compile over the union of a burst's changed prefixes,
-    /// then stream the resulting batches to every switch channel.
-    fn flush(&mut self, changed: BTreeSet<Prefix>, n_updates: usize, arrivals: Vec<Instant>) {
-        if changed.is_empty() {
-            return;
-        }
-        let prefixes: Vec<Prefix> = changed.into_iter().collect();
-        if n_updates > 1 {
-            self.coalesced_bursts += 1;
-            self.reg.record_event(Event::BurstCoalesced {
-                updates: n_updates,
-                prefixes: prefixes.len(),
-            });
-        }
-        self.reg
-            .observe("daemon.coalesce.updates", n_updates.max(1) as u64);
-        self.compiles += 1;
-        self.reg.inc("daemon.compiles.count");
-        match self.ctl.apply_changed_prefixes(&prefixes, &mut self.fabric) {
-            Ok(_delta) => {
-                self.stream_drained_batches();
-                self.publish_matcher_stats();
-                self.observe_flushed(arrivals);
-            }
-            Err(_) => {
-                // The delta transaction rolled everything back (and the
-                // batch log with it): nothing reached the wire.
-                self.reg.inc("daemon.fastpath_failed.count");
-            }
-        }
-    }
-
     /// The pass that carried these UPDATEs has its flow-mods acked.
     fn observe_flushed(&self, arrivals: Vec<Instant>) {
         for at in arrivals {
@@ -929,45 +924,6 @@ impl EventLoop {
                 at.elapsed().as_micros() as u64,
             );
         }
-    }
-
-    /// Streams every batch the fabric logged since the last drain to all
-    /// connected switch channels, then takes the fleet barrier.
-    fn stream_drained_batches(&mut self) {
-        let batches = self.fabric.drain_batches();
-        if batches.is_empty() || self.channels.is_empty() {
-            return;
-        }
-        let mut dead: Vec<usize> = Vec::new();
-        for b in &batches {
-            self.last_epoch = b.epoch;
-            self.batches_streamed += 1;
-            self.reg.inc("daemon.batches_streamed.count");
-            for (i, ch) in self.channels.iter_mut().enumerate() {
-                if !dead.contains(&i) && ch.send_batch(b).is_err() {
-                    dead.push(i);
-                }
-            }
-        }
-        self.barrier_all(dead);
-    }
-
-    /// Takes the ack barrier of every channel not already in `dead`, then
-    /// drops the dead ones. True when none was lost.
-    fn barrier_all(&mut self, mut dead: Vec<usize>) -> bool {
-        for (i, ch) in self.channels.iter_mut().enumerate() {
-            if !dead.contains(&i) && ch.barrier().is_err() {
-                dead.push(i);
-            }
-        }
-        let all_alive = dead.is_empty();
-        dead.sort_unstable();
-        for i in dead.into_iter().rev() {
-            let ch = self.channels.remove(i);
-            self.reg.inc("daemon.channel_lost.count");
-            ch.close();
-        }
-        all_alive
     }
 
     /// A switch agent connected: bring its empty table up to the current
@@ -989,49 +945,60 @@ impl EventLoop {
     }
 
     /// Puts every agent on exactly the driving fabric's table with one
-    /// sync frame each, barrier taken. True when no channel was lost.
-    fn sync_agents(&mut self) -> bool {
+    /// sync frame each, barrier taken. A channel that fails either is
+    /// dropped.
+    fn sync_agents(&mut self) {
         let image = codec::sync_batch(self.fabric.switch.table(), self.last_epoch);
-        let dead: Vec<usize> = (0..self.channels.len())
+        let mut dead: Vec<usize> = (0..self.channels.len())
             .filter(|&i| self.channels[i].send_sync(&image).is_err())
             .collect();
-        self.barrier_all(dead)
+        for (i, ch) in self.channels.iter_mut().enumerate() {
+            if !dead.contains(&i) && ch.barrier().is_err() {
+                dead.push(i);
+            }
+        }
+        dead.sort_unstable();
+        for i in dead.into_iter().rev() {
+            let ch = self.channels.remove(i);
+            self.reg.inc("daemon.channel_lost.count");
+            ch.close();
+        }
     }
 
-    /// The one recompile pass, for a coalesced burst that staged policy
-    /// and for an operator re-optimization alike: prepare it through the
-    /// controller, retire the overlays on the agents, and commit, the
-    /// commit hook fanning each wave out to the channel fleet behind a
-    /// barrier. A lost channel is dropped and the pass goes on; the pass
-    /// fails only when the commit does, and then the driving fabric is
-    /// rolled back and every agent put back on its table. `waves` is the
-    /// callers' only difference.
-    fn recompile(&mut self, waves: Waves, arrivals: Vec<Instant>) {
-        let had_overlays = self
-            .fabric
-            .switch
-            .table()
-            .entries()
-            .first()
-            .is_some_and(|e| e.priority >= DELTA_BASE);
-        let prepared = match self.ctl.prepare(&mut self.fabric, waves) {
-            Ok(p) => p,
-            Err(_) => {
-                // Rolled back to the pre-call state, batch log included;
-                // agents untouched. Staged policy stays in the book and
-                // the next successful pass converges.
-                self.reg.inc("daemon.reoptimize_failed.count");
-                return;
-            }
+    /// The one update pass, for a route burst, a coalesced burst that
+    /// staged policy and an operator re-optimization alike: prepare the
+    /// change through the controller, retire the overlays on the agents if
+    /// it retired them locally, and commit, the commit hook fanning each
+    /// wave out to the channel fleet behind a barrier. A channel lost on
+    /// the retirement sync is dropped and the pass goes on; the pass fails
+    /// only when the commit does, and then the driving fabric is rolled
+    /// back and every agent put back on its table.
+    fn pass(&mut self, change: Change<'_>, arrivals: Vec<Instant>) {
+        let failed = match change {
+            Change::Burst(_) => "daemon.fastpath_failed.count",
+            Change::Recompile(_) => "daemon.reoptimize_failed.count",
+        };
+        let overlaid = |fabric: &Fabric| {
+            let top = fabric.switch.table().entries().first();
+            top.is_some_and(|e| e.priority >= DELTA_BASE)
+        };
+        let had_overlays = overlaid(&self.fabric);
+        let Ok(prepared) = self.ctl.prepare(&mut self.fabric, change) else {
+            // Rolled back to the pre-call state, batch log included;
+            // agents untouched. The RIB and any staged policy keep the
+            // change, and the next successful recompile converges.
+            self.reg.inc(failed);
+            return;
         };
         // From here on the agents are brought to this update's table.
         self.last_epoch = prepared.plan.epoch;
-        // Staging retired every fast-path overlay from the local table,
-        // outside the flow-mod protocol (so in no logged batch). Agents
-        // take the same step as a sync frame of the post-retirement table
-        // — identical end state, and O(base) instead of one delete per
-        // retired overlay rule, which matters after a long burst run.
-        if had_overlays {
+        // A recompile's staging retired every fast-path overlay from the
+        // local table, outside the flow-mod protocol (so in no logged
+        // batch). Agents take the same step as a sync frame of the
+        // post-retirement table — identical end state, and O(base) instead
+        // of one delete per retired overlay rule, which matters after a
+        // long burst run.
+        if had_overlays && !overlaid(&self.fabric) {
             self.sync_agents();
         }
         let (channels, reg, streamed) = (&mut self.channels, &self.reg, &mut self.batches_streamed);
@@ -1043,18 +1010,20 @@ impl EventLoop {
         let outcome = self.ctl.commit(&mut self.fabric, prepared, Some(&mut hook));
         // The hook carried every wave; the local batch log duplicates it.
         self.fabric.drain_batches();
-        match outcome {
-            Ok(_) => self.observe_flushed(arrivals),
-            Err(_) => {
-                self.reg.inc("daemon.reoptimize_failed.count");
-                self.reg.inc("daemon.resync.count");
-                self.sync_agents();
-            }
+        if outcome.is_err() {
+            self.reg.inc(failed);
+            self.reg.inc("daemon.resync.count");
+            self.sync_agents();
         }
+        // Published before the UPDATEs are observed: whoever waits for the
+        // observations reads this pass's table epoch, not the last one's.
         self.publish_matcher_stats();
+        if outcome.is_ok() {
+            self.observe_flushed(arrivals);
+        }
     }
 
-    /// Bounded shutdown drain: flush what is already queued — route
+    /// Bounded shutdown drain: compile what is already queued — route
     /// updates and policy frames, each frame acked — through one last
     /// pass (never abandoning an in-flight wave short of its barrier),
     /// then let `run` journal `daemon_stopped`.
@@ -1070,9 +1039,8 @@ impl EventLoop {
                 let _ = socket.shutdown(Shutdown::Both);
             }
         }
+        // Every pass takes its barriers, so none is left outstanding.
         self.handle_burst(msgs, frames);
-        // Every queued frame reaches its barrier before we exit.
-        self.barrier_all(Vec::new());
     }
 }
 

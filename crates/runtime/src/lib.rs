@@ -9,8 +9,8 @@
 //! * [`daemon`] — the event loop: real BGP sessions framed by
 //!   `sdx_bgp::wire` over arbitrary TCP segmentation, socket-liveness
 //!   session supervision (keepalives, hold timers, flap damping on TCP
-//!   resets), burst coalescing of pending recompiles, acked policy
-//!   frames, every recompile's waves fanned out over switch channels,
+//!   resets), burst coalescing of pending compiles, acked policy
+//!   frames, every update's waves fanned out over switch channels,
 //!   graceful drain on shutdown, and a telemetry endpoint serving the
 //!   registry + journal as JSON.
 //! * [`channel`] — per-switch OpenFlow channels: a bound on unacked

@@ -1214,13 +1214,95 @@ fn a_rolled_back_fast_path_pass_is_never_streamed() {
     assert_eq!(agent_fabric.switch.table(), twin_fabric.switch.table());
 }
 
+/// A switch agent that applies every frame, except that it rejects the
+/// first apply frame after its connect sync, once. Returns its table and
+/// whether it rejected.
+fn first_apply_rejecting_agent(addr: SocketAddr) -> JoinHandle<(FlowTable, bool)> {
+    scripted_agent(addr, (FlowTable::new(), false), |(table, fired), frame| {
+        match frame {
+            codec::ChannelFrame::Sync { batch, .. } => {
+                table.clear();
+                table.apply_batch(&batch).expect("sync applies");
+            }
+            codec::ChannelFrame::Apply { .. } if !*fired => {
+                *fired = true;
+                return Err("injected agent failure");
+            }
+            codec::ChannelFrame::Apply { batch, .. } => {
+                table.apply_batch(&batch).expect("apply");
+            }
+        }
+        Ok(())
+    })
+}
+
+#[test]
+fn a_fast_path_batch_an_agent_rejects_is_rolled_back_and_resynced() {
+    let handle = daemon::start(figure1_controller(), DaemonConfig::default()).expect("start");
+    let reg = handle.telemetry().clone();
+    let agent = first_apply_rejecting_agent(handle.openflow_addr);
+    wait_counter(&reg, "daemon.switch_connected.count", 1);
+    // A second agent takes every batch, the rejected one included: only
+    // the resync takes that overlay back off it.
+    let other = spawn_agent(handle.openflow_addr).expect("agent");
+    wait_counter(&reg, "daemon.switch_connected.count", 2);
+
+    // Policy-affected prefixes from B (A forwards web traffic to B): each
+    // update's fast-path pass streams an overlay batch. The first agent
+    // rejects the first; the second lands.
+    let b = ParticipantConfig::new(2, 65002, 2);
+    let rejected = b.announce([prefix("60.0.0.0/8")], &[65002, 300]);
+    let lands = b.announce([prefix("61.0.0.0/8")], &[65002, 300]);
+    let mut peer = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer");
+    peer.send(&BgpMessage::Update(rejected.clone()))
+        .expect("send");
+    wait_counter(&reg, "daemon.fastpath_failed.count", 1);
+    peer.send(&BgpMessage::Update(lands.clone())).expect("send");
+    wait_until("the second update's flow-mods acked", || {
+        reg.histogram("daemon.update_to_flowmod_us").count() == 1
+    });
+    let report = handle.stop();
+    let (agent_table, fired) = agent.join().expect("agent thread");
+    let other_fabric = other.join();
+
+    // Rolled back and resynced like a rejected recompile wave: the
+    // channel stays up and both agents see the second batch.
+    assert!(fired, "fixture: the agent must have rejected a batch");
+    assert_eq!(counter(&reg, "daemon.channel_lost.count"), 0);
+    assert_eq!(counter(&reg, "daemon.fastpath_failed.count"), 1);
+    assert!(counter(&reg, "daemon.resync.count") >= 1);
+    for (who, table) in [
+        ("the rejecting agent", &agent_table),
+        ("the other agent", other_fabric.switch.table()),
+    ] {
+        assert_eq!(
+            table,
+            report.fabric.switch.table(),
+            "{who}'s table diverged from the driving fabric"
+        );
+    }
+    // No overlay for the rejected prefix: the agent holds what an
+    // exchange holds whose fast path only ever ran for the second one.
+    let mut twin = figure1_controller();
+    let mut twin_fabric = twin.deploy().expect("deploy");
+    twin.rs.process_update(pid(2), &rejected);
+    twin.process_update(pid(2), &lands, &mut twin_fabric)
+        .expect("fast path");
+    assert!(
+        twin_fabric.switch.table().entries()[0].priority >= DELTA_BASE,
+        "fixture: the second update must lay an overlay"
+    );
+    assert_eq!(&agent_table, twin_fabric.switch.table());
+}
+
 #[test]
 fn graceful_shutdown_drains_through_injected_faults() {
     let mut ctl = figure1_controller();
     // The first wave's first apply attempt fails; the scheduler's retry
     // budget absorbs it. The deploy inside `daemon::start` crosses the
-    // point first, so the re-optimization's is the second crossing.
-    ctl.faults = FaultPlan::seeded(11).fail_nth(InjectionPoint::FlowModApply { wave: 0 }, 2);
+    // point first and the burst's overlay wave second, so the
+    // re-optimization's is the third crossing.
+    ctl.faults = FaultPlan::seeded(11).fail_nth(InjectionPoint::FlowModApply { wave: 0 }, 3);
     let handle = daemon::start(ctl, DaemonConfig::default()).expect("start");
     let reg = handle.telemetry().clone();
     let agent = spawn_agent(handle.openflow_addr).expect("agent");
@@ -1250,13 +1332,15 @@ fn graceful_shutdown_drains_through_injected_faults() {
     let started = kind_pos("daemon_started").expect("daemon_started");
     let established = kind_pos("session_established").expect("session_established");
     let injected = kind_pos("fault_injected").expect("fault_injected");
+    // The burst landed clean: the fault bit the re-optimization.
+    let burst = kind_pos("delta_applied").expect("delta_applied");
     // The deploy's own wave precedes `daemon_started`: take the last one.
     let wave = (events.iter())
         .rposition(|e| e.event.kind() == "update_wave_applied")
         .expect("update_wave_applied");
     let stopped = kind_pos("daemon_stopped").expect("daemon_stopped");
     assert!(
-        started < established && established < injected,
+        started < established && established < burst && burst < injected,
         "journal order"
     );
     assert!(injected < wave && wave < stopped, "journal order");

@@ -8,8 +8,9 @@
 //! step of a random history — route churn (announce, re-announce over a
 //! longer or looping path, withdraw, session reset, export-policy and
 //! community exclusions), policy pushes, fast-path bursts,
-//! re-optimisations, and any of them failing on an injected fault and
-//! rolling back — the model is fed one write per (viewer, prefix), the way
+//! re-optimisations, any of them failing on an injected fault and
+//! rolling back, and any of them retrying a wave whose first apply
+//! attempt failed — the model is fed one write per (viewer, prefix), the way
 //! the old code did it, and every viewer's visible Adj-RIB-Out and every
 //! router's lookups must equal it.
 
@@ -21,6 +22,7 @@ use rand::{Rng, SeedableRng};
 use sdx::bgp::attrs::PathAttributes;
 use sdx::bgp::route_server::{communities, ExportPolicy, RouteServer, RouteServerEvent};
 use sdx::core::controller::SdxController;
+use sdx::core::faults::ANY_WAVE;
 use sdx::core::{ParticipantConfig, VnhMap};
 use sdx::net::{FieldMatch, Ipv4Addr, ParticipantId, PortId, Prefix};
 use sdx::openflow::border_router::FibEntry;
@@ -232,6 +234,9 @@ fn arb_planned() -> impl Strategy<Value = Planned> {
         Just(Some(InjectionPoint::Compile)),
         Just(Some(InjectionPoint::FabricCommit)),
         Just(Some(InjectionPoint::VnhAlloc)),
+        // Retried, not fatal: a burst, push or re-optimisation that hits
+        // it on its first attempt lands and must still match the model.
+        Just(Some(InjectionPoint::FlowModApply { wave: ANY_WAVE })),
     ];
     (arb_step(), any::<bool>(), fault)
 }

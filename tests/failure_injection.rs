@@ -284,9 +284,9 @@ fn injected_vnh_fault_mid_compile_never_consumes_pool_ids() {
 fn injected_commit_fault_rolls_back_torn_fast_path() {
     let (mut ctl, mut fabric) = two_party_deployment();
     let snap = fabric.clone();
-    // FabricCommit fires *mid-commit*: delta rules are already staged in
-    // the flow table when the fault hits, so this exercises rollback of a
-    // genuinely torn fabric.
+    // FabricCommit fires *mid-stage*: the delta's ARP bindings are already
+    // on the responder when the fault hits, its re-advertisements not yet
+    // in the FIBs, so this exercises rollback of a genuinely torn fabric.
     ctl.faults = FaultPlan::seeded(3).fail_nth(InjectionPoint::FabricCommit, 1);
     let err = ctl
         .process_update(pid(2), &announce_30_8(), &mut fabric)

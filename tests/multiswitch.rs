@@ -3,7 +3,7 @@
 //! behave exactly like the single-big-switch it abstracts.
 
 use sdx::bgp::route_server::ExportPolicy;
-use sdx::core::controller::SdxController;
+use sdx::core::controller::{Change, SdxController};
 use sdx::core::participant::ParticipantConfig;
 use sdx::core::schedule::Waves;
 use sdx::core::SdxError;
@@ -149,7 +149,9 @@ fn a_commit_hook_lands_every_wave_on_every_switch() {
     let (mut ctl, mut single, _) = dual_deployment();
     let mut multi = mirrored(&single);
     restructure(&mut ctl);
-    let prepared = ctl.prepare(&mut single, Waves::Ordered).expect("prepare");
+    let prepared = ctl
+        .prepare(&mut single, Change::Recompile(Waves::Ordered))
+        .expect("prepare");
     assert!(prepared.plan.wave_count() >= 2, "fixture: several waves");
     // The hook's return is the per-wave barrier: every switch holds wave
     // n before any is sent wave n + 1.
@@ -176,7 +178,9 @@ fn a_hook_failing_at_wave_one_leaves_the_driving_fabric_as_it_was() {
     let mut multi = mirrored(&single);
     restructure(&mut ctl);
     let before = single.clone();
-    let prepared = ctl.prepare(&mut single, Waves::Ordered).expect("prepare");
+    let prepared = ctl
+        .prepare(&mut single, Change::Recompile(Waves::Ordered))
+        .expect("prepare");
     assert!(prepared.plan.wave_count() >= 2, "fixture: several waves");
     let mut fan_out = |_: &SdxController, _: &Fabric, wave: usize, batch: &FlowModBatch| {
         if wave == 1 {
