@@ -26,6 +26,7 @@
 //! * every ARP binding resolves to a well-formed VMAC carrying its FEC id.
 
 use std::collections::BTreeSet;
+use std::hash::Hash;
 use std::time::Instant;
 
 use sdx_bgp::attrs::PathAttributes;
@@ -164,7 +165,7 @@ impl UndoLog {
         self.write(fabric.fib_mut(), write, Table::Fib, Undo::Fib);
     }
 
-    fn write<K: Ord + Copy, V>(
+    fn write<K: Ord + Hash + Copy, V>(
         &mut self,
         table: &mut ViewTable<K, V>,
         write: Write<K, V>,

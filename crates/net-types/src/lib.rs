@@ -21,6 +21,8 @@
 //!   match covers, whether two matches overlap, intersection of matches.
 //!   This underpins both classifier composition and the "most SDX policies
 //!   are disjoint" compile-time optimization (§4.3.1).
+//! * [`hash`] — [`WordHasher`], the deterministic word-at-a-time hasher
+//!   behind every hashed index on the per-packet path.
 //! * [`wire`] — Ethernet II / IPv4 / ARP frame encoding with RFC 1071
 //!   checksums, so the packet model has a real on-the-wire form.
 //!
@@ -33,6 +35,7 @@
 
 pub mod asn;
 pub mod flowspace;
+pub mod hash;
 pub mod ipv4;
 pub mod mac;
 pub mod packet;
@@ -42,6 +45,7 @@ pub mod wire;
 
 pub use asn::{Asn, ParticipantId, PortId, RouterId};
 pub use flowspace::{FieldMatch, HeaderMatch, Mod};
+pub use hash::{WordHasher, WordMap, WordSet};
 pub use ipv4::{ip, prefix, Ipv4Addr, Prefix, PrefixParseError};
 pub use mac::MacAddr;
 pub use packet::{EtherType, IpProto, LocatedPacket, Location, Packet};

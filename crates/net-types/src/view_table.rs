@@ -18,8 +18,10 @@
 //! backwards. The table stores what it is told: whether a viewer's value
 //! is worth a slot (it differs from the base) is the writer's decision.
 
-use std::collections::BTreeSet;
 use std::fmt;
+use std::hash::Hash;
+
+use crate::hash::WordSet;
 
 use crate::ipv4::{Ipv4Addr, Prefix};
 use crate::trie::PrefixTrie;
@@ -140,18 +142,27 @@ impl<K: Ord + Copy, V> Entry<K, V> {
 /// assert!(t.lookup(3, ip("10.1.2.3")).is_none(), "not subscribed");
 /// assert_eq!(t.stored(), 2, "one base, one exception");
 /// ```
-#[derive(Clone, PartialEq, Debug)]
+#[derive(Clone, Debug)]
 pub struct ViewTable<K, V> {
-    subscribers: BTreeSet<K>,
+    /// Hashed: every read asks whether its viewer is subscribed.
+    subscribers: WordSet<K>,
     entries: PrefixTrie<Entry<K, V>>,
     bases: usize,
     slots: usize,
 }
 
+impl<K: Eq + Hash, V: PartialEq> PartialEq for ViewTable<K, V> {
+    fn eq(&self, other: &Self) -> bool {
+        self.subscribers == other.subscribers
+            && self.entries == other.entries
+            && (self.bases, self.slots) == (other.bases, other.slots)
+    }
+}
+
 impl<K, V> Default for ViewTable<K, V> {
     fn default() -> Self {
         ViewTable {
-            subscribers: BTreeSet::new(),
+            subscribers: WordSet::default(),
             entries: PrefixTrie::new(),
             bases: 0,
             slots: 0,
@@ -159,7 +170,7 @@ impl<K, V> Default for ViewTable<K, V> {
     }
 }
 
-impl<K: Ord + Copy, V> ViewTable<K, V> {
+impl<K: Ord + Hash + Copy, V> ViewTable<K, V> {
     /// An empty table.
     pub fn new() -> Self {
         Self::default()
@@ -191,9 +202,12 @@ impl<K: Ord + Copy, V> ViewTable<K, V> {
         self.subscribers.contains(&viewer)
     }
 
-    /// The subscribed viewers, in order.
-    pub fn subscribers(&self) -> impl Iterator<Item = K> + '_ {
-        self.subscribers.iter().copied()
+    /// The subscribed viewers, in order. Sorts them: for the rare
+    /// caller that walks them all, not for a read.
+    pub fn subscribers(&self) -> impl Iterator<Item = K> {
+        let mut viewers: Vec<K> = self.subscribers.iter().copied().collect();
+        viewers.sort_unstable();
+        viewers.into_iter()
     }
 
     /// The base of `prefix`, if it has one.
@@ -414,7 +428,7 @@ where
 
 impl<K: Copy, V> Copy for View<'_, K, V> {}
 
-impl<'a, K: Ord + Copy, V> View<'a, K, V> {
+impl<'a, K: Ord + Hash + Copy, V> View<'a, K, V> {
     /// What the viewer sees at exactly `prefix`.
     pub fn get(&self, prefix: Prefix) -> Option<&'a V> {
         self.table.get(self.viewer, prefix)
@@ -446,13 +460,13 @@ impl<'a, K: Ord + Copy, V> View<'a, K, V> {
     }
 }
 
-impl<K: Ord + Copy, V: PartialEq> PartialEq for View<'_, K, V> {
+impl<K: Ord + Hash + Copy, V: PartialEq> PartialEq for View<'_, K, V> {
     fn eq(&self, other: &Self) -> bool {
         self.iter().eq(other.iter())
     }
 }
 
-impl<K: Ord + Copy, V: fmt::Debug> fmt::Debug for View<'_, K, V> {
+impl<K: Ord + Hash + Copy, V: fmt::Debug> fmt::Debug for View<'_, K, V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_map().entries(self.iter()).finish()
     }

@@ -177,6 +177,12 @@ impl Materialised {
         }
     }
 
+    /// Who is subscribed: per viewer, then as an ascending list.
+    fn subscriptions(&self) -> ([bool; 4], Vec<u8>) {
+        let listed = (0..4u8).filter(|&v| self.subscribed[v as usize]).collect();
+        (self.subscribed, listed)
+    }
+
     /// The table `viewer` would hold on its own.
     fn table_of(&self, viewer: u8) -> BTreeMap<Prefix, u16> {
         let mut table = BTreeMap::new();
@@ -193,10 +199,19 @@ impl Materialised {
     }
 }
 
+/// What `table` says of its subscriptions, in the model's terms: each
+/// viewer's [`ViewTable::is_subscribed`], then its `subscribers()`.
+fn subscriptions(table: &ViewTable<u8, u16>) -> ([bool; 4], Vec<u8>) {
+    let each = std::array::from_fn(|v| table.is_subscribed(v as u8));
+    (each, table.subscribers().collect())
+}
+
 proptest! {
     /// Every viewer of a [`ViewTable`] sees — at a prefix, by longest
     /// match, in iteration — what a table of its own would hold after
-    /// the same writes; the stored count is bases plus slots; and each
+    /// the same writes; the stored count is bases plus slots; the
+    /// subscriptions, tested one by one and listed in ascending order,
+    /// are the model's after every write and after its inverse; and each
     /// write's inverse puts the table back, structure included.
     #[test]
     fn view_table_shows_each_viewer_its_own_table(
@@ -207,10 +222,13 @@ proptest! {
         let mut model = Materialised::default();
         for write in &writes {
             let before = table.clone();
+            let was = model.subscriptions();
             let inverse = table.apply(write.clone());
             model.apply(write);
+            prop_assert_eq!(subscriptions(&table), model.subscriptions(), "after {:?}", write);
             let mut undone = table.clone();
             undone.apply(inverse);
+            prop_assert_eq!(subscriptions(&undone), was, "after undoing {:?}", write);
             prop_assert_eq!(undone, before, "inverse of {:?}", write);
         }
         let slots: usize = model.own.iter().map(BTreeMap::len).sum();

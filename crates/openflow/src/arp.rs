@@ -6,9 +6,7 @@
 //! equivalence class. Physical participant addresses are answered from the
 //! same table, pre-populated from the static IXP configuration.
 
-use std::collections::BTreeMap;
-
-use sdx_net::{Ipv4Addr, MacAddr};
+use sdx_net::{Ipv4Addr, MacAddr, WordMap};
 
 /// An ARP request: "who has `target`?"
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -29,7 +27,8 @@ pub struct ArpReply {
 /// The controller-side ARP table/responder.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct ArpResponder {
-    table: BTreeMap<Ipv4Addr, MacAddr>,
+    /// Hashed: a router's ARP-cache miss reads it mid-packet.
+    table: WordMap<Ipv4Addr, MacAddr>,
     /// Requests that could not be answered (diagnostics/failure injection).
     pub unanswered: u64,
 }

@@ -38,7 +38,7 @@ use std::ops::{Deref, DerefMut};
 
 use sdx_net::{
     Ipv4Addr, LocatedPacket, MacAddr, Packet, PortId, Prefix, PrefixTrie, Slot, View, ViewTable,
-    Write,
+    WordMap, Write,
 };
 
 use sdx_bgp::msg::UpdateMessage;
@@ -64,8 +64,9 @@ pub struct BorderRouter {
     /// The router's interface MAC.
     pub mac: MacAddr,
     fib: PrefixTrie<FibEntry>,
-    /// Local ARP cache, filled by querying the SDX responder.
-    arp_cache: std::collections::BTreeMap<Ipv4Addr, MacAddr>,
+    /// Local ARP cache, filled by querying the SDX responder; hashed,
+    /// since every forwarded packet reads it.
+    arp_cache: WordMap<Ipv4Addr, MacAddr>,
     /// Packets dropped for lack of a route.
     pub no_route_drops: u64,
     /// Packets dropped because ARP resolution failed.
@@ -79,7 +80,7 @@ impl BorderRouter {
             port,
             mac,
             fib: PrefixTrie::new(),
-            arp_cache: std::collections::BTreeMap::new(),
+            arp_cache: WordMap::default(),
             no_route_drops: 0,
             no_arp_drops: 0,
         }

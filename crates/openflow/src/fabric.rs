@@ -7,15 +7,15 @@
 //! router(s) receive it, after the full pipeline: FIB → VNH/ARP tagging →
 //! flow-table classification → delivery.
 //!
-//! Per packet, [`Fabric::send`] does the paper's two lookups (the
-//! router's FIB walk, then one switch-table match), credits the winning
-//! entry and two pre-resolved counters, and applies the entry's buckets;
-//! a packet that leaves on one port allocates nothing.
+//! Per packet, [`Fabric::send`] finds the router in one hashed probe,
+//! does the paper's two lookups (the router's FIB walk, then one
+//! switch-table match) with a hashed ARP-cache read between, credits the
+//! winning entry and pre-resolved counters, and applies its buckets: no
+//! ordered map, no counter by name, no allocation for one output port.
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use sdx_net::{Ipv4Addr, LocatedPacket, Packet, ParticipantId, PortId, Slot, Write};
+use sdx_net::{Ipv4Addr, LocatedPacket, Packet, ParticipantId, PortId, Slot, WordMap, Write};
 use sdx_telemetry::{Counter, SharedRegistry};
 
 use crate::arp::ArpResponder;
@@ -33,7 +33,10 @@ pub struct Fabric {
     pub switch: Switch,
     /// The controller-operated ARP responder.
     pub arp: ArpResponder,
-    routers: BTreeMap<PortId, BorderRouter>,
+    /// The attached routers, in port order.
+    routers: Vec<BorderRouter>,
+    /// Each attached port's index into `routers`.
+    by_port: WordMap<PortId, usize>,
     /// The attached routers' FIBs, as one table keyed by port (see
     /// [`crate::border_router`]): written by whoever speaks BGP to them.
     fib: SharedFib,
@@ -49,15 +52,18 @@ pub struct Fabric {
     batch_log: BatchLog,
 }
 
-/// The fabric's registry and the two counters every packet moves,
-/// resolved from that registry once rather than probed for by name per
-/// packet. Always built from one registry, so the handles count where
+/// The fabric's registry and the counters a packet can move, resolved
+/// from that registry once rather than probed for by name per packet.
+/// Always built from one registry, so the handles count where
 /// [`Fabric::telemetry`] reads.
 #[derive(Clone, Debug)]
 struct Telemetry {
     registry: SharedRegistry,
     tx: Arc<Counter>,
     delivered: Arc<Counter>,
+    no_route: Arc<Counter>,
+    no_arp: Arc<Counter>,
+    stuck_at_virtual: Arc<Counter>,
 }
 
 impl Telemetry {
@@ -65,6 +71,9 @@ impl Telemetry {
         Telemetry {
             tx: registry.counter("fabric.tx.count"),
             delivered: registry.counter("fabric.delivered.count"),
+            no_route: registry.counter("fabric.no_route.count"),
+            no_arp: registry.counter("fabric.no_arp.count"),
+            stuck_at_virtual: registry.counter("fabric.stuck_at_virtual.count"),
             registry,
         }
     }
@@ -120,8 +129,9 @@ impl Fabric {
         &self.telemetry.registry
     }
 
-    /// Attaches a border router at its port. The routes it already holds
-    /// move into the shared FIB table, as its port's own slots.
+    /// Attaches a border router at its port, replacing any router
+    /// already there. The routes it holds move into the shared FIB
+    /// table, as its port's own slots.
     pub fn attach(&mut self, mut router: BorderRouter) {
         for (prefix, entry) in router.take_fib().iter() {
             self.fib.apply(Write::Slot {
@@ -130,20 +140,28 @@ impl Fabric {
                 slot: Slot::Own(*entry),
             });
         }
-        self.routers.insert(router.port, router);
+        match self.routers.binary_search_by_key(&router.port, |r| r.port) {
+            Ok(at) => self.routers[at] = router,
+            Err(at) => {
+                self.routers.insert(at, router);
+                for (i, moved) in self.routers.iter().enumerate().skip(at) {
+                    self.by_port.insert(moved.port, i);
+                }
+            }
+        }
     }
 
     /// The router attached at `port`, if any, with its side of the shared
     /// FIB table.
     pub fn router(&self, port: PortId) -> Option<RouterRef<'_>> {
-        let router = self.routers.get(&port)?;
-        Some(RouterRef::new(router, &self.fib))
+        let &at = self.by_port.get(&port)?;
+        Some(RouterRef::new(&self.routers[at], &self.fib))
     }
 
     /// Mutable access (e.g. to apply route-server updates).
     pub fn router_mut(&mut self, port: PortId) -> Option<RouterMut<'_>> {
-        let router = self.routers.get_mut(&port)?;
-        Some(RouterMut::new(router, &mut self.fib))
+        let &at = self.by_port.get(&port)?;
+        Some(RouterMut::new(&mut self.routers[at], &mut self.fib))
     }
 
     /// The attached routers' FIBs.
@@ -162,32 +180,24 @@ impl Fabric {
     /// how many caches held it.
     pub fn invalidate_arp(&mut self, addr: Ipv4Addr) -> usize {
         self.routers
-            .values_mut()
+            .iter_mut()
             .map(|r| usize::from(r.invalidate_arp(addr)))
             .sum()
     }
 
-    /// All attached router ports.
+    /// All attached router ports, in port order.
     pub fn ports(&self) -> impl Iterator<Item = PortId> + '_ {
-        self.routers.keys().copied()
-    }
-
-    /// The keys of `routers` that belong to participant `p`. Border
-    /// routers attach at physical ports, and the router map is ordered by
-    /// `(participant, interface)`, so it is its own participant → ports
-    /// index: one participant's routers are one key range — O(log ports),
-    /// never a scan of the exchange.
-    fn port_range(p: ParticipantId) -> std::ops::RangeInclusive<PortId> {
-        PortId::Phys(p, u8::MIN)..=PortId::Phys(p, u8::MAX)
+        self.routers.iter().map(|r| r.port)
     }
 
     /// Ports of a given participant (multi-port participants have several),
-    /// in port order.
+    /// in port order. Border routers attach at physical ports, ordered by
+    /// `(participant, interface)`, so one participant's routers are one
+    /// run of `routers`: a binary search, never a scan of the exchange.
     pub fn ports_of(&self, p: ParticipantId) -> Vec<PortId> {
-        self.routers
-            .range(Self::port_range(p))
-            .map(|(port, _)| *port)
-            .collect()
+        let from = (self.routers).partition_point(|r| r.port < PortId::Phys(p, u8::MIN));
+        let mine = |port: &PortId| *port <= PortId::Phys(p, u8::MAX);
+        self.ports().skip(from).take_while(mine).collect()
     }
 
     /// A participant-originated IP packet: the border router at
@@ -200,16 +210,16 @@ impl Fabric {
     /// `no_route_drops` / `no_arp_drops` split them.
     pub fn send(&mut self, from: PortId, pkt: Packet) -> Deliveries {
         self.telemetry.tx.inc();
-        let Some(router) = self.routers.get_mut(&from) else {
+        let Some(&at) = self.by_port.get(&from) else {
             return Deliveries::new();
         };
         let route = self.fib.lookup(from, pkt.nw_dst).map(|(_, entry)| *entry);
-        let Some(tagged) = router.tag(route, pkt, &mut self.arp) else {
+        let Some(tagged) = self.routers[at].tag(route, pkt, &mut self.arp) else {
             let dropped = match route {
-                Some(_) => "fabric.no_arp.count",
-                None => "fabric.no_route.count",
+                Some(_) => &self.telemetry.no_arp,
+                None => &self.telemetry.no_route,
             };
-            self.telemetry.registry.inc(dropped);
+            dropped.inc();
             return Deliveries::new();
         };
         self.inject(tagged)
@@ -228,9 +238,7 @@ impl Fabric {
         });
         if stuck > 0 {
             self.stuck_at_virtual += stuck;
-            self.telemetry
-                .registry
-                .add("fabric.stuck_at_virtual.count", stuck);
+            self.telemetry.stuck_at_virtual.add(stuck);
         }
         self.telemetry.delivered.add(out.len() as u64);
         out
@@ -316,6 +324,7 @@ pub struct WaveUndo {
 mod tests {
     use super::*;
     use crate::table::FlowEntry;
+    use proptest::prelude::*;
     use sdx_bgp::attrs::{AsPath, PathAttributes};
     use sdx_bgp::msg::UpdateMessage;
     use sdx_net::{ip, prefix, FieldMatch, HeaderMatch, MacAddr, Mod};
@@ -642,6 +651,66 @@ mod tests {
         )));
         f.apply_flowmods(&ok2).unwrap();
         assert_eq!(f.drain_batches().len(), 1);
+    }
+
+    /// A router at `at` with a route to 74.125/16 through a VNH that
+    /// [`attached`] fabrics resolve.
+    fn routed_router(at: PortId, mac: u32) -> BorderRouter {
+        let mut router = BorderRouter::new(at, MacAddr::physical(mac));
+        router.apply_update(&UpdateMessage::announce(
+            [prefix("74.125.0.0/16")],
+            PathAttributes::new(AsPath::sequence([65002]), ip("172.16.255.1")),
+        ));
+        router
+    }
+
+    /// A fabric that delivers every routed packet at one port, with the
+    /// routers attached in the order given.
+    fn attached(routers: impl IntoIterator<Item = BorderRouter>) -> Fabric {
+        let mut f = Fabric::new();
+        f.arp.bind(ip("172.16.255.1"), MacAddr::vmac(7));
+        f.switch.install(FlowEntry::new(
+            1,
+            HeaderMatch::any(),
+            vec![vec![Mod::SetLoc(port(9, 9))]],
+        ));
+        for router in routers {
+            f.attach(router);
+        }
+        f
+    }
+
+    proptest! {
+        /// The port index finds what a map keyed by port would, whatever
+        /// the attach order, a re-attach replacing the router at its port.
+        #[test]
+        fn the_port_index_agrees_with_an_ordered_map(
+            attaches in proptest::collection::vec((1u32..6, 0u8..3, 0u32..1000), 0..16),
+            order in any::<u64>(),
+        ) {
+            use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
+            use std::collections::BTreeMap;
+
+            let routers = attaches.iter().map(|&(p, i, mac)| routed_router(port(p, i), mac));
+            let mut f = attached(routers.clone());
+            let model: BTreeMap<PortId, BorderRouter> =
+                routers.map(|r| (r.port, r)).collect();
+            let mut reordered: Vec<BorderRouter> = model.values().cloned().collect();
+            reordered.shuffle(&mut StdRng::seed_from_u64(order));
+            prop_assert_eq!(&attached(reordered), &f);
+            prop_assert_eq!(f.ports().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
+            for p in 0..7 {
+                let range = port(p, u8::MIN)..=port(p, u8::MAX);
+                let expect: Vec<PortId> = model.range(range).map(|(at, _)| *at).collect();
+                prop_assert_eq!(f.ports_of(ParticipantId(p)), expect);
+                for i in 0..4 {
+                    let (at, want) = (port(p, i), model.get(&port(p, i)));
+                    prop_assert_eq!(f.router(at).map(|r| r.detached()), want.cloned());
+                    prop_assert_eq!(f.router_mut(at).map(|r| r.mac), want.map(|r| r.mac));
+                    prop_assert_eq!(f.send(at, routed()).len(), usize::from(want.is_some()));
+                }
+            }
+        }
     }
 
     #[test]

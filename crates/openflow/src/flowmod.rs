@@ -15,12 +15,9 @@
 //! tests bound.
 
 use core::fmt;
-use std::collections::HashSet;
-use std::hash::BuildHasherDefault;
 
-use sdx_net::{HeaderMatch, MacAddr, Mod};
+use sdx_net::{HeaderMatch, MacAddr, Mod, WordSet};
 
-use crate::matcher::FnvHasher;
 use crate::table::{FlowEntry, FlowTable};
 
 /// One typed table modification.
@@ -201,9 +198,8 @@ fn referenced_tags(buckets: &[Vec<Mod>], mut tag: impl FnMut(u32)) {
     }
 }
 
-/// A set of VMAC tags, hashed with FNV: tags are small integers the
-/// controller assigned.
-type TagSet = HashSet<u32, BuildHasherDefault<FnvHasher>>;
+/// A set of VMAC tags: small integers the controller assigned.
+type TagSet = WordSet<u32>;
 
 /// One record of [`FlowTable::apply_batch`]'s undo journal: what it takes
 /// to reverse a run, or a modify, that already landed in the table.

@@ -40,41 +40,12 @@
 //! changes that cannot affect classification). `classify` debug-asserts
 //! the epochs agree.
 
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use sdx_net::{HeaderMatch, LocatedPacket, MacAddr, PortId, PrefixTrie};
+use sdx_net::{HeaderMatch, LocatedPacket, MacAddr, PortId, PrefixTrie, WordMap};
 
 use crate::table::FlowEntry;
-
-/// FNV-1a, 64-bit. The keys hashed here are 6-byte MACs and small port
-/// ids; FNV beats SipHash by a wide margin at that size, is fully
-/// deterministic (reproducible experiments), and HashDoS is a non-concern
-/// for keys the controller itself assigned.
-pub struct FnvHasher(u64);
-
-impl Default for FnvHasher {
-    fn default() -> Self {
-        FnvHasher(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for FnvHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-type FnvMap<K, V> = HashMap<K, V, BuildHasherDefault<FnvHasher>>;
 
 /// An index entry: enough to rank (priority) and verify (full pattern).
 #[derive(Clone, Copy, Debug)]
@@ -175,8 +146,8 @@ pub struct MatcherStats {
 /// completeness argument that makes `best_priority` exact.
 #[derive(Clone, Default)]
 pub struct CompiledMatcher {
-    by_dl_dst: FnvMap<MacAddr, Vec<Candidate>>,
-    by_in_port: FnvMap<PortId, Vec<Candidate>>,
+    by_dl_dst: WordMap<MacAddr, Vec<Candidate>>,
+    by_in_port: WordMap<PortId, Vec<Candidate>>,
     by_nw_dst: PrefixTrie<Vec<Candidate>>,
     residual: Vec<Candidate>,
     epoch: u64,

@@ -5,7 +5,10 @@
 //! policy-free participant), and report what that cost — seconds, peak
 //! memory, how many advertisements the route server stored and examined
 //! against the `viewers × prefixes` a table per viewer would hold, and how
-//! many compiled pieces each push rebuilt and how many it kept.
+//! many compiled pieces each push rebuilt and how many it kept. Last, it
+//! sends the benchmark's round of 8 192 sampled probes through
+//! `Fabric::send` and prints the cost per packet and how many copies were
+//! delivered.
 //!
 //! Exits non-zero if the deployment examined more advertisements than it
 //! ended up storing (one base per prefix plus the per-viewer exceptions),
@@ -13,7 +16,10 @@
 //! signature map whole instead of patching it at the dumped prefixes (no
 //! policy stamp moved), or if an inbound push rebuilt any viewer's piece
 //! or more than one receiver's block: the counts that must not grow with
-//! the exchange. Nothing here is gated on the clock.
+//! the exchange. It also exits non-zero if no probe was delivered, or if
+//! the compiled matcher and the linear walk pick different entries for any
+//! of the first 256 probes that reach the switch. Nothing here is gated on
+//! the clock.
 //!
 //! Run: `cargo run --release --example scale_deploy -- 300 15000 4000`
 //! (participants, prefixes, policy prefixes; default 50 3000 800 = ixp50).
@@ -24,8 +30,9 @@ use sdx::bgp::route_server::RouteServerEvent;
 use sdx::core::controller::SdxController;
 use sdx::ixp::policy_workload::{assign_policies, PolicyWorkloadParams};
 use sdx::ixp::topology::{build, TopologyParams};
-use sdx::net::{FieldMatch, ParticipantId, PortId, Prefix};
+use sdx::net::{FieldMatch, LocatedPacket, ParticipantId, PortId, Prefix};
 use sdx::policy::{Policy, PolicyDelta};
+use sdx_oracle::synth::sample_probes;
 
 /// The process's peak resident set (`VmHWM`), in MiB.
 fn peak_rss_mib() -> f64 {
@@ -183,6 +190,33 @@ fn main() {
     let push_inbound_ms = (in_install_ms + in_retract_ms) / 2.0;
     let push_outbound_ms = (out_install_ms + out_retract_ms) / 2.0;
 
+    // Per packet: the benchmark's round of probes through `Fabric::send`,
+    // once to warm the routers' ARP caches, then timed. The first 256
+    // probes that reach the switch are classified both ways.
+    let probes = sample_probes(&ctl.compiler, &ctl.rs, 1, 8_192);
+    let mut copy = fabric.clone();
+    let mut arp = copy.arp.clone();
+    let located: Vec<LocatedPacket> = probes
+        .iter()
+        .filter_map(|&(from, pkt)| copy.router_mut(from)?.forward(pkt, &mut arp))
+        .take(256)
+        .collect();
+    let table = fabric.switch.table();
+    let winner = |lp: &LocatedPacket| table.classify(lp).map(|(i, _)| i);
+    let linear = |lp: &LocatedPacket| table.classify_linear(lp).map(|(i, _)| i);
+    let misclassified = located.iter().filter(|lp| winner(lp) != linear(lp)).count();
+    let mut round = || -> usize {
+        let sent = probes
+            .iter()
+            .map(|&(from, pkt)| fabric.send(from, pkt).len());
+        sent.sum()
+    };
+    round();
+    const ROUNDS: usize = 10;
+    let t = Instant::now();
+    let delivered = (0..ROUNDS).map(|_| round()).sum::<usize>() / ROUNDS;
+    let forward_ns = t.elapsed().as_nanos() as f64 / (ROUNDS * probes.len()) as f64;
+
     println!(
         "participants={participants} prefixes={} policy_prefixes={policy_prefixes} rules={rules}",
         ctl.rs.prefix_count()
@@ -215,6 +249,21 @@ fn main() {
              (recomputed/reused)",
             p[0], p[1], p[2], p[3], p[4], p[5]
         );
+    }
+    println!(
+        "probes={} forward_ns_per_pkt={forward_ns:.1} delivered={delivered} \
+         classified_both_ways={}",
+        probes.len(),
+        located.len()
+    );
+    if delivered == 0 || misclassified > 0 {
+        eprintln!(
+            "{delivered} of {} probes delivered, {misclassified} of {} located probes \
+             classified differently by the matcher and the linear walk",
+            probes.len(),
+            located.len()
+        );
+        std::process::exit(1);
     }
     for p in [in_install, in_retract] {
         if p[0] > 0 || p[2] > 1 {
