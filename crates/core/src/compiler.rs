@@ -26,7 +26,7 @@
 //! [`crate::piece`]), and what is whole-table per run is one concatenation
 //! and one shadow elimination. The pipeline is one serial pass with
 //! nothing to configure: viewers are visited in `ParticipantId` order and
-//! VNH ids come from a single reservation (see DESIGN.md §11).
+//! VNH ids come from a single keyed assignment (see DESIGN.md §11).
 //!
 //! The output [`CompileReport`] carries everything the controller must
 //! install: the switch classifier, the ARP bindings (VNH → VMAC), and the
@@ -655,24 +655,24 @@ impl SdxCompiler {
             .as_mut()
             .expect("phase A leaves its cache behind");
 
-        // ---- Phase B (viewer order): VNH assignment. The whole
-        // batch is reserved up front *by content-addressed key* and
-        // committed only after every fault check passes — an injected
-        // fault or exhaustion leaves the allocator (key maps included)
-        // untouched. Keyed reservation means a group whose identity
-        // (viewer, member prefixes, best next hop) survived from the
-        // previous compilation keeps its exact id/VNH/VMAC, so
-        // re-optimization only relabels what actually changed; on a fresh
-        // allocator no key is mapped and ids follow group enumeration
-        // order.
-        let reservation = vnh.reserve_keyed(fecs.iter().flat_map(|partition| &partition.keys))?;
-        reg.add("vnh.reused.count", reservation.reused_len() as u64);
-        reg.add("vnh.fresh.count", reservation.fresh_len() as u64);
-        for _ in 0..reservation.len() {
+        // ---- Phase B (viewer order): VNH assignment *by content-addressed
+        // key*, after every fault check has passed; an exhausted pool is
+        // reported before anything is written, so an injected fault or
+        // exhaustion leaves the allocator (key maps included) untouched.
+        // A group whose identity (viewer, member prefixes, best next hop)
+        // survived from the previous compilation keeps its exact
+        // id/VNH/VMAC, so re-optimization only relabels what actually
+        // changed; on a fresh allocator no key is mapped and ids follow
+        // group enumeration order.
+        let keys = fecs.iter().flat_map(|partition| &partition.keys);
+        for _ in keys.clone() {
             faults.check(InjectionPoint::VnhAlloc)?;
         }
-        reg.add("vnh.alloc.count", reservation.len() as u64);
-        vnh.commit(&reservation);
+        let assigned = vnh.assign_keyed(keys)?;
+        let wanted = assigned.triples.len();
+        reg.add("vnh.reused.count", (wanted - assigned.fresh) as u64);
+        reg.add("vnh.fresh.count", assigned.fresh as u64);
+        reg.add("vnh.alloc.count", wanted as u64);
         stats.vnh_time = observe("compile.fec");
 
         // ---- Phase C (per viewer, in ParticipantId order): FEC groups
@@ -690,7 +690,7 @@ impl SdxCompiler {
         for viewer in retracted {
             pieces.replace_viewer(viewer, None);
         }
-        let mut triples = reservation.triples();
+        let mut triples = assigned.triples.as_slice();
         for ((&viewer, compiled), partition) in self.outbound.iter().zip(fecs) {
             let rules = compiled.value.as_slice();
             let (mine, rest) = triples.split_at(partition.keys.len());

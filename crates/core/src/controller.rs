@@ -143,8 +143,8 @@ impl SdxController {
     }
 
     /// Settles a transaction body's `result`: a failure is journaled and
-    /// `txn` rolled back, restoring the pre-call state; a success drops
-    /// (commits) it.
+    /// `txn` rolled back, restoring the pre-call state; a success closes
+    /// the allocator's journal and drops (commits) `txn`.
     fn settle<T>(
         &mut self,
         stage: &str,
@@ -154,9 +154,12 @@ impl SdxController {
     ) -> Result<T, SdxError> {
         let reg = self.telemetry.clone();
         reg.observe("txn.undo.entries", txn.undo_entries() as u64);
-        if let Err(e) = &result {
-            self.note_failure(stage, e);
-            reg.time("txn.rollback", || txn.rollback(self, fabric));
+        match &result {
+            Ok(_) => self.vnh.close_journal(),
+            Err(e) => {
+                self.note_failure(stage, e);
+                reg.time("txn.rollback", || txn.rollback(self, fabric));
+            }
         }
         result
     }
@@ -502,7 +505,8 @@ impl SdxController {
     ) -> Result<PreparedUpdate, SdxError> {
         let t0 = Instant::now();
         let timer = change.timer();
-        let mut txn = FabricTxn::begin(self, fabric);
+        let reg = self.telemetry.clone();
+        let mut txn = reg.time("txn.begin", || FabricTxn::begin(self, fabric));
         let staged = match change {
             Change::Burst(changed) => {
                 self.stage_burst(changed, fabric, &mut txn.log)
@@ -525,7 +529,7 @@ impl SdxController {
                 t0,
             }),
             Err(e) => {
-                self.telemetry.observe_duration(timer, t0.elapsed());
+                reg.observe_duration(timer, t0.elapsed());
                 self.settle("prepare", fabric, txn, Err(e))
             }
         }
@@ -1650,7 +1654,7 @@ mod tests {
         let before = image(&ctl, &fabric);
         let (fibs_before, adverts_before) = (fabric.clone(), ctl.adverts.clone());
 
-        let mut txn = FabricTxn::begin(&ctl, &fabric);
+        let mut txn = FabricTxn::begin(&mut ctl, &fabric);
         let (patch, _retire) = ctl.stage(&mut fabric, &mut txn).expect("stage succeeds");
         txn.log
             .apply_flowmods(&mut fabric, &patch)

@@ -57,7 +57,7 @@ pub struct FecGroup {
 /// Two compilations that produce a group with the same key mean the same
 /// forwarding equivalence class — so the VNH allocator can hand back the
 /// *same* `(FecId, VNH, VMAC)` across recompilations
-/// ([`crate::vnh::VnhAllocator::reserve_keyed`]), and a BGP event only
+/// ([`crate::vnh::VnhAllocator::assign_keyed`]), and a BGP event only
 /// churns the identities whose keys actually changed. The exact structure
 /// is used as the map key (not a hash), so identity can never alias.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]

@@ -6,7 +6,7 @@
 //! table is semantically fine but operationally hostile: on a hardware
 //! switch every rule swap costs flow-mod bandwidth, TCAM writes, and a
 //! window of inconsistency. Because FEC identity is churn-stable
-//! ([`crate::vnh::VnhAllocator::reserve_keyed`]), most rules of the new
+//! ([`crate::vnh::VnhAllocator::assign_keyed`]), most rules of the new
 //! compilation are *byte-identical* to rules already installed — so the
 //! controller should send only the difference.
 //!

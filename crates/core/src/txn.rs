@@ -10,11 +10,13 @@
 //! writes to the Adj-RIB-Outs and to the border routers' shared FIB, the
 //! drained route-server dirty set — goes through the transaction's
 //! [`UndoLog`], which keeps the previous value each write displaced. The
-//! waves themselves land through [`crate::schedule::drive`], which undoes
-//! its own. Any failure at any step replays the log backwards, so an
-//! observer of the data plane sees either the old state or the new state,
-//! never a torn mixture; a transaction costs what it changes, not what
-//! the exchange holds.
+//! VNH allocator keeps its own journal of the same kind while the
+//! transaction is open, and the waves land through
+//! [`crate::schedule::drive`], which undoes its own. Any failure at any
+//! step replays the records backwards, so an observer of the data plane
+//! sees either the old state or the new state, never a torn mixture.
+//! Nothing is copied: a transaction costs what it changes, opening one
+//! included, not what the exchange holds.
 //!
 //! Validation invariants (violations indicate a compiler bug, and must
 //! never reach the switch):
@@ -44,7 +46,6 @@ use crate::controller::SdxController;
 use crate::error::SdxError;
 use crate::fec::FecId;
 use crate::incremental::DeltaResult;
-use crate::vnh::VnhAllocator;
 
 /// One write a transaction made, as what it takes to reverse it: the
 /// previous value, moved out of the structure it was written to.
@@ -229,35 +230,37 @@ pub(crate) struct Taken {
 }
 
 /// A staged commit: an [`UndoLog`] of the writes made to the fabric, the
-/// Adj-RIB-Outs and the route server's dirty set, plus — by value,
-/// because they measure in microseconds — the controller's scalars and
-/// allocator as they were at [`begin`](FabricTxn::begin).
+/// Adj-RIB-Outs and the route server's dirty set, what staging took out
+/// of the controller, and the controller's three scalars as they were at
+/// [`begin`](FabricTxn::begin). The VNH allocator journals its own writes
+/// from `begin` on.
 ///
 /// Dropping a `FabricTxn` without calling
 /// [`rollback`](FabricTxn::rollback) commits: the displaced values are
-/// simply discarded.
+/// simply discarded. The allocator's journal stays open until the
+/// controller settles the transaction, or the next `begin` empties it.
 #[derive(Debug)]
 pub struct FabricTxn {
     pub(crate) log: UndoLog,
     pub(crate) taken: Option<Taken>,
-    vnh: VnhAllocator,
     delta_layers: u32,
     next_delta_priority: u32,
     live_delta_ids_len: usize,
 }
 
 impl FabricTxn {
-    /// Opens a transaction over `ctl` and the fabric it drives. Nothing
-    /// of the fabric is read: its writes are recorded as they happen.
-    pub fn begin(ctl: &SdxController, _fabric: &Fabric) -> Self {
+    /// Opens a transaction over `ctl` and the fabric it drives, and the
+    /// allocator's journal. Nothing is read or copied: writes are recorded
+    /// as they happen.
+    pub fn begin(ctl: &mut SdxController, _fabric: &Fabric) -> Self {
         Self::new(ctl)
     }
 
-    fn new(ctl: &SdxController) -> Self {
+    fn new(ctl: &mut SdxController) -> Self {
+        ctl.vnh.open_journal();
         FabricTxn {
             log: UndoLog::default(),
             taken: None,
-            vnh: ctl.vnh.clone(),
             delta_layers: ctl.delta_layers,
             next_delta_priority: ctl.next_delta_priority,
             live_delta_ids_len: ctl.live_delta_ids.len(),
@@ -274,7 +277,7 @@ impl FabricTxn {
     /// the transaction.
     pub fn rollback(self, ctl: &mut SdxController, fabric: &mut Fabric) {
         self.log.rollback(fabric, &mut ctl.adverts, &mut ctl.rs);
-        ctl.vnh = self.vnh;
+        ctl.vnh.rollback_journal();
         ctl.delta_layers = self.delta_layers;
         ctl.next_delta_priority = self.next_delta_priority;
         match self.taken {
@@ -289,15 +292,15 @@ impl FabricTxn {
 }
 
 /// Opens a [`FabricTxn`] under the fast path's name. Kept for the
-/// benchmark's parts twin, which times what beginning one costs (the
-/// allocator copy); the controller opens every transaction in
+/// benchmark's parts twin, which times what beginning one costs; the
+/// controller opens every transaction in
 /// [`prepare`](SdxController::prepare).
 #[derive(Debug)]
 pub struct DeltaTxn;
 
 impl DeltaTxn {
     /// Opens a [`FabricTxn`] over `ctl`.
-    pub fn begin(ctl: &SdxController) -> FabricTxn {
+    pub fn begin(ctl: &mut SdxController) -> FabricTxn {
         FabricTxn::new(ctl)
     }
 }

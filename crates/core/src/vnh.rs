@@ -11,19 +11,29 @@
 //! groups the paper's experiments reach) and recycles retired ids.
 //!
 //! For churn stability the allocator additionally remembers the
-//! [`FecKey`] each id was last assigned to: a *keyed* reservation
-//! ([`VnhAllocator::reserve_keyed`]) hands the **same** id — hence the
+//! [`FecKey`] each id was last assigned to: a *keyed* assignment
+//! ([`VnhAllocator::assign_keyed`]) hands the **same** id — hence the
 //! same VNH and VMAC — back to any group whose content-addressed key is
 //! unchanged since the previous compilation, so a recompile only re-labels
 //! the equivalence classes that actually changed (§4.3.2's minimal-update
 //! goal applied to the VNH layer).
+//!
+//! A transaction protects the allocator the way it protects everything
+//! else it writes: while a journal is open
+//! ([`open_journal`](VnhAllocator::open_journal)), each write — a draw, a
+//! key mapped, a release — keeps the record that reverses it, and
+//! [`rollback_journal`](VnhAllocator::rollback_journal) replays them
+//! backwards. Opening one copies nothing.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use sdx_net::{Ipv4Addr, MacAddr, Prefix};
 
 use crate::error::SdxError;
 use crate::fec::{FecId, FecKey};
+
+/// An id with its virtual next hop and virtual MAC.
+type Triple = (FecId, Ipv4Addr, MacAddr);
 
 /// Allocates `(FecId, VNH, VMAC)` triples from a configurable pool.
 #[derive(Clone, Debug)]
@@ -41,6 +51,24 @@ pub struct VnhAllocator {
     keys: BTreeMap<FecKey, u32>,
     /// Reverse of `keys`, so [`release`](Self::release) can unmap.
     ids: BTreeMap<u32, FecKey>,
+    /// What reverses each write since [`open_journal`](Self::open_journal),
+    /// oldest first; `None` while no transaction has it open.
+    journal: Option<Vec<Step>>,
+}
+
+/// One allocator write, as what it takes to reverse it.
+#[derive(Clone, Debug)]
+enum Step {
+    /// This offset was popped off the free list.
+    Popped(u32),
+    /// The frontier advanced by one.
+    Advanced,
+    /// An offset was pushed onto the free list.
+    Pushed,
+    /// This offset was mapped under a key.
+    Mapped(u32),
+    /// This offset was unmapped from this key.
+    Unmapped(u32, FecKey),
 }
 
 impl VnhAllocator {
@@ -59,6 +87,7 @@ impl VnhAllocator {
             free: Vec::new(),
             keys: BTreeMap::new(),
             ids: BTreeMap::new(),
+            journal: None,
         }
     }
 
@@ -70,19 +99,8 @@ impl VnhAllocator {
     /// Allocates a fresh id/VNH/VMAC triple, or reports pool exhaustion as
     /// a typed error. The controller's transactional paths use this so a
     /// dry pool rolls back cleanly instead of tearing the process down.
-    pub fn try_allocate(&mut self) -> Result<(FecId, Ipv4Addr, MacAddr), SdxError> {
-        let off = match self.free.pop() {
-            Some(off) => off,
-            None => {
-                let off = self.next;
-                if off >= self.limit {
-                    return Err(SdxError::VnhExhausted { pool: self.pool });
-                }
-                self.next += 1;
-                off
-            }
-        };
-        Ok(self.triple(off))
+    pub fn try_allocate(&mut self) -> Result<Triple, SdxError> {
+        self.draw().map(|off| self.triple(off))
     }
 
     /// Allocates a fresh id/VNH/VMAC triple.
@@ -91,51 +109,76 @@ impl VnhAllocator {
     /// Panics if the pool is exhausted — a configuration error (pool too
     /// small for the workload), not a runtime condition to limp past.
     /// Recoverable callers use [`try_allocate`](Self::try_allocate).
-    pub fn allocate(&mut self) -> (FecId, Ipv4Addr, MacAddr) {
+    pub fn allocate(&mut self) -> Triple {
         match self.try_allocate() {
             Ok(triple) => triple,
             Err(_) => panic!("VNH pool {} exhausted", self.pool),
         }
     }
 
-    /// Computes, **without mutating the allocator**, one triple per key —
-    /// reusing the id a key is already mapped to, and drawing fresh ids
-    /// (free-list LIFO, then sequential, exactly like
-    /// [`try_allocate`](Self::try_allocate)) only for keys never seen
-    /// before. On
-    /// [`commit`](Self::commit) the fresh keys become mapped; until then
-    /// nothing is consumed, so an aborted compile leaves the allocator —
-    /// key maps included — byte-identical.
+    /// One triple per key, in order: the id a key is already mapped to, or
+    /// — for a key never seen before — a fresh id (free-list LIFO, then
+    /// sequential, exactly like [`try_allocate`](Self::try_allocate)),
+    /// which the key is then mapped to. A key repeated in `wanted` shares
+    /// its first occurrence's id. The distinct unmapped keys are counted
+    /// against [`remaining`](Self::remaining) first, so an exhausted pool
+    /// is reported before anything is written.
     ///
     /// This is what makes re-optimization churn-stable: an unchanged FEC
     /// group (same viewer, same member prefixes, same best next hop) keeps
     /// its exact VNH and VMAC across recompilations, so neither its flow
     /// rules, its ARP binding, nor its FIB advertisements need to move.
-    pub fn reserve_keyed<'k>(
-        &self,
+    pub fn assign_keyed<'k>(
+        &mut self,
         wanted: impl IntoIterator<Item = &'k FecKey>,
-    ) -> Result<VnhReservation, SdxError> {
-        let mut draft = Draft::new(self);
-        let mut triples = Vec::new();
-        let mut new_keys: Vec<(FecKey, u32)> = Vec::new();
-        // Keys drawn earlier in this same batch (defensive: the compiler
-        // never emits duplicates, but aliasing an id would corrupt state).
-        let mut batch: BTreeMap<&FecKey, u32> = BTreeMap::new();
-        for key in wanted {
-            let off = if let Some(&off) = self.keys.get(key).or_else(|| batch.get(key)) {
-                off
-            } else {
-                let off = draft.draw(self)?;
-                batch.insert(key, off);
-                new_keys.push((key.clone(), off));
-                off
+    ) -> Result<VnhAssignment, SdxError> {
+        let held: Vec<(&FecKey, Option<u32>)> = (wanted.into_iter())
+            .map(|key| (key, self.keys.get(key).copied()))
+            .collect();
+        let unmapped: BTreeSet<&FecKey> = (held.iter())
+            .filter(|(_, off)| off.is_none())
+            .map(|&(key, _)| key)
+            .collect();
+        if unmapped.len() as u64 > self.remaining() {
+            return Err(SdxError::VnhExhausted { pool: self.pool });
+        }
+        let mut triples = Vec::with_capacity(held.len());
+        for (key, held) in held {
+            // A key unmapped above may have been drawn earlier in this batch.
+            let off = match held.or_else(|| self.keys.get(key).copied()) {
+                Some(off) => off,
+                None => {
+                    let off = self.draw()?;
+                    self.keys.insert(key.clone(), off);
+                    self.ids.insert(off, key.clone());
+                    self.record(Step::Mapped(off));
+                    off
+                }
             };
             triples.push(self.triple(off));
         }
-        Ok(draft.into_reservation(self, triples, new_keys))
+        Ok(VnhAssignment {
+            triples,
+            fresh: unmapped.len(),
+        })
     }
 
-    fn triple(&self, off: u32) -> (FecId, Ipv4Addr, MacAddr) {
+    /// Takes the next offset: the free list's last, else the frontier.
+    fn draw(&mut self) -> Result<u32, SdxError> {
+        if let Some(off) = self.free.pop() {
+            self.record(Step::Popped(off));
+            return Ok(off);
+        }
+        let off = self.next;
+        if off >= self.limit {
+            return Err(SdxError::VnhExhausted { pool: self.pool });
+        }
+        self.next += 1;
+        self.record(Step::Advanced);
+        Ok(off)
+    }
+
+    fn triple(&self, off: u32) -> Triple {
         (
             FecId(off),
             self.pool.addr().saturating_add(off),
@@ -143,35 +186,58 @@ impl VnhAllocator {
         )
     }
 
-    /// Applies a reservation: consumes the freshly drawn ids as if they
-    /// had been handed out by [`try_allocate`](Self::try_allocate) one at
-    /// a time, and installs the key mappings of a keyed reservation.
-    ///
-    /// # Panics
-    /// Panics if the allocator was mutated since the reservation was taken
-    /// — committing a stale reservation would double-allocate ids.
-    pub fn commit(&mut self, r: &VnhReservation) {
-        assert_eq!(
-            (r.base_next, r.base_free_len),
-            (self.next, self.free.len()),
-            "commit of a stale VNH reservation"
-        );
-        self.free.truncate(self.free.len() - r.drawn_from_free);
-        self.next += r.drawn_sequential;
-        for (key, off) in &r.new_keys {
-            let prev = self.keys.insert(key.clone(), *off);
-            debug_assert!(prev.is_none(), "keyed commit over a live key");
-            self.ids.insert(*off, key.clone());
-        }
-    }
-
     /// Returns an id to the pool for reuse, forgetting any key it was
     /// mapped under (so the key allocates fresh if it ever reappears).
     pub fn release(&mut self, id: FecId) {
         if let Some(key) = self.ids.remove(&id.0) {
             self.keys.remove(&key);
+            self.record(Step::Unmapped(id.0, key));
         }
         self.free.push(id.0);
+        self.record(Step::Pushed);
+    }
+
+    /// Starts journaling: every write from here keeps the record that
+    /// reverses it, until [`close_journal`](Self::close_journal) or
+    /// [`rollback_journal`](Self::rollback_journal). Copies nothing; a
+    /// journal already open starts over empty.
+    pub fn open_journal(&mut self) {
+        self.journal = Some(Vec::new());
+    }
+
+    /// Stops journaling and keeps every write made while it was open.
+    pub fn close_journal(&mut self) {
+        self.journal = None;
+    }
+
+    /// Reverses every write since [`open_journal`](Self::open_journal),
+    /// newest first, and stops journaling: the allocator is as it was
+    /// then, key maps and free-list order included.
+    pub fn rollback_journal(&mut self) {
+        for step in self.journal.take().into_iter().flatten().rev() {
+            match step {
+                Step::Popped(off) => self.free.push(off),
+                Step::Advanced => self.next -= 1,
+                Step::Pushed => {
+                    self.free.pop();
+                }
+                Step::Mapped(off) => {
+                    if let Some(key) = self.ids.remove(&off) {
+                        self.keys.remove(&key);
+                    }
+                }
+                Step::Unmapped(off, key) => {
+                    self.keys.insert(key.clone(), off);
+                    self.ids.insert(off, key);
+                }
+            }
+        }
+    }
+
+    fn record(&mut self, step: Step) {
+        if let Some(journal) = &mut self.journal {
+            journal.push(step);
+        }
     }
 
     /// The id currently mapped to `key`, if any — lets the controller
@@ -202,100 +268,14 @@ impl Default for VnhAllocator {
     }
 }
 
-/// Pure draw bookkeeping while a reservation is being computed: a shadow
-/// frontier and a shadow free-list cursor, nothing mutated.
-struct Draft {
-    next: u32,
-    free_remaining: usize,
-}
-
-impl Draft {
-    fn new(a: &VnhAllocator) -> Self {
-        Draft {
-            next: a.next,
-            free_remaining: a.free.len(),
-        }
-    }
-
-    fn draw(&mut self, a: &VnhAllocator) -> Result<u32, SdxError> {
-        if self.free_remaining > 0 {
-            self.free_remaining -= 1;
-            return Ok(a.free[self.free_remaining]);
-        }
-        let off = self.next;
-        if off >= a.limit {
-            return Err(SdxError::VnhExhausted { pool: a.pool });
-        }
-        self.next += 1;
-        Ok(off)
-    }
-
-    fn into_reservation(
-        self,
-        a: &VnhAllocator,
-        triples: Vec<(FecId, Ipv4Addr, MacAddr)>,
-        new_keys: Vec<(FecKey, u32)>,
-    ) -> VnhReservation {
-        VnhReservation {
-            triples,
-            new_keys,
-            drawn_from_free: a.free.len() - self.free_remaining,
-            drawn_sequential: self.next - a.next,
-            base_next: a.next,
-            base_free_len: a.free.len(),
-        }
-    }
-}
-
-/// A batch of tentatively allocated `(FecId, VNH, VMAC)` triples — the
-/// read-only half of the reservation-then-commit split (see
-/// [`VnhAllocator::reserve_keyed`]). Dropping a reservation without
-/// committing leaves the allocator untouched.
+/// What [`VnhAllocator::assign_keyed`] handed out.
 #[derive(Clone, Debug)]
-pub struct VnhReservation {
-    triples: Vec<(FecId, Ipv4Addr, MacAddr)>,
-    /// Keys not previously mapped, paired with the fresh id each drew.
-    /// Empty for un-keyed reservations. Installed on commit.
-    new_keys: Vec<(FecKey, u32)>,
-    /// How many of the fresh ids came off the free list. Explicit (rather
-    /// than recomputed at commit) because a keyed reservation's reused ids
-    /// consume nothing at all.
-    drawn_from_free: usize,
-    /// How many fresh ids advanced the sequential frontier.
-    drawn_sequential: u32,
-    /// The allocator state the reservation was computed against (the
-    /// staleness check at commit).
-    base_next: u32,
-    base_free_len: usize,
-}
-
-impl VnhReservation {
-    /// The reserved triples, in the order `try_allocate` would have
-    /// produced them.
-    pub fn triples(&self) -> &[(FecId, Ipv4Addr, MacAddr)] {
-        &self.triples
-    }
-
-    /// Number of reserved triples.
-    pub fn len(&self) -> usize {
-        self.triples.len()
-    }
-
-    /// True when nothing was reserved.
-    pub fn is_empty(&self) -> bool {
-        self.triples.is_empty()
-    }
-
-    /// Number of triples that are *fresh* draws (not key reuse).
-    pub fn fresh_len(&self) -> usize {
-        self.drawn_from_free + self.drawn_sequential as usize
-    }
-
-    /// Number of triples reusing an id their key already held — the
-    /// churn-stability figure of merit.
-    pub fn reused_len(&self) -> usize {
-        self.triples.len() - self.fresh_len()
-    }
+pub struct VnhAssignment {
+    /// One triple per wanted key, in the keys' order.
+    pub triples: Vec<Triple>,
+    /// How many of them are fresh draws; the rest reuse the id their key
+    /// already held, the churn-stability figure of merit.
+    pub fresh: usize,
 }
 
 #[cfg(test)]
@@ -378,11 +358,9 @@ mod tests {
     fn keyed_reuse_is_stable_across_recompiles() {
         let mut a = VnhAllocator::default();
         let ks = vec![key(1, "10.0.0.0/8", 2), key(1, "20.0.0.0/8", 3)];
-        let r1 = a.reserve_keyed(&ks).unwrap();
-        assert_eq!(r1.fresh_len(), 2);
-        assert_eq!(r1.reused_len(), 0);
-        let first: Vec<_> = r1.triples().to_vec();
-        a.commit(&r1);
+        let r1 = a.assign_keyed(&ks).unwrap();
+        assert_eq!((r1.triples.len(), r1.fresh), (2, 2), "nothing reused");
+        let first = r1.triples;
         assert_eq!(a.keyed_len(), 2);
         // Recompile with the same keys, plus one new group in the middle.
         let ks2 = vec![
@@ -390,95 +368,68 @@ mod tests {
             key(2, "10.0.0.0/8", 3),
             key(1, "20.0.0.0/8", 3),
         ];
-        let r2 = a.reserve_keyed(&ks2).unwrap();
-        assert_eq!(r2.reused_len(), 2);
-        assert_eq!(r2.fresh_len(), 1);
-        assert_eq!(r2.triples()[0], first[0], "unchanged key keeps VNH+VMAC");
-        assert_eq!(r2.triples()[2], first[1]);
-        a.commit(&r2);
+        let r2 = a.assign_keyed(&ks2).unwrap();
+        assert_eq!((r2.triples.len(), r2.fresh), (3, 1), "two reused");
+        assert_eq!(r2.triples[0], first[0], "unchanged key keeps VNH+VMAC");
+        assert_eq!(r2.triples[2], first[1]);
         assert_eq!(a.keyed_len(), 3);
         assert_eq!(a.id_of_key(&ks[0]), Some(first[0].0));
-    }
-
-    #[test]
-    fn keyed_reservation_abort_leaves_allocator_identical() {
-        let mut a = VnhAllocator::default();
-        a.commit(&a.reserve_keyed(&[key(1, "10.0.0.0/8", 2)]).unwrap());
-        let before = format!("{a:?}");
-        let r = a
-            .reserve_keyed(&[key(1, "10.0.0.0/8", 2), key(9, "90.0.0.0/8", 1)])
-            .unwrap();
-        drop(r); // compile aborted — e.g. an injected VnhAlloc fault
-        assert_eq!(
-            format!("{a:?}"),
-            before,
-            "abort costs nothing, maps included"
-        );
     }
 
     #[test]
     fn release_unmaps_key_so_reappearance_allocates_fresh_mapping() {
         let mut a = VnhAllocator::default();
         let k = key(1, "10.0.0.0/8", 2);
-        let r = a.reserve_keyed(std::slice::from_ref(&k)).unwrap();
-        let id = r.triples()[0].0;
-        a.commit(&r);
+        let r = a.assign_keyed(std::slice::from_ref(&k)).unwrap();
+        let id = r.triples[0].0;
         assert_eq!(a.id_of_key(&k), Some(id));
         a.release(id);
         assert_eq!(a.keyed_len(), 0);
         assert_eq!(a.id_of_key(&k), None);
         // The key coming back draws from the free list — which happens to
         // hand the same id back (LIFO), but through a fresh mapping.
-        let r2 = a.reserve_keyed(std::slice::from_ref(&k)).unwrap();
-        assert_eq!(r2.fresh_len(), 1);
-        assert_eq!(r2.triples()[0].0, id);
+        let r2 = a.assign_keyed(std::slice::from_ref(&k)).unwrap();
+        assert_eq!(r2.fresh, 1);
+        assert_eq!(r2.triples[0].0, id);
     }
 
     #[test]
     fn keyed_pure_reuse_consumes_nothing() {
         let mut a = VnhAllocator::new(prefix("10.0.0.0/29")); // 7 usable
         let ks = vec![key(1, "10.0.0.0/8", 2)];
-        a.commit(&a.reserve_keyed(&ks).unwrap());
+        a.assign_keyed(&ks).unwrap();
         let remaining = a.remaining();
         // Recompiling the identical workload forever never drains the pool.
         for _ in 0..20 {
-            let r = a.reserve_keyed(&ks).unwrap();
-            assert_eq!(r.fresh_len(), 0);
-            a.commit(&r);
+            let r = a.assign_keyed(&ks).unwrap();
+            assert_eq!(r.fresh, 0);
         }
         assert_eq!(a.remaining(), remaining);
     }
 
     #[test]
     fn duplicate_keys_in_one_batch_share_one_id() {
-        let a = VnhAllocator::default();
-        let k = key(1, "10.0.0.0/8", 2);
-        let r = a.reserve_keyed(&[k.clone(), k]).unwrap();
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.fresh_len(), 1);
-        assert_eq!(r.triples()[0], r.triples()[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "stale")]
-    fn keyed_commit_rejects_stale_reservation() {
         let mut a = VnhAllocator::default();
-        let r = a.reserve_keyed(&[key(1, "10.0.0.0/8", 2)]).unwrap();
-        a.allocate();
-        a.commit(&r);
+        let k = key(1, "10.0.0.0/8", 2);
+        let r = a.assign_keyed(&[k.clone(), k]).unwrap();
+        assert_eq!(r.triples.len(), 2);
+        assert_eq!(r.fresh, 1);
+        assert_eq!(r.triples[0], r.triples[1]);
     }
 
     #[test]
     fn keyed_exhaustion_is_typed_and_pure() {
         let mut a = VnhAllocator::new(prefix("10.0.0.0/31")); // 1 usable
-        a.commit(&a.reserve_keyed(&[key(1, "10.0.0.0/8", 2)]).unwrap());
+        a.assign_keyed(&[key(1, "10.0.0.0/8", 2)]).unwrap();
         // Reusing the live key still fits; adding a second group does not.
-        assert!(a.reserve_keyed(&[key(1, "10.0.0.0/8", 2)]).is_ok());
+        assert!(a.assign_keyed(&[key(1, "10.0.0.0/8", 2)]).is_ok());
+        let before = format!("{a:?}");
         assert!(matches!(
-            a.reserve_keyed(&[key(1, "10.0.0.0/8", 2), key(2, "20.0.0.0/8", 1)]),
+            a.assign_keyed(&[key(1, "10.0.0.0/8", 2), key(2, "20.0.0.0/8", 1)]),
             Err(SdxError::VnhExhausted { .. })
         ));
-        assert_eq!(a.keyed_len(), 1, "failed reservation mutated nothing");
+        assert_eq!(a.keyed_len(), 1, "failed assignment mutated nothing");
+        assert_eq!(format!("{a:?}"), before);
     }
 
     #[test]

@@ -21,6 +21,14 @@
 //! of the first 256 probes that reach the switch. Nothing here is gated on
 //! the clock.
 //!
+//! It also prints what opening each update's transaction cost
+//! (`txn.begin`, p50 and max) over the dump's fast passes and over the
+//! pushes, beside what the whole update cost. Then, after everything
+//! above is measured, it fails one more 64-prefix fast pass and one more
+//! outbound push at their mid-stage fault point, and exits non-zero
+//! unless each left the VNH allocator, the overlay count and the switch
+//! table exactly as they were: the rollback, at the exchange's size.
+//!
 //! Run: `cargo run --release --example scale_deploy -- 300 15000 4000`
 //! (participants, prefixes, policy prefixes; default 50 3000 800 = ixp50).
 
@@ -28,9 +36,11 @@ use std::time::Instant;
 
 use sdx::bgp::route_server::RouteServerEvent;
 use sdx::core::controller::SdxController;
+use sdx::core::{FaultPlan, InjectionPoint};
 use sdx::ixp::policy_workload::{assign_policies, PolicyWorkloadParams};
 use sdx::ixp::topology::{build, TopologyParams};
 use sdx::net::{FieldMatch, LocatedPacket, ParticipantId, PortId, Prefix};
+use sdx::openflow::Fabric;
 use sdx::policy::{Policy, PolicyDelta};
 use sdx_oracle::synth::sample_probes;
 
@@ -42,6 +52,36 @@ fn peak_rss_mib() -> f64 {
         .find_map(|line| line.strip_prefix("VmHWM:"))
         .and_then(|rest| rest.split_whitespace().next()?.parse::<f64>().ok());
     kib.unwrap_or(0.0) / 1024.0
+}
+
+/// The nearest-rank median and the maximum of `ns`, in microseconds.
+fn p50_max_us(mut ns: Vec<u64>) -> (f64, f64) {
+    ns.sort_unstable();
+    let us = |v: Option<&u64>| v.copied().unwrap_or(0) as f64 / 1e3;
+    (us(ns.get(ns.len().saturating_sub(1) / 2)), us(ns.last()))
+}
+
+/// Runs `update` with the mid-stage fault point armed for its first
+/// crossing, and exits non-zero unless it failed and left the VNH
+/// allocator, the overlay count and the switch table as they were.
+fn fail_and_roll_back(
+    ctl: &mut SdxController,
+    fabric: &mut Fabric,
+    what: &str,
+    update: impl FnOnce(&mut SdxController, &mut Fabric) -> bool,
+) {
+    let image = |ctl: &SdxController, fabric: &Fabric| {
+        let table = fabric.switch.table().clone();
+        (format!("{:?}", ctl.vnh), ctl.delta_layers(), table)
+    };
+    let before = image(ctl, fabric);
+    ctl.faults = FaultPlan::seeded(1).fail_nth(InjectionPoint::FabricCommit, 1);
+    let failed = update(ctl, fabric);
+    ctl.faults = FaultPlan::disabled();
+    if !failed || image(ctl, fabric) != before {
+        eprintln!("a {what} failed at its fault point did not roll back to its pre-image");
+        std::process::exit(1);
+    }
 }
 
 fn main() {
@@ -77,6 +117,9 @@ fn main() {
     ctl.rs = ixp.route_server();
     ctl.rs.set_telemetry(ctl.telemetry.clone());
     let examined = |ctl: &SdxController| ctl.telemetry.counter("fibsync.examined.count").get();
+    // Nanoseconds a stage timer has summed so far; one update adds one
+    // observation to each of its timers.
+    let timed = |ctl: &SdxController, key: &str| ctl.telemetry.histogram(key).sum();
 
     let t = Instant::now();
     let mut fabric = ctl.deploy().expect("deploy");
@@ -102,19 +145,27 @@ fn main() {
         .announced_by(announcer)
         .take(1024)
         .collect();
-    let t = Instant::now();
-    for pass in dumped.chunks(64) {
+    let announce = |ctl: &mut SdxController, pass: &[Prefix], path: &[u32]| {
         let mut changed = Vec::new();
         for &p in pass {
-            let update = cfg.announce([p], &[cfg.asn.0, 64_999, 64_998, 64_997]);
+            let update = cfg.announce([p], path);
             for event in ctl.rs.process_update(announcer, &update) {
                 if let RouteServerEvent::PrefixChanged(p) = event {
                     changed.push(p);
                 }
             }
         }
+        changed
+    };
+    let (mut pass_begin_ns, mut pass_total_ns) = (Vec::new(), Vec::new());
+    let t = Instant::now();
+    for pass in dumped.chunks(64) {
+        let changed = announce(&mut ctl, pass, &[cfg.asn.0, 64_999, 64_998, 64_997]);
+        let (begin, total) = (timed(&ctl, "txn.begin"), timed(&ctl, "fastpath.total"));
         ctl.apply_changed_prefixes(&changed, &mut fabric)
             .expect("fast path");
+        pass_begin_ns.push(timed(&ctl, "txn.begin") - begin);
+        pass_total_ns.push(timed(&ctl, "fastpath.total") - total);
     }
     let dump_ms = t.elapsed().as_secs_f64() * 1e3;
     let before = examined(&ctl);
@@ -173,19 +224,25 @@ fn main() {
             count("segment", "reused"),
         ]
     };
+    let (mut push_begin_ns, mut push_total_ns) = (Vec::new(), Vec::new());
     let mut push = |ctl: &mut SdxController, delta: PolicyDelta| -> (f64, [u64; 6]) {
         let before = pieces(ctl);
+        let (begin, total) = (timed(ctl, "txn.begin"), timed(ctl, "reoptimize.total"));
         let t = Instant::now();
         ctl.apply_policy_delta(&delta, &mut fabric).expect("push");
         let ms = t.elapsed().as_secs_f64() * 1e3;
+        push_begin_ns.push(timed(ctl, "txn.begin") - begin);
+        push_total_ns.push(timed(ctl, "reoptimize.total") - total);
         let after = pieces(ctl);
         (ms, std::array::from_fn(|i| after[i] - before[i]))
     };
     let id: ParticipantId = editor.id;
     let (in_install_ms, in_install) = push(&mut ctl, PolicyDelta::new().install_inbound(id, steer));
     let (in_retract_ms, in_retract) = push(&mut ctl, PolicyDelta::new().retract_inbound(id));
-    let (out_install_ms, out_install) =
-        push(&mut ctl, PolicyDelta::new().install_outbound(id, peering));
+    let (out_install_ms, out_install) = push(
+        &mut ctl,
+        PolicyDelta::new().install_outbound(id, peering.clone()),
+    );
     let (out_retract_ms, out_retract) = push(&mut ctl, PolicyDelta::new().retract_outbound(id));
     let push_inbound_ms = (in_install_ms + in_retract_ms) / 2.0;
     let push_outbound_ms = (out_install_ms + out_retract_ms) / 2.0;
@@ -256,6 +313,20 @@ fn main() {
         probes.len(),
         located.len()
     );
+    let (pass_begin, pass_total) = (p50_max_us(pass_begin_ns), p50_max_us(pass_total_ns));
+    let (push_begin, push_total) = (p50_max_us(push_begin_ns), p50_max_us(push_total_ns));
+    println!(
+        "txn_begin_us: dump_passes p50={:.1} max={:.1} (fastpath.total p50={:.1} max={:.1}) \
+         pushes p50={:.1} max={:.1} (reoptimize.total p50={:.1} max={:.1})",
+        pass_begin.0,
+        pass_begin.1,
+        pass_total.0,
+        pass_total.1,
+        push_begin.0,
+        push_begin.1,
+        push_total.0,
+        push_total.1
+    );
     if delivered == 0 || misclassified > 0 {
         eprintln!(
             "{delivered} of {} probes delivered, {misclassified} of {} located probes \
@@ -290,4 +361,28 @@ fn main() {
         );
         std::process::exit(1);
     }
+
+    // Rollback at scale. The fast pass fails after its ids are drawn and
+    // its ARP bindings staged; the push, after it released the fast-path
+    // ids, assigned its groups' ids by key and retired the overlays.
+    let changed = announce(
+        &mut ctl,
+        &dumped[..dumped.len().min(64)],
+        &[cfg.asn.0, 64_999],
+    );
+    fail_and_roll_back(&mut ctl, &mut fabric, "fast pass", |ctl, fabric| {
+        ctl.apply_changed_prefixes(&changed, fabric).is_err()
+    });
+    // The same pass lands, so the push below has fast-path ids to release.
+    ctl.apply_changed_prefixes(&changed, &mut fabric)
+        .expect("fast path");
+    fail_and_roll_back(&mut ctl, &mut fabric, "outbound push", |ctl, fabric| {
+        let delta = PolicyDelta::new().install_outbound(id, peering.clone());
+        ctl.apply_policy_delta(&delta, fabric).is_err()
+    });
+    println!(
+        "rollback_restored: fast_pass_prefixes={} outbound_push_overlays={}",
+        changed.len(),
+        ctl.delta_layers()
+    );
 }

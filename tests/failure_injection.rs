@@ -244,12 +244,11 @@ fn injected_vnh_fault_leaves_fast_path_atomic() {
 
 #[test]
 fn injected_vnh_fault_mid_compile_never_consumes_pool_ids() {
-    // The full pipeline reserves its whole VNH batch up front and commits
-    // only after every per-group fault check passes. An abort between
-    // `reserve` and `commit` — here on the *second* group, so the first
-    // reserved triple was already handed to a FEC group — must leave the
-    // allocator byte-identical: no consumed ids, no leaked free-list
-    // entries.
+    // The full pipeline crosses every per-group fault check before it
+    // assigns its whole VNH batch by key. An abort at a check — here on
+    // the *second* group, past the first one's — must leave the allocator
+    // byte-identical with no transaction around it: no consumed ids, no
+    // leaked free-list entries.
     let (mut compiler, rs) = testkit::figure1_compiler();
     let mut vnh = VnhAllocator::default();
     let before = vnh.remaining();
@@ -353,8 +352,7 @@ fn recompile_after_rollbacks_equals_a_cold_compile_on_the_restored_allocator() {
     assert_eq!(fabric, snap);
     // The fast path takes the same two ids; re-optimisation releases them
     // in that order, so the free list now hands them out the other way
-    // round. A fault between reserving and committing them changes
-    // nothing.
+    // round. A fault before the compile assigns them changes nothing.
     let delta = ctl
         .apply_changed_prefixes(&fresh, &mut fabric)
         .expect("fast path");
