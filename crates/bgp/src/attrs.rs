@@ -241,28 +241,6 @@ impl PathAttributes {
         self.next_hop = nh;
         self
     }
-
-    /// True if `self` is exactly `route` re-advertised with NEXT_HOP
-    /// `next_hop` — the comparison [`with_next_hop`](Self::with_next_hop)
-    /// followed by `==` makes, without building the rewritten copy.
-    pub fn is_rewrite_of(&self, route: &PathAttributes, next_hop: Ipv4Addr) -> bool {
-        // Destructured so a new attribute cannot be left out of the
-        // comparison silently.
-        let PathAttributes {
-            origin,
-            as_path,
-            next_hop: advertised_hop,
-            med,
-            local_pref,
-            communities,
-        } = self;
-        *advertised_hop == next_hop
-            && *origin == route.origin
-            && *med == route.med
-            && *local_pref == route.local_pref
-            && *as_path == route.as_path
-            && *communities == route.communities
-    }
 }
 
 #[cfg(test)]

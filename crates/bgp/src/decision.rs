@@ -62,6 +62,7 @@ mod tests {
     use crate::attrs::{AsPath, Origin, PathAttributes};
     use crate::rib::{Route, RouteSource};
     use sdx_net::{ip, Asn, Ipv4Addr, ParticipantId, RouterId};
+    use std::sync::Arc;
 
     fn route(path_len: usize, f: impl FnOnce(&mut Route)) -> Route {
         let mut r = Route {
@@ -71,10 +72,10 @@ mod tests {
                 router_id: RouterId(100),
                 peer_addr: ip("172.0.0.1"),
             },
-            attrs: PathAttributes::new(
+            attrs: Arc::new(PathAttributes::new(
                 AsPath::sequence((0..path_len as u32).map(|i| 65100 + i)),
                 ip("172.0.0.1"),
-            ),
+            )),
         };
         f(&mut r);
         r
@@ -83,7 +84,7 @@ mod tests {
     #[test]
     fn local_pref_dominates_path_length() {
         let short = route(1, |_| {});
-        let long_pref = route(5, |r| r.attrs.local_pref = Some(200));
+        let long_pref = route(5, |r| Arc::make_mut(&mut r.attrs).local_pref = Some(200));
         assert_eq!(compare(&long_pref, &short), Ordering::Greater);
         assert_eq!(best_route([&short, &long_pref]).unwrap(), &long_pref);
     }
@@ -97,15 +98,17 @@ mod tests {
 
     #[test]
     fn origin_breaks_path_tie() {
-        let igp = route(2, |r| r.attrs.origin = Origin::Igp);
-        let inc = route(2, |r| r.attrs.origin = Origin::Incomplete);
+        let igp = route(2, |r| Arc::make_mut(&mut r.attrs).origin = Origin::Igp);
+        let inc = route(2, |r| {
+            Arc::make_mut(&mut r.attrs).origin = Origin::Incomplete
+        });
         assert_eq!(compare(&igp, &inc), Ordering::Greater);
     }
 
     #[test]
     fn lower_med_wins() {
-        let low = route(2, |r| r.attrs.med = Some(10));
-        let high = route(2, |r| r.attrs.med = Some(20));
+        let low = route(2, |r| Arc::make_mut(&mut r.attrs).med = Some(10));
+        let high = route(2, |r| Arc::make_mut(&mut r.attrs).med = Some(20));
         assert_eq!(compare(&low, &high), Ordering::Greater);
         // Missing MED behaves as zero.
         let missing = route(2, |_| {});

@@ -46,7 +46,7 @@ pub use attrs::{AsPath, Origin, PathAttributes};
 pub use clock::{Clock, MockClock, SystemClock};
 pub use decision::best_route;
 pub use msg::{BgpMessage, NotificationCode, OpenMessage, UpdateMessage};
-pub use rib::{AdjRibIn, AdjRibOut, AdjRibOuts, LocRib, Route, RouteSource};
+pub use rib::{AdjRibIn, AdjRibOut, AdjRibOuts, Advert, LocRib, Route, RouteSource};
 pub use route_server::{ExportPolicy, RouteServer, RouteServerEvent};
 pub use session::{Session, SessionEvent, SessionState};
 pub use supervisor::{Supervisor, SupervisorConfig, SupervisorOutput};

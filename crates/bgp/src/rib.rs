@@ -8,6 +8,7 @@
 //! (§3.2 "Forwarding only along BGP-advertised paths").
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use sdx_net::{Asn, Ipv4Addr, ParticipantId, Prefix, PrefixTrie, RouterId, View, ViewTable};
 
@@ -33,8 +34,9 @@ pub struct RouteSource {
 pub struct Route {
     /// Session identity.
     pub source: RouteSource,
-    /// Path attributes as received.
-    pub attrs: PathAttributes,
+    /// Path attributes as received: one copy per UPDATE, shared by its
+    /// NLRI, the Adj-RIB-In, the Loc-RIB and the Adj-RIB-Outs.
+    pub attrs: Arc<PathAttributes>,
 }
 
 /// Adj-RIB-In: the routes one participant currently announces to the route
@@ -43,7 +45,7 @@ pub struct Route {
 pub struct AdjRibIn {
     /// The announcing session.
     pub source: RouteSource,
-    routes: PrefixTrie<PathAttributes>,
+    routes: PrefixTrie<Arc<PathAttributes>>,
 }
 
 impl AdjRibIn {
@@ -56,7 +58,9 @@ impl AdjRibIn {
     }
 
     /// Applies an UPDATE; returns the prefixes whose state changed
-    /// (announced, replaced, or withdrawn).
+    /// (announced, replaced, or withdrawn). The prefixes it announces
+    /// anew share one copy of its attributes; one that re-announces what
+    /// it held keeps the copy it had.
     pub fn apply(&mut self, update: &UpdateMessage) -> Vec<Prefix> {
         let mut changed = Vec::new();
         for p in &update.withdrawn {
@@ -65,11 +69,15 @@ impl AdjRibIn {
             }
         }
         if let Some(attrs) = &update.attrs {
-            for p in &update.nlri {
-                let prev = self.routes.insert(*p, attrs.clone());
-                if prev.as_ref() != Some(attrs) {
-                    changed.push(*p);
+            let mut shared: Option<Arc<PathAttributes>> = None;
+            let mut share = || Arc::clone(shared.get_or_insert_with(|| Arc::new(attrs.clone())));
+            for &p in &update.nlri {
+                match self.routes.get_mut(p) {
+                    Some(held) if **held == *attrs => continue,
+                    Some(held) => *held = share(),
+                    None => drop(self.routes.insert(p, share())),
                 }
+                changed.push(p);
             }
         }
         changed
@@ -77,20 +85,20 @@ impl AdjRibIn {
 
     /// The attributes this participant announces for `prefix`, if any.
     pub fn get(&self, prefix: Prefix) -> Option<&PathAttributes> {
-        self.routes.get(prefix)
+        self.routes.get(prefix).map(|attrs| &**attrs)
     }
 
     /// The route (attributes + source) for `prefix`, if announced.
     pub fn route(&self, prefix: Prefix) -> Option<Route> {
         self.routes.get(prefix).map(|attrs| Route {
             source: self.source,
-            attrs: attrs.clone(),
+            attrs: Arc::clone(attrs),
         })
     }
 
     /// Iterates all `(prefix, attrs)` pairs in prefix order.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &PathAttributes)> {
-        self.routes.iter()
+        self.routes.iter().map(|(p, attrs)| (p, &**attrs))
     }
 
     /// Number of announced prefixes.
@@ -224,6 +232,63 @@ impl LocRib {
     }
 }
 
+/// One advertisement in the Adj-RIB-Outs: a route's attributes, shared
+/// with the RIBs that hold the route, under the NEXT_HOP the route server
+/// advertises them with (the route's own, or a virtual next hop, §4.2).
+/// Storing one is a reference count; so is the record that undoes it.
+///
+/// Two adverts are equal when they put the same attributes on the wire:
+/// the same next hop, and the same attributes apart from the route's own
+/// NEXT_HOP — found by pointer when they share a copy.
+#[derive(Clone, Debug)]
+pub struct Advert {
+    /// The advertised route's attributes, as received.
+    pub route: Arc<PathAttributes>,
+    /// The NEXT_HOP it is advertised under.
+    pub next_hop: Ipv4Addr,
+}
+
+impl Advert {
+    /// Whether this advertises `route` under `next_hop`.
+    pub fn is(&self, route: &Arc<PathAttributes>, next_hop: Ipv4Addr) -> bool {
+        self.next_hop == next_hop
+            && (Arc::ptr_eq(&self.route, route) || same_but_next_hop(&self.route, route))
+    }
+
+    /// The attributes as they go on the wire: the route's, under this
+    /// advertisement's NEXT_HOP.
+    pub fn attributes(&self) -> PathAttributes {
+        PathAttributes::clone(&self.route).with_next_hop(self.next_hop)
+    }
+}
+
+impl PartialEq for Advert {
+    fn eq(&self, other: &Self) -> bool {
+        other.is(&self.route, self.next_hop)
+    }
+}
+
+impl Eq for Advert {}
+
+/// Whether `a` and `b` differ at most in NEXT_HOP.
+fn same_but_next_hop(a: &PathAttributes, b: &PathAttributes) -> bool {
+    // Destructured so a new attribute cannot be left out of the
+    // comparison silently.
+    let PathAttributes {
+        origin,
+        as_path,
+        next_hop: _,
+        med,
+        local_pref,
+        communities,
+    } = a;
+    *origin == b.origin
+        && *med == b.med
+        && *local_pref == b.local_pref
+        && *as_path == b.as_path
+        && *communities == b.communities
+}
+
 /// The Adj-RIB-Outs: what the route server last advertised, to every
 /// peer, as one table. It advertises almost every prefix identically to
 /// almost every peer, so the table holds per prefix one **base** — the
@@ -232,10 +297,10 @@ impl LocRib {
 /// route's announcer and whoever else it is not exported to (another
 /// route, or nothing), and peers whose NEXT_HOP the SDX rewrote to a
 /// virtual next hop (§4.2).
-pub type AdjRibOuts = ViewTable<ParticipantId, PathAttributes>;
+pub type AdjRibOuts = ViewTable<ParticipantId, Advert>;
 
 /// One peer's Adj-RIB-Out: its view of the [`AdjRibOuts`].
-pub type AdjRibOut<'a> = View<'a, ParticipantId, PathAttributes>;
+pub type AdjRibOut<'a> = View<'a, ParticipantId, Advert>;
 
 #[cfg(test)]
 mod tests {
@@ -256,10 +321,10 @@ mod tests {
     fn rt(p: u32, path: &[u32]) -> Route {
         Route {
             source: src(p),
-            attrs: PathAttributes::new(
+            attrs: Arc::new(PathAttributes::new(
                 AsPath::sequence(path.iter().copied()),
                 Ipv4Addr(0xac000000 + p),
-            ),
+            )),
         }
     }
 

@@ -514,45 +514,6 @@ impl RouteServer {
         self.peers.get(&p)
     }
 
-    /// Builds the re-advertisements caused by a set of changed prefixes:
-    /// for each viewer, announcements of its new best routes (with next hop
-    /// rewritten via `vnh`) and withdrawals where no route remains.
-    ///
-    /// `vnh(viewer, prefix, best)` returns the virtual-next-hop address the
-    /// SDX wants the viewer's border router to resolve (§4.2). Passing
-    /// `|_, _, r| r.attrs.next_hop` yields conventional route-server
-    /// behaviour.
-    pub fn readvertisements(
-        &self,
-        changed: &[Prefix],
-        mut vnh: impl FnMut(ParticipantId, Prefix, &Route) -> Ipv4Addr,
-    ) -> Vec<(ParticipantId, UpdateMessage)> {
-        self.telemetry.clone().time("rs.export", || {
-            let mut out = Vec::new();
-            for viewer in self.peers.keys().copied() {
-                let mut msgs = UpdateMessage::default();
-                let mut announces: Vec<(Prefix, UpdateMessage)> = Vec::new();
-                for &p in changed {
-                    match self.best_for(viewer, p) {
-                        Some(best) => {
-                            let nh = vnh(viewer, p, best);
-                            let attrs = best.attrs.clone().with_next_hop(nh);
-                            announces.push((p, UpdateMessage::announce([p], attrs)));
-                        }
-                        None => msgs.withdrawn.push(p),
-                    }
-                }
-                if !msgs.withdrawn.is_empty() {
-                    out.push((viewer, msgs));
-                }
-                for (_, m) in announces {
-                    out.push((viewer, m));
-                }
-            }
-            out
-        })
-    }
-
     /// Filters the Loc-RIB by an AS-path regular expression: the prefixes
     /// whose *best route for `viewer`* matches. This implements the paper's
     /// `RIB.filter('as_path', ...)` used for "grouping traffic based on BGP
@@ -1106,36 +1067,6 @@ mod tests {
         );
         // Idempotent, and an update from it is now from a stranger.
         assert!(rs.remove_peer(ParticipantId(2)).is_empty());
-    }
-
-    #[test]
-    fn readvertisements_rewrite_next_hop() {
-        let rs = figure1_server();
-        let vnh_addr = ip("172.16.255.1");
-        let msgs = rs.readvertisements(&[prefix("10.0.0.0/8")], |_, _, _| vnh_addr);
-        // Every registered viewer gets an announcement (A, B, C all have a
-        // best route for p1 from someone else).
-        assert_eq!(msgs.len(), 3);
-        for (_, m) in &msgs {
-            assert_eq!(m.attrs.as_ref().unwrap().next_hop, vnh_addr);
-            assert_eq!(m.nlri, vec![prefix("10.0.0.0/8")]);
-        }
-    }
-
-    #[test]
-    fn readvertisements_withdraw_when_no_route_remains() {
-        let mut rs = figure1_server();
-        rs.process_update(
-            ParticipantId(2),
-            &UpdateMessage::withdraw([prefix("30.0.0.0/8")]),
-        );
-        let msgs = rs.readvertisements(&[prefix("30.0.0.0/8")], |_, _, r| r.attrs.next_hop);
-        // All three viewers lose the route.
-        assert_eq!(msgs.len(), 3);
-        for (_, m) in &msgs {
-            assert_eq!(m.withdrawn, vec![prefix("30.0.0.0/8")]);
-            assert!(m.nlri.is_empty());
-        }
     }
 
     #[test]

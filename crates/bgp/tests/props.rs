@@ -1,5 +1,7 @@
 //! Property-based tests for the BGP substrate.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use sdx_bgp::attrs::{AsPath, AsPathSegment, Community, Origin, PathAttributes};
 use sdx_bgp::decision;
@@ -101,7 +103,7 @@ fn arb_route() -> impl Strategy<Value = Route> {
             router_id: RouterId(rid),
             peer_addr: Ipv4Addr(addr),
         },
-        attrs,
+        attrs: Arc::new(attrs),
     })
 }
 

@@ -15,11 +15,12 @@
 //! [`drive`] and rolls the whole change back on any failure.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use sdx_bgp::attrs::PathAttributes;
 use sdx_bgp::msg::UpdateMessage;
-use sdx_bgp::rib::{AdjRibOut, AdjRibOuts};
+use sdx_bgp::rib::{AdjRibOut, AdjRibOuts, Advert};
 use sdx_bgp::route_server::{ExportPolicy, RouteServer, RouteServerEvent};
 use sdx_net::{Ipv4Addr, ParticipantId, PortId, Prefix, Write};
 use sdx_openflow::border_router::{BorderRouter, FibEntry};
@@ -374,12 +375,14 @@ impl SdxController {
         log: &mut UndoLog,
     ) -> Result<(FlowModBatch, DeltaResult), SdxError> {
         let reg = self.telemetry.clone();
-        let delta = self.compiler.fast_update_burst_with_faults(
-            &self.rs,
-            &mut self.vnh,
-            changed,
-            &mut self.faults,
-        )?;
+        let delta = reg.time("fastpath.delta", || {
+            self.compiler.fast_update_burst_with_faults(
+                &self.rs,
+                &mut self.vnh,
+                changed,
+                &mut self.faults,
+            )
+        })?;
         reg.time("txn.validate", || crate::txn::validate_delta(&delta))?;
         let overlay = reg.time("fastpath.apply", || self.stage_delta(&delta, fabric, log))?;
         Ok((overlay, delta))
@@ -414,15 +417,14 @@ impl SdxController {
             .map(|&(viewer, prefix, vnh)| ((viewer, prefix), vnh))
             .collect();
         let prefixes: BTreeSet<Prefix> = delta.prefixes.iter().copied().collect();
-        Self::readvertise(
-            &self.rs,
-            &mut self.adverts,
-            fabric,
-            log,
-            &prefixes,
-            vnh.keys().copied().collect(),
-            |viewer, prefix| vnh.get(&(viewer, prefix)).copied().flatten(),
-        );
+        let pairs = vnh
+            .into_iter()
+            .map(|((viewer, prefix), vnh)| (viewer, prefix, vnh));
+        let (rs, adverts) = (&self.rs, &mut self.adverts);
+        let sync = self.telemetry.time("fibsync", || {
+            Self::readvertise(rs, adverts, fabric, log, &prefixes, pairs.collect())
+        });
+        self.count_sync(sync);
         if delta.rules.is_empty() {
             return Ok(FlowModBatch::new(self.epoch));
         }
@@ -665,11 +667,9 @@ impl SdxController {
         // whose pattern, buckets, or cookie changed.
         log.retire_overlays(fabric, DELTA_BASE);
         self.epoch += 1;
-        let diff = crate::reconcile::diff_base_table(
-            fabric.switch.table(),
-            &report.classifier,
-            self.epoch,
-        );
+        let diff = reg.time("reconcile.diff", || {
+            crate::reconcile::diff_base_table(fabric.switch.table(), &report.classifier, self.epoch)
+        });
         reg.add("reconcile.unchanged.count", diff.unchanged as u64);
         if diff.rebased {
             reg.inc("reconcile.rebase.count");
@@ -712,7 +712,7 @@ impl SdxController {
             .map(|&id| self.vnh.vnh_of(id))
             .collect();
         self.report = Some(report);
-        self.sync_fibs_logged(fabric, old_report, log);
+        reg.time("fibsync", || self.sync_fibs_logged(fabric, old_report, log));
         let retire = Retire {
             patched: diff.batch.stats(),
             overlays,
@@ -765,75 +765,71 @@ impl SdxController {
     /// hop — and then only the viewers that can differ are looked at one
     /// by one: those the top route is withheld from (they fall through to
     /// the best route they are exported, or to none), those holding a slot
-    /// at the prefix already, and the `(viewer, prefix)` pairs in `also`
-    /// (pairs whose virtual next hop changed; their prefix need not be
-    /// among `prefixes`). `vnh(viewer, prefix)` is the virtual next hop to
-    /// advertise instead of the route's own, if any.
+    /// at the prefix already, and the `(viewer, prefix, vnh)` entries of
+    /// `pairs` (pairs whose virtual next hop changed; their prefix need not
+    /// be among `prefixes`). A pair is advertised under the virtual next
+    /// hop one of its entries in `pairs` names, else under the route's own.
     ///
-    /// Every write lands twice: in the Adj-RIB-Outs, and — all a FIB
-    /// keeps of an UPDATE being `prefix → next hop` — in the fabric's
-    /// shared FIB for each router of the viewer, so every router ends
-    /// where one UPDATE per moved advertisement would have left it.
+    /// Every write lands twice, each in one walk of its table: in the
+    /// Adj-RIB-Outs, and — all a FIB keeps of an UPDATE being `prefix →
+    /// next hop` — in the fabric's shared FIB for every router of the
+    /// viewer at once, so every router ends where one UPDATE per moved
+    /// advertisement would have left it.
     fn readvertise(
         rs: &RouteServer,
         adverts: &mut AdjRibOuts,
         fabric: &mut Fabric,
         log: &mut UndoLog,
         prefixes: &BTreeSet<Prefix>,
-        also: Vec<(ParticipantId, Prefix)>,
-        vnh: impl Fn(ParticipantId, Prefix) -> Option<Ipv4Addr>,
+        mut pairs: Vec<(ParticipantId, Prefix, Option<Ipv4Addr>)>,
     ) -> FibSync {
-        let same_route = |have: &PathAttributes, want: &(&PathAttributes, Ipv4Addr)| {
-            have.is_rewrite_of(want.0, want.1)
+        type Want<'a> = (&'a Arc<PathAttributes>, Ipv4Addr);
+        let same = |have: &Advert, &(route, next_hop): &Want| have.is(route, next_hop);
+        let build = |&(route, next_hop): &Want| Advert {
+            route: Arc::clone(route),
+            next_hop,
         };
-        let build_route =
-            |(route, next_hop): (&PathAttributes, Ipv4Addr)| route.clone().with_next_hop(next_hop);
         let hop = |next_hop| FibEntry { next_hop };
         let mut sync = FibSync::default();
-        let mut slots = also;
         for &prefix in prefixes {
             sync.examined += 1;
             let top = rs.top_route(prefix);
             let route = top.map(|top| (&top.attrs, top.attrs.next_hop));
-            if let Some(write) = adverts.reconcile_base(prefix, route, same_route, build_route) {
-                log.write_advert(adverts, write);
+            let undo = log.advert_undo(adverts);
+            if adverts.write_base(prefix, route, same, |want| build(&want), undo) {
                 sync.sent += 1;
             }
             let next_hop = route.map(|(_, next_hop)| hop(next_hop));
-            let fib = fabric.fib();
-            if let Some(write) = fib.reconcile_base(prefix, next_hop, FibEntry::eq, |e| e) {
-                log.write_fib(fabric, write);
-            }
+            let undo = log.fib_undo(fabric);
+            (fabric.fib_mut()).write_base(prefix, next_hop, FibEntry::eq, |e| e, undo);
             let withheld = top.map_or(Vec::new(), |top| rs.withheld_from(top, prefix));
-            slots.extend(withheld.into_iter().map(|viewer| (viewer, prefix)));
-            slots.extend(adverts.holders(prefix).map(|viewer| (viewer, prefix)));
+            pairs.extend(withheld.into_iter().map(|viewer| (viewer, prefix, None)));
+            pairs.extend(adverts.holders(prefix).map(|viewer| (viewer, prefix, None)));
         }
-        slots.sort_unstable();
-        slots.dedup();
-        sync.examined += slots.len();
+        // By viewer, so each viewer's routers are found once.
+        pairs.sort_unstable();
+        pairs.dedup_by(|later, kept| {
+            let same_pair = (later.0, later.1) == (kept.0, kept.1);
+            if same_pair {
+                kept.2 = kept.2.or(later.2);
+            }
+            same_pair
+        });
+        sync.examined += pairs.len();
         let mut ports: (Option<ParticipantId>, Vec<PortId>) = (None, Vec::new());
-        for (viewer, prefix) in slots {
+        for (viewer, prefix, vnh) in pairs {
             let route = rs.best_for(viewer, prefix).map(|best| {
-                let next_hop = vnh(viewer, prefix).unwrap_or(best.attrs.next_hop);
+                let next_hop = vnh.unwrap_or(best.attrs.next_hop);
                 (&best.attrs, next_hop)
             });
-            if let Some(write) =
-                adverts.reconcile_slot(viewer, prefix, route, same_route, build_route)
-            {
-                log.write_advert(adverts, write);
-                sync.sent += 1;
-            }
+            let undo = log.advert_undo(adverts);
+            sync.sent += adverts.write_slots(&[viewer], prefix, route, same, build, undo);
             if ports.0 != Some(viewer) {
                 ports = (Some(viewer), fabric.ports_of(viewer));
             }
             let next_hop = route.map(|(_, next_hop)| hop(next_hop));
-            for &port in &ports.1 {
-                let fib = fabric.fib();
-                if let Some(write) = fib.reconcile_slot(port, prefix, next_hop, FibEntry::eq, |e| e)
-                {
-                    log.write_fib(fabric, write);
-                }
-            }
+            let undo = log.fib_undo(fabric);
+            (fabric.fib_mut()).write_slots(&ports.1, prefix, next_hop, FibEntry::eq, |e| *e, undo);
         }
         sync
     }
@@ -871,22 +867,31 @@ impl SdxController {
         let empty = VnhMap::default();
         let vnh_of = report.map_or(&empty, |r| &r.vnh_of);
         let all: BTreeSet<Prefix>;
-        let (prefixes, also) = match (since, report) {
+        let (prefixes, pairs) = match (since, report) {
             (Some(old), Some(new)) if !joined => {
-                let mut also: Vec<(ParticipantId, Prefix)> = moved_groups(old, new)
-                    .into_iter()
-                    .flat_map(|g| g.prefixes.iter().map(|&p| (g.viewer, p)))
-                    .collect();
+                // The members of a group only `new` has are advertised its
+                // VNH; those of a group only `old` has, whatever `new`
+                // gives them — a group of `new`'s, listed too, or none.
+                let (stale, fresh) = moved_groups(old, new);
+                let mut pairs: Vec<(ParticipantId, Prefix, Option<Ipv4Addr>)> = Vec::new();
+                for (groups, current) in [(stale, false), (fresh, true)] {
+                    for g in groups {
+                        let vnh = current.then_some(g.vnh);
+                        pairs.extend(g.prefixes.iter().map(|&p| (g.viewer, p, vnh)));
+                    }
+                }
                 // A fast-path pass since `old` may have taken a dirty
                 // prefix's VNH away from a viewer whose group the
                 // recompile then kept: ask the map, for the viewers that
                 // have groups at all.
                 let tagged = new.groups.iter().filter(|(_, groups)| !groups.is_empty());
                 for (&viewer, _) in tagged {
-                    let held = dirty.iter().filter(|&&p| vnh_of.contains_key(&(viewer, p)));
-                    also.extend(held.map(|&p| (viewer, p)));
+                    let held = dirty
+                        .iter()
+                        .filter_map(|&p| Some((viewer, p, Some(*vnh_of.get(&(viewer, p))?))));
+                    pairs.extend(held);
                 }
-                (&dirty, also)
+                (&dirty, pairs)
             }
             _ => {
                 all = self
@@ -895,29 +900,30 @@ impl SdxController {
                     .into_iter()
                     .chain(self.adverts.prefixes())
                     .collect();
-                (&all, vnh_of.keys().collect())
+                let pairs = vnh_of
+                    .iter()
+                    .map(|((viewer, p), vnh)| (viewer, p, Some(vnh)));
+                (&all, pairs.collect())
             }
         };
-        let sync = Self::readvertise(
-            &self.rs,
-            &mut self.adverts,
-            fabric,
-            log,
-            prefixes,
-            also,
-            |viewer, prefix| vnh_of.get(&(viewer, prefix)).copied(),
-        );
+        let sync = Self::readvertise(&self.rs, &mut self.adverts, fabric, log, prefixes, pairs);
         log.drained(dirty);
+        self.count_sync(sync);
         let reg = &self.telemetry;
-        reg.add("fibsync.examined.count", sync.examined as u64);
         reg.add(
             "fibsync.skipped.count",
             self.adverts.stored().saturating_sub(sync.examined) as u64,
         );
-        reg.add("fibsync.sent.count", sync.sent as u64);
         reg.set_gauge("ribout.stored.entries", self.adverts.stored() as i64);
         reg.set_gauge("fib.stored.entries", fabric.fib().stored() as i64);
         sync
+    }
+
+    /// Counts a re-advertisement's pairs examined and sent.
+    fn count_sync(&self, sync: FibSync) {
+        self.telemetry
+            .add("fibsync.examined.count", sync.examined as u64);
+        self.telemetry.add("fibsync.sent.count", sync.sent as u64);
     }
 
     /// Makes the route server's participants the viewers of the
@@ -1127,7 +1133,8 @@ struct Retire {
     retired_addrs: Vec<Ipv4Addr>,
 }
 
-/// What one [`SdxController::sync_fibs`] did.
+/// What one [`SdxController::sync_fibs`] did. The counters named below
+/// also count what each fast-path pass re-advertises.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FibSync {
     /// Advertisements compared with what the route server now decides:
@@ -1161,26 +1168,28 @@ fn moved_viewers<'a>(
     moved
 }
 
-/// The FEC groups that are in one of two compilations only: an id the
+/// The FEC groups that are in one of two compilations only — an id the
 /// other does not have, or the same id over different content (possible
-/// only when the allocator was replaced in between). The members of
-/// these are the (viewer, prefix) pairs whose VNH differs between the
-/// two reports' `vnh_of` maps.
-fn moved_groups<'a>(old: &'a CompileReport, new: &'a CompileReport) -> Vec<&'a FecGroup> {
+/// only when the allocator was replaced in between) — as those only
+/// `old` has and those only `new` has. The members of these are the
+/// (viewer, prefix) pairs whose VNH differs between the two reports'
+/// `vnh_of` maps.
+fn moved_groups<'a>(
+    old: &'a CompileReport,
+    new: &'a CompileReport,
+) -> (Vec<&'a FecGroup>, Vec<&'a FecGroup>) {
     let (mut old_ids, mut new_ids) = (BTreeMap::new(), BTreeMap::new());
     for (had, has) in moved_viewers(Some(old), new) {
         old_ids.extend(had.iter().map(|g| (g.id, g)));
         new_ids.extend(has.iter().map(|g| (g.id, g)));
     }
-    let mut only = Vec::new();
-    for (here, there) in [(&old_ids, &new_ids), (&new_ids, &old_ids)] {
-        only.extend(
-            here.iter()
-                .filter(|&(id, g)| there.get(id) != Some(g))
-                .map(|(_, &g)| g),
-        );
-    }
-    only
+    let only = |here: &BTreeMap<FecId, &'a FecGroup>, there: &BTreeMap<FecId, &FecGroup>| {
+        here.iter()
+            .filter(|&(id, g)| there.get(id) != Some(g))
+            .map(|(_, &g)| g)
+            .collect()
+    };
+    (only(&old_ids, &new_ids), only(&new_ids, &old_ids))
 }
 
 /// Advisory diagnostics from [`SdxController::validate_outbound`].

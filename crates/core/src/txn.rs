@@ -31,8 +31,7 @@ use std::collections::BTreeSet;
 use std::hash::Hash;
 use std::time::Instant;
 
-use sdx_bgp::attrs::PathAttributes;
-use sdx_bgp::rib::AdjRibOuts;
+use sdx_bgp::rib::{AdjRibOuts, Advert};
 use sdx_bgp::route_server::RouteServer;
 use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, PortId, Prefix, ViewTable, Write};
 use sdx_openflow::border_router::FibEntry;
@@ -61,7 +60,7 @@ enum Undo {
         previous: Option<MacAddr>,
     },
     /// A write to the Adj-RIB-Outs, as the write that reverses it.
-    Advert(Write<ParticipantId, PathAttributes>),
+    Advert(Write<ParticipantId, Advert>),
     /// A write to the fabric's shared FIB, as the write that reverses it.
     Fib(Write<PortId, FibEntry>),
     /// This table held nothing before its first write. Undoing this
@@ -83,8 +82,8 @@ enum Table {
 /// The recording seam between the controller and the state its commits
 /// write: each method performs one write and keeps what it displaced, so
 /// [`rollback`](UndoLog::rollback) can replay the writes backwards. An
-/// entry is a moved previous value — recording never copies a table, a
-/// FIB or a [`PathAttributes`].
+/// entry is a moved previous value — recording never copies a table or a
+/// FIB, and an advertisement's record is a reference count and a next hop.
 #[derive(Debug, Default)]
 pub struct UndoLog {
     entries: Vec<Undo>,
@@ -153,34 +152,50 @@ impl UndoLog {
     }
 
     /// One write to the Adj-RIB-Outs.
-    pub fn write_advert(
-        &mut self,
-        adverts: &mut AdjRibOuts,
-        write: Write<ParticipantId, PathAttributes>,
-    ) {
-        self.write(adverts, write, Table::Adverts, Undo::Advert);
+    pub fn write_advert(&mut self, adverts: &mut AdjRibOuts, write: Write<ParticipantId, Advert>) {
+        let mut undo = self.advert_undo(adverts);
+        undo(adverts.apply(write));
     }
 
     /// One write to `fabric`'s shared FIB.
     pub fn write_fib(&mut self, fabric: &mut Fabric, write: Write<PortId, FibEntry>) {
-        self.write(fabric.fib_mut(), write, Table::Fib, Undo::Fib);
+        let mut undo = self.fib_undo(fabric);
+        undo(fabric.fib_mut().apply(write));
     }
 
-    fn write<K: Ord + Hash + Copy, V>(
+    /// What records the inverses of the next writes to `adverts`, for
+    /// [`ViewTable::write_base`] and [`ViewTable::write_slots`].
+    pub fn advert_undo(
         &mut self,
-        table: &mut ViewTable<K, V>,
-        write: Write<K, V>,
+        adverts: &AdjRibOuts,
+    ) -> impl FnMut(Write<ParticipantId, Advert>) + '_ {
+        self.undo(adverts, Table::Adverts, Undo::Advert)
+    }
+
+    /// What records the inverses of the next writes to `fabric`'s shared
+    /// FIB, as [`advert_undo`](Self::advert_undo) does for the
+    /// Adj-RIB-Outs.
+    pub fn fib_undo(&mut self, fabric: &Fabric) -> impl FnMut(Write<PortId, FibEntry>) + '_ {
+        self.undo(fabric.fib(), Table::Fib, Undo::Fib)
+    }
+
+    fn undo<'a, K: Ord + Hash + Copy + 'a, V: 'a>(
+        &'a mut self,
+        table: &ViewTable<K, V>,
         which: Table,
         entry: fn(Write<K, V>) -> Undo,
-    ) {
+    ) -> impl FnMut(Write<K, V>) + 'a {
         let which_empty = which as usize;
         if !self.discard && !self.was_empty[which_empty] && table.is_empty() {
             self.was_empty[which_empty] = true;
             self.entries.push(Undo::WasEmpty(which));
         }
-        let inverse = table.apply(write);
-        if !self.was_empty[which_empty] {
-            self.push(entry(inverse));
+        let keep = !self.discard && !self.was_empty[which_empty];
+        let entries = &mut self.entries;
+        move |inverse| {
+            if keep {
+                entries.push(entry(inverse));
+            }
         }
     }
 

@@ -6,16 +6,20 @@
 //! old model: random interleavings of every kind of write the controller
 //! makes through the log — bases, per-viewer slots and subscriptions of
 //! the shared FIB and of the Adj-RIB-Outs (including the first write to
-//! an empty table), ARP bindings, overlay retirement, flow-mod batches
-//! (accepted and rejected), the drained dirty set — then `rollback`, must
+//! an empty table), advertisements sharing one copy of a route's
+//! attributes across many slots and prefixes, ARP bindings, overlay
+//! retirement, flow-mod batches (accepted and rejected), the drained
+//! dirty set — then `rollback`, must
 //! leave exactly the clones taken before: table entries with their
 //! counters and band order, epoch, cookie index, unstreamed batch log,
 //! trie structure, subscriber sets. A log that discards instead of
 //! recording must perform the same writes.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 use sdx_bgp::attrs::{AsPath, PathAttributes};
-use sdx_bgp::rib::AdjRibOuts;
+use sdx_bgp::rib::{AdjRibOuts, Advert};
 use sdx_bgp::route_server::{ExportPolicy, RouteServer};
 use sdx_core::txn::UndoLog;
 use sdx_core::ParticipantConfig;
@@ -93,7 +97,15 @@ enum Op {
     /// To the shared FIB.
     Fib(Write<PortId, FibEntry>),
     /// To the Adj-RIB-Outs.
-    Advert(Write<ParticipantId, PathAttributes>),
+    Advert(Write<ParticipantId, Advert>),
+    /// One advertisement — one shared copy of a route — shown at each of
+    /// `prefixes` to each of `viewers` in one walk per prefix, or made
+    /// the base there if `viewers` is empty.
+    Shared {
+        viewers: Vec<ParticipantId>,
+        prefixes: Vec<Prefix>,
+        advert: Option<Advert>,
+    },
     Arp(Ipv4Addr, u32),
     RetireOverlays,
     Batch(Vec<BatchOp>),
@@ -151,22 +163,28 @@ fn arb_op() -> impl Strategy<Value = Op> {
         )
         .prop_map(Op::Fib)
     };
-    let advert = || {
-        arb_write(
-            || (1u32..5).prop_map(ParticipantId).boxed(),
-            || {
-                (0u32..3, arb_addr())
-                    .prop_map(|(variant, nh)| route(variant).with_next_hop(nh))
-                    .boxed()
-            },
-        )
-        .prop_map(Op::Advert)
-    };
+    let advert =
+        || arb_write(|| (1u32..5).prop_map(ParticipantId).boxed(), arb_advert).prop_map(Op::Advert);
+    let shared = (
+        proptest::collection::vec((1u32..5).prop_map(ParticipantId), 0..4),
+        proptest::collection::vec(arb_prefix(), 1..6),
+        proptest::option::of(arb_advert()),
+    )
+        .prop_map(|(mut viewers, prefixes, advert)| {
+            viewers.sort_unstable();
+            viewers.dedup();
+            Op::Shared {
+                viewers,
+                prefixes,
+                advert,
+            }
+        });
     prop_oneof![
         fib(),
         fib(),
         advert(),
         advert(),
+        shared,
         (arb_addr(), 0u32..6).prop_map(|(a, v)| Op::Arp(a, v)),
         Just(Op::RetireOverlays),
         proptest::collection::vec(arb_batch_op(), 1..5).prop_map(Op::Batch),
@@ -188,6 +206,19 @@ fn route(variant: u32) -> PathAttributes {
         AsPath::sequence((0..=variant).map(|h| 65001 + h)),
         Ipv4Addr(0xac10_0001),
     )
+}
+
+/// Advertisements of three routes, each route one copy shared by every
+/// advertisement this strategy draws: values equal by pointer within a
+/// strategy and equal by value across strategies.
+fn arb_advert() -> BoxedStrategy<Advert> {
+    let routes: Vec<Arc<PathAttributes>> = (0..3).map(|v| Arc::new(route(v))).collect();
+    (0usize..3, arb_addr())
+        .prop_map(move |(variant, next_hop)| Advert {
+            route: Arc::clone(&routes[variant]),
+            next_hop,
+        })
+        .boxed()
 }
 
 impl World {
@@ -218,6 +249,24 @@ impl World {
         match op {
             Op::Fib(write) => log.write_fib(&mut self.fabric, write.clone()),
             Op::Advert(write) => log.write_advert(&mut self.adverts, write.clone()),
+            Op::Shared {
+                viewers,
+                prefixes,
+                advert,
+            } => {
+                let same = |have: &Advert, want: &&Advert| have == *want;
+                let build = |want: &&Advert| Advert::clone(want);
+                for &prefix in prefixes {
+                    let (want, undo) = (advert.as_ref(), log.advert_undo(&self.adverts));
+                    if viewers.is_empty() {
+                        self.adverts
+                            .write_base(prefix, want, same, |w| build(&w), undo);
+                    } else {
+                        self.adverts
+                            .write_slots(viewers, prefix, want, same, build, undo);
+                    }
+                }
+            }
             Op::Arp(addr, v) => log.bind_arp(&mut self.fabric, *addr, MacAddr::vmac(*v)),
             Op::RetireOverlays => log.retire_overlays(&mut self.fabric, OVERLAY),
             Op::Batch(ops) => {

@@ -189,6 +189,66 @@ impl<T> Node<T> {
         out
     }
 
+    /// [`PrefixTrie::edit`] below this node: one descent, which creates
+    /// the nodes a kept new value needs on the way down and prunes the
+    /// ones a dropped value leaves empty on the way back up.
+    fn edit<R>(
+        &mut self,
+        path: &[u8],
+        slot: usize,
+        len: &mut usize,
+        vacant: impl FnOnce() -> T,
+        f: impl FnOnce(&mut T) -> R,
+        keep: impl FnOnce(&T) -> bool,
+    ) -> R {
+        let Some((&octet, rest)) = path.split_first() else {
+            return match self.prefixes.rank(slot) {
+                Ok(rank) => {
+                    let out = f(&mut self.values[rank]);
+                    if !keep(&self.values[rank]) {
+                        self.prefixes.remove(slot);
+                        self.values.remove(rank);
+                        *len -= 1;
+                    }
+                    out
+                }
+                Err(rank) => {
+                    let mut value = vacant();
+                    let out = f(&mut value);
+                    if keep(&value) {
+                        self.prefixes.insert(slot);
+                        self.values.insert(rank, value);
+                        *len += 1;
+                    }
+                    out
+                }
+            };
+        };
+        match self.branches.rank(octet as usize) {
+            Ok(rank) => {
+                let out = self.children[rank].edit(rest, slot, len, vacant, f, keep);
+                if self.children[rank].is_empty() {
+                    self.branches.remove(octet as usize);
+                    self.children.remove(rank);
+                }
+                out
+            }
+            Err(rank) => {
+                let mut value = vacant();
+                let out = f(&mut value);
+                if keep(&value) {
+                    self.branches.insert(octet as usize);
+                    self.children.insert(rank, Node::EMPTY);
+                    let node = self.children[rank].reach_or_insert(rest);
+                    node.prefixes.insert(slot);
+                    node.values.push(value);
+                    *len += 1;
+                }
+                out
+            }
+        }
+    }
+
     /// Nodes in this subtree, this one included.
     fn count(&self) -> usize {
         1 + self.children.iter().map(Node::count).sum::<usize>()
@@ -302,6 +362,23 @@ impl<T> PrefixTrie<T> {
             rank
         });
         &mut node.values[rank]
+    }
+
+    /// Runs `f` on the value at exactly `prefix` — on `vacant()` if there
+    /// is none — and keeps what `f` leaves only if `keep` holds for it: a
+    /// new value is inserted, an existing one that fails it removed (and
+    /// the nodes that leaves empty pruned). One walk of the trie, however
+    /// it ends. Returns what `f` returns.
+    pub fn edit<R>(
+        &mut self,
+        prefix: Prefix,
+        vacant: impl FnOnce() -> T,
+        f: impl FnOnce(&mut T) -> R,
+        keep: impl FnOnce(&T) -> bool,
+    ) -> R {
+        let (level, slot) = locate(prefix);
+        let path = prefix.addr().octets();
+        (self.root).edit(&path[..level], slot, &mut self.len, vacant, f, keep)
     }
 
     /// Removes the value at exactly `prefix`, pruning now-empty nodes.

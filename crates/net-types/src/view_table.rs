@@ -15,8 +15,10 @@
 //! Every mutation is a [`Write`], and [`ViewTable::apply`] returns the
 //! write that undoes it — the previous value moved out, never copied — so
 //! a transaction log over the table is a list of writes replayed
-//! backwards. The table stores what it is told: whether a viewer's value
-//! is worth a slot (it differs from the base) is the writer's decision.
+//! backwards. [`ViewTable::apply`] stores what it is told; the reconciling
+//! writes ([`ViewTable::write_base`], [`ViewTable::write_slots`]) decide
+//! whether a viewer's value is worth a slot (it differs from the base) and
+//! write it in the same walk of the trie, handing back each inverse.
 
 use std::fmt;
 use std::hash::Hash;
@@ -123,6 +125,49 @@ impl<K: Ord + Copy, V> Entry<K, V> {
             Err(_) => None,
         }
     }
+
+    /// Whether the entry holds anything: one that does not is pruned.
+    fn says_something(&self) -> bool {
+        self.base.is_some() || !self.slots.is_empty()
+    }
+
+    /// Puts `slot` in `viewer`'s place and returns what was there.
+    fn set_slot(&mut self, viewer: K, slot: Slot<V>) -> Slot<V> {
+        Slot::of(match (self.position(viewer), slot.stored()) {
+            (Ok(i), Some(own)) => Some(std::mem::replace(&mut self.slots[i].1, own)),
+            (Ok(i), None) => Some(self.slots.remove(i).1),
+            (Err(i), Some(own)) => {
+                self.slots.insert(i, (viewer, own));
+                None
+            }
+            (Err(_), None) => None,
+        })
+    }
+
+    /// The slot after which a subscribed viewer sees `want` with the
+    /// least stored: none where the base already shows it `want`.
+    fn wanted<'w, W>(&self, want: Option<&'w W>, same: impl Fn(&V, &W) -> bool) -> Slot<&'w W> {
+        match (want, &self.base) {
+            (Some(want), Some(base)) if same(base, want) => Slot::Inherit,
+            (Some(want), _) => Slot::Own(want),
+            (None, Some(_)) => Slot::Withheld,
+            (None, None) => Slot::Inherit,
+        }
+    }
+
+    /// Whether `viewer`'s slot already is `slot`.
+    fn holds<W>(&self, viewer: K, slot: Slot<&W>, same: impl Fn(&V, &W) -> bool) -> bool {
+        match (self.slot(viewer), slot) {
+            (Slot::Inherit, Slot::Inherit) | (Slot::Withheld, Slot::Withheld) => true,
+            (Slot::Own(have), Slot::Own(want)) => same(have, want),
+            _ => false,
+        }
+    }
+}
+
+/// 1 for a slot an entry stores, 0 for [`Slot::Inherit`].
+fn stored<V>(slot: &Slot<V>) -> usize {
+    usize::from(!matches!(slot, Slot::Inherit))
 }
 
 /// A prefix → value table with per-viewer exceptions (see the module
@@ -323,6 +368,76 @@ impl<K: Ord + Hash + Copy, V> ViewTable<K, V> {
         })
     }
 
+    /// Makes the write [`reconcile_base`](Self::reconcile_base) would
+    /// plan, in one walk of the trie, and hands its inverse to `undo`.
+    /// Returns whether it wrote.
+    pub fn write_base<W>(
+        &mut self,
+        prefix: Prefix,
+        want: Option<W>,
+        same: impl Fn(&V, &W) -> bool,
+        build: impl FnOnce(W) -> V,
+        undo: impl FnOnce(Write<K, V>),
+    ) -> bool {
+        let bases = &mut self.bases;
+        let write = |e: &mut Entry<K, V>| {
+            let unchanged = match (&e.base, &want) {
+                (None, None) => true,
+                (Some(have), Some(want)) => same(have, want),
+                _ => false,
+            };
+            if unchanged {
+                return false;
+            }
+            let value = want.map(build);
+            *bases += usize::from(value.is_some());
+            let previous = std::mem::replace(&mut e.base, value);
+            *bases -= usize::from(previous.is_some());
+            undo(Write::Base {
+                prefix,
+                value: previous,
+            });
+            true
+        };
+        (self.entries).edit(prefix, Entry::new, write, Entry::says_something)
+    }
+
+    /// Makes, for each of `viewers` in turn, the write
+    /// [`reconcile_slot`](Self::reconcile_slot) would plan for it, all in
+    /// one walk of the trie, and hands each write's inverse to `undo` in
+    /// the order written. `build` runs once per viewer that needs a value
+    /// of its own. Returns how many writes it made.
+    pub fn write_slots<W>(
+        &mut self,
+        viewers: &[K],
+        prefix: Prefix,
+        want: Option<W>,
+        same: impl Fn(&V, &W) -> bool,
+        build: impl Fn(&W) -> V,
+        mut undo: impl FnMut(Write<K, V>),
+    ) -> usize {
+        let slots = &mut self.slots;
+        let write = |e: &mut Entry<K, V>| {
+            let slot = e.wanted(want.as_ref(), &same);
+            let mut writes = 0;
+            for &viewer in viewers {
+                if e.holds(viewer, slot, &same) {
+                    continue;
+                }
+                let previous = e.set_slot(viewer, slot.map(&build));
+                *slots = *slots + stored(&slot) - stored(&previous);
+                undo(Write::Slot {
+                    viewer,
+                    prefix,
+                    slot: previous,
+                });
+                writes += 1;
+            }
+            writes
+        };
+        (self.entries).edit(prefix, Entry::new, write, Entry::says_something)
+    }
+
     /// `viewer`'s side of the table.
     pub fn view(&self, viewer: K) -> View<'_, K, V> {
         View {
@@ -348,11 +463,7 @@ impl<K: Ord + Hash + Copy, V> ViewTable<K, V> {
             }
             Write::Base { prefix, value } => {
                 let set = usize::from(value.is_some());
-                let previous = self
-                    .edit(prefix, value.is_some(), |e| {
-                        std::mem::replace(&mut e.base, value)
-                    })
-                    .flatten();
+                let previous = self.edit(prefix, |e| std::mem::replace(&mut e.base, value));
                 self.bases = self.bases + set - usize::from(previous.is_some());
                 Write::Base {
                     prefix,
@@ -364,48 +475,22 @@ impl<K: Ord + Hash + Copy, V> ViewTable<K, V> {
                 prefix,
                 slot,
             } => {
-                let own = slot.stored();
-                let set = usize::from(own.is_some());
-                let previous = self
-                    .edit(prefix, own.is_some(), |e| match (e.position(viewer), own) {
-                        (Ok(i), Some(own)) => Some(std::mem::replace(&mut e.slots[i].1, own)),
-                        (Ok(i), None) => Some(e.slots.remove(i).1),
-                        (Err(i), Some(own)) => {
-                            e.slots.insert(i, (viewer, own));
-                            None
-                        }
-                        (Err(_), None) => None,
-                    })
-                    .flatten();
-                self.slots = self.slots + set - usize::from(previous.is_some());
+                let set = stored(&slot);
+                let previous = self.edit(prefix, |e| e.set_slot(viewer, slot));
+                self.slots = self.slots + set - stored(&previous);
                 Write::Slot {
                     viewer,
                     prefix,
-                    slot: Slot::of(previous),
+                    slot: previous,
                 }
             }
         }
     }
 
-    /// Runs `f` on `prefix`'s entry — created first if `create` — and
-    /// drops the entry if that leaves it saying nothing. `None`: there
-    /// is no entry, and none was to be created.
-    fn edit<R>(
-        &mut self,
-        prefix: Prefix,
-        create: bool,
-        f: impl FnOnce(&mut Entry<K, V>) -> R,
-    ) -> Option<R> {
-        let entry = if create {
-            self.entries.get_or_insert_with(prefix, Entry::new)
-        } else {
-            self.entries.get_mut(prefix)?
-        };
-        let out = f(entry);
-        if entry.base.is_none() && entry.slots.is_empty() {
-            self.entries.remove(prefix);
-        }
-        Some(out)
+    /// Runs `f` on `prefix`'s entry — an empty one if there is none — in
+    /// one walk, keeping the entry only if that leaves it saying something.
+    fn edit<R>(&mut self, prefix: Prefix, f: impl FnOnce(&mut Entry<K, V>) -> R) -> R {
+        (self.entries).edit(prefix, Entry::new, f, Entry::says_something)
     }
 }
 

@@ -3,8 +3,9 @@
 //! These pin down the algebraic laws the rest of the workspace relies on:
 //! the trie agrees with a linear scan and a `BTreeMap`, prefix
 //! set-operations behave like set operations, header-match intersection is
-//! a true set intersection, and the shared view table shows each viewer
-//! what a table of its own would.
+//! a true set intersection, the shared view table shows each viewer what a
+//! table of its own would, and its one-walk writes are the writes its
+//! planners plan.
 
 use std::collections::BTreeMap;
 
@@ -247,6 +248,68 @@ proptest! {
         }
     }
 
+    /// [`ViewTable::write_base`] and [`ViewTable::write_slots`] (no
+    /// viewers: the base) make in one walk exactly the writes that
+    /// `reconcile_base` / `reconcile_slot` plan and `apply` then performs
+    /// one at a time: an equal table, trie structure included, and the
+    /// same inverses in the same order. Every subscribed viewer written
+    /// for then sees `want`, and replaying the inverses backwards gives
+    /// back the pre-image.
+    #[test]
+    fn one_walk_writes_equal_the_planned_writes(
+        writes in proptest::collection::vec(arb_write(), 0..48),
+        viewers in proptest::collection::vec(0u8..4, 0..5),
+        prefix in arb_nested_prefix(),
+        want in proptest::option::of(0u16..4),
+    ) {
+        let mut table: ViewTable<u8, u16> = ViewTable::new();
+        for write in writes {
+            table.apply(write);
+        }
+        let before = (table.clone(), format!("{table:?}"));
+        let mut planned = table.clone();
+        let mut planned_inverses = Vec::new();
+        let plans: Vec<Option<u8>> = match viewers.is_empty() {
+            true => vec![None],
+            false => viewers.iter().copied().map(Some).collect(),
+        };
+        for viewer in plans {
+            let plan = match viewer {
+                None => planned.reconcile_base(prefix, want, u16::eq, |v| v),
+                Some(viewer) => planned.reconcile_slot(viewer, prefix, want, u16::eq, |v| v),
+            };
+            if let Some(write) = plan {
+                planned_inverses.push(planned.apply(write));
+            }
+        }
+        let mut inverses = Vec::new();
+        let written = match viewers.is_empty() {
+            true => {
+                let wrote = table.write_base(prefix, want, u16::eq, |v| v, |w| inverses.push(w));
+                usize::from(wrote)
+            }
+            false => {
+                let undo = |w| inverses.push(w);
+                table.write_slots(&viewers, prefix, want, u16::eq, |v| *v, undo)
+            }
+        };
+        prop_assert_eq!(&table, &planned);
+        prop_assert_eq!(table.stored(), planned.stored());
+        prop_assert_eq!(&inverses, &planned_inverses);
+        prop_assert_eq!(written, inverses.len());
+        if viewers.is_empty() {
+            prop_assert_eq!(table.base(prefix), want.as_ref());
+        }
+        for &viewer in viewers.iter().filter(|&&v| table.is_subscribed(v)) {
+            prop_assert_eq!(table.get(viewer, prefix), want.as_ref(), "viewer {}", viewer);
+        }
+        for inverse in inverses.into_iter().rev() {
+            table.apply(inverse);
+        }
+        prop_assert_eq!(format!("{table:?}"), before.1);
+        prop_assert_eq!(table, before.0);
+    }
+
     /// Trie LPM agrees with a brute-force linear scan.
     #[test]
     fn trie_lpm_matches_linear_scan(
@@ -303,6 +366,26 @@ proptest! {
         }
         prop_assert!(trie.is_empty());
         prop_assert_eq!(trie, PrefixTrie::new());
+    }
+
+    /// `edit` inserts, replaces or removes in one walk, as `keep` decides
+    /// of what it leaves, and the trie is then node for node the one built
+    /// from scratch with the same contents.
+    #[test]
+    fn trie_edit_agrees_with_a_map(
+        edits in proptest::collection::vec((arb_nested_prefix(), 0usize..4), 0..64),
+    ) {
+        let mut trie = PrefixTrie::new();
+        let mut model = BTreeMap::new();
+        for (p, v) in edits {
+            // 0 holds nothing: it removes the value, or creates none.
+            let had = trie.edit(p, || 0, |held| std::mem::replace(held, v), |held| *held != 0);
+            let was = if v == 0 { model.remove(&p) } else { model.insert(p, v) };
+            prop_assert_eq!(had, was.unwrap_or(0));
+            prop_assert_eq!(trie.len(), model.len());
+            let rebuilt: PrefixTrie<usize> = model.iter().map(|(p, v)| (*p, *v)).collect();
+            prop_assert_eq!(&trie, &rebuilt, "after editing {:?} to {}", p, v);
+        }
     }
 
     /// Trie iteration is sorted and covers exactly the inserted set.

@@ -18,8 +18,14 @@
 //! or more than one receiver's block: the counts that must not grow with
 //! the exchange. It also exits non-zero if no probe was delivered, or if
 //! the compiled matcher and the linear walk pick different entries for any
-//! of the first 256 probes that reach the switch. Nothing here is gated on
-//! the clock.
+//! of the first 256 probes that reach the switch, if any push re-advertised
+//! more (viewer, prefix) pairs than it examined, or if an inbound push
+//! examined any pair at all (it moves no viewer's FEC groups). Nothing
+//! here is gated on the clock.
+//!
+//! For the dump's passes (summed) and for each push it prints the
+//! re-advertisement's cost: microseconds under the `fibsync` timer, pairs
+//! examined and sent, and nanoseconds per pair examined.
 //!
 //! It also prints what opening each update's transaction cost
 //! (`txn.begin`, p50 and max) over the dump's fast passes and over the
@@ -120,6 +126,16 @@ fn main() {
     // Nanoseconds a stage timer has summed so far; one update adds one
     // observation to each of its timers.
     let timed = |ctl: &SdxController, key: &str| ctl.telemetry.histogram(key).sum();
+    // The re-advertisement so far: nanoseconds under its timer, (viewer,
+    // prefix) pairs examined, pairs sent.
+    let fibsync = |ctl: &SdxController| -> [u64; 3] {
+        let sent = ctl.telemetry.counter("fibsync.sent.count").get();
+        [timed(ctl, "fibsync"), examined(ctl), sent]
+    };
+    let fibsync_since = |ctl: &SdxController, before: [u64; 3]| -> [u64; 3] {
+        let now = fibsync(ctl);
+        std::array::from_fn(|i| now[i] - before[i])
+    };
 
     let t = Instant::now();
     let mut fabric = ctl.deploy().expect("deploy");
@@ -158,6 +174,7 @@ fn main() {
         changed
     };
     let (mut pass_begin_ns, mut pass_total_ns) = (Vec::new(), Vec::new());
+    let dump_fibsync = fibsync(&ctl);
     let t = Instant::now();
     for pass in dumped.chunks(64) {
         let changed = announce(&mut ctl, pass, &[cfg.asn.0, 64_999, 64_998, 64_997]);
@@ -168,6 +185,7 @@ fn main() {
         pass_total_ns.push(timed(&ctl, "fastpath.total") - total);
     }
     let dump_ms = t.elapsed().as_secs_f64() * 1e3;
+    let dump_fibsync = fibsync_since(&ctl, dump_fibsync);
     let before = examined(&ctl);
     let repartitioned = |ctl: &SdxController| {
         (ctl.telemetry)
@@ -225,8 +243,9 @@ fn main() {
         ]
     };
     let (mut push_begin_ns, mut push_total_ns) = (Vec::new(), Vec::new());
-    let mut push = |ctl: &mut SdxController, delta: PolicyDelta| -> (f64, [u64; 6]) {
+    let mut push = |ctl: &mut SdxController, delta: PolicyDelta| -> (f64, [u64; 6], [u64; 3]) {
         let before = pieces(ctl);
+        let synced = fibsync(ctl);
         let (begin, total) = (timed(ctl, "txn.begin"), timed(ctl, "reoptimize.total"));
         let t = Instant::now();
         ctl.apply_policy_delta(&delta, &mut fabric).expect("push");
@@ -234,16 +253,20 @@ fn main() {
         push_begin_ns.push(timed(ctl, "txn.begin") - begin);
         push_total_ns.push(timed(ctl, "reoptimize.total") - total);
         let after = pieces(ctl);
-        (ms, std::array::from_fn(|i| after[i] - before[i]))
+        let pieces = std::array::from_fn(|i| after[i] - before[i]);
+        (ms, pieces, fibsync_since(ctl, synced))
     };
     let id: ParticipantId = editor.id;
-    let (in_install_ms, in_install) = push(&mut ctl, PolicyDelta::new().install_inbound(id, steer));
-    let (in_retract_ms, in_retract) = push(&mut ctl, PolicyDelta::new().retract_inbound(id));
-    let (out_install_ms, out_install) = push(
+    let (in_install_ms, in_install, in_install_sync) =
+        push(&mut ctl, PolicyDelta::new().install_inbound(id, steer));
+    let (in_retract_ms, in_retract, in_retract_sync) =
+        push(&mut ctl, PolicyDelta::new().retract_inbound(id));
+    let (out_install_ms, out_install, out_install_sync) = push(
         &mut ctl,
         PolicyDelta::new().install_outbound(id, peering.clone()),
     );
-    let (out_retract_ms, out_retract) = push(&mut ctl, PolicyDelta::new().retract_outbound(id));
+    let (out_retract_ms, out_retract, out_retract_sync) =
+        push(&mut ctl, PolicyDelta::new().retract_outbound(id));
     let push_inbound_ms = (in_install_ms + in_retract_ms) / 2.0;
     let push_outbound_ms = (out_install_ms + out_retract_ms) / 2.0;
 
@@ -307,6 +330,27 @@ fn main() {
             p[0], p[1], p[2], p[3], p[4], p[5]
         );
     }
+    let pushes_synced = [
+        ("inbound_install", in_install_sync),
+        ("inbound_retract", in_retract_sync),
+        ("outbound_install", out_install_sync),
+        ("outbound_retract", out_retract_sync),
+    ];
+    for (what, [ns, examined, sent]) in [("dump_passes", dump_fibsync)]
+        .into_iter()
+        .chain(pushes_synced)
+    {
+        // Per pair examined; a push that examined none has no such cost.
+        let per_pair = match examined {
+            0 => "-".to_string(),
+            n => format!("{:.1}", ns as f64 / n as f64),
+        };
+        println!(
+            "fibsync_{what}: fibsync_us={:.1} examined={examined} sent={sent} \
+             fibsync_ns_per_pair={per_pair}",
+            ns as f64 / 1e3,
+        );
+    }
     println!(
         "probes={} forward_ns_per_pkt={forward_ns:.1} delivered={delivered} \
          classified_both_ways={}",
@@ -342,6 +386,21 @@ fn main() {
                 "an inbound push recomputed {} viewer piece(s) and {} receiver block(s): \
                  it edits one receiver's block and nobody's groups",
                 p[0], p[2]
+            );
+            std::process::exit(1);
+        }
+    }
+    for (what, [_, examined, sent]) in pushes_synced {
+        if sent > examined {
+            eprintln!("the {what} push sent {sent} advertisements but examined {examined}");
+            std::process::exit(1);
+        }
+    }
+    for (what, [_, examined, _]) in &pushes_synced[..2] {
+        if *examined > 0 {
+            eprintln!(
+                "the {what} push examined {examined} (viewer, prefix) pairs: an inbound \
+                 push moves no viewer's FEC groups, so it re-advertises nothing"
             );
             std::process::exit(1);
         }

@@ -94,7 +94,7 @@ mod model {
             prefix: Prefix,
             vnh: Option<Ipv4Addr>,
         ) {
-            let best = rs.best_for(viewer, prefix).map(|best| &best.attrs);
+            let best = rs.best_for(viewer, prefix).map(|best| &*best.attrs);
             let next_hop = best.map(|attrs| vnh.unwrap_or(attrs.next_hop));
             let out = self.rib_out.entry(viewer).or_default();
             if !out.reconcile_rewritten(prefix, best.zip(next_hop)) {
@@ -414,12 +414,15 @@ impl World {
                 .ctl
                 .adj_rib_out(cfg.id)
                 .unwrap_or_else(|| panic!("{what}: {} was never advertised to", cfg.id));
-            let seen: Vec<(Prefix, &PathAttributes)> = view.iter().collect();
-            let modelled: Vec<(Prefix, &PathAttributes)> =
+            let seen: Vec<(Prefix, PathAttributes)> = view
+                .iter()
+                .map(|(p, advert)| (p, advert.attributes()))
+                .collect();
+            let modelled: Vec<(Prefix, PathAttributes)> =
                 self.model.rib_out.get(&cfg.id).map_or(Vec::new(), |out| {
                     out.advertised
                         .iter()
-                        .map(|(p, attrs)| (*p, attrs))
+                        .map(|(p, attrs)| (*p, attrs.clone()))
                         .collect()
                 });
             assert_eq!(seen, modelled, "{what}: Adj-RIB-Out of {}", cfg.id);
