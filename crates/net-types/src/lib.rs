@@ -23,8 +23,6 @@
 //!   are disjoint" compile-time optimization (§4.3.1).
 //! * [`hash`] — [`WordHasher`], the deterministic word-at-a-time hasher
 //!   behind every hashed index on the per-packet path.
-//! * [`wire`] — Ethernet II / IPv4 / ARP frame encoding with RFC 1071
-//!   checksums, so the packet model has a real on-the-wire form.
 //!
 //! The types are deliberately plain data: no I/O, no interior mutability,
 //! fully deterministic — in the spirit of event-driven network stacks such
@@ -41,7 +39,6 @@ pub mod mac;
 pub mod packet;
 pub mod trie;
 pub mod view_table;
-pub mod wire;
 
 pub use asn::{Asn, ParticipantId, PortId, RouterId};
 pub use flowspace::{FieldMatch, HeaderMatch, Mod};
@@ -51,4 +48,3 @@ pub use mac::MacAddr;
 pub use packet::{EtherType, IpProto, LocatedPacket, Location, Packet};
 pub use trie::PrefixTrie;
 pub use view_table::{Slot, View, ViewTable, Write};
-pub use wire::{decode_frame, encode_frame, ArpFrame, FrameError};

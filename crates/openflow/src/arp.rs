@@ -70,22 +70,6 @@ impl ArpResponder {
         }
     }
 
-    /// Handles a raw ARP frame off the wire: decodes it, answers requests
-    /// for bound addresses, and returns the encoded reply frame. Replies
-    /// and unknown targets produce `None`.
-    pub fn handle_frame(&mut self, frame: &[u8]) -> Option<Vec<u8>> {
-        let arp = sdx_net::wire::decode_arp(frame).ok()?;
-        if !arp.is_request {
-            return None;
-        }
-        let reply = self
-            .handle(ArpRequest {
-                target: arp.target_ip,
-            })
-            .map(|r| arp.reply_with(r.mac))?;
-        Some(sdx_net::wire::encode_arp(&reply))
-    }
-
     /// Number of bindings.
     pub fn len(&self) -> usize {
         self.table.len()
@@ -142,22 +126,5 @@ mod tests {
         assert_eq!(arp.unbind(ip("172.16.255.1")), Some(MacAddr::vmac(7)));
         assert_eq!(arp.resolve(ip("172.16.255.1")), None);
         assert_eq!(arp.unbind(ip("172.16.255.1")), None);
-    }
-
-    #[test]
-    fn handle_frame_answers_vnh_queries() {
-        use sdx_net::wire::{decode_arp, encode_arp, ArpFrame};
-        let mut arp = ArpResponder::new();
-        arp.bind(ip("172.16.128.9"), MacAddr::vmac(9));
-        let req = ArpFrame::request(MacAddr::physical(1), ip("172.16.0.5"), ip("172.16.128.9"));
-        let reply_frame = arp.handle_frame(&encode_arp(&req)).expect("answered");
-        let reply = decode_arp(&reply_frame).expect("valid reply");
-        assert!(!reply.is_request);
-        assert_eq!(reply.sender_mac, MacAddr::vmac(9));
-        // Unknown targets and non-request frames produce nothing.
-        let unknown = ArpFrame::request(MacAddr::physical(1), ip("172.16.0.5"), ip("10.9.9.9"));
-        assert!(arp.handle_frame(&encode_arp(&unknown)).is_none());
-        assert!(arp.handle_frame(&reply_frame).is_none());
-        assert!(arp.handle_frame(&[0u8; 10]).is_none());
     }
 }

@@ -15,30 +15,29 @@
 //!    FEC in the destination MAC field — the tag stage 2 matches on.
 //!
 //! This model implements exactly that: it consumes the route server's
-//! UPDATE messages, maintains a prefix-trie FIB, resolves next hops through
-//! an [`ArpResponder`], and emits tagged packets. It is *unmodified-BGP*
+//! UPDATE messages into a FIB, resolves next hops through an
+//! [`ArpResponder`], and emits tagged packets. It is *unmodified-BGP*
 //! faithful — nothing here knows about FECs; the tag appears purely through
 //! next-hop+ARP mechanics, which is the paper's point.
 //!
-//! # Attached routers share one FIB table
+//! # One FIB table for every router
 //!
-//! A [`BorderRouter`] on its own holds its FIB in its own trie. Routers
-//! attached to a [`Fabric`](crate::fabric::Fabric) do not: a route server
-//! tells almost every peer almost the same thing, so the fabric keeps all
-//! their FIBs in one [`SharedFib`] — per prefix the next hop most routers
-//! hold, plus a slot for each router that holds another or none — and
-//! [`RouterRef`] / [`RouterMut`] are a router together with its side of
-//! that table. This is an economy of the simulation, not a change to the
-//! model: no router can see another's routes, and each one's lookups,
-//! `fib_len` and forwarding are exactly what its own trie would give after
-//! the same UPDATE stream.
+//! A route server tells almost every peer almost the same thing, so a
+//! [`Fabric`](crate::fabric::Fabric) keeps the FIBs of all its routers in
+//! one [`SharedFib`]: per prefix the next hop most routers hold, plus a
+//! slot for each router that holds another or none. A [`BorderRouter`] is
+//! its port, MAC, ARP cache and drop counters; its FIB is its view of that
+//! table, read through [`RouterRef`] and written through [`RouterMut`].
+//! This is an economy of the simulation, not a change to the model: no
+//! router can see another's routes, and each one's lookups, `fib_len` and
+//! forwarding are exactly what a table of its own would give after the
+//! same UPDATE stream.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 
 use sdx_net::{
-    Ipv4Addr, LocatedPacket, MacAddr, Packet, PortId, Prefix, PrefixTrie, Slot, View, ViewTable,
-    WordMap, Write,
+    Ipv4Addr, LocatedPacket, MacAddr, Packet, PortId, Prefix, Slot, View, ViewTable, WordMap, Write,
 };
 
 use sdx_bgp::msg::UpdateMessage;
@@ -56,14 +55,14 @@ pub struct FibEntry {
 /// router is attached at (see the module documentation).
 pub type SharedFib = ViewTable<PortId, FibEntry>;
 
-/// A participant's border router.
+/// A participant's border router, without its FIB (see the module
+/// documentation).
 #[derive(Clone, PartialEq, Debug)]
 pub struct BorderRouter {
     /// The fabric port this router is attached to.
     pub port: PortId,
     /// The router's interface MAC.
     pub mac: MacAddr,
-    fib: PrefixTrie<FibEntry>,
     /// Local ARP cache, filled by querying the SDX responder; hashed,
     /// since every forwarded packet reads it.
     arp_cache: WordMap<Ipv4Addr, MacAddr>,
@@ -74,58 +73,15 @@ pub struct BorderRouter {
 }
 
 impl BorderRouter {
-    /// A router attached at `port` with interface `mac` and an empty FIB.
+    /// A router at `port` with interface `mac` and an empty ARP cache.
     pub fn new(port: PortId, mac: MacAddr) -> Self {
         BorderRouter {
             port,
             mac,
-            fib: PrefixTrie::new(),
             arp_cache: WordMap::default(),
             no_route_drops: 0,
             no_arp_drops: 0,
         }
-    }
-
-    /// Applies an UPDATE from the route server: withdrawals remove FIB
-    /// entries, announcements install `prefix → next_hop`.
-    pub fn apply_update(&mut self, update: &UpdateMessage) {
-        for p in &update.withdrawn {
-            self.set_route(*p, None);
-        }
-        if let Some(attrs) = &update.attrs {
-            for p in &update.nlri {
-                self.set_route(*p, Some(attrs.next_hop));
-            }
-        }
-    }
-
-    /// What an UPDATE does to the FIB for one prefix: an announcement
-    /// installs `prefix → next_hop` (the only attribute a FIB keeps), a
-    /// withdrawal (`None`) removes the entry. Returns the entry this
-    /// displaced; setting the route to that entry's next hop undoes the
-    /// write.
-    pub fn set_route(&mut self, prefix: Prefix, next_hop: Option<Ipv4Addr>) -> Option<FibEntry> {
-        match next_hop {
-            Some(next_hop) => self.fib.insert(prefix, FibEntry { next_hop }),
-            None => self.fib.remove(prefix),
-        }
-    }
-
-    /// Empties the FIB, returning what it held (a router being attached
-    /// to a fabric hands its routes to the fabric's shared table).
-    pub(crate) fn take_fib(&mut self) -> PrefixTrie<FibEntry> {
-        std::mem::take(&mut self.fib)
-    }
-
-    /// The FIB entry that would forward `dst`, if any (longest-prefix).
-    pub fn route_for(&self, dst: Ipv4Addr) -> Option<(Prefix, FibEntry)> {
-        self.fib.lookup(dst).map(|(p, e)| (p, *e))
-    }
-
-    /// Number of FIB entries (the paper's "no additional table space"
-    /// claim is that this count is what the router holds *anyway*).
-    pub fn fib_len(&self) -> usize {
-        self.fib.len()
     }
 
     /// Flushes the ARP cache — required when the SDX re-binds a VNH to a
@@ -148,19 +104,12 @@ impl BorderRouter {
         self.arp_cache.get(&addr).copied()
     }
 
-    /// Forwards an IP packet originated behind this router into the
-    /// fabric: FIB lookup, ARP for the next hop (through the SDX
-    /// responder), MAC rewrite, and emission on the fabric port.
+    /// The step after the FIB lookup: ARP for the `route`'s next hop
+    /// (through the SDX responder), MAC rewrite, and emission on the
+    /// fabric port.
     ///
-    /// Returns `None` when the packet has no route or ARP fails — both
-    /// counted for the failure-injection tests.
-    pub fn forward(&mut self, pkt: Packet, arp: &mut ArpResponder) -> Option<LocatedPacket> {
-        let route = self.route_for(pkt.nw_dst).map(|(_, entry)| entry);
-        self.tag(route, pkt, arp)
-    }
-
-    /// [`forward`](Self::forward) after the FIB lookup, whichever table
-    /// answered it.
+    /// Returns `None` when there is no route or ARP fails — both counted
+    /// for the failure-injection tests.
     pub(crate) fn tag(
         &mut self,
         route: Option<FibEntry>,
@@ -213,17 +162,11 @@ impl<'a> RouterRef<'a> {
         self.fib().lookup(dst).map(|(p, e)| (p, *e))
     }
 
-    /// Number of FIB entries (a walk of the shared table).
+    /// Number of FIB entries, a walk of the shared table (the paper's "no
+    /// additional table space" claim is that this count is what the
+    /// router holds *anyway*).
     pub fn fib_len(&self) -> usize {
         self.fib().len()
-    }
-
-    /// A copy of the router that stands on its own: its FIB materialised
-    /// into its own trie, ARP cache and counters as they are.
-    pub fn detached(&self) -> BorderRouter {
-        let mut router = self.router.clone();
-        router.fib = self.fib().iter().map(|(p, e)| (p, *e)).collect();
-        router
     }
 }
 
@@ -262,7 +205,8 @@ impl<'a> RouterMut<'a> {
         RouterMut { router, fib }
     }
 
-    /// [`BorderRouter::apply_update`] on the shared table.
+    /// Applies an UPDATE from the route server: withdrawals remove FIB
+    /// entries, announcements install `prefix → next_hop`.
     pub fn apply_update(&mut self, update: &UpdateMessage) {
         for p in &update.withdrawn {
             self.set_route(*p, None);
@@ -274,8 +218,10 @@ impl<'a> RouterMut<'a> {
         }
     }
 
-    /// [`BorderRouter::set_route`] on the shared table: returns the entry
-    /// the router held for `prefix` before.
+    /// What an UPDATE does to the FIB for one prefix: an announcement
+    /// installs `prefix → next_hop` (the only attribute a FIB keeps), a
+    /// withdrawal (`None`) removes the entry. Returns the entry the router
+    /// held for `prefix` before.
     pub fn set_route(&mut self, prefix: Prefix, next_hop: Option<Ipv4Addr>) -> Option<FibEntry> {
         let port = self.router.port;
         let previous = self.fib.get(port, prefix).copied();
@@ -306,8 +252,11 @@ impl<'a> RouterMut<'a> {
         RouterRef::new(self.router, self.fib).fib_len()
     }
 
-    /// [`BorderRouter::forward`] through the shared table. Takes the
-    /// handle: fetch it again (or use
+    /// Forwards an IP packet originated behind this router into the
+    /// fabric: FIB lookup, ARP for the next hop (through the SDX
+    /// responder), MAC rewrite, and emission on the fabric port. Returns
+    /// `None` when the packet has no route or ARP fails, counting which.
+    /// Takes the handle: fetch it again (or use
     /// [`Fabric::send`](crate::fabric::Fabric::send)) for the next packet.
     pub fn forward(self, pkt: Packet, arp: &mut ArpResponder) -> Option<LocatedPacket> {
         let route = self.fib.lookup(self.router.port, pkt.nw_dst);
@@ -333,11 +282,21 @@ impl DerefMut for RouterMut<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fabric::Fabric;
     use sdx_bgp::attrs::{AsPath, PathAttributes};
     use sdx_net::{ip, prefix, ParticipantId};
 
-    fn router() -> BorderRouter {
-        BorderRouter::new(PortId::Phys(ParticipantId(1), 1), MacAddr::physical(1))
+    const AT: PortId = PortId::Phys(ParticipantId(1), 1);
+
+    /// A fabric with one router attached at [`AT`], its FIB empty.
+    fn attached() -> Fabric {
+        let mut f = Fabric::new();
+        f.attach(BorderRouter::new(AT, MacAddr::physical(1)));
+        f
+    }
+
+    fn router(f: &mut Fabric) -> RouterMut<'_> {
+        f.router_mut(AT).expect("attached")
     }
 
     fn announce(pfx: &str, nh: Ipv4Addr) -> UpdateMessage {
@@ -349,23 +308,23 @@ mod tests {
 
     #[test]
     fn fib_follows_updates() {
-        let mut r = router();
-        r.apply_update(&announce("74.125.0.0/16", ip("172.16.255.1")));
-        assert_eq!(r.fib_len(), 1);
-        let (p, e) = r.route_for(ip("74.125.1.1")).unwrap();
+        let mut f = attached();
+        router(&mut f).apply_update(&announce("74.125.0.0/16", ip("172.16.255.1")));
+        assert_eq!(router(&mut f).fib_len(), 1);
+        let (p, e) = router(&mut f).route_for(ip("74.125.1.1")).unwrap();
         assert_eq!(p, prefix("74.125.0.0/16"));
         assert_eq!(e.next_hop, ip("172.16.255.1"));
-        r.apply_update(&UpdateMessage::withdraw([prefix("74.125.0.0/16")]));
-        assert!(r.route_for(ip("74.125.1.1")).is_none());
+        router(&mut f).apply_update(&UpdateMessage::withdraw([prefix("74.125.0.0/16")]));
+        assert!(router(&mut f).route_for(ip("74.125.1.1")).is_none());
     }
 
     #[test]
     fn forward_tags_with_vmac() {
-        let mut r = router();
+        let mut f = attached();
         let mut arp = ArpResponder::new();
         arp.bind(ip("172.16.255.1"), MacAddr::vmac(42));
-        r.apply_update(&announce("74.125.0.0/16", ip("172.16.255.1")));
-        let lp = r
+        router(&mut f).apply_update(&announce("74.125.0.0/16", ip("172.16.255.1")));
+        let lp = router(&mut f)
             .forward(
                 Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80),
                 &mut arp,
@@ -380,47 +339,49 @@ mod tests {
 
     #[test]
     fn arp_is_cached_until_flushed() {
-        let mut r = router();
+        let mut f = attached();
         let mut arp = ArpResponder::new();
         arp.bind(ip("172.16.255.1"), MacAddr::vmac(1));
-        r.apply_update(&announce("74.125.0.0/16", ip("172.16.255.1")));
+        router(&mut f).apply_update(&announce("74.125.0.0/16", ip("172.16.255.1")));
         let p = Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80);
-        assert_eq!(r.forward(p, &mut arp).unwrap().pkt.dl_dst, MacAddr::vmac(1));
+        let forward =
+            |f: &mut Fabric, arp: &mut ArpResponder| router(f).forward(p, arp).unwrap().pkt.dl_dst;
+        assert_eq!(forward(&mut f, &mut arp), MacAddr::vmac(1));
         // Rebind without flushing: stale cache still serves the old VMAC.
         arp.bind(ip("172.16.255.1"), MacAddr::vmac(2));
-        assert_eq!(r.forward(p, &mut arp).unwrap().pkt.dl_dst, MacAddr::vmac(1));
+        assert_eq!(forward(&mut f, &mut arp), MacAddr::vmac(1));
         // Flush → new VMAC picked up.
-        r.flush_arp();
-        assert_eq!(r.forward(p, &mut arp).unwrap().pkt.dl_dst, MacAddr::vmac(2));
+        router(&mut f).flush_arp();
+        assert_eq!(forward(&mut f, &mut arp), MacAddr::vmac(2));
     }
 
     #[test]
     fn drops_are_counted() {
-        let mut r = router();
+        let mut f = attached();
         let mut arp = ArpResponder::new();
         // No route at all.
-        assert!(r
+        assert!(router(&mut f)
             .forward(Packet::tcp(ip("1.1.1.1"), ip("2.2.2.2"), 5, 80), &mut arp)
             .is_none());
-        assert_eq!(r.no_route_drops, 1);
+        assert_eq!(f.router(AT).unwrap().no_route_drops, 1);
         // Route exists but the VNH is unresolvable.
-        r.apply_update(&announce("2.0.0.0/8", ip("172.16.255.9")));
-        assert!(r
+        router(&mut f).apply_update(&announce("2.0.0.0/8", ip("172.16.255.9")));
+        assert!(router(&mut f)
             .forward(Packet::tcp(ip("1.1.1.1"), ip("2.2.2.2"), 5, 80), &mut arp)
             .is_none());
-        assert_eq!(r.no_arp_drops, 1);
+        assert_eq!(f.router(AT).unwrap().no_arp_drops, 1);
         assert_eq!(arp.unanswered, 1);
     }
 
     #[test]
     fn more_specific_route_wins() {
-        let mut r = router();
+        let mut f = attached();
         let mut arp = ArpResponder::new();
         arp.bind(ip("172.16.255.1"), MacAddr::vmac(1));
         arp.bind(ip("172.16.255.2"), MacAddr::vmac(2));
-        r.apply_update(&announce("74.0.0.0/8", ip("172.16.255.1")));
-        r.apply_update(&announce("74.125.0.0/16", ip("172.16.255.2")));
-        let lp = r
+        router(&mut f).apply_update(&announce("74.0.0.0/8", ip("172.16.255.1")));
+        router(&mut f).apply_update(&announce("74.125.0.0/16", ip("172.16.255.2")));
+        let lp = router(&mut f)
             .forward(
                 Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80),
                 &mut arp,

@@ -15,7 +15,7 @@
 
 use std::sync::Arc;
 
-use sdx_net::{Ipv4Addr, LocatedPacket, Packet, ParticipantId, PortId, Slot, WordMap, Write};
+use sdx_net::{Ipv4Addr, LocatedPacket, Packet, ParticipantId, PortId, WordMap};
 use sdx_telemetry::{Counter, SharedRegistry};
 
 use crate::arp::ArpResponder;
@@ -130,16 +130,9 @@ impl Fabric {
     }
 
     /// Attaches a border router at its port, replacing any router
-    /// already there. The routes it holds move into the shared FIB
-    /// table, as its port's own slots.
-    pub fn attach(&mut self, mut router: BorderRouter) {
-        for (prefix, entry) in router.take_fib().iter() {
-            self.fib.apply(Write::Slot {
-                viewer: router.port,
-                prefix,
-                slot: Slot::Own(*entry),
-            });
-        }
+    /// already there. Its FIB is what the shared table holds for that
+    /// port, written through [`router_mut`](Self::router_mut).
+    pub fn attach(&mut self, router: BorderRouter) {
         match self.routers.binary_search_by_key(&router.port, |r| r.port) {
             Ok(at) => self.routers[at] = router,
             Err(at) => {
@@ -338,13 +331,9 @@ mod tests {
     /// — the paper's stage-2 behaviour.
     fn two_party_fabric() -> Fabric {
         let mut f = Fabric::new();
-        let mut a = BorderRouter::new(port(1, 1), MacAddr::physical(11));
+        f.attach(BorderRouter::new(port(1, 1), MacAddr::physical(11)));
         // Route server told A: 74.125/16 via VNH 172.16.255.1.
-        a.apply_update(&UpdateMessage::announce(
-            [prefix("74.125.0.0/16")],
-            PathAttributes::new(AsPath::sequence([65002]), ip("172.16.255.1")),
-        ));
-        f.attach(a);
+        f.router_mut(port(1, 1)).unwrap().apply_update(&to_74_125());
         f.attach(BorderRouter::new(port(2, 1), MacAddr::physical(21)));
         f.arp.bind(ip("172.16.255.1"), MacAddr::vmac(7));
         // Stage-2 rule: FEC tag 7 → rewrite to B1's MAC, output B1.
@@ -374,65 +363,109 @@ mod tests {
         assert_eq!(f.stuck_at_virtual, 0);
     }
 
-    #[test]
-    fn an_attached_router_holds_what_the_same_updates_give_a_detached_one() {
-        let announce = |pfx: &str, nh: &str| {
-            UpdateMessage::announce(
-                [prefix(pfx)],
-                PathAttributes::new(AsPath::sequence([65002]), ip(nh)),
-            )
-        };
-        let updates = [
-            announce("10.0.0.0/8", "172.16.0.2"),
-            announce("10.1.0.0/16", "172.16.255.7"),
-            UpdateMessage::withdraw([prefix("74.125.0.0/16")]),
-            announce("10.1.0.0/16", "172.16.255.8"),
-            UpdateMessage::withdraw([prefix("10.0.0.0/8"), prefix("99.0.0.0/8")]),
-        ];
-        // A is attached holding one route; C starts empty and is
-        // subscribed to bases the shared table already has.
-        let mut f = two_party_fabric();
-        f.attach(BorderRouter::new(port(3, 1), MacAddr::physical(31)));
-        let hop = |nh| crate::border_router::FibEntry { next_hop: ip(nh) };
-        for write in [
-            Write::Subscription {
-                viewer: port(3, 1),
-                subscribed: true,
-            },
-            Write::Base {
-                prefix: prefix("10.0.0.0/8"),
-                value: Some(hop("172.16.0.9")),
-            },
-            Write::Base {
-                prefix: prefix("20.0.0.0/8"),
-                value: Some(hop("172.16.0.9")),
-            },
-        ] {
-            f.fib_mut().apply(write);
-        }
-        let bystander = f.router(port(2, 1)).unwrap().detached();
-        for at in [port(1, 1), port(3, 1)] {
-            let mut alone = f.router(at).unwrap().detached();
-            for update in &updates {
-                f.router_mut(at).unwrap().apply_update(update);
-                alone.apply_update(update);
-                assert_eq!(
-                    f.router(at).unwrap().detached(),
-                    alone,
-                    "{at:?} after {update:?}"
-                );
-                assert_eq!(f.router(at).unwrap().fib_len(), alone.fib_len());
+    /// The route server's announcement of 74.125/16 via VNH 172.16.255.1.
+    fn to_74_125() -> UpdateMessage {
+        UpdateMessage::announce(
+            [prefix("74.125.0.0/16")],
+            PathAttributes::new(AsPath::sequence([65002]), ip("172.16.255.1")),
+        )
+    }
+
+    proptest! {
+        /// Each attached router's FIB is what a table of its own would
+        /// hold after the same UPDATEs: a model keyed by (port, prefix),
+        /// started from the shared bases at the subscribed ports and
+        /// written by every withdrawal and announcement. Lookups, size
+        /// and contents agree at every port after every UPDATE, so what
+        /// one router learns, no other sees.
+        #[test]
+        fn every_routers_fib_is_its_own_update_stream(
+            subscribed in proptest::collection::vec(any::<bool>(), 4),
+            bases in proptest::collection::vec((0usize..8, 0u8..4), 0..6),
+            updates in proptest::collection::vec(
+                (
+                    0usize..4,
+                    proptest::collection::vec(0usize..8, 0..3),
+                    proptest::option::of((
+                        0u8..4,
+                        proptest::collection::vec(0usize..8, 1..3),
+                    )),
+                ),
+                0..24,
+            ),
+        ) {
+            use crate::border_router::FibEntry;
+            use sdx_net::{Prefix, Write};
+            use std::collections::BTreeMap;
+
+            let ports = [port(1, 1), port(1, 2), port(2, 1), port(3, 1)];
+            let pool = [
+                "0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24",
+                "10.1.2.3/32", "20.0.0.0/8", "74.125.0.0/16", "99.0.0.0/8",
+            ]
+            .map(prefix);
+            let hop = |i: u8| FibEntry { next_hop: ip("172.16.0.1").saturating_add(i.into()) };
+            let probes: Vec<Ipv4Addr> = pool
+                .iter()
+                .map(|p| p.first())
+                .chain(["10.1.2.4", "10.2.0.1", "1.2.3.4"].map(ip))
+                .collect();
+
+            let mut f = Fabric::new();
+            for at in ports {
+                f.attach(BorderRouter::new(at, MacAddr::physical(1)));
             }
-            for dst in ["10.1.2.3", "10.2.0.1", "20.0.0.1", "74.125.1.1"] {
-                assert_eq!(
-                    f.router(at).unwrap().route_for(ip(dst)),
-                    alone.route_for(ip(dst))
-                );
+            for (&at, &on) in ports.iter().zip(&subscribed) {
+                f.fib_mut().apply(Write::Subscription { viewer: at, subscribed: on });
+            }
+            let mut model: BTreeMap<(PortId, Prefix), FibEntry> = BTreeMap::new();
+            for &(p, h) in &bases {
+                f.fib_mut().apply(Write::Base { prefix: pool[p], value: Some(hop(h)) });
+                for (&at, _) in ports.iter().zip(&subscribed).filter(|(_, &on)| on) {
+                    model.insert((at, pool[p]), hop(h));
+                }
+            }
+            let check = |f: &Fabric, model: &BTreeMap<(PortId, Prefix), FibEntry>| {
+                for at in ports {
+                    let router = f.router(at).unwrap();
+                    let mine = model.iter().filter(|((holder, _), _)| *holder == at);
+                    let mut want: Vec<(Prefix, FibEntry)> =
+                        mine.map(|(&(_, p), &e)| (p, e)).collect();
+                    for &dst in &probes {
+                        let covering = want.iter().filter(|(p, _)| p.contains(dst));
+                        let longest = covering.max_by_key(|(p, _)| p.len()).copied();
+                        prop_assert_eq!(router.route_for(dst), longest, "{:?} to {}", at, dst);
+                    }
+                    prop_assert_eq!(router.fib_len(), want.len());
+                    let mut held: Vec<(Prefix, FibEntry)> =
+                        router.fib().iter().map(|(p, e)| (p, *e)).collect();
+                    held.sort_by_key(|(p, _)| *p);
+                    want.sort_by_key(|(p, _)| *p);
+                    prop_assert_eq!(held, want, "{:?}", at);
+                }
+                Ok(())
+            };
+            check(&f, &model)?;
+            for (at, withdrawn, announced) in updates {
+                let at = ports[at];
+                let withdrawn: Vec<Prefix> = withdrawn.into_iter().map(|p| pool[p]).collect();
+                let mut update = UpdateMessage::withdraw(withdrawn.iter().copied());
+                for &p in &withdrawn {
+                    model.remove(&(at, p));
+                }
+                if let Some((h, nlri)) = announced {
+                    let nlri: Vec<Prefix> = nlri.into_iter().map(|p| pool[p]).collect();
+                    let attrs = PathAttributes::new(AsPath::sequence([65002]), hop(h).next_hop);
+                    update.nlri = nlri.clone();
+                    update.attrs = Some(attrs);
+                    for p in nlri {
+                        model.insert((at, p), hop(h));
+                    }
+                }
+                f.router_mut(at).unwrap().apply_update(&update);
+                check(&f, &model)?;
             }
         }
-        // What one router learns, no other sees.
-        assert_eq!(f.router(port(2, 1)).unwrap().detached(), bystander);
-        assert_eq!(f.router(port(2, 1)).unwrap().fib_len(), 0);
     }
 
     #[test]
@@ -653,19 +686,9 @@ mod tests {
         assert_eq!(f.drain_batches().len(), 1);
     }
 
-    /// A router at `at` with a route to 74.125/16 through a VNH that
-    /// [`attached`] fabrics resolve.
-    fn routed_router(at: PortId, mac: u32) -> BorderRouter {
-        let mut router = BorderRouter::new(at, MacAddr::physical(mac));
-        router.apply_update(&UpdateMessage::announce(
-            [prefix("74.125.0.0/16")],
-            PathAttributes::new(AsPath::sequence([65002]), ip("172.16.255.1")),
-        ));
-        router
-    }
-
     /// A fabric that delivers every routed packet at one port, with the
-    /// routers attached in the order given.
+    /// routers attached in the order given, each then told
+    /// [`to_74_125`], whose VNH the fabric resolves.
     fn attached(routers: impl IntoIterator<Item = BorderRouter>) -> Fabric {
         let mut f = Fabric::new();
         f.arp.bind(ip("172.16.255.1"), MacAddr::vmac(7));
@@ -675,7 +698,9 @@ mod tests {
             vec![vec![Mod::SetLoc(port(9, 9))]],
         ));
         for router in routers {
+            let at = router.port;
             f.attach(router);
+            f.router_mut(at).unwrap().apply_update(&to_74_125());
         }
         f
     }
@@ -691,7 +716,9 @@ mod tests {
             use rand::{rngs::StdRng, seq::SliceRandom, SeedableRng};
             use std::collections::BTreeMap;
 
-            let routers = attaches.iter().map(|&(p, i, mac)| routed_router(port(p, i), mac));
+            let routers = attaches
+                .iter()
+                .map(|&(p, i, mac)| BorderRouter::new(port(p, i), MacAddr::physical(mac)));
             let mut f = attached(routers.clone());
             let model: BTreeMap<PortId, BorderRouter> =
                 routers.map(|r| (r.port, r)).collect();
@@ -705,7 +732,10 @@ mod tests {
                 prop_assert_eq!(f.ports_of(ParticipantId(p)), expect);
                 for i in 0..4 {
                     let (at, want) = (port(p, i), model.get(&port(p, i)));
-                    prop_assert_eq!(f.router(at).map(|r| r.detached()), want.cloned());
+                    prop_assert_eq!(f.router(at).map(|r| BorderRouter::clone(&r)), want.cloned());
+                    let route = f.router(at).and_then(|r| r.route_for(ip("74.125.1.1")));
+                    let want_route = want.map(|_| prefix("74.125.0.0/16"));
+                    prop_assert_eq!(route.map(|(p, _)| p), want_route);
                     prop_assert_eq!(f.router_mut(at).map(|r| r.mac), want.map(|r| r.mac));
                     prop_assert_eq!(f.send(at, routed()).len(), usize::from(want.is_some()));
                 }

@@ -20,13 +20,12 @@
 //!   hops with the corresponding virtual MAC (§4.2).
 //! * [`middlebox`] — middleboxes behind fabric ports and the §8
 //!   service-chaining harness.
-//! * [`border_router`] — the participant border-router model: a BGP-fed
-//!   FIB whose next-hop-MAC rewriting implements the *first stage* of the
-//!   SDX's multi-stage FIB without any switch table space (Figure 2).
+//! * [`border_router`] — the participant border-router model: a port, a
+//!   MAC and an ARP cache over its view of the fabric's shared FIB, whose
+//!   next-hop-MAC rewriting implements the *first stage* of the SDX's
+//!   multi-stage FIB without any switch table space (Figure 2).
 //! * [`fabric`] — glues border routers and the SDX switch into an exchange
 //!   point you can inject packets into and observe deliveries from.
-//! * [`multiswitch`] — the §4.1 topology abstraction: the same logical
-//!   classifier distributed over multiple physical switches.
 //!
 //! Multicast rules use group-bucket semantics (each bucket processes its
 //! own copy of the packet), i.e. OpenFlow 1.1+ ALL-groups rather than the
@@ -42,7 +41,6 @@ pub mod fabric;
 pub mod flowmod;
 pub mod matcher;
 pub mod middlebox;
-pub mod multiswitch;
 pub mod switch;
 pub mod table;
 
@@ -52,6 +50,5 @@ pub use fabric::{Fabric, WaveUndo};
 pub use flowmod::{BatchStats, FlowMod, FlowModBatch, FlowModError};
 pub use matcher::{CompiledMatcher, MatcherStats};
 pub use middlebox::Middlebox;
-pub use multiswitch::MultiFabric;
 pub use switch::{Deliveries, Switch};
 pub use table::{FlowEntry, FlowTable};

@@ -34,9 +34,9 @@
 //! Buckets are kept sorted by descending priority so a scan can stop at the
 //! first verified match and prune against the best candidate found so far.
 //! Coherence with the mutable table is by epoch tagging: every table
-//! mutation bumps the table epoch and either updates the matcher
-//! incrementally (single-entry install/delete), rebuilds it (bulk
-//! removals, classifier installs), or just restamps it (counter/bucket
+//! mutation bumps the table epoch and either updates the matcher entry by
+//! entry (installs, flow-mod runs, overlay retirement and its rollback),
+//! rebuilds it (classifier installs), or just restamps it (counter/bucket
 //! changes that cannot affect classification). `classify` debug-asserts
 //! the epochs agree.
 
@@ -206,7 +206,7 @@ impl CompiledMatcher {
     }
 
     /// Unfiles the entry at exactly (priority, pattern). The incremental
-    /// path under `delete_exact` / flow-mod `Delete`; empty buckets are
+    /// path under flow-mod `Delete` and overlay retirement; empty buckets are
     /// pruned so memory tracks the live table.
     pub(crate) fn remove(&mut self, priority: u32, pattern: &HeaderMatch, epoch: u64) {
         match route(pattern) {
@@ -252,7 +252,7 @@ impl CompiledMatcher {
     }
 
     /// Full recompile from the live entry list — the bulk path under
-    /// `install_classifier`, band/cookie removals, and explicit
+    /// `install_classifier` and explicit
     /// [`rebuild_matcher`](crate::table::FlowTable::rebuild_matcher).
     pub(crate) fn rebuild(&mut self, entries: &[FlowEntry], epoch: u64) {
         let t0 = Instant::now();

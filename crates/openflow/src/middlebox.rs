@@ -108,19 +108,17 @@ mod tests {
     /// steered A→E (in-port rule), then E's re-injection forwards to B.
     fn chain_fabric() -> (Fabric, Middlebox) {
         let mut f = Fabric::new();
-        let mut a = BorderRouter::new(port(1, 1), MacAddr::physical(11));
-        a.apply_update(&UpdateMessage::announce(
-            [prefix("20.0.0.0/8")],
-            PathAttributes::new(AsPath::sequence([65002]), ip("172.16.0.9")),
-        ));
-        f.attach(a);
-        let mut e = BorderRouter::new(port(5, 1), MacAddr::physical(51));
-        e.apply_update(&UpdateMessage::announce(
-            [prefix("20.0.0.0/8")],
-            PathAttributes::new(AsPath::sequence([65002]), ip("172.16.0.9")),
-        ));
-        f.attach(e);
+        f.attach(BorderRouter::new(port(1, 1), MacAddr::physical(11)));
+        f.attach(BorderRouter::new(port(5, 1), MacAddr::physical(51)));
         f.attach(BorderRouter::new(port(2, 1), MacAddr::physical(21)));
+        for at in [port(1, 1), port(5, 1)] {
+            f.router_mut(at)
+                .unwrap()
+                .apply_update(&UpdateMessage::announce(
+                    [prefix("20.0.0.0/8")],
+                    PathAttributes::new(AsPath::sequence([65002]), ip("172.16.0.9")),
+                ));
+        }
         f.arp.bind(ip("172.16.0.9"), MacAddr::physical(21));
         // Steering: traffic entering at A1 diverts to E1 (MAC-rewritten);
         // traffic entering at E1 goes to B (delivery rule by B's MAC).

@@ -13,7 +13,6 @@ use std::fmt;
 use std::ops::Deref;
 
 use sdx_net::LocatedPacket;
-use sdx_policy::Classifier;
 
 use crate::table::{FlowEntry, FlowTable};
 
@@ -149,12 +148,6 @@ impl Switch {
         &self.table
     }
 
-    /// Replaces the table with a compiled classifier at priority base 0.
-    pub fn load_classifier(&mut self, c: &Classifier) {
-        self.table.clear();
-        self.table.install_classifier(c, 0);
-    }
-
     /// Installs a single entry.
     pub fn install(&mut self, entry: FlowEntry) {
         self.table.install(entry);
@@ -203,9 +196,10 @@ mod tests {
     #[test]
     fn forwards_by_table() {
         let mut sw = Switch::new();
-        sw.load_classifier(&compile(
-            &(Policy::match_(FieldMatch::TpDst(80)) >> Policy::fwd(port(2))),
-        ));
+        sw.table_mut().install_classifier(
+            &compile(&(Policy::match_(FieldMatch::TpDst(80)) >> Policy::fwd(port(2)))),
+            0,
+        );
         let out = sw.process(pkt(80));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, port(2));
@@ -277,9 +271,10 @@ mod tests {
     #[test]
     fn overlay_shadows_base() {
         let mut sw = Switch::new();
-        sw.load_classifier(&compile(
-            &(Policy::match_(FieldMatch::TpDst(80)) >> Policy::fwd(port(2))),
-        ));
+        sw.table_mut().install_classifier(
+            &compile(&(Policy::match_(FieldMatch::TpDst(80)) >> Policy::fwd(port(2)))),
+            0,
+        );
         sw.table_mut().install_classifier(
             &compile(&(Policy::match_(FieldMatch::TpDst(80)) >> Policy::fwd(port(7)))),
             100_000,

@@ -230,35 +230,6 @@ impl FlowTable {
         self.place_run(std::iter::once(entry), &[idx]);
     }
 
-    /// Replaces the buckets and cookie of the entry at exactly
-    /// (priority, pattern), preserving its traffic counters (OpenFlow
-    /// `MODIFY` semantics). Returns `false` if no such entry exists.
-    pub fn modify_in_place(
-        &mut self,
-        priority: u32,
-        pattern: &HeaderMatch,
-        buckets: &[Vec<Mod>],
-        cookie: u64,
-    ) -> bool {
-        let Some(pos) = self.position_of(priority, pattern) else {
-            return false;
-        };
-        self.replace_at(pos, buckets.to_vec(), cookie);
-        self.set_epoch(self.epoch + 1);
-        true
-    }
-
-    /// Removes the entry at exactly (priority, pattern). Returns `false`
-    /// if no such entry exists.
-    pub fn delete_exact(&mut self, priority: u32, pattern: &HeaderMatch) -> bool {
-        let Some(pos) = self.position_of(priority, pattern) else {
-            return false;
-        };
-        self.remove_run(&[pos], drop);
-        self.set_epoch(self.epoch + 1);
-        true
-    }
-
     // The in-place primitives under [`apply_batch`](Self::apply_batch) and
     // its undo journal. Each keeps entries, cookie index and matcher
     // contents coherent but leaves the epoch alone: the batch stamps it
@@ -456,48 +427,28 @@ impl FlowTable {
     /// [`remove_at_or_above`](Self::remove_at_or_above), handing back the
     /// removed entries — the head of the table, in table order, counters
     /// included — so that [`restore_at_or_above`](Self::restore_at_or_above)
-    /// can put them back. The rest of the table does not move.
+    /// can put them back. They leave as one run from the head: the rest of
+    /// the table does not move, and the matcher loses just their entries.
     pub fn take_at_or_above(&mut self, min_priority: u32) -> Vec<FlowEntry> {
-        let k = self
-            .entries()
-            .partition_point(|e| e.priority >= min_priority);
-        if k == 0 {
-            return Vec::new();
+        let k = self.prios[self.head..].partition_point(|&p| p >= min_priority);
+        let mut taken = Vec::with_capacity(k);
+        if k > 0 {
+            self.remove_run(&(0..k).collect::<Vec<_>>(), |e| taken.push(e));
+            self.set_epoch(self.epoch + 1);
         }
-        let taken: Vec<FlowEntry> = self.slots[self.head..self.head + k]
-            .iter_mut()
-            .map(|e| std::mem::replace(e, placeholder()))
-            .collect();
-        self.head += k;
-        self.trim_slack();
-        for e in &taken {
-            self.index_remove(e.cookie);
-        }
-        self.epoch += 1;
-        self.matcher.rebuild(&self.slots[self.head..], self.epoch);
-        self.debug_check_prios();
         taken
     }
 
     /// The exact inverse of [`take_at_or_above`](Self::take_at_or_above),
     /// epoch included, given that every mutation made since has been
-    /// undone: `taken` becomes the head of the table again.
+    /// undone: `taken` lands as one run at the head of the table again.
     pub fn restore_at_or_above(&mut self, taken: Vec<FlowEntry>) {
         if taken.is_empty() {
             return;
         }
-        for e in &taken {
-            self.index_add(e.cookie);
-        }
-        self.reserve_front(taken.len());
-        self.head -= taken.len();
-        for (i, e) in taken.into_iter().enumerate() {
-            self.prios[self.head + i] = e.priority;
-            self.slots[self.head + i] = e;
-        }
-        self.epoch -= 1;
-        self.matcher.rebuild(&self.slots[self.head..], self.epoch);
-        self.debug_check_prios();
+        let at: Vec<usize> = (0..taken.len()).collect();
+        self.insert_run(taken.into_iter(), &at);
+        self.set_epoch(self.epoch - 1);
     }
 
     /// Live entries stamped with `cookie`, via the maintained index —
@@ -659,8 +610,22 @@ impl FlowTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flowmod::{FlowMod, FlowModBatch};
     use sdx_net::{ip, FieldMatch, Packet, ParticipantId, PortId};
     use sdx_policy::{compile, Policy};
+
+    /// `m` applied as a batch of its own; whether it was accepted.
+    fn apply_one(t: &mut FlowTable, m: FlowMod) -> bool {
+        t.apply_batch(&FlowModBatch {
+            epoch: 0,
+            mods: vec![m],
+        })
+        .is_ok()
+    }
+
+    fn delete(priority: u32, pattern: HeaderMatch) -> FlowMod {
+        FlowMod::Delete { priority, pattern }
+    }
 
     fn port(n: u32) -> PortId {
         PortId::Phys(ParticipantId(n), 1)
@@ -733,7 +698,7 @@ mod tests {
         let m = HeaderMatch::of(FieldMatch::TpDst(80));
         t.install(FlowEntry::new(5, m, vec![]));
         t.install(FlowEntry::new(1000, HeaderMatch::any(), vec![]));
-        assert!(t.delete_exact(5, &m));
+        assert!(apply_one(&mut t, delete(5, m)));
         assert_eq!(t.len(), 1);
         assert_eq!(t.remove_at_or_above(1000), 1);
         assert!(t.is_empty());
@@ -801,7 +766,7 @@ mod tests {
         assert_eq!(t.remove_at_or_above(6), 2);
         assert_eq!(t.cookie_count(7), 0);
         assert_eq!(t.cookie_count(8), 1);
-        assert!(t.delete_exact(5, &m80));
+        assert!(apply_one(&mut t, delete(5, m80)));
         assert!(t.is_empty());
         assert_eq!(t.cookie_count(8), 0);
     }
@@ -871,15 +836,23 @@ mod tests {
         t.install(FlowEntry::new(5, m, vec![]));
         let e1 = t.epoch();
         assert!(e1 > 0);
-        t.modify_in_place(5, &m, &[vec![Mod::SetLoc(port(2))]], 9);
+        apply_one(
+            &mut t,
+            FlowMod::Modify {
+                priority: 5,
+                pattern: m,
+                buckets: vec![vec![Mod::SetLoc(port(2))]],
+                cookie: 9,
+            },
+        );
         let e2 = t.epoch();
         assert!(e2 > e1);
-        t.delete_exact(5, &m);
+        apply_one(&mut t, delete(5, m));
         assert!(t.epoch() > e2);
         assert_eq!(t.matcher_stats().epoch, t.epoch(), "matcher in lockstep");
         // Failed mutations don't bump.
         let before = t.epoch();
-        assert!(!t.delete_exact(5, &m));
+        assert!(!apply_one(&mut t, delete(5, m)));
         assert_eq!(t.epoch(), before);
     }
 
@@ -889,8 +862,6 @@ mod tests {
     /// would have put it.
     #[test]
     fn head_runs_use_the_slack_and_the_slack_stays_bounded() {
-        use crate::flowmod::{FlowMod, FlowModBatch};
-
         let entry = |p: u32| {
             FlowEntry::new(p, HeaderMatch::of(FieldMatch::TpDst(p as u16)), vec![]).with_cookie(1)
         };
@@ -989,14 +960,20 @@ mod tests {
         ));
         t.install(FlowEntry::new(1, HeaderMatch::any(), vec![]));
         agree(&t);
-        t.modify_in_place(
-            9,
-            &HeaderMatch::of(FieldMatch::TpDst(443)),
-            &[vec![Mod::SetLoc(port(6))]],
-            3,
+        apply_one(
+            &mut t,
+            FlowMod::Modify {
+                priority: 9,
+                pattern: HeaderMatch::of(FieldMatch::TpDst(443)),
+                buckets: vec![vec![Mod::SetLoc(port(6))]],
+                cookie: 3,
+            },
         );
         agree(&t);
-        t.delete_exact(9, &HeaderMatch::of(FieldMatch::DlDst(MacAddr::vmac(1))));
+        apply_one(
+            &mut t,
+            delete(9, HeaderMatch::of(FieldMatch::DlDst(MacAddr::vmac(1)))),
+        );
         agree(&t);
         let c = compile(&(Policy::match_(FieldMatch::TpDst(80)) >> Policy::fwd(port(2))));
         t.install_classifier(&c, 1000);

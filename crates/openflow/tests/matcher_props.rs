@@ -294,28 +294,33 @@ fn referenced_tags(buckets: &[Vec<Mod>]) -> Vec<u32> {
     out
 }
 
-/// The reference model of `apply_batch`: stage every mod on a deep copy
-/// through the single-entry mutators, run the dangling-target check on the
-/// copy, and hand the copy back only if everything validated — the
-/// clone→mutate→assign the in-place implementation replaced.
+/// The reference model of `apply_batch`: stage every mod on a copy of the
+/// entry list, in table order, by plain vector edits; run the
+/// dangling-target check on the copy, and build a table from it only if
+/// everything validated.
 fn reference_apply(
     table: &FlowTable,
     batch: &FlowModBatch,
 ) -> Result<(FlowTable, BatchStats), FlowModError> {
-    let mut staged = table.clone();
+    let mut staged = table.entries().to_vec();
+    let find = |staged: &[FlowEntry], priority: u32, pattern: &HeaderMatch| {
+        (staged.iter()).position(|e| e.priority == priority && &e.pattern == pattern)
+    };
     let mut stats = BatchStats::default();
     let mut removed_handlers = Vec::new();
     let mut batch_refs = Vec::new();
     for m in &batch.mods {
         match m {
             FlowMod::Add(e) => {
-                if staged.contains_exact(e.priority, &e.pattern) {
+                if find(&staged, e.priority, &e.pattern).is_some() {
                     return Err(FlowModError::DuplicateAdd {
                         priority: e.priority,
                         pattern: e.pattern,
                     });
                 }
-                staged.install(e.clone());
+                // After its band: equal priorities keep arrival order.
+                let at = staged.partition_point(|x| x.priority >= e.priority);
+                staged.insert(at, e.clone());
                 batch_refs.extend(referenced_tags(&e.buckets));
                 stats.adds += 1;
             }
@@ -325,24 +330,27 @@ fn reference_apply(
                 buckets,
                 cookie,
             } => {
-                if !staged.modify_in_place(*priority, pattern, buckets, *cookie) {
+                let Some(at) = find(&staged, *priority, pattern) else {
                     return Err(FlowModError::MissingTarget {
                         op: "modify",
                         priority: *priority,
                         pattern: *pattern,
                     });
-                }
+                };
+                staged[at].buckets = buckets.clone();
+                staged[at].cookie = *cookie;
                 batch_refs.extend(referenced_tags(buckets));
                 stats.modifies += 1;
             }
             FlowMod::Delete { priority, pattern } => {
-                if !staged.delete_exact(*priority, pattern) {
+                let Some(at) = find(&staged, *priority, pattern) else {
                     return Err(FlowModError::MissingTarget {
                         op: "delete",
                         priority: *priority,
                         pattern: *pattern,
                     });
-                }
+                };
+                staged.remove(at);
                 if let Some(v) = pattern.dl_dst.and_then(|m| m.fec_id()) {
                     if !removed_handlers.contains(&v) {
                         removed_handlers.push(v);
@@ -354,19 +362,27 @@ fn reference_apply(
     }
     for v in removed_handlers {
         let vmac = MacAddr::vmac(v);
-        let handled = staged
-            .entries()
-            .iter()
-            .any(|e| e.pattern.dl_dst == Some(vmac));
-        let still_referenced = staged
-            .entries()
-            .iter()
-            .any(|e| referenced_tags(&e.buckets).contains(&v));
+        let handled = staged.iter().any(|e| e.pattern.dl_dst == Some(vmac));
+        let still_referenced = (staged.iter()).any(|e| referenced_tags(&e.buckets).contains(&v));
         if batch_refs.contains(&v) && !handled && still_referenced {
             return Err(FlowModError::DanglingTarget { vmac });
         }
     }
-    Ok((staged, stats))
+    // Installed in table order, each entry lands at the end of its band.
+    let mut model = FlowTable::new();
+    for e in staged {
+        model.install(e);
+    }
+    Ok((model, stats))
+}
+
+/// `m` applied as a batch of its own; whether it was accepted.
+fn apply_one(t: &mut FlowTable, m: FlowMod) -> bool {
+    t.apply_batch(&FlowModBatch {
+        epoch: 0,
+        mods: vec![m],
+    })
+    .is_ok()
 }
 
 fn cookie_counts(t: &FlowTable) -> Vec<usize> {
@@ -434,14 +450,19 @@ proptest! {
         for op in ops {
             match op {
                 Op::Install(p, m) => t.install(FlowEntry::new(p, m, vec![])),
-                Op::Delete(p, m) => {
-                    t.delete_exact(p, &m);
+                Op::Delete(priority, pattern) => {
+                    apply_one(&mut t, FlowMod::Delete { priority, pattern });
                 }
                 Op::RemoveAtOrAbove(p) => {
                     t.remove_at_or_above(p);
                 }
-                Op::Modify(p, m) => {
-                    t.modify_in_place(p, &m, &[vec![Mod::SetTpDst(9)]], 3);
+                Op::Modify(priority, pattern) => {
+                    apply_one(&mut t, FlowMod::Modify {
+                        priority,
+                        pattern,
+                        buckets: vec![vec![Mod::SetTpDst(9)]],
+                        cookie: 3,
+                    });
                 }
                 Op::Batch(adds) => {
                     let mut batch = FlowModBatch::new(0);
@@ -510,6 +531,44 @@ proptest! {
                 "in-place {:?} but model {:?}", got.map(|(s, _)| s), want.map(|(_, s)| s)
             ),
         }
+    }
+}
+
+proptest! {
+    /// An overlay retirement and its rollback patch the matcher entry by
+    /// entry: over a random table with a random overlay band above it,
+    /// `take_at_or_above` then `restore_at_or_above` leave entries,
+    /// counters and epoch as they were, `classify` agrees with the linear
+    /// walk after each, and the matcher is never rebuilt whole.
+    #[test]
+    fn taking_and_restoring_overlays_never_rebuilds_the_matcher(
+        entries in proptest::collection::vec((arb_entry(), arb_buckets(), 0u64..4), 0..32),
+        overlays in proptest::collection::vec((arb_entry(), arb_buckets()), 0..24),
+        probes in proptest::collection::vec(arb_located(), 1..12),
+    ) {
+        const OVERLAY_BASE: u32 = 100;
+        let mut table = FlowTable::new();
+        for ((p, m), b, c) in entries {
+            table.install(FlowEntry::new(p, m, b).with_cookie(c));
+        }
+        for ((p, m), b) in overlays {
+            table.install(FlowEntry::new(OVERLAY_BASE + p, m, b).with_cookie(7));
+        }
+        for lp in &probes {
+            table.lookup(lp);
+        }
+        let before = table.clone();
+        let builds = table.matcher_stats().builds;
+        let taken = table.take_at_or_above(OVERLAY_BASE);
+        let k = taken.len();
+        prop_assert_eq!(taken.as_slice(), &before.entries()[..k]);
+        prop_assert_eq!(table.entries(), &before.entries()[k..]);
+        prop_assert_eq!(table.epoch(), before.epoch() + u64::from(k > 0));
+        prop_assert_eq!(table.cookie_count(7), 0);
+        assert_equivalent(&table, &probes);
+        table.restore_at_or_above(taken);
+        assert_untouched(&table, &before, &probes);
+        prop_assert_eq!(table.matcher_stats().builds, builds);
     }
 }
 

@@ -14,9 +14,11 @@
 //! ended up storing (one base per prefix plus the per-viewer exceptions),
 //! if the re-optimisation after the dump rebuilt any viewer's phase-A
 //! signature map whole instead of patching it at the dumped prefixes (no
-//! policy stamp moved), or if an inbound push rebuilt any viewer's piece
-//! or more than one receiver's block: the counts that must not grow with
-//! the exchange. It also exits non-zero if no probe was delivered, or if
+//! policy stamp moved) or rebuilt the switch's compiled matcher whole
+//! (`matcher_builds_reopt`; retiring the overlays and patching the table
+//! move it entry by entry), or if an inbound push rebuilt any viewer's
+//! piece or more than one receiver's block: the counts that must not grow
+//! with the exchange. It also exits non-zero if no probe was delivered, or if
 //! the compiled matcher and the linear walk pick different entries for any
 //! of the first 256 probes that reach the switch, if any push re-advertised
 //! more (viewer, prefix) pairs than it examined, or if an inbound push
@@ -193,6 +195,8 @@ fn main() {
             .get()
     };
     let repartitioned_before = repartitioned(&ctl);
+    let builds = |fabric: &Fabric| fabric.switch.table().matcher_stats().builds;
+    let builds_before = builds(&fabric);
     let t = Instant::now();
     let maps = ctl
         .reoptimize(&mut fabric)
@@ -203,6 +207,7 @@ fn main() {
     let reoptimize_ms = t.elapsed().as_secs_f64() * 1e3;
     let reoptimize_examined = examined(&ctl) - before;
     let reoptimize_repartitioned = repartitioned(&ctl) - repartitioned_before;
+    let matcher_builds_reopt = builds(&fabric) - builds_before;
 
     // Policy pushes by a policy-free participant, the benchmark's frames:
     // an inbound steer installed and retracted, then an outbound
@@ -317,6 +322,7 @@ fn main() {
         "reoptimize_phase_a: maps_built_whole={} maps_patched={} viewers_repartitioned={}",
         maps.recomputed, maps.reused, reoptimize_repartitioned
     );
+    println!("matcher_builds_reopt={matcher_builds_reopt}");
     println!("push_inbound_ms={push_inbound_ms:.2} push_outbound_ms={push_outbound_ms:.2}");
     for (what, p) in [
         ("inbound_install", in_install),
@@ -410,6 +416,14 @@ fn main() {
             "the re-optimisation after the dump rebuilt {} viewer map(s) whole: \
              no policy stamp moved, so every map should have been patched",
             maps.recomputed
+        );
+        std::process::exit(1);
+    }
+    if matcher_builds_reopt > 0 {
+        eprintln!(
+            "the re-optimisation after the dump rebuilt the switch's matcher whole \
+             {matcher_builds_reopt} time(s): retiring the overlays and patching the \
+             table should move it entry by entry"
         );
         std::process::exit(1);
     }

@@ -65,14 +65,13 @@ fn tag_is_applied_by_bgp_plus_arp_only() {
     let (_ctl, mut fabric, _) = setup();
     // Forward a packet: the router's output already carries the FEC tag in
     // dl_dst, before the switch ever sees it.
-    let mut router = fabric
-        .router(PortId::Phys(pid(1), 1))
+    let mut arp = fabric.arp.clone();
+    let tagged = fabric
+        .router_mut(PortId::Phys(pid(1), 1))
         .expect("router")
-        .detached();
-    let tagged = router
         .forward(
             Packet::tcp(ip("9.9.9.9"), ip("10.3.0.1"), 40_000, 80),
-            &mut fabric.arp,
+            &mut arp,
         )
         .expect("has route + ARP");
     assert!(
