@@ -20,10 +20,10 @@ use std::time::{Duration, Instant};
 
 use sdx_bgp::attrs::PathAttributes;
 use sdx_bgp::msg::UpdateMessage;
-use sdx_bgp::rib::{AdjRibOut, AdjRibOuts, Advert};
+use sdx_bgp::rib::Advert;
 use sdx_bgp::route_server::{ExportPolicy, RouteServer, RouteServerEvent};
 use sdx_net::{Ipv4Addr, ParticipantId, PortId, Prefix, Write};
-use sdx_openflow::border_router::{BorderRouter, FibEntry};
+use sdx_openflow::border_router::BorderRouter;
 use sdx_openflow::fabric::Fabric;
 use sdx_openflow::flowmod::{BatchStats, FlowModBatch};
 use sdx_policy::{Policy, PolicyDelta, PolicyOp};
@@ -86,11 +86,6 @@ pub struct SdxController {
     /// recycled (with the previous report's group ids) once background
     /// re-optimization replaces every rule and FIB entry that used them.
     pub(crate) live_delta_ids: Vec<FecId>,
-    /// The Adj-RIB-Outs: what the route server last advertised, to every
-    /// viewer, as one base-and-exceptions table — so synchronization sends
-    /// minimal BGP diffs rather than table dumps, and costs what differs
-    /// between viewers rather than viewers × prefixes.
-    pub(crate) adverts: AdjRibOuts,
 }
 
 impl Default for SdxController {
@@ -123,7 +118,6 @@ impl SdxController {
             epoch: 0,
             delta_layers: 0,
             next_delta_priority: DELTA_BASE,
-            adverts: AdjRibOuts::new(),
             live_delta_ids: Vec::new(),
         }
     }
@@ -420,9 +414,9 @@ impl SdxController {
         let pairs = vnh
             .into_iter()
             .map(|((viewer, prefix), vnh)| (viewer, prefix, vnh));
-        let (rs, adverts) = (&self.rs, &mut self.adverts);
+        let rs = &self.rs;
         let sync = self.telemetry.time("fibsync", || {
-            Self::readvertise(rs, adverts, fabric, log, &prefixes, pairs.collect())
+            Self::readvertise(rs, fabric, log, &prefixes, pairs.collect())
         });
         self.count_sync(sync);
         if delta.rules.is_empty() {
@@ -690,8 +684,11 @@ impl SdxController {
         // Everything from here on visits only the viewers whose groups
         // moved: a viewer holding the very piece the old report holds has
         // its bindings in place, its ids live and its advertisements
-        // current.
-        let moved = moved_viewers(old_report, &report);
+        // current — unless this fabric's table never advertised to it (a
+        // fabric deployed after the old report was compiled): its
+        // bindings are made here.
+        let adverts = fabric.adj_rib_outs();
+        let moved = moved_viewers(old_report, &report, |v| !adverts.is_subscribed(v));
         for g in moved.iter().flat_map(|&(_, new)| new) {
             log.bind_arp(fabric, g.vnh, g.vmac);
         }
@@ -770,14 +767,11 @@ impl SdxController {
     /// be among `prefixes`). A pair is advertised under the virtual next
     /// hop one of its entries in `pairs` names, else under the route's own.
     ///
-    /// Every write lands twice, each in one walk of its table: in the
-    /// Adj-RIB-Outs, and — all a FIB keeps of an UPDATE being `prefix →
-    /// next hop` — in the fabric's shared FIB for every router of the
-    /// viewer at once, so every router ends where one UPDATE per moved
-    /// advertisement would have left it.
+    /// Every write is one walk of the fabric's Adj-RIB-Outs, which are
+    /// also its routers' FIBs: every router of a viewer ends where one
+    /// UPDATE per moved advertisement would have left it.
     fn readvertise(
         rs: &RouteServer,
-        adverts: &mut AdjRibOuts,
         fabric: &mut Fabric,
         log: &mut UndoLog,
         prefixes: &BTreeSet<Prefix>,
@@ -789,7 +783,7 @@ impl SdxController {
             route: Arc::clone(route),
             next_hop,
         };
-        let hop = |next_hop| FibEntry { next_hop };
+        let adverts = fabric.adj_rib_outs_mut();
         let mut sync = FibSync::default();
         for &prefix in prefixes {
             sync.examined += 1;
@@ -799,14 +793,10 @@ impl SdxController {
             if adverts.write_base(prefix, route, same, |want| build(&want), undo) {
                 sync.sent += 1;
             }
-            let next_hop = route.map(|(_, next_hop)| hop(next_hop));
-            let undo = log.fib_undo(fabric);
-            (fabric.fib_mut()).write_base(prefix, next_hop, FibEntry::eq, |e| e, undo);
             let withheld = top.map_or(Vec::new(), |top| rs.withheld_from(top, prefix));
             pairs.extend(withheld.into_iter().map(|viewer| (viewer, prefix, None)));
             pairs.extend(adverts.holders(prefix).map(|viewer| (viewer, prefix, None)));
         }
-        // By viewer, so each viewer's routers are found once.
         pairs.sort_unstable();
         pairs.dedup_by(|later, kept| {
             let same_pair = (later.0, later.1) == (kept.0, kept.1);
@@ -816,7 +806,6 @@ impl SdxController {
             same_pair
         });
         sync.examined += pairs.len();
-        let mut ports: (Option<ParticipantId>, Vec<PortId>) = (None, Vec::new());
         for (viewer, prefix, vnh) in pairs {
             let route = rs.best_for(viewer, prefix).map(|best| {
                 let next_hop = vnh.unwrap_or(best.attrs.next_hop);
@@ -824,18 +813,12 @@ impl SdxController {
             });
             let undo = log.advert_undo(adverts);
             sync.sent += adverts.write_slots(&[viewer], prefix, route, same, build, undo);
-            if ports.0 != Some(viewer) {
-                ports = (Some(viewer), fabric.ports_of(viewer));
-            }
-            let next_hop = route.map(|(_, next_hop)| hop(next_hop));
-            let undo = log.fib_undo(fabric);
-            (fabric.fib_mut()).write_slots(&ports.1, prefix, next_hop, FibEntry::eq, |e| *e, undo);
         }
         sync
     }
 
-    /// Brings the Adj-RIB-Outs, and through them every border router's
-    /// FIB, to the best routes under the current report's VNH map — the
+    /// Brings `fabric`'s Adj-RIB-Outs, which are its border routers' FIBs,
+    /// to the best routes under the current report's VNH map — the
     /// initial convergence / post-reoptimization sync, sent as the
     /// minimal BGP diff (including withdrawals of prefixes that vanished
     /// from the Loc-RIB), exactly like a real route-server session.
@@ -898,7 +881,7 @@ impl SdxController {
                     .rs
                     .all_prefixes()
                     .into_iter()
-                    .chain(self.adverts.prefixes())
+                    .chain(fabric.adj_rib_outs().prefixes())
                     .collect();
                 let pairs = vnh_of
                     .iter()
@@ -906,16 +889,15 @@ impl SdxController {
                 (&all, pairs.collect())
             }
         };
-        let sync = Self::readvertise(&self.rs, &mut self.adverts, fabric, log, prefixes, pairs);
+        let sync = Self::readvertise(&self.rs, fabric, log, prefixes, pairs);
         log.drained(dirty);
         self.count_sync(sync);
-        let reg = &self.telemetry;
+        let (reg, stored) = (&self.telemetry, fabric.adj_rib_outs().stored());
         reg.add(
             "fibsync.skipped.count",
-            self.adverts.stored().saturating_sub(sync.examined) as u64,
+            stored.saturating_sub(sync.examined) as u64,
         );
-        reg.set_gauge("ribout.stored.entries", self.adverts.stored() as i64);
-        reg.set_gauge("fib.stored.entries", fabric.fib().stored() as i64);
+        reg.set_gauge("ribout.stored.entries", stored as i64);
         sync
     }
 
@@ -926,72 +908,42 @@ impl SdxController {
         self.telemetry.add("fibsync.sent.count", sync.sent as u64);
     }
 
-    /// Makes the route server's participants the viewers of the
-    /// Adj-RIB-Outs, and their attached routers those of the shared FIB:
-    /// a new participant starts seeing the bases, one that is gone stops
-    /// and loses its slots (its routers' routes are withdrawn). Returns
-    /// whether anyone was added.
+    /// Makes the route server's participants the viewers of the fabric's
+    /// Adj-RIB-Outs: a new participant starts seeing the bases, one that
+    /// is gone stops and loses its slots (its routers' routes are
+    /// withdrawn). Returns whether anyone was added.
     fn sync_viewers(&mut self, fabric: &mut Fabric, log: &mut UndoLog) -> bool {
-        let gone: Vec<ParticipantId> = self
-            .adverts
-            .subscribers()
+        let adverts = fabric.adj_rib_outs();
+        let gone: Vec<ParticipantId> = (adverts.subscribers())
             .filter(|&viewer| self.rs.adj_rib_in(viewer).is_none())
             .collect();
-        for viewer in gone {
-            for write in self.adverts.forget(viewer) {
-                log.write_advert(&mut self.adverts, write);
-            }
+        let writes: Vec<_> = gone.into_iter().flat_map(|v| adverts.forget(v)).collect();
+        let joined: Vec<_> = (self.rs.participants())
+            .filter(|&viewer| !adverts.is_subscribed(viewer))
+            .map(|viewer| Write::Subscription {
+                viewer,
+                subscribed: true,
+            })
+            .collect();
+        let any_joined = !joined.is_empty();
+        for write in writes.into_iter().chain(joined) {
+            log.write_advert(fabric, write);
         }
-        let mut joined = false;
-        for viewer in self.rs.participants() {
-            if !self.adverts.is_subscribed(viewer) {
-                let join = Write::Subscription {
-                    viewer,
-                    subscribed: true,
-                };
-                log.write_advert(&mut self.adverts, join);
-                joined = true;
-            }
-        }
-        for port in fabric.ports().collect::<Vec<_>>() {
-            let subscribed = self.adverts.is_subscribed(port.participant());
-            if fabric.fib().is_subscribed(port) == subscribed {
-                continue;
-            }
-            let writes = if subscribed {
-                vec![Write::Subscription {
-                    viewer: port,
-                    subscribed,
-                }]
-            } else {
-                fabric.fib().forget(port)
-            };
-            for write in writes {
-                log.write_fib(fabric, write);
-            }
-        }
-        joined
+        any_joined
     }
 
     /// Builds a fabric with one border router per participant port,
     /// compiles, and fully syncs — the one-call deployment used by the
-    /// examples and the deployment experiments.
+    /// examples and the deployment experiments. A controller that
+    /// deployed before syncs the new fabric in full too: its table has
+    /// advertised to no one yet.
     pub fn deploy(&mut self) -> Result<Fabric, SdxError> {
         let mut fabric = Fabric::new();
         fabric.set_telemetry(self.telemetry.clone());
-        let routers: Vec<BorderRouter> = self
-            .compiler
-            .participants()
-            .values()
-            .flat_map(|cfg| {
-                cfg.ports
-                    .iter()
-                    .map(|p| BorderRouter::new(sdx_net::PortId::Phys(cfg.id, p.index), p.mac))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        for r in routers {
-            fabric.attach(r);
+        for cfg in self.compiler.participants().values() {
+            for p in &cfg.ports {
+                fabric.attach(BorderRouter::new(PortId::Phys(cfg.id, p.index), p.mac));
+            }
         }
         self.reoptimize(&mut fabric)?;
         Ok(fabric)
@@ -1001,20 +953,6 @@ impl SdxController {
     /// re-optimization).
     pub fn delta_layers(&self) -> u32 {
         self.delta_layers
-    }
-
-    /// What the route server last advertised to `viewer` — its view of
-    /// the shared Adj-RIB-Outs — if it ever synchronized it.
-    pub fn adj_rib_out(&self, viewer: ParticipantId) -> Option<AdjRibOut<'_>> {
-        self.adverts
-            .is_subscribed(viewer)
-            .then(|| self.adverts.view(viewer))
-    }
-
-    /// The Adj-RIB-Outs as stored: one base per prefix plus the viewers'
-    /// exceptions.
-    pub fn adj_rib_outs(&self) -> &AdjRibOuts {
-        &self.adverts
     }
 
     /// The wide-area server load-balancing application (§3.1, Figure 4b):
@@ -1141,22 +1079,29 @@ pub struct FibSync {
     /// one per prefix whose base was re-decided, plus one per
     /// (viewer, prefix) exception looked at (`fibsync.examined.count`).
     pub examined: usize,
-    /// Of those, the ones that had moved and were written — to the
-    /// Adj-RIB-Outs and on to the routers' FIBs (`fibsync.sent.count`).
+    /// Of those, the ones that had moved and were written to the
+    /// Adj-RIB-Outs, the routers' FIBs (`fibsync.sent.count`).
     pub sent: usize,
 }
 
 /// The viewers whose FEC groups can differ between two compilations —
 /// every viewer but those holding one shared piece in both — as each
-/// one's groups in `old` and in `new` (none where it is in one only).
+/// one's groups in `old` and in `new` (none where it is in one only). A
+/// viewer holding one piece in both that `fresh` names counts as moved,
+/// with no groups in `old`.
 fn moved_viewers<'a>(
     old: Option<&'a CompileReport>,
     new: &'a CompileReport,
+    fresh: impl Fn(ParticipantId) -> bool,
 ) -> Vec<(&'a [FecGroup], &'a [FecGroup])> {
     let mut moved: Vec<(&[FecGroup], &[FecGroup])> = Vec::new();
-    for (viewer, had) in old.iter().flat_map(|old| &old.groups) {
-        match new.groups.get(viewer) {
-            Some(has) if has.same_piece(had) => {}
+    for (&viewer, had) in old.iter().flat_map(|old| &old.groups) {
+        match new.groups.get(&viewer) {
+            Some(has) if has.same_piece(had) => {
+                if fresh(viewer) {
+                    moved.push((&[], has));
+                }
+            }
             Some(has) => moved.push((had, has)),
             None => moved.push((had, &[])),
         }
@@ -1179,7 +1124,7 @@ fn moved_groups<'a>(
     new: &'a CompileReport,
 ) -> (Vec<&'a FecGroup>, Vec<&'a FecGroup>) {
     let (mut old_ids, mut new_ids) = (BTreeMap::new(), BTreeMap::new());
-    for (had, has) in moved_viewers(Some(old), new) {
+    for (had, has) in moved_viewers(Some(old), new, |_| false) {
         old_ids.extend(had.iter().map(|g| (g.id, g)));
         new_ids.extend(has.iter().map(|g| (g.id, g)));
     }
@@ -1520,13 +1465,13 @@ mod tests {
         // It is no longer a viewer: the route server does not list it,
         // nothing is advertised to it, and its router holds no route.
         assert!(ctl.rs.participants().all(|p| p != pid(2)));
-        assert!(ctl.adj_rib_out(pid(2)).is_none());
+        assert!(fabric.adj_rib_out(pid(2)).is_none());
         let router = fabric
             .router(PortId::Phys(pid(2), 1))
             .expect("still attached");
         assert_eq!(router.fib_len(), 0);
         // The others still are, and still see the surviving route.
-        assert_eq!(ctl.adj_rib_out(pid(3)).expect("a viewer").len(), 1);
+        assert_eq!(fabric.adj_rib_out(pid(3)).expect("a viewer").len(), 1);
     }
 
     #[test]
@@ -1621,7 +1566,6 @@ mod tests {
             .map(|r| (&r.classifier, &r.groups, &r.arp_bindings, &r.vnh_of));
         (
             fabric.clone(),
-            ctl.adverts.clone(),
             format!("{:?}", ctl.vnh),
             format!("{report:?}"),
             ctl.rs.clone().take_dirty_prefixes(),
@@ -1661,7 +1605,7 @@ mod tests {
         };
         let (mut ctl, mut fabric) = perturbed();
         let before = image(&ctl, &fabric);
-        let (fibs_before, adverts_before) = (fabric.clone(), ctl.adverts.clone());
+        let fibs_before = fabric.clone();
 
         let mut txn = FabricTxn::begin(&mut ctl, &fabric);
         let (patch, _retire) = ctl.stage(&mut fabric, &mut txn).expect("stage succeeds");
@@ -1673,7 +1617,8 @@ mod tests {
             .filter(|&p| fabric.router(p) != fibs_before.router(p))
             .count();
         assert!(moved > 0, "fixture: staging must write FIBs");
-        assert!(ctl.rs.dirty_len() == 0 && ctl.adverts != adverts_before);
+        let adverts_before = fibs_before.adj_rib_outs();
+        assert!(ctl.rs.dirty_len() == 0 && fabric.adj_rib_outs() != adverts_before);
         assert!(txn.undo_entries() > moved);
         txn.rollback(&mut ctl, &mut fabric);
         assert_eq!(image(&ctl, &fabric), before);

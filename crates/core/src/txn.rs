@@ -7,11 +7,11 @@
 //! [`FabricTxn`], held open from staging to the last wave: the compiled
 //! result is validated against the invariants below, and every write
 //! staging makes — overlay retirement, ARP bindings, base and per-viewer
-//! writes to the Adj-RIB-Outs and to the border routers' shared FIB, the
-//! drained route-server dirty set — goes through the transaction's
-//! [`UndoLog`], which keeps the previous value each write displaced. The
-//! VNH allocator keeps its own journal of the same kind while the
-//! transaction is open, and the waves land through
+//! writes to the fabric's Adj-RIB-Outs (which are also the border
+//! routers' FIBs), the drained route-server dirty set — goes through the
+//! transaction's [`UndoLog`], which keeps the previous value each write
+//! displaced. The VNH allocator keeps its own journal of the same kind
+//! while the transaction is open, and the waves land through
 //! [`crate::schedule::drive`], which undoes its own. Any failure at any
 //! step replays the records backwards, so an observer of the data plane
 //! sees either the old state or the new state, never a torn mixture.
@@ -28,13 +28,11 @@
 //! * every ARP binding resolves to a well-formed VMAC carrying its FEC id.
 
 use std::collections::BTreeSet;
-use std::hash::Hash;
 use std::time::Instant;
 
 use sdx_bgp::rib::{AdjRibOuts, Advert};
 use sdx_bgp::route_server::RouteServer;
-use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, PortId, Prefix, ViewTable, Write};
-use sdx_openflow::border_router::FibEntry;
+use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, PortId, Prefix, Write};
 use sdx_openflow::fabric::{Fabric, WaveUndo};
 use sdx_openflow::flowmod::{BatchStats, FlowModBatch, FlowModError};
 use sdx_openflow::table::FlowEntry;
@@ -61,36 +59,26 @@ enum Undo {
     },
     /// A write to the Adj-RIB-Outs, as the write that reverses it.
     Advert(Write<ParticipantId, Advert>),
-    /// A write to the fabric's shared FIB, as the write that reverses it.
-    Fib(Write<PortId, FibEntry>),
-    /// This table held nothing before its first write. Undoing this
-    /// clears it, so the writes to it leave no entries of their own.
-    WasEmpty(Table),
+    /// The Adj-RIB-Outs held nothing before their first write. Undoing
+    /// this clears them, so the writes to them leave no entries of their
+    /// own.
+    WasEmpty,
     /// These prefixes were drained from the route server's dirty set.
     Dirty(BTreeSet<Prefix>),
-}
-
-/// The two base-and-exceptions tables a commit writes.
-#[derive(Clone, Copy, Debug)]
-enum Table {
-    /// The controller's Adj-RIB-Outs.
-    Adverts,
-    /// The fabric's shared FIB.
-    Fib,
 }
 
 /// The recording seam between the controller and the state its commits
 /// write: each method performs one write and keeps what it displaced, so
 /// [`rollback`](UndoLog::rollback) can replay the writes backwards. An
-/// entry is a moved previous value — recording never copies a table or a
-/// FIB, and an advertisement's record is a reference count and a next hop.
+/// entry is a moved previous value — recording never copies a table, and
+/// an advertisement's record is a reference count and a next hop.
 #[derive(Debug, Default)]
 pub struct UndoLog {
     entries: Vec<Undo>,
-    /// Indexed by [`Table`]: the table was empty when this log first
-    /// wrote to it. One entry undoes all of it, so an initial
-    /// synchronization records a line per table, not per advertisement.
-    was_empty: [bool; 2],
+    /// The Adj-RIB-Outs were empty when this log first wrote to them. One
+    /// entry undoes all of it, so an initial synchronization records one
+    /// line, not one per advertisement.
+    was_empty: bool,
     /// Perform the writes, keep nothing (see [`discarding`](Self::discarding)).
     discard: bool,
 }
@@ -151,50 +139,29 @@ impl UndoLog {
         }
     }
 
-    /// One write to the Adj-RIB-Outs.
-    pub fn write_advert(&mut self, adverts: &mut AdjRibOuts, write: Write<ParticipantId, Advert>) {
+    /// One write to `fabric`'s Adj-RIB-Outs.
+    pub fn write_advert(&mut self, fabric: &mut Fabric, write: Write<ParticipantId, Advert>) {
+        let adverts = fabric.adj_rib_outs_mut();
         let mut undo = self.advert_undo(adverts);
         undo(adverts.apply(write));
     }
 
-    /// One write to `fabric`'s shared FIB.
-    pub fn write_fib(&mut self, fabric: &mut Fabric, write: Write<PortId, FibEntry>) {
-        let mut undo = self.fib_undo(fabric);
-        undo(fabric.fib_mut().apply(write));
-    }
-
     /// What records the inverses of the next writes to `adverts`, for
-    /// [`ViewTable::write_base`] and [`ViewTable::write_slots`].
+    /// [`ViewTable::write_base`](sdx_net::ViewTable::write_base) and
+    /// [`ViewTable::write_slots`](sdx_net::ViewTable::write_slots).
     pub fn advert_undo(
         &mut self,
         adverts: &AdjRibOuts,
     ) -> impl FnMut(Write<ParticipantId, Advert>) + '_ {
-        self.undo(adverts, Table::Adverts, Undo::Advert)
-    }
-
-    /// What records the inverses of the next writes to `fabric`'s shared
-    /// FIB, as [`advert_undo`](Self::advert_undo) does for the
-    /// Adj-RIB-Outs.
-    pub fn fib_undo(&mut self, fabric: &Fabric) -> impl FnMut(Write<PortId, FibEntry>) + '_ {
-        self.undo(fabric.fib(), Table::Fib, Undo::Fib)
-    }
-
-    fn undo<'a, K: Ord + Hash + Copy + 'a, V: 'a>(
-        &'a mut self,
-        table: &ViewTable<K, V>,
-        which: Table,
-        entry: fn(Write<K, V>) -> Undo,
-    ) -> impl FnMut(Write<K, V>) + 'a {
-        let which_empty = which as usize;
-        if !self.discard && !self.was_empty[which_empty] && table.is_empty() {
-            self.was_empty[which_empty] = true;
-            self.entries.push(Undo::WasEmpty(which));
+        if !self.discard && !self.was_empty && adverts.is_empty() {
+            self.was_empty = true;
+            self.entries.push(Undo::WasEmpty);
         }
-        let keep = !self.discard && !self.was_empty[which_empty];
+        let keep = !self.discard && !self.was_empty;
         let entries = &mut self.entries;
         move |inverse| {
             if keep {
-                entries.push(entry(inverse));
+                entries.push(Undo::Advert(inverse));
             }
         }
     }
@@ -210,7 +177,7 @@ impl UndoLog {
     /// Replays the log backwards: everything written through it holds the
     /// value it held before, byte for byte — table entries with their
     /// counters and band order, trie structure, map keys.
-    pub fn rollback(self, fabric: &mut Fabric, adverts: &mut AdjRibOuts, rs: &mut RouteServer) {
+    pub fn rollback(self, fabric: &mut Fabric, rs: &mut RouteServer) {
         for undo in self.entries.into_iter().rev() {
             match undo {
                 Undo::Batch(wave) => fabric.rewind_wave(wave),
@@ -222,13 +189,9 @@ impl UndoLog {
                     };
                 }
                 Undo::Advert(inverse) => {
-                    adverts.apply(inverse);
+                    fabric.adj_rib_outs_mut().apply(inverse);
                 }
-                Undo::Fib(inverse) => {
-                    fabric.fib_mut().apply(inverse);
-                }
-                Undo::WasEmpty(Table::Adverts) => adverts.clear(),
-                Undo::WasEmpty(Table::Fib) => fabric.fib_mut().clear(),
+                Undo::WasEmpty => fabric.adj_rib_outs_mut().clear(),
                 Undo::Dirty(drained) => rs.restore_dirty_prefixes(drained),
             }
         }
@@ -244,11 +207,11 @@ pub(crate) struct Taken {
     pub(crate) delta_ids: Vec<FecId>,
 }
 
-/// A staged commit: an [`UndoLog`] of the writes made to the fabric, the
-/// Adj-RIB-Outs and the route server's dirty set, what staging took out
-/// of the controller, and the controller's three scalars as they were at
-/// [`begin`](FabricTxn::begin). The VNH allocator journals its own writes
-/// from `begin` on.
+/// A staged commit: an [`UndoLog`] of the writes made to the fabric (its
+/// Adj-RIB-Outs included) and the route server's dirty set, what staging
+/// took out of the controller, and the controller's three scalars as they
+/// were at [`begin`](FabricTxn::begin). The VNH allocator journals its own
+/// writes from `begin` on.
 ///
 /// Dropping a `FabricTxn` without calling
 /// [`rollback`](FabricTxn::rollback) commits: the displaced values are
@@ -291,7 +254,7 @@ impl FabricTxn {
     /// [`begin`](FabricTxn::begin), discarding every change made inside
     /// the transaction.
     pub fn rollback(self, ctl: &mut SdxController, fabric: &mut Fabric) {
-        self.log.rollback(fabric, &mut ctl.adverts, &mut ctl.rs);
+        self.log.rollback(fabric, &mut ctl.rs);
         ctl.vnh.rollback_journal();
         ctl.delta_layers = self.delta_layers;
         ctl.next_delta_priority = self.next_delta_priority;

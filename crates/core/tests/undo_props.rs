@@ -5,8 +5,8 @@
 //! the previous value of each write instead; this suite holds it to the
 //! old model: random interleavings of every kind of write the controller
 //! makes through the log — bases, per-viewer slots and subscriptions of
-//! the shared FIB and of the Adj-RIB-Outs (including the first write to
-//! an empty table), advertisements sharing one copy of a route's
+//! the fabric's Adj-RIB-Outs, which its routers forward by (including
+//! the first write to an empty table), advertisements sharing one copy of a route's
 //! attributes across many slots and prefixes, ARP bindings, overlay
 //! retirement, flow-mod batches (accepted and rejected), the drained
 //! dirty set — then `rollback`, must
@@ -19,7 +19,7 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use sdx_bgp::attrs::{AsPath, PathAttributes};
-use sdx_bgp::rib::{AdjRibOuts, Advert};
+use sdx_bgp::rib::Advert;
 use sdx_bgp::route_server::{ExportPolicy, RouteServer};
 use sdx_core::txn::UndoLog;
 use sdx_core::ParticipantConfig;
@@ -27,7 +27,6 @@ use sdx_net::{
     FieldMatch, HeaderMatch, Ipv4Addr, MacAddr, Mod, Packet, ParticipantId, PortId, Prefix, Slot,
     Write,
 };
-use sdx_openflow::border_router::FibEntry;
 use sdx_openflow::{BorderRouter, Fabric, FlowEntry, FlowMod, FlowModBatch};
 
 /// Overlays live at or above this priority, base entries below.
@@ -94,9 +93,7 @@ fn arb_batch_op() -> impl Strategy<Value = BatchOp> {
 /// One write through the recording seam.
 #[derive(Clone, Debug)]
 enum Op {
-    /// To the shared FIB.
-    Fib(Write<PortId, FibEntry>),
-    /// To the Adj-RIB-Outs.
+    /// To the fabric's Adj-RIB-Outs.
     Advert(Write<ParticipantId, Advert>),
     /// One advertisement — one shared copy of a route — shown at each of
     /// `prefixes` to each of `viewers` in one walk per prefix, or made
@@ -152,17 +149,6 @@ where
 }
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    let fib = || {
-        arb_write(
-            || (0usize..4).prop_map(|r| PORTS[r]).boxed(),
-            || {
-                arb_addr()
-                    .prop_map(|next_hop| FibEntry { next_hop })
-                    .boxed()
-            },
-        )
-        .prop_map(Op::Fib)
-    };
     let advert =
         || arb_write(|| (1u32..5).prop_map(ParticipantId).boxed(), arb_advert).prop_map(Op::Advert);
     let shared = (
@@ -180,8 +166,7 @@ fn arb_op() -> impl Strategy<Value = Op> {
             }
         });
     prop_oneof![
-        fib(),
-        fib(),
+        advert(),
         advert(),
         advert(),
         shared,
@@ -196,7 +181,6 @@ fn arb_op() -> impl Strategy<Value = Op> {
 /// Everything the log writes to.
 struct World {
     fabric: Fabric,
-    adverts: AdjRibOuts,
     rs: RouteServer,
     epoch: u64,
 }
@@ -239,7 +223,6 @@ impl World {
         }
         World {
             fabric,
-            adverts: AdjRibOuts::new(),
             rs,
             epoch: 0,
         }
@@ -247,8 +230,7 @@ impl World {
 
     fn apply(&mut self, op: &Op, log: &mut UndoLog) {
         match op {
-            Op::Fib(write) => log.write_fib(&mut self.fabric, write.clone()),
-            Op::Advert(write) => log.write_advert(&mut self.adverts, write.clone()),
+            Op::Advert(write) => log.write_advert(&mut self.fabric, write.clone()),
             Op::Shared {
                 viewers,
                 prefixes,
@@ -256,14 +238,13 @@ impl World {
             } => {
                 let same = |have: &Advert, want: &&Advert| have == *want;
                 let build = |want: &&Advert| Advert::clone(want);
+                let adverts = self.fabric.adj_rib_outs_mut();
                 for &prefix in prefixes {
-                    let (want, undo) = (advert.as_ref(), log.advert_undo(&self.adverts));
+                    let (want, undo) = (advert.as_ref(), log.advert_undo(adverts));
                     if viewers.is_empty() {
-                        self.adverts
-                            .write_base(prefix, want, same, |w| build(&w), undo);
+                        adverts.write_base(prefix, want, same, |w| build(&w), undo);
                     } else {
-                        self.adverts
-                            .write_slots(viewers, prefix, want, same, build, undo);
+                        adverts.write_slots(viewers, prefix, want, same, build, undo);
                     }
                 }
             }
@@ -328,7 +309,6 @@ impl World {
             table.epoch(),
             (0..4).map(|c| table.cookie_count(c)).collect::<Vec<_>>(),
             self.fabric.clone().drain_batches(),
-            self.adverts.clone(),
             self.rs.clone().take_dirty_prefixes(),
         )
     }
@@ -369,7 +349,7 @@ proptest! {
             unrecorded.apply(op, &mut keep_nothing);
         }
         prop_assert_eq!(unrecorded.image(), w.image());
-        log.rollback(&mut w.fabric, &mut w.adverts, &mut w.rs);
+        log.rollback(&mut w.fabric, &mut w.rs);
         prop_assert_eq!(w.image(), before);
         // The matcher came back too.
         let table = w.fabric.switch.table();

@@ -20,40 +20,28 @@
 //! faithful — nothing here knows about FECs; the tag appears purely through
 //! next-hop+ARP mechanics, which is the paper's point.
 //!
-//! # One FIB table for every router
+//! # The FIB is what the participant was told
 //!
-//! A route server tells almost every peer almost the same thing, so a
-//! [`Fabric`](crate::fabric::Fabric) keeps the FIBs of all its routers in
-//! one [`SharedFib`]: per prefix the next hop most routers hold, plus a
-//! slot for each router that holds another or none. A [`BorderRouter`] is
-//! its port, MAC, ARP cache and drop counters; its FIB is its view of that
-//! table, read through [`RouterRef`] and written through [`RouterMut`].
-//! This is an economy of the simulation, not a change to the model: no
-//! router can see another's routes, and each one's lookups, `fib_len` and
-//! forwarding are exactly what a table of its own would give after the
-//! same UPDATE stream.
+//! A [`Fabric`](crate::fabric::Fabric) keeps the route server's
+//! Adj-RIB-Outs ([`AdjRibOuts`]): per prefix the advertisement most
+//! participants were sent, plus a slot for each participant sent another
+//! or none. A router's FIB is its participant's view of that table — all
+//! a FIB keeps of an advertisement is its next hop — so every router of
+//! one participant forwards by what that participant was told, and no
+//! router can hold a route the route server did not advertise. A
+//! [`BorderRouter`] is its port, MAC, ARP cache and drop counters; its
+//! FIB is read through [`RouterRef`] and written through [`RouterMut`].
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::Arc;
 
-use sdx_net::{
-    Ipv4Addr, LocatedPacket, MacAddr, Packet, PortId, Prefix, Slot, View, ViewTable, WordMap, Write,
-};
+use sdx_net::{Ipv4Addr, LocatedPacket, MacAddr, Packet, PortId, Prefix, Slot, WordMap, Write};
 
 use sdx_bgp::msg::UpdateMessage;
+use sdx_bgp::rib::{AdjRibOut, AdjRibOuts, Advert};
 
 use crate::arp::{ArpRequest, ArpResponder};
-
-/// A FIB entry: where the router sends matching packets.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct FibEntry {
-    /// The BGP next-hop address (a VNH at the SDX).
-    pub next_hop: Ipv4Addr,
-}
-
-/// The FIBs of every router attached to one fabric, keyed by the port the
-/// router is attached at (see the module documentation).
-pub type SharedFib = ViewTable<PortId, FibEntry>;
 
 /// A participant's border router, without its FIB (see the module
 /// documentation).
@@ -104,7 +92,7 @@ impl BorderRouter {
         self.arp_cache.get(&addr).copied()
     }
 
-    /// The step after the FIB lookup: ARP for the `route`'s next hop
+    /// The step after the FIB lookup: ARP for the route's `next_hop`
     /// (through the SDX responder), MAC rewrite, and emission on the
     /// fabric port.
     ///
@@ -112,24 +100,22 @@ impl BorderRouter {
     /// for the failure-injection tests.
     pub(crate) fn tag(
         &mut self,
-        route: Option<FibEntry>,
+        next_hop: Option<Ipv4Addr>,
         pkt: Packet,
         arp: &mut ArpResponder,
     ) -> Option<LocatedPacket> {
-        let Some(entry) = route else {
+        let Some(next_hop) = next_hop else {
             self.no_route_drops += 1;
             return None;
         };
-        let mac = match self.arp_cache.get(&entry.next_hop) {
+        let mac = match self.arp_cache.get(&next_hop) {
             Some(m) => *m,
             None => {
-                let Some(reply) = arp.handle(ArpRequest {
-                    target: entry.next_hop,
-                }) else {
+                let Some(reply) = arp.handle(ArpRequest { target: next_hop }) else {
                     self.no_arp_drops += 1;
                     return None;
                 };
-                self.arp_cache.insert(entry.next_hop, reply.mac);
+                self.arp_cache.insert(next_hop, reply.mac);
                 reply.mac
             }
         };
@@ -138,31 +124,33 @@ impl BorderRouter {
     }
 }
 
-/// A router attached to a fabric, with its side of the fabric's
-/// [`SharedFib`]. Dereferences to the [`BorderRouter`] for everything but
-/// the FIB (port, MAC, ARP cache, drop counters).
+/// A router attached to a fabric, with its participant's view of the
+/// fabric's [`AdjRibOuts`] as its FIB. Dereferences to the
+/// [`BorderRouter`] for everything but the FIB (port, MAC, ARP cache,
+/// drop counters).
 #[derive(Clone, Copy)]
 pub struct RouterRef<'a> {
     router: &'a BorderRouter,
-    fib: &'a SharedFib,
+    adverts: &'a AdjRibOuts,
 }
 
 impl<'a> RouterRef<'a> {
-    pub(crate) fn new(router: &'a BorderRouter, fib: &'a SharedFib) -> Self {
-        RouterRef { router, fib }
+    pub(crate) fn new(router: &'a BorderRouter, adverts: &'a AdjRibOuts) -> Self {
+        RouterRef { router, adverts }
     }
 
-    /// The router's FIB: what it sees of the shared table.
-    pub fn fib(&self) -> View<'a, PortId, FibEntry> {
-        self.fib.view(self.router.port)
+    /// The router's FIB: what its participant was advertised.
+    pub fn fib(&self) -> AdjRibOut<'a> {
+        self.adverts.view(self.router.port.participant())
     }
 
-    /// The FIB entry that would forward `dst`, if any (longest-prefix).
-    pub fn route_for(&self, dst: Ipv4Addr) -> Option<(Prefix, FibEntry)> {
-        self.fib().lookup(dst).map(|(p, e)| (p, *e))
+    /// The prefix and next hop that would forward `dst`, if any
+    /// (longest-prefix).
+    pub fn route_for(&self, dst: Ipv4Addr) -> Option<(Prefix, Ipv4Addr)> {
+        self.fib().lookup(dst).map(|(p, a)| (p, a.next_hop))
     }
 
-    /// Number of FIB entries, a walk of the shared table (the paper's "no
+    /// Number of FIB entries, a walk of the table (the paper's "no
     /// additional table space" claim is that this count is what the
     /// router holds *anyway*).
     pub fn fib_len(&self) -> usize {
@@ -194,15 +182,16 @@ impl fmt::Debug for RouterRef<'_> {
 }
 
 /// [`RouterRef`] with write access: route-server UPDATEs applied through
-/// it land in the router's slots of the shared table.
+/// it land in its participant's slots of the table, so every router of
+/// that participant sees them.
 pub struct RouterMut<'a> {
     router: &'a mut BorderRouter,
-    fib: &'a mut SharedFib,
+    adverts: &'a mut AdjRibOuts,
 }
 
 impl<'a> RouterMut<'a> {
-    pub(crate) fn new(router: &'a mut BorderRouter, fib: &'a mut SharedFib) -> Self {
-        RouterMut { router, fib }
+    pub(crate) fn new(router: &'a mut BorderRouter, adverts: &'a mut AdjRibOuts) -> Self {
+        RouterMut { router, adverts }
     }
 
     /// Applies an UPDATE from the route server: withdrawals remove FIB
@@ -212,44 +201,48 @@ impl<'a> RouterMut<'a> {
             self.set_route(*p, None);
         }
         if let Some(attrs) = &update.attrs {
+            let route = Arc::new(attrs.clone());
             for p in &update.nlri {
-                self.set_route(*p, Some(attrs.next_hop));
+                let next_hop = attrs.next_hop;
+                let route = Arc::clone(&route);
+                self.set_route(*p, Some(Advert { route, next_hop }));
             }
         }
     }
 
     /// What an UPDATE does to the FIB for one prefix: an announcement
-    /// installs `prefix → next_hop` (the only attribute a FIB keeps), a
-    /// withdrawal (`None`) removes the entry. Returns the entry the router
-    /// held for `prefix` before.
-    pub fn set_route(&mut self, prefix: Prefix, next_hop: Option<Ipv4Addr>) -> Option<FibEntry> {
-        let port = self.router.port;
-        let previous = self.fib.get(port, prefix).copied();
-        let slot = match next_hop {
-            Some(next_hop) => Slot::Own(FibEntry { next_hop }),
-            // Only a router that would otherwise see the base has to be
+    /// installs `advert`, a withdrawal (`None`) removes the entry. Returns
+    /// the advertisement the router's participant held for `prefix`
+    /// before.
+    pub fn set_route(&mut self, prefix: Prefix, advert: Option<Advert>) -> Option<Advert> {
+        let viewer = self.router.port.participant();
+        let previous = self.adverts.get(viewer, prefix).cloned();
+        let slot = match advert {
+            Some(advert) => Slot::Own(advert),
+            // Only a viewer that would otherwise see the base has to be
             // told that it has no route.
-            None if self.fib.is_subscribed(port) && self.fib.base(prefix).is_some() => {
+            None if self.adverts.is_subscribed(viewer) && self.adverts.base(prefix).is_some() => {
                 Slot::Withheld
             }
             None => Slot::Inherit,
         };
-        self.fib.apply(Write::Slot {
-            viewer: port,
+        self.adverts.apply(Write::Slot {
+            viewer,
             prefix,
             slot,
         });
         previous
     }
 
-    /// The FIB entry that would forward `dst`, if any (longest-prefix).
-    pub fn route_for(&self, dst: Ipv4Addr) -> Option<(Prefix, FibEntry)> {
-        RouterRef::new(self.router, self.fib).route_for(dst)
+    /// The prefix and next hop that would forward `dst`, if any
+    /// (longest-prefix).
+    pub fn route_for(&self, dst: Ipv4Addr) -> Option<(Prefix, Ipv4Addr)> {
+        RouterRef::new(self.router, self.adverts).route_for(dst)
     }
 
-    /// Number of FIB entries (a walk of the shared table).
+    /// Number of FIB entries (a walk of the table).
     pub fn fib_len(&self) -> usize {
-        RouterRef::new(self.router, self.fib).fib_len()
+        RouterRef::new(self.router, self.adverts).fib_len()
     }
 
     /// Forwards an IP packet originated behind this router into the
@@ -259,9 +252,9 @@ impl<'a> RouterMut<'a> {
     /// Takes the handle: fetch it again (or use
     /// [`Fabric::send`](crate::fabric::Fabric::send)) for the next packet.
     pub fn forward(self, pkt: Packet, arp: &mut ArpResponder) -> Option<LocatedPacket> {
-        let route = self.fib.lookup(self.router.port, pkt.nw_dst);
-        let route = route.map(|(_, entry)| *entry);
-        self.router.tag(route, pkt, arp)
+        let viewer = self.router.port.participant();
+        let route = self.adverts.lookup(viewer, pkt.nw_dst);
+        self.router.tag(route.map(|(_, a)| a.next_hop), pkt, arp)
     }
 }
 
@@ -311,9 +304,9 @@ mod tests {
         let mut f = attached();
         router(&mut f).apply_update(&announce("74.125.0.0/16", ip("172.16.255.1")));
         assert_eq!(router(&mut f).fib_len(), 1);
-        let (p, e) = router(&mut f).route_for(ip("74.125.1.1")).unwrap();
+        let (p, next_hop) = router(&mut f).route_for(ip("74.125.1.1")).unwrap();
         assert_eq!(p, prefix("74.125.0.0/16"));
-        assert_eq!(e.next_hop, ip("172.16.255.1"));
+        assert_eq!(next_hop, ip("172.16.255.1"));
         router(&mut f).apply_update(&UpdateMessage::withdraw([prefix("74.125.0.0/16")]));
         assert!(router(&mut f).route_for(ip("74.125.1.1")).is_none());
     }

@@ -15,11 +15,12 @@
 
 use std::sync::Arc;
 
+use sdx_bgp::rib::{AdjRibOut, AdjRibOuts};
 use sdx_net::{Ipv4Addr, LocatedPacket, Packet, ParticipantId, PortId, WordMap};
 use sdx_telemetry::{Counter, SharedRegistry};
 
 use crate::arp::ArpResponder;
-use crate::border_router::{BorderRouter, RouterMut, RouterRef, SharedFib};
+use crate::border_router::{BorderRouter, RouterMut, RouterRef};
 use crate::flowmod::{BatchStats, BatchUndo, FlowModBatch, FlowModError};
 use crate::switch::{Deliveries, Switch};
 
@@ -37,9 +38,11 @@ pub struct Fabric {
     routers: Vec<BorderRouter>,
     /// Each attached port's index into `routers`.
     by_port: WordMap<PortId, usize>,
-    /// The attached routers' FIBs, as one table keyed by port (see
-    /// [`crate::border_router`]): written by whoever speaks BGP to them.
-    fib: SharedFib,
+    /// The route server's Adj-RIB-Outs: what each participant was last
+    /// advertised, as one base-and-exceptions table. Each router's FIB is
+    /// its participant's view of it (see [`crate::border_router`]);
+    /// written by whoever speaks BGP to the routers.
+    adverts: AdjRibOuts,
     /// Packets the switch emitted at a *virtual* location — a compiled
     /// policy must never do this; non-zero means a compilation bug.
     pub stuck_at_virtual: u64,
@@ -130,8 +133,7 @@ impl Fabric {
     }
 
     /// Attaches a border router at its port, replacing any router
-    /// already there. Its FIB is what the shared table holds for that
-    /// port, written through [`router_mut`](Self::router_mut).
+    /// already there. Its FIB is what its participant was advertised.
     pub fn attach(&mut self, router: BorderRouter) {
         match self.routers.binary_search_by_key(&router.port, |r| r.port) {
             Ok(at) => self.routers[at] = router,
@@ -144,28 +146,37 @@ impl Fabric {
         }
     }
 
-    /// The router attached at `port`, if any, with its side of the shared
-    /// FIB table.
+    /// The router attached at `port`, if any, with its participant's view
+    /// of the Adj-RIB-Outs as its FIB.
     pub fn router(&self, port: PortId) -> Option<RouterRef<'_>> {
         let &at = self.by_port.get(&port)?;
-        Some(RouterRef::new(&self.routers[at], &self.fib))
+        Some(RouterRef::new(&self.routers[at], &self.adverts))
     }
 
     /// Mutable access (e.g. to apply route-server updates).
     pub fn router_mut(&mut self, port: PortId) -> Option<RouterMut<'_>> {
         let &at = self.by_port.get(&port)?;
-        Some(RouterMut::new(&mut self.routers[at], &mut self.fib))
+        Some(RouterMut::new(&mut self.routers[at], &mut self.adverts))
     }
 
-    /// The attached routers' FIBs.
-    pub fn fib(&self) -> &SharedFib {
-        &self.fib
+    /// What the route server last advertised to `viewer` — its view of
+    /// the Adj-RIB-Outs — if it ever synchronized it.
+    pub fn adj_rib_out(&self, viewer: ParticipantId) -> Option<AdjRibOut<'_>> {
+        (self.adverts)
+            .is_subscribed(viewer)
+            .then(|| self.adverts.view(viewer))
     }
 
-    /// Write access to the attached routers' FIBs, for the BGP speaker
-    /// that keeps them (the controller's route server).
-    pub fn fib_mut(&mut self) -> &mut SharedFib {
-        &mut self.fib
+    /// The Adj-RIB-Outs as stored: one base per prefix plus the viewers'
+    /// exceptions.
+    pub fn adj_rib_outs(&self) -> &AdjRibOuts {
+        &self.adverts
+    }
+
+    /// Write access to the Adj-RIB-Outs, for the route server that keeps
+    /// them (the controller, through its undo log).
+    pub fn adj_rib_outs_mut(&mut self) -> &mut AdjRibOuts {
+        &mut self.adverts
     }
 
     /// Invalidates `addr` in every attached router's ARP cache (the
@@ -183,16 +194,6 @@ impl Fabric {
         self.routers.iter().map(|r| r.port)
     }
 
-    /// Ports of a given participant (multi-port participants have several),
-    /// in port order. Border routers attach at physical ports, ordered by
-    /// `(participant, interface)`, so one participant's routers are one
-    /// run of `routers`: a binary search, never a scan of the exchange.
-    pub fn ports_of(&self, p: ParticipantId) -> Vec<PortId> {
-        let from = (self.routers).partition_point(|r| r.port < PortId::Phys(p, u8::MIN));
-        let mine = |port: &PortId| *port <= PortId::Phys(p, u8::MAX);
-        self.ports().skip(from).take_while(mine).collect()
-    }
-
     /// A participant-originated IP packet: the border router at
     /// `from` forwards it (FIB + ARP tag), then the switch classifies and
     /// delivers. Returns the deliveries at physical ports.
@@ -206,7 +207,8 @@ impl Fabric {
         let Some(&at) = self.by_port.get(&from) else {
             return Deliveries::new();
         };
-        let route = self.fib.lookup(from, pkt.nw_dst).map(|(_, entry)| *entry);
+        let route = self.adverts.lookup(from.participant(), pkt.nw_dst);
+        let route = route.map(|(_, advert)| advert.next_hop);
         let Some(tagged) = self.routers[at].tag(route, pkt, &mut self.arp) else {
             let dropped = match route {
                 Some(_) => &self.telemetry.no_arp,
@@ -372,15 +374,17 @@ mod tests {
     }
 
     proptest! {
-        /// Each attached router's FIB is what a table of its own would
-        /// hold after the same UPDATEs: a model keyed by (port, prefix),
-        /// started from the shared bases at the subscribed ports and
-        /// written by every withdrawal and announcement. Lookups, size
-        /// and contents agree at every port after every UPDATE, so what
-        /// one router learns, no other sees.
+        /// Each attached router's FIB is what a table of its participant's
+        /// own would hold after the same UPDATEs: a model keyed by
+        /// (participant, prefix), started from the bases at the subscribed
+        /// participants and written by every withdrawal and announcement.
+        /// Lookups, size and contents agree at every port after every
+        /// UPDATE, so what one router learns every router of its
+        /// participant sees — ports (1,1) and (1,2) share one view — and
+        /// no other participant's router does.
         #[test]
         fn every_routers_fib_is_its_own_update_stream(
-            subscribed in proptest::collection::vec(any::<bool>(), 4),
+            subscribed in proptest::collection::vec(any::<bool>(), 3),
             bases in proptest::collection::vec((0usize..8, 0u8..4), 0..6),
             updates in proptest::collection::vec(
                 (
@@ -394,17 +398,19 @@ mod tests {
                 0..24,
             ),
         ) {
-            use crate::border_router::FibEntry;
+            use sdx_bgp::rib::Advert;
             use sdx_net::{Prefix, Write};
             use std::collections::BTreeMap;
+            use std::sync::Arc;
 
             let ports = [port(1, 1), port(1, 2), port(2, 1), port(3, 1)];
+            let viewers = [1, 2, 3].map(ParticipantId);
             let pool = [
                 "0.0.0.0/0", "10.0.0.0/8", "10.1.0.0/16", "10.1.2.0/24",
                 "10.1.2.3/32", "20.0.0.0/8", "74.125.0.0/16", "99.0.0.0/8",
             ]
             .map(prefix);
-            let hop = |i: u8| FibEntry { next_hop: ip("172.16.0.1").saturating_add(i.into()) };
+            let hop = |i: u8| ip("172.16.0.1").saturating_add(i.into());
             let probes: Vec<Ipv4Addr> = pool
                 .iter()
                 .map(|p| p.first())
@@ -415,30 +421,32 @@ mod tests {
             for at in ports {
                 f.attach(BorderRouter::new(at, MacAddr::physical(1)));
             }
-            for (&at, &on) in ports.iter().zip(&subscribed) {
-                f.fib_mut().apply(Write::Subscription { viewer: at, subscribed: on });
+            for (&viewer, &on) in viewers.iter().zip(&subscribed) {
+                f.adverts.apply(Write::Subscription { viewer, subscribed: on });
             }
-            let mut model: BTreeMap<(PortId, Prefix), FibEntry> = BTreeMap::new();
+            let route = Arc::new(PathAttributes::new(AsPath::sequence([65002]), hop(0)));
+            let mut model: BTreeMap<(ParticipantId, Prefix), Ipv4Addr> = BTreeMap::new();
             for &(p, h) in &bases {
-                f.fib_mut().apply(Write::Base { prefix: pool[p], value: Some(hop(h)) });
-                for (&at, _) in ports.iter().zip(&subscribed).filter(|(_, &on)| on) {
-                    model.insert((at, pool[p]), hop(h));
+                let advert = Advert { route: Arc::clone(&route), next_hop: hop(h) };
+                f.adverts.apply(Write::Base { prefix: pool[p], value: Some(advert) });
+                for (&viewer, _) in viewers.iter().zip(&subscribed).filter(|(_, &on)| on) {
+                    model.insert((viewer, pool[p]), hop(h));
                 }
             }
-            let check = |f: &Fabric, model: &BTreeMap<(PortId, Prefix), FibEntry>| {
+            let check = |f: &Fabric, model: &BTreeMap<(ParticipantId, Prefix), Ipv4Addr>| {
                 for at in ports {
                     let router = f.router(at).unwrap();
-                    let mine = model.iter().filter(|((holder, _), _)| *holder == at);
-                    let mut want: Vec<(Prefix, FibEntry)> =
-                        mine.map(|(&(_, p), &e)| (p, e)).collect();
+                    let mine = model.iter().filter(|((holder, _), _)| *holder == at.participant());
+                    let mut want: Vec<(Prefix, Ipv4Addr)> =
+                        mine.map(|(&(_, p), &h)| (p, h)).collect();
                     for &dst in &probes {
                         let covering = want.iter().filter(|(p, _)| p.contains(dst));
                         let longest = covering.max_by_key(|(p, _)| p.len()).copied();
                         prop_assert_eq!(router.route_for(dst), longest, "{:?} to {}", at, dst);
                     }
                     prop_assert_eq!(router.fib_len(), want.len());
-                    let mut held: Vec<(Prefix, FibEntry)> =
-                        router.fib().iter().map(|(p, e)| (p, *e)).collect();
+                    let mut held: Vec<(Prefix, Ipv4Addr)> =
+                        router.fib().iter().map(|(p, a)| (p, a.next_hop)).collect();
                     held.sort_by_key(|(p, _)| *p);
                     want.sort_by_key(|(p, _)| *p);
                     prop_assert_eq!(held, want, "{:?}", at);
@@ -451,15 +459,15 @@ mod tests {
                 let withdrawn: Vec<Prefix> = withdrawn.into_iter().map(|p| pool[p]).collect();
                 let mut update = UpdateMessage::withdraw(withdrawn.iter().copied());
                 for &p in &withdrawn {
-                    model.remove(&(at, p));
+                    model.remove(&(at.participant(), p));
                 }
                 if let Some((h, nlri)) = announced {
                     let nlri: Vec<Prefix> = nlri.into_iter().map(|p| pool[p]).collect();
-                    let attrs = PathAttributes::new(AsPath::sequence([65002]), hop(h).next_hop);
+                    let attrs = PathAttributes::new(AsPath::sequence([65002]), hop(h));
                     update.nlri = nlri.clone();
                     update.attrs = Some(attrs);
                     for p in nlri {
-                        model.insert((at, p), hop(h));
+                        model.insert((at.participant(), p), hop(h));
                     }
                 }
                 f.router_mut(at).unwrap().apply_update(&update);
@@ -727,9 +735,6 @@ mod tests {
             prop_assert_eq!(&attached(reordered), &f);
             prop_assert_eq!(f.ports().collect::<Vec<_>>(), model.keys().copied().collect::<Vec<_>>());
             for p in 0..7 {
-                let range = port(p, u8::MIN)..=port(p, u8::MAX);
-                let expect: Vec<PortId> = model.range(range).map(|(at, _)| *at).collect();
-                prop_assert_eq!(f.ports_of(ParticipantId(p)), expect);
                 for i in 0..4 {
                     let (at, want) = (port(p, i), model.get(&port(p, i)));
                     prop_assert_eq!(f.router(at).map(|r| BorderRouter::clone(&r)), want.cloned());
@@ -741,15 +746,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn ports_of_groups_by_participant() {
-        let mut f = two_party_fabric();
-        f.attach(BorderRouter::new(port(1, 2), MacAddr::physical(12)));
-        let mut ps = f.ports_of(ParticipantId(1));
-        ps.sort();
-        assert_eq!(ps, vec![port(1, 1), port(1, 2)]);
-        assert_eq!(f.ports().count(), 3);
     }
 }

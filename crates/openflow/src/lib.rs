@@ -21,7 +21,8 @@
 //! * [`middlebox`] — middleboxes behind fabric ports and the §8
 //!   service-chaining harness.
 //! * [`border_router`] — the participant border-router model: a port, a
-//!   MAC and an ARP cache over its view of the fabric's shared FIB, whose
+//!   MAC and an ARP cache over its participant's view of the fabric's
+//!   Adj-RIB-Outs as its FIB, whose
 //!   next-hop-MAC rewriting implements the *first stage* of the SDX's
 //!   multi-stage FIB without any switch table space (Figure 2).
 //! * [`fabric`] — glues border routers and the SDX switch into an exchange
@@ -45,7 +46,7 @@ pub mod switch;
 pub mod table;
 
 pub use arp::ArpResponder;
-pub use border_router::{BorderRouter, RouterMut, RouterRef, SharedFib};
+pub use border_router::{BorderRouter, RouterMut, RouterRef};
 pub use fabric::{Fabric, WaveUndo};
 pub use flowmod::{BatchStats, FlowMod, FlowModBatch, FlowModError};
 pub use matcher::{CompiledMatcher, MatcherStats};

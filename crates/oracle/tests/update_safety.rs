@@ -150,14 +150,13 @@ fn scheduled_waves_are_safe_where_unordered_mods_are_not() {
 }
 
 /// Everything a failed commit must leave as it found it: the report, the
-/// allocator, the delta counter, the Adj-RIB-Outs, and the fabric — table,
-/// ARP responder, shared FIB and routers — with its unstreamed batches.
+/// allocator, the delta counter, and the fabric — table, ARP responder,
+/// Adj-RIB-Outs and routers — with its unstreamed batches.
 fn image(ctl: &SdxController, fabric: &Fabric) -> impl PartialEq + std::fmt::Debug {
     (
         format!("{:?}", ctl.report),
         format!("{:?}", ctl.vnh),
         ctl.delta_layers(),
-        ctl.adj_rib_outs().clone(),
         fabric.clone(),
         fabric.clone().drain_batches(),
     )

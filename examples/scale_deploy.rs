@@ -27,7 +27,8 @@
 //!
 //! For the dump's passes (summed) and for each push it prints the
 //! re-advertisement's cost: microseconds under the `fibsync` timer, pairs
-//! examined and sent, and nanoseconds per pair examined.
+//! examined and sent, nanoseconds per pair examined, and the undo entries
+//! its transactions recorded (`txn.undo.entries`).
 //!
 //! It also prints what opening each update's transaction cost
 //! (`txn.begin`, p50 and max) over the dump's fast passes and over the
@@ -129,12 +130,14 @@ fn main() {
     // observation to each of its timers.
     let timed = |ctl: &SdxController, key: &str| ctl.telemetry.histogram(key).sum();
     // The re-advertisement so far: nanoseconds under its timer, (viewer,
-    // prefix) pairs examined, pairs sent.
-    let fibsync = |ctl: &SdxController| -> [u64; 3] {
+    // prefix) pairs examined, pairs sent, and the undo entries the
+    // transactions recorded.
+    let fibsync = |ctl: &SdxController| -> [u64; 4] {
         let sent = ctl.telemetry.counter("fibsync.sent.count").get();
-        [timed(ctl, "fibsync"), examined(ctl), sent]
+        let undo = ctl.telemetry.histogram("txn.undo.entries").sum();
+        [timed(ctl, "fibsync"), examined(ctl), sent, undo]
     };
-    let fibsync_since = |ctl: &SdxController, before: [u64; 3]| -> [u64; 3] {
+    let fibsync_since = |ctl: &SdxController, before: [u64; 4]| -> [u64; 4] {
         let now = fibsync(ctl);
         std::array::from_fn(|i| now[i] - before[i])
     };
@@ -145,7 +148,7 @@ fn main() {
     let deploy_rss = peak_rss_mib();
     let deploy_examined = examined(&ctl);
     let rules = ctl.report.as_ref().expect("deployed").stats.rule_count;
-    let (adverts, routes) = (ctl.adj_rib_outs().stored(), fabric.fib().stored());
+    let adverts = fabric.adj_rib_outs().stored();
     let pairs = ctl.rs.participants().count() * ctl.rs.prefix_count();
     let ratio = deploy_examined as f64 / adverts as f64;
 
@@ -248,7 +251,7 @@ fn main() {
         ]
     };
     let (mut push_begin_ns, mut push_total_ns) = (Vec::new(), Vec::new());
-    let mut push = |ctl: &mut SdxController, delta: PolicyDelta| -> (f64, [u64; 6], [u64; 3]) {
+    let mut push = |ctl: &mut SdxController, delta: PolicyDelta| -> (f64, [u64; 6], [u64; 4]) {
         let before = pieces(ctl);
         let synced = fibsync(ctl);
         let (begin, total) = (timed(ctl, "txn.begin"), timed(ctl, "reoptimize.total"));
@@ -308,7 +311,7 @@ fn main() {
     );
     println!("deploy_s={deploy_s:.3} peak_rss_mib={deploy_rss:.1}");
     println!(
-        "stored_adverts={adverts} stored_routes={routes} pairs={pairs} stored_share={:.4}",
+        "stored_adverts={adverts} pairs={pairs} stored_share={:.4}",
         adverts as f64 / pairs as f64
     );
     println!("deploy_examined={deploy_examined} examined_per_stored={ratio:.3}");
@@ -342,7 +345,7 @@ fn main() {
         ("outbound_install", out_install_sync),
         ("outbound_retract", out_retract_sync),
     ];
-    for (what, [ns, examined, sent]) in [("dump_passes", dump_fibsync)]
+    for (what, [ns, examined, sent, undo]) in [("dump_passes", dump_fibsync)]
         .into_iter()
         .chain(pushes_synced)
     {
@@ -353,7 +356,7 @@ fn main() {
         };
         println!(
             "fibsync_{what}: fibsync_us={:.1} examined={examined} sent={sent} \
-             fibsync_ns_per_pair={per_pair}",
+             fibsync_ns_per_pair={per_pair} undo_entries={undo}",
             ns as f64 / 1e3,
         );
     }
@@ -396,13 +399,13 @@ fn main() {
             std::process::exit(1);
         }
     }
-    for (what, [_, examined, sent]) in pushes_synced {
+    for (what, [_, examined, sent, _]) in pushes_synced {
         if sent > examined {
             eprintln!("the {what} push sent {sent} advertisements but examined {examined}");
             std::process::exit(1);
         }
     }
-    for (what, [_, examined, _]) in &pushes_synced[..2] {
+    for (what, [_, examined, ..]) in &pushes_synced[..2] {
         if *examined > 0 {
             eprintln!(
                 "the {what} push examined {examined} (viewer, prefix) pairs: an inbound \

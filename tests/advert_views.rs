@@ -2,9 +2,9 @@
 //!
 //! The controller used to keep one Adj-RIB-Out trie per viewer and fill
 //! one FIB trie per border router: viewers × prefixes values, written one
-//! `best_for` at a time. It now keeps one base-and-exceptions table for
-//! the advertisements and one for the FIBs, and decides each dirty prefix
-//! once. The old structures live on here as the **model**: after every
+//! `best_for` at a time. The fabric now keeps one base-and-exceptions
+//! table of the advertisements, whose views are also the routers' FIBs,
+//! and the controller decides each dirty prefix once. The old structures live on here as the **model**: after every
 //! step of a random history — route churn (announce, re-announce over a
 //! longer or looping path, withdraw, session reset, export-policy and
 //! community exclusions), policy pushes, fast-path bursts,
@@ -25,7 +25,6 @@ use sdx::core::controller::SdxController;
 use sdx::core::faults::ANY_WAVE;
 use sdx::core::{ParticipantConfig, VnhMap};
 use sdx::net::{FieldMatch, Ipv4Addr, ParticipantId, PortId, Prefix};
-use sdx::openflow::border_router::FibEntry;
 use sdx::openflow::fabric::Fabric;
 use sdx::policy::{Policy as P, PolicyDelta};
 use sdx::{FaultPlan, InjectionPoint};
@@ -67,15 +66,15 @@ mod model {
     #[derive(Default)]
     pub struct Model {
         pub rib_out: BTreeMap<ParticipantId, AdjRibOut>,
-        pub fibs: BTreeMap<PortId, BTreeMap<Prefix, FibEntry>>,
+        pub fibs: BTreeMap<PortId, BTreeMap<Prefix, Ipv4Addr>>,
     }
 
     /// Longest-prefix match by brute force over the lengths: the FIB's
-    /// entry at each of the address's 33 prefixes, longest first.
+    /// next hop at each of the address's 33 prefixes, longest first.
     pub fn longest_match(
-        fib: &BTreeMap<Prefix, FibEntry>,
+        fib: &BTreeMap<Prefix, Ipv4Addr>,
         dst: Ipv4Addr,
-    ) -> Option<(Prefix, FibEntry)> {
+    ) -> Option<(Prefix, Ipv4Addr)> {
         (0..=32).rev().find_map(|len| {
             let prefix = Prefix::new(dst, len);
             fib.get(&prefix).map(|entry| (prefix, *entry))
@@ -100,10 +99,10 @@ mod model {
             if !out.reconcile_rewritten(prefix, best.zip(next_hop)) {
                 return;
             }
-            for port in fabric.ports_of(viewer) {
+            for port in fabric.ports().filter(|p| p.participant() == viewer) {
                 let fib = self.fibs.entry(port).or_default();
                 match next_hop {
-                    Some(next_hop) => fib.insert(prefix, FibEntry { next_hop }),
+                    Some(next_hop) => fib.insert(prefix, next_hop),
                     None => fib.remove(&prefix),
                 };
             }
@@ -411,7 +410,7 @@ impl World {
     fn assert_views_equal_model(&self, what: &str) {
         for cfg in &self.cfgs {
             let view = self
-                .ctl
+                .fabric
                 .adj_rib_out(cfg.id)
                 .unwrap_or_else(|| panic!("{what}: {} was never advertised to", cfg.id));
             let seen: Vec<(Prefix, PathAttributes)> = view
@@ -482,7 +481,7 @@ fn a_vnh_the_fast_path_took_away_returns_when_the_group_is_kept() {
         .position(|p| *p == sdx::net::prefix("30.0.0.0/8"))
         .expect("figure 1 announces p3");
     let tagged = |world: &World| {
-        let advertised = world.ctl.adj_rib_out(ParticipantId(1)).expect("A");
+        let advertised = world.fabric.adj_rib_out(ParticipantId(1)).expect("A");
         let next_hop = advertised.get(world.prefix(p3)).map(|a| a.next_hop);
         next_hop.is_some_and(|nh| world.ctl.vnh.contains(nh))
     };

@@ -39,16 +39,15 @@ fn gauge(ctl: &SdxController, key: &str) -> usize {
     ctl.telemetry.snapshot().gauges[key] as usize
 }
 
-/// What the shared tables have to store beyond one base per prefix,
+/// What the shared table has to store beyond one base per prefix,
 /// derived here from the route server and the report's VNH map alone:
 /// the (viewer, prefix) pairs among `prefixes` that are advertised
 /// anything but the prefix's top-ranked route under its own next hop —
 /// the viewer announced that route, is not exported it, or holds a
-/// virtual next hop — and, of those, the (router, prefix) pairs whose
-/// next hop then differs from the base's (one per port of the viewer).
-fn exceptions(ctl: &SdxController, fabric: &Fabric, prefixes: &[Prefix]) -> (usize, usize) {
+/// virtual next hop.
+fn exceptions(ctl: &SdxController, prefixes: &[Prefix]) -> usize {
     let vnh_of = &ctl.report.as_ref().expect("compiled").vnh_of;
-    let (mut adverts, mut routes) = (0, 0);
+    let mut adverts = 0;
     for &p in prefixes {
         let top = ctl
             .rs
@@ -59,12 +58,9 @@ fn exceptions(ctl: &SdxController, fabric: &Fabric, prefixes: &[Prefix]) -> (usi
             let vnh = vnh_of.get(&(viewer, p)).copied();
             let seen = best.map(|r| (r.source.participant, vnh.unwrap_or(r.attrs.next_hop)));
             adverts += usize::from(seen != top);
-            if seen.map(|(_, nh)| nh) != top.map(|(_, nh)| nh) {
-                routes += fabric.ports_of(viewer).len();
-            }
         }
     }
-    (adverts, routes)
+    adverts
 }
 
 fn groups_by_id(r: &CompileReport) -> BTreeMap<FecId, &FecGroup> {
@@ -98,7 +94,7 @@ fn the_deploy_examines_and_stores_prefixes_plus_exceptions() {
     let (ctl, fabric) = deployed_ixp50();
     let prefixes = ctl.rs.all_prefixes();
     let pairs = ctl.rs.participants().count() * prefixes.len();
-    let (adverts, routes) = exceptions(&ctl, &fabric, &prefixes);
+    let adverts = exceptions(&ctl, &prefixes);
     assert!(
         adverts * 20 < pairs,
         "fixture: {adverts} of {pairs} pairs are exceptions"
@@ -111,14 +107,12 @@ fn the_deploy_examines_and_stores_prefixes_plus_exceptions() {
         "examined {examined}, the exchange has {} prefixes + {adverts} exceptions",
         prefixes.len()
     );
-    // And that is all either table holds.
-    assert_eq!(ctl.adj_rib_outs().stored(), prefixes.len() + adverts);
-    assert_eq!(fabric.fib().stored(), prefixes.len() + routes);
+    // And that is all the one table — advertisements and FIBs — holds.
+    assert_eq!(fabric.adj_rib_outs().stored(), prefixes.len() + adverts);
     assert_eq!(
         gauge(&ctl, "ribout.stored.entries"),
         prefixes.len() + adverts
     );
-    assert_eq!(gauge(&ctl, "fib.stored.entries"), prefixes.len() + routes);
 }
 
 #[test]
@@ -139,7 +133,7 @@ fn a_dump_re_examines_its_prefixes_and_their_exceptions() {
         .take(1024)
         .collect();
     assert!(dumped.len() >= 256, "fixture: {} prefixes", dumped.len());
-    let stored = (ctl.adj_rib_outs().stored(), fabric.fib().stored());
+    let stored = fabric.adj_rib_outs().stored();
     for pass in dumped.chunks(64) {
         let mut changed = Vec::new();
         for &p in pass {
@@ -169,7 +163,7 @@ fn a_dump_re_examines_its_prefixes_and_their_exceptions() {
         .into_iter()
         .filter(|(_, p)| !dumped.contains(p))
         .count();
-    let (adverts, _) = exceptions(&ctl, &fabric, &dumped);
+    let adverts = exceptions(&ctl, &dumped);
     assert!(
         examined <= dumped.len() + adverts + moved,
         "examined {examined} for {} dumped prefixes with {adverts} exceptions, {moved} moved",
@@ -177,14 +171,12 @@ fn a_dump_re_examines_its_prefixes_and_their_exceptions() {
     );
     // A re-announcement moves exceptions around; it does not add any.
     let all = ctl.rs.all_prefixes();
-    let (adverts, routes) = exceptions(&ctl, &fabric, &all);
-    assert_eq!(ctl.adj_rib_outs().stored(), all.len() + adverts);
-    assert_eq!(fabric.fib().stored(), all.len() + routes);
+    let adverts = exceptions(&ctl, &all);
+    assert_eq!(fabric.adj_rib_outs().stored(), all.len() + adverts);
     assert!(
-        ctl.adj_rib_outs().stored() <= stored.0 && fabric.fib().stored() <= stored.1,
-        "stored {} + {} entries after the dump, {stored:?} before",
-        ctl.adj_rib_outs().stored(),
-        fabric.fib().stored()
+        fabric.adj_rib_outs().stored() <= stored,
+        "stored {} entries after the dump, {stored} before",
+        fabric.adj_rib_outs().stored()
     );
 }
 
@@ -212,7 +204,7 @@ fn a_policy_install_examines_only_the_groups_it_moved() {
     let dirty: Vec<Prefix> = ctl.rs.clone().take_dirty_prefixes().into_iter().collect();
     let examined = counter(&ctl, "fibsync.examined.count");
     let sent = counter(&ctl, "fibsync.sent.count");
-    // The deploy is the one transaction so far: a line per table it
+    // The deploy is the one transaction so far: a line for the table it
     // first wrote to plus its ARP bindings, not one per pair.
     let undo = ctl.telemetry.histogram("txn.undo.entries");
     assert_eq!(undo.count(), 1);
@@ -232,7 +224,7 @@ fn a_policy_install_examines_only_the_groups_it_moved() {
     let moved = stale_and_fresh_members(&old, new);
     assert!(!moved.is_empty(), "fixture: the install must move a group");
     let examined = counter(&ctl, "fibsync.examined.count") - examined;
-    let (on_dirty, _) = exceptions(&ctl, &fabric, &dirty);
+    let on_dirty = exceptions(&ctl, &dirty);
     let bound = (dirty.len() + on_dirty + moved.len()) as u64;
     assert!(
         examined <= bound,
@@ -245,14 +237,12 @@ fn a_policy_install_examines_only_the_groups_it_moved() {
     let sent = counter(&ctl, "fibsync.sent.count") - sent;
     assert!(sent > 0, "nothing moved");
     // The push's transaction holds what it displaced and nothing else:
-    // per moved advertisement one write to the Adj-RIB-Outs and one per
-    // router of the editor to the shared FIB, plus the new groups' ARP
-    // bindings.
+    // per moved advertisement one write to the Adj-RIB-Outs, which every
+    // router of the editor reads, plus the new groups' ARP bindings.
     let entries = undo.sum() - deploy_entries;
-    let routers = fabric.ports_of(editor).len() as u64;
     let bindings = new.arp_bindings.len() as u64;
     assert!(
-        (1..=sent * (1 + routers) + bindings).contains(&entries),
+        (1..=sent + bindings).contains(&entries),
         "the push logged {entries} undo entries for {sent} moved advertisements"
     );
     // Only the editor's groups moved, so only its routers may differ.
@@ -319,8 +309,8 @@ fn incremental_sync_equals_the_full_reconcile_after_random_pushes() {
         assert_eq!(fabric, full_fabric, "push {push}: FIBs diverged");
         for &viewer in &ids {
             assert_eq!(
-                ctl.adj_rib_out(viewer),
-                full.adj_rib_out(viewer),
+                fabric.adj_rib_out(viewer),
+                full_fabric.adj_rib_out(viewer),
                 "push {push}: Adj-RIB-Out of {viewer} diverged"
             );
         }

@@ -4,7 +4,8 @@
 
 use sdx::core::controller::SdxController;
 use sdx::ixp::testkit;
-use sdx::net::{ip, prefix, Packet, ParticipantId, PortId};
+use sdx::net::{ip, prefix, MacAddr, Packet, ParticipantId, PortId};
+use sdx::openflow::BorderRouter;
 
 fn pid(n: u32) -> ParticipantId {
     ParticipantId(n)
@@ -146,4 +147,47 @@ fn vmac_tags_stay_inside_the_fabric() {
             assert!(!d.pkt.dl_dst.is_vmac(), "VMAC leaked to {}", d.loc);
         }
     }
+}
+
+/// A controller that deployed once deploys a second fabric that forwards
+/// like the first: its routers are told the same routes, and its ARP
+/// responder resolves the virtual next hops among them.
+#[test]
+fn a_second_deploy_forwards_like_the_first() {
+    let mut ctl = testkit::figure1_controller();
+    let mut first = ctl.deploy().expect("first deploy");
+    let mut second = ctl.deploy().expect("second deploy");
+    for (dst, dport) in [("10.0.0.1", 80), ("10.0.0.1", 443), ("20.0.0.1", 80)] {
+        let route = |f: &sdx::openflow::fabric::Fabric| {
+            let a = f.router(PortId::Phys(pid(1), 1)).expect("A's router");
+            a.route_for(ip(dst))
+        };
+        assert!(route(&first).is_some(), "fixture: A has a route to {dst}");
+        assert_eq!(route(&second), route(&first), "A's route to {dst}");
+        let delivered = send_from_a(&mut first, "9.0.0.1", dst, dport);
+        assert_eq!(delivered.len(), 1, "fixture: {dst}:{dport} is delivered");
+        let again = send_from_a(&mut second, "9.0.0.1", dst, dport);
+        assert_eq!(again, delivered, "{dst}:{dport} on the second fabric");
+    }
+}
+
+/// Every router of a participant forwards by what the participant was
+/// told: a second router of A, attached after the deploy, holds A's
+/// virtual next hops, not the route server's best routes.
+#[test]
+fn every_router_of_a_participant_sees_its_view() {
+    let (mut ctl, mut fabric) = figure1();
+    let (a1, a2) = (PortId::Phys(pid(1), 1), PortId::Phys(pid(1), 2));
+    fabric.attach(BorderRouter::new(a2, MacAddr::physical(12)));
+    ctl.reoptimize(&mut fabric).expect("reoptimize");
+    for dst in ["10.0.0.1", "20.0.0.1", "30.0.0.1", "40.0.0.1", "50.0.0.1"] {
+        let route = |at| fabric.router(at).expect("attached").route_for(ip(dst));
+        assert_eq!(route(a2), route(a1), "A's routers disagree on {dst}");
+    }
+    // The policy prefix: A's web traffic to p1 is steered, so A is told a
+    // virtual next hop there.
+    let (_, next_hop) = (fabric.router(a2).expect("A2"))
+        .route_for(ip("10.0.0.1"))
+        .expect("a route to p1");
+    assert!(ctl.vnh.contains(next_hop), "{next_hop} is not a VNH");
 }

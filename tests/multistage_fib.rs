@@ -35,9 +35,9 @@ fn stage1_lives_in_the_border_router() {
     // and every entry points at a VNH in the controller's pool.
     assert_eq!(router.fib_len(), prefixes.len());
     for p in &prefixes {
-        let (_, entry) = router.route_for(p.addr()).expect("route");
+        let (_, next_hop) = router.route_for(p.addr()).expect("route");
         assert!(
-            ctl.vnh.contains(entry.next_hop),
+            ctl.vnh.contains(next_hop),
             "{p} must resolve through a virtual next hop"
         );
     }
@@ -114,7 +114,6 @@ fn withdrawing_one_prefix_splits_the_group() {
                 .route_for(p.addr())
                 .expect("route")
                 .1
-                .next_hop
         })
         .collect();
     ctl.process_update(
@@ -127,7 +126,7 @@ fn withdrawing_one_prefix_splits_the_group() {
     let after: Vec<_> = prefixes
         .iter()
         .filter(|p| **p != victim)
-        .map(|p| router.route_for(p.addr()).expect("route").1.next_hop)
+        .map(|p| router.route_for(p.addr()).expect("route").1)
         .collect();
     assert_eq!(before, after, "unaffected prefixes keep their VNH");
     // And traffic to the victim still flows (now via B).

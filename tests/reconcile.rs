@@ -165,8 +165,8 @@ fn arp_cache_of_unaffected_router_survives_reoptimize() {
         );
     }
     let router = r.fabric.router(viewer_port).expect("router 1");
-    let churn_vnh = router.route_for(churn_dst).expect("route").1.next_hop;
-    let stable_vnh = router.route_for(stable_dst).expect("route").1.next_hop;
+    let churn_vnh = router.route_for(churn_dst).expect("route").1;
+    let stable_vnh = router.route_for(stable_dst).expect("route").1;
     let stable_vmac = router
         .cached_arp(stable_vnh)
         .expect("stable entry cached by the probe");
@@ -203,7 +203,7 @@ fn arp_cache_of_unaffected_router_survives_reoptimize() {
     );
     // And the stable group still routes through the very same VNH.
     assert_eq!(
-        router.route_for(stable_dst).expect("route").1.next_hop,
+        router.route_for(stable_dst).expect("route").1,
         stable_vnh,
         "stable prefix must keep its virtual next hop"
     );
