@@ -20,9 +20,9 @@
 //! * [`session`] — a simplified BGP finite-state machine over an in-memory
 //!   transport, used for session-reset failure injection (Table 1 discards
 //!   updates caused by session resets).
-//! * [`clock`] — a monotonic millisecond [`Clock`](clock::Clock) trait with
-//!   real ([`SystemClock`](clock::SystemClock)) and virtual
-//!   ([`MockClock`](clock::MockClock)) implementations, so the supervisor
+//! * [`clock`] — a monotonic millisecond [`Clock`] trait with
+//!   real ([`SystemClock`]) and virtual
+//!   ([`MockClock`]) implementations, so the supervisor
 //!   and the `sdx-runtime` daemon share one testable notion of time.
 //! * [`supervisor`] — the operational layer over the session FSMs:
 //!   hold-timer bookkeeping, reconnect with exponential backoff, and

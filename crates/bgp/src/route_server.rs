@@ -312,8 +312,8 @@ impl RouteServer {
         self.compile_dirty.id
     }
 
-    /// Drains the compiler's view of changed prefixes (see
-    /// [`CompileDirty`]; independent of
+    /// Drains the compiler's view of changed prefixes (the private
+    /// `CompileDirty` set; independent of
     /// [`take_dirty_prefixes`](Self::take_dirty_prefixes)). Takes `&self`
     /// because the compile pipeline holds the route server shared.
     pub fn take_compile_dirty(&self) -> std::collections::BTreeSet<Prefix> {

@@ -45,7 +45,6 @@ use sdx_policy::{compile as compile_policy, Policy, PolicyDelta, PolicyScope, Po
 use sdx_telemetry::{MetricsSnapshot, Registry, SharedRegistry};
 
 use crate::error::SdxError;
-use crate::faults::{FaultPlan, InjectionPoint};
 use crate::fec::{FecGroup, FecId};
 use crate::participant::ParticipantConfig;
 use crate::phase_a::{self, CompileCache};
@@ -606,19 +605,6 @@ impl SdxCompiler {
         rs: &RouteServer,
         vnh: &mut VnhAllocator,
     ) -> Result<CompileReport, SdxError> {
-        self.compile_all_with_faults(rs, vnh, &mut FaultPlan::disabled())
-    }
-
-    /// [`compile_all`](Self::compile_all) with a fault-injection plan
-    /// threaded through the named pipeline points (compilation entry and
-    /// each VNH allocation).
-    pub fn compile_all_with_faults(
-        &mut self,
-        rs: &RouteServer,
-        vnh: &mut VnhAllocator,
-        faults: &mut FaultPlan,
-    ) -> Result<CompileReport, SdxError> {
-        faults.check(InjectionPoint::Compile)?;
         let reg = self.telemetry.clone();
         let t0 = Instant::now();
         let mut stats = CompileStats::default();
@@ -656,18 +642,14 @@ impl SdxCompiler {
             .expect("phase A leaves its cache behind");
 
         // ---- Phase B (viewer order): VNH assignment *by content-addressed
-        // key*, after every fault check has passed; an exhausted pool is
-        // reported before anything is written, so an injected fault or
-        // exhaustion leaves the allocator (key maps included) untouched.
+        // key*; an exhausted pool is reported before anything is written,
+        // so exhaustion leaves the allocator (key maps included) untouched.
         // A group whose identity (viewer, member prefixes, best next hop)
         // survived from the previous compilation keeps its exact
         // id/VNH/VMAC, so re-optimization only relabels what actually
         // changed; on a fresh allocator no key is mapped and ids follow
         // group enumeration order.
         let keys = fecs.iter().flat_map(|partition| &partition.keys);
-        for _ in keys.clone() {
-            faults.check(InjectionPoint::VnhAlloc)?;
-        }
         let assigned = vnh.assign_keyed(keys)?;
         let wanted = assigned.triples.len();
         reg.add("vnh.reused.count", (wanted - assigned.fresh) as u64);

@@ -65,8 +65,9 @@ pub struct SdxController {
     pub vnh: VnhAllocator,
     /// The last full compilation, if any.
     pub report: Option<CompileReport>,
-    /// The fault-injection plan threaded through every pipeline run.
-    /// Disabled by default; test harnesses arm it to exercise rollback.
+    /// The fault-injection plan every commit crosses: a torn stage and
+    /// each wave (see [`crate::faults`]). Disabled by default; test
+    /// harnesses arm it to exercise rollback and retry.
     pub faults: FaultPlan,
     /// The telemetry sink the whole stack shares: stage timers, counters,
     /// and the lifecycle event journal. The compiler and the deployed
@@ -349,10 +350,11 @@ impl SdxController {
         delta: &DeltaResult,
         fabric: &mut Fabric,
     ) -> Result<(), SdxError> {
-        let log = &mut UndoLog::discarding();
-        let overlay = self.stage_delta(delta, fabric, log)?;
+        let overlay = self.stage_delta(delta, fabric, &mut UndoLog::discarding())?;
         if !overlay.is_empty() {
-            let stats = log.apply_flowmods(fabric, &overlay).map_err(|e| {
+            let reg = fabric.telemetry().clone();
+            let applied = reg.time("flowtable.apply", || fabric.apply_flowmods(&overlay));
+            let stats = applied.map_err(|e| {
                 SdxError::InvalidCommit(format!("fast-path flow-mod batch rejected: {e}"))
             })?;
             self.journal_batch(overlay.epoch, stats);
@@ -370,12 +372,8 @@ impl SdxController {
     ) -> Result<(FlowModBatch, DeltaResult), SdxError> {
         let reg = self.telemetry.clone();
         let delta = reg.time("fastpath.delta", || {
-            self.compiler.fast_update_burst_with_faults(
-                &self.rs,
-                &mut self.vnh,
-                changed,
-                &mut self.faults,
-            )
+            self.compiler
+                .fast_update_burst(&self.rs, &mut self.vnh, changed)
         })?;
         reg.time("txn.validate", || crate::txn::validate_delta(&delta))?;
         let overlay = reg.time("fastpath.apply", || self.stage_delta(&delta, fabric, log))?;
@@ -648,9 +646,7 @@ impl SdxController {
             self.vnh.release(id);
         }
         let old_report = taken.report.as_ref();
-        let report =
-            self.compiler
-                .compile_all_with_faults(&self.rs, &mut self.vnh, &mut self.faults)?;
+        let report = self.compiler.compile_all(&self.rs, &mut self.vnh)?;
         reg.time("txn.validate", || crate::txn::validate_report(&report))?;
         // Overlay retirement is the one table mutation made outside the
         // flow-mod protocol (so it is in no logged batch — whoever mirrors
@@ -1478,15 +1474,22 @@ mod tests {
     fn remove_participant_surfaces_a_failed_recompile() {
         let (mut ctl, mut fabric) = deployment();
         let before = fabric.clone();
-        ctl.faults = FaultPlan::seeded(3).fail_nth(InjectionPoint::Compile, 1);
+        // A's policy multicasts, which the unicast restriction rejects.
+        let multicast = P::fwd(PortId::Virt(pid(2))) + P::fwd(PortId::Virt(pid(3)));
+        ctl.set_outbound(pid(1), Some(multicast));
         let err = ctl
             .remove_participant(pid(2), &mut fabric)
-            .expect_err("the recompile was made to fail");
-        assert_eq!(err, SdxError::Injected(InjectionPoint::Compile));
+            .expect_err("the recompile rejects A's policy");
+        assert_eq!(
+            err,
+            SdxError::Transform(TransformError::MulticastOutbound(pid(1)))
+        );
         // The book forgot B, but the rolled-back fabric still forwards to it.
         assert!(ctl.compiler.participant(pid(2)).is_none());
         assert_eq!(fabric, before);
-        // The next re-optimization converges: port-80 traffic shifts to A.
+        // With A's policy gone, the next re-optimization converges:
+        // port-80 traffic shifts to A.
+        ctl.set_outbound(pid(1), None);
         ctl.reoptimize(&mut fabric).expect("converges");
         let out = fabric.send(
             PortId::Phys(pid(3), 1),
@@ -1609,9 +1612,9 @@ mod tests {
 
         let mut txn = FabricTxn::begin(&mut ctl, &fabric);
         let (patch, _retire) = ctl.stage(&mut fabric, &mut txn).expect("stage succeeds");
-        txn.log
-            .apply_flowmods(&mut fabric, &patch)
-            .expect("patch lands");
+        // The patch lands as one wave, which the driver would rewind
+        // before the log rolls back.
+        let (_, wave) = fabric.apply_flowmods_undoable(&patch).expect("patch lands");
         let moved = fabric
             .ports()
             .filter(|&p| fabric.router(p) != fibs_before.router(p))
@@ -1620,6 +1623,7 @@ mod tests {
         let adverts_before = fibs_before.adj_rib_outs();
         assert!(ctl.rs.dirty_len() == 0 && fabric.adj_rib_outs() != adverts_before);
         assert!(txn.undo_entries() > moved);
+        fabric.rewind_wave(wave);
         txn.rollback(&mut ctl, &mut fabric);
         assert_eq!(image(&ctl, &fabric), before);
 

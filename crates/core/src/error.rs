@@ -1,7 +1,8 @@
 //! The workspace-wide error taxonomy.
 //!
 //! Every fallible step of the controller runtime — policy transformation,
-//! VNH allocation, fabric commit validation, and injected test faults —
+//! VNH allocation, fabric commit validation, and the two faults tests
+//! inject at the switch interface —
 //! funnels into [`SdxError`], so callers of
 //! [`process_update`](crate::controller::SdxController::process_update) and
 //! [`reoptimize`](crate::controller::SdxController::reoptimize) see one
@@ -29,8 +30,9 @@ pub enum SdxError {
     /// Pre-commit validation rejected a compiled result; the installed
     /// fabric was left untouched.
     InvalidCommit(String),
-    /// A deterministic fault-injection point fired (test harnesses only;
-    /// see [`crate::faults::FaultPlan`]).
+    /// A deterministic fault-injection point fired: a torn commit or a
+    /// refused wave (test harnesses only; see
+    /// [`crate::faults::FaultPlan`]).
     Injected(InjectionPoint),
     /// A fabric update was abandoned mid-flight: some wave kept failing
     /// past its retry budget, the remaining waves were skipped, and every

@@ -28,7 +28,6 @@ use sdx_policy::classifier::{Classifier, Rule};
 
 use crate::compiler::SdxCompiler;
 use crate::error::SdxError;
-use crate::faults::{FaultPlan, InjectionPoint};
 use crate::fec::FecGroup;
 use crate::phase_a::Signature;
 use crate::transform::{self, dst_coverage, expand_fwd_rule, FwdRule};
@@ -133,17 +132,6 @@ impl SdxCompiler {
 
     /// Run the fast path for a burst of changed prefixes, returning one
     /// merged delta (the Figure 9 experiment's unit).
-    pub fn fast_update_burst(
-        &mut self,
-        rs: &RouteServer,
-        vnh: &mut VnhAllocator,
-        prefixes: &[Prefix],
-    ) -> Result<DeltaResult, SdxError> {
-        self.fast_update_burst_with_faults(rs, vnh, prefixes, &mut FaultPlan::disabled())
-    }
-
-    /// [`fast_update_burst`](Self::fast_update_burst) with a
-    /// fault-injection plan threaded through each VNH allocation.
     ///
     /// The delta is prefix-major, viewer-minor — rules, ARP bindings, VNH
     /// updates and VNH ids all in that order. Everything that depends only
@@ -152,12 +140,11 @@ impl SdxCompiler {
     /// policies kept beside the book, so a burst of n prefixes is n times
     /// the per-prefix work and no per-policy work at all unless a policy
     /// changed since the last compile.
-    pub fn fast_update_burst_with_faults(
+    pub fn fast_update_burst(
         &mut self,
         rs: &RouteServer,
         vnh: &mut VnhAllocator,
         prefixes: &[Prefix],
-        faults: &mut FaultPlan,
     ) -> Result<DeltaResult, SdxError> {
         let t0 = Instant::now();
         self.refresh_policies()?;
@@ -188,7 +175,6 @@ impl SdxCompiler {
                 };
 
                 // Fresh singleton group — no MDS, no ARP invalidation.
-                faults.check(InjectionPoint::VnhAlloc)?;
                 let (id, addr, vmac) = vnh.try_allocate()?;
                 this.telemetry().inc("vnh.alloc.count");
                 let groups = [FecGroup {

@@ -31,8 +31,10 @@
 //! * [`error`] — the workspace-wide error taxonomy ([`SdxError`]).
 //! * [`txn`] — transactional fabric commits: validate, write through an
 //!   undo log, roll back to last-known-good on failure.
-//! * [`faults`] — seeded, deterministic fault injection for exercising the
-//!   recovery paths.
+//! * [`faults`] — seeded, deterministic fault injection at the
+//!   controller's interface to the switches (a torn commit, a refused
+//!   wave), for exercising the recovery paths; the compiler's failures
+//!   are real inputs, not injected.
 //! * [`schedule`] — provably safe update scheduling: the reconciliation
 //!   diff partitioned into dependency-ordered flow-mod waves, driven all
 //!   or nothing with a per-wave check.

@@ -28,13 +28,11 @@
 //! * every ARP binding resolves to a well-formed VMAC carrying its FEC id.
 
 use std::collections::BTreeSet;
-use std::time::Instant;
 
 use sdx_bgp::rib::{AdjRibOuts, Advert};
 use sdx_bgp::route_server::RouteServer;
 use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, PortId, Prefix, Write};
-use sdx_openflow::fabric::{Fabric, WaveUndo};
-use sdx_openflow::flowmod::{BatchStats, FlowModBatch, FlowModError};
+use sdx_openflow::fabric::Fabric;
 use sdx_openflow::table::FlowEntry;
 use sdx_policy::classifier::Rule;
 
@@ -48,8 +46,6 @@ use crate::incremental::DeltaResult;
 /// previous value, moved out of the structure it was written to.
 #[derive(Debug)]
 enum Undo {
-    /// A flow-mod batch landed on the switch table and in the batch log.
-    Batch(WaveUndo),
     /// These overlay entries were retired from the head of the table.
     Overlays(Vec<FlowEntry>),
     /// The responder's binding for `addr` was `previous`.
@@ -100,26 +96,6 @@ impl UndoLog {
         if !self.discard {
             self.entries.push(undo);
         }
-    }
-
-    /// [`Fabric::apply_flowmods`], timed as `flowtable.apply`: the batch's
-    /// own undo journal and its place in the batch log are what is kept.
-    /// [`apply_delta`](SdxController::apply_delta) lands its overlay this
-    /// way; a transaction's waves land through
-    /// [`drive`](crate::schedule::drive).
-    pub fn apply_flowmods(
-        &mut self,
-        fabric: &mut Fabric,
-        batch: &FlowModBatch,
-    ) -> Result<BatchStats, FlowModError> {
-        let t0 = Instant::now();
-        let applied = fabric.apply_flowmods_undoable(batch);
-        fabric
-            .telemetry()
-            .observe_duration("flowtable.apply", t0.elapsed());
-        let (stats, undo) = applied?;
-        self.push(Undo::Batch(undo));
-        Ok(stats)
     }
 
     /// Retires every entry at or above `min_priority` from the switch
@@ -180,7 +156,6 @@ impl UndoLog {
     pub fn rollback(self, fabric: &mut Fabric, rs: &mut RouteServer) {
         for undo in self.entries.into_iter().rev() {
             match undo {
-                Undo::Batch(wave) => fabric.rewind_wave(wave),
                 Undo::Overlays(taken) => fabric.switch.table_mut().restore_at_or_above(taken),
                 Undo::Arp { addr, previous } => {
                     match previous {

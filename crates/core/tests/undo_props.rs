@@ -8,12 +8,15 @@
 //! the fabric's Adj-RIB-Outs, which its routers forward by (including
 //! the first write to an empty table), advertisements sharing one copy of a route's
 //! attributes across many slots and prefixes, ARP bindings, overlay
-//! retirement, flow-mod batches (accepted and rejected), the drained
-//! dirty set — then `rollback`, must
+//! retirement, the drained dirty set — then `rollback`, must
 //! leave exactly the clones taken before: table entries with their
 //! counters and band order, epoch, cookie index, unstreamed batch log,
 //! trie structure, subscriber sets. A log that discards instead of
-//! recording must perform the same writes.
+//! recording must perform the same writes. Flow-mod batches (accepted and
+//! rejected) are written to the table directly, before the recorded
+//! writes: the log never records one (a transaction's waves are undone
+//! by the schedule driver), but they give overlay retirement entries to
+//! take.
 
 use std::sync::Arc;
 
@@ -71,7 +74,7 @@ fn arb_buckets() -> impl Strategy<Value = Vec<Vec<Mod>>> {
 
 /// One mod of a batch; `sel` picks a live entry when the batch is applied,
 /// so most modifies and deletes hit, and a repeated delete is a genuine
-/// rejection (the whole batch undone by its own journal, no log entry).
+/// rejection (the whole batch undone by its own journal).
 #[derive(Clone, Debug)]
 enum BatchOp {
     Add(u32, HeaderMatch, Vec<Vec<Mod>>, u64),
@@ -90,7 +93,7 @@ fn arb_batch_op() -> impl Strategy<Value = BatchOp> {
     ]
 }
 
-/// One write through the recording seam.
+/// One write: through the recording seam, or (a batch) to the table.
 #[derive(Clone, Debug)]
 enum Op {
     /// To the fabric's Adj-RIB-Outs.
@@ -105,6 +108,7 @@ enum Op {
     },
     Arp(Ipv4Addr, u32),
     RetireOverlays,
+    /// Applied to the table directly, never through the log.
     Batch(Vec<BatchOp>),
     DrainDirty,
 }
@@ -148,7 +152,8 @@ where
     ]
 }
 
-fn arb_op() -> impl Strategy<Value = Op> {
+/// A write through the recording seam.
+fn arb_logged_op() -> impl Strategy<Value = Op> {
     let advert =
         || arb_write(|| (1u32..5).prop_map(ParticipantId).boxed(), arb_advert).prop_map(Op::Advert);
     let shared = (
@@ -172,9 +177,15 @@ fn arb_op() -> impl Strategy<Value = Op> {
         shared,
         (arb_addr(), 0u32..6).prop_map(|(a, v)| Op::Arp(a, v)),
         Just(Op::RetireOverlays),
-        proptest::collection::vec(arb_batch_op(), 1..5).prop_map(Op::Batch),
-        proptest::collection::vec(arb_batch_op(), 1..5).prop_map(Op::Batch),
         Just(Op::DrainDirty),
+    ]
+}
+
+/// A recorded write, or (one time in four) a flow-mod batch.
+fn arb_op() -> impl Strategy<Value = Op> {
+    prop_oneof![
+        3 => arb_logged_op(),
+        1 => proptest::collection::vec(arb_batch_op(), 1..5).prop_map(Op::Batch),
     ]
 }
 
@@ -279,7 +290,7 @@ impl World {
                     });
                 }
                 // A rejected batch is part of the interleaving too.
-                let _ = log.apply_flowmods(&mut self.fabric, &batch);
+                let _ = self.fabric.apply_flowmods(&batch);
             }
             Op::DrainDirty => {
                 let dirty = self.rs.take_dirty_prefixes();
@@ -320,7 +331,7 @@ proptest! {
     #[test]
     fn rollback_restores_the_clone(
         committed in proptest::collection::vec(arb_op(), 0..24),
-        undone in proptest::collection::vec(arb_op(), 1..32),
+        undone in proptest::collection::vec(arb_logged_op(), 1..32),
     ) {
         let mut w = World::new();
         // A committed prefix of writes randomizes the pre-image; dropping

@@ -15,7 +15,9 @@ use std::collections::BTreeMap;
 use sdx_bgp::route_server::{ExportPolicy, RouteServer};
 use sdx_core::compiler::SdxCompiler;
 use sdx_core::controller::SdxController;
+use sdx_core::fec::FecId;
 use sdx_core::participant::ParticipantConfig;
+use sdx_core::vnh::VnhAllocator;
 use sdx_core::vswitch;
 use sdx_net::{prefix, ParticipantId, Prefix};
 use sdx_policy::{parse_policy, Policy};
@@ -25,6 +27,19 @@ use crate::topology::{build, TopologyParams};
 
 fn pid(n: u32) -> ParticipantId {
     ParticipantId(n)
+}
+
+/// Draws ids from `vnh` with [`VnhAllocator::allocate`] until only
+/// `leave` are free: a pool too small for what comes next, made of real
+/// draws. Returns the ids last drawn first; releasing them in that order
+/// makes the pool hand them out again in the order it would have.
+pub fn drain_vnh(vnh: &mut VnhAllocator, leave: u64) -> Vec<FecId> {
+    let mut drawn = Vec::new();
+    while vnh.remaining() > leave {
+        drawn.push(vnh.allocate().0);
+    }
+    drawn.reverse();
+    drawn
 }
 
 /// The participant-name book for the Figure 1 exchange: A (1 port),

@@ -14,11 +14,12 @@
 //! 4. every packet the router sends into the fabric therefore carries its
 //!    FEC in the destination MAC field — the tag stage 2 matches on.
 //!
-//! This model implements exactly that: it consumes the route server's
-//! UPDATE messages into a FIB, resolves next hops through an
-//! [`ArpResponder`], and emits tagged packets. It is *unmodified-BGP*
-//! faithful — nothing here knows about FECs; the tag appears purely through
-//! next-hop+ARP mechanics, which is the paper's point.
+//! This model implements steps 3 and 4: it looks a packet's destination
+//! up in what the route server advertised (steps 1 and 2, see below),
+//! resolves the next hop through an [`ArpResponder`], and emits the
+//! tagged packet. It is *unmodified-BGP* faithful — nothing here knows
+//! about FECs; the tag appears purely through next-hop+ARP mechanics,
+//! which is the paper's point.
 //!
 //! # The FIB is what the participant was told
 //!
@@ -28,18 +29,18 @@
 //! or none. A router's FIB is its participant's view of that table — all
 //! a FIB keeps of an advertisement is its next hop — so every router of
 //! one participant forwards by what that participant was told, and no
-//! router can hold a route the route server did not advertise. A
-//! [`BorderRouter`] is its port, MAC, ARP cache and drop counters; its
-//! FIB is read through [`RouterRef`] and written through [`RouterMut`].
+//! router can hold a route the route server did not advertise. The
+//! controller writes that table (through its transaction's undo log, see
+//! `sdx_core::txn`); a router only reads it. A [`BorderRouter`] is its
+//! port, MAC, ARP cache and drop counters; its FIB is read through
+//! [`RouterRef`], and [`RouterMut`] forwards through it.
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
-use std::sync::Arc;
 
-use sdx_net::{Ipv4Addr, LocatedPacket, MacAddr, Packet, PortId, Prefix, Slot, WordMap, Write};
+use sdx_net::{Ipv4Addr, LocatedPacket, MacAddr, Packet, PortId, Prefix, WordMap};
 
-use sdx_bgp::msg::UpdateMessage;
-use sdx_bgp::rib::{AdjRibOut, AdjRibOuts, Advert};
+use sdx_bgp::rib::{AdjRibOut, AdjRibOuts};
 
 use crate::arp::{ArpRequest, ArpResponder};
 
@@ -181,68 +182,16 @@ impl fmt::Debug for RouterRef<'_> {
     }
 }
 
-/// [`RouterRef`] with write access: route-server UPDATEs applied through
-/// it land in its participant's slots of the table, so every router of
-/// that participant sees them.
+/// [`RouterRef`] with the router writable: its ARP cache and drop
+/// counters, which forwarding updates. The FIB stays read-only.
 pub struct RouterMut<'a> {
     router: &'a mut BorderRouter,
-    adverts: &'a mut AdjRibOuts,
+    adverts: &'a AdjRibOuts,
 }
 
 impl<'a> RouterMut<'a> {
-    pub(crate) fn new(router: &'a mut BorderRouter, adverts: &'a mut AdjRibOuts) -> Self {
+    pub(crate) fn new(router: &'a mut BorderRouter, adverts: &'a AdjRibOuts) -> Self {
         RouterMut { router, adverts }
-    }
-
-    /// Applies an UPDATE from the route server: withdrawals remove FIB
-    /// entries, announcements install `prefix → next_hop`.
-    pub fn apply_update(&mut self, update: &UpdateMessage) {
-        for p in &update.withdrawn {
-            self.set_route(*p, None);
-        }
-        if let Some(attrs) = &update.attrs {
-            let route = Arc::new(attrs.clone());
-            for p in &update.nlri {
-                let next_hop = attrs.next_hop;
-                let route = Arc::clone(&route);
-                self.set_route(*p, Some(Advert { route, next_hop }));
-            }
-        }
-    }
-
-    /// What an UPDATE does to the FIB for one prefix: an announcement
-    /// installs `advert`, a withdrawal (`None`) removes the entry. Returns
-    /// the advertisement the router's participant held for `prefix`
-    /// before.
-    pub fn set_route(&mut self, prefix: Prefix, advert: Option<Advert>) -> Option<Advert> {
-        let viewer = self.router.port.participant();
-        let previous = self.adverts.get(viewer, prefix).cloned();
-        let slot = match advert {
-            Some(advert) => Slot::Own(advert),
-            // Only a viewer that would otherwise see the base has to be
-            // told that it has no route.
-            None if self.adverts.is_subscribed(viewer) && self.adverts.base(prefix).is_some() => {
-                Slot::Withheld
-            }
-            None => Slot::Inherit,
-        };
-        self.adverts.apply(Write::Slot {
-            viewer,
-            prefix,
-            slot,
-        });
-        previous
-    }
-
-    /// The prefix and next hop that would forward `dst`, if any
-    /// (longest-prefix).
-    pub fn route_for(&self, dst: Ipv4Addr) -> Option<(Prefix, Ipv4Addr)> {
-        RouterRef::new(self.router, self.adverts).route_for(dst)
-    }
-
-    /// Number of FIB entries (a walk of the table).
-    pub fn fib_len(&self) -> usize {
-        RouterRef::new(self.router, self.adverts).fib_len()
     }
 
     /// Forwards an IP packet originated behind this router into the
@@ -277,7 +226,9 @@ mod tests {
     use super::*;
     use crate::fabric::Fabric;
     use sdx_bgp::attrs::{AsPath, PathAttributes};
-    use sdx_net::{ip, prefix, ParticipantId};
+    use sdx_bgp::rib::Advert;
+    use sdx_net::{ip, prefix, ParticipantId, Slot, Write};
+    use std::sync::Arc;
 
     const AT: PortId = PortId::Phys(ParticipantId(1), 1);
 
@@ -292,23 +243,31 @@ mod tests {
         f.router_mut(AT).expect("attached")
     }
 
-    fn announce(pfx: &str, nh: Ipv4Addr) -> UpdateMessage {
-        UpdateMessage::announce(
-            [prefix(pfx)],
-            PathAttributes::new(AsPath::sequence([65002]), nh),
-        )
+    /// Writes AT's participant's own slot at `pfx`: advertised under
+    /// `nh`, or (`None`) nothing of its own.
+    fn tell(f: &mut Fabric, pfx: &str, nh: Option<Ipv4Addr>) {
+        let slot = nh.map_or(Slot::Inherit, |next_hop| {
+            let route = Arc::new(PathAttributes::new(AsPath::sequence([65002]), next_hop));
+            Slot::Own(Advert { route, next_hop })
+        });
+        f.adj_rib_outs_mut().apply(Write::Slot {
+            viewer: AT.participant(),
+            prefix: prefix(pfx),
+            slot,
+        });
     }
 
     #[test]
-    fn fib_follows_updates() {
+    fn fib_is_the_participants_view() {
         let mut f = attached();
-        router(&mut f).apply_update(&announce("74.125.0.0/16", ip("172.16.255.1")));
-        assert_eq!(router(&mut f).fib_len(), 1);
-        let (p, next_hop) = router(&mut f).route_for(ip("74.125.1.1")).unwrap();
+        tell(&mut f, "74.125.0.0/16", Some(ip("172.16.255.1")));
+        let r = f.router(AT).unwrap();
+        assert_eq!(r.fib_len(), 1);
+        let (p, next_hop) = r.route_for(ip("74.125.1.1")).unwrap();
         assert_eq!(p, prefix("74.125.0.0/16"));
         assert_eq!(next_hop, ip("172.16.255.1"));
-        router(&mut f).apply_update(&UpdateMessage::withdraw([prefix("74.125.0.0/16")]));
-        assert!(router(&mut f).route_for(ip("74.125.1.1")).is_none());
+        tell(&mut f, "74.125.0.0/16", None);
+        assert!(f.router(AT).unwrap().route_for(ip("74.125.1.1")).is_none());
     }
 
     #[test]
@@ -316,7 +275,7 @@ mod tests {
         let mut f = attached();
         let mut arp = ArpResponder::new();
         arp.bind(ip("172.16.255.1"), MacAddr::vmac(42));
-        router(&mut f).apply_update(&announce("74.125.0.0/16", ip("172.16.255.1")));
+        tell(&mut f, "74.125.0.0/16", Some(ip("172.16.255.1")));
         let lp = router(&mut f)
             .forward(
                 Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80),
@@ -335,7 +294,7 @@ mod tests {
         let mut f = attached();
         let mut arp = ArpResponder::new();
         arp.bind(ip("172.16.255.1"), MacAddr::vmac(1));
-        router(&mut f).apply_update(&announce("74.125.0.0/16", ip("172.16.255.1")));
+        tell(&mut f, "74.125.0.0/16", Some(ip("172.16.255.1")));
         let p = Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80);
         let forward =
             |f: &mut Fabric, arp: &mut ArpResponder| router(f).forward(p, arp).unwrap().pkt.dl_dst;
@@ -358,7 +317,7 @@ mod tests {
             .is_none());
         assert_eq!(f.router(AT).unwrap().no_route_drops, 1);
         // Route exists but the VNH is unresolvable.
-        router(&mut f).apply_update(&announce("2.0.0.0/8", ip("172.16.255.9")));
+        tell(&mut f, "2.0.0.0/8", Some(ip("172.16.255.9")));
         assert!(router(&mut f)
             .forward(Packet::tcp(ip("1.1.1.1"), ip("2.2.2.2"), 5, 80), &mut arp)
             .is_none());
@@ -372,8 +331,8 @@ mod tests {
         let mut arp = ArpResponder::new();
         arp.bind(ip("172.16.255.1"), MacAddr::vmac(1));
         arp.bind(ip("172.16.255.2"), MacAddr::vmac(2));
-        router(&mut f).apply_update(&announce("74.0.0.0/8", ip("172.16.255.1")));
-        router(&mut f).apply_update(&announce("74.125.0.0/16", ip("172.16.255.2")));
+        tell(&mut f, "74.0.0.0/8", Some(ip("172.16.255.1")));
+        tell(&mut f, "74.125.0.0/16", Some(ip("172.16.255.2")));
         let lp = router(&mut f)
             .forward(
                 Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80),

@@ -153,10 +153,11 @@ impl Fabric {
         Some(RouterRef::new(&self.routers[at], &self.adverts))
     }
 
-    /// Mutable access (e.g. to apply route-server updates).
+    /// Mutable access to the router at `port`: its ARP cache and drop
+    /// counters, and forwarding through its FIB (read-only).
     pub fn router_mut(&mut self, port: PortId) -> Option<RouterMut<'_>> {
         let &at = self.by_port.get(&port)?;
-        Some(RouterMut::new(&mut self.routers[at], &mut self.adverts))
+        Some(RouterMut::new(&mut self.routers[at], &self.adverts))
     }
 
     /// What the route server last advertised to `viewer` — its view of
@@ -277,12 +278,12 @@ impl Fabric {
         }
     }
 
-    /// Starts recording every accepted flow-mod batch. The `sdx-runtime`
-    /// daemon uses this as its tap: the controller applies batches to the
-    /// local fabric through all its usual paths (delta overlay, scheduled
-    /// waves, reoptimize), and the daemon drains the log to stream the
-    /// *exact same* batches to external switch agents. Rejected batches
-    /// are never recorded; rolled-back ones are retracted by
+    /// Starts recording every accepted flow-mod batch: a tap for a caller
+    /// that mirrors this table elsewhere. The controller applies batches
+    /// to the local fabric through all its usual paths (delta overlay,
+    /// scheduled waves, reoptimize), and the caller drains the log to
+    /// replay the *exact same* batches on its copy. Rejected batches are
+    /// never recorded; rolled-back ones are retracted by
     /// [`rewind_wave`](Fabric::rewind_wave).
     pub fn enable_batch_log(&mut self) {
         self.batch_log.enabled = true;
@@ -321,8 +322,8 @@ mod tests {
     use crate::table::FlowEntry;
     use proptest::prelude::*;
     use sdx_bgp::attrs::{AsPath, PathAttributes};
-    use sdx_bgp::msg::UpdateMessage;
-    use sdx_net::{ip, prefix, FieldMatch, HeaderMatch, MacAddr, Mod};
+    use sdx_bgp::rib::Advert;
+    use sdx_net::{ip, prefix, FieldMatch, HeaderMatch, MacAddr, Mod, Prefix, Slot, Write};
 
     fn port(p: u32, i: u8) -> PortId {
         PortId::Phys(ParticipantId(p), i)
@@ -334,8 +335,7 @@ mod tests {
     fn two_party_fabric() -> Fabric {
         let mut f = Fabric::new();
         f.attach(BorderRouter::new(port(1, 1), MacAddr::physical(11)));
-        // Route server told A: 74.125/16 via VNH 172.16.255.1.
-        f.router_mut(port(1, 1)).unwrap().apply_update(&to_74_125());
+        tell_74_125(&mut f, ParticipantId(1));
         f.attach(BorderRouter::new(port(2, 1), MacAddr::physical(21)));
         f.arp.bind(ip("172.16.255.1"), MacAddr::vmac(7));
         // Stage-2 rule: FEC tag 7 → rewrite to B1's MAC, output B1.
@@ -365,25 +365,36 @@ mod tests {
         assert_eq!(f.stuck_at_virtual, 0);
     }
 
-    /// The route server's announcement of 74.125/16 via VNH 172.16.255.1.
-    fn to_74_125() -> UpdateMessage {
-        UpdateMessage::announce(
-            [prefix("74.125.0.0/16")],
-            PathAttributes::new(AsPath::sequence([65002]), ip("172.16.255.1")),
-        )
+    /// Writes `viewer`'s own slot at `prefix`: advertised under
+    /// `next_hop`, or (`None`) withheld.
+    fn tell(f: &mut Fabric, viewer: ParticipantId, prefix: Prefix, next_hop: Option<Ipv4Addr>) {
+        let slot = next_hop.map_or(Slot::Withheld, |next_hop| {
+            let route = Arc::new(PathAttributes::new(AsPath::sequence([65002]), next_hop));
+            Slot::Own(Advert { route, next_hop })
+        });
+        f.adverts.apply(Write::Slot {
+            viewer,
+            prefix,
+            slot,
+        });
+    }
+
+    /// The route server tells `viewer` 74.125/16 via VNH 172.16.255.1.
+    fn tell_74_125(f: &mut Fabric, viewer: ParticipantId) {
+        tell(f, viewer, prefix("74.125.0.0/16"), Some(ip("172.16.255.1")));
     }
 
     proptest! {
         /// Each attached router's FIB is what a table of its participant's
-        /// own would hold after the same UPDATEs: a model keyed by
+        /// own would hold after the same writes: a model keyed by
         /// (participant, prefix), started from the bases at the subscribed
-        /// participants and written by every withdrawal and announcement.
+        /// participants and written by every slot withheld or advertised.
         /// Lookups, size and contents agree at every port after every
-        /// UPDATE, so what one router learns every router of its
-        /// participant sees — ports (1,1) and (1,2) share one view — and
-        /// no other participant's router does.
+        /// batch of writes, so what one router's participant is told every
+        /// router of that participant sees — ports (1,1) and (1,2) share
+        /// one view — and no other participant's router does.
         #[test]
-        fn every_routers_fib_is_its_own_update_stream(
+        fn every_routers_fib_is_its_participants_view(
             subscribed in proptest::collection::vec(any::<bool>(), 3),
             bases in proptest::collection::vec((0usize..8, 0u8..4), 0..6),
             updates in proptest::collection::vec(
@@ -398,10 +409,7 @@ mod tests {
                 0..24,
             ),
         ) {
-            use sdx_bgp::rib::Advert;
-            use sdx_net::{Prefix, Write};
             use std::collections::BTreeMap;
-            use std::sync::Arc;
 
             let ports = [port(1, 1), port(1, 2), port(2, 1), port(3, 1)];
             let viewers = [1, 2, 3].map(ParticipantId);
@@ -455,22 +463,17 @@ mod tests {
             };
             check(&f, &model)?;
             for (at, withdrawn, announced) in updates {
-                let at = ports[at];
-                let withdrawn: Vec<Prefix> = withdrawn.into_iter().map(|p| pool[p]).collect();
-                let mut update = UpdateMessage::withdraw(withdrawn.iter().copied());
-                for &p in &withdrawn {
-                    model.remove(&(at.participant(), p));
+                let viewer = ports[at].participant();
+                for p in withdrawn.into_iter().map(|p| pool[p]) {
+                    tell(&mut f, viewer, p, None);
+                    model.remove(&(viewer, p));
                 }
                 if let Some((h, nlri)) = announced {
-                    let nlri: Vec<Prefix> = nlri.into_iter().map(|p| pool[p]).collect();
-                    let attrs = PathAttributes::new(AsPath::sequence([65002]), hop(h));
-                    update.nlri = nlri.clone();
-                    update.attrs = Some(attrs);
-                    for p in nlri {
-                        model.insert((at.participant(), p), hop(h));
+                    for p in nlri.into_iter().map(|p| pool[p]) {
+                        tell(&mut f, viewer, p, Some(hop(h)));
+                        model.insert((viewer, p), hop(h));
                     }
                 }
-                f.router_mut(at).unwrap().apply_update(&update);
                 check(&f, &model)?;
             }
         }
@@ -499,12 +502,8 @@ mod tests {
     fn an_unresolved_next_hop_counts_as_no_arp_not_no_route() {
         let mut f = two_party_fabric();
         // A route whose VNH the responder has no binding for.
-        f.router_mut(port(1, 1))
-            .unwrap()
-            .apply_update(&UpdateMessage::announce(
-                [prefix("20.0.0.0/8")],
-                PathAttributes::new(AsPath::sequence([65002]), ip("172.16.255.9")),
-            ));
+        let vnh = Some(ip("172.16.255.9"));
+        tell(&mut f, ParticipantId(1), prefix("20.0.0.0/8"), vnh);
         let out = f.send(
             port(1, 1),
             Packet::tcp(ip("10.0.0.1"), ip("20.0.0.1"), 5, 80),
@@ -695,8 +694,8 @@ mod tests {
     }
 
     /// A fabric that delivers every routed packet at one port, with the
-    /// routers attached in the order given, each then told
-    /// [`to_74_125`], whose VNH the fabric resolves.
+    /// routers attached in the order given, each participant then told
+    /// [`tell_74_125`], whose VNH the fabric resolves.
     fn attached(routers: impl IntoIterator<Item = BorderRouter>) -> Fabric {
         let mut f = Fabric::new();
         f.arp.bind(ip("172.16.255.1"), MacAddr::vmac(7));
@@ -708,7 +707,7 @@ mod tests {
         for router in routers {
             let at = router.port;
             f.attach(router);
-            f.router_mut(at).unwrap().apply_update(&to_74_125());
+            tell_74_125(&mut f, at.participant());
         }
         f
     }

@@ -97,8 +97,9 @@ mod tests {
     use crate::border_router::BorderRouter;
     use crate::table::FlowEntry;
     use sdx_bgp::attrs::{AsPath, PathAttributes};
-    use sdx_bgp::msg::UpdateMessage;
-    use sdx_net::{ip, prefix, FieldMatch, HeaderMatch, MacAddr, Mod, ParticipantId};
+    use sdx_bgp::rib::Advert;
+    use sdx_net::{ip, prefix, FieldMatch, HeaderMatch, MacAddr, Mod, ParticipantId, Slot, Write};
+    use std::sync::Arc;
 
     fn port(p: u32, i: u8) -> PortId {
         PortId::Phys(ParticipantId(p), i)
@@ -111,13 +112,18 @@ mod tests {
         f.attach(BorderRouter::new(port(1, 1), MacAddr::physical(11)));
         f.attach(BorderRouter::new(port(5, 1), MacAddr::physical(51)));
         f.attach(BorderRouter::new(port(2, 1), MacAddr::physical(21)));
-        for at in [port(1, 1), port(5, 1)] {
-            f.router_mut(at)
-                .unwrap()
-                .apply_update(&UpdateMessage::announce(
-                    [prefix("20.0.0.0/8")],
-                    PathAttributes::new(AsPath::sequence([65002]), ip("172.16.0.9")),
-                ));
+        let next_hop = ip("172.16.0.9");
+        let route = Arc::new(PathAttributes::new(AsPath::sequence([65002]), next_hop));
+        for viewer in [1, 5].map(ParticipantId) {
+            let advert = Advert {
+                route: Arc::clone(&route),
+                next_hop,
+            };
+            f.adj_rib_outs_mut().apply(Write::Slot {
+                viewer,
+                prefix: prefix("20.0.0.0/8"),
+                slot: Slot::Own(advert),
+            });
         }
         f.arp.bind(ip("172.16.0.9"), MacAddr::physical(21));
         // Steering: traffic entering at A1 diverts to E1 (MAC-rewritten);

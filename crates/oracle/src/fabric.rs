@@ -4,7 +4,7 @@
 //! This side plays the hardware. It reads everything from the
 //! [`CompileReport`]:
 //!
-//! 1. **Border router / FIB**: the sender's LPM decision ([`routed_lpm`],
+//! 1. **Border router / FIB**: the sender's LPM decision (`routed_lpm`,
 //!    shared with the spec side — unmodified BGP is part of the spec),
 //!    then the *exact* `(sender, prefix)` entry of [`CompileReport::vnh_of`]
 //!    to learn whether that route was rewritten to a virtual next hop.

@@ -90,7 +90,7 @@ pub fn exchange(seed: u64) -> GeneratedExchange {
 }
 
 /// Like [`exchange`], but participants draw their outbound policies from
-/// the *wide* generator ([`outbound_policy_wide`]): whole-network range
+/// the *wide* generator (`outbound_policy_wide`): whole-network range
 /// matches with no transport-port constraint, nested sub-range matches,
 /// source-half refinements with wildcard destinations, and sequential
 /// modify chains. Same seed, different policy universe — so the two

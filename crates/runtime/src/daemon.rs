@@ -28,7 +28,7 @@
 //! One thread per socket, blocked on it — no reactor, no polling timer,
 //! no dependencies. An acceptor per listener blocks in `accept`, a reader
 //! per BGP peer and per policy client blocks in `read`, and they funnel
-//! typed [`Input`]s into one `mpsc` queue. A single event-loop thread
+//! typed `Input`s into one `mpsc` queue. A single event-loop thread
 //! owns *all* mutable state (controller, fabric, supervisor, switch
 //! channels) and does every write, switch frames included, so the
 //! control plane needs no locks at all.
@@ -200,10 +200,9 @@ pub fn start_with_clock(
     clock: Arc<dyn Clock>,
 ) -> std::io::Result<DaemonHandle> {
     let reg = ctl.telemetry.clone();
-    let mut fabric = ctl
+    let fabric = ctl
         .deploy()
         .map_err(|e| std::io::Error::other(format!("deploy failed: {e}")))?;
-    fabric.enable_batch_log();
 
     let mut sup =
         Supervisor::new(SupervisorConfig::default(), SUPERVISOR_SEED).with_telemetry(reg.clone());
@@ -984,17 +983,17 @@ impl EventLoop {
         };
         let had_overlays = overlaid(&self.fabric);
         let Ok(prepared) = self.ctl.prepare(&mut self.fabric, change) else {
-            // Rolled back to the pre-call state, batch log included;
-            // agents untouched. The RIB and any staged policy keep the
-            // change, and the next successful recompile converges.
+            // Rolled back to the pre-call state; agents untouched. The RIB
+            // and any staged policy keep the change, and the next
+            // successful recompile converges.
             self.reg.inc(failed);
             return;
         };
         // From here on the agents are brought to this update's table.
         self.last_epoch = prepared.plan.epoch;
         // A recompile's staging retired every fast-path overlay from the
-        // local table, outside the flow-mod protocol (so in no logged
-        // batch). Agents take the same step as a sync frame of the
+        // local table, outside the flow-mod protocol (so in no wave the
+        // hook carries). Agents take the same step as a sync frame of the
         // post-retirement table — identical end state, and O(base) instead
         // of one delete per retired overlay rule, which matters after a
         // long burst run.
@@ -1008,8 +1007,6 @@ impl EventLoop {
             fan_out(channels, reg, wave, batch)
         };
         let outcome = self.ctl.commit(&mut self.fabric, prepared, Some(&mut hook));
-        // The hook carried every wave; the local batch log duplicates it.
-        self.fabric.drain_batches();
         if outcome.is_err() {
             self.reg.inc(failed);
             self.reg.inc("daemon.resync.count");

@@ -8,9 +8,10 @@
 //! step of a random history — route churn (announce, re-announce over a
 //! longer or looping path, withdraw, session reset, export-policy and
 //! community exclusions), policy pushes, fast-path bursts,
-//! re-optimisations, any of them failing on an injected fault and
-//! rolling back, and any of them retrying a wave whose first apply
-//! attempt failed — the model is fed one write per (viewer, prefix), the way
+//! re-optimisations, any of them failing and rolling back (on a torn
+//! commit, on a VNH pool with no free id, or on a participant policy the
+//! transformations reject), and any of them retrying a wave whose first
+//! apply attempt failed — the model is fed one write per (viewer, prefix), the way
 //! the old code did it, and every viewer's visible Adj-RIB-Out and every
 //! router's lookups must equal it.
 
@@ -24,6 +25,7 @@ use sdx::bgp::route_server::{communities, ExportPolicy, RouteServer, RouteServer
 use sdx::core::controller::SdxController;
 use sdx::core::faults::ANY_WAVE;
 use sdx::core::{ParticipantConfig, VnhMap};
+use sdx::ixp::testkit;
 use sdx::net::{FieldMatch, Ipv4Addr, ParticipantId, PortId, Prefix};
 use sdx::openflow::fabric::Fabric;
 use sdx::policy::{Policy as P, PolicyDelta};
@@ -184,10 +186,25 @@ enum Step {
     Reoptimize,
 }
 
+/// What makes a step fail, if anything.
+#[derive(Clone, Copy, Debug)]
+enum Fault {
+    /// This point armed to fail its first crossing.
+    Injected(InjectionPoint),
+    /// Every free VNH drawn for the step, and released after it.
+    DryPool,
+    /// Participant `who`'s outbound policy set to one the transformations
+    /// reject for the step, and restored after it. Both writes move `who`'s
+    /// outbound stamp, so the next compile rebuilds `who`'s piece: reuse
+    /// of that piece after a failed step is left to the other two arms,
+    /// which move no stamp.
+    Rejected(usize),
+}
+
 /// A step, whether the route server's change goes down the fast path at
 /// once (otherwise it waits, dirty, for the next re-optimisation), and
-/// the fault to arm for it.
-type Planned = (Step, bool, Option<InjectionPoint>);
+/// what makes it fail.
+type Planned = (Step, bool, Option<Fault>);
 
 fn arb_step() -> impl Strategy<Value = Step> {
     let idx = || 0usize..64;
@@ -230,12 +247,14 @@ fn arb_planned() -> impl Strategy<Value = Planned> {
         Just(None),
         Just(None),
         Just(None),
-        Just(Some(InjectionPoint::Compile)),
-        Just(Some(InjectionPoint::FabricCommit)),
-        Just(Some(InjectionPoint::VnhAlloc)),
+        (0usize..64).prop_map(|who| Some(Fault::Rejected(who))),
+        Just(Some(Fault::Injected(InjectionPoint::FabricCommit))),
+        Just(Some(Fault::DryPool)),
         // Retried, not fatal: a burst, push or re-optimisation that hits
         // it on its first attempt lands and must still match the model.
-        Just(Some(InjectionPoint::FlowModApply { wave: ANY_WAVE })),
+        Just(Some(Fault::Injected(InjectionPoint::FlowModApply {
+            wave: ANY_WAVE
+        }))),
     ];
     (arb_step(), any::<bool>(), fault)
 }
@@ -318,8 +337,21 @@ impl World {
     /// Runs one planned step against the controller and, where the
     /// controller committed, against the model.
     fn run(&mut self, (step, fast, fault): &Planned) {
-        if let Some(point) = fault {
-            self.ctl.faults = FaultPlan::seeded(1).fail_nth(*point, 1);
+        let (mut drawn, mut rejected) = (Vec::new(), None);
+        match *fault {
+            Some(Fault::Injected(point)) => {
+                self.ctl.faults = FaultPlan::seeded(1).fail_nth(point, 1);
+            }
+            Some(Fault::DryPool) => drawn = testkit::drain_vnh(&mut self.ctl.vnh, 0),
+            Some(Fault::Rejected(who)) => {
+                let id = self.cfg(who).id;
+                let kept = (self.ctl.compiler.participant(id)).and_then(|c| c.outbound.clone());
+                let [to, also] = [1, 2].map(|n| PortId::Virt(self.cfg(who + n).id));
+                let multicast = P::fwd(to) + P::fwd(also);
+                self.ctl.set_outbound(id, Some(multicast.clone()));
+                rejected = Some((id, multicast, kept));
+            }
+            None => {}
         }
         let changed = |events: Vec<RouteServerEvent>| -> Vec<Prefix> {
             events
@@ -403,6 +435,21 @@ impl World {
             self.model.sync(&self.ctl.rs, &self.fabric, vnh_of);
         }
         self.ctl.faults = FaultPlan::disabled();
+        for id in drawn {
+            self.ctl.vnh.release(id);
+        }
+        // Restored unless the step's own push replaced it.
+        if let Some((id, multicast, kept)) = rejected {
+            let outbound = &self
+                .ctl
+                .compiler
+                .participant(id)
+                .expect("a participant")
+                .outbound;
+            if outbound.as_ref() == Some(&multicast) {
+                self.ctl.set_outbound(id, kept);
+            }
+        }
     }
 
     /// Every viewer's visible Adj-RIB-Out and every router's FIB, as the
@@ -520,9 +567,9 @@ fn ixp50_views_equal_the_materialised_tables() {
     let mut idx = move || rng.gen_range(0..1usize << 20);
     let faults = [
         None,
-        Some(InjectionPoint::FabricCommit),
+        Some(Fault::Injected(InjectionPoint::FabricCommit)),
         None,
-        Some(InjectionPoint::Compile),
+        Some(Fault::Rejected(0)),
         None,
         None,
     ];

@@ -9,6 +9,7 @@ use sdx::bgp::session::{establish_pair, Session, SessionEvent, SessionState};
 use sdx::bgp::wire;
 use sdx::core::controller::SdxController;
 use sdx::core::participant::ParticipantConfig;
+use sdx::core::transform::TransformError;
 use sdx::core::vnh::VnhAllocator;
 use sdx::core::{FecId, FecKey};
 use sdx::ixp::testkit;
@@ -38,6 +39,17 @@ fn two_party_deployment() -> (SdxController, Fabric) {
         .process_update(pid(2), &b.announce([prefix("20.0.0.0/8")], &[65002]));
     let fabric = ctl.deploy().expect("deploy");
     (ctl, fabric)
+}
+
+/// A's port-80 traffic to both B and C at once: the unicast restriction
+/// (§4.3.1) rejects it, so every compile fails while it is in force.
+fn multicast() -> P {
+    P::match_(FieldMatch::TpDst(80))
+        >> (P::fwd(PortId::Virt(pid(2))) + P::fwd(PortId::Virt(pid(3))))
+}
+
+fn web_via_b() -> P {
+    P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(2)))
 }
 
 fn announce_30_8() -> UpdateMessage {
@@ -209,65 +221,87 @@ fn conflicting_policies_resolve_by_isolation_not_interference() {
 }
 
 #[test]
-fn injected_compile_fault_rolls_back_reoptimize() {
+fn rejected_policy_rolls_back_reoptimize() {
     let (mut ctl, mut fabric) = two_party_deployment();
     let snap = fabric.clone();
-    ctl.faults = FaultPlan::seeded(7).fail_nth(InjectionPoint::Compile, 1);
+    let pool = format!("{:?}", ctl.vnh);
+    ctl.set_outbound(pid(1), Some(multicast()));
     let err = ctl.reoptimize(&mut fabric).unwrap_err();
-    assert_eq!(err, SdxError::Injected(InjectionPoint::Compile));
+    assert_eq!(
+        err,
+        SdxError::Transform(TransformError::MulticastOutbound(pid(1)))
+    );
     assert_eq!(fabric, snap, "failed compile must not touch the fabric");
-    // The one-shot fault has fired; the very next reoptimize succeeds and
-    // the fabric still forwards.
+    assert_eq!(format!("{:?}", ctl.vnh), pool);
+    // With the policy restored, the very next reoptimize succeeds and the
+    // fabric still forwards.
+    ctl.set_outbound(pid(1), Some(web_via_b()));
     ctl.reoptimize(&mut fabric).expect("recovers");
     assert_eq!(probe(&mut fabric, "20.0.0.1")[0].loc.participant(), pid(2));
 }
 
 #[test]
-fn injected_vnh_fault_leaves_fast_path_atomic() {
+fn dry_vnh_pool_leaves_fast_path_atomic() {
     let (mut ctl, mut fabric) = two_party_deployment();
+    let drawn = testkit::drain_vnh(&mut ctl.vnh, 0);
     let snap = fabric.clone();
-    ctl.faults = FaultPlan::seeded(7).fail_nth(InjectionPoint::VnhAlloc, 1);
+    let pool = format!("{:?}", ctl.vnh);
     let err = ctl
         .process_update(pid(2), &announce_30_8(), &mut fabric)
         .unwrap_err();
-    assert_eq!(err, SdxError::Injected(InjectionPoint::VnhAlloc));
-    // Flow tables, ARP responder, and every border-router FIB are exactly
-    // the pre-failure image.
+    assert_eq!(
+        err,
+        SdxError::VnhExhausted {
+            pool: VnhAllocator::default_pool()
+        }
+    );
+    // Flow tables, ARP responder, every border-router FIB and the
+    // allocator are exactly the pre-failure image.
     assert_eq!(fabric.switch, snap.switch);
     assert_eq!(fabric.arp, snap.arp);
     assert_eq!(fabric, snap);
-    // The RIB kept the route (BGP state is not fabric state); a background
-    // reoptimize reconverges the data plane.
+    assert_eq!(format!("{:?}", ctl.vnh), pool);
+    // The RIB kept the route (BGP state is not fabric state); with the
+    // drawn ids back, a background reoptimize reconverges the data plane.
+    for id in drawn {
+        ctl.vnh.release(id);
+    }
     ctl.reoptimize(&mut fabric).expect("reconverge");
     assert_eq!(probe(&mut fabric, "30.0.0.1")[0].loc.participant(), pid(2));
 }
 
 #[test]
-fn injected_vnh_fault_mid_compile_never_consumes_pool_ids() {
-    // The full pipeline crosses every per-group fault check before it
-    // assigns its whole VNH batch by key. An abort at a check — here on
-    // the *second* group, past the first one's — must leave the allocator
-    // byte-identical with no transaction around it: no consumed ids, no
-    // leaked free-list entries.
+fn dry_vnh_pool_mid_compile_never_consumes_pool_ids() {
+    // The full pipeline counts the fresh ids it needs against the pool
+    // before it assigns its whole VNH batch by key. A pool with one free
+    // id — enough for the first group, not the second — must fail the
+    // compile and leave the allocator byte-identical with no transaction
+    // around it: no consumed ids, no leaked free-list entries.
     let (mut compiler, rs) = testkit::figure1_compiler();
     let mut vnh = VnhAllocator::default();
-    let before = vnh.remaining();
-    let mut faults = FaultPlan::seeded(7).fail_nth(InjectionPoint::VnhAlloc, 2);
-    let err = compiler
-        .compile_all_with_faults(&rs, &mut vnh, &mut faults)
-        .unwrap_err();
-    assert_eq!(err, SdxError::Injected(InjectionPoint::VnhAlloc));
+    let drawn = testkit::drain_vnh(&mut vnh, 1);
+    let before = format!("{vnh:?}");
+    let err = compiler.compile_all(&rs, &mut vnh).unwrap_err();
     assert_eq!(
-        vnh.remaining(),
+        err,
+        SdxError::VnhExhausted {
+            pool: VnhAllocator::default_pool()
+        }
+    );
+    assert_eq!(
+        format!("{vnh:?}"),
         before,
         "aborted compile must not consume VNH ids"
     );
-    // The spent one-shot fault lets the retry through — and because the
-    // abort consumed nothing, the retry allocates exactly what a clean
-    // compile from a fresh allocator would.
+    // With the drawn ids back the retry goes through — and because the
+    // abort consumed nothing, it allocates exactly what a clean compile
+    // from a fresh allocator would.
+    for id in drawn {
+        vnh.release(id);
+    }
     let report = compiler
-        .compile_all_with_faults(&rs, &mut vnh, &mut faults)
-        .expect("retry succeeds once the fault is spent");
+        .compile_all(&rs, &mut vnh)
+        .expect("retry succeeds once the pool is refilled");
     let (mut clean_compiler, clean_rs) = testkit::figure1_compiler();
     let clean = clean_compiler
         .compile_all(&clean_rs, &mut VnhAllocator::default())
@@ -330,10 +364,7 @@ fn recompile_after_rollbacks_equals_a_cold_compile_on_the_restored_allocator() {
     for cfg in [&a, &b, &c] {
         ctl.add_participant(cfg.clone(), ExportPolicy::allow_all());
     }
-    ctl.set_outbound(
-        pid(1),
-        Some(P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(2)))),
-    );
+    ctl.set_outbound(pid(1), Some(web_via_b()));
     ctl.rs
         .process_update(pid(2), &b.announce([prefix("20.0.0.0/8")], &[65002]));
     let mut fabric = ctl.deploy().expect("deploy");
@@ -352,16 +383,29 @@ fn recompile_after_rollbacks_equals_a_cold_compile_on_the_restored_allocator() {
     assert_eq!(fabric, snap);
     // The fast path takes the same two ids; re-optimisation releases them
     // in that order, so the free list now hands them out the other way
-    // round. A fault before the compile assigns them changes nothing.
+    // round. A compile that fails changes nothing. (A dry pool cannot
+    // fail it: the release frees exactly the two ids the compile needs.
+    // A policy the transformations reject can. It is C's, so A's stamp
+    // stays put and the recovering compile must catch A's stale piece by
+    // its ids alone.)
     let delta = ctl
         .apply_changed_prefixes(&fresh, &mut fabric)
         .expect("fast path");
     assert_eq!(delta.arp_bindings.len(), 2);
     let snap = fabric.clone();
-    ctl.faults = FaultPlan::seeded(3).fail_nth(InjectionPoint::VnhAlloc, 1);
+    let pool = format!("{:?}", ctl.vnh);
+    ctl.set_outbound(
+        pid(3),
+        Some(P::fwd(PortId::Virt(pid(1))) + P::fwd(PortId::Virt(pid(2)))),
+    );
     let err = ctl.reoptimize(&mut fabric).unwrap_err();
-    assert_eq!(err, SdxError::Injected(InjectionPoint::VnhAlloc));
+    assert_eq!(
+        err,
+        SdxError::Transform(TransformError::MulticastOutbound(pid(3)))
+    );
     assert_eq!(fabric, snap);
+    assert_eq!(format!("{:?}", ctl.vnh), pool);
+    ctl.set_outbound(pid(3), None);
 
     // What a compiler that never compiled anything makes of this world on
     // this allocator (the fast-path ids released, as staging does first).

@@ -4,8 +4,8 @@
 //! receiver's stage-2 inputs once per burst; `fast_update` runs the same
 //! code over a one-prefix burst, so nothing is shared between calls. The
 //! two must agree exactly — rules, ARP bindings, VNH updates, in the same
-//! order, with the same VNH ids — including where an injected fault stops
-//! them and what the allocator looks like afterwards.
+//! order, with the same VNH ids — including where a pool with too few
+//! free ids stops them and what the allocator looks like afterwards.
 
 use sdx::bgp::msg::UpdateMessage;
 use sdx::bgp::route_server::RouteServer;
@@ -14,7 +14,7 @@ use sdx::core::incremental::DeltaResult;
 use sdx::core::vnh::VnhAllocator;
 use sdx::ixp::testkit;
 use sdx::net::{prefix, Prefix};
-use sdx::{FaultPlan, InjectionPoint, SdxError};
+use sdx::SdxError;
 
 /// The per-prefix loop the burst replaces: concatenated `fast_update`s.
 fn per_prefix(
@@ -22,11 +22,10 @@ fn per_prefix(
     rs: &RouteServer,
     vnh: &mut VnhAllocator,
     prefixes: &[Prefix],
-    faults: &mut FaultPlan,
 ) -> Result<DeltaResult, SdxError> {
     let mut merged = DeltaResult::default();
     for &p in prefixes {
-        let d = compiler.fast_update_burst_with_faults(rs, vnh, &[p], faults)?;
+        let d = compiler.fast_update(rs, vnh, p)?;
         merged.rules.extend(d.rules);
         merged.arp_bindings.extend(d.arp_bindings);
         merged.prefixes.extend(d.prefixes);
@@ -35,24 +34,23 @@ fn per_prefix(
     Ok(merged)
 }
 
-/// Runs both over fresh allocators and identical fault plans and compares
-/// everything observable. `fail_at`: fire at the k-th `VnhAlloc` crossing.
+/// Runs both over identical allocators and compares everything
+/// observable. `fail_at`: the pool holds `k - 1` free ids, so the k-th
+/// allocation finds it dry.
 fn assert_burst_equals_per_prefix(
     compiler: &mut SdxCompiler,
     rs: &RouteServer,
     prefixes: &[Prefix],
     fail_at: Option<u64>,
 ) {
-    let plan = || match fail_at {
-        Some(k) => FaultPlan::seeded(1).fail_nth(InjectionPoint::VnhAlloc, k),
-        None => FaultPlan::disabled(),
-    };
     let (mut vnh_burst, mut vnh_loop) = (VnhAllocator::default(), VnhAllocator::default());
-    let (mut faults_burst, mut faults_loop) = (plan(), plan());
-    let burst =
-        compiler.fast_update_burst_with_faults(rs, &mut vnh_burst, prefixes, &mut faults_burst);
-    let looped = per_prefix(compiler, rs, &mut vnh_loop, prefixes, &mut faults_loop);
-    let what = format!("{} prefixes, fault at {fail_at:?}", prefixes.len());
+    let drawn = fail_at.map(|k| {
+        testkit::drain_vnh(&mut vnh_loop, k - 1);
+        testkit::drain_vnh(&mut vnh_burst, k - 1)
+    });
+    let burst = compiler.fast_update_burst(rs, &mut vnh_burst, prefixes);
+    let looped = per_prefix(compiler, rs, &mut vnh_loop, prefixes);
+    let what = format!("{} prefixes, pool dry at {fail_at:?}", prefixes.len());
     match (burst, looped) {
         (Ok(b), Ok(l)) => {
             assert_eq!(b.rules, l.rules, "rules: {what}");
@@ -61,7 +59,7 @@ fn assert_burst_equals_per_prefix(
             assert_eq!(b.vnh_updates, l.vnh_updates, "vnh updates: {what}");
             assert_eq!(
                 fail_at, None,
-                "an armed fault inside the burst must fire: {what}"
+                "a pool that runs dry inside the burst must stop it: {what}"
             );
         }
         (Err(b), Err(l)) => assert_eq!(b.to_string(), l.to_string(), "{what}"),
@@ -71,13 +69,13 @@ fn assert_burst_equals_per_prefix(
             l.map(|d| d.rules.len())
         ),
     }
-    // Both stopped at the same allocation: same crossings, and the next
-    // id each allocator hands out is the same.
-    assert_eq!(
-        faults_burst.crossings(InjectionPoint::VnhAlloc),
-        faults_loop.crossings(InjectionPoint::VnhAlloc),
-        "{what}"
-    );
+    // Both stopped at the same allocation: the allocators are the same,
+    // and with the drawn ids back, the next id each hands out is too.
+    assert_eq!(format!("{vnh_burst:?}"), format!("{vnh_loop:?}"), "{what}");
+    for id in drawn.into_iter().flatten() {
+        vnh_burst.release(id);
+        vnh_loop.release(id);
+    }
     assert_eq!(vnh_burst.remaining(), vnh_loop.remaining(), "{what}");
     assert_eq!(vnh_burst.allocate(), vnh_loop.allocate(), "{what}");
 }
