@@ -5,8 +5,8 @@
 //! The socket runtime (`sdx-runtime`) needs a source for those timestamps
 //! that it can swap out under test: [`SystemClock`] reads a monotonic
 //! `Instant`, [`MockClock`] is advanced by hand, and everything downstream
-//! — hold timers, keepalive cadence, flap-damping decay, reconnect backoff
-//! — behaves identically under either.
+//! — hold timers, keepalive cadence, flap-damping decay — behaves
+//! identically under either.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;

@@ -25,8 +25,9 @@
 //!   ([`MockClock`]) implementations, so the supervisor
 //!   and the `sdx-runtime` daemon share one testable notion of time.
 //! * [`supervisor`] — the operational layer over the session FSMs:
-//!   hold-timer bookkeeping, reconnect with exponential backoff, and
-//!   route-flap damping so a flapping peer costs O(1) recompilations.
+//!   sessions started by their peers' connections, hold-timer
+//!   bookkeeping, and route-flap damping so a flapping peer costs O(1)
+//!   recompilations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -247,11 +247,6 @@ impl RouteServer {
         self.peers.keys().copied()
     }
 
-    /// The ASN of a participant, if registered.
-    pub fn asn_of(&self, p: ParticipantId) -> Option<Asn> {
-        self.asns.get(&p).copied()
-    }
-
     /// Replaces a participant's export policy (policy changes at runtime).
     ///
     /// Export filtering only reshapes the candidate sets built from routes
@@ -1050,7 +1045,7 @@ mod tests {
             vec![ParticipantId(1), ParticipantId(3)]
         );
         assert!(rs.adj_rib_in(ParticipantId(2)).is_none());
-        assert_eq!(rs.asn_of(ParticipantId(2)), None);
+        assert!(!rs.asns.contains_key(&ParticipantId(2)));
         assert_eq!(rs.take_dirty_prefixes().len(), 4);
         assert_eq!(rs.take_compile_dirty().len(), 4);
         // p3 was B's alone; p1 falls back to C for A.

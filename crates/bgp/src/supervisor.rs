@@ -1,19 +1,23 @@
-//! Peer-session supervision: reconnect, liveness, and flap damping.
+//! Peer-session supervision: liveness and flap damping.
 //!
 //! The paper's prototype delegates session handling to ExaBGP; a deployed
 //! exchange additionally needs the *operational* layer around each session
-//! — noticing silent peers, re-establishing dropped sessions without
-//! thundering herds, and preventing a flapping peer from driving the
+//! — noticing silent peers and preventing a flapping peer from driving the
 //! policy compiler into a recompilation storm. [`Supervisor`] is that
-//! layer. It owns one [`Session`] FSM per peer and is driven by two calls:
+//! layer. It owns one [`Session`] FSM per peer and is driven by four calls:
 //!
+//! * [`connection_up`](Supervisor::connection_up) — a peer's transport
+//!   came up; start the handshake on it. The route server (§5) answers the
+//!   sessions participants open and never dials out, so this is the only
+//!   way a session leaves Idle.
 //! * [`handle_message`](Supervisor::handle_message) — a message arrived
 //!   from a peer; step its FSM, feed delivered UPDATEs to the
 //!   [`RouteServer`], and translate any session reset into an immediate
 //!   RIB flush.
+//! * [`peer_disconnected`](Supervisor::peer_disconnected) — the transport
+//!   dropped; reset the session as a NOTIFICATION would.
 //! * [`tick`](Supervisor::tick) — time passed; expire hold timers, send
-//!   keepalives, retry connections (exponential backoff plus deterministic
-//!   jitter), decay flap penalties, and release suppressed peers.
+//!   keepalives, decay flap penalties, and release suppressed peers.
 //!
 //! Time is a caller-supplied `u64` of milliseconds, so the supervisor is
 //! fully deterministic and directly unit-testable — the same philosophy as
@@ -29,9 +33,9 @@
 //! * the reset that crossed the threshold still flushes the fabric — its
 //!   withdrawal prefixes are emitted immediately, so a dying peer's routes
 //!   never linger in the data plane;
-//! * every subsequent prefix change from the peer (re-announcements after
-//!   reconnect, further flap flushes) accumulates in a pending set and
-//!   produces **no** recompilation;
+//! * every subsequent prefix change from the peer (re-announcements once
+//!   it connects again, further flap flushes) accumulates in a pending
+//!   set and produces **no** recompilation;
 //! * once the penalty decays below
 //!   [`SupervisorConfig::reuse_threshold`], the pending set is drained in
 //!   one batch — a single recompilation reinstates the peer's routes.
@@ -50,17 +54,13 @@ use crate::msg::{BgpMessage, OpenMessage};
 use crate::route_server::{RouteServer, RouteServerEvent};
 use crate::session::{Session, SessionEvent, SessionState};
 
-/// Tunables for reconnect backoff and route-flap damping.
+/// Tunables for route-flap damping.
 ///
 /// The damping defaults follow RFC 2439's commonly deployed values
 /// (penalty 1000, suppress 2000, reuse 750, half-life 15 s scaled for the
 /// simulator's compressed clock).
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct SupervisorConfig {
-    /// First reconnect delay after a session drop, milliseconds.
-    pub reconnect_base_ms: u64,
-    /// Ceiling on the exponential reconnect backoff, milliseconds.
-    pub reconnect_max_ms: u64,
     /// Penalty added to a peer for each session reset.
     pub flap_penalty: f64,
     /// Penalty at or above which the peer is suppressed.
@@ -74,8 +74,6 @@ pub struct SupervisorConfig {
 impl Default for SupervisorConfig {
     fn default() -> Self {
         SupervisorConfig {
-            reconnect_base_ms: 1_000,
-            reconnect_max_ms: 60_000,
             flap_penalty: 1_000.0,
             suppress_threshold: 2_000.0,
             reuse_threshold: 750.0,
@@ -112,10 +110,6 @@ struct PeerState {
     penalty: f64,
     penalty_at_ms: u64,
     suppressed: bool,
-    /// Consecutive failed/dropped connections since the last establish.
-    attempts: u32,
-    /// When to (re)try connecting, if the session is down.
-    next_reconnect_at: Option<u64>,
     /// Last time we heard anything from the peer.
     last_heard_ms: u64,
     /// Last time we sent a keepalive.
@@ -128,22 +122,17 @@ struct PeerState {
 #[derive(Clone, Debug)]
 pub struct Supervisor {
     cfg: SupervisorConfig,
-    rng: u64,
     peers: BTreeMap<ParticipantId, PeerState>,
     telemetry: SharedRegistry,
 }
 
 impl Supervisor {
-    /// A supervisor with the given tunables; `seed` drives the reconnect
-    /// jitter deterministically (0 folds to a fixed odd constant).
-    pub fn new(cfg: SupervisorConfig, seed: u64) -> Self {
+    /// A supervisor with the given tunables. `_seed` is unused: nothing
+    /// is random. It is kept because the benchmark's parts twin calls
+    /// `Supervisor::new(SupervisorConfig::default(), 7)`.
+    pub fn new(cfg: SupervisorConfig, _seed: u64) -> Self {
         Supervisor {
             cfg,
-            rng: if seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                seed
-            },
             peers: BTreeMap::new(),
             telemetry: SharedRegistry::default(),
         }
@@ -160,8 +149,8 @@ impl Supervisor {
         &self.telemetry
     }
 
-    /// Registers a peer; the session starts connecting on the next
-    /// [`tick`](Supervisor::tick). The peer must already be registered
+    /// Registers a peer, Idle until [`connection_up`](Self::connection_up)
+    /// reports its transport. The peer must already be registered
     /// with the route server that is later passed to
     /// [`handle_message`](Supervisor::handle_message).
     pub fn add_peer(&mut self, id: ParticipantId, local: OpenMessage, now_ms: u64) {
@@ -172,8 +161,6 @@ impl Supervisor {
                 penalty: 0.0,
                 penalty_at_ms: now_ms,
                 suppressed: false,
-                attempts: 0,
-                next_reconnect_at: Some(now_ms),
                 last_heard_ms: now_ms,
                 last_keepalive_ms: now_ms,
                 pending: BTreeSet::new(),
@@ -209,7 +196,8 @@ impl Supervisor {
 
     /// A message arrived from peer `id` at `now_ms`: steps the FSM,
     /// forwards delivered UPDATEs to `rs`, and handles any reset
-    /// (penalize, flush, schedule reconnect).
+    /// (penalize, flush). The session stays Idle until the peer connects
+    /// again.
     pub fn handle_message(
         &mut self,
         now_ms: u64,
@@ -225,8 +213,6 @@ impl Supervisor {
         let step = peer.session.handle(SessionEvent::Received(msg));
         out.send.extend(step.send.into_iter().map(|m| (id, m)));
         if step.established {
-            peer.attempts = 0;
-            peer.next_reconnect_at = None;
             peer.last_keepalive_ms = now_ms;
             self.telemetry.inc("session.established.count");
             self.telemetry
@@ -249,16 +235,12 @@ impl Supervisor {
         out
     }
 
-    /// A transport connection to peer `id` came up (inbound accept or
-    /// outbound connect) at `now_ms`: (re)starts the FSM over the new
-    /// connection, emitting our OPEN. If a session was already up or
-    /// mid-handshake on a previous connection, the stale session is torn
-    /// down first with full reset accounting — the old transport is gone,
-    /// whether or not we noticed it die.
-    ///
-    /// This is the socket-liveness generalization of the timer-driven
-    /// reconnect in [`tick`](Supervisor::tick): a daemon calls it from its
-    /// accept loop instead of waiting for the backoff schedule.
+    /// A transport connection to peer `id` came up at `now_ms`: (re)starts
+    /// the FSM over the new connection, emitting our OPEN. If a session was
+    /// already up or mid-handshake on a previous connection, the stale
+    /// session is torn down first with full reset accounting — the old
+    /// transport is gone, whether or not we noticed it die. Nothing else
+    /// starts a session.
     pub fn connection_up(
         &mut self,
         now_ms: u64,
@@ -292,7 +274,6 @@ impl Supervisor {
             }
         }
         let peer = self.peers.get_mut(&id).expect("peer present");
-        peer.next_reconnect_at = None;
         if peer.session.state() == SessionState::Idle {
             peer.session.handle(SessionEvent::ManualStart);
         }
@@ -304,9 +285,8 @@ impl Supervisor {
     /// The transport to peer `id` dropped (TCP reset / EOF) at `now_ms`:
     /// tears down any in-progress or established session with the same
     /// handling as a NOTIFICATION-driven reset — flap penalty, possible
-    /// suppression, RIB flush, reconnect backoff. Idle peers are
-    /// untouched, so spurious connect/close cycles before `ManualStart`
-    /// cost nothing.
+    /// suppression, RIB flush. Idle peers are untouched, so spurious
+    /// connect/close cycles before `ManualStart` cost nothing.
     pub fn peer_disconnected(
         &mut self,
         now_ms: u64,
@@ -329,7 +309,7 @@ impl Supervisor {
     }
 
     /// Advances time to `now_ms`: expires hold timers, emits keepalives,
-    /// retries due connections, and releases peers whose penalty decayed
+    /// decays flap penalties, and releases peers whose penalty decayed
     /// below the reuse threshold (draining their pending prefix set).
     pub fn tick(&mut self, now_ms: u64, rs: &mut RouteServer) -> SupervisorOutput {
         let mut out = SupervisorOutput::default();
@@ -378,30 +358,6 @@ impl Supervisor {
             }
         }
 
-        // Reconnect when due, with exponential backoff.
-        let idle_unscheduled = self.peers.get(&id).is_some_and(|p| {
-            p.session.state() == SessionState::Idle && p.next_reconnect_at.is_none()
-        });
-        if idle_unscheduled {
-            // Dropped outside our control (e.g. the FSM was driven
-            // directly); schedule as if we just observed the drop.
-            let attempts = self.peers[&id].attempts;
-            let delay = self.backoff_delay(attempts);
-            let peer = self.peers.get_mut(&id).expect("peer present");
-            peer.next_reconnect_at = Some(now_ms + delay);
-        }
-        let peer = self.peers.get_mut(&id).expect("peer present");
-        if peer.session.state() == SessionState::Idle {
-            let peer = self.peers.get_mut(&id).expect("peer present");
-            if peer.next_reconnect_at.is_some_and(|at| now_ms >= at) {
-                peer.next_reconnect_at = None;
-                let mut step = peer.session.handle(SessionEvent::ManualStart);
-                let connected = peer.session.handle(SessionEvent::Connected);
-                step.send.extend(connected.send);
-                out.send.extend(step.send.into_iter().map(|m| (id, m)));
-            }
-        }
-
         // Penalty decay and release from suppression.
         let peer = self.peers.get_mut(&id).expect("peer present");
         peer.penalty = decay(
@@ -421,8 +377,8 @@ impl Supervisor {
         }
     }
 
-    /// Common reset handling: penalize, maybe suppress, flush the route
-    /// server, and schedule the reconnect.
+    /// Common reset handling: penalize, maybe suppress, and flush the
+    /// route server.
     fn on_reset(
         &mut self,
         now_ms: u64,
@@ -431,54 +387,32 @@ impl Supervisor {
         out: &mut SupervisorOutput,
     ) {
         let cfg = self.cfg;
-        let delay = {
-            let peer = self.peers.get_mut(&id).expect("peer present");
-            let was_suppressed = peer.suppressed;
-            peer.penalty = decay(
-                &cfg,
-                peer.penalty,
-                now_ms.saturating_sub(peer.penalty_at_ms),
-            ) + cfg.flap_penalty;
-            peer.penalty_at_ms = now_ms;
-            if peer.penalty >= cfg.suppress_threshold && !peer.suppressed {
-                peer.suppressed = true;
-                self.telemetry
-                    .record_event(Event::SessionSuppressed { peer: id.0 });
-            }
-            let flushed = prefixes_of(rs.reset_session(id));
-            if was_suppressed {
-                // The fabric holds nothing from this peer (it was flushed
-                // when suppression began), so the flush needs no
-                // recompilation now; replay it at release instead.
-                peer.pending.extend(flushed);
-            } else {
-                out.push_changed(flushed);
-            }
-            peer.attempts = peer.attempts.saturating_add(1);
-            self.backoff_delay(self.peers[&id].attempts)
-        };
         let peer = self.peers.get_mut(&id).expect("peer present");
-        peer.next_reconnect_at = Some(now_ms + delay);
+        let was_suppressed = peer.suppressed;
+        peer.penalty = decay(
+            &cfg,
+            peer.penalty,
+            now_ms.saturating_sub(peer.penalty_at_ms),
+        ) + cfg.flap_penalty;
+        peer.penalty_at_ms = now_ms;
+        if peer.penalty >= cfg.suppress_threshold && !peer.suppressed {
+            peer.suppressed = true;
+            self.telemetry
+                .record_event(Event::SessionSuppressed { peer: id.0 });
+        }
+        let flushed = prefixes_of(rs.reset_session(id));
+        if was_suppressed {
+            // The fabric holds nothing from this peer (it was flushed
+            // when suppression began), so the flush needs no
+            // recompilation now; replay it at release instead.
+            peer.pending.extend(flushed);
+        } else {
+            out.push_changed(flushed);
+        }
         self.telemetry.inc("session.reset.count");
         self.telemetry
             .record_event(Event::SessionReset { peer: id.0 });
         out.resets.push(id);
-    }
-
-    /// Exponential backoff with deterministic jitter: `base * 2^(n-1)`
-    /// capped at `reconnect_max_ms`, plus up to half a base interval.
-    fn backoff_delay(&mut self, attempts: u32) -> u64 {
-        let exp = attempts.saturating_sub(1).min(16);
-        let base = self
-            .cfg
-            .reconnect_base_ms
-            .saturating_mul(1u64 << exp)
-            .min(self.cfg.reconnect_max_ms);
-        let jitter_span = self.cfg.reconnect_base_ms / 2 + 1;
-        self.rng ^= self.rng << 13;
-        self.rng ^= self.rng >> 7;
-        self.rng ^= self.rng << 17;
-        base + self.rng % jitter_span
     }
 }
 
@@ -536,12 +470,16 @@ mod tests {
     /// Drives the supervised side to Established by playing the peer's
     /// half of the handshake.
     fn establish(sup: &mut Supervisor, rs: &mut RouteServer, id: ParticipantId, now: u64) {
-        let out = sup.tick(now, rs);
+        assert!(
+            sup.tick(now, rs).send.is_empty(),
+            "an Idle session waits for its peer to connect"
+        );
+        let out = sup.connection_up(now, id, rs);
         assert!(
             out.send
                 .iter()
                 .any(|(p, m)| *p == id && matches!(m, BgpMessage::Open(_))),
-            "supervisor must initiate the connection"
+            "the peer's connection gets our OPEN"
         );
         sup.handle_message(now, id, BgpMessage::Open(open(60000 + id.0, 90)), rs);
         let out = sup.handle_message(now, id, BgpMessage::Keepalive, rs);
@@ -581,13 +519,16 @@ mod tests {
         assert_eq!(out.resets, vec![ParticipantId(1)]);
         assert_eq!(out.changed_prefixes, vec![prefix("10.0.0.0/8")]);
         assert!(sup.penalty(ParticipantId(1), 20) > 0.0);
+        // Nothing reconnects on a timer: the session waits for the peer.
+        let out = sup.tick(600_000, &mut rs);
+        assert!(out.send.is_empty());
+        let state = sup.session(ParticipantId(1)).unwrap().state();
+        assert_eq!(state, SessionState::Idle);
     }
 
     #[test]
     fn flapping_peer_is_suppressed_then_released() {
         let cfg = SupervisorConfig {
-            reconnect_base_ms: 10,
-            reconnect_max_ms: 100,
             flap_penalty: 1_000.0,
             suppress_threshold: 1_500.0,
             reuse_threshold: 750.0,
@@ -613,13 +554,9 @@ mod tests {
                 &mut rs,
             );
             recompiles += u32::from(!out.changed_prefixes.is_empty());
-            // Let the backoff elapse, reconnect, re-announce.
+            // The peer connects again and re-announces.
             now += 200;
-            let mut t = sup.tick(now, &mut rs);
-            while !t.send.iter().any(|(_, m)| matches!(m, BgpMessage::Open(_))) {
-                now += 200;
-                t = sup.tick(now, &mut rs);
-            }
+            sup.connection_up(now, id, &mut rs);
             sup.handle_message(now, id, BgpMessage::Open(open(60001, 90)), &mut rs);
             sup.handle_message(now, id, BgpMessage::Keepalive, &mut rs);
             let u = simple_announce(prefix("10.0.0.0/8"), &[65001], ip("1.1.1.1"));
@@ -683,8 +620,7 @@ mod tests {
         let mut sup = Supervisor::new(SupervisorConfig::default(), 7);
         let id = ParticipantId(1);
         sup.add_peer(id, open(65001, 90), 0);
-        // A peer dialed in: the supervisor must offer its OPEN immediately,
-        // not on the next reconnect-due tick.
+        // A peer dialed in: the supervisor must offer its OPEN at once.
         let out = sup.connection_up(5, id, &mut rs);
         assert!(
             out.send
@@ -766,8 +702,6 @@ mod tests {
     #[test]
     fn repeated_tcp_resets_suppress_the_peer() {
         let cfg = SupervisorConfig {
-            reconnect_base_ms: 10,
-            reconnect_max_ms: 100,
             flap_penalty: 1_000.0,
             suppress_threshold: 1_500.0,
             reuse_threshold: 750.0,
@@ -787,31 +721,5 @@ mod tests {
             sup.is_suppressed(id),
             "two rapid TCP resets within a long half-life must suppress"
         );
-    }
-
-    #[test]
-    fn backoff_grows_and_caps() {
-        let cfg = SupervisorConfig {
-            reconnect_base_ms: 100,
-            reconnect_max_ms: 1_000,
-            ..SupervisorConfig::default()
-        };
-        let mut sup = Supervisor::new(cfg, 42);
-        let jitter_max = cfg.reconnect_base_ms / 2;
-        for (attempts, floor) in [
-            (1u32, 100u64),
-            (2, 200),
-            (3, 400),
-            (4, 800),
-            (5, 1_000),
-            (9, 1_000),
-        ] {
-            let d = sup.backoff_delay(attempts);
-            assert!(
-                d >= floor && d <= floor + jitter_max,
-                "attempt {attempts}: delay {d} outside [{floor}, {}]",
-                floor + jitter_max
-            );
-        }
     }
 }

@@ -39,7 +39,7 @@ use std::time::{Duration, Instant};
 
 use sdx_bgp::route_server::RouteServer;
 use sdx_net::Mod;
-use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, PortId, Prefix};
+use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, PortId};
 use sdx_policy::classifier::{Action, Classifier, Rule};
 use sdx_policy::{compile as compile_policy, Policy, PolicyDelta, PolicyScope, PolicyVersions};
 use sdx_telemetry::{MetricsSnapshot, Registry, SharedRegistry};
@@ -113,27 +113,6 @@ impl CompileReport {
         r.add("compile.groups.count", self.stats.group_count as u64);
         r.add("compile.memo_hits.count", self.stats.memo_hits as u64);
         r.snapshot()
-    }
-
-    /// The stage-1 FIB decision a border router makes for `viewer` and a
-    /// concrete destination: the most specific prefix in the VNH map
-    /// covering `dst`, with its virtual next hop. `None` means the SDX
-    /// left the destination on its plain BGP path (no policy touches it).
-    ///
-    /// This is the compiled artifact the differential oracle's fabric
-    /// side seeds its evaluation with — it reads only what this report
-    /// says, never the route server's opinion.
-    pub fn vnh_for(&self, viewer: ParticipantId, dst: Ipv4Addr) -> Option<(Prefix, Ipv4Addr)> {
-        // Entries order by (network address, length) and a covering
-        // prefix's network address is at most `dst`, so the candidates are
-        // the viewer's entries up to `dst/32`.
-        let entries = self.vnh_of.of_viewer(viewer);
-        let upto = entries.partition_point(|&(p, _)| p <= Prefix::new(dst, 32));
-        entries[..upto]
-            .iter()
-            .filter(|(p, _)| p.contains(dst))
-            .max_by_key(|(p, _)| p.len())
-            .copied()
     }
 
     /// The VMAC the SDX ARP responder answers when `viewer`'s border
@@ -749,7 +728,7 @@ mod tests {
     use crate::fec::canonicalize_report;
     use sdx_bgp::msg::UpdateMessage;
     use sdx_bgp::route_server::ExportPolicy;
-    use sdx_net::{ip, prefix, FieldMatch, LocatedPacket, Packet};
+    use sdx_net::{ip, prefix, FieldMatch, LocatedPacket, Packet, Prefix};
     use sdx_policy::Policy as P;
 
     /// The paper's Figure 1 topology: A (one port), B (two ports), C (one
@@ -811,13 +790,34 @@ mod tests {
         compiler.compile_all(rs, &mut vnh).expect("compile")
     }
 
+    /// The stage-1 FIB decision a border router makes for `viewer` and a
+    /// concrete destination: the most specific prefix in the report's VNH
+    /// map covering `dst`, with its virtual next hop. `None` means the SDX
+    /// left the destination on its plain BGP path (no policy touches it).
+    fn vnh_for(
+        report: &CompileReport,
+        viewer: ParticipantId,
+        dst: Ipv4Addr,
+    ) -> Option<(Prefix, Ipv4Addr)> {
+        // Entries order by (network address, length) and a covering
+        // prefix's network address is at most `dst`, so the candidates are
+        // the viewer's entries up to `dst/32`.
+        let entries = report.vnh_of.of_viewer(viewer);
+        let upto = entries.partition_point(|&(p, _)| p <= Prefix::new(dst, 32));
+        entries[..upto]
+            .iter()
+            .filter(|(p, _)| p.contains(dst))
+            .max_by_key(|(p, _)| p.len())
+            .copied()
+    }
+
     /// Sends `pkt` through the compiled data plane the way a border router
     /// would: resolve the viewer's VNH for the destination, tag, classify.
     fn send(report: &CompileReport, viewer: u32, pkt: Packet) -> Vec<LocatedPacket> {
         let viewer_id = ParticipantId(viewer);
         // Stage 1 of the multi-stage FIB (what the border router does):
         // find the most specific announced prefix covering the destination.
-        let tagged = match report.vnh_for(viewer_id, pkt.nw_dst) {
+        let tagged = match vnh_for(report, viewer_id, pkt.nw_dst) {
             Some((_, nh)) => {
                 let vmac = report
                     .vmac_for(viewer_id, nh)

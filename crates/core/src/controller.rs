@@ -37,7 +37,6 @@ use crate::incremental::DeltaResult;
 use crate::participant::ParticipantConfig;
 use crate::piece::VnhMap;
 use crate::schedule::{drive, ScheduleOpts, ScheduleReport, UpdatePlan, WaveChecker, Waves};
-use crate::transform::TransformError;
 use crate::txn::{FabricTxn, Taken, UndoLog};
 use crate::vnh::VnhAllocator;
 
@@ -67,7 +66,7 @@ pub struct SdxController {
     pub report: Option<CompileReport>,
     /// The fault-injection plan every commit crosses: a torn stage and
     /// each wave (see [`crate::faults`]). Disabled by default; test
-    /// harnesses arm it to exercise rollback and retry.
+    /// harnesses arm it to exercise rollback.
     pub faults: FaultPlan,
     /// The telemetry sink the whole stack shares: stage timers, counters,
     /// and the lifecycle event journal. The compiler and the deployed
@@ -226,42 +225,6 @@ impl SdxController {
         self.reoptimize(fabric)
     }
 
-    /// Pre-flight validation of an outbound policy, before installation:
-    /// isolation + the unicast restriction (via the transform pipeline),
-    /// plus advisory diagnostics — forwarding targets that are not
-    /// registered participants, and clauses the participant's *existing*
-    /// policy would shadow completely.
-    pub fn validate_outbound(
-        &self,
-        writer: ParticipantId,
-        policy: &Policy,
-    ) -> Result<PolicyDiagnostics, TransformError> {
-        let compiled = sdx_policy::compile(policy);
-        let rules = crate::transform::outbound_fwd_rules(writer, &compiled)?;
-        let mut unknown_targets = Vec::new();
-        for r in &rules {
-            if let Some(t) = r.target {
-                let owner = t.participant();
-                if self.compiler.participant(owner).is_none() && !unknown_targets.contains(&owner) {
-                    unknown_targets.push(owner);
-                }
-            }
-        }
-        let shadowed_clauses = match self
-            .compiler
-            .participant(writer)
-            .and_then(|c| c.outbound.as_ref())
-        {
-            Some(existing) => sdx_policy::analysis::shadowed_by(existing, policy).len(),
-            None => 0,
-        };
-        Ok(PolicyDiagnostics {
-            clauses: rules.len(),
-            unknown_targets,
-            shadowed_clauses,
-        })
-    }
-
     /// Deregisters a participant: the route server forgets it (routes
     /// flushed, no longer a viewer), its policies are dropped, and the
     /// re-optimization run here removes every rule referencing it, stops
@@ -293,8 +256,8 @@ impl SdxController {
     /// delta overlay rules, ARP bindings and FIB re-advertisements.
     ///
     /// All or nothing, like every update: on any failure (policy
-    /// transformation, VNH exhaustion, validation, an injected fault, an
-    /// overlay wave that exhausts its retries) the installed fabric and the
+    /// transformation, VNH exhaustion, validation, an injected fault, a
+    /// refused overlay wave) the installed fabric and the
     /// controller's bookkeeping roll back to the pre-call state, and the
     /// typed error is returned. The route server's RIB keeps the update —
     /// BGP knowledge is never discarded — so a later
@@ -352,7 +315,7 @@ impl SdxController {
     ) -> Result<(), SdxError> {
         let overlay = self.stage_delta(delta, fabric, &mut UndoLog::discarding())?;
         if !overlay.is_empty() {
-            let reg = fabric.telemetry().clone();
+            let reg = self.telemetry.clone();
             let applied = reg.time("flowtable.apply", || fabric.apply_flowmods(&overlay));
             let stats = applied.map_err(|e| {
                 SdxError::InvalidCommit(format!("fast-path flow-mod batch rejected: {e}"))
@@ -462,7 +425,7 @@ impl SdxController {
     /// overlays retired.
     ///
     /// All or nothing: any failure (compilation, validation, an injected
-    /// fault, a patch that exhausts its retries) rolls the fabric and the
+    /// fault, a refused patch wave) rolls the fabric and the
     /// controller bookkeeping back to the pre-call state byte-for-byte,
     /// returning the typed error.
     ///
@@ -537,8 +500,8 @@ impl SdxController {
     /// `reoptimize.total`) is observed once, from the start of
     /// [`prepare`](Self::prepare), either way.
     ///
-    /// All or nothing: a wave that exhausts its retries, a hook error or a
-    /// switch rejection rewinds every landed wave and rolls the held
+    /// All or nothing: a failed wave (injected, refused by the hook or
+    /// rejected by the switch) rewinds every landed wave and rolls the held
     /// transaction back, so this controller and `fabric` are exactly as
     /// they were before `prepare`. A hook's error is returned as the hook
     /// gave it.
@@ -1133,19 +1096,6 @@ fn moved_groups<'a>(
     (only(&old_ids, &new_ids), only(&new_ids, &old_ids))
 }
 
-/// Advisory diagnostics from [`SdxController::validate_outbound`].
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct PolicyDiagnostics {
-    /// Number of forwarding clauses the policy compiles to.
-    pub clauses: usize,
-    /// Forwarding targets that are not registered participants (their
-    /// clauses would be erased by the BGP-consistency transformation).
-    pub unknown_targets: Vec<ParticipantId>,
-    /// Clauses of the new policy completely shadowed by the participant's
-    /// currently installed policy (dead if both are composed).
-    pub shadowed_clauses: usize,
-}
-
 /// Errors from the wide-area load-balancer application.
 #[derive(Debug)]
 pub enum LbError {
@@ -1171,6 +1121,7 @@ impl std::error::Error for LbError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transform::TransformError;
     use sdx_net::{ip, prefix, FieldMatch, Packet, PortId};
     use sdx_policy::Policy as P;
 
@@ -1387,47 +1338,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, PortId::Phys(pid(2), 1));
         assert_eq!(out[0].pkt.nw_dst, ip("54.198.0.10"));
-    }
-
-    #[test]
-    fn validate_outbound_diagnostics() {
-        let (ctl, _fabric) = deployment();
-        // Valid policy toward a known participant.
-        let ok = ctl
-            .validate_outbound(
-                pid(3),
-                &(P::match_(FieldMatch::TpDst(53)) >> P::fwd(PortId::Virt(pid(1)))),
-            )
-            .expect("valid");
-        assert_eq!(ok.clauses, 1);
-        assert!(ok.unknown_targets.is_empty());
-        // Target nobody registered.
-        let ghost = ctl
-            .validate_outbound(
-                pid(3),
-                &(P::match_(FieldMatch::TpDst(53)) >> P::fwd(PortId::Virt(pid(9)))),
-            )
-            .expect("structurally valid");
-        assert_eq!(ghost.unknown_targets, vec![pid(9)]);
-        // Clause fully shadowed by the installed policy (port 80 → B).
-        let shadowed = ctl
-            .validate_outbound(
-                pid(3),
-                &(P::filter(
-                    sdx_policy::Pred::Test(FieldMatch::TpDst(80))
-                        & sdx_policy::Pred::Test(FieldMatch::NwSrc(prefix("10.0.0.0/8"))),
-                ) >> P::fwd(PortId::Virt(pid(1)))),
-            )
-            .expect("structurally valid");
-        assert_eq!(shadowed.shadowed_clauses, 1);
-        // Isolation violations are hard errors.
-        assert!(ctl
-            .validate_outbound(
-                pid(3),
-                &(P::match_(FieldMatch::InPort(PortId::Phys(pid(1), 1)))
-                    >> P::fwd(PortId::Virt(pid(2)))),
-            )
-            .is_err());
     }
 
     #[test]
@@ -1870,7 +1780,7 @@ mod tests {
     }
 
     #[test]
-    fn reoptimize_rolls_back_a_patch_that_exhausts_its_retries() {
+    fn reoptimize_rolls_back_a_patch_whose_wave_fails() {
         let (mut ctl, mut fabric) = deployment();
         fabric.enable_batch_log();
         let b_cfg = ctl.compiler.participant(pid(2)).unwrap().clone();
@@ -1885,31 +1795,24 @@ mod tests {
         let _ = fabric.drain_batches();
         let before = image(&ctl, &fabric);
         let timed = ctl.telemetry.histogram("reoptimize.total").count();
-        ctl.faults = FaultPlan::seeded(3)
-            .fail_with_probability(InjectionPoint::FlowModApply { wave: 0 }, 1.0);
+        ctl.faults = FaultPlan::disabled().fail_nth(InjectionPoint::FlowModApply { wave: 0 }, 1);
         let err = ctl
             .reoptimize(&mut fabric)
-            .expect_err("the patch never lands");
+            .expect_err("the patch wave fails");
         assert_eq!(
             err,
-            SdxError::UpdateAborted {
-                wave: 0,
-                applied: 0,
-                total: 1,
-                attempts: ScheduleOpts::default().max_attempts,
-            }
+            SdxError::Injected(InjectionPoint::FlowModApply { wave: 0 })
         );
         assert_eq!(image(&ctl, &fabric), before);
         assert!(fabric.drain_batches().is_empty(), "nothing left to stream");
         let timed_now = ctl.telemetry.histogram("reoptimize.total").count();
         assert_eq!(timed_now, timed + 1, "a failed pass is timed once");
-        ctl.faults = FaultPlan::disabled();
         ctl.reoptimize(&mut fabric).expect("the next pass lands");
         assert_eq!(ctl.delta_layers(), 0);
     }
 
     #[test]
-    fn a_burst_whose_overlay_exhausts_its_retries_rolls_back() {
+    fn a_burst_whose_overlay_wave_fails_rolls_back() {
         let (mut ctl, mut fabric) = deployment();
         fabric.enable_batch_log();
         let b_cfg = ctl.compiler.participant(pid(2)).unwrap().clone();
@@ -1928,19 +1831,13 @@ mod tests {
         let _ = fabric.drain_batches();
         let before = image(&ctl, &fabric);
         let timed = ctl.telemetry.histogram("fastpath.total").count();
-        ctl.faults = FaultPlan::seeded(3)
-            .fail_with_probability(InjectionPoint::FlowModApply { wave: 0 }, 1.0);
+        ctl.faults = FaultPlan::disabled().fail_nth(InjectionPoint::FlowModApply { wave: 0 }, 1);
         let err = ctl
             .apply_changed_prefixes(&[fresh], &mut fabric)
-            .expect_err("the overlay never lands");
+            .expect_err("the overlay wave fails");
         assert_eq!(
             err,
-            SdxError::UpdateAborted {
-                wave: 0,
-                applied: 0,
-                total: 1,
-                attempts: ScheduleOpts::default().max_attempts,
-            }
+            SdxError::Injected(InjectionPoint::FlowModApply { wave: 0 })
         );
         // Report, allocator, overlay counters, Adj-RIB-Outs, table, ARP,
         // shared FIB: all as before the call, and nothing to stream.
@@ -1948,7 +1845,6 @@ mod tests {
         assert!(fabric.drain_batches().is_empty(), "nothing left to stream");
         let timed_now = ctl.telemetry.histogram("fastpath.total").count();
         assert_eq!(timed_now, timed + 1, "a failed burst is timed once");
-        ctl.faults = FaultPlan::disabled();
         let delta = ctl
             .apply_changed_prefixes(&[fresh], &mut fabric)
             .expect("the next burst lands");
@@ -1960,5 +1856,35 @@ mod tests {
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, PortId::Phys(pid(2), 1));
+    }
+
+    #[test]
+    fn flowtable_apply_is_timed_into_the_controllers_registry() {
+        let (mut ctl, mut fabric) = deployment();
+        let own = SharedRegistry::new();
+        fabric.set_telemetry(own.clone());
+        let before = ctl.telemetry.histogram("flowtable.apply").count();
+        let b_cfg = ctl.compiler.participant(pid(2)).unwrap().clone();
+        let events = ctl
+            .rs
+            .process_update(pid(2), &b_cfg.announce([prefix("91.0.0.0/8")], &[65002, 3]));
+        let changed: Vec<Prefix> = events
+            .into_iter()
+            .filter_map(|e| match e {
+                RouteServerEvent::PrefixChanged(p) => Some(p),
+                RouteServerEvent::SessionReset(_) => None,
+            })
+            .collect();
+        let delta = ctl
+            .compiler
+            .fast_update_burst(&ctl.rs, &mut ctl.vnh, &changed)
+            .expect("delta");
+        assert!(delta.additional_rules() > 0, "fixture: an overlay to apply");
+        ctl.apply_delta(&delta, &mut fabric).expect("overlay");
+        ctl.set_outbound(pid(3), None);
+        ctl.reoptimize(&mut fabric).expect("patch");
+        let timed = ctl.telemetry.histogram("flowtable.apply").count();
+        assert_eq!(timed, before + 2, "the overlay and the patch wave");
+        assert_eq!(own.histogram("flowtable.apply").count(), 0);
     }
 }

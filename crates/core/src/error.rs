@@ -32,24 +32,9 @@ pub enum SdxError {
     InvalidCommit(String),
     /// A deterministic fault-injection point fired: a torn commit or a
     /// refused wave (test harnesses only; see
-    /// [`crate::faults::FaultPlan`]).
+    /// [`crate::faults::FaultPlan`]). The change it fired in was rolled
+    /// back whole.
     Injected(InjectionPoint),
-    /// A fabric update was abandoned mid-flight: some wave kept failing
-    /// past its retry budget, the remaining waves were skipped, and every
-    /// wave that had landed was rolled back with the rest of the
-    /// recompile. A later
-    /// [`reoptimize`](crate::controller::SdxController::reoptimize) starts
-    /// again from the untouched deployment.
-    UpdateAborted {
-        /// Zero-based index of the wave that exhausted its retries.
-        wave: usize,
-        /// Waves that had landed before the abort, all rolled back.
-        applied: usize,
-        /// Total waves the schedule had.
-        total: usize,
-        /// Attempts spent on the failing wave, including the first.
-        attempts: u32,
-    },
     /// A [`PolicyDelta`](sdx_policy::PolicyDelta) failed structural
     /// validation against the participant book (unknown participant,
     /// unresolvable port); nothing was staged. Carries the typed DSL
@@ -82,17 +67,6 @@ impl core::fmt::Display for SdxError {
             SdxError::PolicyRejected(e) => {
                 write!(f, "policy delta rejected: {e}")
             }
-            SdxError::UpdateAborted {
-                wave,
-                applied,
-                total,
-                attempts,
-            } => write!(
-                f,
-                "fabric update aborted: wave {wave} failed after {attempts} \
-                 attempts; the {applied}/{total} waves that had landed were \
-                 rolled back"
-            ),
             SdxError::UnsafeSchedule {
                 wave,
                 counterexample,
@@ -136,14 +110,6 @@ mod tests {
         assert!(e.to_string().contains("exhausted"));
         let e = SdxError::Injected(InjectionPoint::FabricCommit);
         assert!(e.to_string().contains("fabric-commit"));
-        let e = SdxError::UpdateAborted {
-            wave: 2,
-            applied: 2,
-            total: 5,
-            attempts: 4,
-        };
-        let s = e.to_string();
-        assert!(s.contains("wave 2") && s.contains("2/5") && s.contains("rolled back"));
         let e = SdxError::UnsafeSchedule {
             wave: 1,
             counterexample: "packet loops via port 3".into(),

@@ -7,10 +7,11 @@
 //! switches, and there a [`FaultPlan`] arms two [`InjectionPoint`]s: a
 //! commit torn between its table and its control-plane writes
 //! ([`FabricCommit`](InjectionPoint::FabricCommit)), and a flow-mod wave
-//! a switch refuses ([`FlowModApply`](InjectionPoint::FlowModApply)). The
-//! plan decides, deterministically from a seed, whether each crossing of
-//! a point fails, so rollback and retry run at exactly reproducible
-//! moments. The compiler crosses no point.
+//! a switch refuses ([`FlowModApply`](InjectionPoint::FlowModApply)). A
+//! plan is a list of `(point, n)` pairs: the `n`-th crossing of `point`
+//! fails, so a rollback runs at an exactly reproducible moment. Nothing
+//! retries a failure; the change it belongs to fails whole. The compiler
+//! crosses no point.
 //!
 //! A disarmed plan (the default) never fires and costs one branch per
 //! crossing, so production paths carry no measurable overhead.
@@ -28,70 +29,33 @@ pub enum InjectionPoint {
     /// so a firing here exercises rollback of a half-mutated fabric.
     FabricCommit,
     /// Application of one scheduled flow-mod wave to the fabric (see
-    /// [`crate::schedule`]). The payload selects which wave fails:
-    /// crossings are counted per wave index, so `fail_nth(FlowModApply {
-    /// wave: 2 }, 1)` fails the first attempt of wave 2 and nothing
-    /// else. Arm with [`ANY_WAVE`] to target every wave.
+    /// [`crate::schedule`]). Each wave index is its own point, so
+    /// `fail_nth(FlowModApply { wave: 2 }, 1)` fails the first wave 2 that
+    /// any update drives and nothing else.
     FlowModApply {
-        /// Zero-based wave index, or [`ANY_WAVE`] when arming to match
-        /// all waves.
+        /// Zero-based wave index.
         wave: u32,
     },
 }
-
-/// Wildcard wave index for arming [`InjectionPoint::FlowModApply`]: an
-/// armed trigger carrying this value matches a crossing of any wave.
-/// Crossing counts stay per concrete wave, so `Nth` triggers armed with
-/// `ANY_WAVE` fire on the n-th *attempt of each wave*, which is what
-/// retry tests want.
-pub const ANY_WAVE: u32 = u32::MAX;
 
 impl core::fmt::Display for InjectionPoint {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         match self {
             InjectionPoint::FabricCommit => write!(f, "fabric-commit"),
-            InjectionPoint::FlowModApply { wave: ANY_WAVE } => write!(f, "flowmod-apply[*]"),
             InjectionPoint::FlowModApply { wave } => write!(f, "flowmod-apply[{wave}]"),
         }
     }
 }
 
-impl InjectionPoint {
-    /// Whether an armed point (`self`) matches a crossed point. Exact
-    /// equality, except that a [`FlowModApply`](Self::FlowModApply)
-    /// armed with [`ANY_WAVE`] matches a crossing of any wave.
-    fn matches(self, crossed: InjectionPoint) -> bool {
-        match (self, crossed) {
-            (
-                InjectionPoint::FlowModApply { wave: ANY_WAVE },
-                InjectionPoint::FlowModApply { .. },
-            ) => true,
-            (a, b) => a == b,
-        }
-    }
-}
-
-/// When an armed point fires.
-#[derive(Clone, Copy, Debug)]
-enum Trigger {
-    /// Fire on exactly the n-th crossing (1-based) of the point.
-    Nth(u64),
-    /// Fire on each crossing with this probability, drawn from the plan's
-    /// seeded generator.
-    Probability(f64),
-}
-
-/// A seeded, deterministic schedule of faults.
+/// A deterministic schedule of faults: each armed `(point, n)` fails the
+/// `n`-th crossing (1-based) of `point`, once.
 ///
-/// Two plans built with the same seed and the same arming calls make
-/// identical decisions at every crossing, independent of wall clock or
-/// global state — reruns of a failing test replay the exact fault.
+/// Two plans armed alike make identical decisions at every crossing,
+/// independent of wall clock or global state — reruns of a failing test
+/// replay the exact fault.
 #[derive(Clone, Debug, Default)]
 pub struct FaultPlan {
-    /// Xorshift64 state; zero means "no probabilistic faults possible"
-    /// (the disarmed default).
-    rng: u64,
-    armed: Vec<(InjectionPoint, Trigger)>,
+    armed: Vec<(InjectionPoint, u64)>,
     crossings: BTreeMap<InjectionPoint, u64>,
 }
 
@@ -101,30 +65,9 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// An empty plan whose probabilistic decisions derive from `seed`.
-    pub fn seeded(seed: u64) -> Self {
-        FaultPlan {
-            // Xorshift needs a nonzero state; fold seed 0 onto a constant.
-            rng: if seed == 0 {
-                0x9E37_79B9_7F4A_7C15
-            } else {
-                seed
-            },
-            ..FaultPlan::default()
-        }
-    }
-
     /// Arms `point` to fail on its `n`-th crossing (1-based), once.
     pub fn fail_nth(mut self, point: InjectionPoint, n: u64) -> Self {
-        self.armed.push((point, Trigger::Nth(n.max(1))));
-        self
-    }
-
-    /// Arms `point` to fail each crossing with probability `p` (clamped to
-    /// `[0, 1]`), decided by the seeded generator.
-    pub fn fail_with_probability(mut self, point: InjectionPoint, p: f64) -> Self {
-        self.armed
-            .push((point, Trigger::Probability(p.clamp(0.0, 1.0))));
+        self.armed.push((point, n.max(1)));
         self
     }
 
@@ -138,40 +81,11 @@ impl FaultPlan {
         }
         let count = self.crossings.entry(point).or_insert(0);
         *count += 1;
-        let count = *count;
-        let mut fire = false;
-        for (p, trigger) in &self.armed {
-            if !p.matches(point) {
-                continue;
-            }
-            match trigger {
-                Trigger::Nth(n) => fire |= count == *n,
-                Trigger::Probability(prob) => {
-                    let draw = (Self::next(&mut self.rng) >> 11) as f64 / (1u64 << 53) as f64;
-                    fire |= draw < *prob;
-                }
-            }
-        }
-        if fire {
+        if self.armed.contains(&(point, *count)) {
             Err(SdxError::Injected(point))
         } else {
             Ok(())
         }
-    }
-
-    fn next(state: &mut u64) -> u64 {
-        // Xorshift64: deterministic, dependency-free, good enough to
-        // decorrelate successive probability draws.
-        let mut x = if *state == 0 {
-            0x9E37_79B9_7F4A_7C15
-        } else {
-            *state
-        };
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        *state = x;
-        x
     }
 }
 
@@ -189,7 +103,7 @@ mod tests {
 
     #[test]
     fn nth_crossing_fires_exactly_once() {
-        let mut plan = FaultPlan::seeded(1).fail_nth(InjectionPoint::FabricCommit, 3);
+        let mut plan = FaultPlan::disabled().fail_nth(InjectionPoint::FabricCommit, 3);
         assert!(plan.check(InjectionPoint::FabricCommit).is_ok());
         assert!(plan.check(InjectionPoint::FabricCommit).is_ok());
         assert_eq!(
@@ -203,76 +117,19 @@ mod tests {
 
     #[test]
     fn points_are_counted_independently() {
-        let mut plan = FaultPlan::seeded(1).fail_nth(InjectionPoint::FabricCommit, 1);
+        let mut plan = FaultPlan::disabled().fail_nth(InjectionPoint::FabricCommit, 1);
         assert!(plan.check(InjectionPoint::FlowModApply { wave: 0 }).is_ok());
         assert!(plan.check(InjectionPoint::FabricCommit).is_err());
     }
 
     #[test]
-    fn probability_is_seed_deterministic() {
-        let run = |seed: u64| -> Vec<bool> {
-            let mut plan =
-                FaultPlan::seeded(seed).fail_with_probability(InjectionPoint::FabricCommit, 0.5);
-            (0..64)
-                .map(|_| plan.check(InjectionPoint::FabricCommit).is_err())
-                .collect()
-        };
-        assert_eq!(run(42), run(42), "same seed, same schedule");
-        assert_ne!(run(42), run(43), "different seeds diverge");
-        let fired = run(42).iter().filter(|&&b| b).count();
-        assert!(
-            fired > 10 && fired < 54,
-            "p=0.5 fires roughly half: {fired}"
-        );
-    }
-
-    #[test]
     fn flowmod_apply_waves_are_distinct_points() {
         let w = |wave| InjectionPoint::FlowModApply { wave };
-        let mut plan = FaultPlan::seeded(3).fail_nth(w(1), 2);
+        let mut plan = FaultPlan::disabled().fail_nth(w(1), 2);
         assert!(plan.check(w(0)).is_ok(), "wave 0 is a different point");
         assert!(plan.check(w(0)).is_ok(), "and its crossings are its own");
         assert!(plan.check(w(1)).is_ok(), "wave 1's first crossing");
         assert!(plan.check(w(1)).is_err(), "wave 1 fires on its second");
         assert!(plan.check(w(1)).is_ok(), "nth fires once");
-    }
-
-    #[test]
-    fn any_wave_matches_every_wave_with_per_wave_counts() {
-        let w = |wave| InjectionPoint::FlowModApply { wave };
-        let mut plan = FaultPlan::seeded(3).fail_nth(w(ANY_WAVE), 2);
-        // First attempt of each wave passes; the second (the retry) fails,
-        // because crossings are counted per concrete wave.
-        for wave in 0..3 {
-            assert!(plan.check(w(wave)).is_ok());
-            assert_eq!(
-                plan.check(w(wave)),
-                Err(SdxError::Injected(w(wave))),
-                "retry of wave {wave} fails"
-            );
-        }
-    }
-
-    #[test]
-    fn flowmod_apply_probability_is_seed_deterministic() {
-        let w = |wave| InjectionPoint::FlowModApply { wave };
-        let run = |seed: u64| -> Vec<bool> {
-            let mut plan = FaultPlan::seeded(seed).fail_with_probability(w(ANY_WAVE), 0.4);
-            (0..48).map(|i| plan.check(w(i % 4)).is_err()).collect()
-        };
-        assert_eq!(run(9), run(9), "same seed, same wave-fault schedule");
-        assert_ne!(run(9), run(10), "different seeds diverge");
-    }
-
-    #[test]
-    fn probability_extremes() {
-        let mut never =
-            FaultPlan::seeded(7).fail_with_probability(InjectionPoint::FabricCommit, 0.0);
-        let mut always =
-            FaultPlan::seeded(7).fail_with_probability(InjectionPoint::FabricCommit, 1.0);
-        for _ in 0..32 {
-            assert!(never.check(InjectionPoint::FabricCommit).is_ok());
-            assert!(always.check(InjectionPoint::FabricCommit).is_err());
-        }
     }
 }

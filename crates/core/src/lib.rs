@@ -31,7 +31,7 @@
 //! * [`error`] — the workspace-wide error taxonomy ([`SdxError`]).
 //! * [`txn`] — transactional fabric commits: validate, write through an
 //!   undo log, roll back to last-known-good on failure.
-//! * [`faults`] — seeded, deterministic fault injection at the
+//! * [`faults`] — deterministic fault injection at the
 //!   controller's interface to the switches (a torn commit, a refused
 //!   wave), for exercising the recovery paths; the compiler's failures
 //!   are real inputs, not injected.

@@ -38,11 +38,10 @@
 //! [`drive`] then pushes the waves through [`Fabric::apply_flowmods`]
 //! with an optional per-wave checker (the oracle crate supplies one that
 //! walks a packet corpus over every intermediate table; the daemon's
-//! fans each wave out to its switch agents), a [`FaultPlan`] crossing per
-//! wave attempt ([`InjectionPoint::FlowModApply`]) and bounded exponential
-//! backoff on injected failures. It is all or nothing: retry exhaustion
-//! ([`SdxError::UpdateAborted`], journaled as [`Event::UpdateAborted`]),
-//! a checker refusal or a switch rejection rewinds every wave it landed.
+//! fans each wave out to its switch agents) and a [`FaultPlan`] crossing
+//! per wave ([`InjectionPoint::FlowModApply`]). It is all or nothing and
+//! retries nothing: an injected wave failure, a checker refusal or a
+//! switch rejection rewinds every wave it landed.
 //! [`SdxController::commit`](crate::SdxController::commit) is its one
 //! caller in the controller, for a burst's overlay and a recompile's
 //! patch alike, and rolls the rest of the change back with it.
@@ -454,27 +453,11 @@ pub fn plan(table: &FlowTable, batch: &FlowModBatch) -> UpdatePlan {
     }
 }
 
-/// Knobs for [`drive`]'s failure handling.
-#[derive(Clone, Copy, Debug)]
-pub struct ScheduleOpts {
-    /// Attempts per wave before aborting the update, including the first
-    /// (minimum 1).
-    pub max_attempts: u32,
-    /// Base of the exponential backoff between attempts, in simulated
-    /// milliseconds: attempt `k`'s retry waits `base << (k - 1)`. The
-    /// driver *accounts* the waits (metrics + report) without sleeping,
-    /// keeping tests instant and deterministic.
-    pub backoff_base_ms: u64,
-}
-
-impl Default for ScheduleOpts {
-    fn default() -> Self {
-        ScheduleOpts {
-            max_attempts: 4,
-            backoff_base_ms: 8,
-        }
-    }
-}
+/// [`drive`]'s options. It has none: a failed wave fails its change.
+/// The type is kept, field-less, because the benchmark's in-process
+/// mirror passes `&ScheduleOpts::default()` to [`drive`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ScheduleOpts {}
 
 /// A per-wave check: inspects the fabric *after* a wave landed and
 /// returns why the wave must not stand — an unsafe intermediate state, or
@@ -490,10 +473,6 @@ pub struct WaveReport {
     pub wave: usize,
     /// Mods in the wave.
     pub mods: usize,
-    /// Attempts spent (1 = clean).
-    pub attempts: u32,
-    /// Simulated backoff accumulated before the wave landed, ms.
-    pub backoff_ms: u64,
 }
 
 /// The outcome of a completed [`drive`].
@@ -505,42 +484,36 @@ pub struct ScheduleReport {
     pub applied: Vec<WaveReport>,
     /// Total waves the plan had.
     pub total_waves: usize,
-    /// Retries across all waves.
-    pub retries: u64,
-    /// Total simulated backoff, ms.
-    pub backoff_ms: u64,
 }
 
 /// Applies `plan` to `fabric` wave by wave, all or nothing.
 ///
 /// Per wave: cross [`InjectionPoint::FlowModApply`] (a firing models the
-/// switch failing the wave — nothing lands), retrying with bounded
-/// exponential backoff up to [`ScheduleOpts::max_attempts`]; then apply
-/// the wave atomically; then run `checker` against the new intermediate
-/// state. Every applied-and-checked wave journals
+/// switch failing the wave — nothing lands); then apply the wave
+/// atomically, timed as `flowtable.apply`; then run `checker` against the
+/// new intermediate state. Every applied-and-checked wave journals
 /// [`Event::UpdateWaveApplied`] and counts `schedule.waves.count` /
-/// `schedule.wave_width`.
+/// `schedule.wave_width`. `_opts` is unused (see [`ScheduleOpts`]).
 ///
-/// Any failure rewinds *every* wave this call landed, newest first, so
-/// the fabric's table and batch log are exactly as they were before the
-/// call:
+/// The first failure rewinds *every* wave this call landed, newest first,
+/// so the fabric's table and batch log are exactly as they were before
+/// the call. Nothing is retried:
 ///
-/// * retry exhaustion → `schedule.abort.count`, a journaled
-///   [`Event::UpdateAborted`], and [`SdxError::UpdateAborted`];
+/// * an injected wave failure → [`SdxError::Injected`] (the controller's
+///   rollback journals it);
 /// * a checker refusal → `schedule.refused.count` and
 ///   [`SdxError::UnsafeSchedule`] carrying the checker's message;
-/// * a batch the switch itself rejects → [`SdxError::InvalidCommit`]
-///   (deterministic, so no retry).
+/// * a batch the switch itself rejects → [`SdxError::InvalidCommit`].
 pub fn drive(
     plan: &UpdatePlan,
     fabric: &mut Fabric,
     faults: &mut FaultPlan,
     telemetry: &SharedRegistry,
-    opts: &ScheduleOpts,
+    _opts: &ScheduleOpts,
     checker: Option<&mut WaveChecker>,
 ) -> Result<ScheduleReport, SdxError> {
     let mut landed = Vec::with_capacity(plan.waves.len());
-    let outcome = land(plan, fabric, faults, telemetry, opts, checker, &mut landed);
+    let outcome = land(plan, fabric, faults, telemetry, checker, &mut landed);
     if outcome.is_err() {
         // A wave changes the flow table and the batch log, nothing else,
         // and its own undo journal is all it takes to put both back.
@@ -558,7 +531,6 @@ fn land(
     fabric: &mut Fabric,
     faults: &mut FaultPlan,
     telemetry: &SharedRegistry,
-    opts: &ScheduleOpts,
     mut checker: Option<&mut WaveChecker>,
     landed: &mut Vec<WaveUndo>,
 ) -> Result<ScheduleReport, SdxError> {
@@ -567,49 +539,10 @@ fn land(
         total_waves: plan.waves.len(),
         ..ScheduleReport::default()
     };
-    let max_attempts = opts.max_attempts.max(1);
     for (i, wave) in plan.waves.iter().enumerate() {
-        let mut attempts = 0u32;
-        let mut wave_backoff = 0u64;
-        loop {
-            attempts += 1;
-            let point = InjectionPoint::FlowModApply {
-                wave: u32::try_from(i).unwrap_or(u32::MAX - 1),
-            };
-            match faults.check(point) {
-                Ok(()) => break,
-                Err(e) => {
-                    telemetry.record_event(Event::FaultInjected {
-                        point: point.to_string(),
-                    });
-                    if attempts >= max_attempts {
-                        telemetry.inc("schedule.abort.count");
-                        telemetry.record_event(Event::UpdateAborted {
-                            epoch: plan.epoch,
-                            wave: i,
-                            applied: report.applied.len(),
-                            total: plan.waves.len(),
-                        });
-                        debug_assert!(matches!(e, SdxError::Injected(_)));
-                        return Err(SdxError::UpdateAborted {
-                            wave: i,
-                            applied: report.applied.len(),
-                            total: plan.waves.len(),
-                            attempts,
-                        });
-                    }
-                    report.retries += 1;
-                    telemetry.inc("schedule.retry.count");
-                    // Bounded exponential backoff, accounted not slept.
-                    let wait = opts
-                        .backoff_base_ms
-                        .saturating_mul(1u64 << (attempts - 1).min(16));
-                    wave_backoff += wait;
-                    report.backoff_ms += wait;
-                    telemetry.add("schedule.backoff_ms", wait);
-                }
-            }
-        }
+        faults.check(InjectionPoint::FlowModApply {
+            wave: u32::try_from(i).unwrap_or(u32::MAX),
+        })?;
         let (_, undo) = telemetry
             .time("flowtable.apply", || fabric.apply_flowmods_undoable(wave))
             .map_err(|e| {
@@ -632,13 +565,10 @@ fn land(
             wave: i,
             total: plan.waves.len(),
             mods: wave.len(),
-            attempts,
         });
         report.applied.push(WaveReport {
             wave: i,
             mods: wave.len(),
-            attempts,
-            backoff_ms: wave_backoff,
         });
     }
     Ok(report)
@@ -857,7 +787,7 @@ mod tests {
     }
 
     #[test]
-    fn injected_wave_failure_retries_with_backoff_then_succeeds() {
+    fn injected_wave_failure_rolls_back_every_landed_wave() {
         let b = batch(vec![
             add(5, HeaderMatch::any(), out(1)),
             add(10, HeaderMatch::of(FieldMatch::TpDst(80)), out(2)),
@@ -865,67 +795,25 @@ mod tests {
         let p = plan(&FlowTable::new(), &b);
         assert_eq!(p.wave_count(), 2);
         let mut fabric = Fabric::new();
-        let mut faults = FaultPlan::seeded(1).fail_nth(InjectionPoint::FlowModApply { wave: 1 }, 1);
-        let reg = SharedRegistry::new();
-        let r = drive(
-            &p,
-            &mut fabric,
-            &mut faults,
-            &reg,
-            &ScheduleOpts::default(),
-            None,
-        )
-        .expect("second attempt lands");
-        assert_eq!(r.retries, 1);
-        assert_eq!(r.applied[1].attempts, 2);
-        assert_eq!(r.applied[1].backoff_ms, 8, "base backoff before retry");
-        assert_eq!(fabric.switch.table().len(), 2, "both waves applied");
-        let kinds = reg.journal().kinds();
-        assert_eq!(
-            kinds,
-            vec![
-                "update_wave_applied",
-                "fault_injected",
-                "update_wave_applied"
-            ]
-        );
-    }
-
-    #[test]
-    fn retry_exhaustion_rolls_back_every_landed_wave() {
-        let b = batch(vec![
-            add(5, HeaderMatch::any(), out(1)),
-            add(10, HeaderMatch::of(FieldMatch::TpDst(80)), out(2)),
-        ]);
-        let p = plan(&FlowTable::new(), &b);
-        let mut fabric = Fabric::new();
         fabric.enable_batch_log();
-        let mut faults = FaultPlan::seeded(1)
-            .fail_with_probability(InjectionPoint::FlowModApply { wave: 1 }, 1.0);
+        let w1 = InjectionPoint::FlowModApply { wave: 1 };
+        let mut faults = FaultPlan::disabled().fail_nth(w1, 1);
         let reg = SharedRegistry::new();
-        let opts = ScheduleOpts {
-            max_attempts: 3,
-            backoff_base_ms: 4,
-        };
-        let err =
-            drive(&p, &mut fabric, &mut faults, &reg, &opts, None).expect_err("wave 1 never lands");
-        assert_eq!(
-            err,
-            SdxError::UpdateAborted {
-                wave: 1,
-                applied: 1,
-                total: 2,
-                attempts: 3,
-            }
-        );
+        let opts = ScheduleOpts::default();
+        let err = drive(&p, &mut fabric, &mut faults, &reg, &opts, None)
+            .expect_err("wave 1 fails at once");
+        assert_eq!(err, SdxError::Injected(w1));
         assert!(fabric.switch.table().is_empty(), "wave 0 rewound too");
         assert!(
             fabric.drain_batches().is_empty(),
             "and retracted from the log"
         );
-        assert_eq!(reg.counter("schedule.abort.count").get(), 1);
-        assert_eq!(reg.counter("schedule.retry.count").get(), 2);
-        assert!(reg.journal().kinds().contains(&"update_aborted"));
+        assert_eq!(reg.journal().kinds(), vec!["update_wave_applied"]);
+        // The fault fired once; driving the same plan again lands both.
+        let r = drive(&p, &mut fabric, &mut faults, &reg, &opts, None).expect("lands");
+        assert_eq!(r.applied.len(), 2);
+        assert_eq!(fabric.switch.table().len(), 2, "both waves applied");
+        assert_eq!(reg.counter("schedule.waves.count").get(), 3);
     }
 
     #[test]

@@ -1,18 +1,19 @@
 //! Property-based tests for the update scheduler: random batches over
-//! random deployed tables, random interleavings, and seeded wave faults.
+//! random deployed tables, random interleavings, and a wave that fails.
 //!
 //! Two invariants carry the scheduler's whole contract:
 //!
 //! * **Partition** — the waves are a partition of the batch, and driving
 //!   them in order produces exactly the table the raw batch produces.
-//! * **All or nothing** — under seeded per-wave fault injection, the
-//!   driver either lands every wave or aborts with the fabric holding
-//!   exactly the pre-drive table and nothing in its batch log; it never
-//!   leaves a wave, or a prefix of waves, behind and never misreports
-//!   how far it got.
+//! * **All or nothing** — whichever wave fails, and however (an injected
+//!   `FlowModApply` fault, a checker refusal after the wave landed, a
+//!   batch the table rejects), the driver fails with the fabric holding
+//!   exactly the pre-drive table and nothing in its batch log; with no
+//!   failure it lands every wave. It never leaves a wave, or a prefix of
+//!   waves, behind.
 
 use proptest::prelude::*;
-use sdx_core::faults::{FaultPlan, InjectionPoint, ANY_WAVE};
+use sdx_core::faults::{FaultPlan, InjectionPoint};
 use sdx_core::schedule::{drive, plan, ScheduleOpts};
 use sdx_core::SdxError;
 use sdx_net::{FieldMatch, HeaderMatch, MacAddr, Mod, ParticipantId, PortId};
@@ -124,6 +125,17 @@ fn scenario(seed: u64) -> (FlowTable, FlowModBatch) {
     (table, FlowModBatch { epoch: 5, mods })
 }
 
+/// The three ways a wave fails.
+#[derive(Clone, Copy, Debug)]
+enum Failure {
+    /// Its `FlowModApply` point fires: nothing of it lands.
+    Injected,
+    /// It lands, and the per-wave checker refuses the table.
+    Refused,
+    /// The table rejects its batch (a delete of a missing rule).
+    Rejected,
+}
+
 fn fabric_with(table: &FlowTable) -> Fabric {
     let mut fabric = Fabric::new();
     for e in table.entries() {
@@ -163,39 +175,70 @@ proptest! {
         prop_assert_eq!(a.dependencies, b.dependencies);
     }
 
-    /// Under seeded per-wave faults, the driver lands everything or
-    /// aborts with the fabric back on exactly the pre-drive table.
+    /// Whichever wave fails, and however, the driver puts the fabric
+    /// back on exactly the pre-drive table; with no failure it lands every
+    /// wave.
     #[test]
-    fn seeded_wave_faults_land_everything_or_nothing(seed in any::<u64>()) {
+    fn seeded_wave_faults_land_everything_or_nothing(
+        seed in any::<u64>(),
+        fail in proptest::option::of((0usize..8, prop_oneof![
+            Just(Failure::Injected),
+            Just(Failure::Refused),
+            Just(Failure::Rejected),
+        ])),
+    ) {
         let (table, batch) = scenario(seed);
-        let p = plan(&table, &batch);
+        let mut p = plan(&table, &batch);
+        // A wave index past the plan fails nothing.
+        let fail = fail.filter(|&(k, _)| k < p.wave_count());
+        let mut faults = FaultPlan::disabled();
+        match fail {
+            Some((k, Failure::Injected)) => {
+                let wave = u32::try_from(k).expect("few waves");
+                faults = faults.fail_nth(InjectionPoint::FlowModApply { wave }, 1);
+            }
+            Some((k, Failure::Rejected)) => p.waves[k].push(FlowMod::Delete {
+                priority: 1,
+                pattern: vpat(999_999),
+            }),
+            Some((_, Failure::Refused)) | None => {}
+        }
+        let mut check = |_: &Fabric, wave: usize| match fail {
+            Some((k, Failure::Refused)) if k == wave => Err(format!("wave {wave} refused")),
+            _ => Ok(()),
+        };
         let mut fabric = fabric_with(&table);
         fabric.enable_batch_log();
-        let mut faults = FaultPlan::seeded(seed ^ 0xF00D)
-            .fail_with_probability(InjectionPoint::FlowModApply { wave: ANY_WAVE }, 0.4);
         let reg = SharedRegistry::new();
-        let opts = ScheduleOpts { max_attempts: 2, backoff_base_ms: 1 };
-        match drive(&p, &mut fabric, &mut faults, &reg, &opts, None) {
+        let opts = ScheduleOpts::default();
+        match drive(&p, &mut fabric, &mut faults, &reg, &opts, Some(&mut check)) {
             Ok(r) => {
+                prop_assert!(fail.is_none(), "{fail:?} did not fail the drive");
                 prop_assert_eq!(r.applied.len(), p.wave_count());
                 let mut want = table.clone();
                 want.apply_batch(&batch).unwrap();
                 prop_assert_eq!(fabric.switch.table(), &want);
                 prop_assert_eq!(fabric.drain_batches(), p.waves);
             }
-            Err(SdxError::UpdateAborted { wave, applied, total, attempts }) => {
-                prop_assert_eq!(total, p.wave_count());
-                prop_assert!(wave < total);
-                prop_assert_eq!(applied, wave, "waves land strictly in order");
-                prop_assert_eq!(attempts, opts.max_attempts);
+            Err(e) => {
+                let (k, how) = fail.expect("the drive fails only where told");
+                match (how, &e) {
+                    (Failure::Injected, SdxError::Injected(InjectionPoint::FlowModApply { wave })) => {
+                        prop_assert_eq!(*wave as usize, k);
+                    }
+                    (Failure::Refused, SdxError::UnsafeSchedule { wave, .. }) => {
+                        prop_assert_eq!(*wave, k);
+                    }
+                    (Failure::Rejected, SdxError::InvalidCommit(_)) => {}
+                    _ => prop_assert!(false, "{how:?} at wave {k}: unexpected error {e}"),
+                }
                 prop_assert_eq!(
                     fabric.switch.table(),
                     &table,
-                    "an aborted drive leaves exactly the pre-drive table"
+                    "a failed drive leaves exactly the pre-drive table"
                 );
                 prop_assert!(fabric.drain_batches().is_empty(), "and streams nothing");
             }
-            Err(e) => prop_assert!(false, "unexpected error: {e}"),
         }
     }
 }

@@ -148,9 +148,8 @@ fn outcomes(
 /// over `probes` against the new report, and `commit` with the verifier
 /// judging every intermediate table.
 ///
-/// All or nothing, like every recompile: a staging failure, a wave that
-/// exhausts its retries ([`SdxError::UpdateAborted`]), a wave the
-/// verifier refuses ([`SdxError::UnsafeSchedule`]) or a plan it cannot
+/// All or nothing, like every recompile: a staging failure, an injected
+/// wave failure ([`SdxError::Injected`]), a wave the verifier refuses ([`SdxError::UnsafeSchedule`]) or a plan it cannot
 /// replay leaves the controller and `fabric` as they were.
 pub fn reoptimize_verified(
     ctl: &mut SdxController,
@@ -251,28 +250,35 @@ mod tests {
     }
 
     #[test]
-    fn injected_wave_faults_land_or_roll_back_for_every_seed() {
-        use sdx_core::faults::{FaultPlan, InjectionPoint, ANY_WAVE};
-        let mut aborted = 0;
-        for seed in 0..8u64 {
+    fn an_injected_wave_fault_rolls_back_at_every_wave() {
+        use sdx_core::faults::{FaultPlan, InjectionPoint};
+        let (mut aborted, mut landed) = (0, 0);
+        for wave in 0..8u32 {
             let (mut ctl, mut fabric) = deployed(17);
             drop_outbound_policies(&mut ctl);
             let before = (fabric.clone(), format!("{:?}", ctl.report));
-            ctl.faults = FaultPlan::seeded(seed)
-                .fail_with_probability(InjectionPoint::FlowModApply { wave: ANY_WAVE }, 0.5);
-            let probes = synth::sample_probes(&ctl.compiler, &ctl.rs, seed, 48);
+            let point = InjectionPoint::FlowModApply { wave };
+            ctl.faults = FaultPlan::disabled().fail_nth(point, 1);
+            let probes = synth::sample_probes(&ctl.compiler, &ctl.rs, u64::from(wave), 48);
             match reoptimize_verified(&mut ctl, &mut fabric, probes) {
-                Ok(r) => assert_eq!(r.applied.len(), r.total_waves, "seed {seed}"),
-                Err(SdxError::UpdateAborted { .. }) => {
+                Ok(r) => {
+                    // The plan is shorter than `wave`: every wave landed.
+                    assert!(r.total_waves <= wave as usize, "wave {wave}");
+                    assert_eq!(r.applied.len(), r.total_waves, "wave {wave}");
+                    landed += 1;
+                }
+                Err(e) => {
+                    assert_eq!(e, SdxError::Injected(point));
                     // Rolled back: the deployment is untouched, and the
                     // next pass starts from it.
                     let after = (fabric.clone(), format!("{:?}", ctl.report));
-                    assert!(after == before, "seed {seed}: the abort left state behind");
+                    assert!(
+                        after == before,
+                        "wave {wave}: the failure left state behind"
+                    );
                     aborted += 1;
-                    ctl.faults = FaultPlan::disabled();
                     ctl.reoptimize(&mut fabric).expect("the next pass lands");
                 }
-                Err(e) => panic!("seed {seed}: unexpected error {e}"),
             }
             // Whatever path was taken, the final state must be coherent:
             // a second update with nothing to do plans no waves.
@@ -281,12 +287,13 @@ mod tests {
                 .expect("idempotent");
             assert!(
                 prepared.plan.is_empty(),
-                "seed {seed}: converged fabric should re-plan to nothing"
+                "wave {wave}: converged fabric should re-plan to nothing"
             );
             ctl.commit(&mut fabric, prepared, None)
                 .expect("empty commit");
         }
-        assert!(aborted > 0, "no seed aborted: the drill tests nothing");
+        assert!(aborted > 1, "fixture: a plan of several waves to fail");
+        assert!(landed > 0, "fixture: a wave index past the plan");
     }
 
     #[test]

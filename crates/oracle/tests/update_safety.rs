@@ -10,17 +10,16 @@
 //! * the same mods, applied one at a time in reverse dependency order to
 //!   a copy of the pre-update table, must expose a violation somewhere
 //!   across the episodes;
-//! * every wave's first apply attempt fails (a seeded `FlowModApply`
-//!   fault) and is retried, and the result forwards like a cold compile.
+//! * the result forwards like a cold compile.
 //!
 //! Then the one failure rule: whatever fails a commit at whichever wave —
-//! retry exhaustion, a verifier veto, a hook error — the controller and
-//! the fabric are left exactly as they were before `prepare`, and every
-//! probe forwards as it did.
+//! an injected `FlowModApply` fault, a verifier veto, a hook error — the
+//! controller and the fabric are left exactly as they were before
+//! `prepare`, and every probe forwards as it did. Nothing is retried.
 
 use sdx_core::controller::{Change, SdxController};
-use sdx_core::faults::{FaultPlan, InjectionPoint, ANY_WAVE};
-use sdx_core::schedule::{ScheduleOpts, UpdatePlan, Waves};
+use sdx_core::faults::{FaultPlan, InjectionPoint};
+use sdx_core::schedule::{UpdatePlan, Waves};
 use sdx_core::SdxError;
 use sdx_net::{FieldMatch, ParticipantId, PortId};
 use sdx_openflow::fabric::Fabric;
@@ -112,11 +111,9 @@ fn scheduled_waves_are_safe_where_unordered_mods_are_not() {
         }
         unordered_violations += peak;
 
-        // Scheduled: the real commit, every wave's first attempt failing,
-        // the verifier counting violations at every wave barrier.
+        // Scheduled: the real commit, the verifier counting violations at
+        // every wave barrier.
         let waves = prepared.plan.wave_count();
-        ctl.faults =
-            FaultPlan::seeded(seed).fail_nth(InjectionPoint::FlowModApply { wave: ANY_WAVE }, 1);
         let mut violations = 0;
         let mut count = |ctl: &SdxController, f: &Fabric, _: usize, _: &FlowModBatch| {
             let report = ctl.report.as_ref().expect("new report");
@@ -126,20 +123,12 @@ fn scheduled_waves_are_safe_where_unordered_mods_are_not() {
         };
         let sched = ctl
             .commit(&mut fabric, prepared, Some(&mut count))
-            .expect("a single fault per wave is retried, not aborted");
+            .expect("the scheduled commit lands");
         assert_eq!(
             violations, 0,
             "seed {seed}: a scheduled wave exposed a transient violation"
         );
         assert_eq!(sched.applied.len(), waves, "seed {seed}");
-        assert!(
-            sched.retries >= 1,
-            "seed {seed}: the seeded fault never fired"
-        );
-        assert!(
-            sched.backoff_ms >= ScheduleOpts::default().backoff_base_ms,
-            "seed {seed}: backoff not accounted"
-        );
         assert_forwards_like_a_cold_compile(&ctl, &fabric, &format!("seed {seed}"));
     }
     assert!(episodes > 0, "every seed planned an empty update");
@@ -174,8 +163,8 @@ fn verdicts(ctl: &SdxController, fabric: &Fabric) -> Vec<Outcome> {
 /// The three ways a commit fails at a wave.
 #[derive(Clone, Copy, Debug)]
 enum Failure {
-    /// The wave fails every attempt.
-    Retries,
+    /// The wave's `FlowModApply` point fires: nothing of it lands.
+    Injected,
     /// The per-wave hook's verifier refuses the wave's table.
     Veto,
     /// The per-wave hook fails on its own (a switch agent lost).
@@ -195,7 +184,7 @@ fn a_failed_commit_at_any_wave_leaves_the_deployment_untouched() {
         ctl.commit(&mut fabric, prepared, None)
             .expect("the undisturbed commit lands");
         for k in 0..total {
-            for failure in [Failure::Retries, Failure::Veto, Failure::Hook] {
+            for failure in [Failure::Injected, Failure::Veto, Failure::Hook] {
                 let (mut ctl, mut fabric) = perturbed(seed);
                 fabric.enable_batch_log();
                 let before = image(&ctl, &fabric);
@@ -225,7 +214,7 @@ fn a_failed_commit_at_any_wave_leaves_the_deployment_untouched() {
                         return Ok(());
                     }
                     match failure {
-                        Failure::Retries => Ok(()),
+                        Failure::Injected => Ok(()),
                         Failure::Veto => {
                             let report = ctl.report.as_ref().expect("new report");
                             let table = f.switch.table();
@@ -241,18 +230,19 @@ fn a_failed_commit_at_any_wave_leaves_the_deployment_untouched() {
                         ))),
                     }
                 };
-                if let Failure::Retries = failure {
-                    let wave = u32::try_from(k).expect("few waves");
-                    ctl.faults = FaultPlan::seeded(seed)
-                        .fail_with_probability(InjectionPoint::FlowModApply { wave }, 1.0);
+                let point = InjectionPoint::FlowModApply {
+                    wave: u32::try_from(k).expect("few waves"),
+                };
+                if let Failure::Injected = failure {
+                    ctl.faults = FaultPlan::disabled().fail_nth(point, 1);
                 }
                 let err = ctl
                     .commit(&mut fabric, prepared, Some(&mut hook))
                     .expect_err("the commit fails at wave k");
                 let what = format!("seed {seed}, wave {k}, {failure:?}");
                 match (failure, &err) {
-                    (Failure::Retries, SdxError::UpdateAborted { wave, applied, .. }) => {
-                        assert_eq!((*wave, *applied), (k, k), "{what}");
+                    (Failure::Injected, SdxError::Injected(fired)) => {
+                        assert_eq!(*fired, point, "{what}");
                     }
                     (Failure::Veto, SdxError::UnsafeSchedule { wave, .. }) => {
                         assert_eq!(*wave, k, "{what}");
@@ -294,28 +284,17 @@ fn an_aborted_update_rolls_back_and_the_next_pass_recovers() {
     let prepared = ctl
         .prepare(&mut fabric, Change::Recompile(Waves::Ordered))
         .expect("prepare");
-    let total = prepared.plan.wave_count();
-    ctl.faults = FaultPlan::seeded(seed)
-        .fail_with_probability(InjectionPoint::FlowModApply { wave: 1 }, 1.0);
+    let wave1 = InjectionPoint::FlowModApply { wave: 1 };
+    ctl.faults = FaultPlan::disabled().fail_nth(wave1, 1);
     let err = ctl
         .commit(&mut fabric, prepared, None)
-        .expect_err("a wave failing every attempt aborts");
-    assert_eq!(
-        err,
-        SdxError::UpdateAborted {
-            wave: 1,
-            applied: 1,
-            total,
-            attempts: ScheduleOpts::default().max_attempts,
-        },
-        "seed {seed}"
-    );
+        .expect_err("a failing wave fails the update");
+    assert_eq!(err, SdxError::Injected(wave1), "seed {seed}");
     assert_eq!(
         image(&ctl, &fabric),
         before,
         "wave 0 rolled back with the rest"
     );
-    ctl.faults = FaultPlan::disabled();
     ctl.reoptimize(&mut fabric).expect("recovery reoptimize");
     assert_forwards_like_a_cold_compile(&ctl, &fabric, &format!("abort recovery (seed {seed})"));
 }

@@ -207,7 +207,7 @@ impl AgentHandle {
 ///
 /// The agent is deliberately dumb: decode a frame, apply it through
 /// [`Fabric::apply_flowmods`] (or clear-then-apply for a sync frame),
-/// ack with the result. All sequencing, retry, and safety logic lives
+/// ack with the result. All sequencing, rollback, and safety logic lives
 /// daemon-side — the agent models a switch, not a controller.
 pub fn spawn_agent(addr: SocketAddr) -> std::io::Result<AgentHandle> {
     let stream = TcpStream::connect(addr)?;

@@ -6,9 +6,10 @@
 //! * **BGP** — participants' border routers connect and run real BGP
 //!   sessions: wire-framed OPEN/KEEPALIVE/UPDATE/NOTIFICATION over
 //!   partial reads ([`sdx_bgp::wire::StreamDecoder`]), supervised for
-//!   hold-timer expiry, keepalive cadence, and flap damping on TCP
-//!   resets ([`Supervisor`], generalized from timer-driven to
-//!   socket-liveness-driven via `connection_up` / `peer_disconnected`).
+//!   hold-timer expiry, keepalive cadence, and flap damping
+//!   ([`Supervisor`]). A session starts when its peer connects; a
+//!   NOTIFICATION either way closes the connection, and the daemon never
+//!   dials out.
 //! * **OpenFlow** — switch agents connect and receive the controller's
 //!   [`FlowModBatch`] stream over per-switch channels with a bound on
 //!   unacked frames ([`crate::channel`]). Every update — a route burst's
@@ -85,7 +86,8 @@ pub struct DaemonConfig {
     pub hold_time: u16,
     /// Maximum BGP messages folded into one compile pass.
     pub coalesce_max: usize,
-    /// Supervisor tick cadence (keepalives, hold timers, reconnects), ms.
+    /// Supervisor tick cadence (keepalives, hold timers, flap-penalty
+    /// decay), ms.
     pub tick_ms: u64,
 }
 
@@ -104,9 +106,6 @@ const CHANNEL_QUEUE: usize = 32;
 
 /// Bound on queued messages processed during shutdown drain.
 const DRAIN_MAX: usize = 256;
-
-/// Seed for the supervisor's jittered backoff.
-const SUPERVISOR_SEED: u64 = 7;
 
 /// What the daemon did, returned by [`DaemonHandle::stop`]. Carries the
 /// controller and fabric back out so tests can oracle-verify the final
@@ -204,8 +203,7 @@ pub fn start_with_clock(
         .deploy()
         .map_err(|e| std::io::Error::other(format!("deploy failed: {e}")))?;
 
-    let mut sup =
-        Supervisor::new(SupervisorConfig::default(), SUPERVISOR_SEED).with_telemetry(reg.clone());
+    let mut sup = Supervisor::new(SupervisorConfig::default(), 0).with_telemetry(reg.clone());
     let now = clock.now_ms();
     let peers: Vec<(ParticipantId, Asn)> = ctl
         .compiler
@@ -814,26 +812,35 @@ impl EventLoop {
         let mut n_updates = 0usize;
         let mut arrivals: Vec<Instant> = Vec::new();
         for (conn, msg, at) in msgs {
-            if let Some(&pid) = self.conn_pid.get(&conn) {
+            let out = if let Some(&pid) = self.conn_pid.get(&conn) {
                 if matches!(msg, BgpMessage::Update(_)) {
                     n_updates += 1;
                     arrivals.push(at);
                     self.updates += 1;
                     self.reg.inc("daemon.updates.count");
                 }
-                let out = self.sup.handle_message(now, pid, msg, &mut self.ctl.rs);
-                sends.extend(out.send);
-                changed.extend(out.changed_prefixes);
+                self.sup.handle_message(now, pid, msg, &mut self.ctl.rs)
             } else if let BgpMessage::Open(open) = msg {
-                let (s, c) = self.resolve_peer(conn, open, now);
-                sends.extend(s);
-                changed.extend(c);
+                self.resolve_peer(conn, open, now)
             } else {
                 // Protocol violation: traffic before OPEN on an
                 // unresolved connection. Drop the transport.
                 if let Some(stream) = self.unresolved.remove(&conn) {
                     self.reg.inc("daemon.preopen_garbage.count");
                     let _ = stream.shutdown(Shutdown::Both);
+                }
+                continue;
+            };
+            sends.extend(out.send);
+            changed.extend(out.changed_prefixes);
+            if !out.resets.is_empty() {
+                // RFC 4271: a NOTIFICATION, received or sent, closes the
+                // connection. Write this step's answers, then hang up the
+                // connection the message came on, not the peer: a later
+                // transport of the peer is not this session's.
+                self.send_msgs(std::mem::take(&mut sends));
+                if let Some(&pid) = self.conn_pid.get(&conn) {
+                    self.hang_up(pid);
                 }
             }
         }
@@ -842,20 +849,17 @@ impl EventLoop {
     }
 
     /// First OPEN on a new connection: map it to a participant by ASN
-    /// and splice the transport into the supervised session.
-    fn resolve_peer(
-        &mut self,
-        conn: ConnId,
-        open: OpenMessage,
-        now: u64,
-    ) -> (Vec<(ParticipantId, BgpMessage)>, Vec<Prefix>) {
+    /// and splice the transport into the supervised session. The output's
+    /// `resets` are the OPEN's own: a session reset by `connection_up` was
+    /// of the transport hung up here.
+    fn resolve_peer(&mut self, conn: ConnId, open: OpenMessage, now: u64) -> SupervisorOutput {
         let Some(stream) = self.unresolved.remove(&conn) else {
-            return (Vec::new(), Vec::new());
+            return SupervisorOutput::default();
         };
         let Some(&pid) = self.asn_to_pid.get(&open.asn.0) else {
             self.reg.inc("daemon.unknown_peer.count");
             let _ = stream.shutdown(Shutdown::Both);
-            return (Vec::new(), Vec::new());
+            return SupervisorOutput::default();
         };
         // A reconnect replaces any previous transport for this peer; the
         // supervisor's `connection_up` accounts for the old session.
@@ -868,9 +872,9 @@ impl EventLoop {
             .sup
             .handle_message(now, pid, BgpMessage::Open(open), &mut self.ctl.rs);
         up.send.extend(stepped.send);
-        let mut changed = up.changed_prefixes;
-        changed.extend(stepped.changed_prefixes);
-        (up.send, changed)
+        up.changed_prefixes.extend(stepped.changed_prefixes);
+        up.resets = stepped.resets;
+        up
     }
 
     fn handle_peer_closed(&mut self, conn: ConnId) {
@@ -878,8 +882,8 @@ impl EventLoop {
             return;
         }
         // A connection the daemon hung up on (replaced, or closed after a
-        // NOTIFICATION) is no peer's transport any more: its session was
-        // accounted for when it was let go.
+        // NOTIFICATION either way) is no peer's transport any more: its
+        // session was accounted for when it was let go.
         let Some(&pid) = self.conn_pid.get(&conn) else {
             return;
         };

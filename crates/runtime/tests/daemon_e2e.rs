@@ -7,9 +7,9 @@
 //! is packet-for-packet identical to what the all-in-process path
 //! deploys. The rest cover the runtime behaviors that only exist at
 //! this layer: burst coalescing under channel backpressure, hold-timer
-//! expiry and flap damping on TCP resets (deterministic via
-//! `MockClock`), agent resynchronization after a rejected wave, and
-//! graceful shutdown draining through injected faults.
+//! expiry, a peer's NOTIFICATION and flap damping on TCP resets
+//! (deterministic via `MockClock`), agent resynchronization after a
+//! rejected wave, and graceful shutdown after a failed re-optimization.
 
 use std::io::{BufRead, BufReader, BufWriter, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -18,7 +18,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use sdx_bgp::{BgpMessage, ExportPolicy, MockClock};
+use sdx_bgp::{BgpMessage, ExportPolicy, MockClock, NotificationCode};
 use sdx_core::reconcile::DELTA_BASE;
 use sdx_core::{FaultPlan, InjectionPoint, ParticipantConfig, SdxController};
 use sdx_ixp::testkit::{figure1_controller, figure1_inbound_b, figure1_outbound_a};
@@ -993,7 +993,7 @@ fn hold_timer_expiry_and_tcp_reset_flaps_are_supervised() {
 
     // TCP reset: reconnect, then vanish without a NOTIFICATION. The
     // supervisor flap-accounts the drop just the same.
-    clock.advance(120_000); // clear reconnect backoff & decay penalty
+    clock.advance(120_000); // decay the flap penalty
     let peer2 = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("reconnect");
     wait_counter(&reg, "session.established.count", 2);
     peer2.drop_connection();
@@ -1015,6 +1015,42 @@ fn hold_timer_expiry_and_tcp_reset_flaps_are_supervised() {
     // Closing a connection after its NOTIFICATION, or after replacing it,
     // is no second flap.
     assert_eq!(counter(&reg, "session.reset.count"), 3);
+}
+
+#[test]
+fn a_peers_notification_closes_its_connection_and_nothing_reconnects() {
+    let clock = MockClock::new();
+    let cfg = DaemonConfig {
+        tick_ms: 10,
+        ..DaemonConfig::default()
+    };
+    let handle =
+        daemon::start_with_clock(figure1_empty_rib(), cfg, Arc::new(clock.clone())).expect("start");
+    let reg = handle.telemetry().clone();
+    let mut peer = TestPeer::establish(handle.bgp_addr, 65002, 30).expect("peer B");
+    // C stays up: its keepalive shows that a tick ran after the clock moved.
+    let _peer_c = TestPeer::establish(handle.bgp_addr, 65003, 30).expect("peer C");
+    wait_counter(&reg, "session.established.count", 2);
+
+    let cease = BgpMessage::Notification {
+        code: NotificationCode::Cease,
+        subcode: 0,
+    };
+    peer.send(&cease).expect("send");
+    wait_counter(&reg, "session.reset.count", 1);
+    // RFC 4271: a NOTIFICATION closes the connection, whoever sent it.
+    let msgs = read_to_eof("the peer that sent Cease reading EOF", peer);
+    assert!(msgs.is_empty(), "nothing follows a Cease: {msgs:?}");
+
+    // Past any reconnect schedule (keepalives are due every 10 s of C's
+    // 30 s hold time): the daemon dials no one and resets nothing more.
+    clock.advance(10_000);
+    wait_counter(&reg, "session.keepalive.count", 1);
+    assert_eq!(counter(&reg, "session.reset.count"), 1);
+    let report = handle.stop();
+    assert_eq!(report.updates, 0);
+    assert_eq!(counter(&reg, "session.reset.count"), 1);
+    assert_eq!(counter(&reg, "session.established.count"), 2);
 }
 
 /// An agent that rejects the first wave of a scheduled update (the
@@ -1163,7 +1199,7 @@ fn a_rolled_back_fast_path_pass_is_never_streamed() {
     // the driving fabric and in the batch log: the rollback has to
     // retract it from both, or the next pass streams it to the agents.
     let mut ctl = figure1_controller();
-    ctl.faults = FaultPlan::seeded(5).fail_nth(InjectionPoint::FabricCommit, 2);
+    ctl.faults = FaultPlan::disabled().fail_nth(InjectionPoint::FabricCommit, 2);
     let handle = daemon::start(ctl, DaemonConfig::default()).expect("start");
     let reg = handle.telemetry().clone();
     let agent = spawn_agent(handle.openflow_addr).expect("agent");
@@ -1298,11 +1334,10 @@ fn a_fast_path_batch_an_agent_rejects_is_rolled_back_and_resynced() {
 #[test]
 fn graceful_shutdown_drains_through_injected_faults() {
     let mut ctl = figure1_controller();
-    // The first wave's first apply attempt fails; the scheduler's retry
-    // budget absorbs it. The deploy inside `daemon::start` crosses the
-    // point first and the burst's overlay wave second, so the
-    // re-optimization's is the third crossing.
-    ctl.faults = FaultPlan::seeded(11).fail_nth(InjectionPoint::FlowModApply { wave: 0 }, 3);
+    // The deploy inside `daemon::start` crosses the first wave's point
+    // first and the burst's overlay wave second, so the re-optimization's
+    // is the third crossing: that wave fails, and nothing retries it.
+    ctl.faults = FaultPlan::disabled().fail_nth(InjectionPoint::FlowModApply { wave: 0 }, 3);
     let handle = daemon::start(ctl, DaemonConfig::default()).expect("start");
     let reg = handle.telemetry().clone();
     let agent = spawn_agent(handle.openflow_addr).expect("agent");
@@ -1321,27 +1356,37 @@ fn graceful_shutdown_drains_through_injected_faults() {
     let report = handle.stop();
     let agent_fabric = agent.join();
 
-    assert_eq!(counter(&reg, "daemon.reoptimize_failed.count"), 0);
+    // Rolled back, and the agent (which took the overlay retirement's
+    // sync before the wave failed) resynced to the driving table.
+    assert_eq!(counter(&reg, "daemon.reoptimize_failed.count"), 1);
+    assert!(counter(&reg, "daemon.resync.count") >= 1);
     assert_eq!(
         agent_fabric.switch.table(),
         report.fabric.switch.table(),
-        "agent table diverged across fault retries and shutdown"
+        "agent table diverged across the failed re-optimization and shutdown"
+    );
+    assert!(
+        report.fabric.switch.table().entries()[0].priority >= DELTA_BASE,
+        "the rolled-back re-optimization leaves the burst's overlay"
     );
     let events = reg.snapshot().events;
     let kind_pos = |k: &str| events.iter().position(|e| e.event.kind() == k);
     let started = kind_pos("daemon_started").expect("daemon_started");
     let established = kind_pos("session_established").expect("session_established");
-    let injected = kind_pos("fault_injected").expect("fault_injected");
-    // The burst landed clean: the fault bit the re-optimization.
     let burst = kind_pos("delta_applied").expect("delta_applied");
+    let injected = kind_pos("fault_injected").expect("fault_injected");
+    let rolled_back = kind_pos("txn_rolled_back").expect("txn_rolled_back");
     // The deploy's own wave precedes `daemon_started`: take the last one.
     let wave = (events.iter())
         .rposition(|e| e.event.kind() == "update_wave_applied")
         .expect("update_wave_applied");
     let stopped = kind_pos("daemon_stopped").expect("daemon_stopped");
     assert!(
-        started < established && established < burst && burst < injected,
+        started < established && established < wave && wave < burst && burst < injected,
         "journal order"
     );
-    assert!(injected < wave && wave < stopped, "journal order");
+    assert!(
+        injected < rolled_back && rolled_back < stopped,
+        "journal order"
+    );
 }

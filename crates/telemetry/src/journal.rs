@@ -64,21 +64,6 @@ pub enum Event {
         total: usize,
         /// Flow-mods in this wave.
         mods: usize,
-        /// Attempts spent on the wave (1 = no retries).
-        attempts: u32,
-    },
-    /// A fabric update was abandoned mid-flight: a wave exhausted its
-    /// retry budget, the remaining waves were skipped, and the waves that
-    /// had landed were rolled back.
-    UpdateAborted {
-        /// The controller commit epoch of the update.
-        epoch: u64,
-        /// Zero-based index of the wave that kept failing.
-        wave: usize,
-        /// Waves that had landed before the abort, all rolled back.
-        applied: usize,
-        /// Total waves the schedule had.
-        total: usize,
     },
     /// A full pipeline run completed and was committed to the fabric.
     ReoptimizeCompleted {
@@ -189,7 +174,6 @@ impl Event {
             Event::OverlaysRetired { .. } => "overlays_retired",
             Event::FlowModBatchApplied { .. } => "flowmod_batch_applied",
             Event::UpdateWaveApplied { .. } => "update_wave_applied",
-            Event::UpdateAborted { .. } => "update_aborted",
             Event::ReoptimizeCompleted { .. } => "reoptimize_completed",
             Event::CompileExplained { .. } => "compile_explained",
             Event::TxnRolledBack { .. } => "txn_rolled_back",
@@ -237,24 +221,11 @@ impl Event {
                 wave,
                 total,
                 mods,
-                attempts,
             } => {
                 pairs.push(("epoch".to_string(), Json::from(*epoch)));
                 pairs.push(("wave".to_string(), Json::from(*wave)));
                 pairs.push(("total".to_string(), Json::from(*total)));
                 pairs.push(("mods".to_string(), Json::from(*mods)));
-                pairs.push(("attempts".to_string(), Json::from(u64::from(*attempts))));
-            }
-            Event::UpdateAborted {
-                epoch,
-                wave,
-                applied,
-                total,
-            } => {
-                pairs.push(("epoch".to_string(), Json::from(*epoch)));
-                pairs.push(("wave".to_string(), Json::from(*wave)));
-                pairs.push(("applied".to_string(), Json::from(*applied)));
-                pairs.push(("total".to_string(), Json::from(*total)));
             }
             Event::ReoptimizeCompleted {
                 rules,

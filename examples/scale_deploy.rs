@@ -84,7 +84,7 @@ fn fail_and_roll_back(
         (format!("{:?}", ctl.vnh), ctl.delta_layers(), table)
     };
     let before = image(ctl, fabric);
-    ctl.faults = FaultPlan::seeded(1).fail_nth(InjectionPoint::FabricCommit, 1);
+    ctl.faults = FaultPlan::disabled().fail_nth(InjectionPoint::FabricCommit, 1);
     let failed = update(ctl, fabric);
     ctl.faults = FaultPlan::disabled();
     if !failed || image(ctl, fabric) != before {

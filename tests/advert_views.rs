@@ -9,11 +9,11 @@
 //! longer or looping path, withdraw, session reset, export-policy and
 //! community exclusions), policy pushes, fast-path bursts,
 //! re-optimisations, any of them failing and rolling back (on a torn
-//! commit, on a VNH pool with no free id, or on a participant policy the
-//! transformations reject), and any of them retrying a wave whose first
-//! apply attempt failed — the model is fed one write per (viewer, prefix), the way
-//! the old code did it, and every viewer's visible Adj-RIB-Out and every
-//! router's lookups must equal it.
+//! commit, on a first wave the switch refuses, on a VNH pool with no free
+//! id, or on a participant policy the transformations reject) — the model
+//! is fed one write per (viewer, prefix), the way the old code did it, and
+//! every viewer's visible Adj-RIB-Out and every router's lookups must
+//! equal it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -23,7 +23,6 @@ use rand::{Rng, SeedableRng};
 use sdx::bgp::attrs::PathAttributes;
 use sdx::bgp::route_server::{communities, ExportPolicy, RouteServer, RouteServerEvent};
 use sdx::core::controller::SdxController;
-use sdx::core::faults::ANY_WAVE;
 use sdx::core::{ParticipantConfig, VnhMap};
 use sdx::ixp::testkit;
 use sdx::net::{FieldMatch, Ipv4Addr, ParticipantId, PortId, Prefix};
@@ -250,10 +249,9 @@ fn arb_planned() -> impl Strategy<Value = Planned> {
         (0usize..64).prop_map(|who| Some(Fault::Rejected(who))),
         Just(Some(Fault::Injected(InjectionPoint::FabricCommit))),
         Just(Some(Fault::DryPool)),
-        // Retried, not fatal: a burst, push or re-optimisation that hits
-        // it on its first attempt lands and must still match the model.
+        // A burst, push or re-optimisation with a wave rolls back whole.
         Just(Some(Fault::Injected(InjectionPoint::FlowModApply {
-            wave: ANY_WAVE
+            wave: 0
         }))),
     ];
     (arb_step(), any::<bool>(), fault)
@@ -340,7 +338,7 @@ impl World {
         let (mut drawn, mut rejected) = (Vec::new(), None);
         match *fault {
             Some(Fault::Injected(point)) => {
-                self.ctl.faults = FaultPlan::seeded(1).fail_nth(point, 1);
+                self.ctl.faults = FaultPlan::disabled().fail_nth(point, 1);
             }
             Some(Fault::DryPool) => drawn = testkit::drain_vnh(&mut self.ctl.vnh, 0),
             Some(Fault::Rejected(who)) => {
@@ -566,7 +564,7 @@ fn ixp50_views_equal_the_materialised_tables() {
     let mut rng = StdRng::seed_from_u64(0x5d_a7ab1e);
     let mut idx = move || rng.gen_range(0..1usize << 20);
     let faults = [
-        None,
+        Some(Fault::Injected(InjectionPoint::FlowModApply { wave: 0 })),
         Some(Fault::Injected(InjectionPoint::FabricCommit)),
         None,
         Some(Fault::Rejected(0)),

@@ -320,7 +320,7 @@ fn injected_commit_fault_rolls_back_torn_fast_path() {
     // FabricCommit fires *mid-stage*: the delta's ARP bindings are already
     // on the responder when the fault hits, its re-advertisements not yet
     // in the FIBs, so this exercises rollback of a genuinely torn fabric.
-    ctl.faults = FaultPlan::seeded(3).fail_nth(InjectionPoint::FabricCommit, 1);
+    ctl.faults = FaultPlan::disabled().fail_nth(InjectionPoint::FabricCommit, 1);
     let err = ctl
         .process_update(pid(2), &announce_30_8(), &mut fabric)
         .unwrap_err();
@@ -341,7 +341,7 @@ fn injected_commit_fault_rolls_back_torn_reoptimize() {
     let snap = fabric.clone();
     // Mid-reoptimize the base table has already been swapped when the
     // fault fires (ARP/FIB sync still pending): the worst possible tear.
-    ctl.faults = FaultPlan::seeded(3).fail_nth(InjectionPoint::FabricCommit, 1);
+    ctl.faults = FaultPlan::disabled().fail_nth(InjectionPoint::FabricCommit, 1);
     let err = ctl.reoptimize(&mut fabric).unwrap_err();
     assert_eq!(err, SdxError::Injected(InjectionPoint::FabricCommit));
     assert_eq!(fabric, snap, "reoptimize tear must be invisible");
@@ -377,7 +377,7 @@ fn recompile_after_rollbacks_equals_a_cold_compile_on_the_restored_allocator() {
     // The compile draws the two ids in group order and keeps its pieces
     // under them; the commit is torn and rolled back, ids included.
     let snap = fabric.clone();
-    ctl.faults = FaultPlan::seeded(3).fail_nth(InjectionPoint::FabricCommit, 1);
+    ctl.faults = FaultPlan::disabled().fail_nth(InjectionPoint::FabricCommit, 1);
     let err = ctl.reoptimize(&mut fabric).unwrap_err();
     assert_eq!(err, SdxError::Injected(InjectionPoint::FabricCommit));
     assert_eq!(fabric, snap);

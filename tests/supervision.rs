@@ -42,18 +42,21 @@ fn probe(fabric: &mut Fabric, dst: &str) -> sdx::openflow::Deliveries {
     )
 }
 
-/// Walks B's supervised session to Established by playing B's half.
-fn establish_b(sup: &mut Supervisor, ctl: &mut SdxController, now: u64) {
-    let mut t = sup.tick(now, &mut ctl.rs);
-    while !t.send.iter().any(|(_, m)| matches!(m, BgpMessage::Open(_))) {
-        t = sup.tick(now, &mut ctl.rs);
-    }
+/// Walks B's supervised session to Established by playing B's half: B
+/// connects, and answers our OPEN.
+fn establish_b(sup: &mut Supervisor, ctl: &mut SdxController, now: u64) -> SupervisorOutput {
+    let up = sup.connection_up(now, pid(2), &mut ctl.rs);
+    assert!(up
+        .send
+        .iter()
+        .any(|(_, m)| matches!(m, BgpMessage::Open(_))));
     sup.handle_message(now, pid(2), BgpMessage::Open(open(65002, 90)), &mut ctl.rs);
     sup.handle_message(now, pid(2), BgpMessage::Keepalive, &mut ctl.rs);
     assert_eq!(
         sup.session(pid(2)).unwrap().state(),
         SessionState::Established
     );
+    up
 }
 
 #[test]
@@ -66,8 +69,6 @@ fn flapping_peer_costs_constant_recompilations_and_routes_return() {
     let mut fabric = ctl.deploy().expect("deploy");
 
     let cfg = SupervisorConfig {
-        reconnect_base_ms: 10,
-        reconnect_max_ms: 200,
         flap_penalty: 1_000.0,
         suppress_threshold: 1_500.0,
         reuse_threshold: 750.0,
@@ -85,7 +86,7 @@ fn flapping_peer_costs_constant_recompilations_and_routes_return() {
     assert_eq!(probe(&mut fabric, "20.0.0.1")[0].loc.participant(), pid(2));
 
     // Now B flaps 8 times well inside the penalty half-life: notification,
-    // backoff, reconnect, re-announce — a recompilation storm if undamped.
+    // B connects again, re-announces — a recompilation storm if undamped.
     let mut recompiles = 0;
     let mut now = 10;
     for _ in 0..8 {
@@ -99,16 +100,12 @@ fn flapping_peer_costs_constant_recompilations_and_routes_return() {
             &mut ctl.rs,
         );
         recompiles += apply(&mut ctl, &mut fabric, &out);
-        now += 300; // past the (capped, jittered) backoff
-        let mut t = sup.tick(now, &mut ctl.rs);
+        now += 300;
+        let t = sup.tick(now, &mut ctl.rs);
+        assert!(t.send.is_empty(), "nothing reconnects on a timer");
         recompiles += apply(&mut ctl, &mut fabric, &t);
-        while !t.send.iter().any(|(_, m)| matches!(m, BgpMessage::Open(_))) {
-            now += 300;
-            t = sup.tick(now, &mut ctl.rs);
-            recompiles += apply(&mut ctl, &mut fabric, &t);
-        }
-        sup.handle_message(now, pid(2), BgpMessage::Open(open(65002, 90)), &mut ctl.rs);
-        sup.handle_message(now, pid(2), BgpMessage::Keepalive, &mut ctl.rs);
+        let up = establish_b(&mut sup, &mut ctl, now);
+        recompiles += apply(&mut ctl, &mut fabric, &up);
         let out = sup.handle_message(now, pid(2), announce.clone(), &mut ctl.rs);
         recompiles += apply(&mut ctl, &mut fabric, &out);
         now += 10;

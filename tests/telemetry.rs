@@ -133,7 +133,7 @@ fn controller_journal_orders_lifecycle_events() {
 fn injected_fault_journals_rollback() {
     let (mut ctl, mut fabric) = small_exchange();
     ctl.telemetry.journal().clear();
-    ctl.faults = FaultPlan::seeded(7).fail_nth(InjectionPoint::FabricCommit, 1);
+    ctl.faults = FaultPlan::disabled().fail_nth(InjectionPoint::FabricCommit, 1);
     ctl.set_outbound(
         pid(1),
         Some(P::match_(FieldMatch::TpDst(443)) >> P::fwd(PortId::Virt(pid(2)))),
@@ -195,7 +195,7 @@ fn supervisor_journals_session_lifecycle() {
         router_id: RouterId(99),
     };
     sup.add_peer(pid(1), local, 0);
-    sup.tick(0, &mut rs);
+    sup.connection_up(0, pid(1), &mut rs);
     sup.handle_message(
         0,
         pid(1),
