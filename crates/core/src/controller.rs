@@ -431,11 +431,11 @@ impl SdxController {
     ///
     /// VNH recycling: the previous compilation's group ids and every
     /// fast-path delta id are released back to the pool here — by the end
-    /// of this call no switch rule, FIB entry, or ARP cache references
+    /// of this call no switch rule, FIB entry, or ARP binding references
     /// them (the table is patched, the FIBs are reconciled to the new VNH
-    /// map, and the retired addresses are invalidated from router ARP
-    /// caches), so a long-lived controller never exhausts the pool under
-    /// sustained churn.
+    /// map, and the retired addresses are unbound from the responder
+    /// every router resolves through), so a long-lived controller never
+    /// exhausts the pool under sustained churn.
     pub fn reoptimize(&mut self, fabric: &mut Fabric) -> Result<&CompileReport, SdxError> {
         let prepared = self.prepare(fabric, Change::Recompile(Waves::Atomic))?;
         self.commit(fabric, prepared, None)?;
@@ -684,16 +684,12 @@ impl SdxController {
     fn retire(&mut self, fabric: &mut Fabric, retire: Retire, latency: Duration) {
         let reg = self.telemetry.clone();
         self.journal_batch(self.epoch, retire.patched);
-        // Unbind the retired addresses from the responder and invalidate
-        // them from router ARP caches — selectively: every other cached
-        // entry stays warm (the fixed vnh→vmac mapping means a surviving
-        // entry can never be stale).
-        let mut invalidated = 0;
+        // Unbind the retired addresses from the responder: routers resolve
+        // every packet through it, so a retired VNH stops resolving at
+        // once, and every surviving binding is untouched.
         for addr in &retire.retired_addrs {
             fabric.arp.unbind(*addr);
-            invalidated += fabric.invalidate_arp(*addr);
         }
-        reg.add("arp.invalidated.count", invalidated as u64);
         // Stale keyed ids release only now: through the compile they were
         // still mapped, which is what kept live keys off their slots.
         for id in retire.stale_ids {
@@ -1151,7 +1147,7 @@ mod tests {
 
     #[test]
     fn deploy_wires_everything() {
-        let (_ctl, mut fabric) = deployment();
+        let (_ctl, fabric) = deployment();
         // Port-80 traffic from C reaches B.
         let out = fabric.send(
             PortId::Phys(pid(3), 1),
@@ -1166,7 +1162,8 @@ mod tests {
         );
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, PortId::Phys(pid(1), 1));
-        assert_eq!(fabric.stuck_at_virtual, 0);
+        let stuck = fabric.telemetry().counter("fabric.stuck_at_virtual.count");
+        assert_eq!(stuck.get(), 0);
     }
 
     #[test]
@@ -1510,7 +1507,7 @@ mod tests {
                 pid(editor),
                 Some(P::match_(FieldMatch::TpDst(22)) >> P::fwd(PortId::Virt(pid(announcer)))),
             );
-            // Traffic, so the table and routers carry counters and caches.
+            // Traffic, which writes nothing the image holds.
             for port in fabric.ports().collect::<Vec<_>>() {
                 fabric.send(port, Packet::tcp(ip("9.9.9.9"), ip("99.1.2.3"), 5, 22));
             }

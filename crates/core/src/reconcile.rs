@@ -28,10 +28,10 @@
 //! Matching is positional *by pattern*: the classifier emits rules in
 //! first-match order, deployed entries sit in priority (= first-match)
 //! order, and a greedy in-order walk pairs them up. A pattern that kept
-//! its actions is untouched (counters survive); one whose actions changed
-//! becomes a `Modify` (counters still survive — OpenFlow semantics);
-//! patterns only in the old table are deleted; patterns only in the new
-//! classifier are added at midpoints.
+//! its actions is untouched; one whose actions changed becomes a `Modify`
+//! of the entry in place (OpenFlow semantics); patterns only in the old
+//! table are deleted; patterns only in the new classifier are added at
+//! midpoints.
 
 use std::collections::HashMap;
 
@@ -339,22 +339,14 @@ mod tests {
     }
 
     #[test]
-    fn action_change_is_a_modify_preserving_counters() {
+    fn action_change_is_a_modify() {
         let mut t = deploy(vec![vmac_rule(1, 1), vmac_rule(2, 2)]);
-        // Traffic hits rule for vmac 1.
-        let lp = sdx_net::LocatedPacket::at(
-            PortId::Phys(ParticipantId(9), 1),
-            sdx_net::Packet::tcp(sdx_net::ip("1.1.1.1"), sdx_net::ip("2.2.2.2"), 1, 2)
-                .with_macs(MacAddr::physical(9), MacAddr::vmac(1)),
-        );
-        t.lookup(&lp).expect("hits");
         let new = vec![vmac_rule(1, 7), vmac_rule(2, 2)]; // rerouted group 1
         let diff = diff_base_table(&t, &classifier(new), 2);
         assert_eq!(diff.batch.stats().modifies, 1);
         assert_eq!(diff.batch.len(), 1);
         t.apply_batch(&diff.batch).unwrap();
         let e = t.entries_with_cookie(2).next().unwrap();
-        assert_eq!(e.packet_count, 1, "counters survive the modify");
         assert_eq!(
             e.buckets[0][0],
             Mod::SetLoc(PortId::Phys(ParticipantId(7), 1))
@@ -370,7 +362,7 @@ mod tests {
         assert_eq!(diff.batch.len(), 1);
         let mut t2 = t.clone();
         t2.apply_batch(&diff.batch).unwrap();
-        assert_eq!(t2.cookie_count(3), 0);
+        assert_eq!(t2.entries_with_cookie(3).count(), 0);
         assert_eq!(t2.len(), 3, "two rules + catch-all survive");
     }
 

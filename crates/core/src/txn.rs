@@ -16,7 +16,11 @@
 //! step replays the records backwards, so an observer of the data plane
 //! sees either the old state or the new state, never a torn mixture.
 //! Nothing is copied: a transaction costs what it changes, opening one
-//! included, not what the exchange holds.
+//! included, not what the exchange holds. Forwarding writes nothing the
+//! fabric holds (routers resolve through the responder, and traffic is
+//! counted only in the registry and the matcher), so packets sent while
+//! a transaction is open leave nothing for its rollback to miss: the
+//! whole `Fabric` image comes back.
 //!
 //! Validation invariants (violations indicate a compiler bug, and must
 //! never reach the switch):
@@ -151,8 +155,8 @@ impl UndoLog {
     }
 
     /// Replays the log backwards: everything written through it holds the
-    /// value it held before, byte for byte — table entries with their
-    /// counters and band order, trie structure, map keys.
+    /// value it held before, byte for byte — table entries in their band
+    /// order, trie structure, map keys.
     pub fn rollback(self, fabric: &mut Fabric, rs: &mut RouteServer) {
         for undo in self.entries.into_iter().rev() {
             match undo {

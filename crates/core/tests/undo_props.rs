@@ -9,8 +9,8 @@
 //! the first write to an empty table), advertisements sharing one copy of a route's
 //! attributes across many slots and prefixes, ARP bindings, overlay
 //! retirement, the drained dirty set — then `rollback`, must
-//! leave exactly the clones taken before: table entries with their
-//! counters and band order, epoch, cookie index, unstreamed batch log,
+//! leave exactly the clones taken before: table entries in their band
+//! order, epoch, cookie counts, unstreamed batch log,
 //! trie structure, subscriber sets. A log that discards instead of
 //! recording must perform the same writes. Flow-mod batches (accepted and
 //! rejected) are written to the table directly, before the recorded
@@ -299,8 +299,8 @@ impl World {
         }
     }
 
-    /// Traffic from every port, so table entries and routers carry
-    /// counters and ARP caches that an undo must not disturb.
+    /// Traffic from every port. Forwarding writes nothing the fabric
+    /// holds, so the rollback's image comparison holds with it in between.
     fn send_traffic(&mut self) {
         for port in self.fabric.ports().collect::<Vec<_>>() {
             for dst in [0x0a00_0001u32, 0x0b01_0001, 0x0c00_0101] {
@@ -318,7 +318,9 @@ impl World {
         (
             self.fabric.clone(),
             table.epoch(),
-            (0..4).map(|c| table.cookie_count(c)).collect::<Vec<_>>(),
+            (0..4)
+                .map(|c| table.entries_with_cookie(c).count())
+                .collect::<Vec<_>>(),
             self.fabric.clone().drain_batches(),
             self.rs.clone().take_dirty_prefixes(),
         )

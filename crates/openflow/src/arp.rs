@@ -5,32 +5,19 @@
 //! itself with the *virtual MAC* that tags the corresponding forwarding
 //! equivalence class. Physical participant addresses are answered from the
 //! same table, pre-populated from the static IXP configuration.
+//!
+//! The answer for a VNH is fixed by its FEC id (`sdx_core::vnh`), so a
+//! router-side ARP cache could only ever repeat this table: every router
+//! resolves through it ([`ArpResponder::resolve`]), and a retired VNH
+//! stops resolving everywhere the moment it is unbound.
 
 use sdx_net::{Ipv4Addr, MacAddr, WordMap};
-
-/// An ARP request: "who has `target`?"
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ArpRequest {
-    /// Address being resolved.
-    pub target: Ipv4Addr,
-}
-
-/// An ARP reply: "`target` is at `mac`."
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub struct ArpReply {
-    /// The resolved address.
-    pub target: Ipv4Addr,
-    /// Its MAC — a VMAC for virtual next hops.
-    pub mac: MacAddr,
-}
 
 /// The controller-side ARP table/responder.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct ArpResponder {
-    /// Hashed: a router's ARP-cache miss reads it mid-packet.
+    /// Hashed: every forwarded packet reads it.
     table: WordMap<Ipv4Addr, MacAddr>,
-    /// Requests that could not be answered (diagnostics/failure injection).
-    pub unanswered: u64,
 }
 
 impl ArpResponder {
@@ -51,23 +38,10 @@ impl ArpResponder {
         self.table.remove(&addr)
     }
 
-    /// Looks up without counting a miss.
+    /// The MAC `addr` is bound to, if any: the answer to a router's
+    /// "who has `addr`?".
     pub fn resolve(&self, addr: Ipv4Addr) -> Option<MacAddr> {
         self.table.get(&addr).copied()
-    }
-
-    /// Handles a request, counting unanswered ones.
-    pub fn handle(&mut self, req: ArpRequest) -> Option<ArpReply> {
-        match self.table.get(&req.target) {
-            Some(mac) => Some(ArpReply {
-                target: req.target,
-                mac: *mac,
-            }),
-            None => {
-                self.unanswered += 1;
-                None
-            }
-        }
     }
 
     /// Number of bindings.
@@ -98,25 +72,6 @@ mod tests {
             arp.bind(ip("172.16.255.1"), MacAddr::vmac(9)),
             Some(MacAddr::vmac(7))
         );
-    }
-
-    #[test]
-    fn handle_replies_and_counts_misses() {
-        let mut arp = ArpResponder::new();
-        arp.bind(ip("172.16.255.1"), MacAddr::vmac(7));
-        let reply = arp
-            .handle(ArpRequest {
-                target: ip("172.16.255.1"),
-            })
-            .unwrap();
-        assert_eq!(reply.mac, MacAddr::vmac(7));
-        assert_eq!(reply.target, ip("172.16.255.1"));
-        assert!(arp
-            .handle(ArpRequest {
-                target: ip("172.16.255.99"),
-            })
-            .is_none());
-        assert_eq!(arp.unanswered, 1);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!
 //! This model implements steps 3 and 4: it looks a packet's destination
 //! up in what the route server advertised (steps 1 and 2, see below),
-//! resolves the next hop through an [`ArpResponder`], and emits the
+//! resolves the next hop through the [`ArpResponder`], and emits the
 //! tagged packet. It is *unmodified-BGP* faithful — nothing here knows
 //! about FECs; the tag appears purely through next-hop+ARP mechanics,
 //! which is the paper's point.
@@ -31,18 +31,22 @@
 //! one participant forwards by what that participant was told, and no
 //! router can hold a route the route server did not advertise. The
 //! controller writes that table (through its transaction's undo log, see
-//! `sdx_core::txn`); a router only reads it. A [`BorderRouter`] is its
-//! port, MAC, ARP cache and drop counters; its FIB is read through
-//! [`RouterRef`], and [`RouterMut`] forwards through it.
+//! `sdx_core::txn`); a router only reads it.
+//!
+//! A router keeps no ARP cache: the responder's answer for a VNH is fixed
+//! by its FEC id, so a cache could only repeat the responder's table, and
+//! every packet resolves through that table instead. Forwarding therefore
+//! writes nothing: a [`BorderRouter`] is its port and MAC, its FIB is
+//! read through [`RouterRef`], and [`RouterRef::forward`] tags a packet.
 
 use std::fmt;
-use std::ops::{Deref, DerefMut};
+use std::ops::Deref;
 
-use sdx_net::{Ipv4Addr, LocatedPacket, MacAddr, Packet, PortId, Prefix, WordMap};
+use sdx_net::{Ipv4Addr, LocatedPacket, MacAddr, Packet, PortId, Prefix};
 
 use sdx_bgp::rib::{AdjRibOut, AdjRibOuts};
 
-use crate::arp::{ArpRequest, ArpResponder};
+use crate::arp::ArpResponder;
 
 /// A participant's border router, without its FIB (see the module
 /// documentation).
@@ -52,88 +56,42 @@ pub struct BorderRouter {
     pub port: PortId,
     /// The router's interface MAC.
     pub mac: MacAddr,
-    /// Local ARP cache, filled by querying the SDX responder; hashed,
-    /// since every forwarded packet reads it.
-    arp_cache: WordMap<Ipv4Addr, MacAddr>,
-    /// Packets dropped for lack of a route.
-    pub no_route_drops: u64,
-    /// Packets dropped because ARP resolution failed.
-    pub no_arp_drops: u64,
 }
 
 impl BorderRouter {
-    /// A router at `port` with interface `mac` and an empty ARP cache.
+    /// A router at `port` with interface `mac`.
     pub fn new(port: PortId, mac: MacAddr) -> Self {
-        BorderRouter {
-            port,
-            mac,
-            arp_cache: WordMap::default(),
-            no_route_drops: 0,
-            no_arp_drops: 0,
-        }
-    }
-
-    /// Flushes the ARP cache — required when the SDX re-binds a VNH to a
-    /// new VMAC (the real system shortens ARP TTLs / sends gratuitous ARP).
-    pub fn flush_arp(&mut self) {
-        self.arp_cache.clear();
-    }
-
-    /// Invalidates one cached VNH→VMAC mapping (the per-address gratuitous
-    /// ARP a delta-first reoptimize sends: only retired bindings are
-    /// flushed, the rest of the cache survives). Returns whether an entry
-    /// was present.
-    pub fn invalidate_arp(&mut self, addr: Ipv4Addr) -> bool {
-        self.arp_cache.remove(&addr).is_some()
-    }
-
-    /// The cached VMAC for `addr`, if resolved earlier — lets tests assert
-    /// which cache entries survived a selective flush.
-    pub fn cached_arp(&self, addr: Ipv4Addr) -> Option<MacAddr> {
-        self.arp_cache.get(&addr).copied()
+        BorderRouter { port, mac }
     }
 
     /// The step after the FIB lookup: ARP for the route's `next_hop`
     /// (through the SDX responder), MAC rewrite, and emission on the
-    /// fabric port.
-    ///
-    /// Returns `None` when there is no route or ARP fails — both counted
-    /// for the failure-injection tests.
+    /// fabric port. `None` when the next hop does not resolve.
     pub(crate) fn tag(
-        &mut self,
-        next_hop: Option<Ipv4Addr>,
+        &self,
+        next_hop: Ipv4Addr,
         pkt: Packet,
-        arp: &mut ArpResponder,
+        arp: &ArpResponder,
     ) -> Option<LocatedPacket> {
-        let Some(next_hop) = next_hop else {
-            self.no_route_drops += 1;
-            return None;
-        };
-        let mac = match self.arp_cache.get(&next_hop) {
-            Some(m) => *m,
-            None => {
-                let Some(reply) = arp.handle(ArpRequest { target: next_hop }) else {
-                    self.no_arp_drops += 1;
-                    return None;
-                };
-                self.arp_cache.insert(next_hop, reply.mac);
-                reply.mac
-            }
-        };
-        let tagged = pkt.with_macs(self.mac, mac);
-        Some(LocatedPacket::at(self.port, tagged))
+        let mac = arp.resolve(next_hop)?;
+        Some(LocatedPacket::at(self.port, pkt.with_macs(self.mac, mac)))
     }
 }
 
 /// A router attached to a fabric, with its participant's view of the
 /// fabric's [`AdjRibOuts`] as its FIB. Dereferences to the
-/// [`BorderRouter`] for everything but the FIB (port, MAC, ARP cache,
-/// drop counters).
+/// [`BorderRouter`] for its port and MAC.
 #[derive(Clone, Copy)]
 pub struct RouterRef<'a> {
     router: &'a BorderRouter,
     adverts: &'a AdjRibOuts,
 }
+
+/// The handle [`Fabric::router_mut`](crate::fabric::Fabric::router_mut)
+/// returns: forwarding writes nothing, so it is a [`RouterRef`]. The name
+/// is kept because the benchmark's data-plane probes call
+/// `router_mut(port)?.forward(pkt, &mut arp)`.
+pub type RouterMut<'a> = RouterRef<'a>;
 
 impl<'a> RouterRef<'a> {
     pub(crate) fn new(router: &'a BorderRouter, adverts: &'a AdjRibOuts) -> Self {
@@ -156,6 +114,17 @@ impl<'a> RouterRef<'a> {
     /// router holds *anyway*).
     pub fn fib_len(&self) -> usize {
         self.fib().len()
+    }
+
+    /// Forwards an IP packet originated behind this router into the
+    /// fabric: FIB lookup, ARP for the next hop through `arp`, MAC
+    /// rewrite, and emission on the fabric port. Returns `None` when the
+    /// packet has no route or its next hop does not resolve
+    /// ([`Fabric::send`](crate::fabric::Fabric::send) counts which).
+    pub fn forward(self, pkt: Packet, arp: &ArpResponder) -> Option<LocatedPacket> {
+        let viewer = self.router.port.participant();
+        let (_, advert) = self.adverts.lookup(viewer, pkt.nw_dst)?;
+        self.router.tag(advert.next_hop, pkt, arp)
     }
 }
 
@@ -182,45 +151,6 @@ impl fmt::Debug for RouterRef<'_> {
     }
 }
 
-/// [`RouterRef`] with the router writable: its ARP cache and drop
-/// counters, which forwarding updates. The FIB stays read-only.
-pub struct RouterMut<'a> {
-    router: &'a mut BorderRouter,
-    adverts: &'a AdjRibOuts,
-}
-
-impl<'a> RouterMut<'a> {
-    pub(crate) fn new(router: &'a mut BorderRouter, adverts: &'a AdjRibOuts) -> Self {
-        RouterMut { router, adverts }
-    }
-
-    /// Forwards an IP packet originated behind this router into the
-    /// fabric: FIB lookup, ARP for the next hop (through the SDX
-    /// responder), MAC rewrite, and emission on the fabric port. Returns
-    /// `None` when the packet has no route or ARP fails, counting which.
-    /// Takes the handle: fetch it again (or use
-    /// [`Fabric::send`](crate::fabric::Fabric::send)) for the next packet.
-    pub fn forward(self, pkt: Packet, arp: &mut ArpResponder) -> Option<LocatedPacket> {
-        let viewer = self.router.port.participant();
-        let route = self.adverts.lookup(viewer, pkt.nw_dst);
-        self.router.tag(route.map(|(_, a)| a.next_hop), pkt, arp)
-    }
-}
-
-impl Deref for RouterMut<'_> {
-    type Target = BorderRouter;
-
-    fn deref(&self) -> &BorderRouter {
-        self.router
-    }
-}
-
-impl DerefMut for RouterMut<'_> {
-    fn deref_mut(&mut self) -> &mut BorderRouter {
-        self.router
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -239,8 +169,8 @@ mod tests {
         f
     }
 
-    fn router(f: &mut Fabric) -> RouterMut<'_> {
-        f.router_mut(AT).expect("attached")
+    fn router(f: &Fabric) -> RouterRef<'_> {
+        f.router(AT).expect("attached")
     }
 
     /// Writes AT's participant's own slot at `pfx`: advertised under
@@ -276,11 +206,8 @@ mod tests {
         let mut arp = ArpResponder::new();
         arp.bind(ip("172.16.255.1"), MacAddr::vmac(42));
         tell(&mut f, "74.125.0.0/16", Some(ip("172.16.255.1")));
-        let lp = router(&mut f)
-            .forward(
-                Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80),
-                &mut arp,
-            )
+        let lp = router(&f)
+            .forward(Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80), &arp)
             .unwrap();
         // The packet enters the fabric on the router's port with the FEC
         // encoded in the destination MAC — the paper's data-plane tag.
@@ -290,39 +217,33 @@ mod tests {
     }
 
     #[test]
-    fn arp_is_cached_until_flushed() {
+    fn every_packet_resolves_through_the_responder() {
         let mut f = attached();
         let mut arp = ArpResponder::new();
         arp.bind(ip("172.16.255.1"), MacAddr::vmac(1));
         tell(&mut f, "74.125.0.0/16", Some(ip("172.16.255.1")));
         let p = Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80);
-        let forward =
-            |f: &mut Fabric, arp: &mut ArpResponder| router(f).forward(p, arp).unwrap().pkt.dl_dst;
-        assert_eq!(forward(&mut f, &mut arp), MacAddr::vmac(1));
-        // Rebind without flushing: stale cache still serves the old VMAC.
+        let forward = |arp: &ArpResponder| router(&f).forward(p, arp).map(|lp| lp.pkt.dl_dst);
+        assert_eq!(forward(&arp), Some(MacAddr::vmac(1)));
+        // No cache to go stale: a rebinding shows on the next packet, and
+        // an unbound next hop stops resolving at once.
         arp.bind(ip("172.16.255.1"), MacAddr::vmac(2));
-        assert_eq!(forward(&mut f, &mut arp), MacAddr::vmac(1));
-        // Flush → new VMAC picked up.
-        router(&mut f).flush_arp();
-        assert_eq!(forward(&mut f, &mut arp), MacAddr::vmac(2));
+        assert_eq!(forward(&arp), Some(MacAddr::vmac(2)));
+        arp.unbind(ip("172.16.255.1"));
+        assert_eq!(forward(&arp), None);
     }
 
     #[test]
-    fn drops_are_counted() {
+    fn unroutable_and_unresolvable_packets_are_dropped() {
         let mut f = attached();
-        let mut arp = ArpResponder::new();
+        let arp = ArpResponder::new();
+        let p = Packet::tcp(ip("1.1.1.1"), ip("2.2.2.2"), 5, 80);
         // No route at all.
-        assert!(router(&mut f)
-            .forward(Packet::tcp(ip("1.1.1.1"), ip("2.2.2.2"), 5, 80), &mut arp)
-            .is_none());
-        assert_eq!(f.router(AT).unwrap().no_route_drops, 1);
-        // Route exists but the VNH is unresolvable.
+        assert!(router(&f).forward(p, &arp).is_none());
+        // A route whose VNH the responder cannot resolve.
         tell(&mut f, "2.0.0.0/8", Some(ip("172.16.255.9")));
-        assert!(router(&mut f)
-            .forward(Packet::tcp(ip("1.1.1.1"), ip("2.2.2.2"), 5, 80), &mut arp)
-            .is_none());
-        assert_eq!(f.router(AT).unwrap().no_arp_drops, 1);
-        assert_eq!(arp.unanswered, 1);
+        assert!(router(&f).route_for(p.nw_dst).is_some());
+        assert!(router(&f).forward(p, &arp).is_none());
     }
 
     #[test]
@@ -333,11 +254,8 @@ mod tests {
         arp.bind(ip("172.16.255.2"), MacAddr::vmac(2));
         tell(&mut f, "74.0.0.0/8", Some(ip("172.16.255.1")));
         tell(&mut f, "74.125.0.0/16", Some(ip("172.16.255.2")));
-        let lp = router(&mut f)
-            .forward(
-                Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80),
-                &mut arp,
-            )
+        let lp = router(&f)
+            .forward(Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80), &arp)
             .unwrap();
         assert_eq!(lp.pkt.dl_dst.fec_id(), Some(2));
     }

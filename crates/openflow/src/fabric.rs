@@ -9,14 +9,23 @@
 //!
 //! Per packet, [`Fabric::send`] finds the router in one hashed probe,
 //! does the paper's two lookups (the router's FIB walk, then one
-//! switch-table match) with a hashed ARP-cache read between, credits the
-//! winning entry and pre-resolved counters, and applies its buckets: no
-//! ordered map, no counter by name, no allocation for one output port.
+//! switch-table match) with a hashed read of the ARP responder between,
+//! bumps pre-resolved counters, and applies the winning entry's buckets:
+//! no ordered map, no counter by name, no allocation for one output port.
+//!
+//! Forwarding writes nothing the fabric holds: `send`, `inject` and
+//! [`Switch::process`] take `&self`, and every count a packet moves lives
+//! in the registry (or, for the matcher's hits and misses, in
+//! [`MatcherStats`](crate::matcher::MatcherStats)). So what a `Fabric`
+//! holds is only its installed state — table entries, ARP bindings,
+//! Adj-RIB-Outs, the routers' ports and MACs — all of it written through
+//! the controller's undo log or a wave's undo, and one rollback restores
+//! the whole image.
 
 use std::sync::Arc;
 
 use sdx_bgp::rib::{AdjRibOut, AdjRibOuts};
-use sdx_net::{Ipv4Addr, LocatedPacket, Packet, ParticipantId, PortId, WordMap};
+use sdx_net::{LocatedPacket, Packet, ParticipantId, PortId, WordMap};
 use sdx_telemetry::{Counter, SharedRegistry};
 
 use crate::arp::ArpResponder;
@@ -43,9 +52,6 @@ pub struct Fabric {
     /// its participant's view of it (see [`crate::border_router`]);
     /// written by whoever speaks BGP to the routers.
     adverts: AdjRibOuts,
-    /// Packets the switch emitted at a *virtual* location — a compiled
-    /// policy must never do this; non-zero means a compilation bug.
-    pub stuck_at_virtual: u64,
     /// Traffic counters land here. Compares equal to any other, so
     /// equality of the *installed state* is unaffected by where the
     /// fabric reports metrics.
@@ -153,11 +159,10 @@ impl Fabric {
         Some(RouterRef::new(&self.routers[at], &self.adverts))
     }
 
-    /// Mutable access to the router at `port`: its ARP cache and drop
-    /// counters, and forwarding through its FIB (read-only).
+    /// [`router`](Fabric::router) under the name the benchmark's
+    /// data-plane probes call (see [`RouterMut`]).
     pub fn router_mut(&mut self, port: PortId) -> Option<RouterMut<'_>> {
-        let &at = self.by_port.get(&port)?;
-        Some(RouterMut::new(&mut self.routers[at], &self.adverts))
+        self.router(port)
     }
 
     /// What the route server last advertised to `viewer` — its view of
@@ -180,16 +185,6 @@ impl Fabric {
         &mut self.adverts
     }
 
-    /// Invalidates `addr` in every attached router's ARP cache (the
-    /// gratuitous ARP sent when a virtual next hop is retired). Returns
-    /// how many caches held it.
-    pub fn invalidate_arp(&mut self, addr: Ipv4Addr) -> usize {
-        self.routers
-            .iter_mut()
-            .map(|r| usize::from(r.invalidate_arp(addr)))
-            .sum()
-    }
-
     /// All attached router ports, in port order.
     pub fn ports(&self) -> impl Iterator<Item = PortId> + '_ {
         self.routers.iter().map(|r| r.port)
@@ -201,21 +196,18 @@ impl Fabric {
     ///
     /// A packet the router drops is counted as `fabric.no_route.count`
     /// when its FIB has no route and as `fabric.no_arp.count` when the
-    /// route's next hop does not resolve, as the router's own
-    /// `no_route_drops` / `no_arp_drops` split them.
-    pub fn send(&mut self, from: PortId, pkt: Packet) -> Deliveries {
+    /// route's next hop does not resolve.
+    pub fn send(&self, from: PortId, pkt: Packet) -> Deliveries {
         self.telemetry.tx.inc();
         let Some(&at) = self.by_port.get(&from) else {
             return Deliveries::new();
         };
-        let route = self.adverts.lookup(from.participant(), pkt.nw_dst);
-        let route = route.map(|(_, advert)| advert.next_hop);
-        let Some(tagged) = self.routers[at].tag(route, pkt, &mut self.arp) else {
-            let dropped = match route {
-                Some(_) => &self.telemetry.no_arp,
-                None => &self.telemetry.no_route,
-            };
-            dropped.inc();
+        let Some((_, advert)) = self.adverts.lookup(from.participant(), pkt.nw_dst) else {
+            self.telemetry.no_route.inc();
+            return Deliveries::new();
+        };
+        let Some(tagged) = self.routers[at].tag(advert.next_hop, pkt, &self.arp) else {
+            self.telemetry.no_arp.inc();
             return Deliveries::new();
         };
         self.inject(tagged)
@@ -223,8 +215,10 @@ impl Fabric {
 
     /// Injects an already-located packet straight into the switch (used by
     /// tests that need precise control over the tag). Outputs at virtual
-    /// locations are dropped from the switch's own output and counted.
-    pub fn inject(&mut self, lp: LocatedPacket) -> Deliveries {
+    /// locations — which a compiled policy must never produce — are
+    /// dropped from the switch's own output and counted as
+    /// `fabric.stuck_at_virtual.count`.
+    pub fn inject(&self, lp: LocatedPacket) -> Deliveries {
         let mut out = self.switch.process(lp);
         let mut stuck = 0;
         out.retain(|d| {
@@ -233,7 +227,6 @@ impl Fabric {
             physical
         });
         if stuck > 0 {
-            self.stuck_at_virtual += stuck;
             self.telemetry.stuck_at_virtual.add(stuck);
         }
         self.telemetry.delivered.add(out.len() as u64);
@@ -299,9 +292,9 @@ impl Fabric {
     /// Undoes the batch `undo` came from — a wave that was applied and
     /// then refused (by a safety check, a switch further down the fan-out,
     /// or a later step of the caller's transaction): the table is as it
-    /// was before the batch, counters and band order included, and the
-    /// batch is retracted from the log, so it is never streamed. Batches
-    /// applied after it must have been rewound first.
+    /// was before the batch, band order included, and the batch is
+    /// retracted from the log, so it is never streamed. Batches applied
+    /// after it must have been rewound first.
     pub fn rewind_wave(&mut self, undo: WaveUndo) {
         self.switch.table_mut().undo_batch(undo.table);
         self.batch_log.batches.truncate(undo.logged);
@@ -323,7 +316,9 @@ mod tests {
     use proptest::prelude::*;
     use sdx_bgp::attrs::{AsPath, PathAttributes};
     use sdx_bgp::rib::Advert;
-    use sdx_net::{ip, prefix, FieldMatch, HeaderMatch, MacAddr, Mod, Prefix, Slot, Write};
+    use sdx_net::{
+        ip, prefix, FieldMatch, HeaderMatch, Ipv4Addr, MacAddr, Mod, Prefix, Slot, Write,
+    };
 
     fn port(p: u32, i: u8) -> PortId {
         PortId::Phys(ParticipantId(p), i)
@@ -352,7 +347,7 @@ mod tests {
 
     #[test]
     fn end_to_end_delivery() {
-        let mut f = two_party_fabric();
+        let f = two_party_fabric();
         let out = f.send(
             port(1, 1),
             Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80),
@@ -362,7 +357,7 @@ mod tests {
         // The VMAC tag was rewritten to the receiver's physical MAC, so B's
         // router will accept the frame (the paper's dstmac rewrite).
         assert_eq!(out[0].pkt.dl_dst, MacAddr::physical(21));
-        assert_eq!(f.stuck_at_virtual, 0);
+        assert_eq!(count(f.telemetry(), "fabric.stuck_at_virtual.count"), 0);
     }
 
     /// Writes `viewer`'s own slot at `prefix`: advertised under
@@ -481,13 +476,13 @@ mod tests {
 
     #[test]
     fn unrouted_traffic_goes_nowhere() {
-        let mut f = two_party_fabric();
+        let f = two_party_fabric();
         let out = f.send(
             port(1, 1),
             Packet::tcp(ip("10.0.0.1"), ip("9.9.9.9"), 5, 80),
         );
         assert!(out.is_empty());
-        assert_eq!(f.router(port(1, 1)).unwrap().no_route_drops, 1);
+        assert_eq!(count(f.telemetry(), "fabric.no_route.count"), 1);
     }
 
     fn count(reg: &SharedRegistry, key: &str) -> u64 {
@@ -509,7 +504,6 @@ mod tests {
             Packet::tcp(ip("10.0.0.1"), ip("20.0.0.1"), 5, 80),
         );
         assert!(out.is_empty());
-        assert_eq!(f.router(port(1, 1)).unwrap().no_arp_drops, 1);
         assert_eq!(count(f.telemetry(), "fabric.no_arp.count"), 1);
         assert_eq!(count(f.telemetry(), "fabric.no_route.count"), 0);
         // A packet with no route at all still counts as one.
@@ -543,7 +537,7 @@ mod tests {
         assert_eq!(traffic(&old), (1, 1));
 
         // A clone counts in the same sink.
-        let mut g = f.clone();
+        let g = f.clone();
         g.send(port(1, 1), routed());
         assert!(g.telemetry().same_sink(&reg));
         assert_eq!(traffic(&reg), (2, 2));
@@ -579,22 +573,19 @@ mod tests {
         assert_eq!(locs, [port(2, 1), port(3, 1)]);
         assert_eq!(out[1].pkt.dl_dst, MacAddr::physical(31));
         assert_eq!(count(f.telemetry(), "fabric.delivered.count"), 2);
-        assert_eq!(f.stuck_at_virtual, 1);
         assert_eq!(count(f.telemetry(), "fabric.stuck_at_virtual.count"), 1);
-        let table = f.switch.table();
-        let entry = table.entries().iter().find(|e| e.priority == 100).unwrap();
-        assert_eq!((entry.packet_count, entry.byte_count), (1, 1500));
 
-        // A packet no entry matches bumps the miss counter, goes nowhere.
+        // A packet no entry matches bumps the matcher's miss count, goes
+        // nowhere.
         let stray = LocatedPacket::at(port(2, 1), routed());
         assert!(f.inject(stray).is_empty());
-        assert_eq!(f.switch.miss_count, 1);
+        assert_eq!(f.switch.table().matcher_stats().miss_count, 1);
         assert_eq!(count(f.telemetry(), "fabric.delivered.count"), 2);
     }
 
     #[test]
     fn send_from_unknown_port_is_noop() {
-        let mut f = two_party_fabric();
+        let f = two_party_fabric();
         assert!(f
             .send(port(9, 1), Packet::tcp(ip("1.1.1.1"), ip("2.2.2.2"), 5, 80))
             .is_empty());
@@ -613,7 +604,7 @@ mod tests {
             Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80),
         );
         assert!(out.is_empty());
-        assert_eq!(f.stuck_at_virtual, 1);
+        assert_eq!(count(f.telemetry(), "fabric.stuck_at_virtual.count"), 1);
     }
 
     #[test]
@@ -631,7 +622,8 @@ mod tests {
         let mut kept = FlowModBatch::new(1);
         kept.push(any_to(50, port(2, 1)));
         f.apply_flowmods(&kept).expect("applies");
-        // Traffic first, so the pre-image has counters to preserve.
+        // Traffic first: forwarding writes nothing, so it cannot move the
+        // pre-image.
         f.send(
             port(1, 1),
             Packet::tcp(ip("10.0.0.1"), ip("74.125.1.1"), 5, 80),

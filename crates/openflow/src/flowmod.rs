@@ -28,7 +28,7 @@ pub enum FlowMod {
     /// silently overwrites; it says `Modify` when it means modify.
     Add(FlowEntry),
     /// Replace the buckets (and cookie) of the entry at (priority,
-    /// pattern), preserving its traffic counters. Rejected if absent.
+    /// pattern), in place. Rejected if absent.
     Modify {
         /// Priority of the target entry.
         priority: u32,
@@ -222,7 +222,7 @@ enum Undo {
 /// What it takes to reverse one applied batch: the table's epoch before
 /// it, one record per landed run or modify in landing order, and, run
 /// after run, the positions the runs landed at and the entries the
-/// deletes displaced (in table order, counters included).
+/// deletes displaced (in table order).
 /// [`FlowTable::undo_batch`] replays it; it is valid as long as every
 /// table mutation made after the batch has itself been undone.
 #[derive(Debug)]
@@ -295,13 +295,12 @@ impl FlowTable {
     /// against the table as the mods before it left it, and lands with
     /// the run it belongs to, journaled; if a later mod (or the
     /// dangling-target check) rejects the batch, the journal is replayed
-    /// backwards and the table — entries, counters, cookie index, matcher
-    /// and epoch — is exactly as it was. The cost follows the batch, not
+    /// backwards and the table — entries, matcher and epoch — is exactly
+    /// as it was. The cost follows the batch, not
     /// the table: nothing is cloned, a run of deletes or of adds lands in
     /// one pass that moves the shorter side of the table, and a run at
-    /// the table's head moves only itself. `Modify` preserves the
-    /// target's traffic counters. On success the epoch advances by one
-    /// per mod.
+    /// the table's head moves only itself. On success the epoch advances
+    /// by one per mod.
     pub fn apply_batch(&mut self, batch: &FlowModBatch) -> Result<BatchStats, FlowModError> {
         self.apply_batch_undoable(batch).map(|(stats, _)| stats)
     }
@@ -335,8 +334,7 @@ impl FlowTable {
     }
 
     /// Replays a batch's journal backwards, one pass per run: entries,
-    /// counters, band order, cookie index, matcher and epoch are as they
-    /// were before the batch.
+    /// band order, matcher and epoch are as they were before the batch.
     pub fn undo_batch(&mut self, undo: BatchUndo) {
         let BatchUndo {
             epoch,
@@ -616,35 +614,9 @@ mod tests {
         );
         assert_eq!(stats.total(), 3);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.cookie_count(9), 1);
-        assert_eq!(t.cookie_count(1), 0);
+        assert_eq!(t.entries_with_cookie(9).count(), 1);
+        assert_eq!(t.entries_with_cookie(1).count(), 0);
         assert_eq!(t.entries()[0].buckets, out(4));
-    }
-
-    #[test]
-    fn modify_preserves_counters() {
-        let mut t = seeded();
-        // Put traffic on the port-80 entry first.
-        use sdx_net::{ip, LocatedPacket, Packet};
-        let lp = LocatedPacket::at(
-            PortId::Phys(ParticipantId(1), 1),
-            Packet::tcp(ip("1.1.1.1"), ip("2.2.2.2"), 5, 80).with_len(64),
-        );
-        t.lookup(&lp);
-        assert_eq!(t.entries()[0].packet_count, 1);
-        t.apply_batch(&FlowModBatch {
-            epoch: 1,
-            mods: vec![FlowMod::Modify {
-                priority: 10,
-                pattern: HeaderMatch::of(FieldMatch::TpDst(80)),
-                buckets: out(7),
-                cookie: 1,
-            }],
-        })
-        .expect("modify");
-        assert_eq!(t.entries()[0].packet_count, 1, "counters survive modify");
-        assert_eq!(t.entries()[0].byte_count, 64);
-        assert_eq!(t.entries()[0].buckets, out(7));
     }
 
     #[test]
@@ -817,7 +789,7 @@ mod tests {
         );
         assert_eq!(t, before);
         assert_eq!(t.epoch(), before.epoch());
-        assert_eq!(t.cookie_count(1), 1);
+        assert_eq!(t.entries_with_cookie(1).count(), 1);
     }
 
     #[test]
@@ -841,6 +813,5 @@ mod tests {
         })
         .expect("delete-then-add");
         assert_eq!(t.entries()[0].buckets, out(6));
-        assert_eq!(t.entries()[0].packet_count, 0, "re-add resets counters");
     }
 }

@@ -4,15 +4,15 @@
 //! This crate is the equivalent substrate as a deterministic simulator:
 //!
 //! * [`table`] — a priority flow table with match patterns, action buckets
-//!   and per-entry counters. Rule counts read from here are the metric of
-//!   Figures 7 and 9.
+//!   and cookies. Rule counts read from here are the metric of Figures 7
+//!   and 9.
 //! * [`matcher`] — the compiled fast path: hash indexes over the exact-match
 //!   discriminators (`dl_dst`, `in_port`), an `nw_dst` prefix trie, and a
 //!   residual list, kept epoch-coherent with the table and guaranteed
 //!   index-for-index identical to the linear walk.
 //! * [`flowmod`] — the typed `Add`/`Modify`/`Delete` delta protocol the
 //!   controller patches tables with: atomic per batch, epoch-tagged,
-//!   cookie-indexed (§4.3.2's incremental updates made explicit).
+//!   cookie-stamped (§4.3.2's incremental updates made explicit).
 //! * [`switch`] — the packet-processing pipeline: classify against the
 //!   table, execute buckets, emit `(port, packet)` outputs as
 //!   [`Deliveries`] (one output inline, no allocation).
@@ -20,9 +20,9 @@
 //!   hops with the corresponding virtual MAC (§4.2).
 //! * [`middlebox`] — middleboxes behind fabric ports and the §8
 //!   service-chaining harness.
-//! * [`border_router`] — the participant border-router model: a port, a
-//!   MAC and an ARP cache over its participant's view of the fabric's
-//!   Adj-RIB-Outs as its FIB, whose
+//! * [`border_router`] — the participant border-router model: a port and a
+//!   MAC over its participant's view of the fabric's Adj-RIB-Outs as its
+//!   FIB, resolving next hops through the fabric's one ARP responder, whose
 //!   next-hop-MAC rewriting implements the *first stage* of the SDX's
 //!   multi-stage FIB without any switch table space (Figure 2).
 //! * [`fabric`] — glues border routers and the SDX switch into an exchange

@@ -36,7 +36,7 @@
 //! Coherence with the mutable table is by epoch tagging: every table
 //! mutation bumps the table epoch and either updates the matcher entry by
 //! entry (installs, flow-mod runs, overlay retirement and its rollback),
-//! rebuilds it (classifier installs), or just restamps it (counter/bucket
+//! rebuilds it (classifier installs), or just restamps it (bucket/cookie
 //! changes that cannot affect classification). `classify` debug-asserts
 //! the epochs agree.
 

@@ -3,7 +3,9 @@
 //! `process` runs one packet through the table and returns the located
 //! packets emitted on output ports. A packet "output" to the port it
 //! arrived on is suppressed (OpenFlow requires `IN_PORT` explicitly; the
-//! SDX never hairpins).
+//! SDX never hairpins). Processing writes nothing: a table miss is
+//! counted once, by the matcher
+//! ([`MatcherStats::miss_count`](crate::matcher::MatcherStats::miss_count)).
 //!
 //! Almost every packet leaves on at most one port, so the outputs come
 //! back as [`Deliveries`], which holds a single packet inline and
@@ -128,8 +130,6 @@ impl From<Deliveries> for Vec<LocatedPacket> {
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Switch {
     table: FlowTable,
-    /// Packets that missed the table (dropped).
-    pub miss_count: u64,
 }
 
 impl Switch {
@@ -153,13 +153,12 @@ impl Switch {
         self.table.install(entry);
     }
 
-    /// Processes one packet; returns `(output port, packet)` deliveries.
-    /// The winning entry's buckets are read in place.
-    pub fn process(&mut self, lp: LocatedPacket) -> Deliveries {
+    /// Processes one packet; returns `(output port, packet)` deliveries,
+    /// none on a table miss. The winning entry's buckets are read in place.
+    pub fn process(&self, lp: LocatedPacket) -> Deliveries {
         let in_port = lp.loc;
         let mut out = Deliveries::new();
-        let Some(entry) = self.table.lookup(&lp) else {
-            self.miss_count += 1;
+        let Some((_, entry)) = self.table.classify(&lp) else {
             return out;
         };
         for bucket in &entry.buckets {
@@ -204,7 +203,8 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, port(2));
         assert!(sw.process(pkt(443)).is_empty());
-        assert_eq!(sw.miss_count, 0, "classifier is total; drops hit rules");
+        let misses = sw.table().matcher_stats().miss_count;
+        assert_eq!(misses, 0, "classifier is total; drops hit rules");
     }
 
     #[test]
@@ -216,7 +216,7 @@ mod tests {
             vec![vec![Mod::SetLoc(port(2))]],
         ));
         assert!(sw.process(pkt(80)).is_empty());
-        assert_eq!(sw.miss_count, 1);
+        assert_eq!(sw.table().matcher_stats().miss_count, 1);
     }
 
     #[test]

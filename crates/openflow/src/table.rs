@@ -1,4 +1,4 @@
-//! The flow table: prioritized match/action entries with counters.
+//! The flow table: prioritized match/action entries.
 //!
 //! Entries are matched highest-priority-first (insertion order breaks
 //! ties, matching OpenFlow's behaviour of overwriting equal-priority
@@ -15,8 +15,11 @@
 //! coherent with every mutation via epoch tagging, and resolves the winning
 //! priority band in table order so the two are index-for-index identical
 //! (the differential oracle asserts exactly that).
-
-use std::collections::BTreeMap;
+//!
+//! An entry is only what was installed — priority, pattern, buckets and
+//! cookie. Classifying writes nothing to it: the hits and misses a lookup
+//! makes are counted once, by the matcher
+//! ([`MatcherStats`]), and the table is otherwise unchanged by traffic.
 
 use sdx_net::{HeaderMatch, LocatedPacket, Mod};
 use sdx_policy::Classifier;
@@ -35,25 +38,19 @@ pub struct FlowEntry {
     /// of the packet (the final `SetLoc` is the output port). Empty = drop.
     pub buckets: Vec<Vec<Mod>>,
     /// Opaque controller tag, as in OpenFlow: the SDX stamps the owning
-    /// FEC-group identity here so rules can be counted and retired by
-    /// group without pattern inspection. `0` = infrastructure rule.
+    /// FEC-group identity here so rules can be told apart by group
+    /// without pattern inspection. `0` = infrastructure rule.
     pub cookie: u64,
-    /// Packets that hit this entry.
-    pub packet_count: u64,
-    /// Bytes that hit this entry.
-    pub byte_count: u64,
 }
 
 impl FlowEntry {
-    /// A new entry with zeroed counters and no cookie.
+    /// A new entry with no cookie.
     pub fn new(priority: u32, pattern: HeaderMatch, buckets: Vec<Vec<Mod>>) -> Self {
         FlowEntry {
             priority,
             pattern,
             buckets,
             cookie: 0,
-            packet_count: 0,
-            byte_count: 0,
         }
     }
 
@@ -85,9 +82,6 @@ pub struct FlowTable {
     /// both alike.
     prios: Vec<u32>,
     head: usize,
-    /// Live entry count per cookie — the controller's per-FEC-group rule
-    /// index, maintained on every mutation.
-    cookie_index: BTreeMap<u64, usize>,
     /// Mutation generation: bumped on every state change, stamped onto the
     /// matcher in lockstep so staleness is a checkable invariant.
     epoch: u64,
@@ -141,10 +135,10 @@ fn slide_up<T>(block: &mut [T], free: usize) {
     }
 }
 
-/// Tables are equal iff their entries are: the cookie index is derived
-/// from the entries, and the matcher/epoch are derived + observability
-/// state (same pattern as the telemetry registry) — two tables reached by
-/// different mutation histories still compare equal.
+/// Tables are equal iff their entries are: the matcher and epoch are
+/// derived and observability state (same pattern as the telemetry
+/// registry) — two tables reached by different mutation histories still
+/// compare equal.
 impl PartialEq for FlowTable {
     fn eq(&self, other: &Self) -> bool {
         self.entries() == other.entries()
@@ -155,19 +149,6 @@ impl FlowTable {
     /// An empty table (table-miss drops).
     pub fn new() -> Self {
         FlowTable::default()
-    }
-
-    fn index_add(&mut self, cookie: u64) {
-        *self.cookie_index.entry(cookie).or_insert(0) += 1;
-    }
-
-    fn index_remove(&mut self, cookie: u64) {
-        if let Some(n) = self.cookie_index.get_mut(&cookie) {
-            *n -= 1;
-            if *n == 0 {
-                self.cookie_index.remove(&cookie);
-            }
-        }
     }
 
     /// The half-open index range of entries with exactly `priority`.
@@ -209,9 +190,6 @@ impl FlowTable {
     fn install_inner(&mut self, entry: FlowEntry, index: bool) {
         self.epoch += 1;
         if let Some(pos) = self.position_of(entry.priority, &entry.pattern) {
-            let old_cookie = self.entries()[pos].cookie;
-            self.index_remove(old_cookie);
-            self.index_add(entry.cookie);
             self.slots[self.head + pos] = entry;
             if index {
                 // (priority, pattern) unchanged: classification cannot
@@ -222,7 +200,6 @@ impl FlowTable {
         }
         // Insert before the first strictly-lower priority (stable order).
         let idx = self.priority_range(entry.priority).end;
-        self.index_add(entry.cookie);
         if index {
             self.matcher
                 .insert(entry.priority, &entry.pattern, self.epoch);
@@ -231,25 +208,22 @@ impl FlowTable {
     }
 
     // The in-place primitives under [`apply_batch`](Self::apply_batch) and
-    // its undo journal. Each keeps entries, cookie index and matcher
-    // contents coherent but leaves the epoch alone: the batch stamps it
-    // once, through `set_epoch`, when it commits or rolls back. Positions
-    // are indexes into `entries()`.
+    // its undo journal. Each keeps entries and matcher contents coherent
+    // but leaves the epoch alone: the batch stamps it once, through
+    // `set_epoch`, when it commits or rolls back. Positions are indexes
+    // into `entries()`.
 
-    /// Swaps in new buckets and cookie at `pos`, keeping the traffic
-    /// counters; returns the old pair. Buckets and cookie don't take part
-    /// in matching, so the matcher needs no structural change.
+    /// Swaps in new buckets and cookie at `pos`; returns the old pair.
+    /// Buckets and cookie don't take part in matching, so the matcher
+    /// needs no structural change.
     pub(crate) fn replace_at(
         &mut self,
         pos: usize,
         buckets: Vec<Vec<Mod>>,
         cookie: u64,
     ) -> (Vec<Vec<Mod>>, u64) {
-        let old_cookie = self.entries()[pos].cookie;
-        self.index_remove(old_cookie);
-        self.index_add(cookie);
         let e = &mut self.slots[self.head + pos];
-        e.cookie = cookie;
+        let old_cookie = std::mem::replace(&mut e.cookie, cookie);
         (std::mem::replace(&mut e.buckets, buckets), old_cookie)
     }
 
@@ -259,16 +233,14 @@ impl FlowTable {
         for &pos in at {
             let e = &self.slots[self.head + pos];
             self.matcher.remove(e.priority, &e.pattern, self.epoch);
-            let cookie = e.cookie;
-            self.index_remove(cookie);
         }
         self.take_run(at, sink);
     }
 
     /// Inserts `run` — entries in table order — so that they end up at
     /// `at`, ascending positions in the table as it is afterwards: the
-    /// exact inverse of [`remove_run`](Self::remove_run), counters and
-    /// band order included.
+    /// exact inverse of [`remove_run`](Self::remove_run), band order
+    /// included.
     pub(crate) fn insert_run<I>(&mut self, run: I, at: &[usize])
     where
         I: DoubleEndedIterator<Item = FlowEntry> + ExactSizeIterator,
@@ -277,8 +249,6 @@ impl FlowTable {
         for &pos in at {
             let e = &self.slots[self.head + pos];
             self.matcher.insert(e.priority, &e.pattern, self.epoch);
-            let cookie = e.cookie;
-            self.index_add(cookie);
         }
     }
 
@@ -425,8 +395,7 @@ impl FlowTable {
     }
 
     /// [`remove_at_or_above`](Self::remove_at_or_above), handing back the
-    /// removed entries — the head of the table, in table order, counters
-    /// included — so that [`restore_at_or_above`](Self::restore_at_or_above)
+    /// removed entries — the head of the table, in table order — so that [`restore_at_or_above`](Self::restore_at_or_above)
     /// can put them back. They leave as one run from the head: the rest of
     /// the table does not move, and the matcher loses just their entries.
     pub fn take_at_or_above(&mut self, min_priority: u32) -> Vec<FlowEntry> {
@@ -451,12 +420,6 @@ impl FlowTable {
         self.set_epoch(self.epoch - 1);
     }
 
-    /// Live entries stamped with `cookie`, via the maintained index —
-    /// O(log c) for the count, no table scan.
-    pub fn cookie_count(&self, cookie: u64) -> usize {
-        self.cookie_index.get(&cookie).copied().unwrap_or(0)
-    }
-
     /// The entries stamped with `cookie`, in priority order.
     pub fn entries_with_cookie(&self, cookie: u64) -> impl Iterator<Item = &FlowEntry> {
         self.entries().iter().filter(move |e| e.cookie == cookie)
@@ -467,7 +430,6 @@ impl FlowTable {
         self.slots.clear();
         self.prios.clear();
         self.head = 0;
-        self.cookie_index.clear();
         self.epoch += 1;
         self.matcher.clear(self.epoch);
     }
@@ -513,24 +475,11 @@ impl FlowTable {
         &self.slots[self.head..]
     }
 
-    /// Classifies a packet: the highest-priority matching entry, with
-    /// counters updated. `None` = table miss (drop). Delegates the scan to
-    /// [`classify`](Self::classify) — counter touching is the only thing
-    /// this adds, so the matcher fast path has a single seam.
-    pub fn lookup(&mut self, lp: &LocatedPacket) -> Option<&FlowEntry> {
-        let idx = self.head + self.classify(lp)?.0;
-        let e = &mut self.slots[idx];
-        e.packet_count += 1;
-        e.byte_count += lp.pkt.payload_len as u64;
-        Some(&self.slots[idx])
-    }
-
-    /// Single stepping for inspection: the highest-priority matching entry
-    /// and its index, **without** touching the counters. This is the API
-    /// the differential oracle uses to replay a packet through a deployed
-    /// table stage by stage and render which rule fired at each hop —
-    /// a diagnostic walk must not perturb the traffic statistics the
-    /// telemetry layer reports.
+    /// Classifies a packet: the highest-priority matching entry and its
+    /// index, `None` on a table miss (drop). The switch forwards through
+    /// this, and the differential oracle replays a packet through a
+    /// deployed table stage by stage with it, rendering which rule fired
+    /// at each hop; it writes nothing but the matcher's hit counts.
     ///
     /// Answers through the [`CompiledMatcher`]: the matcher returns the
     /// exact winning priority (its candidate sets are complete — see the
@@ -576,7 +525,7 @@ impl FlowTable {
     /// suppression and dedup stay in [`switch
     /// processing`](crate::switch); a stepping caller decides itself what
     /// to filter. Pure — pairs with [`classify`](Self::classify) for
-    /// counter-free stepping.
+    /// stepping.
     pub fn apply_entry(entry: &FlowEntry, lp: &LocatedPacket) -> Vec<LocatedPacket> {
         entry
             .buckets
@@ -651,7 +600,7 @@ mod tests {
             HeaderMatch::of(FieldMatch::TpDst(80)),
             vec![vec![Mod::SetLoc(port(2))]],
         ));
-        let hit = t.lookup(&web(port(1))).unwrap();
+        let hit = t.classify(&web(port(1))).unwrap().1;
         assert_eq!(hit.priority, 10);
         // installation order does not matter
         assert_eq!(t.entries()[0].priority, 10);
@@ -668,20 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn counters_accumulate() {
-        let mut t = FlowTable::new();
-        t.install(FlowEntry::new(
-            1,
-            HeaderMatch::any(),
-            vec![vec![Mod::SetLoc(port(2))]],
-        ));
-        t.lookup(&web(port(1)));
-        t.lookup(&web(port(1)));
-        assert_eq!(t.entries()[0].packet_count, 2);
-        assert_eq!(t.entries()[0].byte_count, 200);
-    }
-
-    #[test]
     fn table_miss_is_none() {
         let mut t = FlowTable::new();
         t.install(FlowEntry::new(
@@ -689,7 +624,7 @@ mod tests {
             HeaderMatch::of(FieldMatch::TpDst(443)),
             vec![],
         ));
-        assert!(t.lookup(&web(port(1))).is_none());
+        assert!(t.classify(&web(port(1))).is_none());
     }
 
     #[test]
@@ -715,12 +650,12 @@ mod tests {
         let forwarding = t.entries().iter().filter(|e| !e.is_drop()).count();
         assert_eq!(forwarding, c.forwarding_rule_count());
         // First-match equivalence on a sample.
-        let hit = t.lookup(&web(port(1))).unwrap();
+        let hit = t.classify(&web(port(1))).unwrap().1;
         assert_eq!(hit.buckets, vec![vec![Mod::SetLoc(port(2))]]);
     }
 
     #[test]
-    fn classify_steps_without_touching_counters() {
+    fn classify_steps_and_apply_entry_rewrites() {
         let mut t = FlowTable::new();
         t.install(FlowEntry::new(
             1,
@@ -732,43 +667,15 @@ mod tests {
             HeaderMatch::of(FieldMatch::TpDst(80)),
             vec![vec![Mod::SetTpDst(8080), Mod::SetLoc(port(2))]],
         ));
+        let before = t.clone();
         let (idx, entry) = t.classify(&web(port(1))).expect("match");
         assert_eq!(idx, 0, "highest priority entry sits first");
         assert_eq!(entry.priority, 10);
-        assert_eq!(entry.packet_count, 0, "classify must not count");
         let out = FlowTable::apply_entry(entry, &web(port(1)));
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, port(2));
         assert_eq!(out[0].pkt.tp_dst, 8080);
-        // lookup on the same packet agrees with classify and does count.
-        let hit = t.lookup(&web(port(1))).expect("match");
-        assert_eq!(hit.priority, 10);
-        assert_eq!(t.entries()[0].packet_count, 1);
-    }
-
-    #[test]
-    fn cookie_index_tracks_every_mutation() {
-        let mut t = FlowTable::new();
-        let m80 = HeaderMatch::of(FieldMatch::TpDst(80));
-        let m443 = HeaderMatch::of(FieldMatch::TpDst(443));
-        t.install(FlowEntry::new(5, m80, vec![]).with_cookie(7));
-        t.install(FlowEntry::new(6, m443, vec![]).with_cookie(7));
-        t.install(FlowEntry::new(9, HeaderMatch::any(), vec![]).with_cookie(8));
-        assert_eq!(t.cookie_count(7), 2);
-        assert_eq!(t.cookie_count(8), 1);
-        assert_eq!(t.entries_with_cookie(7).count(), 2);
-        // Replacing an entry moves its count between cookies.
-        t.install(FlowEntry::new(5, m80, vec![]).with_cookie(8));
-        assert_eq!(t.cookie_count(7), 1);
-        assert_eq!(t.cookie_count(8), 2);
-        // Removal by priority band and by exact slot both maintain the
-        // index.
-        assert_eq!(t.remove_at_or_above(6), 2);
-        assert_eq!(t.cookie_count(7), 0);
-        assert_eq!(t.cookie_count(8), 1);
-        assert!(apply_one(&mut t, delete(5, m80)));
-        assert!(t.is_empty());
-        assert_eq!(t.cookie_count(8), 0);
+        assert_eq!(t.entries(), before.entries(), "stepping writes nothing");
     }
 
     #[test]
@@ -778,7 +685,7 @@ mod tests {
         let mut t = FlowTable::new();
         t.install_classifier(&low, 0);
         t.install_classifier(&high, 1000);
-        let hit = t.lookup(&web(port(1))).unwrap();
+        let hit = t.classify(&web(port(1))).unwrap().1;
         assert_eq!(hit.buckets, vec![vec![Mod::SetLoc(port(7))]]);
     }
 
@@ -819,11 +726,11 @@ mod tests {
         let mut tls = web(port(1));
         tls.pkt.tp_dst = 443;
         assert_eq!(
-            t.lookup(&web(port(1))).unwrap().buckets,
+            t.classify(&web(port(1))).unwrap().1.buckets,
             vec![vec![Mod::SetLoc(port(7))]]
         );
         assert_eq!(
-            t.lookup(&tls).unwrap().buckets,
+            t.classify(&tls).unwrap().1.buckets,
             vec![vec![Mod::SetLoc(port(8))]]
         );
     }
@@ -893,7 +800,7 @@ mod tests {
             let mut sorted = prios.clone();
             sorted.sort_unstable_by(|a, b| b.cmp(a));
             assert_eq!(prios, sorted);
-            assert_eq!(t.cookie_count(1), t.len());
+            assert!(t.entries().iter().all(|e| e.cookie == 1));
         };
         let mut t = FlowTable::new();
         t.apply_batch(&adds(&mut (1..=200).rev())).expect("base");

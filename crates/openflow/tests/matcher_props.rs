@@ -385,8 +385,11 @@ fn apply_one(t: &mut FlowTable, m: FlowMod) -> bool {
     .is_ok()
 }
 
+/// Live entries per cookie `0..8`, counted from the entries.
 fn cookie_counts(t: &FlowTable) -> Vec<usize> {
-    (0..8).map(|c| t.cookie_count(c)).collect()
+    (0..8)
+        .map(|c| t.entries().iter().filter(|e| e.cookie == c).count())
+        .collect()
 }
 
 fn classification(t: &FlowTable, probes: &[LocatedPacket]) -> Vec<Option<usize>> {
@@ -408,8 +411,8 @@ fn matcher_shape(t: &FlowTable) -> [usize; 5] {
     ]
 }
 
-/// Asserts `after` is exactly `before`: entries (order and counters),
-/// cookie index, epoch, matcher stamp and contents, and every probe's
+/// Asserts `after` is exactly `before`: entries (in order), cookie
+/// counts, epoch, matcher stamp and contents, and every probe's
 /// classification.
 fn assert_untouched(after: &FlowTable, before: &FlowTable, probes: &[LocatedPacket]) {
     assert_eq!(after.entries(), before.entries());
@@ -495,11 +498,6 @@ proptest! {
         for ((p, m), b, c) in entries {
             table.install(FlowEntry::new(p, m, b).with_cookie(c));
         }
-        // Traffic first, so a `Modify` has counters to preserve and a
-        // rolled-back `Delete` has counters to restore.
-        for lp in &probes {
-            table.lookup(lp);
-        }
         let mut batch = FlowModBatch::new(1);
         for op in ops {
             batch.mods.extend(resolve(op, &table));
@@ -537,8 +535,8 @@ proptest! {
 proptest! {
     /// An overlay retirement and its rollback patch the matcher entry by
     /// entry: over a random table with a random overlay band above it,
-    /// `take_at_or_above` then `restore_at_or_above` leave entries,
-    /// counters and epoch as they were, `classify` agrees with the linear
+    /// `take_at_or_above` then `restore_at_or_above` leave entries
+    /// and epoch as they were, `classify` agrees with the linear
     /// walk after each, and the matcher is never rebuilt whole.
     #[test]
     fn taking_and_restoring_overlays_never_rebuilds_the_matcher(
@@ -554,9 +552,6 @@ proptest! {
         for ((p, m), b) in overlays {
             table.install(FlowEntry::new(OVERLAY_BASE + p, m, b).with_cookie(7));
         }
-        for lp in &probes {
-            table.lookup(lp);
-        }
         let before = table.clone();
         let builds = table.matcher_stats().builds;
         let taken = table.take_at_or_above(OVERLAY_BASE);
@@ -564,7 +559,7 @@ proptest! {
         prop_assert_eq!(taken.as_slice(), &before.entries()[..k]);
         prop_assert_eq!(table.entries(), &before.entries()[k..]);
         prop_assert_eq!(table.epoch(), before.epoch() + u64::from(k > 0));
-        prop_assert_eq!(table.cookie_count(7), 0);
+        prop_assert_eq!(cookie_counts(&table)[7], 0);
         assert_equivalent(&table, &probes);
         table.restore_at_or_above(taken);
         assert_untouched(&table, &before, &probes);
@@ -601,9 +596,6 @@ fn dangling_target_rolls_back_adds_modifies_and_deletes() {
             LocatedPacket::at(PortId::Phys(ParticipantId(1), 0), p)
         })
         .collect();
-    for lp in &probes {
-        t.lookup(lp);
-    }
     let before = t.clone();
     let batch = FlowModBatch {
         epoch: 3,
@@ -643,14 +635,21 @@ fn dangling_target_rolls_back_adds_modifies_and_deletes() {
     );
     assert_eq!(reference_apply(&before, &batch).map(|(_, s)| s), Err(err));
     assert_untouched(&t, &before, &probes);
-    // Counters came back with the re-inserted entries.
-    assert!(t.entries().iter().any(|e| e.packet_count > 0));
+    // Traffic lands on the re-inserted entries again.
+    let deleted = |e: &FlowEntry| {
+        (batch.mods.iter()).any(|m| {
+            matches!(m, FlowMod::Delete { priority, pattern }
+                if *priority == e.priority && *pattern == e.pattern)
+        })
+    };
+    let hit_deleted = |lp: &LocatedPacket| t.classify(lp).is_some_and(|(_, e)| deleted(e));
+    assert!(probes.iter().any(hit_deleted));
 }
 
 /// The retirement of a fast path's overlays at scale: 1 200 overlays with
 /// traffic on them, above a 235-entry base, deleted in one batch in table
 /// order and rewound. The base never moves, and the rewind puts back
-/// every overlay, counters, band order and index contents included.
+/// every overlay, band order and index contents included.
 #[test]
 fn retiring_and_rewinding_1200_overlays_restores_the_table_exactly() {
     const OVERLAY_BASE: u32 = 100_000;
@@ -707,12 +706,11 @@ fn retiring_and_rewinding_1200_overlays_restores_the_table_exactly() {
             LocatedPacket::at(PortId::Phys(ParticipantId(i % 6), (i % 2) as u8), p)
         })
         .collect();
-    for lp in &probes {
-        t.lookup(lp);
-    }
+    let hits: Vec<usize> = (probes.iter())
+        .filter_map(|lp| t.classify(lp).map(|(i, _)| i))
+        .collect();
     assert!(
-        t.entries()[..1_200].iter().any(|e| e.packet_count > 0)
-            && t.entries()[1_200..].iter().any(|e| e.packet_count > 0),
+        hits.iter().any(|&i| i < 1_200) && hits.iter().any(|&i| i >= 1_200),
         "traffic on overlays and base"
     );
     let before = t.clone();
@@ -732,7 +730,7 @@ fn retiring_and_rewinding_1200_overlays_restores_the_table_exactly() {
     let (stats, undo) = t.apply_batch_undoable(&retire).expect("retire");
     assert_eq!(stats.deletes, 1_200);
     assert_eq!(t.entries(), &before.entries()[1_200..]);
-    assert_eq!(t.cookie_count(7), 0);
+    assert_eq!(cookie_counts(&t)[7], 0);
     assert_equivalent(&t, &probes);
     t.undo_batch(undo);
     assert_untouched(&t, &before, &probes);

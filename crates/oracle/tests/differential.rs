@@ -131,7 +131,7 @@ fn deployed_fabric_agrees_with_the_oracle_verdict() {
     // and ARP. `figure1_compiler` builds the same exchange the controller
     // deploys.
     let mut ctl = testkit::figure1_controller();
-    let mut fabric = ctl.deploy().expect("deploys");
+    let fabric = ctl.deploy().expect("deploys");
     let report = ctl.report.clone().expect("deploy stores the report");
     let diff = Differential::new(&ctl.compiler, &ctl.rs, &report);
 
@@ -157,7 +157,8 @@ fn deployed_fabric_agrees_with_the_oracle_verdict() {
         }
     }
     assert!(delivered > 0);
-    assert_eq!(fabric.stuck_at_virtual, 0);
+    let stuck = fabric.telemetry().counter("fabric.stuck_at_virtual.count");
+    assert_eq!(stuck.get(), 0);
 }
 
 #[test]

@@ -121,7 +121,7 @@ fn policy_deltas_patch_to_the_from_scratch_table() {
             cold.set_outbound(*p, cfg.outbound.clone());
             cold.set_inbound(*p, cfg.inbound.clone());
         }
-        let mut cold_fabric = cold.deploy().expect("cold deploy");
+        let cold_fabric = cold.deploy().expect("cold deploy");
         for (from, pkt) in &probes {
             let warm = fabric.send(*from, *pkt);
             let scratch = cold_fabric.send(*from, *pkt);
@@ -301,7 +301,7 @@ fn ddos_mitigation_mid_churn_is_a_small_patch_with_every_effect_in_place() {
         cold.compiler.upsert_participant(cfg.clone());
     }
     cold.rs = ctl.rs.clone();
-    let mut cold_fabric = cold.deploy().expect("cold deploy");
+    let cold_fabric = cold.deploy().expect("cold deploy");
     for (from, pkt) in &probes {
         let warm: Vec<_> = fabric
             .send(*from, *pkt)

@@ -33,20 +33,8 @@ fn main() {
                     .and_then(|v| v.parse().ok())
                     .expect("--hold <seconds>");
             }
-            "--tick-ms" => {
-                cfg.tick_ms = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--tick-ms <ms>");
-            }
-            "--coalesce" => {
-                cfg.coalesce_max = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--coalesce <n>");
-            }
             "--help" | "-h" => {
-                eprintln!("usage: sdxd [--hold <s>] [--tick-ms <ms>] [--coalesce <n>]");
+                eprintln!("usage: sdxd [--hold <s>]");
                 eprintln!(
                     "stdin: `reoptimize` re-optimizes in ordered waves, all or nothing; \
                      `stop`/EOF shuts down"

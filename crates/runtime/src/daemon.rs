@@ -36,12 +36,12 @@
 //!
 //! ## Burst coalescing
 //!
-//! The event loop drains every queued BGP update (up to
-//! [`DaemonConfig::coalesce_max`]) before compiling: N near-simultaneous
-//! updates fold into **one** delta compile over the union of their
-//! changed prefixes (journalled as `burst_coalesced`). Under overload
-//! the queue grows, bursts get bigger, and the coalescing ratio — not
-//! the latency tail — absorbs the load.
+//! The event loop drains every queued BGP update (up to `COALESCE_MAX`,
+//! 64) before compiling: N near-simultaneous updates fold into **one**
+//! delta compile over the union of their changed prefixes (journalled
+//! as `burst_coalesced`). Under overload the queue grows, bursts get
+//! bigger, and the coalescing ratio — not the latency tail — absorbs the
+//! load.
 //!
 //! ## Shutdown
 //!
@@ -79,27 +79,24 @@ use sdx_telemetry::{Counter, Event, SharedRegistry};
 use crate::channel::FlowChannel;
 use crate::codec;
 
-/// Tuning knobs for a daemon instance, one `sdxd` flag each.
+/// What a daemon instance is told: `sdxd --hold` sets it.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct DaemonConfig {
     /// Hold time we offer in our OPEN, seconds.
     pub hold_time: u16,
-    /// Maximum BGP messages folded into one compile pass.
-    pub coalesce_max: usize,
-    /// Supervisor tick cadence (keepalives, hold timers, flap-penalty
-    /// decay), ms.
-    pub tick_ms: u64,
 }
 
 impl Default for DaemonConfig {
     fn default() -> Self {
-        DaemonConfig {
-            hold_time: 90,
-            coalesce_max: 64,
-            tick_ms: 50,
-        }
+        DaemonConfig { hold_time: 90 }
     }
 }
+
+/// Maximum BGP messages and policy frames folded into one compile pass.
+const COALESCE_MAX: usize = 64;
+
+/// Supervisor tick cadence (keepalives, hold timers, flap-penalty decay).
+const TICK: Duration = Duration::from_millis(50);
 
 /// Per-switch bound on unacked frames (a send past it reads acks first).
 const CHANNEL_QUEUE: usize = 32;
@@ -253,7 +250,6 @@ pub fn start_with_clock(
     let asn_to_pid: BTreeMap<u32, ParticipantId> =
         peers.iter().map(|&(id, asn)| (asn.0, id)).collect();
     let core = EventLoop {
-        cfg,
         clock,
         reg: reg.clone(),
         ctl,
@@ -503,7 +499,6 @@ fn spawn_telemetry_server(
 }
 
 struct EventLoop {
-    cfg: DaemonConfig,
     clock: Arc<dyn Clock>,
     reg: SharedRegistry,
     ctl: SdxController,
@@ -566,7 +561,6 @@ impl EventLoop {
 
     fn run(mut self) -> DaemonReport {
         self.publish_matcher_stats();
-        let tick = Duration::from_millis(self.cfg.tick_ms.max(1));
         // The input that ended the last drain, served before the queue.
         let mut next: Option<Input> = None;
         let mut last_tick = Instant::now();
@@ -574,7 +568,7 @@ impl EventLoop {
             let input = if let Some(i) = next.take() {
                 i
             } else {
-                match self.rx.recv_timeout(tick) {
+                match self.rx.recv_timeout(TICK) {
                     Ok(i) => i,
                     Err(RecvTimeoutError::Timeout) => {
                         self.tick();
@@ -594,13 +588,13 @@ impl EventLoop {
                     // before compiling once.
                     let mut msgs = vec![(conn, msg, at)];
                     let mut frames = Vec::new();
-                    next = self.drain(self.cfg.coalesce_max, &mut msgs, &mut frames);
+                    next = self.drain(COALESCE_MAX, &mut msgs, &mut frames);
                     self.handle_burst(msgs, frames);
                 }
                 Input::PolicyFrame { line, writer } => {
                     let mut msgs = Vec::new();
                     let mut frames = vec![(line, writer)];
-                    next = self.drain(self.cfg.coalesce_max, &mut msgs, &mut frames);
+                    next = self.drain(COALESCE_MAX, &mut msgs, &mut frames);
                     self.handle_burst(msgs, frames);
                 }
                 Input::PeerClosed { conn } => self.handle_peer_closed(conn),
@@ -613,7 +607,7 @@ impl EventLoop {
             }
             // Starvation guard: a continuous message stream must not
             // stop keepalives or hold-timer checks.
-            if last_tick.elapsed() >= tick {
+            if last_tick.elapsed() >= TICK {
                 self.tick();
                 last_tick = Instant::now();
             }

@@ -382,7 +382,7 @@ fn a_policy_the_compiler_would_reject_is_nacked_and_routes_keep_flowing() {
     );
     // A's web traffic to the new prefix is delivered at B, its only
     // announcer (B's inbound TE picks B1 for the low source half).
-    let mut fabric = report.fabric;
+    let fabric = report.fabric;
     let out = fabric.send(
         PortId::Phys(pid(1), 1),
         Packet::tcp(
@@ -969,10 +969,7 @@ fn patched_daemon_is_oracle_identical_and_publishes_phase_a_telemetry() {
 #[test]
 fn hold_timer_expiry_and_tcp_reset_flaps_are_supervised() {
     let clock = MockClock::new();
-    let cfg = DaemonConfig {
-        tick_ms: 10,
-        ..DaemonConfig::default()
-    };
+    let cfg = DaemonConfig::default();
     let handle =
         daemon::start_with_clock(figure1_empty_rib(), cfg, Arc::new(clock.clone())).expect("start");
     let reg = handle.telemetry().clone();
@@ -1020,10 +1017,7 @@ fn hold_timer_expiry_and_tcp_reset_flaps_are_supervised() {
 #[test]
 fn a_peers_notification_closes_its_connection_and_nothing_reconnects() {
     let clock = MockClock::new();
-    let cfg = DaemonConfig {
-        tick_ms: 10,
-        ..DaemonConfig::default()
-    };
+    let cfg = DaemonConfig::default();
     let handle =
         daemon::start_with_clock(figure1_empty_rib(), cfg, Arc::new(clock.clone())).expect("start");
     let reg = handle.telemetry().clone();

@@ -37,7 +37,7 @@ fn main() {
     ctl.add_participant(c, ExportPolicy::allow_all());
     ctl.rs
         .process_update(pid(2), &b.announce([prefix("20.0.0.0/8")], &[65002]));
-    let mut fabric = ctl.deploy().expect("deploy");
+    let fabric = ctl.deploy().expect("deploy");
 
     println!("traffic toward B's prefix 20.0.0.0/8, split by B's inbound TE policy:\n");
     for (sender, src) in [

@@ -55,7 +55,7 @@ fn main() {
     let policy = Policy::filter(Pred::src_in(youtube_prefixes.iter().copied()))
         >> Policy::fwd(PortId::Phys(pid(5), 1));
     ctl.set_inbound(pid(1), Some(policy));
-    let mut fabric = ctl.deploy().expect("deploy");
+    let fabric = ctl.deploy().expect("deploy");
 
     // Transit B carries YouTube-sourced video traffic toward A's eyeball
     // prefix: it detours through the middlebox port E1.

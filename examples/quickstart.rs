@@ -61,7 +61,7 @@ fn main() {
         .process_update(pid(3), &c.announce([prefix("10.0.0.0/8")], &[65003, 200]));
 
     // Compile the policies, build the fabric, sync FIBs and ARP.
-    let mut fabric = ctl.deploy().expect("deploy");
+    let fabric = ctl.deploy().expect("deploy");
     let report = ctl.report.as_ref().expect("compiled");
     println!(
         "compiled {} flow rules over {} prefix groups in {:?}",

@@ -279,21 +279,19 @@ fn main() {
     let push_outbound_ms = (out_install_ms + out_retract_ms) / 2.0;
 
     // Per packet: the benchmark's round of probes through `Fabric::send`,
-    // once to warm the routers' ARP caches, then timed. The first 256
-    // probes that reach the switch are classified both ways.
+    // once to warm the caches, then timed. The first 256 probes that
+    // reach the switch are classified both ways.
     let probes = sample_probes(&ctl.compiler, &ctl.rs, 1, 8_192);
-    let mut copy = fabric.clone();
-    let mut arp = copy.arp.clone();
     let located: Vec<LocatedPacket> = probes
         .iter()
-        .filter_map(|&(from, pkt)| copy.router_mut(from)?.forward(pkt, &mut arp))
+        .filter_map(|&(from, pkt)| fabric.router(from)?.forward(pkt, &fabric.arp))
         .take(256)
         .collect();
     let table = fabric.switch.table();
     let winner = |lp: &LocatedPacket| table.classify(lp).map(|(i, _)| i);
     let linear = |lp: &LocatedPacket| table.classify_linear(lp).map(|(i, _)| i);
     let misclassified = located.iter().filter(|lp| winner(lp) != linear(lp)).count();
-    let mut round = || -> usize {
+    let round = || -> usize {
         let sent = probes
             .iter()
             .map(|&(from, pkt)| fabric.send(from, pkt).len());

@@ -563,58 +563,87 @@ fn ixp50_views_equal_the_materialised_tables() {
     let mut world = World::deploy(ctl, &fresh(99, 8), 7);
     let mut rng = StdRng::seed_from_u64(0x5d_a7ab1e);
     let mut idx = move || rng.gen_range(0..1usize << 20);
-    let faults = [
-        Some(Fault::Injected(InjectionPoint::FlowModApply { wave: 0 })),
-        Some(Fault::Injected(InjectionPoint::FabricCommit)),
-        None,
-        Some(Fault::Rejected(0)),
-        None,
-        None,
+    let flowmod = Some(Fault::Injected(InjectionPoint::FlowModApply { wave: 0 }));
+    let commit = Some(Fault::Injected(InjectionPoint::FabricCommit));
+    let rejected = Some(Fault::Rejected(0));
+    // One of each kind of step, both ways down. Each armed fault sits on a
+    // step that commits — a fast-path announcement or burst, a push, a
+    // re-optimisation — so each kind tears a change that would have landed.
+    let steps: [Planned; 10] = [
+        (
+            Step::Announce {
+                who: idx(),
+                prefix: idx(),
+                longer: false,
+                via: None,
+                tag: None,
+            },
+            true,
+            flowmod,
+        ),
+        (
+            Step::Burst {
+                who: idx(),
+                prefixes: (0..24).map(|_| idx()).collect(),
+            },
+            true,
+            commit,
+        ),
+        (
+            Step::Push {
+                editor: idx(),
+                target: Some(idx()),
+            },
+            false,
+            rejected,
+        ),
+        (
+            Step::Announce {
+                who: idx(),
+                prefix: idx(),
+                longer: true,
+                via: Some(idx()),
+                tag: Some((0, idx())),
+            },
+            false,
+            None,
+        ),
+        (
+            Step::Withdraw {
+                who: 0,
+                prefix: idx(),
+            },
+            true,
+            None,
+        ),
+        (
+            Step::Export {
+                who: idx(),
+                deny: Some((idx(), idx())),
+            },
+            false,
+            None,
+        ),
+        (Step::Reoptimize, false, flowmod),
+        (Step::Reset { who: idx() }, false, None),
+        (
+            Step::Push {
+                editor: idx(),
+                target: None,
+            },
+            false,
+            commit,
+        ),
+        (Step::Reoptimize, false, rejected),
     ];
-    // One of each kind of step, both ways down, some of them failing.
-    let steps = [
-        Step::Announce {
-            who: idx(),
-            prefix: idx(),
-            longer: false,
-            via: None,
-            tag: None,
-        },
-        Step::Burst {
-            who: idx(),
-            prefixes: (0..24).map(|_| idx()).collect(),
-        },
-        Step::Push {
-            editor: idx(),
-            target: Some(idx()),
-        },
-        Step::Announce {
-            who: idx(),
-            prefix: idx(),
-            longer: true,
-            via: Some(idx()),
-            tag: Some((0, idx())),
-        },
-        Step::Withdraw {
-            who: 0,
-            prefix: idx(),
-        },
-        Step::Export {
-            who: idx(),
-            deny: Some((idx(), idx())),
-        },
-        Step::Reoptimize,
-        Step::Reset { who: idx() },
-        Step::Push {
-            editor: idx(),
-            target: None,
-        },
-        Step::Reoptimize,
-    ];
-    for (i, step) in steps.into_iter().enumerate() {
-        let planned = (step, i % 2 == 0, faults[i % faults.len()]);
+    let rollbacks = world.ctl.telemetry.counter("txn.rollback.count");
+    for (i, planned) in steps.into_iter().enumerate() {
+        let before = rollbacks.get();
         world.run(&planned);
         world.assert_views_equal_model(&format!("step {i} {planned:?}"));
+        // Only an armed step rolls back, and every one does.
+        let rolled_back = rollbacks.get() > before;
+        assert_eq!(rolled_back, planned.2.is_some(), "step {i} {planned:?}");
     }
     world.run(&(Step::Reoptimize, false, None));
     world.assert_views_equal_model("final re-optimisation");

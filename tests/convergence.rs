@@ -133,7 +133,11 @@ fn fast_path_agrees_with_full_recompilation() {
             overlay_view, optimized_view,
             "fast path diverged from recompilation at round {round}"
         );
-        assert_eq!(rig.fabric.stuck_at_virtual, 0);
+        let stuck = rig
+            .fabric
+            .telemetry()
+            .counter("fabric.stuck_at_virtual.count");
+        assert_eq!(stuck.get(), 0);
     }
 }
 

@@ -115,7 +115,7 @@ proptest! {
 
     #[test]
     fn exchange_invariants(spec in arb_spec(), probe_port in prop_oneof![Just(80u16), Just(443), Just(53), Just(22)]) {
-        let Some((ctl, mut fabric)) = build(&spec) else {
+        let Some((ctl, fabric)) = build(&spec) else {
             // Some random specs are rejected at install time (fine).
             return Ok(());
         };
@@ -163,7 +163,8 @@ proptest! {
                         None => prop_assert_eq!(Some(receiver), best, "default must be best route"),
                     }
                 }
-                prop_assert_eq!(fabric.stuck_at_virtual, 0);
+                let stuck = fabric.telemetry().counter("fabric.stuck_at_virtual.count");
+                prop_assert_eq!(stuck.get(), 0);
             }
         }
     }

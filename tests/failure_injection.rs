@@ -7,8 +7,9 @@ use sdx::bgp::msg::{BgpMessage, NotificationCode, OpenMessage, UpdateMessage};
 use sdx::bgp::route_server::ExportPolicy;
 use sdx::bgp::session::{establish_pair, Session, SessionEvent, SessionState};
 use sdx::bgp::wire;
-use sdx::core::controller::SdxController;
+use sdx::core::controller::{Change, SdxController};
 use sdx::core::participant::ParticipantConfig;
+use sdx::core::schedule::Waves;
 use sdx::core::transform::TransformError;
 use sdx::core::vnh::VnhAllocator;
 use sdx::core::{FecId, FecKey};
@@ -160,24 +161,14 @@ fn unresolvable_vnh_drops_locally_and_counts() {
     let mut fabric = ctl.deploy().expect("deploy");
     // Sabotage: unbind B's peering address from the ARP responder.
     fabric.arp.unbind(b.primary_port().addr);
-    // Also flush A's ARP cache so the miss is observed.
-    fabric
-        .router_mut(PortId::Phys(pid(1), 1))
-        .expect("router")
-        .flush_arp();
     let out = fabric.send(
         PortId::Phys(pid(1), 1),
         Packet::tcp(ip("9.9.9.9"), ip("20.0.0.1"), 40_000, 80),
     );
     assert!(out.is_empty());
-    assert_eq!(
-        fabric
-            .router(PortId::Phys(pid(1), 1))
-            .expect("router")
-            .no_arp_drops,
-        1
-    );
-    assert_eq!(fabric.arp.unanswered, 1);
+    let count = |key: &str| fabric.telemetry().counter(key).get();
+    assert_eq!(count("fabric.no_arp.count"), 1);
+    assert_eq!(count("fabric.no_route.count"), 0);
 }
 
 #[test]
@@ -207,7 +198,7 @@ fn conflicting_policies_resolve_by_isolation_not_interference() {
         pid(2),
         Some(P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(4)))),
     );
-    let mut fabric = ctl.deploy().expect("deploy");
+    let fabric = ctl.deploy().expect("deploy");
     let from_a = fabric.send(
         PortId::Phys(pid(1), 1),
         Packet::tcp(ip("9.9.9.9"), ip("30.0.0.1"), 40_000, 80),
@@ -348,6 +339,44 @@ fn injected_commit_fault_rolls_back_torn_reoptimize() {
     ctl.reoptimize(&mut fabric).expect("recovers");
     assert_eq!(probe(&mut fabric, "20.0.0.1")[0].loc.participant(), pid(2));
     assert_eq!(probe(&mut fabric, "30.0.0.1")[0].loc.participant(), pid(2));
+}
+
+/// Forwarding writes nothing the fabric holds, so a rollback restores
+/// the whole fabric even when traffic flowed between `prepare` and a
+/// failed `commit`: no router ARP cache or per-entry counter that the
+/// probes filled is left outside the transaction.
+#[test]
+fn rollback_restores_the_fabric_after_traffic_mid_change() {
+    let mut ctl = testkit::figure1_controller();
+    let mut fabric = ctl.deploy().expect("deploy");
+    let before = fabric.clone();
+    // A change with a patch to land: A's web traffic moves from B to C.
+    ctl.set_outbound(
+        pid(1),
+        Some(P::match_(FieldMatch::TpDst(80)) >> P::fwd(PortId::Virt(pid(3)))),
+    );
+    let prepared = ctl
+        .prepare(&mut fabric, Change::Recompile(Waves::Ordered))
+        .expect("prepare");
+    let mut delivered = 0;
+    for from in fabric.ports().collect::<Vec<_>>() {
+        for dst in ["10.0.0.1", "20.0.0.1", "30.0.0.1", "40.0.0.1", "50.0.0.1"] {
+            for dport in [22, 80, 443] {
+                let pkt = Packet::tcp(ip("9.0.0.1"), ip(dst), 40_000, dport);
+                delivered += fabric.send(from, pkt).len();
+            }
+        }
+    }
+    assert!(delivered > 0, "fixture: traffic flows mid-change");
+    ctl.faults = FaultPlan::disabled().fail_nth(InjectionPoint::FlowModApply { wave: 0 }, 1);
+    let err = ctl
+        .commit(&mut fabric, prepared, None)
+        .expect_err("the first wave fails");
+    assert_eq!(
+        err,
+        SdxError::Injected(InjectionPoint::FlowModApply { wave: 0 })
+    );
+    assert_eq!(fabric, before, "the rollback restores the whole fabric");
 }
 
 #[test]
@@ -542,12 +571,6 @@ fn withdrawn_only_route_blackholes_cleanly() {
         out.is_empty(),
         "withdrawn destination must not be reachable"
     );
-    assert_eq!(
-        fabric
-            .router(PortId::Phys(pid(1), 1))
-            .expect("router")
-            .no_route_drops,
-        1,
-        "dropped at the sender's own FIB"
-    );
+    let no_route = fabric.telemetry().counter("fabric.no_route.count");
+    assert_eq!(no_route.get(), 1, "dropped at the sender's own FIB");
 }

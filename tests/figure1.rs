@@ -132,7 +132,8 @@ fn no_forwarding_loops_or_virtual_leaks() {
             }
         }
     }
-    assert_eq!(fabric.stuck_at_virtual, 0);
+    let stuck = fabric.telemetry().counter("fabric.stuck_at_virtual.count");
+    assert_eq!(stuck.get(), 0);
 }
 
 #[test]

@@ -62,16 +62,15 @@ fn equivalence_classes_compress_the_switch_table() {
 
 #[test]
 fn tag_is_applied_by_bgp_plus_arp_only() {
-    let (_ctl, mut fabric, _) = setup();
+    let (_ctl, fabric, _) = setup();
     // Forward a packet: the router's output already carries the FEC tag in
     // dl_dst, before the switch ever sees it.
-    let mut arp = fabric.arp.clone();
     let tagged = fabric
-        .router_mut(PortId::Phys(pid(1), 1))
+        .router(PortId::Phys(pid(1), 1))
         .expect("router")
         .forward(
             Packet::tcp(ip("9.9.9.9"), ip("10.3.0.1"), 40_000, 80),
-            &mut arp,
+            &fabric.arp,
         )
         .expect("has route + ARP");
     assert!(

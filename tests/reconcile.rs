@@ -147,30 +147,25 @@ fn idle_reoptimize_is_a_noop_patch() {
 
 #[test]
 fn arp_cache_of_unaffected_router_survives_reoptimize() {
+    // Routers keep no ARP cache of their own: every packet resolves its
+    // next hop through the fabric's one responder. So what a router's
+    // cache had to keep across a re-optimisation — the unaffected group's
+    // binding, and never the churned group's retired one — is what the
+    // responder answers.
     let mut r = rig();
     // Viewer 1 carries an outbound policy, so its routes are rewritten to
-    // virtual next hops — the ARP entries whose selective invalidation
-    // this test pins down.
+    // virtual next hops.
     let viewer_port = PortId::Phys(pid(1), 1);
 
-    // Warm router 1's ARP cache with two entries: one for a prefix whose
-    // route is about to churn (11.0.0.0/8, origin 2) and one stable
-    // (12.0.0.0/8, origin 3).
+    // One prefix whose route is about to churn (11.0.0.0/8, origin 2) and
+    // one stable (12.0.0.0/8, origin 3).
     let churn_dst = Ipv4Addr::new(11, 0, 0, 7);
     let stable_dst = Ipv4Addr::new(12, 0, 0, 7);
-    for dst in [churn_dst, stable_dst] {
-        r.fabric.send(
-            viewer_port,
-            Packet::tcp(Ipv4Addr::new(200, 1, 0, 1), dst, 40_000, 22),
-        );
-    }
     let router = r.fabric.router(viewer_port).expect("router 1");
     let churn_vnh = router.route_for(churn_dst).expect("route").1;
     let stable_vnh = router.route_for(stable_dst).expect("route").1;
-    let stable_vmac = router
-        .cached_arp(stable_vnh)
-        .expect("stable entry cached by the probe");
-    assert!(router.cached_arp(churn_vnh).is_some());
+    let stable_vmac = r.fabric.arp.resolve(stable_vnh).expect("stable VNH bound");
+    assert!(r.fabric.arp.resolve(churn_vnh).is_some());
     assert_ne!(churn_vnh, stable_vnh, "fixture: distinct FEC groups");
     assert!(
         r.ctl
@@ -190,23 +185,27 @@ fn arp_cache_of_unaffected_router_survives_reoptimize() {
         .expect("fast path");
     r.ctl.reoptimize(&mut r.fabric).expect("reoptimize");
 
-    let router = r.fabric.router(viewer_port).expect("router 1");
     assert_eq!(
-        router.cached_arp(stable_vnh),
+        r.fabric.arp.resolve(stable_vnh),
         Some(stable_vmac),
-        "reoptimize must not flush ARP entries of unaffected FEC groups"
+        "reoptimize must keep the bindings of unaffected FEC groups"
     );
     assert_eq!(
-        router.cached_arp(churn_vnh),
+        r.fabric.arp.resolve(churn_vnh),
         None,
-        "the churned group's retired binding must be invalidated"
+        "the churned group's retired binding must be unbound"
     );
-    // And the stable group still routes through the very same VNH.
+    // And the stable group still routes through the very same VNH, its
+    // packets tagged with the very same VMAC.
+    let router = r.fabric.router(viewer_port).expect("router 1");
     assert_eq!(
         router.route_for(stable_dst).expect("route").1,
         stable_vnh,
         "stable prefix must keep its virtual next hop"
     );
+    let probe = Packet::tcp(Ipv4Addr::new(200, 1, 0, 1), stable_dst, 40_000, 22);
+    let tagged = router.forward(probe, &r.fabric.arp).expect("routed");
+    assert_eq!(tagged.pkt.dl_dst, stable_vmac);
 }
 
 #[test]

@@ -151,7 +151,7 @@ fn injected_fault_journals_rollback() {
 
 #[test]
 fn fabric_counts_traffic() {
-    let (_ctl, mut fabric) = small_exchange();
+    let (_ctl, fabric) = small_exchange();
     let before = fabric.telemetry().snapshot();
     let out = fabric.send(
         PortId::Phys(pid(3), 1),
