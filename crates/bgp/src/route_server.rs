@@ -19,6 +19,7 @@
 //! and never reflected back to its announcer.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use sdx_net::{Asn, Ipv4Addr, ParticipantId, Prefix};
 use sdx_telemetry::SharedRegistry;
@@ -117,45 +118,23 @@ pub enum RouteServerEvent {
     SessionReset(ParticipantId),
 }
 
-/// Change tracking for the compiler's incremental cache: a unique
-/// instance identity plus the prefixes whose candidate sets changed since
-/// the compiler last drained them.
-///
-/// This is deliberately separate from [`RouteServer::take_dirty_prefixes`]
-/// (the controller's FIB-sync working set): the two consumers drain at
-/// different times, and sharing one set would make either drain eat the
-/// other's deltas. Both sets are populated at exactly the same mutation
-/// sites.
-///
-/// The `id` is the staleness fingerprint: fresh per instance **and per
-/// clone** (a clone is a different object whose future mutations this
-/// object will never see), so a compiler cache keyed on the id of one
-/// server can never be replayed against another. The *set contents* are
-/// cloned, though — a snapshot taken mid-burst still owes the compiler
-/// the pending dirt. Behind a `RefCell` because the compiler, which holds
-/// the route server shared, is the one that drains it.
+/// A route server's compile-cache identity: fresh per instance **and per
+/// clone**. A clone is a different object whose future mutations the
+/// original never sees, so a compiler cache keyed on one server's id is
+/// never replayed against another.
 #[derive(Debug)]
-struct CompileDirty {
-    id: u64,
-    set: std::cell::RefCell<BTreeSet<Prefix>>,
-}
+struct InstanceId(u64);
 
-impl Default for CompileDirty {
+impl Default for InstanceId {
     fn default() -> Self {
-        static NEXT: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
-        CompileDirty {
-            id: NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            set: std::cell::RefCell::new(BTreeSet::new()),
-        }
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        InstanceId(NEXT.fetch_add(1, Ordering::Relaxed))
     }
 }
 
-impl Clone for CompileDirty {
+impl Clone for InstanceId {
     fn clone(&self) -> Self {
-        CompileDirty {
-            set: self.set.clone(),
-            ..CompileDirty::default()
-        }
+        InstanceId::default()
     }
 }
 
@@ -170,15 +149,15 @@ pub struct RouteServer {
     by_asn: BTreeMap<Asn, BTreeSet<ParticipantId>>,
     loc_rib: LocRib,
     /// Prefixes whose candidate set changed since the last drain
-    /// ([`take_dirty_prefixes`](Self::take_dirty_prefixes)) — the
-    /// controller's minimal-sync working set. Populated at the same spots
-    /// that emit [`RouteServerEvent::PrefixChanged`], so callers that
-    /// mutate the route server directly (session supervision, harnesses)
-    /// are tracked too.
-    dirty: std::collections::BTreeSet<Prefix>,
-    /// The compiler's change-tracking twin of `dirty` (drained on a
-    /// different schedule; see [`CompileDirty`]).
-    compile_dirty: CompileDirty,
+    /// ([`take_dirty_prefixes`](Self::take_dirty_prefixes)). Marked at the
+    /// same spots that emit [`RouteServerEvent::PrefixChanged`], so callers
+    /// that mutate the route server directly (session supervision,
+    /// harnesses) are tracked too. A compile reads it; the controller's
+    /// FIB sync, which runs after the compile in the same recompile,
+    /// drains it.
+    dirty: BTreeSet<Prefix>,
+    /// This instance's compile-cache identity.
+    compile_id: InstanceId,
     /// Decision/export stage timers land here.
     telemetry: SharedRegistry,
 }
@@ -213,9 +192,7 @@ impl RouteServer {
         self.export.insert(source.participant, export);
         // A new ASN changes loop-protection outcomes for existing routes,
         // so every known prefix must be re-examined at the next sync.
-        let all: Vec<Prefix> = self.loc_rib.prefixes().collect();
-        self.mark_compile_dirty(all.iter().copied());
-        self.dirty.extend(all);
+        self.dirty.extend(self.loc_rib.prefixes());
     }
 
     fn forget_asn(&mut self, p: ParticipantId, asn: Asn) {
@@ -229,7 +206,7 @@ impl RouteServer {
 
     /// Deregisters a participant: its routes are dropped as by
     /// [`reset_session`](Self::reset_session) (so the prefixes it
-    /// announced are dirty for both consumers), and its Adj-RIB-In, export
+    /// announced are dirty), and its Adj-RIB-In, export
     /// policy and ASN are forgotten — it is no longer a viewer. Returns
     /// the reset's events; empty if `p` was never registered.
     pub fn remove_peer(&mut self, p: ParticipantId) -> Vec<RouteServerEvent> {
@@ -256,9 +233,7 @@ impl RouteServer {
     /// signatures.
     pub fn set_export_policy(&mut self, p: ParticipantId, export: ExportPolicy) {
         self.export.insert(p, export);
-        let affected: Vec<Prefix> = self.loc_rib.announced_by(p).collect();
-        self.mark_compile_dirty(affected.iter().copied());
-        self.dirty.extend(affected);
+        self.dirty.extend(self.loc_rib.announced_by(p));
     }
 
     /// Processes one UPDATE from `from`, returning the prefixes whose
@@ -288,15 +263,10 @@ impl RouteServer {
                     None => self.loc_rib.remove(p, from),
                 }
                 self.dirty.insert(p);
-                self.compile_dirty.set.get_mut().insert(p);
                 events.push(RouteServerEvent::PrefixChanged(p));
             }
             events
         })
-    }
-
-    fn mark_compile_dirty(&mut self, prefixes: impl IntoIterator<Item = Prefix>) {
-        self.compile_dirty.set.get_mut().extend(prefixes);
     }
 
     /// This instance's compile-cache identity: unique per route server
@@ -304,34 +274,28 @@ impl RouteServer {
     /// state against one instance can detect it is now being run against
     /// a different one and rebuild instead of trusting stale entries.
     pub fn compile_id(&self) -> u64 {
-        self.compile_dirty.id
+        self.compile_id.0
     }
 
-    /// Drains the compiler's view of changed prefixes (the private
-    /// `CompileDirty` set; independent of
-    /// [`take_dirty_prefixes`](Self::take_dirty_prefixes)). Takes `&self`
-    /// because the compile pipeline holds the route server shared.
-    pub fn take_compile_dirty(&self) -> std::collections::BTreeSet<Prefix> {
-        self.compile_dirty.set.take()
-    }
-
-    /// Un-drained compiler-side changed prefixes (diagnostics).
-    pub fn compile_dirty_len(&self) -> usize {
-        self.compile_dirty.set.borrow().len()
+    /// The prefixes whose candidate set changed since the last drain: what
+    /// a compile re-examines. Reading it changes nothing, so any number of
+    /// compiles over this route server see the same set.
+    pub fn dirty_prefixes(&self) -> &BTreeSet<Prefix> {
+        &self.dirty
     }
 
     /// Drains the set of prefixes whose candidate set changed since the
-    /// last drain. The controller's re-optimization sync uses this to
-    /// re-examine only (viewer, prefix) pairs that could have moved —
-    /// everything else provably advertises the same VNH as before under
-    /// churn-stable FEC identity.
-    pub fn take_dirty_prefixes(&mut self) -> std::collections::BTreeSet<Prefix> {
+    /// last drain. The controller's re-optimization sync uses this, after
+    /// the compile has read the set, to re-examine only (viewer, prefix)
+    /// pairs that could have moved — everything else provably advertises
+    /// the same VNH as before under churn-stable FEC identity.
+    pub fn take_dirty_prefixes(&mut self) -> BTreeSet<Prefix> {
         std::mem::take(&mut self.dirty)
     }
 
     /// Puts drained prefixes back — for a caller whose sync was rolled
-    /// back, so the next one still re-examines them.
-    pub fn restore_dirty_prefixes(&mut self, drained: std::collections::BTreeSet<Prefix>) {
+    /// back, so the next compile and sync still re-examine them.
+    pub fn restore_dirty_prefixes(&mut self, drained: BTreeSet<Prefix>) {
         self.dirty.extend(drained);
     }
 
@@ -352,7 +316,6 @@ impl RouteServer {
         for p in cleared {
             self.loc_rib.remove(p, from);
             self.dirty.insert(p);
-            self.compile_dirty.set.get_mut().insert(p);
             events.push(RouteServerEvent::PrefixChanged(p));
         }
         events
@@ -932,29 +895,33 @@ mod tests {
     }
 
     #[test]
-    fn compile_dirty_tracks_all_mutation_sites_and_drains_independently() {
+    fn every_mutation_site_marks_the_one_dirty_set() {
         let mut rs = figure1_server();
         // Building figure1 dirtied every announced prefix.
-        assert_eq!(rs.compile_dirty_len(), 4);
-        let drained = rs.take_compile_dirty();
-        assert_eq!(drained.len(), 4);
-        assert_eq!(rs.compile_dirty_len(), 0);
-        // The controller-side dirty set is untouched by the compiler drain.
         assert_eq!(rs.dirty_len(), 4);
+        // Reading the set (what a compile does) leaves it as it was.
+        assert_eq!(rs.dirty_prefixes().len(), 4);
+        assert_eq!(rs.dirty_len(), 4);
+        let drained = rs.take_dirty_prefixes();
+        assert_eq!(drained.len(), 4);
+        assert_eq!(rs.dirty_len(), 0);
+        // A rolled-back sync puts what it drained back.
+        rs.restore_dirty_prefixes(drained);
+        assert_eq!(rs.take_dirty_prefixes().len(), 4);
         // process_update marks per changed prefix.
         rs.process_update(
             ParticipantId(3),
             &UpdateMessage::withdraw([prefix("10.0.0.0/8")]),
         );
-        assert_eq!(rs.take_compile_dirty().len(), 1);
+        assert_eq!(rs.take_dirty_prefixes().len(), 1);
         // reset_session marks every cleared prefix.
         rs.reset_session(ParticipantId(2));
-        assert_eq!(rs.take_compile_dirty().len(), 4);
+        assert_eq!(rs.take_dirty_prefixes().len(), 4);
         // set_export_policy marks only the announcer's own prefixes:
         // after B's session reset, C still announces 20/8 and 40/8
         // (10/8 was withdrawn above), so exactly those two are dirtied.
         rs.set_export_policy(ParticipantId(3), ExportPolicy::allow_all());
-        let drained = rs.take_compile_dirty();
+        let drained = rs.take_dirty_prefixes();
         assert_eq!(drained.len(), 2, "scoped to announced_by(C): {drained:?}");
         assert!(drained.contains(&prefix("20.0.0.0/8")));
         assert!(drained.contains(&prefix("40.0.0.0/8")));
@@ -963,12 +930,12 @@ mod tests {
     #[test]
     fn compile_id_is_fresh_per_clone_but_dirt_is_carried() {
         let mut rs = figure1_server();
-        rs.take_compile_dirty();
+        rs.take_dirty_prefixes();
         rs.process_update(
             ParticipantId(3),
             &UpdateMessage::withdraw([prefix("10.0.0.0/8")]),
         );
-        let snap = rs.clone();
+        let mut snap = rs.clone();
         assert_ne!(
             snap.compile_id(),
             rs.compile_id(),
@@ -976,12 +943,9 @@ mod tests {
         );
         // …but the pending dirt travels with the snapshot, so a compiler
         // that first sees the clone still learns what changed.
-        assert_eq!(snap.compile_dirty_len(), 1);
-        assert_eq!(
-            rs.compile_dirty_len(),
-            1,
-            "cloning does not drain the original"
-        );
+        assert_eq!(snap.dirty_prefixes(), rs.dirty_prefixes());
+        assert_eq!(snap.take_dirty_prefixes().len(), 1);
+        assert_eq!(rs.dirty_len(), 1, "draining the clone leaves the original");
     }
 
     #[test]
@@ -1023,7 +987,6 @@ mod tests {
     fn remove_peer_forgets_the_viewer_and_dirties_its_prefixes() {
         let mut rs = figure1_server();
         rs.take_dirty_prefixes();
-        rs.take_compile_dirty();
         // A route through B's ASN is withheld from B while it is a peer.
         rs.process_update(
             ParticipantId(3),
@@ -1035,7 +998,6 @@ mod tests {
             vec![ParticipantId(2), ParticipantId(3)]
         );
         rs.take_dirty_prefixes();
-        rs.take_compile_dirty();
 
         let events = rs.remove_peer(ParticipantId(2));
         assert_eq!(events[0], RouteServerEvent::SessionReset(ParticipantId(2)));
@@ -1047,7 +1009,6 @@ mod tests {
         assert!(rs.adj_rib_in(ParticipantId(2)).is_none());
         assert!(!rs.asns.contains_key(&ParticipantId(2)));
         assert_eq!(rs.take_dirty_prefixes().len(), 4);
-        assert_eq!(rs.take_compile_dirty().len(), 4);
         // p3 was B's alone; p1 falls back to C for A.
         assert!(rs.top_route(prefix("30.0.0.0/8")).is_none());
         assert_eq!(

@@ -25,10 +25,10 @@
 //!
 //! # Route-flap damping
 //!
-//! Each session reset adds [`SupervisorConfig::flap_penalty`] to the
-//! peer's penalty, which decays exponentially with half-life
-//! [`SupervisorConfig::half_life_ms`]. When the penalty reaches
-//! [`SupervisorConfig::suppress_threshold`] the peer is *suppressed*:
+//! The damping constants are RFC 2439's commonly deployed values. Each
+//! session reset adds a penalty of 1000 to the peer's, which decays
+//! exponentially with a half-life of 15 s. When the penalty reaches 2000
+//! the peer is *suppressed*:
 //!
 //! * the reset that crossed the threshold still flushes the fabric — its
 //!   withdrawal prefixes are emitted immediately, so a dying peer's routes
@@ -36,9 +36,8 @@
 //! * every subsequent prefix change from the peer (re-announcements once
 //!   it connects again, further flap flushes) accumulates in a pending
 //!   set and produces **no** recompilation;
-//! * once the penalty decays below
-//!   [`SupervisorConfig::reuse_threshold`], the pending set is drained in
-//!   one batch — a single recompilation reinstates the peer's routes.
+//! * once the penalty decays below 750, the pending set is drained in one
+//!   batch — a single recompilation reinstates the peer's routes.
 //!
 //! A peer that flaps N times inside a half-life therefore costs O(1)
 //! recompilations, not O(N). While a peer is suppressed the route server's
@@ -54,33 +53,21 @@ use crate::msg::{BgpMessage, OpenMessage};
 use crate::route_server::{RouteServer, RouteServerEvent};
 use crate::session::{Session, SessionEvent, SessionState};
 
-/// Tunables for route-flap damping.
-///
-/// The damping defaults follow RFC 2439's commonly deployed values
-/// (penalty 1000, suppress 2000, reuse 750, half-life 15 s scaled for the
-/// simulator's compressed clock).
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub struct SupervisorConfig {
-    /// Penalty added to a peer for each session reset.
-    pub flap_penalty: f64,
-    /// Penalty at or above which the peer is suppressed.
-    pub suppress_threshold: f64,
-    /// Penalty below which a suppressed peer is released.
-    pub reuse_threshold: f64,
-    /// Exponential-decay half-life of the penalty, milliseconds.
-    pub half_life_ms: u64,
-}
+/// Penalty added to a peer for each session reset.
+const FLAP_PENALTY: f64 = 1_000.0;
+/// Penalty at or above which the peer is suppressed.
+const SUPPRESS_THRESHOLD: f64 = 2_000.0;
+/// Penalty below which a suppressed peer is released.
+const REUSE_THRESHOLD: f64 = 750.0;
+/// Exponential-decay half-life of the penalty, milliseconds.
+const HALF_LIFE_MS: u64 = 15_000;
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            flap_penalty: 1_000.0,
-            suppress_threshold: 2_000.0,
-            reuse_threshold: 750.0,
-            half_life_ms: 15_000,
-        }
-    }
-}
+/// [`Supervisor::new`]'s options. It has none: flap damping runs at RFC
+/// 2439's defaults (see the module docs). The type is kept, field-less,
+/// because the benchmark's parts twin calls
+/// `Supervisor::new(SupervisorConfig::default(), 7)`.
+#[derive(Clone, Copy, PartialEq, Debug, Default)]
+pub struct SupervisorConfig {}
 
 /// What a supervision step produced.
 #[derive(Clone, PartialEq, Debug, Default)]
@@ -121,18 +108,17 @@ struct PeerState {
 /// Supervises every peer session of the exchange (see module docs).
 #[derive(Clone, Debug)]
 pub struct Supervisor {
-    cfg: SupervisorConfig,
     peers: BTreeMap<ParticipantId, PeerState>,
     telemetry: SharedRegistry,
 }
 
 impl Supervisor {
-    /// A supervisor with the given tunables. `_seed` is unused: nothing
-    /// is random. It is kept because the benchmark's parts twin calls
+    /// A supervisor with no peers. Neither argument is read: there is
+    /// nothing to configure and nothing is random. Both are kept because
+    /// the benchmark's parts twin calls
     /// `Supervisor::new(SupervisorConfig::default(), 7)`.
-    pub fn new(cfg: SupervisorConfig, _seed: u64) -> Self {
+    pub fn new(_cfg: SupervisorConfig, _seed: u64) -> Self {
         Supervisor {
-            cfg,
             peers: BTreeMap::new(),
             telemetry: SharedRegistry::default(),
         }
@@ -177,7 +163,7 @@ impl Supervisor {
     pub fn penalty(&self, id: ParticipantId, now_ms: u64) -> f64 {
         self.peers
             .get(&id)
-            .map(|p| decay(&self.cfg, p.penalty, now_ms.saturating_sub(p.penalty_at_ms)))
+            .map(|p| decay(p.penalty, now_ms.saturating_sub(p.penalty_at_ms)))
             .unwrap_or(0.0)
     }
 
@@ -327,7 +313,6 @@ impl Supervisor {
         rs: &mut RouteServer,
         out: &mut SupervisorOutput,
     ) {
-        let cfg = self.cfg;
         let peer = self.peers.get_mut(&id).expect("peer present");
 
         // Hold-timer bookkeeping: a negotiated hold time of 0 disables it.
@@ -360,13 +345,9 @@ impl Supervisor {
 
         // Penalty decay and release from suppression.
         let peer = self.peers.get_mut(&id).expect("peer present");
-        peer.penalty = decay(
-            &cfg,
-            peer.penalty,
-            now_ms.saturating_sub(peer.penalty_at_ms),
-        );
+        peer.penalty = decay(peer.penalty, now_ms.saturating_sub(peer.penalty_at_ms));
         peer.penalty_at_ms = now_ms;
-        if peer.suppressed && peer.penalty < cfg.reuse_threshold {
+        if peer.suppressed && peer.penalty < REUSE_THRESHOLD {
             peer.suppressed = false;
             let pending = std::mem::take(&mut peer.pending);
             self.telemetry.record_event(Event::SessionReleased {
@@ -386,16 +367,12 @@ impl Supervisor {
         rs: &mut RouteServer,
         out: &mut SupervisorOutput,
     ) {
-        let cfg = self.cfg;
         let peer = self.peers.get_mut(&id).expect("peer present");
         let was_suppressed = peer.suppressed;
-        peer.penalty = decay(
-            &cfg,
-            peer.penalty,
-            now_ms.saturating_sub(peer.penalty_at_ms),
-        ) + cfg.flap_penalty;
+        peer.penalty =
+            decay(peer.penalty, now_ms.saturating_sub(peer.penalty_at_ms)) + FLAP_PENALTY;
         peer.penalty_at_ms = now_ms;
-        if peer.penalty >= cfg.suppress_threshold && !peer.suppressed {
+        if peer.penalty >= SUPPRESS_THRESHOLD && !peer.suppressed {
             peer.suppressed = true;
             self.telemetry
                 .record_event(Event::SessionSuppressed { peer: id.0 });
@@ -417,11 +394,8 @@ impl Supervisor {
 }
 
 /// Exponential decay of `penalty` after `elapsed_ms`.
-fn decay(cfg: &SupervisorConfig, penalty: f64, elapsed_ms: u64) -> f64 {
-    if cfg.half_life_ms == 0 {
-        return 0.0;
-    }
-    penalty * 0.5f64.powf(elapsed_ms as f64 / cfg.half_life_ms as f64)
+fn decay(penalty: f64, elapsed_ms: u64) -> f64 {
+    penalty * 0.5f64.powf(elapsed_ms as f64 / HALF_LIFE_MS as f64)
 }
 
 /// The prefixes touched by a batch of route-server events.
@@ -438,6 +412,7 @@ fn prefixes_of(events: Vec<RouteServerEvent>) -> Vec<Prefix> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::{Clock, MockClock};
     use crate::msg::{simple_announce, NotificationCode};
     use crate::route_server::ExportPolicy;
     use sdx_net::{ip, prefix, Asn, RouterId};
@@ -528,24 +503,19 @@ mod tests {
 
     #[test]
     fn flapping_peer_is_suppressed_then_released() {
-        let cfg = SupervisorConfig {
-            flap_penalty: 1_000.0,
-            suppress_threshold: 1_500.0,
-            reuse_threshold: 750.0,
-            half_life_ms: 1_000,
-        };
         let mut rs = rs_with(&[1]);
-        let mut sup = Supervisor::new(cfg, 7);
+        let mut sup = Supervisor::new(SupervisorConfig::default(), 7);
         let id = ParticipantId(1);
-        sup.add_peer(id, open(65001, 90), 0);
-        establish(&mut sup, &mut rs, id, 0);
+        let clock = MockClock::new();
+        sup.add_peer(id, open(65001, 90), clock.now_ms());
+        establish(&mut sup, &mut rs, id, clock.now_ms());
 
         let mut recompiles = 0u32;
-        let mut now = 10;
+        clock.advance(10);
         for _ in 0..6 {
             // Flap: notification drops the session.
             let out = sup.handle_message(
-                now,
+                clock.now_ms(),
                 id,
                 BgpMessage::Notification {
                     code: NotificationCode::Cease,
@@ -555,25 +525,31 @@ mod tests {
             );
             recompiles += u32::from(!out.changed_prefixes.is_empty());
             // The peer connects again and re-announces.
-            now += 200;
+            clock.advance(200);
+            let now = clock.now_ms();
             sup.connection_up(now, id, &mut rs);
             sup.handle_message(now, id, BgpMessage::Open(open(60001, 90)), &mut rs);
             sup.handle_message(now, id, BgpMessage::Keepalive, &mut rs);
             let u = simple_announce(prefix("10.0.0.0/8"), &[65001], ip("1.1.1.1"));
             let out = sup.handle_message(now, id, BgpMessage::Update(u), &mut rs);
             recompiles += u32::from(!out.changed_prefixes.is_empty());
-            now += 10;
+            clock.advance(10);
         }
         assert!(sup.is_suppressed(id), "six rapid flaps must suppress");
-        assert!(
-            recompiles <= 3,
+        // Two flaps 210 ms apart leave the penalty just under 2000, so the
+        // third crosses it. The first flap has nothing to flush and costs
+        // its re-announcement, the second a flush and a re-announcement,
+        // the third its flush, the rest nothing.
+        assert_eq!(
+            recompiles, 4,
             "suppression must bound recompilations, got {recompiles}"
         );
         assert_eq!(sup.pending(id), vec![prefix("10.0.0.0/8")]);
 
-        // Far in the future the penalty has decayed below reuse: the
-        // pending announcement is released in one batch.
-        let out = sup.tick(now + 60_000, &mut rs);
+        // Four half-lives on, even six flaps' penalty has decayed below
+        // reuse: the pending announcement is released in one batch.
+        clock.advance(4 * HALF_LIFE_MS);
+        let out = sup.tick(clock.now_ms(), &mut rs);
         assert!(!sup.is_suppressed(id));
         assert_eq!(out.changed_prefixes, vec![prefix("10.0.0.0/8")]);
         assert!(sup.pending(id).is_empty());
@@ -701,25 +677,27 @@ mod tests {
 
     #[test]
     fn repeated_tcp_resets_suppress_the_peer() {
-        let cfg = SupervisorConfig {
-            flap_penalty: 1_000.0,
-            suppress_threshold: 1_500.0,
-            reuse_threshold: 750.0,
-            half_life_ms: 60_000,
-        };
         let mut rs = rs_with(&[1]);
-        let mut sup = Supervisor::new(cfg, 7);
+        let mut sup = Supervisor::new(SupervisorConfig::default(), 7);
         let id = ParticipantId(1);
-        sup.add_peer(id, open(65001, 90), 0);
-        establish(&mut sup, &mut rs, id, 0);
-        sup.peer_disconnected(10, id, &mut rs);
-        sup.connection_up(20, id, &mut rs);
-        sup.handle_message(20, id, BgpMessage::Open(open(60001, 90)), &mut rs);
-        sup.handle_message(20, id, BgpMessage::Keepalive, &mut rs);
-        sup.peer_disconnected(30, id, &mut rs);
-        assert!(
-            sup.is_suppressed(id),
-            "two rapid TCP resets within a long half-life must suppress"
-        );
+        let clock = MockClock::new();
+        sup.add_peer(id, open(65001, 90), clock.now_ms());
+        establish(&mut sup, &mut rs, id, clock.now_ms());
+        for reset in 1..=3 {
+            clock.advance(10);
+            sup.peer_disconnected(clock.now_ms(), id, &mut rs);
+            // Two resets 20 ms apart stay just under the threshold; the
+            // third crosses it.
+            assert_eq!(
+                sup.is_suppressed(id),
+                reset == 3,
+                "three rapid TCP resets within a half-life suppress, two do not: reset {reset}"
+            );
+            clock.advance(10);
+            let now = clock.now_ms();
+            sup.connection_up(now, id, &mut rs);
+            sup.handle_message(now, id, BgpMessage::Open(open(60001, 90)), &mut rs);
+            sup.handle_message(now, id, BgpMessage::Keepalive, &mut rs);
+        }
     }
 }

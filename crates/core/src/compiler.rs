@@ -527,13 +527,6 @@ impl SdxCompiler {
         Ok(())
     }
 
-    /// Drops every cached signature map and piece, so the next compile is
-    /// cold — how a test gets a whole-exchange compile out of a compiler
-    /// that has already run.
-    pub fn clear_cache(&mut self) {
-        self.cache = None;
-    }
-
     /// Brings the compiled policies up to the book's current versions,
     /// compiling only where a stamp moved; returns how many policies were
     /// served as they stood and how many participants had one that moved.
@@ -1006,9 +999,11 @@ mod tests {
 
     #[test]
     fn idle_recompile_serves_every_viewer() {
-        let (mut compiler, rs) = figure1();
+        let (mut compiler, mut rs) = figure1();
         let mut vnh = VnhAllocator::default();
         let r1 = compiler.compile_all(&rs, &mut vnh).unwrap();
+        // Drained after the compile, as the controller's FIB sync does.
+        rs.take_dirty_prefixes();
         let before = phase_a_counts(&compiler, [0; 3]);
         // Nothing changed: A's map is held and comes through unpatched,
         // and keyed VNH reuse makes the reports identical without
@@ -1021,10 +1016,33 @@ mod tests {
     }
 
     #[test]
+    fn a_compile_leaves_the_dirty_set_as_it_found_it() {
+        let (mut compiler, mut rs) = figure1();
+        let mut vnh = VnhAllocator::default();
+        let found = rs.dirty_prefixes().clone();
+        assert_eq!(found.len(), 5, "every announced prefix");
+        compiler.compile_all(&rs, &mut vnh).unwrap();
+        assert_eq!(rs.dirty_prefixes(), &found, "a compile drains nothing");
+        rs.take_dirty_prefixes();
+        // A second compiler over the same route server reads the same
+        // set, so the warm compiler still patches what changed.
+        let msg = compiler
+            .participant(ParticipantId(2))
+            .unwrap()
+            .announce([prefix("10.0.0.0/8")], &[65002, 999]);
+        rs.process_update(ParticipantId(2), &msg);
+        let cold = run(&mut figure1().0, &rs);
+        assert_eq!(rs.dirty_len(), 1);
+        let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
+        assert_canonically_identical(&warm, &cold, "warm after another compile");
+    }
+
+    #[test]
     fn a_dirty_prefix_is_patched_and_matches_cold_compile() {
         let (mut compiler, mut rs) = figure1();
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
+        rs.take_dirty_prefixes();
         // One prefix churns (B's path for p1 shortens to C's length): A's
         // map is patched, not rebuilt, and the patched output equals a
         // from-scratch compile of the same world.
@@ -1033,6 +1051,7 @@ mod tests {
             .unwrap()
             .announce([prefix("10.0.0.0/8")], &[65002, 999]);
         rs.process_update(ParticipantId(2), &msg);
+        assert_eq!(rs.dirty_len(), 1);
         let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
         let units = warm.stats.pieces.units;
         assert_eq!((units.recomputed, units.reused), (0, 1), "patched");
@@ -1046,6 +1065,7 @@ mod tests {
         let (mut compiler, mut rs) = figure1();
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
+        rs.take_dirty_prefixes();
         // D announces exactly one prefix (50/8), and A's clauses forward
         // to B and C only. Denying D's exports to A dirties 50/8, which is
         // in no signature of A's before or after: A is served its very
@@ -1067,6 +1087,7 @@ mod tests {
         let (mut compiler, mut rs) = figure1();
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
+        rs.take_dirty_prefixes();
         // B and C both withdraw p2: no clause of A's reaches it any more,
         // so its entry goes. Then C's session resets: p1 and p4 lose their
         // HTTPS member and their default next hop.
@@ -1077,6 +1098,7 @@ mod tests {
         let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
         assert!(!warm.vnh_of.keys().any(|(_, p)| p == p2));
         assert_matches_cold(&compiler, &rs, &warm);
+        rs.take_dirty_prefixes();
         rs.reset_session(ParticipantId(3));
         let warm = compiler.compile_all(&rs, &mut vnh).unwrap();
         let units = warm.stats.pieces.units;
@@ -1086,7 +1108,7 @@ mod tests {
 
     #[test]
     fn cache_invalidates_on_policy_change_and_foreign_route_server() {
-        let (mut compiler, rs) = figure1();
+        let (mut compiler, mut rs) = figure1();
         // A second viewer, whose map must stay held through A's edit.
         compiler.set_outbound(
             ParticipantId(3),
@@ -1105,6 +1127,7 @@ mod tests {
             (units.recomputed, units.reused, recompiled, dirtied)
         };
         compile(&mut compiler, &rs);
+        rs.take_dirty_prefixes();
         // An inbound edit never touches phase A.
         compiler.set_inbound(ParticipantId(2), None);
         assert_eq!(compile(&mut compiler, &rs), (0, 2, 0, 0), "inbound edit");
@@ -1159,16 +1182,17 @@ mod tests {
         let pool = VnhAllocator::default_pool();
         assert_reports_identical(
             &canonicalize_report(warm, pool),
-            &canonicalize_report(&run(&mut cold, &rs.clone()), pool),
+            &canonicalize_report(&run(&mut cold, rs), pool),
             "warm vs cold",
         );
     }
 
     #[test]
     fn a_compile_that_fails_half_way_leaves_no_piece_to_mistake_for_current() {
-        let (mut compiler, rs) = figure1();
+        let (mut compiler, mut rs) = figure1();
         let mut vnh = VnhAllocator::default();
         compiler.compile_all(&rs, &mut vnh).unwrap();
+        rs.take_dirty_prefixes();
         // A's tags now reach C where they reached B — and A's own block,
         // the first to be rebuilt, is rejected: the run stops with A's
         // piece replaced and B's and C's blocks still listing the old tags.
@@ -1191,11 +1215,12 @@ mod tests {
 
     #[test]
     fn cached_pieces_are_bounded_by_the_book() {
-        let (mut compiler, rs) = figure1();
+        let (mut compiler, mut rs) = figure1();
         let mut vnh = VnhAllocator::default();
         let owners = |c: &SdxCompiler| c.cache.as_ref().expect("compiled").pieces.owners();
         let ids = |ids: &[u32]| ids.iter().map(|&n| ParticipantId(n)).collect::<Vec<_>>();
         compiler.compile_all(&rs, &mut vnh).unwrap();
+        rs.take_dirty_prefixes();
         // (viewer pieces, receiver blocks, segments), by owner.
         assert_eq!(
             owners(&compiler),
@@ -1227,9 +1252,13 @@ mod tests {
             owners(&compiler),
             (ids(&[]), ids(&[2, 3, 4]), ids(&[2, 3, 4]))
         );
-        // And a cache dropped by hand is one where every piece is stale.
-        compiler.clear_cache();
-        let cold = compiler.compile_all(&rs, &mut vnh).unwrap();
+        // A compiler that never compiled holds no piece: every one is
+        // built, and on the same allocator the table is the same.
+        let mut fresh = SdxCompiler::new();
+        for cfg in compiler.participants().values() {
+            fresh.upsert_participant(cfg.clone());
+        }
+        let cold = fresh.compile_all(&rs, &mut vnh).unwrap();
         let pieces = cold.stats.pieces;
         assert_eq!(
             (
@@ -1302,13 +1331,13 @@ mod tests {
         for (what, mutate) in mutations {
             mutate(&mut compiler);
             let incremental = compiler.compile_all(&rs, &mut vnh).unwrap();
-            let (mut cold, rs2) = (figure1().0, rs.clone());
+            let mut cold = figure1().0;
             // Copy the warm book over so the cold compiler sees the same
             // post-mutation world.
             for cfg in compiler.participants().clone().into_values() {
                 cold.upsert_participant(cfg);
             }
-            let cold_report = run(&mut cold, &rs2);
+            let cold_report = run(&mut cold, &rs);
             assert_reports_identical(
                 &canonicalize_report(&incremental, pool),
                 &canonicalize_report(&cold_report, pool),

@@ -668,7 +668,7 @@ impl SdxController {
             .map(|&id| self.vnh.vnh_of(id))
             .collect();
         self.report = Some(report);
-        reg.time("fibsync", || self.sync_fibs_logged(fabric, old_report, log));
+        reg.time("fibsync", || self.sync_fibs(fabric, old_report, log));
         let retire = Retire {
             patched: diff.batch.stats(),
             overlays,
@@ -789,11 +789,11 @@ impl SdxController {
     /// or when a viewer is advertised to for the first time, every prefix
     /// of the Loc-RIB and of the Adj-RIB-Outs is, and every pair in the
     /// report's VNH map.
-    pub fn sync_fibs(&mut self, fabric: &mut Fabric, since: Option<&CompileReport>) -> FibSync {
-        self.sync_fibs_logged(fabric, since, &mut UndoLog::discarding())
-    }
-
-    fn sync_fibs_logged(
+    ///
+    /// This is where the route server's dirty set is drained, after the
+    /// compile read it; `log` keeps the drained set, so a rollback puts it
+    /// back.
+    fn sync_fibs(
         &mut self,
         fabric: &mut Fabric,
         since: Option<&CompileReport>,
@@ -1026,8 +1026,9 @@ struct Retire {
     retired_addrs: Vec<Ipv4Addr>,
 }
 
-/// What one [`SdxController::sync_fibs`] did. The counters named below
-/// also count what each fast-path pass re-advertises.
+/// What one FIB synchronization did — a recompile's, inside
+/// [`SdxController::reoptimize`] and every other recompile. The counters
+/// named below also count what each fast-path pass re-advertises.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct FibSync {
     /// Advertisements compared with what the route server now decides:

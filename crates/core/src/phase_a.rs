@@ -12,15 +12,18 @@
 //!   hop — each movable clause against every prefix its target exports to
 //!   the viewer ([`RouteServer::prefixes_via`]) — then one best-route
 //!   decision per prefix reached;
-//! * **patched**, otherwise: each of the route server's compile-dirty
-//!   prefixes gets its signature recomputed by [`ViewerRules::signature`],
+//! * **patched**, otherwise: each of the route server's dirty prefixes
+//!   gets its signature recomputed by [`ViewerRules::signature`],
 //!   the function the §4.3.2 fast path runs, and its entry inserted,
 //!   replaced or removed.
 //!
 //! Every mutation site of the route server — updates, session resets,
 //! export-policy swaps, a new peer's loop protection — marks the prefixes
-//! it can have moved compile-dirty, so a prefix outside the dirty set
-//! keeps the signature it had. A map is partitioned into FEC groups
+//! it can have moved dirty, so a prefix outside the dirty set keeps the
+//! signature it had. Phase A only reads that set: the controller's FIB
+//! sync drains it after the compile, and a compiler run on its own
+//! re-patches every prefix changed since the last drain, which is
+//! idempotent. A map is partitioned into FEC groups
 //! ([`FecPartition`]) only when an entry changed; a viewer whose map came
 //! through unchanged is handed the very `Arc` of the last compile, which is
 //! what phase C checks.
@@ -134,7 +137,7 @@ pub(crate) struct CompileCache {
     rs_id: u64,
     /// Every viewer's phase-A state, as the previous compile left it.
     viewers: HashMap<ParticipantId, ViewerSignatures>,
-    /// Moves whenever a compile finds the route server's compile-dirty set
+    /// Moves whenever a compile finds the route server's dirty set
     /// non-empty: what a piece that reads routes beyond phase A (a viewer
     /// holding a rewrite rule) is stamped with.
     pub(crate) route_generation: u64,
@@ -160,7 +163,7 @@ pub(crate) fn run(
     let valid = cache
         .take()
         .filter(|c| c.book == book && c.rs_id == rs.compile_id());
-    let dirty = rs.take_compile_dirty();
+    let dirty = rs.dirty_prefixes();
     reg.add("compile.shard.dirty_prefixes.count", dirty.len() as u64);
     let fresh = valid.is_none();
     let mut next = valid.unwrap_or_else(|| CompileCache {
@@ -181,7 +184,7 @@ pub(crate) fn run(
         let entry = match held.remove(&viewer).filter(|held| held.stamp == stamp) {
             Some(mut kept) => {
                 maps.reused += 1;
-                if kept.patch(rs, &v, &dirty) {
+                if kept.patch(rs, &v, dirty) {
                     kept.partition = partition(viewer, &kept.signatures, reg);
                     repartitioned += 1;
                 }

@@ -86,9 +86,8 @@ pub struct UndoLog {
 impl UndoLog {
     /// A log that performs writes and drops what they displace at once,
     /// for a caller that nothing will roll back, so there is nothing to
-    /// keep: the public entry points that run outside a transaction
-    /// ([`apply_delta`](SdxController::apply_delta),
-    /// [`sync_fibs`](SdxController::sync_fibs)).
+    /// keep: the one public entry point that runs outside a transaction,
+    /// [`apply_delta`](SdxController::apply_delta).
     pub fn discarding() -> Self {
         UndoLog {
             discard: true,

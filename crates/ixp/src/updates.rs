@@ -84,11 +84,6 @@ impl UpdateBurst {
         ps.dedup();
         ps.len()
     }
-
-    /// Number of update messages in the burst.
-    pub fn message_count(&self) -> usize {
-        self.updates.len()
-    }
 }
 
 /// Aggregate statistics over a generated trace — the Table 1 columns.
@@ -346,7 +341,7 @@ mod tests {
             .bursts
             .iter()
             .filter(|b| !b.is_session_reset)
-            .map(|b| b.message_count() as u64)
+            .map(|b| b.updates.len() as u64)
             .sum();
         assert_eq!(replayed, trace.stats.updates);
     }

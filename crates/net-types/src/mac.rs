@@ -69,11 +69,6 @@ impl MacAddr {
         self.fec_id().is_some()
     }
 
-    /// True for the broadcast address.
-    pub fn is_broadcast(self) -> bool {
-        self == Self::BROADCAST
-    }
-
     /// The raw octets.
     pub const fn octets(self) -> [u8; 6] {
         self.0
@@ -170,11 +165,5 @@ mod tests {
         for i in 0..1000u32 {
             assert_ne!(MacAddr::physical(i), MacAddr::vmac(i));
         }
-    }
-
-    #[test]
-    fn broadcast_detection() {
-        assert!(MacAddr::BROADCAST.is_broadcast());
-        assert!(!MacAddr::ZERO.is_broadcast());
     }
 }

@@ -174,12 +174,6 @@ impl LocatedPacket {
     pub fn at(loc: Location, pkt: Packet) -> Self {
         LocatedPacket { loc, pkt }
     }
-
-    /// Returns a copy relocated to `loc` (the effect of `fwd`).
-    pub fn moved_to(mut self, loc: Location) -> Self {
-        self.loc = loc;
-        self
-    }
 }
 
 impl fmt::Display for LocatedPacket {
@@ -201,7 +195,6 @@ impl fmt::Display for LocatedPacket {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asn::ParticipantId;
     use crate::ipv4::ip;
 
     #[test]
@@ -234,16 +227,5 @@ mod tests {
         assert_eq!(p.payload_len, 1400);
         let u = Packet::udp(ip("1.1.1.1"), ip("2.2.2.2"), 1234, 80);
         assert_eq!(u.nw_proto, IpProto::Udp);
-    }
-
-    #[test]
-    fn located_packet_moves() {
-        let a = PortId::Phys(ParticipantId(1), 1);
-        let b = PortId::Virt(ParticipantId(2));
-        let lp = LocatedPacket::at(a, Packet::empty());
-        assert_eq!(lp.loc, a);
-        assert_eq!(lp.moved_to(b).loc, b);
-        // moving does not mutate the original (Copy semantics)
-        assert_eq!(lp.loc, a);
     }
 }

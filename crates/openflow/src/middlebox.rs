@@ -3,9 +3,8 @@
 //! §2 of the paper motivates redirection through middleboxes; §8 envisions
 //! *service chaining* — steering traffic through a **sequence** of
 //! middleboxes. A middlebox here is a bump on a fabric port: it receives
-//! frames delivered to its port, applies its function (counted; the
-//! simulator models processing as an optional header transform), and
-//! re-injects the traffic toward its original destination through the
+//! frames delivered to its port, counts them (the simulator models
+//! processing as a pass-through), and re-injects the traffic toward its original destination through the
 //! port's border router — whereupon the next hop of the chain (or plain
 //! BGP) takes over.
 
@@ -13,10 +12,6 @@ use sdx_net::{LocatedPacket, Packet, PortId};
 
 use crate::fabric::{Delivery, Fabric};
 use crate::switch::Deliveries;
-
-/// The packet transform a middlebox applies; identity for monitors and
-/// scrubbers, a header rewrite for NATs etc.
-pub type MiddleboxFn = fn(Packet) -> Packet;
 
 /// A middlebox behind one fabric port.
 #[derive(Clone, Debug)]
@@ -27,7 +22,6 @@ pub struct Middlebox {
     pub label: String,
     /// Packets processed so far.
     pub processed: u64,
-    transform: MiddleboxFn,
 }
 
 impl Middlebox {
@@ -37,17 +31,6 @@ impl Middlebox {
             port,
             label: label.into(),
             processed: 0,
-            transform: |p| p,
-        }
-    }
-
-    /// A middlebox applying a custom header transform.
-    pub fn with_transform(port: PortId, label: impl Into<String>, f: MiddleboxFn) -> Self {
-        Middlebox {
-            port,
-            label: label.into(),
-            processed: 0,
-            transform: f,
         }
     }
 
@@ -56,8 +39,7 @@ impl Middlebox {
     pub fn process(&mut self, fabric: &mut Fabric, delivered: LocatedPacket) -> Deliveries {
         debug_assert_eq!(delivered.loc, self.port, "frame delivered elsewhere");
         self.processed += 1;
-        let out = (self.transform)(delivered.pkt);
-        fabric.send(self.port, out)
+        fabric.send(self.port, delivered.pkt)
     }
 }
 
@@ -158,24 +140,6 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].loc, port(2, 1));
         assert_eq!(mbox.processed, 1);
-    }
-
-    #[test]
-    fn transform_applies() {
-        let (mut f, _) = chain_fabric();
-        let mut nat = Middlebox::with_transform(port(5, 1), "nat", |mut p| {
-            p.nw_src = sdx_net::Ipv4Addr::new(100, 64, 0, 1);
-            p
-        });
-        let out = run_through_chain(
-            &mut f,
-            std::slice::from_mut(&mut nat),
-            port(1, 1),
-            Packet::tcp(ip("9.9.9.9"), ip("20.0.0.1"), 40_000, 80),
-            4,
-        )
-        .expect("terminates");
-        assert_eq!(out[0].pkt.nw_src, sdx_net::Ipv4Addr::new(100, 64, 0, 1));
     }
 
     #[test]

@@ -455,11 +455,6 @@ impl FlowTable {
         self.matcher.rebuild(&self.slots[self.head..], self.epoch);
     }
 
-    /// True if an entry exists at exactly (priority, pattern).
-    pub fn contains_exact(&self, priority: u32, pattern: &HeaderMatch) -> bool {
-        self.position_of(priority, pattern).is_some()
-    }
-
     /// Number of installed entries.
     pub fn len(&self) -> usize {
         self.slots.len() - self.head
@@ -784,7 +779,9 @@ mod tests {
                     pattern: entry(p).pattern,
                 })
                 .filter(|m| match m {
-                    FlowMod::Delete { priority, pattern } => t.contains_exact(*priority, pattern),
+                    FlowMod::Delete { priority, pattern } => {
+                        t.position_of(*priority, pattern).is_some()
+                    }
                     _ => true,
                 })
                 .collect(),

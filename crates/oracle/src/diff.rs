@@ -205,11 +205,12 @@ pub fn cold_book(book: &SdxCompiler) -> SdxCompiler {
 }
 
 /// The reference the equivalence suites compare an incremental compile
-/// against: a [`cold_book`] copy of `book` compiled over a copy of `rs` on
-/// a fresh allocator: every viewer's signature map built whole, by the
-/// join by next hop, where a warm compile patched it prefix by prefix.
+/// against: a [`cold_book`] copy of `book` compiled over `rs` on a fresh
+/// allocator: every viewer's signature map built whole, by the join by
+/// next hop, where a warm compile patched it prefix by prefix. A compile
+/// only reads `rs`, so the warm side's next compile sees the same world.
 pub fn cold_compile(book: &SdxCompiler, rs: &RouteServer) -> CompileReport {
     cold_book(book)
-        .compile_all(&rs.clone(), &mut VnhAllocator::default())
+        .compile_all(rs, &mut VnhAllocator::default())
         .expect("cold compile")
 }

@@ -163,6 +163,8 @@ proptest! {
         let pool = VnhAllocator::default_pool();
         let mut fresh = 6; // synth exchanges use ids 1..=6
         book.compile_all(&rs, &mut vnh).expect("initial compile");
+        // Drained after every compile, as the controller's FIB sync does.
+        rs.take_dirty_prefixes();
 
         // Ids the fast path drew since the last compile; the controller
         // releases them before it compiles, and so does this.
@@ -191,6 +193,7 @@ proptest! {
                 vnh.release(id);
             }
             let warm = book.compile_all(&rs, &mut vnh).expect("warm compile");
+            rs.take_dirty_prefixes();
             let cold = cold_compile(&book, &rs);
             let (w, c) = (canonicalize_report(&warm, pool), canonicalize_report(&cold, pool));
             prop_assert_eq!(&w.classifier, &c.classifier, "step {}: classifier", step);

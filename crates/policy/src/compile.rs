@@ -129,11 +129,6 @@ fn concat_if_disjoint(branches: &[Classifier]) -> Option<Classifier> {
 
 /// Compiles a policy to a total classifier.
 pub fn compile(policy: &Policy) -> Classifier {
-    sdx_telemetry::global().inc("policy.compile.count");
-    compile_inner(policy)
-}
-
-fn compile_inner(policy: &Policy) -> Classifier {
     match policy {
         Policy::Filter(pred) => {
             let mut c = filter_classifier(pred);
@@ -144,7 +139,7 @@ fn compile_inner(policy: &Policy) -> Classifier {
             Classifier::from_rules(vec![Rule::unicast(HeaderMatch::any(), Action::of(*m))])
         }
         Policy::Parallel(ps) => {
-            let branches: Vec<Classifier> = ps.iter().map(compile_inner).collect();
+            let branches: Vec<Classifier> = ps.iter().map(compile).collect();
             // §4.3.1: "most SDX policies are disjoint… the SDX controller
             // can simply apply the policies independently, as no packet
             // ever matches both." When every branch is a plain rule list
@@ -161,13 +156,13 @@ fn compile_inner(policy: &Policy) -> Classifier {
         }
         Policy::Sequential(ps) => ps
             .iter()
-            .map(compile_inner)
+            .map(compile)
             .reduce(|a, b| a.sequential(&b))
             .unwrap_or_else(Classifier::id),
         Policy::IfElse(pred, then, otherwise) => {
             let p_then = Policy::filter(pred.clone()) >> (**then).clone();
             let p_else = Policy::filter(!pred.clone()) >> (**otherwise).clone();
-            compile_inner(&p_then).parallel(&compile_inner(&p_else))
+            compile(&p_then).parallel(&compile(&p_else))
         }
     }
 }

@@ -32,18 +32,6 @@ impl Pred {
         Pred::Test(f)
     }
 
-    /// Disjunction over several destination prefixes — the shape of every
-    /// BGP consistency filter (`dstip=p1 || dstip=p2 || ...`). An empty
-    /// list yields [`Pred::None`]: no exported prefixes means no traffic
-    /// may be forwarded, which is precisely the SDX safety rule.
-    pub fn dst_in(prefixes: impl IntoIterator<Item = Prefix>) -> Pred {
-        prefixes
-            .into_iter()
-            .map(|p| Pred::Test(FieldMatch::NwDst(p)))
-            .reduce(|a, b| a | b)
-            .unwrap_or(Pred::None)
-    }
-
     /// Disjunction over several source prefixes (e.g. "traffic from
     /// YouTube's prefixes", §3.2).
     pub fn src_in(prefixes: impl IntoIterator<Item = Prefix>) -> Pred {
@@ -64,28 +52,6 @@ impl Pred {
             Pred::Or(a, b) => a.eval(lp) || b.eval(lp),
             Pred::Not(a) => !a.eval(lp),
         }
-    }
-
-    /// Collects every atomic field test in the predicate, in left-to-right
-    /// structural order. The differential oracle uses this to render
-    /// *which* header constraints a clause placed on the packet when it
-    /// prints a per-stage counterexample trace; polarity (tests under a
-    /// `Not`) is not tracked — this is a rendering aid, not a solver.
-    pub fn atoms(&self) -> Vec<FieldMatch> {
-        fn walk(p: &Pred, out: &mut Vec<FieldMatch>) {
-            match p {
-                Pred::Any | Pred::None => {}
-                Pred::Test(f) => out.push(*f),
-                Pred::And(a, b) | Pred::Or(a, b) => {
-                    walk(a, out);
-                    walk(b, out);
-                }
-                Pred::Not(a) => walk(a, out),
-            }
-        }
-        let mut out = Vec::new();
-        walk(self, &mut out);
-        out
     }
 
     /// Structural size (diagnostics and compile-cost accounting).
@@ -182,36 +148,10 @@ mod tests {
     }
 
     #[test]
-    fn dst_in_builds_disjunction() {
-        let f = Pred::dst_in([prefix("20.0.0.0/8"), prefix("30.0.0.0/8")]);
-        assert!(f.eval(&pkt(80))); // dst 20.0.0.1 in 20/8
-        let mut other = pkt(80);
-        other.pkt.nw_dst = ip("40.0.0.1");
-        assert!(!f.eval(&other));
-        // Empty filter = deny all (the SDX safety default).
-        assert_eq!(Pred::dst_in([]), Pred::None);
-    }
-
-    #[test]
     fn src_in_builds_disjunction() {
         let f = Pred::src_in([prefix("10.0.0.0/8")]);
         assert!(f.eval(&pkt(80)));
         assert_eq!(Pred::src_in([]), Pred::None);
-    }
-
-    #[test]
-    fn atoms_collects_field_tests_in_order() {
-        let p = (Pred::test(FieldMatch::TpDst(80)) | Pred::test(FieldMatch::TpDst(443)))
-            & !Pred::test(FieldMatch::NwSrc(prefix("10.0.0.0/8")));
-        assert_eq!(
-            p.atoms(),
-            vec![
-                FieldMatch::TpDst(80),
-                FieldMatch::TpDst(443),
-                FieldMatch::NwSrc(prefix("10.0.0.0/8")),
-            ]
-        );
-        assert!(Pred::Any.atoms().is_empty());
     }
 
     #[test]

@@ -12,9 +12,8 @@
 //!   counter increment is one relaxed atomic add.
 //! * [`registry`] — a keyed [`Registry`] of those primitives plus
 //!   span-style stage timers (`registry.time("compile.fec", || ...)`).
-//!   Usable behind a `&Registry` handle (the controller threads a
-//!   [`SharedRegistry`] through the whole stack) or via the process-wide
-//!   [`global()`] default.
+//!   Used behind a `&Registry` handle: the controller threads a
+//!   [`SharedRegistry`] through the whole stack.
 //! * [`journal`] — a bounded structured [`Journal`] (ring buffer) of
 //!   controller lifecycle [`Event`]s — update received, fast-path delta
 //!   applied, reoptimize completed, transaction rolled back, fault
@@ -49,5 +48,5 @@ pub mod snapshot;
 pub use journal::{Event, Journal, JournalEntry};
 pub use json::Json;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot};
-pub use registry::{global, Registry, SharedRegistry, Timer};
+pub use registry::{Registry, SharedRegistry, Timer};
 pub use snapshot::MetricsSnapshot;

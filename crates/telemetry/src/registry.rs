@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 use std::ops::Deref;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 use std::time::{Duration, Instant};
 
 use crate::journal::{Event, Journal};
@@ -51,14 +51,6 @@ impl Registry {
     /// An empty registry with the default journal capacity.
     pub fn new() -> Self {
         Registry::default()
-    }
-
-    /// An empty registry whose journal retains at most `cap` events.
-    pub fn with_journal_capacity(cap: usize) -> Self {
-        Registry {
-            journal: Journal::new(cap),
-            ..Registry::default()
-        }
     }
 
     /// The named counter (created at zero on first use).
@@ -199,11 +191,6 @@ impl SharedRegistry {
         SharedRegistry::default()
     }
 
-    /// A handle whose journal retains at most `cap` events.
-    pub fn with_journal_capacity(cap: usize) -> Self {
-        SharedRegistry(Arc::new(Registry::with_journal_capacity(cap)))
-    }
-
     /// Whether two handles point at the same underlying registry.
     pub fn same_sink(&self, other: &SharedRegistry) -> bool {
         Arc::ptr_eq(&self.0, &other.0)
@@ -225,13 +212,6 @@ impl PartialEq for SharedRegistry {
 }
 
 impl Eq for SharedRegistry {}
-
-/// The process-wide default registry, for call sites with no handle to
-/// thread (e.g. the policy compiler's invocation counters).
-pub fn global() -> &'static Registry {
-    static GLOBAL: OnceLock<Registry> = OnceLock::new();
-    GLOBAL.get_or_init(Registry::default)
-}
 
 #[cfg(test)]
 mod tests {
@@ -275,7 +255,7 @@ mod tests {
 
     #[test]
     fn snapshot_captures_everything() {
-        let r = Registry::with_journal_capacity(2);
+        let r = Registry::new();
         r.inc("x.count");
         r.set_gauge("y", 9);
         r.observe("z", 5);
@@ -298,12 +278,5 @@ mod tests {
         assert!(!a.same_sink(&b));
         a2.inc("shared.count");
         assert_eq!(a.counter("shared.count").get(), 1);
-    }
-
-    #[test]
-    fn global_registry_is_a_singleton() {
-        let before = global().counter("global.test.count").get();
-        global().inc("global.test.count");
-        assert_eq!(global().counter("global.test.count").get(), before + 1);
     }
 }

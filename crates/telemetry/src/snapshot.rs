@@ -53,11 +53,6 @@ impl MetricsSnapshot {
         self.dropped_events += other.dropped_events;
     }
 
-    /// The retained events' kinds, oldest first.
-    pub fn event_kinds(&self) -> Vec<&'static str> {
-        self.events.iter().map(|e| e.event.kind()).collect()
-    }
-
     /// The snapshot as a JSON object with `counters`, `gauges`,
     /// `histograms`, `events`, and `dropped_events` members, keys sorted.
     pub fn to_json(&self) -> Json {
@@ -96,11 +91,6 @@ impl MetricsSnapshot {
     /// Compact single-line JSON.
     pub fn to_json_string(&self) -> String {
         self.to_json().to_string()
-    }
-
-    /// Indented JSON (what `--json <path>` files embed).
-    pub fn to_json_pretty(&self) -> String {
-        self.to_json().pretty()
     }
 }
 
@@ -148,9 +138,6 @@ mod tests {
             events[0].get("kind").and_then(Json::as_str),
             Some("reoptimize_completed")
         );
-        assert_eq!(snap.event_kinds(), vec!["reoptimize_completed"]);
-        // Pretty form parses to the same document.
-        assert_eq!(Json::parse(&snap.to_json_pretty()).expect("pretty"), parsed);
     }
 
     #[test]

@@ -443,7 +443,7 @@ fn recompile_after_rollbacks_equals_a_cold_compile_on_the_restored_allocator() {
         restored.release(FecId(vmac.fec_id().expect("a VMAC")));
     }
     let cold = sdx_oracle::cold_book(&ctl.compiler)
-        .compile_all(&ctl.rs.clone(), &mut restored)
+        .compile_all(&ctl.rs, &mut restored)
         .expect("cold compile");
 
     ctl.faults = FaultPlan::disabled();

@@ -5,6 +5,7 @@
 use sdx::bgp::msg::{BgpMessage, NotificationCode, OpenMessage};
 use sdx::bgp::route_server::ExportPolicy;
 use sdx::bgp::session::SessionState;
+use sdx::bgp::{Clock, MockClock};
 use sdx::core::controller::SdxController;
 use sdx::core::participant::ParticipantConfig;
 use sdx::net::{ip, prefix, Asn, Packet, ParticipantId, PortId, RouterId};
@@ -68,30 +69,28 @@ fn flapping_peer_costs_constant_recompilations_and_routes_return() {
     ctl.add_participant(b.clone(), ExportPolicy::allow_all());
     let mut fabric = ctl.deploy().expect("deploy");
 
-    let cfg = SupervisorConfig {
-        flap_penalty: 1_000.0,
-        suppress_threshold: 1_500.0,
-        reuse_threshold: 750.0,
-        half_life_ms: 10_000,
-    };
-    let mut sup = Supervisor::new(cfg, 42);
-    sup.add_peer(pid(2), open(64999, 90), 0);
-    establish_b(&mut sup, &mut ctl, 0);
+    // RFC 2439's damping: 1000 per flap, suppressed at 2000, released
+    // below 750, half-life 15 s.
+    let mut sup = Supervisor::new(SupervisorConfig::default(), 42);
+    let clock = MockClock::new();
+    sup.add_peer(pid(2), open(64999, 90), clock.now_ms());
+    establish_b(&mut sup, &mut ctl, clock.now_ms());
 
     // B announces 20/8 through its supervised session; the change flows
     // through the fast path and traffic starts forwarding.
     let announce = BgpMessage::Update(b.announce([prefix("20.0.0.0/8")], &[65002]));
-    let out = sup.handle_message(5, pid(2), announce.clone(), &mut ctl.rs);
+    clock.advance(5);
+    let out = sup.handle_message(clock.now_ms(), pid(2), announce.clone(), &mut ctl.rs);
     assert_eq!(apply(&mut ctl, &mut fabric, &out), 1);
     assert_eq!(probe(&mut fabric, "20.0.0.1")[0].loc.participant(), pid(2));
 
     // Now B flaps 8 times well inside the penalty half-life: notification,
     // B connects again, re-announces — a recompilation storm if undamped.
     let mut recompiles = 0;
-    let mut now = 10;
+    clock.advance(5);
     for _ in 0..8 {
         let out = sup.handle_message(
-            now,
+            clock.now_ms(),
             pid(2),
             BgpMessage::Notification {
                 code: NotificationCode::Cease,
@@ -100,7 +99,8 @@ fn flapping_peer_costs_constant_recompilations_and_routes_return() {
             &mut ctl.rs,
         );
         recompiles += apply(&mut ctl, &mut fabric, &out);
-        now += 300;
+        clock.advance(300);
+        let now = clock.now_ms();
         let t = sup.tick(now, &mut ctl.rs);
         assert!(t.send.is_empty(), "nothing reconnects on a timer");
         recompiles += apply(&mut ctl, &mut fabric, &t);
@@ -108,12 +108,15 @@ fn flapping_peer_costs_constant_recompilations_and_routes_return() {
         recompiles += apply(&mut ctl, &mut fabric, &up);
         let out = sup.handle_message(now, pid(2), announce.clone(), &mut ctl.rs);
         recompiles += apply(&mut ctl, &mut fabric, &out);
-        now += 10;
+        clock.advance(10);
     }
 
     assert!(sup.is_suppressed(pid(2)), "rapid flapping must suppress B");
-    assert!(
-        recompiles <= 3,
+    // Two flaps 310 ms apart leave the penalty just under 2000, so the
+    // third crosses it: the first two cost a flush and a re-announcement
+    // each, the third its flush, and the five after it nothing.
+    assert_eq!(
+        recompiles, 5,
         "8 flaps must cost O(1) recompilations, got {recompiles}"
     );
     // While suppressed the fabric holds B's routes out: withdrawn.
@@ -122,10 +125,11 @@ fn flapping_peer_costs_constant_recompilations_and_routes_return() {
         "suppressed peer's routes must not be installed"
     );
 
-    // Long after the last flap the penalty has halved below the reuse
-    // threshold: one batched recompilation reinstates the route.
-    now += 60_000;
-    let out = sup.tick(now, &mut ctl.rs);
+    // Four half-lives after the last flap the penalty of eight has decayed
+    // below the reuse threshold: one batched recompilation reinstates the
+    // route.
+    clock.advance(60_000);
+    let out = sup.tick(clock.now_ms(), &mut ctl.rs);
     assert!(!sup.is_suppressed(pid(2)));
     assert_eq!(out.changed_prefixes, vec![prefix("20.0.0.0/8")]);
     assert_eq!(apply(&mut ctl, &mut fabric, &out), 1);

@@ -3,7 +3,11 @@
 //! compiler kept warm across rounds of random route churn (announcements,
 //! withdrawals, export-policy flips, session resets) must, after every
 //! round, produce *the same fabric* as a cold compile of the same world
-//! ([`cold_compile`]: nothing cached, fresh allocator).
+//! (a [`cold_book`] copy of the book on a fresh allocator, as
+//! [`sdx_oracle::cold_compile`] builds it: nothing cached). The cold
+//! compile runs first, over the very route server the warm one then
+//! reads, not over a copy: a compile must leave the route server's record
+//! of what changed as it found it.
 //!
 //! The two sides take different joins. The warm compile patches each
 //! viewer's signature map prefix by prefix, with the function the fast
@@ -30,7 +34,7 @@ use sdx::bgp::route_server::ExportPolicy;
 use sdx::core::compiler::CompileReport;
 use sdx::core::{canonicalize_report, VnhAllocator};
 use sdx::net::ParticipantId;
-use sdx_oracle::cold_compile;
+use sdx_oracle::cold_book;
 use sdx_oracle::synth::{self, GeneratedExchange, Rng};
 
 /// Rounds of churn per exchange, each followed by a warm compile.
@@ -107,7 +111,10 @@ fn churn(ex: &mut GeneratedExchange, rng: &mut Rng) {
 }
 
 /// Compiles `ex` warm after each of [`ROUNDS`] rounds of churn, holding
-/// every warm compile to a cold compile of the same world.
+/// every warm compile to a cold compile of the same world, made first.
+/// After each round the route server's dirty set is drained, as the
+/// controller's FIB sync drains it, so every warm compile patches only
+/// what its round changed.
 fn warm_stays_cold(mut ex: GeneratedExchange, what: &str) {
     let mut rng = Rng::new(ex.seed ^ 0xC4A8_C0DE);
     let mut vnh = VnhAllocator::new(VnhAllocator::default_pool());
@@ -115,12 +122,15 @@ fn warm_stays_cold(mut ex: GeneratedExchange, what: &str) {
         if round > 0 {
             churn(&mut ex, &mut rng);
         }
+        let cold = cold_book(&ex.compiler)
+            .compile_all(&ex.rs, &mut VnhAllocator::default())
+            .unwrap_or_else(|e| panic!("{what} round {round}: cold compile failed: {e:?}"));
         let warm = ex
             .compiler
             .compile_all(&ex.rs, &mut vnh)
             .unwrap_or_else(|e| panic!("{what} round {round}: warm compile failed: {e:?}"));
-        let cold = cold_compile(&ex.compiler, &ex.rs);
         assert_equivalent(&format!("{what} round {round}"), &cold, &warm);
+        ex.rs.take_dirty_prefixes();
     }
 }
 
