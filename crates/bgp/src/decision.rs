@@ -9,14 +9,21 @@
 //! 4. lowest MED (missing = 0)
 //! 5. lowest router id
 //! 6. lowest peer address
+//! 7. lowest announcer ([`ParticipantId`](sdx_net::ParticipantId))
 //!
 //! Two deliberate simplifications, both standard route-server practice and
 //! both documented in DESIGN.md: every session at an IXP route server is
 //! eBGP so the eBGP-vs-iBGP step never discriminates, and MED is compared
 //! across neighbouring ASes ("always-compare-med"). The latter keeps the
-//! relation a *total order*, which the property tests verify — transitivity
-//! is what guarantees the route server's choice is independent of the order
-//! updates arrived in.
+//! relation a *total order*, which the property tests verify. The last
+//! step makes it strict among candidates for one prefix, which hold one
+//! route per announcer: no two of them compare equal.
+//!
+//! The order is not re-derived per query. The Loc-RIB stores each
+//! prefix's candidates sorted by it, best first
+//! ([`LocRib::upsert`](crate::rib::LocRib::upsert)), so a viewer's best
+//! route is the first candidate exported to it, and neither the stored
+//! order nor any viewer's choice depends on the order updates arrived in.
 
 use core::cmp::Ordering;
 
@@ -43,26 +50,24 @@ pub fn compare(a: &Route, b: &Route) -> Ordering {
         .then_with(|| med(b).cmp(&med(a))) // lower MED wins
         .then_with(|| b.source.router_id.cmp(&a.source.router_id)) // lower id wins
         .then_with(|| b.source.peer_addr.cmp(&a.source.peer_addr)) // lower addr wins
-}
-
-/// Selects the best route among candidates, or `None` if there are none.
-///
-/// Because [`compare`] is a total order, the result does not depend on the
-/// iteration order of `candidates`.
-pub fn best_route<'a, I>(candidates: I) -> Option<&'a Route>
-where
-    I: IntoIterator<Item = &'a Route>,
-{
-    candidates.into_iter().max_by(|a, b| compare(a, b))
+        .then_with(|| b.source.participant.cmp(&a.source.participant)) // lower announcer wins
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::attrs::{AsPath, Origin, PathAttributes};
     use crate::rib::{Route, RouteSource};
     use sdx_net::{ip, Asn, Ipv4Addr, ParticipantId, RouterId};
     use std::sync::Arc;
+
+    /// The decision process run afresh over `candidates`: the
+    /// reference the stored order is tested against.
+    pub(crate) fn best_route<'a>(
+        candidates: impl IntoIterator<Item = &'a Route>,
+    ) -> Option<&'a Route> {
+        candidates.into_iter().max_by(|a, b| compare(a, b))
+    }
 
     fn route(path_len: usize, f: impl FnOnce(&mut Route)) -> Route {
         let mut r = Route {
@@ -123,10 +128,19 @@ mod tests {
     }
 
     #[test]
-    fn peer_addr_is_final_tiebreak() {
+    fn peer_addr_breaks_router_id_tie() {
         let a = route(2, |r| r.source.peer_addr = Ipv4Addr(1));
         let b = route(2, |r| r.source.peer_addr = Ipv4Addr(2));
         assert_eq!(compare(&a, &b), Ordering::Greater);
+    }
+
+    #[test]
+    fn announcer_is_final_tiebreak() {
+        let a = route(2, |r| r.source.participant = ParticipantId(1));
+        let b = route(2, |r| r.source.participant = ParticipantId(2));
+        assert_eq!(compare(&a, &b), Ordering::Greater);
+        assert_eq!(best_route([&b, &a]), Some(&a));
+        assert_eq!(best_route([&a, &b]), Some(&a));
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod wire;
 
 pub use attrs::{AsPath, Origin, PathAttributes};
 pub use clock::{Clock, MockClock, SystemClock};
-pub use decision::best_route;
 pub use msg::{BgpMessage, NotificationCode, OpenMessage, UpdateMessage};
 pub use rib::{AdjRibIn, AdjRibOut, AdjRibOuts, Advert, LocRib, Route, RouteSource};
 pub use route_server::{ExportPolicy, RouteServer, RouteServerEvent};

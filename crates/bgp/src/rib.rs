@@ -119,7 +119,13 @@ impl AdjRibIn {
     }
 }
 
-/// Loc-RIB: per prefix, every candidate route across all participants.
+/// Loc-RIB: per prefix, every candidate route across all participants,
+/// ranked: each prefix's candidates are kept in [`decision::compare`]
+/// order, best first, so the decision process runs once per route that
+/// changes, on insert, and a query reads the ranking instead of re-running
+/// it. One candidate per announcer, and the announcer is the last
+/// tiebreak, so the order is strict and the same whatever order the
+/// routes arrived in.
 ///
 /// Alongside the per-prefix candidate table it maintains an **inverted
 /// announcer index** — per participant, the set of prefixes it currently
@@ -140,14 +146,13 @@ impl LocRib {
     }
 
     /// Replaces (or inserts) the route from `route.source.participant` for
-    /// `prefix`.
+    /// `prefix`, at its rank among the prefix's candidates.
     pub fn upsert(&mut self, prefix: Prefix, route: Route) {
         let announcer = route.source.participant;
         let v = self.candidates.get_or_insert_with(prefix, Vec::new);
-        match v.iter_mut().find(|r| r.source.participant == announcer) {
-            Some(slot) => *slot = route,
-            None => v.push(route),
-        }
+        v.retain(|r| r.source.participant != announcer);
+        let at = v.partition_point(|r| decision::compare(r, &route).is_gt());
+        v.insert(at, route);
         self.by_announcer
             .entry(announcer)
             .or_default()
@@ -170,24 +175,14 @@ impl LocRib {
         }
     }
 
-    /// All candidates for `prefix` (empty slice if none).
+    /// All candidates for `prefix`, best first (empty slice if none).
     pub fn candidates(&self, prefix: Prefix) -> &[Route] {
         self.candidates.get(prefix).map_or(&[], |v| v.as_slice())
     }
 
-    /// The best route for `prefix` from the point of view of `viewer`:
-    /// the decision process over all candidates *not announced by the viewer
-    /// itself*. A route server never reflects a participant's route back.
-    pub fn best_for(&self, prefix: Prefix, viewer: ParticipantId) -> Option<&Route> {
-        decision::best_route(
-            self.candidates(prefix)
-                .iter()
-                .filter(|r| r.source.participant != viewer),
-        )
-    }
-
-    /// The participants that announced a route for `prefix` — the set a
-    /// viewer may legitimately forward to, before export filtering.
+    /// The participants that announced a route for `prefix`, best route
+    /// first — the set a viewer may legitimately forward to, before export
+    /// filtering.
     pub fn announcers(&self, prefix: Prefix) -> Vec<ParticipantId> {
         self.candidates(prefix)
             .iter()
@@ -211,7 +206,7 @@ impl LocRib {
     }
 
     /// Longest-prefix-match lookup: the most specific prefix covering
-    /// `addr` that has candidates, with those candidates.
+    /// `addr` that has candidates, with those candidates, best first.
     pub fn lookup_candidates(&self, addr: Ipv4Addr) -> Option<(Prefix, &[Route])> {
         self.candidates.lookup(addr).map(|(p, v)| (p, v.as_slice()))
     }
@@ -368,33 +363,6 @@ mod tests {
         // Same participant re-announces: replaced, not duplicated.
         rib.upsert(p, rt(1, &[65001, 7]));
         assert_eq!(rib.candidates(p).len(), 2);
-    }
-
-    #[test]
-    fn loc_rib_best_excludes_viewer() {
-        let mut rib = LocRib::new();
-        let p = prefix("10.0.0.0/8");
-        rib.upsert(p, rt(1, &[65001])); // shortest path
-        rib.upsert(p, rt(2, &[65002, 9]));
-        // Viewer 3 sees participant 1's (shorter) route as best.
-        assert_eq!(
-            rib.best_for(p, ParticipantId(3))
-                .unwrap()
-                .source
-                .participant,
-            ParticipantId(1)
-        );
-        // Viewer 1 must not have its own route reflected back.
-        assert_eq!(
-            rib.best_for(p, ParticipantId(1))
-                .unwrap()
-                .source
-                .participant,
-            ParticipantId(2)
-        );
-        // A viewer who is the only announcer gets nothing.
-        rib.remove(p, ParticipantId(2));
-        assert!(rib.best_for(p, ParticipantId(1)).is_none());
     }
 
     #[test]

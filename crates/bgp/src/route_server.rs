@@ -344,41 +344,44 @@ impl RouteServer {
     }
 
     /// The candidate routes `viewer` may use for `prefix` — the feasible
-    /// next-hop set the SDX consistency filters are derived from.
-    pub fn candidates_for(&self, viewer: ParticipantId, prefix: Prefix) -> Vec<&Route> {
+    /// next-hop set the SDX consistency filters are derived from — best
+    /// first.
+    fn candidates_for(
+        &self,
+        viewer: ParticipantId,
+        prefix: Prefix,
+    ) -> impl Iterator<Item = &Route> + '_ {
         self.loc_rib
             .candidates(prefix)
             .iter()
-            .filter(|r| self.exported(r, viewer, prefix))
-            .collect()
+            .filter(move |r| self.exported(r, viewer, prefix))
     }
 
-    /// The participants `viewer` may forward `prefix`-destined traffic to.
-    pub fn reachable_via(&self, viewer: ParticipantId, prefix: Prefix) -> Vec<ParticipantId> {
+    /// The participants `viewer` may forward `prefix`-destined traffic to,
+    /// in decision order: the first is the announcer of its
+    /// [`best_for`](Self::best_for).
+    pub fn reachable_via(
+        &self,
+        viewer: ParticipantId,
+        prefix: Prefix,
+    ) -> impl Iterator<Item = ParticipantId> + '_ {
         self.candidates_for(viewer, prefix)
-            .into_iter()
             .map(|r| r.source.participant)
-            .collect()
     }
 
     /// The best route for `prefix` from `viewer`'s point of view, or `None`
-    /// if nothing is exported to it: the decision process over the
-    /// candidates `viewer` is exported.
+    /// if nothing is exported to it: the first of the Loc-RIB's ranked
+    /// candidates that `viewer` is exported.
     pub fn best_for(&self, viewer: ParticipantId, prefix: Prefix) -> Option<&Route> {
-        crate::decision::best_route(
-            self.loc_rib
-                .candidates(prefix)
-                .iter()
-                .filter(|r| self.exported(r, viewer, prefix)),
-        )
+        self.candidates_for(viewer, prefix).next()
     }
 
-    /// The decision process over every candidate for `prefix`, whoever is
-    /// looking: the route each viewer it is exported to has as its
+    /// The top-ranked candidate for `prefix`, whoever is looking: the
+    /// route each viewer it is exported to has as its
     /// [`best_for`](Self::best_for). Only the viewers it is
     /// [`withheld_from`](Self::withheld_from) decide among the rest.
     pub fn top_route(&self, prefix: Prefix) -> Option<&Route> {
-        crate::decision::best_route(self.loc_rib.candidates(prefix))
+        self.loc_rib.candidates(prefix).first()
     }
 
     /// The registered participants `route` (a candidate for `prefix`) is
@@ -429,10 +432,11 @@ impl RouteServer {
     }
 
     /// The best route for the most specific prefix covering `addr`, from
-    /// `viewer`'s point of view.
+    /// `viewer`'s point of view: the first of its candidates `viewer` is
+    /// exported.
     pub fn best_for_addr(&self, viewer: ParticipantId, addr: Ipv4Addr) -> Option<&Route> {
         let (p, routes) = self.loc_rib.lookup_candidates(addr)?;
-        crate::decision::best_route(routes.iter().filter(|r| self.exported(r, viewer, p)))
+        routes.iter().find(|r| self.exported(r, viewer, p))
     }
 
     /// Every prefix for which `viewer` can reach `next_hop` — the BGP
@@ -495,6 +499,7 @@ impl RouteServer {
 mod tests {
     use super::*;
     use crate::attrs::{AsPath, PathAttributes};
+    use crate::decision::tests::best_route;
     use crate::msg::simple_announce;
     use sdx_net::{ip, prefix, RouterId};
 
@@ -525,6 +530,52 @@ mod tests {
                 .copied()
                 .filter(|&nh| self.prefixes_via_scan(viewer, nh).contains(&prefix))
                 .collect()
+        }
+
+        /// [`best_for`](Self::best_for) from first principles: the
+        /// decision process run over every peer's Adj-RIB-In route for
+        /// `prefix` that `viewer` is exported, or over all of them when
+        /// `viewer` is `None` ([`top_route`](Self::top_route)). Neither
+        /// the Loc-RIB nor its ranking is read.
+        fn best_for_scan(
+            &self,
+            viewer: Option<ParticipantId>,
+            prefix: Prefix,
+        ) -> Option<ParticipantId> {
+            let routes: Vec<Route> = (self.peers.values())
+                .filter_map(|rib| rib.route(prefix))
+                .filter(|r| viewer.is_none_or(|v| self.exported(r, v, prefix)))
+                .collect();
+            best_route(&routes).map(|r| r.source.participant)
+        }
+    }
+
+    /// The ranked reads against the decision process run afresh:
+    /// every viewer's `best_for` and `best_for_addr`, and `top_route`.
+    fn assert_ranked_reads_agree_with_scan(rs: &RouteServer, p: Prefix, what: &str) {
+        let participant = |r: Option<&Route>| r.map(|r| r.source.participant);
+        assert_eq!(
+            participant(rs.top_route(p)),
+            rs.best_for_scan(None, p),
+            "{what}: top_route({p})"
+        );
+        for viewer in rs.participants() {
+            let scanned = rs.best_for_scan(Some(viewer), p);
+            assert_eq!(
+                participant(rs.best_for(viewer, p)),
+                scanned,
+                "{what}: best_for({viewer}, {p})"
+            );
+            // Every prefix of the churn tests is a /8 of its own, so the
+            // longest match for its first address is the prefix itself
+            // while it has candidates, and nothing once it has none.
+            let by_addr = rs.best_for_addr(viewer, p.addr());
+            assert_eq!(
+                participant(by_addr),
+                scanned,
+                "{what}: best_for_addr({viewer}, {})",
+                p.addr()
+            );
         }
     }
 
@@ -640,9 +691,11 @@ mod tests {
     fn reachability_includes_non_best_routes() {
         let rs = figure1_server();
         // A can still send p1 traffic via B even though C is best (§3.2).
-        let mut reach = rs.reachable_via(ParticipantId(1), prefix("10.0.0.0/8"));
-        reach.sort();
-        assert_eq!(reach, vec![ParticipantId(2), ParticipantId(3)]);
+        // In decision order: C's shorter path first.
+        let reach: Vec<_> = rs
+            .reachable_via(ParticipantId(1), prefix("10.0.0.0/8"))
+            .collect();
+        assert_eq!(reach, vec![ParticipantId(3), ParticipantId(2)]);
     }
 
     #[test]
@@ -650,13 +703,38 @@ mod tests {
         let rs = figure1_server();
         // B does not export p4 to A → A can only reach p4 via C.
         assert_eq!(
-            rs.reachable_via(ParticipantId(1), prefix("40.0.0.0/8")),
+            rs.reachable_via(ParticipantId(1), prefix("40.0.0.0/8"))
+                .collect::<Vec<_>>(),
             vec![ParticipantId(3)]
         );
         // …but B exports p4 to C.
-        let mut reach_c = rs.reachable_via(ParticipantId(3), prefix("40.0.0.0/8"));
-        reach_c.sort();
+        let reach_c: Vec<_> = rs
+            .reachable_via(ParticipantId(3), prefix("40.0.0.0/8"))
+            .collect();
         assert_eq!(reach_c, vec![ParticipantId(2)]);
+    }
+
+    #[test]
+    fn best_for_excludes_the_viewers_own_route() {
+        let mut rs = RouteServer::new();
+        for p in 1..=3 {
+            rs.add_peer(src(p), ExportPolicy::allow_all());
+        }
+        let p = prefix("10.0.0.0/8");
+        let announce = |path: &[u32]| simple_announce(p, path, ip("172.16.0.9"));
+        rs.process_update(ParticipantId(1), &announce(&[65001])); // shortest path
+        rs.process_update(ParticipantId(2), &announce(&[65002, 9]));
+        let best = |rs: &RouteServer, viewer| {
+            rs.best_for(ParticipantId(viewer), p)
+                .map(|r| r.source.participant)
+        };
+        // Viewer 3 sees participant 1's (shorter) route as best.
+        assert_eq!(best(&rs, 3), Some(ParticipantId(1)));
+        // Viewer 1 must not have its own route reflected back.
+        assert_eq!(best(&rs, 1), Some(ParticipantId(2)));
+        // A viewer who is the only announcer gets nothing.
+        rs.process_update(ParticipantId(2), &UpdateMessage::withdraw([p]));
+        assert_eq!(best(&rs, 1), None);
     }
 
     #[test]
@@ -683,7 +761,8 @@ mod tests {
             .is_none());
         assert!(rs
             .reachable_via(ParticipantId(1), prefix("50.0.0.0/8"))
-            .is_empty());
+            .next()
+            .is_none());
     }
 
     #[test]
@@ -794,7 +873,8 @@ mod tests {
             }
             for p in rs.all_prefixes() {
                 assert_top_route_and_exclusions_agree_with_scan(&rs, p, "figure 1");
-                let mut indexed = rs.reachable_via(viewer, p);
+                assert_ranked_reads_agree_with_scan(&rs, p, "figure 1");
+                let mut indexed: Vec<_> = rs.reachable_via(viewer, p).collect();
                 let mut scanned = rs.reachable_via_scan(viewer, p);
                 indexed.sort();
                 scanned.sort();
@@ -862,14 +942,17 @@ mod tests {
                         rs.reset_session(actor);
                     }
                 }
+                for i in 0..PREFIXES {
+                    let what = format!("seed {seed} step {step}");
+                    assert_ranked_reads_agree_with_scan(&rs, pfx(i), &what);
+                    if step % 7 == 0 || step == STEPS - 1 {
+                        assert_top_route_and_exclusions_agree_with_scan(&rs, pfx(i), &what);
+                    }
+                }
                 // Full agreement sweep every few steps (it is O(V·(N+P))
                 // with the oracle a Loc-RIB scan per pair).
                 if step % 7 != 0 && step != STEPS - 1 {
                     continue;
-                }
-                for i in 0..PREFIXES {
-                    let what = format!("seed {seed} step {step}");
-                    assert_top_route_and_exclusions_agree_with_scan(&rs, pfx(i), &what);
                 }
                 for v in 1..=PARTICIPANTS {
                     let viewer = ParticipantId(v as u32);
@@ -880,7 +963,7 @@ mod tests {
                     }
                     for i in 0..PREFIXES {
                         let p = pfx(i);
-                        let mut indexed = rs.reachable_via(viewer, p);
+                        let mut indexed: Vec<_> = rs.reachable_via(viewer, p).collect();
                         let mut scanned = rs.reachable_via_scan(viewer, p);
                         indexed.sort();
                         scanned.sort();

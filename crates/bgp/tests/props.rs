@@ -1,12 +1,13 @@
 //! Property-based tests for the BGP substrate.
 
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use sdx_bgp::attrs::{AsPath, AsPathSegment, Community, Origin, PathAttributes};
 use sdx_bgp::decision;
 use sdx_bgp::msg::{BgpMessage, NotificationCode, OpenMessage, UpdateMessage};
-use sdx_bgp::rib::{Route, RouteSource};
+use sdx_bgp::rib::{LocRib, Route, RouteSource};
 use sdx_bgp::session::{Session, SessionEvent, SessionState};
 use sdx_bgp::wire;
 use sdx_net::{Asn, Ipv4Addr, ParticipantId, Prefix, RouterId};
@@ -107,6 +108,32 @@ fn arb_route() -> impl Strategy<Value = Route> {
     })
 }
 
+/// Attributes drawn from a few values each, so that routes often tie on
+/// every attribute and the source tiebreaks decide.
+fn arb_tied_attrs() -> impl Strategy<Value = PathAttributes> {
+    (
+        0u32..3,
+        proptest::option::of(0u32..2),
+        proptest::option::of(99u32..101),
+        0u8..3,
+    )
+        .prop_map(|(len, med, lp, origin)| {
+            let mut a = PathAttributes::new(AsPath::sequence(100..100 + len), Ipv4Addr(1));
+            a.med = med;
+            a.local_pref = lp;
+            a.origin = Origin::from_value(origin).unwrap();
+            a
+        })
+}
+
+/// The decision process run afresh over `candidates`: the reference
+/// the Loc-RIB's stored ranking is held to.
+fn best_route<'a>(candidates: impl IntoIterator<Item = &'a Route>) -> Option<&'a Route> {
+    candidates
+        .into_iter()
+        .max_by(|a, b| decision::compare(a, b))
+}
+
 proptest! {
     /// Wire encode → decode is the identity on every message.
     #[test]
@@ -149,13 +176,77 @@ proptest! {
     /// Best-route selection is order-independent.
     #[test]
     fn best_route_order_independent(routes in proptest::collection::vec(arb_route(), 1..8)) {
-        let best1 = decision::best_route(routes.iter()).cloned();
+        let best1 = best_route(routes.iter()).cloned();
         let mut rev = routes.clone();
         rev.reverse();
-        let best2 = decision::best_route(rev.iter()).cloned();
+        let best2 = best_route(rev.iter()).cloned();
         // The winner may be a tie-equal route; compare by decision equality.
         let (b1, b2) = (best1.unwrap(), best2.unwrap());
         prop_assert_eq!(decision::compare(&b1, &b2), core::cmp::Ordering::Equal);
+    }
+
+    /// After any sequence of upserts and removes over two prefixes, each
+    /// prefix's candidates are strictly ranked by the decision process,
+    /// best first, and the same routes announced in another order leave
+    /// the very same slices. Router ids and peer addresses come from a
+    /// pool of three, so the announcer tiebreak is exercised.
+    #[test]
+    fn loc_rib_keeps_candidates_ranked(
+        ops in proptest::collection::vec(
+            (0usize..2, 0u32..6, 0u32..3, proptest::option::of(arb_tied_attrs())),
+            0..32,
+        ),
+    ) {
+        use core::cmp::Ordering;
+        let prefixes = [
+            Prefix::new(Ipv4Addr(0x0a00_0000), 8),
+            Prefix::new(Ipv4Addr(0x0b00_0000), 8),
+        ];
+        let route = |p: u32, id: u32, attrs: PathAttributes| Route {
+            source: RouteSource {
+                participant: ParticipantId(p),
+                asn: Asn(65000 + p),
+                router_id: RouterId(id),
+                peer_addr: Ipv4Addr(id),
+            },
+            attrs: Arc::new(attrs),
+        };
+        let mut rib = LocRib::new();
+        // What each (prefix, announcer) holds after the sequence.
+        let mut held: BTreeMap<(usize, u32), Route> = BTreeMap::new();
+        for (i, p, id, attrs) in ops {
+            match attrs {
+                Some(attrs) => {
+                    let r = route(p, id, attrs);
+                    held.insert((i, p), r.clone());
+                    rib.upsert(prefixes[i], r);
+                }
+                None => {
+                    held.remove(&(i, p));
+                    rib.remove(prefixes[i], ParticipantId(p));
+                }
+            }
+            for prefix in prefixes {
+                let ranked = rib.candidates(prefix);
+                for pair in ranked.windows(2) {
+                    prop_assert_eq!(decision::compare(&pair[0], &pair[1]), Ordering::Greater);
+                }
+                prop_assert_eq!(ranked.first(), best_route(ranked));
+            }
+        }
+        for reversed in [false, true] {
+            let mut again = LocRib::new();
+            let arrivals: Vec<_> = match reversed {
+                false => held.iter().collect(),
+                true => held.iter().rev().collect(),
+            };
+            for (&(i, _), r) in arrivals {
+                again.upsert(prefixes[i], r.clone());
+            }
+            for prefix in prefixes {
+                prop_assert_eq!(again.candidates(prefix), rib.candidates(prefix));
+            }
+        }
     }
 
     /// The session FSM never panics and always lands in one of the five

@@ -99,22 +99,19 @@ impl<'a> ViewerRules<'a> {
     /// it only partly, and the viewer's best next hop — or `None` when no
     /// clause reaches it. The one definition of a `(viewer, prefix)`
     /// signature: the fast path runs it per changed prefix, and phase A
-    /// patches a held map with it.
+    /// patches a held map with it. One pass over the announcers the viewer
+    /// is exported, in decision order: the first is its best next hop.
     pub(crate) fn signature(&self, rs: &RouteServer, prefix: Prefix) -> Option<Signature> {
-        let reachable = rs.reachable_via(self.viewer, prefix);
         let mut sig = Signature::default();
-        for &(k, nh) in &self.movable {
-            if reachable.contains(&nh) {
-                sig.cover(k, dst_coverage(&self.rules[k].matches, prefix));
+        for announcer in rs.reachable_via(self.viewer, prefix) {
+            sig.best_nh.get_or_insert(announcer);
+            for &(k, nh) in &self.movable {
+                if nh == announcer {
+                    sig.cover(k, dst_coverage(&self.rules[k].matches, prefix));
+                }
             }
         }
-        if sig.member.is_empty() {
-            return None;
-        }
-        sig.best_nh = rs
-            .best_for(self.viewer, prefix)
-            .map(|r| r.source.participant);
-        Some(sig)
+        (!sig.member.is_empty()).then_some(sig)
     }
 }
 

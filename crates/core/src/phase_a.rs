@@ -10,8 +10,9 @@
 //! * **whole**, when no map is held under the viewer's current outbound
 //!   stamp (a cold compile, a moved stamp, a new viewer): the join by next
 //!   hop — each movable clause against every prefix its target exports to
-//!   the viewer ([`RouteServer::prefixes_via`]) — then one best-route
-//!   decision per prefix reached;
+//!   the viewer ([`RouteServer::prefixes_via`]) — sorted once and folded
+//!   per prefix, reading the viewer's best route off the route server's
+//!   ranked candidates once per prefix reached;
 //! * **patched**, otherwise: each of the route server's dirty prefixes
 //!   gets its signature recomputed by [`ViewerRules::signature`],
 //!   the function the §4.3.2 fast path runs, and its entry inserted,
@@ -227,26 +228,36 @@ pub(crate) fn run(
 
 /// A viewer's map built whole: the join by next hop (one
 /// [`RouteServer::prefixes_via`] per distinct target, shared by the
-/// clauses forwarding to it), then one best-route decision per prefix the
-/// join reached.
+/// clauses forwarding to it) collected as `(prefix, clause, coverage)`,
+/// sorted once and folded per prefix into its signature, with the
+/// viewer's best route read once per prefix reached; the map is built in
+/// bulk from that sorted run.
 fn build_whole(rs: &RouteServer, v: &ViewerRules) -> BTreeMap<Prefix, Signature> {
-    let mut signatures: BTreeMap<Prefix, Signature> = BTreeMap::new();
     let mut via: HashMap<ParticipantId, Vec<Prefix>> = HashMap::new();
+    let mut reached = Vec::new();
     for &(k, nh) in &v.movable {
-        let reached = via
+        let prefixes = via
             .entry(nh)
             .or_insert_with(|| rs.prefixes_via(v.viewer, nh));
-        for &p in reached.iter() {
-            let coverage = dst_coverage(&v.rules[k].matches, p);
-            if coverage != Coverage::None {
-                signatures.entry(p).or_default().cover(k, coverage);
+        let covered = prefixes
+            .iter()
+            .map(|&p| (p, k, dst_coverage(&v.rules[k].matches, p)));
+        reached.extend(covered.filter(|&(_, _, coverage)| coverage != Coverage::None));
+    }
+    reached.sort_unstable_by_key(|&(p, k, _)| (p, k));
+    (reached.chunk_by(|a, b| a.0 == b.0))
+        .map(|run| {
+            let p = run[0].0;
+            let mut sig = Signature {
+                best_nh: rs.best_for(v.viewer, p).map(|r| r.source.participant),
+                ..Signature::default()
+            };
+            for &(_, k, coverage) in run {
+                sig.cover(k, coverage);
             }
-        }
-    }
-    for (&p, sig) in &mut signatures {
-        sig.best_nh = rs.best_for(v.viewer, p).map(|r| r.source.participant);
-    }
-    signatures
+            (p, sig)
+        })
+        .collect()
 }
 
 /// A viewer's map partitioned into FEC groups: prefixes with equal

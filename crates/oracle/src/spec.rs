@@ -240,7 +240,7 @@ impl<'a> SpecInterpreter<'a> {
                 Next::Default
             }
             PortId::Virt(nh) => {
-                if self.rs.reachable_via(sender, p_star).contains(&nh) {
+                if self.rs.reachable_via(sender, p_star).any(|a| a == nh) {
                     t.push(
                         "consistency",
                         format!(

@@ -98,48 +98,6 @@ impl Json {
         r.finish()?;
         Ok(v)
     }
-
-    /// The document with two-space indentation.
-    pub fn pretty(&self) -> String {
-        let mut out = String::new();
-        self.write_pretty(&mut out, 0);
-        out.push('\n');
-        out
-    }
-
-    fn write_pretty(&self, out: &mut String, depth: usize) {
-        let pad = |out: &mut String, d: usize| out.push_str(&"  ".repeat(d));
-        match self {
-            Json::Arr(items) if !items.is_empty() => {
-                out.push_str("[\n");
-                for (i, v) in items.iter().enumerate() {
-                    pad(out, depth + 1);
-                    v.write_pretty(out, depth + 1);
-                    if i + 1 < items.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, depth);
-                out.push(']');
-            }
-            Json::Obj(pairs) if !pairs.is_empty() => {
-                out.push_str("{\n");
-                for (i, (k, v)) in pairs.iter().enumerate() {
-                    pad(out, depth + 1);
-                    out.push_str(&format!("{}: ", Escaped(k)));
-                    v.write_pretty(out, depth + 1);
-                    if i + 1 < pairs.len() {
-                        out.push(',');
-                    }
-                    out.push('\n');
-                }
-                pad(out, depth);
-                out.push('}');
-            }
-            other => out.push_str(&other.to_string()),
-        }
-    }
 }
 
 impl From<u64> for Json {
@@ -688,16 +646,6 @@ mod tests {
         assert_eq!(Json::Float(f64::NAN).to_string(), "null");
     }
 
-    #[test]
-    fn pretty_output_reparses() {
-        let doc = Json::obj([
-            ("rows".to_string(), Json::Arr(vec![Json::from(1u64)])),
-            ("empty".to_string(), Json::Obj(vec![])),
-        ]);
-        let pretty = doc.pretty();
-        assert!(pretty.contains("\n  \"rows\": [\n"));
-        assert_eq!(Json::parse(&pretty).expect("parses"), doc);
-    }
     #[test]
     fn nesting_is_capped_not_recursed_into() {
         // The line that used to overflow the event-loop thread's stack.

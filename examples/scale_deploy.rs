@@ -28,7 +28,11 @@
 //! For the dump's passes (summed) and for each push it prints the
 //! re-advertisement's cost: microseconds under the `fibsync` timer, pairs
 //! examined and sent, nanoseconds per pair examined, and the undo entries
-//! its transactions recorded (`txn.undo.entries`).
+//! its transactions recorded (`txn.undo.entries`). For the outbound
+//! install and retract it prints the microseconds under each stage timer
+//! (phase A whole and partition, stage 1, stage 2, compose, validation,
+//! the reconcile diff, the FIB sync, the flow-table apply) and their sum
+//! beside `reoptimize.total`, the whole push.
 //!
 //! It also prints what opening each update's transaction cost
 //! (`txn.begin`, p50 and max) over the dump's fast passes and over the
@@ -250,30 +254,48 @@ fn main() {
             count("segment", "reused"),
         ]
     };
+    // The stages a push's time goes to (phase A's two inside compile.fec),
+    // as nanoseconds summed so far under each one's timer.
+    const STAGES: [&str; 9] = [
+        "compile.phase_a.whole",
+        "compile.phase_a.partition",
+        "compile.compose",
+        "compile.stage1",
+        "compile.stage2",
+        "txn.validate",
+        "reconcile.diff",
+        "fibsync",
+        "flowtable.apply",
+    ];
+    let stages = |ctl: &SdxController| STAGES.map(|key| timed(ctl, key));
     let (mut push_begin_ns, mut push_total_ns) = (Vec::new(), Vec::new());
-    let mut push = |ctl: &mut SdxController, delta: PolicyDelta| -> (f64, [u64; 6], [u64; 4]) {
+    let mut push = |ctl: &mut SdxController, delta: PolicyDelta| {
         let before = pieces(ctl);
         let synced = fibsync(ctl);
+        let staged = stages(ctl);
         let (begin, total) = (timed(ctl, "txn.begin"), timed(ctl, "reoptimize.total"));
         let t = Instant::now();
         ctl.apply_policy_delta(&delta, &mut fabric).expect("push");
         let ms = t.elapsed().as_secs_f64() * 1e3;
         push_begin_ns.push(timed(ctl, "txn.begin") - begin);
-        push_total_ns.push(timed(ctl, "reoptimize.total") - total);
+        let total = timed(ctl, "reoptimize.total") - total;
+        push_total_ns.push(total);
         let after = pieces(ctl);
-        let pieces = std::array::from_fn(|i| after[i] - before[i]);
-        (ms, pieces, fibsync_since(ctl, synced))
+        let pieces: [u64; 6] = std::array::from_fn(|i| after[i] - before[i]);
+        let now = stages(ctl);
+        let staged: [u64; 9] = std::array::from_fn(|i| now[i] - staged[i]);
+        (ms, pieces, fibsync_since(ctl, synced), (staged, total))
     };
     let id: ParticipantId = editor.id;
-    let (in_install_ms, in_install, in_install_sync) =
+    let (in_install_ms, in_install, in_install_sync, _) =
         push(&mut ctl, PolicyDelta::new().install_inbound(id, steer));
-    let (in_retract_ms, in_retract, in_retract_sync) =
+    let (in_retract_ms, in_retract, in_retract_sync, _) =
         push(&mut ctl, PolicyDelta::new().retract_inbound(id));
-    let (out_install_ms, out_install, out_install_sync) = push(
+    let (out_install_ms, out_install, out_install_sync, out_install_stages) = push(
         &mut ctl,
         PolicyDelta::new().install_outbound(id, peering.clone()),
     );
-    let (out_retract_ms, out_retract, out_retract_sync) =
+    let (out_retract_ms, out_retract, out_retract_sync, out_retract_stages) =
         push(&mut ctl, PolicyDelta::new().retract_outbound(id));
     let push_inbound_ms = (in_install_ms + in_retract_ms) / 2.0;
     let push_outbound_ms = (out_install_ms + out_retract_ms) / 2.0;
@@ -356,6 +378,20 @@ fn main() {
             "fibsync_{what}: fibsync_us={:.1} examined={examined} sent={sent} \
              fibsync_ns_per_pair={per_pair} undo_entries={undo}",
             ns as f64 / 1e3,
+        );
+    }
+    for (what, (staged, total)) in [
+        ("outbound_install", out_install_stages),
+        ("outbound_retract", out_retract_stages),
+    ] {
+        let rows: Vec<String> = (STAGES.iter().zip(staged))
+            .map(|(key, ns)| format!("{key}={:.1}", ns as f64 / 1e3))
+            .collect();
+        println!(
+            "stages_us_{what}: {} sum={:.1} reoptimize.total={:.1}",
+            rows.join(" "),
+            staged.iter().sum::<u64>() as f64 / 1e3,
+            total as f64 / 1e3
         );
     }
     println!(

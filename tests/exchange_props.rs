@@ -142,7 +142,7 @@ proptest! {
                     // (5) no VMAC leaks.
                     prop_assert!(!d.pkt.dl_dst.is_vmac());
                     // (1) BGP consistency: the receiver exported p to sender.
-                    let reach = ctl.rs.reachable_via(ParticipantId(sender), p);
+                    let reach: Vec<_> = ctl.rs.reachable_via(ParticipantId(sender), p).collect();
                     prop_assert!(
                         reach.contains(&receiver),
                         "{receiver} never exported {p} to P{sender}"

@@ -117,7 +117,7 @@ fn the_default_controller_recompiles_only_what_changed() {
     // rebuilt; the viewers whose signature for it moved, that one among
     // them, are re-partitioned.
     let (viewer, moved) = (ctl.report.as_ref().expect("report").vnh_of.keys())
-        .find(|&(v, p)| ctl.rs.reachable_via(v, p).len() > 1)
+        .find(|&(v, p)| ctl.rs.reachable_via(v, p).nth(1).is_some())
         .expect("ixp50 has a policy-affected prefix with two routes");
     let best = ctl.rs.best_for(viewer, moved).expect("a best route");
     let announcer = best.source.participant;
