@@ -308,9 +308,9 @@ fn viewer_piece(
                 // Port steering is a *direct output* — `fwd(E1)`
                 // means "this exact port". It deliberately bypasses
                 // the owner's virtual switch (and hence its inbound
-                // policy), which is also what keeps service chains
-                // loop-free: the final hop's steering back to the
-                // consumer must not re-enter the consumer's divert.
+                // policy), which is also what keeps middlebox hops
+                // loop-free: steering back to the diverting
+                // participant's port must not re-enter its divert.
                 for sp in sender_ports(rule) {
                     let mut m = rule.matches;
                     m.set(sdx_net::FieldMatch::InPort(sp));

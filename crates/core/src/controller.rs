@@ -302,7 +302,8 @@ impl SdxController {
 
     /// Installs a fast-path delta on the fabric: the burst's stage — ARP
     /// bindings, re-advertisements, the overlay batch built — and the
-    /// overlay batch applied, with no transaction around them.
+    /// overlay batch applied, with no transaction around them: the undo
+    /// log the stage writes through is dropped.
     ///
     /// Direct callers get no rollback — the transactional entry points
     /// ([`process_update`](Self::process_update),
@@ -313,7 +314,7 @@ impl SdxController {
         delta: &DeltaResult,
         fabric: &mut Fabric,
     ) -> Result<(), SdxError> {
-        let overlay = self.stage_delta(delta, fabric, &mut UndoLog::discarding())?;
+        let overlay = self.stage_delta(delta, fabric, &mut UndoLog::default())?;
         if !overlay.is_empty() {
             let reg = self.telemetry.clone();
             let applied = reg.time("flowtable.apply", || fabric.apply_flowmods(&overlay));
@@ -384,18 +385,14 @@ impl SdxController {
             return Ok(FlowModBatch::new(self.epoch));
         }
         self.delta_layers += 1;
-        let overlay = crate::incremental::delta_classifier(delta.rules.clone());
-        // Install only the real rules; the overlay's synthetic catch-all
-        // would blackhole the base table.
-        let n = overlay.rules().len() as u32;
+        // The fast path left out the catch-all drops, which would
+        // blackhole the base table: every rule is installed, in order.
+        let n = delta.rules.len() as u32;
         let base = self.next_delta_priority;
         self.next_delta_priority = base.saturating_add(n + 1);
         self.epoch += 1;
         let mut batch = FlowModBatch::new(self.epoch);
-        for (i, r) in overlay.rules().iter().enumerate() {
-            if r.matches.is_wildcard() && r.is_drop() {
-                continue;
-            }
+        for (i, r) in delta.rules.iter().enumerate() {
             batch.push(sdx_openflow::FlowMod::Add(
                 sdx_openflow::table::FlowEntry::new(
                     base + n - i as u32,

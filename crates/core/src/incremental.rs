@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use sdx_bgp::route_server::RouteServer;
 use sdx_net::{Ipv4Addr, MacAddr, ParticipantId, PortId, Prefix};
-use sdx_policy::classifier::{Classifier, Rule};
+use sdx_policy::classifier::Rule;
 
 use crate::compiler::SdxCompiler;
 use crate::error::SdxError;
@@ -243,12 +243,6 @@ impl SdxCompiler {
         out.elapsed = t0.elapsed();
         Ok(out)
     }
-}
-
-/// Builds a classifier from delta rules for overlay installation (no
-/// catch-all semantics of its own — the base table provides totality).
-pub fn delta_classifier(rules: Vec<Rule>) -> Classifier {
-    Classifier::from_rules(rules)
 }
 
 #[cfg(test)]

@@ -25,9 +25,6 @@
 //!   background re-optimization between bursts.
 //! * [`controller`] — the event-driven runtime tying the route server,
 //!   compiler, ARP responder and switch together.
-//! * [`service_chain`] — the §8 extension: steering a traffic class
-//!   through an ordered sequence of middleboxes, synthesized from the
-//!   existing policy machinery.
 //! * [`error`] — the workspace-wide error taxonomy ([`SdxError`]).
 //! * [`txn`] — transactional fabric commits: validate, write through an
 //!   undo log, roll back to last-known-good on failure.
@@ -53,7 +50,6 @@ mod phase_a;
 pub mod piece;
 pub mod reconcile;
 pub mod schedule;
-pub mod service_chain;
 pub mod transform;
 pub mod txn;
 pub mod vnh;
@@ -68,6 +64,5 @@ pub use participant::{ParticipantConfig, PhysicalPort};
 pub use piece::{PieceCounts, Tally, ViewerPiece, VnhMap};
 pub use reconcile::{diff_base_table, TableDiff};
 pub use schedule::{ScheduleOpts, ScheduleReport, UpdatePlan, WaveReport, Waves};
-pub use service_chain::ServiceChain;
 pub use txn::{DeltaTxn, FabricTxn};
 pub use vnh::VnhAllocator;

@@ -181,8 +181,8 @@ pub fn expand_fwd_rule(
         }
         m.set(FieldMatch::DlDst(g.vmac));
         // The VMAC implies the sender, so no isolation in-port is *added*;
-        // a port the participant matched on itself (service chaining keys
-        // each hop on the previous middlebox's port) is preserved.
+        // a port the participant matched on itself (steering keyed on the
+        // port a middlebox re-sends from) is preserved.
         if rule.matches.in_port.is_none() {
             m.in_port = None;
         }

@@ -79,34 +79,15 @@ pub struct UndoLog {
     /// entry undoes all of it, so an initial synchronization records one
     /// line, not one per advertisement.
     was_empty: bool,
-    /// Perform the writes, keep nothing (see [`discarding`](Self::discarding)).
-    discard: bool,
 }
 
 impl UndoLog {
-    /// A log that performs writes and drops what they displace at once,
-    /// for a caller that nothing will roll back, so there is nothing to
-    /// keep: the one public entry point that runs outside a transaction,
-    /// [`apply_delta`](SdxController::apply_delta).
-    pub fn discarding() -> Self {
-        UndoLog {
-            discard: true,
-            ..UndoLog::default()
-        }
-    }
-
-    fn push(&mut self, undo: Undo) {
-        if !self.discard {
-            self.entries.push(undo);
-        }
-    }
-
     /// Retires every entry at or above `min_priority` from the switch
     /// table.
     pub fn retire_overlays(&mut self, fabric: &mut Fabric, min_priority: u32) {
         let taken = fabric.switch.table_mut().take_at_or_above(min_priority);
         if !taken.is_empty() {
-            self.push(Undo::Overlays(taken));
+            self.entries.push(Undo::Overlays(taken));
         }
     }
 
@@ -114,7 +95,7 @@ impl UndoLog {
     pub fn bind_arp(&mut self, fabric: &mut Fabric, addr: Ipv4Addr, mac: MacAddr) {
         let previous = fabric.arp.bind(addr, mac);
         if previous != Some(mac) {
-            self.push(Undo::Arp { addr, previous });
+            self.entries.push(Undo::Arp { addr, previous });
         }
     }
 
@@ -132,11 +113,11 @@ impl UndoLog {
         &mut self,
         adverts: &AdjRibOuts,
     ) -> impl FnMut(Write<ParticipantId, Advert>) + '_ {
-        if !self.discard && !self.was_empty && adverts.is_empty() {
+        if !self.was_empty && adverts.is_empty() {
             self.was_empty = true;
             self.entries.push(Undo::WasEmpty);
         }
-        let keep = !self.discard && !self.was_empty;
+        let keep = !self.was_empty;
         let entries = &mut self.entries;
         move |inverse| {
             if keep {
@@ -149,7 +130,7 @@ impl UndoLog {
     /// [`RouteServer::take_dirty_prefixes`], once it is done reading it.
     pub fn drained(&mut self, dirty: BTreeSet<Prefix>) {
         if !dirty.is_empty() {
-            self.push(Undo::Dirty(dirty));
+            self.entries.push(Undo::Dirty(dirty));
         }
     }
 

@@ -33,9 +33,6 @@ use crate::border_router::{BorderRouter, RouterMut, RouterRef};
 use crate::flowmod::{BatchStats, BatchUndo, FlowModBatch, FlowModError};
 use crate::switch::{Deliveries, Switch};
 
-/// A delivery out of the fabric: the physical port it left on.
-pub type Delivery = LocatedPacket;
-
 /// The assembled IXP data plane.
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Fabric {

@@ -18,8 +18,6 @@
 //!   [`Deliveries`] (one output inline, no allocation).
 //! * [`arp`] — the SDX ARP responder that answers queries for virtual next
 //!   hops with the corresponding virtual MAC (§4.2).
-//! * [`middlebox`] — middleboxes behind fabric ports and the §8
-//!   service-chaining harness.
 //! * [`border_router`] — the participant border-router model: a port and a
 //!   MAC over its participant's view of the fabric's Adj-RIB-Outs as its
 //!   FIB, resolving next hops through the fabric's one ARP responder, whose
@@ -41,7 +39,6 @@ pub mod border_router;
 pub mod fabric;
 pub mod flowmod;
 pub mod matcher;
-pub mod middlebox;
 pub mod switch;
 pub mod table;
 
@@ -50,6 +47,5 @@ pub use border_router::{BorderRouter, RouterMut, RouterRef};
 pub use fabric::{Fabric, WaveUndo};
 pub use flowmod::{BatchStats, FlowMod, FlowModBatch, FlowModError};
 pub use matcher::{CompiledMatcher, MatcherStats};
-pub use middlebox::Middlebox;
 pub use switch::{Deliveries, Switch};
 pub use table::{FlowEntry, FlowTable};

@@ -265,11 +265,23 @@ impl<'a> FabricEvaluator<'a> {
             };
             for out in outs {
                 match out.loc {
-                    PortId::Phys(..) => {
+                    PortId::Phys(owner, idx) => {
+                        let port_mac = self
+                            .compiler
+                            .participant(owner)
+                            .and_then(|cfg| cfg.port_mac(idx));
                         if out.loc == from {
                             t.push(
                                 "deliver",
                                 format!("{} is the ingress port: hairpin suppressed", out.loc),
+                            );
+                        } else if port_mac != Some(out.pkt.dl_dst) {
+                            t.push(
+                                "deliver",
+                                format!(
+                                    "frame for {} leaves at {}, whose router drops it",
+                                    out.pkt.dl_dst, out.loc
+                                ),
                             );
                         } else {
                             let d = (out.loc, out.pkt.nw_dst);

@@ -50,7 +50,9 @@ pub use trace::{Trace, TraceStep};
 /// Destination MACs are deliberately *not* part of the verdict: the spec
 /// side has no notion of the fabric's VMAC tags, and §4.1's guarantee is
 /// about delivery port and (post-rewrite) destination address, which is
-/// what participants observe.
+/// what participants observe. The fabric side counts a frame as delivered
+/// only if it carries the MAC of the port it leaves on: the router there
+/// drops any other.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum Outcome {
     /// Delivered at a physical port, carrying this destination address.

@@ -70,7 +70,6 @@ use std::time::{Duration, Instant};
 use sdx_bgp::msg::BgpMessage;
 use sdx_bgp::wire::{self, StreamDecoder};
 use sdx_bgp::{Clock, OpenMessage, Supervisor, SupervisorConfig, SupervisorOutput, SystemClock};
-use sdx_core::reconcile::DELTA_BASE;
 use sdx_core::{Change, SdxController, SdxError, Waves};
 use sdx_net::{Asn, ParticipantId, Prefix, RouterId};
 use sdx_openflow::{Fabric, FlowModBatch};
@@ -975,11 +974,7 @@ impl EventLoop {
             Change::Burst(_) => "daemon.fastpath_failed.count",
             Change::Recompile(_) => "daemon.reoptimize_failed.count",
         };
-        let overlaid = |fabric: &Fabric| {
-            let top = fabric.switch.table().entries().first();
-            top.is_some_and(|e| e.priority >= DELTA_BASE)
-        };
-        let had_overlays = overlaid(&self.fabric);
+        let had_overlays = self.ctl.delta_layers() > 0;
         let Ok(prepared) = self.ctl.prepare(&mut self.fabric, change) else {
             // Rolled back to the pre-call state; agents untouched. The RIB
             // and any staged policy keep the change, and the next
@@ -995,7 +990,7 @@ impl EventLoop {
         // post-retirement table — identical end state, and O(base) instead
         // of one delete per retired overlay rule, which matters after a
         // long burst run.
-        if had_overlays && !overlaid(&self.fabric) {
+        if had_overlays && self.ctl.delta_layers() == 0 {
             self.sync_agents();
         }
         let (channels, reg, streamed) = (&mut self.channels, &self.reg, &mut self.batches_streamed);

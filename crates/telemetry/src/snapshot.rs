@@ -29,30 +29,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Merges `other` into `self`: counters add, gauges take `other`'s
-    /// value, histogram images are kept from whichever side has more
-    /// samples (bucket-accurate merging would need the raw buckets), and
-    /// events concatenate. Used by bench binaries that aggregate several
-    /// registries into one report.
-    pub fn absorb(&mut self, other: MetricsSnapshot) {
-        for (k, v) in other.counters {
-            *self.counters.entry(k).or_insert(0) += v;
-        }
-        for (k, v) in other.gauges {
-            self.gauges.insert(k, v);
-        }
-        for (k, v) in other.histograms {
-            match self.histograms.get(&k) {
-                Some(mine) if mine.count >= v.count => {}
-                _ => {
-                    self.histograms.insert(k, v);
-                }
-            }
-        }
-        self.events.extend(other.events);
-        self.dropped_events += other.dropped_events;
-    }
-
     /// The snapshot as a JSON object with `counters`, `gauges`,
     /// `histograms`, `events`, and `dropped_events` members, keys sorted.
     pub fn to_json(&self) -> Json {
@@ -138,22 +114,5 @@ mod tests {
             events[0].get("kind").and_then(Json::as_str),
             Some("reoptimize_completed")
         );
-    }
-
-    #[test]
-    fn absorb_merges_counters_and_keeps_fuller_histograms() {
-        let a = Registry::new();
-        a.add("x.count", 2);
-        a.observe("h", 1);
-        let b = Registry::new();
-        b.add("x.count", 3);
-        b.observe("h", 1);
-        b.observe("h", 2);
-        b.record_event(Event::OverlaysRetired { layers: 1 });
-        let mut snap = a.snapshot();
-        snap.absorb(b.snapshot());
-        assert_eq!(snap.counters["x.count"], 5);
-        assert_eq!(snap.histograms["h"].count, 2, "fuller side wins");
-        assert_eq!(snap.events.len(), 1);
     }
 }

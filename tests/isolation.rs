@@ -1,12 +1,17 @@
 //! Integration tests for the virtual-switch isolation guarantees (§3.1):
 //! "AS A cannot influence how ASes B and C forward packets on their own
 //! virtual switches", plus the two BGP invariants of §4.1 that prevent
-//! forwarding loops between edge routers.
+//! forwarding loops between edge routers, and port steering (`fwd(E1)`),
+//! which bypasses the target's virtual switch, so middlebox hops written
+//! as plain policies are traversed in order and terminate.
 
+use sdx::bgp::route_server::ExportPolicy;
 use sdx::core::controller::SdxController;
+use sdx::core::participant::ParticipantConfig;
 use sdx::core::transform::TransformError;
 use sdx::ixp::testkit;
 use sdx::net::{ip, prefix, FieldMatch, Packet, ParticipantId, PortId};
+use sdx::openflow::Fabric;
 use sdx::policy::{Policy as P, Pred};
 use sdx::SdxError;
 
@@ -151,4 +156,79 @@ fn policy_bearing_exchange_stays_loop_free() {
     }
     let stuck = fabric.telemetry().counter("fabric.stuck_at_virtual.count");
     assert_eq!(stuck.get(), 0);
+}
+
+/// The video class the middlebox chain below steers.
+fn video() -> Pred {
+    Pred::Test(FieldMatch::NwSrc(prefix("208.65.152.0/22")))
+}
+
+/// The A/B/C exchange plus middlebox hosts E and F, with a two-hop chain
+/// written as plain policies: A's inbound policy diverts the video class
+/// to E1, E steers what re-enters at E1 to F1, and F steers what
+/// re-enters at F1 straight to A1, past A's divert.
+fn chained_exchange() -> Fabric {
+    let mut ctl = base_exchange();
+    let (e1, f1) = (PortId::Phys(pid(5), 1), PortId::Phys(pid(6), 1));
+    for id in [5, 6] {
+        ctl.add_participant(
+            ParticipantConfig::new(id, 65000 + id, 1),
+            ExportPolicy::allow_all(),
+        );
+    }
+    ctl.set_inbound(pid(1), Some(P::filter(video()) >> P::fwd(e1)));
+    for (hop, next) in [(e1, f1), (f1, PortId::Phys(pid(1), 1))] {
+        ctl.set_outbound(
+            hop.participant(),
+            Some(P::filter(Pred::Test(FieldMatch::InPort(hop)) & video()) >> P::fwd(next)),
+        );
+    }
+    ctl.deploy().expect("deploy")
+}
+
+/// Sends `pkt` from `from` and follows it: a delivery at one of the
+/// `boxes` ports is re-sent from that port, as a pass-through middlebox
+/// would. Returns the port of each delivery in order, and stops after
+/// more hops than there are boxes, so a loop shows as a repeated port.
+/// Every frame must carry the MAC of the port it leaves on, or the box
+/// there would not take it.
+fn follow(fabric: &Fabric, from: PortId, pkt: Packet, boxes: &[PortId]) -> Vec<PortId> {
+    let mut path = Vec::new();
+    let mut out = fabric.send(from, pkt);
+    while let [d] = out[..] {
+        let mac = fabric.router(d.loc).map(|r| r.mac);
+        assert_eq!(Some(d.pkt.dl_dst), mac, "frame for another MAC");
+        path.push(d.loc);
+        if !boxes.contains(&d.loc) || path.len() > boxes.len() {
+            break;
+        }
+        out = fabric.send(d.loc, d.pkt);
+    }
+    path
+}
+
+#[test]
+fn two_hop_chain_traverses_in_order() {
+    let fabric = chained_exchange();
+    let boxes = [PortId::Phys(pid(5), 1), PortId::Phys(pid(6), 1)];
+    let path = follow(
+        &fabric,
+        PortId::Phys(pid(2), 1),
+        Packet::udp(ip("208.65.153.9"), ip("11.0.0.1"), 1935, 40_000),
+        &boxes,
+    );
+    assert_eq!(path, [boxes[0], boxes[1], PortId::Phys(pid(1), 1)]);
+}
+
+#[test]
+fn non_matching_traffic_skips_the_chain() {
+    let fabric = chained_exchange();
+    let boxes = [PortId::Phys(pid(5), 1), PortId::Phys(pid(6), 1)];
+    let path = follow(
+        &fabric,
+        PortId::Phys(pid(2), 1),
+        Packet::udp(ip("151.101.1.1"), ip("11.0.0.1"), 443, 40_000),
+        &boxes,
+    );
+    assert_eq!(path, [PortId::Phys(pid(1), 1)]);
 }
