@@ -130,7 +130,7 @@ impl AdjRibIn {
 /// Alongside the per-prefix candidate table it maintains an **inverted
 /// announcer index** — per participant, the set of prefixes it currently
 /// has a candidate route for. Queries of the form "every prefix reachable
-/// via participant X" (`RouteServer::prefixes_via`, the §4.1 BGP filter)
+/// via participant X" (`RouteServer::routes_via`, the §4.1 BGP filter)
 /// walk that participant's announced set instead of scanning the whole
 /// Loc-RIB.
 #[derive(Clone, Debug, Default)]

@@ -439,21 +439,29 @@ impl RouteServer {
         routes.iter().find(|r| self.exported(r, viewer, p))
     }
 
-    /// Every prefix for which `viewer` can reach `next_hop` — the BGP
-    /// filter the SDX inserts in front of `fwd(next_hop)` (§4.1, second
-    /// transformation), and the join phase A builds a viewer's signature
-    /// map from. Walks `next_hop`'s inverted announcer index instead of
-    /// scanning the whole Loc-RIB. Result is in prefix order.
-    pub fn prefixes_via(&self, viewer: ParticipantId, next_hop: ParticipantId) -> Vec<Prefix> {
-        self.loc_rib
-            .announced_by(next_hop)
-            .filter(|&p| {
-                self.loc_rib
-                    .candidates(p)
-                    .iter()
-                    .any(|r| r.source.participant == next_hop && self.exported(r, viewer, p))
-            })
-            .collect()
+    /// Every prefix `wanted` keeps for which `viewer` can reach `next_hop`
+    /// — the BGP filter in front of `fwd(next_hop)` (§4.1), and phase A's
+    /// join — with the announcer of the viewer's [`best_for`](Self::best_for)
+    /// route. Walks `next_hop`'s announcer index, asks `wanted` before any
+    /// lookup, and reads both answers off one lookup of the prefix's ranked
+    /// candidates: `next_hop`'s must be exported, and the best is the first
+    /// exported one ranked above it, or itself. In prefix order.
+    pub fn routes_via<'a>(
+        &'a self,
+        viewer: ParticipantId,
+        next_hop: ParticipantId,
+        wanted: impl Fn(Prefix) -> bool + 'a,
+    ) -> impl Iterator<Item = (Prefix, ParticipantId)> + 'a {
+        let announced = self.loc_rib.announced_by(next_hop);
+        announced.filter(move |&p| wanted(p)).filter_map(move |p| {
+            let candidates = self.loc_rib.candidates(p);
+            let at = (candidates.iter()).position(|r| r.source.participant == next_hop)?;
+            if !self.exported(&candidates[at], viewer, p) {
+                return None;
+            }
+            let best = (candidates[..at].iter()).find(|r| self.exported(r, viewer, p));
+            Some((p, best.map_or(next_hop, |r| r.source.participant)))
+        })
     }
 
     /// Every prefix with at least one candidate.
@@ -507,8 +515,9 @@ mod tests {
     /// queries, kept as the property-test oracles: neither touches the
     /// announcer index.
     impl RouteServer {
-        /// [`prefixes_via`](Self::prefixes_via) as an O(|Loc-RIB|) scan
-        /// over every prefix, in trie-key order (sort before comparing).
+        /// The prefixes of [`routes_via`](Self::routes_via) as an
+        /// O(|Loc-RIB|) scan over every prefix, in trie-key order (sort
+        /// before comparing).
         fn prefixes_via_scan(&self, viewer: ParticipantId, next_hop: ParticipantId) -> Vec<Prefix> {
             self.loc_rib
                 .prefixes()
@@ -619,7 +628,8 @@ mod tests {
     }
 
     /// The join phase A builds a viewer's map from, against the scan
-    /// oracle: the same prefixes, in prefix order.
+    /// oracles: the same prefixes, in prefix order, each with the best
+    /// announcer the decision process run afresh picks for the viewer.
     fn assert_join_agrees_with_scan(
         rs: &RouteServer,
         viewer: ParticipantId,
@@ -628,7 +638,11 @@ mod tests {
     ) {
         let mut scanned = rs.prefixes_via_scan(viewer, nh);
         scanned.sort();
-        assert_eq!(rs.prefixes_via(viewer, nh), scanned, "{what}: prefixes_via");
+        let scanned: Vec<(Prefix, ParticipantId)> = (scanned.into_iter())
+            .map(|p| (p, rs.best_for_scan(Some(viewer), p).expect("exported")))
+            .collect();
+        let joined: Vec<_> = rs.routes_via(viewer, nh, |_| true).collect();
+        assert_eq!(joined, scanned, "{what}: routes_via");
     }
 
     fn src(p: u32) -> RouteSource {
@@ -766,27 +780,28 @@ mod tests {
     }
 
     #[test]
-    fn prefixes_via_builds_bgp_filter() {
+    fn routes_via_builds_bgp_filter() {
         let rs = figure1_server();
-        // Figure 1: A may forward to B for p1, p2, p3 — not p4 (not exported).
-        let mut via_b = rs.prefixes_via(ParticipantId(1), ParticipantId(2));
-        via_b.sort();
+        let (b, c) = (ParticipantId(2), ParticipantId(3));
+        // Figure 1: A may forward to B for p1, p2, p3 — not p4 (not
+        // exported) — and its best route for p1 and p2 is C's, shorter.
+        let via = |nh| -> Vec<_> { rs.routes_via(ParticipantId(1), nh, |_| true).collect() };
+        let via_b = via(b);
         assert_eq!(
             via_b,
             vec![
-                prefix("10.0.0.0/8"),
-                prefix("20.0.0.0/8"),
-                prefix("30.0.0.0/8")
+                (prefix("10.0.0.0/8"), c),
+                (prefix("20.0.0.0/8"), c),
+                (prefix("30.0.0.0/8"), b)
             ]
         );
-        let mut via_c = rs.prefixes_via(ParticipantId(1), ParticipantId(3));
-        via_c.sort();
+        let via_c = via(c);
         assert_eq!(
             via_c,
             vec![
-                prefix("10.0.0.0/8"),
-                prefix("20.0.0.0/8"),
-                prefix("40.0.0.0/8")
+                (prefix("10.0.0.0/8"), c),
+                (prefix("20.0.0.0/8"), c),
+                (prefix("40.0.0.0/8"), c)
             ]
         );
     }
@@ -949,6 +964,13 @@ mod tests {
                         assert_top_route_and_exclusions_agree_with_scan(&rs, pfx(i), &what);
                     }
                 }
+                for v in 1..=PARTICIPANTS {
+                    for n in 1..=PARTICIPANTS {
+                        let (viewer, nh) = (ParticipantId(v as u32), ParticipantId(n as u32));
+                        let what = format!("seed {seed} step {step}: ({viewer}, {nh})");
+                        assert_join_agrees_with_scan(&rs, viewer, nh, &what);
+                    }
+                }
                 // Full agreement sweep every few steps (it is O(V·(N+P))
                 // with the oracle a Loc-RIB scan per pair).
                 if step % 7 != 0 && step != STEPS - 1 {
@@ -956,11 +978,6 @@ mod tests {
                 }
                 for v in 1..=PARTICIPANTS {
                     let viewer = ParticipantId(v as u32);
-                    for n in 1..=PARTICIPANTS {
-                        let nh = ParticipantId(n as u32);
-                        let what = format!("seed {seed} step {step}: ({viewer}, {nh})");
-                        assert_join_agrees_with_scan(&rs, viewer, nh, &what);
-                    }
                     for i in 0..PREFIXES {
                         let p = pfx(i);
                         let mut indexed: Vec<_> = rs.reachable_via(viewer, p).collect();

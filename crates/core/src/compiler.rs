@@ -281,8 +281,8 @@ fn viewer_piece(
         }
         match rule.target {
             Some(PortId::Virt(nh)) => {
-                let affected = |at: usize| memberships[at].0.contains(&k);
-                let partial = |at: usize| memberships[at].1.contains(&k);
+                let affected = |at: usize| phase_a::reach(&memberships[at], k).is_some();
+                let partial = |at: usize| phase_a::reach(&memberships[at], k) == Some(true);
                 policy_rules.extend(expand_fwd_rule(
                     rule,
                     PortId::Virt(nh),

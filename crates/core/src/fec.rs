@@ -9,8 +9,11 @@
 //!
 //! Two prefixes belong to the same part **iff they are members of exactly
 //! the same sets of `C`** — so the polynomial-time algorithm the paper
-//! alludes to is partition by membership signature, implemented here with
-//! one hash pass (`O(Σ|Cᵢ|)`).
+//! alludes to is partition by membership signature: here one ordered map
+//! keyed by each prefix's sorted list of set indices (`O(Σ|Cᵢ| log n)`). The
+//! compiler's phase A partitions the same way with the default next hop in
+//! the signature, interned to integers and grouped in one counting pass
+//! (`crate::phase_a`).
 //!
 //! Worked example (the paper's §4.2, Figure 1): with
 //! `C = {{p1,p2,p3}, {p1,p2,p3,p4}, {p1,p2,p4}, {p3}}` the signatures are
@@ -121,25 +124,6 @@ pub fn minimum_disjoint_subsets(sets: &[Vec<Prefix>]) -> Vec<Vec<Prefix>> {
     }
     let mut out: Vec<Vec<Prefix>> = groups.into_values().collect();
     // Each group is sorted (BTreeMap iteration); order groups by first member.
-    out.sort_by_key(|g| g[0]);
-    out
-}
-
-/// Partition prefixes by an arbitrary signature in one pass: the
-/// generalization used by the compiler, whose signatures combine policy-set
-/// membership with the default next hop.
-pub fn partition_by_signature<S: Ord>(
-    items: impl IntoIterator<Item = (Prefix, S)>,
-) -> Vec<Vec<Prefix>> {
-    let mut groups: BTreeMap<S, Vec<Prefix>> = BTreeMap::new();
-    for (p, sig) in items {
-        groups.entry(sig).or_default().push(p);
-    }
-    let mut out: Vec<Vec<Prefix>> = groups.into_values().collect();
-    for g in &mut out {
-        g.sort();
-        g.dedup();
-    }
     out.sort_by_key(|g| g[0]);
     out
 }
@@ -327,18 +311,5 @@ mod tests {
         union.sort();
         union.dedup();
         assert_eq!(total, union.len());
-    }
-
-    #[test]
-    fn partition_by_signature_groups_equal_signatures() {
-        let items = vec![
-            (p("1.0.0.0/8"), (1, Some(ParticipantId(2)))),
-            (p("2.0.0.0/8"), (1, Some(ParticipantId(2)))),
-            (p("3.0.0.0/8"), (1, Some(ParticipantId(3)))),
-            (p("4.0.0.0/8"), (2, Some(ParticipantId(2)))),
-        ];
-        let parts = partition_by_signature(items);
-        assert_eq!(parts.len(), 3);
-        assert_eq!(parts[0], vec![p("1.0.0.0/8"), p("2.0.0.0/8")]);
     }
 }

@@ -29,7 +29,7 @@ use sdx_policy::classifier::Rule;
 use crate::compiler::SdxCompiler;
 use crate::error::SdxError;
 use crate::fec::FecGroup;
-use crate::phase_a::Signature;
+use crate::phase_a;
 use crate::transform::{self, dst_coverage, expand_fwd_rule, FwdRule};
 use crate::vnh::VnhAllocator;
 
@@ -94,24 +94,32 @@ impl<'a> ViewerRules<'a> {
         }
     }
 
-    /// The signature of `prefix` for this viewer — the movable clauses
-    /// whose target the viewer may reach it through, which of those cover
-    /// it only partly, and the viewer's best next hop — or `None` when no
-    /// clause reaches it. The one definition of a `(viewer, prefix)`
-    /// signature: the fast path runs it per changed prefix, and phase A
-    /// patches a held map with it. One pass over the announcers the viewer
-    /// is exported, in decision order: the first is its best next hop.
-    pub(crate) fn signature(&self, rs: &RouteServer, prefix: Prefix) -> Option<Signature> {
-        let mut sig = Signature::default();
+    /// Writes the signature of `prefix` for this viewer into `sig`, in
+    /// phase A's interned form — the viewer's best next hop, then the
+    /// movable clauses whose target the viewer may reach it through, in
+    /// clause order, each marked if it covers the prefix only partly — and
+    /// returns whether any clause reaches it. The one definition of a
+    /// `(viewer, prefix)` signature: the fast path runs it per changed
+    /// prefix, and phase A patches a held map with it. One pass over the
+    /// announcers the viewer is exported, in decision order: the first is
+    /// its best next hop.
+    pub(crate) fn signature(&self, rs: &RouteServer, prefix: Prefix, sig: &mut Vec<u32>) -> bool {
+        sig.clear();
         for announcer in rs.reachable_via(self.viewer, prefix) {
-            sig.best_nh.get_or_insert(announcer);
+            if sig.is_empty() {
+                sig.push(announcer.0);
+            }
             for &(k, nh) in &self.movable {
                 if nh == announcer {
-                    sig.cover(k, dst_coverage(&self.rules[k].matches, prefix));
+                    let coverage = dst_coverage(&self.rules[k].matches, prefix);
+                    sig.extend(phase_a::clause_word(k, coverage));
                 }
             }
         }
-        (!sig.member.is_empty()).then_some(sig)
+        if let Some(words) = sig.get_mut(1..) {
+            words.sort_unstable();
+        }
+        sig.len() > 1
     }
 }
 
@@ -158,18 +166,19 @@ impl SdxCompiler {
             .filter(|v| !v.movable.is_empty())
             .collect();
 
+        let mut sig = Vec::new();
         for &prefix in prefixes {
             let t_prefix = Instant::now();
             for v in &viewers {
                 let (viewer, rules) = (v.viewer, v.rules);
                 // Which of the viewer's rules touch this prefix now?
-                let Some(sig) = v.signature(rs, prefix) else {
+                if !v.signature(rs, prefix, &mut sig) {
                     // The prefix is not (or no longer) policy-affected for
                     // this viewer: plain route-server behaviour (real next
                     // hop).
                     out.vnh_updates.push((viewer, prefix, None));
                     continue;
-                };
+                }
 
                 // Fresh singleton group — no MDS, no ARP invalidation.
                 let (id, addr, vmac) = vnh.try_allocate()?;
@@ -180,7 +189,7 @@ impl SdxCompiler {
                     prefixes: vec![prefix],
                     vnh: addr,
                     vmac,
-                    default_next_hop: sig.best_nh,
+                    default_next_hop: Some(phase_a::best_nh(&sig)),
                 }];
                 out.arp_bindings.push((addr, vmac));
                 out.vnh_updates.push((viewer, prefix, Some(addr)));
@@ -189,7 +198,7 @@ impl SdxCompiler {
                 // rule, all restricted to the fresh tag.
                 let mut stage1 = Vec::new();
                 let mut receivers = BTreeSet::new();
-                for &k in &sig.member {
+                for (k, partial) in phase_a::clauses(&sig) {
                     let Some(target) = rules[k].target else {
                         continue;
                     };
@@ -199,7 +208,7 @@ impl SdxCompiler {
                         target,
                         &groups,
                         |_| true,
-                        |_| sig.partial.contains(&k),
+                        |_| partial,
                     ));
                 }
                 stage1.extend(transform::default_stage1_rules(&groups));

@@ -2,7 +2,7 @@
 //! the §4.2 algorithm all data-plane compression rests on.
 
 use proptest::prelude::*;
-use sdx_core::fec::{minimum_disjoint_subsets, partition_by_signature};
+use sdx_core::fec::minimum_disjoint_subsets;
 use sdx_net::{Ipv4Addr, Prefix};
 
 fn arb_prefix_pool() -> impl Strategy<Value = Vec<Prefix>> {
@@ -112,24 +112,5 @@ proptest! {
         let mut doubled = sets.clone();
         doubled.extend(sets.iter().cloned());
         prop_assert_eq!(canon(forward), canon(minimum_disjoint_subsets(&doubled)));
-    }
-
-    /// partition_by_signature groups exactly by signature equality.
-    /// (One signature per prefix — the compiler computes signatures as a
-    /// function of the prefix, so duplicates cannot disagree.)
-    #[test]
-    fn signature_partition_correct(items in proptest::collection::btree_map(0u32..32, 0u8..4, 0..32)) {
-        let entries: Vec<(Prefix, u8)> = items
-            .into_iter()
-            .map(|(i, sig)| (Prefix::new(Ipv4Addr(i << 8), 24), sig))
-            .collect();
-        let parts = partition_by_signature(entries.clone());
-        for part in &parts {
-            let sigs: std::collections::BTreeSet<u8> = part
-                .iter()
-                .filter_map(|p| entries.iter().find(|(q, _)| q == p).map(|(_, s)| *s))
-                .collect();
-            prop_assert_eq!(sigs.len(), 1, "mixed signatures inside one part");
-        }
     }
 }

@@ -178,7 +178,7 @@ fn build_exchange(seed: u64, wide: bool) -> GeneratedExchange {
 /// refined by a source or destination predicate, targeting a mix of
 /// `fwd(peer)`, port steering, destination rewrites, and mod-only
 /// clauses.
-fn outbound_policy(
+pub fn outbound_policy(
     rng: &mut Rng,
     cfgs: &[ParticipantConfig],
     me: ParticipantId,
@@ -253,7 +253,7 @@ fn outbound_policy(
 /// *modify chains* (several header rewrites composed with `>>` before the
 /// `fwd`). Disjointness (⇒ no multicast) comes from giving each clause a
 /// distinct /16 network instead of a distinct port.
-fn outbound_policy_wide(
+pub fn outbound_policy_wide(
     rng: &mut Rng,
     cfgs: &[ParticipantConfig],
     me: ParticipantId,

@@ -22,17 +22,23 @@
 //! the compiled matcher and the linear walk pick different entries for any
 //! of the first 256 probes that reach the switch, if any push re-advertised
 //! more (viewer, prefix) pairs than it examined, or if an inbound push
-//! examined any pair at all (it moves no viewer's FEC groups). Nothing
-//! here is gated on the clock.
+//! examined any pair at all (it moves no viewer's FEC groups), or if,
+//! after the deploy, the dump's passes, the re-optimisation or any push,
+//! the signatures phase A holds interned (summed over viewers) are not
+//! exactly the FEC groups the last compile reports. Nothing here is gated
+//! on the clock.
 //!
 //! For the dump's passes (summed) and for each push it prints the
 //! re-advertisement's cost: microseconds under the `fibsync` timer, pairs
 //! examined and sent, nanoseconds per pair examined, and the undo entries
 //! its transactions recorded (`txn.undo.entries`). For the outbound
 //! install and retract it prints the microseconds under each stage timer
-//! (phase A whole and partition, stage 1, stage 2, compose, validation,
-//! the reconcile diff, the FIB sync, the flow-table apply) and their sum
-//! beside `reoptimize.total`, the whole push.
+//! (`compile.fec` — phase A, the dropped maps and the VNH assignment —
+//! stage 1, stage 2, compose, validation, the reconcile diff, the FIB
+//! sync, the flow-table apply), their sum and its share of
+//! `reoptimize.total`, the whole push, and beside them, outside the sum,
+//! phase A's two timers (whole build and partition) as `compile.fec`'s
+//! breakdown.
 //!
 //! It also prints what opening each update's transaction cost
 //! (`txn.begin`, p50 and max) over the dump's fast passes and over the
@@ -146,9 +152,22 @@ fn main() {
         std::array::from_fn(|i| now[i] - before[i])
     };
 
+    // Phase A's interned signatures, summed over viewers, beside the FEC
+    // groups the last compile reported: every table is compacted to the
+    // signatures in use, so the two must be equal after every update.
+    let mut miscounted: Vec<String> = Vec::new();
+    let mut count_interned = |ctl: &SdxController, after: &str| {
+        let interned = ctl.telemetry.gauge("compile.phase_a.interned").get();
+        let groups = ctl.report.as_ref().expect("compiled").stats.group_count;
+        if interned != groups as i64 {
+            miscounted.push(format!("{after}: {interned} interned, {groups} groups"));
+        }
+    };
+
     let t = Instant::now();
     let mut fabric = ctl.deploy().expect("deploy");
     let deploy_s = t.elapsed().as_secs_f64();
+    count_interned(&ctl, "deploy");
     let deploy_rss = peak_rss_mib();
     let deploy_examined = examined(&ctl);
     let rules = ctl.report.as_ref().expect("deployed").stats.rule_count;
@@ -192,6 +211,7 @@ fn main() {
             .expect("fast path");
         pass_begin_ns.push(timed(&ctl, "txn.begin") - begin);
         pass_total_ns.push(timed(&ctl, "fastpath.total") - total);
+        count_interned(&ctl, "a dump pass");
     }
     let dump_ms = t.elapsed().as_secs_f64() * 1e3;
     let dump_fibsync = fibsync_since(&ctl, dump_fibsync);
@@ -215,6 +235,7 @@ fn main() {
     let reoptimize_examined = examined(&ctl) - before;
     let reoptimize_repartitioned = repartitioned(&ctl) - repartitioned_before;
     let matcher_builds_reopt = builds(&fabric) - builds_before;
+    count_interned(&ctl, "the re-optimisation");
 
     // Policy pushes by a policy-free participant, the benchmark's frames:
     // an inbound steer installed and retracted, then an outbound
@@ -254,11 +275,13 @@ fn main() {
             count("segment", "reused"),
         ]
     };
-    // The stages a push's time goes to (phase A's two inside compile.fec),
-    // as nanoseconds summed so far under each one's timer.
-    const STAGES: [&str; 9] = [
+    // The stages a push's time goes to, as nanoseconds summed so far under
+    // each one's timer; the first two are phase A's, a breakdown of the
+    // third, and stay outside the sum.
+    const STAGES: [&str; 10] = [
         "compile.phase_a.whole",
         "compile.phase_a.partition",
+        "compile.fec",
         "compile.compose",
         "compile.stage1",
         "compile.stage2",
@@ -283,7 +306,8 @@ fn main() {
         let after = pieces(ctl);
         let pieces: [u64; 6] = std::array::from_fn(|i| after[i] - before[i]);
         let now = stages(ctl);
-        let staged: [u64; 9] = std::array::from_fn(|i| now[i] - staged[i]);
+        let staged: [u64; 10] = std::array::from_fn(|i| now[i] - staged[i]);
+        count_interned(ctl, &format!("a push ({delta:?})"));
         (ms, pieces, fibsync_since(ctl, synced), (staged, total))
     };
     let id: ParticipantId = editor.id;
@@ -346,6 +370,11 @@ fn main() {
         maps.recomputed, maps.reused, reoptimize_repartitioned
     );
     println!("matcher_builds_reopt={matcher_builds_reopt}");
+    println!(
+        "phase_a_interned={} fec_groups={} (after the last push)",
+        ctl.telemetry.gauge("compile.phase_a.interned").get(),
+        ctl.report.as_ref().expect("compiled").stats.group_count
+    );
     println!("push_inbound_ms={push_inbound_ms:.2} push_outbound_ms={push_outbound_ms:.2}");
     for (what, p) in [
         ("inbound_install", in_install),
@@ -384,14 +413,19 @@ fn main() {
         ("outbound_install", out_install_stages),
         ("outbound_retract", out_retract_stages),
     ] {
-        let rows: Vec<String> = (STAGES.iter().zip(staged))
-            .map(|(key, ns)| format!("{key}={:.1}", ns as f64 / 1e3))
-            .collect();
+        let rows = |at: std::ops::Range<usize>| -> String {
+            let rows = (STAGES[at.clone()].iter().zip(&staged[at]))
+                .map(|(key, &ns)| format!("{key}={:.1}", ns as f64 / 1e3));
+            rows.collect::<Vec<_>>().join(" ")
+        };
+        let sum = staged[2..].iter().sum::<u64>();
         println!(
-            "stages_us_{what}: {} sum={:.1} reoptimize.total={:.1}",
-            rows.join(" "),
-            staged.iter().sum::<u64>() as f64 / 1e3,
-            total as f64 / 1e3
+            "stages_us_{what}: {} sum={:.1} reoptimize.total={:.1} sum_share={:.3} ({})",
+            rows(2..STAGES.len()),
+            sum as f64 / 1e3,
+            total as f64 / 1e3,
+            sum as f64 / total as f64,
+            rows(0..2)
         );
     }
     println!(
@@ -414,6 +448,13 @@ fn main() {
         push_total.0,
         push_total.1
     );
+    if !miscounted.is_empty() {
+        eprintln!(
+            "phase A's interned signatures are not its FEC groups: {}",
+            miscounted.join("; ")
+        );
+        std::process::exit(1);
+    }
     if delivered == 0 || misclassified > 0 {
         eprintln!(
             "{delivered} of {} probes delivered, {misclassified} of {} located probes \

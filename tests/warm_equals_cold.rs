@@ -13,8 +13,11 @@
 //! viewer's signature map prefix by prefix, with the function the fast
 //! path runs; the cold one builds it whole, by next hop. Export flips and
 //! session resets are in the mix because the patch relies on the route
-//! server to report the prefixes they move. A round may draw no event, so
-//! an idle warm recompile is checked too.
+//! server to report the prefixes they move. Policy pushes are drawn
+//! between the route events — an outbound policy installed, replaced or
+//! retracted for a random viewer — so a viewer's map is also rebuilt
+//! whole mid-run and then patched again on the same interned table. A
+//! round may draw no event, so an idle warm recompile is checked too.
 //!
 //! "The same" is checked rule-for-rule after canonical relabeling
 //! ([`canonicalize_report`]): the one observable difference a warm
@@ -32,6 +35,7 @@ use proptest::prelude::*;
 use sdx::bgp::msg::UpdateMessage;
 use sdx::bgp::route_server::ExportPolicy;
 use sdx::core::compiler::CompileReport;
+use sdx::core::participant::ParticipantConfig;
 use sdx::core::{canonicalize_report, VnhAllocator};
 use sdx::net::ParticipantId;
 use sdx_oracle::cold_book;
@@ -72,14 +76,16 @@ fn assert_equivalent(what: &str, cold: &CompileReport, warm: &CompileReport) {
     assert_eq!(a.vnh_of, b.vnh_of, "{what}: VNH rewrite map differs");
 }
 
-/// Zero to three random route events on `ex`'s route server.
-fn churn(ex: &mut GeneratedExchange, rng: &mut Rng) {
+/// Zero to three random events: route events on `ex`'s route server, or
+/// an outbound policy push into its book (drawn from the `wide` universe
+/// or not, as the exchange was).
+fn churn(ex: &mut GeneratedExchange, rng: &mut Rng, wide: bool) {
     let pool = synth::prefix_pool();
     let peers: Vec<ParticipantId> = ex.rs.participants().collect();
     for _ in 0..rng.below(4) {
         let actor = *rng.pick(&peers);
         let p = *rng.pick(&pool);
-        match rng.below(10) {
+        match rng.below(12) {
             0..=3 => {
                 // Paths of one to four hops, so best routes flip.
                 let mut path = vec![65000 + actor.0];
@@ -103,8 +109,20 @@ fn churn(ex: &mut GeneratedExchange, rng: &mut Rng) {
                 }
                 ex.rs.set_export_policy(actor, export);
             }
-            _ => {
+            9 => {
                 ex.rs.reset_session(actor);
+            }
+            _ => {
+                // An install or a replace; a third of the time, or when
+                // the draw yields no policy, a retract.
+                let cfgs: Vec<ParticipantConfig> =
+                    ex.compiler.participants().values().cloned().collect();
+                let policy = match (rng.chance(1, 3), wide) {
+                    (true, _) => None,
+                    (false, true) => synth::outbound_policy_wide(rng, &cfgs, actor),
+                    (false, false) => synth::outbound_policy(rng, &cfgs, actor, &pool),
+                };
+                ex.compiler.set_outbound(actor, policy);
             }
         }
     }
@@ -115,12 +133,12 @@ fn churn(ex: &mut GeneratedExchange, rng: &mut Rng) {
 /// After each round the route server's dirty set is drained, as the
 /// controller's FIB sync drains it, so every warm compile patches only
 /// what its round changed.
-fn warm_stays_cold(mut ex: GeneratedExchange, what: &str) {
+fn warm_stays_cold(mut ex: GeneratedExchange, wide: bool, what: &str) {
     let mut rng = Rng::new(ex.seed ^ 0xC4A8_C0DE);
     let mut vnh = VnhAllocator::new(VnhAllocator::default_pool());
     for round in 0..=ROUNDS {
         if round > 0 {
-            churn(&mut ex, &mut rng);
+            churn(&mut ex, &mut rng, wide);
         }
         let cold = cold_book(&ex.compiler)
             .compile_all(&ex.rs, &mut VnhAllocator::default())
@@ -141,7 +159,7 @@ proptest! {
     /// cold one, on both policy universes.
     #[test]
     fn warm_compile_equals_cold_under_random_churn(seed in 0u64..1_000_000) {
-        warm_stays_cold(synth::exchange(seed), &format!("seed {seed}"));
-        warm_stays_cold(synth::exchange_wide(seed), &format!("wide seed {seed}"));
+        warm_stays_cold(synth::exchange(seed), false, &format!("seed {seed}"));
+        warm_stays_cold(synth::exchange_wide(seed), true, &format!("wide seed {seed}"));
     }
 }
