@@ -108,6 +108,41 @@ impl ExportPolicy {
     }
 }
 
+/// One viewer's side of the route server's export check
+/// ([`RouteServer::exports_to`]): the viewer's ASN, for loop protection,
+/// is looked up once, and each check reads only the route and its
+/// announcer's policy.
+#[derive(Clone, Copy, Debug)]
+pub struct ViewerExports<'a> {
+    rs: &'a RouteServer,
+    viewer: ParticipantId,
+    asn: Option<Asn>,
+}
+
+impl<'a> ViewerExports<'a> {
+    /// Whether `route`, a candidate for `prefix`, is exported to the
+    /// viewer: loop protection (never back to the announcer; never to a
+    /// peer whose ASN is already in the path), the announcer's static
+    /// per-peer export policy, and the route's action communities (see
+    /// [`communities`]).
+    pub fn allows(&self, route: &Route, prefix: Prefix) -> bool {
+        let (announcer, viewer) = (route.source.participant, self.viewer);
+        announcer != viewer
+            && self
+                .asn
+                .is_none_or(|asn| !route.attrs.as_path.contains(asn))
+            && communities::allows(&route.attrs.communities, viewer)
+            && (self.rs.export.get(&announcer)).is_none_or(|e| e.exports_to(viewer, prefix))
+    }
+
+    /// The viewer's best route for `prefix`, as
+    /// [`RouteServer::best_for`] decides it.
+    pub fn best_for(&self, prefix: Prefix) -> Option<&'a Route> {
+        let candidates = self.rs.loc_rib.candidates(prefix);
+        candidates.iter().find(|r| self.allows(r, prefix))
+    }
+}
+
 /// Events emitted while processing an update, consumed by the SDX
 /// controller's incremental compilation path.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -321,26 +356,21 @@ impl RouteServer {
         events
     }
 
-    /// Whether `announcer` exports `prefix` to `viewer`: loop protection
-    /// (never back to the announcer; never to a peer whose ASN is already
-    /// in the path), the static per-peer export policy, and the route's
-    /// action communities (see [`communities`]).
+    /// Whether `announcer` exports `prefix` to `viewer`: see
+    /// [`ViewerExports::allows`].
     fn exported(&self, announcer: &Route, viewer: ParticipantId, prefix: Prefix) -> bool {
-        let ap = announcer.source.participant;
-        if ap == viewer {
-            return false;
+        self.exports_to(viewer).allows(announcer, prefix)
+    }
+
+    /// `viewer`'s side of the export check, with what depends on the
+    /// viewer alone looked up once: a walk over many prefixes for one
+    /// viewer pays for it once, not once per candidate.
+    pub fn exports_to(&self, viewer: ParticipantId) -> ViewerExports<'_> {
+        ViewerExports {
+            rs: self,
+            viewer,
+            asn: self.asns.get(&viewer).copied(),
         }
-        if let Some(viewer_asn) = self.asns.get(&viewer) {
-            if announcer.attrs.as_path.contains(*viewer_asn) {
-                return false;
-            }
-        }
-        if !communities::allows(&announcer.attrs.communities, viewer) {
-            return false;
-        }
-        self.export
-            .get(&ap)
-            .is_none_or(|e| e.exports_to(viewer, prefix))
     }
 
     /// The candidate routes `viewer` may use for `prefix` — the feasible
@@ -351,10 +381,11 @@ impl RouteServer {
         viewer: ParticipantId,
         prefix: Prefix,
     ) -> impl Iterator<Item = &Route> + '_ {
+        let exports = self.exports_to(viewer);
         self.loc_rib
             .candidates(prefix)
             .iter()
-            .filter(move |r| self.exported(r, viewer, prefix))
+            .filter(move |r| exports.allows(r, prefix))
     }
 
     /// The participants `viewer` may forward `prefix`-destined traffic to,
@@ -373,7 +404,7 @@ impl RouteServer {
     /// if nothing is exported to it: the first of the Loc-RIB's ranked
     /// candidates that `viewer` is exported.
     pub fn best_for(&self, viewer: ParticipantId, prefix: Prefix) -> Option<&Route> {
-        self.candidates_for(viewer, prefix).next()
+        self.exports_to(viewer).best_for(prefix)
     }
 
     /// The top-ranked candidate for `prefix`, whoever is looking: the
@@ -424,9 +455,10 @@ impl RouteServer {
         let Some((p, routes)) = self.loc_rib.lookup_candidates(addr) else {
             return Vec::new();
         };
+        let exports = self.exports_to(viewer);
         routes
             .iter()
-            .filter(|r| self.exported(r, viewer, p))
+            .filter(|r| exports.allows(r, p))
             .map(|r| r.source.participant)
             .collect()
     }
@@ -436,7 +468,8 @@ impl RouteServer {
     /// exported.
     pub fn best_for_addr(&self, viewer: ParticipantId, addr: Ipv4Addr) -> Option<&Route> {
         let (p, routes) = self.loc_rib.lookup_candidates(addr)?;
-        routes.iter().find(|r| self.exported(r, viewer, p))
+        let exports = self.exports_to(viewer);
+        routes.iter().find(|r| exports.allows(r, p))
     }
 
     /// Every prefix `wanted` keeps for which `viewer` can reach `next_hop`
@@ -452,14 +485,14 @@ impl RouteServer {
         next_hop: ParticipantId,
         wanted: impl Fn(Prefix) -> bool + 'a,
     ) -> impl Iterator<Item = (Prefix, ParticipantId)> + 'a {
-        let announced = self.loc_rib.announced_by(next_hop);
+        let (announced, exports) = (self.loc_rib.announced_by(next_hop), self.exports_to(viewer));
         announced.filter(move |&p| wanted(p)).filter_map(move |p| {
             let candidates = self.loc_rib.candidates(p);
             let at = (candidates.iter()).position(|r| r.source.participant == next_hop)?;
-            if !self.exported(&candidates[at], viewer, p) {
+            if !exports.allows(&candidates[at], p) {
                 return None;
             }
-            let best = (candidates[..at].iter()).find(|r| self.exported(r, viewer, p));
+            let best = (candidates[..at].iter()).find(|r| exports.allows(r, p));
             Some((p, best.map_or(next_hop, |r| r.source.participant)))
         })
     }

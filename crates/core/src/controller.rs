@@ -14,6 +14,7 @@
 //! plans its waves, [`commit`](SdxController::commit) drives them through
 //! [`drive`] and rolls the whole change back on any failure.
 
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,7 +36,7 @@ use crate::faults::{FaultPlan, InjectionPoint};
 use crate::fec::{FecGroup, FecId};
 use crate::incremental::DeltaResult;
 use crate::participant::ParticipantConfig;
-use crate::piece::VnhMap;
+use crate::piece::ViewerPiece;
 use crate::schedule::{drive, ScheduleOpts, ScheduleReport, UpdatePlan, WaveChecker, Waves};
 use crate::txn::{FabricTxn, Taken, UndoLog};
 use crate::vnh::VnhAllocator;
@@ -138,8 +139,9 @@ impl SdxController {
     }
 
     /// Settles a transaction body's `result`: a failure is journaled and
-    /// `txn` rolled back, restoring the pre-call state; a success closes
-    /// the allocator's journal and drops (commits) `txn`.
+    /// `txn` rolled back, restoring the pre-call state (`txn.rollback`); a
+    /// success closes the allocator's journal and drops (commits) `txn`
+    /// (`txn.commit`).
     fn settle<T>(
         &mut self,
         stage: &str,
@@ -150,7 +152,12 @@ impl SdxController {
         let reg = self.telemetry.clone();
         reg.observe("txn.undo.entries", txn.undo_entries() as u64);
         match &result {
-            Ok(_) => self.vnh.close_journal(),
+            Ok(_) => {
+                self.vnh.close_journal();
+                // What the transaction kept to undo goes now: the log's
+                // inverses and, for a recompile, the report it replaced.
+                reg.time("txn.commit", || drop(txn));
+            }
             Err(e) => {
                 self.note_failure(stage, e);
                 reg.time("txn.rollback", || txn.rollback(self, fabric));
@@ -557,7 +564,9 @@ impl SdxController {
                     });
                     reg.set_gauge("controller.delta_layers", i64::from(self.delta_layers));
                 }
-                Close::Recompile(retire) => self.retire(fabric, retire, t0.elapsed()),
+                Close::Recompile(retire) => {
+                    reg.time("retire", || self.retire(fabric, retire, t0.elapsed()));
+                }
             }
         }
         reg.observe_duration(timer, t0.elapsed());
@@ -645,7 +654,7 @@ impl SdxController {
         // bindings are made here.
         let adverts = fabric.adj_rib_outs();
         let moved = moved_viewers(old_report, &report, |v| !adverts.is_subscribed(v));
-        for g in moved.iter().flat_map(|&(_, new)| new) {
+        for g in moved.iter().flat_map(|&(_, _, new)| groups_of(new)) {
             log.bind_arp(fabric, g.vnh, g.vmac);
         }
         // Keyed identity keeps surviving groups on their exact VNH, so
@@ -653,10 +662,10 @@ impl SdxController {
         // only if the compile did not draw it again. An id is unique among
         // the live ones, so one that a moved viewer or the fast path gave
         // up can only have been taken by a moved viewer.
-        let new_ids: BTreeSet<FecId> = (moved.iter().flat_map(|&(_, new)| new))
+        let new_ids: BTreeSet<FecId> = (moved.iter().flat_map(|&(_, _, new)| groups_of(new)))
             .map(|g| g.id)
             .collect();
-        let stale_ids: Vec<FecId> = (moved.iter().flat_map(|&(old, _)| old))
+        let stale_ids: Vec<FecId> = (moved.iter().flat_map(|&(_, old, _)| groups_of(old)))
             .map(|g| g.id)
             .filter(|id| !new_ids.contains(id))
             .collect();
@@ -708,26 +717,30 @@ impl SdxController {
         }
     }
 
-    /// Re-advertises `prefixes`: for each, the route server's decision is
-    /// taken **once** — the top-ranked route becomes the base every viewer
-    /// without a slot of its own is advertised, under the route's own next
-    /// hop — and then only the viewers that can differ are looked at one
-    /// by one: those the top route is withheld from (they fall through to
-    /// the best route they are exported, or to none), those holding a slot
-    /// at the prefix already, and the `(viewer, prefix, vnh)` entries of
-    /// `pairs` (pairs whose virtual next hop changed; their prefix need not
-    /// be among `prefixes`). A pair is advertised under the virtual next
-    /// hop one of its entries in `pairs` names, else under the route's own.
+    /// Re-advertises `prefixes` and `runs`. For each prefix the route
+    /// server's decision is taken **once**: the top-ranked route becomes
+    /// the base every viewer without a slot of its own is advertised,
+    /// under the route's own next hop, and only the viewers that can
+    /// differ there join the runs — those the top route is withheld from
+    /// (they fall through to the best route they are exported, or to
+    /// none) and those holding a slot at the prefix already. `runs` are
+    /// the pairs whose virtual next hop moved, `(viewer, prefix, vnh)`
+    /// sorted by viewer, then prefix, each pair once (their prefix need
+    /// not be among `prefixes`); a pair is advertised under the VNH it
+    /// names, else under its route's own next hop.
     ///
-    /// Every write is one walk of the fabric's Adj-RIB-Outs, which are
-    /// also its routers' FIBs: every router of a viewer ends where one
-    /// UPDATE per moved advertisement would have left it.
+    /// Each viewer's run is one pass in prefix order: the viewer's side
+    /// of the export check is looked up once, and every slot is written
+    /// by one [`ViewTable::write_run`](sdx_net::ViewTable::write_run) of
+    /// the fabric's Adj-RIB-Outs, which are also its routers' FIBs, with
+    /// one inverse per write in `log`. Every router of a viewer ends where
+    /// one UPDATE per moved advertisement would have left it.
     fn readvertise(
         rs: &RouteServer,
         fabric: &mut Fabric,
         log: &mut UndoLog,
         prefixes: &BTreeSet<Prefix>,
-        mut pairs: Vec<(ParticipantId, Prefix, Option<Ipv4Addr>)>,
+        runs: Vec<Pair>,
     ) -> FibSync {
         type Want<'a> = (&'a Arc<PathAttributes>, Ipv4Addr);
         let same = |have: &Advert, &(route, next_hop): &Want| have.is(route, next_hop);
@@ -735,36 +748,44 @@ impl SdxController {
             route: Arc::clone(route),
             next_hop,
         };
+        debug_assert!(
+            runs.windows(2).all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1)),
+            "runs sorted by (viewer, prefix), each pair once"
+        );
         let adverts = fabric.adj_rib_outs_mut();
         let mut sync = FibSync::default();
+        let mut exceptions: Vec<Pair> = Vec::new();
         for &prefix in prefixes {
             sync.examined += 1;
             let top = rs.top_route(prefix);
             let route = top.map(|top| (&top.attrs, top.attrs.next_hop));
-            let undo = log.advert_undo(adverts);
+            let undo = log.advert_undo(adverts, 1);
             if adverts.write_base(prefix, route, same, |want| build(&want), undo) {
                 sync.sent += 1;
             }
             let withheld = top.map_or(Vec::new(), |top| rs.withheld_from(top, prefix));
-            pairs.extend(withheld.into_iter().map(|viewer| (viewer, prefix, None)));
-            pairs.extend(adverts.holders(prefix).map(|viewer| (viewer, prefix, None)));
+            let holders = adverts.holders(prefix);
+            exceptions.extend(
+                withheld
+                    .into_iter()
+                    .chain(holders)
+                    .map(|v| (v, prefix, None)),
+            );
         }
-        pairs.sort_unstable();
-        pairs.dedup_by(|later, kept| {
-            let same_pair = (later.0, later.1) == (kept.0, kept.1);
-            if same_pair {
-                kept.2 = kept.2.or(later.2);
-            }
-            same_pair
-        });
-        sync.examined += pairs.len();
-        for (viewer, prefix, vnh) in pairs {
-            let route = rs.best_for(viewer, prefix).map(|best| {
-                let next_hop = vnh.unwrap_or(best.attrs.next_hop);
-                (&best.attrs, next_hop)
+        exceptions.sort_unstable();
+        exceptions.dedup();
+        let runs = merge_pairs(runs, exceptions);
+        sync.examined += runs.len();
+        for run in runs.chunk_by(|a, b| a.0 == b.0) {
+            let viewer = run[0].0;
+            let exports = rs.exports_to(viewer);
+            let wants = run.iter().map(|&(_, prefix, vnh)| {
+                let best = exports.best_for(prefix);
+                let route = best.map(|best| (&best.attrs, vnh.unwrap_or(best.attrs.next_hop)));
+                (prefix, route)
             });
-            let undo = log.advert_undo(adverts);
-            sync.sent += adverts.write_slots(&[viewer], prefix, route, same, build, undo);
+            let undo = log.advert_undo(adverts, run.len());
+            sync.sent += adverts.write_run(viewer, wants, same, build, undo);
         }
         sync
     }
@@ -776,16 +797,18 @@ impl SdxController {
     /// from the Loc-RIB), exactly like a real route-server session.
     ///
     /// `since` is the report the Adj-RIB-Outs were last synchronized to.
-    /// Given one, the synchronization is *incremental*: under keyed VNH
-    /// identity a FEC group that is in both reports under the same id has
-    /// the same viewer, prefixes and VNH, so the only advertisements that
-    /// can have moved are those of the route server's dirty prefixes (best
-    /// route changed: the base is re-decided and the prefix's exceptions
-    /// re-examined) and the members of the groups that are in one report
-    /// only — exactly those are examined, never the exchange. With `None`,
-    /// or when a viewer is advertised to for the first time, every prefix
-    /// of the Loc-RIB and of the Adj-RIB-Outs is, and every pair in the
-    /// report's VNH map.
+    /// Given one, the synchronization is *incremental*: the only
+    /// advertisements that can have moved are those of the route server's
+    /// dirty prefixes (best route changed: the base is re-decided and the
+    /// prefix's exceptions re-examined) and the pairs whose VNH moved.
+    /// Those are, per viewer whose piece was rebuilt, the merge of its old
+    /// and new VNH entries (both sorted by prefix): a prefix whose VNH was
+    /// added, removed or changed is one pair, an equal one is skipped —
+    /// never the exchange. With `None`, or when a viewer is advertised to
+    /// for the first time, every prefix of the Loc-RIB and of the
+    /// Adj-RIB-Outs is examined, and every pair in the report's VNH map.
+    /// Either way each viewer's pairs reach
+    /// [`readvertise`](Self::readvertise) as one run in prefix order.
     ///
     /// This is where the route server's dirty set is drained, after the
     /// compile read it; `log` keeps the drained set, so a rollback puts it
@@ -798,50 +821,33 @@ impl SdxController {
     ) -> FibSync {
         let dirty = self.rs.take_dirty_prefixes();
         let joined = self.sync_viewers(fabric, log);
-        let report = self.report.as_ref();
-        let empty = VnhMap::default();
-        let vnh_of = report.map_or(&empty, |r| &r.vnh_of);
         let all: BTreeSet<Prefix>;
-        let (prefixes, pairs) = match (since, report) {
+        let (prefixes, runs) = match (since, self.report.as_ref()) {
             (Some(old), Some(new)) if !joined => {
-                // The members of a group only `new` has are advertised its
-                // VNH; those of a group only `old` has, whatever `new`
-                // gives them — a group of `new`'s, listed too, or none.
-                let (stale, fresh) = moved_groups(old, new);
-                let mut pairs: Vec<(ParticipantId, Prefix, Option<Ipv4Addr>)> = Vec::new();
-                for (groups, current) in [(stale, false), (fresh, true)] {
-                    for g in groups {
-                        let vnh = current.then_some(g.vnh);
-                        pairs.extend(g.prefixes.iter().map(|&p| (g.viewer, p, vnh)));
-                    }
-                }
                 // A fast-path pass since `old` may have taken a dirty
-                // prefix's VNH away from a viewer whose group the
-                // recompile then kept: ask the map, for the viewers that
-                // have groups at all.
-                let tagged = new.groups.iter().filter(|(_, groups)| !groups.is_empty());
-                for (&viewer, _) in tagged {
-                    let held = dirty
-                        .iter()
-                        .filter_map(|&p| Some((viewer, p, Some(*vnh_of.get(&(viewer, p))?))));
-                    pairs.extend(held);
-                }
-                (&dirty, pairs)
+                // prefix's VNH away from a viewer whose piece the
+                // recompile then kept: ask the pieces, which are sorted
+                // by viewer, for the dirty prefixes, which are sorted too.
+                let tagged = new.groups.iter().filter(|(_, piece)| !piece.is_empty());
+                let held = tagged.flat_map(|(&viewer, piece)| {
+                    let vnh = move |p: &Prefix| Some((viewer, *p, Some(*piece.vnh_of(*p)?)));
+                    dirty.iter().filter_map(vnh)
+                });
+                (&dirty, merge_pairs(moved_pairs(old, new), held.collect()))
             }
-            _ => {
+            (_, report) => {
                 all = self
                     .rs
                     .all_prefixes()
                     .into_iter()
                     .chain(fabric.adj_rib_outs().prefixes())
                     .collect();
-                let pairs = vnh_of
-                    .iter()
-                    .map(|((viewer, p), vnh)| (viewer, p, Some(vnh)));
-                (&all, pairs.collect())
+                let pairs = report.into_iter().flat_map(|r| r.vnh_of.iter());
+                let runs = pairs.map(|((viewer, p), vnh)| (viewer, p, Some(vnh)));
+                (&all, runs.collect())
             }
         };
-        let sync = Self::readvertise(&self.rs, fabric, log, prefixes, pairs);
+        let sync = Self::readvertise(&self.rs, fabric, log, prefixes, runs);
         log.drained(dirty);
         self.count_sync(sync);
         let (reg, stored) = (&self.telemetry, fabric.adj_rib_outs().stored());
@@ -1037,57 +1043,105 @@ pub struct FibSync {
     pub sent: usize,
 }
 
+/// A `(viewer, prefix)` pair to re-advertise, with the virtual next hop
+/// to advertise it under (`None`: the route's own).
+type Pair = (ParticipantId, Prefix, Option<Ipv4Addr>);
+
 /// The viewers whose FEC groups can differ between two compilations —
-/// every viewer but those holding one shared piece in both — as each
-/// one's groups in `old` and in `new` (none where it is in one only). A
-/// viewer holding one piece in both that `fresh` names counts as moved,
-/// with no groups in `old`.
+/// every viewer but those holding one shared piece in both — each with
+/// its piece in `old` and in `new` (`None` where it is in one only), in
+/// viewer order. A viewer holding one piece in both that `fresh` names
+/// counts as moved, with no piece in `old`.
 fn moved_viewers<'a>(
     old: Option<&'a CompileReport>,
     new: &'a CompileReport,
     fresh: impl Fn(ParticipantId) -> bool,
-) -> Vec<(&'a [FecGroup], &'a [FecGroup])> {
-    let mut moved: Vec<(&[FecGroup], &[FecGroup])> = Vec::new();
+) -> Vec<(
+    ParticipantId,
+    Option<&'a ViewerPiece>,
+    Option<&'a ViewerPiece>,
+)> {
+    let mut moved = Vec::new();
     for (&viewer, had) in old.iter().flat_map(|old| &old.groups) {
         match new.groups.get(&viewer) {
             Some(has) if has.same_piece(had) => {
                 if fresh(viewer) {
-                    moved.push((&[], has));
+                    moved.push((viewer, None, Some(has)));
                 }
             }
-            Some(has) => moved.push((had, has)),
-            None => moved.push((had, &[])),
+            has => moved.push((viewer, Some(had), has)),
         }
     }
     let joined = |viewer| !old.is_some_and(|old| old.groups.contains_key(viewer));
-    for (_, has) in new.groups.iter().filter(|&(viewer, _)| joined(viewer)) {
-        moved.push((&[], has));
+    for (&viewer, has) in new.groups.iter().filter(|&(viewer, _)| joined(viewer)) {
+        moved.push((viewer, None, Some(has)));
     }
+    moved.sort_unstable_by_key(|&(viewer, ..)| viewer);
     moved
 }
 
-/// The FEC groups that are in one of two compilations only — an id the
-/// other does not have, or the same id over different content (possible
-/// only when the allocator was replaced in between) — as those only
-/// `old` has and those only `new` has. The members of these are the
-/// (viewer, prefix) pairs whose VNH differs between the two reports'
-/// `vnh_of` maps.
-fn moved_groups<'a>(
-    old: &'a CompileReport,
-    new: &'a CompileReport,
-) -> (Vec<&'a FecGroup>, Vec<&'a FecGroup>) {
-    let (mut old_ids, mut new_ids) = (BTreeMap::new(), BTreeMap::new());
-    for (had, has) in moved_viewers(Some(old), new, |_| false) {
-        old_ids.extend(had.iter().map(|g| (g.id, g)));
-        new_ids.extend(has.iter().map(|g| (g.id, g)));
+/// The `(viewer, prefix)` pairs whose virtual next hop differs between
+/// two compilations, in `(viewer, prefix)` order, each with the VNH `new`
+/// advertises it under (`None`: no group of `new`'s holds it): per viewer
+/// whose piece was rebuilt, the merge of its old and new VNH entries,
+/// both sorted by prefix, keeping each prefix whose VNH was added,
+/// removed or changed.
+fn moved_pairs(old: &CompileReport, new: &CompileReport) -> Vec<Pair> {
+    let mut pairs = Vec::new();
+    for (viewer, had, has) in moved_viewers(Some(old), new, |_| false) {
+        let [had, has] = [had, has].map(|piece| piece.map_or(&[][..], ViewerPiece::vnh_entries));
+        pairs.reserve(had.len() + has.len());
+        let (mut had, mut has) = (had.iter().peekable(), has.iter().peekable());
+        loop {
+            let order = match (had.peek(), has.peek()) {
+                (Some(a), Some(b)) => a.0.cmp(&b.0),
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (None, None) => break,
+            };
+            let was = order.is_le().then(|| had.next()).flatten();
+            let now = order.is_ge().then(|| has.next()).flatten();
+            match (was, now) {
+                (Some(&(_, a)), Some(&(_, b))) if a == b => {}
+                (_, Some(&(p, vnh))) => pairs.push((viewer, p, Some(vnh))),
+                (Some(&(p, _)), None) => pairs.push((viewer, p, None)),
+                (None, None) => {}
+            }
+        }
     }
-    let only = |here: &BTreeMap<FecId, &'a FecGroup>, there: &BTreeMap<FecId, &FecGroup>| {
-        here.iter()
-            .filter(|&(id, g)| there.get(id) != Some(g))
-            .map(|(_, &g)| g)
-            .collect()
-    };
-    (only(&old_ids, &new_ids), only(&new_ids, &old_ids))
+    pairs
+}
+
+/// A viewer's FEC groups in a report that may not have it.
+fn groups_of(piece: Option<&ViewerPiece>) -> &[FecGroup] {
+    piece.map_or(&[], |piece| &piece[..])
+}
+
+/// `a` and `b`, each sorted by `(viewer, prefix)` and naming each pair
+/// once, merged into one such run; a pair in both keeps the VNH either
+/// names, `a`'s first.
+fn merge_pairs(a: Vec<Pair>, b: Vec<Pair>) -> Vec<Pair> {
+    if b.is_empty() {
+        return a;
+    }
+    if a.is_empty() {
+        return b;
+    }
+    let mut merged = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while let (Some(&x), Some(&y)) = (a.get(i), b.get(j)) {
+        let order = (x.0, x.1).cmp(&(y.0, y.1));
+        i += usize::from(order.is_le());
+        j += usize::from(order.is_ge());
+        merged.push(match order {
+            Ordering::Less => x,
+            Ordering::Greater => y,
+            Ordering::Equal => (x.0, x.1, x.2.or(y.2)),
+        });
+    }
+    merged.extend_from_slice(&a[i..]);
+    merged.extend_from_slice(&b[j..]);
+    merged
 }
 
 /// Errors from the wide-area load-balancer application.
@@ -1881,5 +1935,103 @@ mod tests {
         let timed = ctl.telemetry.histogram("flowtable.apply").count();
         assert_eq!(timed, before + 2, "the overlay and the patch wave");
         assert_eq!(own.histogram("flowtable.apply").count(), 0);
+    }
+
+    /// The FEC groups that are in one of two compilations only — an id the
+    /// other does not have, or the same id over different content — as
+    /// those only `old` has and those only `new` has: the reference the
+    /// merge-diff of [`moved_pairs`] is held to. Their members are the
+    /// pairs whose VNH differs between the two reports.
+    fn moved_groups<'a>(
+        old: &'a CompileReport,
+        new: &'a CompileReport,
+    ) -> (Vec<&'a FecGroup>, Vec<&'a FecGroup>) {
+        let (mut old_ids, mut new_ids) = (BTreeMap::new(), BTreeMap::new());
+        for (_, had, has) in moved_viewers(Some(old), new, |_| false) {
+            old_ids.extend(groups_of(had).iter().map(|g| (g.id, g)));
+            new_ids.extend(groups_of(has).iter().map(|g| (g.id, g)));
+        }
+        let only = |here: &BTreeMap<FecId, &'a FecGroup>, there: &BTreeMap<FecId, &FecGroup>| {
+            here.iter()
+                .filter(|&(id, g)| there.get(id) != Some(g))
+                .map(|(_, &g)| g)
+                .collect()
+        };
+        (only(&old_ids, &new_ids), only(&new_ids, &old_ids))
+    }
+
+    /// The pairs `moved_groups` names, as the FIB sync used to gather them:
+    /// a stale group's members under no VNH, a fresh group's under its
+    /// own, sorted, one per pair, a fresh VNH kept over none.
+    fn moved_group_pairs(old: &CompileReport, new: &CompileReport) -> Vec<Pair> {
+        let (stale, fresh) = moved_groups(old, new);
+        let mut pairs: Vec<Pair> = Vec::new();
+        for (groups, current) in [(stale, false), (fresh, true)] {
+            for g in groups {
+                let vnh = current.then_some(g.vnh);
+                pairs.extend(g.prefixes.iter().map(|&p| (g.viewer, p, vnh)));
+            }
+        }
+        pairs.sort_unstable();
+        pairs.dedup_by(|later, kept| {
+            let same_pair = (later.0, later.1) == (kept.0, kept.1);
+            if same_pair {
+                kept.2 = kept.2.or(later.2);
+            }
+            same_pair
+        });
+        pairs
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// On the successive reports of a controller driven through random
+        /// route and policy changes, the merge-diff of each moved viewer's
+        /// VNH entries names exactly the pairs the moved groups' members
+        /// are, each under the same VNH: keyed identity gives a group that
+        /// survives its exact VNH, so a pair whose VNH did not move is in
+        /// no moved group.
+        #[test]
+        fn the_merge_diff_names_the_moved_groups_pairs(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut ctl = figure1();
+            let mut fabric = ctl.deploy().expect("deploy");
+            let cfgs: Vec<ParticipantConfig> = ctl.compiler.participants().values().cloned().collect();
+            let pool = ["10.0.0.0/8", "20.0.0.0/8", "30.0.0.0/8", "40.0.0.0/8", "50.0.0.0/8"];
+            for step in 0..12 {
+                let cfg = &cfgs[rng.gen_range(0..cfgs.len())];
+                let other = cfgs[rng.gen_range(0..cfgs.len())].id;
+                let p = prefix(pool[rng.gen_range(0..pool.len())]);
+                match rng.gen_range(0..4u32) {
+                    0 => {
+                        let hops = rng.gen_range(1..4u32);
+                        let path: Vec<u32> = (0..hops).map(|h| cfg.asn.0 + 100 * h).collect();
+                        ctl.rs.process_update(cfg.id, &cfg.announce([p], &path));
+                    }
+                    1 => {
+                        ctl.rs.process_update(cfg.id, &UpdateMessage::withdraw([p]));
+                    }
+                    2 => {
+                        let port = [22, 80, 443][rng.gen_range(0..3)];
+                        let policy = P::match_(FieldMatch::TpDst(port)) >> P::fwd(PortId::Virt(other));
+                        ctl.set_outbound(cfg.id, Some(policy));
+                    }
+                    _ => ctl.set_outbound(cfg.id, None),
+                }
+                let old = ctl.report.clone().expect("deployed");
+                if ctl.reoptimize(&mut fabric).is_err() {
+                    continue;
+                }
+                let new = ctl.report.as_ref().expect("reoptimized");
+                proptest::prop_assert_eq!(
+                    moved_pairs(&old, new),
+                    moved_group_pairs(&old, new),
+                    "step {}",
+                    step
+                );
+            }
+        }
     }
 }

@@ -102,22 +102,28 @@ impl UndoLog {
     /// One write to `fabric`'s Adj-RIB-Outs.
     pub fn write_advert(&mut self, fabric: &mut Fabric, write: Write<ParticipantId, Advert>) {
         let adverts = fabric.adj_rib_outs_mut();
-        let mut undo = self.advert_undo(adverts);
+        let mut undo = self.advert_undo(adverts, 1);
         undo(adverts.apply(write));
     }
 
-    /// What records the inverses of the next writes to `adverts`, for
-    /// [`ViewTable::write_base`](sdx_net::ViewTable::write_base) and
-    /// [`ViewTable::write_slots`](sdx_net::ViewTable::write_slots).
+    /// What records the inverses of the next writes to `adverts` — at
+    /// most `writes` of them, room for which is made at once — for
+    /// [`ViewTable::write_base`](sdx_net::ViewTable::write_base),
+    /// [`ViewTable::write_slots`](sdx_net::ViewTable::write_slots) and
+    /// [`ViewTable::write_run`](sdx_net::ViewTable::write_run).
     pub fn advert_undo(
         &mut self,
         adverts: &AdjRibOuts,
+        writes: usize,
     ) -> impl FnMut(Write<ParticipantId, Advert>) + '_ {
         if !self.was_empty && adverts.is_empty() {
             self.was_empty = true;
             self.entries.push(Undo::WasEmpty);
         }
         let keep = !self.was_empty;
+        if keep {
+            self.entries.reserve(writes);
+        }
         let entries = &mut self.entries;
         move |inverse| {
             if keep {

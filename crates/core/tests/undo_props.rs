@@ -250,7 +250,7 @@ impl World {
                 let build = |want: &&Advert| Advert::clone(want);
                 let adverts = self.fabric.adj_rib_outs_mut();
                 for &prefix in prefixes {
-                    let (want, undo) = (advert.as_ref(), log.advert_undo(adverts));
+                    let (want, undo) = (advert.as_ref(), log.advert_undo(adverts, 1));
                     if viewers.is_empty() {
                         adverts.write_base(prefix, want, same, |w| build(&w), undo);
                     } else {

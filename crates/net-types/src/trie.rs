@@ -23,6 +23,7 @@
 //! `BTreeMap` by property tests.
 
 use std::fmt;
+use std::iter::Peekable;
 
 use crate::ipv4::{Ipv4Addr, Prefix};
 
@@ -202,27 +203,7 @@ impl<T> Node<T> {
         keep: impl FnOnce(&T) -> bool,
     ) -> R {
         let Some((&octet, rest)) = path.split_first() else {
-            return match self.prefixes.rank(slot) {
-                Ok(rank) => {
-                    let out = f(&mut self.values[rank]);
-                    if !keep(&self.values[rank]) {
-                        self.prefixes.remove(slot);
-                        self.values.remove(rank);
-                        *len -= 1;
-                    }
-                    out
-                }
-                Err(rank) => {
-                    let mut value = vacant();
-                    let out = f(&mut value);
-                    if keep(&value) {
-                        self.prefixes.insert(slot);
-                        self.values.insert(rank, value);
-                        *len += 1;
-                    }
-                    out
-                }
-            };
+            return self.edit_here(slot, len, vacant, f, keep);
         };
         match self.branches.rank(octet as usize) {
             Ok(rank) => {
@@ -245,6 +226,78 @@ impl<T> Node<T> {
                     *len += 1;
                 }
                 out
+            }
+        }
+    }
+
+    /// [`PrefixTrie::edit`] of the value at `slot` of this node.
+    fn edit_here<R>(
+        &mut self,
+        slot: usize,
+        len: &mut usize,
+        vacant: impl FnOnce() -> T,
+        f: impl FnOnce(&mut T) -> R,
+        keep: impl FnOnce(&T) -> bool,
+    ) -> R {
+        match self.prefixes.rank(slot) {
+            Ok(rank) => {
+                let out = f(&mut self.values[rank]);
+                if !keep(&self.values[rank]) {
+                    self.prefixes.remove(slot);
+                    self.values.remove(rank);
+                    *len -= 1;
+                }
+                out
+            }
+            Err(rank) => {
+                let mut value = vacant();
+                let out = f(&mut value);
+                if keep(&value) {
+                    self.prefixes.insert(slot);
+                    self.values.insert(rank, value);
+                    *len += 1;
+                }
+                out
+            }
+        }
+    }
+
+    /// [`PrefixTrie::edit_run`] below this node, the one at `level` on
+    /// `path`: edits the run's prefixes while they are kept in this
+    /// subtree, each in its own node, and returns at the first one kept
+    /// elsewhere. A child is entered once per stretch of the run below
+    /// it, created if missing and pruned if the stretch left it empty.
+    fn edit_run<X>(
+        &mut self,
+        (level, path): (usize, [u8; 4]),
+        run: &mut Peekable<impl Iterator<Item = (Prefix, X)>>,
+        len: &mut usize,
+        vacant: &impl Fn() -> T,
+        f: &mut impl FnMut(&mut T, Prefix, X),
+        keep: &impl Fn(&T) -> bool,
+    ) {
+        while let Some(&(prefix, _)) = run.peek() {
+            let (at, slot) = locate(prefix);
+            let octets = prefix.addr().octets();
+            if at < level || octets[..level] != path[..level] {
+                return;
+            }
+            if at == level {
+                let Some((_, x)) = run.next() else { return };
+                self.edit_here(slot, len, vacant, |value| f(value, prefix, x), keep);
+                continue;
+            }
+            let octet = octets[level] as usize;
+            let rank = self.branches.rank(octet).unwrap_or_else(|rank| {
+                self.branches.insert(octet);
+                self.children.insert(rank, Node::EMPTY);
+                rank
+            });
+            let below = (level + 1, octets);
+            self.children[rank].edit_run(below, run, len, vacant, f, keep);
+            if self.children[rank].is_empty() {
+                self.branches.remove(octet);
+                self.children.remove(rank);
             }
         }
     }
@@ -379,6 +432,23 @@ impl<T> PrefixTrie<T> {
         let (level, slot) = locate(prefix);
         let path = prefix.addr().octets();
         (self.root).edit(&path[..level], slot, &mut self.len, vacant, f, keep)
+    }
+
+    /// [`edit`](Self::edit) at each prefix of `run` in turn — `f` also
+    /// given the prefix and the item's payload — in one ordered walk: a
+    /// node is entered once per stretch of the run kept below it, not once
+    /// per prefix, so a run that names each prefix once, in prefix order,
+    /// descends from the root once per node it reaches.
+    pub fn edit_run<X>(
+        &mut self,
+        run: impl IntoIterator<Item = (Prefix, X)>,
+        vacant: impl Fn() -> T,
+        mut f: impl FnMut(&mut T, Prefix, X),
+        keep: impl Fn(&T) -> bool,
+    ) {
+        let mut run = run.into_iter().peekable();
+        let root = (0, [0; 4]);
+        (self.root).edit_run(root, &mut run, &mut self.len, &vacant, &mut f, &keep);
     }
 
     /// Removes the value at exactly `prefix`, pruning now-empty nodes.

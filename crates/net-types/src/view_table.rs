@@ -16,9 +16,10 @@
 //! write that undoes it — the previous value moved out, never copied — so
 //! a transaction log over the table is a list of writes replayed
 //! backwards. [`ViewTable::apply`] stores what it is told; the reconciling
-//! writes ([`ViewTable::write_base`], [`ViewTable::write_slots`]) decide
-//! whether a viewer's value is worth a slot (it differs from the base) and
-//! write it in the same walk of the trie, handing back each inverse.
+//! writes ([`ViewTable::write_base`], [`ViewTable::write_slots`],
+//! [`ViewTable::write_run`]) decide whether a viewer's value is worth a
+//! slot (it differs from the base) and write it in the same walk of the
+//! trie, handing back each inverse.
 
 use std::fmt;
 use std::hash::Hash;
@@ -162,6 +163,27 @@ impl<K: Ord + Copy, V> Entry<K, V> {
             (Slot::Own(have), Slot::Own(want)) => same(have, want),
             _ => false,
         }
+    }
+
+    /// Makes `slot` `viewer`'s unless it already is, keeping the table's
+    /// slot count, and hands what it replaced to `undo`. Returns whether
+    /// it wrote.
+    fn write_slot<W>(
+        &mut self,
+        viewer: K,
+        slot: Slot<&W>,
+        same: impl Fn(&V, &W) -> bool,
+        build: impl Fn(&W) -> V,
+        undo: impl FnOnce(Slot<V>),
+        slots: &mut usize,
+    ) -> bool {
+        if self.holds(viewer, slot, same) {
+            return false;
+        }
+        let previous = self.set_slot(viewer, slot.map(build));
+        *slots = *slots + stored(&slot) - stored(&previous);
+        undo(previous);
+        true
     }
 }
 
@@ -421,21 +443,50 @@ impl<K: Ord + Hash + Copy, V> ViewTable<K, V> {
             let slot = e.wanted(want.as_ref(), &same);
             let mut writes = 0;
             for &viewer in viewers {
-                if e.holds(viewer, slot, &same) {
-                    continue;
-                }
-                let previous = e.set_slot(viewer, slot.map(&build));
-                *slots = *slots + stored(&slot) - stored(&previous);
-                undo(Write::Slot {
-                    viewer,
-                    prefix,
-                    slot: previous,
-                });
-                writes += 1;
+                let undo = |slot| {
+                    undo(Write::Slot {
+                        viewer,
+                        prefix,
+                        slot,
+                    })
+                };
+                writes += usize::from(e.write_slot(viewer, slot, &same, &build, undo, slots));
             }
             writes
         };
         (self.entries).edit(prefix, Entry::new, write, Entry::says_something)
+    }
+
+    /// Makes, at each prefix of `run` in turn, the write
+    /// [`reconcile_slot`](Self::reconcile_slot) would plan for `viewer`,
+    /// and hands each write's inverse to `undo` in the order written: the
+    /// writes of [`write_slots`](Self::write_slots) for `viewer` alone,
+    /// once per prefix, made in one ordered walk of the trie
+    /// ([`PrefixTrie::edit_run`]) — cheapest for a run in prefix order.
+    /// Returns how many writes it made.
+    pub fn write_run<W>(
+        &mut self,
+        viewer: K,
+        run: impl IntoIterator<Item = (Prefix, Option<W>)>,
+        same: impl Fn(&V, &W) -> bool,
+        build: impl Fn(&W) -> V,
+        mut undo: impl FnMut(Write<K, V>),
+    ) -> usize {
+        let slots = &mut self.slots;
+        let mut writes = 0;
+        let write = |e: &mut Entry<K, V>, prefix, want: Option<W>| {
+            let slot = e.wanted(want.as_ref(), &same);
+            let undo = |slot| {
+                undo(Write::Slot {
+                    viewer,
+                    prefix,
+                    slot,
+                })
+            };
+            writes += usize::from(e.write_slot(viewer, slot, &same, &build, undo, slots));
+        };
+        (self.entries).edit_run(run, Entry::new, write, Entry::says_something);
+        writes
     }
 
     /// `viewer`'s side of the table.
@@ -668,5 +719,97 @@ mod tests {
         assert_eq!(a.view(1), b.view(1));
         b.apply(slot(1, "10.0.0.0/8", Slot::Inherit));
         assert_ne!(a.view(1), b.view(1));
+    }
+
+    /// A prefix from a small nested pool, so that a run reaches the same
+    /// nodes as the writes before it, creates new ones and empties old
+    /// ones, at every level of the trie.
+    fn arb_prefix() -> impl proptest::strategy::Strategy<Value = Prefix> {
+        use proptest::prelude::*;
+        const POOL: [&str; 12] = [
+            "0.0.0.0/0",
+            "10.0.0.0/8",
+            "10.0.0.0/9",
+            "10.128.0.0/9",
+            "10.0.0.0/16",
+            "10.1.0.0/16",
+            "10.1.2.0/24",
+            "10.1.3.0/24",
+            "10.1.2.128/25",
+            "10.1.2.3/32",
+            "11.0.0.0/8",
+            "192.168.0.0/16",
+        ];
+        (0..POOL.len()).prop_map(|i| prefix(POOL[i]))
+    }
+
+    fn arb_write() -> impl proptest::strategy::Strategy<Value = Write<u8, u16>> {
+        use proptest::prelude::*;
+        let slot = prop_oneof![
+            Just(Slot::Inherit),
+            Just(Slot::Withheld),
+            (0u16..3).prop_map(Slot::Own),
+        ];
+        prop_oneof![
+            (arb_prefix(), proptest::option::of(0u16..3))
+                .prop_map(|(prefix, value)| Write::Base { prefix, value }),
+            (0u8..3, arb_prefix(), slot).prop_map(|(viewer, prefix, slot)| Write::Slot {
+                viewer,
+                prefix,
+                slot
+            }),
+            (0u8..3, proptest::prelude::any::<bool>())
+                .prop_map(|(viewer, subscribed)| Write::Subscription { viewer, subscribed }),
+        ]
+    }
+
+    proptest::proptest! {
+        /// A run write is the same writes made one pair at a time by
+        /// `write_slots` for the one viewer: the same table, trie structure
+        /// and counts included, the same inverses in the same order, and
+        /// the same number of writes; replaying its inverses backwards
+        /// gives back the pre-image. Runs in prefix order and runs in any
+        /// order, repeats included, alike.
+        #[test]
+        fn a_run_write_is_its_writes_one_pair_at_a_time(
+            writes in proptest::collection::vec(arb_write(), 0..40),
+            viewer in 0u8..3,
+            run in proptest::collection::vec(
+                (arb_prefix(), proptest::option::of(0u16..3)),
+                0..16,
+            ),
+            sorted in proptest::prelude::any::<bool>(),
+        ) {
+            let mut run = run;
+            if sorted {
+                run.sort_by_key(|&(p, _)| p);
+                run.dedup_by_key(|&mut (p, _)| p);
+            }
+            let mut table: ViewTable<u8, u16> = ViewTable::new();
+            for write in writes {
+                table.apply(write);
+            }
+            let before = (table.clone(), format!("{table:?}"));
+            let mut one_by_one = table.clone();
+            let mut expected = Vec::new();
+            let mut written = 0;
+            for &(prefix, want) in &run {
+                let undo = |w| expected.push(w);
+                written += one_by_one.write_slots(&[viewer], prefix, want, u16::eq, |v| *v, undo);
+            }
+            let mut inverses = Vec::new();
+            let wrote = table.write_run(viewer, run, u16::eq, |v| *v, |w| inverses.push(w));
+            proptest::prop_assert_eq!(&table, &one_by_one);
+            proptest::prop_assert_eq!(table.stored(), one_by_one.stored());
+            proptest::prop_assert_eq!(table.prefixes().count(), one_by_one.prefixes().count());
+            proptest::prop_assert_eq!(&inverses, &expected);
+            proptest::prop_assert_eq!(wrote, written);
+            proptest::prop_assert_eq!(wrote, inverses.len());
+            for inverse in inverses.into_iter().rev() {
+                table.apply(inverse);
+            }
+            proptest::prop_assert_eq!(format!("{table:?}"), before.1);
+            proptest::prop_assert_eq!(table, before.0);
+        }
     }
 }

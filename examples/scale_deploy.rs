@@ -21,12 +21,16 @@
 //! with the exchange. It also exits non-zero if no probe was delivered, or if
 //! the compiled matcher and the linear walk pick different entries for any
 //! of the first 256 probes that reach the switch, if any push re-advertised
-//! more (viewer, prefix) pairs than it examined, or if an inbound push
-//! examined any pair at all (it moves no viewer's FEC groups), or if,
-//! after the deploy, the dump's passes, the re-optimisation or any push,
-//! the signatures phase A holds interned (summed over viewers) are not
-//! exactly the FEC groups the last compile reports. Nothing here is gated
-//! on the clock.
+//! more (viewer, prefix) pairs than it examined, if an outbound push
+//! examined a pair it did not send (its pairs are those whose VNH moved),
+//! or if an inbound push examined any pair at all (it moves no viewer's
+//! FEC groups), or if, after the deploy, the dump's passes, the
+//! re-optimisation, the route step below or any push, the signatures
+//! phase A holds interned (summed over viewers) are not exactly the FEC
+//! groups the last compile reports. Before the pushes, a route step moves
+//! a policy viewer's best next hop at every member of one of its FEC
+//! groups and re-optimises; it exits non-zero unless that re-partitioned
+//! a patched map. Nothing here is gated on the clock.
 //!
 //! For the dump's passes (summed) and for each push it prints the
 //! re-advertisement's cost: microseconds under the `fibsync` timer, pairs
@@ -35,7 +39,8 @@
 //! install and retract it prints the microseconds under each stage timer
 //! (`compile.fec` — phase A, the dropped maps and the VNH assignment —
 //! stage 1, stage 2, compose, validation, the reconcile diff, the FIB
-//! sync, the flow-table apply), their sum and its share of
+//! sync, the flow-table apply, the commit that drops the transaction's
+//! undo log and replaced report, the retirement), their sum and its share of
 //! `reoptimize.total`, the whole push, and beside them, outside the sum,
 //! phase A's two timers (whole build and partition) as `compile.fec`'s
 //! breakdown.
@@ -255,6 +260,42 @@ fn main() {
         .keys()
         .find(|&&p| p != editor.id)
         .expect("another participant");
+    // A route step that moves a policy viewer's best next hop at prefixes
+    // its clauses reach: a participant that is neither the viewer, nor
+    // its best next hop there, nor a party to the pushes below announces
+    // every member of one of the viewer's FEC groups with a higher
+    // LOCAL_PREF. Every member's signature moves, so the viewer's held map
+    // is patched and re-partitioned, and the group's old signature is held
+    // by no prefix: only a compacted table keeps phase A's interned count
+    // at the groups'.
+    let (mover_viewer, moved_group) = (ctl.report.as_ref().expect("compiled").groups.iter())
+        .find_map(|(&viewer, piece)| {
+            let g = piece.iter().find(|g| g.default_next_hop.is_some())?;
+            Some((viewer, g.clone()))
+        })
+        .expect("a policy viewer with a routed FEC group");
+    let mover = ctl
+        .compiler
+        .participants()
+        .values()
+        .find(|c| {
+            ![mover_viewer, editor.id, peer].contains(&c.id)
+                && Some(c.id) != moved_group.default_next_hop
+        })
+        .expect("a participant to move the next hop to")
+        .clone();
+    let mut update = mover.announce(moved_group.prefixes.iter().copied(), &[mover.asn.0]);
+    if let Some(attrs) = update.attrs.as_mut() {
+        attrs.local_pref = Some(1_000);
+    }
+    ctl.rs.process_update(mover.id, &update);
+    let repartitioned_before = repartitioned(&ctl);
+    ctl.reoptimize(&mut fabric)
+        .expect("reoptimize after the route step");
+    let route_step_repartitioned = repartitioned(&ctl) - repartitioned_before;
+    let route_step_interned = ctl.telemetry.gauge("compile.phase_a.interned").get();
+    let route_step_groups = ctl.report.as_ref().expect("compiled").stats.group_count;
+    count_interned(&ctl, "the route step");
     let last_port = editor.ports.last().expect("at least one port").index;
     let steer = Policy::match_(FieldMatch::NwSrc(Prefix::new(
         sdx::net::Ipv4Addr::new(77, 0, 0, 0),
@@ -278,7 +319,7 @@ fn main() {
     // The stages a push's time goes to, as nanoseconds summed so far under
     // each one's timer; the first two are phase A's, a breakdown of the
     // third, and stay outside the sum.
-    const STAGES: [&str; 10] = [
+    const STAGES: [&str; 12] = [
         "compile.phase_a.whole",
         "compile.phase_a.partition",
         "compile.fec",
@@ -289,6 +330,8 @@ fn main() {
         "reconcile.diff",
         "fibsync",
         "flowtable.apply",
+        "txn.commit",
+        "retire",
     ];
     let stages = |ctl: &SdxController| STAGES.map(|key| timed(ctl, key));
     let (mut push_begin_ns, mut push_total_ns) = (Vec::new(), Vec::new());
@@ -306,7 +349,7 @@ fn main() {
         let after = pieces(ctl);
         let pieces: [u64; 6] = std::array::from_fn(|i| after[i] - before[i]);
         let now = stages(ctl);
-        let staged: [u64; 10] = std::array::from_fn(|i| now[i] - staged[i]);
+        let staged: [u64; 12] = std::array::from_fn(|i| now[i] - staged[i]);
         count_interned(ctl, &format!("a push ({delta:?})"));
         (ms, pieces, fibsync_since(ctl, synced), (staged, total))
     };
@@ -370,6 +413,13 @@ fn main() {
         maps.recomputed, maps.reused, reoptimize_repartitioned
     );
     println!("matcher_builds_reopt={matcher_builds_reopt}");
+    println!(
+        "route_step: viewer={mover_viewer} prefixes={} best_next_hop={} viewers_repartitioned={route_step_repartitioned} \
+         phase_a_interned={route_step_interned} fec_groups={route_step_groups}",
+        moved_group.prefixes.len(),
+        mover.id
+    );
+
     println!(
         "phase_a_interned={} fec_groups={} (after the last push)",
         ctl.telemetry.gauge("compile.phase_a.interned").get(),
@@ -479,6 +529,24 @@ fn main() {
             eprintln!("the {what} push sent {sent} advertisements but examined {examined}");
             std::process::exit(1);
         }
+    }
+    for (what, [_, examined, sent, _]) in &pushes_synced[2..] {
+        if sent != examined {
+            eprintln!(
+                "the {what} push examined {examined} (viewer, prefix) pairs but sent {sent}: \
+                 its pairs are the ones whose VNH moved, so each must be sent"
+            );
+            std::process::exit(1);
+        }
+    }
+    if route_step_repartitioned == 0 || route_step_interned != route_step_groups as i64 {
+        eprintln!(
+            "the route step re-partitioned {route_step_repartitioned} viewer(s) and left \
+             {route_step_interned} signatures interned for {route_step_groups} FEC groups: \
+             it moves a policy viewer's signature, whose patched map must be \
+             re-partitioned and its table compacted"
+        );
+        std::process::exit(1);
     }
     for (what, [_, examined, ..]) in &pushes_synced[..2] {
         if *examined > 0 {
