@@ -12,7 +12,7 @@
 //! 7. lowest announcer ([`ParticipantId`](sdx_net::ParticipantId))
 //!
 //! Two deliberate simplifications, both standard route-server practice and
-//! both documented in DESIGN.md: every session at an IXP route server is
+//! both documented in DESIGN.md §5: every session at an IXP route server is
 //! eBGP so the eBGP-vs-iBGP step never discriminates, and MED is compared
 //! across neighbouring ASes ("always-compare-med"). The latter keeps the
 //! relation a *total order*, which the property tests verify. The last

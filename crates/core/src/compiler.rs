@@ -26,7 +26,7 @@
 //! [`crate::piece`]), and what is whole-table per run is one concatenation
 //! and one shadow elimination. The pipeline is one serial pass with
 //! nothing to configure: viewers are visited in `ParticipantId` order and
-//! VNH ids come from a single keyed assignment (see DESIGN.md §11).
+//! VNH ids come from a single keyed assignment (see DESIGN.md §7.4).
 //!
 //! The output [`CompileReport`] carries everything the controller must
 //! install: the switch classifier, the ARP bindings (VNH → VMAC), and the

@@ -108,8 +108,7 @@ impl UndoLog {
 
     /// What records the inverses of the next writes to `adverts` — at
     /// most `writes` of them, room for which is made at once — for
-    /// [`ViewTable::write_base`](sdx_net::ViewTable::write_base),
-    /// [`ViewTable::write_slots`](sdx_net::ViewTable::write_slots) and
+    /// [`ViewTable::write_base`](sdx_net::ViewTable::write_base) and
     /// [`ViewTable::write_run`](sdx_net::ViewTable::write_run).
     pub fn advert_undo(
         &mut self,

@@ -98,8 +98,8 @@ enum Op {
     /// To the fabric's Adj-RIB-Outs.
     Advert(Write<ParticipantId, Advert>),
     /// One advertisement — one shared copy of a route — shown at each of
-    /// `prefixes` to each of `viewers` in one walk per prefix, or made
-    /// the base there if `viewers` is empty.
+    /// `prefixes` to each of `viewers` in one run write per viewer, or
+    /// made the base there if `viewers` is empty.
     Shared {
         viewers: Vec<ParticipantId>,
         prefixes: Vec<Prefix>,
@@ -249,13 +249,16 @@ impl World {
                 let same = |have: &Advert, want: &&Advert| have == *want;
                 let build = |want: &&Advert| Advert::clone(want);
                 let adverts = self.fabric.adj_rib_outs_mut();
-                for &prefix in prefixes {
-                    let (want, undo) = (advert.as_ref(), log.advert_undo(adverts, 1));
-                    if viewers.is_empty() {
-                        adverts.write_base(prefix, want, same, |w| build(&w), undo);
-                    } else {
-                        adverts.write_slots(viewers, prefix, want, same, build, undo);
+                if viewers.is_empty() {
+                    for &prefix in prefixes {
+                        let undo = log.advert_undo(adverts, 1);
+                        adverts.write_base(prefix, advert.as_ref(), same, |w| build(&w), undo);
                     }
+                }
+                for &viewer in viewers {
+                    let run = prefixes.iter().map(|&prefix| (prefix, advert.as_ref()));
+                    let undo = log.advert_undo(adverts, prefixes.len());
+                    adverts.write_run(viewer, run, same, build, undo);
                 }
             }
             Op::Arp(addr, v) => log.bind_arp(&mut self.fabric, *addr, MacAddr::vmac(*v)),

@@ -16,10 +16,9 @@
 //! write that undoes it — the previous value moved out, never copied — so
 //! a transaction log over the table is a list of writes replayed
 //! backwards. [`ViewTable::apply`] stores what it is told; the reconciling
-//! writes ([`ViewTable::write_base`], [`ViewTable::write_slots`],
-//! [`ViewTable::write_run`]) decide whether a viewer's value is worth a
-//! slot (it differs from the base) and write it in the same walk of the
-//! trie, handing back each inverse.
+//! writes ([`ViewTable::write_base`], [`ViewTable::write_run`]) decide
+//! whether a viewer's value is worth a slot (it differs from the base)
+//! and write it in the same walk of the trie, handing back each inverse.
 
 use std::fmt;
 use std::hash::Hash;
@@ -424,46 +423,13 @@ impl<K: Ord + Hash + Copy, V> ViewTable<K, V> {
         (self.entries).edit(prefix, Entry::new, write, Entry::says_something)
     }
 
-    /// Makes, for each of `viewers` in turn, the write
-    /// [`reconcile_slot`](Self::reconcile_slot) would plan for it, all in
-    /// one walk of the trie, and hands each write's inverse to `undo` in
-    /// the order written. `build` runs once per viewer that needs a value
-    /// of its own. Returns how many writes it made.
-    pub fn write_slots<W>(
-        &mut self,
-        viewers: &[K],
-        prefix: Prefix,
-        want: Option<W>,
-        same: impl Fn(&V, &W) -> bool,
-        build: impl Fn(&W) -> V,
-        mut undo: impl FnMut(Write<K, V>),
-    ) -> usize {
-        let slots = &mut self.slots;
-        let write = |e: &mut Entry<K, V>| {
-            let slot = e.wanted(want.as_ref(), &same);
-            let mut writes = 0;
-            for &viewer in viewers {
-                let undo = |slot| {
-                    undo(Write::Slot {
-                        viewer,
-                        prefix,
-                        slot,
-                    })
-                };
-                writes += usize::from(e.write_slot(viewer, slot, &same, &build, undo, slots));
-            }
-            writes
-        };
-        (self.entries).edit(prefix, Entry::new, write, Entry::says_something)
-    }
-
     /// Makes, at each prefix of `run` in turn, the write
     /// [`reconcile_slot`](Self::reconcile_slot) would plan for `viewer`,
-    /// and hands each write's inverse to `undo` in the order written: the
-    /// writes of [`write_slots`](Self::write_slots) for `viewer` alone,
-    /// once per prefix, made in one ordered walk of the trie
-    /// ([`PrefixTrie::edit_run`]) — cheapest for a run in prefix order.
-    /// Returns how many writes it made.
+    /// and hands each write's inverse to `undo` in the order written, all
+    /// in one ordered walk of the trie ([`PrefixTrie::edit_run`]) —
+    /// cheapest for a run in prefix order. `build` runs once per prefix
+    /// where the viewer needs a value of its own. Returns how many writes
+    /// it made.
     pub fn write_run<W>(
         &mut self,
         viewer: K,
@@ -764,12 +730,12 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// A run write is the same writes made one pair at a time by
-        /// `write_slots` for the one viewer: the same table, trie structure
-        /// and counts included, the same inverses in the same order, and
-        /// the same number of writes; replaying its inverses backwards
-        /// gives back the pre-image. Runs in prefix order and runs in any
-        /// order, repeats included, alike.
+        /// A run write is the writes `reconcile_slot` plans for the one
+        /// viewer, applied one pair at a time: the same table, trie
+        /// structure and counts included, the same inverses in the same
+        /// order, and the same number of writes; replaying its inverses
+        /// backwards gives back the pre-image. Runs in prefix order and
+        /// runs in any order, repeats included, alike.
         #[test]
         fn a_run_write_is_its_writes_one_pair_at_a_time(
             writes in proptest::collection::vec(arb_write(), 0..40),
@@ -792,19 +758,18 @@ mod tests {
             let before = (table.clone(), format!("{table:?}"));
             let mut one_by_one = table.clone();
             let mut expected = Vec::new();
-            let mut written = 0;
             for &(prefix, want) in &run {
-                let undo = |w| expected.push(w);
-                written += one_by_one.write_slots(&[viewer], prefix, want, u16::eq, |v| *v, undo);
+                if let Some(write) = one_by_one.reconcile_slot(viewer, prefix, want, u16::eq, |v| v) {
+                    expected.push(one_by_one.apply(write));
+                }
             }
             let mut inverses = Vec::new();
             let wrote = table.write_run(viewer, run, u16::eq, |v| *v, |w| inverses.push(w));
             proptest::prop_assert_eq!(&table, &one_by_one);
             proptest::prop_assert_eq!(table.stored(), one_by_one.stored());
             proptest::prop_assert_eq!(table.prefixes().count(), one_by_one.prefixes().count());
-            proptest::prop_assert_eq!(&inverses, &expected);
-            proptest::prop_assert_eq!(wrote, written);
             proptest::prop_assert_eq!(wrote, inverses.len());
+            proptest::prop_assert_eq!(&inverses, &expected);
             for inverse in inverses.into_iter().rev() {
                 table.apply(inverse);
             }

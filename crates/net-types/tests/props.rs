@@ -248,13 +248,14 @@ proptest! {
         }
     }
 
-    /// [`ViewTable::write_base`] and [`ViewTable::write_slots`] (no
-    /// viewers: the base) make in one walk exactly the writes that
-    /// `reconcile_base` / `reconcile_slot` plan and `apply` then performs
-    /// one at a time: an equal table, trie structure included, and the
-    /// same inverses in the same order. Every subscribed viewer written
-    /// for then sees `want`, and replaying the inverses backwards gives
-    /// back the pre-image.
+    /// [`ViewTable::write_base`] (no viewers: the base) and a one-prefix
+    /// [`ViewTable::write_run`] per listed viewer, in the listed order,
+    /// make exactly the writes that `reconcile_base` / `reconcile_slot`
+    /// plan and `apply` then performs one at a time: an equal table, trie
+    /// structure included, and the same inverses in the same order — so
+    /// several viewers written at one prefix stay checked. Every
+    /// subscribed viewer written for then sees `want`, and replaying the
+    /// inverses backwards gives back the pre-image.
     #[test]
     fn one_walk_writes_equal_the_planned_writes(
         writes in proptest::collection::vec(arb_write(), 0..48),
@@ -288,10 +289,13 @@ proptest! {
                 let wrote = table.write_base(prefix, want, u16::eq, |v| v, |w| inverses.push(w));
                 usize::from(wrote)
             }
-            false => {
-                let undo = |w| inverses.push(w);
-                table.write_slots(&viewers, prefix, want, u16::eq, |v| *v, undo)
-            }
+            false => viewers
+                .iter()
+                .map(|&viewer| {
+                    let undo = |w| inverses.push(w);
+                    table.write_run(viewer, [(prefix, want)], u16::eq, |v| *v, undo)
+                })
+                .sum(),
         };
         prop_assert_eq!(&table, &planned);
         prop_assert_eq!(table.stored(), planned.stored());

@@ -3,7 +3,7 @@
 //! [`FlowTable::classify`](crate::table::FlowTable::classify) semantics are
 //! a priority-ordered linear first-match walk. That is the *specification*;
 //! this module is the *implementation* that makes it run at packet rate.
-//! The tables the SDX deploys have a very particular shape (DESIGN.md §9):
+//! The tables the SDX deploys have a very particular shape (DESIGN.md §7.10):
 //! VMAC tag stages are single-field exact matches on `dl_dst`, inbound
 //! stages key on `in_port`, and FIB stages key on an `nw_dst` prefix. A
 //! [`CompiledMatcher`] exploits that shape with three indexes:

@@ -22,7 +22,7 @@
 //!   (participants, RIBs, export policies, policies) and probe packets,
 //!   driven by proptest in the differential test suite.
 //!
-//! What each side trusts is spelled out in `DESIGN.md` §12, along with the
+//! What each side trusts is spelled out in `DESIGN.md` §10.1, along with the
 //! oracle's known exclusions (MAC-field matches, mod-only clauses, and
 //! friends).
 

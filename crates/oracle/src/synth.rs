@@ -9,7 +9,7 @@
 //! excludes the rewrite target so "rewrite to the address you already
 //! have" never arises, and filler ASNs avoid the participants' own ASNs
 //! so AS-path loop protection fires only when a participant genuinely
-//! re-hears itself. See `DESIGN.md` §12 for the full exclusion list.
+//! re-hears itself. See `DESIGN.md` §10.1 for the full exclusion list.
 
 use sdx_bgp::route_server::{ExportPolicy, RouteServer};
 use sdx_core::compiler::SdxCompiler;

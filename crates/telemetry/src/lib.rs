@@ -34,7 +34,7 @@
 //! `compile.total`, `compile.fec`, `compile.compose`, `fastpath.total`,
 //! `txn.validate`, `txn.rollback`, `rs.decision`, `fabric.tx.count`.
 //! Timer histograms record **nanoseconds**; counters end in `.count`.
-//! The full key inventory lives in DESIGN.md §10.
+//! The full key inventory lives in DESIGN.md §9.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
