@@ -166,6 +166,10 @@ impl SdxCompiler {
             .filter(|v| !v.movable.is_empty())
             .collect();
 
+        // Resolved once per burst: a registry lookup per prefix and viewer
+        // cost more than the recording.
+        let allocated = this.telemetry().counter("vnh.alloc.count");
+        let per_prefix = this.telemetry().histogram("fastpath.update");
         let mut sig = Vec::new();
         for &prefix in prefixes {
             let t_prefix = Instant::now();
@@ -182,7 +186,7 @@ impl SdxCompiler {
 
                 // Fresh singleton group — no MDS, no ARP invalidation.
                 let (id, addr, vmac) = vnh.try_allocate()?;
-                this.telemetry().inc("vnh.alloc.count");
+                allocated.inc();
                 let groups = [FecGroup {
                     id,
                     viewer,
@@ -245,8 +249,7 @@ impl SdxCompiler {
                         .cloned(),
                 );
             }
-            this.telemetry()
-                .observe_duration("fastpath.update", t_prefix.elapsed());
+            per_prefix.record_duration(t_prefix.elapsed());
         }
 
         out.elapsed = t0.elapsed();

@@ -95,12 +95,24 @@ fn push_int(out: &mut String, v: impl Into<u64>) {
 
 /// A decoded integer narrowed to the field's width; out of range is a
 /// malformed frame, not a value to truncate.
+#[inline]
 fn narrow<T: TryFrom<u64>>(v: u64, field: &str) -> Result<T, CodecError> {
-    T::try_from(v).map_err(|_| CodecError(format!("{field}: {v} out of range")))
+    T::try_from(v).map_err(|_| out_of_range(v, field))
 }
 
+#[inline]
 fn required<T>(v: Option<T>, what: &str) -> Result<T, CodecError> {
-    v.ok_or_else(|| CodecError(format!("missing or malformed `{what}`")))
+    v.ok_or_else(|| missing(what))
+}
+
+#[cold]
+fn out_of_range(v: u64, field: &str) -> CodecError {
+    CodecError(format!("{field}: {v} out of range"))
+}
+
+#[cold]
+fn missing(what: &str) -> CodecError {
+    CodecError(format!("missing or malformed `{what}`"))
 }
 
 // ---------------------------------------------------------------------
@@ -334,26 +346,33 @@ fn write_list<T>(out: &mut String, items: &[T], mut item: impl FnMut(&mut String
     out.push(']');
 }
 
-fn read_list<T>(
-    r: &mut Reader,
-    mut item: impl FnMut(&mut Reader) -> Result<T, CodecError>,
-) -> Result<Vec<T>, CodecError> {
-    let mut items = Vec::new();
-    r.array(|r| {
-        items.push(item(r)?);
-        Ok::<(), CodecError>(())
-    })?;
-    Ok(items)
-}
-
 fn write_buckets(out: &mut String, buckets: &[Vec<Mod>]) {
     write_list(out, buckets, |out, bucket| {
         write_list(out, bucket, |out, &m| write_action(out, m))
     });
 }
 
-fn read_buckets(r: &mut Reader) -> Result<Vec<Vec<Mod>>, CodecError> {
-    read_list(r, |r| read_list(r, read_action))
+/// Lists reused across a frame's mods: a bucket is read into `actions`
+/// and an entry's buckets into `buckets`, so each list the decoded entry
+/// keeps is allocated once, at its final length.
+#[derive(Default)]
+struct Scratch {
+    actions: Vec<Mod>,
+    buckets: Vec<Vec<Mod>>,
+}
+
+fn read_buckets(r: &mut Reader, s: &mut Scratch) -> Result<Vec<Vec<Mod>>, CodecError> {
+    s.buckets.clear();
+    r.array(|r| {
+        s.actions.clear();
+        r.array(|r| {
+            s.actions.push(read_action(r)?);
+            Ok::<(), CodecError>(())
+        })?;
+        s.buckets.push(s.actions.to_vec());
+        Ok::<(), CodecError>(())
+    })?;
+    Ok(s.buckets.drain(..).collect())
 }
 
 // ---------------------------------------------------------------------
@@ -391,11 +410,11 @@ struct Slot {
 
 impl Slot {
     /// Reads member `k` if it is one of the slot's; otherwise skips it.
-    fn read_member(&mut self, r: &mut Reader, k: &str) -> Result<(), CodecError> {
+    fn read_member(&mut self, r: &mut Reader, k: &str, s: &mut Scratch) -> Result<(), CodecError> {
         match k {
             "priority" => self.priority = Some(narrow(r.u64()?, "priority")?),
             "pattern" => self.pattern = Some(read_pattern(r)?),
-            "buckets" => self.buckets = Some(read_buckets(r)?),
+            "buckets" => self.buckets = Some(read_buckets(r, s)?),
             "cookie" => self.cookie = Some(r.u64()?),
             _ => r.skip()?,
         }
@@ -443,7 +462,7 @@ fn write_mod(out: &mut String, m: &FlowMod) {
     out.push('}');
 }
 
-fn read_mod(r: &mut Reader) -> Result<FlowMod, CodecError> {
+fn read_mod(r: &mut Reader, s: &mut Scratch) -> Result<FlowMod, CodecError> {
     let mut op = None;
     let mut entry = None;
     let mut slot = Slot::default();
@@ -454,11 +473,11 @@ fn read_mod(r: &mut Reader) -> Result<FlowMod, CodecError> {
         }
         "entry" => {
             let mut fields = Slot::default();
-            r.object(|r, k| fields.read_member(r, k))?;
+            r.object(|r, k| fields.read_member(r, k, s))?;
             entry = Some(fields.into_entry()?);
             Ok(())
         }
-        _ => slot.read_member(r, k),
+        _ => slot.read_member(r, k, s),
     })?;
     match &*required(op, "op")? {
         "add" => Ok(FlowMod::Add(required(entry, "entry")?)),
@@ -484,7 +503,15 @@ fn read_batch(r: &mut Reader) -> Result<FlowModBatch, CodecError> {
     r.object(|r, k| {
         match k {
             "epoch" => epoch = Some(r.u64()?),
-            "mods" => mods = Some(read_list(r, read_mod)?),
+            "mods" => {
+                let mut s = Scratch::default();
+                let mut list = Vec::new();
+                r.array(|r| {
+                    list.push(read_mod(r, &mut s)?);
+                    Ok::<(), CodecError>(())
+                })?;
+                mods = Some(list);
+            }
             _ => r.skip()?,
         }
         Ok::<(), CodecError>(())
@@ -827,6 +854,9 @@ mod tests {
         b
     }
 
+    /// `wide_batch` as an apply frame with sequence number `u64::MAX`.
+    const WIDE: &str = r#"{"seq":18446744073709551615,"batch":{"epoch":18446744073709551615,"mods":[{"op":"add","entry":{"priority":4294967295,"pattern":{"in_port":{"virt":9},"dl_src":[9,8,7,6,5,4],"dl_dst":[255,0,1,2,3,4],"nw_src":{"addr":3232235520,"len":16},"nw_proto":17,"tp_src":53},"buckets":[[{"dl_src":[1,1,1,1,1,1]},{"nw_src":7},{"tp_dst":8080},{"fwd":{"phys":4,"if":2}}],[]],"cookie":18446744073709551615}},{"op":"add","entry":{"priority":0,"pattern":{},"buckets":[],"cookie":0}}]}}"#;
+
     /// The bytes on the wire are a contract with agents that are not this
     /// crate (the CI smoke test's python agent, the benchmark's): these
     /// lines are what the `Json`-tree encoder this module used to go
@@ -834,7 +864,6 @@ mod tests {
     #[test]
     fn wire_text_is_unchanged() {
         const SAMPLE: &str = r#"{"epoch":42,"mods":[{"op":"add","entry":{"priority":7,"pattern":{"in_port":{"phys":1,"if":2},"eth_type":2048,"nw_dst":{"addr":167772160,"len":8},"tp_dst":443},"buckets":[[{"dl_dst":[1,2,3,4,5,6]},{"fwd":{"virt":3}}]],"cookie":99}},{"op":"modify","priority":7,"pattern":{"nw_proto":6},"buckets":[[{"nw_dst":2130706433},{"tp_src":80}]],"cookie":100},{"op":"delete","priority":3,"pattern":{}}]}"#;
-        const WIDE: &str = r#"{"seq":18446744073709551615,"batch":{"epoch":18446744073709551615,"mods":[{"op":"add","entry":{"priority":4294967295,"pattern":{"in_port":{"virt":9},"dl_src":[9,8,7,6,5,4],"dl_dst":[255,0,1,2,3,4],"nw_src":{"addr":3232235520,"len":16},"nw_proto":17,"tp_src":53},"buckets":[[{"dl_src":[1,1,1,1,1,1]},{"nw_src":7},{"tp_dst":8080},{"fwd":{"phys":4,"if":2}}],[]],"cookie":18446744073709551615}},{"op":"add","entry":{"priority":0,"pattern":{},"buckets":[],"cookie":0}}]}}"#;
         assert_eq!(
             encode_apply(5, &sample_batch()),
             format!(r#"{{"seq":5,"batch":{SAMPLE}}}"#)
@@ -931,6 +960,50 @@ mod tests {
             ));
         }
         b
+    }
+
+    #[test]
+    fn truncated_and_overdeep_frames_are_rejected() {
+        let truncated = |line: &str, cut: usize| {
+            assert!(
+                decode_frame(&line[..cut]).is_err(),
+                "a frame cut at byte {cut} of {} decoded",
+                line.len()
+            );
+        };
+        for cut in 0..WIDE.len() {
+            truncated(WIDE, cut);
+        }
+        // A table dump's frame. Decoding a prefix costs its length, so
+        // every prefix of a 260 KB line would be quadratic (minutes in a
+        // debug build). The cuts are every byte of the first two mods and
+        // of the frame's last 64 bytes, and one every 1 021 bytes between:
+        // 1 021 is prime to every mod's length, so those ~250 cuts fall at
+        // offsets spread over the whole text of a mod.
+        let dump = encode_apply(1, &overlay_batch(1280));
+        let head = 2 * dump.len() / 1280;
+        let tail = dump.len() - 64;
+        let cuts = (0..head)
+            .chain((head..tail).step_by(1021))
+            .chain(tail..dump.len());
+        for cut in cuts {
+            truncated(&dump, cut);
+        }
+        // Nesting past MAX_DEPTH inside `mods`, as an unknown member's
+        // value and as the list itself, is refused, never recursed into.
+        let deep = "[".repeat(sdx_telemetry::json::MAX_DEPTH + 1);
+        for mods in [
+            format!(r#"[{{"op":"delete","priority":1,"pattern":{{}},"x":{deep}1"#),
+            format!("{deep}{}", "]".repeat(sdx_telemetry::json::MAX_DEPTH + 1)),
+            "[".repeat(100_000),
+        ] {
+            let line = format!(r#"{{"seq":1,"batch":{{"epoch":1,"mods":{mods}}}}}"#);
+            assert!(
+                decode_frame(&line).is_err(),
+                "{} bytes of nesting",
+                mods.len()
+            );
+        }
     }
 
     #[test]

@@ -36,12 +36,14 @@
 //!
 //! ## Burst coalescing
 //!
-//! The event loop drains every queued BGP update (up to `COALESCE_MAX`,
-//! 64) before compiling: N near-simultaneous updates fold into **one**
-//! delta compile over the union of their changed prefixes (journalled
-//! as `burst_coalesced`). Under overload the queue grows, bursts get
-//! bigger, and the coalescing ratio — not the latency tail — absorbs the
-//! load.
+//! The event loop drains every queued BGP update and policy frame before
+//! compiling — the whole backlog, stopping only at an empty queue or at
+//! an input of another kind: N near-simultaneous updates fold into
+//! **one** delta compile over the union of their changed prefixes
+//! (journalled as `burst_coalesced`). There is no cap: a pass is whatever
+//! arrived while the last pass ran, so under overload the queue grows,
+//! passes get bigger, and the coalescing ratio — not the latency tail —
+//! absorbs the load. A table dump of 1 024 UPDATEs takes two passes.
 //!
 //! ## Shutdown
 //!
@@ -90,9 +92,6 @@ impl Default for DaemonConfig {
         DaemonConfig { hold_time: 90 }
     }
 }
-
-/// Maximum BGP messages and policy frames folded into one compile pass.
-const COALESCE_MAX: usize = 64;
 
 /// Supervisor tick cadence (keepalives, hold timers, flap-penalty decay).
 const TICK: Duration = Duration::from_millis(50);
@@ -587,13 +586,13 @@ impl EventLoop {
                     // before compiling once.
                     let mut msgs = vec![(conn, msg, at)];
                     let mut frames = Vec::new();
-                    next = self.drain(COALESCE_MAX, &mut msgs, &mut frames);
+                    next = self.drain(usize::MAX, &mut msgs, &mut frames);
                     self.handle_burst(msgs, frames);
                 }
                 Input::PolicyFrame { line, writer } => {
                     let mut msgs = Vec::new();
                     let mut frames = vec![(line, writer)];
-                    next = self.drain(COALESCE_MAX, &mut msgs, &mut frames);
+                    next = self.drain(usize::MAX, &mut msgs, &mut frames);
                     self.handle_burst(msgs, frames);
                 }
                 Input::PeerClosed { conn } => self.handle_peer_closed(conn),
@@ -645,8 +644,9 @@ impl EventLoop {
     }
 
     /// Folds queued route updates and policy frames into one pass until
-    /// `max` are taken, the queue is empty, or another kind of input is
-    /// next — which it returns.
+    /// the queue is empty, another kind of input is next — which it
+    /// returns — or `max` are taken (a bound only the shutdown drain sets;
+    /// a live pass takes the whole backlog).
     fn drain(
         &mut self,
         max: usize,
@@ -804,13 +804,14 @@ impl EventLoop {
         let mut sends: Vec<(ParticipantId, BgpMessage)> = Vec::new();
         let mut n_updates = 0usize;
         let mut arrivals: Vec<Instant> = Vec::new();
+        let updates = self.reg.counter("daemon.updates.count");
         for (conn, msg, at) in msgs {
             let out = if let Some(&pid) = self.conn_pid.get(&conn) {
                 if matches!(msg, BgpMessage::Update(_)) {
                     n_updates += 1;
                     arrivals.push(at);
                     self.updates += 1;
-                    self.reg.inc("daemon.updates.count");
+                    updates.inc();
                 }
                 self.sup.handle_message(now, pid, msg, &mut self.ctl.rs)
             } else if let BgpMessage::Open(open) = msg {
@@ -914,11 +915,12 @@ impl EventLoop {
 
     /// The pass that carried these UPDATEs has its flow-mods acked.
     fn observe_flushed(&self, arrivals: Vec<Instant>) {
+        if arrivals.is_empty() {
+            return;
+        }
+        let flushed = self.reg.histogram("daemon.update_to_flowmod_us");
         for at in arrivals {
-            self.reg.observe(
-                "daemon.update_to_flowmod_us",
-                at.elapsed().as_micros() as u64,
-            );
+            flushed.record(at.elapsed().as_micros() as u64);
         }
     }
 

@@ -846,26 +846,29 @@ fn bursts_coalesce_into_one_compile_under_backpressure() {
     held.recv_timeout(Duration::from_secs(20))
         .expect("the first update's batch reaches the agent");
 
-    // ...while a burst of distinct-prefix updates queues up behind it,
+    // ...while a backlog of distinct-prefix updates queues up behind it,
     // closed by a sentinel: the reader counts a message just before
-    // queueing it, so once the KEEPALIVE is counted the burst is queued.
+    // queueing it, so once the KEEPALIVE is counted the backlog is queued.
+    // It is well past 64 inputs, so a pass that took a bounded share of
+    // the queue would split it.
+    const BACKLOG: u64 = 200;
     let read_bgp = counter(&reg, "daemon.bgp_read.count");
-    for i in 0..30u32 {
-        let pfx = format!("{}.0.0.0/8", 70 + i);
+    for i in 0..BACKLOG {
+        let pfx = format!("70.{i}.0.0/16");
         peer.send(&announce(&b, &pfx, &[65002, 300])).expect("send");
     }
     peer.send(&BgpMessage::Keepalive).expect("send");
-    wait_counter(&reg, "daemon.bgp_read.count", read_bgp + 31);
+    wait_counter(&reg, "daemon.bgp_read.count", read_bgp + BACKLOG + 1);
     assert_eq!(counter(&reg, "daemon.compiles.count"), 1, "loop not pinned");
     release.send(()).expect("agent alive");
-    wait_counter(&reg, "daemon.updates.count", 31);
+    wait_counter(&reg, "daemon.updates.count", BACKLOG + 1);
 
     let report = handle.stop();
     agent.join().expect("agent thread");
-    assert_eq!(report.updates, 31);
+    assert_eq!(report.updates, BACKLOG + 1);
     assert_eq!(
         report.compiles, 2,
-        "one pass for the first update, one for the burst queued behind it"
+        "one pass for the first update, one for the whole backlog queued behind it"
     );
     assert_eq!(report.coalesced_bursts, 1);
     let events = reg.snapshot().events;

@@ -281,6 +281,12 @@ impl<'a> Reader<'a> {
         }
     }
 
+    // The scanner's primitives are `#[inline]`: the channel codec calls
+    // them from another crate a few dozen times per flow-mod, and a call
+    // per token cost more than the token. Failures are built out of line.
+
+    #[cold]
+    #[inline(never)]
     fn err(&self, message: &str) -> ParseError {
         ParseError {
             offset: self.pos,
@@ -288,42 +294,66 @@ impl<'a> Reader<'a> {
         }
     }
 
+    #[cold]
+    #[inline(never)]
+    fn expected(&self, b: u8) -> ParseError {
+        self.err(&format!("expected `{}`", b as char))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn expected_more(&self, close: u8) -> ParseError {
+        self.err(&format!("expected `,` or `{}`", close as char))
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn too_deep(&self) -> ParseError {
+        self.err(&format!("nesting deeper than {MAX_DEPTH} levels"))
+    }
+
+    #[inline]
     fn bytes(&self) -> &'a [u8] {
         self.text.as_bytes()
     }
 
+    #[inline]
     fn peek(&self) -> Option<u8> {
         self.bytes().get(self.pos).copied()
     }
 
+    #[inline]
     fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
         }
     }
 
+    #[inline]
     fn expect(&mut self, b: u8) -> Result<(), ParseError> {
         if self.peek() == Some(b) {
             self.pos += 1;
             Ok(())
         } else {
-            Err(self.err(&format!("expected `{}`", b as char)))
+            Err(self.expected(b))
         }
     }
 
     /// Opens an array or object: consumes `open` and charges one level
     /// against [`MAX_DEPTH`].
+    #[inline]
     fn open(&mut self, open: u8) -> Result<(), ParseError> {
         self.skip_ws();
         self.expect(open)?;
         if self.depth == MAX_DEPTH {
-            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+            return Err(self.too_deep());
         }
         self.depth += 1;
         Ok(())
     }
 
     /// After one member or element: `,` (more follow) or `close` (done).
+    #[inline]
     fn more(&mut self, close: u8) -> Result<bool, ParseError> {
         self.skip_ws();
         match self.peek() {
@@ -336,11 +366,12 @@ impl<'a> Reader<'a> {
                 self.depth -= 1;
                 Ok(false)
             }
-            _ => Err(self.err(&format!("expected `,` or `{}`", close as char))),
+            _ => Err(self.expected_more(close)),
         }
     }
 
     /// True (and consumed) if the container just opened is empty.
+    #[inline]
     fn empty(&mut self, close: u8) -> bool {
         self.skip_ws();
         let empty = self.peek() == Some(close);
@@ -354,6 +385,7 @@ impl<'a> Reader<'a> {
     /// Reads an object, calling `member(reader, key)` with the reader at
     /// each member's value; `member` must consume exactly that value
     /// ([`skip`](Self::skip) for keys it does not know).
+    #[inline]
     pub fn object<E: From<ParseError>>(
         &mut self,
         mut member: impl FnMut(&mut Self, &str) -> Result<(), E>,
@@ -375,6 +407,7 @@ impl<'a> Reader<'a> {
 
     /// Reads an array, calling `element(reader)` with the reader at each
     /// element; `element` must consume exactly that value.
+    #[inline]
     pub fn array<E: From<ParseError>>(
         &mut self,
         mut element: impl FnMut(&mut Self) -> Result<(), E>,
@@ -445,39 +478,57 @@ impl<'a> Reader<'a> {
 
     /// Reads a string. Borrowed from the document unless it contains an
     /// escape; either way each byte is looked at once.
+    #[inline]
     pub fn string(&mut self) -> Result<Cow<'a, str>, ParseError> {
         self.skip_ws();
         self.expect(b'"')?;
-        // Allocated at the first escape; until then the string is a slice.
-        let mut unescaped: Option<String> = None;
+        let run = self.pos;
+        let end = self.run_end(run);
+        match end {
+            Some(end) if self.bytes()[end] == b'"' => {
+                self.pos = end + 1;
+                Ok(Cow::Borrowed(&self.text[run..end]))
+            }
+            _ => self.escaped_string(run, end),
+        }
+    }
+
+    /// Where the run of string text from `from` ends: the next `"` or `\`.
+    /// Both are ASCII, so a run starts and ends on character boundaries of
+    /// the `&str`. `None` if the document ends first.
+    #[inline]
+    fn run_end(&self, from: usize) -> Option<usize> {
+        let len = self.bytes()[from..]
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')?;
+        Some(from + len)
+    }
+
+    /// The rest of a string whose first run, from `run`, ends at `end`: at
+    /// a backslash, or (`None`) at the end of the document.
+    #[cold]
+    #[inline(never)]
+    fn escaped_string(
+        &mut self,
+        mut run: usize,
+        mut end: Option<usize>,
+    ) -> Result<Cow<'a, str>, ParseError> {
+        let mut unescaped = String::new();
         loop {
-            // `"` and `\` are ASCII, so the run up to the next one starts
-            // and ends on character boundaries of the `&str`.
-            let run = self.pos;
-            let Some(len) = self.bytes()[run..]
-                .iter()
-                .position(|&b| b == b'"' || b == b'\\')
-            else {
+            let Some(at) = end else {
                 self.pos = self.text.len();
                 return Err(self.err("unterminated string"));
             };
-            self.pos += len;
-            let chunk = &self.text[run..self.pos];
+            self.pos = at;
+            unescaped.push_str(&self.text[run..at]);
             if self.peek() == Some(b'"') {
                 self.pos += 1;
-                return Ok(match unescaped {
-                    None => Cow::Borrowed(chunk),
-                    Some(mut s) => {
-                        s.push_str(chunk);
-                        Cow::Owned(s)
-                    }
-                });
+                return Ok(Cow::Owned(unescaped));
             }
             self.pos += 1; // the backslash
-            let c = self.escape()?;
-            let s = unescaped.get_or_insert_with(String::new);
-            s.push_str(chunk);
-            s.push(c);
+            unescaped.push(self.escape()?);
+            run = self.pos;
+            end = self.run_end(run);
         }
     }
 
@@ -539,6 +590,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Reads a non-negative integer that fits a `u64`.
+    #[inline]
     pub fn u64(&mut self) -> Result<u64, ParseError> {
         self.skip_ws();
         let start = self.pos;

@@ -12,6 +12,7 @@
 //! footprint and no allocation.
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
+use std::time::Duration;
 
 use crate::json::Json;
 
@@ -140,6 +141,11 @@ impl Histogram {
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |m| {
                 (v > m).then_some(v)
             });
+    }
+
+    /// Records a duration, as nanoseconds (saturating at `u64::MAX`).
+    pub fn record_duration(&self, d: Duration) {
+        self.record(d.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
     /// Number of observations.

@@ -90,7 +90,7 @@ impl Registry {
 
     /// Records a duration (as nanoseconds) into the named histogram.
     pub fn observe_duration(&self, key: &str, d: Duration) {
-        self.observe(key, d.as_nanos().min(u128::from(u64::MAX)) as u64);
+        self.histogram(key).record_duration(d);
     }
 
     /// Runs `f` and records its wall-clock (nanoseconds) into the named

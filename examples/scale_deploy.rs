@@ -32,7 +32,11 @@
 //! groups and re-optimises; it exits non-zero unless that re-partitioned
 //! a patched map. Nothing here is gated on the clock.
 //!
-//! For the dump's passes (summed) and for each push it prints the
+//! For the dump's passes, summed, it prints the microseconds under each
+//! stage timer (the fast path's delta, validation, stage with the FIB
+//! sync beside it as its breakdown, flow-table apply and commit, and the
+//! route server's decision), their sum and its share of the dump's wall
+//! time. For the dump's passes (summed) and for each push it prints the
 //! re-advertisement's cost: microseconds under the `fibsync` timer, pairs
 //! examined and sent, nanoseconds per pair examined, and the undo entries
 //! its transactions recorded (`txn.undo.entries`). For the outbound
@@ -83,6 +87,12 @@ fn p50_max_us(mut ns: Vec<u64>) -> (f64, f64) {
     ns.sort_unstable();
     let us = |v: Option<&u64>| v.copied().unwrap_or(0) as f64 / 1e3;
     (us(ns.get(ns.len().saturating_sub(1) / 2)), us(ns.last()))
+}
+
+/// `key=µs` for each stage timer, from the nanoseconds summed under it.
+fn stage_rows(keys: &[&str], ns: &[u64]) -> String {
+    let rows = (keys.iter().zip(ns)).map(|(key, &ns)| format!("{key}={:.1}", ns as f64 / 1e3));
+    rows.collect::<Vec<_>>().join(" ")
 }
 
 /// Runs `update` with the mid-stage fault point armed for its first
@@ -206,8 +216,22 @@ fn main() {
         }
         changed
     };
+    // The stages a dump pass's time goes to, summed over the passes: the
+    // route server's decision, then the fast path's; the first is the FIB
+    // sync, a breakdown of `fastpath.apply`, and stays outside the sum.
+    const DUMP_STAGES: [&str; 7] = [
+        "fibsync",
+        "fastpath.delta",
+        "txn.validate",
+        "fastpath.apply",
+        "flowtable.apply",
+        "txn.commit",
+        "rs.decision",
+    ];
+    let dump_stages = |ctl: &SdxController| DUMP_STAGES.map(|key| timed(ctl, key));
     let (mut pass_begin_ns, mut pass_total_ns) = (Vec::new(), Vec::new());
     let dump_fibsync = fibsync(&ctl);
+    let dump_staged = dump_stages(&ctl);
     let t = Instant::now();
     for pass in dumped.chunks(64) {
         let changed = announce(&mut ctl, pass, &[cfg.asn.0, 64_999, 64_998, 64_997]);
@@ -220,6 +244,8 @@ fn main() {
     }
     let dump_ms = t.elapsed().as_secs_f64() * 1e3;
     let dump_fibsync = fibsync_since(&ctl, dump_fibsync);
+    let now = dump_stages(&ctl);
+    let dump_staged: [u64; 7] = std::array::from_fn(|i| now[i] - dump_staged[i]);
     let before = examined(&ctl);
     let repartitioned = |ctl: &SdxController| {
         (ctl.telemetry)
@@ -459,23 +485,27 @@ fn main() {
             ns as f64 / 1e3,
         );
     }
+    let sum = dump_staged[1..].iter().sum::<u64>();
+    println!(
+        "stages_us_dump: {} sum={:.1} dump_us={:.1} sum_share={:.3} ({})",
+        stage_rows(&DUMP_STAGES[1..], &dump_staged[1..]),
+        sum as f64 / 1e3,
+        dump_ms * 1e3,
+        sum as f64 / (dump_ms * 1e6),
+        stage_rows(&DUMP_STAGES[..1], &dump_staged[..1])
+    );
     for (what, (staged, total)) in [
         ("outbound_install", out_install_stages),
         ("outbound_retract", out_retract_stages),
     ] {
-        let rows = |at: std::ops::Range<usize>| -> String {
-            let rows = (STAGES[at.clone()].iter().zip(&staged[at]))
-                .map(|(key, &ns)| format!("{key}={:.1}", ns as f64 / 1e3));
-            rows.collect::<Vec<_>>().join(" ")
-        };
         let sum = staged[2..].iter().sum::<u64>();
         println!(
             "stages_us_{what}: {} sum={:.1} reoptimize.total={:.1} sum_share={:.3} ({})",
-            rows(2..STAGES.len()),
+            stage_rows(&STAGES[2..], &staged[2..]),
             sum as f64 / 1e3,
             total as f64 / 1e3,
             sum as f64 / total as f64,
-            rows(0..2)
+            stage_rows(&STAGES[..2], &staged[..2])
         );
     }
     println!(
