@@ -307,11 +307,9 @@ impl<T> Node<T> {
         1 + self.children.iter().map(Node::count).sum::<usize>()
     }
 
-    /// Appends the values of this subtree whose prefixes `within` covers,
-    /// in prefix order. The node is at `level`, and `within` is this
-    /// node's path or a prefix kept in it.
-    fn collect<'a>(&'a self, level: usize, within: Prefix, out: &mut Vec<(Prefix, &'a T)>) {
-        let path = Prefix::new(within.addr(), 8 * level as u8).addr().0;
+    /// Appends the values of this subtree in prefix order. The node is at
+    /// `level`, and `path` is its address (the octets above it).
+    fn collect<'a>(&'a self, level: usize, path: u32, out: &mut Vec<(Prefix, &'a T)>) {
         let shift = 24 - 8 * level;
         let at = |octet: usize, len: usize| {
             Prefix::new(
@@ -324,25 +322,21 @@ impl<T> Node<T> {
             .prefixes
             .iter()
             .enumerate()
-            .filter_map(|(rank, slot)| {
+            .map(|(rank, slot)| {
                 let l = slot.ilog2() as usize;
-                let p = at((slot - (1 << l)) << (8 - l), l);
-                within.covers(p).then_some((p, rank))
+                (at((slot - (1 << l)) << (8 - l), l), rank)
             })
             .collect();
         own.sort_unstable_by_key(|&(p, _)| p);
         let mut own = own.into_iter().peekable();
         for (octet, child) in self.branches.iter().zip(&self.children) {
             let below = at(octet, 8);
-            if !within.covers(below) {
-                continue;
-            }
             // A prefix kept here starting at or before `below` sorts before
             // everything under it, which is longer.
             while let Some((p, rank)) = own.next_if(|&(p, _)| p <= below) {
                 out.push((p, &self.values[rank]));
             }
-            child.collect(level + 1, below, out);
+            child.collect(level + 1, below.addr().0, out);
         }
         out.extend(own.map(|(p, rank)| (p, &self.values[rank])));
     }
@@ -504,53 +498,16 @@ impl<T> PrefixTrie<T> {
         None
     }
 
-    /// Visits **every** stored value whose prefix contains `addr`, from the
-    /// least specific (the default route, if stored) to the most specific.
-    ///
-    /// Where [`lookup`](Self::lookup) answers "which single prefix wins
-    /// longest-match", this answers "which prefixes are in play at all" —
-    /// the question a priority-ordered matcher asks, where rule priority
-    /// (not prefix length) decides the winner among covering prefixes.
-    /// Walks the same nodes as `lookup`, at most four, and allocates
-    /// nothing.
-    pub fn for_each_match(&self, addr: Ipv4Addr, mut f: impl FnMut(&T)) {
-        let mut node = &self.root;
-        for octet in addr.octets() {
-            if !node.values.is_empty() {
-                for l in 0..=8 {
-                    if let Some(v) = node.value(slot(l, octet)) {
-                        f(v);
-                    }
-                }
-            }
-            match node.child(octet) {
-                Some(child) => node = child,
-                None => break,
-            }
-        }
-    }
-
     /// Approximate bytes the trie itself takes: the `size_of` of each of
     /// its nodes, and of each stored value (not what a value owns).
     pub fn approx_bytes(&self) -> usize {
         self.root.count() * std::mem::size_of::<Node<T>>() + self.len * std::mem::size_of::<T>()
     }
 
-    /// All stored prefixes covered by `covering` (including an exact match),
-    /// in lexicographic order.
-    pub fn covered_by(&self, covering: Prefix) -> Vec<(Prefix, &T)> {
-        let (level, _) = locate(covering);
-        let mut out = Vec::new();
-        if let Some(node) = self.root.reach(&covering.addr().octets()[..level]) {
-            node.collect(level, covering, &mut out);
-        }
-        out
-    }
-
     /// Iterates over `(prefix, &value)` pairs in lexicographic prefix order.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix, &T)> {
         let mut out = Vec::with_capacity(self.len);
-        self.root.collect(0, Prefix::DEFAULT_ROUTE, &mut out);
+        self.root.collect(0, 0, &mut out);
         out.into_iter()
     }
 
@@ -674,43 +631,12 @@ mod tests {
     }
 
     #[test]
-    fn covered_by_returns_subtree() {
-        let mut t = PrefixTrie::new();
-        t.insert(prefix("10.0.0.0/8"), 1);
-        t.insert(prefix("10.1.0.0/16"), 2);
-        t.insert(prefix("10.1.2.0/24"), 3);
-        t.insert(prefix("11.0.0.0/8"), 4);
-        let covered: Vec<_> = t
-            .covered_by(prefix("10.1.0.0/16"))
-            .into_iter()
-            .map(|(p, _)| p)
-            .collect();
-        assert_eq!(covered, vec![prefix("10.1.0.0/16"), prefix("10.1.2.0/24")]);
-        assert!(t.covered_by(prefix("12.0.0.0/8")).is_empty());
-    }
-
-    #[test]
     fn get_or_insert_with_counts_once() {
         let mut t: PrefixTrie<Vec<u32>> = PrefixTrie::new();
         t.get_or_insert_with(prefix("10.0.0.0/8"), Vec::new).push(1);
         t.get_or_insert_with(prefix("10.0.0.0/8"), Vec::new).push(2);
         assert_eq!(t.len(), 1);
         assert_eq!(t.get(prefix("10.0.0.0/8")), Some(&vec![1, 2]));
-    }
-
-    #[test]
-    fn for_each_match_visits_all_covering_prefixes() {
-        let mut t = PrefixTrie::new();
-        t.insert(prefix("0.0.0.0/0"), "default");
-        t.insert(prefix("10.0.0.0/8"), "eight");
-        t.insert(prefix("10.1.0.0/16"), "sixteen");
-        t.insert(prefix("11.0.0.0/8"), "other");
-        let mut seen = Vec::new();
-        t.for_each_match(ip("10.1.2.3"), |v| seen.push(*v));
-        assert_eq!(seen, vec!["default", "eight", "sixteen"]);
-        seen.clear();
-        t.for_each_match(ip("12.0.0.1"), |v| seen.push(*v));
-        assert_eq!(seen, vec!["default"]);
     }
 
     #[test]

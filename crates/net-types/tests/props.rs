@@ -332,12 +332,11 @@ proptest! {
     }
 
     /// Trie exact get/remove agree with a map, and removals interleaved
-    /// with reads leave `covered_by`, iteration and the count agreeing
-    /// too, down to the empty trie, node for node.
+    /// with reads leave iteration and the count agreeing too, down to the
+    /// empty trie, node for node.
     #[test]
     fn trie_get_remove(
         entries in proptest::collection::vec(arb_nested_prefix(), 0..48),
-        coverings in proptest::collection::vec(arb_nested_prefix(), 1..4),
         order in any::<u64>(),
     ) {
         let mut trie = PrefixTrie::new();
@@ -357,16 +356,6 @@ proptest! {
             let seen: Vec<(Prefix, usize)> = trie.iter().map(|(p, v)| (p, *v)).collect();
             let expect: Vec<(Prefix, usize)> = model.iter().map(|(p, v)| (*p, *v)).collect();
             prop_assert_eq!(seen, expect, "after removing {:?}", p);
-            for &covering in &coverings {
-                let seen: Vec<(Prefix, usize)> =
-                    trie.covered_by(covering).into_iter().map(|(p, v)| (p, *v)).collect();
-                let expect: Vec<(Prefix, usize)> = model
-                    .iter()
-                    .filter(|(p, _)| covering.covers(**p))
-                    .map(|(p, v)| (*p, *v))
-                    .collect();
-                prop_assert_eq!(seen, expect, "covered by {:?}", covering);
-            }
         }
         prop_assert!(trie.is_empty());
         prop_assert_eq!(trie, PrefixTrie::new());
@@ -484,28 +473,6 @@ proptest! {
             prop_assert!(i.is_some(), "a ⊇ b but a ∩ b = ∅");
             prop_assert_eq!(i.unwrap().matches(&lp), b.matches(&lp));
         }
-    }
-
-    /// `for_each_match` visits exactly the stored prefixes containing the
-    /// address, least-specific first — the covering-set walk the compiled
-    /// matcher's nw_dst index uses.
-    #[test]
-    fn trie_for_each_match_is_covering_set(
-        entries in proptest::collection::vec(arb_nested_prefix(), 0..64),
-        probe in arb_block_addr(),
-    ) {
-        let trie: PrefixTrie<usize> =
-            entries.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        let model: BTreeMap<Prefix, usize> =
-            entries.iter().enumerate().map(|(i, p)| (*p, i)).collect();
-        let mut got = Vec::new();
-        trie.for_each_match(probe, |v| got.push(*v));
-        let mut expect: Vec<(Prefix, usize)> = model
-            .into_iter()
-            .filter(|(p, _)| p.contains(probe))
-            .collect();
-        expect.sort_by_key(|(p, _)| p.len());
-        prop_assert_eq!(got, expect.into_iter().map(|(_, v)| v).collect::<Vec<_>>());
     }
 
     /// seq_compose is exactly "match m1, apply mods, match m2".

@@ -7,9 +7,9 @@
 //!   and cookies. Rule counts read from here are the metric of Figures 7
 //!   and 9.
 //! * [`matcher`] — the compiled fast path: hash indexes over the exact-match
-//!   discriminators (`dl_dst`, `in_port`), an `nw_dst` prefix trie, and a
-//!   residual list, kept epoch-coherent with the table and guaranteed
-//!   index-for-index identical to the linear walk.
+//!   discriminators (`dl_dst`, `in_port`) and a residual list, kept
+//!   epoch-coherent with the table and guaranteed index-for-index identical
+//!   to the linear walk.
 //! * [`flowmod`] — the typed `Add`/`Modify`/`Delete` delta protocol the
 //!   controller patches tables with: atomic per batch, epoch-tagged,
 //!   cookie-stamped (§4.3.2's incremental updates made explicit).

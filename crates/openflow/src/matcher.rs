@@ -1,35 +1,34 @@
-//! Compiled data-plane matcher: hash/trie fast path over the flow table.
+//! Compiled data-plane matcher: a hashed fast path over the flow table.
 //!
 //! [`FlowTable::classify`](crate::table::FlowTable::classify) semantics are
 //! a priority-ordered linear first-match walk. That is the *specification*;
 //! this module is the *implementation* that makes it run at packet rate.
 //! The tables the SDX deploys have a very particular shape (DESIGN.md §7.10):
-//! VMAC tag stages are single-field exact matches on `dl_dst`, inbound
-//! stages key on `in_port`, and FIB stages key on an `nw_dst` prefix. A
-//! [`CompiledMatcher`] exploits that shape with three indexes:
+//! the border router does the prefix lookup and writes a VMAC, so nearly
+//! every rule is an exact match on `dl_dst`, and the wide-area load
+//! balancer's rewrite rules key on `in_port`. A [`CompiledMatcher`]
+//! exploits that shape with two indexes and a list:
 //!
-//! * **exact** — hash maps over `dl_dst` and `in_port`, the dominant
-//!   discriminators. A pattern constraining `dl_dst` goes in the `dl_dst`
-//!   map (keyed by the exact MAC); otherwise a pattern constraining
-//!   `in_port` goes in the `in_port` map.
-//! * **trie** — patterns constraining `nw_dst` (and neither exact field)
-//!   live in a [`PrefixTrie`] bucket at their prefix; lookup walks the
-//!   covering set via [`PrefixTrie::for_each_match`].
-//! * **residual** — everything else (wide/multi-field patterns) stays in a
-//!   priority-ordered list and is always scanned.
+//! * **exact** — hash maps over `dl_dst` and `in_port`. A pattern
+//!   constraining `dl_dst` goes in the `dl_dst` map (keyed by the exact
+//!   MAC); otherwise a pattern constraining `in_port` goes in the `in_port`
+//!   map.
+//! * **residual** — everything else (the catch-all drop, and any pattern a
+//!   general OpenFlow table may receive) stays in a priority-ordered list
+//!   and is always scanned.
 //!
-//! Every entry lives in **exactly one** index, and the index it lives in is
+//! Every entry lives in **exactly one** of them, and the one it lives in is
 //! probed for every packet the pattern could match (a pattern constraining
 //! `dl_dst = M` can only match packets with `dl_dst = M`, which probe
-//! bucket `M`; likewise for `in_port` and covering prefixes). So the
-//! candidate set seen for a packet always contains every matching entry,
-//! and the maximum priority among *verified* candidates (each candidate's
-//! full pattern is re-checked with [`HeaderMatch::matches`]) is exactly the
-//! priority the linear walk would return. The table then resolves the
-//! winner *within that one priority band* in table order, reproducing
-//! first-match tie-breaking bit-for-bit — which is what lets the
-//! differential oracle assert `(index, entry)` identity against the linear
-//! walk on every probe.
+//! bucket `M`; likewise for `in_port`; the residual list is probed for
+//! every packet). So the candidate set seen for a packet always contains
+//! every matching entry, and the maximum priority among *verified*
+//! candidates (each candidate's full pattern is re-checked with
+//! [`HeaderMatch::matches`]) is exactly the priority the linear walk would
+//! return. The table then resolves the winner *within that one priority
+//! band* in table order, reproducing first-match tie-breaking bit-for-bit —
+//! which is what lets the differential oracle assert `(index, entry)`
+//! identity against the linear walk on every probe.
 //!
 //! Buckets are kept sorted by descending priority so a scan can stop at the
 //! first verified match and prune against the best candidate found so far.
@@ -41,9 +40,8 @@
 //! the epochs agree.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Instant;
 
-use sdx_net::{HeaderMatch, LocatedPacket, MacAddr, PortId, PrefixTrie, WordMap};
+use sdx_net::{HeaderMatch, LocatedPacket, MacAddr, PortId, WordMap};
 
 use crate::table::FlowEntry;
 
@@ -58,7 +56,6 @@ struct Candidate {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum IndexKind {
     Exact,
-    Trie,
     Residual,
 }
 
@@ -66,7 +63,6 @@ enum IndexKind {
 enum Route {
     DlDst(MacAddr),
     InPort(PortId),
-    NwDst(sdx_net::Prefix),
     Residual,
 }
 
@@ -75,8 +71,6 @@ fn route(pattern: &HeaderMatch) -> Route {
         Route::DlDst(mac)
     } else if let Some(port) = pattern.in_port {
         Route::InPort(port)
-    } else if let Some(p) = pattern.nw_dst {
-        Route::NwDst(p)
     } else {
         Route::Residual
     }
@@ -88,7 +82,6 @@ fn route(pattern: &HeaderMatch) -> Route {
 #[derive(Debug, Default)]
 struct Hits {
     exact: AtomicU64,
-    trie: AtomicU64,
     residual: AtomicU64,
     miss: AtomicU64,
 }
@@ -97,7 +90,6 @@ impl Clone for Hits {
     fn clone(&self) -> Self {
         Hits {
             exact: AtomicU64::new(self.exact.load(Ordering::Relaxed)),
-            trie: AtomicU64::new(self.trie.load(Ordering::Relaxed)),
             residual: AtomicU64::new(self.residual.load(Ordering::Relaxed)),
             miss: AtomicU64::new(self.miss.load(Ordering::Relaxed)),
         }
@@ -106,7 +98,7 @@ impl Clone for Hits {
 
 /// A point-in-time snapshot of matcher shape and traffic distribution —
 /// the payload behind the `dataplane.matcher.*` telemetry gauges and the
-/// Mpps bench's memory/hit-rate columns.
+/// benchmark's `openflow.matcher.*` rows.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MatcherStats {
     /// Table epoch this matcher was built/updated for.
@@ -115,23 +107,18 @@ pub struct MatcherStats {
     pub exact_keys: usize,
     /// Entries filed under the exact-match hash indexes.
     pub exact_entries: usize,
-    /// Distinct prefixes in the `nw_dst` trie.
-    pub trie_prefixes: usize,
-    /// Entries filed under the trie.
-    pub trie_entries: usize,
     /// Entries in the residual linear list.
     pub residual_entries: usize,
     /// Full rebuilds since table creation.
     pub builds: u64,
-    /// Wall-clock nanoseconds of the most recent full rebuild.
-    pub last_build_nanos: u64,
     /// Estimated index heap footprint in bytes (candidates + bucket
-    /// headers + the trie's nodes by their `size_of`; an accounting
-    /// estimate, not an allocator measurement).
+    /// headers; an accounting estimate, not an allocator measurement).
     pub approx_bytes: usize,
     /// Lookups answered by the exact-match hash indexes.
     pub exact_hits: u64,
-    /// Lookups answered by the prefix trie.
+    /// Always 0: the matcher has no prefix index. Kept because the
+    /// benchmark reads it for its `hit_share_trie` row; it goes when the
+    /// benchmark's calls are next updated (ROADMAP item 19).
     pub trie_hits: u64,
     /// Lookups answered by the residual list.
     pub residual_hits: u64,
@@ -148,11 +135,9 @@ pub struct MatcherStats {
 pub struct CompiledMatcher {
     by_dl_dst: WordMap<MacAddr, Vec<Candidate>>,
     by_in_port: WordMap<PortId, Vec<Candidate>>,
-    by_nw_dst: PrefixTrie<Vec<Candidate>>,
     residual: Vec<Candidate>,
     epoch: u64,
     builds: u64,
-    last_build_nanos: u64,
     hits: Hits,
 }
 
@@ -199,7 +184,6 @@ impl CompiledMatcher {
         match route(pattern) {
             Route::DlDst(mac) => insert_sorted(self.by_dl_dst.entry(mac).or_default(), c),
             Route::InPort(port) => insert_sorted(self.by_in_port.entry(port).or_default(), c),
-            Route::NwDst(p) => insert_sorted(self.by_nw_dst.get_or_insert_with(p, Vec::new), c),
             Route::Residual => insert_sorted(&mut self.residual, c),
         }
         self.epoch = epoch;
@@ -226,14 +210,6 @@ impl CompiledMatcher {
                     }
                 }
             }
-            Route::NwDst(p) => {
-                if let Some(b) = self.by_nw_dst.get_mut(p) {
-                    remove_from(b, priority, pattern);
-                    if b.is_empty() {
-                        self.by_nw_dst.remove(p);
-                    }
-                }
-            }
             Route::Residual => {
                 remove_from(&mut self.residual, priority, pattern);
             }
@@ -246,7 +222,6 @@ impl CompiledMatcher {
     pub(crate) fn clear(&mut self, epoch: u64) {
         self.by_dl_dst.clear();
         self.by_in_port.clear();
-        self.by_nw_dst.clear();
         self.residual.clear();
         self.epoch = epoch;
     }
@@ -255,17 +230,11 @@ impl CompiledMatcher {
     /// `install_classifier` and explicit
     /// [`rebuild_matcher`](crate::table::FlowTable::rebuild_matcher).
     pub(crate) fn rebuild(&mut self, entries: &[FlowEntry], epoch: u64) {
-        let t0 = Instant::now();
-        self.by_dl_dst.clear();
-        self.by_in_port.clear();
-        self.by_nw_dst.clear();
-        self.residual.clear();
+        self.clear(epoch);
         for e in entries {
             self.insert(e.priority, &e.pattern, epoch);
         }
-        self.epoch = epoch;
         self.builds += 1;
-        self.last_build_nanos = t0.elapsed().as_nanos() as u64;
     }
 
     /// The priority the linear first-match walk would return for `lp`, or
@@ -300,18 +269,12 @@ impl CompiledMatcher {
         if let Some(bucket) = self.by_in_port.get(&lp.loc) {
             scan(bucket, lp, &mut best, IndexKind::Exact);
         }
-        if !self.by_nw_dst.is_empty() {
-            self.by_nw_dst.for_each_match(lp.pkt.nw_dst, |bucket| {
-                scan(bucket, lp, &mut best, IndexKind::Trie)
-            });
-        }
         scan(&self.residual, lp, &mut best, IndexKind::Residual);
 
         match best {
             Some((priority, kind)) => {
                 let counter = match kind {
                     IndexKind::Exact => &self.hits.exact,
-                    IndexKind::Trie => &self.hits.trie,
                     IndexKind::Residual => &self.hits.residual,
                 };
                 counter.fetch_add(1, Ordering::Relaxed);
@@ -332,7 +295,6 @@ impl CompiledMatcher {
             .chain(self.by_in_port.values())
             .map(Vec::len)
             .sum();
-        let trie_entries: usize = self.by_nw_dst.iter().map(|(_, b)| b.len()).sum();
         let exact_keys = self.by_dl_dst.len() + self.by_in_port.len();
         let cand = std::mem::size_of::<Candidate>();
         let bucket_overhead = std::mem::size_of::<Vec<Candidate>>() + 8; // vec header + key share
@@ -340,16 +302,12 @@ impl CompiledMatcher {
             epoch: self.epoch,
             exact_keys,
             exact_entries,
-            trie_prefixes: self.by_nw_dst.len(),
-            trie_entries,
             residual_entries: self.residual.len(),
             builds: self.builds,
-            last_build_nanos: self.last_build_nanos,
-            approx_bytes: (exact_entries + trie_entries + self.residual.len()) * cand
-                + exact_keys * bucket_overhead
-                + self.by_nw_dst.approx_bytes(), // nodes + bucket headers
+            approx_bytes: (exact_entries + self.residual.len()) * cand
+                + exact_keys * bucket_overhead,
             exact_hits: self.hits.exact.load(Ordering::Relaxed),
-            trie_hits: self.hits.trie.load(Ordering::Relaxed),
+            trie_hits: 0,
             residual_hits: self.hits.residual.load(Ordering::Relaxed),
             miss_count: self.hits.miss.load(Ordering::Relaxed),
         }
@@ -366,7 +324,6 @@ impl std::fmt::Debug for CompiledMatcher {
                 "exact_keys",
                 &(self.by_dl_dst.len() + self.by_in_port.len()),
             )
-            .field("trie_prefixes", &self.by_nw_dst.len())
             .field("residual", &self.residual.len())
             .finish_non_exhaustive()
     }
@@ -401,9 +358,8 @@ mod tests {
         let s = m.stats();
         assert_eq!(s.exact_keys, 2);
         assert_eq!(s.exact_entries, 2);
-        assert_eq!(s.trie_prefixes, 1);
-        assert_eq!(s.trie_entries, 1);
-        assert_eq!(s.residual_entries, 1);
+        // A pattern with neither exact field is residual, prefix or not.
+        assert_eq!(s.residual_entries, 2);
         assert_eq!(s.epoch, 4);
         // dl_dst beats in_port in routing when both are constrained.
         let both =
@@ -424,16 +380,17 @@ mod tests {
             2,
         );
         m.insert(1, &HeaderMatch::any(), 3);
-        // All three indexes hold a matching candidate; trie has the max.
+        // Both indexes hold a matching candidate; the residual prefix
+        // rule has the max.
         assert_eq!(m.best_priority(&pkt(port(1), "20.0.0.1", 3)), Some(7));
         // Off-prefix packet: dl_dst bucket wins over residual.
         assert_eq!(m.best_priority(&pkt(port(1), "30.0.0.1", 3)), Some(5));
         // Nothing but the wildcard.
         assert_eq!(m.best_priority(&pkt(port(1), "30.0.0.1", 9)), Some(1));
         let s = m.stats();
-        assert_eq!(s.trie_hits, 1);
         assert_eq!(s.exact_hits, 1);
-        assert_eq!(s.residual_hits, 1);
+        assert_eq!(s.residual_hits, 2);
+        assert_eq!(s.trie_hits, 0);
         assert_eq!(s.miss_count, 0);
     }
 

@@ -535,10 +535,6 @@ impl EventLoop {
             .set_gauge("dataplane.matcher.exact.keys", s.exact_keys as i64);
         self.reg
             .set_gauge("dataplane.matcher.exact.entries", s.exact_entries as i64);
-        self.reg
-            .set_gauge("dataplane.matcher.trie.prefixes", s.trie_prefixes as i64);
-        self.reg
-            .set_gauge("dataplane.matcher.trie.entries", s.trie_entries as i64);
         self.reg.set_gauge(
             "dataplane.matcher.residual.entries",
             s.residual_entries as i64,
@@ -549,8 +545,6 @@ impl EventLoop {
             .set_gauge("dataplane.matcher.approx_bytes", s.approx_bytes as i64);
         self.reg
             .set_gauge("dataplane.matcher.exact.hit.count", s.exact_hits as i64);
-        self.reg
-            .set_gauge("dataplane.matcher.trie.hit.count", s.trie_hits as i64);
         self.reg.set_gauge(
             "dataplane.matcher.residual.hit.count",
             s.residual_hits as i64,

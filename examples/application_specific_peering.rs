@@ -99,13 +99,20 @@ fn main() {
                 .unwrap_or(0.0)
         };
         let bar = |v: f64| "#".repeat(v.round() as usize);
+        let (via_a, via_b) = (get("via-P1"), get("via-P2"));
         println!(
-            "{t:5.0}s  {:8.1}  {:8.1}   A:{:3} B:{}",
-            get("via-P1"),
-            get("via-P2"),
-            bar(get("via-P1")),
-            bar(get("via-P2")),
+            "{t:5.0}s  {via_a:8.1}  {via_b:8.1}   A:{:3} B:{}",
+            bar(via_a),
+            bar(via_b),
         );
+        // Only while the policy stands and B still has the route does the
+        // web flow leave via B.
+        let expected = if (565.0..1253.0).contains(t) {
+            (2.0, 1.0)
+        } else {
+            (3.0, 0.0)
+        };
+        assert_eq!((via_a, via_b), expected, "at t={t}s");
     }
     println!("\nevents: t=565s application-specific peering policy (port 80 via B)");
     println!("        t=1253s AS B withdraws its route (traffic must return to A)");

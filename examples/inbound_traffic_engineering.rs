@@ -40,11 +40,11 @@ fn main() {
     let fabric = ctl.deploy().expect("deploy");
 
     println!("traffic toward B's prefix 20.0.0.0/8, split by B's inbound TE policy:\n");
-    for (sender, src) in [
-        (1u32, "9.0.0.1"), // low half → B1
-        (1, "200.0.0.1"),  // high half → B2
-        (3, "64.10.0.1"),  // low half → B1, regardless of sender
-        (3, "190.3.2.1"),  // high half → B2
+    for (sender, src, router) in [
+        (1u32, "9.0.0.1", 1u8), // low half → B1
+        (1, "200.0.0.1", 2),    // high half → B2
+        (3, "64.10.0.1", 1),    // low half → B1, regardless of sender
+        (3, "190.3.2.1", 2),    // high half → B2
     ] {
         let out = fabric.send(
             PortId::Phys(pid(sender), 1),
@@ -55,6 +55,12 @@ fn main() {
             out.first()
                 .map(|d| d.loc.to_string())
                 .unwrap_or_else(|| "dropped".into())
+        );
+        let at: Vec<PortId> = out.iter().map(|d| d.loc).collect();
+        assert_eq!(
+            at,
+            [PortId::Phys(pid(2), router)],
+            "from AS {sender} src {src}"
         );
     }
 

@@ -69,37 +69,42 @@ fn main() {
     );
 
     // --- Send traffic -----------------------------------------------------
+    // Each probe with the one port it must be delivered at.
     let from_a = PortId::Phys(pid(1), 1);
     let probes = [
         (
+            // A's policy via B; B's inbound TE picks B1.
             "web from low-half source",
             Packet::tcp(ip("9.9.9.9"), ip("10.0.0.1"), 5000, 80),
+            PortId::Phys(pid(2), 1),
         ),
         (
+            // B's inbound TE picks B2.
             "web from high-half source",
             Packet::tcp(ip("200.1.1.1"), ip("10.0.0.1"), 5000, 80),
+            PortId::Phys(pid(2), 2),
         ),
         (
+            // A's policy via C.
             "https",
             Packet::tcp(ip("9.9.9.9"), ip("10.0.0.1"), 5000, 443),
+            PortId::Phys(pid(3), 1),
         ),
         (
+            // Default: C has the best BGP route.
             "ssh (no policy: default BGP)",
             Packet::tcp(ip("9.9.9.9"), ip("10.0.0.1"), 5000, 22),
+            PortId::Phys(pid(3), 1),
         ),
     ];
-    for (label, pkt) in probes {
+    for (label, pkt, expected) in probes {
         let out = fabric.send(from_a, pkt);
         match out.as_slice() {
             [d] => println!("{label:32} -> delivered at {}", d.loc),
             [] => println!("{label:32} -> dropped"),
             many => println!("{label:32} -> multicast to {} ports", many.len()),
         }
+        let at: Vec<PortId> = out.iter().map(|d| d.loc).collect();
+        assert_eq!(at, [expected], "{label}");
     }
-
-    // Expected:
-    //   web/low-half  -> P2.1  (A's policy via B; B's inbound TE picks B1)
-    //   web/high-half -> P2.2  (B's inbound TE picks B2)
-    //   https         -> P3.1  (A's policy via C)
-    //   ssh           -> P3.1  (default: C has the best BGP route)
 }

@@ -18,9 +18,14 @@
 //! (`matcher_builds_reopt`; retiring the overlays and patching the table
 //! move it entry by entry), or if an inbound push rebuilt any viewer's
 //! piece or more than one receiver's block: the counts that must not grow
-//! with the exchange. It also exits non-zero if no probe was delivered, or if
-//! the compiled matcher and the linear walk pick different entries for any
-//! of the first 256 probes that reach the switch, if any push re-advertised
+//! with the exchange. After the deploy, the dump and the re-optimisation it
+//! prints where the matcher files the table (`matcher_exact_entries`,
+//! `matcher_residual_entries`) and exits non-zero unless the residual list
+//! holds the catch-all alone: every other rule the exchange compiles keys
+//! on `dl_dst` or `in_port`. It also exits non-zero if no probe was
+//! delivered, or if the compiled matcher and the linear walk pick
+//! different entries for any of the first 256 probes that reach the
+//! switch, if any push re-advertised
 //! more (viewer, prefix) pairs than it examined, if an outbound push
 //! examined a pair it did not send (its pairs are those whose VNH moved),
 //! or if an inbound push examined any pair at all (it moves no viewer's
@@ -39,9 +44,9 @@
 //! time. For the dump's passes (summed) and for each push it prints the
 //! re-advertisement's cost: microseconds under the `fibsync` timer, pairs
 //! examined and sent, nanoseconds per pair examined, and the undo entries
-//! its transactions recorded (`txn.undo.entries`). For the outbound
-//! install and retract it prints the microseconds under each stage timer
-//! (`compile.fec` — phase A, the dropped maps and the VNH assignment —
+//! its transactions recorded (`txn.undo.entries`). For each push it prints
+//! the microseconds under each stage timer (`compile.fec` — phase A, the
+//! dropped maps and the VNH assignment —
 //! stage 1, stage 2, compose, validation, the reconcile diff, the FIB
 //! sync, the flow-table apply, the commit that drops the transaction's
 //! undo log and replaced report, the retirement), their sum and its share of
@@ -178,11 +183,19 @@ fn main() {
             miscounted.push(format!("{after}: {interned} interned, {groups} groups"));
         }
     };
+    // Where the switch's compiled matcher files the table: entries under
+    // its `dl_dst` and `in_port` indexes, and entries in the residual list
+    // every packet scans.
+    let census = |fabric: &Fabric| {
+        let s = fabric.switch.table().matcher_stats();
+        [s.exact_entries, s.residual_entries]
+    };
 
     let t = Instant::now();
     let mut fabric = ctl.deploy().expect("deploy");
     let deploy_s = t.elapsed().as_secs_f64();
     count_interned(&ctl, "deploy");
+    let deploy_census = census(&fabric);
     let deploy_rss = peak_rss_mib();
     let deploy_examined = examined(&ctl);
     let rules = ctl.report.as_ref().expect("deployed").stats.rule_count;
@@ -243,6 +256,7 @@ fn main() {
         count_interned(&ctl, "a dump pass");
     }
     let dump_ms = t.elapsed().as_secs_f64() * 1e3;
+    let dump_census = census(&fabric);
     let dump_fibsync = fibsync_since(&ctl, dump_fibsync);
     let now = dump_stages(&ctl);
     let dump_staged: [u64; 7] = std::array::from_fn(|i| now[i] - dump_staged[i]);
@@ -266,6 +280,7 @@ fn main() {
     let reoptimize_examined = examined(&ctl) - before;
     let reoptimize_repartitioned = repartitioned(&ctl) - repartitioned_before;
     let matcher_builds_reopt = builds(&fabric) - builds_before;
+    let reoptimize_census = census(&fabric);
     count_interned(&ctl, "the re-optimisation");
 
     // Policy pushes by a policy-free participant, the benchmark's frames:
@@ -380,9 +395,9 @@ fn main() {
         (ms, pieces, fibsync_since(ctl, synced), (staged, total))
     };
     let id: ParticipantId = editor.id;
-    let (in_install_ms, in_install, in_install_sync, _) =
+    let (in_install_ms, in_install, in_install_sync, in_install_stages) =
         push(&mut ctl, PolicyDelta::new().install_inbound(id, steer));
-    let (in_retract_ms, in_retract, in_retract_sync, _) =
+    let (in_retract_ms, in_retract, in_retract_sync, in_retract_stages) =
         push(&mut ctl, PolicyDelta::new().retract_inbound(id));
     let (out_install_ms, out_install, out_install_sync, out_install_stages) = push(
         &mut ctl,
@@ -439,6 +454,17 @@ fn main() {
         maps.recomputed, maps.reused, reoptimize_repartitioned
     );
     println!("matcher_builds_reopt={matcher_builds_reopt}");
+    let censuses = [
+        ("deploy", deploy_census),
+        ("dump", dump_census),
+        ("reoptimize", reoptimize_census),
+    ];
+    for (after, [exact, residual]) in censuses {
+        println!(
+            "matcher_after_{after}: matcher_exact_entries={exact} \
+             matcher_residual_entries={residual}"
+        );
+    }
     println!(
         "route_step: viewer={mover_viewer} prefixes={} best_next_hop={} viewers_repartitioned={route_step_repartitioned} \
          phase_a_interned={route_step_interned} fec_groups={route_step_groups}",
@@ -495,6 +521,8 @@ fn main() {
         stage_rows(&DUMP_STAGES[..1], &dump_staged[..1])
     );
     for (what, (staged, total)) in [
+        ("inbound_install", in_install_stages),
+        ("inbound_retract", in_retract_stages),
         ("outbound_install", out_install_stages),
         ("outbound_retract", out_retract_stages),
     ] {
@@ -594,6 +622,16 @@ fn main() {
             maps.recomputed
         );
         std::process::exit(1);
+    }
+    for (after, [_, residual]) in censuses {
+        if residual != 1 {
+            eprintln!(
+                "after the {after} the matcher's residual list holds {residual} entries: \
+                 every rule but the catch-all keys on dl_dst or in_port, and any other \
+                 lengthens every packet's residual scan"
+            );
+            std::process::exit(1);
+        }
     }
     if matcher_builds_reopt > 0 {
         eprintln!(

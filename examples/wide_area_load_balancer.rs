@@ -67,8 +67,14 @@ fn main() {
     .expect("tenant owns the prefix");
 
     println!("\nafter the LB policy (destination rewritten per client block):");
-    println!("  204.57.0.67 -> {}", send(&mut fabric, "204.57.0.67"));
-    println!("  99.0.0.10   -> {}", send(&mut fabric, "99.0.0.10"));
+    let (to_second, to_first) = (
+        send(&mut fabric, "204.57.0.67"),
+        send(&mut fabric, "99.0.0.10"),
+    );
+    println!("  204.57.0.67 -> {to_second}");
+    println!("  99.0.0.10   -> {to_first}");
+    assert_eq!(to_second, "exits P2.1 toward 54.230.0.10", "instance #2");
+    assert_eq!(to_first, "exits P2.1 toward 54.198.0.10", "instance #1");
 
     // An impostor cannot steer the tenant's traffic.
     let hijack = ctl.install_wide_area_lb(
@@ -80,8 +86,10 @@ fn main() {
     println!(
         "\nownership check: B's attempt to steer D's prefix -> {}",
         hijack
+            .as_ref()
             .err()
             .map(|e| e.to_string())
             .unwrap_or_else(|| "ACCEPTED (BUG)".into())
     );
+    assert!(hijack.is_err(), "only the prefix's origin may steer it");
 }
